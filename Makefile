@@ -13,8 +13,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second line re-runs the engine's own tests at 1, 2 and 4 Ps: a
+# proc is a coroutine resumed by whichever goroutine claims its shard's
+# window, and the shard barrier spins, yields and parks, so both must
+# hold with fewer Ps than workers and with more.
 race:
 	$(GO) test -race ./...
+	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/
 
 # Compile-and-smoke every benchmark (single iteration) so ci catches
 # bench-only build or runtime breakage without paying measurement time.
@@ -28,8 +33,10 @@ benchcheck:
 # and the gomaxprocs stamp — while BENCH_PR5.json stays frozen as the
 # control-plane baseline sigbench diffs against. BenchmarkScheduleRun's
 # 0 allocs/op steady state is gated separately by
-# TestScheduleRunSteadyStateAllocs in `make test`; the signaling path's
-# zero-alloc call cycle by TestSteadyStateCallAllocs.
+# TestScheduleRunSteadyStateAllocs in `make test`, a warm Engine.Go at
+# 2 allocs by TestProcSpawnSteadyStateAllocs, pooled coroutines released
+# at Shutdown by TestShutdownReleasesPooledCoroutines; the signaling
+# path's zero-alloc call cycle by TestSteadyStateCallAllocs.
 bench:
 	$(GO) test -run '^$$' -bench . -count 3 ./... | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
 
@@ -87,14 +94,17 @@ obsgate:
 # The sharded-engine gate (PR 7): the multi-domain E4 storm must
 # produce byte-identical history at workers=1 (the sequential golden
 # reference) and workers=4 — both clean and under the chaos cocktail —
-# and the cross-shard post path must stay allocation-free
-# (TestCrossShardPostZeroAlloc). The end-to-end half re-runs obsgen's
-# sharded export at both worker counts and byte-diffs. The ≥2.5x
+# the cross-shard post path must stay allocation-free
+# (TestCrossShardPostZeroAlloc), and the window barrier must stay live
+# with more workers than Ps, put idle helpers to sleep, and join them at
+# Close (TestShardGroupWorkersAboveGOMAXPROCS, ...IdleHelpersPark,
+# ...CloseNoLeak). The end-to-end half re-runs obsgen's sharded export
+# at both worker counts and byte-diffs. The ≥2.5x
 # 4-worker speedup (TestShardedScalingGate) asserts only on machines
 # with GOMAXPROCS >= 4 and self-skips elsewhere; the determinism checks
 # run everywhere.
 shardgate:
-	$(GO) test -count 1 -run 'TestCrossShardPostZeroAlloc|TestOneShardGroupMatchesPlainEngine|TestShardGroupDeterministicAcrossWorkers' ./internal/sim/
+	$(GO) test -count 1 -run 'TestCrossShardPostZeroAlloc|TestOneShardGroupMatchesPlainEngine|TestShardGroup' ./internal/sim/
 	$(GO) test -count 1 -run 'TestShardedStormDeterministicAcrossWorkers|TestShardedChaosDeterministicAcrossWorkers|TestShardedScalingGate' ./internal/testbed/
 	$(GO) run ./cmd/obsgen -shards 4 -workers 1 -calls 24 -frames 2 -run 8s > /tmp/shardgate-w1.json
 	$(GO) run ./cmd/obsgen -shards 4 -workers 4 -calls 24 -frames 2 -run 8s > /tmp/shardgate-w4.json

@@ -18,9 +18,11 @@ package sim
 // execute on one goroutine or eight. workers=1 is the golden reference.
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xunet/internal/prof"
@@ -41,7 +43,7 @@ type xrec struct {
 
 // ShardGroup is a set of engines advancing one simulation in parallel.
 // Create with NewShardGroup; drive with RunUntil/Run; always Close when
-// done so shard process goroutines and window workers are joined.
+// done so shard coroutines and window helpers are joined.
 type ShardGroup struct {
 	shards    []*Engine
 	lookahead time.Duration
@@ -54,23 +56,46 @@ type ShardGroup struct {
 	// all rows only after every shard has passed the barrier.
 	outbox [][][]xrec
 
-	// Window worker pool (started lazily when workers > 1).
-	work     chan int
-	done     chan struct{}
-	wg       sync.WaitGroup
+	closed atomic.Bool // set by Close; helpers exit when they see it
+
+	// The window barrier (see windowAll for the protocol). The
+	// coordinator — whoever called RunUntil/Run — and workers-1 helper
+	// goroutines (started lazily) claim shards by winning their taken
+	// flags; finished counts completed shard windows; epoch numbers the
+	// windows and is what idle helpers watch, spinning first and then
+	// asleep on wake, where parked counts them.
 	winLimit time.Duration
 	winIncl  bool
-	poolSize int
-	closed   bool
+	taken    []atomic.Bool
+	finished atomic.Int32
+	epoch    atomic.Uint32
+	helpers  int
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	wake     sync.Cond
+	parked   atomic.Int32
 
-	// Execution profiling (internal/prof): gprof is nil unless
-	// AttachProfiler armed it; winDur is the per-window scratch of
-	// per-shard wall durations (each slot written by the goroutine
-	// that ran that shard's window, read by the coordinator after the
-	// barrier — the work/done channels supply the happens-before).
+	// Per-shard results of the current window, each slot written by
+	// whoever ran that shard and read by the coordinator after the
+	// barrier (the finished counter supplies the happens-before): what
+	// the window panicked with, and — when gprof, nil unless
+	// AttachProfiler armed it, is set — its wall duration.
+	panics []any
 	gprof  *prof.GroupProf
 	winDur []int64
 }
+
+// A helper waiting for the next window polls the epoch spinsBeforePark
+// times — a tenth of a millisecond or two — before it goes to sleep:
+// long enough to ride out the coordinator's merge and an uneven window
+// (a futex sleep and wake per window is what made two workers slower
+// than one), short enough that a group nobody is driving burns no CPU.
+// Every spinsPerYield polls a waiter yields its P, which keeps a group
+// with more workers than GOMAXPROCS live.
+const (
+	spinsPerYield   = 256
+	spinsBeforePark = 128 * spinsPerYield
+)
 
 // NewShardGroup returns n engines synchronized at the given lookahead.
 // Shard 0 is seeded with the master seed itself (a 1-shard group is a
@@ -90,8 +115,11 @@ func NewShardGroup(seed uint64, n int, lookahead time.Duration) *ShardGroup {
 		lookahead: lookahead,
 		workers:   1,
 		outbox:    make([][][]xrec, n),
+		taken:     make([]atomic.Bool, n),
+		panics:    make([]any, n),
 		winDur:    make([]int64, n),
 	}
+	g.wake.L = &g.mu
 	for i := range g.shards {
 		e := New(ShardSeed(seed, i))
 		e.group = g
@@ -131,9 +159,10 @@ func (g *ShardGroup) Now() time.Duration { return g.now }
 // Workers reports the execution parallelism.
 func (g *ShardGroup) Workers() int { return g.workers }
 
-// SetWorkers sets how many goroutines execute shard windows. It bounds
-// to [1, Shards()] and must be called between runs, not during one.
-// Changing it never changes results — only wall-clock time.
+// SetWorkers sets how many goroutines execute shard windows — the
+// caller of RunUntil/Run plus n-1 helpers. It bounds to [1, Shards()]
+// and must be called between runs, not during one. Changing it never
+// changes results — only wall-clock time.
 func (g *ShardGroup) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -141,8 +170,8 @@ func (g *ShardGroup) SetWorkers(n int) {
 	if n > len(g.shards) {
 		n = len(g.shards)
 	}
-	if g.poolSize > 0 && n != g.poolSize && n > 1 {
-		panic("sim: SetWorkers after the worker pool started")
+	if g.helpers > 0 && n > 1 && n-1 != g.helpers {
+		panic("sim: SetWorkers after the window helpers started")
 	}
 	g.workers = n
 }
@@ -158,9 +187,9 @@ func (g *ShardGroup) Pending() int {
 }
 
 // AttachProfiler binds every shard engine and the group's window
-// accounting to p. Call before the first RunUntil/Run (the worker pool
-// reads the hook without a lock once started); attaching nil is a
-// no-op.
+// accounting to p. Call before the first RunUntil/Run (the window
+// helpers read the hook without a lock once started); attaching nil is
+// a no-op.
 func (g *ShardGroup) AttachProfiler(p *prof.Profiler) {
 	if p == nil {
 		return
@@ -211,61 +240,177 @@ func (g *ShardGroup) earliest() time.Duration {
 }
 
 // windowAll executes one window on every shard: sequentially in shard
-// order when workers == 1 (the golden reference), otherwise fanned out
-// over the worker pool. Either way each shard's window is the same
-// single-threaded computation.
+// order when workers == 1 (the golden reference), otherwise shared out
+// between the coordinator and its helpers. Either way each shard's
+// window is the same single-threaded computation.
+//
+// The parallel barrier opens a window in four steps, in this order:
+//
+//  1. winLimit/winIncl are written (plain stores);
+//  2. finished is reset to 0;
+//  3. every shard's taken flag is cleared — claims reopen;
+//  4. epoch is incremented, and sleeping helpers are woken.
+//
+// Everyone then claims shards by flipping their taken flags (see
+// claimShards), bumping finished after each window run, and the
+// coordinator returns once finished reaches the shard count. A helper
+// from the previous window may still be scanning flags at step 3 and
+// win one of the new window before step 4: that is sound, because a
+// flag can only be won after a clear, once per clear, and each clear
+// happens after the limits the winner will read (1) and after the reset
+// of the count it will bump (2). Step 4 is last because it only ends a
+// wait. Every shard does get run: the coordinator's own scan follows
+// the clears, so what nobody else has taken by then it takes itself.
+// The coordinator reads the per-shard results after observing the final
+// finished.Add, which follows the writes it reads.
 func (g *ShardGroup) windowAll(limit time.Duration, inclusive bool) {
 	if g.workers <= 1 || len(g.shards) == 1 {
-		if g.gprof == nil {
-			for _, e := range g.shards {
-				e.runWindow(limit, inclusive)
-			}
-			return
+		for i := range g.shards {
+			g.shardWindow(i, limit, inclusive)
 		}
-		for i, e := range g.shards {
-			t0 := time.Now()
-			e.runWindow(limit, inclusive)
-			g.winDur[i] = time.Since(t0).Nanoseconds()
+		if g.gprof != nil {
+			g.gprof.AccountWindow(g.winDur)
 		}
-		g.gprof.AccountWindow(g.winDur)
 		return
 	}
-	g.ensureWorkers()
+	g.ensureHelpers()
 	g.winLimit, g.winIncl = limit, inclusive
-	for i := range g.shards {
-		g.work <- i
+	g.finished.Store(0)
+	for i := range g.taken {
+		g.taken[i].Store(false)
 	}
-	for range g.shards {
-		<-g.done
+	g.epoch.Add(1)
+	g.wakeHelpers()
+	g.claimShards(0)
+	// Whoever holds the shards still out is executing them, so this wait
+	// is bounded by one shard window and never sleeps.
+	for spins := 1; int(g.finished.Load()) != len(g.shards); spins++ {
+		if spins%spinsPerYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	for i, r := range g.panics {
+		if r != nil {
+			g.panics[i] = nil
+			panic(r)
+		}
 	}
 	if g.gprof != nil {
 		g.gprof.AccountWindow(g.winDur)
 	}
 }
 
-// ensureWorkers starts the persistent window workers.
-func (g *ShardGroup) ensureWorkers() {
-	if g.poolSize > 0 {
+// claimShards runs every shard window that participant id — 0 is the
+// coordinator, helpers count from 1 — can claim: first the shards that
+// are its own by residue, then whichever others nobody has taken. The
+// home pass is what makes two workers faster than one: a shard that
+// runs on the same goroutine window after window keeps its heap, procs
+// and tables in that core's cache, where handing shards out first come
+// first served moved each one between cores every few microseconds and
+// inflated its work by a third. The second pass keeps the balance: a
+// participant that is a whole shard window ahead (an uneven window, a
+// helper descheduled for a GC worker, more workers than Ps) takes what
+// the laggard has not started.
+func (g *ShardGroup) claimShards(id int) {
+	for i := id; i < len(g.shards); i += g.workers {
+		g.tryShard(i)
+	}
+	for i := range g.shards {
+		g.tryShard(i)
+	}
+}
+
+// tryShard runs shard i's window if nobody has claimed it.
+func (g *ShardGroup) tryShard(i int) {
+	if g.taken[i].Load() || !g.taken[i].CompareAndSwap(false, true) {
 		return
 	}
-	g.poolSize = g.workers
-	g.work = make(chan int, len(g.shards))
-	g.done = make(chan struct{}, len(g.shards))
-	g.wg.Add(g.poolSize)
-	for w := 0; w < g.poolSize; w++ {
-		go func() {
-			defer g.wg.Done()
-			for i := range g.work {
-				if g.gprof != nil {
-					t0 := time.Now()
-					g.shards[i].runWindow(g.winLimit, g.winIncl)
-					g.winDur[i] = time.Since(t0).Nanoseconds()
-				} else {
-					g.shards[i].runWindow(g.winLimit, g.winIncl)
-				}
-				g.done <- struct{}{}
-			}
-		}()
+	g.runShard(i)
+	g.finished.Add(1)
+}
+
+// runShard executes shard i's window. A panic — a proc body's or an
+// event callback's — is parked in the shard's slot with its stack and
+// re-raised by the coordinator after the barrier: RunUntil's caller is
+// the only goroutine that can do anything about it, and unwinding here
+// would leave the other shards running with nobody to join them.
+func (g *ShardGroup) runShard(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			g.panics[i] = fmt.Sprintf("sim: shard %d: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	g.shardWindow(i, g.winLimit, g.winIncl)
+}
+
+// shardWindow runs shard i's window, timing it into winDur when the
+// group is profiled.
+func (g *ShardGroup) shardWindow(i int, limit time.Duration, inclusive bool) {
+	if g.gprof == nil {
+		g.shards[i].runWindow(limit, inclusive)
+		return
+	}
+	t0 := time.Now()
+	g.shards[i].runWindow(limit, inclusive)
+	g.winDur[i] = time.Since(t0).Nanoseconds()
+}
+
+// ensureHelpers starts the persistent window helpers.
+func (g *ShardGroup) ensureHelpers() {
+	if g.helpers > 0 {
+		return
+	}
+	g.helpers = g.workers - 1
+	g.wg.Add(g.helpers)
+	seen := g.epoch.Load()
+	for id := 1; id <= g.helpers; id++ {
+		go g.help(id, seen)
+	}
+}
+
+// help is helper id's life: wait for a window it has not seen, take
+// shards from it, repeat until Close.
+func (g *ShardGroup) help(id int, seen uint32) {
+	defer g.wg.Done()
+	for {
+		seen = g.awaitEpoch(seen)
+		if g.closed.Load() {
+			return
+		}
+		g.claimShards(id)
+	}
+}
+
+// awaitEpoch returns once the epoch has moved past seen: after a bounded
+// spin if the next window opens soon, otherwise after sleeping on wake.
+func (g *ShardGroup) awaitEpoch(seen uint32) uint32 {
+	for spins := 1; spins <= spinsBeforePark; spins++ {
+		if ep := g.epoch.Load(); ep != seen {
+			return ep
+		}
+		if spins%spinsPerYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	g.mu.Lock()
+	// parked is raised before the epoch is re-read, and wakeHelpers
+	// reads it after moving the epoch: one of the two sees the other.
+	g.parked.Add(1)
+	for g.epoch.Load() == seen {
+		g.wake.Wait()
+	}
+	g.parked.Add(-1)
+	g.mu.Unlock()
+	return g.epoch.Load()
+}
+
+// wakeHelpers rouses helpers asleep in awaitEpoch; call after moving the
+// epoch. With every helper still spinning it is one atomic load.
+func (g *ShardGroup) wakeHelpers() {
+	if g.parked.Load() > 0 {
+		g.mu.Lock()
+		g.wake.Broadcast()
+		g.mu.Unlock()
 	}
 }
 
@@ -274,7 +419,7 @@ func (g *ShardGroup) ensureWorkers() {
 // a barrier merge after each, and a final inclusive pass so events
 // scheduled at exactly t execute, matching Engine.RunUntil semantics.
 func (g *ShardGroup) RunUntil(t time.Duration) {
-	if g.closed {
+	if g.closed.Load() {
 		panic("sim: RunUntil on a closed ShardGroup")
 	}
 	g.merge() // adopt records posted while the group was idle
@@ -346,20 +491,19 @@ func (g *ShardGroup) Live() int {
 	return total
 }
 
-// Close shuts the group down: the window worker pool is joined, every
-// shard's live processes are killed (their goroutines exit), and staged
-// cross-shard records are dropped. Idempotent. The PR 7 shutdown
+// Close shuts the group down: the window helpers are joined, every
+// shard's live processes are killed and its coroutines released, and
+// staged cross-shard records are dropped. Idempotent. The PR 7 shutdown
 // contract: tests assert no goroutine leak after Close, replacing the
 // old rely-on-defer-drain discipline.
 func (g *ShardGroup) Close() {
-	if g.closed {
+	if g.closed.Swap(true) {
 		return
 	}
-	g.closed = true
-	if g.work != nil {
-		close(g.work)
+	if g.helpers > 0 {
+		g.epoch.Add(1)
+		g.wakeHelpers()
 		g.wg.Wait()
-		g.work = nil
 	}
 	for _, e := range g.shards {
 		e.Shutdown()
@@ -421,7 +565,7 @@ func (e *Engine) scheduleAbs(at time.Duration, fn func()) {
 	// hands off at the boundary (the matrix carries the src side).
 	ev.at, ev.seq, ev.fn, ev.label = at, e.seq, fn, prof.LabelCrossShard
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	if len(e.events) > e.heapHiWat {
 		e.heapHiWat = len(e.events)
 	}
@@ -441,8 +585,7 @@ func (e *Engine) runWindow(limit time.Duration, inclusive bool) {
 		if at > limit || (!inclusive && at == limit) {
 			break
 		}
-		ev := heap.Pop(&e.events).(*event)
-		e.exec(ev)
+		e.exec(e.events.pop())
 	}
 	if e.now < limit {
 		e.now = limit

@@ -9,7 +9,9 @@ import (
 
 // shardPingWorkload wires nShards shards into a ring: each shard runs a
 // local ticker that consumes randomness and occasionally posts a
-// cross-shard record to its successor, which logs the arrival. The log
+// cross-shard record to its successor, which logs the arrival, and a
+// pair of procs handing a token back and forth (so coroutines are
+// resumed from whichever goroutine claims the shard's window). The log
 // captures (shard, virtual time, rng draw) triples — any divergence in
 // execution order or RNG stream shows up as a byte difference.
 func shardPingWorkload(workers int) string {
@@ -40,6 +42,19 @@ func shardPingWorkload(workers int) string {
 			}
 		}
 		e.Schedule(0, tick)
+		q := NewQueue[int](e)
+		e.Go("producer", func(p *Proc) {
+			for n := 0; ; n++ {
+				p.Sleep(time.Duration(1+e.Rand().Intn(9)) * time.Millisecond)
+				q.Put(n)
+			}
+		})
+		e.Go("consumer", func(p *Proc) {
+			for {
+				n, _ := q.Get(p)
+				logs[i] += fmt.Sprintf("s%d t=%v token=%d\n", i, p.Now(), n)
+			}
+		})
 	}
 	g.RunUntil(250 * time.Millisecond)
 	var all string
@@ -59,6 +74,61 @@ func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d log diverges from workers=1 golden reference", w)
 		}
 	}
+}
+
+// More workers than GOMAXPROCS must neither hang (a helper that only
+// spun would starve whoever holds the shard everyone waits for) nor
+// change the history.
+func TestShardGroupWorkersAboveGOMAXPROCS(t *testing.T) {
+	ref := shardPingWorkload(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 3; i++ {
+		if got := shardPingWorkload(4); got != ref {
+			t.Fatal("workers=4 at GOMAXPROCS=1 diverges from the workers=1 fingerprint")
+		}
+	}
+}
+
+// Helpers spin only for a bounded time: once nobody is driving the
+// group they must be asleep on the condition variable (parked counts
+// exactly those), wake for the next run, and be gone after Close.
+func TestShardGroupIdleHelpersPark(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := NewShardGroup(5, 4, time.Millisecond)
+	g.SetWorkers(4)
+	ticks := 0
+	var tick func()
+	tick = func() {
+		ticks++
+		g.Shard(0).Schedule(100*time.Microsecond, tick)
+	}
+	g.Shard(0).Schedule(0, tick)
+	awaitParked := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for int(g.parked.Load()) != g.helpers {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d of %d helpers parked after 2s", when, g.parked.Load(), g.helpers)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	g.RunUntil(20 * time.Millisecond)
+	if g.helpers != 3 {
+		t.Fatalf("helpers = %d, want workers-1 = 3", g.helpers)
+	}
+	awaitParked("after first RunUntil")
+	before := ticks
+	g.RunUntil(40 * time.Millisecond) // parked helpers must not wedge the next window
+	if ticks == before {
+		t.Fatal("second RunUntil made no progress")
+	}
+	awaitParked("after second RunUntil")
+	g.Close()
+	if n := g.parked.Load(); n != 0 {
+		t.Fatalf("%d helpers still parked after Close", n)
+	}
+	waitGoroutines(t, base, "after Close")
 }
 
 func TestShardSeedDegenerate(t *testing.T) {
@@ -166,23 +236,17 @@ func TestShardGroupCloseNoLeak(t *testing.T) {
 	g.SetWorkers(4)
 	for i := 0; i < 4; i++ {
 		e := g.Shard(i)
-		e.Go("parker", func(p *Proc) { p.Park() })   // leaks unless killed
+		e.Go("short", func(p *Proc) {})            // leaves an idle pooled coroutine
+		e.Go("parker", func(p *Proc) { p.Park() }) // leaks unless killed
 		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
 	}
-	g.RunUntil(20 * time.Millisecond) // spins up the worker pool too
+	g.RunUntil(20 * time.Millisecond) // starts the window helpers too
 	if g.Live() != 8 {
 		t.Fatalf("live = %d, want 8", g.Live())
 	}
 	g.Close()
 	g.Close() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked across Close: before=%d after=%d", before, after)
-	}
+	waitGoroutines(t, before, "after Close")
 }
 
 func TestOneShardGroupMatchesPlainEngine(t *testing.T) {

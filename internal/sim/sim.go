@@ -3,18 +3,20 @@
 // numbers, cancellable timers, and cooperatively-scheduled processes.
 //
 // Everything in the simulated world — kernels, sighosts, switches,
-// applications — runs on one Engine. Exactly one goroutine executes at a
-// time: either the engine itself (running an event callback) or a single
-// Proc that the engine has resumed. Handoffs are explicit, so simulated
-// code needs no locks and every run with the same seed is bit-for-bit
-// reproducible. Processes may block (Park, Sleep, Queue.Get), which is
-// what lets application code in examples look exactly like the paper's
-// synchronous Figures 5 and 6.
+// applications — runs on one Engine. Exactly one flow of control executes
+// at a time: either the engine itself (running an event callback) or a
+// single Proc that the engine has resumed. Procs are coroutines: the
+// engine switches into one and it switches back, with no scheduler in
+// between. Handoffs are explicit, so simulated code needs no locks and
+// every run with the same seed is bit-for-bit reproducible. Processes may
+// block (Park, Sleep, Queue.Get), which is what lets application code in
+// examples look exactly like the paper's synchronous Figures 5 and 6.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 
 	"xunet/internal/prof"
@@ -27,13 +29,20 @@ type Engine struct {
 	now     time.Duration
 	events  eventHeap
 	seq     uint64
-	yielded chan struct{}
 	running bool
 	live    int // procs started and not yet finished
-	procs   map[*Proc]struct{}
-	parked  map[*Proc]struct{}
+	parked  int // of those, how many are in Park
 	rng     *Rand
 	current *Proc // the process currently holding execution, if any
+
+	// Live procs in spawn order (intrusive list through Proc.prev/next),
+	// so Shutdown kills — and exit hooks run — in the same order every
+	// run.
+	firstProc, lastProc *Proc
+
+	// idle holds coroutines whose proc has finished, waiting to run the
+	// next spawned proc's body: a warm Go costs no goroutine creation.
+	idle []*coro
 
 	// free is the event free list: every event that leaves the heap
 	// (executed or stopped) is recycled, so a steady-state simulation
@@ -58,17 +67,18 @@ type Engine struct {
 	poolHits   uint64
 	poolMisses uint64
 	heapHiWat  int
+
+	// A shard group's engines are allocated back to back and written by
+	// different cores on every event; the pad keeps one engine's
+	// counters off the cache line (and its prefetched neighbour) of the
+	// next one's clock and heap.
+	_ [128]byte
 }
 
 // New returns an engine with its clock at zero and randomness seeded
 // with seed (two engines with equal seeds behave identically).
 func New(seed uint64) *Engine {
-	return &Engine{
-		yielded: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
-		parked:  make(map[*Proc]struct{}),
-		rng:     NewRand(seed),
-	}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time, measured from engine creation.
@@ -89,33 +99,6 @@ type event struct {
 	label prof.LabelID
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // Timer is a handle to a scheduled callback. The zero value is inert
 // (Stop reports false). Timers are values, not allocations: they carry
 // a generation stamp so a handle held past its event's execution (or
@@ -134,7 +117,7 @@ func (t Timer) Stop() bool {
 	if t.ev == nil || t.ev.gen != t.gen || t.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&t.e.events, t.ev.index)
+	t.e.events.remove(t.ev.index)
 	t.e.release(t.ev)
 	return true
 }
@@ -147,7 +130,6 @@ func (t Timer) Pending() bool {
 // release recycles an event that is no longer in the heap.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.index = -1
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -186,7 +168,7 @@ func (e *Engine) ScheduleL(d time.Duration, label prof.LabelID, fn func()) Timer
 	ev := e.getEvent()
 	ev.at, ev.seq, ev.fn, ev.label = e.now+d, e.seq, fn, label
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	if len(e.events) > e.heapHiWat {
 		e.heapHiWat = len(e.events)
 	}
@@ -214,21 +196,22 @@ func (e *Engine) exec(ev *event) {
 }
 
 // Proc is a cooperatively-scheduled simulated process. Its body runs on
-// a dedicated goroutine but only while the engine has handed it control.
+// a pooled coroutine, and only while the engine has switched into it.
 type Proc struct {
 	e          *Engine
 	name       string
-	resume     chan struct{}
+	fn         func(p *Proc) // the body, until it starts
+	co         *coro         // bound at first dispatch, released at exit
+	prev, next *Proc         // Engine.firstProc list
 	done       bool
 	killed     bool
 	parked     bool
-	sleepTimer Timer
+	sleepTimer Timer        // stale once fired; Stop on it is then a no-op
 	label      prof.LabelID // proc-kind attribution label (0 when unprofiled)
 
-	// dispatchFn and sleepFn are bound once at Go so the hot
-	// park/unpark/sleep cycle schedules without allocating a closure.
+	// dispatchFn is bound once at Go so the hot park/unpark/sleep cycle
+	// schedules without allocating a closure.
 	dispatchFn func()
-	sleepFn    func()
 }
 
 // Name returns the name given at Go.
@@ -247,53 +230,127 @@ func (k killedErr) Error() string { return "sim: process " + k.name + " killed a
 // Go spawns a new process running fn. The process becomes runnable at
 // the current virtual time; it first executes when the engine next runs.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name, fn: fn}
 	p.label = e.prof.ProcLabel(name) // 0 when unprofiled (nil-safe)
 	p.dispatchFn = func() { e.dispatch(p) }
-	p.sleepFn = func() {
-		p.sleepTimer = Timer{}
-		e.dispatch(p)
-	}
 	e.live++
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedErr); !ok {
-					// Re-panic in engine context would deadlock; report loudly.
-					panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
-				}
-			}
-			p.done = true
-			e.live--
-			delete(e.procs, p)
-			e.yielded <- struct{}{}
-		}()
-		fn(p)
-	}()
+	p.prev = e.lastProc
+	if p.prev != nil {
+		p.prev.next = p
+	} else {
+		e.firstProc = p
+	}
+	e.lastProc = p
 	e.ScheduleL(0, p.label, p.dispatchFn)
 	return p
 }
 
-// dispatch hands control to p and waits for it to yield. It may be
-// called from engine context or (nested) from another process.
+// exit retires a proc whose body has returned or unwound.
+func (e *Engine) exit(p *Proc) {
+	p.done = true
+	p.co = nil
+	e.live--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.firstProc = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.lastProc = p.prev
+	}
+	p.prev, p.next = nil, nil
+}
+
+// coro is a coroutine that runs proc bodies, one after another. The
+// engine switches into it with resume and the body switches back with
+// yield; neither goes through the Go scheduler, so a proc switch costs
+// a fraction of a channel rendezvous and never wakes another thread.
+// When a body finishes the coroutine parks itself on Engine.idle and the
+// next proc to start reuses its goroutine and grown stack.
+type coro struct {
+	p      *Proc // the proc whose body it is running
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+}
+
+// coroFor returns the coroutine running p, binding an idle one (or a
+// new one) the first time p is dispatched.
+func (e *Engine) coroFor(p *Proc) *coro {
+	if p.co != nil {
+		return p.co
+	}
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = new(coro)
+		c.resume, c.stop = iter.Pull(c.loop)
+	}
+	c.p, p.co = p, c
+	return c
+}
+
+// loop is the coroutine's own body: run the bound proc, go idle, and
+// when resumed again there is a new proc bound. stop (from Shutdown)
+// makes the idle yield report false and the goroutine exits.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run(c.p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes one proc body to its end. A kill unwinds the body with
+// killedErr, which stops here. Anything else the body panics with ends
+// this coroutine, and iter.Pull re-raises it from resume: on the
+// goroutine driving the engine, where a test or a daemon's own recovery
+// can see it. The proc's name and stack go with it, because the
+// re-raise unwinds neither. (runtime.Goexit, as from t.FailNow inside a
+// body, takes the same road.)
+func (c *coro) run(p *Proc) {
+	returned := false
+	defer func() {
+		r := recover()
+		_, killed := r.(killedErr)
+		p.e.exit(p)
+		if returned || killed {
+			c.p = nil
+			p.e.idle = append(p.e.idle, c)
+		} else if r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	returned = true
+}
+
+// dispatch hands control to p and returns when it yields or finishes.
+// It may be called from engine context or (nested) from another process.
 func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
+	c := e.coroFor(p)
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.yielded
+	c.resume()
 	e.current = prev
 }
 
-// yieldToEngine transfers control from the running process back to the
-// engine and blocks until the engine resumes this process.
+// yieldToEngine transfers control from the running process back to
+// whoever dispatched it and returns when the process is next dispatched.
 func (p *Proc) yieldToEngine() {
-	p.e.yielded <- struct{}{}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.killed {
 		panic(killedErr{p.name})
 	}
@@ -304,25 +361,29 @@ func (p *Proc) yieldToEngine() {
 // process (but not the engine), which Run reports via Parked.
 func (p *Proc) Park() {
 	p.parked = true
-	p.e.parked[p] = struct{}{}
+	p.e.parked++
 	p.yieldToEngine()
+}
+
+// unpark clears the parked state and queues a dispatch.
+func (p *Proc) unpark() {
+	p.parked = false
+	p.e.parked--
+	p.e.ScheduleL(0, p.label, p.dispatchFn)
 }
 
 // Unpark makes a parked process runnable at the current virtual time.
 // Unparking a process that is not parked is a no-op. May be called from
 // engine or process context.
 func (p *Proc) Unpark() {
-	if !p.parked {
-		return
+	if p.parked {
+		p.unpark()
 	}
-	p.parked = false
-	delete(p.e.parked, p)
-	p.e.ScheduleL(0, p.label, p.dispatchFn)
 }
 
 // Sleep blocks the process for virtual duration d.
 func (p *Proc) Sleep(d time.Duration) {
-	p.sleepTimer = p.e.ScheduleL(d, p.label, p.sleepFn)
+	p.sleepTimer = p.e.ScheduleL(d, p.label, p.dispatchFn)
 	p.yieldToEngine()
 }
 
@@ -340,11 +401,8 @@ func (p *Proc) Kill() {
 	p.killed = true
 	switch {
 	case p.parked:
-		p.parked = false
-		delete(p.e.parked, p)
-		p.e.ScheduleL(0, p.label, p.dispatchFn)
+		p.unpark()
 	case p.sleepTimer.Stop():
-		p.sleepTimer = Timer{}
 		p.e.ScheduleL(0, p.label, p.dispatchFn)
 	default:
 		// Either running right now (self-kill: unwind immediately) or
@@ -365,8 +423,7 @@ func (e *Engine) Run() {
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		e.exec(ev)
+		e.exec(e.events.pop())
 	}
 }
 
@@ -379,8 +436,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.events) > 0 && e.events[0].at <= t {
-		ev := heap.Pop(&e.events).(*event)
-		e.exec(ev)
+		e.exec(e.events.pop())
 	}
 	if e.now < t {
 		e.now = t
@@ -429,7 +485,7 @@ func (e *Engine) TimerPoolMisses() uint64 { return e.poolMisses }
 func (e *Engine) HeapHighWater() uint64 { return uint64(e.heapHiWat) }
 
 // Parked reports how many processes are currently parked.
-func (e *Engine) Parked() int { return len(e.parked) }
+func (e *Engine) Parked() int { return e.parked }
 
 // Live reports how many processes have been started and not finished.
 func (e *Engine) Live() int { return e.live }
@@ -439,29 +495,31 @@ func (e *Engine) Live() int { return e.live }
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Shutdown kills every live process — parked, sleeping, or queued for a
-// dispatch that will never run — so their goroutines exit. Call at the
-// end of a simulation (tests use it via defer) to avoid goroutine
-// leaks. Must not be called while Run is executing.
+// dispatch that will never run — in spawn order, then releases the idle
+// coroutines, so no goroutine outlives the simulation. Call at the end
+// of a simulation (tests use it via defer). Must not be called while Run
+// is executing.
+func (e *Engine) Shutdown() {
+	for p := e.firstProc; p != nil; p = e.firstProc {
+		p.killed = true
+		if p.parked {
+			p.parked = false
+			e.parked--
+		}
+		p.sleepTimer.Stop()
+		// Every live proc is suspended in a yield (or has not started),
+		// so a direct dispatch unwinds it via the kill panic. One that
+		// had not started runs to its first yield and dies on the next
+		// pass.
+		e.dispatch(p)
+	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
+}
+
 // Close is Shutdown under the name the rest of the codebase expects
 // for resource teardown; a standalone engine and a shard both release
-// their process goroutines through it.
+// their coroutines through it.
 func (e *Engine) Close() { e.Shutdown() }
-
-func (e *Engine) Shutdown() {
-	for len(e.procs) > 0 {
-		for p := range e.procs {
-			p.killed = true
-			if p.parked {
-				p.parked = false
-				delete(e.parked, p)
-			}
-			p.sleepTimer.Stop()
-			p.sleepTimer = Timer{}
-			// Every non-done process is blocked on its resume channel
-			// (the cooperative-scheduling invariant), so a direct
-			// dispatch unwinds it via the kill panic.
-			e.dispatch(p)
-			break // map mutated; restart iteration
-		}
-	}
-}

@@ -463,29 +463,100 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-// Property: for any set of delays, events fire in nondecreasing time
-// order and the engine clock ends at the max delay.
+// checkHeap verifies the schedule's invariants: every event knows its
+// own position and no event sorts before its parent.
+func checkHeap(e *Engine) bool {
+	for i, ev := range e.events {
+		if ev.index != i {
+			return false
+		}
+		if i > 0 && ev.before(e.events[(i-1)/2]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: for any set of delays, with timers stopped at random both
+// before the run and from inside callbacks, the events that fire are
+// exactly the ones a sort oracle predicts, in (time, schedule order)
+// order; every Stop reports whether its event was still pending; the
+// heap invariants hold after every push and remove; and the engine
+// clock ends at the last fired event.
 func TestQuickEventOrdering(t *testing.T) {
-	f := func(delays []uint16) bool {
+	f := func(delays []uint16, stops []uint16) bool {
 		e := New(1)
-		var fired []time.Duration
-		var max time.Duration
-		for _, d := range delays {
-			dd := time.Duration(d) * time.Microsecond
-			if dd > max {
-				max = dd
+		n := len(delays)
+		type rec struct {
+			at   time.Duration
+			id   int
+			live bool
+		}
+		oracle := make([]rec, n)
+		timers := make([]Timer, n)
+		var fired []int
+		ok := true
+		stop := func(id int) {
+			if timers[id].Stop() != oracle[id].live || timers[id].Pending() {
+				ok = false
 			}
-			e.Schedule(dd, func() { fired = append(fired, e.Now()) })
+			oracle[id].live = false
+			ok = ok && checkHeap(e)
+		}
+		for i, d := range delays {
+			// Coarse delays, so equal times — where schedule order
+			// decides — are common.
+			at := time.Duration(d%64) * time.Microsecond
+			oracle[i] = rec{at: at, id: i, live: true}
+			timers[i] = e.Schedule(at, func() {
+				fired = append(fired, i)
+				oracle[i].live = false // fired: a later Stop must report false
+				if d%3 == 0 {
+					stop((i*7 + int(d)) % n)
+				}
+			})
+			ok = ok && checkHeap(e)
+		}
+		for _, s := range stops {
+			if n > 0 {
+				stop(int(s) % n)
+			}
+		}
+		// The oracle: repeatedly take the earliest live record, lowest
+		// id (schedule order) first, replaying the same in-callback
+		// stops.
+		live := append([]rec(nil), oracle...)
+		var want []int
+		var last time.Duration
+		for {
+			best := -1
+			for i, r := range live {
+				if r.live && (best < 0 || r.at < live[best].at) {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			live[best].live = false
+			want = append(want, best)
+			last = live[best].at
+			if delays[best]%3 == 0 {
+				live[(best*7+int(delays[best]))%n].live = false
+			}
 		}
 		e.Run()
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+		if !ok || len(fired) != len(want) || e.Pending() != 0 || e.Now() != last {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
 				return false
 			}
 		}
-		return len(delays) == 0 || e.Now() == max
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
