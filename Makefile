@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: ci build vet test race benchcheck bench bench-telemetry tracegate chaosgate obsgate sigbench shardgate profgate rtbench rtbench-smoke crossbuild
+.PHONY: ci fmt build vet test race benchcheck bench bench-telemetry tracegate chaosgate obsgate sigbench shardgate profgate rtbench rtbench-smoke crossbuild
 
-ci: vet build test race benchcheck tracegate chaosgate obsgate sigbench shardgate profgate rtbench-smoke crossbuild
+ci: fmt vet build test race benchcheck tracegate chaosgate obsgate sigbench shardgate profgate rtbench-smoke crossbuild
+
+# Every .go file is gofmt-clean; the listing names the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -52,6 +52,7 @@ func main() {
 		fmt.Printf("started in-process sighost %q on %s\n", h.Addr, addr)
 	}
 	c := &signaling.RealClient{SighostAddr: addr}
+	defer c.Close()
 	srvAddr := *srvTarget
 	if srvAddr == "" {
 		srvAddr = addr
@@ -60,6 +61,7 @@ func main() {
 	sc := c
 	if crossHost {
 		sc = &signaling.RealClient{SighostAddr: srvAddr}
+		defer sc.Close()
 	}
 
 	// --- server half (Figure 5 flow over real TCP) ---

@@ -58,6 +58,7 @@ func main() {
 	flag.Parse()
 
 	c := &signaling.RealClient{SighostAddr: *addr}
+	defer c.Close()
 
 	if args := flag.Args(); len(args) > 0 {
 		runSubcommand(c, args)

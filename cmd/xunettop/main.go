@@ -1,7 +1,9 @@
 // Command xunettop is a live terminal viewer for a sighost daemon's
 // continuous telemetry — top for the signaling entity. It polls the
 // MGMT tseries and health queries in-band over the signaling RPC
-// protocol and redraws every interval, most-active series first:
+// protocol and redraws every interval, most-active series first. Every
+// query of every tick rides one connection to the daemon, opened at the
+// first and reopened only if the daemon hangs up:
 //
 //	sighost -metrics 127.0.0.1:9177        # arms the scrape
 //	xunettop -sighost 127.0.0.1:3177
@@ -30,13 +32,14 @@ import (
 
 func main() {
 	addr := flag.String("sighost", "127.0.0.1:3177", "sighost daemon TCP address")
-	interval := flag.Duration("interval", time.Second, "refresh interval")
+	interval := flag.Duration("interval", time.Second, "refresh interval (every tick's queries ride one kept connection)")
 	match := flag.String("match", "", "only show series whose name contains this substring")
 	topN := flag.Int("n", 0, "show only the n most active series (0 = all)")
 	once := flag.Bool("once", false, "print one frame and exit (no screen clearing)")
 	flag.Parse()
 
 	c := &signaling.RealClient{SighostAddr: *addr}
+	defer c.Close()
 	for {
 		frame, err := render(c, *match, *topN)
 		if err != nil {

@@ -106,11 +106,11 @@ type Plane struct {
 	tc  *trace.Collector
 	now func() time.Duration
 
-	pktDrop, pktDup, pktDelay       *obs.Counter
-	sigDrop, sigDup, sigDelay       *obs.Counter
-	cellDrop, cellCorrupt           *obs.Counter
-	trunkFlaps, flapDrops           *obs.Counter
-	devDrop                         *obs.Counter
+	pktDrop, pktDup, pktDelay *obs.Counter
+	sigDrop, sigDup, sigDelay *obs.Counter
+	cellDrop, cellCorrupt     *obs.Counter
+	trunkFlaps, flapDrops     *obs.Counter
+	devDrop                   *obs.Counter
 }
 
 // NewPlane builds a plane from cfg. The plane is ready to be attached to

@@ -185,4 +185,3 @@ func TestZeroProbPlaneIsInvisible(t *testing.T) {
 			sentA, sentB, dropA, dropB, len(gotA), len(gotB))
 	}
 }
-

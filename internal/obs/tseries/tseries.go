@@ -89,11 +89,11 @@ type series struct {
 	name string
 	kind Kind
 
-	counterFn func() uint64          // KindCounter
-	gaugeFn   func() (int64, int64)  // KindGauge: (value, high-water)
-	hist      *obs.Histogram         // KindHist
-	last      uint64                 // previous counter/hist-count sample
-	num, den  int64                  // counter delta scaling (0 den = none)
+	counterFn func() uint64         // KindCounter
+	gaugeFn   func() (int64, int64) // KindGauge: (value, high-water)
+	hist      *obs.Histogram        // KindHist
+	last      uint64                // previous counter/hist-count sample
+	num, den  int64                 // counter delta scaling (0 den = none)
 
 	ring []Point
 	n    int // points stored (<= len(ring))

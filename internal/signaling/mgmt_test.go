@@ -16,20 +16,7 @@ import (
 
 func realQuery(t *testing.T, addr, what string) (sigmsg.Msg, error) {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := signaling.WriteFrame(conn, sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	raw, err := signaling.ReadFrame(conn)
-	if err != nil {
-		return sigmsg.Msg{}, err
-	}
-	return sigmsg.Decode(raw)
+	return rawRPC(addr, sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what})
 }
 
 func TestRealManagementQueries(t *testing.T) {

@@ -122,14 +122,14 @@ type reliability struct {
 	links  map[atm.Addr]*peerLink
 	pmPool *pendingMsg
 
-	retransmits *obs.Counter // sighost.rel.retransmits
-	acks        *obs.Counter // sighost.rel.acks
-	dups        *obs.Counter // sighost.rel.dups
-	stale       *obs.Counter // sighost.rel.stale_epoch
-	exhausted   *obs.Counter // sighost.rel.exhausted
-	keepalives  *obs.Counter // sighost.rel.keepalives
-	peerDeaths  *obs.Counter // sighost.rel.peer_deaths
-	encodes     *obs.Counter // sighost.rel.encodes
+	retransmits *obs.Counter   // sighost.rel.retransmits
+	acks        *obs.Counter   // sighost.rel.acks
+	dups        *obs.Counter   // sighost.rel.dups
+	stale       *obs.Counter   // sighost.rel.stale_epoch
+	exhausted   *obs.Counter   // sighost.rel.exhausted
+	keepalives  *obs.Counter   // sighost.rel.keepalives
+	peerDeaths  *obs.Counter   // sighost.rel.peer_deaths
+	encodes     *obs.Counter   // sighost.rel.encodes
 	ackRTT      *obs.Histogram // sighost.rel.ack_rtt
 }
 

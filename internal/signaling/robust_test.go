@@ -116,11 +116,11 @@ type fakeEnv struct {
 	sent        []sentRec // every SendPeer, including dropped ones
 }
 
-func (e *fakeEnv) Addr() atm.Addr            { return e.addr }
-func (e *fakeEnv) LocalIP() memnet.IPAddr    { return e.ip }
-func (e *fakeEnv) Charge(d time.Duration)    {}
-func (e *fakeEnv) Rand16() uint16            { e.randCtr++; return e.randCtr }
-func (e *fakeEnv) Now() time.Duration        { return e.w.now }
+func (e *fakeEnv) Addr() atm.Addr         { return e.addr }
+func (e *fakeEnv) LocalIP() memnet.IPAddr { return e.ip }
+func (e *fakeEnv) Charge(d time.Duration) {}
+func (e *fakeEnv) Rand16() uint16         { e.randCtr++; return e.randCtr }
+func (e *fakeEnv) Now() time.Duration     { return e.w.now }
 
 func (e *fakeEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	e.w.timerSeq++

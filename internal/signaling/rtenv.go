@@ -15,6 +15,7 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/faults"
 	"xunet/internal/memnet"
+	"xunet/internal/obs"
 	"xunet/internal/qos"
 	"xunet/internal/rtnet"
 	"xunet/internal/sigmsg"
@@ -33,7 +34,7 @@ type RealHost struct {
 	Addr atm.Addr
 
 	ln      net.Listener
-	inbox   chan func()
+	inbox   chan inboxItem
 	wg      sync.WaitGroup
 	quit    chan struct{}
 	started time.Time
@@ -51,6 +52,16 @@ type RealHost struct {
 	pmu     sync.Mutex
 	peers   map[atm.Addr]*rtnet.Peer
 	fp      *faults.Plane
+
+	// The application front: every open TCP connection to an application
+	// (accepted on ln or dialed to a notify port), so Close can hang up on
+	// them, and the idle notify connections Dial reuses. conns is nil once
+	// the host has closed.
+	cmu   sync.Mutex
+	conns map[net.Conn]struct{}
+	idle  map[notifyKey][]*realConn
+	nIdle int
+	m     frontMetrics
 
 	// DialTimeout / DialAttempts / DialBackoff govern how the daemon
 	// reaches an application's notify port: each attempt is bounded by
@@ -89,20 +100,31 @@ func appendFrame(buf []byte, m *sigmsg.Msg) []byte {
 }
 
 // ReadFrame reads one length-prefixed frame (1 MiB cap).
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is ReadFrame into a reused buffer: the returned frame
+// aliases buf's storage (grown when the frame does not fit), so a pump
+// that writes `buf, err = readFrameInto(conn, buf)` allocates only while
+// its largest frame is still growing. The length prefix is read into the
+// same storage — a local array would escape through the io.Reader.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > 1<<20 {
 		return nil, errors.New("signaling: oversized frame")
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return buf[:n], nil
 }
 
 // StartReal launches a standalone signaling entity listening on
@@ -116,11 +138,13 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	h := &RealHost{
 		Addr:    addr,
 		ln:      ln,
-		inbox:   make(chan func(), 256),
+		inbox:   make(chan inboxItem, 256),
 		quit:    make(chan struct{}),
 		started: time.Now(),
 		vcis:    atm.NewVCIAlloc(32),
 		book:    qos.NewBook(622_000), // one OC-12's worth of local capacity
+		conns:   map[net.Conn]struct{}{},
+		idle:    map[notifyKey][]*realConn{},
 
 		DialTimeout:  5 * time.Second,
 		DialAttempts: 3,
@@ -139,6 +163,7 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	tc := trace.NewCollector(env.Now)
 	tc.SetEnabled(true)
 	h.SH.TraceC = tc
+	h.m = newFrontMetrics(h.SH.Obs)
 
 	// Actor. Each handler runs to completion, then the peer carrier
 	// flushes once — the dispatch-boundary discipline the journal uses
@@ -149,8 +174,10 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 		defer h.wg.Done()
 		for {
 			select {
-			case fn := <-h.inbox:
-				fn()
+			case it := <-h.inbox:
+				h.m.inboxDepth.Set(int64(len(h.inbox)))
+				h.m.inboxWait.Observe(time.Since(h.started) - it.at)
+				it.fn()
 				if car := h.carrier.Load(); car != nil {
 					car.Flush()
 				}
@@ -178,7 +205,9 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 // ListenAddr reports the daemon's bound TCP address.
 func (h *RealHost) ListenAddr() string { return h.ln.Addr().String() }
 
-// Close stops the daemon.
+// Close stops the daemon and hangs up on every application connection
+// it is serving: clients keep theirs open between RPCs, so waiting for
+// them to leave would wait forever.
 func (h *RealHost) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -192,6 +221,13 @@ func (h *RealHost) Close() {
 		car.Close()
 	}
 	close(h.quit)
+	h.cmu.Lock()
+	conns := h.conns
+	h.conns, h.idle, h.nIdle = nil, nil, 0
+	h.cmu.Unlock()
+	for conn := range conns {
+		conn.Close()
+	}
 	h.wg.Wait()
 }
 
@@ -352,7 +388,6 @@ func (h *RealHost) sendPeerFrame(p *rtnet.Peer, m *sigmsg.Msg, frame []byte) err
 	return p.SendSig(frame)
 }
 
-// post runs fn in actor context (dropped after Close).
 // SetProfSource wires the MGMT prof hooks in actor context, so a
 // profiler can be attached while the daemon is serving without racing
 // the handler goroutine (tests attach one to exercise the prof error
@@ -366,35 +401,100 @@ func (h *RealHost) SetProfSource(info, js, flame func() string) {
 	})
 }
 
+// inboxItem is one closure queued for the actor, stamped with its post
+// time so the actor can meter how long it waited.
+type inboxItem struct {
+	fn func()
+	at time.Duration // since h.started
+}
+
+// post runs fn in actor context (dropped after Close).
 func (h *RealHost) post(fn func()) {
 	select {
-	case h.inbox <- fn:
+	case h.inbox <- inboxItem{fn: fn, at: time.Since(h.started)}:
 	case <-h.quit:
 	}
 }
 
-// serveConn pumps one application connection into the actor.
+// frontMetrics counts the application front from the daemon's own
+// registry: how many TCP connections a setup costs (none, warm) and how
+// long closures wait in the actor's inbox.
+type frontMetrics struct {
+	accepted   *obs.Counter   // rtenv.app_conns.accepted: connections accepted on the RPC listener
+	open       *obs.Gauge     // rtenv.app_conns.open: open connections to applications, accepted or dialed
+	dialed     *obs.Counter   // rtenv.notify.dialed: notify connections opened
+	reused     *obs.Counter   // rtenv.notify.reused: notifications sent on an idle connection
+	evicted    *obs.Counter   // rtenv.notify.evicted: idle connections the application closed
+	idleConns  *obs.Gauge     // rtenv.notify.idle: idle set size
+	inboxDepth *obs.Gauge     // rtenv.inbox.depth: closures still queued at each dispatch
+	inboxWait  *obs.Histogram // rtenv.inbox.wait: post to run
+}
+
+func newFrontMetrics(r *obs.Registry) frontMetrics {
+	return frontMetrics{
+		accepted:   r.Counter("rtenv.app_conns.accepted"),
+		open:       r.Gauge("rtenv.app_conns.open"),
+		dialed:     r.Counter("rtenv.notify.dialed"),
+		reused:     r.Counter("rtenv.notify.reused"),
+		evicted:    r.Counter("rtenv.notify.evicted"),
+		idleConns:  r.Gauge("rtenv.notify.idle"),
+		inboxDepth: r.Gauge("rtenv.inbox.depth"),
+		inboxWait:  r.Histogram("rtenv.inbox.wait"),
+	}
+}
+
+// serveConn pumps one application connection into the actor until the
+// application hangs up or the host closes.
 func (h *RealHost) serveConn(conn net.Conn) {
+	if !h.track(conn) {
+		conn.Close()
+		return
+	}
+	h.m.accepted.Inc()
+	c := &realConn{h: h, c: conn}
 	from := ipOf(conn.RemoteAddr())
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
+		defer h.untrack(conn)
 		defer conn.Close()
-		c := &realConn{c: conn}
 		var dec sigmsg.Decoder
 		var m sigmsg.Msg
+		var buf []byte
 		for {
-			raw, err := ReadFrame(conn)
-			if err != nil {
+			var err error
+			if buf, err = readFrameInto(conn, buf); err != nil {
 				return
 			}
-			if err := dec.DecodeInto(&m, raw); err != nil {
+			if err := dec.DecodeInto(&m, buf); err != nil {
 				continue
 			}
 			msg := m
 			h.post(func() { h.SH.HandleApp(c, from, msg) })
 		}
 	}()
+}
+
+// track registers an open application connection; false means the host
+// has closed and the caller must close the connection itself.
+func (h *RealHost) track(conn net.Conn) bool {
+	h.cmu.Lock()
+	defer h.cmu.Unlock()
+	if h.conns == nil {
+		return false
+	}
+	h.conns[conn] = struct{}{}
+	h.m.open.Add(1)
+	return true
+}
+
+func (h *RealHost) untrack(conn net.Conn) {
+	h.cmu.Lock()
+	defer h.cmu.Unlock()
+	if _, ok := h.conns[conn]; ok {
+		delete(h.conns, conn)
+		h.m.open.Add(-1)
+	}
 }
 
 // ipOf maps a TCP address to the 32-bit address type the state machine
@@ -411,24 +511,148 @@ func ipOf(a net.Addr) memnet.IPAddr {
 	return memnet.IP4(v4[0], v4[1], v4[2], v4[3])
 }
 
+// notifyKey names an application's notify endpoint.
+type notifyKey struct {
+	ip   memnet.IPAddr
+	port uint16
+}
+
+// maxIdleNotify caps the idle set over all applications: it bounds the
+// descriptors the daemon holds for connections nobody is using, and a
+// notification that finds the set full simply closes its connection
+// as every notification did before connections were reused.
+const maxIdleNotify = 32
+
 // realConn adapts a net.Conn to the signaling Conn interface. The
-// encode buffer is reused under the send mutex; WriteFrame finishes
-// with it before Send returns.
+// encode buffer is reused under the send mutex; the Write finishes with
+// it before Send returns.
+//
+// A connection the daemon dialed to a notify port (key.port != 0)
+// outlives the exchange it was dialed for: Close returns it to the
+// host's idle set when the exchange on it is complete, and the next Dial
+// for the same endpoint takes it from there. lastTx, lastRx and reused
+// belong to the actor (Send, Close and the pump's posted closures all
+// run there); the rest is shared with the pump under mu.
 type realConn struct {
-	c   net.Conn
+	h   *RealHost
 	mu  sync.Mutex
+	c   net.Conn
 	buf []byte
+
+	key    notifyKey
+	lastTx sigmsg.Kind // last frame the daemon sent in this exchange
+	lastRx sigmsg.Kind // last frame the application sent in this exchange
+	reused bool        // this exchange began on an idle connection
+	// retry holds the INCOMING_CONN frame of an exchange that began on an
+	// idle connection, until the application answers it: if the
+	// connection turns out to have been dead, the pump sends the frame
+	// again on a fresh one.
+	retry  []byte
+	dead   bool // the application end failed and the pump has left
+	closed bool // really closed by Close
 }
 
 func (c *realConn) Send(m sigmsg.Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	first := c.reused && c.lastTx == 0
+	c.lastTx = m.Kind
 	c.buf = appendFrame(c.buf[:0], &m)
+	if first && c.dead {
+		// The application hung up while the connection sat idle and the
+		// pump noticed only after it was handed out. Nothing has been
+		// sent on it, so the frame goes out on a new connection.
+		frame := append([]byte(nil), c.buf...)
+		c.h.wg.Add(1)
+		go func() {
+			defer c.h.wg.Done()
+			if conn := c.resend(frame); conn != nil {
+				c.h.pumpNotify(c, conn)
+			}
+		}()
+		return nil
+	}
+	if first && m.Kind == sigmsg.KindIncomingConn {
+		c.retry = append(c.retry[:0], c.buf...)
+	}
 	_, err := c.c.Write(c.buf)
 	return err
 }
 
-func (c *realConn) Close() { c.c.Close() }
+// Close ends the exchange the connection was handed out for. A dialed
+// connection goes back to the idle set when both ends are done with the
+// exchange — the daemon's last frame delivered the outcome (VCI_FOR_CONN,
+// CONN_FAILED) or the application's last frame declined the call — and
+// is really closed otherwise: a call torn down while its server is still
+// deciding must not leave that server's reply to be read by another call.
+func (c *realConn) Close() {
+	done := c.lastTx == sigmsg.KindVCIForConn || c.lastTx == sigmsg.KindConnFailed ||
+		c.lastRx == sigmsg.KindRejectConn
+	if c.key.port != 0 && done && c.h.putIdle(c) {
+		return
+	}
+	c.mu.Lock()
+	c.closed = true
+	c.retry = nil
+	c.c.Close() // the pump sees the error and leaves
+	c.mu.Unlock()
+}
+
+// putIdle parks c for the next notification to the same endpoint; false
+// means the caller must close it (dead, host closed, or set full).
+func (h *RealHost) putIdle(c *realConn) bool {
+	h.cmu.Lock()
+	defer h.cmu.Unlock()
+	c.mu.Lock()
+	dead := c.dead
+	c.mu.Unlock()
+	if dead || h.conns == nil || h.nIdle >= maxIdleNotify {
+		return false
+	}
+	h.idle[c.key] = append(h.idle[c.key], c)
+	h.nIdle++
+	h.m.idleConns.Set(int64(h.nIdle))
+	return true
+}
+
+// takeIdle hands out the most recently parked connection to k, or nil.
+func (h *RealHost) takeIdle(k notifyKey) *realConn {
+	h.cmu.Lock()
+	defer h.cmu.Unlock()
+	l := h.idle[k]
+	if len(l) == 0 {
+		return nil
+	}
+	c := l[len(l)-1]
+	l[len(l)-1] = nil
+	h.idle[k] = l[:len(l)-1]
+	h.nIdle--
+	h.m.idleConns.Set(int64(h.nIdle))
+	return c
+}
+
+// evict drops a dead connection from the idle set, so the endpoint's
+// next notification dials.
+func (h *RealHost) evict(c *realConn) {
+	h.cmu.Lock()
+	defer h.cmu.Unlock()
+	l := h.idle[c.key]
+	for i, x := range l {
+		if x == c {
+			l[i] = l[len(l)-1]
+			l[len(l)-1] = nil
+			l = l[:len(l)-1]
+			h.idle[c.key] = l
+			h.nIdle--
+			h.m.idleConns.Set(int64(h.nIdle))
+			h.m.evicted.Inc()
+			break
+		}
+	}
+	if len(l) == 0 {
+		delete(h.idle, c.key) // no entry outlives its endpoint
+	}
+}
 
 // realEnv implements Env over the real network and clock.
 type realEnv struct {
@@ -489,54 +713,151 @@ func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	return e.h.sendPeerFrame(p, &m, raw)
 }
 
-// Dial connects to an application's notify port over TCP, retrying
-// with capped exponential backoff per the host's Dial* knobs.
+// Dial hands the state machine a connection to an application's notify
+// port: an idle one when the endpoint has one (cb runs before Dial
+// returns), a fresh one otherwise (cb is posted when the dial ends).
 func (e *realEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 	h := e.h
+	k := notifyKey{ip: ip, port: port}
+	if c := h.takeIdle(k); c != nil {
+		h.m.reused.Inc()
+		c.lastTx, c.lastRx, c.reused = 0, 0, true
+		cb(c, nil)
+		return
+	}
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		target := fmt.Sprintf("%s:%d", ip, port)
-		var conn net.Conn
-		var err error
-		backoff := h.DialBackoff
-		attempts := h.DialAttempts
-		if attempts < 1 {
-			attempts = 1
-		}
-		for a := 1; a <= attempts; a++ {
-			conn, err = net.DialTimeout("tcp", target, h.DialTimeout)
-			if err == nil {
-				break
-			}
-			if a < attempts && backoff > 0 {
-				time.Sleep(backoff)
-				if backoff < 8*h.DialBackoff {
-					backoff *= 2
-				}
-			}
-		}
+		conn, err := h.dialNotify(k)
 		if err != nil {
-			err = fmt.Errorf("signaling: notify dial %s failed after %d attempts: %w", target, attempts, err)
 			h.post(func() { cb(nil, err) })
 			return
 		}
-		c := &realConn{c: conn}
+		if !h.track(conn) {
+			conn.Close()
+			return
+		}
+		c := &realConn{h: h, c: conn, key: k}
 		h.post(func() { cb(c, nil) })
-		var dec sigmsg.Decoder
-		var m sigmsg.Msg
-		for {
-			raw, err := ReadFrame(conn)
-			if err != nil {
+		h.pumpNotify(c, conn)
+	}()
+}
+
+// dialNotify connects to an application's notify port over TCP, retrying
+// with capped exponential backoff per the host's Dial* knobs.
+func (h *RealHost) dialNotify(k notifyKey) (net.Conn, error) {
+	target := fmt.Sprintf("%s:%d", k.ip, k.port)
+	backoff := h.DialBackoff
+	attempts := h.DialAttempts
+	if attempts < 1 {
+		attempts = 1
+	}
+	var err error
+	for a := 1; a <= attempts; a++ {
+		var conn net.Conn
+		if conn, err = net.DialTimeout("tcp", target, h.DialTimeout); err == nil {
+			h.m.dialed.Inc()
+			return conn, nil
+		}
+		if a < attempts && backoff > 0 {
+			time.Sleep(backoff)
+			if backoff < 8*h.DialBackoff {
+				backoff *= 2
+			}
+		}
+	}
+	return nil, fmt.Errorf("signaling: notify dial %s failed after %d attempts: %w", target, attempts, err)
+}
+
+// pumpNotify feeds the application's frames on a dialed connection to
+// the actor for as long as the connection lives, idle or handed out.
+func (h *RealHost) pumpNotify(c *realConn, conn net.Conn) {
+	var dec sigmsg.Decoder
+	var m sigmsg.Msg
+	var buf []byte
+	for {
+		var err error
+		if buf, err = readFrameInto(conn, buf); err != nil {
+			h.untrack(conn)
+			if conn = c.lost(); conn == nil {
 				return
 			}
-			if derr := dec.DecodeInto(&m, raw); derr != nil {
-				continue
-			}
-			msg := m
-			h.post(func() { h.SH.HandleApp(c, ip, msg) })
+			continue
 		}
-	}()
+		c.mu.Lock()
+		c.retry = c.retry[:0] // answered
+		c.mu.Unlock()
+		if derr := dec.DecodeInto(&m, buf); derr != nil {
+			continue
+		}
+		msg := m
+		h.post(func() {
+			c.lastRx = msg.Kind
+			h.SH.HandleApp(c, c.key.ip, msg)
+		})
+	}
+}
+
+// lost runs on the pump when the application end fails (EOF, RST): the
+// connection leaves the idle set at once, so the endpoint's next
+// notification dials and a dead application ends in "server unreachable"
+// or "client unreachable" as it always has. One case needs more. An
+// application may hang up on a connection the daemon has just parked,
+// and an INCOMING_CONN handed to it in that window reaches nobody; the
+// call would wait for a server that never heard of it. That frame is
+// sent once more on a new connection, which lost returns for the pump
+// to carry on with.
+func (c *realConn) lost() net.Conn {
+	c.mu.Lock()
+	c.dead = true // before evict: a Close from here on cannot park it
+	c.c.Close()
+	frame := c.retry
+	c.retry = nil
+	c.mu.Unlock()
+	c.h.evict(c)
+	if len(frame) == 0 {
+		return nil
+	}
+	return c.resend(frame)
+}
+
+// resend delivers frame, the first of an exchange that began on a dead
+// idle connection, on a fresh one, and returns it for pumping if the
+// exchange goes on. If the endpoint cannot be reached an INCOMING_CONN
+// is answered on the server's behalf, "server unreachable", as a failed
+// dial would have been; a lost VCI_FOR_CONN leaves its call to the bind
+// timer.
+func (c *realConn) resend(frame []byte) net.Conn {
+	h := c.h
+	conn, err := h.dialNotify(c.key)
+	if err == nil {
+		if !h.track(conn) { // the host closed
+			conn.Close()
+			return nil
+		}
+		if _, err = conn.Write(frame); err == nil {
+			c.mu.Lock()
+			open := !c.closed
+			if open {
+				c.c, c.dead = conn, false
+			}
+			c.mu.Unlock()
+			if open {
+				return conn
+			}
+		}
+		h.untrack(conn)
+		conn.Close()
+		if err == nil {
+			return nil // delivered; the exchange had ended meanwhile
+		}
+	}
+	if m, derr := sigmsg.Decode(frame[4:]); derr == nil && m.Kind == sigmsg.KindIncomingConn {
+		h.post(func() {
+			h.SH.HandleApp(c, c.key.ip, sigmsg.Msg{Kind: sigmsg.KindRejectConn, Cookie: m.Cookie, Reason: "server unreachable"})
+		})
+	}
+	return nil
 }
 
 // SetupVC allocates a local circuit identity from the VCI pool with
