@@ -3,7 +3,7 @@
 // the CI gate that keeps the exporter's output schema honest: `make ci`
 // pipes a generated trace through it and fails the build on any drift.
 //
-//	go run ./cmd/tracegen | go run ./cmd/tracecheck
+//	go run ./cmd/xunetsim trace | go run ./cmd/tracecheck
 //	xunetstat flight -json | tracecheck -v
 //
 // Checks: the top-level object has a traceEvents array and a

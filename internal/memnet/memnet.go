@@ -212,21 +212,14 @@ func (nd *Node) faultPlane() *faults.Plane {
 	return nd.net.Faults
 }
 
-// RegisterTSeries tracks every link's load signals in st: packet and
-// drop rates plus occupancy — how far the transmit queue's busy horizon
-// extends past the current instant, in nanoseconds. Nodes and their
-// neighbors enumerate in sorted order so registration (and the export)
-// is deterministic.
-func (n *Network) RegisterTSeries(st *tseries.Store) {
-	n.RegisterTSeriesOwned(st, nil)
-}
-
-// RegisterTSeriesOwned is RegisterTSeries restricted to links whose
-// originating node lives on engine own (nil means every node). Sharded
-// testbeds call this once per shard so each shard's store samples only
-// state its own engine mutates — the scrape itself then needs no
-// cross-shard reads.
-func (n *Network) RegisterTSeriesOwned(st *tseries.Store, own *sim.Engine) {
+// RegisterTSeries tracks in st the load signals of every link whose
+// originating node lives on engine own: packet and drop rates plus
+// occupancy — how far the transmit queue's busy horizon extends past
+// the current instant, in nanoseconds. Each shard's store so samples
+// only state its own engine mutates, and the scrape needs no cross-shard
+// reads. Nodes and their neighbors enumerate in sorted order so
+// registration (and the export) is deterministic.
+func (n *Network) RegisterTSeries(st *tseries.Store, own *sim.Engine) {
 	if st == nil {
 		return
 	}
@@ -237,7 +230,7 @@ func (n *Network) RegisterTSeriesOwned(st *tseries.Store, own *sim.Engine) {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
 		nd := n.nodes[a]
-		if own != nil && nd.eng != own {
+		if nd.eng != own {
 			continue
 		}
 		peers := make([]*Node, 0, len(nd.links))

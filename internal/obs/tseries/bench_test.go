@@ -6,7 +6,7 @@ import "testing"
 // constant-fold the nil check away, mirroring the trace/faults bench pattern.
 var disabledPeak *Peak
 
-// BenchmarkTSeriesOverhead/disabled is the CI gate (make obsgate): the
+// BenchmarkTSeriesOverhead/disabled is the CI gate (make detgate): the
 // instrumentation left compiled into hot paths when time-series collection is
 // off — a nil Peak note — must stay under 5ns/op.
 func BenchmarkTSeriesOverhead(b *testing.B) {

@@ -14,7 +14,7 @@ var benchGroup *GroupProf
 
 var benchSink int64
 
-// BenchmarkProfOverhead/disabled is the profgate CI gate, matching the
+// BenchmarkProfOverhead/disabled is a `make detgate` CI gate, matching the
 // trace/faults/tseries bargains: with no profiler attached the hooks
 // compiled into the engine loop, the proc dispatch path, and the
 // cross-shard post path cost one pointer load plus one nil comparison

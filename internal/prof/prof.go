@@ -7,14 +7,14 @@
 //
 // The discipline matches trace/faults/tseries: a disabled profiler is
 // a nil pointer and every hook compiled into the engine costs <5ns
-// (gated by BenchmarkProfOverhead/disabled in make profgate).
+// (gated by BenchmarkProfOverhead/disabled in make detgate).
 //
 // Determinism contract: with the same seed, the *event counts* (per
 // shard, per label), the window/idle-skip counters, and the post/byte
 // matrix are byte-identical at any worker count — they are functions
 // of the virtual history, which workers never change. Wall-clock
 // nanoseconds are not. CountsText exports only the deterministic
-// half (profgate byte-diffs it at workers 1 vs 4); Text, JSON and
+// half (TestDetGate hashes it at workers 1 and 4); Text, JSON and
 // FlameFolded add the wall-time half for humans and flame viewers.
 package prof
 
@@ -469,7 +469,7 @@ func (s Snapshot) StallFraction(i int) float64 {
 // CountsText renders the deterministic half of the profile: per-shard
 // per-label event counts, window/idle-skip counters, and the
 // cross-shard post/byte matrix. Same seed ⇒ byte-identical at any
-// worker count (make profgate diffs workers 1 vs 4).
+// worker count (TestDetGate hashes workers 1 and 4).
 func (p *Profiler) CountsText() string {
 	s := p.Snapshot()
 	var b strings.Builder

@@ -186,8 +186,8 @@ func TestAccountingAndExports(t *testing.T) {
 }
 
 // TestCountsTextDeterministicOrder locks the export to sorted label
-// order regardless of interning order: the profgate byte-diff depends
-// on it.
+// order regardless of interning order: the hash TestDetGate holds it to
+// depends on it.
 func TestCountsTextDeterministicOrder(t *testing.T) {
 	a := New()
 	ea := a.Engine(0)

@@ -1,25 +1,22 @@
 package rtnet
 
-// The rtbench tier's frame-path half: wall-clock loopback throughput of
-// the carrier, batched vs fallback on identical hardware, with per-op
-// allocation accounting and the syscalls-per-frame amortization made
-// explicit. `make rtbench` runs these with -count 3 and benchjson
-// gates:
+// The carrier's wall-clock benchmarks: loopback frame throughput,
+// batched vs fallback on identical hardware, with per-op allocation
+// accounting and the syscalls-per-frame amortization made explicit.
+// `go run ./bench` carries the numbers that are tracked (real_frames);
+// these are for measuring while you work. What is gated is the
+// mechanism, in TestBatchingAmortizesSyscalls: sys/frame (fallback ÷
+// batched) ≥ 2, normally ~30× with the default batch of 32.
 //
-//   - sys/frame (fallback ÷ batched) ≥ 2 — the batching mechanism
-//     itself, normally ~30× with the default batch of 32;
-//   - frames/s (batched ÷ fallback) ≥ 1 — batching never loses
-//     wall-clock.
-//
-// The wall-clock gate is deliberately ≥1, not ≥2: on a modern kernel a
-// syscall entry costs ~0.1 µs while loopback per-datagram stack
-// processing costs ~3 µs, so collapsing 64 traps into 2 moves elapsed
-// time by ~1.2×, not 2× — the per-packet cost batching cannot remove
-// dominates. The sys/frame metric isolates the part sendmmsg/recvmmsg
-// actually amortize. (On the 1994-era hardware the paper targets the
-// trap itself was the dominant term, which is why §5 argues per-message
-// kernel crossings tax native-mode ATM; the mechanism gate checks we
-// removed those crossings.)
+// Wall clock is deliberately not gated: on a modern kernel a syscall
+// entry costs ~0.1 µs while loopback per-datagram stack processing
+// costs ~3 µs, so collapsing 64 traps into 2 moves elapsed time by
+// ~1.2×, not 2× — the per-packet cost batching cannot remove dominates.
+// The sys/frame metric isolates the part sendmmsg/recvmmsg actually
+// amortize. (On the 1994-era hardware the paper targets the trap itself
+// was the dominant term, which is why §5 argues per-message kernel
+// crossings tax native-mode ATM; the mechanism gate checks we removed
+// those crossings.)
 
 import (
 	"testing"
@@ -34,55 +31,63 @@ import (
 // the 1-CPU bench hosts a pump goroutine would measure scheduler churn,
 // not the syscall amortization under test.
 func benchFrames(b *testing.B, unbatched bool, frameLen int) {
-	txReg, rxReg := obs.NewRegistry(), obs.NewRegistry()
 	var got int
-	rx := Config{Obs: rxReg, OnSig: func(*Peer, []byte) { got++ }}
-	tx := Config{Obs: txReg}
-	mk := func(cfg Config) *Carrier {
-		cfg.Listen = "127.0.0.1:0"
-		cfg.Unbatched = unbatched
-		cfg.ManualRx = true
-		c, err := New(cfg)
-		if err != nil {
-			b.Skipf("loopback UDP unavailable: %v", err)
-		}
-		b.Cleanup(func() { c.Close() })
-		return c
-	}
-	txc, rxc := mk(tx), mk(rx)
-	ab, err := txc.AddPeer("rx", rxc.AddrPort())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rxc.AddPeer("tx", txc.AddrPort()); err != nil {
-		b.Fatal(err)
-	}
+	rx := Config{Obs: obs.NewRegistry(), OnSig: func(*Peer, []byte) { got++ }}
+	txc, rxc, ab, _ := newPair(b, unbatched, rx)
 	frame := make([]byte, frameLen)
 	const burst = DefaultBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < burst; j++ {
-			if err := ab.SendSig(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := ab.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		want := (i + 1) * burst
-		for got < want {
-			if _, err := rxc.RecvOnce(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		sendBurst(b, ab, frame, burst)
+		drain(b, rxc, &got, (i+1)*burst)
 	}
 	b.StopTimer()
 	frames := float64(b.N) * burst
-	txSys := txReg.Counter("rtnet.tx.frames").Value() - txReg.Counter("rtnet.tx.syscalls_saved").Value()
-	rxSys := rxReg.Counter("rtnet.rx.batches").Value()
 	b.ReportMetric(frames/b.Elapsed().Seconds(), "frames/s")
-	b.ReportMetric(float64(txSys+rxSys)/frames, "sys/frame")
+	b.ReportMetric(sysPerFrame(txc, rxc, frames), "sys/frame")
+}
+
+func sendBurst(t testing.TB, p *Peer, frame []byte, n int) {
+	t.Helper()
+	for j := 0; j < n; j++ {
+		if err := p.SendSig(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sysPerFrame is the syscalls tx spent sending plus those rx spent
+// receiving, per frame, from the carriers' own counters.
+func sysPerFrame(tx, rx *Carrier, frames float64) float64 {
+	return float64(tx.txFrames.Value()-tx.txSyscallsSaved.Value()+rx.rxBatches.Value()) / frames
+}
+
+// TestBatchingAmortizesSyscalls is the mechanism gate on the batched
+// carrier: one DefaultBatch burst in each mode, and fallback must spend
+// at least twice the syscalls per frame that sendmmsg/recvmmsg do. The
+// counters are deterministic at any iteration count, unlike the wall
+// clock they explain.
+func TestBatchingAmortizesSyscalls(t *testing.T) {
+	burst := func(unbatched bool) float64 {
+		var got int
+		rx := Config{Obs: obs.NewRegistry(), OnSig: func(*Peer, []byte) { got++ }}
+		txc, rxc, ab, _ := newPair(t, unbatched, rx)
+		if !unbatched && !txc.Batched() {
+			t.Skip("no sendmmsg/recvmmsg on this platform")
+		}
+		sendBurst(t, ab, make([]byte, 256), DefaultBatch)
+		drain(t, rxc, &got, DefaultBatch)
+		return sysPerFrame(txc, rxc, DefaultBatch)
+	}
+	batched, fallback := burst(false), burst(true)
+	if fallback < 2*batched {
+		t.Errorf("sys/frame: fallback %.3f, batched %.3f — batching saves under 2x", fallback, batched)
+	}
+	t.Logf("sys/frame: fallback %.3f, batched %.3f (%.0fx)", fallback, batched, fallback/batched)
 }
 
 func BenchmarkRealFrames(b *testing.B) {

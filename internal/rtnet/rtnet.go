@@ -88,7 +88,7 @@ type Config struct {
 	MaxFrame int
 	// Unbatched forces the portable per-message path even where the OS
 	// batch syscalls exist — the fallback every non-Linux build runs,
-	// kept selectable on Linux so rtbench can compare the two on
+	// kept selectable on Linux so tests and benchmarks can compare the two on
 	// identical hardware.
 	Unbatched bool
 	// ManualRx suppresses the receive pump; the owner drives RecvOnce

@@ -12,7 +12,7 @@ import (
 
 // newPair builds two carriers on the loopback with peers registered in
 // both directions. ManualRx keeps reception on the test goroutine.
-// testing.TB so the rtbench tier reuses it.
+// testing.TB so the benchmarks reuse it.
 func newPair(t testing.TB, unbatched bool, rx Config) (a, b *Carrier, ab, ba *Peer) {
 	t.Helper()
 	mk := func(cfg Config) *Carrier {
@@ -273,8 +273,7 @@ func TestSetPeerAddr(t *testing.T) {
 // TestHotLoopAllocs is the steady-state allocation gate for both tx
 // coalescing+flush and the rx batch dispatch, in whichever mode the
 // platform builds (and always in fallback mode, which every platform
-// shares). Runs in tier-1 `go test` — the rtbench tier re-asserts it
-// with the wall-clock numbers attached.
+// shares).
 func TestHotLoopAllocs(t *testing.T) {
 	modes(t, func(t *testing.T, unbatched bool) {
 		var n int

@@ -1,0 +1,8 @@
+//go:build race
+
+package signaling_test
+
+// raceEnabled reports that the race detector is on: sync.Pool then
+// drops a share of what is put back, so allocation counts are not
+// deterministic and their gates skip.
+const raceEnabled = true

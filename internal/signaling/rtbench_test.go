@@ -1,11 +1,10 @@
 package signaling_test
 
-// The rtbench tier's signaling half: wall-clock call-setup throughput
-// across two real daemons on the loopback — TCP RPC from the apps, the
-// batched UDP carrier between the sighosts, real notify dials — the
-// end-to-end "native-mode call" cost the paper measures in §6. Run via
-// `make rtbench` with -count 3; benchjson medians smooth scheduler
-// noise.
+// Wall-clock call-setup throughput across two real daemons on the
+// loopback — TCP RPC from the apps, the batched UDP carrier between the
+// sighosts, real notify dials — the end-to-end "native-mode call" cost
+// the paper measures in §6. For measuring while you work; `real_setup`
+// in `go run ./bench` carries the number that is tracked.
 
 import (
 	"net"

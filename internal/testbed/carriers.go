@@ -102,7 +102,7 @@ func UseUDPCarrier(host *Host) (*CarrierStats, error) {
 		// Carrier-layer fault hook: tunneled frames can be lost or
 		// duplicated at the encapsulation boundary itself, on top of
 		// whatever the underlying links do.
-		if fp := host.net.Faults; fp != nil {
+		if fp := router.dom.Faults; fp != nil {
 			v := fp.Packet(trace.Context{})
 			if v.Drop {
 				return nil

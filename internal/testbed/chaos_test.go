@@ -9,105 +9,19 @@ import (
 	"xunet/internal/faults"
 	"xunet/internal/kern"
 	"xunet/internal/testbed"
-	"xunet/internal/ulib"
 )
 
-// chaosConfig is the soak's standard fault cocktail: 1% signaling-PVC
-// loss, 1% IP packet loss with occasional duplication and delay, bursty
-// cell loss on the trunks (Gilbert–Elliott), trunk flapping, and a
-// pinch of pseudo-device indication loss.
-func chaosConfig() *faults.Config {
-	return &faults.Config{
-		Seed:    99,
-		SigLoss: 0.01,
-		PktLoss: 0.01, PktDup: 0.005, PktDelayProb: 0.02, PktDelayMax: 2 * time.Millisecond,
-		GE:         faults.GEConfig{PGoodToBad: 0.0002, PBadToGood: 0.1, LossBad: 0.5},
-		FlapMeanUp: 2 * time.Second, FlapDown: 40 * time.Millisecond,
-		DevLoss: 0.001,
-	}
-}
-
-// chaosSighostCounters is the fixed counter set folded into the chaos
-// fingerprint for each router, so the determinism check covers the
-// healing machinery, not just the faults injected.
-var chaosSighostCounters = []string{
-	"sighost.crashes", "sighost.recoveries",
-	"sighost.recovered.bound", "sighost.recovered.wait_bind",
-	"sighost.recovery.aborted_calls", "sighost.dropped_while_down",
-	"sighost.rel.retransmits", "sighost.rel.acks", "sighost.rel.dups",
-	"sighost.rel.stale_epoch", "sighost.rel.exhausted",
-	"sighost.rel.peer_deaths",
-	"sighost.calls.active", "sighost.calls.established",
-}
-
-// chaosStorm runs the §10 call storm — a router-to-router storm plus a
-// host-originated storm so both the signaling PVCs and the IP carrier
-// see traffic — under the chaos cocktail, with two mid-storm crashes of
-// the callee's signaling entity: one while calls are mid-setup (the
-// journal must abort them with prompt client notification) and one
-// while calls are bound (the journal must carry them across the
-// outage). It drains fully and renders every observable artifact into
-// one fingerprint string.
-func chaosStorm(t *testing.T, seed uint64) (string, *testbed.StormResult, *testbed.StormResult, *testbed.Net, *testbed.Router, *testbed.Router) {
+// chaosStorm runs the chaos soak scenario and returns its fingerprint,
+// the two storms' results and the drained deployment.
+func chaosStorm(t *testing.T, seed uint64) (string, *testbed.StormResult, *testbed.StormResult, *testbed.Net) {
 	t.Helper()
-	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
-		Seed:          seed,
-		DeviceBuffers: kern.FixedDeviceBuffers,
-		FDTableSize:   kern.FixedFDTableSize,
-		Faults:        chaosConfig(),
-	})
+	var out strings.Builder
+	n, res, resH, err := testbed.ChaosSoak(&out, seed, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha, err := n.AddHost("mh.h1", ra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Under storm load the callee's single-threaded signaling actor
-	// queues requests for seconds; a tight RPC deadline would time every
-	// late call out at the client before the sighost ever saw it.
-	for _, l := range []*ulib.Lib{ra.Lib, rb.Lib, ha.Lib} {
-		l.SetTimeouts(ulib.Timeouts{
-			RPC: 10 * time.Second, Establish: 60 * time.Second,
-			Attempts: 2, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second,
-		})
-	}
-	testbed.StartEchoServer(rb, "storm", 6000)
-	testbed.StartEchoServer(rb, "hstorm", 6001)
-	n.E.RunUntil(time.Second)
-	n.StartTrunkFlapping(20 * time.Second)
-	res := testbed.CallStorm(ra, "ucb.rt", "storm", testbed.StormConfig{
-		Count: 40, Hold: time.Second, FramesPerCall: 2,
-		Stagger: 20 * time.Millisecond,
-	})
-	resH := testbed.CallStorm(ha, "ucb.rt", "hstorm", testbed.StormConfig{
-		Count: 15, Hold: time.Second, FramesPerCall: 2,
-		Stagger: 50 * time.Millisecond, BasePort: 25000,
-	})
-	// First crash lands mid-setup (t=4s: the callee's backlog is all
-	// unaccepted requests); the second lands in the bound burst (t=13s).
-	n.E.Schedule(3*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
-	n.E.Schedule(12*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
-	// Drain far past the worst failure path: retransmit exhaustion
-	// (~16 s at default tuning) and the 30 s bind timeout.
-	n.E.RunUntil(n.E.Now() + 60*time.Second)
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "storm: launched=%d ok=%d failed=%d min=%v max=%v total=%v\n",
-		res.Launched, res.Succeeded, res.Failed, res.MinSetup, res.MaxSetup, res.TotalSetup)
-	fmt.Fprintf(&sb, "host-storm: launched=%d ok=%d failed=%d min=%v max=%v total=%v\n",
-		resH.Launched, resH.Succeeded, resH.Failed, resH.MinSetup, resH.MaxSetup, resH.TotalSetup)
-	fmt.Fprintf(&sb, "faults:\n%s", n.Faults.Obs.Snapshot().Text())
-	for _, r := range []*testbed.Router{ra, rb} {
-		reg := r.Stack.M.Obs.Snapshot()
-		for _, name := range chaosSighostCounters {
-			fmt.Fprintf(&sb, "%s %s %d\n", r.Stack.Addr, name, reg.Count(name))
-		}
-	}
-	fmt.Fprintf(&sb, "flight-dumps: %d\n", len(n.FlightDumps))
-	fmt.Fprintf(&sb, "quiesce mh.rt: %q ucb.rt: %q\n", testbed.Quiesced(ra), testbed.Quiesced(rb))
-	fmt.Fprintf(&sb, "report:\n%s", n.Snapshot().String())
-	return sb.String(), res, resH, n, ra, rb
+	t.Cleanup(n.Close)
+	return out.String(), res, resH, n
 }
 
 // TestChaosSoak is the PR's headline acceptance run: the call storms
@@ -115,7 +29,8 @@ func chaosStorm(t *testing.T, seed uint64) (string, *testbed.StormResult, *testb
 // with every call in exactly one terminal bucket and zero leaked
 // signaling state on either router.
 func TestChaosSoak(t *testing.T) {
-	_, res, resH, n, ra, rb := chaosStorm(t, 7)
+	_, res, resH, n := chaosStorm(t, 7)
+	ra, rb := n.Routers[0], n.Routers[1]
 
 	// Every call terminated, each in exactly one bucket.
 	if res.Launched != 40 || resH.Launched != 15 {
@@ -192,17 +107,14 @@ func TestChaosSoak(t *testing.T) {
 	if res.Failed+resH.Failed > 0 && len(n.FlightDumps) == 0 {
 		t.Errorf("%d calls failed but the flight recorder dumped nothing", res.Failed+resH.Failed)
 	}
-	n.E.Shutdown()
 }
 
 // TestChaosSameSeedByteIdentical runs the identical chaos soak twice
 // and demands byte-identical fingerprints: every fault draw, every
 // retransmission, every recovery is replayable.
 func TestChaosSameSeedByteIdentical(t *testing.T) {
-	first, _, _, n1, _, _ := chaosStorm(t, 11)
-	n1.E.Shutdown()
-	second, _, _, n2, _, _ := chaosStorm(t, 11)
-	n2.E.Shutdown()
+	first, _, _, _ := chaosStorm(t, 11)
+	second, _, _, _ := chaosStorm(t, 11)
 	if first != second {
 		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
 		for i := 0; i < len(a) && i < len(b); i++ {

@@ -1,0 +1,92 @@
+package testbed_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"testing"
+	"time"
+
+	"xunet/internal/testbed"
+)
+
+// detGate is the fixed history every scenario is checked against: one
+// row per command line, with the SHA-256 of what that command printed
+// (go1.24.0 linux/amd64) on the commit before the scenarios moved into
+// this package — then tracegen, chaosgen, callgen and obsgen, now
+// `xunetsim trace|chaos|sweep|obs` with the same flags. A row that
+// moves is a change to the virtual history: explain it, then re-record.
+var detGate = []struct {
+	cmd string
+	// run writes the scenario's artifact; only a sharded row has a use
+	// for workers.
+	run    func(w io.Writer, workers int) error
+	sha256 string
+}{
+	{"trace", func(w io.Writer, _ int) error { return closing(testbed.TraceStorm(w, 42, 30, false)) },
+		"451cf6dc320d5c766ef0dee4809d7d4c7e7507b13209dad2e2276f3842837a2a"},
+	{"trace -text", func(w io.Writer, _ int) error { return closing(testbed.TraceStorm(w, 42, 30, true)) },
+		"2d8d42f37a8dbd29e844fee32b619039f4a28352e9f7d251f19523411271c713"},
+	{"chaos", func(w io.Writer, _ int) error {
+		n, _, _, err := testbed.ChaosSoak(w, 7, 99)
+		return closing(n, err)
+	}, "bdbef4fb701a9056c9291aee5b03d1f870abc342557b172c33e0775f08ecb974"},
+	{"sweep", func(w io.Writer, _ int) error {
+		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second, 1)
+	}, "5226bd9d6307ef6dc3c34945a59a3b82a7530dec42d73da9f96576dbeef4f1a6"},
+	{"obs", obsRow(func(*testbed.ObsConfig) {}),
+		"004a3b7283fde500f3e2820487fc467446460770084b5cf11469195cb081f458"},
+	{"obs -health", obsRow(func(c *testbed.ObsConfig) { c.Health = true }),
+		"cc46d105f1e9d003147679b73181698342d31d9cb4147717b9df77988c068a16"},
+	{"obs -table", obsRow(func(c *testbed.ObsConfig) { c.Table = true }),
+		"3b74cbef8a775d3d2da6b488dc9748d4ce7e1afe9a6eed2ace3dff00408b13a5"},
+	{"obs -prof", obsRow(func(c *testbed.ObsConfig) { c.Prof = true }),
+		"9dbf9a36651b96315bbe6026cb77675c358a269e2d4c8933682ea52c00f80cef"},
+	{"obs -shards 4 -calls 24 -frames 2 -run 8s", obsRow(shards4),
+		"62d61b63a5909b6af15ea65ef2e4c95c1ec35dc6dbf0b359281804c636b2117a"},
+	{"obs -prof -shards 4 -calls 24 -frames 2 -run 8s", obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true }),
+		"6b016dc832b5d216f545c799a413eff54dc6db9140312ee1a1debcc15b551fe5"},
+}
+
+func closing(n *testbed.Net, err error) error {
+	if err == nil {
+		n.Close()
+	}
+	return err
+}
+
+func obsRow(set func(*testbed.ObsConfig)) func(io.Writer, int) error {
+	return func(w io.Writer, workers int) error {
+		c := testbed.E4Obs()
+		set(&c)
+		c.Workers = workers
+		return closing(testbed.ObsStorm(w, c))
+	}
+}
+
+func shards4(c *testbed.ObsConfig) {
+	c.Storm.Domains, c.Storm.Count, c.Storm.FramesPerCall, c.Run = 4, 24, 2, 8*time.Second
+}
+
+// TestDetGate is the one determinism gate: each scenario runs twice in
+// this process — at workers 1 and 4, which a flat row ignores — and
+// both runs must hash to the row's recorded SHA-256, so the scenarios
+// are checked against a fixed history and not only against themselves.
+// Rows run in parallel, which also shows that concurrent deployments
+// share nothing.
+func TestDetGate(t *testing.T) {
+	for _, row := range detGate {
+		t.Run(row.cmd, func(t *testing.T) {
+			t.Parallel()
+			for _, workers := range []int{1, 4} {
+				h := sha256.New()
+				if err := row.run(h, workers); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)); got != row.sha256 {
+					t.Errorf("xunetsim %s (workers %d) printed sha256 %s, recorded %s", row.cmd, workers, got, row.sha256)
+				}
+			}
+		})
+	}
+}

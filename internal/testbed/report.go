@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"xunet/internal/atm"
 	"xunet/internal/obs"
 	"xunet/internal/qos"
 )
@@ -48,9 +47,10 @@ type RouterReport struct {
 
 var classNames = [3]string{qos.BestEffort: "be", qos.VBR: "vbr", qos.CBR: "cbr"}
 
-// Snapshot collects a report from a deployment. It must run while the sim
-// is paused (between RunUntil calls) or after shutdown, since read-through
-// metrics sample live component state.
+// Snapshot collects a report from any deployment, routers sorted by
+// address. It must run while the sim is paused (between RunUntil calls)
+// or after shutdown, since read-through metrics sample live component
+// state.
 func (n *Net) Snapshot() Report {
 	var r Report
 	r.Fabric = n.Fabric.Obs.Snapshot()
@@ -61,16 +61,15 @@ func (n *Net) Snapshot() Report {
 		r.CellsDropped += r.PerClassDropped[cls]
 	}
 	r.ActiveVCs = int(r.Fabric.Count("fabric.vcs.active"))
-	var addrs []string
-	for addr := range n.Routers {
-		addrs = append(addrs, string(addr))
+	var routers []*Router
+	for _, dom := range n.Domains {
+		routers = append(routers, dom.Routers...)
 	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
-		router := n.Routers[atm.Addr(addr)]
+	sort.Slice(routers, func(i, j int) bool { return routers[i].Stack.Addr < routers[j].Stack.Addr })
+	for _, router := range routers {
 		snap := router.Stack.M.Obs.Snapshot()
 		rr := RouterReport{
-			Addr:           addr,
+			Addr:           string(router.Stack.Addr),
 			Obs:            snap,
 			Services:       int(snap.Count("sighost.list.services")),
 			Outgoing:       int(snap.Count("sighost.list.outgoing")),

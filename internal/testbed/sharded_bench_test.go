@@ -11,19 +11,19 @@ import (
 )
 
 // BenchmarkShardedStorm measures sim-calls/s of the 4-domain E4 storm
-// at each worker count — the PR 7 scaling series BENCH_PR7.json
-// records. Results are byte-identical across the sub-benchmarks (the
-// determinism gate proves it); only the wall clock moves. The reported
+// at each worker count — the PR 7 scaling series, which
+// `sim_storm_sharded` in `go run ./bench` now tracks. Results are
+// byte-identical across the sub-benchmarks (the determinism gate
+// proves it); only the wall clock moves. The reported
 // gomaxprocs metric records how much hardware parallelism the numbers
 // were achieved with, so cross-machine diffs can tell a regression from
 // a smaller machine.
 //
 // The run is profiler-armed, so three execution-profile metrics ride
-// along and benchjson stamps them into its report's profile block:
-// events/s (engine events executed per wall second), stall-% (barrier
-// stall as a share of total window time — lower is better, benchjson
-// -diff knows the direction), and critical-shard (the hottest shard's
-// index; informational, not a rate).
+// along: events/s (engine events executed per wall second), stall-%
+// (barrier stall as a share of total window time — lower is better),
+// and critical-shard (the hottest shard's index; informational, not a
+// rate).
 func BenchmarkShardedStorm(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		w := w

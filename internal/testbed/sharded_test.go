@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 		TSeries:       &tseries.Config{Interval: 50 * time.Millisecond, Capacity: 256},
 	}
 	if chaos {
-		opts.Faults = chaosConfig()
+		opts.Faults = testbed.ChaosCocktail(99)
 	}
 	sn, err := testbed.NewSharded(opts, cfg)
 	if err != nil {
@@ -99,7 +100,11 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 		fmt.Fprintf(&sb, "d%d dumps=%d health=%d\n",
 			dom.Index, len(dom.FlightDumps), len(dom.HealthEvents))
 	}
-	fmt.Fprintf(&sb, "tseries: %s\n", sn.MergedTSeriesJSON())
+	merged, err := json.Marshal(sn.MergedExport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&sb, "tseries: %s\n", merged)
 	return sb.String()
 }
 
@@ -189,6 +194,35 @@ func TestShardedFlatDegenerate(t *testing.T) {
 		if msg := testbed.Quiesced(r); msg != "" {
 			t.Fatalf("flat sharded storm left state: %s", msg)
 		}
+	}
+}
+
+// TestShardedStormSplitsRemainder: a call count the domains do not
+// divide is launched in full, the first Count % Domains domains taking
+// one extra call each.
+func TestShardedStormSplitsRemainder(t *testing.T) {
+	cfg := testbed.StormConfig{
+		Count: 10, Hold: 50 * time.Millisecond,
+		Domains: 3, SighostsPerDomain: 2,
+	}
+	sn, err := testbed.NewSharded(testbed.Options{
+		Seed:          7,
+		DeviceBuffers: kern.FixedDeviceBuffers,
+		FDTableSize:   kern.FixedFDTableSize,
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	sn.RunUntil(time.Second)
+	res := testbed.ShardedStorm(sn, cfg)
+	sn.RunUntil(time.Second + 4*sn.CM.BindTimeout)
+	var got []int
+	for _, dr := range res.PerDomain {
+		got = append(got, dr.Launched)
+	}
+	if want := []int{4, 3, 3}; !slices.Equal(got, want) {
+		t.Fatalf("calls launched per domain = %v, want %v", got, want)
 	}
 }
 

@@ -126,3 +126,96 @@ func CallStorm(ep Endpoint, dest atm.Addr, service string, cfg StormConfig) *Sto
 	}
 	return res
 }
+
+// ShardedStormResult aggregates one sharded storm.
+type ShardedStormResult struct {
+	// PerDomain holds each domain's storm result, indexed by domain.
+	PerDomain []*StormResult
+}
+
+// Totals sums the per-domain buckets.
+func (r *ShardedStormResult) Totals() (launched, succeeded, failed, killed int) {
+	for _, d := range r.PerDomain {
+		launched += d.Launched
+		succeeded += d.Succeeded
+		failed += d.Failed
+		killed += d.Killed
+	}
+	return
+}
+
+// ShardedStorm launches the E4 workload on every domain at once: each
+// domain's last router storms calls against an echo server on its first
+// router (intra-domain — runtime SVC setup never crosses a shard), and
+// when carriers are provisioned, cfg.CrossFrames data frames ride each
+// cross-domain circuit so boundary crossings stay on the measured path.
+// cfg.Count is the total call count, split evenly across domains: the
+// first Count % Domains get the remainder, one call each, and every
+// domain storms at least one call.
+func ShardedStorm(n *Net, cfg StormConfig) *ShardedStormResult {
+	if cfg.Count <= 0 {
+		cfg.Count = 100
+	}
+	res := &ShardedStormResult{}
+	per, extra := cfg.Count/len(n.Domains), cfg.Count%len(n.Domains)
+	for i, dom := range n.Domains {
+		server := dom.Routers[0]
+		client := dom.Routers[len(dom.Routers)-1]
+		StartEchoServer(server, "storm", 6000)
+		dcfg := cfg
+		dcfg.Count = per
+		if i < extra {
+			dcfg.Count++
+		}
+		dcfg.Count = max(dcfg.Count, 1)
+		res.PerDomain = append(res.PerDomain, CallStorm(client, server.Stack.Addr, "storm", dcfg))
+		if dom.crossVC != nil && cfg.CrossFrames > 0 {
+			n.startCrossCarrier(dom, cfg)
+		}
+	}
+	return res
+}
+
+// startCrossCarrier spawns the sink (next domain) and source (this
+// domain) processes for one pre-provisioned cross-domain circuit.
+func (n *Net) startCrossCarrier(dom *Domain, cfg StormConfig) {
+	vc := dom.crossVC
+	next := n.Domains[(dom.Index+1)%len(n.Domains)]
+	sink := next.Routers[0].Stack
+	sink.Spawn("cross-sink", func(p *kern.Proc) {
+		sock, err := sink.PF.Socket(p)
+		if err != nil {
+			return
+		}
+		if err := sock.Bind(vc.DstVCI, 0); err != nil {
+			return
+		}
+		for {
+			if _, err := sock.Recv(); err != nil {
+				return
+			}
+			next.CrossDelivered++
+		}
+	})
+	src := dom.Routers[0].Stack
+	frameBytes := cfg.FrameBytes
+	if frameBytes < 64 {
+		frameBytes = 64
+	}
+	src.Spawn("cross-source", func(p *kern.Proc) {
+		sock, err := src.PF.Socket(p)
+		if err != nil {
+			return
+		}
+		if err := sock.Connect(vc.SrcVCI, 0); err != nil {
+			return
+		}
+		p.SP.Sleep(50 * time.Millisecond) // let the sink bind
+		payload := make([]byte, frameBytes)
+		for i := 0; i < cfg.CrossFrames; i++ {
+			_ = sock.Send(payload)
+			p.SP.Sleep(5 * time.Millisecond)
+		}
+		p.SP.Park() // hold the circuit open for the run
+	})
+}

@@ -10,6 +10,7 @@ package testbed
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"xunet/internal/anand"
@@ -21,6 +22,7 @@ import (
 	"xunet/internal/obs"
 	"xunet/internal/obs/tseries"
 	"xunet/internal/prof"
+	"xunet/internal/qos"
 	"xunet/internal/signaling"
 	"xunet/internal/sim"
 	"xunet/internal/trace"
@@ -91,7 +93,7 @@ type Router struct {
 	Stack *core.Stack
 	Sig   *signaling.SimHost
 	Lib   *ulib.Lib
-	site  int
+	dom   *Domain
 	hosts int
 }
 
@@ -101,95 +103,160 @@ type Host struct {
 	Router *Router
 	Lib    *ulib.Lib
 	Anand  *anand.Client
-	net    *Net
 }
 
-// Net is one assembled deployment.
-type Net struct {
-	E      *sim.Engine
-	CM     sim.CostModel
-	Fabric *xswitch.Fabric
-	IPNet  *memnet.Network
-	// TraceC is the deployment-wide causal-trace collector: one
-	// collector spans every machine and the fabric so a call's span
+// Domain is one shard of a deployment: an engine, the routers whose
+// events run on it, and the observation planes they record to.
+// Everything that records or draws randomness at runtime is per-domain,
+// so a run's bytes are independent of the worker count.
+type Domain struct {
+	Index int
+	E     *sim.Engine
+	// TraceC is the domain's causal-trace collector: one collector spans
+	// every machine and fabric element of the domain, so a call's span
 	// tree stitches together across layers.
-	TraceC  *trace.Collector
-	Routers map[atm.Addr]*Router
-	// Faults is the deployment's fault plane (nil unless Options.Faults
-	// armed it); its registry holds the faults.* injection counters.
+	TraceC *trace.Collector
+	// Faults is the domain's fault plane (nil unless Options.Faults armed
+	// it); its registry holds the faults.* injection counters.
 	Faults *faults.Plane
+	// TS is the domain's time-series store (nil unless Options.TSeries
+	// armed it); HealthEvents accumulates every watermark edge its rules
+	// emitted.
+	TS           *tseries.Store
+	HealthEvents []tseries.HealthEvent
+	Routers      []*Router
 	// FlightDumps accumulates the span trees the flight recorder
 	// auto-dumped for calls ending in REJECT, TIMEOUT, or DEATH — the
 	// E4 storm's failure modes leave their trails here.
 	FlightDumps []string
-	// TS is the deployment's time-series store (nil unless
-	// Options.TSeries armed it); HealthEvents accumulates every
-	// watermark edge its rules emitted.
-	TS           *tseries.Store
-	HealthEvents []tseries.HealthEvent
-	// Prof is the deployment's execution profiler (nil unless
-	// Options.Prof or ProfSeries armed it); one profiler spans the
-	// engine and, through the MGMT hooks, every router answers from it.
-	Prof     *prof.Profiler
-	opts     Options
-	nextSite int
+
+	// crossVC is the pre-provisioned carrier circuit from this domain's
+	// first router to the next domain's (nil on a single domain).
+	crossVC *xswitch.VC
+	// CrossDelivered counts carrier frames received from the previous
+	// domain during a sharded storm.
+	CrossDelivered uint64
 }
 
-// New builds an empty deployment; add routers and hosts, then Run.
-func New(opts Options) *Net {
-	opts = opts.withDefaults()
-	e := sim.New(opts.Seed)
+// Net is one assembled deployment: one or more domains sharing a
+// fabric and an IP network. The embedded Domain is domain 0, so on a
+// flat deployment — the single-domain case NewTestbed and NewXunet
+// build — n.E, n.TraceC, n.Faults, n.TS, n.Routers, n.FlightDumps and
+// n.HealthEvents are the whole deployment's.
+type Net struct {
+	*Domain
+	Domains []*Domain
+	// G is the shard group the domains' engines belong to; nil when the
+	// deployment runs on one plain engine (NewTestbed, NewXunet).
+	G      *sim.ShardGroup
+	CM     sim.CostModel
+	Fabric *xswitch.Fabric
+	IPNet  *memnet.Network
+	// Prof is the deployment's execution profiler (nil unless
+	// Options.Prof or ProfSeries armed it): one EngineProf per domain
+	// plus, on a shard group, the window/stall/matrix accounting, served
+	// by every router's MGMT prof views.
+	Prof *prof.Profiler
+	opts Options
+}
+
+// ShardedNet is the name NewSharded's result had before every
+// deployment became a Net.
+type ShardedNet = Net
+
+// newNet builds an empty deployment with one domain per shard of g, or
+// a single domain on a plain engine when g is nil. Domain 0's planes
+// double as the fabric- and network-wide ones, which every element
+// without a domain override of its own falls back to.
+func newNet(opts Options, g *sim.ShardGroup) *Net {
 	var pf *prof.Profiler
 	if opts.Prof || opts.ProfSeries {
-		// Attach before the fabric and machines exist so construction-time
-		// label interning (trunk tx/deliver, proc kinds) lands in the table.
 		pf = prof.New()
-		e.AttachProfiler(pf)
+	}
+	// The profiler attaches before the fabric and machines exist so
+	// construction-time label interning (trunk tx/deliver, proc kinds)
+	// lands in the table.
+	var engines []*sim.Engine
+	if g == nil {
+		engines = []*sim.Engine{sim.New(opts.Seed)}
+		engines[0].AttachProfiler(pf)
+	} else {
+		for i := range g.Shards() {
+			engines = append(engines, g.Shard(i))
+		}
+		g.AttachProfiler(pf)
 	}
 	n := &Net{
-		Prof:    pf,
-		E:       e,
-		CM:      sim.DefaultCostModel(),
-		Fabric:  xswitch.NewFabric(e),
-		IPNet:   memnet.New(e),
-		TraceC:  trace.NewCollector(e.Now),
-		Routers: make(map[atm.Addr]*Router),
-		opts:    opts,
+		G:      g,
+		CM:     sim.DefaultCostModel(),
+		Fabric: xswitch.NewFabric(engines[0]),
+		IPNet:  memnet.New(engines[0]),
+		Prof:   pf,
+		opts:   opts,
 	}
-	n.TraceC.SetEnabled(!opts.DisableTracing)
-	if opts.TraceSampleEvery > 1 {
-		n.TraceC.SetSampleEvery(opts.TraceSampleEvery)
-	}
-	n.TraceC.OnDump(func(t *trace.Trace, tree string) {
-		n.FlightDumps = append(n.FlightDumps, tree)
-	})
-	n.Fabric.TraceC = n.TraceC
-	if opts.TSeries != nil {
-		n.TS = tseries.New(*opts.TSeries)
-		// The fabric registry's metric names already carry the fabric.
-		// prefix; machine registries get their router's address as prefix
-		// when AddRouter tracks them.
-		n.TS.TrackRegistry("", n.Fabric.Obs)
-	}
-	if opts.Faults != nil {
-		fc := *opts.Faults
-		if fc.Seed == 0 {
-			// Derive from the workload seed so distinct testbeds get
-			// distinct fault schedules by default, deterministically.
-			fc.Seed = opts.Seed*0x9E3779B97F4A7C15 + 0xC4A05
+	for i, e := range engines {
+		dom := &Domain{Index: i, E: e, TraceC: trace.NewCollector(e.Now)}
+		dom.TraceC.SetEnabled(!opts.DisableTracing)
+		if opts.TraceSampleEvery > 1 {
+			dom.TraceC.SetSampleEvery(opts.TraceSampleEvery)
 		}
-		n.Faults = faults.NewPlane(fc)
-		n.Faults.AttachTrace(n.TraceC, e.Now)
-		n.Fabric.Faults = n.Faults
-		n.IPNet.Faults = n.Faults
+		dom.TraceC.OnDump(func(t *trace.Trace, tree string) {
+			dom.FlightDumps = append(dom.FlightDumps, tree)
+		})
+		if opts.TSeries != nil {
+			dom.TS = tseries.New(*opts.TSeries)
+		}
+		if opts.Faults != nil {
+			fc := *opts.Faults
+			if fc.Seed == 0 {
+				// Derive from the workload seed so distinct testbeds get
+				// distinct fault schedules by default, deterministically.
+				fc.Seed = opts.Seed*0x9E3779B97F4A7C15 + 0xC4A05
+			}
+			// Domain 0 keeps the base fault seed; others draw decorrelated
+			// streams.
+			fc.Seed = sim.ShardSeed(fc.Seed, i)
+			dom.Faults = faults.NewPlane(fc)
+			dom.Faults.AttachTrace(dom.TraceC, e.Now)
+		}
+		n.Domains = append(n.Domains, dom)
+	}
+	n.Domain = n.Domains[0]
+	n.Fabric.TraceC, n.Fabric.Faults, n.IPNet.Faults = n.TraceC, n.Faults, n.Faults
+	if n.TS != nil && len(n.Domains) == 1 {
+		// The fabric registry is written by every shard, so only a
+		// single-domain store may scrape it. Its metric names already carry
+		// the fabric. prefix; machine registries get their router's address
+		// as prefix when addRouter tracks them.
+		n.TS.TrackRegistry("", n.Fabric.Obs)
 	}
 	return n
 }
 
-// StartTrunkFlapping begins the fault plane's trunk flap schedule,
-// running until the given sim-time cutoff (trunks always end up).
+// StartTrunkFlapping begins the fault planes' trunk flap schedules,
+// running until the given sim-time cutoff (trunks always end up;
+// boundary trunks never flap, see xswitch.StartFlapping).
 func (n *Net) StartTrunkFlapping(until time.Duration) {
 	n.Fabric.StartFlapping(until)
+}
+
+// RunUntil advances the whole deployment to virtual time t.
+func (n *Net) RunUntil(t time.Duration) {
+	if n.G != nil {
+		n.G.RunUntil(t)
+	} else {
+		n.E.RunUntil(t)
+	}
+}
+
+// Close kills every live process and joins every goroutine the
+// deployment's engines own. Always call it (tests defer it).
+func (n *Net) Close() {
+	if n.G != nil {
+		n.G.Close()
+	} else {
+		n.E.Shutdown()
+	}
 }
 
 // DefaultHealthRules are the watermark rules StartTSeries installs: a
@@ -217,64 +284,93 @@ const QueueWatermarkCells = 16
 // imbalanced enough to cost wall-clock speedup.
 const HotShardStallNS = 1_000_000
 
-// StartTSeries begins the scrape tick chain: every store interval, the
-// deployment's metrics are sampled and the watermark rules evaluated,
-// until the given sim-time cutoff (self-rescheduling events would
-// otherwise keep Run from draining). It registers the trunk and IP-link
-// sources, installs DefaultHealthRules, and wires rule fires to publish
-// a health event on the fabric's obs ring and dump the flight
+// StartTSeries begins every domain's scrape tick chain, each on its own
+// engine over only the series its domain owns: every store interval the
+// metrics are sampled and the watermark rules evaluated, until the
+// given sim-time cutoff (self-rescheduling events would otherwise keep
+// Run from draining). It registers the trunk and IP-link sources,
+// installs DefaultHealthRules, and wires rule fires to dump the flight
 // recorder's recent traces. No-op unless Options.TSeries armed the
-// store. Call it after the topology is assembled, before Run.
+// stores. Call it after the topology is assembled, before running.
 func (n *Net) StartTSeries(until time.Duration) {
 	if n.TS == nil {
 		return
 	}
-	n.Fabric.RegisterTSeries(n.TS)
-	n.IPNet.RegisterTSeries(n.TS)
-	for _, r := range DefaultHealthRules() {
-		n.TS.AddRule(r)
-	}
-	n.TS.OnHealthEvent(func(ev tseries.HealthEvent) {
-		n.HealthEvents = append(n.HealthEvents, ev)
-		n.Fabric.Obs.Ring().Publish(obs.Event{
-			At: ev.At, Comp: "health", Kind: ev.State, Peer: ev.Series, Text: ev.String(),
+	for _, dom := range n.Domains {
+		n.Fabric.RegisterTSeries(dom.TS, dom.E)
+		n.IPNet.RegisterTSeries(dom.TS, dom.E)
+		for _, r := range DefaultHealthRules() {
+			dom.TS.AddRule(r)
+		}
+		if n.Prof != nil && n.G != nil {
+			// Engine-progress series, sampled in engine context at fixed
+			// virtual-history points — deterministic, so merged exports may
+			// carry it. Domain index in the name keeps merged series disjoint.
+			dom.TS.TrackRateFunc(fmt.Sprintf("sim.shard.%d.events", dom.Index), dom.E.EventsExecuted, 0, 0)
+			if n.opts.ProfSeries {
+				// Wall-clock stall per tick plus the hot-shard rule: wall
+				// time is nondeterministic by nature, so this series is for
+				// live monitoring only (Options.ProfSeries documents it).
+				gp := n.Prof.Group(len(n.Domains))
+				dom.TS.TrackRateFunc(fmt.Sprintf("sim.shard.%d.stall.ns", dom.Index),
+					func() uint64 { return uint64(gp.StallNS(dom.Index)) }, 0, 0)
+				dom.TS.AddRule(tseries.Rule{
+					Name: "hot-shard-stall", Series: "sim.shard.*.stall.ns",
+					Threshold: HotShardStallNS, ForTicks: 1,
+				})
+			}
+		}
+		dom.TS.OnHealthEvent(func(ev tseries.HealthEvent) {
+			dom.HealthEvents = append(dom.HealthEvents, ev)
+			if len(n.Domains) == 1 {
+				// The fabric's obs ring, like its registry, is shared by
+				// every shard: only a single domain publishes to it.
+				n.Fabric.Obs.Ring().Publish(obs.Event{
+					At: ev.At, Comp: "health", Kind: ev.State, Peer: ev.Series, Text: ev.String(),
+				})
+			}
+			if ev.State == "fire" {
+				dom.TraceC.DumpRecent(4, ev.Rule)
+			}
 		})
-		if ev.State == "fire" {
-			n.TraceC.DumpRecent(4, ev.Rule)
+		interval := dom.TS.Interval()
+		var tick func()
+		tick = func() {
+			dom.TS.Tick(dom.E.Now())
+			if dom.E.Now()+interval <= until {
+				dom.E.Schedule(interval, tick)
+			}
 		}
-	})
-	interval := n.TS.Interval()
-	var tick func()
-	tick = func() {
-		n.TS.Tick(n.E.Now())
-		if n.E.Now()+interval <= until {
-			n.E.Schedule(interval, tick)
-		}
+		dom.E.Schedule(interval, tick)
 	}
-	n.E.Schedule(interval, tick)
 }
 
-// AddRouter creates a router attached to sw and starts its signaling
-// entity. Signaling PVCs to all existing routers are provisioned.
-func (n *Net) AddRouter(addr atm.Addr, sw *xswitch.Switch) (*Router, error) {
-	n.nextSite++
-	site := n.nextSite
-	ip := n.IPNet.MustAddNode(string(addr), memnet.IP4(10, byte(site), 0, 1))
-	stack, err := core.NewRouter(n.E, n.CM, core.RouterConfig{
+// addRouter creates a router on dom attached to sw, starts its
+// signaling entity and wires every plane it touches — engine, trace
+// collector, fault plane, tseries store — to the domain's own. The
+// signaling PVCs come later, from mesh.
+func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr memnet.IPAddr) (*Router, error) {
+	ip, err := n.IPNet.AddNodeOn(string(addr), ipAddr, dom.E)
+	if err != nil {
+		return nil, err
+	}
+	stack, err := core.NewRouter(dom.E, n.CM, core.RouterConfig{
 		Name: string(addr), Addr: addr, IP: ip, Fabric: n.Fabric, Switch: sw,
 		DeviceBuffers: n.opts.DeviceBuffers, FDTableSize: n.opts.FDTableSize,
 	})
 	if err != nil {
 		return nil, err
 	}
-	stack.M.TraceC = n.TraceC
-	registerTraceStats(stack.M.Obs, n.TraceC)
-	r := &Router{Stack: stack, site: site}
+	stack.M.TraceC = dom.TraceC
+	registerTraceStats(stack.M.Obs, dom.TraceC)
+	ep := n.Fabric.Endpoint(addr)
+	ep.SetTrace(dom.TraceC)
+	r := &Router{Stack: stack, dom: dom}
 	r.Sig = signaling.StartSim(stack, n.Fabric)
 	if n.opts.DisableCallLogging {
 		r.Sig.SH.SetLogging(false)
 	}
-	if n.Faults != nil {
+	if dom.Faults != nil {
 		// Chaos mode: arm the self-healing machinery and thread the
 		// plane through this router's transports.
 		rel := n.opts.Rel
@@ -283,93 +379,232 @@ func (n *Net) AddRouter(addr atm.Addr, sw *xswitch.Switch) (*Router, error) {
 		}
 		r.Sig.SH.EnableReliability(rel)
 		r.Sig.SH.EnableJournal(0)
-		r.Sig.Faults = n.Faults
-		stack.M.Dev.SetFaults(n.Faults)
-		fp := n.Faults
-		r.Sig.SH.FaultsInfo = func() string { return fp.Obs.Snapshot().Text() }
-		r.Sig.SH.FaultsJSON = func() string { return fp.Obs.Snapshot().JSON() }
+		r.Sig.Faults = dom.Faults
+		ep.SetFaults(dom.Faults)
+		ip.SetFaults(dom.Faults)
+		stack.M.Dev.SetFaults(dom.Faults)
+		r.Sig.SH.FaultsInfo = func() string { return dom.Faults.Obs.Snapshot().Text() }
+		r.Sig.SH.FaultsJSON = func() string { return dom.Faults.Obs.Snapshot().JSON() }
 	}
-	if n.TS != nil {
+	if dom.TS != nil {
 		// Machine metrics join the scrape under the router's address
 		// (lazily registered ones — journal, per-peer backlogs — are
 		// adopted by the store's growth rescan), and the MGMT tseries/
-		// health queries answer from the shared store.
-		n.TS.TrackRegistry(string(addr)+".", stack.M.Obs)
-		r.Sig.SH.TSeriesInfo = n.TS.Text
-		r.Sig.SH.TSeriesJSON = n.TS.JSON
-		r.Sig.SH.HealthInfo = n.TS.HealthText
-		r.Sig.SH.HealthJSON = n.TS.HealthJSON
+		// health queries answer from the domain's store.
+		dom.TS.TrackRegistry(string(addr)+".", stack.M.Obs)
+		r.Sig.SH.TSeriesInfo = dom.TS.Text
+		r.Sig.SH.TSeriesJSON = dom.TS.JSON
+		r.Sig.SH.HealthInfo = dom.TS.HealthText
+		r.Sig.SH.HealthJSON = dom.TS.HealthJSON
 	}
 	if n.Prof != nil {
-		// Every router answers MGMT prof queries from the deployment-wide
-		// profile (the profiler spans the engine, not one machine).
+		// Any router — any domain — serves the deployment-wide profile:
+		// the snapshot reads are atomic, so cross-shard queries are safe.
 		r.Sig.SH.ProfInfo = n.Prof.Text
 		r.Sig.SH.ProfJSON = n.Prof.JSON
 		r.Sig.SH.ProfFlame = n.Prof.FlameFolded
 	}
 	r.Lib = ulib.New(stack, ip.Addr)
-	for _, other := range n.Routers {
-		if err := signaling.ConnectSighosts(r.Sig, other.Sig); err != nil {
-			return nil, err
-		}
-	}
-	n.Routers[addr] = r
+	dom.Routers = append(dom.Routers, r)
 	return r, nil
 }
 
+// mesh provisions the full sighost signaling mesh: each router, in
+// creation order, gets PVCs to every router created before it. All
+// build-time, so cross-domain PVCs may still cross shards.
+func (n *Net) mesh() error {
+	var all []*Router
+	for _, dom := range n.Domains {
+		all = append(all, dom.Routers...)
+	}
+	for i, a := range all {
+		for _, b := range all[:i] {
+			if err := signaling.ConnectSighosts(a.Sig, b.Sig); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // AddHost creates an IP-connected host behind a router, wired over
-// FDDI, running an anand client.
+// FDDI, running an anand client. Hosts number from .11 on their
+// router's subnet.
 func (n *Net) AddHost(name atm.Addr, r *Router) (*Host, error) {
 	r.hosts++
-	ip := n.IPNet.MustAddNode(string(name), memnet.IP4(10, byte(r.site), 0, byte(10+r.hosts)))
 	routerIP := r.Stack.M.IP
+	ip, err := n.IPNet.AddNodeOn(string(name), routerIP.Addr+memnet.IPAddr(9+r.hosts), r.dom.E)
+	if err != nil {
+		return nil, err
+	}
 	n.IPNet.Connect(ip, routerIP, memnet.FDDI())
 	ip.SetDefaultRoute(routerIP)
 	routerIP.AddRoute(ip.Addr, ip)
-	stack := core.NewHost(n.E, n.CM, core.HostConfig{
+	stack := core.NewHost(r.dom.E, n.CM, core.HostConfig{
 		Name: string(name), Addr: name, IP: ip, RouterIP: routerIP.Addr,
 		DeviceBuffers: n.opts.DeviceBuffers, FDTableSize: n.opts.FDTableSize,
 	})
-	stack.M.TraceC = n.TraceC
-	if n.Faults != nil {
-		stack.M.Dev.SetFaults(n.Faults)
+	stack.M.TraceC = r.dom.TraceC
+	if r.dom.Faults != nil {
+		ip.SetFaults(r.dom.Faults)
+		stack.M.Dev.SetFaults(r.dom.Faults)
 	}
-	h := &Host{Stack: stack, Router: r, net: n}
+	h := &Host{Stack: stack, Router: r}
 	h.Lib = ulib.New(stack, routerIP.Addr)
 	h.Anand = anand.StartClient(stack, routerIP.Addr, signaling.AnandPort)
 	return h, nil
 }
 
+// addSites gives a flat deployment its routers — site k, counted from
+// 1, lives at 10.k.0.1 — and meshes them.
+func (n *Net) addSites(addrs []atm.Addr, switches []*xswitch.Switch) error {
+	for i, addr := range addrs {
+		if _, err := n.addRouter(n.Domain, addr, switches[i], memnet.IP4(10, byte(i+1), 0, 1)); err != nil {
+			return err
+		}
+	}
+	return n.mesh()
+}
+
 // NewTestbed builds the paper's measurement testbed: two routers,
 // mh.rt and ucb.rt, across a three hop (two switch) DS3 path.
 func NewTestbed(opts Options) (*Net, *Router, *Router, error) {
-	n := New(opts)
+	n := newNet(opts.withDefaults(), nil)
 	swA, swB := xswitch.Testbed(n.Fabric)
-	ra, err := n.AddRouter("mh.rt", swA)
-	if err != nil {
+	if err := n.addSites([]atm.Addr{"mh.rt", "ucb.rt"}, []*xswitch.Switch{swA, swB}); err != nil {
 		return nil, nil, nil, err
 	}
-	rb, err := n.AddRouter("ucb.rt", swB)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return n, ra, rb, nil
+	return n, n.Routers[0], n.Routers[1], nil
 }
 
 // NewXunet builds the five-site nationwide Xunet 2 deployment with one
 // router per site.
 func NewXunet(opts Options) (*Net, map[xswitch.XunetSite]*Router, error) {
-	n := New(opts)
-	switches := xswitch.Xunet(n.Fabric)
-	routers := make(map[xswitch.XunetSite]*Router, len(switches))
+	n := newNet(opts.withDefaults(), nil)
+	bySite := xswitch.Xunet(n.Fabric)
+	var addrs []atm.Addr
+	var switches []*xswitch.Switch
 	for _, site := range xswitch.XunetSites() {
-		r, err := n.AddRouter(atm.Addr(xswitch.SiteRouterAddr(site)), switches[site])
-		if err != nil {
-			return nil, nil, err
-		}
-		routers[site] = r
+		addrs = append(addrs, atm.Addr(xswitch.SiteRouterAddr(site)))
+		switches = append(switches, bySite[site])
+	}
+	if err := n.addSites(addrs, switches); err != nil {
+		return nil, nil, err
+	}
+	routers := make(map[xswitch.XunetSite]*Router, len(addrs))
+	for i, site := range xswitch.XunetSites() {
+		routers[site] = n.Routers[i]
 	}
 	return n, routers, nil
+}
+
+// NewSharded builds a sharded deployment from the storm config's
+// topology fields: cfg.Domains switches in a ring joined by DS3 trunks
+// of cfg.TrunkDelay — the shard boundaries, whose propagation delay
+// funds the group's conservative lookahead — each with
+// cfg.SighostsPerDomain routers at 10.<domain>.<k>.1, the full sighost
+// signaling mesh, and (when Domains > 1) one pre-provisioned
+// cross-domain carrier circuit per adjacent pair. Build-time assembly is
+// single-threaded; the fabric is sealed against cross-shard setup
+// before the caller runs the group.
+func NewSharded(opts Options, cfg StormConfig) (*Net, error) {
+	opts = opts.withDefaults()
+	cfg.Domains, cfg.SighostsPerDomain = max(cfg.Domains, 1), max(cfg.SighostsPerDomain, 1)
+	var lookahead time.Duration
+	if cfg.Domains > 1 {
+		if cfg.TrunkDelay <= 0 {
+			cfg.TrunkDelay = 2 * time.Millisecond
+		}
+		lookahead = cfg.TrunkDelay
+	}
+	n := newNet(opts, sim.NewShardGroup(opts.Seed, cfg.Domains, lookahead))
+	if err := n.assembleRing(cfg); err != nil {
+		n.Close()
+		return nil, err
+	}
+	n.Fabric.SealCrossShard()
+	return n, nil
+}
+
+func (n *Net) assembleRing(cfg StormConfig) error {
+	switches := make([]*xswitch.Switch, len(n.Domains))
+	for i, dom := range n.Domains {
+		sw, err := n.Fabric.AddSwitchOn(fmt.Sprintf("sw.d%d", i), dom.E)
+		if err != nil {
+			return err
+		}
+		sw.SetTrace(dom.TraceC)
+		sw.SetFaults(dom.Faults)
+		switches[i] = sw
+	}
+	for i := 0; i+1 < len(switches); i++ {
+		n.Fabric.ConnectSwitches(switches[i], switches[i+1], xswitch.DS3(cfg.TrunkDelay))
+	}
+	if len(switches) > 2 {
+		n.Fabric.ConnectSwitches(switches[len(switches)-1], switches[0], xswitch.DS3(cfg.TrunkDelay))
+	}
+	for i, dom := range n.Domains {
+		for k := 0; k < cfg.SighostsPerDomain; k++ {
+			addr := atm.Addr(fmt.Sprintf("d%d.r%d", i, k))
+			if _, err := n.addRouter(dom, addr, switches[i], memnet.IP4(10, byte(i), byte(k+1), 1)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := n.mesh(); err != nil {
+		return err
+	}
+	if len(n.Domains) == 1 {
+		return nil
+	}
+	// Cross-domain carrier circuits: domain i's first router to domain
+	// i+1's, provisioned now so runtime data can cross boundaries
+	// without any cross-shard control action.
+	for i, dom := range n.Domains {
+		next := n.Domains[(i+1)%len(n.Domains)]
+		src, dst := dom.Routers[0], next.Routers[0]
+		vc, err := n.Fabric.SetupVC(src.Stack.Addr, dst.Stack.Addr, qos.BestEffortQoS)
+		if err != nil {
+			return fmt.Errorf("testbed: cross carrier d%d->d%d: %w", i, next.Index, err)
+		}
+		src.Sig.SH.AllowPVC(vc.SrcVCI)
+		dst.Sig.SH.AllowPVC(vc.DstVCI)
+		dom.crossVC = vc
+	}
+	return nil
+}
+
+// MergedExport merges every domain's time-series export into one
+// deterministic snapshot: series name-sorted across domains (names are
+// disjoint by construction — trunks, links and registries are owned by
+// exactly one shard), rule states re-sorted the same way, events
+// ordered by time then domain (the stable sort keeps the order they
+// were appended in). Ticks and interval come from domain 0. On a single
+// domain it is that domain's own export; as JSON it is byte-identical
+// for same-seed runs at any worker count.
+func (n *Net) MergedExport() tseries.Export {
+	var out tseries.Export
+	for _, dom := range n.Domains {
+		if dom.TS == nil {
+			continue
+		}
+		ex := dom.TS.Export()
+		if out.Interval == 0 {
+			out.Interval, out.Ticks = ex.Interval, ex.Ticks
+		}
+		out.Series = append(out.Series, ex.Series...)
+		out.Rules = append(out.Rules, ex.Rules...)
+		out.Events = append(out.Events, ex.Events...)
+	}
+	sort.Slice(out.Series, func(i, j int) bool { return out.Series[i].Name < out.Series[j].Name })
+	sort.Slice(out.Rules, func(i, j int) bool {
+		if out.Rules[i].Rule != out.Rules[j].Rule {
+			return out.Rules[i].Rule < out.Rules[j].Rule
+		}
+		return out.Rules[i].Series < out.Rules[j].Series
+	})
+	sort.SliceStable(out.Events, func(i, j int) bool { return out.Events[i].At < out.Events[j].At })
+	return out
 }
 
 // Endpoint is anything applications run on: a Router or a Host.
@@ -536,23 +771,6 @@ func registerTraceStats(reg *obs.Registry, tc *trace.Collector) {
 	reg.Func("trace.spans.dropped", func() uint64 { return tc.StatsNow().DroppedSpans })
 	reg.Func("trace.flight.evicted", func() uint64 { return tc.StatsNow().Evicted })
 	reg.Func("trace.flight.dumps", func() uint64 { return tc.StatsNow().Dumps })
-}
-
-// CallTrace fetches a call's span tree from the deployment collector
-// (active calls first, then the flight recorder).
-func (n *Net) CallTrace(callID uint32) (*trace.Trace, bool) {
-	return n.TraceC.ByCall(callID)
-}
-
-// SetupAttribution reproduces the paper's Table 1 setup-overhead
-// breakdown for one traced call: where its establishment latency went,
-// layer by layer.
-func (n *Net) SetupAttribution(callID uint32) (trace.Attribution, bool) {
-	t, ok := n.TraceC.ByCall(callID)
-	if !ok {
-		return trace.Attribution{}, false
-	}
-	return trace.Attribute(t)
 }
 
 // Quiesced asserts that all transient signaling state has drained on a

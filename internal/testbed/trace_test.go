@@ -11,48 +11,29 @@ import (
 	"xunet/internal/trace"
 )
 
-// runTracedStorm runs the E4 mixed workload (§10: concurrent calls,
-// some clients killed mid-setup) and returns the deployment with its
-// flight recorder populated.
-func runTracedStorm(t *testing.T, seed uint64) (*testbed.Net, *testbed.Router) {
+// runTracedStorm runs the E4 kill-storm scenario and returns the
+// deployment with its flight recorder populated, plus the Chrome trace
+// JSON the scenario wrote.
+func runTracedStorm(t *testing.T, seed uint64) (*testbed.Net, string) {
 	t.Helper()
-	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
-		Seed:          seed,
-		DeviceBuffers: kern.FixedDeviceBuffers,
-		FDTableSize:   kern.FixedFDTableSize,
-	})
+	var out strings.Builder
+	n, err := testbed.TraceStorm(&out, seed, 30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testbed.StartEchoServer(rb, "storm", 6000)
-	n.E.RunUntil(time.Second)
-	testbed.CallStorm(ra, "ucb.rt", "storm", testbed.StormConfig{
-		Count: 30, Hold: 250 * time.Millisecond, FramesPerCall: 2,
-		KillEvery: 7, KillAfter: 40 * time.Millisecond,
-	})
-	n.E.RunUntil(n.E.Now() + 4*n.CM.BindTimeout)
-	return n, ra
+	t.Cleanup(n.Close)
+	return n, out.String()
 }
 
 // TestTraceJSONDeterministicAcrossRuns is the reproducibility gate the
 // trace layer promises: spans carry sim-time stamps and counter-derived
 // IDs, so two same-seed E4 runs export byte-identical Chrome trace JSON.
 func TestTraceJSONDeterministicAcrossRuns(t *testing.T) {
-	export := func() string {
-		n, _ := runTracedStorm(t, 42)
-		defer n.E.Shutdown()
-		out, err := trace.ChromeJSON(n.TraceC.Completed())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(out)
-	}
-	first := export()
+	_, first := runTracedStorm(t, 42)
 	if !strings.Contains(first, "xswitch") || !strings.Contains(first, "call.setup") {
 		t.Fatalf("trace export lacks cross-layer spans:\n%.400s", first)
 	}
-	second := export()
-	if first != second {
+	if _, second := runTracedStorm(t, 42); first != second {
 		t.Fatalf("same-seed trace exports differ: %d vs %d bytes", len(first), len(second))
 	}
 }
@@ -61,8 +42,8 @@ func TestTraceJSONDeterministicAcrossRuns(t *testing.T) {
 // the E4 kill storm tears some calls down on client death, and each such
 // call must leave its rendered span tree behind.
 func TestStormFlightDumps(t *testing.T) {
-	n, ra := runTracedStorm(t, 42)
-	defer n.E.Shutdown()
+	n, _ := runTracedStorm(t, 42)
+	ra := n.Routers[0]
 	if len(n.FlightDumps) == 0 {
 		t.Fatal("kill storm produced no flight-recorder dumps")
 	}
@@ -109,7 +90,7 @@ func TestTraceAttributionGolden(t *testing.T) {
 		t.Fatalf("call did not establish: %s", trace.TextTree(tr))
 	}
 
-	att, ok := n.SetupAttribution(tr.CallID)
+	att, ok := trace.Attribute(tr)
 	if !ok {
 		t.Fatal("no call.setup span in the trace")
 	}
@@ -145,8 +126,8 @@ func TestTraceAttributionGolden(t *testing.T) {
 // and cmd/xunetstat use: MGMT_QUERY "calltrace" returns the rendered
 // span tree plus the setup breakdown for the requested call.
 func TestMgmtCallTraceQuery(t *testing.T) {
-	n, ra := runTracedStorm(t, 42)
-	defer n.E.Shutdown()
+	n, _ := runTracedStorm(t, 42)
+	ra := n.Routers[0]
 	var ok *trace.Trace
 	for _, tr := range n.TraceC.Completed() {
 		if tr.Status == trace.StatusOK {

@@ -3,10 +3,7 @@ package testbed_test
 import (
 	"strings"
 	"testing"
-	"time"
 
-	"xunet/internal/kern"
-	"xunet/internal/obs/tseries"
 	"xunet/internal/testbed"
 )
 
@@ -15,38 +12,27 @@ import (
 // must answer, and — the reproducibility claim — the same seed must
 // export the same bytes.
 
-// stormWithTSeries runs the padded-frame call storm with telemetry
-// armed and returns the deployment (post-run, engine shut down) plus
-// the deterministic export JSON.
-func stormWithTSeries(t *testing.T, seed uint64) (*testbed.Net, *testbed.Router, string) {
+// stormWithTSeries runs the telemetry scenario at its E4 defaults and
+// returns the deployment plus the deterministic export JSON it wrote.
+func stormWithTSeries(t *testing.T, seed uint64) (*testbed.Net, string) {
 	t.Helper()
-	const runFor = 40 * time.Second
-	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
-		Seed:          seed,
-		DeviceBuffers: kern.FixedDeviceBuffers,
-		FDTableSize:   kern.FixedFDTableSize,
-		TSeries:       &tseries.Config{Interval: 25 * time.Millisecond, Capacity: 2048},
-	})
+	c := testbed.E4Obs()
+	c.Seed = seed
+	var out strings.Builder
+	n, err := testbed.ObsStorm(&out, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testbed.StartEchoServer(rb, "storm", 6000)
-	n.StartTSeries(runFor)
-	n.E.RunUntil(time.Second)
-	res := testbed.CallStorm(ra, "ucb.rt", "storm", testbed.StormConfig{
-		Count: 100, Hold: time.Second, FramesPerCall: 20, FrameBytes: 1400,
-	})
-	n.E.RunUntil(runFor)
-	if res.Succeeded == 0 {
-		t.Fatalf("storm made no calls: %+v", res)
+	t.Cleanup(n.Close)
+	if est := n.Snapshot().Routers[0].Established; est == 0 {
+		t.Fatal("storm made no calls")
 	}
-	js := n.TS.JSON()
-	n.E.Shutdown()
-	return n, ra, js
+	return n, out.String()
 }
 
 func TestTSeriesStormQueueBuildupAndRules(t *testing.T) {
-	n, ra, _ := stormWithTSeries(t, 42)
+	n, _ := stormWithTSeries(t, 42)
+	ra := n.Routers[0]
 	ex := n.TS.Export()
 	if ex.Ticks == 0 {
 		t.Fatal("no scrape ticks ran")
@@ -95,8 +81,8 @@ func TestTSeriesStormQueueBuildupAndRules(t *testing.T) {
 }
 
 func TestTSeriesSameSeedByteIdentical(t *testing.T) {
-	_, _, a := stormWithTSeries(t, 7)
-	_, _, b := stormWithTSeries(t, 7)
+	_, a := stormWithTSeries(t, 7)
+	_, b := stormWithTSeries(t, 7)
 	if a != b {
 		t.Fatalf("same-seed exports differ: %d vs %d bytes", len(a), len(b))
 	}

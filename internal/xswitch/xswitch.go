@@ -177,7 +177,7 @@ type trunk struct {
 
 	// qPeak, when time-series collection is armed, accumulates the
 	// between-tick queue-depth high-water mark (nil costs one pointer
-	// check in send; see the obsgate benchmark).
+	// check in send; see BenchmarkTSeriesOverhead).
 	qPeak *tseries.Peak
 
 	// Execution-profiler attribution labels, interned at construction
@@ -1020,23 +1020,17 @@ func (s ClassCellStats) LossRate(c qos.Class) float64 {
 	return float64(s.Dropped[c]) / float64(total)
 }
 
-// RegisterTSeries tracks every trunk's congestion signals in st:
-// cells/drops (per-tick rates), utilization in basis points (cell delta
-// x serialization time / tick interval), and queue depth with the
-// between-tick high-water captured by the qPeak hook armed here.
-// Enumeration is sorted (switch names, then endpoint addresses) so
-// series registration order — and therefore the export — is
-// deterministic; switch trunk lists already include endpoint downlinks,
-// so only uplinks need the endpoint pass.
-func (f *Fabric) RegisterTSeries(st *tseries.Store) {
-	f.RegisterTSeriesOwned(st, nil)
-}
-
-// RegisterTSeriesOwned is RegisterTSeries restricted to trunks whose
-// sending element runs on engine own (nil means every trunk). A trunk's
-// counters and queues are mutated only by its sending shard, so a
-// per-shard store scraping only owned trunks reads race-free.
-func (f *Fabric) RegisterTSeriesOwned(st *tseries.Store, own *sim.Engine) {
+// RegisterTSeries tracks in st the congestion signals of every trunk
+// whose sending element runs on engine own: cells/drops (per-tick
+// rates), utilization in basis points (cell delta x serialization time
+// / tick interval), and queue depth with the between-tick high-water
+// captured by the qPeak hook armed here. A trunk's counters and queues
+// are mutated only by its sending shard, so a per-shard store scraping
+// only owned trunks reads race-free. Enumeration is sorted (switch
+// names, then endpoint addresses) so series registration order — and
+// therefore the export — is deterministic; switch trunk lists already
+// include endpoint downlinks, so only uplinks need the endpoint pass.
+func (f *Fabric) RegisterTSeries(st *tseries.Store, own *sim.Engine) {
 	if st == nil {
 		return
 	}
@@ -1047,10 +1041,9 @@ func (f *Fabric) RegisterTSeriesOwned(st *tseries.Store, own *sim.Engine) {
 	sort.Strings(names)
 	for _, n := range names {
 		for _, t := range f.switches[n].trunks {
-			if own != nil && t.eng != own {
-				continue
+			if t.eng == own {
+				f.trackTrunk(st, t)
 			}
-			f.trackTrunk(st, t)
 		}
 	}
 	addrs := make([]string, 0, len(f.endpoints))
@@ -1059,11 +1052,9 @@ func (f *Fabric) RegisterTSeriesOwned(st *tseries.Store, own *sim.Engine) {
 	}
 	sort.Strings(addrs)
 	for _, a := range addrs {
-		up := f.endpoints[atm.Addr(a)].uplink
-		if own != nil && up.eng != own {
-			continue
+		if up := f.endpoints[atm.Addr(a)].uplink; up.eng == own {
+			f.trackTrunk(st, up)
 		}
-		f.trackTrunk(st, up)
 	}
 }
 
