@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchcheck detgate crossbuild bench loc
+.PHONY: ci fmt vet build test race benchcheck detgate crossbuild bench loc allocs
 
 ci: fmt vet build test race benchcheck detgate crossbuild
 
@@ -20,10 +20,13 @@ test:
 # The second line re-runs the engine's own tests at 1, 2 and 4 Ps: a
 # proc is a coroutine resumed by whichever goroutine claims its shard's
 # window, and the shard barrier spins, yields and parks, so both must
-# hold with fewer Ps than workers and with more.
+# hold with fewer Ps than workers and with more. The packages whose
+# records are recycled through owner-local free lists (queue waiters,
+# stream segments, fd slots) ride along: their reuse-safety tests are
+# the ones a stray cross-goroutine touch would break.
 race:
 	$(GO) test -race ./...
-	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/
+	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.
@@ -52,6 +55,18 @@ crossbuild:
 # The benchmark BENCHMARK.json declares; bench/README.md explains it.
 bench:
 	$(GO) run ./bench
+
+# Where a sim-mode call's allocations come from: every allocation of 200
+# ten-call storms, by allocating function. DESIGN.md's "Allocation
+# ledger of a call" is this listing divided by 2 010 calls (the
+# benchmark runs one warm-up iteration). Not part of ci: it measures,
+# it does not gate — TestCallStormAllocs does.
+ALLOCS_DIR := $(or $(TMPDIR),/tmp)/xunet-allocs
+allocs:
+	@mkdir -p $(ALLOCS_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatedCallsPerSecond$$' -benchtime 200x \
+		-memprofilerate 1 -memprofile $(ALLOCS_DIR)/mem.prof -o $(ALLOCS_DIR)/signaling.test ./internal/signaling/
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/mem.prof
 
 # The code-size ledger: non-test Go lines outside bench/.
 loc:

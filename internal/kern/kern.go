@@ -17,6 +17,7 @@ package kern
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"xunet/internal/atm"
@@ -170,9 +171,27 @@ type Proc struct {
 	// for syscalls, context switches and I/O waits.
 	SP *sim.Proc
 
-	fds    []fdEntry
-	exited bool
-	onExit []func()
+	// The descriptor table. fd0 holds the first slots inline, so a
+	// process with a handful of descriptors — nearly all of them — never
+	// allocates one; fdMore, made at the full remaining size when slot
+	// len(fd0) is first needed, holds the rest. Slots below fdUsed have
+	// been handed out at some time; those from there up to fdLimit are
+	// free. Entries never move, and the table is not recycled at exit: a
+	// TIME_WAIT timer armed by CloseFD points at its slot for 2·MSL.
+	fd0     [4]fdEntry
+	fdMore  []fdEntry
+	fdUsed  int
+	fdLimit int // the machine's FDTableSize at spawn
+	exited  bool
+	onExit  []func()
+}
+
+// slot returns descriptor fd's entry, for 0 <= fd < fdUsed.
+func (p *Proc) slot(fd int) *fdEntry {
+	if fd < len(p.fd0) {
+		return &p.fd0[fd]
+	}
+	return &p.fdMore[fd-len(p.fd0)]
 }
 
 type fdEntry struct {
@@ -187,15 +206,17 @@ type fdEntry struct {
 func (m *Machine) Spawn(name string, body func(p *Proc)) *Proc {
 	m.nextPID++
 	p := &Proc{
-		M:    m,
-		PID:  m.nextPID,
-		Name: name,
-		fds:  make([]fdEntry, m.FDTableSize),
+		M:       m,
+		PID:     m.nextPID,
+		Name:    name,
+		fdLimit: m.FDTableSize,
 	}
 	m.procs[p.PID] = p
 	m.ctSpawned.Inc()
 	m.gLive.Set(int64(len(m.procs)))
-	p.SP = m.E.Go(fmt.Sprintf("%s/%s#%d", m.Name, name, p.PID), func(sp *sim.Proc) {
+	var pid [10]byte // "machine/kind#pid", built in one allocation
+	spName := m.Name + "/" + name + "#" + string(strconv.AppendUint(pid[:0], uint64(p.PID), 10))
+	p.SP = m.E.Go(spName, func(sp *sim.Proc) {
 		defer p.exit()
 		body(p)
 	})
@@ -220,10 +241,11 @@ func (p *Proc) exit() {
 	p.exited = true
 	delete(p.M.procs, p.PID)
 	p.M.gLive.Set(int64(len(p.M.procs)))
-	for i := range p.fds {
-		if o := p.fds[i].obj; o != nil {
-			p.fds[i].obj = nil
-			p.fds[i].timeWait = false
+	for i := 0; i < p.fdUsed; i++ {
+		if e := p.slot(i); e.obj != nil {
+			o := e.obj
+			e.obj = nil
+			e.timeWait = false
 			o.KClose()
 		}
 	}
@@ -243,45 +265,58 @@ func (p *Proc) AllocFD(obj FDObject) (int, error) {
 	if p.exited {
 		return -1, ErrProcExited
 	}
-	for i := range p.fds {
-		if p.fds[i].obj == nil && !p.fds[i].timeWait {
-			p.fds[i].obj = obj
+	for i := 0; i < p.fdUsed; i++ {
+		if e := p.slot(i); e.obj == nil && !e.timeWait {
+			e.obj = obj
 			return i, nil
 		}
 	}
-	return -1, fmt.Errorf("%w: %d slots on %s/%s", ErrEMFILE, len(p.fds), p.M.Name, p.Name)
+	if p.fdUsed < p.fdLimit {
+		if p.fdUsed == len(p.fd0) && p.fdMore == nil {
+			p.fdMore = make([]fdEntry, p.fdLimit-len(p.fd0))
+		}
+		p.fdUsed++
+		p.slot(p.fdUsed - 1).obj = obj
+		return p.fdUsed - 1, nil
+	}
+	return -1, fmt.Errorf("%w: %d slots on %s/%s", ErrEMFILE, p.fdLimit, p.M.Name, p.Name)
 }
 
 // CloseFD closes a descriptor. Objects with TIME_WAIT semantics keep
 // the slot busy for 2·MSL after the close.
 func (p *Proc) CloseFD(fd int) error {
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd].obj == nil {
+	if fd < 0 || fd >= p.fdUsed {
 		return ErrEBADF
 	}
-	obj := p.fds[fd].obj
-	p.fds[fd].obj = nil
+	e := p.slot(fd)
+	obj := e.obj
+	if obj == nil {
+		return ErrEBADF
+	}
+	e.obj = nil
 	if tw, ok := obj.(timeWaiter); ok && tw.holdsTimeWait() {
-		p.fds[fd].timeWait = true
-		slot := fd
-		p.M.E.Schedule(2*p.M.CM.MSL, func() { p.fds[slot].timeWait = false })
+		e.timeWait = true
+		p.M.E.ScheduleArg(2*p.M.CM.MSL, endTimeWait, e)
 	}
 	obj.KClose()
 	return nil
 }
 
+func endTimeWait(slot any) { slot.(*fdEntry).timeWait = false }
+
 // FD returns the object at a descriptor.
 func (p *Proc) FD(fd int) (FDObject, error) {
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd].obj == nil {
+	if fd < 0 || fd >= p.fdUsed || p.slot(fd).obj == nil {
 		return nil, ErrEBADF
 	}
-	return p.fds[fd].obj, nil
+	return p.slot(fd).obj, nil
 }
 
 // OpenFDs counts descriptors holding live objects.
 func (p *Proc) OpenFDs() int {
 	n := 0
-	for i := range p.fds {
-		if p.fds[i].obj != nil {
+	for i := 0; i < p.fdUsed; i++ {
+		if p.slot(i).obj != nil {
 			n++
 		}
 	}
@@ -291,8 +326,8 @@ func (p *Proc) OpenFDs() int {
 // TimeWaitFDs counts descriptor slots parked in TIME_WAIT.
 func (p *Proc) TimeWaitFDs() int {
 	n := 0
-	for i := range p.fds {
-		if p.fds[i].timeWait {
+	for i := 0; i < p.fdUsed; i++ {
+		if p.slot(i).timeWait {
 			n++
 		}
 	}
@@ -301,9 +336,9 @@ func (p *Proc) TimeWaitFDs() int {
 
 // FreeFDs counts allocatable descriptor slots.
 func (p *Proc) FreeFDs() int {
-	n := 0
-	for i := range p.fds {
-		if p.fds[i].obj == nil && !p.fds[i].timeWait {
+	n := p.fdLimit - p.fdUsed
+	for i := 0; i < p.fdUsed; i++ {
+		if e := p.slot(i); e.obj == nil && !e.timeWait {
 			n++
 		}
 	}

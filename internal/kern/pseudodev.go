@@ -117,7 +117,7 @@ func NewPseudoDev(e *sim.Engine, buffers int) *PseudoDev {
 	if buffers <= 0 {
 		buffers = DefaultDeviceBuffers
 	}
-	return &PseudoDev{e: e, capacity: buffers, q: sim.NewQueue[KMsg](e)}
+	return &PseudoDev{e: e, capacity: buffers, q: sim.NewQueue[KMsg]()}
 }
 
 // Capacity reports the buffer count.

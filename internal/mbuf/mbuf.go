@@ -332,11 +332,16 @@ func (c *Chain) Bytes() []byte {
 	if c == nil || c.length == 0 {
 		return nil
 	}
-	out := make([]byte, 0, c.length)
-	for m := c.head; m != nil; m = m.next {
-		out = append(out, m.Data()...)
+	return c.AppendTo(make([]byte, 0, c.length))
+}
+
+// AppendTo appends the chain's bytes to dst without consuming them, so
+// a receive loop can flatten every message into one reused buffer.
+func (c *Chain) AppendTo(dst []byte) []byte {
+	for m := c.Head(); m != nil; m = m.next {
+		dst = append(dst, m.Data()...)
 	}
-	return out
+	return dst
 }
 
 // CopyTo copies up to len(p) bytes from the front of the chain into p

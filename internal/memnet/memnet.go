@@ -59,6 +59,13 @@ type Packet struct {
 	Proto    uint8
 	TTL      uint8
 	Payload  *mbuf.Chain
+
+	// at is the node the packet is in flight to: the arrival event
+	// carries the packet itself (hop), so a transmission costs no closure.
+	at *Node
+	// seg is the pooled record this packet is embedded in when it carries
+	// a stream segment (see segPkt); nil for every other packet.
+	seg *segPkt
 }
 
 // Len is the wire length charged to links.
@@ -138,6 +145,7 @@ type Node struct {
 	protos    map[uint8]ProtoHandler
 
 	streams  *streamLayer
+	segFree  *segPkt // recycled stream-segment packets (see segPkt)
 	dgrams   map[uint16]DatagramHandler
 	nextPort uint16
 
@@ -323,7 +331,7 @@ func (nd *Node) SendIP(pkt *Packet) error {
 // park before its SYN-ACK lands).
 func (nd *Node) route(pkt *Packet) error {
 	if pkt.Dst == nd.Addr {
-		nd.eng.Schedule(0, func() { nd.deliverLocal(pkt) })
+		pkt.hop(0, nd)
 		return nil
 	}
 	via := nd.routes[pkt.Dst]
@@ -331,16 +339,33 @@ func (nd *Node) route(pkt *Packet) error {
 		via = nd.defaultGw
 	}
 	if via == nil {
-		nd.NoRoute++
+		nd.drop(pkt)
 		return fmt.Errorf("%w: %v from %v", ErrNoRoute, pkt.Dst, nd.Name)
 	}
 	l := nd.links[via]
 	if l == nil {
-		nd.NoRoute++
+		nd.drop(pkt)
 		return fmt.Errorf("%w: no link %v -> %v", ErrNoRoute, nd.Name, via.Name)
 	}
 	l.transmit(pkt)
 	return nil
+}
+
+// hop schedules pkt's arrival at node at, d from now.
+func (pkt *Packet) hop(d time.Duration, at *Node) {
+	pkt.at = at
+	at.eng.ScheduleArg(d, packetArrive, pkt)
+}
+
+func packetArrive(arg any) {
+	pkt := arg.(*Packet)
+	pkt.at.receive(pkt)
+}
+
+// drop counts a packet this node could not route or deliver.
+func (nd *Node) drop(pkt *Packet) {
+	nd.NoRoute++
+	nd.reclaim(pkt)
 }
 
 // transmit models serialization, propagation, loss and reordering, then
@@ -351,6 +376,7 @@ func (l *link) transmit(pkt *Packet) {
 	l.Sent++
 	if rng.Chance(l.cfg.LossProb) {
 		l.Dropped++
+		l.from.reclaim(pkt)
 		return
 	}
 	var ser time.Duration
@@ -368,26 +394,28 @@ func (l *link) transmit(pkt *Packet) {
 		l.Reordered++
 		arrive += l.cfg.ReorderBy
 	}
-	to := l.to
 	var dup *Packet
 	if fp := l.from.faultPlane(); fp != nil {
 		v := fp.Packet(trace.Context{})
 		if v.Drop {
 			l.Dropped++
+			l.from.reclaim(pkt)
 			return
 		}
 		arrive += v.ExtraDelay
 		if v.Dup {
-			// Deep-copy the payload: the original chain is consumed
-			// (and possibly released) by its receiver.
+			// A private copy, payload included: the original's chain —
+			// and, for a stream segment, its pooled record — is consumed
+			// and reused by the time the duplicate lands.
 			cp := *pkt
 			cp.Payload = pkt.Payload.Clone()
+			cp.seg = nil
 			dup = &cp
 		}
 	}
-	e.Schedule(arrive, func() { to.receive(pkt) })
+	pkt.hop(arrive, l.to)
 	if dup != nil {
-		e.Schedule(arrive+l.cfg.Delay/2+time.Microsecond, func() { to.receive(dup) })
+		dup.hop(arrive+l.cfg.Delay/2+time.Microsecond, l.to)
 	}
 }
 
@@ -398,7 +426,7 @@ func (nd *Node) receive(pkt *Packet) {
 		return
 	}
 	if pkt.TTL <= 1 {
-		nd.NoRoute++
+		nd.drop(pkt)
 		return
 	}
 	pkt.TTL--
@@ -417,7 +445,7 @@ func (nd *Node) deliverLocal(pkt *Packet) {
 	nd.Meter.Charge(cost.IP, cost.IPRecvCost)
 	h := nd.protos[pkt.Proto]
 	if h == nil {
-		nd.NoRoute++
+		nd.drop(pkt)
 		return
 	}
 	nd.Delivered++

@@ -55,29 +55,64 @@ type segment struct {
 	data     []byte
 }
 
-func (s *segment) encode() []byte {
-	out := make([]byte, segHeaderSize+len(s.data))
+// header returns the segment's wire header; the data follows it.
+func (s *segment) header() (out [segHeaderSize]byte) {
 	out[0] = s.flags
 	out[1], out[2] = byte(s.sport>>8), byte(s.sport)
 	out[3], out[4] = byte(s.dport>>8), byte(s.dport)
 	out[5], out[6], out[7], out[8] = byte(s.seq>>24), byte(s.seq>>16), byte(s.seq>>8), byte(s.seq)
 	out[9], out[10], out[11], out[12] = byte(s.ack>>24), byte(s.ack>>16), byte(s.ack>>8), byte(s.ack)
-	copy(out[segHeaderSize:], s.data)
 	return out
 }
 
-func decodeSegment(b []byte) (segment, bool) {
-	if len(b) < segHeaderSize {
-		return segment{}, false
-	}
+// decodeHeader parses a wire header, leaving data for the caller.
+func decodeHeader(b *[segHeaderSize]byte) segment {
 	return segment{
 		flags: b[0],
 		sport: uint16(b[1])<<8 | uint16(b[2]),
 		dport: uint16(b[3])<<8 | uint16(b[4]),
 		seq:   uint32(b[5])<<24 | uint32(b[6])<<16 | uint32(b[7])<<8 | uint32(b[8]),
 		ack:   uint32(b[9])<<24 | uint32(b[10])<<16 | uint32(b[11])<<8 | uint32(b[12]),
-		data:  b[segHeaderSize:],
-	}, true
+	}
+}
+
+// segPkt is the packet a stream segment travels in: the IP packet and
+// its payload chain in one record, taken from the sending node's free
+// list and returned to the list of the node where it ends — delivered
+// to streamLayer.input, or dropped on the way. Links never join nodes on
+// different engines, so every list has a single owner and needs no lock.
+type segPkt struct {
+	Packet
+	chain mbuf.Chain
+	next  *segPkt // free-list link
+}
+
+// sendSegment transmits one segment from this node.
+func (nd *Node) sendSegment(dst IPAddr, seg segment) {
+	r := nd.segFree
+	if r != nil {
+		nd.segFree, r.next = r.next, nil
+	} else {
+		r = new(segPkt)
+	}
+	r.Packet = Packet{Dst: dst, Proto: ProtoStream, Payload: &r.chain, seg: r}
+	hdr := seg.header()
+	r.chain.AppendBytes(seg.data)
+	r.chain.Prepend(hdr[:]) // into the first mbuf's leading space
+	_ = nd.SendIP(&r.Packet)
+}
+
+// reclaim ends a stream segment's journey at this node: its mbufs go
+// back to their pool and its record to this node's list. Every path a
+// packet can end on — input, or a drop on the way — calls it once; for
+// any other packet (and a fault-plane duplicate, which is a private
+// copy) it does nothing.
+func (nd *Node) reclaim(pkt *Packet) {
+	if r := pkt.seg; r != nil {
+		r.chain.Release()
+		pkt.seg = nil
+		r.next, nd.segFree = nd.segFree, r
+	}
 }
 
 type connKey struct {
@@ -139,7 +174,7 @@ func (sl *streamLayer) portBusy(port uint16) bool {
 type StreamListener struct {
 	node    *Node
 	port    uint16
-	backlog *sim.Queue[*Stream]
+	backlog sim.Queue[*Stream]
 	closed  bool
 }
 
@@ -148,11 +183,7 @@ func (nd *Node) ListenStream(port uint16) (*StreamListener, error) {
 	if nd.streams.portBusy(port) {
 		return nil, fmt.Errorf("%w: stream port %d on %s", ErrPortInUse, port, nd.Name)
 	}
-	l := &StreamListener{
-		node:    nd,
-		port:    port,
-		backlog: sim.NewQueue[*Stream](nd.eng),
-	}
+	l := &StreamListener{node: nd, port: port}
 	nd.streams.listeners[port] = l
 	return l, nil
 }
@@ -190,21 +221,26 @@ type Stream struct {
 	dialWaiter  *sim.Proc
 	dialErr     error
 
-	// Send side.
+	// Send side. Sequence numbers [unackBase, sendSeq) are in flight,
+	// at most streamWindow of them. sendq holds the messages behind
+	// them, oldest first — those in flight, then those waiting for window
+	// space — so a cumulative ACK pops from its head. The FIN occupies a
+	// sequence number (always the last) but no sendq entry.
 	sendSeq   uint32 // next sequence number to assign
-	unacked   map[uint32][]byte
-	unackBase uint32   // lowest unacked seq
-	pending   [][]byte // messages waiting for window space
+	unackBase uint32 // lowest unacked seq
+	sendq     sim.Ring[[]byte]
+	sendq0    [2][]byte // sendq's first backing array: an RPC has one message in flight
 	retries   int
 	rtimer    sim.Timer
 	finSeq    uint32 // seq the FIN occupies, 0 if none
 	finQueued bool
 
-	// Receive side.
+	// Receive side. ooo and oooFin are made on the first out-of-order
+	// segment; most connections never see one.
 	recvNext uint32
 	ooo      map[uint32][]byte
 	oooFin   map[uint32]bool
-	inbox    *sim.Queue[[]byte]
+	inbox    sim.Queue[[]byte]
 
 	localClosed  bool
 	remoteClosed bool
@@ -216,17 +252,26 @@ type Stream struct {
 	Retransmits uint64
 }
 
+// newStream is the connection's one allocation: the handle escapes to
+// the kernel layer, the user library and the signaling entity, so the
+// record cannot be recycled without a generation check at every use —
+// instead everything a connection needs is embedded in it.
 func newStream(nd *Node, key connKey) *Stream {
-	return &Stream{
-		node:      nd,
-		key:       key,
-		sendSeq:   1,
-		unackBase: 1,
-		recvNext:  1,
-		unacked:   make(map[uint32][]byte),
-		ooo:       make(map[uint32][]byte),
-		inbox:     sim.NewQueue[[]byte](nd.eng),
+	s := &Stream{node: nd, key: key, sendSeq: 1, unackBase: 1, recvNext: 1}
+	s.sendq = sim.RingOn(s.sendq0[:])
+	return s
+}
+
+// inFlight counts unacknowledged sequence numbers, the FIN included.
+func (s *Stream) inFlight() uint32 { return s.sendSeq - s.unackBase }
+
+// queued counts messages still waiting for window space. Once the FIN
+// is out there are none: it is sent only after the last of them.
+func (s *Stream) queued() int {
+	if s.finSeq != 0 {
+		return 0
 	}
+	return s.sendq.Len() - int(s.inFlight())
 }
 
 // DialStream opens a connection from this node, blocking process p
@@ -236,7 +281,7 @@ func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, er
 	s := newStream(nd, key)
 	nd.streams.addConn(s)
 	s.dialWaiter = p
-	s.sendSegment(&segment{flags: flagSYN, sport: key.lport, dport: rport})
+	s.sendSegment(flagSYN, 0, 0, nil)
 	s.armRetransmit()
 	p.Park()
 	s.dialWaiter = nil
@@ -273,29 +318,24 @@ func (s *Stream) Send(msg []byte) error {
 	if s.reset {
 		return ErrStreamReset
 	}
-	cp := append([]byte(nil), msg...)
-	s.pending = append(s.pending, cp)
+	s.sendq.Push(append([]byte(nil), msg...))
 	s.pump()
 	return nil
 }
 
-// pump moves pending messages into the window.
+// pump moves queued messages into the window.
 func (s *Stream) pump() {
-	for len(s.pending) > 0 && uint32(len(s.unacked)) < streamWindow {
-		msg := s.pending[0]
-		s.pending = s.pending[1:]
-		seq := s.sendSeq
+	for s.queued() > 0 && s.inFlight() < streamWindow {
+		msg := s.sendq.At(int(s.inFlight()))
+		s.sendSegment(flagDATA, s.sendSeq, 0, msg)
 		s.sendSeq++
-		s.unacked[seq] = msg
-		s.sendSegment(&segment{flags: flagDATA, sport: s.key.lport, dport: s.key.rport, seq: seq, data: msg})
 	}
-	if s.finQueued && len(s.pending) == 0 && s.finSeq == 0 {
+	if s.finQueued && s.queued() == 0 && s.finSeq == 0 {
 		s.finSeq = s.sendSeq
 		s.sendSeq++
-		s.unacked[s.finSeq] = nil
-		s.sendSegment(&segment{flags: flagFIN, sport: s.key.lport, dport: s.key.rport, seq: s.finSeq})
+		s.sendSegment(flagFIN, s.finSeq, 0, nil)
 	}
-	if len(s.unacked) > 0 {
+	if s.inFlight() > 0 {
 		s.armRetransmit()
 	}
 }
@@ -336,7 +376,7 @@ func (s *Stream) abort(sendRST bool) {
 	}
 	s.reset = true
 	if sendRST {
-		s.sendSegment(&segment{flags: flagRST, sport: s.key.lport, dport: s.key.rport})
+		s.sendSegment(flagRST, 0, 0, nil)
 	}
 	s.rtimer.Stop()
 	s.inbox.Close()
@@ -361,26 +401,26 @@ func (s *Stream) finish(reset bool) {
 
 // maybeFinish completes an orderly close once both directions are done.
 func (s *Stream) maybeFinish() {
-	if s.localClosed && s.remoteClosed && len(s.unacked) == 0 && len(s.pending) == 0 && !s.finQueuedUnsent() {
+	if s.localClosed && s.remoteClosed && s.inFlight() == 0 && s.queued() == 0 && !s.finQueuedUnsent() {
 		s.finish(false)
 	}
 }
 
 func (s *Stream) finQueuedUnsent() bool { return s.finQueued && s.finSeq == 0 }
 
-func (s *Stream) sendSegment(seg *segment) {
-	pkt := &Packet{
-		Dst:     s.key.raddr,
-		Proto:   ProtoStream,
-		Payload: mbuf.FromBytes(seg.encode()),
-	}
-	_ = s.node.SendIP(pkt)
+// sendSegment transmits one segment of this connection.
+func (s *Stream) sendSegment(flags byte, seq, ack uint32, data []byte) {
+	s.node.sendSegment(s.key.raddr, segment{
+		flags: flags, sport: s.key.lport, dport: s.key.rport, seq: seq, ack: ack, data: data,
+	})
 }
 
 func (s *Stream) armRetransmit() {
 	s.rtimer.Stop()
-	s.rtimer = s.node.eng.Schedule(streamRTO, s.onRetransmit)
+	s.rtimer = s.node.eng.ScheduleArg(streamRTO, streamRetransmit, s)
 }
+
+func streamRetransmit(arg any) { arg.(*Stream).onRetransmit() }
 
 func (s *Stream) onRetransmit() {
 	s.rtimer = sim.Timer{}
@@ -393,36 +433,39 @@ func (s *Stream) onRetransmit() {
 		return
 	}
 	if !s.established && s.dialWaiter != nil {
-		s.sendSegment(&segment{flags: flagSYN, sport: s.key.lport, dport: s.key.rport})
+		s.sendSegment(flagSYN, 0, 0, nil)
 		s.armRetransmit()
 		return
 	}
 	for seq := s.unackBase; seq < s.sendSeq; seq++ {
-		msg, ok := s.unacked[seq]
-		if !ok {
-			continue
-		}
 		s.Retransmits++
 		if seq == s.finSeq {
-			s.sendSegment(&segment{flags: flagFIN, sport: s.key.lport, dport: s.key.rport, seq: seq})
+			s.sendSegment(flagFIN, seq, 0, nil)
 		} else {
-			s.sendSegment(&segment{flags: flagDATA, sport: s.key.lport, dport: s.key.rport, seq: seq, data: msg})
+			s.sendSegment(flagDATA, seq, 0, s.sendq.At(int(seq-s.unackBase)))
 		}
 	}
-	if len(s.unacked) > 0 {
+	if s.inFlight() > 0 {
 		s.armRetransmit()
 	}
 }
 
 // input dispatches an arriving stream segment on this node.
 func (sl *streamLayer) input(pkt *Packet) {
-	b := pkt.Payload.Bytes()
-	pkt.Payload.Release() // flattened copy taken; recycle the mbufs
-	seg, ok := decodeSegment(b)
-	if !ok {
+	var hdr [segHeaderSize]byte
+	n := pkt.Payload.CopyTo(hdr[:])
+	seg := decodeHeader(&hdr)
+	if n == segHeaderSize && seg.flags&flagDATA != 0 {
+		// The one copy the receive side takes: the inbox keeps it.
+		seg.data = pkt.Payload.Bytes()[segHeaderSize:]
+	}
+	src := pkt.Src
+	pkt.Payload.Release()
+	sl.node.reclaim(pkt)
+	if n < segHeaderSize {
 		return
 	}
-	key := connKey{lport: seg.dport, raddr: pkt.Src, rport: seg.sport}
+	key := connKey{lport: seg.dport, raddr: src, rport: seg.sport}
 	if s, ok := sl.conns[key]; ok {
 		s.handle(&seg)
 		return
@@ -434,14 +477,13 @@ func (sl *streamLayer) input(pkt *Packet) {
 			s := newStream(sl.node, key)
 			s.established = true
 			sl.addConn(s)
-			s.sendSegment(&segment{flags: flagSYN | flagACK, sport: seg.dport, dport: seg.sport})
+			s.sendSegment(flagSYN|flagACK, 0, 0, nil)
 			l.backlog.Put(s)
 			return
 		}
 	}
 	if seg.flags&flagRST == 0 {
-		reply := &segment{flags: flagRST, sport: seg.dport, dport: seg.sport}
-		_ = sl.node.SendIP(&Packet{Dst: pkt.Src, Proto: ProtoStream, Payload: mbuf.FromBytes(reply.encode())})
+		sl.node.sendSegment(src, segment{flags: flagRST, sport: seg.dport, dport: seg.sport})
 	}
 }
 
@@ -467,7 +509,7 @@ func (s *Stream) handle(seg *segment) {
 	case seg.flags&flagSYN != 0 && seg.flags&flagACK == 0:
 		// Retransmitted SYN on an accepted connection: the original
 		// SYN-ACK was lost, so resend it.
-		s.sendSegment(&segment{flags: flagSYN | flagACK, sport: s.key.lport, dport: s.key.rport})
+		s.sendSegment(flagSYN|flagACK, 0, 0, nil)
 		return
 
 	case seg.flags&flagSYN != 0 && seg.flags&flagACK != 0:
@@ -476,7 +518,7 @@ func (s *Stream) handle(seg *segment) {
 			s.established = true
 			s.retries = 0
 			s.rtimer.Stop()
-			s.sendSegment(&segment{flags: flagACK, sport: s.key.lport, dport: s.key.rport, ack: s.recvNext})
+			s.sendSegment(flagACK, 0, s.recvNext, nil)
 			if s.dialWaiter != nil {
 				s.dialWaiter.Unpark()
 			}
@@ -504,29 +546,30 @@ func (s *Stream) handle(seg *segment) {
 			s.bufferOutOfOrder(seg.seq, seg.data, isFin)
 		}
 		// Cumulative ACK in all cases (including duplicates).
-		s.sendSegment(&segment{flags: flagACK, sport: s.key.lport, dport: s.key.rport, ack: s.recvNext})
+		s.sendSegment(flagACK, 0, s.recvNext, nil)
 		return
 
 	case seg.flags&flagACK != 0:
+		if seg.ack > s.sendSeq {
+			// Acknowledges what was never sent: forged, or a stale
+			// segment landing on a reused connection key.
+			return
+		}
 		s.established = true
 		s.retries = 0
-		advanced := false
-		for seq := s.unackBase; seq < seg.ack; seq++ {
-			if _, ok := s.unacked[seq]; ok {
-				delete(s.unacked, seq)
-				advanced = true
+		if seg.ack <= s.unackBase {
+			return
+		}
+		for ; s.unackBase < seg.ack; s.unackBase++ {
+			if s.unackBase != s.finSeq {
+				s.sendq.Pop()
 			}
 		}
-		if seg.ack > s.unackBase {
-			s.unackBase = seg.ack
+		if s.inFlight() == 0 {
+			s.rtimer.Stop()
 		}
-		if advanced {
-			if len(s.unacked) == 0 {
-				s.rtimer.Stop()
-			}
-			s.pump()
-			s.maybeFinish()
-		}
+		s.pump()
+		s.maybeFinish()
 		return
 	}
 }
@@ -544,6 +587,7 @@ func (s *Stream) acceptInOrder(data []byte, fin bool) {
 
 func (s *Stream) bufferOutOfOrder(seq uint32, data []byte, fin bool) {
 	if s.oooFin == nil {
+		s.ooo = make(map[uint32][]byte)
 		s.oooFin = make(map[uint32]bool)
 	}
 	s.ooo[seq] = data

@@ -63,11 +63,17 @@ func TestSendAfterLocalClose(t *testing.T) {
 	}
 }
 
+// forge puts a hand-built segment on the wire from nd, outside any
+// connection (and outside the pooled-record path real segments take).
+func forge(nd *Node, dst IPAddr, seg segment) {
+	hdr := seg.header()
+	_ = nd.SendIP(&Packet{Dst: dst, Proto: ProtoStream, Payload: mbuf.FromBytes(append(hdr[:], seg.data...))})
+}
+
 func TestDataToClosedConnDrawsRST(t *testing.T) {
 	e, _, h, r := twoNodes(t)
 	// Craft a DATA segment for a connection that does not exist.
-	seg := &segment{flags: flagDATA, sport: 999, dport: 888, seq: 1, data: []byte("stray")}
-	_ = h.SendIP(&Packet{Dst: r.Addr, Proto: ProtoStream, Payload: mbuf.FromBytes(seg.encode())})
+	forge(h, r.Addr, segment{flags: flagDATA, sport: 999, dport: 888, seq: 1, data: []byte("stray")})
 	e.Run()
 	// The RST comes back to h and finds no connection either; it must
 	// NOT provoke a counter-RST storm. Count stream packets on the wire.
@@ -76,6 +82,43 @@ func TestDataToClosedConnDrawsRST(t *testing.T) {
 	if sentHR != 1 || sentRH != 1 {
 		t.Fatalf("packets h->r=%d r->h=%d, want exactly 1 each (no RST storm)", sentHR, sentRH)
 	}
+}
+
+// An ACK for sequence numbers never sent — forged, or a stale segment
+// landing on a reused connection key — must be dropped: acting on it
+// walked the window up to 2³² steps and left every later message
+// unacknowledgeable.
+func TestAckBeyondSendSeqIsDropped(t *testing.T) {
+	e, _, h, r := twoNodes(t)
+	l, _ := r.ListenStream(5000)
+	var got []string
+	e.Go("server", func(p *sim.Proc) {
+		s, _ := l.Accept(p)
+		for {
+			msg, ok := s.Recv(p)
+			if !ok {
+				return
+			}
+			got = append(got, string(msg))
+		}
+	})
+	var cli *Stream
+	e.Go("client", func(p *sim.Proc) {
+		cli, _ = h.DialStream(p, r.Addr, 5000)
+		_ = cli.Send([]byte("one"))
+		p.Sleep(10 * time.Millisecond)
+		forge(r, h.Addr, segment{flags: flagACK, sport: 5000, dport: cli.LocalPort(), ack: 0xF0000000})
+		p.Sleep(10 * time.Millisecond)
+		_ = cli.Send([]byte("two"))
+	})
+	e.RunUntil(5 * time.Second)
+	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
+		t.Fatalf("server received %q, want [one two]", got)
+	}
+	if cli.Reset() || cli.inFlight() != 0 || cli.Retransmits != 0 {
+		t.Fatalf("window stranded: reset=%v inFlight=%d retransmits=%d", cli.Reset(), cli.inFlight(), cli.Retransmits)
+	}
+	e.Shutdown()
 }
 
 func TestLargeMessages(t *testing.T) {

@@ -86,7 +86,7 @@ type Socket struct {
 	state sockState
 	vci   atm.VCI
 
-	recvQ     *sim.Queue[*mbuf.Chain]
+	recvQ     sim.Queue[*mbuf.Chain]
 	recvBytes int
 
 	// shaper, when set, paces outbound frames (see shaper.go).
@@ -110,7 +110,7 @@ func (s *Socket) SetTrace(tc trace.Context) { s.tc = tc }
 // Socket creates an unbound PF_XUNET socket owned by p, consuming a
 // file descriptor.
 func (f *Family) Socket(p *kern.Proc) (*Socket, error) {
-	s := &Socket{f: f, owner: p, recvQ: sim.NewQueue[*mbuf.Chain](f.m.E)}
+	s := &Socket{f: f, owner: p}
 	fd, err := p.AllocFD(s)
 	if err != nil {
 		return nil, err

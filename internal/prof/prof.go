@@ -111,7 +111,17 @@ func (p *EngineProf) ProcLabel(name string) LabelID {
 	if p == nil {
 		return LabelEngine
 	}
-	return p.Label("proc." + ProcKind(name))
+	// Every spawn comes through here, nearly always for a kind already
+	// interned: look that up without building the string.
+	var buf [64]byte
+	label := append(append(buf[:0], "proc."...), ProcKind(name)...)
+	p.mu.Lock()
+	id, ok := p.byName[string(label)]
+	p.mu.Unlock()
+	if ok {
+		return id
+	}
+	return p.Label(string(label))
 }
 
 // ProcKind reduces a proc name "machine/kind#pid" to its kind.

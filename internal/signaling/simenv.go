@@ -20,8 +20,8 @@ import (
 )
 
 // SimHost runs a Sighost on a simulated router: an actor process
-// draining an inbox of closures, fed by the SigPort listener, the local
-// pseudo-device, the anand server, and per-peer PVC readers. All
+// draining an inbox of typed inputs, fed by the SigPort listener, the
+// local pseudo-device, the anand server, and per-peer PVC readers. All
 // handler execution is serialized through the actor, preserving the
 // paper's single-threaded select()-driven daemon structure.
 type SimHost struct {
@@ -35,21 +35,93 @@ type SimHost struct {
 	// signaling loss" knob of the chaos experiments.
 	Faults *faults.Plane
 
-	inbox *sim.Queue[func()]
+	inbox *sim.Queue[input]
 	actor *sim.Proc
 	peers map[atm.Addr]*pfxunet.Socket
 	env   *simEnv
+
+	// dec serves every receive pump of this host: the pumps are procs of
+	// one engine, which never interleave inside DecodeInto, so they share
+	// one intern table instead of growing one per connection.
+	dec sigmsg.Decoder
+}
+
+// input is one entry of the actor's inbox. It travels by value in the
+// queue's ring, so handing the actor a message allocates nothing.
+type input struct {
+	kind   inputKind
+	conn   Conn              // inApp: the connection the message arrived on
+	ip     memnet.IPAddr     // inApp, inKernel: the sending machine
+	peer   atm.Addr          // inPeer: the sending sighost
+	msg    sigmsg.Msg        // inApp, inPeer
+	kmsg   kern.KMsg         // inKernel
+	waiter *sim.Proc         // inKernel: reader to release once handled
+	fn     func()            // inFunc
+	timer  *simTimer         // inTimer
+	dialed func(Conn, error) // inDialed: Dial's callback, given conn and err
+	err    error
+}
+
+type inputKind uint8
+
+const (
+	inFunc inputKind = iota
+	inApp
+	inPeer
+	inKernel
+	inTimer
+	inDialed
+)
+
+// dispatch runs one input in actor context.
+func (h *SimHost) dispatch(in *input) {
+	switch in.kind {
+	case inApp:
+		h.SH.HandleApp(in.conn, in.ip, in.msg)
+	case inPeer:
+		h.SH.HandlePeer(in.peer, in.msg)
+	case inKernel:
+		h.SH.HandleKernel(in.ip, in.kmsg)
+		if in.waiter != nil {
+			in.waiter.Unpark()
+		}
+	case inTimer:
+		// Released first: fn may arm its successor on the same record.
+		if fn := in.timer.release(); fn != nil {
+			fn()
+		}
+	case inDialed:
+		in.dialed(in.conn, in.err)
+	default:
+		in.fn()
+	}
+}
+
+// pump feeds messages arriving on an IPC connection into the actor
+// until the peer closes.
+func (h *SimHost) pump(p *sim.Proc, conn *simConn, from memnet.IPAddr) {
+	in := input{kind: inApp, conn: conn, ip: from}
+	for {
+		b, ok := conn.s.Recv(p)
+		if !ok {
+			return
+		}
+		if err := h.dec.DecodeInto(&in.msg, b); err != nil {
+			continue
+		}
+		h.inbox.Put(in)
+	}
 }
 
 // Crash kills the signaling entity in actor context: all state is lost
 // and every subsequent input is dropped until Recover. The PVC readers,
 // listeners, and device pumps stay up — they model the machine, not the
 // process.
-func (h *SimHost) Crash() { h.inbox.Put(func() { h.SH.Crash() }) }
+func (h *SimHost) Crash() { h.inbox.Put(input{fn: h.SH.Crash}) }
 
 // Recover restarts the entity in actor context (journal replay,
 // remaining-deadline bind timers, teardown of calls lost mid-setup).
-func (h *SimHost) Recover() { h.inbox.Put(func() { h.SH.Recover() }) }
+func (h *SimHost) Recover() { h.inbox.Put(input{fn: h.SH.Recover}) }
 
 // CrashFor crashes the entity now and schedules its recovery after d.
 func (h *SimHost) CrashFor(d time.Duration) {
@@ -68,10 +140,10 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	h := &SimHost{
 		Stack:  stack,
 		Fabric: fab,
-		inbox:  sim.NewQueue[func()](stack.M.E),
+		inbox:  sim.NewQueue[input](),
 		peers:  make(map[atm.Addr]*pfxunet.Socket),
 	}
-	h.env = &simEnv{h: h}
+	h.env = &simEnv{h: h, dialName: stack.M.Name + "/sighost-dial"}
 	// Share the machine's registry so sighost metrics land next to the
 	// kernel/device/shaper metrics in one mgmt-visible snapshot.
 	h.SH = NewWithObs(h.env, CostModel{
@@ -89,11 +161,11 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	// Actor loop.
 	h.actor = e.Go(stack.M.Name+"/sighost", func(p *sim.Proc) {
 		for {
-			fn, ok := h.inbox.Get(p)
+			in, ok := h.inbox.Get(p)
 			if !ok {
 				return
 			}
-			fn()
+			h.dispatch(&in)
 		}
 	})
 
@@ -103,12 +175,15 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 		if err != nil {
 			return
 		}
+		pumpName := stack.M.Name + "/sighost-conn"
 		for {
 			conn, ok := l.Accept(p)
 			if !ok {
 				return
 			}
-			h.pumpConn(conn, conn.RemoteAddr())
+			e.Go(pumpName, func(p *sim.Proc) {
+				h.pump(p, &simConn{h: h, s: conn}, conn.RemoteAddr())
+			})
 		}
 	})
 
@@ -124,12 +199,7 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 			if !ok {
 				return
 			}
-			from := stack.M.IP.Addr
-			msg := k
-			h.inbox.Put(func() {
-				h.SH.HandleKernel(from, msg)
-				p.Unpark()
-			})
+			h.inbox.Put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, waiter: p})
 			p.Park()
 		}
 	})
@@ -139,33 +209,10 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	if err == nil {
 		h.Anand = srv
 		srv.OnKernel = func(from memnet.IPAddr, k kern.KMsg) {
-			h.inbox.Put(func() { h.SH.HandleKernel(from, k) })
+			h.inbox.Put(input{kind: inKernel, ip: from, kmsg: k})
 		}
 	}
 	return h
-}
-
-// pumpConn spawns a reader that feeds messages from an IPC stream into
-// the actor.
-func (h *SimHost) pumpConn(conn *memnet.Stream, from memnet.IPAddr) {
-	h.Stack.M.E.Go(h.Stack.M.Name+"/sighost-conn", func(p *sim.Proc) {
-		// One decoder per pump: interned strings and no per-message
-		// garbage on the application RPC path.
-		var dec sigmsg.Decoder
-		var m sigmsg.Msg
-		for {
-			b, ok := conn.Recv(p)
-			if !ok {
-				return
-			}
-			if err := dec.DecodeInto(&m, b); err != nil {
-				continue
-			}
-			c := simConn{h: h, s: conn}
-			msg := m
-			h.inbox.Put(func() { h.SH.HandleApp(c, from, msg) })
-		}
-	})
 }
 
 // ConnectSighosts provisions duplex signaling PVCs between two
@@ -215,42 +262,40 @@ func connectOneWay(a, b *SimHost) error {
 		if err := s.Bind(vc.DstVCI, 0); err != nil {
 			return
 		}
-		var dec sigmsg.Decoder
-		var m sigmsg.Msg
+		in := input{kind: inPeer, peer: from}
+		var raw []byte // the decoder copies what it keeps: one buffer serves every frame
 		for {
-			raw, err := s.Recv()
+			frame, err := s.RecvChain()
 			if err != nil {
 				return
 			}
-			if err := dec.DecodeInto(&m, raw); err != nil {
+			raw = frame.AppendTo(raw[:0])
+			frame.Release()
+			if err := b.dec.DecodeInto(&in.msg, raw); err != nil {
 				continue
 			}
-			msg := m
-			b.inbox.Put(func() { b.SH.HandlePeer(from, msg) })
+			b.inbox.Put(in)
 		}
 	})
 	return nil
 }
 
 // simConn adapts a memnet stream to the signaling Conn interface. Send
-// runs in actor context, so it may borrow the env's scratch buffer
+// runs in actor context, so it borrows the env's scratch buffer
 // (Stream.Send copies the frame before returning).
 type simConn struct {
 	h *SimHost
 	s *memnet.Stream
 }
 
-func (c simConn) Send(m sigmsg.Msg) error {
-	if c.h != nil {
-		return c.s.Send(c.h.env.enc(&m))
-	}
-	return c.s.Send(m.Encode())
-}
-func (c simConn) Close() { c.s.Close() }
+func (c *simConn) Send(m sigmsg.Msg) error { return c.s.Send(c.h.env.enc(&m)) }
+func (c *simConn) Close()                  { c.s.Close() }
 
 // simEnv implements Env on the simulation.
 type simEnv struct {
-	h *SimHost
+	h        *SimHost
+	dialName string    // name of the procs Dial spawns
+	timers   *simTimer // recycled After records
 	// txBuf is the encode scratch for actor-context sends; every
 	// consumer copies the frame synchronously, so one buffer serves all.
 	txBuf []byte
@@ -278,20 +323,61 @@ func (e *simEnv) Charge(d time.Duration) {
 	}
 }
 
+// simTimer is one armed After: when its event fires it goes through
+// the inbox like any other input, and the actor runs fn unless the timer
+// was canceled in between. Records are recycled through simEnv.timers,
+// at the one point each timer ends: its cancel stopping the event, or
+// the actor taking its firing off the inbox. gen moves on there, so a
+// CancelFunc kept past that point does nothing to the record's next user.
+type simTimer struct {
+	h        *SimHost
+	fn       func()
+	t        sim.Timer
+	gen      uint32
+	canceled bool
+	next     *simTimer // free-list link
+}
+
 func (e *simEnv) After(d time.Duration, what string, fn func()) CancelFunc {
-	canceled := false
-	eng := e.h.Stack.M.E
-	t := eng.ScheduleL(d, e.timerLabel(eng, what), func() {
-		e.h.inbox.Put(func() {
-			if !canceled {
-				fn()
-			}
-		})
-	})
-	return func() {
-		canceled = true
-		t.Stop()
+	st := e.timers
+	if st != nil {
+		e.timers, st.next = st.next, nil
+	} else {
+		st = &simTimer{h: e.h}
 	}
+	st.fn, st.canceled = fn, false
+	eng := e.h.Stack.M.E
+	st.t = eng.ScheduleArgL(d, e.timerLabel(eng, what), simTimerFire, st)
+	gen := st.gen
+	return func() { st.cancel(gen) }
+}
+
+func simTimerFire(arg any) {
+	st := arg.(*simTimer)
+	st.h.inbox.Put(input{kind: inTimer, timer: st})
+}
+
+func (st *simTimer) cancel(gen uint32) {
+	if st.gen != gen {
+		return
+	}
+	st.canceled = true
+	if st.t.Stop() {
+		st.release()
+	}
+}
+
+// release returns the record to its env's free list and reports what
+// the actor should run, nil if the timer was canceled.
+func (st *simTimer) release() (fn func()) {
+	if !st.canceled {
+		fn = st.fn
+	}
+	st.fn = nil
+	st.gen++
+	env := st.h.env
+	st.next, env.timers = env.timers, st
+	return fn
 }
 
 // timerLabel resolves the profiler label for a sighost timer class
@@ -316,8 +402,7 @@ func (e *simEnv) timerLabel(eng *sim.Engine, what string) prof.LabelID {
 
 func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 	if dst == e.h.Stack.Addr {
-		h := e.h
-		h.inbox.Put(func() { h.SH.HandlePeer(dst, m) })
+		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
 		return nil
 	}
 	sock, ok := e.h.peers[dst]
@@ -352,8 +437,7 @@ func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 // retransmit path to cached frames leaves chaos runs bit-identical.
 func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Stack.Addr {
-		h := e.h
-		h.inbox.Put(func() { h.SH.HandlePeer(dst, m) })
+		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
 		return nil
 	}
 	sock, ok := e.h.peers[dst]
@@ -382,27 +466,16 @@ func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 
 func (e *simEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 	h := e.h
-	h.Stack.M.E.Go(h.Stack.M.Name+"/sighost-dial", func(p *sim.Proc) {
-		conn, err := h.Stack.M.IP.DialStream(p, ip, port)
+	h.Stack.M.E.Go(e.dialName, func(p *sim.Proc) {
+		s, err := h.Stack.M.IP.DialStream(p, ip, port)
 		if err != nil {
-			h.inbox.Put(func() { cb(nil, err) })
+			h.inbox.Put(input{kind: inDialed, dialed: cb, err: err})
 			return
 		}
-		h.inbox.Put(func() { cb(simConn{h: h, s: conn}, nil) })
+		conn := &simConn{h: h, s: s}
+		h.inbox.Put(input{kind: inDialed, dialed: cb, conn: conn})
 		// Keep pumping replies (ACCEPT_CONN etc.) into the actor.
-		var dec sigmsg.Decoder
-		var m sigmsg.Msg
-		for {
-			b, ok := conn.Recv(p)
-			if !ok {
-				return
-			}
-			if derr := dec.DecodeInto(&m, b); derr != nil {
-				continue
-			}
-			msg := m
-			h.inbox.Put(func() { h.SH.HandleApp(simConn{h: h, s: conn}, ip, msg) })
-		}
+		h.pump(p, conn, ip)
 	})
 }
 

@@ -74,7 +74,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 
 func BenchmarkQueueHandoff(b *testing.B) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	n := 0
 	e.Go("consumer", func(p *Proc) {
 		for {
@@ -174,7 +174,7 @@ func TestKillDoubleIsNoop(t *testing.T) {
 
 func TestQueuePutSkipsKilledWaiter(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var gotByB int
 	a := e.Go("a", func(p *Proc) {
 		q.Get(p) // killed while waiting

@@ -6,35 +6,72 @@ import "time"
 // Producers Put from engine or process context; consumer processes Get,
 // blocking until an item, a timeout, or Close. Items are handed directly
 // to the longest-waiting consumer, so delivery order is deterministic.
+// The zero value is an empty open queue, so a Queue can be embedded by
+// value in the record that owns it.
 //
-// Items and waiters live in ring buffers, so consumed entries are
-// dropped for the garbage collector immediately — a drained queue
+// Items and overflow waiters live in ring buffers, so consumed entries
+// are dropped for the garbage collector immediately — a drained queue
 // retains no references to the values that passed through it.
+//
+// A blocking get allocates nothing: the first consumer to wait on an
+// otherwise unwaited queue parks in w0, inline; consumers arriving
+// behind it use records recycled through free, and waiters holds them
+// in arrival order (w0, when waiting, is older than all of them).
 type Queue[T any] struct {
-	e       *Engine
 	items   Ring[T]
+	w0      qwaiter[T]
 	waiters Ring[*qwaiter[T]]
+	free    *qwaiter[T]
 	closed  bool
 }
 
-type qwaiter[T any] struct {
-	p        *Proc
-	item     T
-	have     bool
-	timedOut bool
-	closed   bool
+type waitState uint8
+
+const (
+	waitIdle     waitState = iota // record not in use
+	waitParked                    // consumer parked, nothing decided yet
+	waitGotItem                   // Put handed it an item
+	waitTimedOut                  // its timer fired first
+	waitDropped                   // queue closed, or its proc died waiting
+)
+
+// wait is the part of a waiter its timeout works on. It is not generic,
+// so the timer can carry it to a plain function through ScheduleArg.
+type wait struct {
+	p     *Proc
+	state waitState
 }
 
-// NewQueue returns an empty open queue on engine e.
-func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{e: e}
+type qwaiter[T any] struct {
+	wait
+	item T
+	next *qwaiter[T] // free-list link
 }
+
+// NewQueue returns an empty open queue.
+func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Len reports the number of buffered (undelivered) items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
+
+// take removes the longest-waiting parked consumer from the wait list,
+// marking it dropped (Put overrides that with the item), and returns
+// nil when nobody is parked. Waiters that timed out and have not yet run
+// to unlink themselves are passed over.
+func (q *Queue[T]) take() *qwaiter[T] {
+	w := &q.w0
+	for w.state != waitParked {
+		if q.waiters.Len() == 0 {
+			return nil
+		}
+		w = q.waiters.Pop()
+	}
+	w.state = waitDropped
+	return w
+}
 
 // Put appends v. If a consumer is waiting, v is handed to it directly.
 // Put on a closed queue drops v and reports false. Waiters whose
@@ -44,12 +81,11 @@ func (q *Queue[T]) Put(v T) bool {
 	if q.closed {
 		return false
 	}
-	for q.waiters.Len() > 0 {
-		w := q.waiters.Pop()
+	for w := q.take(); w != nil; w = q.take() {
 		if w.p.done || w.p.killed {
 			continue
 		}
-		w.item, w.have = v, true
+		w.item, w.state = v, waitGotItem
 		w.p.Unpark()
 		return true
 	}
@@ -82,32 +118,49 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 	if q.closed {
 		return v, false, false
 	}
-	w := &qwaiter[T]{p: p}
-	q.waiters.Push(w)
+	w := &q.w0
+	if w.p != nil || q.waiters.Len() > 0 {
+		if w = q.free; w != nil {
+			q.free, w.next = w.next, nil
+		} else {
+			w = new(qwaiter[T])
+		}
+		q.waiters.Push(w)
+	}
+	w.p, w.state = p, waitParked
 	var timer Timer
 	if d >= 0 {
-		timer = q.e.Schedule(d, func() {
-			if w.have || w.closed || w.timedOut {
-				return
-			}
-			w.timedOut = true
-			q.removeWaiter(w)
-			p.Unpark()
-		})
+		timer = p.e.ScheduleArg(d, waitTimeout, &w.wait)
 	}
+	// A kill unwinds from Park and never reaches the release below: the
+	// record stays claimed (its timer may still be pending and points at
+	// it), so an abandoned waiter is never handed to another consumer.
 	p.Park()
 	timer.Stop()
-	switch {
-	case w.have:
-		return w.item, true, false
-	case w.timedOut:
-		return v, false, true
-	default: // closed
-		return v, false, false
+	v, st := w.item, w.state
+	if st == waitTimedOut && w != &q.w0 {
+		q.unlink(w)
 	}
+	*w = qwaiter[T]{}
+	if w != &q.w0 {
+		w.next, q.free = q.free, w
+	}
+	return v, st == waitGotItem, st == waitTimedOut
 }
 
-func (q *Queue[T]) removeWaiter(w *qwaiter[T]) {
+// waitTimeout is the timer of a bounded get. It only marks and wakes:
+// the consumer unlinks itself from the wait list when it runs, and until
+// then Put and Close pass over the record.
+func waitTimeout(arg any) {
+	w := arg.(*wait)
+	if w.state != waitParked {
+		return
+	}
+	w.state = waitTimedOut
+	w.p.Unpark()
+}
+
+func (q *Queue[T]) unlink(w *qwaiter[T]) {
 	for i := 0; i < q.waiters.Len(); i++ {
 		if q.waiters.At(i) == w {
 			q.waiters.RemoveAt(i)
@@ -124,9 +177,7 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for q.waiters.Len() > 0 {
-		w := q.waiters.Pop()
-		w.closed = true
+	for w := q.take(); w != nil; w = q.take() {
 		w.p.Unpark()
 	}
 }

@@ -10,6 +10,12 @@ type Ring[T any] struct {
 	n    int // number of elements
 }
 
+// RingOn returns an empty ring that starts on buf — typically an array
+// embedded beside the ring in the record that owns it, so a queue that
+// stays short never allocates — and moves to the heap when it outgrows
+// buf. buf must hold only zero values.
+func RingOn[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
+
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
 

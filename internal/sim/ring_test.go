@@ -112,7 +112,7 @@ func TestRingZeroesVacatedSlots(t *testing.T) {
 // slice-head re-slicing leak this PR removed.
 func TestQueueDropsConsumedReferences(t *testing.T) {
 	e := New(1)
-	q := NewQueue[*int](e)
+	q := NewQueue[*int]()
 	for i := 0; i < 64; i++ {
 		q.Put(new(int))
 	}

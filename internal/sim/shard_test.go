@@ -42,7 +42,7 @@ func shardPingWorkload(workers int) string {
 			}
 		}
 		e.Schedule(0, tick)
-		q := NewQueue[int](e)
+		q := NewQueue[int]()
 		e.Go("producer", func(p *Proc) {
 			for n := 0; ; n++ {
 				p.Sleep(time.Duration(1+e.Rand().Intn(9)) * time.Millisecond)

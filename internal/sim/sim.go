@@ -87,13 +87,16 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// event is a scheduled callback. Events are pooled: gen increments each
-// time the struct is recycled, so stale Timer handles can tell that the
-// event they pointed at is gone.
+// event is a scheduled callback: fn(), or afn(arg) when armed through
+// ScheduleArg. Events are pooled: gen increments each time the struct is
+// recycled, so stale Timer handles can tell that the event they pointed
+// at is gone.
 type event struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
+	afn   func(arg any)
+	arg   any
 	index int
 	gen   uint64
 	label prof.LabelID
@@ -129,7 +132,7 @@ func (t Timer) Pending() bool {
 
 // release recycles an event that is no longer in the heap.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.fn, ev.afn, ev.arg = nil, nil, nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -162,24 +165,49 @@ func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 // of the scheduling context. Labels are free when no profiler is
 // attached — Label/ProfLabel return 0 on a nil profile.
 func (e *Engine) ScheduleL(d time.Duration, label prof.LabelID, fn func()) Timer {
+	ev := e.enqueue(d, label)
+	ev.fn = fn
+	return Timer{e: e, ev: ev, gen: ev.gen}
+}
+
+// ScheduleArg is Schedule for a callback that takes its state as an
+// argument. With fn a package-level function and arg a pointer to the
+// record the callback works on, arming allocates nothing — which is why
+// everything on a call's path (proc dispatches, queue timeouts, packet
+// arrivals, retransmit timers) schedules through it instead of binding
+// a closure per event.
+func (e *Engine) ScheduleArg(d time.Duration, fn func(arg any), arg any) Timer {
+	return e.ScheduleArgL(d, e.curLabel, fn, arg)
+}
+
+// ScheduleArgL is ScheduleArg with an explicit profiling label.
+func (e *Engine) ScheduleArgL(d time.Duration, label prof.LabelID, fn func(arg any), arg any) Timer {
+	ev := e.enqueue(d, label)
+	ev.afn, ev.arg = fn, arg
+	return Timer{e: e, ev: ev, gen: ev.gen}
+}
+
+// enqueue puts a pooled event d from now on the heap; the caller fills
+// in the callback.
+func (e *Engine) enqueue(d time.Duration, label prof.LabelID) *event {
 	if d < 0 {
 		d = 0
 	}
 	ev := e.getEvent()
-	ev.at, ev.seq, ev.fn, ev.label = e.now+d, e.seq, fn, label
+	ev.at, ev.seq, ev.label = e.now+d, e.seq, label
 	e.seq++
 	e.events.push(ev)
 	if len(e.events) > e.heapHiWat {
 		e.heapHiWat = len(e.events)
 	}
-	return Timer{e: e, ev: ev, gen: ev.gen}
+	return ev
 }
 
 // exec runs one popped event: clock advance, release to the pool, then
 // the callback — timed and attributed when a profiler is attached.
 func (e *Engine) exec(ev *event) {
 	e.now = ev.at
-	fn := ev.fn
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	label := ev.label
 	e.release(ev)
 	e.execCount++
@@ -187,9 +215,17 @@ func (e *Engine) exec(ev *event) {
 		prev := e.curLabel
 		e.curLabel = label
 		t0 := time.Now()
-		fn()
+		call(fn, afn, arg)
 		p.Account(label, time.Since(t0).Nanoseconds())
 		e.curLabel = prev
+	} else {
+		call(fn, afn, arg)
+	}
+}
+
+func call(fn func(), afn func(any), arg any) {
+	if afn != nil {
+		afn(arg)
 	} else {
 		fn()
 	}
@@ -208,10 +244,18 @@ type Proc struct {
 	parked     bool
 	sleepTimer Timer        // stale once fired; Stop on it is then a no-op
 	label      prof.LabelID // proc-kind attribution label (0 when unprofiled)
+}
 
-	// dispatchFn is bound once at Go so the hot park/unpark/sleep cycle
-	// schedules without allocating a closure.
-	dispatchFn func()
+// resumeAfter queues a dispatch of p after d. The event carries p
+// itself, so Go and the park/unpark/sleep cycle schedule without a
+// closure and a spawn is one allocation, the Proc.
+func (p *Proc) resumeAfter(d time.Duration) Timer {
+	return p.e.ScheduleArgL(d, p.label, dispatchProc, p)
+}
+
+func dispatchProc(arg any) {
+	p := arg.(*Proc)
+	p.e.dispatch(p)
 }
 
 // Name returns the name given at Go.
@@ -232,7 +276,6 @@ func (k killedErr) Error() string { return "sim: process " + k.name + " killed a
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, fn: fn}
 	p.label = e.prof.ProcLabel(name) // 0 when unprofiled (nil-safe)
-	p.dispatchFn = func() { e.dispatch(p) }
 	e.live++
 	p.prev = e.lastProc
 	if p.prev != nil {
@@ -241,7 +284,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.firstProc = p
 	}
 	e.lastProc = p
-	e.ScheduleL(0, p.label, p.dispatchFn)
+	p.resumeAfter(0)
 	return p
 }
 
@@ -369,7 +412,7 @@ func (p *Proc) Park() {
 func (p *Proc) unpark() {
 	p.parked = false
 	p.e.parked--
-	p.e.ScheduleL(0, p.label, p.dispatchFn)
+	p.resumeAfter(0)
 }
 
 // Unpark makes a parked process runnable at the current virtual time.
@@ -383,7 +426,7 @@ func (p *Proc) Unpark() {
 
 // Sleep blocks the process for virtual duration d.
 func (p *Proc) Sleep(d time.Duration) {
-	p.sleepTimer = p.e.ScheduleL(d, p.label, p.dispatchFn)
+	p.sleepTimer = p.resumeAfter(d)
 	p.yieldToEngine()
 }
 
@@ -403,7 +446,7 @@ func (p *Proc) Kill() {
 	case p.parked:
 		p.unpark()
 	case p.sleepTimer.Stop():
-		p.e.ScheduleL(0, p.label, p.dispatchFn)
+		p.resumeAfter(0)
 	default:
 		// Either running right now (self-kill: unwind immediately) or
 		// already queued for a dispatch that will observe the flag.

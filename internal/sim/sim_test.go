@@ -213,7 +213,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestQueuePutGet(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var got []int
 	e.Go("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -239,7 +239,7 @@ func TestQueuePutGet(t *testing.T) {
 
 func TestQueueBufferedBeforeGet(t *testing.T) {
 	e := New(1)
-	q := NewQueue[string](e)
+	q := NewQueue[string]()
 	q.Put("x")
 	q.Put("y")
 	var got []string
@@ -257,7 +257,7 @@ func TestQueueBufferedBeforeGet(t *testing.T) {
 
 func TestQueueGetTimeout(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var timedOut bool
 	var at time.Duration
 	e.Go("c", func(p *Proc) {
@@ -275,7 +275,7 @@ func TestQueueGetTimeout(t *testing.T) {
 
 func TestQueueTimeoutCanceledByDelivery(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var v int
 	var ok, timedOut bool
 	e.Go("c", func(p *Proc) {
@@ -296,7 +296,7 @@ func TestQueueTimeoutCanceledByDelivery(t *testing.T) {
 
 func TestQueueClose(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var ok bool
 	e.Go("c", func(p *Proc) {
 		_, ok = q.Get(p)
@@ -320,7 +320,7 @@ func TestQueueClose(t *testing.T) {
 
 func TestQueueMultipleWaitersFIFO(t *testing.T) {
 	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	var got []int
 	mk := func(id int) {
 		e.Go("c", func(p *Proc) {
@@ -344,8 +344,7 @@ func TestQueueMultipleWaitersFIFO(t *testing.T) {
 }
 
 func TestQueueTryGet(t *testing.T) {
-	e := New(1)
-	q := NewQueue[int](e)
+	q := NewQueue[int]()
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty queue succeeded")
 	}
@@ -412,7 +411,7 @@ func TestEngineDeterminism(t *testing.T) {
 	run := func() []time.Duration {
 		e := New(99)
 		var out []time.Duration
-		q := NewQueue[int](e)
+		q := NewQueue[int]()
 		e.Go("c", func(p *Proc) {
 			for {
 				_, ok := q.Get(p)
@@ -565,7 +564,7 @@ func TestQuickEventOrdering(t *testing.T) {
 func TestQuickQueueFIFO(t *testing.T) {
 	f := func(items []int32) bool {
 		e := New(1)
-		q := NewQueue[int32](e)
+		q := NewQueue[int32]()
 		var got []int32
 		e.Go("c", func(p *Proc) {
 			for {

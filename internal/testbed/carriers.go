@@ -149,7 +149,7 @@ func UseTCPCarrier(host *Host) (*CarrierStats, error) {
 		}
 	})
 	// The host side dials once and keeps the stream for all frames.
-	ready := sim.NewQueue[*memnet.Stream](host.Stack.M.E)
+	ready := sim.NewQueue[*memnet.Stream]()
 	host.Stack.M.E.Go("tcp-tunnel-client", func(p *sim.Proc) {
 		conn, err := host.Stack.M.IP.DialStream(p, router.Stack.M.IP.Addr, tunnelPort)
 		if err != nil {

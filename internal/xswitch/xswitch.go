@@ -154,6 +154,7 @@ type trunk struct {
 	inflight sim.Ring[flightCell]
 	delivOn  bool
 	delivFn  func()
+	spanName string // "from>to", the name of this hop's trace spans
 
 	// VCI allocation on this trunk. pair is the reverse trunk of the
 	// duplex link; the allocator is shared between both directions so
@@ -239,6 +240,7 @@ func newTrunk(f *Fabric, from, to node, cfg LinkConfig) *trunk {
 		t.drain()
 	}
 	t.delivFn = t.deliver
+	t.spanName = from.name() + ">" + to.name()
 	t.lblTx = feng.ProfLabel("xswitch.trunk.tx")
 	t.lblDeliv = feng.ProfLabel("xswitch.trunk.deliver")
 	return t
@@ -298,7 +300,7 @@ func (t *trunk) xdeliver(r *xcell) {
 	t.xmu.Unlock()
 	if c.TC.Sampled() && c.EndOfFrame() {
 		if tc := t.traceCollector(); tc != nil {
-			tc.Record(c.TC, "xswitch", t.from.name()+">"+t.to.name(), c.TCAt, t.xeng.Now())
+			tc.Record(c.TC, "xswitch", t.spanName, c.TCAt, t.xeng.Now())
 		}
 	}
 	t.to.inject(t, c)
@@ -476,8 +478,7 @@ func (t *trunk) deliver() {
 			// final cell: [hop entry .. last-cell arrival] covers the
 			// whole frame's transit of this link.
 			if tc := t.traceCollector(); tc != nil {
-				tc.Record(fc.cell.TC, "xswitch",
-					t.from.name()+">"+t.to.name(), fc.cell.TCAt, now)
+				tc.Record(fc.cell.TC, "xswitch", t.spanName, fc.cell.TCAt, now)
 			}
 		}
 		t.to.inject(t, fc.cell)
