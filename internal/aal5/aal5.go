@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"xunet/internal/atm"
 )
@@ -111,20 +112,26 @@ func ParseFrame(frame []byte) (payload []byte, uu byte, err error) {
 // AAL-indicate PTI bit on the final cell. frame must be a multiple of 48
 // bytes (as produced by BuildFrame).
 func Segment(frame []byte, vpi atm.VPI, vci atm.VCI) ([]atm.Cell, error) {
+	return SegmentInto(nil, frame, vpi, vci)
+}
+
+// SegmentInto is Segment appending onto dst (usually dst[:0] of a
+// reused scratch slice): it allocates only when dst lacks capacity.
+func SegmentInto(dst []atm.Cell, frame []byte, vpi atm.VPI, vci atm.VCI) ([]atm.Cell, error) {
 	if len(frame) == 0 || len(frame)%atm.PayloadSize != 0 {
-		return nil, ErrBadAlign
+		return dst, ErrBadAlign
 	}
-	n := len(frame) / atm.PayloadSize
-	cells := make([]atm.Cell, n)
-	for i := 0; i < n; i++ {
-		cells[i].VPI = vpi
-		cells[i].VCI = vci
-		copy(cells[i].Payload[:], frame[i*atm.PayloadSize:])
-		if i == n-1 {
-			cells[i].PTI = atm.PTIUserData1
-		}
+	start := len(dst)
+	total := start + len(frame)/atm.PayloadSize
+	dst = slices.Grow(dst, total-start)[:total]
+	for i := start; i < total; i++ {
+		// Recycled capacity holds the last frame's cells: set every field.
+		dst[i] = atm.Cell{Header: atm.Header{VPI: vpi, VCI: vci}}
+		copy(dst[i].Payload[:], frame)
+		frame = frame[atm.PayloadSize:]
 	}
-	return cells, nil
+	dst[total-1].PTI = atm.PTIUserData1
+	return dst, nil
 }
 
 // CellsForPayload reports how many cells an SDU of n bytes occupies.
@@ -135,6 +142,11 @@ func CellsForPayload(n int) int {
 // Reassembler rebuilds frames from the cell stream of one VC. It is the
 // receive half of the Hobbit board's SAR engine. Not safe for concurrent
 // use; the simulation serializes all access.
+//
+// One buffer serves every frame: it grows to the largest frame seen and
+// is kept across frames, discards and Reset, so the payload Push returns
+// aliases it and is valid only until the next Push or Reset — a caller
+// that keeps the bytes copies them first.
 type Reassembler struct {
 	buf      []byte
 	maxFrame int
@@ -156,9 +168,10 @@ func NewReassembler(maxFrame int) *Reassembler {
 }
 
 // Push adds one cell. When the cell completes a frame, Push returns the
-// payload, its UU (frame sequence) octet and done=true. A CRC or length
-// violation discards the partial frame and returns an error with
-// done=true so callers can count the loss.
+// payload (valid until the next Push or Reset), its UU (frame sequence)
+// octet and done=true. A CRC or length violation discards the partial
+// frame and returns an error with done=true so callers can count the
+// loss.
 func (r *Reassembler) Push(c *atm.Cell) (payload []byte, uu byte, done bool, err error) {
 	r.buf = append(r.buf, c.Payload[:]...)
 	if len(r.buf) > r.maxFrame {
@@ -170,7 +183,7 @@ func (r *Reassembler) Push(c *atm.Cell) (payload []byte, uu byte, done bool, err
 		return nil, 0, false, nil
 	}
 	frame := r.buf
-	r.buf = nil
+	r.buf = r.buf[:0]
 	payload, uu, err = ParseFrame(frame)
 	if err != nil {
 		r.Errors++
@@ -183,8 +196,9 @@ func (r *Reassembler) Push(c *atm.Cell) (payload []byte, uu byte, done bool, err
 // Pending reports how many bytes of an incomplete frame are buffered.
 func (r *Reassembler) Pending() int { return len(r.buf) }
 
-// Reset discards any partial frame (used when a VC is torn down).
-func (r *Reassembler) Reset() { r.buf = nil }
+// Reset discards any partial frame (used when a VC is torn down),
+// keeping the buffer's capacity for the next one.
+func (r *Reassembler) Reset() { r.buf = r.buf[:0] }
 
 // SeqTracker implements the Xunet-variant out-of-order frame detection:
 // each frame on a VC carries an 8-bit sequence number in CPCS-UU, and

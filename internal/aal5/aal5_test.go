@@ -291,6 +291,116 @@ func TestReassemblerReset(t *testing.T) {
 	}
 }
 
+// TestReassemblerReusesBuffer is the reused-buffer contract: one buffer
+// serves every frame, whatever ended the one before — a CRC failure, an
+// oversize discard, a Reset mid-frame — and the payload Push returns is
+// that buffer, good until the next Push or Reset.
+func TestReassemblerReusesBuffer(t *testing.T) {
+	const max = 40 * atm.PayloadSize
+	r := NewReassembler(max)
+	push := func(cells []atm.Cell) (payload []byte, err error) {
+		for i := range cells {
+			if p, _, done, e := r.Push(&cells[i]); done {
+				return p, e
+			}
+		}
+		return nil, nil
+	}
+	frame := func(n int, uu byte) []atm.Cell {
+		f, err := BuildFrame(pay(n), uu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := Segment(f, 0, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells
+	}
+	good := frame(1400, 1)
+	intact := func(after string) {
+		t.Helper()
+		p, err := push(good)
+		if err != nil || !bytes.Equal(p, pay(1400)) {
+			t.Fatalf("good frame after %s: err = %v, %d bytes", after, err, len(p))
+		}
+	}
+	intact("nothing")
+	size := cap(r.buf)
+
+	bad := frame(1400, 2)
+	bad[3].Payload[5] ^= 0xFF
+	if _, err := push(bad); err != ErrBadCRC {
+		t.Fatalf("corrupted frame: err = %v", err)
+	}
+	intact("a CRC failure")
+
+	huge := make([]atm.Cell, max/atm.PayloadSize+1) // never reaches its last cell
+	if _, err := push(huge); err != ErrFrameTooBig {
+		t.Fatalf("oversize frame: err = %v", err)
+	}
+	intact("ErrFrameTooBig")
+
+	push(good[:7])
+	r.Reset()
+	if r.Pending() != 0 || cap(r.buf) == 0 {
+		t.Fatalf("Reset: pending %d, capacity %d (must be kept)", r.Pending(), cap(r.buf))
+	}
+	intact("Reset mid-frame")
+
+	if allocs := testing.AllocsPerRun(20, func() { push(good) }); allocs != 0 {
+		t.Fatalf("steady-state frame allocates %.0f times", allocs)
+	}
+	if r.Frames != 25 || r.Errors != 2 {
+		t.Fatalf("Frames = %d, Errors = %d", r.Frames, r.Errors)
+	}
+
+	// The payload aliases the buffer: the next frame's cells overwrite it.
+	p, _ := push(good)
+	if cap(r.buf) < size || &p[0] != &r.buf[:1][0] {
+		t.Fatal("payload does not alias the reassembly buffer")
+	}
+	other := frame(96, 3)
+	other[0].Payload[0] = ^p[0]
+	r.Push(&other[0])
+	if p[0] != other[0].Payload[0] {
+		t.Fatal("payload survived the next Push: the buffer was not reused")
+	}
+}
+
+// TestSegmentIntoReusedScratch: cells cut into recycled capacity carry
+// nothing of the frame that capacity last held.
+func TestSegmentIntoReusedScratch(t *testing.T) {
+	long, _ := BuildFrame(pay(1400), 0)
+	short, _ := BuildFrame(pay(100), 0)
+	scratch, err := SegmentInto(nil, long, 3, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range scratch {
+		scratch[i].CLP, scratch[i].GFC, scratch[i].TCAt = true, 9, 5
+	}
+	got, err := SegmentInto(scratch[:0], short, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Segment(short, 0, 42)
+	if len(got) != len(want) || &got[0] != &scratch[0] {
+		t.Fatalf("%d cells (want %d), scratch reused: %v", len(got), len(want), &got[0] == &scratch[0])
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d carries stale state: %+v", i, got[i].Header)
+		}
+	}
+	if _, err := SegmentInto(scratch[:0], short[:50], 0, 42); err != ErrBadAlign {
+		t.Fatalf("unaligned frame: err = %v", err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { scratch, _ = SegmentInto(scratch[:0], long, 0, 1) }); allocs != 0 {
+		t.Fatalf("SegmentInto with capacity allocates %.0f times", allocs)
+	}
+}
+
 func TestSeqTracker(t *testing.T) {
 	var tr SeqTracker
 	// First frame establishes sync regardless of value.

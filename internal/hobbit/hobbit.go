@@ -60,15 +60,23 @@ type Board struct {
 	tx     CellTx
 	driver *Driver
 
-	reasm map[atm.VCI]*aal5.Reassembler
-	seqTx map[atm.VCI]byte
-	seqRx map[atm.VCI]*aal5.SeqTracker
+	// vcs is the board's per-VC SAR state, indexed by VCI as the paper's
+	// tables are ("a single index into a table"); a nil entry is a VC the
+	// board has not seen. ResetVC clears an entry but keeps it, and with
+	// it the reassembly buffer, for the VCI's next circuit.
+	vcs []*vcState
+
+	// SAR transmit scratch, reused by every Send: the flattened SDU, the
+	// CPCS-PDU built from it and the cells cut from that. Send is not
+	// re-entrant — a CellTx queues cells, it does not call back into the
+	// sending board.
+	sdu, pdu []byte
+	cells    []atm.Cell
 
 	// Instrumentation (nil until Instrument): first-cell timestamps per
 	// in-flight frame feed the hobbit.reasm.time histogram.
-	now        func() time.Duration
-	reasmHist  *obs.Histogram
-	reasmStart map[atm.VCI]time.Duration
+	now       func() time.Duration
+	reasmHist *obs.Histogram
 
 	// Counters for experiments.
 	CellsOut  uint64
@@ -79,15 +87,29 @@ type Board struct {
 	OOOFrames uint64 // out-of-order frames detected by the Xunet variant
 }
 
+// vcState is one VCI's segmentation-and-reassembly state.
+type vcState struct {
+	reasm aal5.Reassembler
+	seqRx aal5.SeqTracker
+	seqTx byte
+	start time.Duration // arrival of the pending frame's first cell
+}
+
 // NewBoard returns a board transmitting through tx. Call
 // Driver.AttachBoard to connect it to its driver.
-func NewBoard(tx CellTx) *Board {
-	return &Board{
-		tx:    tx,
-		reasm: make(map[atm.VCI]*aal5.Reassembler),
-		seqTx: make(map[atm.VCI]byte),
-		seqRx: make(map[atm.VCI]*aal5.SeqTracker),
+func NewBoard(tx CellTx) *Board { return &Board{tx: tx} }
+
+// vc returns the SAR state of vci, growing the table to hold it.
+func (b *Board) vc(vci atm.VCI) *vcState {
+	if int(vci) >= len(b.vcs) {
+		b.vcs = append(b.vcs, make([]*vcState, int(vci)+1-len(b.vcs))...)
 	}
+	v := b.vcs[vci]
+	if v == nil {
+		v = &vcState{reasm: *aal5.NewReassembler(0)}
+		b.vcs[vci] = v
+	}
+	return v
 }
 
 // Instrument registers the board's metrics in reg and starts timing AAL5
@@ -97,7 +119,6 @@ func NewBoard(tx CellTx) *Board {
 func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 	b.now = now
 	b.reasmHist = reg.Histogram("hobbit.reasm.time")
-	b.reasmStart = make(map[atm.VCI]time.Duration)
 	reg.Func("hobbit.cells.in", func() uint64 { return b.CellsIn })
 	reg.Func("hobbit.cells.out", func() uint64 { return b.CellsOut })
 	reg.Func("hobbit.frames.in", func() uint64 { return b.FramesIn })
@@ -109,25 +130,26 @@ func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 // Send builds the AAL5 frame for an mbuf chain and transmits its cells.
 // This happens in board hardware: no host instructions are charged.
 func (b *Board) Send(vci atm.VCI, frame *mbuf.Chain) error {
-	seq := b.seqTx[vci]
-	b.seqTx[vci] = seq + 1
-	pdu, err := aal5.BuildFrame(frame.Bytes(), seq)
-	if err != nil {
+	v := b.vc(vci)
+	seq := v.seqTx
+	v.seqTx++
+	b.sdu = frame.AppendTo(b.sdu[:0])
+	var err error
+	if b.pdu, err = aal5.AppendFrame(b.pdu[:0], b.sdu, seq); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
-	cells, err := aal5.Segment(pdu, 0, vci)
-	if err != nil {
+	if b.cells, err = aal5.SegmentInto(b.cells[:0], b.pdu, 0, vci); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
 	tc, tcAt := frame.TC, frame.TCAt
 	frame.Release() // segmented into cells; the chain is consumed
 	b.FramesOut++
-	for i := range cells {
+	for i := range b.cells {
 		b.CellsOut++
 		if tc.Sampled() {
-			cells[i].TC, cells[i].TCAt = tc, tcAt
+			b.cells[i].TC, b.cells[i].TCAt = tc, tcAt
 		}
-		b.tx.SendCell(cells[i])
+		b.tx.SendCell(b.cells[i])
 	}
 	return nil
 }
@@ -137,40 +159,30 @@ func (b *Board) Send(vci atm.VCI, frame *mbuf.Chain) error {
 // driver's demultiplexer.
 func (b *Board) ReceiveCell(c atm.Cell) {
 	b.CellsIn++
-	r := b.reasm[c.VCI]
-	if r == nil {
-		r = aal5.NewReassembler(0)
-		b.reasm[c.VCI] = r
+	v := b.vc(c.VCI)
+	if b.now != nil && v.reasm.Pending() == 0 {
+		v.start = b.now()
 	}
-	if b.now != nil && r.Pending() == 0 {
-		b.reasmStart[c.VCI] = b.now()
-	}
-	payload, uu, done, err := r.Push(&c)
+	payload, uu, done, err := v.reasm.Push(&c)
 	if !done {
 		return
 	}
 	if b.now != nil {
-		if start, ok := b.reasmStart[c.VCI]; ok {
-			b.reasmHist.Observe(b.now() - start)
-			delete(b.reasmStart, c.VCI)
-		}
+		b.reasmHist.Observe(b.now() - v.start)
 	}
 	if err != nil {
 		b.SARErrors++
 		return
 	}
-	t := b.seqRx[c.VCI]
-	if t == nil {
-		t = &aal5.SeqTracker{}
-		b.seqRx[c.VCI] = t
-	}
-	if ok, _ := t.Check(uu); !ok {
+	if ok, _ := v.seqRx.Check(uu); !ok {
 		// The Xunet AAL5 variant detects the gap; the frame itself is
 		// still intact, so it is delivered and the event counted.
 		b.OOOFrames++
 	}
 	b.FramesIn++
 	if b.driver != nil {
+		// payload lives in the VC's reassembly buffer, which the next
+		// cell overwrites: the chain is the frame's own copy.
 		chain := mbuf.FromBytes(payload)
 		if c.TC.Sampled() {
 			chain.TC = c.TC
@@ -184,9 +196,11 @@ func (b *Board) ReceiveCell(c atm.Cell) {
 
 // ResetVC discards reassembly and sequence state for a torn-down VC.
 func (b *Board) ResetVC(vci atm.VCI) {
-	delete(b.reasm, vci)
-	delete(b.seqRx, vci)
-	delete(b.seqTx, vci)
+	if int(vci) < len(b.vcs) && b.vcs[vci] != nil {
+		v := b.vcs[vci]
+		v.reasm.Reset()
+		v.seqRx, v.seqTx = aal5.SeqTracker{}, 0
+	}
 }
 
 // Driver is the Orc device driver.

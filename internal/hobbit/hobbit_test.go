@@ -289,3 +289,87 @@ func TestQuickBoardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBoardReusesSARBuffers is the board's half of the reused-buffer
+// contract: every frame of a VC is reassembled in the buffer the VC's
+// last frame used — whether that one was delivered, failed its CRC or
+// was cut short by ResetVC — and the chain a handler receives is its own
+// copy, untouched by the frames that follow.
+func TestBoardReusesSARBuffers(t *testing.T) {
+	tx, rx, lt := pair(t)
+	var kept []*mbuf.Chain
+	rx.SetHandler(5, func(_ atm.VCI, frame *mbuf.Chain) { kept = append(kept, frame) })
+	send := func(n int) {
+		t.Helper()
+		if err := tx.Output(5, mbuf.FromBytes(pay(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1400)
+	rxb := rx.Board()
+	buf := &rxb.vcs[5].reasm
+
+	lt.dropIdx = lt.n + 2 // a cell lost inside the next frame: CRC failure
+	send(1400)
+	lt.dropIdx = -1
+	if rxb.SARErrors != 1 || len(kept) != 1 {
+		t.Fatalf("SARErrors = %d, delivered %d", rxb.SARErrors, len(kept))
+	}
+	send(900) // after the failed frame
+
+	// ResetVC lands mid-frame: the first cells of a frame arrive, the VC
+	// is torn down, and the VCI's next circuit starts from sequence 0.
+	cells := 0
+	full := lt.rx
+	lt.rx = nil
+	tx.Board().tx = cellFn(func(c atm.Cell) {
+		if cells++; cells <= 4 {
+			full.ReceiveCell(c)
+		}
+	})
+	send(1400)
+	if buf.Pending() != 4*atm.PayloadSize {
+		t.Fatalf("pending = %d bytes mid-frame", buf.Pending())
+	}
+	rxb.ResetVC(5)
+	tx.Board().ResetVC(5)
+	if buf.Pending() != 0 || &rxb.vcs[5].reasm != buf {
+		t.Fatal("ResetVC must clear the VC's reassembler and keep it")
+	}
+	lt.rx = full
+	tx.Board().tx = lt
+	send(1300)
+	send(48)
+
+	want := []int{1400, 900, 1300, 48}
+	if len(kept) != len(want) || rxb.SARErrors != 1 || rxb.OOOFrames != 1 {
+		// The one sequence gap is the frame lost to the CRC failure.
+		t.Fatalf("delivered %d frames, SARErrors = %d, OOOFrames = %d", len(kept), rxb.SARErrors, rxb.OOOFrames)
+	}
+	for i, n := range want {
+		if !bytes.Equal(kept[i].Bytes(), pay(n)) {
+			t.Fatalf("frame %d (%d bytes) was overwritten by a later frame's reassembly", i, n)
+		}
+	}
+}
+
+// TestBoardVCITableBounds: VCIs beyond the board's table, on either
+// path, grow it; ResetVC of a VCI the board never saw is a no-op.
+func TestBoardVCITableBounds(t *testing.T) {
+	tx, rx, _ := pair(t)
+	got := map[atm.VCI]int{}
+	for _, vci := range []atm.VCI{40, 4000, 33} {
+		rx.SetHandler(vci, func(v atm.VCI, frame *mbuf.Chain) { got[v] += frame.Len() })
+	}
+	rx.Board().ResetVC(4000) // table still empty
+	for _, vci := range []atm.VCI{40, 4000, 33, 4000} {
+		if err := tx.Output(vci, mbuf.FromBytes(pay(100))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rx.Board().ResetVC(4001) // inside the table, never used
+	rx.Board().ResetVC(65535)
+	if got[40] != 100 || got[4000] != 200 || got[33] != 100 || rx.Board().OOOFrames != 0 {
+		t.Fatalf("delivered %v, OOOFrames = %d", got, rx.Board().OOOFrames)
+	}
+}

@@ -132,8 +132,9 @@ func (s *series) sample(at time.Duration) {
 	case KindCounter:
 		cur := s.counterFn()
 		var d int64
-		// Sources backed by plain fields may be rolled back a little
-		// (xswitch cell-train truncation); clamp instead of wrapping.
+		// A registry Func is adopted as a counter whatever it reads, and
+		// some read levels that fall (fabric.vcs.active): clamp a
+		// decrease to zero instead of wrapping.
 		if cur >= s.last {
 			d = int64(cur - s.last)
 		}

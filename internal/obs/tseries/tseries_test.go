@@ -33,7 +33,7 @@ func TestCounterRollbackClamps(t *testing.T) {
 	st := New(Config{Capacity: 8})
 	v := uint64(10)
 	st.TrackRateFunc("c", func() uint64 { return v }, 0, 0)
-	v = 7 // rolled back (xswitch truncate decrements Sent)
+	v = 7 // a level read through a registry Func went down
 	tick(st, 1)
 	v = 9
 	tick(st, 2)

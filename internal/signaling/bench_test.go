@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"xunet/internal/atm"
 	"xunet/internal/kern"
+	"xunet/internal/mbuf"
+	"xunet/internal/qos"
 	"xunet/internal/testbed"
 )
 
@@ -57,16 +60,17 @@ func BenchmarkSimulatedCallsPerSecond(b *testing.B) {
 // TestCallStormAllocs gates the allocations of a whole call, application
 // side included, where TestSteadyStateCallAllocs pins only the pooled
 // sighost state at zero: the benchmark above, ten iterations of it. The
-// count is deterministic — 969 per 10-call storm here, 962 per op over
-// the benchmark's longer run, on the commit that set this ceiling (4013
-// before segments, waiters, timers and inbox entries got recycled
-// records; DESIGN.md, "Allocation ledger of a call", says where the
-// rest go) — and the ceiling is there to be ratcheted down.
+// count is deterministic — 768 per 10-call storm on the commit that set
+// this ceiling (969 before the signaling PVC's frames stopped
+// allocating in the Hobbit board's SAR, 4013 before segments, waiters,
+// timers and inbox entries got recycled records; DESIGN.md, "Allocation
+// ledger of a call", says where the rest go) — and the ceiling is there
+// to be ratcheted down.
 func TestCallStormAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
-	const ceiling = 1000
+	const ceiling = 800
 	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
 		DeviceBuffers:      kern.FixedDeviceBuffers,
 		FDTableSize:        kern.FixedFDTableSize,
@@ -93,6 +97,54 @@ func TestCallStormAllocs(t *testing.T) {
 		t.Errorf("a 10-call storm allocates %.0f times, ceiling %d", got, ceiling)
 	}
 	t.Logf("%.0f allocs per 10-call storm", got)
+}
+
+// TestFramePathAllocs gates the PVC frame path a call's signaling rides:
+// a 1400-byte frame handed to one router's Orc driver, cut into cells by
+// its Hobbit board, carried over the three-hop fabric and reassembled by
+// the far board allocates 2 times in steady state — the chain the sender
+// builds and the chain the receiving board copies the frame into (12
+// before the boards kept their SAR buffers).
+func TestFramePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under the race detector")
+	}
+	const ceiling = 3
+	n, ra, rb, err := testbed.NewTestbed(testbed.Options{DisableCallLogging: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.E.RunUntil(time.Second)
+	vc, err := n.Fabric.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1400)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	frames := 0
+	rb.Stack.M.Orc.SetHandler(vc.DstVCI, func(_ atm.VCI, frame *mbuf.Chain) {
+		if frame.Len() != len(payload) {
+			t.Errorf("frame of %d bytes arrived, sent %d", frame.Len(), len(payload))
+		}
+		frames++
+		frame.Release()
+	})
+	got := testing.AllocsPerRun(50, func() {
+		if err := ra.Stack.M.Orc.Output(vc.SrcVCI, mbuf.FromBytes(payload)); err != nil {
+			t.Fatal(err)
+		}
+		n.E.RunUntil(n.E.Now() + 10*time.Millisecond)
+	})
+	if frames != 51 {
+		t.Fatalf("%d of 51 frames delivered", frames)
+	}
+	if got > ceiling {
+		t.Errorf("a frame across the fabric allocates %.0f times, ceiling %d", got, ceiling)
+	}
+	t.Logf("%.0f allocs per frame", got)
 }
 
 func BenchmarkRegistrationRPC(b *testing.B) {

@@ -19,6 +19,16 @@ func RingOn[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
 
+// idx maps the i-th element from the head (0 ≤ i ≤ n ≤ len(buf)) to its
+// slot. head+i stays below 2·len(buf), so one compare wraps it.
+func (r *Ring[T]) idx(i int) int {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
 // grow doubles the backing array (min 8) and linearizes the contents.
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
@@ -26,55 +36,53 @@ func (r *Ring[T]) grow() {
 		c = 8
 	}
 	buf := make([]T, c)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+	k := copy(buf, r.buf[r.head:])
+	if k < r.n {
+		copy(buf[k:], r.buf[:r.n-k])
 	}
 	r.buf = buf
 	r.head = 0
 }
 
 // Push appends v at the tail.
-func (r *Ring[T]) Push(v T) {
+func (r *Ring[T]) Push(v T) { *r.PushSlot() = v }
+
+// PushSlot appends a zero element at the tail and returns its slot, so
+// a large element is built in place instead of copied in. The pointer is
+// good until the next Push or PushSlot, which may move the ring.
+func (r *Ring[T]) PushSlot() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	p := &r.buf[r.idx(r.n)]
 	r.n++
+	return p
 }
 
-// PushFront prepends v at the head.
-func (r *Ring[T]) PushFront(v T) {
-	if r.n == len(r.buf) {
-		r.grow()
+// Head returns the head element's slot without removing it: read (or
+// move out of) it in place, then Drop. It panics on an empty ring.
+func (r *Ring[T]) Head() *T {
+	if r.n == 0 {
+		panic("sim: Head on empty ring")
 	}
-	r.head = (r.head - 1 + len(r.buf)) % len(r.buf)
-	r.buf[r.head] = v
-	r.n++
+	return &r.buf[r.head]
+}
+
+// Drop removes the head element. It panics on an empty ring.
+func (r *Ring[T]) Drop() {
+	if r.n == 0 {
+		panic("sim: Drop on empty ring")
+	}
+	var zero T
+	r.buf[r.head] = zero
+	r.head = r.idx(1)
+	r.n--
 }
 
 // Pop removes and returns the head element. It panics on an empty ring.
 func (r *Ring[T]) Pop() T {
-	if r.n == 0 {
-		panic("sim: Pop on empty ring")
-	}
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v
-}
-
-// PopTail removes and returns the tail element. It panics on an empty ring.
-func (r *Ring[T]) PopTail() T {
-	if r.n == 0 {
-		panic("sim: PopTail on empty ring")
-	}
-	var zero T
-	i := (r.head + r.n - 1) % len(r.buf)
-	v := r.buf[i]
-	r.buf[i] = zero
-	r.n--
+	v := *r.Head()
+	r.Drop()
 	return v
 }
 
@@ -83,31 +91,18 @@ func (r *Ring[T]) At(i int) T {
 	if i < 0 || i >= r.n {
 		panic("sim: ring index out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[r.idx(i)]
 }
 
 // RemoveAt removes and returns the i-th element from the head,
 // preserving the order of the rest.
 func (r *Ring[T]) RemoveAt(i int) T {
-	if i < 0 || i >= r.n {
-		panic("sim: ring index out of range")
-	}
 	v := r.At(i)
-	// Shift the shorter side over the hole.
-	if i < r.n-i-1 {
-		for j := i; j > 0; j-- {
-			r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j-1)%len(r.buf)]
-		}
-		var zero T
-		r.buf[r.head] = zero
-		r.head = (r.head + 1) % len(r.buf)
-	} else {
-		for j := i; j < r.n-1; j++ {
-			r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j+1)%len(r.buf)]
-		}
-		var zero T
-		r.buf[(r.head+r.n-1)%len(r.buf)] = zero
+	for j := i; j < r.n-1; j++ {
+		r.buf[r.idx(j)] = r.buf[r.idx(j+1)]
 	}
+	var zero T
+	r.buf[r.idx(r.n-1)] = zero
 	r.n--
 	return v
 }

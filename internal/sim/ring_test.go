@@ -37,19 +37,58 @@ func TestRingWrapAround(t *testing.T) {
 	}
 }
 
-func TestRingPushFrontPopTail(t *testing.T) {
-	var r Ring[int]
-	r.Push(2)
-	r.PushFront(1)
-	r.Push(3)
-	if got := r.PopTail(); got != 3 {
-		t.Fatalf("PopTail = %d", got)
+// TestRingInPlaceSlots drives the slot accessors across growth and the
+// wrap point: an element built through PushSlot is the one Head sees,
+// Drop vacates exactly it, and the accessors interleave with Push/Pop.
+func TestRingInPlaceSlots(t *testing.T) {
+	type big struct {
+		id  int
+		pad [10]int
 	}
-	if got := r.Pop(); got != 1 {
-		t.Fatalf("Pop = %d", got)
+	var r Ring[big]
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 1+round%7; i++ {
+			s := r.PushSlot()
+			if s.id != 0 || s.pad != [10]int{} {
+				t.Fatalf("PushSlot handed out a dirty slot: %+v", *s)
+			}
+			s.id, s.pad[9] = next, next
+			next++
+		}
+		r.Push(big{id: next})
+		next++
+		for i := 0; i < 1+round%5 && r.Len() > 0; i++ {
+			h := r.Head()
+			if h.id != want {
+				t.Fatalf("Head = %d, want %d", h.id, want)
+			}
+			h.id = -1 // in-place writes land in the ring
+			if got := r.At(0).id; got != -1 {
+				t.Fatalf("write through Head not visible: At(0) = %d", got)
+			}
+			r.Drop()
+			want++
+		}
 	}
-	if got := r.Pop(); got != 2 {
-		t.Fatalf("Pop = %d", got)
+	for r.Len() > 0 {
+		if got := r.Pop().id; got != want {
+			t.Fatalf("Pop = %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("consumed %d of %d", want, next)
+	}
+	for _, f := range []func(){func() { r.Head() }, func() { r.Drop() }, func() { r.Pop() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("empty ring access did not panic")
+				}
+			}()
+			f()
+		}()
 	}
 }
 
@@ -92,10 +131,8 @@ func TestRingZeroesVacatedSlots(t *testing.T) {
 	v := new(int)
 	r.Push(v)
 	r.Pop()
-	r.Push(v)
-	r.PopTail()
-	r.PushFront(v)
-	r.Pop()
+	*r.PushSlot() = v
+	r.Drop()
 	r.Push(v)
 	r.Push(v)
 	r.RemoveAt(0)

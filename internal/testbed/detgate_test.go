@@ -16,6 +16,11 @@ import (
 // this package — then tracegen, chaosgen, callgen and obsgen, now
 // `xunetsim trace|chaos|sweep|obs` with the same flags. A row that
 // moves is a change to the virtual history: explain it, then re-record.
+// The obs rows that export time series or event counts (obs, obs -prof
+// and their -shards 4 twins) were re-recorded when the trunk stopped
+// scheduling transmit events and counting cells planned ahead: the
+// engines' own event/pool series and mid-burst fabric.trunk.* and
+// fabric.cells.sent.* points moved, nothing else (CHANGES.md, PR 22).
 var detGate = []struct {
 	cmd string
 	// run writes the scenario's artifact; only a sharded row has a use
@@ -35,17 +40,17 @@ var detGate = []struct {
 		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second, 1)
 	}, "5226bd9d6307ef6dc3c34945a59a3b82a7530dec42d73da9f96576dbeef4f1a6"},
 	{"obs", obsRow(func(*testbed.ObsConfig) {}),
-		"004a3b7283fde500f3e2820487fc467446460770084b5cf11469195cb081f458"},
+		"5e332311eb75825d60405ebe8ba45a725a2f602f1148f7e2a18e39ab3e6e105e"},
 	{"obs -health", obsRow(func(c *testbed.ObsConfig) { c.Health = true }),
 		"cc46d105f1e9d003147679b73181698342d31d9cb4147717b9df77988c068a16"},
 	{"obs -table", obsRow(func(c *testbed.ObsConfig) { c.Table = true }),
 		"3b74cbef8a775d3d2da6b488dc9748d4ce7e1afe9a6eed2ace3dff00408b13a5"},
 	{"obs -prof", obsRow(func(c *testbed.ObsConfig) { c.Prof = true }),
-		"9dbf9a36651b96315bbe6026cb77675c358a269e2d4c8933682ea52c00f80cef"},
+		"a65263508f39a0c5df71b26bcadd0be4d4b92308e7fd22cc6064ec5cd3ea2709"},
 	{"obs -shards 4 -calls 24 -frames 2 -run 8s", obsRow(shards4),
-		"62d61b63a5909b6af15ea65ef2e4c95c1ec35dc6dbf0b359281804c636b2117a"},
+		"78a94466ce842429547de6ed61523654d1e5eb7e28eac97e80a49115f3e9ff3a"},
 	{"obs -prof -shards 4 -calls 24 -frames 2 -run 8s", obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true }),
-		"6b016dc832b5d216f545c799a413eff54dc6db9140312ee1a1debcc15b551fe5"},
+		"4f793fae3358a579b93db2cca4e1759c2d58b2bd9f1c1d5fc24b0e42ab34e0cf"},
 }
 
 func closing(n *testbed.Net, err error) error {

@@ -46,7 +46,7 @@ func profiledStorm(t *testing.T, seed uint64, workers int) (string, prof.Snapsho
 // fractions and a critical-shard ranking.
 func TestShardedStormProfiledDeterministicAcrossWorkers(t *testing.T) {
 	golden, snap := profiledStorm(t, 42, 1)
-	if !strings.Contains(golden, "proc.sighost") || !strings.Contains(golden, "xswitch.trunk.tx") {
+	if !strings.Contains(golden, "proc.sighost") || !strings.Contains(golden, "xswitch.trunk.deliver") {
 		t.Fatalf("counts export missing expected attribution labels:\n%s", firstLines(golden, 12))
 	}
 	if !strings.Contains(golden, "group: shards 4") {
@@ -163,7 +163,7 @@ func TestFlatProfiledStorm(t *testing.T) {
 		t.Fatal("Prof option did not arm the profiler")
 	}
 	text := n.Prof.Text()
-	for _, want := range []string{"proc.sighost", "proc.storm-client", "xswitch.trunk.tx"} {
+	for _, want := range []string{"proc.sighost", "proc.storm-client", "xswitch.trunk.deliver"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("flat profile missing %q:\n%s", want, firstLines(text, 12))
 		}

@@ -13,12 +13,18 @@ import (
 // second of real time and circuit setup/teardown rate bound the scale
 // of runnable scenarios.
 
-func benchFabric(b *testing.B) (*sim.Engine, *Fabric, *Endpoint, *collector, *VC) {
+// cellCount is a sink that only counts, so a benchmark times the fabric
+// and not a growing slice of arrivals.
+type cellCount struct{ n int }
+
+func (c *cellCount) ReceiveCell(atm.Cell) { c.n++ }
+
+func benchFabric(b *testing.B) (*sim.Engine, *Fabric, *Endpoint, *cellCount, *VC) {
 	b.Helper()
 	e := sim.New(1)
 	f := NewFabric(e)
 	swA, swB := Testbed(f)
-	sink := &collector{e: e}
+	sink := &cellCount{}
 	epA, err := f.Attach("a", nil, swA, TAXI())
 	if err != nil {
 		b.Fatal(err)
@@ -49,8 +55,8 @@ func BenchmarkCellSwitching(b *testing.B) {
 	}
 	e.Run()
 	b.StopTimer()
-	if len(sink.cells) != b.N {
-		b.Fatalf("delivered %d of %d", len(sink.cells), b.N)
+	if sink.n != b.N {
+		b.Fatalf("delivered %d of %d", sink.n, b.N)
 	}
 }
 
@@ -90,7 +96,54 @@ func BenchmarkFrameAcrossTestbed(b *testing.B) {
 		e.Run()
 	}
 	b.StopTimer()
-	if len(sink.cells) != 32*b.N {
-		b.Fatalf("delivered %d", len(sink.cells))
+	if sink.n != 32*b.N {
+		b.Fatalf("delivered %d", sink.n)
 	}
+}
+
+// BenchmarkFrameFastToSlowHop is the queue-building case the all-TAXI
+// attachments above never reach: 30-cell frames on four interleaved VCs
+// enter over TAXI 2.2× faster than the DS3 behind it drains, so the DS3's
+// class queue is tens of cells deep whenever a cell arrives. It reports
+// ns per cell-hop and engine events per frame (one delivery per cell per
+// hop is the floor: 90).
+func BenchmarkFrameFastToSlowHop(b *testing.B) {
+	const vcs, cellsPerFrame, hops = 4, 30, 3
+	e, f, epA, sink, vc := benchFabric(b)
+	var cells [vcs][cellsPerFrame]atm.Cell
+	for v := range cells {
+		if v > 0 {
+			var err error
+			if vc, err = f.SetupVC("a", "b", qos.BestEffortQoS); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := range cells[v] {
+			cells[v][i].VCI = vc.SrcVCI
+		}
+		cells[v][cellsPerFrame-1].PTI = atm.PTIUserData1
+	}
+	round := func() {
+		for i := 0; i < cellsPerFrame; i++ {
+			for v := range cells {
+				epA.SendCell(cells[v][i])
+			}
+		}
+		e.Run()
+	}
+	round() // size the rings
+	ev0 := e.EventsExecuted()
+	sink.n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += vcs {
+		round()
+	}
+	b.StopTimer()
+	frames := (b.N + vcs - 1) / vcs * vcs
+	if sink.n != frames*cellsPerFrame {
+		b.Fatalf("delivered %d of %d", sink.n, frames*cellsPerFrame)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames*cellsPerFrame*hops), "ns/cell-hop")
+	b.ReportMetric(float64(e.EventsExecuted()-ev0)/float64(frames), "events/frame")
 }

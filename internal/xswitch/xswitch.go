@@ -38,17 +38,7 @@ type LinkConfig struct {
 	RateBps    uint64        // line rate
 	Delay      time.Duration // propagation delay
 	QueueCells int           // per-class output queue limit, in cells
-	// TrainBurst caps how many cells one scheduled transmit event plans
-	// ahead (a "cell train"). 0 means DefaultTrainBurst. 1 reproduces
-	// the one-event-per-cell discipline exactly; any value yields
-	// bit-identical virtual arrival times (see trunk.truncate).
-	TrainBurst int
 }
-
-// DefaultTrainBurst is the cell-train length used when LinkConfig leaves
-// TrainBurst zero. A 1400-byte frame is ~30 cells, so one train per
-// frame is the common case.
-const DefaultTrainBurst = 32
 
 // DS3 returns the 45 Mb/s long-distance trunk profile of Xunet 2.
 func DS3(delay time.Duration) LinkConfig {
@@ -91,8 +81,9 @@ var (
 // node is anything cells move between: a switch or an endpoint.
 type node interface {
 	name() string
-	// inject receives a cell arriving over link l.
-	inject(l *trunk, c atm.Cell)
+	// inject receives a cell arriving over link l; the cell is good only
+	// for the call (a switch queueing it on its output trunk copies it).
+	inject(l *trunk, c *atm.Cell)
 	// domainOf exposes the element's shard binding.
 	domainOf() *domain
 }
@@ -125,32 +116,31 @@ type trunk struct {
 	xeng *sim.Engine
 
 	// xmu guards xfree, the boundary trunk's record pool: records are
-	// taken by the sending shard in drain and returned by the receiving
-	// shard in xdeliver, the one spot where two shards touch one trunk.
+	// taken by the sending shard in transmit and returned by the
+	// receiving shard in xdeliver, the one spot where two shards touch
+	// one trunk.
 	xmu   sync.Mutex
 	xfree []*xcell
 
-	// Three class queues (index qos.Class) drained by WRR.
+	// Three class queues (index qos.Class) served by WRR; queued is
+	// their total length.
 	queues   [3]sim.Ring[atm.Cell]
-	draining bool
+	queued   int
 	rrCredit [3]int
 
-	// Cell-train state. While draining, slots[0:trainLen] records the
-	// WRR picks planned at trainStart, each with the credit vector as it
-	// stood before that pick, so a send arriving mid-train can roll back
-	// the picks whose logical pick times have not yet been reached
-	// (truncate) and leave the queues and credits exactly as the
-	// one-event-per-cell discipline would have them.
-	trainStart time.Duration
-	trainLen   int
-	slots      []trainSlot
-	txTimer    sim.Timer
-	txFn       func()
+	// The scheduler is lazy (DESIGN.md §9). While the line is busy,
+	// nextPick is the logical time of the next WRR pick; the picks are
+	// made by commit, which everything that looks at the trunk calls
+	// first. txFn is a boundary trunk's per-cell transmit event.
+	busy     bool
+	nextPick time.Duration
+	txFn     func()
 
 	// In-flight cells awaiting delivery at t.to, ordered by arrival
 	// time. One self-rescheduling pooled event (delivFn) fires at each
 	// exact per-cell arrival time, so receivers observe timing identical
-	// to per-cell propagation events.
+	// to per-cell propagation events. delivOn holds whenever a cell is
+	// queued or in flight on an interior trunk.
 	inflight sim.Ring[flightCell]
 	delivOn  bool
 	delivFn  func()
@@ -163,12 +153,20 @@ type trunk struct {
 	pair  *trunk
 	alloc *atm.VCIAlloc
 
-	// Counters for experiments.
+	// Counters for experiments. Sent and perClass count committed picks:
+	// read them through settle.
 	Sent         uint64
 	Dropped      uint64
 	perClass     [3]uint64
 	perClassDrop [3]uint64
-	classVCIs    map[atm.VCI]qos.Class
+
+	// class is the trunk's service-class table, indexed by the VCI a cell
+	// is sent with (past the end, or never set, is BestEffort). xlate is
+	// the translation table of the switch input port this trunk feeds,
+	// indexed by the VCI a cell arrives with (out == nil is no entry);
+	// the receiving switch owns it.
+	class []qos.Class
+	xlate []tabVal
 
 	// Fault-plane state (used only when fabric.Faults is non-nil):
 	// geBad is the trunk's Gilbert–Elliott burst-loss state, down marks
@@ -193,13 +191,6 @@ type trunk struct {
 // a two-level approximation of the hierarchical round robin of [17].
 var wrrWeights = [3]int{1, 4, 16} // BestEffort, VBR, CBR (by qos.Class value)
 
-// trainSlot is one planned WRR pick in the active cell train.
-type trainSlot struct {
-	cell         atm.Cell
-	cls          qos.Class
-	creditBefore [3]int // rrCredit immediately before this pick
-}
-
 // flightCell is a transmitted cell awaiting delivery at the far node.
 type flightCell struct {
 	cell atm.Cell
@@ -210,34 +201,22 @@ func newTrunk(f *Fabric, from, to node, cfg LinkConfig) *trunk {
 	if cfg.QueueCells <= 0 {
 		cfg.QueueCells = 256
 	}
-	if cfg.TrainBurst <= 0 {
-		cfg.TrainBurst = DefaultTrainBurst
-	}
 	feng, teng := from.domainOf().eng, to.domainOf().eng
-	if feng != teng {
-		// Boundary trunk: one cell per transmit event, so truncate is a
-		// no-op and a posted arrival never needs rolling back.
-		cfg.TrainBurst = 1
-	}
 	t := &trunk{
-		fabric:    f,
-		from:      from,
-		to:        to,
-		cfg:       cfg,
-		eng:       feng,
-		book:      qos.NewBook(cfg.RateBps / 1000), // book in kb/s
-		slots:     make([]trainSlot, cfg.TrainBurst),
-		classVCIs: make(map[atm.VCI]qos.Class),
-	}
-	if feng != teng {
-		t.xeng = teng
+		fabric:   f,
+		from:     from,
+		to:       to,
+		cfg:      cfg,
+		eng:      feng,
+		book:     qos.NewBook(cfg.RateBps / 1000), // book in kb/s
+		rrCredit: wrrWeights,
 	}
 	if cfg.RateBps > 0 {
 		t.ser = time.Duration(uint64(atm.CellSize*8) * uint64(time.Second) / cfg.RateBps)
 	}
-	t.txFn = func() {
-		t.txTimer = sim.Timer{}
-		t.drain()
+	if feng != teng {
+		t.xeng = teng
+		t.txFn = t.transmitTick
 	}
 	t.delivFn = t.deliver
 	t.spanName = from.name() + ">" + to.name()
@@ -291,19 +270,18 @@ func (t *trunk) getXCell() *xcell {
 }
 
 // xdeliver runs on the receiving shard at the cell's exact arrival
-// time: recycle the record, trace the frame span, inject.
+// time: trace the frame span, inject, recycle the record.
 func (t *trunk) xdeliver(r *xcell) {
-	c := r.cell
-	r.cell = atm.Cell{}
-	t.xmu.Lock()
-	t.xfree = append(t.xfree, r)
-	t.xmu.Unlock()
+	c := &r.cell
 	if c.TC.Sampled() && c.EndOfFrame() {
 		if tc := t.traceCollector(); tc != nil {
 			tc.Record(c.TC, "xswitch", t.spanName, c.TCAt, t.xeng.Now())
 		}
 	}
 	t.to.inject(t, c)
+	t.xmu.Lock()
+	t.xfree = append(t.xfree, r)
+	t.xmu.Unlock()
 }
 
 // allocVCI reserves an unused VCI on this trunk (and its reverse
@@ -320,159 +298,163 @@ func (t *trunk) allocVCI() (atm.VCI, error) {
 }
 
 func (t *trunk) freeVCI(v atm.VCI) {
-	delete(t.classVCIs, v)
+	t.class[v] = qos.BestEffort
 	if t.alloc != nil {
 		t.alloc.Free(v)
 	}
 }
 
-// send enqueues a cell for transmission, classifying it by its VCI's
-// service class. Queue overflow drops the cell (AAL5 detects the loss).
-// If a cell train is in flight, picks whose logical pick times are still
-// in the future are rolled back first, so the overflow check and the
-// eventual WRR order see exactly the state the per-cell discipline
-// would.
-func (t *trunk) send(c atm.Cell) {
-	if t.draining {
-		t.truncate()
+// tabSet stores val at tab[v], growing the VCI-indexed table to hold it.
+func tabSet[T any](tab []T, v atm.VCI, val T) []T {
+	if int(v) >= len(tab) {
+		tab = append(tab, make([]T, int(v)+1-len(tab))...)
 	}
-	cls := t.classVCIs[c.VCI] // zero value = BestEffort
+	tab[v] = val
+	return tab
+}
+
+// send enqueues a copy of a cell for transmission, classifying it by its
+// VCI's service class. Queue overflow drops the cell (AAL5 detects the
+// loss). Picks due strictly before now are committed first, so the
+// overflow check and the WRR order see the queues as a transmit event
+// per cell would have left them; a pick due exactly now waits for this
+// cell, whose event was scheduled before that instant's transmit event
+// would have been (propagation outlasts serialization on every profile).
+func (t *trunk) send(c *atm.Cell) {
+	now := t.eng.Now()
+	t.commit(now)
+	cls := qos.BestEffort
+	if int(c.VCI) < len(t.class) {
+		cls = t.class[c.VCI]
+	}
+	corrupt := false
 	if fp := t.faultPlane(); fp != nil {
 		if t.down {
-			t.Dropped++
-			t.perClassDrop[cls]++
+			t.drop(cls)
 			fp.TrunkDownDrop(c.TC)
 			return
 		}
 		if fp.CellDrop(&t.geBad, c.TC) {
-			t.Dropped++
-			t.perClassDrop[cls]++
+			t.drop(cls)
 			return
 		}
-		if fp.CellCorrupt(c.TC) {
-			// Cells are values, so flipping a payload byte corrupts
-			// only this copy; the AAL5 CRC-32 rejects the frame at
-			// reassembly, exactly where real hardware would.
-			c.Payload[0] ^= 0xA5
-		}
+		corrupt = fp.CellCorrupt(c.TC)
 	}
-	if c.TC.Sampled() {
+	q := &t.queues[cls]
+	if q.Len() >= t.cfg.QueueCells {
+		t.drop(cls)
+		return
+	}
+	qc := q.PushSlot()
+	*qc = *c
+	if corrupt {
+		// Only the queued copy is flipped; the AAL5 CRC-32 rejects the
+		// frame at reassembly, exactly where real hardware would.
+		qc.Payload[0] ^= 0xA5
+	}
+	if qc.TC.Sampled() {
 		// Mark the hop entry time so deliver can record this trunk's
 		// queueing + serialization + propagation as one span.
-		c.TCAt = t.eng.Now()
+		qc.TCAt = now
 	}
-	if t.queues[cls].Len() >= t.cfg.QueueCells {
-		t.Dropped++
-		t.perClassDrop[cls]++
-		return
-	}
-	t.queues[cls].Push(c)
-	t.qPeak.Note(int64(t.queues[0].Len() + t.queues[1].Len() + t.queues[2].Len()))
-	if !t.draining {
-		t.drain()
-	}
-}
-
-// queuedAny reports whether any class queue holds a cell.
-func (t *trunk) queuedAny() bool {
-	return t.queues[0].Len() > 0 || t.queues[1].Len() > 0 || t.queues[2].Len() > 0
-}
-
-// drain plans the next cell train: up to TrainBurst WRR picks made at
-// the current instant, with logical pick times trainStart + j*ser. One
-// pooled event (txFn) fires when the last planned cell finishes
-// serializing; each picked cell joins the in-flight ring with its exact
-// arrival time trainStart + (j+1)*ser + Delay.
-func (t *trunk) drain() {
-	if !t.queuedAny() {
-		// The per-cell discipline's failing pick replenished credits on
-		// its first empty pass; preserve that side effect.
-		t.rrCredit = wrrWeights
-		t.draining = false
-		return
-	}
-	t.draining = true
-	e := t.eng
-	t.trainStart = e.Now()
-	n := 0
-	for n < t.cfg.TrainBurst && t.queuedAny() {
-		credit := t.rrCredit
-		cls := t.pick()
-		c := t.queues[cls].Pop()
-		t.Sent++
-		t.perClass[cls]++
-		t.slots[n] = trainSlot{cell: c, cls: cls, creditBefore: credit}
-		if t.xeng != nil {
-			// Boundary: the cell crosses shards as a pooled record posted
-			// at its exact arrival time. ser+Delay ≥ the group lookahead
-			// by construction (the testbed sizes the lookahead from the
-			// smallest boundary-trunk delay), so Post never violates the
-			// conservative bound.
-			r := t.getXCell()
-			r.cell = c
-			e.PostSized(t.xeng, time.Duration(n+1)*t.ser+t.cfg.Delay, atm.CellSize, r.fn)
-		} else {
-			t.inflight.Push(flightCell{cell: c, at: t.trainStart + time.Duration(n+1)*t.ser + t.cfg.Delay})
+	t.queued++
+	t.qPeak.Note(int64(t.queued))
+	if !t.busy {
+		// An idle line takes the cell the instant it is queued.
+		t.busy, t.nextPick = true, now
+		t.transmit(t.pick())
+		if t.txFn != nil {
+			t.eng.ScheduleL(t.ser, t.lblTx, t.txFn)
 		}
-		n++
 	}
-	t.trainLen = n
 	if t.xeng == nil && !t.delivOn {
-		// delivOn false implies the in-flight ring was empty, so the
-		// next arrival is this train's first cell.
 		t.delivOn = true
-		e.ScheduleL(t.ser+t.cfg.Delay, t.lblDeliv, t.delivFn)
+		t.eng.ScheduleL(t.nextArrival()-now, t.lblDeliv, t.delivFn)
 	}
-	t.txTimer = e.ScheduleL(time.Duration(n)*t.ser, t.lblTx, t.txFn)
 }
 
-// truncate rolls the active train back to the picks whose logical pick
-// times (trainStart + j*ser) have already passed. A pick at exactly the
-// current instant is rolled back too: under the per-cell discipline the
-// enqueue triggering this call would have run before that boundary's
-// pick (its causing event was scheduled earlier, since propagation
-// delays exceed cell serialization times on every profile). The rolled
-// back cells return to the front of their class queues, the credit
-// vector rewinds to the first uncommitted pick, and the transmit event
-// is pulled in to the end of the committed prefix.
-func (t *trunk) truncate() {
-	if t.ser == 0 {
-		return // infinite rate: every pick was instantaneous
+func (t *trunk) drop(cls qos.Class) {
+	t.Dropped++
+	t.perClassDrop[cls]++
+}
+
+// commit makes, in order, every WRR pick whose logical time lies before
+// the given instant. A pick that finds the queues empty ends the busy
+// period and, as a transmit event that found nothing to send did,
+// replenishes the credits.
+func (t *trunk) commit(before time.Duration) {
+	for t.busy && t.nextPick < before {
+		if t.queued == 0 {
+			t.rrCredit = wrrWeights
+			t.busy = false
+			return
+		}
+		t.transmit(t.pick())
 	}
+}
+
+// settle commits the picks already in the past: a reader of the counters
+// or queue depths then sees what a transmit event per cell had counted.
+func (t *trunk) settle() { t.commit(t.eng.Now()) }
+
+// transmit puts the head cell of class cls on the wire at nextPick: it
+// moves straight from its queue into the in-flight ring (or, on a
+// boundary trunk, into a pooled record posted to the far shard) with
+// its exact arrival time, one serialization and one propagation later.
+func (t *trunk) transmit(cls qos.Class) {
+	q := &t.queues[cls]
+	at := t.nextPick + t.ser + t.cfg.Delay
 	if t.xeng != nil {
-		return // boundary trunks train one cell; nothing uncommitted
+		// A boundary trunk picks at the pick's own instant (transmitTick),
+		// so the post is ser+Delay ahead: at least the group lookahead,
+		// which the testbed sizes from the smallest boundary-trunk delay.
+		r := t.getXCell()
+		r.cell = *q.Head()
+		t.eng.PostSized(t.xeng, at-t.eng.Now(), atm.CellSize, r.fn)
+	} else {
+		fc := t.inflight.PushSlot()
+		fc.cell, fc.at = *q.Head(), at
 	}
-	elapsed := t.eng.Now() - t.trainStart
-	k := int(elapsed / t.ser)
-	if elapsed%t.ser != 0 {
-		k++
-	}
-	if k < 1 {
-		k = 1 // slot 0 was picked at trainStart, before this send
-	}
-	if k >= t.trainLen {
-		return
-	}
-	for j := t.trainLen - 1; j >= k; j-- {
-		s := t.slots[j]
-		t.inflight.PopTail()
-		t.queues[s.cls].PushFront(s.cell)
-		t.rrCredit = s.creditBefore
-		t.Sent--
-		t.perClass[s.cls]--
-	}
-	t.trainLen = k
-	t.txTimer.Stop()
-	t.txTimer = t.eng.ScheduleL(t.trainStart+time.Duration(k)*t.ser-t.eng.Now(), t.lblTx, t.txFn)
+	q.Drop()
+	t.queued--
+	t.Sent++
+	t.perClass[cls]++
+	t.nextPick += t.ser
 }
 
-// deliver fires at the arrival time of the in-flight head, injects every
-// cell due now, and re-arms itself for the next arrival.
+// transmitTick is a boundary trunk's transmit event, one per cell at the
+// pick's own instant: a cross-shard post cannot be made late, so these
+// picks are not left to the next observer.
+func (t *trunk) transmitTick() {
+	now := t.eng.Now()
+	t.commit(now + 1)
+	if t.busy {
+		t.eng.ScheduleL(t.nextPick-now, t.lblTx, t.txFn)
+	}
+}
+
+// nextArrival is when the next cell reaches t.to: the in-flight head's
+// arrival, else that of the next pick. A cell must be queued or in
+// flight.
+func (t *trunk) nextArrival() time.Duration {
+	if t.inflight.Len() > 0 {
+		return t.inflight.Head().at
+	}
+	return t.nextPick + t.ser + t.cfg.Delay
+}
+
+// deliver fires at the arrival time of the next cell: it commits the
+// picks whose cells are due, injects every cell due now, and re-arms
+// itself for the next arrival.
 func (t *trunk) deliver() {
 	e := t.eng
 	now := e.Now()
-	for t.inflight.Len() > 0 && t.inflight.At(0).at <= now {
-		fc := t.inflight.Pop()
+	t.commit(now - t.ser - t.cfg.Delay + 1)
+	for t.inflight.Len() > 0 {
+		fc := t.inflight.Head()
+		if fc.at > now {
+			break
+		}
 		if fc.cell.TC.Sampled() && fc.cell.EndOfFrame() {
 			// One span per AAL5 frame per trunk, recorded on the frame's
 			// final cell: [hop entry .. last-cell arrival] covers the
@@ -481,10 +463,11 @@ func (t *trunk) deliver() {
 				tc.Record(fc.cell.TC, "xswitch", t.spanName, fc.cell.TCAt, now)
 			}
 		}
-		t.to.inject(t, fc.cell)
+		t.to.inject(t, &fc.cell)
+		t.inflight.Drop()
 	}
-	if t.inflight.Len() > 0 {
-		e.ScheduleL(t.inflight.At(0).at-now, t.lblDeliv, t.delivFn)
+	if t.inflight.Len() > 0 || t.queued > 0 {
+		e.ScheduleL(t.nextArrival()-now, t.lblDeliv, t.delivFn)
 	} else {
 		t.delivOn = false
 	}
@@ -507,16 +490,11 @@ func (t *trunk) pick() qos.Class {
 	panic("xswitch: pick with no queued cells")
 }
 
-// Stats reports (sent, dropped) cell counts for the trunk.
-func (t *trunk) stats() (sent, dropped uint64) { return t.Sent, t.Dropped }
-
 // Switch is one ATM cell switch.
 type Switch struct {
 	Name   string
-	fabric *Fabric
 	dom    domain
-	trunks []*trunk // outgoing trunks
-	table  map[tabKey]tabVal
+	trunks []*trunk // outgoing trunks; each input port's table is on its trunk
 
 	// Switched counts cells relayed; Unroutable counts cells with no
 	// table entry.
@@ -538,11 +516,8 @@ func (s *Switch) SetFaults(fp *faults.Plane) { s.dom.faults = fp }
 // at this switch.
 func (s *Switch) SetTrace(tc *trace.Collector) { s.dom.traceC = tc }
 
-type tabKey struct {
-	in  *trunk // arriving trunk
-	vci atm.VCI
-}
-
+// tabVal is one translation-table entry: the outgoing trunk and the VCI
+// the cell leaves with.
 type tabVal struct {
 	out *trunk
 	vci atm.VCI
@@ -550,13 +525,14 @@ type tabVal struct {
 
 func (s *Switch) name() string { return s.Name }
 
-// inject switches an arriving cell: translate (port, VCI) and forward.
-func (s *Switch) inject(l *trunk, c atm.Cell) {
-	v, ok := s.table[tabKey{in: l, vci: c.VCI}]
-	if !ok {
+// inject switches an arriving cell: index the input port's table by
+// VCI, translate and forward.
+func (s *Switch) inject(l *trunk, c *atm.Cell) {
+	if int(c.VCI) >= len(l.xlate) || l.xlate[c.VCI].out == nil {
 		s.Unroutable++
 		return
 	}
+	v := l.xlate[c.VCI]
 	s.Switched++
 	c.VCI = v.vci
 	v.out.send(c)
@@ -565,7 +541,6 @@ func (s *Switch) inject(l *trunk, c atm.Cell) {
 // Endpoint is an attachment point for a host interface.
 type Endpoint struct {
 	Addr   atm.Addr
-	fabric *Fabric
 	dom    domain
 	sink   CellSink
 	uplink *trunk // endpoint -> first switch
@@ -589,14 +564,14 @@ func (ep *Endpoint) SetTrace(tc *trace.Collector) { ep.dom.traceC = tc }
 
 func (ep *Endpoint) name() string { return string(ep.Addr) }
 
-func (ep *Endpoint) inject(l *trunk, c atm.Cell) {
+func (ep *Endpoint) inject(l *trunk, c *atm.Cell) {
 	if ep.sink != nil {
-		ep.sink.ReceiveCell(c)
+		ep.sink.ReceiveCell(*c)
 	}
 }
 
 // SendCell transmits one cell from the endpoint into the fabric.
-func (ep *Endpoint) SendCell(c atm.Cell) { ep.uplink.send(c) }
+func (ep *Endpoint) SendCell(c atm.Cell) { ep.uplink.send(&c) }
 
 // Fabric is the whole ATM network: switches, endpoints and trunks.
 type Fabric struct {
@@ -685,7 +660,7 @@ func (f *Fabric) AddSwitchOn(name string, e *sim.Engine) (*Switch, error) {
 	if _, dup := f.switches[name]; dup {
 		return nil, fmt.Errorf("%w: switch %s", ErrDupName, name)
 	}
-	s := &Switch{Name: name, fabric: f, dom: domain{eng: e}, table: make(map[tabKey]tabVal)}
+	s := &Switch{Name: name, dom: domain{eng: e}}
 	f.ensureSpace(e)
 	f.switches[name] = s
 	return s, nil
@@ -779,7 +754,7 @@ func (f *Fabric) AttachOn(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConf
 	if _, dup := f.endpoints[addr]; dup {
 		return nil, fmt.Errorf("%w: endpoint %s", ErrDupName, addr)
 	}
-	ep := &Endpoint{Addr: addr, fabric: f, dom: domain{eng: e}, sink: sink}
+	ep := &Endpoint{Addr: addr, dom: domain{eng: e}, sink: sink}
 	f.ensureSpace(e)
 	up := newTrunk(f, ep, sw, cfg)
 	down := newTrunk(f, sw, ep, cfg)
@@ -802,12 +777,11 @@ func (ep *Endpoint) SetSink(s CellSink) { ep.sink = s }
 
 // VC is an established simplex switched virtual circuit.
 type VC struct {
-	id     vcID
-	fabric *Fabric
-	space  *vcSpace
-	From   atm.Addr
-	To     atm.Addr
-	QoS    qos.QoS
+	id    vcID
+	space *vcSpace
+	From  atm.Addr
+	To    atm.Addr
+	QoS   qos.QoS
 	// SrcVCI is the VCI the source endpoint transmits on; DstVCI is the
 	// VCI cells carry when they arrive at the destination endpoint.
 	SrcVCI atm.VCI
@@ -900,7 +874,7 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 	}
 	space := f.spaces[src.dom.eng]
 	space.next++
-	vc := &VC{id: vcID(space.base | space.next), fabric: f, space: space, From: from, To: to, QoS: q}
+	vc := &VC{id: vcID(space.base | space.next), space: space, From: from, To: to, QoS: q}
 
 	// Trunk sequence: src.uplink, then each step's outgoing trunk.
 	in := src.uplink
@@ -916,7 +890,7 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 			vc.unwind()
 			return nil, err
 		}
-		st.sw.table[tabKey{in: in, vci: inVCI}] = tabVal{out: st.out, vci: outVCI}
+		in.xlate = tabSet(in.xlate, inVCI, tabVal{out: st.out, vci: outVCI})
 		vc.hops[len(vc.hops)-1].sw = st.sw
 		vc.hops[len(vc.hops)-1].in = in
 		vc.hops[len(vc.hops)-1].inVCI = inVCI
@@ -952,7 +926,7 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 		t.book.Release(key)
 		return 0, err
 	}
-	t.classVCIs[v] = q.Class
+	t.class = tabSet(t.class, v, q.Class)
 	vc.hops = append(vc.hops, hop{out: t, outVCI: v, bookKey: key})
 	return v, nil
 }
@@ -961,7 +935,7 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 func (vc *VC) unwind() {
 	for _, h := range vc.hops {
 		if h.sw != nil {
-			delete(h.sw.table, tabKey{in: h.in, vci: h.inVCI})
+			h.in.xlate[h.inVCI] = tabVal{}
 		}
 		h.out.freeVCI(h.outVCI)
 		h.out.book.Release(h.bookKey)
@@ -1061,20 +1035,21 @@ func (f *Fabric) RegisterTSeries(st *tseries.Store, own *sim.Engine) {
 
 func (f *Fabric) trackTrunk(st *tseries.Store, t *trunk) {
 	prefix := "fabric.trunk." + t.from.name() + ">" + t.to.name() + "."
-	st.TrackRateFunc(prefix+"cells", func() uint64 { return t.Sent }, 0, 0)
+	sent := func() uint64 { t.settle(); return t.Sent }
+	st.TrackRateFunc(prefix+"cells", sent, 0, 0)
 	st.TrackRateFunc(prefix+"drops", func() uint64 { return t.Dropped }, 0, 0)
 	if t.ser > 0 && st.Interval() > 0 {
 		// 10000 x (cells x ser) / interval = line utilization in basis
 		// points, an integer so exports stay byte-exact.
-		st.TrackRateFunc(prefix+"util_bp", func() uint64 { return t.Sent },
-			int64(t.ser)*10000, int64(st.Interval()))
+		st.TrackRateFunc(prefix+"util_bp", sent, int64(t.ser)*10000, int64(st.Interval()))
 	}
 	if t.qPeak == nil {
 		t.qPeak = &tseries.Peak{}
 	}
 	peak := t.qPeak
 	st.TrackGaugeFunc(prefix+"qdepth", func() (int64, int64) {
-		depth := int64(t.queues[0].Len() + t.queues[1].Len() + t.queues[2].Len())
+		t.settle()
+		depth := int64(t.queued)
 		hi := peak.Take()
 		if depth > hi {
 			hi = depth
@@ -1093,6 +1068,7 @@ func (f *Fabric) ClassStats() ClassCellStats {
 				continue
 			}
 			seen[t] = true
+			t.settle()
 			for cls := 0; cls < 3; cls++ {
 				out.Sent[cls] += t.perClass[cls]
 				out.Dropped[cls] += t.perClassDrop[cls]

@@ -397,3 +397,123 @@ func TestQuickSetupReleaseConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVCITableBounds walks the VCI-indexed tables' edges: a VCI past the
+// end of a table, one inside it that was never set, and one that was
+// released and handed out again must read as no route and best effort,
+// then as the new circuit's entry.
+func TestVCITableBounds(t *testing.T) {
+	e, f, epA, _, _, cb := testbed(t)
+	unroutable := func() (n uint64) {
+		for _, sw := range f.switches {
+			n += sw.Unroutable
+		}
+		return n
+	}
+	// Nothing set up yet: every table is empty.
+	epA.SendCell(atm.Cell{Header: atm.Header{VCI: 40}})
+	e.Run()
+	if got := unroutable(); got != 1 {
+		t.Fatalf("empty table: unroutable = %d, want 1", got)
+	}
+	cbr, err := f.SetupVC("mh.rt", "ucb.rt", qos.QoS{Class: qos.CBR, BandwidthKbs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vci := range []atm.VCI{cbr.SrcVCI - 1, cbr.SrcVCI + 1, atm.MaxVCI, 65535} {
+		epA.SendCell(atm.Cell{Header: atm.Header{VCI: vci}})
+	}
+	e.Run()
+	if got := unroutable(); got != 5 {
+		t.Fatalf("unset and out-of-range VCIs: unroutable = %d, want 5", got)
+	}
+	if s := f.ClassStats(); s.Sent[qos.BestEffort] != 5 || s.Sent[qos.CBR] != 0 {
+		t.Fatalf("unknown VCIs must ride best effort: %+v", s)
+	}
+	old := cbr.SrcVCI
+	epA.SendCell(atm.Cell{Header: atm.Header{VCI: old}})
+	cbr.Release()
+	e.Run() // the entry went while the cell was on the first hop
+	if got := unroutable(); got != 6 || len(cb.cells) != 0 {
+		t.Fatalf("released VCI: unroutable = %d (want 6), delivered %d", got, len(cb.cells))
+	}
+	if s := f.ClassStats(); s.Sent[qos.CBR] != 1 {
+		t.Fatalf("cell sent before release must count as CBR: %+v", s)
+	}
+	// The allocator hands the freed VCI out again; the new circuit is VBR.
+	vbr, err := f.SetupVC("mh.rt", "ucb.rt", qos.QoS{Class: qos.VBR, BandwidthKbs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vbr.SrcVCI != old {
+		t.Fatalf("VCI %d not reused: got %d", old, vbr.SrcVCI)
+	}
+	epA.SendCell(atm.Cell{Header: atm.Header{VCI: old}})
+	e.Run()
+	if len(cb.cells) != 1 || cb.cells[0].VCI != vbr.DstVCI {
+		t.Fatalf("reused VCI: delivered %d cells", len(cb.cells))
+	}
+	if s := f.ClassStats(); s.Sent[qos.VBR] != 3 || s.Sent[qos.CBR] != 1 {
+		t.Fatalf("reused VCI must take the new circuit's class: %+v", s)
+	}
+}
+
+// TestTrunkCountersAreMonotoneMidBurst reads the counters from inside a
+// burst: they count the cells whose pick times have passed — never one
+// planned ahead — so they only grow, sent plus queued is everything
+// accepted, and the per-tick series needs no rollback.
+func TestTrunkCountersAreMonotoneMidBurst(t *testing.T) {
+	e, f, epA, _, _, _ := testbed(t)
+	vc, _ := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+	const burst = 40
+	e.Schedule(0, func() {
+		for i := 0; i < burst; i++ {
+			epA.SendCell(atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}})
+		}
+	})
+	up := epA.uplink
+	var last uint64
+	for k := 1; k <= 60; k++ {
+		at := time.Duration(k)*up.ser - up.ser/3 // between picks k-1 and k
+		e.Schedule(at, func() {
+			up.settle()
+			want := uint64(burst)
+			if int(at/up.ser)+1 < burst {
+				want = uint64(at/up.ser) + 1
+			}
+			if up.Sent != want || up.Sent < last || int(up.Sent)+up.queued != burst {
+				t.Errorf("at %v: Sent=%d (want %d, was %d), queued=%d", at, up.Sent, want, last, up.queued)
+			}
+			last = up.Sent
+		})
+	}
+	e.Run()
+	if sent, _ := f.TrunkStats(); sent != 3*burst {
+		t.Fatalf("TrunkStats sent = %d, want %d", sent, 3*burst)
+	}
+}
+
+// TestInteriorTrunkCycleAllocs: once the rings have their size, a frame's
+// send/commit/deliver cycle over three interior trunks allocates nothing.
+func TestInteriorTrunkCycleAllocs(t *testing.T) {
+	e := sim.New(1)
+	f := NewFabric(e)
+	swA, swB := Testbed(f)
+	sink := &cellCount{}
+	epA, _ := f.Attach("a", nil, swA, TAXI())
+	_, _ = f.Attach("b", sink, swB, TAXI())
+	vc, err := f.SetupVC("a", "b", qos.BestEffortQoS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
+	got := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 30; i++ {
+			epA.SendCell(c)
+		}
+		e.Run()
+	})
+	if got != 0 || sink.n != 21*30 {
+		t.Fatalf("%.0f allocs per 30-cell frame (want 0), %d cells delivered", got, sink.n)
+	}
+}
