@@ -69,7 +69,7 @@ func NewRouter(e *sim.Engine, cm sim.CostModel, cfg RouterConfig) (*Stack, error
 		return nil, fmt.Errorf("core: attach %s: %w", cfg.Addr, err)
 	}
 	board := hobbit.NewBoard(ep)
-	board.Instrument(e.Now, m.Obs)
+	board.Instrument(ep.Now, m.Obs)
 	ep.SetSink(board)
 	m.Orc.AttachBoard(board)
 	s := &Stack{

@@ -92,11 +92,14 @@ type Verdict struct {
 }
 
 // Plane is one fault-injection domain: a seeded RNG plus fault counters.
-// A testbed has at most one; all hooks share it so the fault schedule is
-// totally ordered by simulation-event order.
+// Packet, signaling, device and flap draws come from its stream in
+// simulation-event order. Cell fates cannot: the fabric takes a trunk's
+// cells in when something pulls it (DESIGN.md §9), so each trunk draws
+// from its own substream (Cells), and who looks when changes no fate.
 type Plane struct {
-	cfg Config
-	rng *sim.Rand
+	cfg  Config
+	seed uint64
+	rng  *sim.Rand
 
 	// Obs holds the plane's own fault counters (faults.* namespace),
 	// kept out of the workload registries so fault-free runs render
@@ -120,7 +123,7 @@ func NewPlane(cfg Config) *Plane {
 	if seed == 0 {
 		seed = 0xFA017C0DE // distinct from any workload seed in use
 	}
-	p := &Plane{cfg: cfg, rng: sim.NewRand(seed), Obs: obs.NewRegistry()}
+	p := &Plane{cfg: cfg, seed: seed, rng: sim.NewRand(seed), Obs: obs.NewRegistry()}
 	p.pktDrop = p.Obs.Counter("faults.pkt.drop")
 	p.pktDup = p.Obs.Counter("faults.pkt.dup")
 	p.pktDelay = p.Obs.Counter("faults.pkt.delay")
@@ -144,13 +147,18 @@ func (p *Plane) AttachTrace(tc *trace.Collector, now func() time.Duration) {
 	p.tc, p.now = tc, now
 }
 
-// span records a zero-width fault span under parent if it is sampled.
+// span records a zero-width fault span under parent, now, if it is
+// sampled; spanAt records it at the given instant.
 func (p *Plane) span(parent trace.Context, name string) {
-	if p.tc == nil || p.now == nil || !parent.Sampled() {
-		return
+	if p.now != nil {
+		p.spanAt(parent, name, p.now())
 	}
-	at := p.now()
-	p.tc.Record(parent, "faults", name, at, at)
+}
+
+func (p *Plane) spanAt(parent trace.Context, name string, at time.Duration) {
+	if p.tc != nil && parent.Sampled() {
+		p.tc.Record(parent, "faults", name, at, at)
+	}
 }
 
 // Packet returns the verdict for one packet on a memnet link or tunnel
@@ -204,49 +212,64 @@ func (p *Plane) SigMsg(tc trace.Context) Verdict {
 	return v
 }
 
-// CellDrop steps the trunk's Gilbert–Elliott state (stored by the caller
-// per trunk, so independent trunks burst independently) and reports
-// whether this cell is lost.
-func (p *Plane) CellDrop(bad *bool, tc trace.Context) bool {
-	if !p.cfg.GE.enabled() {
+// Cells is one trunk's cell-fate stream: its Gilbert–Elliott state and
+// a SplitMix substream of the plane seed (as sim.ShardSeed derives), so
+// a cell's fate depends only on the cells its trunk carried before it.
+// Counters and spans go to the plane, spans at the cell's arrival.
+type Cells struct {
+	p   *Plane
+	rng *sim.Rand
+	bad bool
+}
+
+// Cells returns stream number id (≥ 1; 0 would be the plane's own).
+func (p *Plane) Cells(id int) *Cells {
+	return &Cells{p: p, rng: sim.NewRand(sim.ShardSeed(p.seed, id))}
+}
+
+// Drop steps the Gilbert–Elliott state and reports whether the cell
+// arriving at at is lost.
+func (c *Cells) Drop(tc trace.Context, at time.Duration) bool {
+	ge := c.p.cfg.GE
+	if !ge.enabled() {
 		return false
 	}
-	if *bad {
-		if p.rng.Chance(p.cfg.GE.PBadToGood) {
-			*bad = false
+	if c.bad {
+		if c.rng.Chance(ge.PBadToGood) {
+			c.bad = false
 		}
-	} else if p.rng.Chance(p.cfg.GE.PGoodToBad) {
-		*bad = true
+	} else if c.rng.Chance(ge.PGoodToBad) {
+		c.bad = true
 	}
-	loss := p.cfg.GE.LossGood
-	if *bad {
-		loss = p.cfg.GE.LossBad
+	loss := ge.LossGood
+	if c.bad {
+		loss = ge.LossBad
 	}
-	if p.rng.Chance(loss) {
-		p.cellDrop.Inc()
-		p.span(tc, "cell.drop")
+	if c.rng.Chance(loss) {
+		c.p.cellDrop.Inc()
+		c.p.spanAt(tc, "cell.drop", at)
 		return true
 	}
 	return false
 }
 
-// CellCorrupt reports whether this cell's payload should be corrupted.
-// Corruption surfaces as an AAL5 CRC error at reassembly, so the frame
-// is discarded — behaviorally a loss, detected where real hardware
-// detects it.
-func (p *Plane) CellCorrupt(tc trace.Context) bool {
-	if p.rng.Chance(p.cfg.CellCorrupt) {
-		p.cellCorrupt.Inc()
-		p.span(tc, "cell.corrupt")
+// Corrupt reports whether the payload of the cell arriving at at should
+// be corrupted. Corruption surfaces as an AAL5 CRC error at reassembly,
+// so the frame is discarded — behaviorally a loss, detected where real
+// hardware detects it.
+func (c *Cells) Corrupt(tc trace.Context, at time.Duration) bool {
+	if c.rng.Chance(c.p.cfg.CellCorrupt) {
+		c.p.cellCorrupt.Inc()
+		c.p.spanAt(tc, "cell.corrupt", at)
 		return true
 	}
 	return false
 }
 
-// TrunkDownDrop counts a cell dropped because its trunk is flapped down.
-func (p *Plane) TrunkDownDrop(tc trace.Context) {
+// TrunkDownDrop counts a cell arriving at at on a flapped-down trunk.
+func (p *Plane) TrunkDownDrop(tc trace.Context, at time.Duration) {
 	p.flapDrops.Inc()
-	p.span(tc, "trunk.down")
+	p.spanAt(tc, "trunk.down", at)
 }
 
 // DevDrop reports whether a kernel pseudo-device indication is dropped

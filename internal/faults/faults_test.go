@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func TestZeroConfigDrawsNothing(t *testing.T) {
 	const seed = 42
 	p := NewPlane(Config{Seed: seed})
 	none := trace.Context{}
-	bad := false
+	cells := p.Cells(1)
 	for i := 0; i < 1000; i++ {
 		if v := p.Packet(none); v.Drop || v.Dup || v.ExtraDelay != 0 {
 			t.Fatalf("zero-config Packet verdict %+v", v)
@@ -25,17 +26,20 @@ func TestZeroConfigDrawsNothing(t *testing.T) {
 		if v := p.SigMsg(none); v.Drop || v.Dup || v.ExtraDelay != 0 {
 			t.Fatalf("zero-config SigMsg verdict %+v", v)
 		}
-		if p.CellDrop(&bad, none) || p.CellCorrupt(none) || p.DevDrop() {
+		if cells.Drop(none, 0) || cells.Corrupt(none, 0) || p.DevDrop() {
 			t.Fatal("zero-config plane injected a fault")
 		}
 	}
-	if bad {
+	if cells.bad {
 		t.Fatal("zero-config plane entered GE bad state")
 	}
-	// The RNG must be untouched: its next output equals a fresh RNG's
+	// The RNGs must be untouched: each next output equals a fresh RNG's
 	// first output.
 	if got, want := p.rng.Uint64(), sim.NewRand(seed).Uint64(); got != want {
 		t.Fatalf("zero-config plane consumed randomness: next=%d fresh=%d", got, want)
+	}
+	if got, want := cells.rng.Uint64(), sim.NewRand(sim.ShardSeed(seed, 1)).Uint64(); got != want {
+		t.Fatalf("zero-config cell stream consumed randomness: next=%d fresh=%d", got, want)
 	}
 	for _, c := range p.Obs.Snapshot().Counters {
 		if c.Value != 0 {
@@ -55,7 +59,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	}
 	a, b := NewPlane(cfg), NewPlane(cfg)
 	none := trace.Context{}
-	abad, bbad := false, false
+	ac, bc := a.Cells(3), b.Cells(3)
 	for i := 0; i < 5000; i++ {
 		if va, vb := a.Packet(none), b.Packet(none); va != vb {
 			t.Fatalf("packet %d: %+v vs %+v", i, va, vb)
@@ -63,10 +67,10 @@ func TestSameSeedSameSchedule(t *testing.T) {
 		if va, vb := a.SigMsg(none), b.SigMsg(none); va != vb {
 			t.Fatalf("sigmsg %d: %+v vs %+v", i, va, vb)
 		}
-		if a.CellDrop(&abad, none) != b.CellDrop(&bbad, none) || abad != bbad {
+		if ac.Drop(none, 0) != bc.Drop(none, 0) || ac.bad != bc.bad {
 			t.Fatalf("cell %d: GE state diverged", i)
 		}
-		if a.CellCorrupt(none) != b.CellCorrupt(none) || a.DevDrop() != b.DevDrop() {
+		if ac.Corrupt(none, 0) != bc.Corrupt(none, 0) || a.DevDrop() != b.DevDrop() {
 			t.Fatalf("draw %d diverged", i)
 		}
 	}
@@ -77,13 +81,10 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	// the seed is actually wired in).
 	cfg2 := cfg
 	cfg2.Seed = 8
-	c := NewPlane(cfg2)
+	c, d := NewPlane(cfg2).Cells(3), NewPlane(cfg).Cells(3)
 	diverged := false
-	cbad := false
-	d := NewPlane(cfg)
-	dbad := false
 	for i := 0; i < 5000 && !diverged; i++ {
-		if c.CellDrop(&cbad, none) != d.CellDrop(&dbad, none) {
+		if c.Drop(none, 0) != d.Drop(none, 0) {
 			diverged = true
 		}
 	}
@@ -101,12 +102,12 @@ func TestGilbertElliottBursts(t *testing.T) {
 		PGoodToBad: 0.005, PBadToGood: 0.2, LossGood: 0, LossBad: 1.0,
 	}})
 	none := trace.Context{}
-	bad := false
+	cells := p.Cells(1)
 	const n = 200_000
 	drops, runs := 0, 0
 	inRun := false
 	for i := 0; i < n; i++ {
-		if p.CellDrop(&bad, none) {
+		if cells.Drop(none, 0) {
 			drops++
 			if !inRun {
 				runs++
@@ -136,17 +137,74 @@ func TestGilbertElliottBursts(t *testing.T) {
 func TestCertainFaultsCount(t *testing.T) {
 	p := NewPlane(Config{PktLoss: 1, SigLoss: 1, DevLoss: 1, CellCorrupt: 1})
 	none := trace.Context{}
+	cells := p.Cells(1)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if !p.Packet(none).Drop || !p.SigMsg(none).Drop || !p.DevDrop() || !p.CellCorrupt(none) {
+		if !p.Packet(none).Drop || !p.SigMsg(none).Drop || !p.DevDrop() || !cells.Corrupt(none, 0) {
 			t.Fatal("probability-1 fault did not fire")
 		}
-		p.TrunkDownDrop(none)
+		p.TrunkDownDrop(none, 0)
 	}
 	snap := p.Obs.Snapshot()
 	for _, name := range []string{"faults.pkt.drop", "faults.sig.drop", "faults.dev.drop", "faults.cell.corrupt", "faults.trunk.flap_drops"} {
 		if got := snap.Count(name); got != n {
 			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+}
+
+// TestCellFatesArePerTrunk is what lets the fabric take cells in lazily:
+// a trunk's cell fates depend only on that trunk's own cell sequence.
+// Trunk 1's fates are drawn alone, then again with other trunks' cells
+// and the plane's own packet, signaling and device draws interleaved at
+// random — as a scrape tick or a management read would reorder them —
+// and must come out the same, spans at each cell's own arrival time
+// included.
+func TestCellFatesArePerTrunk(t *testing.T) {
+	cfg := Config{
+		Seed: 11, PktLoss: 0.1, SigLoss: 0.1, DevLoss: 0.1, CellCorrupt: 0.05,
+		GE: GEConfig{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.01, LossBad: 0.6},
+	}
+	type fate struct{ drop, corrupt bool }
+	run := func(noise bool) ([]fate, []trace.Span) {
+		p := NewPlane(cfg)
+		tc := trace.NewCollector(func() time.Duration { return time.Hour })
+		tc.SetEnabled(true)
+		p.AttachTrace(tc, func() time.Duration { return time.Hour })
+		root := tc.StartTrace("test", "cells", 1)
+		mine, other := p.Cells(1), p.Cells(2)
+		rng := sim.NewRand(5)
+		var fates []fate
+		for i := 0; i < 1000; i++ {
+			for noise && rng.Intn(3) > 0 {
+				p.Packet(trace.Context{})
+				p.SigMsg(trace.Context{})
+				p.DevDrop()
+				other.Drop(trace.Context{}, 0)
+				other.Corrupt(trace.Context{}, 0)
+			}
+			at := time.Duration(i) * time.Microsecond
+			f := fate{drop: mine.Drop(root, at)}
+			if !f.drop {
+				f.corrupt = mine.Corrupt(root, at)
+			}
+			fates = append(fates, f)
+		}
+		tc.FinishTrace(root, "OK")
+		tr := tc.Completed()[0]
+		return fates, tr.Spans
+	}
+	alone, aloneSpans := run(false)
+	mixed, mixedSpans := run(true)
+	if !reflect.DeepEqual(alone, mixed) {
+		t.Fatal("a trunk's cell fates changed with draws on other streams")
+	}
+	if !reflect.DeepEqual(aloneSpans, mixedSpans) || len(aloneSpans) < 10 {
+		t.Fatalf("fault spans differ or too few (%d vs %d)", len(aloneSpans), len(mixedSpans))
+	}
+	for _, s := range aloneSpans[1:] {
+		if s.Start != s.End || s.Start >= time.Hour {
+			t.Fatalf("span %s at %v..%v, want the cell's arrival time", s.Name, s.Start, s.End)
 		}
 	}
 }

@@ -99,11 +99,17 @@ type vcState struct {
 // Driver.AttachBoard to connect it to its driver.
 func NewBoard(tx CellTx) *Board { return &Board{tx: tx} }
 
+// grow extends a VCI-indexed table to hold vci.
+func grow[T any](tab []T, vci atm.VCI) []T {
+	if int(vci) >= len(tab) {
+		tab = append(tab, make([]T, int(vci)+1-len(tab))...)
+	}
+	return tab
+}
+
 // vc returns the SAR state of vci, growing the table to hold it.
 func (b *Board) vc(vci atm.VCI) *vcState {
-	if int(vci) >= len(b.vcs) {
-		b.vcs = append(b.vcs, make([]*vcState, int(vci)+1-len(b.vcs))...)
-	}
+	b.vcs = grow(b.vcs, vci)
 	v := b.vcs[vci]
 	if v == nil {
 		v = &vcState{reasm: *aal5.NewReassembler(0)}
@@ -114,12 +120,13 @@ func (b *Board) vc(vci atm.VCI) *vcState {
 
 // Instrument registers the board's metrics in reg and starts timing AAL5
 // reassembly (first cell of a frame to completed PDU) on the clock now —
-// the engine's virtual clock in the sim. SAR errors and out-of-order
-// detections surface as read-through counters.
+// in the sim, the fabric endpoint's, which reads each cell's arrival
+// time. SAR errors and out-of-order detections surface as read-through
+// counters.
 func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 	b.now = now
 	b.reasmHist = reg.Histogram("hobbit.reasm.time")
-	reg.Func("hobbit.cells.in", func() uint64 { return b.CellsIn })
+	reg.Func("hobbit.cells.in", func() uint64 { b.settle(); return b.CellsIn })
 	reg.Func("hobbit.cells.out", func() uint64 { return b.CellsOut })
 	reg.Func("hobbit.frames.in", func() uint64 { return b.FramesIn })
 	reg.Func("hobbit.frames.out", func() uint64 { return b.FramesOut })
@@ -194,8 +201,19 @@ func (b *Board) ReceiveCell(c atm.Cell) {
 	}
 }
 
-// ResetVC discards reassembly and sequence state for a torn-down VC.
+// settle takes in every cell that reached the board before now: the
+// simulated fabric's endpoint — the board's CellTx and its cell source —
+// hands a frame's earlier cells over with its last (DESIGN.md §9).
+func (b *Board) settle() {
+	if s, ok := b.tx.(interface{ Settle() }); ok {
+		s.Settle()
+	}
+}
+
+// ResetVC discards reassembly and sequence state for a torn-down VC,
+// after taking in the cells that reached the board before now.
 func (b *Board) ResetVC(vci atm.VCI) {
+	b.settle()
 	if int(vci) < len(b.vcs) && b.vcs[vci] != nil {
 		v := b.vcs[vci]
 		v.reasm.Reset()
@@ -210,8 +228,7 @@ type Driver struct {
 	board *Board
 	encap FrameOutput
 
-	handlers map[atm.VCI]FrameHandler
-	shut     map[atm.VCI]bool
+	vcs []drvVC // per VCI, like the board's table: handler and VCI_SHUT mark
 
 	// DiscardedNoHandler counts frames that arrived on a VCI with no
 	// registered handler; DiscardedShut counts frames dropped after
@@ -220,14 +237,27 @@ type Driver struct {
 	DiscardedShut      uint64
 }
 
+type drvVC struct {
+	h    FrameHandler
+	shut bool
+}
+
 // NewDriver returns a driver with no backend; attach a board (router)
 // or an encapsulation output (host) before sending.
-func NewDriver(meter *cost.Meter) *Driver {
-	return &Driver{
-		Meter:    meter,
-		handlers: make(map[atm.VCI]FrameHandler),
-		shut:     make(map[atm.VCI]bool),
+func NewDriver(meter *cost.Meter) *Driver { return &Driver{Meter: meter} }
+
+// vc returns the table entry for vci (the zero entry past the end).
+func (d *Driver) vc(vci atm.VCI) drvVC {
+	if int(vci) < len(d.vcs) {
+		return d.vcs[vci]
 	}
+	return drvVC{}
+}
+
+// setVC stores the entry for vci, growing the table to hold it.
+func (d *Driver) setVC(vci atm.VCI, e drvVC) {
+	d.vcs = grow(d.vcs, vci)
+	d.vcs[vci] = e
 }
 
 // AttachBoard wires a Hobbit board to this driver (router
@@ -249,7 +279,7 @@ func (d *Driver) Board() *Board { return d.board }
 // driver send path itself costs nothing: it "simply calls the next
 // layer down without touching the data or the header".
 func (d *Driver) Output(vci atm.VCI, frame *mbuf.Chain) error {
-	if d.shut[vci] {
+	if d.vc(vci).shut {
 		return ErrShutVCI
 	}
 	if d.board != nil {
@@ -265,35 +295,31 @@ func (d *Driver) Output(vci atm.VCI, frame *mbuf.Chain) error {
 // receive dispatch cost.
 func (d *Driver) Input(vci atm.VCI, frame *mbuf.Chain) {
 	d.Meter.Charge(cost.OrcDriver, cost.OrcRecvDispatch)
-	if d.shut[vci] {
+	e := d.vc(vci)
+	if e.shut {
 		d.DiscardedShut++
 		frame.Release()
 		return
 	}
-	h := d.handlers[vci]
-	if h == nil {
+	if e.h == nil {
 		d.DiscardedNoHandler++
 		frame.Release()
 		return
 	}
-	h(vci, frame)
+	e.h(vci, frame)
 }
 
 // SetHandler installs the receive handler for a VCI, clearing any shut
 // mark.
-func (d *Driver) SetHandler(vci atm.VCI, h FrameHandler) {
-	d.handlers[vci] = h
-	delete(d.shut, vci)
-}
+func (d *Driver) SetHandler(vci atm.VCI, h FrameHandler) { d.setVC(vci, drvVC{h: h}) }
 
 // Handler returns the installed handler for a VCI, or nil.
-func (d *Driver) Handler(vci atm.VCI) FrameHandler { return d.handlers[vci] }
+func (d *Driver) Handler(vci atm.VCI) FrameHandler { return d.vc(vci).h }
 
 // Shut honours a VCI_SHUT: the handler is removed and any further data
 // arriving on the VCI is discarded. Board-side SAR state is reset.
 func (d *Driver) Shut(vci atm.VCI) {
-	delete(d.handlers, vci)
-	d.shut[vci] = true
+	d.setVC(vci, drvVC{shut: true})
 	if d.board != nil {
 		d.board.ResetVC(vci)
 	}
@@ -302,8 +328,7 @@ func (d *Driver) Shut(vci atm.VCI) {
 // ClearVC removes all state for a VCI (orderly teardown, as opposed to
 // Shut's discard mode).
 func (d *Driver) ClearVC(vci atm.VCI) {
-	delete(d.handlers, vci)
-	delete(d.shut, vci)
+	d.setVC(vci, drvVC{})
 	if d.board != nil {
 		d.board.ResetVC(vci)
 	}

@@ -373,3 +373,44 @@ func TestBoardVCITableBounds(t *testing.T) {
 		t.Fatalf("delivered %v, OOOFrames = %d", got, rx.Board().OOOFrames)
 	}
 }
+
+// TestDriverVCITableBounds walks the driver's VCI-indexed table past its
+// end: a VCI never set has no handler and no shut mark, reading it does
+// not grow the table, clearing or shutting one past the end works, and
+// the shut mark still lasts until SetHandler or ClearVC.
+func TestDriverVCITableBounds(t *testing.T) {
+	tx, rx, _ := pair(t)
+	var got []atm.VCI
+	rx.SetHandler(40, func(v atm.VCI, frame *mbuf.Chain) { got = append(got, v); frame.Release() })
+	for _, vci := range []atm.VCI{41, 4000, 65535} {
+		if rx.Handler(vci) != nil {
+			t.Fatalf("VCI %d past the end has a handler", vci)
+		}
+		if err := tx.Output(vci, mbuf.FromBytes(pay(10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rx.DiscardedNoHandler != 3 || len(rx.vcs) != 41 {
+		t.Fatalf("DiscardedNoHandler = %d, table %d long", rx.DiscardedNoHandler, len(rx.vcs))
+	}
+	rx.ClearVC(5000) // past the end: grows the table, clears nothing
+	rx.Shut(65535)
+	if err := rx.Output(65535, mbuf.FromBytes(pay(10))); !errors.Is(err, ErrShutVCI) {
+		t.Fatalf("Output on a shut VCI past the old end: %v", err)
+	}
+	if err := tx.Output(65535, mbuf.FromBytes(pay(10))); err != nil {
+		t.Fatal(err)
+	}
+	if rx.DiscardedShut != 1 {
+		t.Fatalf("DiscardedShut = %d", rx.DiscardedShut)
+	}
+	rx.SetHandler(65535, func(v atm.VCI, frame *mbuf.Chain) { got = append(got, v); frame.Release() })
+	for _, vci := range []atm.VCI{65535, 40} {
+		if err := tx.Output(vci, mbuf.FromBytes(pay(10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != 2 || got[0] != 65535 || got[1] != 40 {
+		t.Fatalf("delivered on %v", got)
+	}
+}

@@ -162,6 +162,9 @@ var (
 	ErrDupAddr   = errors.New("memnet: address already in use")
 	ErrNoRoute   = errors.New("memnet: no route to destination")
 	ErrPortInUse = errors.New("memnet: port already bound")
+	// ErrNoPort reports a dial on a node whose every ephemeral port,
+	// 10000–65535, is held.
+	ErrNoPort = errors.New("memnet: no free ephemeral port")
 )
 
 // AddNode registers a machine with the given address on the network's
@@ -452,15 +455,17 @@ func (nd *Node) deliverLocal(pkt *Packet) {
 	h(pkt)
 }
 
-// ephemeralPort allocates a local port for dialing.
-func (nd *Node) ephemeralPort() uint16 {
-	for {
+// ephemeralPort allocates a local port for dialing: the next free one
+// after the last handed out, sweeping 10000–65535 at most once.
+func (nd *Node) ephemeralPort() (uint16, error) {
+	for range 65536 - 10000 {
 		nd.nextPort++
 		if nd.nextPort < 10000 {
 			nd.nextPort = 10000
 		}
 		if !nd.streams.portBusy(nd.nextPort) {
-			return nd.nextPort
+			return nd.nextPort, nil
 		}
 	}
+	return 0, fmt.Errorf("%w on %s", ErrNoPort, nd.Name)
 }

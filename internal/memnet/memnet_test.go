@@ -495,3 +495,35 @@ func TestStreamResetAfterPeerVanishes(t *testing.T) {
 		t.Fatal("stream did not reset after peer vanished")
 	}
 }
+
+// TestDialWithEveryEphemeralPortHeld: a node holding all of 10000–65535
+// fails a dial at once with ErrNoPort, where the port sweep used to spin
+// forever, and a port let go is found by the next dial's single sweep.
+func TestDialWithEveryEphemeralPortHeld(t *testing.T) {
+	e, _, h, r := twoNodes(t)
+	if _, err := r.ListenStream(5000); err != nil {
+		t.Fatal(err)
+	}
+	var held []*StreamListener
+	for port := 10000; port <= 65535; port++ {
+		l, err := h.ListenStream(uint16(port))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, l)
+	}
+	var full error
+	var got *Stream
+	e.Go("client", func(p *sim.Proc) {
+		_, full = h.DialStream(p, r.Addr, 5000)
+		held[123].Close()
+		got, _ = h.DialStream(p, r.Addr, 5000)
+	})
+	e.Run()
+	if !errors.Is(full, ErrNoPort) {
+		t.Fatalf("dial with every port held: err = %v, want ErrNoPort", full)
+	}
+	if got == nil || got.LocalPort() != 10123 {
+		t.Fatalf("dial after port 10123 was let go: %v", got)
+	}
+}

@@ -275,9 +275,14 @@ func (s *Stream) queued() int {
 }
 
 // DialStream opens a connection from this node, blocking process p
-// through the handshake.
+// through the handshake. It fails with ErrNoPort, at once, when the
+// node holds every ephemeral port.
 func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, error) {
-	key := connKey{lport: nd.ephemeralPort(), raddr: raddr, rport: rport}
+	lport, err := nd.ephemeralPort()
+	if err != nil {
+		return nil, err
+	}
+	key := connKey{lport: lport, raddr: raddr, rport: rport}
 	s := newStream(nd, key)
 	nd.streams.addConn(s)
 	s.dialWaiter = p

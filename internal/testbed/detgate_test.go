@@ -16,11 +16,12 @@ import (
 // this package — then tracegen, chaosgen, callgen and obsgen, now
 // `xunetsim trace|chaos|sweep|obs` with the same flags. A row that
 // moves is a change to the virtual history: explain it, then re-record.
-// The obs rows that export time series or event counts (obs, obs -prof
-// and their -shards 4 twins) were re-recorded when the trunk stopped
-// scheduling transmit events and counting cells planned ahead: the
-// engines' own event/pool series and mid-burst fabric.trunk.* and
-// fabric.cells.sent.* points moved, nothing else (CHANGES.md, PR 22).
+// The obs rows that export event counts (obs, obs -prof and their
+// -shards 4 twins) were re-recorded when cells stopped scheduling an
+// event per interior hop: only the engines' own event, pool and heap
+// series and the profile's event totals and xswitch.arrival line (was
+// xswitch.trunk.deliver) moved. chaos was re-recorded when each trunk
+// began drawing its cells' fates from its own stream (CHANGES.md).
 var detGate = []struct {
 	cmd string
 	// run writes the scenario's artifact; only a sharded row has a use
@@ -35,22 +36,22 @@ var detGate = []struct {
 	{"chaos", func(w io.Writer, _ int) error {
 		n, _, _, err := testbed.ChaosSoak(w, 7, 99)
 		return closing(n, err)
-	}, "bdbef4fb701a9056c9291aee5b03d1f870abc342557b172c33e0775f08ecb974"},
+	}, "eade5708eace024dfd52f3b49deb513d191939af6658a0d71c0a819e1c776a8f"},
 	{"sweep", func(w io.Writer, _ int) error {
 		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second, 1)
 	}, "5226bd9d6307ef6dc3c34945a59a3b82a7530dec42d73da9f96576dbeef4f1a6"},
 	{"obs", obsRow(func(*testbed.ObsConfig) {}),
-		"5e332311eb75825d60405ebe8ba45a725a2f602f1148f7e2a18e39ab3e6e105e"},
+		"b7be23d037b95e6d3b0345f94880b36a90fdf3f5315b2fb2de8d7b9e1b2b8bbe"},
 	{"obs -health", obsRow(func(c *testbed.ObsConfig) { c.Health = true }),
 		"cc46d105f1e9d003147679b73181698342d31d9cb4147717b9df77988c068a16"},
 	{"obs -table", obsRow(func(c *testbed.ObsConfig) { c.Table = true }),
 		"3b74cbef8a775d3d2da6b488dc9748d4ce7e1afe9a6eed2ace3dff00408b13a5"},
 	{"obs -prof", obsRow(func(c *testbed.ObsConfig) { c.Prof = true }),
-		"a65263508f39a0c5df71b26bcadd0be4d4b92308e7fd22cc6064ec5cd3ea2709"},
+		"44dd498f4446061429eb5a5c60c89ee2c7261ce51af1ec771b0ed4d846906692"},
 	{"obs -shards 4 -calls 24 -frames 2 -run 8s", obsRow(shards4),
-		"78a94466ce842429547de6ed61523654d1e5eb7e28eac97e80a49115f3e9ff3a"},
+		"6943ee7f036b8a8d406076942b55ae373c8aaed4bbca87d39dea12cd440302f1"},
 	{"obs -prof -shards 4 -calls 24 -frames 2 -run 8s", obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true }),
-		"4f793fae3358a579b93db2cca4e1759c2d58b2bd9f1c1d5fc24b0e42ab34e0cf"},
+		"b907c7b6a6711ed5fdf7d549f7e95490f6220aaee40f2bf0e2e0b1a1459829a0"},
 }
 
 func closing(n *testbed.Net, err error) error {

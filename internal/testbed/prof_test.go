@@ -1,6 +1,7 @@
 package testbed_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func profiledStorm(t *testing.T, seed uint64, workers int) (string, prof.Snapsho
 // fractions and a critical-shard ranking.
 func TestShardedStormProfiledDeterministicAcrossWorkers(t *testing.T) {
 	golden, snap := profiledStorm(t, 42, 1)
-	if !strings.Contains(golden, "proc.sighost") || !strings.Contains(golden, "xswitch.trunk.deliver") {
+	if !strings.Contains(golden, "proc.sighost") || !strings.Contains(golden, "xswitch.arrival") || !strings.Contains(golden, "xswitch.trunk.tx") {
 		t.Fatalf("counts export missing expected attribution labels:\n%s", firstLines(golden, 12))
 	}
 	if !strings.Contains(golden, "group: shards 4") {
@@ -163,10 +164,25 @@ func TestFlatProfiledStorm(t *testing.T) {
 		t.Fatal("Prof option did not arm the profiler")
 	}
 	text := n.Prof.Text()
-	for _, want := range []string{"proc.sighost", "proc.storm-client", "xswitch.trunk.deliver"} {
+	for _, want := range []string{"proc.sighost", "proc.storm-client", "xswitch.arrival"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("flat profile missing %q:\n%s", want, firstLines(text, 12))
 		}
+	}
+	// Cells cross a flat fabric pulled: no transmit events, and arrival
+	// events for frame ends — one or two each — not one per cell per hop.
+	counts := n.Prof.CountsText()
+	if strings.Contains(counts, "xswitch.trunk.tx") {
+		t.Fatalf("flat profile has boundary transmit events:\n%s", counts)
+	}
+	var arrivals int
+	for _, line := range strings.Split(counts, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "xswitch.arrival" {
+			arrivals, _ = strconv.Atoi(f[1])
+		}
+	}
+	if sent, _ := n.Fabric.TrunkStats(); arrivals == 0 || uint64(arrivals) >= sent {
+		t.Fatalf("%d arrival events for %d cell-hops", arrivals, sent)
 	}
 	if ra.Sig.SH.ProfInfo == nil || ra.Sig.SH.ProfJSON == nil || ra.Sig.SH.ProfFlame == nil {
 		t.Fatal("router MGMT prof hooks not wired")

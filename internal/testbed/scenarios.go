@@ -110,6 +110,12 @@ var healingCounters = []string{
 // healing counters on both routers, flight-recorder dump count, leak
 // check and the full report. It also returns the two storms' results.
 func ChaosSoak(w io.Writer, seed, chaosSeed uint64) (n *Net, storm, hostStorm *StormResult, err error) {
+	return chaosSoak(w, seed, chaosSeed, nil)
+}
+
+// chaosSoak is ChaosSoak calling observe, if set, on the deployment
+// before the storms start: the observation test's hook.
+func chaosSoak(w io.Writer, seed, chaosSeed uint64, observe func(*Net)) (n *Net, storm, hostStorm *StormResult, err error) {
 	opts := fixedOptions(seed)
 	opts.Faults = ChaosCocktail(chaosSeed)
 	n, ra, rb, err := NewTestbed(opts)
@@ -132,6 +138,9 @@ func ChaosSoak(w io.Writer, seed, chaosSeed uint64) (n *Net, storm, hostStorm *S
 	}
 	StartEchoServer(rb, "storm", 6000)
 	StartEchoServer(rb, "hstorm", 6001)
+	if observe != nil {
+		observe(n)
+	}
 	n.RunUntil(time.Second)
 	n.StartTrunkFlapping(20 * time.Second)
 	storm = CallStorm(ra, rb.Stack.Addr, "storm", StormConfig{

@@ -174,7 +174,7 @@ func newNet(opts Options, g *sim.ShardGroup) *Net {
 		pf = prof.New()
 	}
 	// The profiler attaches before the fabric and machines exist so
-	// construction-time label interning (trunk tx/deliver, proc kinds)
+	// construction-time label interning (trunk tx/arrival, proc kinds)
 	// lands in the table.
 	var engines []*sim.Engine
 	if g == nil {

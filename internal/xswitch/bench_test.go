@@ -45,6 +45,11 @@ func BenchmarkCellSwitching(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// 32-cell frames, and the last cell ends one too.
+		c.PTI = atm.PTIUserData0
+		if i%32 == 31 || i == b.N-1 {
+			c.PTI = atm.PTIUserData1
+		}
 		epA.SendCell(c)
 		if i%1024 == 1023 {
 			// Advance virtual time enough to drain the burst through
@@ -106,7 +111,8 @@ func BenchmarkFrameAcrossTestbed(b *testing.B) {
 // enter over TAXI 2.2× faster than the DS3 behind it drains, so the DS3's
 // class queue is tens of cells deep whenever a cell arrives. It reports
 // ns per cell-hop and engine events per frame (one delivery per cell per
-// hop is the floor: 90).
+// hop was the floor until cells were pulled through interior hops: now a
+// frame costs its last cell's watch, armed early and re-armed once).
 func BenchmarkFrameFastToSlowHop(b *testing.B) {
 	const vcs, cellsPerFrame, hops = 4, 30, 3
 	e, f, epA, sink, vc := benchFabric(b)

@@ -16,11 +16,10 @@ func TestClassProtectionUnderOverload(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	sw := f.MustAddSwitch("s")
-	sink := &collector{e: e}
 	// A slow bottleneck trunk with small per-class queues.
 	slow := LinkConfig{RateBps: 5_000_000, QueueCells: 64}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
-	_, _ = f.Attach("b", sink, sw, slow)
+	attach(t, f, "b", sw, slow, e)
 
 	cbr, err := f.SetupVC("a", "b", qos.QoS{Class: qos.CBR, BandwidthKbs: 2000})
 	if err != nil {
@@ -48,7 +47,7 @@ func TestClassProtectionUnderOverload(t *testing.T) {
 		}
 		e.RunFor(200 * 1000) // 200 µs rounds
 	}
-	e.Run()
+	drain(f, e.Run)
 
 	stats := f.ClassStats()
 	if stats.LossRate(qos.CBR) != 0 {
@@ -70,14 +69,13 @@ func TestClassStatsAccounting(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	swA, swB := Testbed(f)
-	sink := &collector{e: e}
 	epA, _ := f.Attach("a", nil, swA, TAXI())
-	_, _ = f.Attach("b", sink, swB, TAXI())
+	attach(t, f, "b", swB, TAXI(), e)
 	vc, _ := f.SetupVC("a", "b", qos.QoS{Class: qos.CBR, BandwidthKbs: 100})
 	for i := 0; i < 10; i++ {
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}})
 	}
-	e.Run()
+	drain(f, e.Run)
 	stats := f.ClassStats()
 	// 10 cells × 3 trunks on the path, all CBR.
 	if stats.Sent[qos.CBR] != 30 {

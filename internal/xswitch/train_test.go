@@ -3,21 +3,30 @@ package xswitch
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"xunet/internal/atm"
+	"xunet/internal/cost"
 	"xunet/internal/faults"
+	"xunet/internal/hobbit"
+	"xunet/internal/mbuf"
+	"xunet/internal/obs"
 	"xunet/internal/qos"
 	"xunet/internal/sim"
 )
 
-// The lazily committed trunk scheduler must be invisible in virtual
-// time: every scenario here runs once on the real trunks and once on
-// refNet, the one-transmit-event-per-cell discipline written out
-// plainly, and the receiver-side traces — cells, exact arrival times,
-// per-class counters, drop and unroutable counts, final clock — must
-// match field for field.
+// Pulled trunks must be invisible in virtual time: every scenario here
+// runs once on the real trunks and once on refNet, the per-cell
+// discipline written out plainly, and what the sinks saw — cells, exact
+// arrival times — plus per-class counters, unroutable counts and, where
+// a scenario probes them mid-run, every trunk's queue depth and counters
+// must match field for field. The real trunks hand a cell over only
+// where a watch needs it or a reader looks; drain settles the rest at
+// the end, as a reader would, and the sinks stamp arrivals with the
+// endpoint's clock.
 
 // trainTrace is the observable outcome of a scenario.
 type trainTrace struct {
@@ -25,13 +34,23 @@ type trainTrace struct {
 	Times      []time.Duration
 	Class      ClassCellStats
 	Unroutable uint64
-	Final      time.Duration
+	Probes     []trunkProbe
+}
+
+// trunkProbe is one trunk as a reader mid-run finds it.
+type trunkProbe struct {
+	At            time.Duration
+	Trunk         string
+	Queued        int
+	Sent, Dropped uint64
 }
 
 // refNet runs the per-cell discipline over a real Fabric's topology: it
 // borrows each trunk's configuration, class and translation tables,
 // fault plane and flap state (so SetupVC, Release and StartFlapping act
-// on both alike) and keeps its own queues, credits, counters and events.
+// on both alike) and keeps its own queues, credits, counters, cell-fate
+// streams and events: one transmit event per cell, one arrival event per
+// cell per hop.
 type refNet struct {
 	e          *sim.Engine
 	trunks     map[*trunk]*refTrunk
@@ -44,7 +63,7 @@ type refTrunk struct {
 	queues   [3][]atm.Cell
 	credit   [3]int
 	draining bool
-	geBad    bool
+	fates    *faults.Cells
 	sent     [3]uint64
 	dropped  [3]uint64
 }
@@ -66,16 +85,20 @@ func (r *refTrunk) send(c atm.Cell) {
 		cls = r.t.class[c.VCI]
 	}
 	if fp := r.t.faultPlane(); fp != nil {
+		if r.fates == nil {
+			r.fates = fp.Cells(r.t.id)
+		}
+		now := r.n.e.Now()
 		if r.t.down {
 			r.dropped[cls]++
-			fp.TrunkDownDrop(c.TC)
+			fp.TrunkDownDrop(c.TC, now)
 			return
 		}
-		if fp.CellDrop(&r.geBad, c.TC) {
+		if r.fates.Drop(c.TC, now) {
 			r.dropped[cls]++
 			return
 		}
-		if fp.CellCorrupt(c.TC) {
+		if r.fates.Corrupt(c.TC, now) {
 			c.Payload[0] ^= 0xA5
 		}
 	}
@@ -93,7 +116,7 @@ func (r *refTrunk) send(c atm.Cell) {
 // one serialization time later; a pick that finds nothing ends the busy
 // period and replenishes the credits.
 func (r *refTrunk) tx() {
-	if len(r.queues[0])+len(r.queues[1])+len(r.queues[2]) == 0 {
+	if r.queued() == 0 {
 		r.credit = wrrWeights
 		r.draining = false
 		return
@@ -119,6 +142,8 @@ func (r *refTrunk) tx() {
 	r.n.e.Schedule(r.t.ser, r.tx)
 }
 
+func (r *refTrunk) queued() int { return len(r.queues[0]) + len(r.queues[1]) + len(r.queues[2]) }
+
 func (r *refTrunk) arrive(c atm.Cell) {
 	switch to := r.t.to.(type) {
 	case *Switch:
@@ -130,7 +155,9 @@ func (r *refTrunk) arrive(c atm.Cell) {
 		c.VCI = v.vci
 		r.n.of(v.out).send(c)
 	case *Endpoint:
-		to.sink.ReceiveCell(c)
+		if to.sink != nil {
+			to.sink.ReceiveCell(c)
+		}
 	}
 }
 
@@ -145,15 +172,52 @@ func (n *refNet) classStats() ClassCellStats {
 	return out
 }
 
-// trainRig is one scenario's network: sources on sw-A, the sink on sw-B.
-// up, mid and down are the source attachment, inter-switch and sink
-// attachment links. shards > 1 puts sw-B and the sink on the group's
-// second engine, making the inter-switch trunk a shard boundary.
+// allTrunks lists every trunk of f by name.
+func allTrunks(f *Fabric) []*trunk {
+	var ts []*trunk
+	for _, sw := range f.switches {
+		ts = append(ts, sw.trunks...)
+	}
+	for _, ep := range f.endpoints {
+		ts = append(ts, ep.uplink)
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].spanName < ts[j].spanName })
+	return ts
+}
+
+// drain runs the engine dry and a second on, then settles every trunk
+// and endpoint: the cells no watch followed reach their sinks, stamped
+// with their own arrival times, and a cell on an input no circuit was
+// ever routed from, which no trunk pulls, meets its switch's table.
+func drain(f *Fabric, run func()) {
+	run()
+	for e := range f.spaces {
+		e.RunFor(time.Second)
+	}
+	for _, t := range allTrunks(f) {
+		if _, ok := t.to.(*Switch); ok && t.xeng == nil {
+			t.advance(t.eng.Now())
+		}
+	}
+	f.ClassStats()
+	for _, ep := range f.endpoints {
+		ep.Settle()
+	}
+}
+
+// trainRig is one scenario's network. By default sources sit on sw-A
+// and the sink on sw-B; up, mid and down are the source attachment,
+// inter-switch and sink attachment links, and shards > 1 puts sw-B and
+// the sink on a second engine, making the inter-switch trunk a shard
+// boundary. build replaces that topology. probe > 0 reads every trunk
+// that often for the first 5 ms, the way a time-series tick does.
 type trainRig struct {
 	up, mid, down LinkConfig
 	sources       int
 	faults        *faults.Config
 	shards        int
+	probe         time.Duration
+	build         func(t *testing.T, f *Fabric, e *sim.Engine) (srcs []*Endpoint, sinks []*collector)
 }
 
 // chain is the rig the original scenarios ran on: one source and every
@@ -164,8 +228,20 @@ func chain(cfg LinkConfig) trainRig { return trainRig{up: cfg, mid: cfg, down: c
 // send(i, c) transmits a cell from source i.
 type trainScenario func(e *sim.Engine, f *Fabric, send func(src int, c atm.Cell))
 
+// attach adds an endpoint with a collecting sink.
+func attach(t *testing.T, f *Fabric, addr atm.Addr, sw *Switch, cfg LinkConfig, e *sim.Engine) (*Endpoint, *collector) {
+	t.Helper()
+	c := &collector{}
+	ep, err := f.AttachOn(addr, c, sw, cfg, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ep = ep
+	return ep, c
+}
+
 // runTrain builds the rig, plays the scenario — on the real trunks, or
-// on refNet when ref is set — and returns what the sink saw.
+// on refNet when ref is set — and returns what the sinks and probes saw.
 func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trainTrace {
 	t.Helper()
 	var g *sim.ShardGroup
@@ -180,30 +256,30 @@ func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trai
 	if rig.faults != nil {
 		f.Faults = faults.NewPlane(*rig.faults)
 	}
-	swA, err := f.AddSwitchOn("sw-A", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swB, err := f.AddSwitchOn("sw-B", eB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ConnectSwitches(swA, swB, rig.mid)
 	var srcs []*Endpoint
-	for i := 0; i < rig.sources; i++ {
-		name := "mh.rt"
-		if i > 0 {
-			name = fmt.Sprintf("mh%d.rt", i)
-		}
-		ep, err := f.AttachOn(atm.Addr(name), &collector{e: e}, swA, rig.up, e)
+	var sinks []*collector
+	if rig.build != nil {
+		srcs, sinks = rig.build(t, f, e)
+	} else {
+		swA, err := f.AddSwitchOn("sw-A", e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs = append(srcs, ep)
-	}
-	sink := &collector{e: eB}
-	if _, err := f.AttachOn("ucb.rt", sink, swB, rig.down, eB); err != nil {
-		t.Fatal(err)
+		swB, err := f.AddSwitchOn("sw-B", eB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ConnectSwitches(swA, swB, rig.mid)
+		for i := 0; i < rig.sources; i++ {
+			name := "mh.rt"
+			if i > 0 {
+				name = fmt.Sprintf("mh%d.rt", i)
+			}
+			ep, _ := attach(t, f, atm.Addr(name), swA, rig.up, e)
+			srcs = append(srcs, ep)
+		}
+		_, sink := attach(t, f, "ucb.rt", swB, rig.down, eB)
+		sinks = append(sinks, sink)
 	}
 	var rn *refNet
 	send := func(src int, c atm.Cell) { srcs[src].SendCell(c) }
@@ -211,16 +287,36 @@ func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trai
 		rn = newRefNet(e)
 		send = func(src int, c atm.Cell) { rn.of(srcs[src].uplink).send(c) }
 	}
-	scenario(e, f, send)
-	if g != nil {
-		g.Run()
-	} else {
-		e.Run()
+	var tr trainTrace
+	for at := rig.probe; rig.probe > 0 && at < 5*time.Millisecond; at += rig.probe {
+		e.Schedule(at, func() {
+			for _, tk := range allTrunks(f) {
+				p := trunkProbe{At: e.Now(), Trunk: tk.spanName}
+				if ref {
+					if r := rn.trunks[tk]; r != nil {
+						p.Queued = r.queued()
+						p.Sent = r.sent[0] + r.sent[1] + r.sent[2]
+						p.Dropped = r.dropped[0] + r.dropped[1] + r.dropped[2]
+					}
+				} else {
+					tk.settle()
+					p.Queued, p.Sent, p.Dropped = tk.queued, tk.Sent, tk.Dropped
+				}
+				tr.Probes = append(tr.Probes, p)
+			}
+		})
 	}
-	tr := trainTrace{Cells: sink.cells, Times: sink.times, Final: eB.Now()}
-	if rig.shards > 1 && len(sink.times) > 0 {
-		// A shard group stops on a window edge, not on its last event.
-		tr.Final = sink.times[len(sink.times)-1]
+	scenario(e, f, send)
+	drain(f, func() {
+		if g != nil {
+			g.Run()
+		} else {
+			e.Run()
+		}
+	})
+	for _, s := range sinks {
+		tr.Cells = append(tr.Cells, s.cells...)
+		tr.Times = append(tr.Times, s.times...)
 	}
 	if ref {
 		tr.Class, tr.Unroutable = rn.classStats(), rn.unroutable
@@ -244,31 +340,40 @@ func checkTrain(t *testing.T, rig trainRig, minCells int, scenario trainScenario
 	if reflect.DeepEqual(got, want) {
 		return
 	}
-	t.Errorf("lazy trunk diverges from the per-cell reference:\n per-cell: %d cells, class=%+v, unroutable=%d, final=%v\n lazy:     %d cells, class=%+v, unroutable=%d, final=%v",
-		len(want.Cells), want.Class, want.Unroutable, want.Final,
-		len(got.Cells), got.Class, got.Unroutable, got.Final)
+	t.Errorf("pulled trunks diverge from the per-cell reference:\n per-cell: %d cells, class=%+v, unroutable=%d\n pulled:   %d cells, class=%+v, unroutable=%d",
+		len(want.Cells), want.Class, want.Unroutable, len(got.Cells), got.Class, got.Unroutable)
+	for i := 0; i < len(want.Probes) && i < len(got.Probes); i++ {
+		if want.Probes[i] != got.Probes[i] {
+			t.Fatalf("first probe divergence: per-cell %+v vs pulled %+v", want.Probes[i], got.Probes[i])
+		}
+	}
 	for i := 0; i < len(want.Cells) && i < len(got.Cells); i++ {
 		if want.Cells[i] != got.Cells[i] || want.Times[i] != got.Times[i] {
-			t.Fatalf("first divergence at arrival %d: per-cell (%v, vci=%d, p0=%d) vs lazy (%v, vci=%d, p0=%d)",
+			t.Fatalf("first divergence at arrival %d: per-cell (%v, vci=%d, p0=%d) vs pulled (%v, vci=%d, p0=%d)",
 				i, want.Times[i], want.Cells[i].VCI, want.Cells[i].Payload[0],
 				got.Times[i], got.Cells[i].VCI, got.Cells[i].Payload[0])
 		}
 	}
-	t.Fatalf("cell count mismatch: %d vs %d", len(want.Cells), len(got.Cells))
+	t.Fatalf("cell or probe count mismatch: %d/%d vs %d/%d", len(want.Cells), len(want.Probes), len(got.Cells), len(got.Probes))
 }
 
 // setupClassVCs provisions one VC per service class from the named
-// source, in fixed order. They reserve nothing: admission control is
-// not under test, and a rate-zero trunk has nothing to reserve.
-func setupClassVCs(t *testing.T, f *Fabric, from atm.Addr) [3]*VC {
+// source to the named sink, in fixed order. They reserve nothing:
+// admission control is not under test, and a rate-zero trunk has
+// nothing to reserve.
+func setupClassVCs(t *testing.T, f *Fabric, from atm.Addr, to ...atm.Addr) [3]*VC {
 	t.Helper()
+	dst := atm.Addr("ucb.rt")
+	if len(to) > 0 {
+		dst = to[0]
+	}
 	var vcs [3]*VC
 	for i, q := range []qos.QoS{
 		{Class: qos.BestEffort},
 		{Class: qos.VBR},
 		{Class: qos.CBR},
 	} {
-		vc, err := f.SetupVC(from, "ucb.rt", q)
+		vc, err := f.SetupVC(from, dst, q)
 		if err != nil {
 			t.Fatalf("SetupVC class %d: %v", i, err)
 		}
@@ -277,8 +382,13 @@ func setupClassVCs(t *testing.T, f *Fabric, from atm.Addr) [3]*VC {
 	return vcs
 }
 
+// cellOn makes a cell on vc; every fifth ends a frame, so watches and
+// plain pulls both carry cells in every scenario.
 func cellOn(vc *VC, seq byte) atm.Cell {
 	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI, PTI: atm.PTIUserData0}}
+	if seq%5 == 4 {
+		c.PTI = atm.PTIUserData1
+	}
 	c.Payload[0] = seq
 	return c
 }
@@ -286,6 +396,7 @@ func cellOn(vc *VC, seq byte) atm.Cell {
 func TestCellTrainEquivalence(t *testing.T) {
 	ds3 := LinkConfig{RateBps: 45_000_000, Delay: 2 * time.Millisecond, QueueCells: 2048}
 	ser := time.Duration(atm.CellSize * 8 * uint64(time.Second) / ds3.RateBps)
+	taxi := TAXI()
 	cases := []struct {
 		name     string
 		rig      trainRig
@@ -297,7 +408,7 @@ func TestCellTrainEquivalence(t *testing.T) {
 			// serving it crosses CBR→VBR→BestEffort boundaries and a
 			// credit replenish inside a single busy period.
 			name:     "wrr straddle across class switch",
-			rig:      chain(ds3),
+			rig:      trainRig{up: ds3, mid: ds3, down: ds3, sources: 1, probe: 7919 * time.Nanosecond},
 			minCells: 60,
 			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
 				vcs := setupClassVCs(t, f, "mh.rt")
@@ -353,6 +464,47 @@ func TestCellTrainEquivalence(t *testing.T) {
 			},
 		},
 		{
+			// Torn down once its cells have passed the last switch and set
+			// up again over stray cells already at the first: nothing
+			// pulled those cells before the tables changed, so SetupVC and
+			// Release must settle the trunks first — the cells past sw-B
+			// keep their class and route, the strays stay unroutable.
+			name:     "tables change under cells nothing pulled yet",
+			rig:      chain(ds3),
+			minCells: 10,
+			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+				vc, err := f.SetupVC("mh.rt", "ucb.rt", qos.QoS{Class: qos.CBR})
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw := func(v atm.VCI, seq byte) atm.Cell {
+					c := atm.Cell{Header: atm.Header{VCI: v}}
+					c.Payload[0] = seq
+					return c
+				}
+				e.Schedule(0, func() {
+					for i := 0; i < 10; i++ {
+						send(0, raw(vc.SrcVCI, byte(i)))
+					}
+				})
+				// Every hop is a 2 ms DS3: the cells pass sw-B by 4.11 ms and
+				// reach the sink from 6.03.
+				e.Schedule(4500*time.Microsecond, func() {
+					vc.Release()
+					for i := 0; i < 5; i++ {
+						send(0, raw(vc.SrcVCI, byte(100+i)))
+					}
+				})
+				// The strays reach sw-A by 6.56 ms; the new circuit takes
+				// the same VCIs after.
+				e.Schedule(6700*time.Microsecond, func() {
+					if _, err := f.SetupVC("mh.rt", "ucb.rt", qos.QoS{Class: qos.VBR}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			},
+		},
+		{
 			// Staggered sends that keep interrupting a busy line at
 			// instants off the pick grid exercise commit's rounding.
 			name:     "repeated truncation at odd offsets",
@@ -373,9 +525,10 @@ func TestCellTrainEquivalence(t *testing.T) {
 		},
 		{
 			// Two TAXI attachments feed one DS3 with cells arriving at the
-			// very same instants, 2.2× faster than it drains.
+			// very same instants, 2.2× faster than it drains; a reader
+			// probes every trunk mid-burst, as a time-series tick does.
 			name:     "two inputs merge onto one trunk",
-			rig:      trainRig{up: TAXI(), mid: ds3, down: TAXI(), sources: 2},
+			rig:      trainRig{up: taxi, mid: ds3, down: taxi, sources: 2, probe: 7919 * time.Nanosecond},
 			minCells: 120,
 			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
 				a := setupClassVCs(t, f, "mh.rt")
@@ -459,11 +612,11 @@ func TestCellTrainEquivalence(t *testing.T) {
 			},
 		},
 		{
-			// Burst loss, corruption and flapping armed: the plane's draws
-			// happen per send, in send order, so both runs lose and flip
-			// the same cells.
+			// Burst loss, corruption and flapping armed: each trunk draws
+			// its cells' fates from its own stream in its arrival order,
+			// so both runs lose and flip the same cells.
 			name: "fault plane armed",
-			rig: trainRig{up: TAXI(), mid: ds3, down: TAXI(), sources: 1, faults: &faults.Config{
+			rig: trainRig{up: taxi, mid: ds3, down: taxi, sources: 1, faults: &faults.Config{
 				Seed:        7,
 				GE:          faults.GEConfig{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.01, LossBad: 0.5},
 				CellCorrupt: 0.05,
@@ -484,10 +637,132 @@ func TestCellTrainEquivalence(t *testing.T) {
 			},
 		},
 		{
+			// Flapping alone, with frames mid-journey whenever the DS3
+			// goes down or comes back: each toggle settles the trunk
+			// first, so the cells that reached the switch before it meet
+			// the old state and the rest the new.
+			name: "flap mid-journey",
+			rig: trainRig{up: taxi, mid: LinkConfig{RateBps: 45_000_000, Delay: 300 * time.Microsecond, QueueCells: 2048},
+				down: taxi, sources: 1, probe: 104729 * time.Nanosecond, faults: &faults.Config{
+					Seed: 3, FlapMeanUp: 900 * time.Microsecond, FlapDown: 250 * time.Microsecond,
+				}},
+			minCells: 300,
+			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+				vcs := setupClassVCs(t, f, "mh.rt")
+				f.StartFlapping(12 * time.Millisecond)
+				for k := 0; k < 40; k++ {
+					k := k
+					e.Schedule(time.Duration(k)*251*time.Microsecond, func() {
+						for i := 0; i < 20; i++ {
+							send(0, cellOn(vcs[k%3], byte(i)))
+						}
+					})
+				}
+			},
+		},
+		{
+			// Corruption on the middle hop only (the fault plane sits on
+			// sw-A, whose DS3 is hop 2 of 3): the flipped cells arrive
+			// flipped, at the same instants, in both runs.
+			name: "corruption on hop 2 of 3",
+			rig: trainRig{up: taxi, mid: ds3, down: taxi, build: func(t *testing.T, f *Fabric, e *sim.Engine) ([]*Endpoint, []*collector) {
+				swA, swB := Testbed(f)
+				swA.SetFaults(faults.NewPlane(faults.Config{Seed: 5, CellCorrupt: 0.2}))
+				src, _ := attach(t, f, "mh.rt", swA, taxi, e)
+				_, sink := attach(t, f, "ucb.rt", swB, taxi, e)
+				return []*Endpoint{src}, []*collector{sink}
+			}},
+			minCells: 200,
+			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+				vcs := setupClassVCs(t, f, "mh.rt")
+				for k := 0; k < 10; k++ {
+					k := k
+					e.Schedule(time.Duration(k)*400*time.Microsecond, func() {
+						for i := 0; i < 25; i++ {
+							send(0, cellOn(vcs[(k+i)%3], byte(i)))
+						}
+					})
+				}
+			},
+		},
+		{
+			// A later-sent burst on a short attachment overtakes a frame on
+			// a long one at the shared DS3: the frame's last cell queues
+			// there past the bound its watch was armed at, which must
+			// re-arm (TestInteriorHopEvents counts that it does).
+			name: "overtaking merge",
+			rig: trainRig{mid: ds3, build: func(t *testing.T, f *Fabric, e *sim.Engine) ([]*Endpoint, []*collector) {
+				swA, swB := Testbed(f)
+				slow, _ := attach(t, f, "mh.rt", swA, LinkConfig{RateBps: 100_000_000, Delay: 400 * time.Microsecond, QueueCells: 2048}, e)
+				fast, _ := attach(t, f, "mh1.rt", swA, taxi, e)
+				_, sink := attach(t, f, "ucb.rt", swB, taxi, e)
+				return []*Endpoint{slow, fast}, []*collector{sink}
+			}},
+			minCells: 60,
+			scenario: overtakingMerge(t),
+		},
+		{
+			// Four 30-cell frames interleaved cell by cell into TAXI, DS3
+			// behind it: the last cells queue a millisecond deep on the
+			// DS3, so their watches fire long before they are picked and
+			// must re-arm at a bound that counts the DS3's picks so far.
+			name:     "frames queued deep behind a slow hop",
+			rig:      trainRig{up: taxi, mid: ds3, down: taxi, sources: 1},
+			minCells: 240,
+			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+				var vcs []*VC
+				for v := 0; v < 4; v++ {
+					vc, err := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vcs = append(vcs, vc)
+				}
+				for k := 0; k < 2; k++ {
+					e.Schedule(time.Duration(k)*700*time.Microsecond, func() {
+						for i := 0; i < 30; i++ {
+							for v, vc := range vcs {
+								c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
+								if i == 29 {
+									c.PTI = atm.PTIUserData1
+								}
+								c.Payload[0] = byte(v*30 + i)
+								send(0, c)
+							}
+						}
+					})
+				}
+			},
+		},
+		{
+			// Four switches in a ring, an endpoint on each, and every
+			// circuit two hops clockwise: each inter-switch trunk carries
+			// two circuits, so pulling any one of them pulls its way
+			// round the whole ring, with cells on every link.
+			name:     "pulled commits around a ring",
+			rig:      trainRig{probe: 15013 * time.Nanosecond, build: ringOf4},
+			minCells: 200,
+			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+				var vcs [4][3]*VC
+				for i := range vcs {
+					vcs[i] = setupClassVCs(t, f, ringAddr(i), ringAddr((i+2)%4))
+				}
+				for k := 0; k < 12; k++ {
+					k := k
+					e.Schedule(time.Duration(k)*83*time.Microsecond, func() {
+						for i := 0; i < 24; i++ {
+							src := (k + i) % 4
+							send(src, cellOn(vcs[src][(k*i)%3], byte(i)))
+						}
+					})
+				}
+			},
+		},
+		{
 			// The inter-switch trunk crosses a shard boundary: it keeps a
 			// transmit event per cell, and the reference runs flat.
 			name:     "boundary trunk under a two shard group",
-			rig:      trainRig{up: TAXI(), mid: ds3, down: TAXI(), sources: 2, shards: 2},
+			rig:      trainRig{up: taxi, mid: ds3, down: taxi, sources: 2, shards: 2},
 			minCells: 150,
 			scenario: func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
 				a := setupClassVCs(t, f, "mh.rt")
@@ -513,15 +788,74 @@ func TestCellTrainEquivalence(t *testing.T) {
 	}
 }
 
+// overtakingMerge sends a 20-cell frame over the long attachment at 0
+// and, at 300µs, a 40-cell CBR burst over the short one, which reaches
+// the DS3 first.
+func overtakingMerge(t *testing.T) trainScenario {
+	return func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+		slow, err := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := f.SetupVC("mh1.rt", "ucb.rt", qos.QoS{Class: qos.CBR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Schedule(0, func() {
+			for i := 0; i < 20; i++ {
+				c := atm.Cell{Header: atm.Header{VCI: slow.SrcVCI}}
+				if i == 19 {
+					c.PTI = atm.PTIUserData1
+				}
+				c.Payload[0] = byte(i)
+				send(0, c)
+			}
+		})
+		e.Schedule(300*time.Microsecond, func() {
+			for i := 0; i < 40; i++ {
+				c := atm.Cell{Header: atm.Header{VCI: fast.SrcVCI}}
+				if i == 39 {
+					c.PTI = atm.PTIUserData1
+				}
+				c.Payload[0] = byte(100 + i)
+				send(1, c)
+			}
+		})
+	}
+}
+
+func ringAddr(i int) atm.Addr { return atm.Addr(fmt.Sprintf("r%d.rt", i)) }
+
+// ringOf4 builds four switches in a ring — unequal delays, one OC-12
+// link — with one endpoint on each.
+func ringOf4(t *testing.T, f *Fabric, e *sim.Engine) ([]*Endpoint, []*collector) {
+	var sw [4]*Switch
+	for i := range sw {
+		sw[i] = f.MustAddSwitch(fmt.Sprintf("sw-%d", i))
+	}
+	links := []LinkConfig{DS3(50 * time.Microsecond), DS3(70 * time.Microsecond), OC12(90 * time.Microsecond), DS3(30 * time.Microsecond)}
+	for i := range sw {
+		f.ConnectSwitches(sw[i], sw[(i+1)%4], links[i])
+	}
+	var srcs []*Endpoint
+	var sinks []*collector
+	for i := range sw {
+		ep, c := attach(t, f, ringAddr(i), sw[i], TAXI(), e)
+		srcs, sinks = append(srcs, ep), append(sinks, c)
+	}
+	return srcs, sinks
+}
+
 // TestCellTrainRandomSchedules replays seeded random send schedules —
-// link profiles, queue limits, burst sizes, classes and instants all
-// drawn — against the reference. Rates that divide one another put
-// arrivals exactly on the next trunk's pick instants all the time; the
-// engine runs the arrival first because it was scheduled first, which
-// holds (and is what send's tie rule assumes) as long as a hop's
-// serialization plus propagation outlasts the next hop's serialization.
-// Every profile pair here keeps that: the slowest cell time, E3's
-// 12.3 µs, is below the quickest hop, 12.4 µs.
+// link profiles, queue limits, burst sizes, classes, frame ends and
+// instants all drawn — against the reference, a third of them probed
+// mid-run. Rates that divide one another put arrivals exactly on the
+// next trunk's pick instants all the time; the per-cell engine runs the
+// arrival first because it was scheduled first, which holds (and is what
+// the tie rule assumes) as long as a hop's serialization plus
+// propagation outlasts the next hop's serialization. Every profile pair
+// here keeps that: the slowest cell time, E3's 12.3 µs, is below the
+// quickest hop, 12.4 µs.
 func TestCellTrainRandomSchedules(t *testing.T) {
 	profiles := []LinkConfig{
 		TAXI(),
@@ -540,16 +874,21 @@ func TestCellTrainRandomSchedules(t *testing.T) {
 			return cfg
 		}
 		rig := trainRig{up: draw(), mid: draw(), down: draw(), sources: 1 + rng.Intn(2)}
+		if rng.Intn(3) == 0 {
+			rig.probe = time.Duration(20_011 + rng.Intn(50_000))
+		}
 		type burst struct {
 			at    time.Duration
 			src   int
 			cells []int // class per cell
+			ends  []bool
 		}
 		var bursts []burst
 		for n := 3 + rng.Intn(10); n > 0; n-- {
 			b := burst{at: time.Duration(rng.Intn(400_000)), src: rng.Intn(rig.sources)}
 			for k := 1 + rng.Intn(40); k > 0; k-- {
 				b.cells = append(b.cells, rng.Intn(3))
+				b.ends = append(b.ends, rng.Intn(4) == 0)
 			}
 			bursts = append(bursts, b)
 		}
@@ -563,13 +902,146 @@ func TestCellTrainRandomSchedules(t *testing.T) {
 				for _, b := range bursts {
 					b := b
 					e.Schedule(b.at, func() {
-						for _, cls := range b.cells {
+						for i, cls := range b.cells {
 							seq++
-							send(b.src, cellOn(vcs[b.src][cls], seq))
+							c := atm.Cell{Header: atm.Header{VCI: vcs[b.src][cls].SrcVCI}}
+							if b.ends[i] {
+								c.PTI = atm.PTIUserData1
+							}
+							c.Payload[0] = seq
+							send(b.src, c)
 						}
 					})
 				}
 			})
 		})
+	}
+}
+
+// TestCellTrainBoardResets puts a Hobbit board behind the sink endpoint
+// and resets it — Board.ResetVC, then Driver.Shut — while a frame's
+// cells are on the last hop: the reset must first take in every cell
+// that reached the board before it (ResetVC settles the endpoint), as
+// per-cell delivery would have, so the frames handed up, the board's
+// counters and the reassembly-time histogram match the reference.
+func TestCellTrainBoardResets(t *testing.T) {
+	rig := trainRig{up: TAXI(), mid: DS3(2 * time.Millisecond), down: LinkConfig{RateBps: 10_000_000, Delay: 10 * time.Microsecond, QueueCells: 2048}, sources: 1}
+	var outcome [2]string
+	for i, ref := range []bool{true, false} {
+		runTrain(t, rig, ref, func(e *sim.Engine, f *Fabric, send func(int, atm.Cell)) {
+			vc, err := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := f.Endpoint("ucb.rt")
+			drv := hobbit.NewDriver(cost.NewMeter())
+			board := hobbit.NewBoard(ep)
+			drv.AttachBoard(board)
+			reg := obs.NewRegistry()
+			board.Instrument(ep.Now, reg)
+			ep.SetSink(board)
+			var frames []string
+			drv.SetHandler(vc.DstVCI, func(_ atm.VCI, ch *mbuf.Chain) {
+				frames = append(frames, fmt.Sprintf("%v:%d", ep.Now(), ch.Len()))
+				ch.Release()
+			})
+			tx := hobbit.NewDriver(cost.NewMeter())
+			tx.AttachBoard(hobbit.NewBoard(cellFn(func(c atm.Cell) { send(0, c) })))
+			payload := make([]byte, 400) // 9 cells
+			for k := 0; k < 6; k++ {
+				e.Schedule(time.Duration(k)*300*time.Microsecond, func() {
+					payload[0] = byte(k)
+					if err := tx.Output(vc.SrcVCI, mbuf.FromBytes(payload)); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			// Frame 1's cells land 42.4µs apart from about 2.37 ms: reset
+			// mid-frame, then shut the VCI mid-frame 3.
+			e.Schedule(2540*time.Microsecond, func() { board.ResetVC(vc.DstVCI) })
+			e.Schedule(3180*time.Microsecond, func() { drv.Shut(vc.DstVCI) })
+			e.Schedule(time.Second, func() {
+				snap := reg.Snapshot()
+				h := snap.Hist("hobbit.reasm.time")
+				outcome[i] = fmt.Sprintf("frames %v\ncells.in %d frames.in %d sar.errors %d shut-discards %d\nreasm %+v",
+					frames, snap.Count("hobbit.cells.in"), snap.Count("hobbit.frames.in"),
+					snap.Count("hobbit.sar.errors"), drv.DiscardedShut, *h)
+			})
+		})
+	}
+	if outcome[0] != outcome[1] {
+		t.Fatalf("board outcome differs:\n per-cell: %s\n pulled:   %s", outcome[0], outcome[1])
+	}
+	if !strings.Contains(outcome[0], "sar.errors 1") {
+		t.Fatalf("the mid-frame reset did not cost a frame: %s", outcome[0])
+	}
+}
+
+// cellFn adapts a function to hobbit.CellTx.
+type cellFn func(atm.Cell)
+
+func (f cellFn) SendCell(c atm.Cell) { f(c) }
+
+// TestInteriorHopEvents counts engine events. Frames sent over three
+// hops, each send in an event of its own: interior hops add none per
+// cell, and the receiving endpoint one per frame where nothing queues a
+// frame's last cell past the bound its watch starts with — the bound
+// sees the cells ahead of it on the first hop — and two where a slow hop
+// does; the overtaken frame's watch re-arms.
+func TestInteriorHopEvents(t *testing.T) {
+	count := func(t *testing.T, up, mid, down LinkConfig, frames, cells int) (perFrame float64) {
+		e := sim.New(1)
+		f := NewFabric(e)
+		swA, swB := f.MustAddSwitch("sw-A"), f.MustAddSwitch("sw-B")
+		f.ConnectSwitches(swA, swB, mid)
+		src, _ := attach(t, f, "a", swA, up, e)
+		_, sink := attach(t, f, "b", swB, down, e)
+		vc, err := f.SetupVC("a", "b", qos.BestEffortQoS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < frames; k++ {
+			e.Schedule(time.Duration(k)*5*time.Millisecond, func() {
+				for i := 0; i < cells; i++ {
+					c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
+					if i == cells-1 {
+						c.PTI = atm.PTIUserData1
+					}
+					src.SendCell(c)
+				}
+			})
+		}
+		e.Run()
+		if len(sink.cells) != frames*cells {
+			t.Fatalf("delivered %d of %d cells by the frames' events", len(sink.cells), frames*cells)
+		}
+		return float64(e.EventsExecuted()-uint64(frames)) / float64(frames)
+	}
+	ds3 := DS3(2 * time.Millisecond)
+	if got := count(t, ds3, ds3, ds3, 10, 30); got != 1 {
+		t.Errorf("uniform DS3 path: %.2f events per frame beyond the send, want 1", got)
+	}
+	if got := count(t, TAXI(), ds3, TAXI(), 10, 30); got > 2 {
+		t.Errorf("TAXI→DS3→TAXI: %.2f events per frame beyond the send, want ≤ 2", got)
+	}
+	// The overtaking merge: two sends, two frames, and the slow frame's
+	// watch fires at its bound, finds the DS3 busy with the burst, and
+	// fires again at the exact arrival.
+	e := sim.New(1)
+	f := NewFabric(e)
+	srcs, sinks := func() ([]*Endpoint, []*collector) {
+		swA, swB := Testbed(f)
+		slow, _ := attach(t, f, "mh.rt", swA, LinkConfig{RateBps: 100_000_000, Delay: 400 * time.Microsecond, QueueCells: 2048}, e)
+		fast, _ := attach(t, f, "mh1.rt", swA, TAXI(), e)
+		_, sink := attach(t, f, "ucb.rt", swB, TAXI(), e)
+		return []*Endpoint{slow, fast}, []*collector{sink}
+	}()
+	overtakingMerge(t)(e, f, func(i int, c atm.Cell) { srcs[i].SendCell(c) })
+	e.Run()
+	if n := len(sinks[0].cells); n != 60 {
+		t.Fatalf("overtaking merge delivered %d of 60 cells", n)
+	}
+	if ev := e.EventsExecuted(); ev < 2+3 {
+		t.Errorf("overtaking merge ran %d events: the overtaken frame's watch never re-armed", ev)
 	}
 }

@@ -81,9 +81,6 @@ var (
 // node is anything cells move between: a switch or an endpoint.
 type node interface {
 	name() string
-	// inject receives a cell arriving over link l; the cell is good only
-	// for the call (a switch queueing it on its output trunk copies it).
-	inject(l *trunk, c *atm.Cell)
 	// domainOf exposes the element's shard binding.
 	domainOf() *domain
 }
@@ -98,11 +95,43 @@ type domain struct {
 	traceC *trace.Collector
 }
 
+// slot is a cell in a trunk's rings: waiting at an input (at: its
+// arrival at the trunk), queued, or on the wire (at: its arrival at the
+// far node). The cell stays put at index i of its shard's arena, copied
+// in where it enters — an endpoint sending, a boundary trunk delivering
+// — and out where it leaves. The slot carries what every hop reads, the
+// VCI on this hop; note marks a cell whose record each hop must see: a
+// watch follows it, or it is traced.
+type slot struct {
+	at   time.Duration
+	i    int32
+	vci  atm.VCI
+	note bool
+}
+
+// cellRec is a cell in the arena, with the watch following it, if any.
+type cellRec struct {
+	cell atm.Cell
+	w    *watch
+}
+
+// port is an input of the switch a trunk leaves, as the trunk sees it:
+// feed is the input itself once a circuit routes from it onto the trunk,
+// which then pulls it and reads its wire; q holds the input's cells for
+// the trunk handed over ahead of that — by another output reading past
+// them, or by an event.
+type port struct {
+	q    sim.Ring[slot]
+	feed *trunk
+}
+
 // trunk is one direction of a cell link between two nodes.
 type trunk struct {
 	fabric *Fabric
 	from   node
 	to     node
+	sw     *Switch // to, if a switch
+	fdom   *domain // from's, for its fault plane
 	cfg    LinkConfig
 	book   *qos.Book
 	ser    time.Duration // per-cell serialization time (0 if RateBps is 0)
@@ -115,6 +144,10 @@ type trunk struct {
 	eng  *sim.Engine
 	xeng *sim.Engine
 
+	// sp's arena holds the cells in the trunk's rings, rsp's the cells
+	// arriving at its far end: two shards' on a boundary, else one.
+	sp, rsp *vcSpace
+
 	// xmu guards xfree, the boundary trunk's record pool: records are
 	// taken by the sending shard in transmit and returned by the
 	// receiving shard in xdeliver, the one spot where two shards touch
@@ -122,29 +155,31 @@ type trunk struct {
 	xmu   sync.Mutex
 	xfree []*xcell
 
+	// Cells reach the trunk pulled (DESIGN.md §9): ports has an entry per
+	// input of the switch it leaves, upTo is how far its feeds have been
+	// pulled, and port is its own index at the switch it feeds.
+	ports []port
+	port  int
+	upTo  time.Duration
+
 	// Three class queues (index qos.Class) served by WRR; queued is
 	// their total length.
-	queues   [3]sim.Ring[atm.Cell]
+	queues   [3]sim.Ring[slot]
 	queued   int
 	rrCredit [3]int
 
-	// The scheduler is lazy (DESIGN.md §9). While the line is busy,
-	// nextPick is the logical time of the next WRR pick; the picks are
-	// made by commit, which everything that looks at the trunk calls
-	// first. txFn is a boundary trunk's per-cell transmit event.
+	// The scheduler is lazy. While the line is busy, nextPick is the
+	// logical time of the next WRR pick; the picks are made by commit,
+	// which everything that looks at the trunk calls first. txFn is a
+	// boundary trunk's per-cell transmit event.
 	busy     bool
 	nextPick time.Duration
 	txFn     func()
 
-	// In-flight cells awaiting delivery at t.to, ordered by arrival
-	// time. One self-rescheduling pooled event (delivFn) fires at each
-	// exact per-cell arrival time, so receivers observe timing identical
-	// to per-cell propagation events. delivOn holds whenever a cell is
-	// queued or in flight on an interior trunk.
-	inflight sim.Ring[flightCell]
-	delivOn  bool
-	delivFn  func()
-	spanName string // "from>to", the name of this hop's trace spans
+	// Cells on the wire, in arrival order. spanName is "from>to", the
+	// name of this hop's trace spans.
+	inflight sim.Ring[slot]
+	spanName string
 
 	// VCI allocation on this trunk. pair is the reverse trunk of the
 	// duplex link; the allocator is shared between both directions so
@@ -153,8 +188,8 @@ type trunk struct {
 	pair  *trunk
 	alloc *atm.VCIAlloc
 
-	// Counters for experiments. Sent and perClass count committed picks:
-	// read them through settle.
+	// Counters for experiments, counted at commit: read them through
+	// settle.
 	Sent         uint64
 	Dropped      uint64
 	perClass     [3]uint64
@@ -168,46 +203,47 @@ type trunk struct {
 	class []qos.Class
 	xlate []tabVal
 
-	// Fault-plane state (used only when fabric.Faults is non-nil):
-	// geBad is the trunk's Gilbert–Elliott burst-loss state, down marks
-	// a flapped-out trunk that drops every cell.
-	geBad bool
+	// Fault-plane state: fates is the trunk's own cell-fate stream, number
+	// id; down marks a flapped-out trunk that drops every cell.
+	id    int
+	fates *faults.Cells
 	down  bool
 
 	// qPeak, when time-series collection is armed, accumulates the
 	// between-tick queue-depth high-water mark (nil costs one pointer
-	// check in send; see BenchmarkTSeriesOverhead).
+	// check in accept; see BenchmarkTSeriesOverhead).
 	qPeak *tseries.Peak
 
-	// Execution-profiler attribution labels, interned at construction
-	// (0 — the root label — when no profiler is attached): transmit
-	// events vs. delivery events, so the profile separates serialization
-	// scheduling from cell injection.
-	lblTx    prof.LabelID
-	lblDeliv prof.LabelID
+	// wfree pools the watches this trunk starts, which weng — the far
+	// end's shard — runs under lblArr; lblTx labels a boundary trunk's
+	// transmit events (labels are 0 with no profiler attached).
+	wfree  []*watch
+	weng   *sim.Engine
+	lblTx  prof.LabelID
+	lblArr prof.LabelID
 }
 
 // wrrWeights drain CBR most aggressively, then VBR, then best effort —
 // a two-level approximation of the hierarchical round robin of [17].
 var wrrWeights = [3]int{1, 4, 16} // BestEffort, VBR, CBR (by qos.Class value)
 
-// flightCell is a transmitted cell awaiting delivery at the far node.
-type flightCell struct {
-	cell atm.Cell
-	at   time.Duration // exact virtual arrival time
-}
-
 func newTrunk(f *Fabric, from, to node, cfg LinkConfig) *trunk {
 	if cfg.QueueCells <= 0 {
 		cfg.QueueCells = 256
 	}
 	feng, teng := from.domainOf().eng, to.domainOf().eng
+	f.trunks++
 	t := &trunk{
 		fabric:   f,
 		from:     from,
 		to:       to,
+		fdom:     from.domainOf(),
 		cfg:      cfg,
 		eng:      feng,
+		weng:     teng,
+		sp:       f.spaces[feng],
+		rsp:      f.spaces[teng],
+		id:       f.trunks,
 		book:     qos.NewBook(cfg.RateBps / 1000), // book in kb/s
 		rrCredit: wrrWeights,
 	}
@@ -217,18 +253,30 @@ func newTrunk(f *Fabric, from, to node, cfg LinkConfig) *trunk {
 	if feng != teng {
 		t.xeng = teng
 		t.txFn = t.transmitTick
+		f.boundaries = true
 	}
-	t.delivFn = t.deliver
+	if sw, ok := from.(*Switch); ok {
+		t.ports = make([]port, len(sw.ins))
+		sw.trunks = append(sw.trunks, t)
+	}
+	if sw, ok := to.(*Switch); ok {
+		t.sw = sw
+		t.port = len(sw.ins)
+		sw.ins = append(sw.ins, t)
+		for _, out := range sw.trunks {
+			out.ports = append(out.ports, port{})
+		}
+	}
 	t.spanName = from.name() + ">" + to.name()
 	t.lblTx = feng.ProfLabel("xswitch.trunk.tx")
-	t.lblDeliv = feng.ProfLabel("xswitch.trunk.deliver")
+	t.lblArr = teng.ProfLabel("xswitch.arrival")
 	return t
 }
 
 // faultPlane resolves the plane charged for this trunk's cells: the
 // sending element's domain plane, else the fabric-wide one.
 func (t *trunk) faultPlane() *faults.Plane {
-	if fp := t.from.domainOf().faults; fp != nil {
+	if fp := t.fdom.faults; fp != nil {
 		return fp
 	}
 	return t.fabric.Faults
@@ -236,7 +284,7 @@ func (t *trunk) faultPlane() *faults.Plane {
 
 // traceCollector resolves the collector arrival spans are recorded to:
 // the receiving element's domain collector, else the fabric-wide one.
-// Recording happens at delivery, on the receiving shard, so the
+// Recording happens at arrival, on the receiving shard, so the
 // receiver's collector is the race-free and deterministic choice.
 func (t *trunk) traceCollector() *trace.Collector {
 	if tc := t.to.domainOf().traceC; tc != nil {
@@ -270,18 +318,23 @@ func (t *trunk) getXCell() *xcell {
 }
 
 // xdeliver runs on the receiving shard at the cell's exact arrival
-// time: trace the frame span, inject, recycle the record.
+// time: the cell enters that shard's arena, with a watch if it has a
+// stop ahead, and lands as advance would land it.
 func (t *trunk) xdeliver(r *xcell) {
-	c := &r.cell
-	if c.TC.Sampled() && c.EndOfFrame() {
-		if tc := t.traceCollector(); tc != nil {
-			tc.Record(c.TC, "xswitch", t.spanName, c.TCAt, t.xeng.Now())
-		}
+	s := slot{at: t.xeng.Now(), i: t.rsp.put(&r.cell), vci: r.cell.VCI, note: r.cell.TC.Sampled()}
+	rest, ok := t.stop(&r.cell, s.vci)
+	var w *watch
+	if ok {
+		w = t.watch(s.vci, rest, s.at+rest)
+		t.rsp.recs[s.i].w, s.note = w, true
 	}
-	t.to.inject(t, c)
 	t.xmu.Lock()
 	t.xfree = append(t.xfree, r)
 	t.xmu.Unlock()
+	t.land(s)
+	if w != nil {
+		fireWatch(w)
+	}
 }
 
 // allocVCI reserves an unused VCI on this trunk (and its reverse
@@ -313,83 +366,160 @@ func tabSet[T any](tab []T, v atm.VCI, val T) []T {
 	return tab
 }
 
-// send enqueues a copy of a cell for transmission, classifying it by its
-// VCI's service class. Queue overflow drops the cell (AAL5 detects the
-// loss). Picks due strictly before now are committed first, so the
-// overflow check and the WRR order see the queues as a transmit event
-// per cell would have left them; a pick due exactly now waits for this
-// cell, whose event was scheduled before that instant's transmit event
-// would have been (propagation outlasts serialization on every profile).
-func (t *trunk) send(c *atm.Cell) {
-	now := t.eng.Now()
-	t.commit(now)
+// commit brings the trunk up to the given instant: take, then the picks
+// due before it.
+func (t *trunk) commit(before time.Duration) {
+	t.take(before)
+	t.pickUntil(before)
+}
+
+// take accepts every cell reaching the trunk's switch before the given
+// instant, in arrival order — lower input port first on a tie — each
+// after the picks due before it, once the feeds have committed the
+// picks that put those cells on their wires. The bound falls by a hop's
+// serialization plus propagation per step up, so the pull ends on
+// routing rings too, as many laps deep as the ring sat idle.
+func (t *trunk) take(before time.Duration) {
+	if before > t.upTo {
+		for i := range t.ports {
+			if f := t.ports[i].feed; f != nil {
+				f.commit(before - f.ser - f.cfg.Delay)
+			}
+		}
+		t.upTo = before
+	}
+	for {
+		var src *port
+		var s slot
+		at := before
+		for i := range t.ports {
+			if h := t.ports[i].head(t, before); h != nil && h.at < at {
+				src, s, at = &t.ports[i], *h, h.at
+			}
+		}
+		if src == nil {
+			return
+		}
+		t.pickUntil(at)
+		if src.q.Len() > 0 {
+			src.q.Drop()
+		} else {
+			src.feed.inflight.Drop()
+			src.feed.pass(&s)
+		}
+		t.accept(s)
+	}
+}
+
+// head is the port's next cell for t arriving before the given instant:
+// q's head, else the first on the feed's wire routed to t — the cells
+// ahead of it land on the way, reaching their own trunks' queues.
+func (p *port) head(t *trunk, before time.Duration) *slot {
+	if p.q.Len() > 0 {
+		return p.q.Head()
+	}
+	for f := p.feed; f != nil && f.inflight.Len() > 0; {
+		s := f.inflight.Head()
+		if s.at >= before {
+			return nil
+		}
+		if int(s.vci) < len(f.xlate) && f.xlate[s.vci].out == t {
+			return s
+		}
+		ls := *s
+		f.inflight.Drop()
+		f.land(ls)
+	}
+	return nil
+}
+
+// accept takes one cell arriving at s.at, after every pick before that
+// instant: the fault plane and the queue limit may drop it, a corruption
+// flips a payload byte (AAL5's CRC-32 rejects the frame at reassembly,
+// where real hardware would), a traced cell is stamped with its hop
+// entry time (pass records the hop as one span from it), and an idle
+// line picks it at once.
+func (t *trunk) accept(s slot) {
 	cls := qos.BestEffort
-	if int(c.VCI) < len(t.class) {
-		cls = t.class[c.VCI]
+	if int(s.vci) < len(t.class) {
+		cls = t.class[s.vci]
 	}
 	corrupt := false
 	if fp := t.faultPlane(); fp != nil {
+		if t.fates == nil {
+			t.fates = fp.Cells(t.id)
+		}
+		tc := t.sp.recs[s.i].cell.TC
 		if t.down {
-			t.drop(cls)
-			fp.TrunkDownDrop(c.TC)
+			fp.TrunkDownDrop(tc, s.at)
+			t.drop(cls, s)
 			return
 		}
-		if fp.CellDrop(&t.geBad, c.TC) {
-			t.drop(cls)
+		if t.fates.Drop(tc, s.at) {
+			t.drop(cls, s)
 			return
 		}
-		corrupt = fp.CellCorrupt(c.TC)
+		corrupt = t.fates.Corrupt(tc, s.at)
 	}
 	q := &t.queues[cls]
 	if q.Len() >= t.cfg.QueueCells {
-		t.drop(cls)
+		t.drop(cls, s)
 		return
 	}
-	qc := q.PushSlot()
-	*qc = *c
-	if corrupt {
-		// Only the queued copy is flipped; the AAL5 CRC-32 rejects the
-		// frame at reassembly, exactly where real hardware would.
-		qc.Payload[0] ^= 0xA5
+	var w *watch
+	if corrupt || s.note {
+		r := &t.sp.recs[s.i]
+		if corrupt {
+			r.cell.Payload[0] ^= 0xA5
+		}
+		if r.cell.TC.Sampled() {
+			r.cell.TCAt = s.at
+		}
+		w = r.w
 	}
-	if qc.TC.Sampled() {
-		// Mark the hop entry time so deliver can record this trunk's
-		// queueing + serialization + propagation as one span.
-		qc.TCAt = now
-	}
-	t.queued++
-	t.qPeak.Note(int64(t.queued))
 	if !t.busy {
-		// An idle line takes the cell the instant it is queued.
-		t.busy, t.nextPick = true, now
-		t.transmit(t.pick())
+		// Straight on the wire: the credits are full when a line is idle.
+		t.busy, t.nextPick = true, s.at
+		t.rrCredit[cls]--
+		t.qPeak.Note(1)
+		t.wire(cls, s)
 		if t.txFn != nil {
 			t.eng.ScheduleL(t.ser, t.lblTx, t.txFn)
 		}
+		return
 	}
-	if t.xeng == nil && !t.delivOn {
-		t.delivOn = true
-		t.eng.ScheduleL(t.nextArrival()-now, t.lblDeliv, t.delivFn)
+	q.Push(s)
+	if w != nil {
+		// The cells queued ahead in its class go first.
+		w.at = t.nextPick + time.Duration(q.Len())*t.ser + t.cfg.Delay + w.rest
 	}
+	t.queued++
+	t.qPeak.Note(int64(t.queued))
 }
 
-func (t *trunk) drop(cls qos.Class) {
+func (t *trunk) drop(cls qos.Class, s slot) {
 	t.Dropped++
 	t.perClassDrop[cls]++
+	t.sp.free(s.i)
 }
 
-// commit makes, in order, every WRR pick whose logical time lies before
-// the given instant. A pick that finds the queues empty ends the busy
-// period and, as a transmit event that found nothing to send did,
+// pickUntil makes, in order, every WRR pick whose logical time lies
+// before the given instant. A pick that finds the queues empty ends the
+// busy period and, as a transmit event that found nothing to send did,
 // replenishes the credits.
-func (t *trunk) commit(before time.Duration) {
+func (t *trunk) pickUntil(before time.Duration) {
 	for t.busy && t.nextPick < before {
 		if t.queued == 0 {
 			t.rrCredit = wrrWeights
 			t.busy = false
 			return
 		}
-		t.transmit(t.pick())
+		cls := t.pick()
+		q := &t.queues[cls]
+		s := *q.Head()
+		q.Drop()
+		t.queued--
+		t.wire(cls, s)
 	}
 }
 
@@ -397,26 +527,28 @@ func (t *trunk) commit(before time.Duration) {
 // or queue depths then sees what a transmit event per cell had counted.
 func (t *trunk) settle() { t.commit(t.eng.Now()) }
 
-// transmit puts the head cell of class cls on the wire at nextPick: it
-// moves straight from its queue into the in-flight ring (or, on a
-// boundary trunk, into a pooled record posted to the far shard) with
-// its exact arrival time, one serialization and one propagation later.
-func (t *trunk) transmit(cls qos.Class) {
-	q := &t.queues[cls]
-	at := t.nextPick + t.ser + t.cfg.Delay
+// wire puts a cell of class cls on the wire at nextPick, to arrive one
+// serialization and one propagation later — on a boundary trunk, in a
+// pooled record posted to the far shard.
+func (t *trunk) wire(cls qos.Class, s slot) {
+	s.at = t.nextPick + t.ser + t.cfg.Delay
 	if t.xeng != nil {
 		// A boundary trunk picks at the pick's own instant (transmitTick),
 		// so the post is ser+Delay ahead: at least the group lookahead,
 		// which the testbed sizes from the smallest boundary-trunk delay.
 		r := t.getXCell()
-		r.cell = *q.Head()
-		t.eng.PostSized(t.xeng, at-t.eng.Now(), atm.CellSize, r.fn)
+		r.cell = t.sp.recs[s.i].cell
+		r.cell.VCI = s.vci
+		t.sp.free(s.i)
+		t.eng.PostSized(t.xeng, s.at-t.eng.Now(), atm.CellSize, r.fn)
 	} else {
-		fc := t.inflight.PushSlot()
-		fc.cell, fc.at = *q.Head(), at
+		t.inflight.Push(s)
+		if s.note {
+			if w := t.sp.recs[s.i].w; w != nil {
+				w.at, w.onWire = s.at+w.rest, true
+			}
+		}
 	}
-	q.Drop()
-	t.queued--
 	t.Sent++
 	t.perClass[cls]++
 	t.nextPick += t.ser
@@ -433,43 +565,68 @@ func (t *trunk) transmitTick() {
 	}
 }
 
-// nextArrival is when the next cell reaches t.to: the in-flight head's
-// arrival, else that of the next pick. A cell must be queued or in
-// flight.
-func (t *trunk) nextArrival() time.Duration {
-	if t.inflight.Len() > 0 {
-		return t.inflight.Head().at
+// advance hands the far node, in order, every cell reaching it before
+// the given instant.
+func (t *trunk) advance(before time.Duration) {
+	t.commit(before - t.ser - t.cfg.Delay)
+	for t.inflight.Len() > 0 && t.inflight.Head().at < before {
+		s := *t.inflight.Head()
+		t.inflight.Drop()
+		t.land(s)
 	}
-	return t.nextPick + t.ser + t.cfg.Delay
 }
 
-// deliver fires at the arrival time of the next cell: it commits the
-// picks whose cells are due, injects every cell due now, and re-arms
-// itself for the next arrival.
-func (t *trunk) deliver() {
-	e := t.eng
-	now := e.Now()
-	t.commit(now - t.ser - t.cfg.Delay + 1)
-	for t.inflight.Len() > 0 {
-		fc := t.inflight.Head()
-		if fc.at > now {
-			break
+// land hands t.to a cell arriving at s.at: a switch routes it to its
+// next trunk's queue for this input, an endpoint to the sink.
+func (t *trunk) land(s slot) {
+	if t.sw != nil {
+		if out := t.pass(&s); out != nil {
+			out.ports[t.port].q.Push(s)
 		}
-		if fc.cell.TC.Sampled() && fc.cell.EndOfFrame() {
-			// One span per AAL5 frame per trunk, recorded on the frame's
-			// final cell: [hop entry .. last-cell arrival] covers the
-			// whole frame's transit of this link.
-			if tc := t.traceCollector(); tc != nil {
-				tc.Record(fc.cell.TC, "xswitch", t.spanName, fc.cell.TCAt, now)
-			}
-		}
-		t.to.inject(t, &fc.cell)
-		t.inflight.Drop()
+		return
 	}
-	if t.inflight.Len() > 0 || t.queued > 0 {
-		e.ScheduleL(t.nextArrival()-now, t.lblDeliv, t.delivFn)
-	} else {
-		t.delivOn = false
+	ep, c := t.to.(*Endpoint), &t.rsp.recs[s.i].cell
+	c.VCI = s.vci
+	if s.note {
+		t.span(c, s.at)
+	}
+	if ep.sink != nil {
+		ep.handing, ep.handAt = true, s.at
+		ep.sink.ReceiveCell(*c)
+		ep.handing = false
+	}
+	t.rsp.free(s.i)
+}
+
+// pass takes a cell through the switch t feeds — span, table lookup,
+// VCI rewrite — and returns its next trunk, nil if it has no route.
+func (t *trunk) pass(s *slot) *trunk {
+	var r *cellRec
+	if s.note {
+		r = &t.rsp.recs[s.i]
+		t.span(&r.cell, s.at)
+	}
+	if int(s.vci) >= len(t.xlate) || t.xlate[s.vci].out == nil {
+		t.sw.Unroutable++
+		t.rsp.free(s.i)
+		return nil
+	}
+	v := t.xlate[s.vci]
+	s.vci = v.vci
+	if r != nil && r.w != nil {
+		r.w.enter(v.out, &r.cell, v.vci, s.at)
+	}
+	return v.out
+}
+
+// span records the hop's span for the last cell of a traced frame:
+// [hop entry .. arrival], the whole frame's transit of the link, made at
+// the arrival instant (such a cell is watched hop by hop).
+func (t *trunk) span(c *atm.Cell, at time.Duration) {
+	if c.TC.Sampled() && c.EndOfFrame() {
+		if tc := t.traceCollector(); tc != nil {
+			tc.Record(c.TC, "xswitch", t.spanName, c.TCAt, at)
+		}
 	}
 }
 
@@ -490,15 +647,104 @@ func (t *trunk) pick() qos.Class {
 	panic("xswitch: pick with no queued cells")
 }
 
+// stop walks the route of a cell on trunk t with the given VCI to its
+// next stop, where it must arrive at its own instant: the endpoint, for
+// a frame's last cell; the next switch, for a traced frame's last cell;
+// the switch before a boundary trunk, for any cell. It reports the
+// serialization and propagation from t's far end to there, and whether
+// the cell has a stop at all; one without is simply pulled along.
+func (t *trunk) stop(c *atm.Cell, vci atm.VCI) (rest time.Duration, ok bool) {
+	eom := c.EndOfFrame()
+	if eom && c.TC.Sampled() {
+		return 0, true
+	}
+	if !eom && !t.fabric.boundaries {
+		return 0, false
+	}
+	for v := vci; int(v) < len(t.xlate) && t.xlate[v].out != nil; {
+		e := t.xlate[v]
+		if e.out.xeng != nil {
+			return rest, true
+		}
+		rest += e.out.ser + e.out.cfg.Delay
+		t, v = e.out, e.vci
+	}
+	return rest, eom
+}
+
+// watch follows a cell with a stop. Its event fires no later than the
+// cell's arrival there and moves everything due on, hop by hop; short of
+// the stop it re-arms at the tightened bound.
+type watch struct {
+	home   *trunk        // whose pool it came from; home.weng runs it
+	t      *trunk        // carrying the cell; nil once it arrived or was lost
+	vci    atm.VCI       // the cell's VCI on t
+	at     time.Duration // no later than the cell's arrival at its stop
+	rest   time.Duration // serialization and propagation from t's far end to the stop
+	onWire bool          // picked on t: at is exact
+}
+
+// watch starts a watch on a cell entering t on vci whose stop is rest
+// beyond t's far end and which cannot get there before at.
+func (t *trunk) watch(vci atm.VCI, rest, at time.Duration) (w *watch) {
+	if n := len(t.wfree); n > 0 {
+		w, t.wfree = t.wfree[n-1], t.wfree[:n-1]
+	} else {
+		w = &watch{home: t}
+	}
+	w.t, w.vci, w.at, w.rest, w.onWire = t, vci, at, rest, false
+	return w
+}
+
+// enter moves the watch onto trunk t, to which a switch routed the cell
+// at instant at, with the given VCI.
+func (w *watch) enter(t *trunk, c *atm.Cell, vci atm.VCI, at time.Duration) {
+	w.t, w.vci, w.onWire = t, vci, false
+	w.rest, _ = t.stop(c, vci)
+	w.at = at + t.ser + t.cfg.Delay + w.rest
+}
+
+func fireWatch(arg any) {
+	w := arg.(*watch)
+	eng := w.home.weng
+	now := eng.Now()
+	for t := w.t; t != nil && t.xeng == nil; t = w.t {
+		// The cell's next trunk takes what reaches it by now (its picks at
+		// now wait, as for a later arrival event this instant); an
+		// endpoint's sink is handed its cells.
+		if int(w.vci) < len(t.xlate) && t.xlate[w.vci].out != nil {
+			next := t.xlate[w.vci].out
+			next.take(now + 1)
+			next.pickUntil(now)
+		} else {
+			t.advance(now + 1)
+		}
+		if w.t == t {
+			// Not there yet. With the picks before now made, the arrival is
+			// exact if the cell is on the wire; if not, it is picked no
+			// earlier than now.
+			t.commit(now)
+			if !w.onWire {
+				w.at = max(w.at, max(now, t.nextPick)+t.ser+t.cfg.Delay+w.rest)
+			}
+			eng.ScheduleArgL(w.at-now, w.home.lblArr, fireWatch, w)
+			return
+		}
+	}
+	if w.t != nil {
+		w.t.commit(now + 1) // routed to a boundary trunk: it transmits in real time
+	}
+	w.home.wfree = append(w.home.wfree, w)
+}
+
 // Switch is one ATM cell switch.
 type Switch struct {
 	Name   string
 	dom    domain
 	trunks []*trunk // outgoing trunks; each input port's table is on its trunk
+	ins    []*trunk // incoming trunks, by port
 
-	// Switched counts cells relayed; Unroutable counts cells with no
-	// table entry.
-	Switched   uint64
+	// Unroutable counts cells with no table entry.
 	Unroutable uint64
 }
 
@@ -525,28 +771,19 @@ type tabVal struct {
 
 func (s *Switch) name() string { return s.Name }
 
-// inject switches an arriving cell: index the input port's table by
-// VCI, translate and forward.
-func (s *Switch) inject(l *trunk, c *atm.Cell) {
-	if int(c.VCI) >= len(l.xlate) || l.xlate[c.VCI].out == nil {
-		s.Unroutable++
-		return
-	}
-	v := l.xlate[c.VCI]
-	s.Switched++
-	c.VCI = v.vci
-	v.out.send(c)
-}
-
 // Endpoint is an attachment point for a host interface.
 type Endpoint struct {
 	Addr   atm.Addr
 	dom    domain
 	sink   CellSink
 	uplink *trunk // endpoint -> first switch
-	// downlink is the reverse trunk (switch -> endpoint); kept for
-	// VCI bookkeeping on the receiving side.
+	// downlink is the reverse trunk (switch -> endpoint), which hands
+	// cells to the sink.
 	downlink *trunk
+	// handing is set while a cell is with the sink; handAt is its
+	// arrival time, which Now reads.
+	handing bool
+	handAt  time.Duration
 }
 
 func (ep *Endpoint) domainOf() *domain { return &ep.dom }
@@ -564,14 +801,44 @@ func (ep *Endpoint) SetTrace(tc *trace.Collector) { ep.dom.traceC = tc }
 
 func (ep *Endpoint) name() string { return string(ep.Addr) }
 
-func (ep *Endpoint) inject(l *trunk, c *atm.Cell) {
-	if ep.sink != nil {
-		ep.sink.ReceiveCell(*c)
+// Now is the clock a sink stamps arrivals by: while a cell is with the
+// sink, its arrival time — a frame's earlier cells reach the sink with
+// its last (DESIGN.md §9) — and otherwise the engine's.
+func (ep *Endpoint) Now() time.Duration {
+	if ep.handing {
+		return ep.handAt
+	}
+	return ep.dom.eng.Now()
+}
+
+// Settle hands the sink every cell that reached the endpoint before now;
+// a reader of the sink's state calls it first. Across a shard boundary
+// every cell lands by its own event anyway.
+func (ep *Endpoint) Settle() {
+	if d := ep.downlink; d.xeng == nil && !ep.handing {
+		d.advance(ep.dom.eng.Now())
 	}
 }
 
-// SendCell transmits one cell from the endpoint into the fabric.
-func (ep *Endpoint) SendCell(c atm.Cell) { ep.uplink.send(&c) }
+// SendCell transmits one cell from the endpoint into the fabric, with a
+// watch if it has a stop ahead (trunk.stop) — none on a boundary uplink,
+// which transmits per cell anyway.
+func (ep *Endpoint) SendCell(c atm.Cell) {
+	t := ep.uplink
+	s := slot{at: t.eng.Now(), i: t.sp.put(&c), vci: c.VCI, note: c.TC.Sampled()}
+	var w *watch
+	if rest, ok := t.stop(&c, c.VCI); ok && t.xeng == nil {
+		w = t.watch(c.VCI, rest, s.at+t.ser+t.cfg.Delay+rest)
+		t.sp.recs[s.i].w, s.note = w, true
+	}
+	// The picks due strictly before now first: one due exactly now waits
+	// for this cell (DESIGN.md §9, the tie rule).
+	t.commit(s.at)
+	t.accept(s)
+	if w != nil {
+		t.eng.ScheduleArgL(w.at-s.at, t.lblArr, fireWatch, w)
+	}
+}
 
 // Fabric is the whole ATM network: switches, endpoints and trunks.
 type Fabric struct {
@@ -604,15 +871,46 @@ type Fabric struct {
 	// Faults, when non-nil, injects Gilbert–Elliott burst cell loss,
 	// payload corruption, and trunk flapping on switch trunks.
 	Faults *faults.Plane
+
+	// trunks counts the trunks built (a trunk's number keys its cell-fate
+	// stream); boundaries is set once one crosses shards.
+	trunks     int
+	boundaries bool
 }
 
 type vcID uint64
 
-// vcSpace is one shard's VC namespace.
+// vcSpace is one shard's state: its VC namespace, and the arena its
+// trunks' cells live in (see slot) with the free indexes.
 type vcSpace struct {
 	vcs  map[vcID]*VC
 	next uint64
 	base uint64
+	recs []cellRec
+	idle []int32
+}
+
+// put copies a cell into the arena and returns its index; it may move
+// recs, so no pointer into recs is held across it.
+func (sp *vcSpace) put(c *atm.Cell) (i int32) {
+	if n := len(sp.idle); n > 0 {
+		i, sp.idle = sp.idle[n-1], sp.idle[:n-1]
+	} else {
+		i = int32(len(sp.recs))
+		sp.recs = append(sp.recs, cellRec{})
+	}
+	r := &sp.recs[i]
+	r.cell, r.w = *c, nil
+	return i
+}
+
+// free takes back a cell's index once it has left — delivered, lost or
+// posted across a boundary — which ends its watch.
+func (sp *vcSpace) free(i int32) {
+	if w := sp.recs[i].w; w != nil {
+		w.t, sp.recs[i].w = nil, nil
+	}
+	sp.idle = append(sp.idle, i)
 }
 
 // ensureSpace creates the VC namespace for engine e. Called only during
@@ -682,8 +980,6 @@ func (f *Fabric) ConnectSwitches(a, b *Switch, cfg LinkConfig) {
 	ab.pair, ba.pair = ba, ab
 	ab.alloc = atm.NewVCIAlloc(32)
 	ba.alloc = ab.alloc
-	a.trunks = append(a.trunks, ab)
-	b.trunks = append(b.trunks, ba)
 }
 
 // StartFlapping schedules deterministic up/down flapping on every
@@ -730,11 +1026,18 @@ func (f *Fabric) flapLink(t *trunk, until time.Duration) {
 	if t.eng.Now()+up >= until {
 		return // next flap would land past the cutoff; stay up for good
 	}
+	// Settled first, both directions meet the cells before a toggle in
+	// the old state.
+	toggle := func(down bool) {
+		t.settle()
+		t.pair.settle()
+		t.down, t.pair.down = down, down
+	}
 	t.eng.Schedule(up, func() {
 		down := fp.DownFor()
-		t.down, t.pair.down = true, true
+		toggle(true)
 		t.eng.Schedule(down, func() {
-			t.down, t.pair.down = false, false
+			toggle(false)
 			f.flapLink(t, until)
 		})
 	})
@@ -763,7 +1066,6 @@ func (f *Fabric) AttachOn(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConf
 	down.alloc = up.alloc
 	ep.uplink = up
 	ep.downlink = down
-	sw.trunks = append(sw.trunks, down)
 	f.endpoints[addr] = ep
 	return ep, nil
 }
@@ -891,6 +1193,9 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 			return nil, err
 		}
 		in.xlate = tabSet(in.xlate, inVCI, tabVal{out: st.out, vci: outVCI})
+		if in.xeng == nil { // a boundary input's cells land by event
+			st.out.ports[in.port].feed = in
+		}
 		vc.hops[len(vc.hops)-1].sw = st.sw
 		vc.hops[len(vc.hops)-1].in = in
 		vc.hops[len(vc.hops)-1].inVCI = inVCI
@@ -915,8 +1220,11 @@ func (vc *VC) SetupCost() time.Duration {
 }
 
 // admitHop books one trunk and allocates a VCI on it, recording the hop
-// for release.
+// for release. It settles the trunk first, so the cells that reached it
+// — and, through the pull, its switch, whose input table SetupVC writes
+// next — meet the tables as they were.
 func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
+	t.settle()
 	key, err := t.book.Admit(q)
 	if err != nil {
 		return 0, err
@@ -931,9 +1239,11 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 	return v, nil
 }
 
-// unwind releases a partially built VC.
+// unwind releases a partially built VC, settling each hop first (see
+// admitHop).
 func (vc *VC) unwind() {
 	for _, h := range vc.hops {
+		h.out.settle()
 		if h.sw != nil {
 			h.in.xlate[h.inVCI] = tabVal{}
 		}
@@ -1037,7 +1347,7 @@ func (f *Fabric) trackTrunk(st *tseries.Store, t *trunk) {
 	prefix := "fabric.trunk." + t.from.name() + ">" + t.to.name() + "."
 	sent := func() uint64 { t.settle(); return t.Sent }
 	st.TrackRateFunc(prefix+"cells", sent, 0, 0)
-	st.TrackRateFunc(prefix+"drops", func() uint64 { return t.Dropped }, 0, 0)
+	st.TrackRateFunc(prefix+"drops", func() uint64 { t.settle(); return t.Dropped }, 0, 0)
 	if t.ser > 0 && st.Interval() > 0 {
 		// 10000 x (cells x ser) / interval = line utilization in basis
 		// points, an integer so exports stay byte-exact.

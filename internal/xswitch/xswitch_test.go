@@ -11,16 +11,23 @@ import (
 	"xunet/internal/sim"
 )
 
-// collector is a CellSink recording arrivals.
+// collector is a CellSink recording arrivals, stamped with the clock of
+// its endpoint, ep (set once attached) — except a frame's last cell,
+// stamped with the engine's: a receiver acts on that one, so it must be
+// handed over at its own instant, not merely stamped with it.
 type collector struct {
-	e     *sim.Engine
+	ep    *Endpoint
 	cells []atm.Cell
 	times []time.Duration
 }
 
 func (c *collector) ReceiveCell(cell atm.Cell) {
+	at := c.ep.Now()
+	if cell.EndOfFrame() {
+		at = c.ep.Eng().Now()
+	}
 	c.cells = append(c.cells, cell)
-	c.times = append(c.times, c.e.Now())
+	c.times = append(c.times, at)
 }
 
 // testbed builds the paper's 3-hop/2-switch path with two endpoints.
@@ -29,15 +36,8 @@ func testbed(t *testing.T) (*sim.Engine, *Fabric, *Endpoint, *Endpoint, *collect
 	e := sim.New(1)
 	f := NewFabric(e)
 	swA, swB := Testbed(f)
-	ca, cb := &collector{e: e}, &collector{e: e}
-	epA, err := f.Attach("mh.rt", ca, swA, TAXI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := f.Attach("ucb.rt", cb, swB, TAXI())
-	if err != nil {
-		t.Fatal(err)
-	}
+	epA, ca := attach(t, f, "mh.rt", swA, TAXI(), e)
+	epB, cb := attach(t, f, "ucb.rt", swB, TAXI(), e)
 	return e, f, epA, epB, ca, cb
 }
 
@@ -88,7 +88,7 @@ func TestCellDeliveryAndTranslation(t *testing.T) {
 func TestUnknownVCIDropped(t *testing.T) {
 	e, f, epA, _, _, cb := testbed(t)
 	epA.SendCell(atm.Cell{Header: atm.Header{VCI: 999}})
-	e.Run()
+	drain(f, e.Run)
 	if len(cb.cells) != 0 {
 		t.Fatal("cell on unprogrammed VCI delivered")
 	}
@@ -110,7 +110,7 @@ func TestCellOrderPreserved(t *testing.T) {
 		c.Payload[0] = byte(i)
 		epA.SendCell(c)
 	}
-	e.Run()
+	drain(f, e.Run)
 	if len(cb.cells) != n {
 		t.Fatalf("delivered %d of %d", len(cb.cells), n)
 	}
@@ -244,11 +244,10 @@ func TestQueueOverflowDropsCells(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	sw := f.MustAddSwitch("s")
-	sink := &collector{e: e}
 	// Tiny queue and a slow trunk to force overflow.
 	slow := LinkConfig{RateBps: 1_000_000, QueueCells: 4}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
-	_, _ = f.Attach("b", sink, sw, slow)
+	_, sink := attach(t, f, "b", sw, slow, e)
 	vc, err := f.SetupVC("a", "b", qos.BestEffortQoS)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +255,7 @@ func TestQueueOverflowDropsCells(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}})
 	}
-	e.Run()
+	drain(f, e.Run)
 	sent, dropped := f.TrunkStats()
 	if dropped == 0 {
 		t.Fatal("no drops despite overflow")
@@ -273,10 +272,9 @@ func TestWRRFavorsCBRUnderCongestion(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	sw := f.MustAddSwitch("s")
-	sink := &collector{e: e}
 	slow := LinkConfig{RateBps: 2_000_000, QueueCells: 2000}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
-	_, _ = f.Attach("b", sink, sw, slow)
+	_, sink := attach(t, f, "b", sw, slow, e)
 	cbr, err := f.SetupVC("a", "b", qos.QoS{Class: qos.CBR, BandwidthKbs: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +289,7 @@ func TestWRRFavorsCBRUnderCongestion(t *testing.T) {
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: be.SrcVCI}})
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: cbr.SrcVCI}})
 	}
-	e.Run()
+	drain(f, e.Run)
 	if len(sink.cells) != 2*n {
 		t.Fatalf("delivered %d of %d", len(sink.cells), 2*n)
 	}
@@ -340,15 +338,14 @@ func TestCrossCountryDelayDominatesPropagation(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
 	sw := Xunet(f)
-	sinkB := &collector{e: e}
 	fA, _ := f.Attach("mh.rt", nil, sw[MurrayHill], TAXI())
-	_, _ = f.Attach("ucb.rt", sinkB, sw[Berkeley], TAXI())
+	_, sinkB := attach(t, f, "ucb.rt", sw[Berkeley], TAXI(), e)
 	vc, err := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fA.SendCell(atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}})
-	e.Run()
+	drain(f, e.Run)
 	if len(sinkB.cells) != 1 {
 		t.Fatal("cross-country cell lost")
 	}
@@ -412,7 +409,7 @@ func TestVCITableBounds(t *testing.T) {
 	}
 	// Nothing set up yet: every table is empty.
 	epA.SendCell(atm.Cell{Header: atm.Header{VCI: 40}})
-	e.Run()
+	drain(f, e.Run)
 	if got := unroutable(); got != 1 {
 		t.Fatalf("empty table: unroutable = %d, want 1", got)
 	}
@@ -423,7 +420,7 @@ func TestVCITableBounds(t *testing.T) {
 	for _, vci := range []atm.VCI{cbr.SrcVCI - 1, cbr.SrcVCI + 1, atm.MaxVCI, 65535} {
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: vci}})
 	}
-	e.Run()
+	drain(f, e.Run)
 	if got := unroutable(); got != 5 {
 		t.Fatalf("unset and out-of-range VCIs: unroutable = %d, want 5", got)
 	}
@@ -433,7 +430,7 @@ func TestVCITableBounds(t *testing.T) {
 	old := cbr.SrcVCI
 	epA.SendCell(atm.Cell{Header: atm.Header{VCI: old}})
 	cbr.Release()
-	e.Run() // the entry went while the cell was on the first hop
+	drain(f, e.Run) // the entry went while the cell was on the first hop
 	if got := unroutable(); got != 6 || len(cb.cells) != 0 {
 		t.Fatalf("released VCI: unroutable = %d (want 6), delivered %d", got, len(cb.cells))
 	}
@@ -449,7 +446,7 @@ func TestVCITableBounds(t *testing.T) {
 		t.Fatalf("VCI %d not reused: got %d", old, vbr.SrcVCI)
 	}
 	epA.SendCell(atm.Cell{Header: atm.Header{VCI: old}})
-	e.Run()
+	drain(f, e.Run)
 	if len(cb.cells) != 1 || cb.cells[0].VCI != vbr.DstVCI {
 		t.Fatalf("reused VCI: delivered %d cells", len(cb.cells))
 	}
@@ -487,14 +484,15 @@ func TestTrunkCountersAreMonotoneMidBurst(t *testing.T) {
 			last = up.Sent
 		})
 	}
-	e.Run()
+	drain(f, e.Run)
 	if sent, _ := f.TrunkStats(); sent != 3*burst {
 		t.Fatalf("TrunkStats sent = %d, want %d", sent, 3*burst)
 	}
 }
 
-// TestInteriorTrunkCycleAllocs: once the rings have their size, a frame's
-// send/commit/deliver cycle over three interior trunks allocates nothing.
+// TestInteriorTrunkCycleAllocs: once the rings and the watch pool have
+// their size, a frame's send/commit/deliver cycle over three interior
+// trunks, watch event included, allocates nothing.
 func TestInteriorTrunkCycleAllocs(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
@@ -509,6 +507,10 @@ func TestInteriorTrunkCycleAllocs(t *testing.T) {
 	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
 	got := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 30; i++ {
+			c.PTI = atm.PTIUserData0
+			if i == 29 {
+				c.PTI = atm.PTIUserData1
+			}
 			epA.SendCell(c)
 		}
 		e.Run()
