@@ -22,11 +22,12 @@ test:
 # window, and the shard barrier spins, yields and parks, so both must
 # hold with fewer Ps than workers and with more. The packages whose
 # records are recycled through owner-local free lists (queue waiters,
-# stream segments, fd slots) ride along: their reuse-safety tests are
-# the ones a stray cross-goroutine touch would break.
+# packet records, fd slots) ride along: their reuse-safety tests are
+# the ones a stray cross-goroutine touch would break. So do the frame
+# path's chain owners, whose chains the race build poisons on Release.
 race:
 	$(GO) test -race ./...
-	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/
+	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.

@@ -37,6 +37,15 @@ const MaxVCI VCI = 4095
 // String renders the VCI for logs and traces.
 func (v VCI) String() string { return fmt.Sprintf("vci%d", uint16(v)) }
 
+// Grow extends a VCI-indexed table to hold vci. The stack's per-VCI
+// tables are slices indexed this way, grown on a VCI's first use.
+func Grow[T any](tab []T, vci VCI) []T {
+	if int(vci) >= len(tab) {
+		tab = append(tab, make([]T, int(vci)+1-len(tab))...)
+	}
+	return tab
+}
+
 // VPI is a virtual path identifier. Xunet's testbed used a single
 // virtual path; the type exists for header fidelity.
 type VPI uint8

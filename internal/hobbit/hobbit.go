@@ -46,7 +46,7 @@ type FrameHandler func(vci atm.VCI, frame *mbuf.Chain)
 
 // FrameOutput transmits an unsegmented, trailerless frame toward the
 // network on a host without a board (the IPPROTO_ATM encapsulation
-// routine).
+// routine), consuming it whatever the outcome.
 type FrameOutput func(vci atm.VCI, frame *mbuf.Chain) error
 
 // Errors from the driver.
@@ -99,17 +99,9 @@ type vcState struct {
 // Driver.AttachBoard to connect it to its driver.
 func NewBoard(tx CellTx) *Board { return &Board{tx: tx} }
 
-// grow extends a VCI-indexed table to hold vci.
-func grow[T any](tab []T, vci atm.VCI) []T {
-	if int(vci) >= len(tab) {
-		tab = append(tab, make([]T, int(vci)+1-len(tab))...)
-	}
-	return tab
-}
-
 // vc returns the SAR state of vci, growing the table to hold it.
 func (b *Board) vc(vci atm.VCI) *vcState {
-	b.vcs = grow(b.vcs, vci)
+	b.vcs = atm.Grow(b.vcs, vci)
 	v := b.vcs[vci]
 	if v == nil {
 		v = &vcState{reasm: *aal5.NewReassembler(0)}
@@ -141,6 +133,8 @@ func (b *Board) Send(vci atm.VCI, frame *mbuf.Chain) error {
 	seq := v.seqTx
 	v.seqTx++
 	b.sdu = frame.AppendTo(b.sdu[:0])
+	tc, tcAt := frame.TC, frame.TCAt
+	frame.Release() // flattened into the SDU; the chain is consumed
 	var err error
 	if b.pdu, err = aal5.AppendFrame(b.pdu[:0], b.sdu, seq); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
@@ -148,8 +142,6 @@ func (b *Board) Send(vci atm.VCI, frame *mbuf.Chain) error {
 	if b.cells, err = aal5.SegmentInto(b.cells[:0], b.pdu, 0, vci); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
-	tc, tcAt := frame.TC, frame.TCAt
-	frame.Release() // segmented into cells; the chain is consumed
 	b.FramesOut++
 	for i := range b.cells {
 		b.CellsOut++
@@ -256,7 +248,7 @@ func (d *Driver) vc(vci atm.VCI) drvVC {
 
 // setVC stores the entry for vci, growing the table to hold it.
 func (d *Driver) setVC(vci atm.VCI, e drvVC) {
-	d.vcs = grow(d.vcs, vci)
+	d.vcs = atm.Grow(d.vcs, vci)
 	d.vcs[vci] = e
 }
 
@@ -277,17 +269,19 @@ func (d *Driver) Board() *Board { return d.board }
 // Output transmits a frame on a VCI. On a router this reaches the
 // board; on a host, the encapsulation layer. Matching Table 1, the
 // driver send path itself costs nothing: it "simply calls the next
-// layer down without touching the data or the header".
+// layer down without touching the data or the header". The frame is
+// consumed whatever the outcome.
 func (d *Driver) Output(vci atm.VCI, frame *mbuf.Chain) error {
-	if d.vc(vci).shut {
+	switch {
+	case d.vc(vci).shut:
+		frame.Release()
 		return ErrShutVCI
-	}
-	if d.board != nil {
+	case d.board != nil:
 		return d.board.Send(vci, frame)
-	}
-	if d.encap != nil {
+	case d.encap != nil:
 		return d.encap(vci, frame)
 	}
+	frame.Release()
 	return ErrNoBackend
 }
 

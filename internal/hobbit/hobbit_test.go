@@ -414,3 +414,29 @@ func TestDriverVCITableBounds(t *testing.T) {
 		t.Fatalf("delivered on %v", got)
 	}
 }
+
+// released reports whether c was released: poisoned under the race
+// detector, emptied without it (c is never empty when sent).
+func released(c *mbuf.Chain) (yes bool) {
+	defer func() {
+		if recover() != nil {
+			yes = true
+		}
+	}()
+	return c.Head() == nil && c.Len() == 0
+}
+
+// Output consumes its frame on every path: a refusal releases it, so
+// the caller — which no longer owns it — leaks nothing.
+func TestOutputConsumesRefusedFrames(t *testing.T) {
+	tx, _, _ := pair(t)
+	tx.Shut(4)
+	shut := mbuf.FromBytes(pay(10))
+	if err := tx.Output(4, shut); !errors.Is(err, ErrShutVCI) || !released(shut) {
+		t.Fatalf("shut VCI: err %v, released %v", err, released(shut))
+	}
+	orphan := mbuf.FromBytes(pay(10))
+	if err := NewDriver(nil).Output(1, orphan); !errors.Is(err, ErrNoBackend) || !released(orphan) {
+		t.Fatalf("no backend: err %v, released %v", err, released(orphan))
+	}
+}

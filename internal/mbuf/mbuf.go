@@ -8,6 +8,16 @@
 // did: a frame written to a PF_XUNET socket becomes a chain of fixed-size
 // buffers, layers prepend headers by growing the chain, and per-mbuf loop
 // costs are charged as the chain is walked.
+//
+// Ownership follows BSD's m_freem discipline. A chain passed to a callee
+// belongs to the callee: the caller never touches it again, and exactly
+// one terminal consumer — the layer that copies the data out, segments
+// it into cells, or drops it — calls Release, on every path, errors
+// included. Release recycles the chain header along with its mbufs, so a
+// frame handed down and up the stack allocates nothing once the free
+// lists are warm. Under the race detector Release poisons the header
+// instead of recycling it, and any later use or second Release panics
+// with the stack that released it.
 package mbuf
 
 import (
@@ -46,10 +56,11 @@ type Mbuf struct {
 // ATM addresses up to 14 characters.
 const leadingSpace = 24
 
-// Free lists, one per size class, in the spirit of the BSD mbuf map.
-// Mbufs return here via Chain.Release from the terminal points of the
-// data path (receive delivery, protocol drops), so steady-state traffic
-// recirculates buffers instead of allocating cold ones.
+// Free lists, one per size class plus one for chain headers, in the
+// spirit of the BSD mbuf map. Mbufs and headers return here via
+// Chain.Release from the terminal points of the data path (receive
+// delivery, protocol drops), so steady-state traffic recirculates them
+// instead of allocating cold ones.
 var (
 	smallPool = sync.Pool{New: func() any {
 		return &Mbuf{buf: make([]byte, MLEN+leadingSpace)}
@@ -57,7 +68,15 @@ var (
 	clusterPool = sync.Pool{New: func() any {
 		return &Mbuf{buf: make([]byte, MCLBYTES+leadingSpace)}
 	}}
+	chainPool = sync.Pool{New: func() any { return new(Chain) }}
 )
+
+// newChain draws an empty header: every chain this package builds.
+func newChain() *Chain {
+	c := chainPool.Get().(*Chain)
+	c.pooled = true
+	return c
+}
 
 // alloc returns an mbuf with capacity at least c and leading space
 // reserved, drawing from the small or cluster free list when c fits a
@@ -78,15 +97,16 @@ func alloc(c int) *Mbuf {
 	return m
 }
 
-// Release returns every mbuf of the chain to its free list and empties
-// the chain. Call it only when the chain's data has been fully consumed
-// (copied out or dropped): slices previously returned by Data or Bytes
-// of pooled mbufs must not be used afterward. Release of a nil or empty
-// chain is a no-op.
+// Release returns the chain's mbufs and header to their free lists. Call
+// it once, when the data has been consumed (copied out or dropped):
+// neither the chain nor slices from Data may be used afterward. A header
+// not built here (an embedded or literal Chain) is emptied, not
+// recycled. Release of nil is a no-op.
 func (c *Chain) Release() {
 	if c == nil {
 		return
 	}
+	c.poison.check()
 	for m := c.head; m != nil; {
 		next := m.next
 		m.next = nil
@@ -98,8 +118,11 @@ func (c *Chain) Release() {
 		}
 		m = next
 	}
-	c.head, c.tail, c.count, c.length = nil, nil, 0, 0
-	c.TC, c.TCAt = trace.Context{}, 0
+	pooled := c.pooled
+	*c = Chain{}
+	if c.poison.release() && pooled {
+		chainPool.Put(c)
+	}
 }
 
 // Data returns the valid bytes of this single mbuf (not the chain).
@@ -114,6 +137,7 @@ func (m *Mbuf) Next() *Mbuf { return m.next }
 // Chain is a sequence of mbufs holding one message. The zero value is an
 // empty chain. A Chain is not safe for concurrent use.
 type Chain struct {
+	poison     poison // released-at stack under the race detector; empty otherwise
 	head, tail *Mbuf
 	count      int
 	length     int
@@ -126,13 +150,15 @@ type Chain struct {
 	// chain state.
 	TC   trace.Context
 	TCAt time.Duration
+
+	pooled bool // drawn from chainPool
 }
 
 // FromBytes builds a chain from p using the standard allocation policy:
 // cluster mbufs for large messages, small mbufs otherwise. The data is
 // copied; p may be reused by the caller.
 func FromBytes(p []byte) *Chain {
-	c := &Chain{}
+	c := newChain()
 	c.AppendBytes(p)
 	return c
 }
@@ -144,7 +170,7 @@ func FromBytesSplit(p []byte, per int) *Chain {
 	if per <= 0 {
 		per = MLEN
 	}
-	c := &Chain{}
+	c := newChain()
 	for len(p) > 0 {
 		n := per
 		if n > len(p) {
@@ -160,13 +186,14 @@ func FromBytesSplit(p []byte, per int) *Chain {
 }
 
 // Empty builds an empty chain.
-func Empty() *Chain { return &Chain{} }
+func Empty() *Chain { return newChain() }
 
 // Len returns the total number of valid bytes in the chain.
 func (c *Chain) Len() int {
 	if c == nil {
 		return 0
 	}
+	c.poison.check()
 	return c.length
 }
 
@@ -176,6 +203,7 @@ func (c *Chain) Count() int {
 	if c == nil {
 		return 0
 	}
+	c.poison.check()
 	return c.count
 }
 
@@ -184,10 +212,12 @@ func (c *Chain) Head() *Mbuf {
 	if c == nil {
 		return nil
 	}
+	c.poison.check()
 	return c.head
 }
 
 func (c *Chain) appendMbuf(m *Mbuf) {
+	c.poison.check()
 	if c.head == nil {
 		c.head = m
 	} else {
@@ -222,7 +252,8 @@ func (c *Chain) AppendBytes(p []byte) {
 
 // Concat moves all mbufs of other onto the end of c, leaving other empty.
 func (c *Chain) Concat(other *Chain) {
-	if other == nil || other.head == nil {
+	c.poison.check()
+	if other.Head() == nil {
 		return
 	}
 	if c.head == nil {
@@ -240,6 +271,7 @@ func (c *Chain) Concat(other *Chain) {
 // space of the first mbuf when it fits (the fast path M_PREPEND takes)
 // and allocating a new mbuf otherwise.
 func (c *Chain) Prepend(hdr []byte) {
+	c.poison.check()
 	if len(hdr) == 0 {
 		return
 	}
@@ -266,6 +298,7 @@ func (c *Chain) Prepend(hdr []byte) {
 // mbufs. It removes fewer bytes only if the chain is shorter than n; it
 // returns the number of bytes removed.
 func (c *Chain) TrimFront(n int) int {
+	c.poison.check()
 	removed := 0
 	for n > 0 && c.head != nil {
 		m := c.head
@@ -292,6 +325,7 @@ func (c *Chain) TrimFront(n int) int {
 // TrimBack removes n bytes from the end of the chain, freeing emptied
 // mbufs, and returns the number of bytes removed.
 func (c *Chain) TrimBack(n int) int {
+	c.poison.check()
 	if n <= 0 || c.head == nil {
 		return 0
 	}
@@ -329,7 +363,7 @@ func (c *Chain) TrimBack(n int) int {
 
 // Bytes flattens the chain into a single contiguous slice (copying).
 func (c *Chain) Bytes() []byte {
-	if c == nil || c.length == 0 {
+	if c.Len() == 0 {
 		return nil
 	}
 	return c.AppendTo(make([]byte, 0, c.length))
@@ -348,7 +382,7 @@ func (c *Chain) AppendTo(dst []byte) []byte {
 // without consuming them, returning the number copied.
 func (c *Chain) CopyTo(p []byte) int {
 	n := 0
-	for m := c.head; m != nil && n < len(p); m = m.next {
+	for m := c.Head(); m != nil && n < len(p); m = m.next {
 		n += copy(p[n:], m.Data())
 	}
 	return n
@@ -358,6 +392,7 @@ func (c *Chain) CopyTo(p []byte) int {
 // first mbuf, so a header may be read with a single slice. It returns
 // false if the chain holds fewer than n bytes.
 func (c *Chain) Pullup(n int) bool {
+	c.poison.check()
 	if n <= 0 {
 		return true
 	}
@@ -404,12 +439,14 @@ func (c *Chain) Pullup(n int) bool {
 // holding everything from offset n onward; c keeps the first n bytes.
 // Splitting beyond the end returns an empty chain.
 func (c *Chain) SplitAt(n int) *Chain {
-	rest := &Chain{}
+	c.poison.check()
+	rest := newChain()
 	if n >= c.length {
 		return rest
 	}
 	if n <= 0 {
 		*rest = *c
+		rest.pooled = true // the header is still newChain's
 		c.head, c.tail, c.count, c.length = nil, nil, 0, 0
 		return rest
 	}
@@ -458,8 +495,8 @@ func (c *Chain) SplitAt(n int) *Chain {
 
 // Clone returns a deep copy of the chain with the same mbuf boundaries.
 func (c *Chain) Clone() *Chain {
-	out := &Chain{}
-	for m := c.head; m != nil; m = m.next {
+	out := newChain()
+	for m := c.Head(); m != nil; m = m.next {
 		nm := alloc(m.n)
 		copy(nm.buf[nm.off:], m.Data())
 		nm.n = m.n

@@ -2,7 +2,9 @@ package mbuf
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -380,5 +382,65 @@ func BenchmarkPrepend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := FromBytes(hdr)
 		c.Prepend(hdr)
+	}
+}
+
+// sink makes a chain escape, as every chain on the data path does.
+var sink *Chain
+
+// A released header goes back to the free list with its mbufs: a chain
+// built and released in a loop allocates nothing once the lists are
+// warm, even when it escapes.
+func TestReleaseRecyclesHeader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector poisons released headers instead of recycling them")
+	}
+	p := payload(40)
+	if avg := testing.AllocsPerRun(100, func() {
+		sink = FromBytes(p)
+		sink.Release()
+	}); avg != 0 {
+		t.Fatalf("build and release allocates %.1f times, want 0", avg)
+	}
+}
+
+// releaseHere is the frame a poisoned chain's panic must name.
+func releaseHere(c *Chain) { c.Release() }
+
+// Under the race detector a released chain is poisoned: any use, and a
+// second Release, panics with the stack that released it.
+func TestReleasedChainPanics(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("released chains are poisoned only under the race detector")
+	}
+	uses := map[string]func(c *Chain){
+		"Len":            func(c *Chain) { c.Len() },
+		"Count":          func(c *Chain) { c.Count() },
+		"Head":           func(c *Chain) { c.Head() },
+		"Bytes":          func(c *Chain) { c.Bytes() },
+		"AppendTo":       func(c *Chain) { c.AppendTo(nil) },
+		"CopyTo":         func(c *Chain) { c.CopyTo(make([]byte, 4)) },
+		"AppendBytes":    func(c *Chain) { c.AppendBytes([]byte{1}) },
+		"Prepend":        func(c *Chain) { c.Prepend([]byte{1}) },
+		"TrimFront":      func(c *Chain) { c.TrimFront(1) },
+		"TrimBack":       func(c *Chain) { c.TrimBack(1) },
+		"Pullup":         func(c *Chain) { c.Pullup(1) },
+		"SplitAt":        func(c *Chain) { c.SplitAt(1) },
+		"Clone":          func(c *Chain) { c.Clone() },
+		"Concat onto":    func(c *Chain) { c.Concat(FromBytes([]byte{1})) },
+		"Concat from":    func(c *Chain) { FromBytes([]byte{1}).Concat(c) },
+		"second Release": func(c *Chain) { c.Release() },
+	}
+	for name, use := range uses {
+		c := FromBytes(payload(300))
+		releaseHere(c)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			use(c)
+			return "no panic"
+		}()
+		if !strings.Contains(msg, "used after Release") || !strings.Contains(msg, "mbuf.releaseHere") {
+			t.Errorf("%s after Release: got %q, want a panic naming the releasing stack", name, msg)
+		}
 	}
 }

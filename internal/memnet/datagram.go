@@ -35,10 +35,10 @@ func (nd *Node) UnbindDatagram(port uint16) { delete(nd.dgrams, port) }
 // SendDatagram sends one datagram. Delivery is best effort: loss, and
 // reordering follow the link configuration.
 func (nd *Node) SendDatagram(dst IPAddr, dport, sport uint16, data []byte) error {
-	hdr := []byte{byte(sport >> 8), byte(sport), byte(dport >> 8), byte(dport)}
-	chain := mbuf.FromBytes(hdr)
+	hdr := [dgramHeaderSize]byte{byte(sport >> 8), byte(sport), byte(dport >> 8), byte(dport)}
+	chain := mbuf.FromBytes(hdr[:])
 	chain.AppendBytes(data)
-	return nd.SendIP(&Packet{Dst: dst, Proto: ProtoDatagram, Payload: chain})
+	return nd.SendChain(dst, ProtoDatagram, chain)
 }
 
 func (nd *Node) datagramInput(pkt *Packet) {

@@ -100,7 +100,7 @@ func TestMemnetFaultCountersAdvance(t *testing.T) {
 	r.BindProto(200, func(pkt *Packet) {})
 	e.Go("send", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			_ = h.SendIP(&Packet{Dst: r.Addr, Proto: 200, Payload: mbuf.FromBytes(make([]byte, 8))})
+			_ = h.SendChain(r.Addr, 200, mbuf.FromBytes(make([]byte, 8)))
 			p.Sleep(100 * time.Microsecond)
 		}
 	})

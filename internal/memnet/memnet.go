@@ -53,7 +53,11 @@ const IPHeaderSize = 20
 const DefaultTTL = 32
 
 // Packet is an IP packet in flight. Payload is an mbuf chain so that
-// the encapsulation layers above can preserve chain shape end to end.
+// the encapsulation layers above can preserve chain shape end to end; a
+// protocol handler owns it, but must not keep pkt. Every packet travels
+// in a record from the sender's free list that goes home wherever the
+// packet ends (reclaim): links never cross engines, so home is on the
+// packet's own shard.
 type Packet struct {
 	Src, Dst IPAddr
 	Proto    uint8
@@ -63,9 +67,9 @@ type Packet struct {
 	// at is the node the packet is in flight to: the arrival event
 	// carries the packet itself (hop), so a transmission costs no closure.
 	at *Node
-	// seg is the pooled record this packet is embedded in when it carries
-	// a stream segment (see segPkt); nil for every other packet.
-	seg *segPkt
+	// home is the node whose free list the record came from.
+	home *Node
+	next *Packet // free-list link
 }
 
 // Len is the wire length charged to links.
@@ -142,10 +146,10 @@ type Node struct {
 	links     map[*Node]*link // neighbor -> outgoing link
 	routes    map[IPAddr]*Node
 	defaultGw *Node
-	protos    map[uint8]ProtoHandler
+	protos    [256]ProtoHandler
 
 	streams  *streamLayer
-	segFree  *segPkt // recycled stream-segment packets (see segPkt)
+	pktFree  *Packet // records of packets this node sent that have ended
 	dgrams   map[uint16]DatagramHandler
 	nextPort uint16
 
@@ -187,7 +191,6 @@ func (n *Network) AddNodeOn(name string, addr IPAddr, e *sim.Engine) (*Node, err
 		eng:      e,
 		links:    make(map[*Node]*link),
 		routes:   make(map[IPAddr]*Node),
-		protos:   make(map[uint8]ProtoHandler),
 		dgrams:   make(map[uint16]DatagramHandler),
 		nextPort: 10000,
 	}
@@ -314,18 +317,37 @@ func (nd *Node) SetDefaultRoute(via *Node) { nd.defaultGw = via }
 // any previous handler.
 func (nd *Node) BindProto(proto uint8, h ProtoHandler) { nd.protos[proto] = h }
 
-// SendIP originates a packet from this node. The Src and TTL fields are
-// filled in if zero. The Table 1 IP send cost is charged to the node's
-// meter.
-func (nd *Node) SendIP(pkt *Packet) error {
-	if pkt.Src == 0 {
-		pkt.Src = nd.Addr
-	}
-	if pkt.TTL == 0 {
-		pkt.TTL = DefaultTTL
-	}
+// SendChain originates a packet carrying chain, which belongs to the
+// network from the call on, whatever the outcome. The Table 1 IP send
+// cost is charged to the node's meter.
+func (nd *Node) SendChain(dst IPAddr, proto uint8, chain *mbuf.Chain) error {
+	pkt := nd.record()
+	*pkt = Packet{Src: nd.Addr, Dst: dst, Proto: proto, TTL: DefaultTTL, Payload: chain, home: nd}
 	nd.Meter.Charge(cost.IP, cost.IPSendCost)
 	return nd.route(pkt)
+}
+
+// record draws a packet record from this node's free list.
+func (nd *Node) record() *Packet {
+	pkt := nd.pktFree
+	if pkt == nil {
+		return new(Packet)
+	}
+	nd.pktFree = pkt.next
+	return pkt
+}
+
+// reclaim sends a record home; every path a packet ends on calls it once.
+func reclaim(pkt *Packet) {
+	h := pkt.home
+	*pkt = Packet{next: h.pktFree}
+	h.pktFree = pkt
+}
+
+// discard ends a packet that reached no handler.
+func discard(pkt *Packet) {
+	pkt.Payload.Release()
+	reclaim(pkt)
 }
 
 // route transmits toward the destination: locally delivered, or out the
@@ -342,8 +364,9 @@ func (nd *Node) route(pkt *Packet) error {
 		via = nd.defaultGw
 	}
 	if via == nil {
+		err := fmt.Errorf("%w: %v from %v", ErrNoRoute, pkt.Dst, nd.Name)
 		nd.drop(pkt)
-		return fmt.Errorf("%w: %v from %v", ErrNoRoute, pkt.Dst, nd.Name)
+		return err
 	}
 	l := nd.links[via]
 	if l == nil {
@@ -368,7 +391,7 @@ func packetArrive(arg any) {
 // drop counts a packet this node could not route or deliver.
 func (nd *Node) drop(pkt *Packet) {
 	nd.NoRoute++
-	nd.reclaim(pkt)
+	discard(pkt)
 }
 
 // transmit models serialization, propagation, loss and reordering, then
@@ -379,7 +402,7 @@ func (l *link) transmit(pkt *Packet) {
 	l.Sent++
 	if rng.Chance(l.cfg.LossProb) {
 		l.Dropped++
-		l.from.reclaim(pkt)
+		discard(pkt)
 		return
 	}
 	var ser time.Duration
@@ -402,18 +425,16 @@ func (l *link) transmit(pkt *Packet) {
 		v := fp.Packet(trace.Context{})
 		if v.Drop {
 			l.Dropped++
-			l.from.reclaim(pkt)
+			discard(pkt)
 			return
 		}
 		arrive += v.ExtraDelay
 		if v.Dup {
-			// A private copy, payload included: the original's chain —
-			// and, for a stream segment, its pooled record — is consumed
-			// and reused by the time the duplicate lands.
-			cp := *pkt
-			cp.Payload = pkt.Payload.Clone()
-			cp.seg = nil
-			dup = &cp
+			// A private copy, payload and record included: the original's
+			// are consumed and reused by the time the duplicate lands.
+			dup = l.from.record()
+			*dup = *pkt
+			dup.Payload, dup.home = pkt.Payload.Clone(), l.from
 		}
 	}
 	pkt.hop(arrive, l.to)
@@ -453,6 +474,7 @@ func (nd *Node) deliverLocal(pkt *Packet) {
 	}
 	nd.Delivered++
 	h(pkt)
+	reclaim(pkt)
 }
 
 // ephemeralPort allocates a local port for dialing: the next free one

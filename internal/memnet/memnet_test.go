@@ -42,9 +42,9 @@ func TestRawDelivery(t *testing.T) {
 	var got []byte
 	r.BindProto(200, func(pkt *Packet) { got = pkt.Payload.Bytes() })
 	e.Go("send", func(p *sim.Proc) {
-		err := h.SendIP(&Packet{Dst: r.Addr, Proto: 200, Payload: mbuf.FromBytes([]byte("hello"))})
+		err := h.SendChain(r.Addr, 200, mbuf.FromBytes([]byte("hello")))
 		if err != nil {
-			t.Errorf("SendIP: %v", err)
+			t.Errorf("SendChain: %v", err)
 		}
 	})
 	e.Run()
@@ -60,9 +60,14 @@ func TestNoRoute(t *testing.T) {
 	e := sim.New(1)
 	n := New(e)
 	lone := n.MustAddNode("lone", IP4(9, 9, 9, 9))
-	err := lone.SendIP(&Packet{Dst: IP4(8, 8, 8, 8), Proto: 1, Payload: mbuf.Empty()})
+	err := lone.SendChain(IP4(8, 8, 8, 8), 1, mbuf.Empty())
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v", err)
+	}
+	// The record is recycled by the drop; the error still names the
+	// destination it was built for.
+	if want := "memnet: no route to destination: 8.8.8.8 from lone"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 	if lone.NoRoute != 1 {
 		t.Fatalf("NoRoute = %d", lone.NoRoute)
@@ -81,7 +86,7 @@ func TestForwarding(t *testing.T) {
 	b.AddRoute(c.Addr, c)
 	var got bool
 	c.BindProto(99, func(*Packet) { got = true })
-	_ = a.SendIP(&Packet{Dst: c.Addr, Proto: 99, Payload: mbuf.FromBytes([]byte("x"))})
+	_ = a.SendChain(c.Addr, 99, mbuf.FromBytes([]byte("x")))
 	e.Run()
 	if !got {
 		t.Fatal("packet not forwarded to c")
@@ -95,7 +100,7 @@ func TestTTLExpiry(t *testing.T) {
 	// Two nodes with default routes pointing at each other: a packet for
 	// a third address ping-pongs until TTL dies.
 	e, _, h, r := twoNodes(t)
-	_ = h.SendIP(&Packet{Dst: IP4(99, 99, 99, 99), Proto: 1, Payload: mbuf.Empty()})
+	_ = h.SendChain(IP4(99, 99, 99, 99), 1, mbuf.Empty())
 	e.Run()
 	if h.Forwarded+r.Forwarded == 0 {
 		t.Fatal("no forwarding happened")
@@ -110,7 +115,7 @@ func TestLinkLoss(t *testing.T) {
 	h.LinkTo(r).SetLoss(1.0)
 	delivered := false
 	r.BindProto(50, func(*Packet) { delivered = true })
-	_ = h.SendIP(&Packet{Dst: r.Addr, Proto: 50, Payload: mbuf.Empty()})
+	_ = h.SendChain(r.Addr, 50, mbuf.Empty())
 	e.Run()
 	if delivered {
 		t.Fatal("packet survived 100% loss")
@@ -132,7 +137,7 @@ func TestSerializationDelay(t *testing.T) {
 	a.SetDefaultRoute(b)
 	var at time.Duration
 	b.BindProto(7, func(*Packet) { at = e.Now() })
-	_ = a.SendIP(&Packet{Dst: b.Addr, Proto: 7, Payload: mbuf.FromBytes(make([]byte, 1020))})
+	_ = a.SendChain(b.Addr, 7, mbuf.FromBytes(make([]byte, 1020)))
 	e.Run()
 	want := 8320 * time.Microsecond
 	if at != want {
@@ -150,7 +155,7 @@ func TestLinkQueueing(t *testing.T) {
 	var arrivals []time.Duration
 	b.BindProto(7, func(*Packet) { arrivals = append(arrivals, e.Now()) })
 	for i := 0; i < 3; i++ {
-		_ = a.SendIP(&Packet{Dst: b.Addr, Proto: 7, Payload: mbuf.FromBytes(make([]byte, 105))})
+		_ = a.SendChain(b.Addr, 7, mbuf.FromBytes(make([]byte, 105)))
 	}
 	e.Run()
 	if len(arrivals) != 3 {
@@ -169,7 +174,7 @@ func TestIPCostCharged(t *testing.T) {
 	hm, rm := cost.NewMeter(), cost.NewMeter()
 	h.Meter, r.Meter = hm, rm
 	r.BindProto(60, func(*Packet) {})
-	_ = h.SendIP(&Packet{Dst: r.Addr, Proto: 60, Payload: mbuf.Empty()})
+	_ = h.SendChain(r.Addr, 60, mbuf.Empty())
 	e.Run()
 	if got := hm.Count(cost.IP); got != cost.IPSendCost {
 		t.Fatalf("sender IP cost = %d", got)

@@ -7,26 +7,27 @@ import (
 	"time"
 
 	"xunet/internal/faults"
+	"xunet/internal/mbuf"
 	"xunet/internal/sim"
 )
 
-// Stream segments travel in records recycled through per-node free
-// lists (segPkt). These tests cover each way that could go wrong: a
-// record reused while something still points at it, returned twice, or
-// not returned.
+// Packets travel in records recycled through per-node free lists, each
+// record going home to the node that sent it. These tests cover each way
+// that could go wrong: a record reused while something still points at
+// it, returned twice, returned to the wrong list, or not returned.
 
 // pooledRecords walks every node's free list and returns the number of
 // records on them, failing if any record is listed twice.
 func pooledRecords(t *testing.T, nodes ...*Node) int {
 	t.Helper()
-	seen := make(map[*segPkt]bool)
+	seen := make(map[*Packet]bool)
 	for _, nd := range nodes {
-		for r := nd.segFree; r != nil; r = r.next {
+		for r := nd.pktFree; r != nil; r = r.next {
 			if seen[r] {
 				t.Fatalf("record %p is on a free list twice", r)
 			}
 			seen[r] = true
-			if r.chain.Len() != 0 || r.seg != nil {
+			if r.Payload != nil || r.home != nil {
 				t.Fatalf("record %p was returned without being emptied", r)
 			}
 		}
@@ -173,57 +174,116 @@ func TestAbortWithSegmentsInFlight(t *testing.T) {
 	e.Shutdown()
 }
 
-// A segment dropped on the way — link loss, fault-plane loss, TTL
-// expiry, no route, no handler — returns its record exactly once, to
-// the node that dropped it.
+// dropCases builds, for each way a packet can end before any handler —
+// link loss, fault-plane loss, TTL expiry, no route, no handler — a
+// network in which a stream segment or raw packet from "from" to dst
+// ends that way.
+var dropCases = map[string]func(t *testing.T) (e *sim.Engine, from *Node, dst IPAddr, nodes []*Node){
+	"link loss": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
+		e, _, h, r := twoNodes(t)
+		h.LinkTo(r).SetLoss(1)
+		return e, h, r.Addr, []*Node{h, r}
+	},
+	"fault-plane loss": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
+		e, _, h, r := faultyPair(t, faults.Config{Seed: 3, PktLoss: 1})
+		return e, h, r.Addr, []*Node{h, r}
+	},
+	"ttl": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
+		// Default routes point at each other: an unknown destination
+		// bounces until its TTL runs out.
+		e, _, h, r := twoNodes(t)
+		return e, h, IP4(9, 9, 9, 9), []*Node{h, r}
+	},
+	"no route": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
+		e := sim.New(1)
+		lone := New(e).MustAddNode("lone", IP4(10, 0, 0, 9))
+		return e, lone, IP4(9, 9, 9, 9), []*Node{lone}
+	},
+	"no handler": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
+		e, _, h, r := twoNodes(t)
+		r.protos[ProtoStream] = nil
+		return e, h, r.Addr, []*Node{h, r}
+	},
+}
+
+// A segment dropped on the way returns its record exactly once, to the
+// node that sent it.
 func TestDroppedSegmentsReturnRecordOnce(t *testing.T) {
 	seg := segment{flags: flagDATA, sport: 1, dport: 2, seq: 1, data: []byte("doomed")}
-	drops := map[string]func(t *testing.T) (e *sim.Engine, nodes []*Node, send func()){
-		"link loss": func(t *testing.T) (*sim.Engine, []*Node, func()) {
-			e, _, h, r := twoNodes(t)
-			h.LinkTo(r).SetLoss(1)
-			return e, []*Node{h, r}, func() { h.sendSegment(r.Addr, seg) }
-		},
-		"fault-plane loss": func(t *testing.T) (*sim.Engine, []*Node, func()) {
-			e, _, h, r := faultyPair(t, faults.Config{Seed: 3, PktLoss: 1})
-			return e, []*Node{h, r}, func() { h.sendSegment(r.Addr, seg) }
-		},
-		"ttl": func(t *testing.T) (*sim.Engine, []*Node, func()) {
-			// Default routes point at each other: an unknown
-			// destination bounces until its TTL runs out.
-			e, _, h, r := twoNodes(t)
-			return e, []*Node{h, r}, func() { h.sendSegment(IP4(9, 9, 9, 9), seg) }
-		},
-		"no route": func(t *testing.T) (*sim.Engine, []*Node, func()) {
-			e := sim.New(1)
-			lone := New(e).MustAddNode("lone", IP4(10, 0, 0, 9))
-			return e, []*Node{lone}, func() { lone.sendSegment(IP4(9, 9, 9, 9), seg) }
-		},
-		"no handler": func(t *testing.T) (*sim.Engine, []*Node, func()) {
-			e, _, h, r := twoNodes(t)
-			delete(r.protos, ProtoStream)
-			return e, []*Node{h, r}, func() { h.sendSegment(r.Addr, seg) }
-		},
-	}
-	for name, build := range drops {
+	for name, build := range dropCases {
 		t.Run(name, func(t *testing.T) {
-			e, nodes, send := build(t)
-			send()
+			e, from, dst, nodes := build(t)
+			from.sendSegment(dst, seg)
 			e.Run()
-			if n := pooledRecords(t, nodes...); n != 1 {
-				t.Fatalf("%d records on the free lists after one dropped segment, want 1", n)
+			if n := pooledRecords(t, from); n != 1 {
+				t.Fatalf("%d records on the sender's free list after one dropped segment, want 1", n)
 			}
-			// Whichever node holds the record, a segment sent from
-			// there reuses it, and it comes back once again.
-			for _, nd := range nodes {
-				if nd.segFree != nil {
-					nd.sendSegment(IP4(9, 9, 9, 9), seg)
-				}
-			}
+			// The sender's next segment reuses it, and it comes back
+			// once again.
+			from.sendSegment(dst, seg)
 			e.Run()
 			if n := pooledRecords(t, nodes...); n != 1 {
 				t.Fatalf("%d records on the free lists after reuse, want 1", n)
 			}
 		})
+	}
+}
+
+// released reports whether c was released: poisoned under the race
+// detector, emptied without it (c is never empty when sent).
+func released(c *mbuf.Chain) (yes bool) {
+	defer func() {
+		if recover() != nil {
+			yes = true
+		}
+	}()
+	return c.Head() == nil && c.Len() == 0
+}
+
+// Every drop releases the dropped packet's chain as well as returning
+// its record: a chain handed to SendChain belongs to the network.
+func TestDroppedPacketsReleasePayload(t *testing.T) {
+	for name, build := range dropCases {
+		t.Run(name, func(t *testing.T) {
+			e, from, dst, _ := build(t)
+			chain := mbuf.FromBytes([]byte("doomed"))
+			_ = from.SendChain(dst, 200, chain)
+			e.Run()
+			if !released(chain) {
+				t.Fatal("dropped packet's chain was not released")
+			}
+			if n := pooledRecords(t, from); n != 1 {
+				t.Fatalf("%d records on the sender's free list, want 1", n)
+			}
+		})
+	}
+}
+
+// A one-way flow never refills the receiver's list, so each record must
+// go home to its sender: 10 000 packets from h to r, in bursts of 8,
+// leave no more records than were ever in flight at once. Returned to
+// the receiver's list instead, every packet would cost h a new record.
+func TestOneWayPacketRecordsBounded(t *testing.T) {
+	e, _, h, r := twoNodes(t)
+	inFlight, most := 0, 0
+	r.BindProto(200, func(pkt *Packet) {
+		inFlight--
+		pkt.Payload.Release()
+	})
+	payload := make([]byte, 40)
+	for i := 0; i < 10000; i++ {
+		_ = h.SendChain(r.Addr, 200, mbuf.FromBytes(payload))
+		inFlight++
+		most = max(most, inFlight)
+		if i%8 == 7 {
+			e.RunFor(time.Millisecond)
+		}
+	}
+	e.Run()
+	if inFlight != 0 {
+		t.Fatalf("%d packets never arrived", inFlight)
+	}
+	if n := pooledRecords(t, h, r); n > most {
+		t.Fatalf("%d records for a flow with at most %d in flight", n, most)
 	}
 }

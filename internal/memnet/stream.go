@@ -76,43 +76,12 @@ func decodeHeader(b *[segHeaderSize]byte) segment {
 	}
 }
 
-// segPkt is the packet a stream segment travels in: the IP packet and
-// its payload chain in one record, taken from the sending node's free
-// list and returned to the list of the node where it ends — delivered
-// to streamLayer.input, or dropped on the way. Links never join nodes on
-// different engines, so every list has a single owner and needs no lock.
-type segPkt struct {
-	Packet
-	chain mbuf.Chain
-	next  *segPkt // free-list link
-}
-
 // sendSegment transmits one segment from this node.
 func (nd *Node) sendSegment(dst IPAddr, seg segment) {
-	r := nd.segFree
-	if r != nil {
-		nd.segFree, r.next = r.next, nil
-	} else {
-		r = new(segPkt)
-	}
-	r.Packet = Packet{Dst: dst, Proto: ProtoStream, Payload: &r.chain, seg: r}
 	hdr := seg.header()
-	r.chain.AppendBytes(seg.data)
-	r.chain.Prepend(hdr[:]) // into the first mbuf's leading space
-	_ = nd.SendIP(&r.Packet)
-}
-
-// reclaim ends a stream segment's journey at this node: its mbufs go
-// back to their pool and its record to this node's list. Every path a
-// packet can end on — input, or a drop on the way — calls it once; for
-// any other packet (and a fault-plane duplicate, which is a private
-// copy) it does nothing.
-func (nd *Node) reclaim(pkt *Packet) {
-	if r := pkt.seg; r != nil {
-		r.chain.Release()
-		pkt.seg = nil
-		r.next, nd.segFree = nd.segFree, r
-	}
+	chain := mbuf.FromBytes(seg.data)
+	chain.Prepend(hdr[:]) // into the first mbuf's leading space
+	_ = nd.SendChain(dst, ProtoStream, chain)
 }
 
 type connKey struct {
@@ -466,7 +435,6 @@ func (sl *streamLayer) input(pkt *Packet) {
 	}
 	src := pkt.Src
 	pkt.Payload.Release()
-	sl.node.reclaim(pkt)
 	if n < segHeaderSize {
 		return
 	}

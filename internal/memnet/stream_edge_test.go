@@ -64,10 +64,10 @@ func TestSendAfterLocalClose(t *testing.T) {
 }
 
 // forge puts a hand-built segment on the wire from nd, outside any
-// connection (and outside the pooled-record path real segments take).
+// connection.
 func forge(nd *Node, dst IPAddr, seg segment) {
 	hdr := seg.header()
-	_ = nd.SendIP(&Packet{Dst: dst, Proto: ProtoStream, Payload: mbuf.FromBytes(append(hdr[:], seg.data...))})
+	_ = nd.SendChain(dst, ProtoStream, mbuf.FromBytes(append(hdr[:], seg.data...)))
 }
 
 func TestDataToClosedConnDrawsRST(t *testing.T) {

@@ -190,49 +190,48 @@ func (s *Socket) Send(data []byte) error {
 // context is per-message rather than per-socket (the sighost peer PVC
 // carries many calls' messages over one socket).
 func (s *Socket) SendTraced(data []byte, tc trace.Context) error {
-	switch s.state {
-	case stateConnected:
-	case stateDisconnected:
-		return ErrDisconnected
-	default:
-		return ErrSockState
+	if err := s.sendable(); err != nil {
+		return err
 	}
-	chain := mbuf.FromBytes(data)
-	s.stamp(chain, tc)
-	s.FramesOut++
-	if s.shaper != nil {
-		return s.shaper.submit(chain)
-	}
-	return s.f.m.Orc.Output(s.vci, chain)
+	return s.send(mbuf.FromBytes(data), tc)
 }
 
-// SendChain transmits a prebuilt mbuf chain (zero-copy path).
+// SendChain transmits a prebuilt mbuf chain (zero-copy path). The chain
+// is consumed whatever the outcome.
 func (s *Socket) SendChain(chain *mbuf.Chain) error {
+	if err := s.sendable(); err != nil {
+		chain.Release()
+		return err
+	}
+	return s.send(chain, s.tc)
+}
+
+// sendable reports why the socket cannot send, if it cannot.
+func (s *Socket) sendable() error {
 	switch s.state {
 	case stateConnected:
+		return nil
 	case stateDisconnected:
 		return ErrDisconnected
-	default:
-		return ErrSockState
 	}
-	s.stamp(chain, s.tc)
+	return ErrSockState
+}
+
+// send hands the frame down, opening its transit span first: a child of
+// the call (or message) context that the receiving stack's input
+// routine will close on delivery. Unsampled contexts cost one branch
+// and no allocation.
+func (s *Socket) send(chain *mbuf.Chain, tc trace.Context) error {
+	if tc.Sampled() {
+		now := s.f.m.E.Now()
+		chain.TC = s.f.m.TraceC.StartSpanAt(tc, "pfxunet", "frame", now)
+		chain.TCAt = now
+	}
 	s.FramesOut++
 	if s.shaper != nil {
 		return s.shaper.submit(chain)
 	}
 	return s.f.m.Orc.Output(s.vci, chain)
-}
-
-// stamp opens the frame's transit span: a child of the call (or
-// message) context that the receiving stack's input routine will close
-// on delivery. Unsampled contexts cost one branch and no allocation.
-func (s *Socket) stamp(chain *mbuf.Chain, tc trace.Context) {
-	if !tc.Sampled() {
-		return
-	}
-	now := s.f.m.E.Now()
-	chain.TC = s.f.m.TraceC.StartSpanAt(tc, "pfxunet", "frame", now)
-	chain.TCAt = now
 }
 
 // input is the family's receive upcall from the Orc driver: the Table 1

@@ -72,6 +72,7 @@ func (sh *shaper) submit(chain *mbuf.Chain) error {
 	if sh.bytes+chain.Len() > sh.limit {
 		sh.ShapedDropped++
 		sh.ctDrops.Inc()
+		chain.Release()
 		return nil // shaped traffic drops silently, like a policer
 	}
 	sh.queue = append(sh.queue, chain)
@@ -103,6 +104,8 @@ func (sh *shaper) drain() {
 	sock := sh.s
 	if sock.state == stateConnected {
 		_ = sock.f.m.Orc.Output(sock.vci, chain)
+	} else {
+		chain.Release()
 	}
 	gap := time.Duration(uint64(n) * 8 * uint64(time.Second) / sh.rateBps)
 	sock.f.m.E.Schedule(gap, sh.drain)

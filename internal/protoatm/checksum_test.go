@@ -1,6 +1,7 @@
 package protoatm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -10,8 +11,20 @@ import (
 // Unit tests for the optional header checksum (the §7.4 extension);
 // the end-to-end behaviour is covered in checksum_e2e_test.go.
 
+func hdr(src string, seq uint32, vci atm.VCI) header {
+	return header{src: []byte(src), seq: seq, vci: vci}
+}
+
+func (h header) encode(withChecksum bool) []byte {
+	return appendHeader(nil, atm.Addr(h.src), h.seq, h.vci, withChecksum)
+}
+
+func (h header) equal(o header) bool {
+	return string(h.src) == string(o.src) && h.seq == o.seq && h.vci == o.vci
+}
+
 func TestHeaderRoundTripNoChecksum(t *testing.T) {
-	h := header{src: "mh.h1", seq: 0xDEADBEEF, vci: 1234}
+	h := hdr("mh.h1", 0xDEADBEEF, 1234)
 	wire := h.encode(false)
 	got, n, err := decode(wire)
 	if err != nil {
@@ -20,13 +33,13 @@ func TestHeaderRoundTripNoChecksum(t *testing.T) {
 	if n != len(wire) {
 		t.Fatalf("consumed %d of %d", n, len(wire))
 	}
-	if got != h {
+	if !got.equal(h) {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestHeaderRoundTripWithChecksum(t *testing.T) {
-	h := header{src: "ucb.pc7", seq: 7, vci: 42}
+	h := hdr("ucb.pc7", 7, 42)
 	wire := h.encode(true)
 	got, n, err := decode(wire)
 	if err != nil {
@@ -35,13 +48,13 @@ func TestHeaderRoundTripWithChecksum(t *testing.T) {
 	if n != len(wire) {
 		t.Fatalf("consumed %d of %d", n, len(wire))
 	}
-	if got != h {
+	if !got.equal(h) {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
-	h := header{src: "mh.h1", seq: 99, vci: 77}
+	h := hdr("mh.h1", 99, 77)
 	wire := h.encode(true)
 	// Flip every single bit of the header in turn except the flag bit
 	// itself (clearing it would legitimately reinterpret the format
@@ -66,7 +79,7 @@ func TestNoChecksumHeaderAcceptsCorruptionSilently(t *testing.T) {
 	// Without the checksum (the paper's default on reliable FDDI), a
 	// corrupted sequence number is NOT detected at decode time — that
 	// is exactly the trade-off §7.4 documents.
-	h := header{src: "mh.h1", seq: 99, vci: 77}
+	h := hdr("mh.h1", 99, 77)
 	wire := h.encode(false)
 	wire[len(wire)-4] ^= 0x10 // corrupt a sequence byte
 	if _, _, err := decode(wire); err != nil {
@@ -74,8 +87,16 @@ func TestNoChecksumHeaderAcceptsCorruptionSilently(t *testing.T) {
 	}
 }
 
+func TestDecodeRejectsVCIPastMax(t *testing.T) {
+	for _, with := range []bool{false, true} {
+		if _, _, err := decode(hdr("mh.h1", 1, atm.MaxVCI+1).encode(with)); err != ErrBadHeader {
+			t.Errorf("VCI %d (checksum %v): err = %v, want ErrBadHeader", atm.MaxVCI+1, with, err)
+		}
+	}
+}
+
 func TestDecodeTruncated(t *testing.T) {
-	h := header{src: "mh.h1", seq: 1, vci: 2}
+	h := hdr("mh.h1", 1, 2)
 	for _, with := range []bool{false, true} {
 		wire := h.encode(with)
 		for cut := 0; cut < len(wire); cut++ {
@@ -86,16 +107,16 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-// Property: round trip for any address/seq/vci, with and without
-// checksum.
+// Property: round trip for any address/seq/vci up to atm.MaxVCI, with
+// and without checksum.
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(src string, seq uint32, vci uint16, with bool) bool {
 		if len(src) > 255 {
 			src = src[:255]
 		}
-		h := header{src: atm.Addr(src), seq: seq, vci: atm.VCI(vci)}
+		h := hdr(src, seq, atm.VCI(vci)%(atm.MaxVCI+1))
 		got, n, err := decode(h.encode(with))
-		return err == nil && got == h && n == len(h.encode(with))
+		return err == nil && got.equal(h) && n == len(h.encode(with))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -114,5 +135,40 @@ func TestQuickChecksumSelfVerifies(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Sequencing is per (source, VCI): each source's stream on a VCI is
+// checked against its own expected number, however the sources
+// interleave, and a source's first frame on a VCI is never out of order.
+// The reference is the map keyed by (source, VCI) the layer once kept.
+func TestCheckSeqMatchesPerSourceModel(t *testing.T) {
+	type key struct {
+		src string
+		vci atm.VCI
+	}
+	model := map[key]uint32{}
+	var want uint64
+	l := &Layer{}
+	rng := rand.New(rand.NewSource(1))
+	next := map[key]uint32{}
+	for i := 0; i < 5000; i++ {
+		k := key{src: []string{"mh.h1", "mh.h2", "ucb.h1"}[rng.Intn(3)], vci: atm.VCI(40 + rng.Intn(2))}
+		seq := next[k]
+		switch rng.Intn(10) {
+		case 0:
+			seq += uint32(1 + rng.Intn(3)) // a gap
+		case 1:
+			seq -= uint32(rng.Intn(2)) // a repeat
+		}
+		next[k] = seq + 1
+		if exp, seen := model[k]; seen && seq != exp {
+			want++
+		}
+		model[k] = seq + 1
+		l.checkSeq(header{src: []byte(k.src), seq: seq, vci: k.vci})
+		if l.OutOfOrder != want {
+			t.Fatalf("step %d (%+v seq %d): OutOfOrder = %d, want %d", i, k, seq, l.OutOfOrder, want)
+		}
 	}
 }

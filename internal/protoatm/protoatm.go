@@ -47,9 +47,10 @@ var (
 // for it — the header checksum the paper leaves as an option ("We do
 // not currently have a header checksum field, since our IP links are
 // over reliable FDDI links. A header checksum could be added to the
-// encapsulation header if needed.").
+// encapsulation header if needed."). A decoded src is a view into the
+// packet, valid until its chain is released.
 type header struct {
-	src atm.Addr
+	src []byte
 	seq uint32
 	vci atm.VCI
 }
@@ -57,24 +58,31 @@ type header struct {
 // Header flag bits (first octet).
 const flagChecksum = 0x01
 
-func (h *header) encode(withChecksum bool) []byte {
-	a := []byte(h.src)
-	n := 2 + len(a) + 6
-	if withChecksum {
-		n += 2
+// maxHeaderLen is the longest header: a 255-byte address, checksummed.
+const maxHeaderLen = 2 + 255 + 6 + 2
+
+// headerLen is the length of the header whose first two octets, the
+// flags and the address length, are given.
+func headerLen(flags, alen byte) int {
+	if flags&flagChecksum != 0 {
+		return 2 + int(alen) + 8
 	}
-	out := make([]byte, n)
+	return 2 + int(alen) + 6
+}
+
+// appendHeader appends the header for a frame from src (at most 255
+// bytes) to out; the layer encodes into a stack array.
+func appendHeader(out []byte, src atm.Addr, seq uint32, vci atm.VCI, withChecksum bool) []byte {
+	var flags byte
 	if withChecksum {
-		out[0] = flagChecksum
+		flags = flagChecksum
 	}
-	out[1] = byte(len(a))
-	copy(out[2:], a)
-	p := 2 + len(a)
-	out[p], out[p+1], out[p+2], out[p+3] = byte(h.seq>>24), byte(h.seq>>16), byte(h.seq>>8), byte(h.seq)
-	out[p+4], out[p+5] = byte(h.vci>>8), byte(h.vci)
+	start := len(out)
+	out = append(append(out, flags, byte(len(src))), src...)
+	out = append(out, byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq), byte(vci>>8), byte(vci))
 	if withChecksum {
-		ck := headerChecksum(out[:p+6])
-		out[p+6], out[p+7] = byte(ck>>8), byte(ck)
+		ck := headerChecksum(out[start:])
+		out = append(out, byte(ck>>8), byte(ck))
 	}
 	return out
 }
@@ -96,16 +104,13 @@ func headerChecksum(b []byte) uint16 {
 }
 
 // decode parses a header from the front of b, returning the header size.
+// A VCI past atm.MaxVCI names no circuit and makes the header malformed.
 func decode(b []byte) (header, int, error) {
 	if len(b) < 2 {
 		return header{}, 0, ErrBadHeader
 	}
-	flags := b[0]
-	alen := int(b[1])
-	n := 2 + alen + 6
-	if flags&flagChecksum != 0 {
-		n += 2
-	}
+	flags, alen := b[0], int(b[1])
+	n := headerLen(flags, b[1])
 	if len(b) < n {
 		return header{}, 0, ErrBadHeader
 	}
@@ -116,17 +121,26 @@ func decode(b []byte) (header, int, error) {
 		}
 	}
 	h := header{
-		src: atm.Addr(b[2 : 2+alen]),
+		src: b[2 : 2+alen],
 		seq: uint32(b[2+alen])<<24 | uint32(b[3+alen])<<16 | uint32(b[4+alen])<<8 | uint32(b[5+alen]),
 		vci: atm.VCI(uint16(b[6+alen])<<8 | uint16(b[7+alen])),
+	}
+	if h.vci > atm.MaxVCI {
+		return header{}, 0, ErrBadHeader
 	}
 	return h, n, nil
 }
 
-// seqKey tracks sequencing per sending node per VCI.
-type seqKey struct {
-	src atm.Addr
-	vci atm.VCI
+// vcEntry is the layer's per-VCI state.
+type vcEntry struct {
+	dst     memnet.IPAddr // router: IP destination bound to the VCI; 0 if none
+	sendSeq uint32
+	recv    []seqEntry // the next sequence number expected from each source
+}
+
+type seqEntry struct {
+	src  string
+	next uint32
 }
 
 // Mode selects host or router behaviour.
@@ -148,11 +162,9 @@ type Layer struct {
 	// set by the configuration write.
 	routerIP memnet.IPAddr
 
-	// fwd is the router's per-VCI IP destination address table.
-	fwd map[atm.VCI]memnet.IPAddr
-
-	sendSeq map[atm.VCI]uint32
-	recvSeq map[seqKey]uint32
+	// vcs holds the router's IP destination, the send sequence and the
+	// per-source receive sequences of each VCI, indexed by VCI.
+	vcs []vcEntry
 
 	// checksum enables the optional header checksum on the send side;
 	// receivers always verify when the flag bit is present.
@@ -176,9 +188,6 @@ func New(m *kern.Machine, localAddr atm.Addr, mode Mode) *Layer {
 		m:         m,
 		localAddr: localAddr,
 		mode:      mode,
-		fwd:       make(map[atm.VCI]memnet.IPAddr),
-		sendSeq:   make(map[atm.VCI]uint32),
-		recvSeq:   make(map[seqKey]uint32),
 	}
 	m.IP.BindProto(memnet.ProtoATM, l.input)
 	if mode == HostMode {
@@ -213,7 +222,7 @@ func (l *Layer) RouterIP() memnet.IPAddr { return l.routerIP }
 // VCI_BIND message from anand server): data arriving on vci from the
 // ATM network is re-encapsulated and forwarded to hostIP.
 func (l *Layer) VCIBind(vci atm.VCI, hostIP memnet.IPAddr) {
-	l.fwd[vci] = hostIP
+	l.vc(vci).dst = hostIP
 	l.m.Orc.SetHandler(vci, func(v atm.VCI, frame *mbuf.Chain) {
 		if err := l.reEncap(v, frame); err != nil {
 			l.Unbound++
@@ -224,23 +233,28 @@ func (l *Layer) VCIBind(vci atm.VCI, hostIP memnet.IPAddr) {
 // VCIShut clears a binding (the VCI_SHUT message): both mappings are
 // removed and the Orc driver discards further data on the VCI.
 func (l *Layer) VCIShut(vci atm.VCI) {
-	delete(l.fwd, vci)
-	delete(l.sendSeq, vci)
+	v := l.vc(vci)
+	v.dst, v.sendSeq = 0, 0
 	l.m.Orc.Shut(vci)
 }
 
 // Bound reports whether a VCI has an IP forwarding binding.
-func (l *Layer) Bound(vci atm.VCI) bool {
-	_, ok := l.fwd[vci]
-	return ok
+func (l *Layer) Bound(vci atm.VCI) bool { return int(vci) < len(l.vcs) && l.vcs[vci].dst != 0 }
+
+// vc returns vci's entry, growing the table to hold it.
+func (l *Layer) vc(vci atm.VCI) *vcEntry {
+	l.vcs = atm.Grow(l.vcs, vci)
+	return &l.vcs[vci]
 }
 
 // Encap is the host-side encapsulation routine, called by the Orc
 // driver's output path: the frame (unsegmented, no AAL5 trailer) is
 // wrapped in the three-field header and sent to the configured router.
-// Costs follow Table 1's send column: 58 + 8·mbufs for IPPROTO_ATM.
+// Costs follow Table 1's send column: 58 + 8·mbufs for IPPROTO_ATM. The
+// frame is consumed whatever the outcome.
 func (l *Layer) Encap(vci atm.VCI, frame *mbuf.Chain) error {
 	if l.routerIP == 0 {
+		frame.Release()
 		return ErrNoRouter
 	}
 	return l.encapTo(vci, frame, l.routerIP)
@@ -248,24 +262,26 @@ func (l *Layer) Encap(vci atm.VCI, frame *mbuf.Chain) error {
 
 // reEncap is the router-side re-encapsulation for ATM->host flow.
 func (l *Layer) reEncap(vci atm.VCI, frame *mbuf.Chain) error {
-	dst, ok := l.fwd[vci]
-	if !ok {
+	if !l.Bound(vci) {
+		frame.Release()
 		return fmt.Errorf("%w: %v", ErrNoBinding, vci)
 	}
 	l.ReEncapsulated++
-	return l.encapTo(vci, frame, dst)
+	return l.encapTo(vci, frame, l.vcs[vci].dst)
 }
 
 func (l *Layer) encapTo(vci atm.VCI, frame *mbuf.Chain, dst memnet.IPAddr) error {
 	meter := l.m.Meter
 	if len(l.localAddr) > 255 {
+		frame.Release()
 		return ErrAddrTooBig
 	}
 	// Header build and sequence stamp.
 	meter.Charge(cost.ProtoATM, cost.ProtoATMHeaderBuild)
-	h := header{src: l.localAddr, seq: l.sendSeq[vci], vci: vci}
+	v := l.vc(vci)
+	seq := v.sendSeq
 	meter.Charge(cost.ProtoATM, cost.ProtoATMSeqStamp)
-	l.sendSeq[vci] = h.seq + 1
+	v.sendSeq = seq + 1
 	// Forwarding-address lookup.
 	meter.Charge(cost.ProtoATM, cost.ProtoATMRouteLookup)
 	// Length walk over the chain (computing the IP length field).
@@ -280,16 +296,17 @@ func (l *Layer) encapTo(vci atm.VCI, frame *mbuf.Chain, dst memnet.IPAddr) error
 		// IP transit as one span.
 		frame.TCAt = l.m.E.Now()
 	}
-	frame.Prepend(h.encode(l.checksum))
-	return l.m.IP.SendIP(&memnet.Packet{Dst: dst, Proto: memnet.ProtoATM, Payload: frame})
+	var hdr [maxHeaderLen]byte
+	frame.Prepend(appendHeader(hdr[:0], l.localAddr, seq, vci, l.checksum))
+	return l.m.IP.SendChain(dst, memnet.ProtoATM, frame)
 }
 
 // input receives IPPROTO_ATM packets from IP.
 func (l *Layer) input(pkt *memnet.Packet) {
 	meter := l.m.Meter
 	chain := pkt.Payload
-	hdrLen := headerPeekLen(chain)
-	if hdrLen < 0 || !chain.Pullup(hdrLen) {
+	var pre [2]byte
+	if chain.CopyTo(pre[:]) < 2 || !chain.Pullup(headerLen(pre[0], pre[1])) {
 		chain.Release()
 		return
 	}
@@ -318,7 +335,8 @@ func (l *Layer) input(pkt *memnet.Packet) {
 		meter.Charge(cost.ProtoATM, cost.RouterReEncap)
 		l.Switched++
 		// Hand the mbuf chain to the Orc driver along with the VCI; the
-		// Hobbit board does trailer, segmentation and transmission.
+		// Hobbit board does trailer, segmentation and transmission. The
+		// driver consumes the chain even when it refuses it.
 		_ = l.m.Orc.Output(h.vci, chain)
 		return
 	}
@@ -333,22 +351,18 @@ func (l *Layer) input(pkt *memnet.Packet) {
 }
 
 // checkSeq verifies per-source per-VCI sequencing, counting gaps and
-// reorderings, then resynchronizes.
+// reorderings, then resynchronizes. A VCI has a source or two, so a
+// short list beats a map, and string(h.src) compares without allocating.
 func (l *Layer) checkSeq(h header) {
-	k := seqKey{src: h.src, vci: h.vci}
-	want, seen := l.recvSeq[k]
-	if seen && h.seq != want {
-		l.OutOfOrder++
+	v := l.vc(h.vci)
+	for i := range v.recv {
+		if r := &v.recv[i]; r.src == string(h.src) {
+			if h.seq != r.next {
+				l.OutOfOrder++
+			}
+			r.next = h.seq + 1
+			return
+		}
 	}
-	l.recvSeq[k] = h.seq + 1
-}
-
-// headerPeekLen returns the full header length by peeking the address
-// length byte, or -1 if the chain is too short.
-func headerPeekLen(c *mbuf.Chain) int {
-	var b [1]byte
-	if c.CopyTo(b[:]) != 1 {
-		return -1
-	}
-	return 1 + int(b[0]) + 6
+	v.recv = append(v.recv, seqEntry{src: string(h.src), next: h.seq + 1})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xunet/internal/atm"
 	"xunet/internal/core"
 	"xunet/internal/cost"
 	"xunet/internal/kern"
@@ -360,6 +361,23 @@ func TestUnprovisionedVCIFrameFromHostIsDropped(t *testing.T) {
 	// Cells became unroutable at the switch; no crash, no delivery.
 }
 
+// A header naming VCI 65535, past any table, is malformed: the router
+// drops it before sequencing, so it neither switches the frame nor sizes
+// a per-VCI table to it.
+func TestHeaderVCIPastMaxIsDropped(t *testing.T) {
+	r := newRig(t)
+	wire := []byte{0, 5, 'm', 'h', '.', 'h', '1', 0, 0, 0, 1, 0xFF, 0xFF, 'x'}
+	frame := mbuf.FromBytes(wire)
+	if err := r.hostA.M.IP.SendChain(r.ra.M.IP.Addr, memnet.ProtoATM, frame); err != nil {
+		t.Fatal(err)
+	}
+	r.e.Run()
+	if r.ra.ATM.Decapsulated != 0 || r.ra.ATM.Switched != 0 || !released(frame) {
+		t.Fatalf("decapsulated %d, switched %d, released %v; want 0, 0, true",
+			r.ra.ATM.Decapsulated, r.ra.ATM.Switched, released(frame))
+	}
+}
+
 func TestEncapHeaderPrependKeepsChainShort(t *testing.T) {
 	// The encapsulation header must use the mbuf leading space, not
 	// grow the chain (the per-mbuf costs depend on it).
@@ -376,5 +394,82 @@ func TestEncapHeaderPrependKeepsChainShort(t *testing.T) {
 	r.e.Run()
 	if after != count {
 		t.Fatalf("prepend grew chain from %d to %d mbufs", count, after)
+	}
+}
+
+// Two hosts behind one router send on the same VCI, their frames
+// interleaved one for one. Each source's numbers run in order, so the
+// router must count nothing out of order: sequencing is per (source,
+// VCI), not per VCI. Then both sources restart their numbering, and
+// each one's next frame counts once.
+func TestTwoSourcesInterleaveOnOneVCI(t *testing.T) {
+	r := newRig(t)
+	ipHC := r.net.MustAddNode("hostC", memnet.IP4(10, 0, 0, 11))
+	r.net.Connect(ipHC, r.ra.M.IP, memnet.FDDI())
+	ipHC.SetDefaultRoute(r.ra.M.IP)
+	r.ra.M.IP.AddRoute(ipHC.Addr, ipHC)
+	hostC := core.NewHost(r.e, sim.DefaultCostModel(), core.HostConfig{Name: "hostC", Addr: "mh.hostC", IP: ipHC, RouterIP: r.ra.M.IP.Addr})
+	send := func(h *core.Stack) {
+		if err := h.ATM.Encap(40, mbuf.FromBytes([]byte("frame"))); err != nil {
+			t.Fatal(err)
+		}
+		r.e.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		send(r.hostA)
+		send(hostC)
+	}
+	if r.ra.ATM.Switched != 40 || r.ra.ATM.OutOfOrder != 0 {
+		t.Fatalf("switched %d, out of order %d; want 40, 0", r.ra.ATM.Switched, r.ra.ATM.OutOfOrder)
+	}
+	// VCIShut resets a VCI's send sequence: both next send number 0.
+	r.hostA.ATM.VCIShut(40)
+	hostC.ATM.VCIShut(40)
+	send(hostC)
+	send(r.hostA)
+	if r.ra.ATM.OutOfOrder != 2 {
+		t.Fatalf("out of order %d after both sources restarted at 0, want 2", r.ra.ATM.OutOfOrder)
+	}
+	r.e.Shutdown()
+}
+
+// released reports whether c was released: poisoned under the race
+// detector, emptied without it (c is never empty when sent).
+func released(c *mbuf.Chain) (yes bool) {
+	defer func() {
+		if recover() != nil {
+			yes = true
+		}
+	}()
+	return c.Head() == nil && c.Len() == 0
+}
+
+// The encapsulation routines consume a frame even when they refuse it:
+// a host's with no router configured, and a router's arriving on a VCI
+// whose IP binding is gone.
+func TestRefusedFramesAreReleased(t *testing.T) {
+	e := sim.New(1)
+	ip := memnet.New(e).MustAddNode("lone", memnet.IP4(1, 1, 1, 1))
+	h := core.NewHost(e, sim.DefaultCostModel(), core.HostConfig{Name: "lone", Addr: "lone", IP: ip})
+	frame := mbuf.FromBytes([]byte("x"))
+	if err := h.ATM.Encap(40, frame); !errors.Is(err, protoatm.ErrNoRouter) || !released(frame) {
+		t.Fatalf("no router: err %v, released %v", err, released(frame))
+	}
+
+	r := newRig(t)
+	vc := r.provision(t)
+	reEncap := r.rb.M.Orc.Handler(vc.DstVCI)
+	r.rb.ATM.VCIShut(vc.DstVCI) // drops the binding; the handler is put back
+	var late *mbuf.Chain
+	r.rb.M.Orc.SetHandler(vc.DstVCI, func(v atm.VCI, f *mbuf.Chain) {
+		late = f
+		reEncap(v, f)
+	})
+	if err := r.ra.M.Orc.Output(vc.SrcVCI, mbuf.FromBytes([]byte("late"))); err != nil {
+		t.Fatal(err)
+	}
+	r.e.Run()
+	if r.rb.ATM.Unbound != 1 || late == nil || !released(late) {
+		t.Fatalf("unbound %d, frame arrived %v, released %v", r.rb.ATM.Unbound, late != nil, late != nil && released(late))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/kern"
 	"xunet/internal/mbuf"
+	"xunet/internal/pfxunet"
 	"xunet/internal/qos"
 	"xunet/internal/testbed"
 )
@@ -60,17 +61,17 @@ func BenchmarkSimulatedCallsPerSecond(b *testing.B) {
 // TestCallStormAllocs gates the allocations of a whole call, application
 // side included, where TestSteadyStateCallAllocs pins only the pooled
 // sighost state at zero: the benchmark above, ten iterations of it. The
-// count is deterministic — 768 per 10-call storm on the commit that set
-// this ceiling (969 before the signaling PVC's frames stopped
-// allocating in the Hobbit board's SAR, 4013 before segments, waiters,
-// timers and inbox entries got recycled records; DESIGN.md, "Allocation
-// ledger of a call", says where the rest go) — and the ceiling is there
-// to be ratcheted down.
+// count is deterministic — 688 per 10-call storm on the commit that set
+// this ceiling (768 before chain headers were recycled, 969 before the
+// signaling PVC's frames stopped allocating in the Hobbit board's SAR,
+// 4013 before segments, waiters, timers and inbox entries got recycled
+// records; DESIGN.md, "Allocation ledger of a call", says where the rest
+// go) — and the ceiling is there to be ratcheted down.
 func TestCallStormAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
-	const ceiling = 800
+	const ceiling = 700
 	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
 		DeviceBuffers:      kern.FixedDeviceBuffers,
 		FDTableSize:        kern.FixedFDTableSize,
@@ -102,14 +103,13 @@ func TestCallStormAllocs(t *testing.T) {
 // TestFramePathAllocs gates the PVC frame path a call's signaling rides:
 // a 1400-byte frame handed to one router's Orc driver, cut into cells by
 // its Hobbit board, carried over the three-hop fabric and reassembled by
-// the far board allocates 2 times in steady state — the chain the sender
-// builds and the chain the receiving board copies the frame into (12
-// before the boards kept their SAR buffers).
+// the far board allocates nothing in steady state (2 before chain
+// headers were recycled, 12 before the boards kept their SAR buffers).
 func TestFramePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
-	const ceiling = 3
+	const ceiling = 1
 	n, ra, rb, err := testbed.NewTestbed(testbed.Options{DisableCallLogging: true})
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +145,91 @@ func TestFramePathAllocs(t *testing.T) {
 		t.Errorf("a frame across the fabric allocates %.0f times, ceiling %d", got, ceiling)
 	}
 	t.Logf("%.0f allocs per frame", got)
+}
+
+// TestIPFramePathAllocs gates the IPPROTO_ATM frame path sim_data_small
+// measures: a 40-byte frame from a PF_XUNET socket on mh.h1, encapsulated
+// to mh.rt, switched into the fabric, re-encapsulated at ucb.rt and
+// delivered to a socket on ucb.h1. Chain headers, packet records and the
+// encapsulation header all come from free lists or the stack, so a
+// reader taking the chain allocates nothing; Recv's flattened copy,
+// which the caller keeps, is the one allocation left (9 before).
+func TestIPFramePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under the race detector")
+	}
+	for _, flatten := range []bool{false, true} {
+		n, ra, rb, err := testbed.NewTestbed(testbed.Options{DisableCallLogging: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostA, err := n.AddHost("mh.h1", ra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostB, err := n.AddHost("ucb.h1", rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.E.RunUntil(200 * time.Millisecond)
+		vc, err := n.Fabric.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.Sig.SH.AllowPVC(vc.SrcVCI)
+		rb.Sig.SH.AllowPVC(vc.DstVCI)
+		frames := 0
+		hostB.Stack.Spawn("sink", func(p *kern.Proc) {
+			sock, _ := hostB.Stack.PF.Socket(p)
+			if err := sock.Bind(vc.DstVCI, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if flatten {
+					if _, err := sock.Recv(); err != nil {
+						return
+					}
+				} else {
+					chain, err := sock.RecvChain()
+					if err != nil {
+						return
+					}
+					chain.Release()
+				}
+				frames++
+			}
+		})
+		var tx *pfxunet.Socket
+		hostA.Stack.Spawn("source", func(p *kern.Proc) {
+			tx, _ = hostA.Stack.PF.Socket(p)
+			if err := tx.Connect(vc.SrcVCI, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			p.SP.Park()
+		})
+		n.E.RunUntil(n.E.Now() + 100*time.Millisecond)
+		payload := make([]byte, 40)
+		got := testing.AllocsPerRun(50, func() {
+			if err := tx.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+			n.E.RunUntil(n.E.Now() + 10*time.Millisecond)
+		})
+		if frames != 51 {
+			t.Fatalf("flatten=%v: %d of 51 frames delivered", flatten, frames)
+		}
+		ceiling := 0.0
+		if flatten {
+			ceiling = 1
+		}
+		if got > ceiling {
+			t.Errorf("flatten=%v: a frame host to host allocates %.0f times, ceiling %.0f", flatten, got, ceiling)
+		}
+		t.Logf("flatten=%v: %.0f allocs per frame", flatten, got)
+		n.Close()
+	}
 }
 
 func BenchmarkRegistrationRPC(b *testing.B) {

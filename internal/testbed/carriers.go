@@ -98,6 +98,7 @@ func UseUDPCarrier(host *Host) (*CarrierStats, error) {
 	host.Stack.M.Orc.SetEncap(func(vci atm.VCI, frame *mbuf.Chain) error {
 		st.FramesSent++
 		payload := append(tunnelHeader(vci, seq), frame.Bytes()...)
+		frame.Release()
 		seq++
 		// Carrier-layer fault hook: tunneled frames can be lost or
 		// duplicated at the encapsulation boundary itself, on top of
@@ -162,6 +163,8 @@ func UseTCPCarrier(host *Host) (*CarrierStats, error) {
 	var conn *memnet.Stream
 	var seq uint32
 	host.Stack.M.Orc.SetEncap(func(vci atm.VCI, frame *mbuf.Chain) error {
+		payload := append(tunnelHeader(vci, seq), frame.Bytes()...)
+		frame.Release()
 		if conn == nil {
 			c, ok := ready.TryGet()
 			if !ok {
@@ -170,7 +173,6 @@ func UseTCPCarrier(host *Host) (*CarrierStats, error) {
 			conn = c
 		}
 		st.FramesSent++
-		payload := append(tunnelHeader(vci, seq), frame.Bytes()...)
 		seq++
 		return conn.Send(payload)
 	})

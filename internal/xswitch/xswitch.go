@@ -357,15 +357,6 @@ func (t *trunk) freeVCI(v atm.VCI) {
 	}
 }
 
-// tabSet stores val at tab[v], growing the VCI-indexed table to hold it.
-func tabSet[T any](tab []T, v atm.VCI, val T) []T {
-	if int(v) >= len(tab) {
-		tab = append(tab, make([]T, int(v)+1-len(tab))...)
-	}
-	tab[v] = val
-	return tab
-}
-
 // commit brings the trunk up to the given instant: take, then the picks
 // due before it.
 func (t *trunk) commit(before time.Duration) {
@@ -1192,7 +1183,8 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 			vc.unwind()
 			return nil, err
 		}
-		in.xlate = tabSet(in.xlate, inVCI, tabVal{out: st.out, vci: outVCI})
+		in.xlate = atm.Grow(in.xlate, inVCI)
+		in.xlate[inVCI] = tabVal{out: st.out, vci: outVCI}
 		if in.xeng == nil { // a boundary input's cells land by event
 			st.out.ports[in.port].feed = in
 		}
@@ -1234,7 +1226,8 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 		t.book.Release(key)
 		return 0, err
 	}
-	t.class = tabSet(t.class, v, q.Class)
+	t.class = atm.Grow(t.class, v)
+	t.class[v] = q.Class
 	vc.hops = append(vc.hops, hop{out: t, outVCI: v, bookKey: key})
 	return v, nil
 }
