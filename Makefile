@@ -57,17 +57,23 @@ crossbuild:
 bench:
 	$(GO) run ./bench
 
-# Where a sim-mode call's allocations come from: every allocation of 200
-# ten-call storms, by allocating function. DESIGN.md's "Allocation
-# ledger of a call" is this listing divided by 2 010 calls (the
-# benchmark runs one warm-up iteration). Not part of ci: it measures,
-# it does not gate — TestCallStormAllocs does.
+# Where a call's allocations come from, by allocating function: first
+# every allocation of 200 ten-call sim storms — DESIGN.md's "Allocation
+# ledger of a call" is that listing divided by 2 010 calls (the
+# benchmark runs one warm-up iteration) — then 2 000 real-mode setups
+# across two loopback daemons (BenchmarkRealSetups/batched; divide by
+# 2 000). Not part of ci: it measures, it does not gate —
+# TestCallStormAllocs does.
 ALLOCS_DIR := $(or $(TMPDIR),/tmp)/xunet-allocs
 allocs:
 	@mkdir -p $(ALLOCS_DIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatedCallsPerSecond$$' -benchtime 200x \
-		-memprofilerate 1 -memprofile $(ALLOCS_DIR)/mem.prof -o $(ALLOCS_DIR)/signaling.test ./internal/signaling/
+	$(GO) test -c -o $(ALLOCS_DIR)/signaling.test ./internal/signaling/
+	$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench 'BenchmarkSimulatedCallsPerSecond$$' -test.benchtime 200x \
+		-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/mem.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/mem.prof
+	$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench 'BenchmarkRealSetups/batched$$' -test.benchtime 2000x \
+		-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/real.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/real.prof
 
 # The code-size ledger: non-test Go lines outside bench/.
 loc:

@@ -206,7 +206,9 @@ func BenchmarkTable2_CodeSize(b *testing.B) {
 		}
 		total = 0
 		for _, r := range rows {
-			total += r.GoLines
+			if !r.Ours {
+				total += r.GoLines
+			}
 		}
 	}
 	b.ReportMetric(float64(total), "go-lines")

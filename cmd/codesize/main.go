@@ -21,7 +21,9 @@ func main() {
 	}
 	fmt.Println("Table 2: code sizes for principal components at a host")
 	fmt.Println("(paper: lines of C with comments; repro: lines of Go with comments,")
-	fmt.Println(" tests excluded; segment sizes are not reproduced — see EXPERIMENTS.md)")
+	fmt.Println(" tests excluded; segment sizes are not reproduced — see EXPERIMENTS.md;")
+	fmt.Println(" \"daemon (ours)\" is the whole sighost daemon — the state machine plus its")
+	fmt.Println(" journal, reliable channel, MGMT, call pools and Env glue — not in the total)")
 	fmt.Println()
 	fmt.Print(codesize.Render(rows))
 }

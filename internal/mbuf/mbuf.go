@@ -322,45 +322,6 @@ func (c *Chain) TrimFront(n int) int {
 	return removed
 }
 
-// TrimBack removes n bytes from the end of the chain, freeing emptied
-// mbufs, and returns the number of bytes removed.
-func (c *Chain) TrimBack(n int) int {
-	c.poison.check()
-	if n <= 0 || c.head == nil {
-		return 0
-	}
-	if n > c.length {
-		n = c.length
-	}
-	keep := c.length - n
-	if keep == 0 {
-		removed := c.length
-		c.head, c.tail, c.count, c.length = nil, nil, 0, 0
-		return removed
-	}
-	// Walk to the mbuf holding the last kept byte.
-	m := c.head
-	seen := 0
-	for seen+m.n < keep {
-		seen += m.n
-		m = m.next
-	}
-	cut := keep - seen // bytes kept in m; > 0 because keep > seen
-	removed := m.n - cut
-	m.n = cut
-	for x := m.next; x != nil; x = x.next {
-		removed += x.n
-	}
-	m.next = nil
-	c.tail = m
-	c.count, c.length = 0, 0
-	for x := c.head; x != nil; x = x.next {
-		c.count++
-		c.length += x.n
-	}
-	return removed
-}
-
 // Bytes flattens the chain into a single contiguous slice (copying).
 func (c *Chain) Bytes() []byte {
 	if c.Len() == 0 {
@@ -433,64 +394,6 @@ func (c *Chain) Pullup(n int) bool {
 	c.count++
 	c.length += n
 	return true
-}
-
-// SplitAt divides the chain at byte offset n, returning a new chain
-// holding everything from offset n onward; c keeps the first n bytes.
-// Splitting beyond the end returns an empty chain.
-func (c *Chain) SplitAt(n int) *Chain {
-	c.poison.check()
-	rest := newChain()
-	if n >= c.length {
-		return rest
-	}
-	if n <= 0 {
-		*rest = *c
-		rest.pooled = true // the header is still newChain's
-		c.head, c.tail, c.count, c.length = nil, nil, 0, 0
-		return rest
-	}
-	var prev *Mbuf
-	m := c.head
-	seen := 0
-	for seen+m.n <= n {
-		seen += m.n
-		prev = m
-		m = m.next
-	}
-	if seen < n {
-		// Split inside m: copy the tail of m into a new mbuf.
-		keep := n - seen
-		moved := m.n - keep
-		nm := alloc(moved)
-		copy(nm.buf[nm.off:], m.Data()[keep:])
-		nm.n = moved
-		nm.next = m.next
-		m.n = keep
-		m.next = nil
-		rest.head = nm
-		prev = m
-		// Recount below.
-	} else {
-		rest.head = m
-		if prev != nil {
-			prev.next = nil
-		}
-	}
-	// Fix up both chains' bookkeeping by walking (chains are short).
-	c.tail = prev
-	c.count, c.length = 0, 0
-	for x := c.head; x != nil; x = x.next {
-		c.count++
-		c.length += x.n
-		c.tail = x
-	}
-	for x := rest.head; x != nil; x = x.next {
-		rest.count++
-		rest.length += x.n
-		rest.tail = x
-	}
-	return rest
 }
 
 // Clone returns a deep copy of the chain with the same mbuf boundaries.

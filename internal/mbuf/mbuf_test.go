@@ -119,41 +119,6 @@ func TestTrimFront(t *testing.T) {
 	}
 }
 
-func TestTrimBack(t *testing.T) {
-	p := payload(300)
-	c := FromBytesSplit(p, 100)
-	if got := c.TrimBack(50); got != 50 {
-		t.Fatalf("TrimBack = %d, want 50", got)
-	}
-	if !bytes.Equal(c.Bytes(), p[:250]) {
-		t.Fatal("data mismatch after TrimBack(50)")
-	}
-	if got := c.TrimBack(150); got != 150 {
-		t.Fatalf("TrimBack = %d, want 150", got)
-	}
-	if c.Len() != 100 || c.Count() != 1 {
-		t.Fatalf("len=%d count=%d, want 100/1", c.Len(), c.Count())
-	}
-	if !bytes.Equal(c.Bytes(), p[:100]) {
-		t.Fatal("data mismatch after second TrimBack")
-	}
-	// Trim exactly to empty.
-	if got := c.TrimBack(100); got != 100 {
-		t.Fatalf("TrimBack to empty = %d", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d, want 0", c.Len())
-	}
-}
-
-func TestTrimBackWholeTrailingMbuf(t *testing.T) {
-	c := FromBytesSplit(payload(200), 100)
-	c.TrimBack(100) // removes exactly the last mbuf
-	if c.Count() != 1 || c.Len() != 100 {
-		t.Fatalf("count=%d len=%d, want 1/100", c.Count(), c.Len())
-	}
-}
-
 func TestPullup(t *testing.T) {
 	p := payload(100)
 	c := FromBytesSplit(p, 10)
@@ -186,28 +151,6 @@ func TestPullupTooShort(t *testing.T) {
 	c := FromBytes(payload(10))
 	if c.Pullup(11) {
 		t.Fatal("Pullup(11) on a 10-byte chain succeeded")
-	}
-}
-
-func TestSplitAt(t *testing.T) {
-	p := payload(250)
-	for _, at := range []int{0, 1, 99, 100, 101, 249, 250, 300} {
-		c := FromBytesSplit(p, 100)
-		rest := c.SplitAt(at)
-		want := at
-		if want > len(p) {
-			want = len(p)
-		}
-		if c.Len() != want {
-			t.Errorf("at=%d: head len = %d, want %d", at, c.Len(), want)
-		}
-		if rest.Len() != len(p)-want {
-			t.Errorf("at=%d: rest len = %d, want %d", at, rest.Len(), len(p)-want)
-		}
-		joined := append(c.Bytes(), rest.Bytes()...)
-		if !bytes.Equal(joined, p) {
-			t.Errorf("at=%d: data corrupted by split", at)
-		}
 	}
 }
 
@@ -295,7 +238,7 @@ func TestStringFormat(t *testing.T) {
 	}
 }
 
-// Property: any sequence of prepend/append/trim operations keeps Len equal
+// Property: any sequence of prepend/append/trim/pullup operations keeps Len equal
 // to the byte length of Bytes() and Count equal to the walked mbuf count.
 func TestQuickInvariants(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
@@ -303,7 +246,7 @@ func TestQuickInvariants(t *testing.T) {
 		c := Empty()
 		model := []byte{}
 		for _, op := range ops {
-			switch op % 5 {
+			switch op % 4 {
 			case 0:
 				n := rng.Intn(300)
 				p := payload(n)
@@ -322,13 +265,6 @@ func TestQuickInvariants(t *testing.T) {
 				}
 				model = model[n:]
 			case 3:
-				n := rng.Intn(50)
-				c.TrimBack(n)
-				if n > len(model) {
-					n = len(model)
-				}
-				model = model[:len(model)-n]
-			case 4:
 				n := rng.Intn(40)
 				c.Pullup(n) // no data change regardless of success
 			}
@@ -352,18 +288,6 @@ func TestQuickInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SplitAt partitions the bytes for any offset.
-func TestQuickSplit(t *testing.T) {
-	f := func(data []byte, at uint16) bool {
-		c := FromBytesSplit(data, 13)
-		rest := c.SplitAt(int(at) % (len(data) + 10))
-		return bytes.Equal(append(c.Bytes(), rest.Bytes()...), data)
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -423,9 +347,7 @@ func TestReleasedChainPanics(t *testing.T) {
 		"AppendBytes":    func(c *Chain) { c.AppendBytes([]byte{1}) },
 		"Prepend":        func(c *Chain) { c.Prepend([]byte{1}) },
 		"TrimFront":      func(c *Chain) { c.TrimFront(1) },
-		"TrimBack":       func(c *Chain) { c.TrimBack(1) },
 		"Pullup":         func(c *Chain) { c.Pullup(1) },
-		"SplitAt":        func(c *Chain) { c.SplitAt(1) },
 		"Clone":          func(c *Chain) { c.Clone() },
 		"Concat onto":    func(c *Chain) { c.Concat(FromBytes([]byte{1})) },
 		"Concat from":    func(c *Chain) { FromBytes([]byte{1}).Concat(c) },

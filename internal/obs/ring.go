@@ -27,6 +27,17 @@ type Event struct {
 	Peer   string        `json:"peer,omitempty"`
 	Text   string        `json:"text,omitempty"`
 	Data   any           `json:"-"`
+
+	render func(Event) string
+}
+
+// rendered returns ev with Text filled by its component's renderer, if
+// the publisher left it empty.
+func (ev Event) rendered() Event {
+	if ev.Text == "" && ev.render != nil {
+		ev.Text = ev.render(ev)
+	}
+	return ev
 }
 
 // String renders a generic one-line form. Components with golden trace
@@ -70,7 +81,7 @@ func (r *Ring) Publish(ev Event) {
 	subs := r.subs
 	r.mu.Unlock()
 	for _, fn := range subs {
-		fn(ev)
+		fn(ev.rendered())
 	}
 }
 
@@ -93,7 +104,7 @@ func (r *Ring) Total() uint64 {
 	return r.next
 }
 
-// Last returns up to n most recent events, oldest first.
+// Last returns up to n most recent events, oldest first, rendered.
 func (r *Ring) Last(n int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -107,7 +118,7 @@ func (r *Ring) Last(n int) []Event {
 	out := make([]Event, 0, n)
 	start := r.next - uint64(n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.buf[int(start+uint64(i))%cap(r.buf)])
+		out = append(out, r.buf[int(start+uint64(i))%cap(r.buf)].rendered())
 	}
 	return out
 }
@@ -116,9 +127,10 @@ func (r *Ring) Last(n int) []Event {
 // a nil check plus one atomic load, so instrumented call sites cost nothing
 // measurable when tracing is off (see BenchmarkTelemetryOverhead).
 type Tracer struct {
-	on   atomic.Bool
-	comp string
-	ring *Ring
+	on     atomic.Bool
+	comp   string
+	ring   *Ring
+	render func(Event) string
 }
 
 // Enabled reports whether events from this component should be built at all.
@@ -128,12 +140,18 @@ func (t *Tracer) Enabled() bool {
 	return t != nil && t.on.Load()
 }
 
+// SetRender registers how the component's events read as text: they
+// publish typed and are rendered only when read, so a busy component pays
+// no formatting for events nobody looks at. Call it before enabling.
+func (t *Tracer) SetRender(fn func(Event) string) { t.render = fn }
+
 // Emit publishes ev (stamping Comp) if the tracer is enabled.
 func (t *Tracer) Emit(ev Event) {
 	if !t.Enabled() {
 		return
 	}
 	ev.Comp = t.comp
+	ev.render = t.render
 	t.ring.Publish(ev)
 }
 

@@ -115,66 +115,55 @@ func appendStr16(dst []byte, s string) []byte {
 // handles through the vcs side table. Returns the bytes consumed.
 func decodeJrec(b []byte, vcs map[atm.VCI]*VCHandle) (jrec, int, error) {
 	var r jrec
-	if len(b) < 2 {
+	if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
 		return r, 0, errJrec
 	}
-	plen := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+plen {
-		return r, 0, errJrec
+	n := 2 + int(binary.BigEndian.Uint16(b))
+	d := jdec{p: b[2:n]}
+	r.op = jop(d.uint(1))
+	r.key.peer = atm.Addr(d.take(int(d.uint(1))))
+	r.key.id = uint32(d.uint(4))
+	r.key.origin = d.uint(1) != 0
+	r.service = string(d.take(int(d.uint(2))))
+	r.ip = memnet.IPAddr(d.uint(4))
+	r.port = uint16(d.uint(2))
+	r.qos = string(d.take(int(d.uint(2))))
+	r.cookie = uint16(d.uint(2))
+	r.vci = atm.VCI(d.uint(2))
+	r.deadline = time.Duration(d.uint(8))
+	hasVC := d.uint(1) != 0
+	if d.short {
+		return jrec{}, 0, errJrec
 	}
-	p := b[2 : 2+plen]
-	fail := errJrec
-	get := func(n int) []byte {
-		if len(p) < n {
-			return nil
-		}
-		v := p[:n]
-		p = p[n:]
-		return v
-	}
-	v := get(2)
-	if v == nil {
-		return r, 0, fail
-	}
-	r.op = jop(v[0])
-	peer := get(int(v[1]))
-	if peer == nil {
-		return r, 0, fail
-	}
-	r.key.peer = atm.Addr(peer)
-	if v = get(5); v == nil {
-		return r, 0, fail
-	}
-	r.key.id = binary.BigEndian.Uint32(v)
-	r.key.origin = v[4] != 0
-	if v = get(2); v == nil {
-		return r, 0, fail
-	}
-	s := get(int(binary.BigEndian.Uint16(v)))
-	if s == nil {
-		return r, 0, fail
-	}
-	r.service = string(s)
-	if v = get(8); v == nil {
-		return r, 0, fail
-	}
-	r.ip = memnet.IPAddr(binary.BigEndian.Uint32(v))
-	r.port = binary.BigEndian.Uint16(v[4:])
-	s = get(int(binary.BigEndian.Uint16(v[6:])))
-	if s == nil {
-		return r, 0, fail
-	}
-	r.qos = string(s)
-	if v = get(13); v == nil {
-		return r, 0, fail
-	}
-	r.cookie = binary.BigEndian.Uint16(v)
-	r.vci = atm.VCI(binary.BigEndian.Uint16(v[2:]))
-	r.deadline = time.Duration(binary.BigEndian.Uint64(v[4:]))
-	if v[12] != 0 {
+	if hasVC {
 		r.vc = vcs[r.vci]
 	}
-	return r, 2 + plen, nil
+	return r, n, nil
+}
+
+// jdec reads a record's fields in order; a read past the end of the
+// payload yields nothing and marks the record short.
+type jdec struct {
+	p     []byte
+	short bool
+}
+
+func (d *jdec) take(n int) []byte {
+	if len(d.p) < n {
+		d.p, d.short = nil, true
+		return nil
+	}
+	v := d.p[:n]
+	d.p = d.p[n:]
+	return v
+}
+
+// uint reads an n-byte big-endian integer.
+func (d *jdec) uint(n int) (v uint64) {
+	for _, c := range d.take(n) {
+		v = v<<8 | uint64(c)
+	}
+	return v
 }
 
 // journal is the bounded write-ahead log.
@@ -221,6 +210,11 @@ func (sh *Sighost) EnableJournal(bound int) {
 	sh.Obs.Func("sighost.journal.bytes", func() uint64 { return uint64(len(jr.buf)) })
 	sh.Obs.Func("sighost.journal.records", func() uint64 { return uint64(jr.n) })
 	sh.Obs.Func("sighost.journal.pending", func() uint64 { return uint64(jr.pendingN) })
+}
+
+// openRec is the record of a call's opening.
+func openRec(c *call) jrec {
+	return jrec{op: jOpen, key: c.key, service: c.service, qos: c.qosStr, ip: c.endIP, port: c.endPort, cookie: c.cookie}
 }
 
 // jlog encodes one record into the current dispatch's batch. Every
@@ -286,10 +280,8 @@ func (sh *Sighost) compactJournal() {
 		n++
 	}
 	for c := sh.allHead; c != nil; c = c.allNext {
-		out = appendJrec(out, &jrec{
-			op: jOpen, key: c.key, service: c.service, qos: c.qosStr,
-			ip: c.endIP, port: c.endPort, cookie: c.cookie,
-		})
+		r := openRec(c)
+		out = appendJrec(out, &r)
 		n++
 		if c.localVCI == 0 {
 			continue
@@ -315,26 +307,6 @@ func (sh *Sighost) compactJournal() {
 	j.pending = j.pending[:0]
 	j.pendingN = 0
 }
-
-// records decodes the durable log back into record structs — the
-// journal's introspection/test view. Unflushed batch records are not
-// included (they are not durable yet).
-func (j *journal) records() []jrec {
-	var out []jrec
-	b := j.buf
-	for len(b) > 0 {
-		r, n, err := decodeJrec(b, j.vcs)
-		if err != nil {
-			break
-		}
-		out = append(out, r)
-		b = b[n:]
-	}
-	return out
-}
-
-// Down reports whether the sighost is crashed (dropping all input).
-func (sh *Sighost) Down() bool { return sh.down }
 
 // Crash models the signaling process dying: every timer is canceled and
 // all five lists, the cookie table, and the reliability state vanish.
@@ -371,19 +343,7 @@ func (sh *Sighost) Crash() {
 		}
 		sh.rel.links = make(map[atm.Addr]*peerLink)
 	}
-	sh.services = make(map[string]*serviceEntry)
-	sh.outgoing = make(map[uint16]*call)
-	sh.incoming = make(map[uint16]*call)
-	sh.waitBind = make(map[atm.VCI]*bindWait)
-	sh.vciMap = make(map[atm.VCI]*call)
-	sh.cookies = make(map[atm.VCI]uint16)
-	sh.calls = make(map[callKey]*call)
-	// The intrusive indexes die with the lists. The wiped structs are
-	// NOT returned to the pools: in-flight callbacks may still hold
-	// them, and their gen was never bumped.
-	sh.allHead, sh.allTail = nil, nil
-	sh.byPeer = make(map[atm.Addr]*peerCalls)
-	sh.byOwner = make(map[ownerKey]*call)
+	sh.wipe()
 }
 
 // Recover restarts a crashed sighost: bump the incarnation, replay the
@@ -449,6 +409,8 @@ func (sh *Sighost) Recover() {
 		}
 	}
 
+	// Each call is rebuilt through the same transitions it first took;
+	// what they journal is discarded by the compaction that ends replay.
 	now := sh.env.Now()
 	var aborted []*call
 	for _, key := range order {
@@ -459,38 +421,31 @@ func (sh *Sighost) Recover() {
 		delete(live, key) // a corrupt log may repeat keys; build each once
 		c := sh.newCall()
 		c.key = key
-		c.service = st.open.service
-		c.qosStr = st.open.qos
-		c.endIP = st.open.ip
-		c.endPort = st.open.port
-		c.cookie = st.open.cookie
+		c.service, c.qosStr, c.cookie = st.open.service, st.open.qos, st.open.cookie
+		c.endIP, c.endPort = st.open.ip, st.open.port
 		c.reqAt = now
-		sh.linkCall(c)
+		open := callWaitServer
+		if key.origin {
+			open = callSetupSent
+		}
+		sh.transition(c, open, 0)
+		if st.hasGrant {
+			c.localVCI, c.vc = st.grant.vci, st.grant.vc
+		}
 		switch {
 		case st.bound && st.hasGrant:
 			// Fully established and bound: restore VCI_mapping + cookie.
-			c.state = callEstablished
-			c.localVCI = st.grant.vci
-			c.vc = st.grant.vc
-			sh.vciMap[c.localVCI] = c
-			sh.cookies[c.localVCI] = st.grant.cookie
+			sh.transition(c, callBound, 0)
 			sh.Obs.Counter("sighost.recovered.bound").Inc()
-		case st.hasGrant:
+		case st.hasGrant && st.grant.deadline > now:
 			// Granted but unbound: restore wait_for_bind with whatever
-			// allowance the call had left. An already-expired deadline
-			// tears down immediately — the timer fired during the outage.
-			c.state = callEstablished
-			c.localVCI = st.grant.vci
-			c.vc = st.grant.vc
-			sh.cookies[c.localVCI] = st.grant.cookie
-			remaining := st.grant.deadline - now
-			if remaining <= 0 {
-				sh.ct.bindTimeouts.Inc()
-				aborted = append(aborted, c)
-				continue
-			}
-			sh.armBindTimer(c, c.localVCI, remaining, st.grant.deadline)
+			// allowance the call had left.
+			sh.transition(c, callEstablished, st.grant.deadline)
 			sh.Obs.Counter("sighost.recovered.wait_bind").Inc()
+		case st.hasGrant:
+			// The bind timer fired during the outage: tear down now.
+			sh.ct.bindTimeouts.Inc()
+			aborted = append(aborted, c)
 		default:
 			// Mid-establishment: its handshake died with the process.
 			aborted = append(aborted, c)
@@ -498,11 +453,7 @@ func (sh *Sighost) Recover() {
 	}
 	for _, c := range aborted {
 		sh.Obs.Counter("sighost.recovery.aborted_calls").Inc()
-		sh.ct.callsFailed.Inc()
-		if c.key.origin {
-			sh.notifyClientFailure(c, "signaling entity restarted")
-		}
-		sh.teardown(c, "lost in signaling restart", true)
+		sh.end(c, cause{code: causeRestart})
 	}
 	sh.compactJournal()
 }

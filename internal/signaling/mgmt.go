@@ -143,65 +143,15 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 			out = []byte("{}")
 		}
 		body = string(out)
-	case MgmtFaults:
-		if sh.FaultsInfo != nil {
-			body = sh.FaultsInfo()
-		} else {
-			body = "fault injection disabled"
-		}
-	case MgmtFaultsJSON:
-		if sh.FaultsJSON != nil {
-			body = sh.FaultsJSON()
-		} else {
-			body = "{}"
-		}
-	case MgmtTSeries:
-		if sh.TSeriesInfo != nil {
-			body = sh.TSeriesInfo()
-		} else {
-			body = "time-series collection disabled"
-		}
-	case MgmtTSeriesJSON:
-		if sh.TSeriesJSON != nil {
-			body = sh.TSeriesJSON()
-		} else {
-			body = "{}"
-		}
-	case MgmtHealth:
-		if sh.HealthInfo != nil {
-			body = sh.HealthInfo()
-		} else {
-			body = "time-series collection disabled"
-		}
-	case MgmtHealthJSON:
-		if sh.HealthJSON != nil {
-			body = sh.HealthJSON()
-		} else {
-			body = "{}"
-		}
-	case MgmtProf:
-		if sh.ProfInfo != nil {
-			body = sh.ProfInfo()
-		} else {
-			body = "execution profiling disabled"
-		}
-	case MgmtProfJSON:
-		if sh.ProfJSON != nil {
-			body = sh.ProfJSON()
-		} else {
-			body = "{}"
-		}
-	case MgmtProfFlame:
-		if sh.ProfFlame != nil {
-			body = sh.ProfFlame()
-		} else {
-			body = "execution profiling disabled"
-		}
 	case MgmtLists:
 		svc, out, in, wb, vm := sh.ListSizes()
 		body = fmt.Sprintf("service_list=%d outgoing_requests=%d incoming_requests=%d wait_for_bind=%d VCI_mapping=%d cookies=%d",
 			svc, out, in, wb, vm, len(sh.cookies))
 	default:
+		if _, ok := mgmtViews[m.Service]; ok {
+			body = sh.View(m.Service)
+			break
+		}
 		if strings.HasPrefix(m.Service, "prof.") {
 			// A malformed profiler view gets a pointed error naming the
 			// valid ones, mirroring the calltrace error path.
@@ -218,6 +168,37 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 		return
 	}
 	sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindMgmtReply, Service: m.Service, Comment: body})
+}
+
+// mgmtViews are the queries other subsystems answer, each with what it
+// says while none is attached.
+var mgmtViews = map[string]string{
+	MgmtFaults: "fault injection disabled", MgmtFaultsJSON: "{}",
+	MgmtTSeries: "time-series collection disabled", MgmtTSeriesJSON: "{}",
+	MgmtHealth: "time-series collection disabled", MgmtHealthJSON: "{}",
+	MgmtProf: "execution profiling disabled", MgmtProfJSON: "{}",
+	MgmtProfFlame: "execution profiling disabled",
+}
+
+// SetViews attaches MGMT views: each query named answers with its
+// function's text instead of its disabled default. Call it in actor
+// context (through RealHost.Do on a live daemon).
+func (sh *Sighost) SetViews(views map[string]func() string) {
+	for name, fn := range views {
+		if _, ok := mgmtViews[name]; !ok {
+			panic("signaling: no MGMT view " + name)
+		}
+		sh.views[name] = fn
+	}
+}
+
+// View renders one MGMT view: the attached source's text, or the
+// view's disabled default.
+func (sh *Sighost) View(name string) string {
+	if fn := sh.views[name]; fn != nil {
+		return fn()
+	}
+	return mgmtViews[name]
 }
 
 // traceCount extracts the requested event count from a trace query: the

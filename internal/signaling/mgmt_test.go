@@ -158,7 +158,9 @@ func TestMgmtProfErrorPaths(t *testing.T) {
 	// handler), the views serve its exports.
 	p := prof.New()
 	p.Engine(0).Account(p.Engine(0).Label("proc.sighost"), 1000)
-	h.SetProfSource(p.Text, p.JSON, p.FlameFolded)
+	h.Do(func() {
+		h.SH.SetViews(map[string]func() string{signaling.MgmtProf: p.Text, signaling.MgmtProfJSON: p.JSON})
+	})
 	reply, err = realQuery(t, h.ListenAddr(), signaling.MgmtProf)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +184,7 @@ func TestMgmtProfOversizedReply(t *testing.T) {
 	h := startReal(t)
 
 	big := strings.Repeat("shard 0: busy\n", 64)
-	h.SetProfSource(func() string { return big }, nil, nil)
+	h.Do(func() { h.SH.SetViews(map[string]func() string{signaling.MgmtProf: func() string { return big }}) })
 	reply, err := realQuery(t, h.ListenAddr(), signaling.MgmtProf)
 	if err != nil {
 		t.Fatal(err)

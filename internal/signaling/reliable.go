@@ -79,9 +79,9 @@ type callPend struct {
 	origin bool
 }
 
-// pmChainKey maps a reliable message kind to the owning call's key view
-// (mirroring retryExhausted). ok=false for kinds not tied to a live
-// call, which are never chained and never canceled.
+// pmChainKey maps a reliable message kind to the owning call's key view.
+// ok=false for kinds not tied to a live call, which are never chained,
+// never canceled, and tear nothing down when their retries run out.
 func pmChainKey(m sigmsg.Msg) (callPend, bool) {
 	switch m.Kind {
 	case sigmsg.KindSetup, sigmsg.KindConnectDone:
@@ -300,30 +300,22 @@ func (pm *pendingMsg) fireNow() {
 }
 
 // retryExhausted gives up on a message: the call it belongs to cannot
-// make progress, so tear it down. The reason maps to a TIMEOUT trace
-// status, which dumps the call's span tree to the flight recorder.
+// make progress, so tear it down. The cause's TIMEOUT trace status
+// dumps the call's span tree to the flight recorder. A lost RELEASE
+// belongs to an already-dead call: nothing to tear.
 func (sh *Sighost) retryExhausted(dst atm.Addr, m sigmsg.Msg) {
-	var key callKey
-	switch m.Kind {
-	case sigmsg.KindSetup, sigmsg.KindConnectDone:
-		key = callKey{peer: dst, id: m.CallID, origin: true}
-	case sigmsg.KindSetupAck, sigmsg.KindSetupRej:
-		key = callKey{peer: dst, id: m.CallID, origin: false}
-	default:
-		return // a lost RELEASE for an already-dead call: nothing to tear
+	k, ok := pmChainKey(m)
+	if !ok {
+		return
 	}
-	if c, ok := sh.calls[key]; ok {
-		sh.ct.callsFailed.Inc()
-		if key.origin {
-			sh.notifyClientFailure(c, "signaling retransmit budget exhausted")
-		}
-		sh.teardown(c, "retransmit budget exhausted", false)
+	if c, ok := sh.calls[callKey{peer: dst, id: k.id, origin: k.origin}]; ok {
+		sh.end(c, cause{code: causeRetxExhausted})
 	}
 }
 
 // cancelCallRetransmits drops pending retransmissions that only make
-// sense while the call is being established; called from teardown so a
-// dead call cannot keep the retry machinery (and the sim) alive.
+// sense while the call is being established; called when a teardown
+// ends a call, so it cannot keep the retry machinery (and the sim) alive.
 func (sh *Sighost) cancelCallRetransmits(c *call) {
 	lk := sh.rel.links[c.key.peer]
 	if lk == nil {
@@ -477,11 +469,7 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 		}
 	}
 	for _, c := range doomed {
-		sh.ct.callsFailed.Inc()
-		if c.key.origin {
-			sh.notifyClientFailure(c, "peer signaling entity dead")
-		}
-		sh.teardown(c, "peer signaling entity dead", false)
+		sh.end(c, cause{code: causePeerDead})
 	}
 	sh.scratch = doomed[:0]
 }

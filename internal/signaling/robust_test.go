@@ -114,6 +114,8 @@ type fakeEnv struct {
 	disconnects []atm.VCI
 	conns       []*fakeConn
 	sent        []sentRec // every SendPeer, including dropped ones
+	refuse      uint16    // a notify port whose dials fail
+	vcErr       error     // when set, SetupVC fails with it
 }
 
 func (e *fakeEnv) Addr() atm.Addr         { return e.addr }
@@ -152,12 +154,19 @@ func (e *fakeEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 }
 
 func (e *fakeEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
+	if port == e.refuse {
+		cb(nil, fmt.Errorf("connection refused by port %d", port))
+		return
+	}
 	c := &fakeConn{}
 	e.conns = append(e.conns, c)
 	cb(c, nil)
 }
 
 func (e *fakeEnv) SetupVC(dst atm.Addr, q qos.QoS) (*VCHandle, error) {
+	if e.vcErr != nil {
+		return nil, e.vcErr
+	}
 	e.nextVCI++
 	v := e.nextVCI + 100
 	return &VCHandle{SrcVCI: v, DstVCI: v, Release: func() { e.released = append(e.released, v) }}, nil
@@ -211,6 +220,21 @@ func pair(t *testing.T, bindTO time.Duration, rel *RelConfig, journal bool) (*wo
 	w.hosts["a.rt"] = shA
 	w.hosts["b.rt"] = shB
 	return w, shA, shB, envA, envB
+}
+
+// records decodes the durable log back into record structs. Unflushed
+// batch records are not included (they are not durable yet).
+func (j *journal) records() []jrec {
+	var out []jrec
+	for b := j.buf; len(b) > 0; {
+		r, n, err := decodeJrec(b, j.vcs)
+		if err != nil {
+			break
+		}
+		out = append(out, r)
+		b = b[n:]
+	}
+	return out
 }
 
 // checkBindInvariant is the audit: live (unfired, uncanceled) timers
@@ -535,7 +559,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Crash A one second into call 2's bind window.
 	w.advance(grantAt + time.Second)
 	shA.Crash()
-	if !shA.Down() {
+	if !shA.down {
 		t.Fatal("Crash did not mark the entity down")
 	}
 	if len(shA.calls) != 0 || len(shA.waitBind) != 0 || len(shA.cookies) != 0 {
@@ -561,7 +585,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("recovery.aborted_calls = %d, want 1", got)
 	}
 	// Call 1 must be live and bound again.
-	if c, ok := shA.vciMap[cv1]; !ok || c.state != callEstablished {
+	if c, ok := shA.vciMap[cv1]; !ok || c.state != callBound {
 		t.Error("bound call did not survive recovery")
 	}
 	if got, want := shA.cookies[cv1], cc1; got != want {

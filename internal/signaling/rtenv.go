@@ -388,19 +388,6 @@ func (h *RealHost) sendPeerFrame(p *rtnet.Peer, m *sigmsg.Msg, frame []byte) err
 	return p.SendSig(frame)
 }
 
-// SetProfSource wires the MGMT prof hooks in actor context, so a
-// profiler can be attached while the daemon is serving without racing
-// the handler goroutine (tests attach one to exercise the prof error
-// paths). The assignment is ordered before any later query's handling
-// by the inbox's FIFO discipline.
-func (h *RealHost) SetProfSource(info, js, flame func() string) {
-	h.post(func() {
-		h.SH.ProfInfo = info
-		h.SH.ProfJSON = js
-		h.SH.ProfFlame = flame
-	})
-}
-
 // inboxItem is one closure queued for the actor, stamped with its post
 // time so the actor can meter how long it waited.
 type inboxItem struct {
@@ -675,33 +662,22 @@ func (e *realEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	return func() { t.Stop() }
 }
 
-// SendPeer delivers to the local loopback in-process; remote
-// destinations encode into the env scratch and ride the batched
-// carrier. Without EnablePeerNet the standalone daemon still has no
-// peers and remote destinations fail as before.
+// SendPeer encodes into the env scratch and sends that frame.
 func (e *realEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
+	e.txBuf = m.AppendTo(e.txBuf[:0])
+	return e.SendPeerRaw(dst, m, e.txBuf)
+}
+
+// SendPeerRaw delivers to the local loopback in-process; remote
+// destinations ride the batched carrier, and the reliability layer's
+// retransmits hit the wire from the frame encoded at first
+// transmission, exactly as in the simulation. Without EnablePeerNet the
+// standalone daemon still has no peers and remote destinations fail as
+// before.
+func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Addr {
 		e.h.post(func() { e.h.SH.HandlePeer(dst, m) })
 		return nil
-	}
-	p := e.h.peerFor(dst)
-	if p == nil {
-		if e.h.carrier.Load() == nil {
-			return fmt.Errorf("signaling: standalone daemon has no peer %s", dst)
-		}
-		return fmt.Errorf("signaling: no peer route to %s", dst)
-	}
-	e.txBuf = m.AppendTo(e.txBuf[:0])
-	return e.h.sendPeerFrame(p, &m, e.txBuf)
-}
-
-// SendPeerRaw sends a cached frame without re-encoding — the
-// reliability layer's retransmits hit the wire from the frame encoded
-// at first transmission, exactly as in the simulation (the encode-once
-// counter assertion holds in real mode too).
-func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
-	if dst == e.h.Addr {
-		return e.SendPeer(dst, m)
 	}
 	p := e.h.peerFor(dst)
 	if p == nil {

@@ -25,10 +25,12 @@ func (h *RealHost) EnableTSeries(cfg tseries.Config) *tseries.Store {
 	// (sighost.*, go.*); runtime metrics registered above are adopted by
 	// the store's first scan here.
 	st.TrackRegistry("", h.SH.Obs)
-	h.SH.TSeriesInfo = st.Text
-	h.SH.TSeriesJSON = st.JSON
-	h.SH.HealthInfo = st.HealthText
-	h.SH.HealthJSON = st.HealthJSON
+	h.Do(func() {
+		h.SH.SetViews(map[string]func() string{
+			MgmtTSeries: st.Text, MgmtTSeriesJSON: st.JSON,
+			MgmtHealth: st.HealthText, MgmtHealthJSON: st.HealthJSON,
+		})
+	})
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()

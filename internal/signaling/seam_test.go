@@ -1,0 +1,341 @@
+package signaling
+
+// Every way a call can end, one row each, checked for the same things:
+// each side journals exactly one end for each call it opened, keeps no
+// list, cookie or timer entry, sends RELEASE only when the cause says
+// so, notifies its client at most once with the cause's text, finishes
+// the trace with the cause's status, and counts the end once.
+
+import (
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"xunet/internal/atm"
+	"xunet/internal/kern"
+	"xunet/internal/sigmsg"
+	"xunet/internal/trace"
+)
+
+// seam is one row's world: a client on A calls services on B.
+type seam struct {
+	t      *testing.T
+	w      *world
+	a, b   *Sighost
+	ea, eb *fakeEnv
+	tc     *trace.Collector
+}
+
+// connect places a call from A's client and returns the client's conn.
+func (s *seam) connect(dest atm.Addr, svc string, pid uint32) *fakeConn {
+	conn := &fakeConn{}
+	s.a.HandleApp(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: dest, Service: svc, NotifyPort: 7000, PID: pid})
+	s.w.pump()
+	return conn
+}
+
+// answer has B's server accept (reject=false) or refuse the last call.
+func (s *seam) answer(reject bool, reason string) {
+	inc, ok := s.eb.lastMsg(sigmsg.KindIncomingConn)
+	if !ok {
+		s.t.Fatal("no INCOMING_CONN reached the server")
+	}
+	kind := sigmsg.KindAcceptConn
+	if reject {
+		kind = sigmsg.KindRejectConn
+	}
+	s.b.HandleApp(&fakeConn{}, s.eb.ip, sigmsg.Msg{Kind: kind, Cookie: inc.Cookie, Reason: reason})
+	s.w.pump()
+}
+
+type endRow struct {
+	name  string
+	rel   *RelConfig
+	drive func(s *seam)
+	// counts are A's and B's calls failed, torn, rejected and canceled.
+	counts [2][4]uint64
+	// releases are the RELEASEs A and B sent.
+	releases [2]int
+	// connFailed is the CONN_FAILED text A's client got, "" for none.
+	connFailed string
+	// status is A's finished trace status, "" when none finished.
+	status string
+}
+
+var endRows = []endRow{
+	{name: "socket closed", drive: func(s *seam) {
+		cv, cc, sv, sc := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		bindBoth(s.w, s.a, s.b, s.ea, s.eb, cv, cc, sv, sc)
+		s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgClose, VCI: cv})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusOK},
+	{name: "socket closed before use", drive: func(s *seam) {
+		cv, _, _, _ := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgClose, VCI: cv})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusOK},
+	{name: "canceled by client", drive: func(s *seam) {
+		conn := s.connect("b.rt", "echo", 0)
+		s.a.HandleApp(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: conn.msgs[0].Cookie})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 1}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusCanceled},
+	{name: "bind timeout", drive: func(s *seam) {
+		openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		s.w.advance(s.w.now + 10*time.Second)
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusTimeout},
+	{name: "cookie authentication failed", drive: func(s *seam) {
+		cv, cc, _, _ := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgConnect, VCI: cv, Cookie: cc + 1})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusFailed},
+	{name: "client terminated", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 42)
+		s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgExit, PID: 42})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0},
+		connFailed: "client terminated", status: trace.StatusDeath},
+	{name: "client unreachable", drive: func(s *seam) {
+		s.ea.refuse = 7000
+		s.connect("b.rt", "echo", 0)
+		s.answer(false, "")
+	}, counts: [2][4]uint64{{1, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusDeath},
+	{name: "retransmit budget exhausted", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 3},
+		drive: func(s *seam) {
+			s.w.drop = true
+			s.connect("b.rt", "echo", 0)
+			s.w.advance(s.w.now + 10*time.Second)
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {}},
+		connFailed: "signaling retransmit budget exhausted", status: trace.StatusTimeout},
+	{name: "peer signaling entity dead", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 10,
+		KeepaliveEvery: time.Second, KeepaliveMisses: 2},
+		drive: func(s *seam) {
+			cv, cc, sv, sc := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+			bindBoth(s.w, s.a, s.b, s.ea, s.eb, cv, cc, sv, sc)
+			s.w.drop = true
+			s.w.advance(s.w.now + 10*time.Second)
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {1, 1, 0, 0}},
+		connFailed: "peer signaling entity dead", status: trace.StatusDeath},
+	{name: "lost in signaling restart", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		s.a.Crash()
+		s.a.Recover()
+		s.w.pump()
+	}, counts: [2][4]uint64{{1, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0},
+		connFailed: "signaling entity restarted"},
+	{name: "destination unreachable", drive: func(s *seam) {
+		s.connect("c.rt", "echo", 0)
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {}},
+		connFailed: "destination unreachable: no PVC to c.rt", status: trace.StatusFailed},
+	{name: "admission failed", drive: func(s *seam) {
+		s.ea.vcErr = errors.New("no capacity")
+		s.connect("b.rt", "echo", 0)
+		s.answer(false, "")
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0},
+		connFailed: "network admission failed: no capacity", status: trace.StatusFailed},
+	{name: "server unreachable", drive: func(s *seam) {
+		s.eb.refuse = 6000
+		s.connect("b.rt", "echo", 0)
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {}}, connFailed: "server unreachable", status: trace.StatusReject},
+	{name: "rejected by server", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		s.answer(true, "")
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 0, 1, 0}}, connFailed: "rejected by server", status: trace.StatusReject},
+	{name: "server's own reason", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		s.answer(true, "maintenance window")
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 0, 1, 0}}, connFailed: "maintenance window", status: trace.StatusReject},
+	{name: "no such service", drive: func(s *seam) {
+		s.connect("b.rt", "nosvc", 0)
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {}}, connFailed: "no such service: nosvc", status: trace.StatusReject},
+	{name: "peer's socket closed before use", drive: func(s *seam) {
+		_, _, sv, _ := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		s.b.HandleKernel(s.eb.ip, kern.KMsg{Kind: kern.MsgClose, VCI: sv})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{0, 1}, status: trace.StatusOK},
+	{name: "peer lost in signaling restart", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		s.b.Crash()
+		s.b.Recover()
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {1, 1, 0, 0}}, releases: [2]int{0, 1},
+		connFailed: "lost in signaling restart", status: trace.StatusDeath},
+}
+
+// TestEveryCauseEndsOnce drives one call to each end and checks what it
+// left behind on both sighosts.
+func TestEveryCauseEndsOnce(t *testing.T) {
+	for _, row := range endRows {
+		t.Run(row.name, func(t *testing.T) {
+			w, a, b, ea, eb := pair(t, 5*time.Second, row.rel, true)
+			tc := trace.NewCollector(func() time.Duration { return w.now })
+			tc.SetEnabled(true)
+			a.TraceC, b.TraceC = tc, tc
+			exportEcho(t, b, eb, "echo")
+			s := &seam{t: t, w: w, a: a, b: b, ea: ea, eb: eb, tc: tc}
+			row.drive(s)
+			w.advance(w.now + time.Minute)
+
+			for i, side := range []struct {
+				sh  *Sighost
+				env *fakeEnv
+				key callKey
+			}{{a, ea, callKey{peer: "b.rt", id: 1, origin: true}}, {b, eb, callKey{peer: "a.rt", id: 1}}} {
+				sh, env := side.sh, side.env
+				opens, ends := 0, 0
+				for _, r := range sh.jr.records() {
+					if r.key == side.key && r.op == jOpen {
+						opens++
+					}
+					if r.key == side.key && r.op == jEnd {
+						ends++
+					}
+				}
+				if opens > 1 || ends != opens {
+					t.Errorf("%s: journal holds %d opens and %d ends for %+v", env.addr, opens, ends, side.key)
+				}
+				_, out, in, wb, vm := sh.ListSizes()
+				if out+in+wb+vm+sh.CookieCount()+len(sh.calls) != 0 {
+					t.Errorf("%s: left outgoing=%d incoming=%d wait_for_bind=%d VCI_mapping=%d cookies=%d calls=%d",
+						env.addr, out, in, wb, vm, sh.CookieCount(), len(sh.calls))
+				}
+				for _, tm := range w.timers {
+					if tm.owner == env && !tm.canceled && !tm.fired {
+						t.Errorf("%s: timer at %v still armed", env.addr, tm.at)
+					}
+				}
+				if got := env.countSent(sigmsg.KindRelease); min(got, 1) != row.releases[i] {
+					t.Errorf("%s: sent %d RELEASEs, want %d", env.addr, got, row.releases[i])
+				}
+				var failed []string
+				for _, c := range env.conns {
+					for _, m := range c.msgs {
+						if m.Kind == sigmsg.KindConnFailed {
+							failed = append(failed, m.Reason)
+						}
+					}
+				}
+				want := 0
+				if i == 0 && row.connFailed != "" {
+					want = 1
+				}
+				if len(failed) != want || (want == 1 && failed[0] != row.connFailed) {
+					t.Errorf("%s: CONN_FAILED %q, want %q", env.addr, failed, row.connFailed)
+				}
+				st := sh.Stats()
+				if got := [4]uint64{st.CallsFailed, st.CallsTorn, st.CallsRejected, st.CallsCanceled}; got != row.counts[i] {
+					t.Errorf("%s: failed/torn/rejected/canceled = %v, want %v", env.addr, got, row.counts[i])
+				}
+			}
+			status := ""
+			for _, tr := range tc.Completed() {
+				if tr.CallID == 1 {
+					status = tr.Status
+				}
+			}
+			if status != row.status {
+				t.Errorf("trace status %q, want %q", status, row.status)
+			}
+		})
+	}
+}
+
+// TestCauseRoundTrip: a reason parsed at receipt renders back to itself,
+// whether the sighost names it or carries it verbatim.
+func TestCauseRoundTrip(t *testing.T) {
+	check := func(s string) bool { return heard(sigmsg.KindRelease, s).String() == s }
+	for _, e := range endings {
+		if !check(e.text) {
+			t.Errorf("named reason %q does not round-trip", e.text)
+		}
+	}
+	for _, s := range []string{"", "maintenance window", "no such service: x", "bind timeout "} {
+		if !check(s) {
+			t.Errorf("carried reason %q does not round-trip", s)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	if got := heard(sigmsg.KindRelease, "bind timeout").code; got != causeBindTimeout {
+		t.Errorf(`"bind timeout" parses to cause %d, want %d`, got, causeBindTimeout)
+	}
+}
+
+// TestStateWrittenOnlyByTransition walks the package's non-test files:
+// a call's state and the four call lists and cookie table are written
+// only in transition, and replaced wholesale only in wipe (the state a
+// process starts with and loses in Crash).
+func TestStateWrittenOnlyByTransition(t *testing.T) {
+	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true}
+	fset := token.NewFileSet()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{} // writes found in transition, per field
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := fn.Name.Name
+			write := func(n ast.Node, field string, wholesale bool) {
+				switch {
+				case where == "transition" && !wholesale:
+					seen[field]++
+				case where == "wipe" && wholesale && lists[field]:
+				default:
+					t.Errorf("%s: %s writes %s", fset.Position(n.Pos()), where, field)
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					targets = n.Lhs
+				case *ast.IncDecStmt:
+					targets = []ast.Expr{n.X}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
+						if sel, ok := n.Args[0].(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
+							write(n, sel.Sel.Name, false)
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
+						write(n, "state", false)
+					}
+				}
+				for _, x := range targets {
+					if ix, ok := x.(*ast.IndexExpr); ok {
+						if sel, ok := ix.X.(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
+							write(x, sel.Sel.Name, false)
+						}
+					} else if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "state" || lists[sel.Sel.Name]) {
+						write(x, sel.Sel.Name, sel.Sel.Name != "state")
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap", "cookies"} {
+		if seen[field] == 0 {
+			t.Errorf("transition writes no %s: the walk is looking at the wrong code", field)
+		}
+	}
+}

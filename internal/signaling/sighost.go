@@ -9,9 +9,14 @@
 // TCP (cmd/sighost). Exactly as §7.3 describes, internal state lives in
 // five lists — service_list, outgoing_requests, incoming_requests,
 // wait_for_bind and VCI_mapping — plus the per-VCI cookie table of §7.1.
+// A call's place in them follows from its state, and one function,
+// transition, changes both; one function, end, ends a call, whatever
+// the cause.
 package signaling
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"xunet/internal/atm"
@@ -93,24 +98,6 @@ type Env interface {
 	Now() time.Duration
 }
 
-// Stats is a point-in-time snapshot of signaling activity, read by the
-// experiments. The live counts are obs registry counters (see sigCounters);
-// Stats() assembles this struct from them on demand.
-type Stats struct {
-	ServicesRegistered uint64
-	CallsRequested     uint64
-	CallsEstablished   uint64
-	CallsRejected      uint64
-	CallsFailed        uint64
-	CallsTorn          uint64
-	CallsCanceled      uint64
-	AuthFailures       uint64
-	BindTimeouts       uint64
-	KernelMsgs         uint64
-	PeerMsgs           uint64
-	AppMsgs            uint64
-}
-
 // service_list entry.
 type serviceEntry struct {
 	name string
@@ -127,19 +114,27 @@ type callKey struct {
 	origin bool
 }
 
+// callState is where a call is in its life, and so which lists hold it:
+//
+//	callSetupSent, callProgramming  outgoing_requests (origin)
+//	callWaitServer                  incoming_requests (destination)
+//	callEstablished                 wait_for_bind, cookies
+//	callBound                       VCI_mapping, cookies
+//	callReleased                    none
 type callState uint8
 
 const (
 	callSetupSent   callState = iota // origin: SETUP sent, awaiting ack
 	callWaitServer                   // dest: INCOMING_CONN sent, awaiting accept
 	callProgramming                  // origin: accepted, fabric being set up
-	callEstablished                  // VCI handed out
+	callEstablished                  // VCI handed out, awaiting bind
+	callBound                        // bind authenticated
 	callReleased
 )
 
 type call struct {
 	key     callKey
-	state   callState
+	state   callState // written only by transition
 	service string
 	qosStr  string
 	comment string
@@ -207,61 +202,6 @@ type call struct {
 	ownLinked          bool
 }
 
-// ownerKey identifies the process behind outstanding origin requests:
-// kernelExit walks exactly this process's chain instead of scanning the
-// whole outgoing_requests table.
-type ownerKey struct {
-	ip  memnet.IPAddr
-	pid uint32
-}
-
-// peerCalls heads the per-peer chain of live calls, in creation order.
-type peerCalls struct {
-	head, tail *call
-	n          int
-}
-
-// bindWait is a wait_for_bind entry: a VCI handed to an application
-// that has not yet bound or connected, guarded by the per-VCI timer.
-// deadline is the timer's absolute expiry; crash-recovery re-arms the
-// timer with only the remaining allowance. Entries are pooled; fire is
-// bound once per struct so re-arming allocates nothing.
-type bindWait struct {
-	sh       *Sighost
-	c        *call
-	gen      uint32 // c.gen at arm time
-	vci      atm.VCI
-	cancel   CancelFunc
-	deadline time.Duration
-	next     *bindWait // pool link
-	fire     func()
-}
-
-// dialCtx carries one outstanding Env.Dial across its asynchronous
-// callback without a per-dial closure allocation: the cb func is bound
-// once per (pooled) struct. Payload fields the callback must be able to
-// read after the call is gone (the VCI hand-off, failure notices) are
-// copied in by value.
-type dialCtx struct {
-	sh     *Sighost
-	kind   uint8
-	c      *call
-	gen    uint32
-	cookie uint16
-	vci    atm.VCI
-	qosStr string
-	reason string
-	tc     trace.Context
-	next   *dialCtx // pool link
-	cb     func(Conn, error)
-}
-
-const (
-	dcServer    uint8 = iota + 1 // peerSetup's dial to the server's notify port
-	dcClientVCI                  // peerSetupAck's VCI hand-off to the client
-	dcNotify                     // notifyClientFailure's CONN_FAILED delivery
-)
-
 // Sighost is the signaling entity.
 type Sighost struct {
 	env Env
@@ -281,8 +221,8 @@ type Sighost struct {
 	pvcs  map[atm.VCI]bool
 
 	// Indexed call state: heads of the intrusive lists threading calls
-	// (see the link fields on call), plus the object pools that make the
-	// steady-state setup→bind→teardown cycle allocation-free.
+	// (calls.go), plus the object pools that make the steady-state
+	// setup→bind→teardown cycle allocation-free.
 	allHead, allTail *call
 	byPeer           map[atm.Addr]*peerCalls
 	byOwner          map[ownerKey]*call
@@ -322,56 +262,8 @@ type Sighost struct {
 	down     bool
 	epochGen uint32
 
-	// FaultsInfo/FaultsJSON, when set, render the fault plane's counters
-	// for the MGMT `faults` / `faults.json` queries.
-	FaultsInfo func() string
-	FaultsJSON func() string
-
-	// TSeriesInfo/TSeriesJSON and HealthInfo/HealthJSON, when set,
-	// render the time-series store and its watermark-rule state for the
-	// MGMT `tseries` / `health` queries (the testbed and the real-mode
-	// daemon wire these to their tseries.Store).
-	TSeriesInfo func() string
-	TSeriesJSON func() string
-	HealthInfo  func() string
-	HealthJSON  func() string
-
-	// ProfInfo/ProfJSON/ProfFlame, when set, render the execution
-	// profiler (internal/prof) for the MGMT `prof` / `prof.json` /
-	// `prof.flame` queries: the barrier-stall table and critical-shard
-	// ranking, the machine-readable snapshot, and folded flame stacks.
-	ProfInfo  func() string
-	ProfJSON  func() string
-	ProfFlame func() string
-}
-
-// sigCounters are the registry counters behind the legacy Stats fields,
-// registered under "sighost.*" names.
-type sigCounters struct {
-	servicesRegistered *obs.Counter // sighost.services_registered
-	callsRequested     *obs.Counter // sighost.calls.requested
-	callsEstablished   *obs.Counter // sighost.calls.established
-	callsRejected      *obs.Counter // sighost.calls.rejected
-	callsFailed        *obs.Counter // sighost.calls.failed
-	callsTorn          *obs.Counter // sighost.calls.torn
-	callsCanceled      *obs.Counter // sighost.calls.canceled
-	authFailures       *obs.Counter // sighost.auth_failures
-	bindTimeouts       *obs.Counter // sighost.bind_timeouts
-	kernelMsgs         *obs.Counter // sighost.msgs.kernel
-	peerMsgs           *obs.Counter // sighost.msgs.peer
-	appMsgs            *obs.Counter // sighost.msgs.app
-}
-
-// sigHists are the sim-time latency histograms for the paper's call-setup
-// breakdown (Figure 4 stages) plus bind behavior.
-type sigHists struct {
-	setupProcess *obs.Histogram // sighost.setup.process: CONNECT_REQ handled -> SETUP sent
-	setupPeer    *obs.Histogram // sighost.setup.peer: SETUP sent -> SETUP_ACK received
-	setupProgram *obs.Histogram // sighost.setup.program: SETUP_ACK -> call established
-	setupTotal   *obs.Histogram // sighost.setup.total: CONNECT_REQ -> established (origin)
-	acceptTotal  *obs.Histogram // sighost.accept.total: SETUP -> CONNECT_DONE (dest)
-	bindLatency  *obs.Histogram // sighost.bind.latency: established -> bind authenticated
-	bindTimerLag *obs.Histogram // sighost.bindtimer.fire: timer lag past its deadline
+	// views are the attached MGMT views (mgmt.go, SetViews).
+	views map[string]func() string
 }
 
 // CostModel is the slice of the simulation cost model sighost charges:
@@ -402,73 +294,33 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 		cm.BindTimeout = 30 * time.Second
 	}
 	sh := &Sighost{
-		env:      env,
-		cm:       cm,
-		services: make(map[string]*serviceEntry),
-		outgoing: make(map[uint16]*call),
-		incoming: make(map[uint16]*call),
-		waitBind: make(map[atm.VCI]*bindWait),
-		vciMap:   make(map[atm.VCI]*call),
-		cookies:  make(map[atm.VCI]uint16),
-		calls:    make(map[callKey]*call),
-		pvcs:     make(map[atm.VCI]bool),
-		byPeer:   make(map[atm.Addr]*peerCalls),
-		byOwner:  make(map[ownerKey]*call),
-		Obs:      reg,
-		tr:       reg.Tracer("sighost"),
+		env:   env,
+		cm:    cm,
+		pvcs:  make(map[atm.VCI]bool),
+		views: make(map[string]func() string),
+		Obs:   reg,
+		tr:    reg.Tracer("sighost"),
 	}
-	sh.ct = sigCounters{
-		servicesRegistered: reg.Counter("sighost.services_registered"),
-		callsRequested:     reg.Counter("sighost.calls.requested"),
-		callsEstablished:   reg.Counter("sighost.calls.established"),
-		callsRejected:      reg.Counter("sighost.calls.rejected"),
-		callsFailed:        reg.Counter("sighost.calls.failed"),
-		callsTorn:          reg.Counter("sighost.calls.torn"),
-		callsCanceled:      reg.Counter("sighost.calls.canceled"),
-		authFailures:       reg.Counter("sighost.auth_failures"),
-		bindTimeouts:       reg.Counter("sighost.bind_timeouts"),
-		kernelMsgs:         reg.Counter("sighost.msgs.kernel"),
-		peerMsgs:           reg.Counter("sighost.msgs.peer"),
-		appMsgs:            reg.Counter("sighost.msgs.app"),
-	}
-	sh.h = sigHists{
-		setupProcess: reg.Histogram("sighost.setup.process"),
-		setupPeer:    reg.Histogram("sighost.setup.peer"),
-		setupProgram: reg.Histogram("sighost.setup.program"),
-		setupTotal:   reg.Histogram("sighost.setup.total"),
-		acceptTotal:  reg.Histogram("sighost.accept.total"),
-		bindLatency:  reg.Histogram("sighost.bind.latency"),
-		bindTimerLag: reg.Histogram("sighost.bindtimer.fire"),
-	}
-	// The five lists of §7.3 as read-through gauges. Sampled at snapshot
-	// time, which must run in actor context (mgmt queries do) or after the
-	// sim quiesces.
-	reg.Func("sighost.list.services", func() uint64 { return uint64(len(sh.services)) })
-	reg.Func("sighost.list.outgoing", func() uint64 { return uint64(len(sh.outgoing)) })
-	reg.Func("sighost.list.incoming", func() uint64 { return uint64(len(sh.incoming)) })
-	reg.Func("sighost.list.wait_bind", func() uint64 { return uint64(len(sh.waitBind)) })
-	reg.Func("sighost.list.vci_map", func() uint64 { return uint64(len(sh.vciMap)) })
-	reg.Func("sighost.cookies", func() uint64 { return uint64(len(sh.cookies)) })
-	reg.Func("sighost.calls.active", func() uint64 { return uint64(len(sh.calls)) })
+	sh.wipe()
+	sh.tr.SetRender(eventString)
+	sh.register(reg)
 	return sh
 }
 
-// Stats snapshots the signaling counters into the legacy struct.
-func (sh *Sighost) Stats() Stats {
-	return Stats{
-		ServicesRegistered: sh.ct.servicesRegistered.Value(),
-		CallsRequested:     sh.ct.callsRequested.Value(),
-		CallsEstablished:   sh.ct.callsEstablished.Value(),
-		CallsRejected:      sh.ct.callsRejected.Value(),
-		CallsFailed:        sh.ct.callsFailed.Value(),
-		CallsTorn:          sh.ct.callsTorn.Value(),
-		CallsCanceled:      sh.ct.callsCanceled.Value(),
-		AuthFailures:       sh.ct.authFailures.Value(),
-		BindTimeouts:       sh.ct.bindTimeouts.Value(),
-		KernelMsgs:         sh.ct.kernelMsgs.Value(),
-		PeerMsgs:           sh.ct.peerMsgs.Value(),
-		AppMsgs:            sh.ct.appMsgs.Value(),
-	}
+// wipe empties the five lists, the cookie table and the call indexes:
+// the state a signaling process starts with, and loses when it dies.
+// Calls it drops are not pooled: callbacks in flight may still hold them.
+func (sh *Sighost) wipe() {
+	sh.services = make(map[string]*serviceEntry)
+	sh.outgoing = make(map[uint16]*call)
+	sh.incoming = make(map[uint16]*call)
+	sh.waitBind = make(map[atm.VCI]*bindWait)
+	sh.vciMap = make(map[atm.VCI]*call)
+	sh.cookies = make(map[atm.VCI]uint16)
+	sh.calls = make(map[callKey]*call)
+	sh.allHead, sh.allTail = nil, nil
+	sh.byPeer = make(map[atm.Addr]*peerCalls)
+	sh.byOwner = make(map[ownerKey]*call)
 }
 
 // AllowPVC marks a VCI as a preauthorized permanent circuit (the
@@ -479,212 +331,268 @@ func (sh *Sighost) AllowPVC(vci atm.VCI) { sh.pvcs[vci] = true }
 // ablation isolating §9's dominant call-setup cost.
 func (sh *Sighost) SetLogging(on bool) { sh.cm.LoggingEnabled = on }
 
-// ListSizes reports the five list sizes (service_list,
-// outgoing_requests, incoming_requests, wait_for_bind, VCI_mapping) for
-// the robustness assertions: after a storm with everything torn down,
-// all but service_list must be empty.
-func (sh *Sighost) ListSizes() (services, outgoing, incoming, waitBind, vciMapping int) {
-	return len(sh.services), len(sh.outgoing), len(sh.incoming), len(sh.waitBind), len(sh.vciMap)
-}
-
-// CookieCount reports live per-VCI cookie entries.
-func (sh *Sighost) CookieCount() int { return len(sh.cookies) }
-
-// traceOn reports whether any trace consumer is attached: the typed ring
-// (per-component enable flag) or the legacy Trace callback. Call sites gate
-// event construction on this so disabled tracing costs one nil-check and an
-// atomic load.
-func (sh *Sighost) traceOn() bool {
-	return sh.Trace != nil || sh.tr.Enabled()
-}
-
-// emit timestamps, stringifies and publishes one event: to the ring when the
-// sighost tracer is enabled, and to the legacy Trace callback when set.
-func (sh *Sighost) emit(ev obs.Event) {
-	ev.At = sh.env.Now()
-	ev.Text = eventString(ev)
-	if sh.Trace != nil {
-		sh.Trace(ev.Text)
-	}
-	sh.tr.Emit(ev)
-}
-
-// emitMsg publishes a signaling-message event with typed identity fields.
-func (sh *Sighost) emitMsg(kind, peer string, m sigmsg.Msg) {
-	if !sh.traceOn() {
-		return
-	}
-	sh.emit(obs.Event{
-		Kind: kind, Peer: peer,
-		VCI: uint32(m.VCI), CallID: m.CallID, Cookie: uint32(m.Cookie),
-		Data: m,
-	})
-}
-
 // newCookie allocates an unused nonzero 16-bit capability.
 func (sh *Sighost) newCookie() uint16 {
 	for {
 		c := sh.env.Rand16()
-		if c == 0 {
-			continue
+		_, out := sh.outgoing[c]
+		_, in := sh.incoming[c]
+		if c != 0 && !out && !in {
+			return c
 		}
-		if _, dup := sh.outgoing[c]; dup {
-			continue
+	}
+}
+
+// transition is the one writer of a call's state and of its place in
+// the lists, which follow from the state (see callState). It journals
+// each list entry as it is made: opening (either request list) as
+// jOpen, wait_for_bind as jGrant, VCI_mapping as jBound, release as
+// jEnd. deadline is the bind deadline, read only on entering
+// callEstablished. A new call leaves nothing behind: it is in no list.
+func (sh *Sighost) transition(c *call, to callState, deadline time.Duration) {
+	from, vci := c.state, c.localVCI
+	c.state = to
+	switch from {
+	case callSetupSent, callProgramming:
+		if to != callProgramming && sh.outgoing[c.cookie] == c {
+			delete(sh.outgoing, c.cookie)
+			sh.unlinkOwner(c)
 		}
-		if _, dup := sh.incoming[c]; dup {
-			continue
+	case callWaitServer:
+		if sh.incoming[c.cookie] == c {
+			delete(sh.incoming, c.cookie)
 		}
-		return c
+	case callEstablished:
+		if bw := sh.waitBind[vci]; bw != nil && bw.c == c {
+			bw.cancel()
+			delete(sh.waitBind, vci)
+			sh.freeBindWait(bw)
+		}
+	case callBound:
+		if sh.vciMap[vci] == c {
+			delete(sh.vciMap, vci)
+		}
 	}
-}
-
-// newCall takes a call struct from the pool (or allocates the pool's
-// first). The incarnation counter survives recycling so stale async
-// callbacks can detect reuse.
-func (sh *Sighost) newCall() *call {
-	if c := sh.callPool; c != nil {
-		sh.callPool = c.allNext
-		gen := c.gen
-		*c = call{}
-		c.gen = gen
-		return c
-	}
-	return &call{gen: 1}
-}
-
-// releaseCall returns a fully unlinked call to the pool. The gen bump
-// invalidates every outstanding callback that captured this struct.
-func (sh *Sighost) releaseCall(c *call) {
-	c.gen++
-	c.vc = nil
-	c.serverConn = nil
-	c.allNext = sh.callPool
-	sh.callPool = c
-}
-
-// linkCall registers a new call in the calls table and threads it on the
-// all-calls and per-peer lists.
-func (sh *Sighost) linkCall(c *call) {
-	sh.calls[c.key] = c
-	c.allPrev = sh.allTail
-	if sh.allTail != nil {
-		sh.allTail.allNext = c
-	} else {
-		sh.allHead = c
-	}
-	sh.allTail = c
-	pc := sh.byPeer[c.key.peer]
-	if pc == nil {
-		pc = &peerCalls{}
-		sh.byPeer[c.key.peer] = pc
-	}
-	c.peerPrev = pc.tail
-	if pc.tail != nil {
-		pc.tail.peerNext = c
-	} else {
-		pc.head = c
-	}
-	pc.tail = c
-	pc.n++
-}
-
-// unlinkCall removes a call from the calls table and both lists. Safe to
-// call twice (the table check makes the second a no-op).
-func (sh *Sighost) unlinkCall(c *call) {
-	if sh.calls[c.key] != c {
-		return
-	}
-	delete(sh.calls, c.key)
-	if c.allPrev != nil {
-		c.allPrev.allNext = c.allNext
-	} else {
-		sh.allHead = c.allNext
-	}
-	if c.allNext != nil {
-		c.allNext.allPrev = c.allPrev
-	} else {
-		sh.allTail = c.allPrev
-	}
-	c.allNext, c.allPrev = nil, nil
-	pc := sh.byPeer[c.key.peer]
-	if c.peerPrev != nil {
-		c.peerPrev.peerNext = c.peerNext
-	} else {
-		pc.head = c.peerNext
-	}
-	if c.peerNext != nil {
-		c.peerNext.peerPrev = c.peerPrev
-	} else {
-		pc.tail = c.peerPrev
-	}
-	c.peerNext, c.peerPrev = nil, nil
-	pc.n--
-}
-
-// linkOwner threads an outstanding origin request on its process's
-// chain; mirrors membership in the outgoing_requests table.
-func (sh *Sighost) linkOwner(c *call) {
-	if c.ownerPID == 0 {
-		return
-	}
-	k := ownerKey{ip: c.endIP, pid: c.ownerPID}
-	if head := sh.byOwner[k]; head != nil {
-		head.ownPrev = c
-		c.ownNext = head
-	}
-	sh.byOwner[k] = c
-	c.ownLinked = true
-}
-
-func (sh *Sighost) unlinkOwner(c *call) {
-	if !c.ownLinked {
-		return
-	}
-	c.ownLinked = false
-	if c.ownPrev != nil {
-		c.ownPrev.ownNext = c.ownNext
-	} else {
-		k := ownerKey{ip: c.endIP, pid: c.ownerPID}
-		if c.ownNext != nil {
-			sh.byOwner[k] = c.ownNext
+	switch to {
+	case callSetupSent, callWaitServer:
+		sh.linkCall(c)
+		if to == callSetupSent {
+			sh.outgoing[c.cookie] = c
+			sh.linkOwner(c)
 		} else {
-			delete(sh.byOwner, k)
+			sh.incoming[c.cookie] = c
+		}
+		sh.jlog(openRec(c))
+	case callEstablished:
+		// "sighost keeps a per-VCI timer that is loaded when a VCI is
+		// handed to an application. If no bind (resp. connect)
+		// indication is received before timeout, the connection is torn
+		// down."
+		sh.cookies[vci] = c.cookie
+		c.tcBind = sh.TraceC.StartSpan(c.tcRoot, "sighost", "wait_bind")
+		sh.waitBind[vci] = sh.newBindWait(c, vci, deadline)
+		sh.jlog(jrec{op: jGrant, key: c.key, vci: vci, cookie: c.cookie, deadline: deadline, vc: c.vc})
+	case callBound:
+		sh.cookies[vci] = c.cookie
+		sh.vciMap[vci] = c
+		sh.jlog(jrec{op: jBound, key: c.key, vci: vci})
+		sh.TraceC.EndSpan(c.tcBind)
+	case callReleased:
+		if from == callEstablished || from == callBound {
+			delete(sh.cookies, vci)
+		}
+		sh.unlinkCall(c)
+		sh.jlog(jrec{op: jEnd, key: c.key})
+	}
+}
+
+// end is the one terminal path: whatever ends a call ends it here, once,
+// doing what its cause's ending (below) says in this fixed order. Charge
+// moves the clock and every Env call schedules, so the order is the
+// virtual history: a teardown charges and tells the peer last, anything
+// else tells the peer first and charges nothing.
+func (sh *Sighost) end(c *call, why cause) {
+	if c.state == callReleased {
+		return
+	}
+	e := heardEndings[why.via]
+	if e == nil {
+		e = &endings[why.code]
+	}
+	// A client that has only seen REQ_ID is still blocked awaiting its
+	// VCI: tell it rather than leave it to run out its establishment
+	// timeout. A client-initiated cancel needs no echo back.
+	waiting := c.key.origin && c.state == callSetupSent && why.code != causeCanceled
+	if ctr := sh.ct.ended[e.count]; ctr != nil {
+		ctr.Inc()
+	}
+	if !e.torn {
+		sh.tellPeer(c, e.peer, why)
+	}
+	if e.notify && c.key.origin {
+		sh.notifyClientFailure(c, e.client+why.text)
+	}
+	if e.torn {
+		sh.ct.callsTorn.Inc()
+		if sh.traceOn() {
+			sh.emit(obs.Event{
+				Kind: EvTeardown, CallID: c.key.id, VCI: uint32(c.localVCI),
+				Data: teardownInfo{origin: c.key.origin, reason: why},
+			})
+		}
+		if sh.cm.LoggingEnabled {
+			sh.env.Charge(sh.cm.TeardownLogging)
+		}
+		if sh.rel != nil {
+			// Pending establishment-phase retransmissions for a dead call
+			// are pointless; drop them so they cannot outlive the call.
+			sh.cancelCallRetransmits(c)
 		}
 	}
-	if c.ownNext != nil {
-		c.ownNext.ownPrev = c.ownPrev
+	sh.transition(c, callReleased, 0)
+	if c.localVCI != 0 {
+		// Mark the endpoint's socket unusable (and shut host
+		// forwarding) so no more data flows on the dead circuit.
+		sh.env.KernelDisconnect(c.endIP, c.localVCI)
 	}
-	c.ownNext, c.ownPrev = nil, nil
+	if c.serverConn != nil {
+		c.serverConn.Close()
+	}
+	if c.vc != nil {
+		c.vc.Release()
+	}
+	if e.torn {
+		sh.tellPeer(c, e.peer, why)
+	}
+	if waiting {
+		sh.notifyClientFailure(c, why.String())
+	}
+	// The origin owns the trace's lifetime: finishing it moves the span
+	// tree into the flight recorder (and auto-dumps failures).
+	if c.key.origin {
+		sh.TraceC.FinishTrace(c.tcRoot, cmp.Or(e.status, endings[why.code].status))
+	}
+	sh.releaseCall(c)
 }
 
-// dropOutgoing removes c from outgoing_requests (and its owner chain) if
-// it is still there. The identity check guards against a later call that
-// was handed the same cookie after c left the table.
-func (sh *Sighost) dropOutgoing(c *call) {
-	if sh.outgoing[c.cookie] == c {
-		delete(sh.outgoing, c.cookie)
-		sh.unlinkOwner(c)
+// causeCode names why a call ends.
+type causeCode uint8
+
+const (
+	causeOther causeCode = iota // a reason this sighost does not name
+	causeSocketClosed
+	causeClosedUnused
+	causeCanceled
+	causeBindTimeout
+	causeAuthFailed
+	causeClientExit
+	causeClientGone
+	causeRetxExhausted
+	causePeerDead
+	causeRestart
+	causeUnreachable
+	causeAdmission
+	causeServerGone
+	causeRejected
+)
+
+// cause is why a call ends. A cause this sighost decides is its code
+// alone, plus an error's detail where the client is told one. A reason
+// it is told (a peer's RELEASE or SETUP_REJ, a server's REJECT_CONN) is
+// parsed once, at receipt: via is the message that carried it and text
+// the reason as received, so one it does not name rides verbatim and
+// every wire byte is what it was.
+type cause struct {
+	code causeCode
+	via  sigmsg.Kind
+	text string
+}
+
+// heard parses a reason the message via carried into the cause it
+// names; IndexFunc's -1 for a reason no row names is causeOther.
+func heard(via sigmsg.Kind, reason string) cause {
+	i := slices.IndexFunc(endings[1:], func(e ending) bool { return e.text == reason })
+	return cause{code: causeCode(i + 1), via: via, text: reason}
+}
+
+// String renders the cause for the wire, the event ring and a waiting
+// client.
+func (why cause) String() string {
+	if why.code == causeOther {
+		return why.text
+	}
+	return endings[why.code].text
+}
+
+// An ending is what a cause does to the call it ends; end applies it.
+type ending struct {
+	text   string      // the cause's name
+	status string      // the origin's trace status ("" for the named cause's); REJECT, TIMEOUT and DEATH dump to the flight recorder
+	count  endCount    // the counter bumped besides torn
+	torn   bool        // a teardown: torn counted, TeardownLogging charged, retransmits dropped, the peer told last
+	peer   sigmsg.Kind // RELEASE or SETUP_REJ to the peer, or nothing
+	notify bool        // an origin's client gets CONN_FAILED first: client, then the cause's text
+	client string
+}
+
+// endings are the causes this sighost decides.
+var endings = [...]ending{
+	causeOther:         {status: trace.StatusFailed},
+	causeSocketClosed:  {text: "socket closed", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
+	causeClosedUnused:  {text: "socket closed before use", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
+	causeCanceled:      {text: "canceled by client", status: trace.StatusCanceled, count: countCanceled, torn: true, peer: sigmsg.KindRelease},
+	causeBindTimeout:   {text: "bind timeout", status: trace.StatusTimeout, torn: true, peer: sigmsg.KindRelease},
+	causeAuthFailed:    {text: "cookie authentication failed", status: trace.StatusFailed, torn: true, peer: sigmsg.KindRelease},
+	causeClientExit:    {text: "client terminated", status: trace.StatusDeath, torn: true, peer: sigmsg.KindRelease},
+	causeClientGone:    {text: "client unreachable", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease},
+	causeRetxExhausted: {text: "retransmit budget exhausted", status: trace.StatusTimeout, count: countFailed, torn: true, notify: true, client: "signaling retransmit budget exhausted"},
+	causePeerDead:      {text: "peer signaling entity dead", status: trace.StatusDeath, count: countFailed, torn: true, notify: true, client: "peer signaling entity dead"},
+	causeRestart:       {text: "lost in signaling restart", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease, notify: true, client: "signaling entity restarted"},
+	causeUnreachable:   {text: "destination unreachable", status: trace.StatusFailed, count: countFailed, notify: true, client: "destination unreachable: "},
+	causeAdmission:     {text: "admission failed", status: trace.StatusFailed, count: countFailed, peer: sigmsg.KindRelease, notify: true, client: "network admission failed: "},
+	causeServerGone:    {text: "server unreachable", status: trace.StatusFailed, peer: sigmsg.KindSetupRej},
+	causeRejected:      {text: "rejected by server", status: trace.StatusFailed, count: countRejected, peer: sigmsg.KindSetupRej},
+}
+
+// What a reason someone else decided does here depends on the message
+// that carried it, not on the reason: a peer's RELEASE tears this view
+// down without answering, a peer's SETUP_REJ fails the call and tells the
+// client the reason, and a server's REJECT_CONN goes on to the origin.
+var heardEndings = map[sigmsg.Kind]*ending{
+	sigmsg.KindRelease:    {torn: true},
+	sigmsg.KindSetupRej:   {status: trace.StatusReject, count: countFailed, notify: true},
+	sigmsg.KindRejectConn: {count: countRejected, peer: sigmsg.KindSetupRej},
+}
+
+// tellPeer sends a call's end to the peer. RELEASE says which side's
+// view releases it; SETUP_REJ answers the SETUP, which ends the
+// destination's accept span.
+func (sh *Sighost) tellPeer(c *call, kind sigmsg.Kind, why cause) {
+	switch kind {
+	case sigmsg.KindRelease:
+		sh.sendPeer(c.key.peer, sigmsg.Msg{
+			Kind: kind, CallID: c.key.id, Reason: why.String(), FromOrigin: c.key.origin,
+		})
+	case sigmsg.KindSetupRej:
+		sh.sendPeer(c.key.peer, sigmsg.Msg{
+			Kind: kind, CallID: c.key.id, Reason: why.String(),
+			TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
+		})
+		sh.TraceC.EndSpan(c.tcAccept)
 	}
 }
 
-// dropIncomingEntry removes c from incoming_requests if still there.
-func (sh *Sighost) dropIncomingEntry(c *call) {
-	if sh.incoming[c.cookie] == c {
-		delete(sh.incoming, c.cookie)
+// notifyClientFailure delivers CONN_FAILED to the client's notify port
+// (at most once per call).
+func (sh *Sighost) notifyClientFailure(c *call, reason string) {
+	if c.notified {
+		return
 	}
-}
-
-// newDialCtx takes a dial context from the pool; its cb closure is bound
-// exactly once, on first allocation.
-func (sh *Sighost) newDialCtx() *dialCtx {
-	dc := sh.dcPool
-	if dc == nil {
-		dc = &dialCtx{sh: sh}
-		dc.cb = func(conn Conn, err error) { dc.run(conn, err) }
-	} else {
-		sh.dcPool = dc.next
-	}
-	return dc
+	c.notified = true
+	dc := sh.newDialCtx()
+	dc.kind = dcNotify
+	dc.cookie, dc.reason = c.cookie, reason
+	sh.env.Dial(c.endIP, c.endPort, dc.cb)
 }
 
 // run dispatches one completed dial. It copies its state out and
@@ -712,12 +620,7 @@ func (dc *dialCtx) run(conn Conn, err error) {
 			return
 		}
 		if err != nil {
-			sh.sendPeer(c.key.peer, sigmsg.Msg{
-				Kind: sigmsg.KindSetupRej, CallID: c.key.id, Reason: "server unreachable",
-				TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
-			})
-			sh.TraceC.EndSpan(c.tcAccept)
-			sh.dropIncoming(c)
+			sh.end(c, cause{code: causeServerGone})
 			return
 		}
 		c.serverConn = conn
@@ -730,8 +633,7 @@ func (dc *dialCtx) run(conn Conn, err error) {
 			// Client vanished before establishment completed: tear the
 			// call down end to end.
 			if cur, live := sh.calls[c.key]; live && cur == c && c.gen == gen {
-				sh.ct.callsFailed.Inc()
-				sh.teardown(c, "client unreachable", true)
+				sh.end(c, cause{code: causeClientGone})
 			}
 			return
 		}
@@ -822,22 +724,11 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 	cookie := sh.newCookie()
 	c := sh.newCall()
 	c.key = callKey{peer: m.Dest, id: sh.nextCallID, origin: true}
-	c.state = callSetupSent
-	c.service = m.Service
-	c.qosStr = m.QoS
-	c.comment = m.Comment
-	c.endIP = from
-	c.endPort = m.NotifyPort
-	c.ownerPID = m.PID
+	c.service, c.qosStr, c.comment = m.Service, m.QoS, m.Comment
+	c.endIP, c.endPort, c.ownerPID = from, m.NotifyPort, m.PID
 	c.cookie = cookie
 	c.reqAt = sh.env.Now()
-	sh.linkCall(c)
-	sh.outgoing[cookie] = c
-	sh.linkOwner(c)
-	sh.jlog(jrec{
-		op: jOpen, key: c.key, service: c.service, qos: c.qosStr,
-		ip: c.endIP, port: c.endPort, cookie: cookie,
-	})
+	sh.transition(c, callSetupSent, 0)
 	// Open the call's trace: root span for the call's whole lifetime,
 	// call.setup for the establishment phase the paper's breakdown
 	// table partitions.
@@ -868,14 +759,7 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 	})
 	if err != nil {
 		// No signaling path to the destination: fail the call now.
-		sh.ct.callsFailed.Inc()
-		sh.notifyClientFailure(c, "destination unreachable: "+err.Error())
-		sh.dropOutgoing(c)
-		sh.unlinkCall(c)
-		sh.jlog(jrec{op: jEnd, key: c.key})
-		c.state = callReleased
-		sh.TraceC.FinishTrace(c.tcRoot, trace.StatusFailed)
-		sh.releaseCall(c)
+		sh.end(c, cause{code: causeUnreachable, text: err.Error()})
 		return
 	}
 	c.setupSentAt = sh.env.Now()
@@ -888,8 +772,7 @@ func (sh *Sighost) handleCancelReq(conn Conn, m sigmsg.Msg) {
 		sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: "unknown request cookie"})
 		return
 	}
-	sh.ct.callsCanceled.Inc()
-	sh.teardown(c, "canceled by client", true)
+	sh.end(c, cause{code: causeCanceled})
 	sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: m.Cookie})
 }
 
@@ -929,28 +812,9 @@ func (sh *Sighost) handleRejectConn(conn Conn, m sigmsg.Msg) {
 	}
 	reason := m.Reason
 	if reason == "" {
-		reason = "rejected by server"
+		reason = endings[causeRejected].text
 	}
-	sh.ct.callsRejected.Inc()
-	sh.sendPeer(c.key.peer, sigmsg.Msg{
-		Kind: sigmsg.KindSetupRej, CallID: c.key.id, Reason: reason,
-		TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
-	})
-	sh.TraceC.EndSpan(c.tcAccept)
-	sh.dropIncoming(c)
-}
-
-// dropIncoming removes destination-side establishment state.
-func (sh *Sighost) dropIncoming(c *call) {
-	sh.dropIncomingEntry(c)
-	sh.unlinkCall(c)
-	sh.jlog(jrec{op: jEnd, key: c.key})
-	if c.serverConn != nil {
-		c.serverConn.Close()
-		c.serverConn = nil
-	}
-	c.state = callReleased
-	sh.releaseCall(c)
+	sh.end(c, heard(sigmsg.KindRejectConn, reason))
 }
 
 func (sh *Sighost) sendPeer(dst atm.Addr, m sigmsg.Msg) error {
@@ -986,11 +850,23 @@ func (sh *Sighost) HandlePeer(from atm.Addr, m sigmsg.Msg) {
 	case sigmsg.KindSetupAck:
 		sh.peerSetupAck(from, m)
 	case sigmsg.KindSetupRej:
-		sh.peerSetupRej(from, m)
+		// The origin side after rejection: the peer phase ends with it.
+		if c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: true}]; ok {
+			sh.TraceC.EndSpan(c.tcPeer)
+			sh.end(c, heard(sigmsg.KindSetupRej, m.Reason))
+		}
 	case sigmsg.KindConnectDone:
 		sh.peerConnectDone(from, m)
 	case sigmsg.KindRelease:
-		sh.peerRelease(from, m)
+		// Call IDs are scoped to the originating sighost, so the
+		// message's FromOrigin flag selects exactly one local view: a
+		// release from the call's origin tears our destination view, and
+		// vice versa. (Without the flag, two routers that each
+		// originated a call with the same ID toward each other would
+		// tear both down.)
+		if c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: !m.FromOrigin}]; ok {
+			sh.end(c, heard(sigmsg.KindRelease, m.Reason))
+		}
 	}
 }
 
@@ -1020,22 +896,13 @@ func (sh *Sighost) peerSetup(from atm.Addr, m sigmsg.Msg) {
 	cookie := sh.newCookie()
 	c := sh.newCall()
 	c.key = callKey{peer: from, id: m.CallID, origin: false}
-	c.state = callWaitServer
-	c.service = m.Service
-	c.qosStr = m.QoS
-	c.comment = m.Comment
-	c.endIP = svc.ip
-	c.endPort = svc.port
+	c.service, c.qosStr, c.comment = m.Service, m.QoS, m.Comment
+	c.endIP, c.endPort = svc.ip, svc.port
 	c.cookie = cookie
 	c.reqAt = sh.env.Now()
 	c.tcPeer = wire
 	c.tcAccept = sh.TraceC.StartSpanAt(wire, "sighost", "dest.accept", c.reqAt)
-	sh.linkCall(c)
-	sh.incoming[cookie] = c
-	sh.jlog(jrec{
-		op: jOpen, key: c.key, service: c.service, qos: c.qosStr,
-		ip: c.endIP, port: c.endPort, cookie: cookie,
-	})
+	sh.transition(c, callWaitServer, 0)
 	dc := sh.newDialCtx()
 	dc.kind = dcServer
 	dc.c, dc.gen = c, c.gen
@@ -1049,7 +916,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	if !ok || c.state != callSetupSent {
 		return
 	}
-	c.state = callProgramming
+	sh.transition(c, callProgramming, 0)
 	c.ackAt = sh.env.Now()
 	sh.h.setupPeer.Observe(c.ackAt - c.setupSentAt)
 	// The peer phase ends and the programming phase begins at the ack.
@@ -1063,15 +930,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	progAt := sh.env.Now()
 	vc, err := sh.env.SetupVC(c.key.peer, q)
 	if err != nil {
-		sh.ct.callsFailed.Inc()
-		sh.sendPeer(from, sigmsg.Msg{Kind: sigmsg.KindRelease, CallID: m.CallID, Reason: "admission failed", FromOrigin: true})
-		sh.notifyClientFailure(c, "network admission failed: "+err.Error())
-		sh.dropOutgoing(c)
-		sh.unlinkCall(c)
-		sh.jlog(jrec{op: jEnd, key: c.key})
-		c.state = callReleased
-		sh.TraceC.FinishTrace(c.tcRoot, trace.StatusFailed)
-		sh.releaseCall(c)
+		sh.end(c, cause{code: causeAdmission, text: err.Error()})
 		return
 	}
 	sh.env.Charge(vc.Cost)
@@ -1080,9 +939,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	sh.TraceC.Record(program, "xswitch", "program_vc", progAt, sh.env.Now())
 	c.vc = vc
 	c.localVCI = vc.SrcVCI
-	// Per-VCI cookie table entry and wait_for_bind timer for the client
-	// side.
-	sh.grantVCI(c, vc.SrcVCI)
+	sh.transition(c, callEstablished, sh.env.Now()+sh.cm.BindTimeout)
 	sh.sendPeer(from, sigmsg.Msg{
 		Kind: sigmsg.KindConnectDone, CallID: m.CallID, VCI: vc.DstVCI, QoS: c.qosStr,
 		TraceID: c.tcRoot.Trace, SpanID: c.tcRoot.Span,
@@ -1094,44 +951,12 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	dc.c, dc.gen = c, c.gen
 	dc.cookie, dc.vci, dc.qosStr, dc.tc = c.cookie, c.localVCI, c.qosStr, c.tcRoot
 	sh.env.Dial(c.endIP, c.endPort, dc.cb)
-	c.state = callEstablished
-	sh.dropOutgoing(c)
 	sh.ct.callsEstablished.Inc()
 	c.estAt = sh.env.Now()
 	sh.h.setupProgram.Observe(c.estAt - c.ackAt)
 	sh.h.setupTotal.Observe(c.estAt - c.reqAt)
 	sh.TraceC.EndSpanAt(program, c.estAt)
 	sh.TraceC.EndSpanAt(c.tcSetup, c.estAt)
-}
-
-// peerSetupRej is the origin side after rejection.
-func (sh *Sighost) peerSetupRej(from atm.Addr, m sigmsg.Msg) {
-	c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: true}]
-	if !ok {
-		return
-	}
-	sh.ct.callsFailed.Inc()
-	sh.notifyClientFailure(c, m.Reason)
-	sh.dropOutgoing(c)
-	sh.unlinkCall(c)
-	sh.jlog(jrec{op: jEnd, key: c.key})
-	c.state = callReleased
-	sh.TraceC.EndSpan(c.tcPeer)
-	sh.TraceC.FinishTrace(c.tcRoot, trace.StatusReject)
-	sh.releaseCall(c)
-}
-
-// notifyClientFailure delivers CONN_FAILED to the client's notify port
-// (at most once per call).
-func (sh *Sighost) notifyClientFailure(c *call, reason string) {
-	if c.notified {
-		return
-	}
-	c.notified = true
-	dc := sh.newDialCtx()
-	dc.kind = dcNotify
-	dc.cookie, dc.reason = c.cookie, reason
-	sh.env.Dial(c.endIP, c.endPort, dc.cb)
 }
 
 // peerConnectDone is the destination side when the circuit is
@@ -1142,15 +967,13 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	if !ok || c.state != callWaitServer {
 		return
 	}
-	c.state = callEstablished
 	c.localVCI = m.VCI
 	c.qosStr = m.QoS
 	// CONNECT_DONE carries the call's root span; the destination's
 	// remaining work (VCI delivery, wait_for_bind) hangs off it.
 	c.tcRoot = trace.Context{Trace: m.TraceID, Span: m.SpanID}
 	doneAt := sh.env.Now()
-	sh.grantVCI(c, m.VCI)
-	sh.dropIncomingEntry(c)
+	sh.transition(c, callEstablished, doneAt+sh.cm.BindTimeout)
 	if c.serverConn != nil {
 		sh.sendApp(c.serverConn, sigmsg.Msg{
 			Kind: sigmsg.KindVCIForConn, Cookie: c.cookie, VCI: m.VCI, QoS: m.QoS,
@@ -1165,49 +988,8 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	sh.TraceC.Record(c.tcRoot, "sighost", "dest.deliver", doneAt, c.estAt)
 }
 
-// peerRelease tears down the local side of a call at the peer's
-// request. Call IDs are scoped to the originating sighost, so the
-// message's FromOrigin flag selects exactly one local view: a release
-// from the call's origin tears our destination view, and vice versa.
-// (Without the flag, two routers that each originated a call with the
-// same ID toward each other would tear both down.)
-func (sh *Sighost) peerRelease(from atm.Addr, m sigmsg.Msg) {
-	if c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: !m.FromOrigin}]; ok {
-		sh.teardown(c, m.Reason, false)
-	}
-}
-
-// grantVCI installs the per-VCI cookie and starts the wait_for_bind
-// timer: "sighost keeps a per-VCI timer that is loaded when a VCI is
-// handed to an application. If no bind (resp. connect) indication is
-// received before timeout, the connection is torn down."
-func (sh *Sighost) grantVCI(c *call, vci atm.VCI) {
-	sh.cookies[vci] = c.cookie
-	c.tcBind = sh.TraceC.StartSpan(c.tcRoot, "sighost", "wait_bind")
-	deadline := sh.env.Now() + sh.cm.BindTimeout
-	sh.armBindTimer(c, vci, sh.cm.BindTimeout, deadline)
-	sh.jlog(jrec{op: jGrant, key: c.key, vci: vci, cookie: c.cookie, deadline: deadline, vc: c.vc})
-}
-
-// armBindTimer installs the wait_for_bind entry with an explicit
-// allowance: the full BindTimeout on grant, or whatever remained of the
-// original deadline when crash-recovery re-arms it. Entries come from a
-// pool; the fire closure is bound once per struct.
-func (sh *Sighost) armBindTimer(c *call, vci atm.VCI, wait time.Duration, deadline time.Duration) {
-	bw := sh.bwPool
-	if bw == nil {
-		bw = &bindWait{sh: sh}
-		bw.fire = func() { bw.fireNow() }
-	} else {
-		sh.bwPool = bw.next
-	}
-	bw.c, bw.gen, bw.vci, bw.deadline, bw.next = c, c.gen, vci, deadline, nil
-	bw.cancel = sh.env.After(wait, "bind.timeout", bw.fire)
-	sh.waitBind[vci] = bw
-}
-
 // fireNow is the wait_for_bind timeout. All state is copied out before
-// teardown runs: teardown recycles both this entry and the call.
+// end runs: end recycles both this entry and the call.
 func (bw *bindWait) fireNow() {
 	sh := bw.sh
 	defer sh.jflush() // timer fires are dispatches of their own
@@ -1222,15 +1004,7 @@ func (bw *bindWait) fireNow() {
 	if sh.traceOn() {
 		sh.emit(obs.Event{Kind: EvBindTime, VCI: uint32(vci), CallID: c.key.id})
 	}
-	sh.teardown(c, "bind timeout", true)
-}
-
-// freeBindWait recycles a wait_for_bind entry whose timer has fired or
-// been canceled.
-func (sh *Sighost) freeBindWait(bw *bindWait) {
-	bw.c, bw.cancel = nil, nil
-	bw.next = sh.bwPool
-	sh.bwPool = bw
+	sh.end(c, cause{code: causeBindTimeout})
 }
 
 // HandleKernel processes one pseudo-device (or anand-relayed) message.
@@ -1253,7 +1027,15 @@ func (sh *Sighost) HandleKernel(from memnet.IPAddr, k kern.KMsg) {
 	case kern.MsgBind, kern.MsgConnect:
 		sh.kernelBindConnect(from, k)
 	case kern.MsgClose:
-		sh.kernelClose(from, k)
+		// The call whose endpoint closed its socket.
+		if sh.pvcs[k.VCI] {
+			return
+		}
+		if c, ok := sh.vciMap[k.VCI]; ok {
+			sh.end(c, cause{code: causeSocketClosed})
+		} else if bw, ok := sh.waitBind[k.VCI]; ok {
+			sh.end(bw.c, cause{code: causeClosedUnused})
+		}
 	case kern.MsgExit:
 		// Per-socket close indications have already arrived (exit
 		// processing closes descriptors first), so bound circuits are
@@ -1261,8 +1043,17 @@ func (sh *Sighost) HandleKernel(from memnet.IPAddr, k kern.KMsg) {
 		// *outstanding requests* — calls still being established — and
 		// "the termination indication is needed to allow sighost to
 		// inform the remote router (or host) that the client no longer
-		// exists, and the connection can be torn down."
-		sh.kernelExit(from, k)
+		// exists, and the connection can be torn down." The owner chain
+		// holds exactly this process's entries, in creation order, so
+		// the sweep is O(affected) and deterministic.
+		doomed := sh.scratch[:0]
+		for c := sh.byOwner[ownerKey{ip: from, pid: k.PID}]; c != nil; c = c.ownNext {
+			doomed = append(doomed, c)
+		}
+		for _, c := range doomed {
+			sh.end(c, cause{code: causeClientExit})
+		}
+		sh.scratch = doomed[:0]
 	}
 }
 
@@ -1284,154 +1075,28 @@ func (sh *Sighost) kernelBindConnect(from memnet.IPAddr, k kern.KMsg) {
 	if k.Cookie != want {
 		sh.ct.authFailures.Inc()
 		if waiting {
-			sh.teardown(bw.c, "cookie authentication failed", true)
+			sh.end(bw.c, cause{code: causeAuthFailed})
 		} else if c, ok := sh.vciMap[k.VCI]; ok {
-			sh.teardown(c, "cookie authentication failed", true)
+			sh.end(c, cause{code: causeAuthFailed})
 		}
 		sh.env.KernelDisconnect(from, k.VCI)
 		return
 	}
-	if waiting {
-		bw.cancel()
-		delete(sh.waitBind, k.VCI)
-		c := bw.c
-		sh.freeBindWait(bw)
-		sh.vciMap[k.VCI] = c
-		sh.jlog(jrec{op: jBound, key: c.key, vci: k.VCI})
-		if c.estAt > 0 {
-			sh.h.bindLatency.Observe(sh.env.Now() - c.estAt)
-		}
-		if sh.traceOn() {
-			sh.emit(obs.Event{Kind: EvBindOK, VCI: uint32(k.VCI), CallID: c.key.id})
-		}
-		// The kernel indication rode the pseudo-device (or anand relay)
-		// from its post time k.At; record it inside the wait, then close
-		// the wait_for_bind span.
-		if c.tcBind.Sampled() {
-			if k.At > 0 {
-				sh.TraceC.Record(c.tcBind, "kern", k.Kind.String(), k.At, sh.env.Now())
-			}
-			sh.TraceC.EndSpan(c.tcBind)
-		}
-	}
-}
-
-// kernelExit cancels the dead process's outstanding requests. The owner
-// chain holds exactly this process's entries, in creation order, so the
-// sweep is O(affected) — and deterministic — instead of a walk of the
-// whole outgoing_requests table.
-func (sh *Sighost) kernelExit(from memnet.IPAddr, k kern.KMsg) {
-	doomed := sh.scratch[:0]
-	for c := sh.byOwner[ownerKey{ip: from, pid: k.PID}]; c != nil; c = c.ownNext {
-		doomed = append(doomed, c)
-	}
-	for _, c := range doomed {
-		sh.teardown(c, "client terminated", true)
-	}
-	sh.scratch = doomed[:0]
-}
-
-// kernelClose tears down the call whose endpoint closed its socket.
-func (sh *Sighost) kernelClose(from memnet.IPAddr, k kern.KMsg) {
-	if sh.pvcs[k.VCI] {
+	if !waiting {
 		return
 	}
-	if c, ok := sh.vciMap[k.VCI]; ok {
-		sh.teardown(c, "socket closed", true)
-		return
+	c := bw.c
+	// The kernel indication rode the pseudo-device (or anand relay) from
+	// its post time k.At; it is recorded inside the wait_bind span that
+	// the move to VCI_mapping closes.
+	if c.tcBind.Sampled() && k.At > 0 {
+		sh.TraceC.Record(c.tcBind, "kern", k.Kind.String(), k.At, sh.env.Now())
 	}
-	if bw, ok := sh.waitBind[k.VCI]; ok {
-		sh.teardown(bw.c, "socket closed before use", true)
+	sh.transition(c, callBound, 0)
+	if c.estAt > 0 {
+		sh.h.bindLatency.Observe(sh.env.Now() - c.estAt)
 	}
-}
-
-// teardown releases everything this side holds for a call and, when
-// notifyPeer is set, sends RELEASE so the other side does the same.
-func (sh *Sighost) teardown(c *call, reason string, notifyPeer bool) {
-	if c.state == callReleased {
-		return
-	}
-	// A client that has only seen REQ_ID is still blocked awaiting its
-	// VCI; if the call dies before that hand-off (peer released it, the
-	// remote entity restarted, retransmit budget spent), tell it now
-	// rather than leaving it to run out its establishment timeout. A
-	// client-initiated cancel needs no echo back.
-	clientWaiting := c.key.origin && c.state == callSetupSent && reason != "canceled by client"
-	c.state = callReleased
-	sh.ct.callsTorn.Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{
-			Kind: EvTeardown, CallID: c.key.id, VCI: uint32(c.localVCI),
-			Data: teardownInfo{origin: c.key.origin, reason: reason},
-		})
-	}
-	if sh.cm.LoggingEnabled {
-		sh.env.Charge(sh.cm.TeardownLogging)
-	}
-	if sh.rel != nil {
-		// Pending establishment-phase retransmissions for a dead call
-		// are pointless; drop them so they cannot outlive the call.
-		sh.cancelCallRetransmits(c)
-	}
-	if bw, ok := sh.waitBind[c.localVCI]; ok && bw.c == c {
-		bw.cancel()
-		delete(sh.waitBind, c.localVCI)
-		sh.freeBindWait(bw)
-	}
-	if sh.vciMap[c.localVCI] == c {
-		delete(sh.vciMap, c.localVCI)
-	}
-	if c.localVCI != 0 {
-		delete(sh.cookies, c.localVCI)
-		// Mark the endpoint's socket unusable (and shut host
-		// forwarding) so no more data flows on the dead circuit.
-		sh.env.KernelDisconnect(c.endIP, c.localVCI)
-	}
-	if c.serverConn != nil {
-		c.serverConn.Close()
-		c.serverConn = nil
-	}
-	sh.dropOutgoing(c)
-	sh.dropIncomingEntry(c)
-	sh.unlinkCall(c)
-	sh.jlog(jrec{op: jEnd, key: c.key})
-	if c.vc != nil {
-		c.vc.Release()
-		c.vc = nil
-	}
-	if notifyPeer {
-		sh.sendPeer(c.key.peer, sigmsg.Msg{
-			Kind: sigmsg.KindRelease, CallID: c.key.id, Reason: reason,
-			FromOrigin: c.key.origin,
-		})
-	}
-	if clientWaiting {
-		sh.notifyClientFailure(c, reason)
-	}
-	// The origin owns the trace's lifetime: finish it with a terminal
-	// status derived from the teardown reason, which moves the span
-	// tree into the flight recorder (and auto-dumps failures).
-	if c.key.origin {
-		sh.TraceC.FinishTrace(c.tcRoot, statusForReason(reason))
-	}
-	sh.releaseCall(c)
-}
-
-// statusForReason maps a teardown reason onto the trace's terminal
-// status. Only REJECT/TIMEOUT/DEATH trigger flight-recorder dumps; a
-// plain socket close is the normal end of a successful call.
-func statusForReason(reason string) string {
-	switch reason {
-	case "socket closed", "socket closed before use":
-		return trace.StatusOK
-	case "canceled by client":
-		return trace.StatusCanceled
-	case "bind timeout", "retransmit budget exhausted":
-		return trace.StatusTimeout
-	case "client terminated", "client unreachable", "peer signaling entity dead",
-		"lost in signaling restart":
-		return trace.StatusDeath
-	default:
-		return trace.StatusFailed
+		sh.emit(obs.Event{Kind: EvBindOK, VCI: uint32(k.VCI), CallID: c.key.id})
 	}
 }

@@ -400,7 +400,14 @@ func (e *simEnv) timerLabel(eng *sim.Engine, what string) prof.LabelID {
 	return l
 }
 
+// SendPeer encodes into the env's scratch buffer and sends that frame,
+// so a cached retransmission and a first send draw the same fault-plane
+// verdict sequence.
 func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
+	return e.SendPeerRaw(dst, m, e.enc(&m))
+}
+
+func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Stack.Addr {
 		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
 		return nil
@@ -412,38 +419,6 @@ func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 	// The message's own trace context (if any) parents the PVC frame's
 	// transit span — the PVC socket is shared by many calls, so the
 	// context is per-message, not per-socket.
-	tc := trace.Context{Trace: m.TraceID, Span: m.SpanID}
-	if fp := e.h.Faults; fp != nil {
-		v := fp.SigMsg(tc)
-		if v.Drop {
-			return nil // swallowed by the wire; reliability must repair it
-		}
-		if v.ExtraDelay > 0 {
-			// Deferred send: the scratch buffer would be overwritten by
-			// then, so this copy must be private.
-			raw := m.Encode()
-			e.h.Stack.M.E.Schedule(v.ExtraDelay, func() { _ = sock.SendTraced(raw, tc) })
-			return nil
-		}
-		if v.Dup {
-			_ = sock.SendTraced(e.enc(&m), tc)
-		}
-	}
-	return sock.SendTraced(e.enc(&m), tc)
-}
-
-// SendPeerRaw sends a cached frame without re-encoding. It draws exactly
-// the same fault-plane verdict sequence as SendPeer, so switching the
-// retransmit path to cached frames leaves chaos runs bit-identical.
-func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
-	if dst == e.h.Stack.Addr {
-		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
-		return nil
-	}
-	sock, ok := e.h.peers[dst]
-	if !ok {
-		return fmt.Errorf("signaling: no PVC to %s", dst)
-	}
 	tc := trace.Context{Trace: m.TraceID, Span: m.SpanID}
 	if fp := e.h.Faults; fp != nil {
 		v := fp.SigMsg(tc)

@@ -9,6 +9,7 @@ import (
 	"xunet/internal/kern"
 	"xunet/internal/obs/tseries"
 	"xunet/internal/prof"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -184,11 +185,11 @@ func TestFlatProfiledStorm(t *testing.T) {
 	if sent, _ := n.Fabric.TrunkStats(); arrivals == 0 || uint64(arrivals) >= sent {
 		t.Fatalf("%d arrival events for %d cell-hops", arrivals, sent)
 	}
-	if ra.Sig.SH.ProfInfo == nil || ra.Sig.SH.ProfJSON == nil || ra.Sig.SH.ProfFlame == nil {
-		t.Fatal("router MGMT prof hooks not wired")
-	}
-	if got := ra.Sig.SH.ProfInfo(); !strings.Contains(got, "proc.sighost") {
+	if got := ra.Sig.SH.View(signaling.MgmtProf); !strings.Contains(got, "proc.sighost") {
 		t.Fatalf("MGMT prof view = %s", firstLines(got, 6))
+	}
+	if got := ra.Sig.SH.View(signaling.MgmtProfJSON); !strings.Contains(got, `"shards"`) {
+		t.Fatalf("MGMT prof.json view = %.300s", got)
 	}
 	if flame := n.Prof.FlameFolded(); !strings.Contains(flame, "shard0;proc.") {
 		t.Fatalf("flame export missing shard frames:\n%s", firstLines(flame, 6))

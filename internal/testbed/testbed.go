@@ -383,8 +383,10 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 		ep.SetFaults(dom.Faults)
 		ip.SetFaults(dom.Faults)
 		stack.M.Dev.SetFaults(dom.Faults)
-		r.Sig.SH.FaultsInfo = func() string { return dom.Faults.Obs.Snapshot().Text() }
-		r.Sig.SH.FaultsJSON = func() string { return dom.Faults.Obs.Snapshot().JSON() }
+		r.Sig.SH.SetViews(map[string]func() string{
+			signaling.MgmtFaults:     func() string { return dom.Faults.Obs.Snapshot().Text() },
+			signaling.MgmtFaultsJSON: func() string { return dom.Faults.Obs.Snapshot().JSON() },
+		})
 	}
 	if dom.TS != nil {
 		// Machine metrics join the scrape under the router's address
@@ -392,17 +394,17 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 		// adopted by the store's growth rescan), and the MGMT tseries/
 		// health queries answer from the domain's store.
 		dom.TS.TrackRegistry(string(addr)+".", stack.M.Obs)
-		r.Sig.SH.TSeriesInfo = dom.TS.Text
-		r.Sig.SH.TSeriesJSON = dom.TS.JSON
-		r.Sig.SH.HealthInfo = dom.TS.HealthText
-		r.Sig.SH.HealthJSON = dom.TS.HealthJSON
+		r.Sig.SH.SetViews(map[string]func() string{
+			signaling.MgmtTSeries: dom.TS.Text, signaling.MgmtTSeriesJSON: dom.TS.JSON,
+			signaling.MgmtHealth: dom.TS.HealthText, signaling.MgmtHealthJSON: dom.TS.HealthJSON,
+		})
 	}
 	if n.Prof != nil {
 		// Any router — any domain — serves the deployment-wide profile:
 		// the snapshot reads are atomic, so cross-shard queries are safe.
-		r.Sig.SH.ProfInfo = n.Prof.Text
-		r.Sig.SH.ProfJSON = n.Prof.JSON
-		r.Sig.SH.ProfFlame = n.Prof.FlameFolded
+		r.Sig.SH.SetViews(map[string]func() string{
+			signaling.MgmtProf: n.Prof.Text, signaling.MgmtProfJSON: n.Prof.JSON, signaling.MgmtProfFlame: n.Prof.FlameFolded,
+		})
 	}
 	r.Lib = ulib.New(stack, ip.Addr)
 	dom.Routers = append(dom.Routers, r)

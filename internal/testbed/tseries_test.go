@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -69,13 +70,10 @@ func TestTSeriesStormQueueBuildupAndRules(t *testing.T) {
 
 	// MGMT surface: the router's sighost answers tseries/health with live
 	// content, not the disabled fallback.
-	if ra.Sig.SH.TSeriesInfo == nil || ra.Sig.SH.HealthInfo == nil {
-		t.Fatal("MGMT tseries hooks not wired")
-	}
-	if txt := ra.Sig.SH.TSeriesInfo(); !strings.Contains(txt, "fabric.trunk.") {
+	if txt := ra.Sig.SH.View(signaling.MgmtTSeries); !strings.Contains(txt, "fabric.trunk.") {
 		t.Errorf("tseries text missing trunk series:\n%.300s", txt)
 	}
-	if h := ra.Sig.SH.HealthInfo(); !strings.Contains(h, "trunk-queue-buildup") {
+	if h := ra.Sig.SH.View(signaling.MgmtHealth); !strings.Contains(h, "trunk-queue-buildup") {
 		t.Errorf("health text missing rule state:\n%.300s", h)
 	}
 }
