@@ -25,9 +25,12 @@ test:
 # packet records, fd slots) ride along: their reuse-safety tests are
 # the ones a stray cross-goroutine touch would break. So do the frame
 # path's chain owners, whose chains the race build poisons on Release.
+# The third line repeats the client library's tests over both of its
+# transports: the notify mux hands connections between goroutines.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/
+	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout' ./internal/signaling/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.

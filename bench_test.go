@@ -31,9 +31,9 @@ import (
 	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
 	"xunet/internal/qos"
+	"xunet/internal/signaling"
 	"xunet/internal/sim"
 	"xunet/internal/testbed"
-	"xunet/internal/ulib"
 )
 
 // ---------------------------------------------------------------------------
@@ -645,6 +645,6 @@ func TestHeadlineLatencyBands(t *testing.T) {
 }
 
 type ulibConn struct {
-	conn  *ulib.Connection
+	conn  *signaling.Connection
 	setup time.Duration
 }

@@ -76,6 +76,9 @@ func (kl *KListener) AcceptTimeout(d time.Duration) (*KStream, error) {
 // Port reports the listening port.
 func (kl *KListener) Port() uint16 { return kl.l.Port() }
 
+// Proc reports the owning process.
+func (kl *KListener) Proc() *Proc { return kl.p }
+
 // Close releases the listener and its descriptor (no TIME_WAIT for
 // listening sockets).
 func (kl *KListener) Close() { _ = kl.p.CloseFD(kl.fd) }
@@ -120,6 +123,9 @@ func (ks *KStream) Recv() ([]byte, bool) { return ks.s.Recv(ks.p.SP) }
 func (ks *KStream) RecvTimeout(d time.Duration) (msg []byte, ok, timedOut bool) {
 	return ks.s.RecvTimeout(ks.p.SP, d)
 }
+
+// Proc reports the owning process.
+func (ks *KStream) Proc() *Proc { return ks.p }
 
 // Stream exposes the underlying transport connection.
 func (ks *KStream) Stream() *memnet.Stream { return ks.s }

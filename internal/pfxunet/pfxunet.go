@@ -104,7 +104,7 @@ type Socket struct {
 
 // SetTrace attaches the call's trace context to the socket, so frames
 // sent on it become child spans of the call. Applications get the
-// context from the VCI_FOR_CONN delivery (ulib.Connection.Trace).
+// context from the VCI_FOR_CONN delivery (signaling.Connection.Trace).
 func (s *Socket) SetTrace(tc trace.Context) { s.tc = tc }
 
 // Socket creates an unbound PF_XUNET socket owned by p, consuming a

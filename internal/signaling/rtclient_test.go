@@ -156,7 +156,7 @@ func TestRealReplyTimeoutDiscardsConnection(t *testing.T) {
 	})
 	c := &signaling.RealClient{SighostAddr: addr, ReplyTimeout: 30 * time.Millisecond}
 	defer c.Close()
-	if err := c.ExportService("slow", 1); !errors.Is(err, signaling.ErrRPCTimeout) {
+	if err := c.ExportService("slow", 1); !errors.Is(err, signaling.ErrTimeout) {
 		t.Fatalf("err = %v, want a reply timeout", err)
 	}
 	<-late // the stale SERVICE_REGS is on the wire of the first connection

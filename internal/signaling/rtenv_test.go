@@ -253,7 +253,7 @@ func hangUpCall(h *signaling.RealHost, vci atm.VCI) {
 
 // lifecycle plays the kernel's half of one established call: connect and
 // bind authenticate the granted VCIs, close tears the call down.
-func lifecycle(a, b *signaling.RealHost, conn *signaling.RealConnection, g grant) {
+func lifecycle(a, b *signaling.RealHost, conn *signaling.Connection, g grant) {
 	a.Do(func() {
 		a.SH.HandleKernel(loopback, kern.KMsg{Kind: kern.MsgConnect, VCI: conn.VCI, Cookie: conn.Cookie})
 	})
@@ -455,7 +455,7 @@ func TestRealConcurrentCallsHoldDistinctConns(t *testing.T) {
 	// The server collects all n requests before answering any.
 	grants := make(chan grant, n)
 	go func() {
-		var reqs []*signaling.RealRequest
+		var reqs []*signaling.ServiceRequest
 		for len(reqs) < n {
 			req, err := signaling.AwaitServiceRequest(srvL)
 			if err != nil {
@@ -654,7 +654,7 @@ func TestRealIncomingConnResentOnFreshConn(t *testing.T) {
 	}
 	cliL, cliPort := listenTCP(t)
 	type result struct {
-		conn *signaling.RealConnection
+		conn *signaling.Connection
 		err  error
 	}
 	open := func() <-chan result {
@@ -756,7 +756,7 @@ func TestRealCloseLeavesNoGoroutines(t *testing.T) {
 	// The clients' connections are dead; the next RPC finds out.
 	if err := cliC.ExportService("late", 1); err == nil {
 		t.Error("RPC to a closed daemon succeeded")
-	} else if errors.Is(err, signaling.ErrRPCTimeout) {
+	} else if errors.Is(err, signaling.ErrTimeout) {
 		t.Errorf("RPC to a closed daemon timed out instead of failing: %v", err)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"xunet/internal/kern"
 	"xunet/internal/qos"
 	"xunet/internal/sigmsg"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
-	"xunet/internal/ulib"
 )
 
 func TestRegisterService(t *testing.T) {
@@ -224,7 +224,7 @@ func TestUnknownServiceRejected(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("call to unknown service succeeded")
 	}
-	if !errors.Is(res.Err, ulib.ErrFailed) {
+	if !errors.Is(res.Err, signaling.ErrFailed) {
 		t.Fatalf("err = %v", res.Err)
 	}
 	if msg := testbed.Quiesced(ra); msg != "" {

@@ -80,7 +80,7 @@ func TestSoakRandomWorkload(t *testing.T) {
 							return
 						}
 						kp.SP.Sleep(time.Duration(rng.Intn(500)) * time.Millisecond)
-						_ = pc.Cancel(kp)
+						_ = pc.Cancel()
 					case 2: // lazy: open, never bind, rely on the timer
 						_, _ = lib.OpenConnection(kp, "ucb.rt", svc, p, "", qosStr)
 					case 3: // normal call, long hold (killed below, maybe)

@@ -406,7 +406,7 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 			signaling.MgmtProf: n.Prof.Text, signaling.MgmtProfJSON: n.Prof.JSON, signaling.MgmtProfFlame: n.Prof.FlameFolded,
 		})
 	}
-	r.Lib = ulib.New(stack, ip.Addr)
+	r.Lib = ulib.New(ip.Addr)
 	dom.Routers = append(dom.Routers, r)
 	return r, nil
 }
@@ -452,7 +452,7 @@ func (n *Net) AddHost(name atm.Addr, r *Router) (*Host, error) {
 		stack.M.Dev.SetFaults(r.dom.Faults)
 	}
 	h := &Host{Stack: stack, Router: r}
-	h.Lib = ulib.New(stack, routerIP.Addr)
+	h.Lib = ulib.New(routerIP.Addr)
 	h.Anand = anand.StartClient(stack, routerIP.Addr, signaling.AnandPort)
 	return h, nil
 }

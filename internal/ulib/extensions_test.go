@@ -9,7 +9,6 @@ import (
 	"xunet/internal/kern"
 	"xunet/internal/signaling"
 	"xunet/internal/testbed"
-	"xunet/internal/ulib"
 )
 
 // Tests for the paper-flagged extensions: management queries (§5.1) and
@@ -69,7 +68,7 @@ func TestManagementUnknownQuery(t *testing.T) {
 		_, err = ra.Lib.Query(p, "bogus")
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(err, ulib.ErrProtocol) {
+	if !errors.Is(err, signaling.ErrProtocol) {
 		t.Fatalf("err = %v", err)
 	}
 	n.E.Shutdown()
@@ -93,7 +92,7 @@ func TestOpenConnectionAsync(t *testing.T) {
 		workStart := p.SP.Now()
 		p.SP.Sleep(200 * time.Millisecond) // useful work during setup
 		overlapped = p.SP.Now()-workStart == 200*time.Millisecond
-		conn, err := pc.Await(p)
+		conn, err := pc.Await()
 		if err != nil {
 			t.Error(err)
 			return
@@ -135,7 +134,7 @@ func TestPendingConnectionCancel(t *testing.T) {
 			return
 		}
 		p.SP.Sleep(100 * time.Millisecond)
-		cancelErr = pc.Cancel(p)
+		cancelErr = pc.Cancel()
 	})
 	n.E.RunUntil(time.Minute)
 	if cancelErr != nil {

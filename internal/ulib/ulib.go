@@ -13,8 +13,10 @@
 //	vci, _ := req.Accept(qos)              // client sends data
 //	s, _ := PF.Socket(p); s.Bind(vci, ck)
 //
-// Every RPC round trip charges the paper's four context switches: two
-// at the application side (these helpers) and two inside sighost.
+// The verbs are signaling.Client's, shared with the real-TCP library;
+// this package is their kern.Proc transport. Every exchange is a fresh
+// IPC connection, and every RPC round trip charges the paper's four
+// context switches: two at the application side (here), two in sighost.
 package ulib
 
 import (
@@ -23,472 +25,188 @@ import (
 	"time"
 
 	"xunet/internal/atm"
-	"xunet/internal/core"
 	"xunet/internal/kern"
 	"xunet/internal/memnet"
 	"xunet/internal/sigmsg"
 	"xunet/internal/signaling"
-	"xunet/internal/trace"
 )
 
-// Errors from the library.
-var (
-	ErrRejected  = errors.New("ulib: connection rejected")
-	ErrFailed    = errors.New("ulib: connection failed")
-	ErrProtocol  = errors.New("ulib: unexpected signaling reply")
-	ErrSignaling = errors.New("ulib: signaling entity unreachable")
-	ErrTimeout   = errors.New("ulib: timed out awaiting signaling")
-)
+// Timeouts configures the library's deadlines and retry policy.
+type Timeouts = signaling.Timeouts
 
-// TimeoutError is the concrete error behind ErrTimeout: it records which
-// peer was being awaited, which operation, on which attempt, and how long
-// the library waited. errors.Is(err, ErrTimeout) still matches, so
-// existing callers are unaffected; callers that want the context can
-// errors.As into it.
-type TimeoutError struct {
-	Peer    string        // who the library was waiting for
-	Op      string        // the RPC or wait that expired
-	Attempt int           // 1-based attempt number
-	Waited  time.Duration // the deadline that expired
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("ulib: timed out awaiting signaling (%s from %s, attempt %d, waited %v)",
-		e.Op, e.Peer, e.Attempt, e.Waited)
-}
-
-// Is makes errors.Is(err, ErrTimeout) true for every TimeoutError.
-func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
-
-// acceptBackoff is how long AwaitServiceRequest sleeps when the
-// process's descriptor table is full before retrying the accept — the
-// stall behaviour of §10.
+// acceptBackoff is AwaitServiceRequest's sleep while the descriptor
+// table is full: the establishment stall of §10.
 const acceptBackoff = 50 * time.Millisecond
 
-// Timeouts configures the library's deadlines and retry policy. The
-// zero value of any field means "use the default", so callers can
-// override just one knob.
-type Timeouts struct {
-	// RPC bounds each request/reply exchange with the signaling entity.
-	RPC time.Duration
-	// Establish bounds the wait for the asynchronous VCI_FOR_CONN /
-	// CONN_FAILED notification after a connect request is accepted.
-	Establish time.Duration
-	// Attempts is the total number of tries for *idempotent* RPCs
-	// (export, unexport, cancel, management queries). Non-idempotent
-	// requests — CONNECT_REQ allocates a cookie — are never retried
-	// here; the signaling entities' own retransmission layer owns that.
-	Attempts int
-	// Backoff is the sleep before the second attempt; it doubles per
-	// attempt, capped at MaxBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the doubled backoff.
-	MaxBackoff time.Duration
-}
-
-// DefaultTimeouts returns the library's historical behaviour: one-minute
-// deadlines, a single attempt. Experiment E5's stall measurements depend
-// on these defaults staying put.
-func DefaultTimeouts() Timeouts {
-	return Timeouts{
-		RPC:        time.Minute,
-		Establish:  time.Minute,
-		Attempts:   1,
-		Backoff:    100 * time.Millisecond,
-		MaxBackoff: 2 * time.Second,
-	}
-}
-
-// withDefaults fills zero fields from DefaultTimeouts.
-func (t Timeouts) withDefaults() Timeouts {
-	d := DefaultTimeouts()
-	if t.RPC <= 0 {
-		t.RPC = d.RPC
-	}
-	if t.Establish <= 0 {
-		t.Establish = d.Establish
-	}
-	if t.Attempts <= 0 {
-		t.Attempts = d.Attempts
-	}
-	if t.Backoff <= 0 {
-		t.Backoff = d.Backoff
-	}
-	if t.MaxBackoff <= 0 {
-		t.MaxBackoff = d.MaxBackoff
-	}
-	return t
-}
-
-// Lib binds the library to a stack and its signaling entity.
+// Lib binds the library to its signaling entity.
 type Lib struct {
-	stack *core.Stack
 	sigIP memnet.IPAddr
 	to    Timeouts
 }
 
-// New returns a library instance talking to the sighost at sigIP
-// (the machine's own router).
-func New(stack *core.Stack, sigIP memnet.IPAddr) *Lib {
-	return &Lib{stack: stack, sigIP: sigIP, to: DefaultTimeouts()}
-}
+// New returns a library talking to the sighost at sigIP.
+func New(sigIP memnet.IPAddr) *Lib { return &Lib{sigIP: sigIP, to: signaling.DefaultTimeouts()} }
 
 // SetTimeouts overrides the library's deadlines and retry policy; zero
 // fields keep their defaults.
-func (l *Lib) SetTimeouts(t Timeouts) { l.to = t.withDefaults() }
+func (l *Lib) SetTimeouts(t Timeouts) { l.to = t.Or(signaling.DefaultTimeouts()) }
 
-// idempotentKind reports whether an RPC may safely be sent twice: the
-// daemon's handler for it either overwrites (export), deletes
-// (unexport, cancel) or only reads (management query) state.
-func idempotentKind(k sigmsg.Kind) bool {
-	switch k {
-	case sigmsg.KindExportSrv, sigmsg.KindUnexportSrv, sigmsg.KindCancelReq, sigmsg.KindMgmtQuery:
-		return true
-	}
-	return false
+func (l *Lib) client(p *kern.Proc) signaling.Client[procTransport] {
+	return signaling.Client[procTransport]{Transport: procTransport{p, l.sigIP}, Timeouts: l.to}
 }
 
-// rpc performs one request/reply exchange with sighost, retrying
-// idempotent requests with capped exponential backoff when the daemon
-// is unreachable or the reply deadline expires.
-func (l *Lib) rpc(p *kern.Proc, m sigmsg.Msg) (sigmsg.Msg, error) {
-	attempts := 1
-	if idempotentKind(m.Kind) {
-		attempts = l.to.Attempts
-	}
-	backoff := l.to.Backoff
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		reply, err := l.rpcOnce(p, m, a)
-		if err == nil || (!errors.Is(err, ErrTimeout) && !errors.Is(err, ErrSignaling)) {
-			return reply, err
-		}
-		lastErr = err
-		if a < attempts {
-			p.SP.Sleep(backoff)
-			backoff *= 2
-			if backoff > l.to.MaxBackoff {
-				backoff = l.to.MaxBackoff
-			}
-		}
-	}
-	return sigmsg.Msg{}, lastErr
-}
-
-// rpcOnce is one request/reply exchange over a fresh IPC connection.
-func (l *Lib) rpcOnce(p *kern.Proc, m sigmsg.Msg, attempt int) (sigmsg.Msg, error) {
-	p.ContextSwitches(1) // application to kernel
-	ks, err := p.Dial(l.sigIP, signaling.SigPort)
-	if err != nil {
-		return sigmsg.Msg{}, fmt.Errorf("%w: %v", ErrSignaling, err)
-	}
-	defer ks.Close()
-	// Stack scratch: typical signaling messages fit, so the encode does
-	// not touch the heap (Send copies the frame before returning).
-	var sbuf [128]byte
-	if err := ks.Send(m.AppendTo(sbuf[:0])); err != nil {
-		return sigmsg.Msg{}, fmt.Errorf("%w: %v", ErrSignaling, err)
-	}
-	raw, ok, timedOut := ks.RecvTimeout(l.to.RPC)
-	if timedOut {
-		return sigmsg.Msg{}, &TimeoutError{Peer: fmt.Sprint(l.sigIP), Op: m.Kind.String(), Attempt: attempt, Waited: l.to.RPC}
-	}
-	if !ok {
-		return sigmsg.Msg{}, ErrSignaling
-	}
-	reply, err := sigmsg.Decode(raw)
-	if err != nil {
-		return sigmsg.Msg{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	p.ContextSwitches(1) // kernel to application
-	if reply.Kind == sigmsg.KindError {
-		return reply, fmt.Errorf("%w: %s", ErrProtocol, reply.Reason)
-	}
-	return reply, nil
-}
-
-// ExportService registers a service name with the signaling entity
-// (the export_service call of Figure 5). notifyPort is where the
-// server will listen for incoming-connection notifications.
+// ExportService registers a service whose calls arrive at notifyPort.
 func (l *Lib) ExportService(p *kern.Proc, name string, notifyPort uint16) error {
-	reply, err := l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: name, NotifyPort: notifyPort})
-	if err != nil {
-		return err
-	}
-	if reply.Kind != sigmsg.KindServiceRegs {
-		return fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	return nil
+	return l.client(p).ExportService(name, notifyPort)
 }
 
 // UnexportService cancels a registration.
 func (l *Lib) UnexportService(p *kern.Proc, name string) error {
-	reply, err := l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindUnexportSrv, Service: name})
-	if err != nil {
-		return err
-	}
-	if reply.Kind != sigmsg.KindServiceRegs {
-		return fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	return nil
+	return l.client(p).UnexportService(name)
 }
 
-// CreateReceiveConnection opens the regular TCP listening socket the
-// signaling entity will connect to when a call arrives (Figure 5).
+// CreateReceiveConnection opens the socket the entity connects to when
+// a call arrives.
 func (l *Lib) CreateReceiveConnection(p *kern.Proc, port uint16) (*kern.KListener, error) {
 	return p.Listen(port)
 }
 
-// ServiceRequest is one incoming call awaiting the server's decision.
-type ServiceRequest struct {
-	p     *kern.Proc
-	conn  *kern.KStream
-	rpcTO time.Duration // reply deadline inherited from the library
-	// Cookie is the capability for the coming circuit; QoS the client's
-	// requested descriptor; Comment the client's free-form comment.
-	Cookie  uint16
-	QoS     string
-	Comment string
-	Service string
-}
-
-// AwaitServiceRequest blocks until the signaling entity forwards an
-// incoming connection (the await_service_request call). When the
-// descriptor table is exhausted it backs off and retries, reproducing
-// the establishment stall of §10.
-func (l *Lib) AwaitServiceRequest(p *kern.Proc, kl *kern.KListener) (*ServiceRequest, error) {
-	for {
-		conn, err := kl.Accept()
-		if errors.Is(err, kern.ErrEMFILE) {
-			p.SP.Sleep(acceptBackoff)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		raw, ok := conn.Recv()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		m, err := sigmsg.Decode(raw)
-		if err != nil || m.Kind != sigmsg.KindIncomingConn {
-			conn.Close()
-			continue
-		}
-		p.ContextSwitches(1) // kernel handed the notification up
-		return &ServiceRequest{
-			p: p, conn: conn, rpcTO: l.to.RPC,
-			Cookie: m.Cookie, QoS: m.QoS, Comment: m.Comment, Service: m.Service,
-		}, nil
-	}
-}
-
-// Accept accepts the call with a possibly modified QoS and returns the
-// circuit: the accept_connection call of Figure 5. The per-call
-// connection is closed afterward (its descriptor parks in TIME_WAIT).
-func (r *ServiceRequest) Accept(modifiedQoS string) (vci atm.VCI, grantedQoS string, err error) {
-	defer r.conn.Close()
-	r.p.ContextSwitches(1)
-	accept := sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: r.Cookie, QoS: modifiedQoS}
-	var sbuf [128]byte
-	if err := r.conn.Send(accept.AppendTo(sbuf[:0])); err != nil {
-		return 0, "", fmt.Errorf("%w: %v", ErrSignaling, err)
-	}
-	wait := r.rpcTO
-	if wait <= 0 {
-		wait = DefaultTimeouts().RPC
-	}
-	raw, ok, timedOut := r.conn.RecvTimeout(wait)
-	if timedOut {
-		return 0, "", &TimeoutError{Peer: "sighost", Op: "accept_connection", Attempt: 1, Waited: wait}
-	}
-	if !ok {
-		return 0, "", ErrSignaling
-	}
-	m, derr := sigmsg.Decode(raw)
-	if derr != nil || m.Kind != sigmsg.KindVCIForConn {
-		return 0, "", ErrProtocol
-	}
-	r.p.ContextSwitches(1)
-	return m.VCI, m.QoS, nil
-}
-
-// Reject declines the call.
-func (r *ServiceRequest) Reject(reason string) error {
-	defer r.conn.Close()
-	r.p.ContextSwitches(1)
-	reject := sigmsg.Msg{Kind: sigmsg.KindRejectConn, Cookie: r.Cookie, Reason: reason}
-	var sbuf [128]byte
-	return r.conn.Send(reject.AppendTo(sbuf[:0]))
-}
-
-// Connection is an established client-side circuit.
-type Connection struct {
-	VCI    atm.VCI
-	Cookie uint16
-	QoS    string // negotiated (possibly modified by the server)
-	// Trace is the call's root trace context, carried in VCI_FOR_CONN.
-	// Pass it to pfxunet.Socket.SetTrace so data frames sent on the
-	// circuit join the call's span tree; zero when tracing is off or the
-	// call was unsampled.
-	Trace trace.Context
+// AwaitServiceRequest blocks until the entity forwards an incoming call.
+func (l *Lib) AwaitServiceRequest(p *kern.Proc, kl *kern.KListener) (*signaling.ServiceRequest, error) {
+	return signaling.AwaitRequest(listener{kl}, l.to.RPC)
 }
 
 // OpenConnection requests a circuit to <dest, service, qos> and blocks
-// until it is established or fails: the open_connection call of
-// Figure 6. notifyPort is a local port on which the library receives
-// the asynchronous VCI_FOR_CONN.
-func (l *Lib) OpenConnection(p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, comment, qosStr string) (*Connection, error) {
+// until it is established or fails; the outcome arrives at notifyPort.
+func (l *Lib) OpenConnection(p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, comment, qosStr string) (*signaling.Connection, error) {
 	kl, err := p.Listen(notifyPort)
 	if err != nil {
 		return nil, err
 	}
-	defer kl.Close()
-	reply, err := l.rpc(p, sigmsg.Msg{
-		Kind: sigmsg.KindConnectReq, Dest: dest, Service: service,
-		QoS: qosStr, NotifyPort: notifyPort, Comment: comment, PID: p.PID,
-	})
+	return l.client(p).OpenConnection(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
+}
+
+// OpenConnectionAsync is OpenConnection returning once REQ_ID arrives.
+func (l *Lib) OpenConnectionAsync(p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, comment, qosStr string) (*signaling.PendingConnection, error) {
+	kl, err := p.Listen(notifyPort)
 	if err != nil {
 		return nil, err
 	}
-	if reply.Kind != sigmsg.KindReqID {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	cookie := reply.Cookie
-	// Await the asynchronous establishment notification.
-	conn, err := kl.AcceptTimeout(l.to.Establish)
-	if err != nil {
-		// Best effort cancellation of the dangling request.
-		_, _ = l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: cookie})
-		return nil, &TimeoutError{Peer: string(dest), Op: "open_connection", Attempt: 1, Waited: l.to.Establish}
-	}
-	defer conn.Close()
-	raw, ok, timedOut := conn.RecvTimeout(l.to.Establish)
-	if timedOut || !ok {
-		return nil, &TimeoutError{Peer: string(dest), Op: "open_connection", Attempt: 1, Waited: l.to.Establish}
-	}
-	m, derr := sigmsg.Decode(raw)
-	if derr != nil {
-		return nil, ErrProtocol
-	}
-	p.ContextSwitches(1)
-	switch m.Kind {
-	case sigmsg.KindVCIForConn:
-		return &Connection{VCI: m.VCI, Cookie: cookie, QoS: m.QoS,
-			Trace: trace.Context{Trace: m.TraceID, Span: m.SpanID}}, nil
-	case sigmsg.KindConnFailed:
-		return nil, fmt.Errorf("%w: %s", ErrFailed, m.Reason)
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, m.Kind)
-	}
+	return l.client(p).OpenConnectionAsync(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
 }
 
-// Query asks the signaling entity for management state (§5.1): one of
-// signaling.MgmtServices, MgmtCalls, MgmtStats, MgmtLists.
+// Query asks the entity for management state (signaling.MgmtServices, …).
 func (l *Lib) Query(p *kern.Proc, what string) (string, error) {
-	reply, err := l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what})
-	if err != nil {
-		return "", err
-	}
-	if reply.Kind != sigmsg.KindMgmtReply {
-		return "", fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	return reply.Comment, nil
+	return l.client(p).Query(what, 0, 0)
 }
 
-// QueryCall performs a per-call management query (signaling.MgmtCallTrace
-// or MgmtCallTraceJSON) and returns the rendered body.
+// QueryCall performs a per-call management query (MgmtCallTrace, …).
 func (l *Lib) QueryCall(p *kern.Proc, what string, callID uint32) (string, error) {
-	reply, err := l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what, CallID: callID})
-	if err != nil {
-		return "", err
-	}
-	if reply.Kind != sigmsg.KindMgmtReply {
-		return "", fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	return reply.Comment, nil
-}
-
-// PendingConnection is a connect request in flight: the non-blocking
-// open_connection the paper says "would be straightforward to provide".
-type PendingConnection struct {
-	lib    *Lib
-	kl     *kern.KListener
-	Cookie uint16
-}
-
-// OpenConnectionAsync issues the CONNECT_REQ and returns as soon as
-// REQ_ID arrives, without waiting for establishment. The caller may do
-// other work, then Await the circuit (or Cancel it).
-func (l *Lib) OpenConnectionAsync(p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, comment, qosStr string) (*PendingConnection, error) {
-	kl, err := p.Listen(notifyPort)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := l.rpc(p, sigmsg.Msg{
-		Kind: sigmsg.KindConnectReq, Dest: dest, Service: service,
-		QoS: qosStr, NotifyPort: notifyPort, Comment: comment, PID: p.PID,
-	})
-	if err != nil {
-		kl.Close()
-		return nil, err
-	}
-	if reply.Kind != sigmsg.KindReqID {
-		kl.Close()
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
-	}
-	return &PendingConnection{lib: l, kl: kl, Cookie: reply.Cookie}, nil
-}
-
-// Await blocks until the circuit is established or fails, then releases
-// the notify listener.
-func (pc *PendingConnection) Await(p *kern.Proc) (*Connection, error) {
-	defer pc.kl.Close()
-	wait := pc.lib.to.Establish
-	conn, err := pc.kl.AcceptTimeout(wait)
-	if err != nil {
-		_ = pc.lib.CancelRequest(p, pc.Cookie)
-		return nil, &TimeoutError{Peer: "sighost", Op: "await_connection", Attempt: 1, Waited: wait}
-	}
-	defer conn.Close()
-	raw, ok, timedOut := conn.RecvTimeout(wait)
-	if timedOut || !ok {
-		return nil, &TimeoutError{Peer: "sighost", Op: "await_connection", Attempt: 1, Waited: wait}
-	}
-	m, derr := sigmsg.Decode(raw)
-	if derr != nil {
-		return nil, ErrProtocol
-	}
-	p.ContextSwitches(1)
-	switch m.Kind {
-	case sigmsg.KindVCIForConn:
-		return &Connection{VCI: m.VCI, Cookie: pc.Cookie, QoS: m.QoS,
-			Trace: trace.Context{Trace: m.TraceID, Span: m.SpanID}}, nil
-	case sigmsg.KindConnFailed:
-		return nil, fmt.Errorf("%w: %s", ErrFailed, m.Reason)
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, m.Kind)
-	}
-}
-
-// Cancel withdraws the pending request and releases the listener.
-func (pc *PendingConnection) Cancel(p *kern.Proc) error {
-	pc.kl.Close()
-	return pc.lib.CancelRequest(p, pc.Cookie)
+	return l.client(p).Query(what, callID, 0)
 }
 
 // CancelRequest cancels an outstanding connect request by cookie.
 func (l *Lib) CancelRequest(p *kern.Proc, cookie uint16) error {
-	reply, err := l.rpc(p, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: cookie})
+	return l.client(p).CancelRequest(cookie)
+}
+
+// procTransport is one process's exchanges with the entity, each over a
+// fresh IPC connection.
+type procTransport struct {
+	p     *kern.Proc
+	sigIP memnet.IPAddr
+}
+
+func (t procTransport) Exchange(m sigmsg.Msg, wait time.Duration) (sigmsg.Msg, error) {
+	t.p.ContextSwitches(1) // application to kernel
+	ks, err := t.p.Dial(t.sigIP, signaling.SigPort)
 	if err != nil {
-		return err
+		return sigmsg.Msg{}, fmt.Errorf("%w: %v", signaling.ErrSignaling, err)
 	}
-	if reply.Kind != sigmsg.KindCancelReq {
-		return fmt.Errorf("%w: %v", ErrProtocol, reply.Kind)
+	defer ks.Close()
+	if err := send(ks, &m); err != nil {
+		return sigmsg.Msg{}, err
+	}
+	reply, err := recv(ks, wait)
+	if err == nil {
+		t.p.ContextSwitches(1) // kernel to application
+	}
+	return reply, err
+}
+
+func (t procTransport) Sleep(d time.Duration) { t.p.SP.Sleep(d) }
+
+func (t procTransport) Now() time.Duration { return t.p.SP.Now() }
+
+// listener is a notify endpoint: a listening socket the entity connects
+// to once per notification.
+type listener struct{ kl *kern.KListener }
+
+// Next accepts the entity's next connection and reads its one message.
+// A server (no bound) rides out a full descriptor table and connections
+// that fail before their message. For a client awaiting its outcome a
+// failed accept is ErrTimeout, so the request is canceled; a connection
+// that fails before its message leaves no request to cancel.
+func (n listener) Next(wait time.Duration) (signaling.Notice, sigmsg.Msg, error) {
+	for {
+		ks, err := n.kl.AcceptTimeout(wait)
+		switch {
+		case err == nil:
+		case wait >= 0:
+			return nil, sigmsg.Msg{}, signaling.ErrTimeout
+		case errors.Is(err, kern.ErrEMFILE):
+			n.kl.Proc().SP.Sleep(acceptBackoff)
+			continue
+		default:
+			return nil, sigmsg.Msg{}, err
+		}
+		m, err := recv(ks, wait)
+		if err == nil {
+			return stream{ks}, m, nil
+		}
+		ks.Close()
+		if wait >= 0 {
+			return nil, sigmsg.Msg{}, fmt.Errorf("%w: notify connection: %v", signaling.ErrSignaling, err)
+		}
+	}
+}
+
+func (n listener) Close() { n.kl.Close() }
+
+// stream is the connection one notification came on. The entity opened
+// it for that exchange alone, so Done closes it either way.
+type stream struct{ ks *kern.KStream }
+
+func (s stream) Send(m sigmsg.Msg) error { return send(s.ks, &m) }
+
+func (s stream) Recv(wait time.Duration) (sigmsg.Msg, error) { return recv(s.ks, wait) }
+
+func (s stream) Done(bool) { s.ks.Close() }
+
+func (s stream) Charge(n int) { s.ks.Proc().ContextSwitches(n) }
+
+// send writes one message from stack scratch: typical signaling messages
+// fit, and Send copies the frame before returning.
+func send(ks *kern.KStream, m *sigmsg.Msg) error {
+	var sbuf [128]byte
+	if err := ks.Send(m.AppendTo(sbuf[:0])); err != nil {
+		return fmt.Errorf("%w: %v", signaling.ErrSignaling, err)
 	}
 	return nil
 }
 
-// Stack returns the library's underlying stack (handy for examples).
-func (l *Lib) Stack() *core.Stack { return l.stack }
+// recv reads one message within wait (without bound when wait < 0).
+func recv(ks *kern.KStream, wait time.Duration) (sigmsg.Msg, error) {
+	raw, ok, timedOut := ks.RecvTimeout(wait)
+	if timedOut {
+		return sigmsg.Msg{}, signaling.ErrTimeout
+	}
+	if !ok {
+		return sigmsg.Msg{}, signaling.ErrSignaling
+	}
+	m, err := sigmsg.Decode(raw)
+	if err != nil {
+		return sigmsg.Msg{}, fmt.Errorf("%w: %v", signaling.ErrProtocol, err)
+	}
+	return m, nil
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xunet/internal/kern"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 	"xunet/internal/ulib"
 )
@@ -19,13 +20,13 @@ func TestExportServiceAgainstDeadSighost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point the library at an IP with no sighost (the host itself).
-	lib := ulib.New(host.Stack, host.Stack.M.IP.Addr)
+	lib := ulib.New(host.Stack.M.IP.Addr)
 	var exportErr error
 	host.Stack.Spawn("app", func(p *kern.Proc) {
 		exportErr = lib.ExportService(p, "x", 6000)
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(exportErr, ulib.ErrSignaling) {
+	if !errors.Is(exportErr, signaling.ErrSignaling) {
 		t.Fatalf("err = %v", exportErr)
 	}
 	n.E.Shutdown()
@@ -39,10 +40,10 @@ func TestExportServiceValidation(t *testing.T) {
 		badPort = ra.Lib.ExportService(p, "svc", 0)
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(badName, ulib.ErrProtocol) {
+	if !errors.Is(badName, signaling.ErrProtocol) {
 		t.Fatalf("empty name err = %v", badName)
 	}
-	if !errors.Is(badPort, ulib.ErrProtocol) {
+	if !errors.Is(badPort, signaling.ErrProtocol) {
 		t.Fatalf("zero port err = %v", badPort)
 	}
 	n.E.Shutdown()
@@ -55,7 +56,7 @@ func TestOpenConnectionValidation(t *testing.T) {
 		_, err1 = ra.Lib.OpenConnection(p, "", "svc", 7000, "", "")
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(err1, ulib.ErrProtocol) {
+	if !errors.Is(err1, signaling.ErrProtocol) {
 		t.Fatalf("empty dest err = %v", err1)
 	}
 	if msg := testbed.Quiesced(ra); msg != "" {
@@ -71,7 +72,7 @@ func TestCancelUnknownCookie(t *testing.T) {
 		err = ra.Lib.CancelRequest(p, 0xDEAD)
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(err, ulib.ErrProtocol) {
+	if !errors.Is(err, signaling.ErrProtocol) {
 		t.Fatalf("err = %v", err)
 	}
 	n.E.Shutdown()
@@ -96,7 +97,7 @@ func TestRejectDeliversReasonToClient(t *testing.T) {
 		_, openErr = ra.Lib.OpenConnection(p, "ucb.rt", "refuser", 7000, "", "")
 	})
 	n.E.RunUntil(10 * time.Second)
-	if !errors.Is(openErr, ulib.ErrFailed) {
+	if !errors.Is(openErr, signaling.ErrFailed) {
 		t.Fatalf("err = %v", openErr)
 	}
 	n.E.Shutdown()
@@ -159,14 +160,6 @@ func TestConcurrentOpensFromOneProcess(t *testing.T) {
 	}
 	if srv.Accepted != 5 {
 		t.Fatalf("accepted = %d", srv.Accepted)
-	}
-	n.E.Shutdown()
-}
-
-func TestStackAccessor(t *testing.T) {
-	n, ra, _, _ := testbed.NewTestbed(testbed.Options{})
-	if ra.Lib.Stack() != ra.Stack {
-		t.Fatal("Stack() mismatch")
 	}
 	n.E.Shutdown()
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"xunet/internal/kern"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
-	"xunet/internal/ulib"
 )
 
 func TestUnexportStopsNewCalls(t *testing.T) {
@@ -35,7 +35,7 @@ func TestUnexportStopsNewCalls(t *testing.T) {
 	if unexpErr != nil {
 		t.Fatalf("unexport: %v", unexpErr)
 	}
-	if !errors.Is(secondErr, ulib.ErrFailed) {
+	if !errors.Is(secondErr, signaling.ErrFailed) {
 		t.Fatalf("call after unexport err = %v", secondErr)
 	}
 	if srv.Accepted != 1 {
@@ -57,7 +57,7 @@ func TestOpenConnectionPortConflict(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		defer pc.Cancel(p)
+		defer pc.Cancel()
 		p.SP.Sleep(2 * time.Second)
 	})
 	ra.Stack.Spawn("c2", func(p *kern.Proc) {
