@@ -26,11 +26,13 @@ test:
 # the ones a stray cross-goroutine touch would break. So do the frame
 # path's chain owners, whose chains the race build poisons on Release.
 # The third line repeats the client library's tests over both of its
-# transports: the notify mux hands connections between goroutines.
+# transports, and the real peers' chaos call: the notify mux hands
+# connections between goroutines, and both scrape the daemons'
+# registries off their actors while calls run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/
-	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout' ./internal/signaling/
+	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos' ./internal/signaling/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.
@@ -38,14 +40,15 @@ benchcheck:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The determinism gate, one line per claim:
-#  1. a disabled observation hook — trace, faults, obs, tseries, prof —
-#     costs under 5 ns (each benchmark asserts its own), so the hooks
-#     compiled into every hot path cannot skew clean-path numbers;
+#  1. a disabled observation hook — trace, faults, obs, tseries, prof,
+#     sighost's transition hook — costs under 5 ns (each benchmark
+#     asserts its own), so the hooks compiled into every hot path
+#     cannot skew clean-path numbers;
 #  2. the trace export is schema-valid Chrome trace-event JSON;
 #  3. every scenario writes the bytes recorded for it, run twice or at
 #     workers 1 and 4 (`make test` runs it too; -count 1 skips the cache).
 detgate:
-	$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/
+	$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/
 	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
 	$(GO) test -count 1 -run TestDetGate ./internal/testbed/
 

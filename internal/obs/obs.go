@@ -196,7 +196,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 // reported alongside counters. It lets components with plain uint64 fields
 // (trunk cell counts, AAL5 frame totals) surface in the registry without an
 // atomic rewrite. fn must be safe to call at snapshot time — for sim-side
-// metrics that means outside Engine.Run or from the owning actor.
+// metrics that means outside Engine.Run or from the owning actor. A
+// component whose registry must be scrapable from any goroutine has its
+// Funcs read values it keeps in atomics: sighost's do, so a sighost
+// registry, a real daemon's included, may be snapshotted anywhere.
 func (r *Registry) Func(name string, fn func() uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

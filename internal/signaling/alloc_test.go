@@ -260,3 +260,25 @@ func TestSteadyStateCallAllocs(t *testing.T) {
 		t.Fatal("warm-up never compacted the journal; gate did not cover compaction steady state")
 	}
 }
+
+// BenchmarkTransitionOverhead/disabled is a `make detgate` gate, like
+// the trace, faults and obs ones: handing a record on with no hook set
+// costs under 5 ns, so the hook every transition passes, which only
+// tests set, costs a call's state changes a nil check each.
+func BenchmarkTransitionOverhead(b *testing.B) {
+	b.Run("disabled", func(b *testing.B) {
+		_, sh, _, _, _ := newBenchPair()
+		tr := Transition{Call: callKey{peer: "b.rt", id: 1}, From: callNew, To: callWaitServer}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sh.handOff(tr)
+		}
+		b.StopTimer()
+		// Enforce the budget only on a real measurement run; the N=1
+		// discovery run is all fixed overhead.
+		if avg := float64(b.Elapsed().Nanoseconds()) / float64(b.N); b.N >= 1_000_000 && avg > 5 {
+			b.Fatalf("handing on a record with no hook set costs %.1f ns, budget is 5 ns", avg)
+		}
+	})
+}

@@ -266,9 +266,11 @@ func simRig(t *testing.T) clientRig {
 }
 
 // realRig is two peered daemons on the loopback: RealClient over
-// net.Conn, in wall-clock time.
+// net.Conn, in wall-clock time. Both registries are scraped off the
+// actors for the rig's lifetime.
 func realRig(t *testing.T) clientRig {
 	a, b := startPeerPair(t, signaling.PeerNetConfig{}, signaling.PeerNetConfig{})
+	t.Cleanup(scrape(a, b))
 	cli := &signaling.RealClient{SighostAddr: a.ListenAddr()}
 	t.Cleanup(cli.Close)
 	return clientRig{

@@ -2,9 +2,13 @@ package signaling
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
+	"xunet/internal/atm"
 	"xunet/internal/obs"
 	"xunet/internal/sigmsg"
+	"xunet/internal/trace"
 )
 
 // Event kinds sighost publishes to its machine's obs ring. Events carry the
@@ -16,7 +20,7 @@ const (
 	EvPeerTx   = "peer.tx"   // sighost -> peer signaling message sent
 	EvPeerRx   = "peer.rx"   // peer -> sighost signaling message received
 	EvKernRx   = "kern.rx"   // kernel pseudo-device indication received
-	EvTeardown = "teardown"  // call released
+	EvTeardown = "teardown"  // call released (Data: its Transition)
 	EvBindOK   = "bind.ok"   // bind/connect authenticated, wait_for_bind cleared
 	EvBindTime = "bind.fire" // wait_for_bind timer fired
 
@@ -30,10 +34,178 @@ const (
 	EvRecover    = "recover"     // sighost recovered from journal
 )
 
-// teardownInfo rides in Event.Data for EvTeardown events.
-type teardownInfo struct {
-	origin bool
-	reason cause
+// causeCode names why a call ends.
+type causeCode uint8
+
+const (
+	causeOther causeCode = iota // a reason this sighost does not name
+	causeSocketClosed
+	causeClosedUnused
+	causeCanceled
+	causeBindTimeout
+	causeAuthFailed
+	causeClientExit
+	causeClientGone
+	causeRetxExhausted
+	causePeerDead
+	causeRestart
+	causeUnreachable
+	causeAdmission
+	causeServerGone
+	causeRejected
+)
+
+// cause is why a call ends. A cause this sighost decides is its code
+// alone, plus an error's detail where the client is told one. A reason
+// it is told (a peer's RELEASE or SETUP_REJ, a server's REJECT_CONN) is
+// parsed once, at receipt: via is the message that carried it and text
+// the reason as received, so one it does not name rides verbatim and
+// every wire byte is what it was.
+type cause struct {
+	code causeCode
+	via  sigmsg.Kind
+	text string
+}
+
+// restarted is the cause of every state change Recover makes: the calls
+// it rebuilds, and the ends of those it cannot keep.
+var restarted = cause{code: causeRestart}
+
+// heard parses a reason the message via carried into the cause it
+// names; IndexFunc's -1 for a reason no row names is causeOther.
+func heard(via sigmsg.Kind, reason string) cause {
+	i := slices.IndexFunc(endings[1:], func(e ending) bool { return e.text == reason })
+	return cause{code: causeCode(i + 1), via: via, text: reason}
+}
+
+// String renders the cause for the wire, the event ring and a waiting
+// client.
+func (why cause) String() string {
+	if why.code == causeOther {
+		return why.text
+	}
+	return endings[why.code].text
+}
+
+// ending is what why does to the call it ends.
+func (why cause) ending() *ending {
+	if e := heardEndings[why.via]; e != nil {
+		return e
+	}
+	return &endings[why.code]
+}
+
+// An ending is what a cause does to the call it ends; end applies it.
+type ending struct {
+	text   string      // the cause's name
+	status string      // the origin's trace status ("" for the named cause's); REJECT, TIMEOUT and DEATH dump to the flight recorder
+	count  uint8       // the sigCounters.ended slot bumped besides torn
+	torn   bool        // a teardown: torn counted, TeardownLogging charged, retransmits dropped, the peer told last
+	peer   sigmsg.Kind // RELEASE or SETUP_REJ to the peer, or nothing
+	notify bool        // an origin's client gets CONN_FAILED first: client, then the cause's text
+	client string
+}
+
+// endings are the causes this sighost decides.
+var endings = [...]ending{
+	causeOther:         {status: trace.StatusFailed},
+	causeSocketClosed:  {text: "socket closed", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
+	causeClosedUnused:  {text: "socket closed before use", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
+	causeCanceled:      {text: "canceled by client", status: trace.StatusCanceled, count: countCanceled, torn: true, peer: sigmsg.KindRelease},
+	causeBindTimeout:   {text: "bind timeout", status: trace.StatusTimeout, torn: true, peer: sigmsg.KindRelease},
+	causeAuthFailed:    {text: "cookie authentication failed", status: trace.StatusFailed, torn: true, peer: sigmsg.KindRelease},
+	causeClientExit:    {text: "client terminated", status: trace.StatusDeath, torn: true, peer: sigmsg.KindRelease},
+	causeClientGone:    {text: "client unreachable", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease},
+	causeRetxExhausted: {text: "retransmit budget exhausted", status: trace.StatusTimeout, count: countFailed, torn: true, notify: true, client: "signaling retransmit budget exhausted"},
+	causePeerDead:      {text: "peer signaling entity dead", status: trace.StatusDeath, count: countFailed, torn: true, notify: true, client: "peer signaling entity dead"},
+	causeRestart:       {text: "lost in signaling restart", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease, notify: true, client: "signaling entity restarted"},
+	causeUnreachable:   {text: "destination unreachable", status: trace.StatusFailed, count: countFailed, notify: true, client: "destination unreachable: "},
+	causeAdmission:     {text: "admission failed", status: trace.StatusFailed, count: countFailed, peer: sigmsg.KindRelease, notify: true, client: "network admission failed: "},
+	causeServerGone:    {text: "server unreachable", status: trace.StatusFailed, peer: sigmsg.KindSetupRej},
+	causeRejected:      {text: "rejected by server", status: trace.StatusFailed, count: countRejected, peer: sigmsg.KindSetupRej},
+}
+
+// What a reason someone else decided does here depends on the message
+// that carried it, not on the reason: a peer's RELEASE tears this view
+// down without answering, a peer's SETUP_REJ fails the call and tells the
+// client the reason, and a server's REJECT_CONN goes on to the origin.
+var heardEndings = map[sigmsg.Kind]*ending{
+	sigmsg.KindRelease:    {torn: true},
+	sigmsg.KindSetupRej:   {status: trace.StatusReject, count: countFailed, notify: true},
+	sigmsg.KindRejectConn: {count: countRejected, peer: sigmsg.KindSetupRej},
+}
+
+// Transition is one state change of one call. transition returns one
+// for every change but the last, and end makes that one (To
+// callReleased), stamped when end begins.
+type Transition struct {
+	Call     callKey
+	From, To callState
+	VCI      atm.VCI // the call's VCI, 0 until one is granted
+	// Cause is why the call ended, on the Released record. Before that it
+	// is the zero cause, or restarted for a call Recover rebuilt.
+	Cause cause
+	At    time.Duration // env.Now
+}
+
+// publish derives everything a transition means outside the lists from
+// its record (DESIGN.md §12 has the table): the lifecycle counters, the
+// bind.ok, bind.fire and teardown events, and the hook. Only a cause
+// this sighost decides is a bind timeout or a restart; a rebuilt call
+// Recover ends while it holds a VCI had its bind deadline pass in the
+// outage. The recovery counters stay lazy: a run without a crash never
+// lists them.
+func (sh *Sighost) publish(tr Transition) {
+	rebuilt := tr.Cause == restarted
+	switch tr.To {
+	case callSetupSent:
+		if !rebuilt {
+			sh.ct.callsRequested.Inc()
+		}
+	case callEstablished:
+		if rebuilt {
+			sh.Obs.Counter("sighost.recovered.wait_bind").Inc()
+		} else {
+			sh.ct.callsEstablished.Inc()
+		}
+	case callBound:
+		if rebuilt {
+			sh.Obs.Counter("sighost.recovered.bound").Inc()
+		} else if sh.traceOn() {
+			sh.emit(obs.Event{Kind: EvBindOK, VCI: uint32(tr.VCI), CallID: tr.Call.id})
+		}
+	case callReleased:
+		e := tr.Cause.ending()
+		if ctr := sh.ct.ended[e.count]; ctr != nil {
+			ctr.Inc()
+		}
+		fired := tr.Cause == cause{code: causeBindTimeout}
+		if rebuilt {
+			sh.Obs.Counter("sighost.recovery.aborted_calls").Inc()
+		}
+		if fired || rebuilt && tr.VCI != 0 {
+			sh.ct.bindTimeouts.Inc()
+		}
+		if e.torn {
+			sh.ct.callsTorn.Inc()
+		}
+		if sh.traceOn() {
+			if fired {
+				sh.emit(obs.Event{Kind: EvBindTime, VCI: uint32(tr.VCI), CallID: tr.Call.id})
+			}
+			if e.torn {
+				sh.emit(obs.Event{Kind: EvTeardown, CallID: tr.Call.id, VCI: uint32(tr.VCI), Data: tr})
+			}
+		}
+	}
+	sh.handOff(tr)
+}
+
+// handOff gives tr to the hook: unset, a nil check (BenchmarkTransitionOverhead).
+func (sh *Sighost) handOff(tr Transition) {
+	if sh.hook != nil {
+		sh.hook(tr)
+	}
 }
 
 // traceOn reports whether any trace consumer is attached: the typed ring
@@ -84,8 +256,8 @@ func eventString(ev obs.Event) string {
 	case EvKernRx:
 		return fmt.Sprintf("kernel<-%s %v", ev.Peer, ev.Data)
 	case EvTeardown:
-		ti, _ := ev.Data.(teardownInfo)
-		return fmt.Sprintf("teardown call=%d origin=%v reason=%q", ev.CallID, ti.origin, ti.reason.String())
+		tr, _ := ev.Data.(Transition)
+		return fmt.Sprintf("teardown call=%d origin=%v reason=%q", ev.CallID, tr.Call.origin, tr.Cause.String())
 	case EvBindOK:
 		return fmt.Sprintf("bind ok vci=%d", ev.VCI)
 	case EvBindTime:

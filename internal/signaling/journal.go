@@ -183,6 +183,8 @@ type journal struct {
 	// reuses a call ID that a peer may still hold state for.
 	lastCallID uint32
 	svcScratch []string // sorted-services scratch for compaction
+	// len(buf), n and pendingN, for readers off the actor.
+	nBytes, nRecords, nPending size
 
 	appends     *obs.Counter // sighost.journal.appends (records)
 	batches     *obs.Counter // sighost.journal.batches (one per flush)
@@ -206,10 +208,9 @@ func (sh *Sighost) EnableJournal(bound int) {
 	}
 	// Occupancy as read-through metrics, for the time-series scrape:
 	// durable log size and the in-flight batch depth.
-	jr := sh.jr
-	sh.Obs.Func("sighost.journal.bytes", func() uint64 { return uint64(len(jr.buf)) })
-	sh.Obs.Func("sighost.journal.records", func() uint64 { return uint64(jr.n) })
-	sh.Obs.Func("sighost.journal.pending", func() uint64 { return uint64(jr.pendingN) })
+	sh.Obs.Func("sighost.journal.bytes", sh.jr.nBytes.get)
+	sh.Obs.Func("sighost.journal.records", sh.jr.nRecords.get)
+	sh.Obs.Func("sighost.journal.pending", sh.jr.nPending.get)
 }
 
 // openRec is the record of a call's opening.
@@ -231,6 +232,7 @@ func (sh *Sighost) jlog(r jrec) {
 	}
 	j.pending = appendJrec(j.pending, &r)
 	j.pendingN++
+	j.nPending.set(j.pendingN)
 	if r.op == jOpen && r.key.origin && r.key.id > j.lastCallID {
 		j.lastCallID = r.key.id
 	}
@@ -253,8 +255,17 @@ func (sh *Sighost) jflush() {
 	}
 	j.buf = append(j.buf, j.pending...)
 	j.n += j.pendingN
+	j.settle()
+}
+
+// settle empties the batch, which the log now holds, and stores the
+// log's occupancy where its metrics read it.
+func (j *journal) settle() {
 	j.pending = j.pending[:0]
 	j.pendingN = 0
+	j.nBytes.set(len(j.buf))
+	j.nRecords.set(j.n)
+	j.nPending.set(0)
 }
 
 // compactJournal rewrites the log from live state: one export per
@@ -301,11 +312,8 @@ func (sh *Sighost) compactJournal() {
 			n += 2
 		}
 	}
-	j.spare = j.buf
-	j.buf = out
-	j.n = n
-	j.pending = j.pending[:0]
-	j.pendingN = 0
+	j.spare, j.buf, j.n = j.buf, out, n
+	j.settle()
 }
 
 // Crash models the signaling process dying: every timer is canceled and
@@ -408,6 +416,7 @@ func (sh *Sighost) Recover() {
 			delete(live, r.key)
 		}
 	}
+	sh.n.services.set(len(sh.services))
 
 	// Each call is rebuilt through the same transitions it first took;
 	// what they journal is discarded by the compaction that ends replay.
@@ -428,32 +437,26 @@ func (sh *Sighost) Recover() {
 		if key.origin {
 			open = callSetupSent
 		}
-		sh.transition(c, open, 0)
+		sh.publish(sh.transition(c, open, restarted, 0))
 		if st.hasGrant {
 			c.localVCI, c.vc = st.grant.vci, st.grant.vc
 		}
 		switch {
 		case st.bound && st.hasGrant:
 			// Fully established and bound: restore VCI_mapping + cookie.
-			sh.transition(c, callBound, 0)
-			sh.Obs.Counter("sighost.recovered.bound").Inc()
+			sh.publish(sh.transition(c, callBound, restarted, 0))
 		case st.hasGrant && st.grant.deadline > now:
 			// Granted but unbound: restore wait_for_bind with whatever
 			// allowance the call had left.
-			sh.transition(c, callEstablished, st.grant.deadline)
-			sh.Obs.Counter("sighost.recovered.wait_bind").Inc()
-		case st.hasGrant:
-			// The bind timer fired during the outage: tear down now.
-			sh.ct.bindTimeouts.Inc()
-			aborted = append(aborted, c)
+			sh.publish(sh.transition(c, callEstablished, restarted, st.grant.deadline))
 		default:
-			// Mid-establishment: its handshake died with the process.
+			// Mid-establishment, its handshake died with the process; or
+			// granted, its bind timer ran out during the outage.
 			aborted = append(aborted, c)
 		}
 	}
 	for _, c := range aborted {
-		sh.Obs.Counter("sighost.recovery.aborted_calls").Inc()
-		sh.end(c, cause{code: causeRestart})
+		sh.end(c, restarted)
 	}
 	sh.compactJournal()
 }

@@ -1,0 +1,63 @@
+package signaling_test
+
+import (
+	"testing"
+	"time"
+
+	"xunet/internal/kern"
+	"xunet/internal/signaling"
+	"xunet/internal/testbed"
+	"xunet/internal/ulib"
+)
+
+// TestChaosRecordChains runs the storm `xunetsim chaos` runs (seed 7,
+// fault cocktail 99, two crashes of the callee's signaling entity) with
+// both routers' transition records watched: per sighost and call, the
+// records form one chain from a new call to one release, a crash closes
+// the chains it interrupts and recovery reopens the calls it rebuilds,
+// and at quiescence every kept length equals its map's.
+func TestChaosRecordChains(t *testing.T) {
+	opts := testbed.Options{Seed: 7, DeviceBuffers: kern.FixedDeviceBuffers, FDTableSize: kern.FixedFDTableSize}
+	opts.Faults = testbed.ChaosCocktail(99)
+	n, ra, rb, err := testbed.NewTestbed(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ha, err := n.AddHost("mh.h1", ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*ulib.Lib{ra.Lib, rb.Lib, ha.Lib} {
+		l.SetTimeouts(ulib.Timeouts{
+			RPC: 10 * time.Second, Establish: 60 * time.Second,
+			Attempts: 2, Backoff: 100 * time.Millisecond, MaxBackoff: time.Second,
+		})
+	}
+	testbed.StartEchoServer(rb, "storm", 6000)
+	testbed.StartEchoServer(rb, "hstorm", 6001)
+	chains := []*signaling.Chains{signaling.WatchChains(ra.Sig.SH), signaling.WatchChains(rb.Sig.SH)}
+	n.RunUntil(time.Second)
+	n.StartTrunkFlapping(20 * time.Second)
+	testbed.CallStorm(ra, rb.Stack.Addr, "storm", testbed.StormConfig{
+		Count: 40, Hold: time.Second, FramesPerCall: 2, Stagger: 20 * time.Millisecond,
+	})
+	testbed.CallStorm(ha, rb.Stack.Addr, "hstorm", testbed.StormConfig{
+		Count: 15, Hold: time.Second, FramesPerCall: 2, Stagger: 50 * time.Millisecond, BasePort: 25000,
+	})
+	n.E.Schedule(3*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
+	n.E.Schedule(12*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
+	n.RunUntil(n.E.Now() + 60*time.Second)
+
+	for i, ch := range chains {
+		if err := ch.Err(); err != nil {
+			t.Errorf("router %d: %v", i, err)
+		}
+		if ch.Records == 0 {
+			t.Errorf("router %d published no records", i)
+		}
+	}
+	if chains[1].Rebuilt == 0 {
+		t.Error("no crash interrupted a call: the storm no longer exercises recovery")
+	}
+}

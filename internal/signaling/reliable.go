@@ -102,6 +102,7 @@ type peerLink struct {
 	nextSeq uint32
 	unacked map[uint32]*pendingMsg
 	byCall  map[callPend]*pendingMsg
+	backlog size // len(unacked), for readers off the actor
 
 	// Receive side: floor is the highest sequence below which everything
 	// was delivered; seen holds delivered sequences above it.
@@ -151,6 +152,7 @@ func (r *reliability) newPending() *pendingMsg {
 // must cancel pm's timer first (or be inside its fire path).
 func (r *reliability) dropPending(lk *peerLink, pm *pendingMsg) {
 	delete(lk.unacked, pm.m.Seq)
+	lk.backlog.set(len(lk.unacked))
 	if pm.chained {
 		k, _ := pmChainKey(pm.m)
 		if pm.cprev != nil {
@@ -218,9 +220,7 @@ func (r *reliability) link(sh *Sighost, peer atm.Addr) *peerLink {
 		r.links[peer] = lk
 		// Per-peer retransmit backlog as a read-through metric, sampled
 		// at snapshot/scrape time like the trunk cell counters.
-		sh.Obs.Func("sighost.rel.backlog."+string(peer), func() uint64 {
-			return uint64(len(lk.unacked))
-		})
+		sh.Obs.Func("sighost.rel.backlog."+string(peer), lk.backlog.get)
 	}
 	return lk
 }
@@ -240,6 +240,7 @@ func (sh *Sighost) relSend(dst atm.Addr, m sigmsg.Msg) error {
 	pm.raw = m.AppendTo(pm.raw[:0])
 	r.encodes.Inc()
 	lk.unacked[m.Seq] = pm
+	lk.backlog.set(len(lk.unacked))
 	if k, ok := pmChainKey(m); ok {
 		pm.chained = true
 		if head := lk.byCall[k]; head != nil {
@@ -458,6 +459,7 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 	// Discard rather than pool: feeding the pool in map-iteration order
 	// would make subsequent struct reuse nondeterministic.
 	lk.unacked = make(map[uint32]*pendingMsg)
+	lk.backlog.set(0)
 	lk.byCall = make(map[callPend]*pendingMsg)
 	// The per-peer chain holds exactly this neighbor's calls in creation
 	// order: the cascade is O(affected) and deterministic, where the old

@@ -331,10 +331,10 @@ func (h *RealHost) SetPeerAddr(addr atm.Addr, udp string) error {
 	return car.SetPeerAddr(string(addr), ap)
 }
 
-// Do runs fn in actor context and waits for it. Reads of actor-owned
-// state from another goroutine — obs Func metrics over the reliability
-// tables, list sizes — go through here; returns without running fn if
-// the host is closed.
+// Do runs fn in actor context and waits for it: anything that reads or
+// changes actor-owned state from another goroutine goes through here
+// (the registry and ListSizes need not). It returns without running fn
+// if the host is closed.
 func (h *RealHost) Do(fn func()) {
 	done := make(chan struct{})
 	h.post(func() { fn(); close(done) })

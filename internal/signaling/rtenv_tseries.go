@@ -9,8 +9,9 @@ import (
 
 // This file arms continuous telemetry on the real-mode daemon: the same
 // tseries.Store the sim testbed scrapes on virtual-time ticks runs here
-// off a wall-clock ticker, with each scrape posted into the actor so
-// read-through metrics see coherent state. The scrape also samples Go
+// off a wall-clock ticker, on the ticker's own goroutine, since the
+// registry's read-through metrics read values the actor keeps for any
+// reader and the store has its own lock. The scrape also samples Go
 // runtime health (heap, goroutines, GC pauses) — the daemon shares its
 // machine with the workload, so its own footprint is an operational
 // signal in a way the deterministic sim tier's never is.
@@ -39,10 +40,8 @@ func (h *RealHost) EnableTSeries(cfg tseries.Config) *tseries.Store {
 		for {
 			select {
 			case <-t.C:
-				h.post(func() {
-					rs.Sample()
-					st.Tick(time.Since(h.started))
-				})
+				rs.Sample()
+				st.Tick(time.Since(h.started))
 			case <-h.quit:
 				return
 			}
@@ -52,15 +51,6 @@ func (h *RealHost) EnableTSeries(cfg tseries.Config) *tseries.Store {
 }
 
 // OpenMetrics renders the daemon's registry in the OpenMetrics text
-// exposition format, snapshotting in actor context so read-through
-// metrics are coherent. Returns "" if the host is closing.
-func (h *RealHost) OpenMetrics() string {
-	done := make(chan string, 1)
-	h.post(func() { done <- h.SH.Obs.Snapshot().OpenMetrics() })
-	select {
-	case s := <-done:
-		return s
-	case <-h.quit:
-		return ""
-	}
-}
+// exposition format. Like any snapshot of it, it may run on any
+// goroutine.
+func (h *RealHost) OpenMetrics() string { return h.SH.Obs.Snapshot().OpenMetrics() }

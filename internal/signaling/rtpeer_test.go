@@ -3,6 +3,7 @@ package signaling_test
 import (
 	"bytes"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +40,29 @@ func startPeerPair(t testing.TB, cfgA, cfgB signaling.PeerNetConfig) (a, b *sign
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// scrape snapshots each daemon's registry in a loop on its own
+// goroutine, off the actors, as an operator's poller would, until the
+// returned stop is called; stop returns once the loop has.
+func scrape(hosts ...*signaling.RealHost) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for _, h := range hosts {
+				h.SH.Obs.Snapshot()
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	return func() { close(done); wg.Wait() }
 }
 
 // runCall drives one full cross-host call: a server app exports service
@@ -107,15 +131,12 @@ func TestRealCrossHostCallOverUDP(t *testing.T) {
 			runCall(t, a, b)
 			// The signaling crossed the carrier, not the loopback
 			// shortcut: both daemons sent and received peer frames.
-			// (Snapshot in actor context: Func metrics read actor state.)
 			for _, h := range []*signaling.RealHost{a, b} {
-				h.Do(func() {
-					snap := h.SH.Obs.Snapshot()
-					if snap.Count("rtnet.tx.frames") == 0 || snap.Count("rtnet.rx.frames") == 0 {
-						t.Errorf("%s carrier idle: tx=%d rx=%d", h.Addr,
-							snap.Count("rtnet.tx.frames"), snap.Count("rtnet.rx.frames"))
-					}
-				})
+				snap := h.SH.Obs.Snapshot()
+				if snap.Count("rtnet.tx.frames") == 0 || snap.Count("rtnet.rx.frames") == 0 {
+					t.Errorf("%s carrier idle: tx=%d rx=%d", h.Addr,
+						snap.Count("rtnet.tx.frames"), snap.Count("rtnet.rx.frames"))
+				}
 			}
 		})
 	}
@@ -166,7 +187,8 @@ func TestRealPeerEncodeOnce(t *testing.T) {
 // TestRealPeerChaosCallCompletes drives a call through a lossy,
 // duplicating peer wire: the same fault plane the simulation's chaos
 // runs use, drawing verdicts on the real carrier, repaired by the same
-// reliability layer.
+// reliability layer. Both registries are scraped throughout, with the
+// retransmit backlog moving under the scrape.
 func TestRealPeerChaosCallCompletes(t *testing.T) {
 	chaos := &faults.Config{SigLoss: 0.25, SigDup: 0.25, Seed: 11}
 	a, b := startPeerPair(t,
@@ -181,7 +203,9 @@ func TestRealPeerChaosCallCompletes(t *testing.T) {
 	}
 	a.EnableReliability(rel)
 	b.EnableReliability(rel)
+	stop := scrape(a, b)
 	runCall(t, a, b)
+	stop()
 }
 
 // TestRealPeerDataPathAAL5 sends AAL5 frames between the hosts on the

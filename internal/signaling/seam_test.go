@@ -11,7 +11,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,6 +175,7 @@ func TestEveryCauseEndsOnce(t *testing.T) {
 	for _, row := range endRows {
 		t.Run(row.name, func(t *testing.T) {
 			w, a, b, ea, eb := pair(t, 5*time.Second, row.rel, true)
+			chains := []*Chains{WatchChains(a), WatchChains(b)}
 			tc := trace.NewCollector(func() time.Duration { return w.now })
 			tc.SetEnabled(true)
 			a.TraceC, b.TraceC = tc, tc
@@ -231,6 +234,12 @@ func TestEveryCauseEndsOnce(t *testing.T) {
 				if got := [4]uint64{st.CallsFailed, st.CallsTorn, st.CallsRejected, st.CallsCanceled}; got != row.counts[i] {
 					t.Errorf("%s: failed/torn/rejected/canceled = %v, want %v", env.addr, got, row.counts[i])
 				}
+				if err := chains[i].Err(); err != nil {
+					t.Error(err)
+				}
+				if opens > 0 && chains[i].Records == 0 {
+					t.Errorf("%s: the call's changes published no records", env.addr)
+				}
 			}
 			status := ""
 			for _, tr := range tc.Completed() {
@@ -267,18 +276,15 @@ func TestCauseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateWrittenOnlyByTransition walks the package's non-test files:
-// a call's state and the four call lists and cookie table are written
-// only in transition, and replaced wholesale only in wipe (the state a
-// process starts with and loses in Crash).
-func TestStateWrittenOnlyByTransition(t *testing.T) {
-	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true}
+// eachFunc calls fn with every function declared in the package's
+// non-test files.
+func eachFunc(t *testing.T, fn func(fset *token.FileSet, where string, body *ast.BlockStmt)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]int{} // writes found in transition, per field
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -288,54 +294,156 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if d, ok := d.(*ast.FuncDecl); ok && d.Body != nil {
+				fn(fset, d.Name.Name, d.Body)
 			}
-			where := fn.Name.Name
-			write := func(n ast.Node, field string, wholesale bool) {
-				switch {
-				case where == "transition" && !wholesale:
-					seen[field]++
-				case where == "wipe" && wholesale && lists[field]:
-				default:
-					t.Errorf("%s: %s writes %s", fset.Position(n.Pos()), where, field)
-				}
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				var targets []ast.Expr
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					targets = n.Lhs
-				case *ast.IncDecStmt:
-					targets = []ast.Expr{n.X}
-				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
-						if sel, ok := n.Args[0].(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
-							write(n, sel.Sel.Name, false)
-						}
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
-						write(n, "state", false)
-					}
-				}
-				for _, x := range targets {
-					if ix, ok := x.(*ast.IndexExpr); ok {
-						if sel, ok := ix.X.(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
-							write(x, sel.Sel.Name, false)
-						}
-					} else if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "state" || lists[sel.Sel.Name]) {
-						write(x, sel.Sel.Name, sel.Sel.Name != "state")
-					}
-				}
-				return true
-			})
 		}
 	}
-	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap", "cookies"} {
+}
+
+// selects reports whether x is sel selected from a field named from
+// (sh.ct.callsTorn: selects(x, "ct", "callsTorn")).
+func selects(x ast.Expr, from string, sel map[string]bool) (string, bool) {
+	s, ok := x.(*ast.SelectorExpr)
+	if !ok || !sel[s.Sel.Name] {
+		return "", false
+	}
+	if inner, ok := s.X.(*ast.SelectorExpr); ok && inner.Sel.Name == from {
+		return s.Sel.Name, true
+	}
+	return "", false
+}
+
+// TestStateWrittenOnlyByTransition walks the package's non-test files:
+// a call's state and the four call lists and cookie table are written
+// only in transition, and replaced wholesale only in wipe (the state a
+// process starts with and loses in Crash). The lengths kept in sh.n
+// are set only in transition and wipe, and the service list's in the
+// functions that write it.
+func TestStateWrittenOnlyByTransition(t *testing.T) {
+	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true}
+	sizes := map[string]bool{"services": true, "outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true, "calls": true}
+	serviceWriters := map[string]bool{"handleExport": true, "handleUnexport": true, "Recover": true}
+	seen := map[string]int{}  // writes found in transition, per field
+	wiped := map[string]int{} // lengths wipe resets
+	eachFunc(t, func(fset *token.FileSet, where string, body *ast.BlockStmt) {
+		write := func(n ast.Node, field string, wholesale bool) {
+			switch {
+			case where == "transition" && !wholesale:
+				seen[field]++
+			case where == "wipe" && wholesale && lists[field]:
+			default:
+				t.Errorf("%s: %s writes %s", fset.Position(n.Pos()), where, field)
+			}
+		}
+		setsSize := func(n ast.Node, x ast.Expr) {
+			field, ok := selects(x, "n", sizes)
+			switch {
+			case !ok:
+			case where == "transition":
+				seen["n."+field]++
+			case where == "wipe":
+				wiped[field]++
+			case field == "services" && serviceWriters[where]:
+			default:
+				t.Errorf("%s: %s sets the kept length of %s", fset.Position(n.Pos()), where, field)
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			var targets []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				targets = n.Lhs
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{n.X}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
+					if sel, ok := n.Args[0].(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
+						write(n, sel.Sel.Name, false)
+					}
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "set" {
+					setsSize(n, sel.X)
+				}
+			case *ast.UnaryExpr: // &sh.n.calls can be set through
+				if n.Op == token.AND {
+					setsSize(n, n.X)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && id.Name == "state" {
+					write(n, "state", false)
+				}
+			}
+			for _, x := range targets {
+				if ix, ok := x.(*ast.IndexExpr); ok {
+					if sel, ok := ix.X.(*ast.SelectorExpr); ok && lists[sel.Sel.Name] {
+						write(x, sel.Sel.Name, false)
+					}
+				} else if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "state" || lists[sel.Sel.Name]) {
+					write(x, sel.Sel.Name, sel.Sel.Name != "state")
+				}
+			}
+			return true
+		})
+	})
+	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap", "cookies",
+		"n.outgoing", "n.incoming", "n.waitBind", "n.vciMap", "n.cookies", "n.calls"} {
 		if seen[field] == 0 {
 			t.Errorf("transition writes no %s: the walk is looking at the wrong code", field)
+		}
+	}
+	if len(wiped) != len(sizes) {
+		t.Errorf("wipe resets the kept lengths of %v, want all of %v", wiped, sizes)
+	}
+}
+
+// TestLifecycleDerivedOnlyInPublish walks the package's non-test files:
+// the lifecycle counters are bumped, the lifecycle events built and the
+// recovery counters named only in publish, which derives them from a
+// transition record. Elsewhere the counters may only be read.
+func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
+	counters := map[string]bool{"callsRequested": true, "callsEstablished": true, "ended": true, "callsTorn": true, "bindTimeouts": true}
+	events := map[string]bool{"EvTeardown": true, "EvBindOK": true, "EvBindTime": true}
+	recovery := []string{`"sighost.recovered.wait_bind"`, `"sighost.recovered.bound"`, `"sighost.recovery.aborted_calls"`}
+	seen := map[string]int{} // found in publish
+	eachFunc(t, func(fset *token.FileSet, where string, body *ast.BlockStmt) {
+		found := func(n ast.Node, what string) {
+			if where == "publish" {
+				seen[what]++
+			} else {
+				t.Errorf("%s: %s uses %s outside publish", fset.Position(n.Pos()), where, what)
+			}
+		}
+		reads := map[ast.Expr]bool{} // counters whose Value is read
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "Value" {
+					x := n.X
+					if ix, ok := x.(*ast.IndexExpr); ok {
+						x = ix.X
+					}
+					reads[x] = true
+				} else if name, ok := selects(n, "ct", counters); ok && !reads[n] {
+					found(n, name)
+				}
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Kind" {
+					if v, ok := n.Value.(*ast.Ident); ok && events[v.Name] {
+						found(n, v.Name)
+					}
+				}
+			case *ast.BasicLit:
+				if slices.Contains(recovery, n.Value) {
+					found(n, n.Value)
+				}
+			}
+			return true
+		})
+	})
+	for _, what := range append(slices.Sorted(maps.Keys(counters)), append(slices.Sorted(maps.Keys(events)), recovery...)...) {
+		if seen[what] == 0 {
+			t.Errorf("publish never uses %s: the walk is looking at the wrong code", what)
 		}
 	}
 }

@@ -16,7 +16,6 @@ package signaling
 
 import (
 	"cmp"
-	"slices"
 	"time"
 
 	"xunet/internal/atm"
@@ -116,15 +115,16 @@ type callKey struct {
 
 // callState is where a call is in its life, and so which lists hold it:
 //
+//	callNew, callReleased           none
 //	callSetupSent, callProgramming  outgoing_requests (origin)
 //	callWaitServer                  incoming_requests (destination)
 //	callEstablished                 wait_for_bind, cookies
 //	callBound                       VCI_mapping, cookies
-//	callReleased                    none
 type callState uint8
 
 const (
-	callSetupSent   callState = iota // origin: SETUP sent, awaiting ack
+	callNew         callState = iota // fresh from the pool
+	callSetupSent                    // origin: SETUP sent, awaiting ack
 	callWaitServer                   // dest: INCOMING_CONN sent, awaiting accept
 	callProgramming                  // origin: accepted, fabric being set up
 	callEstablished                  // VCI handed out, awaiting bind
@@ -219,6 +219,11 @@ type Sighost struct {
 
 	calls map[callKey]*call
 	pvcs  map[atm.VCI]bool
+
+	// n mirrors the lengths of the lists, cookies and calls for readers
+	// off the actor; hook, when set, gets every Transition (tests).
+	n    sizes
+	hook func(Transition)
 
 	// Indexed call state: heads of the intrusive lists threading calls
 	// (calls.go), plus the object pools that make the steady-state
@@ -321,6 +326,9 @@ func (sh *Sighost) wipe() {
 	sh.allHead, sh.allTail = nil, nil
 	sh.byPeer = make(map[atm.Addr]*peerCalls)
 	sh.byOwner = make(map[ownerKey]*call)
+	for _, n := range []*size{&sh.n.services, &sh.n.outgoing, &sh.n.incoming, &sh.n.waitBind, &sh.n.vciMap, &sh.n.cookies, &sh.n.calls} {
+		n.set(0)
+	}
 }
 
 // AllowPVC marks a VCI as a preauthorized permanent circuit (the
@@ -344,12 +352,16 @@ func (sh *Sighost) newCookie() uint16 {
 }
 
 // transition is the one writer of a call's state and of its place in
-// the lists, which follow from the state (see callState). It journals
-// each list entry as it is made: opening (either request list) as
-// jOpen, wait_for_bind as jGrant, VCI_mapping as jBound, release as
-// jEnd. deadline is the bind deadline, read only on entering
-// callEstablished. A new call leaves nothing behind: it is in no list.
-func (sh *Sighost) transition(c *call, to callState, deadline time.Duration) {
+// the lists, which follow from the state (see callState), and of the
+// lengths it mirrors in sh.n. It journals each list entry as it is
+// made: opening (either request list) as jOpen, wait_for_bind as jGrant,
+// VCI_mapping as jBound, release as jEnd. why is the zero cause, or
+// restarted when Recover rebuilds the call; deadline is the bind
+// deadline, read only on entering callEstablished. It returns the
+// change's record, which the caller publishes once the change is done:
+// at once, but for a destination's grant, which is done when the server
+// holds its VCI. end publishes its own Released record.
+func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Duration) Transition {
 	from, vci := c.state, c.localVCI
 	c.state = to
 	switch from {
@@ -404,42 +416,39 @@ func (sh *Sighost) transition(c *call, to callState, deadline time.Duration) {
 		sh.unlinkCall(c)
 		sh.jlog(jrec{op: jEnd, key: c.key})
 	}
+	sh.n.outgoing.set(len(sh.outgoing))
+	sh.n.incoming.set(len(sh.incoming))
+	sh.n.waitBind.set(len(sh.waitBind))
+	sh.n.vciMap.set(len(sh.vciMap))
+	sh.n.cookies.set(len(sh.cookies))
+	sh.n.calls.set(len(sh.calls))
+	return Transition{Call: c.key, From: from, To: to, VCI: vci, Cause: why, At: sh.env.Now()}
 }
 
 // end is the one terminal path: whatever ends a call ends it here, once,
-// doing what its cause's ending (below) says in this fixed order. Charge
-// moves the clock and every Env call schedules, so the order is the
-// virtual history: a teardown charges and tells the peer last, anything
-// else tells the peer first and charges nothing.
+// doing what its cause's ending says in this fixed order. Charge moves
+// the clock and every Env call schedules, so the order is the virtual
+// history: a teardown charges and tells the peer last, anything else
+// tells the peer first and charges nothing. The Released record is
+// stamped as end begins and published before the charge.
 func (sh *Sighost) end(c *call, why cause) {
 	if c.state == callReleased {
 		return
 	}
-	e := heardEndings[why.via]
-	if e == nil {
-		e = &endings[why.code]
-	}
+	tr := Transition{Call: c.key, From: c.state, To: callReleased, VCI: c.localVCI, Cause: why, At: sh.env.Now()}
+	e := why.ending()
 	// A client that has only seen REQ_ID is still blocked awaiting its
 	// VCI: tell it rather than leave it to run out its establishment
 	// timeout. A client-initiated cancel needs no echo back.
 	waiting := c.key.origin && c.state == callSetupSent && why.code != causeCanceled
-	if ctr := sh.ct.ended[e.count]; ctr != nil {
-		ctr.Inc()
-	}
 	if !e.torn {
 		sh.tellPeer(c, e.peer, why)
 	}
 	if e.notify && c.key.origin {
 		sh.notifyClientFailure(c, e.client+why.text)
 	}
+	sh.publish(tr)
 	if e.torn {
-		sh.ct.callsTorn.Inc()
-		if sh.traceOn() {
-			sh.emit(obs.Event{
-				Kind: EvTeardown, CallID: c.key.id, VCI: uint32(c.localVCI),
-				Data: teardownInfo{origin: c.key.origin, reason: why},
-			})
-		}
 		if sh.cm.LoggingEnabled {
 			sh.env.Charge(sh.cm.TeardownLogging)
 		}
@@ -449,7 +458,7 @@ func (sh *Sighost) end(c *call, why cause) {
 			sh.cancelCallRetransmits(c)
 		}
 	}
-	sh.transition(c, callReleased, 0)
+	sh.transition(c, callReleased, why, 0)
 	if c.localVCI != 0 {
 		// Mark the endpoint's socket unusable (and shut host
 		// forwarding) so no more data flows on the dead circuit.
@@ -473,95 +482,6 @@ func (sh *Sighost) end(c *call, why cause) {
 		sh.TraceC.FinishTrace(c.tcRoot, cmp.Or(e.status, endings[why.code].status))
 	}
 	sh.releaseCall(c)
-}
-
-// causeCode names why a call ends.
-type causeCode uint8
-
-const (
-	causeOther causeCode = iota // a reason this sighost does not name
-	causeSocketClosed
-	causeClosedUnused
-	causeCanceled
-	causeBindTimeout
-	causeAuthFailed
-	causeClientExit
-	causeClientGone
-	causeRetxExhausted
-	causePeerDead
-	causeRestart
-	causeUnreachable
-	causeAdmission
-	causeServerGone
-	causeRejected
-)
-
-// cause is why a call ends. A cause this sighost decides is its code
-// alone, plus an error's detail where the client is told one. A reason
-// it is told (a peer's RELEASE or SETUP_REJ, a server's REJECT_CONN) is
-// parsed once, at receipt: via is the message that carried it and text
-// the reason as received, so one it does not name rides verbatim and
-// every wire byte is what it was.
-type cause struct {
-	code causeCode
-	via  sigmsg.Kind
-	text string
-}
-
-// heard parses a reason the message via carried into the cause it
-// names; IndexFunc's -1 for a reason no row names is causeOther.
-func heard(via sigmsg.Kind, reason string) cause {
-	i := slices.IndexFunc(endings[1:], func(e ending) bool { return e.text == reason })
-	return cause{code: causeCode(i + 1), via: via, text: reason}
-}
-
-// String renders the cause for the wire, the event ring and a waiting
-// client.
-func (why cause) String() string {
-	if why.code == causeOther {
-		return why.text
-	}
-	return endings[why.code].text
-}
-
-// An ending is what a cause does to the call it ends; end applies it.
-type ending struct {
-	text   string      // the cause's name
-	status string      // the origin's trace status ("" for the named cause's); REJECT, TIMEOUT and DEATH dump to the flight recorder
-	count  endCount    // the counter bumped besides torn
-	torn   bool        // a teardown: torn counted, TeardownLogging charged, retransmits dropped, the peer told last
-	peer   sigmsg.Kind // RELEASE or SETUP_REJ to the peer, or nothing
-	notify bool        // an origin's client gets CONN_FAILED first: client, then the cause's text
-	client string
-}
-
-// endings are the causes this sighost decides.
-var endings = [...]ending{
-	causeOther:         {status: trace.StatusFailed},
-	causeSocketClosed:  {text: "socket closed", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
-	causeClosedUnused:  {text: "socket closed before use", status: trace.StatusOK, torn: true, peer: sigmsg.KindRelease},
-	causeCanceled:      {text: "canceled by client", status: trace.StatusCanceled, count: countCanceled, torn: true, peer: sigmsg.KindRelease},
-	causeBindTimeout:   {text: "bind timeout", status: trace.StatusTimeout, torn: true, peer: sigmsg.KindRelease},
-	causeAuthFailed:    {text: "cookie authentication failed", status: trace.StatusFailed, torn: true, peer: sigmsg.KindRelease},
-	causeClientExit:    {text: "client terminated", status: trace.StatusDeath, torn: true, peer: sigmsg.KindRelease},
-	causeClientGone:    {text: "client unreachable", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease},
-	causeRetxExhausted: {text: "retransmit budget exhausted", status: trace.StatusTimeout, count: countFailed, torn: true, notify: true, client: "signaling retransmit budget exhausted"},
-	causePeerDead:      {text: "peer signaling entity dead", status: trace.StatusDeath, count: countFailed, torn: true, notify: true, client: "peer signaling entity dead"},
-	causeRestart:       {text: "lost in signaling restart", status: trace.StatusDeath, count: countFailed, torn: true, peer: sigmsg.KindRelease, notify: true, client: "signaling entity restarted"},
-	causeUnreachable:   {text: "destination unreachable", status: trace.StatusFailed, count: countFailed, notify: true, client: "destination unreachable: "},
-	causeAdmission:     {text: "admission failed", status: trace.StatusFailed, count: countFailed, peer: sigmsg.KindRelease, notify: true, client: "network admission failed: "},
-	causeServerGone:    {text: "server unreachable", status: trace.StatusFailed, peer: sigmsg.KindSetupRej},
-	causeRejected:      {text: "rejected by server", status: trace.StatusFailed, count: countRejected, peer: sigmsg.KindSetupRej},
-}
-
-// What a reason someone else decided does here depends on the message
-// that carried it, not on the reason: a peer's RELEASE tears this view
-// down without answering, a peer's SETUP_REJ fails the call and tells the
-// client the reason, and a server's REJECT_CONN goes on to the origin.
-var heardEndings = map[sigmsg.Kind]*ending{
-	sigmsg.KindRelease:    {torn: true},
-	sigmsg.KindSetupRej:   {status: trace.StatusReject, count: countFailed, notify: true},
-	sigmsg.KindRejectConn: {count: countRejected, peer: sigmsg.KindSetupRej},
 }
 
 // tellPeer sends a call's end to the peer. RELEASE says which side's
@@ -698,6 +618,7 @@ func (sh *Sighost) handleExport(conn Conn, from memnet.IPAddr, m sigmsg.Msg) {
 		return
 	}
 	sh.services[m.Service] = &serviceEntry{name: m.Service, ip: from, port: m.NotifyPort}
+	sh.n.services.set(len(sh.services))
 	sh.jlog(jrec{op: jExport, service: m.Service, ip: from, port: m.NotifyPort})
 	sh.ct.servicesRegistered.Inc()
 	sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindServiceRegs, Service: m.Service})
@@ -709,6 +630,7 @@ func (sh *Sighost) handleUnexport(conn Conn, m sigmsg.Msg) {
 		return
 	}
 	delete(sh.services, m.Service)
+	sh.n.services.set(len(sh.services))
 	sh.jlog(jrec{op: jUnexport, service: m.Service})
 	sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindServiceRegs, Service: m.Service})
 }
@@ -719,7 +641,6 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 		sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: "bad CONNECT_REQ"})
 		return
 	}
-	sh.ct.callsRequested.Inc()
 	sh.nextCallID++
 	cookie := sh.newCookie()
 	c := sh.newCall()
@@ -728,7 +649,7 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 	c.endIP, c.endPort, c.ownerPID = from, m.NotifyPort, m.PID
 	c.cookie = cookie
 	c.reqAt = sh.env.Now()
-	sh.transition(c, callSetupSent, 0)
+	sh.publish(sh.transition(c, callSetupSent, cause{}, 0))
 	// Open the call's trace: root span for the call's whole lifetime,
 	// call.setup for the establishment phase the paper's breakdown
 	// table partitions.
@@ -902,7 +823,7 @@ func (sh *Sighost) peerSetup(from atm.Addr, m sigmsg.Msg) {
 	c.reqAt = sh.env.Now()
 	c.tcPeer = wire
 	c.tcAccept = sh.TraceC.StartSpanAt(wire, "sighost", "dest.accept", c.reqAt)
-	sh.transition(c, callWaitServer, 0)
+	sh.publish(sh.transition(c, callWaitServer, cause{}, 0))
 	dc := sh.newDialCtx()
 	dc.kind = dcServer
 	dc.c, dc.gen = c, c.gen
@@ -916,7 +837,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	if !ok || c.state != callSetupSent {
 		return
 	}
-	sh.transition(c, callProgramming, 0)
+	sh.publish(sh.transition(c, callProgramming, cause{}, 0))
 	c.ackAt = sh.env.Now()
 	sh.h.setupPeer.Observe(c.ackAt - c.setupSentAt)
 	// The peer phase ends and the programming phase begins at the ack.
@@ -939,7 +860,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	sh.TraceC.Record(program, "xswitch", "program_vc", progAt, sh.env.Now())
 	c.vc = vc
 	c.localVCI = vc.SrcVCI
-	sh.transition(c, callEstablished, sh.env.Now()+sh.cm.BindTimeout)
+	sh.publish(sh.transition(c, callEstablished, cause{}, sh.env.Now()+sh.cm.BindTimeout))
 	sh.sendPeer(from, sigmsg.Msg{
 		Kind: sigmsg.KindConnectDone, CallID: m.CallID, VCI: vc.DstVCI, QoS: c.qosStr,
 		TraceID: c.tcRoot.Trace, SpanID: c.tcRoot.Span,
@@ -951,7 +872,6 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	dc.c, dc.gen = c, c.gen
 	dc.cookie, dc.vci, dc.qosStr, dc.tc = c.cookie, c.localVCI, c.qosStr, c.tcRoot
 	sh.env.Dial(c.endIP, c.endPort, dc.cb)
-	sh.ct.callsEstablished.Inc()
 	c.estAt = sh.env.Now()
 	sh.h.setupProgram.Observe(c.estAt - c.ackAt)
 	sh.h.setupTotal.Observe(c.estAt - c.reqAt)
@@ -973,7 +893,7 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	// remaining work (VCI delivery, wait_for_bind) hangs off it.
 	c.tcRoot = trace.Context{Trace: m.TraceID, Span: m.SpanID}
 	doneAt := sh.env.Now()
-	sh.transition(c, callEstablished, doneAt+sh.cm.BindTimeout)
+	granted := sh.transition(c, callEstablished, cause{}, doneAt+sh.cm.BindTimeout)
 	if c.serverConn != nil {
 		sh.sendApp(c.serverConn, sigmsg.Msg{
 			Kind: sigmsg.KindVCIForConn, Cookie: c.cookie, VCI: m.VCI, QoS: m.QoS,
@@ -982,29 +902,24 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 		c.serverConn.Close()
 		c.serverConn = nil
 	}
-	sh.ct.callsEstablished.Inc()
+	sh.publish(granted)
 	c.estAt = sh.env.Now()
 	sh.h.acceptTotal.Observe(c.estAt - c.reqAt)
 	sh.TraceC.Record(c.tcRoot, "sighost", "dest.deliver", doneAt, c.estAt)
 }
 
-// fireNow is the wait_for_bind timeout. All state is copied out before
-// end runs: end recycles both this entry and the call.
+// fireNow is the wait_for_bind timeout. Nothing reads the entry after
+// end, which recycles both it and the call.
 func (bw *bindWait) fireNow() {
 	sh := bw.sh
 	defer sh.jflush() // timer fires are dispatches of their own
 	if cur, ok := sh.waitBind[bw.vci]; !ok || cur != bw || bw.c.gen != bw.gen {
 		return
 	}
-	c, vci, deadline := bw.c, bw.vci, bw.deadline
-	sh.ct.bindTimeouts.Inc()
 	// Fire lag: how far past its nominal deadline the timer ran
 	// (always 0 in the sim; real daemons see scheduler jitter).
-	sh.h.bindTimerLag.Observe(sh.env.Now() - deadline)
-	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvBindTime, VCI: uint32(vci), CallID: c.key.id})
-	}
-	sh.end(c, cause{code: causeBindTimeout})
+	sh.h.bindTimerLag.Observe(sh.env.Now() - bw.deadline)
+	sh.end(bw.c, cause{code: causeBindTimeout})
 }
 
 // HandleKernel processes one pseudo-device (or anand-relayed) message.
@@ -1092,11 +1007,8 @@ func (sh *Sighost) kernelBindConnect(from memnet.IPAddr, k kern.KMsg) {
 	if c.tcBind.Sampled() && k.At > 0 {
 		sh.TraceC.Record(c.tcBind, "kern", k.Kind.String(), k.At, sh.env.Now())
 	}
-	sh.transition(c, callBound, 0)
+	sh.publish(sh.transition(c, callBound, cause{}, 0))
 	if c.estAt > 0 {
 		sh.h.bindLatency.Observe(sh.env.Now() - c.estAt)
-	}
-	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvBindOK, VCI: uint32(k.VCI), CallID: c.key.id})
 	}
 }

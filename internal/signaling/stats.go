@@ -1,6 +1,10 @@
 package signaling
 
-import "xunet/internal/obs"
+import (
+	"sync/atomic"
+
+	"xunet/internal/obs"
+)
 
 // Stats is a point-in-time snapshot of signaling activity, read by the
 // experiments. The live counts are obs registry counters (see sigCounters);
@@ -20,12 +24,9 @@ type Stats struct {
 	AppMsgs            uint64
 }
 
-// endCount names the counter an ending bumps besides sighost.calls.torn.
-type endCount uint8
-
+// The sigCounters.ended slots an ending names (0, none).
 const (
-	countNone endCount = iota
-	countFailed
+	countFailed = iota + 1
 	countRejected
 	countCanceled
 )
@@ -36,7 +37,7 @@ type sigCounters struct {
 	servicesRegistered *obs.Counter    // sighost.services_registered
 	callsRequested     *obs.Counter    // sighost.calls.requested
 	callsEstablished   *obs.Counter    // sighost.calls.established
-	ended              [4]*obs.Counter // by endCount: sighost.calls.failed, .rejected, .canceled
+	ended              [4]*obs.Counter // by slot: sighost.calls.failed, .rejected, .canceled
 	callsTorn          *obs.Counter    // sighost.calls.torn
 	authFailures       *obs.Counter    // sighost.auth_failures
 	bindTimeouts       *obs.Counter    // sighost.bind_timeouts
@@ -57,10 +58,22 @@ type sigHists struct {
 	bindTimerLag *obs.Histogram // sighost.bindtimer.fire: timer lag past its deadline
 }
 
+// size is a length the actor keeps and any goroutine may read.
+type size struct{ v atomic.Int64 }
+
+func (s *size) set(n int)   { s.v.Store(int64(n)) }
+func (s *size) get() uint64 { return uint64(s.v.Load()) }
+
+// sizes are the lengths of the five lists of §7.3, the cookie table and
+// the call table, each set where its map changes (transition, wipe and
+// the service list's writers).
+type sizes struct {
+	services, outgoing, incoming, waitBind, vciMap, cookies, calls size
+}
+
 // register creates sighost's counters and histograms in reg, and the
-// five lists of §7.3 as read-through gauges. The gauges are sampled at
-// snapshot time, which must run in actor context (mgmt queries do) or
-// after the sim quiesces.
+// lists' sizes as read-through metrics. Those read sh.n, never the
+// actor's maps, so a snapshot may be taken from any goroutine.
 func (sh *Sighost) register(reg *obs.Registry) {
 	sh.ct = sigCounters{
 		servicesRegistered: reg.Counter("sighost.services_registered"),
@@ -87,13 +100,13 @@ func (sh *Sighost) register(reg *obs.Registry) {
 		bindLatency:  reg.Histogram("sighost.bind.latency"),
 		bindTimerLag: reg.Histogram("sighost.bindtimer.fire"),
 	}
-	reg.Func("sighost.list.services", func() uint64 { return uint64(len(sh.services)) })
-	reg.Func("sighost.list.outgoing", func() uint64 { return uint64(len(sh.outgoing)) })
-	reg.Func("sighost.list.incoming", func() uint64 { return uint64(len(sh.incoming)) })
-	reg.Func("sighost.list.wait_bind", func() uint64 { return uint64(len(sh.waitBind)) })
-	reg.Func("sighost.list.vci_map", func() uint64 { return uint64(len(sh.vciMap)) })
-	reg.Func("sighost.cookies", func() uint64 { return uint64(len(sh.cookies)) })
-	reg.Func("sighost.calls.active", func() uint64 { return uint64(len(sh.calls)) })
+	reg.Func("sighost.list.services", sh.n.services.get)
+	reg.Func("sighost.list.outgoing", sh.n.outgoing.get)
+	reg.Func("sighost.list.incoming", sh.n.incoming.get)
+	reg.Func("sighost.list.wait_bind", sh.n.waitBind.get)
+	reg.Func("sighost.list.vci_map", sh.n.vciMap.get)
+	reg.Func("sighost.cookies", sh.n.cookies.get)
+	reg.Func("sighost.calls.active", sh.n.calls.get)
 }
 
 // Stats snapshots the signaling counters into the legacy struct.
@@ -117,10 +130,12 @@ func (sh *Sighost) Stats() Stats {
 // ListSizes reports the five list sizes (service_list,
 // outgoing_requests, incoming_requests, wait_for_bind, VCI_mapping) for
 // the robustness assertions: after a storm with everything torn down,
-// all but service_list must be empty.
+// all but service_list must be empty. Like CookieCount, it is safe from
+// any goroutine.
 func (sh *Sighost) ListSizes() (services, outgoing, incoming, waitBind, vciMapping int) {
-	return len(sh.services), len(sh.outgoing), len(sh.incoming), len(sh.waitBind), len(sh.vciMap)
+	n := &sh.n
+	return int(n.services.get()), int(n.outgoing.get()), int(n.incoming.get()), int(n.waitBind.get()), int(n.vciMap.get())
 }
 
 // CookieCount reports live per-VCI cookie entries.
-func (sh *Sighost) CookieCount() int { return len(sh.cookies) }
+func (sh *Sighost) CookieCount() int { return int(sh.n.cookies.get()) }
