@@ -4,9 +4,10 @@
 // is far easier to develop and modify".
 //
 // A standalone daemon serves local calls only; with -peer-net it joins
-// a mesh of sighosts over the batched UDP carrier (internal/rtnet) and
-// serves cross-host calls too. (The full multi-router fabric still runs
-// inside the simulation — see cmd/xunetsim.) Try it with cmd/sigdemo:
+// a mesh of sighosts over the batched UDP carrier (internal/rtnet), with
+// the reliable peer channel on, and serves cross-host calls too. (The
+// full multi-router fabric still runs inside the simulation — see
+// cmd/xunetsim.) Try it with cmd/sigdemo:
 //
 //	sighost -listen 127.0.0.1:3177 -atm-addr mh.rt
 //	sigdemo -sighost 127.0.0.1:3177
@@ -81,11 +82,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sighost: peer-net:", err)
 			os.Exit(1)
 		}
+		// The carrier is UDP, which may lose or duplicate a datagram, so
+		// peers exchange signaling over the reliable channel.
+		h.EnableReliability(signaling.DefaultRelConfig())
 		mode := "batched"
 		if !h.PeerNet().Batched() {
 			mode = "per-message"
 		}
-		fmt.Printf("sighost: peer carrier on %s (%s sends)\n", h.PeerNet().Addr(), mode)
+		fmt.Printf("sighost: peer carrier on %s (%s sends, reliable channel)\n", h.PeerNet().Addr(), mode)
 		for _, spec := range peers {
 			name, udp, ok := strings.Cut(spec, "=")
 			if !ok || name == "" || udp == "" {

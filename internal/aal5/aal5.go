@@ -134,11 +134,6 @@ func SegmentInto(dst []atm.Cell, frame []byte, vpi atm.VPI, vci atm.VCI) ([]atm.
 	return dst, nil
 }
 
-// CellsForPayload reports how many cells an SDU of n bytes occupies.
-func CellsForPayload(n int) int {
-	return (n + TrailerSize + atm.PayloadSize - 1) / atm.PayloadSize
-}
-
 // Reassembler rebuilds frames from the cell stream of one VC. It is the
 // receive half of the Hobbit board's SAR engine. Not safe for concurrent
 // use; the simulation serializes all access.

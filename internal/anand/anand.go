@@ -213,9 +213,3 @@ func (s *Server) Disconnect(host memnet.IPAddr, vci atm.VCI) {
 		_ = conn.Send(encodeDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: vci}))
 	}
 }
-
-// Connected reports whether a host currently has a relay connection.
-func (s *Server) Connected(host memnet.IPAddr) bool {
-	_, ok := s.conns[host]
-	return ok
-}

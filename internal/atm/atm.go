@@ -56,17 +56,12 @@ type VPI uint8
 type Addr string
 
 // PTI payload-type-indicator values. The low bit of the user-data PTI is
-// the AAL-indicate bit: AAL5 sets it on the final cell of a frame.
+// the AAL-indicate bit: AAL5 sets it on the final cell of a frame, and
+// every other user cell carries PTI 0.
 type PTI uint8
 
-const (
-	// PTIUserData0 marks a user cell that does not end an AAL5 frame.
-	PTIUserData0 PTI = 0
-	// PTIUserData1 marks the final user cell of an AAL5 frame.
-	PTIUserData1 PTI = 1
-	// PTIOAM marks an operations-and-maintenance cell.
-	PTIOAM PTI = 4
-)
+// PTIUserData1 marks the final user cell of an AAL5 frame.
+const PTIUserData1 PTI = 1
 
 // Header is a decoded ATM cell header.
 type Header struct {
@@ -132,13 +127,6 @@ var (
 	ErrShortCell = errors.New("atm: cell shorter than 53 bytes")
 	ErrBadHEC    = errors.New("atm: header error control mismatch")
 )
-
-// Encode serializes the cell into a fresh 53-byte slice.
-func (c *Cell) Encode() []byte {
-	out := make([]byte, CellSize)
-	c.EncodeTo(out)
-	return out
-}
 
 // EncodeTo serializes the cell into buf, which must hold at least
 // CellSize bytes. It returns the number of bytes written.

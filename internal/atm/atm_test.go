@@ -43,7 +43,7 @@ func TestDecodeBadHEC(t *testing.T) {
 }
 
 func TestHECDetectsAllSingleBitHeaderErrors(t *testing.T) {
-	c := Cell{Header: Header{GFC: 3, VPI: 5, VCI: 777, PTI: PTIOAM}}
+	c := Cell{Header: Header{GFC: 3, VPI: 5, VCI: 777, PTI: 4}}
 	wire := c.Encode()
 	for byteIdx := 0; byteIdx < HeaderSize; byteIdx++ {
 		for bit := 0; bit < 8; bit++ {
@@ -61,9 +61,9 @@ func TestEndOfFrame(t *testing.T) {
 	if !c.EndOfFrame() {
 		t.Fatal("PTIUserData1 not EOF")
 	}
-	c.PTI = PTIUserData0
+	c.PTI = 0
 	if c.EndOfFrame() {
-		t.Fatal("PTIUserData0 is EOF")
+		t.Fatal("PTI 0 is EOF")
 	}
 }
 

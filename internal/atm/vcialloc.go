@@ -28,33 +28,17 @@ func NewVCIAlloc(min VCI) *VCIAlloc {
 
 // Alloc reserves an unused VCI, or 0 when the space is exhausted.
 func (a *VCIAlloc) Alloc() VCI {
-	for n := len(a.free); n > 0; n = len(a.free) {
-		v := a.free[n-1]
-		a.free = a.free[:n-1]
-		if !a.used[v] { // skip entries reserved out-of-band since release
-			a.used[v] = true
-			return v
-		}
-	}
-	for a.next <= MaxVCI {
-		v := a.next
+	var v VCI
+	if n := len(a.free); n > 0 {
+		v, a.free = a.free[n-1], a.free[:n-1]
+	} else if a.next <= MaxVCI {
+		v = a.next
 		a.next++
-		if !a.used[v] {
-			a.used[v] = true
-			return v
-		}
-	}
-	return 0
-}
-
-// Reserve marks a specific VCI in use (PVCs provisioned out-of-band).
-// It reports false when the value is already taken.
-func (a *VCIAlloc) Reserve(v VCI) bool {
-	if a.used[v] {
-		return false
+	} else {
+		return 0
 	}
 	a.used[v] = true
-	return true
+	return v
 }
 
 // Free releases a VCI for reuse. Double frees are ignored.
@@ -65,9 +49,3 @@ func (a *VCIAlloc) Free(v VCI) {
 	delete(a.used, v)
 	a.free = append(a.free, v)
 }
-
-// InUse reports whether v is currently allocated or reserved.
-func (a *VCIAlloc) InUse(v VCI) bool { return a.used[v] }
-
-// Live reports how many VCIs are currently in use.
-func (a *VCIAlloc) Live() int { return len(a.used) }

@@ -40,23 +40,17 @@ func TestVCIAllocLIFOOrder(t *testing.T) {
 }
 
 func TestVCIAllocReserveAndExhaustion(t *testing.T) {
-	a := NewVCIAlloc(MaxVCI - 2)
-	if !a.Reserve(MaxVCI - 1) {
-		t.Fatal("Reserve failed on free VCI")
+	a := NewVCIAlloc(MaxVCI - 1)
+	if v := a.Alloc(); v != MaxVCI-1 {
+		t.Fatalf("Alloc = %d, want %d", v, MaxVCI-1)
 	}
-	if a.Reserve(MaxVCI - 1) {
-		t.Fatal("Reserve succeeded twice")
-	}
-	if v := a.Alloc(); v != MaxVCI-2 {
-		t.Fatalf("Alloc = %d, want %d", v, MaxVCI-2)
-	}
-	if v := a.Alloc(); v != MaxVCI { // skips the reserved value
+	if v := a.Alloc(); v != MaxVCI {
 		t.Fatalf("Alloc = %d, want %d", v, MaxVCI)
 	}
 	if v := a.Alloc(); v != 0 {
 		t.Fatalf("Alloc on exhausted space = %d, want 0", v)
 	}
-	// Freeing a reserved VCI makes it allocatable again.
+	// Freeing a VCI makes it allocatable again.
 	a.Free(MaxVCI - 1)
 	if v := a.Alloc(); v != MaxVCI-1 {
 		t.Fatalf("Alloc after Free = %d, want %d", v, MaxVCI-1)

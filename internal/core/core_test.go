@@ -33,9 +33,6 @@ func TestNewRouterAssembly(t *testing.T) {
 	if r.M.FDTableSize != 64 {
 		t.Fatalf("fd table = %d", r.M.FDTableSize)
 	}
-	if r.M.Orc.Board() != r.Board {
-		t.Fatal("Orc not attached to board")
-	}
 	if fab.Endpoint("mh.rt") == nil {
 		t.Fatal("endpoint not attached to fabric")
 	}
@@ -63,9 +60,6 @@ func TestNewHostAssembly(t *testing.T) {
 	}
 	if h.M.Dev == nil {
 		t.Fatal("no pseudo-device")
-	}
-	if h.M.Orc.Board() != nil {
-		t.Fatal("host Orc has a board")
 	}
 }
 

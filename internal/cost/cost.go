@@ -63,15 +63,6 @@ func (c Component) String() string {
 	return fmt.Sprintf("Component(%d)", uint8(c))
 }
 
-// Components returns all accountable components in table order.
-func Components() []Component {
-	cs := make([]Component, numComponents)
-	for i := range cs {
-		cs[i] = Component(i)
-	}
-	return cs
-}
-
 // Per-operation instruction charges. These constants decompose the
 // paper's per-layer totals into the individual operations our
 // implementation actually performs, so the Table 1 numbers are the *sum*
@@ -109,13 +100,11 @@ const (
 	ProtoATMSeqCheck   = 9
 	ProtoATMVCILookup  = 9
 	ProtoATMHandoff    = 6
-	ProtoATMRecvTotal  = ProtoATMHeaderLoad + ProtoATMSeqCheck + ProtoATMVCILookup + ProtoATMHandoff // 36
 	// IPPROTO_ATM encapsulation (send side).
 	ProtoATMHeaderBuild = 21
 	ProtoATMSeqStamp    = 8
 	ProtoATMRouteLookup = 14
 	ProtoATMLenWalkBase = 15
-	ProtoATMSendFixed   = ProtoATMHeaderBuild + ProtoATMSeqStamp + ProtoATMRouteLookup + ProtoATMLenWalkBase // 58
 
 	// ProtoATMChecksum is the extra cost of the optional encapsulation
 	// header checksum (off by default, as in the paper; §7.4 notes it
@@ -130,7 +119,6 @@ const (
 	PFXunetStateChecks = 22
 	PFXunetAddrFixup   = 18
 	PFXunetSbAppend    = 48
-	PFXunetRecvFixed   = PFXunetPCBIndex + PFXunetStateChecks + PFXunetAddrFixup + PFXunetSbAppend // 99
 
 	// Per-mbuf walking cost, charged once per mbuf in a chain on both the
 	// PF_XUNET receive path and the IPPROTO_ATM send path.
@@ -141,7 +129,6 @@ const (
 	RouterDecapChecks = 17
 	RouterVCILookup   = 9
 	RouterReEncap     = 13
-	RouterSwitchTotal = RouterDecapChecks + RouterVCILookup + RouterReEncap // 39
 )
 
 // Meter accumulates instruction counts per component. The zero value is

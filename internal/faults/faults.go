@@ -138,9 +138,6 @@ func NewPlane(cfg Config) *Plane {
 	return p
 }
 
-// Config returns the plane's configuration.
-func (p *Plane) Config() Config { return p.cfg }
-
 // AttachTrace connects the plane to the testbed's trace collector so
 // faults on traced units appear as spans inside the call's span tree.
 func (p *Plane) AttachTrace(tc *trace.Collector, now func() time.Duration) {

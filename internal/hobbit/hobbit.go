@@ -263,9 +263,6 @@ func (d *Driver) AttachBoard(b *Board) {
 // backend (host configuration).
 func (d *Driver) SetEncap(out FrameOutput) { d.encap = out }
 
-// Board returns the attached board, or nil on a host.
-func (d *Driver) Board() *Board { return d.board }
-
 // Output transmits a frame on a VCI. On a router this reaches the
 // board; on a host, the encapsulation layer. Matching Table 1, the
 // driver send path itself costs nothing: it "simply calls the next
@@ -306,9 +303,6 @@ func (d *Driver) Input(vci atm.VCI, frame *mbuf.Chain) {
 // SetHandler installs the receive handler for a VCI, clearing any shut
 // mark.
 func (d *Driver) SetHandler(vci atm.VCI, h FrameHandler) { d.setVC(vci, drvVC{h: h}) }
-
-// Handler returns the installed handler for a VCI, or nil.
-func (d *Driver) Handler(vci atm.VCI) FrameHandler { return d.vc(vci).h }
 
 // Shut honours a VCI_SHUT: the handler is removed and any further data
 // arriving on the VCI is discarded. Board-side SAR state is reset.

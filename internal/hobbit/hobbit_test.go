@@ -83,7 +83,7 @@ func TestEmptyFrame(t *testing.T) {
 		calls++
 		got = frame.Bytes()
 	})
-	if err := tx.Output(1, mbuf.Empty()); err != nil {
+	if err := tx.Output(1, mbuf.FromBytes(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 || len(got) != 0 {
@@ -185,7 +185,7 @@ func TestHostDriverUsesEncap(t *testing.T) {
 
 func TestNoBackend(t *testing.T) {
 	d := NewDriver(nil)
-	if err := d.Output(1, mbuf.Empty()); !errors.Is(err, ErrNoBackend) {
+	if err := d.Output(1, mbuf.FromBytes(nil)); !errors.Is(err, ErrNoBackend) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestInputChargesOrcCost(t *testing.T) {
 	m := cost.NewMeter()
 	d := NewDriver(m)
 	d.SetHandler(1, func(atm.VCI, *mbuf.Chain) {})
-	d.Input(1, mbuf.Empty())
+	d.Input(1, mbuf.FromBytes(nil))
 	if got := m.Count(cost.OrcDriver); got != cost.OrcRecvDispatch {
 		t.Fatalf("Orc cost = %d, want %d", got, cost.OrcRecvDispatch)
 	}

@@ -85,7 +85,7 @@ type Machine struct {
 	Dev *PseudoDev
 
 	// Obs is the machine's telemetry registry: every component on the
-	// machine (pseudo-device, shaper, ATM layer, sighost) registers its
+	// machine (pseudo-device, ATM layer, sighost) registers its
 	// metrics here, so one snapshot covers the whole stack.
 	Obs *obs.Registry
 
@@ -159,9 +159,6 @@ func (m *Machine) RegisterFamily(f ProtoFamily) { m.families = append(m.families
 // Proc looks up a live process by pid.
 func (m *Machine) Proc(pid uint32) *Proc { return m.procs[pid] }
 
-// LiveProcs reports the number of processes that have not exited.
-func (m *Machine) LiveProcs() int { return len(m.procs) }
-
 // Proc is a simulated Unix process.
 type Proc struct {
 	M    *Machine
@@ -183,7 +180,6 @@ type Proc struct {
 	fdUsed  int
 	fdLimit int // the machine's FDTableSize at spawn
 	exited  bool
-	onExit  []func()
 }
 
 // slot returns descriptor fd's entry, for 0 <= fd < fdUsed.
@@ -227,13 +223,6 @@ func (m *Machine) Spawn(name string, body func(p *Proc)) *Proc {
 // exactly as the kernel reclaims a crashed program's resources.
 func (p *Proc) Kill() { p.SP.Kill() }
 
-// Exited reports whether exit processing has completed.
-func (p *Proc) Exited() bool { return p.exited }
-
-// OnExit registers a hook run during exit processing, after descriptors
-// are closed.
-func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
-
 func (p *Proc) exit() {
 	if p.exited {
 		return
@@ -248,9 +237,6 @@ func (p *Proc) exit() {
 			e.timeWait = false
 			o.KClose()
 		}
-	}
-	for _, fn := range p.onExit {
-		fn()
 	}
 	// The kernel hands the termination message to the signaling entity
 	// through the pseudo-device.
@@ -303,50 +289,6 @@ func (p *Proc) CloseFD(fd int) error {
 }
 
 func endTimeWait(slot any) { slot.(*fdEntry).timeWait = false }
-
-// FD returns the object at a descriptor.
-func (p *Proc) FD(fd int) (FDObject, error) {
-	if fd < 0 || fd >= p.fdUsed || p.slot(fd).obj == nil {
-		return nil, ErrEBADF
-	}
-	return p.slot(fd).obj, nil
-}
-
-// OpenFDs counts descriptors holding live objects.
-func (p *Proc) OpenFDs() int {
-	n := 0
-	for i := 0; i < p.fdUsed; i++ {
-		if p.slot(i).obj != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// TimeWaitFDs counts descriptor slots parked in TIME_WAIT.
-func (p *Proc) TimeWaitFDs() int {
-	n := 0
-	for i := 0; i < p.fdUsed; i++ {
-		if p.slot(i).timeWait {
-			n++
-		}
-	}
-	return n
-}
-
-// FreeFDs counts allocatable descriptor slots.
-func (p *Proc) FreeFDs() int {
-	n := p.fdLimit - p.fdUsed
-	for i := 0; i < p.fdUsed; i++ {
-		if e := p.slot(i); e.obj == nil && !e.timeWait {
-			n++
-		}
-	}
-	return n
-}
-
-// Syscall charges the trap cost of one non-switching system call.
-func (p *Proc) Syscall() { p.SP.Sleep(p.M.CM.SyscallEntry) }
 
 // ContextSwitches charges n process switches to this process's virtual
 // time. The signaling RPC of §9 costs four of these.

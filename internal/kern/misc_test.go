@@ -115,9 +115,6 @@ func TestListenerPortAndAcceptTimeout(t *testing.T) {
 		if ks.RemoteAddr() != h.IP.Addr {
 			t.Errorf("remote = %v", ks.RemoteAddr())
 		}
-		if ks.Stream() == nil {
-			t.Error("no underlying stream")
-		}
 		ks.Close()
 		l.Close()
 	})

@@ -168,12 +168,6 @@ func (d *PseudoDev) ReadUp(p *sim.Proc) (KMsg, bool) {
 	return d.q.Get(p)
 }
 
-// TryReadUp drains one buffered message without blocking.
-func (d *PseudoDev) TryReadUp() (KMsg, bool) { return d.q.TryGet() }
-
-// Buffered reports the messages currently occupying buffers.
-func (d *PseudoDev) Buffered() int { return d.q.Len() }
-
 // WriteDown delivers a command from the signaling entity to the kernel;
 // the device's write routine runs it immediately (it calls the socket
 // layer's soisdisconnected).

@@ -127,9 +127,6 @@ func (ks *KStream) RecvTimeout(d time.Duration) (msg []byte, ok, timedOut bool) 
 // Proc reports the owning process.
 func (ks *KStream) Proc() *Proc { return ks.p }
 
-// Stream exposes the underlying transport connection.
-func (ks *KStream) Stream() *memnet.Stream { return ks.s }
-
 // RemoteAddr reports the peer address.
 func (ks *KStream) RemoteAddr() memnet.IPAddr { return ks.s.RemoteAddr() }
 

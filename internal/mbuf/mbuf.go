@@ -185,9 +185,6 @@ func FromBytesSplit(p []byte, per int) *Chain {
 	return c
 }
 
-// Empty builds an empty chain.
-func Empty() *Chain { return newChain() }
-
 // Len returns the total number of valid bytes in the chain.
 func (c *Chain) Len() int {
 	if c == nil {
@@ -248,23 +245,6 @@ func (c *Chain) AppendBytes(p []byte) {
 		c.appendMbuf(m)
 		p = p[n:]
 	}
-}
-
-// Concat moves all mbufs of other onto the end of c, leaving other empty.
-func (c *Chain) Concat(other *Chain) {
-	c.poison.check()
-	if other.Head() == nil {
-		return
-	}
-	if c.head == nil {
-		c.head = other.head
-	} else {
-		c.tail.next = other.head
-	}
-	c.tail = other.tail
-	c.count += other.count
-	c.length += other.length
-	other.head, other.tail, other.count, other.length = nil, nil, 0, 0
 }
 
 // Prepend attaches hdr at the front of the chain, using the leading

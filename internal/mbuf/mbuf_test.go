@@ -88,7 +88,7 @@ func TestPrependSlowPath(t *testing.T) {
 }
 
 func TestPrependEmptyChain(t *testing.T) {
-	c := Empty()
+	c := FromBytes(nil)
 	c.Prepend([]byte{1, 2, 3})
 	if c.Len() != 3 || c.Count() != 1 {
 		t.Fatalf("len=%d count=%d", c.Len(), c.Count())
@@ -154,38 +154,6 @@ func TestPullupTooShort(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := FromBytes(payload(30))
-	b := FromBytes(payload(40))
-	wantLen := a.Len() + b.Len()
-	wantCount := a.Count() + b.Count()
-	a.Concat(b)
-	if a.Len() != wantLen || a.Count() != wantCount {
-		t.Fatalf("after concat len=%d count=%d", a.Len(), a.Count())
-	}
-	if b.Len() != 0 || b.Count() != 0 {
-		t.Fatal("source chain not emptied")
-	}
-	a.Concat(nil)
-	a.Concat(Empty())
-	if a.Len() != wantLen {
-		t.Fatal("concat of empty changed length")
-	}
-}
-
-func TestConcatIntoEmpty(t *testing.T) {
-	a := Empty()
-	b := FromBytes(payload(20))
-	a.Concat(b)
-	if a.Len() != 20 {
-		t.Fatalf("len = %d", a.Len())
-	}
-	a.AppendBytes([]byte{1})
-	if a.Len() != 21 {
-		t.Fatal("tail pointer broken after concat into empty")
-	}
-}
-
 func TestCopyTo(t *testing.T) {
 	p := payload(100)
 	c := FromBytesSplit(p, 7)
@@ -243,7 +211,7 @@ func TestStringFormat(t *testing.T) {
 func TestQuickInvariants(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := Empty()
+		c := FromBytes(nil)
 		model := []byte{}
 		for _, op := range ops {
 			switch op % 4 {
@@ -349,8 +317,6 @@ func TestReleasedChainPanics(t *testing.T) {
 		"TrimFront":      func(c *Chain) { c.TrimFront(1) },
 		"Pullup":         func(c *Chain) { c.Pullup(1) },
 		"Clone":          func(c *Chain) { c.Clone() },
-		"Concat onto":    func(c *Chain) { c.Concat(FromBytes([]byte{1})) },
-		"Concat from":    func(c *Chain) { FromBytes([]byte{1}).Concat(c) },
 		"second Release": func(c *Chain) { c.Release() },
 	}
 	for name, use := range uses {

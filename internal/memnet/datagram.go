@@ -29,9 +29,6 @@ func (nd *Node) BindDatagram(port uint16, h DatagramHandler) error {
 	return nil
 }
 
-// UnbindDatagram releases a datagram port.
-func (nd *Node) UnbindDatagram(port uint16) { delete(nd.dgrams, port) }
-
 // SendDatagram sends one datagram. Delivery is best effort: loss, and
 // reordering follow the link configuration.
 func (nd *Node) SendDatagram(dst IPAddr, dport, sport uint16, data []byte) error {

@@ -208,12 +208,6 @@ func (n *Network) MustAddNode(name string, addr IPAddr) *Node {
 	return nd
 }
 
-// Node looks up a machine by address.
-func (n *Network) Node(addr IPAddr) *Node { return n.nodes[addr] }
-
-// Eng returns the engine this node's events run on.
-func (nd *Node) Eng() *sim.Engine { return nd.eng }
-
 // SetFaults overrides the network-wide fault plane for links this node
 // originates (nil restores the network-wide plane).
 func (nd *Node) SetFaults(fp *faults.Plane) { nd.faults = fp }

@@ -60,7 +60,7 @@ func TestNoRoute(t *testing.T) {
 	e := sim.New(1)
 	n := New(e)
 	lone := n.MustAddNode("lone", IP4(9, 9, 9, 9))
-	err := lone.SendChain(IP4(8, 8, 8, 8), 1, mbuf.Empty())
+	err := lone.SendChain(IP4(8, 8, 8, 8), 1, mbuf.FromBytes(nil))
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v", err)
 	}
@@ -100,7 +100,7 @@ func TestTTLExpiry(t *testing.T) {
 	// Two nodes with default routes pointing at each other: a packet for
 	// a third address ping-pongs until TTL dies.
 	e, _, h, r := twoNodes(t)
-	_ = h.SendChain(IP4(99, 99, 99, 99), 1, mbuf.Empty())
+	_ = h.SendChain(IP4(99, 99, 99, 99), 1, mbuf.FromBytes(nil))
 	e.Run()
 	if h.Forwarded+r.Forwarded == 0 {
 		t.Fatal("no forwarding happened")
@@ -115,7 +115,7 @@ func TestLinkLoss(t *testing.T) {
 	h.LinkTo(r).SetLoss(1.0)
 	delivered := false
 	r.BindProto(50, func(*Packet) { delivered = true })
-	_ = h.SendChain(r.Addr, 50, mbuf.Empty())
+	_ = h.SendChain(r.Addr, 50, mbuf.FromBytes(nil))
 	e.Run()
 	if delivered {
 		t.Fatal("packet survived 100% loss")
@@ -174,7 +174,7 @@ func TestIPCostCharged(t *testing.T) {
 	hm, rm := cost.NewMeter(), cost.NewMeter()
 	h.Meter, r.Meter = hm, rm
 	r.BindProto(60, func(*Packet) {})
-	_ = h.SendChain(r.Addr, 60, mbuf.Empty())
+	_ = h.SendChain(r.Addr, 60, mbuf.FromBytes(nil))
 	e.Run()
 	if got := hm.Count(cost.IP); got != cost.IPSendCost {
 		t.Fatalf("sender IP cost = %d", got)

@@ -269,19 +269,8 @@ func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, er
 // LocalAddr returns this endpoint's node address.
 func (s *Stream) LocalAddr() IPAddr { return s.node.Addr }
 
-// LocalPort returns this endpoint's port.
-func (s *Stream) LocalPort() uint16 { return s.key.lport }
-
 // RemoteAddr returns the peer's node address.
 func (s *Stream) RemoteAddr() IPAddr { return s.key.raddr }
-
-// RemotePort returns the peer's port.
-func (s *Stream) RemotePort() uint16 { return s.key.rport }
-
-// SetTeardown registers a hook invoked exactly once when the connection
-// fully terminates; reset reports abnormal termination. The kernel layer
-// uses it for TIME_WAIT descriptor retention and soisdisconnected.
-func (s *Stream) SetTeardown(fn func(reset bool)) { s.teardown = fn }
 
 // Send queues one framed message for reliable delivery. It never
 // blocks; flow beyond the window is buffered locally.
@@ -324,9 +313,6 @@ func (s *Stream) Recv(p *sim.Proc) ([]byte, bool) {
 func (s *Stream) RecvTimeout(p *sim.Proc, d time.Duration) (msg []byte, ok, timedOut bool) {
 	return s.inbox.GetTimeout(p, d)
 }
-
-// TryRecv returns a buffered message without blocking.
-func (s *Stream) TryRecv() ([]byte, bool) { return s.inbox.TryGet() }
 
 // Reset reports whether the connection terminated abnormally.
 func (s *Stream) Reset() bool { return s.reset }

@@ -49,14 +49,11 @@ func (ev Event) String() string {
 	return fmt.Sprintf("[%v] %s.%s vci=%d call=%d %v", ev.At, ev.Comp, ev.Kind, ev.VCI, ev.CallID, ev.Data)
 }
 
-// Ring is a bounded, mutex-guarded buffer of recent events with optional
-// subscribers (invoked synchronously under the publisher).
+// Ring is a bounded, mutex-guarded buffer of recent events.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  uint64 // total events ever published == next Seq
-	subs  []func(Event)
-	nsubs atomic.Int32
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // total events ever published == next Seq
 }
 
 // NewRing returns a ring holding the last capacity events (min 1).
@@ -68,7 +65,7 @@ func NewRing(capacity int) *Ring {
 }
 
 // Publish stamps ev.Seq and appends it, overwriting the oldest event when
-// full, then invokes subscribers.
+// full.
 func (r *Ring) Publish(ev Event) {
 	r.mu.Lock()
 	ev.Seq = r.next
@@ -78,30 +75,7 @@ func (r *Ring) Publish(ev Event) {
 	} else {
 		r.buf[int(ev.Seq)%cap(r.buf)] = ev
 	}
-	subs := r.subs
 	r.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev.rendered())
-	}
-}
-
-// Subscribe registers fn to run synchronously on every future publish.
-func (r *Ring) Subscribe(fn func(Event)) {
-	r.mu.Lock()
-	// Copy-on-write so Publish can invoke outside the lock.
-	subs := make([]func(Event), len(r.subs)+1)
-	copy(subs, r.subs)
-	subs[len(r.subs)] = fn
-	r.subs = subs
-	r.mu.Unlock()
-	r.nsubs.Add(1)
-}
-
-// Total returns how many events have ever been published.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }
 
 // Last returns up to n most recent events, oldest first, rendered.

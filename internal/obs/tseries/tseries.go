@@ -291,11 +291,6 @@ func (st *Store) add(s *series) {
 	st.series = append(st.series, s)
 }
 
-// TrackCounter tracks a counter's per-tick delta.
-func (st *Store) TrackCounter(name string, c *obs.Counter) {
-	st.TrackRateFunc(name, c.Value, 0, 0)
-}
-
 // TrackRateFunc tracks a monotonic total read through fn. When den > 0
 // each delta is scaled by num/den — utilization series scale cell
 // deltas by serialization-time/interval this way.
@@ -308,11 +303,6 @@ func (st *Store) TrackRateFunc(name string, fn func() uint64, num, den int64) {
 	st.add(&series{name: name, kind: KindCounter, counterFn: fn, num: num, den: den})
 }
 
-// TrackGauge tracks a gauge's level and high-water mark.
-func (st *Store) TrackGauge(name string, g *obs.Gauge) {
-	st.TrackGaugeFunc(name, func() (int64, int64) { return g.Value(), g.Max() })
-}
-
 // TrackGaugeFunc tracks a level read through fn, which returns
 // (value, high-water). fn runs at tick time under the store lock.
 func (st *Store) TrackGaugeFunc(name string, fn func() (int64, int64)) {
@@ -322,16 +312,6 @@ func (st *Store) TrackGaugeFunc(name string, fn func() (int64, int64)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.add(&series{name: name, kind: KindGauge, gaugeFn: fn})
-}
-
-// TrackHistogram tracks a histogram's observation rate and P99.
-func (st *Store) TrackHistogram(name string, h *obs.Histogram) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.add(&series{name: name, kind: KindHist, hist: h})
 }
 
 // TrackRegistry adopts every metric in reg, each series named
@@ -468,16 +448,6 @@ func (st *Store) emit(ev HealthEvent) {
 	if st.onEvent != nil {
 		st.onEvent(ev)
 	}
-}
-
-// Ticks reports how many scrapes have run.
-func (st *Store) Ticks() uint64 {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ticks
 }
 
 // Events returns the retained health events, oldest first.

@@ -14,7 +14,7 @@ func TestCounterDeltasAndBaseline(t *testing.T) {
 	st := New(Config{Capacity: 8})
 	c := &obs.Counter{}
 	c.Add(100) // pre-arm history must not appear as a delta
-	st.TrackCounter("c", c)
+	st.TrackRateFunc("c", c.Value, 0, 0)
 	c.Add(3)
 	tick(st, 1)
 	c.Add(5)
@@ -62,10 +62,9 @@ func TestRateScaling(t *testing.T) {
 
 func TestGaugeAndHistSampling(t *testing.T) {
 	st := New(Config{Capacity: 8})
-	g := &obs.Gauge{}
-	h := &obs.Histogram{}
-	st.TrackGauge("g", g)
-	st.TrackHistogram("h", h)
+	reg := obs.NewRegistry()
+	g, h := reg.Gauge("g"), reg.Histogram("h")
+	st.TrackRegistry("", reg)
 	g.Set(7)
 	g.Set(2)
 	h.Observe(4 * time.Millisecond)
@@ -188,7 +187,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 	if st.Enabled() {
 		t.Fatal("nil store reports enabled")
 	}
-	st.TrackCounter("c", &obs.Counter{})
+	st.TrackRateFunc("c", func() uint64 { return 0 }, 0, 0)
 	st.AddRule(Rule{Name: "r", Series: "c"})
 	st.Tick(time.Second)
 	if st.JSON() == "" || st.Text() == "" || st.HealthText() == "" || st.HealthJSON() == "" {

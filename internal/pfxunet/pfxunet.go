@@ -31,11 +31,10 @@ import (
 
 // Errors from the socket layer.
 var (
-	ErrBadVCI        = errors.New("pfxunet: VCI out of range")
-	ErrVCIBusy       = errors.New("pfxunet: VCI already bound to a socket")
-	ErrSockState     = errors.New("pfxunet: operation invalid in this socket state")
-	ErrDisconnected  = errors.New("pfxunet: socket has been disconnected")
-	ErrRecvQOverflow = errors.New("pfxunet: receive buffer overflow")
+	ErrBadVCI       = errors.New("pfxunet: VCI out of range")
+	ErrVCIBusy      = errors.New("pfxunet: VCI already bound to a socket")
+	ErrSockState    = errors.New("pfxunet: operation invalid in this socket state")
+	ErrDisconnected = errors.New("pfxunet: socket has been disconnected")
 )
 
 // recvBufLimit bounds a socket's receive buffer in bytes (the classic
@@ -89,9 +88,6 @@ type Socket struct {
 	recvQ     sim.Queue[*mbuf.Chain]
 	recvBytes int
 
-	// shaper, when set, paces outbound frames (see shaper.go).
-	shaper *shaper
-
 	// tc is the causal-trace context of the call this socket carries
 	// (zero when the call is untraced); outbound frames open child
 	// spans under it.
@@ -118,12 +114,6 @@ func (f *Family) Socket(p *kern.Proc) (*Socket, error) {
 	s.fd = fd
 	return s, nil
 }
-
-// FD returns the socket's descriptor number.
-func (s *Socket) FD() int { return s.fd }
-
-// VCI returns the bound or connected VCI (0 before either).
-func (s *Socket) VCI() atm.VCI { return s.vci }
 
 // checkVCI validates range and availability.
 func (f *Family) checkVCI(vci atm.VCI) error {
@@ -228,9 +218,6 @@ func (s *Socket) send(chain *mbuf.Chain, tc trace.Context) error {
 		chain.TCAt = now
 	}
 	s.FramesOut++
-	if s.shaper != nil {
-		return s.shaper.submit(chain)
-	}
 	return s.f.m.Orc.Output(s.vci, chain)
 }
 
@@ -350,24 +337,4 @@ func (f *Family) Soisdisconnected(vci atm.VCI) {
 	s.state = stateDisconnected
 	s.recvQ.Close()
 	f.m.Orc.ClearVC(vci)
-}
-
-// BoundSocket returns the socket a VCI is bound or connected to, if
-// any (used by tests and the signaling kernel agent).
-func (f *Family) BoundSocket(vci atm.VCI) *Socket {
-	if vci > atm.MaxVCI {
-		return nil
-	}
-	return f.pcbs[vci]
-}
-
-// ActiveVCIs counts VCIs with live sockets.
-func (f *Family) ActiveVCIs() int {
-	n := 0
-	for _, s := range f.pcbs {
-		if s != nil {
-			n++
-		}
-	}
-	return n
 }

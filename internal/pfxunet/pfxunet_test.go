@@ -2,6 +2,7 @@ package pfxunet_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"xunet/internal/atm"
@@ -201,41 +202,42 @@ func TestBindPostsIndicationWithCookie(t *testing.T) {
 
 func TestClosePostsCloseIndication(t *testing.T) {
 	r := newRig(t)
+	kinds := readKinds(r)
 	r.ra.Spawn("app", func(p *kern.Proc) {
 		s, _ := r.ra.PF.Socket(p)
 		_ = s.Connect(60, 0)
 		s.Close()
 	})
 	r.e.Run()
-	kinds := drainKinds(r.ra.M.Dev)
 	want := []kern.MsgKind{kern.MsgConnect, kern.MsgClose, kern.MsgExit}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("kinds = %v, want %v", kinds, want)
-		}
+	if !slices.Equal(*kinds, want) {
+		t.Fatalf("kinds = %v, want %v", *kinds, want)
 	}
 	if r.ra.PF.ActiveVCIs() != 0 {
 		t.Fatal("PCB not cleared on close")
 	}
 }
 
-func drainKinds(d *kern.PseudoDev) []kern.MsgKind {
-	var out []kern.MsgKind
-	for {
-		m, ok := d.TryReadUp()
-		if !ok {
-			return out
+// readKinds starts a reader on router A's device, as the anand server
+// would be, that records the kind of every indication passed up.
+func readKinds(r *rig) *[]kern.MsgKind {
+	var kinds []kern.MsgKind
+	r.e.Go("anand", func(sp *sim.Proc) {
+		for {
+			m, ok := r.ra.M.Dev.ReadUp(sp)
+			if !ok {
+				return
+			}
+			kinds = append(kinds, m.Kind)
 		}
-		out = append(out, m.Kind)
-	}
+	})
+	return &kinds
 }
 
 func TestProcessExitClosesSocketAndPostsIndications(t *testing.T) {
 	r := newRig(t)
 	vc := r.vc(t)
+	kinds := readKinds(r)
 	p := r.ra.Spawn("app", func(p *kern.Proc) {
 		s, _ := r.ra.PF.Socket(p)
 		_ = s.Connect(vc.SrcVCI, 0)
@@ -249,10 +251,10 @@ func TestProcessExitClosesSocketAndPostsIndications(t *testing.T) {
 	if r.ra.PF.ActiveVCIs() != 0 {
 		t.Fatal("VCI leaked after kill")
 	}
-	kinds := drainKinds(r.ra.M.Dev)
 	// CONNECT_IND, CLOSE_IND (from fd sweep), EXIT_IND.
-	if len(kinds) != 3 || kinds[1] != kern.MsgClose || kinds[2] != kern.MsgExit {
-		t.Fatalf("kinds = %v", kinds)
+	want := []kern.MsgKind{kern.MsgConnect, kern.MsgClose, kern.MsgExit}
+	if !slices.Equal(*kinds, want) {
+		t.Fatalf("kinds = %v, want %v", *kinds, want)
 	}
 }
 
@@ -460,14 +462,21 @@ func TestTwoCircuitsBidirectional(t *testing.T) {
 func TestSocketFDAccounting(t *testing.T) {
 	r := newRig(t)
 	r.ra.Spawn("app", func(p *kern.Proc) {
-		free0 := p.FreeFDs()
-		s, _ := r.ra.PF.Socket(p)
-		if p.FreeFDs() != free0-1 {
-			t.Error("socket did not consume an fd")
+		// Each socket takes a descriptor, until the table is full.
+		var last *pfxunet.Socket
+		for {
+			s, err := r.ra.PF.Socket(p)
+			if err != nil {
+				if !errors.Is(err, kern.ErrEMFILE) {
+					t.Errorf("socket on a full table: %v", err)
+				}
+				break
+			}
+			last = s
 		}
-		s.Close()
-		if p.FreeFDs() != free0 {
-			t.Error("PF_XUNET socket close must free the fd immediately (no TIME_WAIT)")
+		last.Close()
+		if _, err := r.ra.PF.Socket(p); err != nil {
+			t.Errorf("PF_XUNET socket close must free the fd immediately (no TIME_WAIT): %v", err)
 		}
 	})
 	r.e.Run()

@@ -223,15 +223,6 @@ func (g *GroupProf) StallNS(i int) int64 {
 	return g.stall[i].Load()
 }
 
-// ExecNS reports shard i's accumulated in-window execution nanoseconds
-// (same discipline as StallNS).
-func (g *GroupProf) ExecNS(i int) int64 {
-	if g == nil || i < 0 || i >= g.n {
-		return 0
-	}
-	return g.exec[i].Load()
-}
-
 // AccountWindow folds one barrier window's per-shard wall durations
 // in: each shard's stall is the gap to the window's critical (slowest)
 // shard. With fewer workers than shards the windows serialize, so the

@@ -1,0 +1,15 @@
+package protoatm
+
+import (
+	"xunet/internal/atm"
+	"xunet/internal/mbuf"
+)
+
+// FromATM runs a bound VCI's receive handler on frame.
+func (l *Layer) FromATM(vci atm.VCI, frame *mbuf.Chain) { l.fromATM(vci, frame) }
+
+// SetHeaderChecksum enables (or disables) the optional encapsulation
+// header checksum on frames this layer sends. Verification on receive
+// is driven by the header's own flag bit, so mixed deployments
+// interoperate. The extra computation is charged to the meter.
+func (l *Layer) SetHeaderChecksum(on bool) { l.checksum = on }

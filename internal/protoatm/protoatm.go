@@ -203,12 +203,6 @@ func New(m *kern.Machine, localAddr atm.Addr, mode Mode) *Layer {
 	return l
 }
 
-// SetHeaderChecksum enables (or disables) the optional encapsulation
-// header checksum on frames this layer sends. Verification on receive
-// is driven by the header's own flag bit, so mixed deployments
-// interoperate. The extra computation is charged to the meter.
-func (l *Layer) SetHeaderChecksum(on bool) { l.checksum = on }
-
 // ConfigureRouter sets the host's target router. In the original this
 // is a message written to an IPPROTO_ATM socket whose destination
 // address becomes the forwarding address; anand client does it at boot,
@@ -223,11 +217,15 @@ func (l *Layer) RouterIP() memnet.IPAddr { return l.routerIP }
 // ATM network is re-encapsulated and forwarded to hostIP.
 func (l *Layer) VCIBind(vci atm.VCI, hostIP memnet.IPAddr) {
 	l.vc(vci).dst = hostIP
-	l.m.Orc.SetHandler(vci, func(v atm.VCI, frame *mbuf.Chain) {
-		if err := l.reEncap(v, frame); err != nil {
-			l.Unbound++
-		}
-	})
+	l.m.Orc.SetHandler(vci, l.fromATM)
+}
+
+// fromATM is a bound VCI's receive handler: it re-encapsulates the
+// frame toward the host, or counts it unbound.
+func (l *Layer) fromATM(vci atm.VCI, frame *mbuf.Chain) {
+	if err := l.reEncap(vci, frame); err != nil {
+		l.Unbound++
+	}
 }
 
 // VCIShut clears a binding (the VCI_SHUT message): both mappings are

@@ -458,12 +458,11 @@ func TestRefusedFramesAreReleased(t *testing.T) {
 
 	r := newRig(t)
 	vc := r.provision(t)
-	reEncap := r.rb.M.Orc.Handler(vc.DstVCI)
 	r.rb.ATM.VCIShut(vc.DstVCI) // drops the binding; the handler is put back
 	var late *mbuf.Chain
 	r.rb.M.Orc.SetHandler(vc.DstVCI, func(v atm.VCI, f *mbuf.Chain) {
 		late = f
-		reEncap(v, f)
+		r.rb.ATM.FromATM(v, f)
 	})
 	if err := r.ra.M.Orc.Output(vc.SrcVCI, mbuf.FromBytes([]byte("late"))); err != nil {
 		t.Fatal(err)

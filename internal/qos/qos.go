@@ -93,15 +93,6 @@ func Parse(s string) (QoS, error) {
 	return QoS{Class: c, BandwidthKbs: uint32(bw)}, nil
 }
 
-// WeakerOrEqual reports whether q demands no more than r: same or lower
-// class, and no more bandwidth. This is the negotiation invariant — the
-// server "is free to accept or deny the call and also modify the QoS
-// parameters", but the modified QoS returned to the client must not
-// exceed what was requested.
-func (q QoS) WeakerOrEqual(r QoS) bool {
-	return q.Class <= r.Class && q.BandwidthKbs <= r.BandwidthKbs
-}
-
 // Negotiate applies a server's counter-offer to a client request,
 // clamping it so the result never exceeds the request. It returns the
 // descriptor the connection is established with.
@@ -114,12 +105,6 @@ func Negotiate(requested, offered QoS) QoS {
 		out.BandwidthKbs = requested.BandwidthKbs
 	}
 	return out
-}
-
-// Reserved reports whether the descriptor carries a hard reservation
-// that admission control must account.
-func (q QoS) Reserved() bool {
-	return q.Class != BestEffort && q.BandwidthKbs > 0
 }
 
 // Book tracks reserved bandwidth on one link for admission control.
@@ -177,14 +162,5 @@ func (b *Book) Release(key uint32) {
 	}
 }
 
-// Available reports unreserved capacity in kb/s.
-func (b *Book) Available() uint64 { return b.capacityKbs - b.reserved }
-
-// Reserved reports booked capacity in kb/s.
-func (b *Book) Reserved() uint64 { return b.reserved }
-
 // Capacity reports the link capacity in kb/s.
 func (b *Book) Capacity() uint64 { return b.capacityKbs }
-
-// Bookings reports the number of live reservations.
-func (b *Book) Bookings() int { return len(b.perVC) }

@@ -300,13 +300,6 @@ func (c *Carrier) AddPeer(name string, ap netip.AddrPort) (*Peer, error) {
 	return p, nil
 }
 
-// PeerByName looks a registered peer up.
-func (c *Carrier) PeerByName(name string) *Peer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byName[name]
-}
-
 // SetPeerAddr re-targets an existing peer (a daemon that restarted on a
 // new port; tests use it to heal a blackholed route).
 func (c *Carrier) SetPeerAddr(name string, ap netip.AddrPort) error {

@@ -24,7 +24,7 @@ func TestCrossCallsSameID(t *testing.T) {
 	var resA testbed.CallResult
 	ra.Stack.Spawn("client-a", func(p *kern.Proc) {
 		p.SP.Sleep(100 * time.Millisecond)
-		resA = testbed.OpenAndUse(ra, p, "ucb.rt", "echo-b", 7000, "", 1, func(p *kern.Proc) {
+		resA = testbed.OpenAndUseFrames(ra, p, "ucb.rt", "echo-b", 7000, "", 1, 0, func(p *kern.Proc) {
 			p.SP.Sleep(500 * time.Millisecond)
 		})
 	})

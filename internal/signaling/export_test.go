@@ -3,7 +3,13 @@ package signaling
 import (
 	"errors"
 	"fmt"
+
+	"xunet/internal/atm"
+	"xunet/internal/rtnet"
 )
+
+// PeerFor returns the carrier peer that signaling for dst goes to.
+func (h *RealHost) PeerFor(dst atm.Addr) *rtnet.Peer { return h.peerFor(dst) }
 
 // Chains watches one sighost's transition records through its hook and
 // checks that, per call key, they form one chain: it opens from callNew,

@@ -53,7 +53,7 @@ func TestThirdPartyCookieHandoff(t *testing.T) {
 	})
 	ra.Stack.Spawn("client", func(p *kern.Proc) {
 		p.SP.Sleep(100 * time.Millisecond)
-		res := testbed.OpenAndUse(ra, p, "ucb.rt", "fs", 7000, "", 1, nil)
+		res := testbed.OpenAndUseFrames(ra, p, "ucb.rt", "fs", 7000, "", 1, 0, nil)
 		if res.Err != nil {
 			t.Errorf("call: %v", res.Err)
 		}
@@ -107,7 +107,7 @@ func TestSighostSurvivesGarbage(t *testing.T) {
 	var res testbed.CallResult
 	ra.Stack.Spawn("honest-client", func(p *kern.Proc) {
 		p.SP.Sleep(2 * time.Second)
-		res = testbed.OpenAndUse(ra, p, "ucb.rt", "echo", 7000, "", 1, nil)
+		res = testbed.OpenAndUseFrames(ra, p, "ucb.rt", "echo", 7000, "", 1, 0, nil)
 	})
 	n.E.RunUntil(time.Minute)
 	if res.Err != nil {

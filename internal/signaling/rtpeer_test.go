@@ -228,7 +228,7 @@ func TestRealPeerDataPathAAL5(t *testing.T) {
 	})
 	cliVCI, _ := runCall(t, a, b)
 
-	peer := a.PeerNet().PeerByName("b.rt")
+	peer := a.PeerFor("b.rt")
 	if peer == nil {
 		t.Fatal("no carrier peer for b.rt")
 	}

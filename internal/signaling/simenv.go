@@ -145,7 +145,7 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	}
 	h.env = &simEnv{h: h, dialName: stack.M.Name + "/sighost-dial"}
 	// Share the machine's registry so sighost metrics land next to the
-	// kernel/device/shaper metrics in one mgmt-visible snapshot.
+	// kernel and device metrics in one mgmt-visible snapshot.
 	h.SH = NewWithObs(h.env, CostModel{
 		ContextSwitch:   stack.M.CM.ContextSwitch,
 		CallLogging:     stack.M.CM.CallLogging,

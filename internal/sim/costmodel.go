@@ -49,17 +49,3 @@ func DefaultCostModel() CostModel {
 		SyscallEntry:  100 * time.Microsecond,
 	}
 }
-
-// InstrCost converts an instruction count into virtual execution time.
-func (c CostModel) InstrCost(n int64) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return time.Duration(n) * c.Instr
-}
-
-// InKernelSignaling returns a copy of the model for the §5.1 ablation:
-// an in-kernel signaling entity halves the context switches per RPC;
-// the model itself is unchanged, but callers use this marker method to
-// document intent when they charge 2 instead of 4 switches.
-func (c CostModel) InKernelSignaling() CostModel { return c }

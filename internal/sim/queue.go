@@ -54,9 +54,6 @@ func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 // Len reports the number of buffered (undelivered) items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // take removes the longest-waiting parked consumer from the wait list,
 // marking it dropped (Put overrides that with the item), and returns
 // nil when nobody is parked. Waiters that timed out and have not yet run

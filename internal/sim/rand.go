@@ -52,14 +52,3 @@ func (r *Rand) Jitter(max time.Duration) time.Duration {
 	}
 	return time.Duration(r.Uint64() % uint64(max))
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -106,6 +106,3 @@ func (r *Ring[T]) RemoveAt(i int) T {
 	r.n--
 	return v
 }
-
-// Cap returns the current backing-array capacity (for tests).
-func (r *Ring[T]) Cap() int { return len(r.buf) }

@@ -515,20 +515,14 @@ func (g *ShardGroup) Close() {
 	}
 }
 
-// Post schedules fn on dst's shard after virtual delay d. Same-engine
+// PostSized schedules fn on dst's shard after virtual delay d. Same-engine
 // posts degrade to Schedule. Cross-shard posts are the conservative
 // synchronization protocol's only channel, so d must be at least the
 // group lookahead — violating that would let a shard reach into a
 // window a neighbor may already be executing, and panics loudly instead
-// of corrupting the run.
-func (e *Engine) Post(dst *Engine, d time.Duration, fn func()) {
-	e.PostSized(dst, d, 0, fn)
-}
-
-// PostSized is Post carrying a payload size for the profiler's
-// cross-shard traffic matrix: size is the number of payload bytes the
-// record represents (0 for pure control posts). Size never affects the
-// simulation — it only feeds (src,dst) post/byte accounting.
+// of corrupting the run. size is the number of payload bytes the record
+// represents (0 for pure control posts), for the profiler's cross-shard
+// traffic matrix; it never affects the simulation.
 func (e *Engine) PostSized(dst *Engine, d time.Duration, size int, fn func()) {
 	if dst == e || e.group == nil {
 		e.Schedule(d, fn)
@@ -548,9 +542,6 @@ func (e *Engine) PostSized(dst *Engine, d time.Duration, size int, fn func()) {
 // ShardID reports which shard of its group this engine is (0 for a
 // plain engine).
 func (e *Engine) ShardID() int { return e.shardID }
-
-// Group returns the engine's shard group, nil for a plain engine.
-func (e *Engine) Group() *ShardGroup { return e.group }
 
 // scheduleAbs inserts an event at an absolute virtual time, reusing the
 // event free list. The time must not be in the shard's past (the merge

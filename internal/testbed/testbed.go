@@ -709,17 +709,12 @@ type CallResult struct {
 	QoS       string
 }
 
-// OpenAndUse performs the Figure 6 client flow on ep: open a
+// OpenAndUseFrames performs the Figure 6 client flow on ep: open a
 // connection, connect a socket with the cookie, send frames, close.
-func OpenAndUse(ep Endpoint, p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, qosStr string, frames int, hold func(*kern.Proc)) CallResult {
-	return OpenAndUseFrames(ep, p, dest, service, notifyPort, qosStr, frames, 0, hold)
-}
-
-// OpenAndUseFrames is OpenAndUse with each data frame padded to
-// frameBytes (<= 0 keeps the tiny default frames). Multi-cell frames
-// let load workloads actually exercise trunk queues: a 1400-byte frame
-// is ~30 cells arriving at host-interface rate and draining at trunk
-// rate.
+// Each data frame is padded to frameBytes (<= 0 keeps the tiny default
+// frames). Multi-cell frames let load workloads actually exercise trunk
+// queues: a 1400-byte frame is ~30 cells arriving at host-interface
+// rate and draining at trunk rate.
 func OpenAndUseFrames(ep Endpoint, p *kern.Proc, dest atm.Addr, service string, notifyPort uint16, qosStr string, frames, frameBytes int, hold func(*kern.Proc)) CallResult {
 	stack, lib := ep.EndStack(), ep.EndLib()
 	start := p.SP.Now()

@@ -154,20 +154,6 @@ func (c *Collector) SetSampleEvery(n uint64) {
 	c.sampleN = n
 }
 
-// SetFlightCapacity resizes the completed-trace ring (minimum 1).
-func (c *Collector) SetFlightCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	c.capacity = n
-	for len(c.flight) > c.capacity {
-		c.flight = c.flight[1:]
-		c.evicted++
-	}
-}
-
 // OnDump installs the auto-dump hook: fn receives every DumpWorthy
 // trace at finish time along with its rendered text tree.
 func (c *Collector) OnDump(fn func(t *Trace, tree string)) {

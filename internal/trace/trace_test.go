@@ -121,7 +121,7 @@ func TestSpanCapDropsExcess(t *testing.T) {
 
 func TestFlightRecorderEvictionAndDump(t *testing.T) {
 	c, _ := newTestCollector()
-	c.SetFlightCapacity(2)
+	c.capacity = 2
 	var dumped []string
 	c.OnDump(func(tr *Trace, tree string) {
 		dumped = append(dumped, tree)

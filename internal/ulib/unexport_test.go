@@ -17,7 +17,7 @@ func TestUnexportStopsNewCalls(t *testing.T) {
 	ra.Stack.Spawn("client", func(p *kern.Proc) {
 		p.SP.Sleep(100 * time.Millisecond)
 		// First call succeeds.
-		r1 := testbed.OpenAndUse(ra, p, "ucb.rt", "flaky", 7000, "", 0, nil)
+		r1 := testbed.OpenAndUseFrames(ra, p, "ucb.rt", "flaky", 7000, "", 0, 0, nil)
 		firstErr = r1.Err
 		p.SP.Sleep(100 * time.Millisecond)
 		// The server withdraws the registration (it can do this from

@@ -46,7 +46,7 @@ func BenchmarkCellSwitching(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// 32-cell frames, and the last cell ends one too.
-		c.PTI = atm.PTIUserData0
+		c.PTI = 0
 		if i%32 == 31 || i == b.N-1 {
 			c.PTI = atm.PTIUserData1
 		}

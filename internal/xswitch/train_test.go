@@ -385,7 +385,7 @@ func setupClassVCs(t *testing.T, f *Fabric, from atm.Addr, to ...atm.Addr) [3]*V
 // cellOn makes a cell on vc; every fifth ends a frame, so watches and
 // plain pulls both carry cells in every scenario.
 func cellOn(vc *VC, seq byte) atm.Cell {
-	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI, PTI: atm.PTIUserData0}}
+	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
 	if seq%5 == 4 {
 		c.PTI = atm.PTIUserData1
 	}

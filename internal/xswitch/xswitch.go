@@ -69,7 +69,6 @@ const perHopSetupCost = 500 * time.Microsecond
 var (
 	ErrNoPath     = errors.New("xswitch: no path between endpoints")
 	ErrNoVCI      = errors.New("xswitch: VCI space exhausted on link")
-	ErrUnknownVC  = errors.New("xswitch: unknown virtual circuit")
 	ErrDupName    = errors.New("xswitch: duplicate element name")
 	ErrNotRunning = errors.New("xswitch: element not attached")
 	// ErrCrossShard reports a runtime SetupVC whose path would leave the
@@ -741,9 +740,6 @@ type Switch struct {
 
 func (s *Switch) domainOf() *domain { return &s.dom }
 
-// Eng returns the engine this switch's events run on.
-func (s *Switch) Eng() *sim.Engine { return s.dom.eng }
-
 // SetFaults overrides the fabric-wide fault plane for trunks this
 // switch originates (nil restores the fabric-wide plane). Sharded
 // testbeds give each domain its own seeded plane.
@@ -778,9 +774,6 @@ type Endpoint struct {
 }
 
 func (ep *Endpoint) domainOf() *domain { return &ep.dom }
-
-// Eng returns the engine this endpoint's events run on.
-func (ep *Endpoint) Eng() *sim.Engine { return ep.dom.eng }
 
 // SetFaults overrides the fabric-wide fault plane for this endpoint's
 // uplink transmissions.
@@ -1257,10 +1250,6 @@ func (vc *VC) Release() {
 	delete(vc.space.vcs, vc.id)
 }
 
-// Hops reports the number of trunks the circuit crosses (the paper's
-// testbed path is "three hop (two switch)").
-func (vc *VC) Hops() int { return len(vc.hops) }
-
 // ActiveVCs reports the number of established circuits across every
 // shard's namespace. During a sharded run this is a report-boundary
 // read; mid-run it is only exact for the caller's own shard.
@@ -1287,15 +1276,6 @@ func (f *Fabric) TrunkStats() (sent, dropped uint64) {
 type ClassCellStats struct {
 	Sent    [3]uint64
 	Dropped [3]uint64
-}
-
-// LossRate reports the drop fraction for one class (0 when idle).
-func (s ClassCellStats) LossRate(c qos.Class) float64 {
-	total := s.Sent[c] + s.Dropped[c]
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Dropped[c]) / float64(total)
 }
 
 // RegisterTSeries tracks in st the congestion signals of every trunk

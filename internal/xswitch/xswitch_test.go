@@ -507,7 +507,7 @@ func TestInteriorTrunkCycleAllocs(t *testing.T) {
 	c := atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}}
 	got := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 30; i++ {
-			c.PTI = atm.PTIUserData0
+			c.PTI = 0
 			if i == 29 {
 				c.PTI = atm.PTIUserData1
 			}
