@@ -26,13 +26,15 @@ test:
 # the ones a stray cross-goroutine touch would break. So do the frame
 # path's chain owners, whose chains the race build poisons on Release.
 # The third line repeats the client library's tests over both of its
-# transports, and the real peers' chaos call: the notify mux hands
-# connections between goroutines, and both scrape the daemons'
-# registries off their actors while calls run.
+# transports, the real peers' chaos call, and the Env contract table
+# over both envs with the actor's own-inbox test: the notify mux hands
+# connections between goroutines, both scrape the daemons' registries
+# off their actors while calls run, and a real timer fires on a runtime
+# goroutine into a record the actor recycles.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/
-	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos' ./internal/signaling/
+	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.

@@ -33,7 +33,6 @@ type peerCalls struct {
 type bindWait struct {
 	sh       *Sighost
 	c        *call
-	gen      uint32 // c.gen at arm time
 	vci      atm.VCI
 	cancel   CancelFunc
 	deadline time.Duration
@@ -196,7 +195,7 @@ func (sh *Sighost) newBindWait(c *call, vci atm.VCI, deadline time.Duration) *bi
 	} else {
 		sh.bwPool = bw.next
 	}
-	bw.c, bw.gen, bw.vci, bw.deadline, bw.next = c, c.gen, vci, deadline, nil
+	bw.c, bw.vci, bw.deadline, bw.next = c, vci, deadline, nil
 	bw.cancel = sh.env.After(deadline-sh.env.Now(), "bind.timeout", bw.fire)
 	return bw
 }

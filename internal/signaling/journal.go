@@ -338,12 +338,10 @@ func (sh *Sighost) Crash() {
 	if sh.rel != nil {
 		for _, lk := range sh.rel.links {
 			for _, pm := range lk.unacked {
+				// Orphan rather than pool: map order is nondeterministic.
 				if pm.cancel != nil {
 					pm.cancel()
 				}
-				// Orphan rather than pool (map order is nondeterministic);
-				// a straggling timer finds no host and returns.
-				pm.sh, pm.lk = nil, nil
 			}
 			if lk.kaCancel != nil {
 				lk.kaCancel()

@@ -52,7 +52,7 @@ func DefaultRelConfig() RelConfig {
 // retransmission replays the same frame. Structs are pooled; the
 // cancel-before-free discipline (every drop path cancels the timer
 // first, except the fire path itself) keeps stale timers off recycled
-// structs, and the unacked identity check backstops it.
+// structs, since a canceled timer never runs.
 type pendingMsg struct {
 	m        sigmsg.Msg
 	raw      []byte // cached wire encoding; survives pool recycling
@@ -274,13 +274,7 @@ func (sh *Sighost) armRetransmit(lk *peerLink, pm *pendingMsg) {
 // spent, otherwise replay the cached frame and re-arm.
 func (pm *pendingMsg) fireNow() {
 	sh, lk := pm.sh, pm.lk
-	if sh == nil || lk == nil {
-		return // dropped while the timer was in flight
-	}
 	defer sh.jflush() // timer fires are dispatches of their own
-	if cur, live := lk.unacked[pm.m.Seq]; !live || cur != pm {
-		return // acked (or link reset) while the timer was in flight
-	}
 	if pm.attempts >= sh.rel.cfg.MaxRetries {
 		addr, m := lk.addr, pm.m
 		sh.rel.dropPending(lk, pm) // recycles pm: only the locals are safe now
@@ -454,7 +448,6 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 		if pm.cancel != nil {
 			pm.cancel()
 		}
-		pm.sh, pm.lk = nil, nil
 	}
 	// Discard rather than pool: feeding the pool in map-iteration order
 	// would make subsequent struct reuse nondeterministic.

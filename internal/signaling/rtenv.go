@@ -19,6 +19,7 @@ import (
 	"xunet/internal/qos"
 	"xunet/internal/rtnet"
 	"xunet/internal/sigmsg"
+	"xunet/internal/sim"
 	"xunet/internal/trace"
 )
 
@@ -28,13 +29,18 @@ import (
 // pool and an admission-control book (a standalone signaling entity has
 // no ATM fabric or peer PVC mesh; DESIGN.md §2 records the
 // substitution). The actor discipline is preserved: one goroutine runs
-// every handler, fed by a channel of closures.
+// every handler, taking typed inputs off a channel and running each
+// through the same dispatch as SimHost.
 type RealHost struct {
 	SH   *Sighost
 	Addr atm.Addr
 
-	ln      net.Listener
-	inbox   chan inboxItem
+	ln    net.Listener
+	inbox chan input
+	// own holds the inputs the actor makes for itself (a local call's
+	// loopback peer messages). The actor drains it before its next
+	// receive, so it never waits on its own inbox.
+	own     sim.Ring[input]
 	wg      sync.WaitGroup
 	quit    chan struct{}
 	started time.Time
@@ -138,7 +144,7 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	h := &RealHost{
 		Addr:    addr,
 		ln:      ln,
-		inbox:   make(chan inboxItem, 256),
+		inbox:   make(chan input, 256),
 		quit:    make(chan struct{}),
 		started: time.Now(),
 		vcis:    atm.NewVCIAlloc(32),
@@ -151,6 +157,7 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 		DialBackoff:  250 * time.Millisecond,
 	}
 	env := &realEnv{h: h}
+	env.timers.put = h.put
 	// Real time passes by itself; the cost model charges nothing.
 	h.SH = New(env, CostModel{BindTimeout: 30 * time.Second})
 	// A live daemon keeps its event ring populated so MGMT_TRACE (and
@@ -158,31 +165,42 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	h.SH.Obs.EnableTrace("sighost", true)
 	// Causal call tracing over the wall clock, so `xunetstat trace
 	// <callid>` and `xunetstat flight` work against a live daemon. The
-	// collector's mutex makes this safe even though timers and the actor
-	// run on different goroutines.
+	// collector has its own mutex, so it may also be read off the actor.
 	tc := trace.NewCollector(env.Now)
 	tc.SetEnabled(true)
 	h.SH.TraceC = tc
 	h.m = newFrontMetrics(h.SH.Obs)
 
-	// Actor. Each handler runs to completion, then the peer carrier
+	// Actor. Each input runs to completion, then the peer carrier
 	// flushes once — the dispatch-boundary discipline the journal uses
 	// for jflush, applied to the tx coalescer: every frame a handler
 	// queued rides out in at most one sendmmsg per peer.
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
+		var in input
 		for {
-			select {
-			case it := <-h.inbox:
-				h.m.inboxDepth.Set(int64(len(h.inbox)))
-				h.m.inboxWait.Observe(time.Since(h.started) - it.at)
-				it.fn()
-				if car := h.carrier.Load(); car != nil {
-					car.Flush()
+			// The actor's own inputs first, then the channel's.
+			if h.own.Len() > 0 {
+				in = h.own.Pop()
+			} else {
+				select {
+				case in = <-h.inbox:
+					h.m.inboxDepth.Set(int64(len(h.inbox)))
+					h.m.inboxWait.Observe(time.Since(h.started) - in.at)
+				case <-h.quit:
+					return
 				}
-			case <-h.quit:
-				return
+			}
+			if in.kind == inApp {
+				// realConn.Close reads the application's last frame kind.
+				if c, ok := in.conn.(*realConn); ok {
+					c.lastRx = in.msg.Kind
+				}
+			}
+			h.SH.dispatch(&in)
+			if car := h.carrier.Load(); car != nil {
+				car.Flush()
 			}
 		}
 	}()
@@ -257,24 +275,24 @@ func (h *RealHost) EnablePeerNet(cfg PeerNetConfig) error {
 	if h.carrier.Load() != nil {
 		return errors.New("signaling: peer net already enabled")
 	}
-	// The decoder and message are owned by the carrier's receive pump:
+	// The decoder and input are owned by the carrier's receive pump:
 	// OnSig runs only there, and DecodeInto copies out of the rx buffer
-	// (interned strings, no aliasing), so posting a copy of m into the
-	// actor is race-free.
+	// (interned strings, no aliasing), so handing the actor a copy of in
+	// is race-free.
 	var dec sigmsg.Decoder
-	var m sigmsg.Msg
+	in := input{kind: inPeer}
 	car, err := rtnet.New(rtnet.Config{
 		Listen:    cfg.Listen,
 		Batch:     cfg.Batch,
 		Unbatched: cfg.Unbatched,
 		Obs:       h.SH.Obs,
 		OnSig: func(from *rtnet.Peer, frame []byte) {
-			if err := dec.DecodeInto(&m, frame); err != nil {
+			if err := dec.DecodeInto(&in.msg, frame); err != nil {
 				h.SH.Obs.Counter("rtnet.rx.decode_err").Inc()
 				return
 			}
-			src, msg := atm.Addr(from.Name()), m
-			h.post(func() { h.SH.HandlePeer(src, msg) })
+			in.peer = atm.Addr(from.Name())
+			h.put(in)
 		},
 		OnData: cfg.OnData,
 	})
@@ -337,7 +355,7 @@ func (h *RealHost) SetPeerAddr(addr atm.Addr, udp string) error {
 // if the host is closed.
 func (h *RealHost) Do(fn func()) {
 	done := make(chan struct{})
-	h.post(func() { fn(); close(done) })
+	h.put(input{fn: func() { fn(); close(done) }})
 	select {
 	case <-done:
 	case <-h.quit:
@@ -388,24 +406,19 @@ func (h *RealHost) sendPeerFrame(p *rtnet.Peer, m *sigmsg.Msg, frame []byte) err
 	return p.SendSig(frame)
 }
 
-// inboxItem is one closure queued for the actor, stamped with its post
-// time so the actor can meter how long it waited.
-type inboxItem struct {
-	fn func()
-	at time.Duration // since h.started
-}
-
-// post runs fn in actor context (dropped after Close).
-func (h *RealHost) post(fn func()) {
+// put queues in for the actor, stamped with its queueing time so the
+// actor can meter how long it waited (dropped after Close).
+func (h *RealHost) put(in input) {
+	in.at = time.Since(h.started)
 	select {
-	case h.inbox <- inboxItem{fn: fn, at: time.Since(h.started)}:
+	case h.inbox <- in:
 	case <-h.quit:
 	}
 }
 
 // frontMetrics counts the application front from the daemon's own
 // registry: how many TCP connections a setup costs (none, warm) and how
-// long closures wait in the actor's inbox.
+// long inputs wait in the actor's inbox.
 type frontMetrics struct {
 	accepted   *obs.Counter   // rtenv.app_conns.accepted: connections accepted on the RPC listener
 	open       *obs.Gauge     // rtenv.app_conns.open: open connections to applications, accepted or dialed
@@ -413,8 +426,8 @@ type frontMetrics struct {
 	reused     *obs.Counter   // rtenv.notify.reused: notifications sent on an idle connection
 	evicted    *obs.Counter   // rtenv.notify.evicted: idle connections the application closed
 	idleConns  *obs.Gauge     // rtenv.notify.idle: idle set size
-	inboxDepth *obs.Gauge     // rtenv.inbox.depth: closures still queued at each dispatch
-	inboxWait  *obs.Histogram // rtenv.inbox.wait: post to run
+	inboxDepth *obs.Gauge     // rtenv.inbox.depth: inputs still queued at each dispatch
+	inboxWait  *obs.Histogram // rtenv.inbox.wait: queued to run
 }
 
 func newFrontMetrics(r *obs.Registry) frontMetrics {
@@ -439,25 +452,23 @@ func (h *RealHost) serveConn(conn net.Conn) {
 	}
 	h.m.accepted.Inc()
 	c := &realConn{h: h, c: conn}
-	from := ipOf(conn.RemoteAddr())
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		defer h.untrack(conn)
 		defer conn.Close()
 		var dec sigmsg.Decoder
-		var m sigmsg.Msg
+		in := input{kind: inApp, conn: c, ip: ipOf(conn.RemoteAddr())}
 		var buf []byte
 		for {
 			var err error
 			if buf, err = readFrameInto(conn, buf); err != nil {
 				return
 			}
-			if err := dec.DecodeInto(&m, buf); err != nil {
+			if err := dec.DecodeInto(&in.msg, buf); err != nil {
 				continue
 			}
-			msg := m
-			h.post(func() { h.SH.HandleApp(c, from, msg) })
+			h.put(in)
 		}
 	}()
 }
@@ -518,8 +529,9 @@ const maxIdleNotify = 32
 // outlives the exchange it was dialed for: Close returns it to the
 // host's idle set when the exchange on it is complete, and the next Dial
 // for the same endpoint takes it from there. lastTx, lastRx and reused
-// belong to the actor (Send, Close and the pump's posted closures all
-// run there); the rest is shared with the pump under mu.
+// belong to the actor (Send and Close run there, and the actor records
+// lastRx as it takes each of the pump's frames); the rest is shared with
+// the pump under mu.
 type realConn struct {
 	h   *RealHost
 	mu  sync.Mutex
@@ -648,7 +660,8 @@ type realEnv struct {
 	// txBuf is SendPeer's encode scratch. SendPeer runs only in actor
 	// context (state-machine actions and their timers), so one buffer
 	// suffices; the carrier copies out of it before returning.
-	txBuf []byte
+	txBuf  []byte
+	timers timers // recycled After records
 }
 
 func (e *realEnv) Addr() atm.Addr         { return e.h.Addr }
@@ -657,9 +670,16 @@ func (e *realEnv) Charge(d time.Duration) {} // real time passes on its own
 func (e *realEnv) Rand16() uint16         { return uint16(rand.Uint32()) }
 func (e *realEnv) Now() time.Duration     { return time.Since(e.h.started) }
 
+// After arms a recycled record: its runtime timer is made once, with the
+// firing bound to the record, and Reset on every later arm.
 func (e *realEnv) After(d time.Duration, what string, fn func()) CancelFunc {
-	t := time.AfterFunc(d, func() { e.h.post(fn) })
-	return func() { t.Stop() }
+	t := e.timers.get(fn)
+	if t.rt == nil {
+		t.rt = time.AfterFunc(d, t.fired)
+	} else {
+		t.rt.Reset(d)
+	}
+	return t.cancelFunc()
 }
 
 // SendPeer encodes into the env scratch and sends that frame.
@@ -668,15 +688,16 @@ func (e *realEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 	return e.SendPeerRaw(dst, m, e.txBuf)
 }
 
-// SendPeerRaw delivers to the local loopback in-process; remote
-// destinations ride the batched carrier, and the reliability layer's
-// retransmits hit the wire from the frame encoded at first
-// transmission, exactly as in the simulation. Without EnablePeerNet the
+// SendPeerRaw delivers to the local loopback through the actor's own
+// queue (it runs in actor context); remote destinations ride the
+// batched carrier, and the reliability layer's retransmits hit the wire
+// from the frame encoded at first transmission, exactly as in the
+// simulation. Without EnablePeerNet the
 // standalone daemon still has no peers and remote destinations fail as
 // before.
 func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Addr {
-		e.h.post(func() { e.h.SH.HandlePeer(dst, m) })
+		e.h.own.Push(input{kind: inPeer, peer: dst, msg: m})
 		return nil
 	}
 	p := e.h.peerFor(dst)
@@ -691,7 +712,7 @@ func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 
 // Dial hands the state machine a connection to an application's notify
 // port: an idle one when the endpoint has one (cb runs before Dial
-// returns), a fresh one otherwise (cb is posted when the dial ends).
+// returns), a fresh one otherwise (cb is queued when the dial ends).
 func (e *realEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 	h := e.h
 	k := notifyKey{ip: ip, port: port}
@@ -706,7 +727,7 @@ func (e *realEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 		defer h.wg.Done()
 		conn, err := h.dialNotify(k)
 		if err != nil {
-			h.post(func() { cb(nil, err) })
+			h.put(input{kind: inDialed, dialed: cb, err: err})
 			return
 		}
 		if !h.track(conn) {
@@ -714,7 +735,7 @@ func (e *realEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 			return
 		}
 		c := &realConn{h: h, c: conn, key: k}
-		h.post(func() { cb(c, nil) })
+		h.put(input{kind: inDialed, dialed: cb, conn: c})
 		h.pumpNotify(c, conn)
 	}()
 }
@@ -749,7 +770,7 @@ func (h *RealHost) dialNotify(k notifyKey) (net.Conn, error) {
 // the actor for as long as the connection lives, idle or handed out.
 func (h *RealHost) pumpNotify(c *realConn, conn net.Conn) {
 	var dec sigmsg.Decoder
-	var m sigmsg.Msg
+	in := input{kind: inApp, conn: c, ip: c.key.ip}
 	var buf []byte
 	for {
 		var err error
@@ -763,14 +784,10 @@ func (h *RealHost) pumpNotify(c *realConn, conn net.Conn) {
 		c.mu.Lock()
 		c.retry = c.retry[:0] // answered
 		c.mu.Unlock()
-		if derr := dec.DecodeInto(&m, buf); derr != nil {
+		if derr := dec.DecodeInto(&in.msg, buf); derr != nil {
 			continue
 		}
-		msg := m
-		h.post(func() {
-			c.lastRx = msg.Kind
-			h.SH.HandleApp(c, c.key.ip, msg)
-		})
+		h.put(in)
 	}
 }
 
@@ -829,9 +846,8 @@ func (c *realConn) resend(frame []byte) net.Conn {
 		}
 	}
 	if m, derr := sigmsg.Decode(frame[4:]); derr == nil && m.Kind == sigmsg.KindIncomingConn {
-		h.post(func() {
-			h.SH.HandleApp(c, c.key.ip, sigmsg.Msg{Kind: sigmsg.KindRejectConn, Cookie: m.Cookie, Reason: "server unreachable"})
-		})
+		h.put(input{kind: inApp, conn: c, ip: c.key.ip,
+			msg: sigmsg.Msg{Kind: sigmsg.KindRejectConn, Cookie: m.Cookie, Reason: "server unreachable"}})
 	}
 	return nil
 }

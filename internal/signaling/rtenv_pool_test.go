@@ -36,7 +36,7 @@ func notifyApp(t *testing.T) (port uint16, accepted <-chan net.Conn) {
 func dialInActor(t *testing.T, h *RealHost, port uint16) *realConn {
 	t.Helper()
 	got := make(chan Conn, 1)
-	h.post(func() {
+	h.Do(func() {
 		h.SH.env.Dial(memnet.IP4(127, 0, 0, 1), port, func(c Conn, err error) {
 			if err != nil {
 				t.Error(err)

@@ -53,9 +53,11 @@ type VCHandle struct {
 // CancelFunc cancels a pending timer.
 type CancelFunc func()
 
-// Env is everything sighost needs from its surroundings. Callbacks
-// (After, Dial results, message deliveries) must run serialized with
-// the handler methods — the actor discipline.
+// Env is everything sighost needs from its surroundings. An Env only
+// produces inputs (actor.go): messages, kernel indications, timer
+// firings and Dial results go into its actor's inbox, and one dispatch
+// runs each, so callbacks run serialized with the handler methods — the
+// actor discipline.
 type Env interface {
 	// Addr is this signaling entity's ATM address.
 	Addr() atm.Addr
@@ -65,10 +67,11 @@ type Env interface {
 	// Charge accounts busy time (context switches, per-call logging,
 	// switch programming) against the signaling entity.
 	Charge(d time.Duration)
-	// After schedules fn in actor context after d. what names the
-	// timer's purpose ("rel.rto", "rel.keepalive", "bind.timeout") for
-	// execution-profiler attribution; environments without a profiler
-	// ignore it.
+	// After schedules fn in actor context after d. Once canceled, fn
+	// never runs, even if d has passed and its firing waits in the
+	// inbox. what names the timer's purpose ("rel.rto", "rel.keepalive",
+	// "bind.timeout") for execution-profiler attribution; environments
+	// without a profiler ignore it.
 	After(d time.Duration, what string, fn func()) CancelFunc
 	// SendPeer delivers a message to the signaling entity at dst over
 	// the signaling PVC mesh. dst may equal Addr (local call loopback).
@@ -908,14 +911,13 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	sh.TraceC.Record(c.tcRoot, "sighost", "dest.deliver", doneAt, c.estAt)
 }
 
-// fireNow is the wait_for_bind timeout. Nothing reads the entry after
-// end, which recycles both it and the call.
+// fireNow is the wait_for_bind timeout. Every path that frees the entry
+// cancels its timer first, and a canceled timer never runs, so the entry
+// is still the call's. Nothing reads it after end, which recycles both
+// it and the call.
 func (bw *bindWait) fireNow() {
 	sh := bw.sh
 	defer sh.jflush() // timer fires are dispatches of their own
-	if cur, ok := sh.waitBind[bw.vci]; !ok || cur != bw || bw.c.gen != bw.gen {
-		return
-	}
 	// Fire lag: how far past its nominal deadline the timer ran
 	// (always 0 in the sim; real daemons see scheduler jitter).
 	sh.h.bindTimerLag.Observe(sh.env.Now() - bw.deadline)

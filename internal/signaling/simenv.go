@@ -46,57 +46,6 @@ type SimHost struct {
 	dec sigmsg.Decoder
 }
 
-// input is one entry of the actor's inbox. It travels by value in the
-// queue's ring, so handing the actor a message allocates nothing.
-type input struct {
-	kind   inputKind
-	conn   Conn              // inApp: the connection the message arrived on
-	ip     memnet.IPAddr     // inApp, inKernel: the sending machine
-	peer   atm.Addr          // inPeer: the sending sighost
-	msg    sigmsg.Msg        // inApp, inPeer
-	kmsg   kern.KMsg         // inKernel
-	waiter *sim.Proc         // inKernel: reader to release once handled
-	fn     func()            // inFunc
-	timer  *simTimer         // inTimer
-	dialed func(Conn, error) // inDialed: Dial's callback, given conn and err
-	err    error
-}
-
-type inputKind uint8
-
-const (
-	inFunc inputKind = iota
-	inApp
-	inPeer
-	inKernel
-	inTimer
-	inDialed
-)
-
-// dispatch runs one input in actor context.
-func (h *SimHost) dispatch(in *input) {
-	switch in.kind {
-	case inApp:
-		h.SH.HandleApp(in.conn, in.ip, in.msg)
-	case inPeer:
-		h.SH.HandlePeer(in.peer, in.msg)
-	case inKernel:
-		h.SH.HandleKernel(in.ip, in.kmsg)
-		if in.waiter != nil {
-			in.waiter.Unpark()
-		}
-	case inTimer:
-		// Released first: fn may arm its successor on the same record.
-		if fn := in.timer.release(); fn != nil {
-			fn()
-		}
-	case inDialed:
-		in.dialed(in.conn, in.err)
-	default:
-		in.fn()
-	}
-}
-
 // pump feeds messages arriving on an IPC connection into the actor
 // until the peer closes.
 func (h *SimHost) pump(p *sim.Proc, conn *simConn, from memnet.IPAddr) {
@@ -144,6 +93,7 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 		peers:  make(map[atm.Addr]*pfxunet.Socket),
 	}
 	h.env = &simEnv{h: h, dialName: stack.M.Name + "/sighost-dial"}
+	h.env.timers.put = func(in input) { h.inbox.Put(in) }
 	// Share the machine's registry so sighost metrics land next to the
 	// kernel and device metrics in one mgmt-visible snapshot.
 	h.SH = NewWithObs(h.env, CostModel{
@@ -165,7 +115,10 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 			if !ok {
 				return
 			}
-			h.dispatch(&in)
+			h.SH.dispatch(&in)
+			if in.waiter != nil {
+				in.waiter.Unpark()
+			}
 		}
 	})
 
@@ -294,8 +247,8 @@ func (c *simConn) Close()                  { c.s.Close() }
 // simEnv implements Env on the simulation.
 type simEnv struct {
 	h        *SimHost
-	dialName string    // name of the procs Dial spawns
-	timers   *simTimer // recycled After records
+	dialName string // name of the procs Dial spawns
+	timers   timers // recycled After records
 	// txBuf is the encode scratch for actor-context sends; every
 	// consumer copies the frame synchronously, so one buffer serves all.
 	txBuf []byte
@@ -323,62 +276,14 @@ func (e *simEnv) Charge(d time.Duration) {
 	}
 }
 
-// simTimer is one armed After: when its event fires it goes through
-// the inbox like any other input, and the actor runs fn unless the timer
-// was canceled in between. Records are recycled through simEnv.timers,
-// at the one point each timer ends: its cancel stopping the event, or
-// the actor taking its firing off the inbox. gen moves on there, so a
-// CancelFunc kept past that point does nothing to the record's next user.
-type simTimer struct {
-	h        *SimHost
-	fn       func()
-	t        sim.Timer
-	gen      uint32
-	canceled bool
-	next     *simTimer // free-list link
-}
-
 func (e *simEnv) After(d time.Duration, what string, fn func()) CancelFunc {
-	st := e.timers
-	if st != nil {
-		e.timers, st.next = st.next, nil
-	} else {
-		st = &simTimer{h: e.h}
-	}
-	st.fn, st.canceled = fn, false
+	t := e.timers.get(fn)
 	eng := e.h.Stack.M.E
-	st.t = eng.ScheduleArgL(d, e.timerLabel(eng, what), simTimerFire, st)
-	gen := st.gen
-	return func() { st.cancel(gen) }
+	t.ev = eng.ScheduleArgL(d, e.timerLabel(eng, what), simTimerFire, t)
+	return t.cancelFunc()
 }
 
-func simTimerFire(arg any) {
-	st := arg.(*simTimer)
-	st.h.inbox.Put(input{kind: inTimer, timer: st})
-}
-
-func (st *simTimer) cancel(gen uint32) {
-	if st.gen != gen {
-		return
-	}
-	st.canceled = true
-	if st.t.Stop() {
-		st.release()
-	}
-}
-
-// release returns the record to its env's free list and reports what
-// the actor should run, nil if the timer was canceled.
-func (st *simTimer) release() (fn func()) {
-	if !st.canceled {
-		fn = st.fn
-	}
-	st.fn = nil
-	st.gen++
-	env := st.h.env
-	st.next, env.timers = env.timers, st
-	return fn
-}
+func simTimerFire(arg any) { arg.(*timer).fired() }
 
 // timerLabel resolves the profiler label for a sighost timer class
 // ("rel.rto", "rel.keepalive", "bind.timeout" → "sighost.<what>").
