@@ -95,6 +95,12 @@ func (why cause) ending() *ending {
 	return &endings[why.code]
 }
 
+// rejects reports whether a SETUP_REJ, sent or heard, answers the call
+// why ends: that ends its state's span, which a teardown leaves open.
+func (why cause) rejects() bool {
+	return why.via == sigmsg.KindSetupRej || why.ending().peer == sigmsg.KindSetupRej
+}
+
 // An ending is what a cause does to the call it ends; end applies it.
 type ending struct {
 	text   string      // the cause's name
@@ -148,25 +154,56 @@ type Transition struct {
 	At    time.Duration // env.Now
 }
 
-// publish derives everything a transition means outside the lists from
-// its record (DESIGN.md §12 has the table): the lifecycle counters, the
-// bind.ok, bind.fire and teardown events, and the hook. Only a cause
-// this sighost decides is a bind timeout or a restart; a rebuilt call
-// Recover ends while it holds a VCI had its bind deadline pass in the
-// outage. The recovery counters stay lazy: a run without a crash never
-// lists them.
-func (sh *Sighost) publish(tr Transition) {
+// stages says what each state means beyond its list (DESIGN.md §12 has
+// the table): its name in the MGMT calls view, the lifecycle span a call
+// holds open in it, and the histogram of how long a call stays in it
+// before it moves on (a call that ends there is not measured).
+var stages = [...]struct{ name, span, hist string }{
+	callNew:         {name: "new"},
+	callRequested:   {name: "requested", span: "process", hist: "sighost.setup.process"},
+	callSetupSent:   {name: "setup_sent", span: "peer", hist: "sighost.setup.peer"},
+	callProgramming: {name: "programming", span: "program", hist: "sighost.setup.program"},
+	callWaitServer:  {name: "wait_server", span: "dest.accept"},
+	callAccepted:    {name: "accepted"},
+	callEstablished: {name: "established", span: "wait_bind", hist: "sighost.bind.latency"},
+	callBound:       {name: "bound"},
+	callReleased:    {name: "released"},
+}
+
+// publish derives everything a transition means outside the lists and
+// spans from its record (DESIGN.md §12 has the table): the lifecycle
+// counters, the bind.ok, bind.fire and teardown events, the stage
+// histograms, and the hook. Only a cause this sighost decides is a bind
+// timeout or a restart; a rebuilt call Recover ends while it holds a VCI
+// had its bind deadline pass in the outage. The recovery counters stay
+// lazy: a run without a crash never lists them.
+func (sh *Sighost) publish(c *call, tr Transition) {
 	rebuilt := tr.Cause == restarted
+	at := tr.At // when the call enters tr.To
+	if rebuilt {
+		at = -1 // in the outage: nothing measures the state
+	}
+	if h := sh.h.stage[tr.From]; h != nil && tr.To != callReleased && c.at >= 0 {
+		h.Observe(tr.At - c.at)
+	}
 	switch tr.To {
-	case callSetupSent:
-		if !rebuilt {
-			sh.ct.callsRequested.Inc()
-		}
+	case callRequested:
+		sh.ct.callsRequested.Inc()
 	case callEstablished:
-		if rebuilt {
+		switch {
+		case rebuilt:
 			sh.Obs.Counter("sighost.recovered.wait_bind").Inc()
-		} else {
+		case tr.Call.origin:
 			sh.ct.callsEstablished.Inc()
+			sh.h.setupTotal.Observe(at - c.opened)
+		default:
+			// The destination's grant is published once VCI_FOR_CONN has
+			// reached the server, after its context switch: that delivery
+			// is a span of its own, and the state is entered now.
+			sh.ct.callsEstablished.Inc()
+			at = sh.env.Now()
+			sh.TraceC.Record(c.tcRoot, "sighost", "dest.deliver", tr.At, at)
+			sh.h.acceptTotal.Observe(at - c.opened)
 		}
 	case callBound:
 		if rebuilt {
@@ -198,6 +235,10 @@ func (sh *Sighost) publish(tr Transition) {
 			}
 		}
 	}
+	if tr.From == callNew {
+		c.opened = at
+	}
+	c.at = at
 	sh.handOff(tr)
 }
 

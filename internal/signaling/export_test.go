@@ -3,9 +3,11 @@ package signaling
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"xunet/internal/atm"
 	"xunet/internal/rtnet"
+	"xunet/internal/trace"
 )
 
 // PeerFor returns the carrier peer that signaling for dst goes to.
@@ -23,8 +25,17 @@ type Chains struct {
 	open    map[callKey]callState // each open chain's last To
 	lost    map[callKey]bool      // chains a crash closed
 	errs    []error
-	Records int // records seen
-	Rebuilt int // chains Recover opened
+	log     []stamped // every record, in order
+	Records int       // records seen
+	Rebuilt int       // chains Recover opened
+}
+
+// stamped is a record, the instant it was published, and whether its
+// call's trace was still open then.
+type stamped struct {
+	Transition
+	pub  time.Duration
+	live bool
 }
 
 // WatchChains sets sh's hook to a new Chains.
@@ -36,6 +47,8 @@ func WatchChains(sh *Sighost) *Chains {
 
 func (ch *Chains) add(tr Transition) {
 	ch.Records++
+	t, ok := ch.sh.TraceC.ByCall(tr.Call.id)
+	ch.log = append(ch.log, stamped{tr, ch.sh.env.Now(), ok && t.Status == ""})
 	if ch.sh.epochGen != ch.inc { // crashed and recovered since the last record
 		ch.inc = ch.sh.epochGen
 		for k := range ch.open {
@@ -113,4 +126,112 @@ func (ch *Chains) Err() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// SpanErr checks that each lifecycle span of the finished trace t is a
+// state of its call (DESIGN.md §12), against the records chains saw. A
+// span starts at the At of the record that entered its state (for the
+// root and call.setup, callRequested), and ends at the At of the record
+// that left it: for call.setup the one entering callEstablished, and
+// for dest.deliver the instant the destination's grant was published. A
+// state the call ends in (unless a SETUP_REJ answers it), one a crash
+// cuts short, or one left once the trace has finished leaves its span
+// Open. The root ends as the origin's call leaves its
+// lists, a teardown's logging charge after its Released record. seen
+// counts the spans checked by name, and the Open ones as "open".
+func SpanErr(t *trace.Trace, seen map[string]int, chains ...*Chains) error {
+	enters := map[string]callState{"call.setup": callRequested, "dest.deliver": callEstablished}
+	for s, st := range stages {
+		if st.span != "" {
+			enters[st.span] = callState(s)
+		}
+	}
+	var errs []error
+	for _, sp := range t.Spans {
+		name := sp.Name
+		state, ok := enters[name]
+		if sp.Parent == 0 {
+			name, state, ok = "root", callRequested, true
+		}
+		if !ok {
+			continue
+		}
+		seen[name]++
+		if sp.Open {
+			seen["open"]++
+		}
+		fail := func(format string, args ...any) {
+			errs = append(errs, fmt.Errorf("trace %d (call %d): %s [%v, %v] open=%v: %s",
+				t.ID, t.CallID, name, sp.Start, sp.End, sp.Open, fmt.Sprintf(format, args...)))
+		}
+		ch, i := entered(chains, t.CallID, state, sp.Start, name == "dest.deliver")
+		if ch == nil {
+			fail("no record enters %s then", stages[state].name)
+			continue
+		}
+		var end time.Duration // where the span must end, if closed
+		closed := false
+		switch name {
+		case "root":
+			rel := ch.next(i, func(r *stamped) bool { return r.To == callReleased })
+			if rel == nil {
+				fail("the origin never released the call")
+				continue
+			}
+			end, closed = rel.At, true
+			if rel.Cause.ending().torn && ch.sh.cm.LoggingEnabled {
+				end += ch.sh.cm.TeardownLogging
+			}
+		case "dest.deliver":
+			end, closed = ch.log[i].pub, true
+		default:
+			r := ch.next(i, func(r *stamped) bool {
+				return name != "call.setup" || r.From == callProgramming || r.To == callReleased
+			})
+			if r != nil && r.live {
+				end, closed = r.At, r.To != callReleased || r.Cause.rejects()
+				if name == "call.setup" {
+					closed = r.To == callEstablished
+				}
+			}
+		}
+		switch {
+		case closed && sp.Open:
+			fail("left open, but its state ended at %v", end)
+		case closed && sp.End != end:
+			fail("its state ended at %v", end)
+		case !closed && !sp.Open:
+			fail("closed, but the call ended in its state, a crash cut it short, or the trace had finished")
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// entered finds the record of call id that entered state s at at (at
+// the destination, for dest), in one of chains' logs.
+func entered(chains []*Chains, id uint32, s callState, at time.Duration, dest bool) (*Chains, int) {
+	for _, ch := range chains {
+		for i, r := range ch.log {
+			if r.Call.id == id && r.To == s && r.At == at && r.Cause != restarted && !(dest && r.Call.origin) {
+				return ch, i
+			}
+		}
+	}
+	return nil, 0
+}
+
+// next returns the first record after log[i] on its chain that ok
+// accepts, or nil: none came, or a crash ended the chain first.
+func (ch *Chains) next(i int, ok func(*stamped) bool) *stamped {
+	for j := i + 1; j < len(ch.log); j++ {
+		r := &ch.log[j]
+		switch {
+		case r.Call != ch.log[i].Call:
+		case r.From == callNew:
+			return nil
+		case ok(r):
+			return r
+		}
+	}
+	return nil
 }

@@ -430,23 +430,22 @@ func (sh *Sighost) Recover() {
 		c.key = key
 		c.service, c.qosStr, c.cookie = st.open.service, st.open.qos, st.open.cookie
 		c.endIP, c.endPort = st.open.ip, st.open.port
-		c.reqAt = now
 		open := callWaitServer
 		if key.origin {
 			open = callSetupSent
 		}
-		sh.publish(sh.transition(c, open, restarted, 0))
+		sh.publish(c, sh.transition(c, open, restarted, 0))
 		if st.hasGrant {
 			c.localVCI, c.vc = st.grant.vci, st.grant.vc
 		}
 		switch {
 		case st.bound && st.hasGrant:
 			// Fully established and bound: restore VCI_mapping + cookie.
-			sh.publish(sh.transition(c, callBound, restarted, 0))
+			sh.publish(c, sh.transition(c, callBound, restarted, 0))
 		case st.hasGrant && st.grant.deadline > now:
 			// Granted but unbound: restore wait_for_bind with whatever
 			// allowance the call had left.
-			sh.publish(sh.transition(c, callEstablished, restarted, st.grant.deadline))
+			sh.publish(c, sh.transition(c, callEstablished, restarted, st.grant.deadline))
 		default:
 			// Mid-establishment, its handshake died with the process; or
 			// granted, its bind timer ran out during the outage.

@@ -81,8 +81,8 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 	case MgmtCalls:
 		var lines []string
 		for key, c := range sh.calls {
-			lines = append(lines, fmt.Sprintf("call=%d peer=%s origin=%v state=%d svc=%s vci=%d qos=%q",
-				key.id, key.peer, key.origin, c.state, c.service, c.localVCI, c.qosStr))
+			lines = append(lines, fmt.Sprintf("call=%d peer=%s origin=%v state=%s svc=%s vci=%d qos=%q",
+				key.id, key.peer, key.origin, stages[c.state].name, c.service, c.localVCI, c.qosStr))
 		}
 		sort.Strings(lines)
 		body = strings.Join(lines, "\n")

@@ -2,6 +2,7 @@ package signaling_test
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -252,22 +253,27 @@ func TestRealCancelOutstanding(t *testing.T) {
 	if reply.Kind != sigmsg.KindReqID {
 		t.Fatalf("reply = %v", reply.Kind)
 	}
+	// Poll through the management interface: the query runs in actor
+	// context, so it reads the lists without racing the handlers. The
+	// calls view names each view's state: the origin's SETUP is out, and
+	// the destination awaits its server.
+	poll := func(view string, want ...string) {
+		t.Helper()
+		var body string
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if body, err = c.Query(view); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(want, func(w string) bool { return !strings.Contains(body, w) }) {
+				return
+			}
+		}
+		t.Fatalf("%s view never read %q: %q", view, want, body)
+	}
+	poll(signaling.MgmtCalls, "origin=true state=setup_sent", "origin=false state=wait_server")
 	if err := c.CancelRequest(reply.Cookie); err != nil {
 		t.Fatal(err)
 	}
-	// State must drain. Poll through the management interface: the query
-	// runs in actor context, so it reads the lists without racing the
-	// teardown that the cancel set in motion.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		body, err := c.Query(signaling.MgmtLists)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(body, "outgoing_requests=0") && strings.Contains(body, "incoming_requests=0") {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("request state did not drain after cancel")
+	// State must drain.
+	poll(signaling.MgmtLists, "outgoing_requests=0", "incoming_requests=0")
 }

@@ -10,20 +10,18 @@ import (
 	"xunet/internal/ulib"
 )
 
-// TestChaosRecordChains runs the storm `xunetsim chaos` runs (seed 7,
-// fault cocktail 99, two crashes of the callee's signaling entity) with
-// both routers' transition records watched: per sighost and call, the
-// records form one chain from a new call to one release, a crash closes
-// the chains it interrupts and recovery reopens the calls it rebuilds,
-// and at quiescence every kept length equals its map's.
-func TestChaosRecordChains(t *testing.T) {
+// chaosStorm runs the storm `xunetsim chaos` runs (seed 7, fault
+// cocktail 99, two crashes of the callee's signaling entity) with both
+// routers' transition records watched, and returns the testbed and the
+// two routers' chains once it is quiescent.
+func chaosStorm(t *testing.T) (*testbed.Net, []*signaling.Chains) {
 	opts := testbed.Options{Seed: 7, DeviceBuffers: kern.FixedDeviceBuffers, FDTableSize: kern.FixedFDTableSize}
 	opts.Faults = testbed.ChaosCocktail(99)
 	n, ra, rb, err := testbed.NewTestbed(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	t.Cleanup(n.Close)
 	ha, err := n.AddHost("mh.h1", ra)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +46,15 @@ func TestChaosRecordChains(t *testing.T) {
 	n.E.Schedule(3*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
 	n.E.Schedule(12*time.Second, func() { rb.Sig.CrashFor(400 * time.Millisecond) })
 	n.RunUntil(n.E.Now() + 60*time.Second)
+	return n, chains
+}
 
+// TestChaosRecordChains: on the chaos storm, per sighost and call, the
+// records form one chain from a new call to one release, a crash closes
+// the chains it interrupts and recovery reopens the calls it rebuilds,
+// and at quiescence every kept length equals its map's.
+func TestChaosRecordChains(t *testing.T) {
+	_, chains := chaosStorm(t)
 	for i, ch := range chains {
 		if err := ch.Err(); err != nil {
 			t.Errorf("router %d: %v", i, err)
@@ -60,4 +66,24 @@ func TestChaosRecordChains(t *testing.T) {
 	if chains[1].Rebuilt == 0 {
 		t.Error("no crash interrupted a call: the storm no longer exercises recovery")
 	}
+}
+
+// TestSpansAreStates: on the same storm, every lifecycle span of every
+// finished trace starts at the record that entered its state and ends
+// at the record that left it (or, for dest.deliver, when the grant was
+// published), and a call torn down mid-state leaves its span Open.
+func TestSpansAreStates(t *testing.T) {
+	n, chains := chaosStorm(t)
+	seen := map[string]int{}
+	for _, tr := range n.TraceC.Completed() {
+		if err := signaling.SpanErr(tr, seen, chains...); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, name := range []string{"root", "call.setup", "process", "peer", "program", "dest.accept", "dest.deliver", "wait_bind", "open"} {
+		if seen[name] == 0 {
+			t.Errorf("no finished trace holds a %s span: the storm no longer reaches its state", name)
+		}
+	}
+	t.Logf("spans checked: %v", seen)
 }

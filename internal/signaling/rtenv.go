@@ -253,8 +253,6 @@ func (h *RealHost) Close() {
 type PeerNetConfig struct {
 	// Listen is the carrier's UDP listen address ("127.0.0.1:0").
 	Listen string
-	// Batch caps frames per sendmmsg/recvmmsg vector (rtnet.DefaultBatch).
-	Batch int
 	// Unbatched forces the portable per-message path even on Linux.
 	Unbatched bool
 	// Faults optionally injects the chaos plane on the peer wire; the
@@ -283,7 +281,6 @@ func (h *RealHost) EnablePeerNet(cfg PeerNetConfig) error {
 	in := input{kind: inPeer}
 	car, err := rtnet.New(rtnet.Config{
 		Listen:    cfg.Listen,
-		Batch:     cfg.Batch,
 		Unbatched: cfg.Unbatched,
 		Obs:       h.SH.Obs,
 		OnSig: func(from *rtnet.Peer, frame []byte) {

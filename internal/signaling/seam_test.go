@@ -246,6 +246,9 @@ func TestEveryCauseEndsOnce(t *testing.T) {
 				if tr.CallID == 1 {
 					status = tr.Status
 				}
+				if err := SpanErr(tr, map[string]int{}, chains...); err != nil {
+					t.Error(err)
+				}
 			}
 			if status != row.status {
 				t.Errorf("trace status %q, want %q", status, row.status)
@@ -398,14 +401,23 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 }
 
 // TestLifecycleDerivedOnlyInPublish walks the package's non-test files:
-// the lifecycle counters are bumped, the lifecycle events built and the
-// recovery counters named only in publish, which derives them from a
-// transition record. Elsewhere the counters may only be read.
+// the lifecycle counters are bumped, the lifecycle events built, the
+// recovery counters named and the stage histograms reached only in
+// publish, which derives them from a transition record, and the
+// lifecycle spans are made only there and in transition. Elsewhere the
+// counters may only be read, and register creates the histograms. A
+// lifecycle span is any trace start, end or finish, or a recorded span
+// of sighost's own; the spans sighost records for another layer's
+// operation inside a state (xswitch's program_vc, the kern
+// bind/connect) are not, nor is the bind timer's fire lag a stage
+// histogram.
 func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 	counters := map[string]bool{"callsRequested": true, "callsEstablished": true, "ended": true, "callsTorn": true, "bindTimeouts": true}
 	events := map[string]bool{"EvTeardown": true, "EvBindOK": true, "EvBindTime": true}
 	recovery := []string{`"sighost.recovered.wait_bind"`, `"sighost.recovered.bound"`, `"sighost.recovery.aborted_calls"`}
-	seen := map[string]int{} // found in publish
+	hists := map[string]bool{"stage": true, "setupTotal": true, "acceptTotal": true}
+	spans := map[string]bool{"StartTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true}
+	seen := map[string]int{} // found where they belong
 	eachFunc(t, func(fset *token.FileSet, where string, body *ast.BlockStmt) {
 		found := func(n ast.Node, what string) {
 			if where == "publish" {
@@ -417,8 +429,23 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 		reads := map[ast.Expr]bool{} // counters whose Value is read
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				own := sel.Sel.Name == "Record" && len(n.Args) > 1 && isLit(n.Args[1], `"sighost"`)
+				switch {
+				case !spans[sel.Sel.Name] && !own:
+				case where == "publish" || where == "transition":
+					seen[sel.Sel.Name]++
+				default:
+					t.Errorf("%s: %s makes a lifecycle span (%s) outside publish and transition", fset.Position(n.Pos()), where, sel.Sel.Name)
+				}
 			case *ast.SelectorExpr:
-				if n.Sel.Name == "Value" {
+				if name, ok := selects(n, "h", hists); ok && where != "register" {
+					found(n, name)
+				} else if n.Sel.Name == "Value" {
 					x := n.X
 					if ix, ok := x.(*ast.IndexExpr); ok {
 						x = ix.X
@@ -441,9 +468,17 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 			return true
 		})
 	})
-	for _, what := range append(slices.Sorted(maps.Keys(counters)), append(slices.Sorted(maps.Keys(events)), recovery...)...) {
+	want := slices.Concat(slices.Sorted(maps.Keys(counters)), slices.Sorted(maps.Keys(events)), recovery,
+		slices.Sorted(maps.Keys(hists)), []string{"StartTrace", "StartSpanAt", "EndSpanAt", "FinishTrace", "Record"})
+	for _, what := range want {
 		if seen[what] == 0 {
-			t.Errorf("publish never uses %s: the walk is looking at the wrong code", what)
+			t.Errorf("publish and transition never use %s: the walk is looking at the wrong code", what)
 		}
 	}
+}
+
+// isLit reports whether x is the literal lit, as written.
+func isLit(x ast.Expr, lit string) bool {
+	l, ok := x.(*ast.BasicLit)
+	return ok && l.Value == lit
 }

@@ -118,22 +118,29 @@ type callKey struct {
 
 // callState is where a call is in its life, and so which lists hold it:
 //
-//	callNew, callReleased           none
-//	callSetupSent, callProgramming  outgoing_requests (origin)
-//	callWaitServer                  incoming_requests (destination)
-//	callEstablished                 wait_for_bind, cookies
-//	callBound                       VCI_mapping, cookies
+//	callNew, callReleased                          none
+//	callRequested, callSetupSent, callProgramming  outgoing_requests (origin)
+//	callWaitServer, callAccepted                   incoming_requests (destination)
+//	callEstablished                                wait_for_bind, cookies
+//	callBound                                      VCI_mapping, cookies
+//
+// Each setup stage of Figure 4 is a state (events.go's stages).
 type callState uint8
 
 const (
 	callNew         callState = iota // fresh from the pool
+	callRequested                    // origin: CONNECT_REQ taken, SETUP not yet sent
 	callSetupSent                    // origin: SETUP sent, awaiting ack
-	callWaitServer                   // dest: INCOMING_CONN sent, awaiting accept
 	callProgramming                  // origin: accepted, fabric being set up
+	callWaitServer                   // dest: INCOMING_CONN sent, awaiting accept
+	callAccepted                     // dest: accepted, awaiting CONNECT_DONE
 	callEstablished                  // VCI handed out, awaiting bind
 	callBound                        // bind authenticated
 	callReleased
 )
+
+// requesting reports whether a call in state s is in a request list.
+func requesting(s callState) bool { return s > callNew && s < callEstablished }
 
 type call struct {
 	key     callKey
@@ -167,25 +174,19 @@ type call struct {
 	// notify twice.
 	notified bool
 
-	// Stage timestamps (env.Now) feeding the setup-latency histograms:
-	// request handled, SETUP sent, SETUP_ACK received, established.
-	reqAt       time.Duration
-	setupSentAt time.Duration
-	ackAt       time.Duration
-	estAt       time.Duration
+	// at is when the call entered its current state (publish sets it), or
+	// -1 for a state Recover rebuilt, whose entry the outage lost; opened
+	// is when it entered its first, where both setup totals start.
+	at, opened time.Duration
 
-	// Causal-trace contexts (zero when the call is untraced/unsampled).
-	// At the origin, tcRoot is the whole-call root span, tcSetup the
-	// call.setup span, and tcPeer the setup phase spent waiting on the
-	// peer. At the destination, tcRoot arrives in CONNECT_DONE, tcPeer
-	// in SETUP (the origin's peer span), and tcAccept is the local
-	// server-consultation span under it. tcBind is the wait_for_bind
-	// span either side opens when it hands out a VCI.
-	tcRoot   trace.Context
-	tcSetup  trace.Context
-	tcPeer   trace.Context
-	tcAccept trace.Context
-	tcBind   trace.Context
+	// Causal-trace contexts (zero when the call is untraced/unsampled):
+	// the span its state holds open; the root span, which the destination
+	// learns from CONNECT_DONE; the origin's call.setup; and, at the
+	// destination, the origin's peer span, which SETUP carried.
+	span    trace.Context
+	tcRoot  trace.Context
+	tcSetup trace.Context
+	tcPeer  trace.Context
 
 	// gen counts incarnations of this (pooled) struct. Asynchronous
 	// callbacks capture the pointer AND the gen at launch; a mismatch at
@@ -364,19 +365,32 @@ func (sh *Sighost) newCookie() uint16 {
 // change's record, which the caller publishes once the change is done:
 // at once, but for a destination's grant, which is done when the server
 // holds its VCI. end publishes its own Released record.
+//
+// It also makes the lifecycle spans (DESIGN.md §12), whose IDs, drawn
+// from one testbed-wide sequence, must be taken at the change itself.
+// The state left ends its span, unless the call ends there unanswered
+// by a SETUP_REJ: FinishTrace marks that span Open. The requested
+// stage's span is recorded as it ends, as other calls take IDs while
+// its charges sleep.
 func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Duration) Transition {
-	from, vci := c.state, c.localVCI
+	from, vci, now, tc := c.state, c.localVCI, sh.env.Now(), sh.TraceC
 	c.state = to
-	switch from {
-	case callSetupSent, callProgramming:
-		if to != callProgramming && sh.outgoing[c.cookie] == c {
+	switch {
+	case from == callRequested:
+		tc.Record(c.tcSetup, "sighost", stages[from].span, c.at, now)
+	case to != callReleased || why.rejects():
+		tc.EndSpanAt(c.span, now)
+	}
+	c.span = trace.Context{}
+	if requesting(from) && !requesting(to) {
+		if sh.outgoing[c.cookie] == c {
 			delete(sh.outgoing, c.cookie)
 			sh.unlinkOwner(c)
-		}
-	case callWaitServer:
-		if sh.incoming[c.cookie] == c {
+		} else if sh.incoming[c.cookie] == c {
 			delete(sh.incoming, c.cookie)
 		}
+	}
+	switch from {
 	case callEstablished:
 		if bw := sh.waitBind[vci]; bw != nil && bw.c == c {
 			bw.cancel()
@@ -388,36 +402,49 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 			delete(sh.vciMap, vci)
 		}
 	}
-	switch to {
-	case callSetupSent, callWaitServer:
+	if from == callNew {
 		sh.linkCall(c)
-		if to == callSetupSent {
+		if c.key.origin {
 			sh.outgoing[c.cookie] = c
 			sh.linkOwner(c)
 		} else {
 			sh.incoming[c.cookie] = c
 		}
 		sh.jlog(openRec(c))
+	}
+	switch to {
+	case callRequested:
+		// The origin owns the trace: a root span for the call's whole
+		// life, and call.setup, which its setup stages partition.
+		c.tcRoot = tc.StartTrace("sighost", c.service, c.key.id)
+		c.tcSetup = tc.StartSpanAt(c.tcRoot, "sighost", "call.setup", now)
+	case callSetupSent, callProgramming:
+		c.span = tc.StartSpanAt(c.tcSetup, "sighost", stages[to].span, now)
+	case callWaitServer:
+		c.span = tc.StartSpanAt(c.tcPeer, "sighost", stages[to].span, now)
 	case callEstablished:
 		// "sighost keeps a per-VCI timer that is loaded when a VCI is
 		// handed to an application. If no bind (resp. connect)
 		// indication is received before timeout, the connection is torn
 		// down."
 		sh.cookies[vci] = c.cookie
-		c.tcBind = sh.TraceC.StartSpan(c.tcRoot, "sighost", "wait_bind")
+		tc.EndSpanAt(c.tcSetup, now)
+		c.span = tc.StartSpanAt(c.tcRoot, "sighost", stages[to].span, now)
 		sh.waitBind[vci] = sh.newBindWait(c, vci, deadline)
 		sh.jlog(jrec{op: jGrant, key: c.key, vci: vci, cookie: c.cookie, deadline: deadline, vc: c.vc})
 	case callBound:
 		sh.cookies[vci] = c.cookie
 		sh.vciMap[vci] = c
 		sh.jlog(jrec{op: jBound, key: c.key, vci: vci})
-		sh.TraceC.EndSpan(c.tcBind)
 	case callReleased:
 		if from == callEstablished || from == callBound {
 			delete(sh.cookies, vci)
 		}
 		sh.unlinkCall(c)
 		sh.jlog(jrec{op: jEnd, key: c.key})
+		if c.key.origin { // the trace moves into the flight recorder
+			tc.FinishTrace(c.tcRoot, cmp.Or(why.ending().status, endings[why.code].status))
+		}
 	}
 	sh.n.outgoing.set(len(sh.outgoing))
 	sh.n.incoming.set(len(sh.incoming))
@@ -425,7 +452,7 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	sh.n.vciMap.set(len(sh.vciMap))
 	sh.n.cookies.set(len(sh.cookies))
 	sh.n.calls.set(len(sh.calls))
-	return Transition{Call: c.key, From: from, To: to, VCI: vci, Cause: why, At: sh.env.Now()}
+	return Transition{Call: c.key, From: from, To: to, VCI: vci, Cause: why, At: now}
 }
 
 // end is the one terminal path: whatever ends a call ends it here, once,
@@ -450,7 +477,7 @@ func (sh *Sighost) end(c *call, why cause) {
 	if e.notify && c.key.origin {
 		sh.notifyClientFailure(c, e.client+why.text)
 	}
-	sh.publish(tr)
+	sh.publish(c, tr)
 	if e.torn {
 		if sh.cm.LoggingEnabled {
 			sh.env.Charge(sh.cm.TeardownLogging)
@@ -479,17 +506,11 @@ func (sh *Sighost) end(c *call, why cause) {
 	if waiting {
 		sh.notifyClientFailure(c, why.String())
 	}
-	// The origin owns the trace's lifetime: finishing it moves the span
-	// tree into the flight recorder (and auto-dumps failures).
-	if c.key.origin {
-		sh.TraceC.FinishTrace(c.tcRoot, cmp.Or(e.status, endings[why.code].status))
-	}
 	sh.releaseCall(c)
 }
 
 // tellPeer sends a call's end to the peer. RELEASE says which side's
-// view releases it; SETUP_REJ answers the SETUP, which ends the
-// destination's accept span.
+// view releases it; SETUP_REJ answers the SETUP.
 func (sh *Sighost) tellPeer(c *call, kind sigmsg.Kind, why cause) {
 	switch kind {
 	case sigmsg.KindRelease:
@@ -501,7 +522,6 @@ func (sh *Sighost) tellPeer(c *call, kind sigmsg.Kind, why cause) {
 			Kind: kind, CallID: c.key.id, Reason: why.String(),
 			TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
 		})
-		sh.TraceC.EndSpan(c.tcAccept)
 	}
 }
 
@@ -651,17 +671,7 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 	c.service, c.qosStr, c.comment = m.Service, m.QoS, m.Comment
 	c.endIP, c.endPort, c.ownerPID = from, m.NotifyPort, m.PID
 	c.cookie = cookie
-	c.reqAt = sh.env.Now()
-	sh.publish(sh.transition(c, callSetupSent, cause{}, 0))
-	// Open the call's trace: root span for the call's whole lifetime,
-	// call.setup for the establishment phase the paper's breakdown
-	// table partitions.
-	c.tcRoot = sh.TraceC.StartTrace("sighost", m.Service, c.key.id)
-	// Anchored at reqAt, not now(): in the simulator the two coincide,
-	// but in the real-mode daemon microseconds pass, and the setup span
-	// must start exactly where its first child ("process") does for the
-	// attribution to partition it.
-	c.tcSetup = sh.TraceC.StartSpanAt(c.tcRoot, "sighost", "call.setup", c.reqAt)
+	sh.publish(c, sh.transition(c, callRequested, cause{}, 0))
 	// REQ_ID carries the cookie identifying the connection that will be
 	// established on the client's behalf.
 	sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindReqID, Cookie: cookie})
@@ -669,25 +679,18 @@ func (sh *Sighost) handleConnectReq(conn Conn, from memnet.IPAddr, m sigmsg.Msg)
 	if sh.cm.LoggingEnabled {
 		sh.env.Charge(sh.cm.CallLogging)
 	}
-	// The local processing phase ends — and the peer phase begins — at
-	// the instant SETUP leaves; using one timestamp for both keeps the
-	// breakdown an exact partition of call.setup. SETUP carries the
-	// peer span so the destination's spans nest under it.
-	sent := sh.env.Now()
-	sh.TraceC.Record(c.tcSetup, "sighost", "process", c.reqAt, sent)
-	c.tcPeer = sh.TraceC.StartSpanAt(c.tcSetup, "sighost", "peer", sent)
+	// SETUP leaves, carrying the peer span the change opens, so the
+	// destination's spans nest under it.
+	sh.publish(c, sh.transition(c, callSetupSent, cause{}, 0))
 	err := sh.sendPeer(m.Dest, sigmsg.Msg{
 		Kind: sigmsg.KindSetup, CallID: c.key.id, Src: sh.env.Addr(), Dest: m.Dest,
 		Service: m.Service, QoS: m.QoS, Comment: m.Comment,
-		TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
+		TraceID: c.span.Trace, SpanID: c.span.Span,
 	})
 	if err != nil {
 		// No signaling path to the destination: fail the call now.
 		sh.end(c, cause{code: causeUnreachable, text: err.Error()})
-		return
 	}
-	c.setupSentAt = sh.env.Now()
-	sh.h.setupProcess.Observe(c.setupSentAt - c.reqAt)
 }
 
 func (sh *Sighost) handleCancelReq(conn Conn, m sigmsg.Msg) {
@@ -725,7 +728,9 @@ func (sh *Sighost) handleAcceptConn(conn Conn, m sigmsg.Msg) {
 		Kind: sigmsg.KindSetupAck, CallID: c.key.id, QoS: granted,
 		TraceID: c.tcPeer.Trace, SpanID: c.tcPeer.Span,
 	})
-	sh.TraceC.EndSpan(c.tcAccept)
+	if c.state == callWaitServer {
+		sh.publish(c, sh.transition(c, callAccepted, cause{}, 0))
+	}
 }
 
 func (sh *Sighost) handleRejectConn(conn Conn, m sigmsg.Msg) {
@@ -774,9 +779,7 @@ func (sh *Sighost) HandlePeer(from atm.Addr, m sigmsg.Msg) {
 	case sigmsg.KindSetupAck:
 		sh.peerSetupAck(from, m)
 	case sigmsg.KindSetupRej:
-		// The origin side after rejection: the peer phase ends with it.
 		if c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: true}]; ok {
-			sh.TraceC.EndSpan(c.tcPeer)
 			sh.end(c, heard(sigmsg.KindSetupRej, m.Reason))
 		}
 	case sigmsg.KindConnectDone:
@@ -823,10 +826,8 @@ func (sh *Sighost) peerSetup(from atm.Addr, m sigmsg.Msg) {
 	c.service, c.qosStr, c.comment = m.Service, m.QoS, m.Comment
 	c.endIP, c.endPort = svc.ip, svc.port
 	c.cookie = cookie
-	c.reqAt = sh.env.Now()
 	c.tcPeer = wire
-	c.tcAccept = sh.TraceC.StartSpanAt(wire, "sighost", "dest.accept", c.reqAt)
-	sh.publish(sh.transition(c, callWaitServer, cause{}, 0))
+	sh.publish(c, sh.transition(c, callWaitServer, cause{}, 0))
 	dc := sh.newDialCtx()
 	dc.kind = dcServer
 	dc.c, dc.gen = c, c.gen
@@ -840,12 +841,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	if !ok || c.state != callSetupSent {
 		return
 	}
-	sh.publish(sh.transition(c, callProgramming, cause{}, 0))
-	c.ackAt = sh.env.Now()
-	sh.h.setupPeer.Observe(c.ackAt - c.setupSentAt)
-	// The peer phase ends and the programming phase begins at the ack.
-	sh.TraceC.EndSpanAt(c.tcPeer, c.ackAt)
-	program := sh.TraceC.StartSpanAt(c.tcSetup, "sighost", "program", c.ackAt)
+	sh.publish(c, sh.transition(c, callProgramming, cause{}, 0))
 	c.qosStr = m.QoS
 	q, err := qos.Parse(m.QoS)
 	if err != nil {
@@ -860,10 +856,10 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	sh.env.Charge(vc.Cost)
 	// The switch-programming charge is the per-hop cost of writing the
 	// VCI tables along the path (DESIGN.md §2's control-plane note).
-	sh.TraceC.Record(program, "xswitch", "program_vc", progAt, sh.env.Now())
+	sh.TraceC.Record(c.span, "xswitch", "program_vc", progAt, sh.env.Now())
 	c.vc = vc
 	c.localVCI = vc.SrcVCI
-	sh.publish(sh.transition(c, callEstablished, cause{}, sh.env.Now()+sh.cm.BindTimeout))
+	sh.publish(c, sh.transition(c, callEstablished, cause{}, sh.env.Now()+sh.cm.BindTimeout))
 	sh.sendPeer(from, sigmsg.Msg{
 		Kind: sigmsg.KindConnectDone, CallID: m.CallID, VCI: vc.DstVCI, QoS: c.qosStr,
 		TraceID: c.tcRoot.Trace, SpanID: c.tcRoot.Span,
@@ -875,11 +871,6 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 	dc.c, dc.gen = c, c.gen
 	dc.cookie, dc.vci, dc.qosStr, dc.tc = c.cookie, c.localVCI, c.qosStr, c.tcRoot
 	sh.env.Dial(c.endIP, c.endPort, dc.cb)
-	c.estAt = sh.env.Now()
-	sh.h.setupProgram.Observe(c.estAt - c.ackAt)
-	sh.h.setupTotal.Observe(c.estAt - c.reqAt)
-	sh.TraceC.EndSpanAt(program, c.estAt)
-	sh.TraceC.EndSpanAt(c.tcSetup, c.estAt)
 }
 
 // peerConnectDone is the destination side when the circuit is
@@ -887,7 +878,7 @@ func (sh *Sighost) peerSetupAck(from atm.Addr, m sigmsg.Msg) {
 // connection, then close it.
 func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	c, ok := sh.calls[callKey{peer: from, id: m.CallID, origin: false}]
-	if !ok || c.state != callWaitServer {
+	if !ok || c.state != callAccepted {
 		return
 	}
 	c.localVCI = m.VCI
@@ -895,8 +886,7 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 	// CONNECT_DONE carries the call's root span; the destination's
 	// remaining work (VCI delivery, wait_for_bind) hangs off it.
 	c.tcRoot = trace.Context{Trace: m.TraceID, Span: m.SpanID}
-	doneAt := sh.env.Now()
-	granted := sh.transition(c, callEstablished, cause{}, doneAt+sh.cm.BindTimeout)
+	granted := sh.transition(c, callEstablished, cause{}, sh.env.Now()+sh.cm.BindTimeout)
 	if c.serverConn != nil {
 		sh.sendApp(c.serverConn, sigmsg.Msg{
 			Kind: sigmsg.KindVCIForConn, Cookie: c.cookie, VCI: m.VCI, QoS: m.QoS,
@@ -905,10 +895,7 @@ func (sh *Sighost) peerConnectDone(from atm.Addr, m sigmsg.Msg) {
 		c.serverConn.Close()
 		c.serverConn = nil
 	}
-	sh.publish(granted)
-	c.estAt = sh.env.Now()
-	sh.h.acceptTotal.Observe(c.estAt - c.reqAt)
-	sh.TraceC.Record(c.tcRoot, "sighost", "dest.deliver", doneAt, c.estAt)
+	sh.publish(c, granted)
 }
 
 // fireNow is the wait_for_bind timeout. Every path that frees the entry
@@ -1006,11 +993,8 @@ func (sh *Sighost) kernelBindConnect(from memnet.IPAddr, k kern.KMsg) {
 	// The kernel indication rode the pseudo-device (or anand relay) from
 	// its post time k.At; it is recorded inside the wait_bind span that
 	// the move to VCI_mapping closes.
-	if c.tcBind.Sampled() && k.At > 0 {
-		sh.TraceC.Record(c.tcBind, "kern", k.Kind.String(), k.At, sh.env.Now())
+	if c.span.Sampled() && k.At > 0 {
+		sh.TraceC.Record(c.span, "kern", k.Kind.String(), k.At, sh.env.Now())
 	}
-	sh.publish(sh.transition(c, callBound, cause{}, 0))
-	if c.estAt > 0 {
-		sh.h.bindLatency.Observe(sh.env.Now() - c.estAt)
-	}
+	sh.publish(c, sh.transition(c, callBound, cause{}, 0))
 }

@@ -49,13 +49,10 @@ type sigCounters struct {
 // sigHists are the sim-time latency histograms for the paper's call-setup
 // breakdown (Figure 4 stages) plus bind behavior.
 type sigHists struct {
-	setupProcess *obs.Histogram // sighost.setup.process: CONNECT_REQ handled -> SETUP sent
-	setupPeer    *obs.Histogram // sighost.setup.peer: SETUP sent -> SETUP_ACK received
-	setupProgram *obs.Histogram // sighost.setup.program: SETUP_ACK -> call established
-	setupTotal   *obs.Histogram // sighost.setup.total: CONNECT_REQ -> established (origin)
-	acceptTotal  *obs.Histogram // sighost.accept.total: SETUP -> CONNECT_DONE (dest)
-	bindLatency  *obs.Histogram // sighost.bind.latency: established -> bind authenticated
-	bindTimerLag *obs.Histogram // sighost.bindtimer.fire: timer lag past its deadline
+	stage        [len(stages)]*obs.Histogram // by state: the stay in it, named by its stages row
+	setupTotal   *obs.Histogram              // sighost.setup.total: CONNECT_REQ -> established (origin)
+	acceptTotal  *obs.Histogram              // sighost.accept.total: SETUP -> VCI_FOR_CONN delivered (dest)
+	bindTimerLag *obs.Histogram              // sighost.bindtimer.fire: timer lag past its deadline
 }
 
 // size is a length the actor keeps and any goroutine may read.
@@ -91,15 +88,14 @@ func (sh *Sighost) register(reg *obs.Registry) {
 		peerMsgs:     reg.Counter("sighost.msgs.peer"),
 		appMsgs:      reg.Counter("sighost.msgs.app"),
 	}
-	sh.h = sigHists{
-		setupProcess: reg.Histogram("sighost.setup.process"),
-		setupPeer:    reg.Histogram("sighost.setup.peer"),
-		setupProgram: reg.Histogram("sighost.setup.program"),
-		setupTotal:   reg.Histogram("sighost.setup.total"),
-		acceptTotal:  reg.Histogram("sighost.accept.total"),
-		bindLatency:  reg.Histogram("sighost.bind.latency"),
-		bindTimerLag: reg.Histogram("sighost.bindtimer.fire"),
+	for s, st := range stages {
+		if st.hist != "" {
+			sh.h.stage[s] = reg.Histogram(st.hist)
+		}
 	}
+	sh.h.setupTotal = reg.Histogram("sighost.setup.total")
+	sh.h.acceptTotal = reg.Histogram("sighost.accept.total")
+	sh.h.bindTimerLag = reg.Histogram("sighost.bindtimer.fire")
 	reg.Func("sighost.list.services", sh.n.services.get)
 	reg.Func("sighost.list.outgoing", sh.n.outgoing.get)
 	reg.Func("sighost.list.incoming", sh.n.incoming.get)

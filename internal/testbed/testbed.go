@@ -56,9 +56,6 @@ type Options struct {
 	// Nil leaves every transport hook a single nil-check and the
 	// signaling clean path byte-identical to a fault-free build.
 	Faults *faults.Config
-	// Rel overrides the reliability tuning when faults are armed (zero
-	// value selects signaling.DefaultRelConfig()).
-	Rel signaling.RelConfig
 	// TSeries, when non-nil, arms continuous telemetry: every machine
 	// registry, trunk, and IP link is scraped into Net.TS on sim-time
 	// ticks once StartTSeries is called. Nil (the default) keeps every
@@ -373,11 +370,7 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 	if dom.Faults != nil {
 		// Chaos mode: arm the self-healing machinery and thread the
 		// plane through this router's transports.
-		rel := n.opts.Rel
-		if rel.RTO <= 0 {
-			rel = signaling.DefaultRelConfig()
-		}
-		r.Sig.SH.EnableReliability(rel)
+		r.Sig.SH.EnableReliability(signaling.DefaultRelConfig())
 		r.Sig.SH.EnableJournal(0)
 		r.Sig.Faults = dom.Faults
 		ep.SetFaults(dom.Faults)

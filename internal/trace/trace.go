@@ -222,19 +222,9 @@ func (c *Collector) StartTrace(comp, name string, callID uint32) Context {
 	return Context{Trace: t.ID, Span: c.spanSeq}
 }
 
-// StartSpan opens a child span under parent starting now. Returns the
+// StartSpanAt opens a child span under parent starting at. Returns the
 // child context, or zero if the parent is unsampled or the trace has
 // hit its span cap.
-func (c *Collector) StartSpan(parent Context, comp, name string) Context {
-	if !parent.Sampled() || c == nil {
-		return Context{}
-	}
-	return c.StartSpanAt(parent, comp, name, c.now())
-}
-
-// StartSpanAt is StartSpan with an explicit start time, for spans whose
-// beginning was observed earlier than the code path that records them
-// (e.g. a kernel indication stamped at post time).
 func (c *Collector) StartSpanAt(parent Context, comp, name string, at time.Duration) Context {
 	if !parent.Sampled() || c == nil {
 		return Context{}
