@@ -24,6 +24,6 @@ func (p *Peer) osFlush() (int, error) { panic("rtnet: osFlush without OS batch s
 // rxBatch has no carrier OS state on the fallback path.
 type rxBatch struct{}
 
-func (c *Carrier) osRxInit() {}
+func (c *Carrier) osCarrierInit() {}
 
 func (c *Carrier) osRecvOnce() (int, error) { panic("rtnet: osRecvOnce without OS batch support") }

@@ -21,8 +21,13 @@
 // (the PR 2 free-list discipline applied to datagram buffers), and the
 // raw-syscall callbacks are pre-bound method values.
 //
-// Wire format, one frame per datagram (loss unit = one message, which
-// the signaling reliability layer already repairs):
+// On the batched path a flush sends each run of equal-length frames as
+// one train (UDP GSO), which a receiver that asked for it gets back
+// whole (UDP GRO) and splits, so a burst crosses the loopback stack
+// once. The wire is still one frame per datagram (loss unit = one
+// message, or a whole train that meets a full receive buffer; the
+// signaling reliability layer and the AAL5 sequence tracker repair or
+// count either):
 //
 //	sig:  class(1)=1  sigmsg wire frame
 //	data: class(1)=2  vci(2)  payload (AAL5 CPCS-PDU on the data path)
@@ -82,7 +87,10 @@ type Config struct {
 	// Listen is the UDP listen address ("127.0.0.1:0"). IPv4 only: the
 	// batched path builds raw sockaddr_in structs.
 	Listen string
-	// Batch caps frames per flush and per receive vector (DefaultBatch).
+	// Batch caps frames per flush (DefaultBatch). The receive vector
+	// holds Batch datagrams of 3+MaxFrame bytes, or, where the kernel
+	// hands trains over whole (UDP_GRO), as many 64 KiB datagrams as
+	// fit in those bytes: 4 at the defaults, trains or not.
 	Batch int
 	// MaxFrame caps one frame's payload bytes (DefaultMaxFrame).
 	MaxFrame int
@@ -112,6 +120,7 @@ type Carrier struct {
 	batch    int
 	maxFrame int
 	batched  bool // OS batch syscalls in use
+	gso, gro bool // the socket took UDP_SEGMENT / UDP_GRO (batched only)
 
 	pc  *net.UDPConn
 	rc  syscall.RawConn
@@ -132,12 +141,17 @@ type Carrier struct {
 
 	// Counters. tx.syscalls_saved is the batching win made visible:
 	// frames that crossed the kernel boundary without their own trap.
+	// tx.msgs and rx.msgs count messages and datagrams, so frames per
+	// message is the train length.
 	txFrames        *obs.Counter
 	txBatches       *obs.Counter
+	txMsgs          *obs.Counter
 	txSyscallsSaved *obs.Counter
+	txGSORefused    *obs.Counter
 	txErrors        *obs.Counter
 	rxFrames        *obs.Counter
 	rxBatches       *obs.Counter
+	rxMsgs          *obs.Counter
 	rxUnknownPeer   *obs.Counter
 	rxBadFrame      *obs.Counter
 }
@@ -207,17 +221,22 @@ func New(cfg Config) (*Carrier, error) {
 
 		txFrames:        reg.Counter("rtnet.tx.frames"),
 		txBatches:       reg.Counter("rtnet.tx.batches"),
+		txMsgs:          reg.Counter("rtnet.tx.msgs"),
 		txSyscallsSaved: reg.Counter("rtnet.tx.syscalls_saved"),
+		txGSORefused:    reg.Counter("rtnet.tx.gso_refused"),
 		txErrors:        reg.Counter("rtnet.tx.errors"),
 		rxFrames:        reg.Counter("rtnet.rx.frames"),
 		rxBatches:       reg.Counter("rtnet.rx.batches"),
+		rxMsgs:          reg.Counter("rtnet.rx.msgs"),
 		rxUnknownPeer:   reg.Counter("rtnet.rx.unknown_peer"),
 		rxBadFrame:      reg.Counter("rtnet.rx.bad_frame"),
 	}
 	if c.batched {
-		c.osRxInit()
+		c.osCarrierInit()
 	} else {
-		c.rxBuf = make([]byte, dataHdrLen+c.maxFrame)
+		// One byte over the longest frame: a datagram that fills it was
+		// truncated, and dispatch drops it as too long.
+		c.rxBuf = make([]byte, dataHdrLen+c.maxFrame+1)
 	}
 	return c, nil
 }
@@ -415,6 +434,7 @@ func (p *Peer) flushLocked() error {
 			}
 		}
 		syscalls = n
+		c.txMsgs.Add(uint64(n))
 	}
 	c.txFrames.Add(uint64(n))
 	c.txBatches.Inc()
@@ -432,10 +452,11 @@ func (p *Peer) flushLocked() error {
 
 // RecvOnce receives one batch (one datagram on the fallback path) and
 // dispatches each frame to the class handler, returning the number of
-// frames consumed. It blocks in the runtime poller until the socket is
-// readable; a closed socket returns an error. The pump is just this in
-// a loop — ManualRx owners call it directly, which keeps the rx hot
-// path on a test-controlled goroutine for the allocation gates.
+// frames consumed (a datagram dropped whole counts as one). It blocks
+// in the runtime poller until the socket is readable; a closed socket
+// returns an error. The pump is just this in a loop — ManualRx owners
+// call it directly, which keeps the rx hot path on a test-controlled
+// goroutine for the allocation gates.
 func (c *Carrier) RecvOnce() (int, error) {
 	if c.batched {
 		return c.osRecvOnce()
@@ -445,21 +466,45 @@ func (c *Carrier) RecvOnce() (int, error) {
 		return 0, err
 	}
 	c.rxBatches.Inc()
-	c.dispatch(netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), c.rxBuf[:n])
-	return 1, nil
+	c.rxMsgs.Inc()
+	return c.dispatch(netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), c.rxBuf[:n], 0), nil
 }
 
-// dispatch routes one received datagram: peer lookup by source address,
-// class demux, handler call. Alloc-free.
-func (c *Carrier) dispatch(src netip.AddrPort, frame []byte) {
+// dispatch routes one received datagram: one peer lookup by source
+// address, then each frame of the train (see nextFrame) to deliver.
+// Returns the frames consumed, a datagram from an unknown peer counting
+// as one. Alloc-free.
+func (c *Carrier) dispatch(src netip.AddrPort, dgram []byte, seg int) int {
 	c.mu.Lock()
 	p := c.byAddr[src]
 	c.mu.Unlock()
 	if p == nil {
 		c.rxUnknownPeer.Inc()
-		return
+		return 1
 	}
-	if len(frame) < 1 {
+	for n := 1; ; n++ {
+		var frame []byte
+		frame, dgram = nextFrame(dgram, seg)
+		c.deliver(p, frame)
+		if len(dgram) == 0 {
+			return n
+		}
+	}
+}
+
+// nextFrame cuts the first frame off a received train of seg-byte
+// frames (the last may be shorter). A seg of 0, or one not smaller than
+// the datagram, means the datagram is one frame.
+func nextFrame(dgram []byte, seg int) (frame, rest []byte) {
+	if seg <= 0 || seg >= len(dgram) {
+		return dgram, nil
+	}
+	return dgram[:seg], dgram[seg:]
+}
+
+// deliver checks one frame and hands it to its class handler.
+func (c *Carrier) deliver(p *Peer, frame []byte) {
+	if len(frame) < 1 || len(frame) > dataHdrLen+c.maxFrame {
 		c.rxBadFrame.Inc()
 		return
 	}

@@ -1,9 +1,11 @@
 package rtnet
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"xunet/internal/atm"
@@ -187,59 +189,195 @@ func TestFlushBoundaries(t *testing.T) {
 	})
 }
 
+// TestUnknownPeerAndBadFramesDropped: a datagram from an unregistered
+// source, a frame of unknown class, one shorter than its header, and
+// datagrams longer than a frame can be are counted and never reach a
+// handler. A datagram longer than the receive slot is cut by the kernel
+// (MSG_TRUNC), one that fits a 64 KiB GRO slot fails the length check;
+// the fallback reads one byte past the longest frame and drops it the
+// same way.
 func TestUnknownPeerAndBadFramesDropped(t *testing.T) {
-	reg := obs.NewRegistry()
-	var sig, data int
-	c, err := New(Config{Listen: "127.0.0.1:0", ManualRx: true, Obs: reg,
-		OnSig:  func(*Peer, []byte) { sig++ },
-		OnData: func(*Peer, atm.VCI, []byte) { data++ }})
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer c.Close()
+	modes(t, func(t *testing.T, unbatched bool) {
+		for _, maxFrame := range []int{DefaultMaxFrame, 1024} {
+			reg := obs.NewRegistry()
+			var sig, data int
+			c, err := New(Config{Listen: "127.0.0.1:0", MaxFrame: maxFrame, Unbatched: unbatched, ManualRx: true, Obs: reg,
+				OnSig:  func(*Peer, []byte) { sig++ },
+				OnData: func(*Peer, atm.VCI, []byte) { data++ }})
+			if err != nil {
+				t.Skipf("loopback UDP unavailable: %v", err)
+			}
+			defer c.Close()
 
-	raw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(c.AddrPort().Port())}
+			raw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(c.AddrPort().Port())}
 
-	// Stranger: valid sig frame from an unregistered source.
-	if _, err := raw.WriteToUDP([]byte{classSig, 'h', 'i'}, dst); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RecvOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("rtnet.rx.unknown_peer").Value(); got != 1 {
-		t.Fatalf("unknown_peer = %d, want 1", got)
-	}
+			// Stranger: valid sig frame from an unregistered source.
+			if _, err := raw.WriteToUDP([]byte{classSig, 'h', 'i'}, dst); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RecvOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Counter("rtnet.rx.unknown_peer").Value(); got != 1 {
+				t.Fatalf("unknown_peer = %d, want 1", got)
+			}
 
-	// Register the stranger, then send malformed frames: unknown class
-	// and a data frame shorter than its header.
-	if _, err := c.AddPeer("stranger", raw.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]byte{{0xEE, 1, 2}, {classData, 5}} {
-		if _, err := raw.WriteToUDP(bad, dst); err != nil {
-			t.Fatal(err)
+			// Register the stranger, then send malformed frames: unknown
+			// class, a data frame shorter than its header, and data
+			// frames one byte and ~1 KiB past MaxFrame.
+			if _, err := c.AddPeer("stranger", raw.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+				t.Fatal(err)
+			}
+			bad := [][]byte{{0xEE, 1, 2}, {classData, 5}}
+			for _, n := range []int{dataHdrLen + maxFrame + 1, maxFrame + 979} {
+				long := make([]byte, n)
+				long[0] = classData
+				bad = append(bad, long)
+			}
+			for _, b := range bad {
+				if _, err := raw.WriteToUDP(b, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for seen := 0; seen < len(bad); {
+				n, err := c.RecvOnce()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen += n
+			}
+			if got := reg.Counter("rtnet.rx.bad_frame").Value(); got != uint64(len(bad)) {
+				t.Fatalf("MaxFrame %d: bad_frame = %d, want %d", maxFrame, got, len(bad))
+			}
+			if sig != 0 || data != 0 {
+				t.Fatalf("MaxFrame %d: malformed frames reached handlers (sig=%d data=%d)", maxFrame, sig, data)
+			}
 		}
-	}
-	seen := 0
-	for seen < 2 {
-		n, err := c.RecvOnce()
+	})
+}
+
+// TestDatagramTrains: one flush of mixed sizes leaves as one message
+// per run of equal-length frames (the 8 KiB run cut under 65 507 bytes
+// a message) and arrives in order, byte for byte. A path that refuses
+// trains still gets every frame, one per message, and the refusal is
+// counted. On the fallback every frame is its own message.
+func TestDatagramTrains(t *testing.T) {
+	modes(t, func(t *testing.T, unbatched bool) {
+		var got [][]byte
+		rx := Config{Obs: obs.NewRegistry(), OnData: func(_ *Peer, vci atm.VCI, payload []byte) {
+			got = append(got, append([]byte{byte(vci)}, payload...))
+		}}
+		a, b, ab, _ := newPair(t, unbatched, rx)
+		flush := func(sizes ...int) {
+			t.Helper()
+			got = got[:0]
+			var want [][]byte
+			for i, n := range sizes {
+				p := make([]byte, n)
+				for j := range p {
+					p[j] = byte(i*7 + j)
+				}
+				if err := ab.SendData(atm.VCI(i), p); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, append([]byte{byte(i)}, p...))
+			}
+			if err := ab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for len(got) < len(want) {
+				if _, err := b.RecvOnce(); err != nil {
+					t.Fatal(err)
+				}
+				if n++; n > 2*len(want) {
+					t.Fatalf("%d of %d frames arrived", len(got), len(want))
+				}
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("frame %d: %d bytes arrived, want %d bytes in order", i, len(got[i]), len(want[i]))
+				}
+			}
+		}
+		rep := func(n, size int) []int {
+			s := make([]int, n)
+			for i := range s {
+				s[i] = size
+			}
+			return s
+		}
+		mixed := slices.Concat(rep(5, 64), rep(3, 100), []int{64}, rep(10, DefaultMaxFrame))
+		msgs := a.reg.Counter("rtnet.tx.msgs")
+		flush(mixed...)
+		// Runs: 5×64, 3×100, 1×64, then 10×8195-byte frames as 7 + 3.
+		want := uint64(5)
+		if !a.gso {
+			want = uint64(len(mixed))
+		}
+		if got := msgs.Value(); got != want {
+			t.Fatalf("tx.msgs = %d for %d frames, want %d", got, len(mixed), want)
+		}
+
+		// A receiver without UDP_GRO, here the fallback, gets a train as
+		// one datagram per frame.
+		var un int
+		u, err := New(Config{Unbatched: true, ManualRx: true, OnData: func(*Peer, atm.VCI, []byte) { un++ }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen += n
-	}
-	if got := reg.Counter("rtnet.rx.bad_frame").Value(); got != 2 {
-		t.Fatalf("bad_frame = %d, want 2", got)
-	}
-	if sig != 0 || data != 0 {
-		t.Fatalf("malformed frames reached handlers (sig=%d data=%d)", sig, data)
-	}
+		defer u.Close()
+		au, err := a.AddPeer("u", u.AddrPort())
+		if err == nil {
+			_, err = u.AddPeer("a", a.AddrPort())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := au.SendData(1, make([]byte, 50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := au.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, u, &un, 8)
+		if a.gso && msgs.Value() != want+1 {
+			t.Fatalf("8 equal frames went out as %d messages, want 1", msgs.Value()-want)
+		}
+		if got := u.rxMsgs.Value(); got != 8 {
+			t.Fatalf("an unbatched receiver read %d datagrams for 8 frames", got)
+		}
+
+		refused := a.reg.Counter("rtnet.tx.gso_refused")
+		if !a.gso {
+			if refused.Value() != 0 {
+				t.Fatalf("gso_refused = %d without trains", refused.Value())
+			}
+			return
+		}
+		if err := setNoCheck(a, 1); err != nil {
+			t.Fatal(err)
+		}
+		flush(mixed...)
+		if got := refused.Value(); got != 1 {
+			t.Fatalf("gso_refused = %d after the first refused train, want 1", got)
+		}
+		flush(rep(4, 10)...) // shorter than the refused length: a train, refused too
+		if got := refused.Value(); got != 2 {
+			t.Fatalf("gso_refused = %d after a shorter train, want 2", got)
+		}
+		flush(mixed...) // no train is left to refuse
+		if got := refused.Value(); got != 2 {
+			t.Fatalf("gso_refused = %d once every length was refused, want 2", got)
+		}
+	})
 }
 
 func TestSetPeerAddr(t *testing.T) {
@@ -268,6 +406,34 @@ func TestSetPeerAddr(t *testing.T) {
 	if err := a.SetPeerAddr("nobody", b.AddrPort()); err != ErrUnknownPeer {
 		t.Fatalf("SetPeerAddr(unknown) = %v, want ErrUnknownPeer", err)
 	}
+
+	// A train length refused on one path is not held against the next:
+	// after SetPeerAddr the peer sends trains of that length again.
+	if !a.gso {
+		return
+	}
+	burst := func(noCheck int) (msgs uint64) {
+		t.Helper()
+		if err := setNoCheck(a, noCheck); err != nil {
+			t.Fatal(err)
+		}
+		before := a.txMsgs.Value()
+		sendBurst(t, ab, make([]byte, 100), 8)
+		drain(t, b, &n, n+8)
+		return a.txMsgs.Value() - before
+	}
+	if got := burst(1); got != 8 || a.txGSORefused.Value() != 1 {
+		t.Fatalf("refused train: %d messages, gso_refused %d; want 8 and 1", got, a.txGSORefused.Value())
+	}
+	if got := burst(0); got != 8 {
+		t.Fatalf("the refused length formed a train on the same path: %d messages", got)
+	}
+	if err := a.SetPeerAddr("b", b.AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	if got := burst(0); got != 1 {
+		t.Fatalf("after SetPeerAddr 8 equal frames went out as %d messages, want 1", got)
+	}
 }
 
 // TestHotLoopAllocs is the steady-state allocation gate for both tx
@@ -279,27 +445,34 @@ func TestHotLoopAllocs(t *testing.T) {
 		var n int
 		rx := Config{Obs: obs.NewRegistry(), OnSig: func(*Peer, []byte) { n++ }}
 		_, b, ab, _ := newPair(t, unbatched, rx)
-		frame := make([]byte, 64)
-		const burst = 8
-		cycle := func() {
-			for i := 0; i < burst; i++ {
-				if err := ab.SendSig(frame); err != nil {
+		small, large := make([]byte, 64), make([]byte, 200)
+		cycle := func(frames ...[]byte) func() {
+			return func() {
+				for _, f := range frames {
+					if err := ab.SendSig(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ab.Flush(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := ab.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			want := n + burst
-			for n < want {
-				if _, err := b.RecvOnce(); err != nil {
-					t.Fatal(err)
+				for want := n + len(frames); n < want; {
+					if _, err := b.RecvOnce(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
-		cycle() // warm the path (histogram buckets, map entries)
-		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-			t.Fatalf("tx+rx steady state allocates %.1f allocs per %d-frame cycle, want 0", avg, burst)
+		// The mixed burst is runs of 3, 2 and 3: three trains where the
+		// kernel takes them.
+		for name, f := range map[string]func(){
+			"equal": cycle(small, small, small, small, small, small, small, small),
+			"mixed": cycle(small, small, small, large, large, small, small, small),
+		} {
+			f() // warm the path (histogram buckets, map entries)
+			if avg := testing.AllocsPerRun(50, f); avg != 0 {
+				t.Fatalf("tx+rx steady state allocates %.1f allocs per %s 8-frame cycle, want 0", avg, name)
+			}
 		}
 	})
 }
