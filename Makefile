@@ -90,11 +90,11 @@ allocs:
 		-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/real.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/real.prof
 
-# The code-size ledger: non-test Go lines outside bench/, then the
-# unused-exports check (also part of `make test`), which logs every
-# exported identifier of internal/ that no non-test file references,
-# the allowlist with its reasons, and how many exports only their own
-# package uses.
+# The code-size ledger (both checks are part of `make test` too): the
+# non-test Go lines outside bench/, which may not exceed the ceiling
+# recorded in TestLineCeiling, then the unused-exports check, which logs
+# every exported identifier of internal/ that no non-test file
+# references, the allowlist with its reasons, and how many exports only
+# their own package uses.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
-	$(GO) test -run TestNoUnusedExports -v ./internal/codesize/
+	$(GO) test -count 1 -run 'TestLineCeiling|TestNoUnusedExports' -v ./internal/codesize/

@@ -280,14 +280,14 @@ func TestEnvContract(t *testing.T) {
 			port := r.listen()
 			call := func(id uint32) *call { return sh.calls[callKey{peer: peer, id: id}] }
 			grant := func(id uint32, vci atm.VCI) {
-				sh.HandleApp(app, ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: call(id).cookie})
-				sh.HandlePeer(peer, sigmsg.Msg{Kind: sigmsg.KindConnectDone, CallID: id, VCI: vci})
+				sh.appMsg(app, ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: call(id).cookie})
+				sh.peerMsg(peer, sigmsg.Msg{Kind: sigmsg.KindConnectDone, CallID: id, VCI: vci})
 			}
 			r.do(func() {
-				sh.HandleApp(app, ip, sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: "echo", NotifyPort: port})
+				sh.appMsg(app, ip, sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: "echo", NotifyPort: port})
 			})
 			for id := uint32(1); id <= 2; id++ {
-				r.do(func() { sh.HandlePeer(peer, sigmsg.Msg{Kind: sigmsg.KindSetup, CallID: id, Service: "echo"}) })
+				r.do(func() { sh.peerMsg(peer, sigmsg.Msg{Kind: sigmsg.KindSetup, CallID: id, Service: "echo"}) })
 				r.until(t, "the server's notify connection", func() bool { return call(id) != nil && call(id).serverConn != nil })
 			}
 			r.do(func() {
@@ -331,7 +331,7 @@ func TestEnvContract(t *testing.T) {
 			})
 			r.settle()
 			if n := peerMsgs.Value() - before; n != 1 {
-				t.Fatalf("HandlePeer saw the message %d times, want once", n)
+				t.Fatalf("dispatch ran the message %d times, want once", n)
 			}
 		}},
 		{"KernelDisconnect", func(t *testing.T, r *envRig) {
@@ -396,6 +396,6 @@ func TestActorNeverWaitsOnItself(t *testing.T) {
 		t.Fatal("the actor is stuck sending to its own inbox")
 	}
 	if n := peerMsgs.Value() - before; n != 1 {
-		t.Fatalf("HandlePeer saw the loopback message %d times, want once", n)
+		t.Fatalf("dispatch ran the loopback message %d times, want once", n)
 	}
 }

@@ -38,7 +38,7 @@ func (w *benchWorld) pump() {
 	for w.head < len(w.queue) {
 		d := w.queue[w.head]
 		w.head++
-		d.dst.HandlePeer(d.from, d.m)
+		d.dst.peerMsg(d.from, d.m)
 	}
 	w.queue = w.queue[:0]
 	w.head = 0
@@ -193,7 +193,7 @@ func newBenchPair() (*benchWorld, *Sighost, *Sighost, *benchEnv, *benchEnv) {
 	shB.EnableJournal(0)
 	w.hosts[envA.addr] = shA
 	w.hosts[envB.addr] = shB
-	shB.HandleApp(envB.conn, envB.ip, sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: "echo", NotifyPort: 6000})
+	shB.appMsg(envB.conn, envB.ip, sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: "echo", NotifyPort: 6000})
 	return w, shA, shB, envA, envB
 }
 
@@ -205,12 +205,12 @@ func driveOneCall(t *testing.T, w *benchWorld, shA, shB *Sighost, envA, envB *be
 	envB.lastVCI = sigmsg.Msg{}
 	envB.lastIncoming = sigmsg.Msg{}
 
-	shA.HandleApp(envA.conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: "b.rt", Service: "echo", NotifyPort: 7000})
+	shA.appMsg(envA.conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: "b.rt", Service: "echo", NotifyPort: 7000})
 	w.pump()
 	if envB.lastIncoming.Kind == 0 {
 		t.Fatal("no INCOMING_CONN reached the server")
 	}
-	shB.HandleApp(envB.conn, envB.ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: envB.lastIncoming.Cookie})
+	shB.appMsg(envB.conn, envB.ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: envB.lastIncoming.Cookie})
 	w.pump()
 	cli, srv := envA.lastVCI, envB.lastVCI
 	if cli.Kind == 0 || srv.Kind == 0 {

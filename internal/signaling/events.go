@@ -155,19 +155,129 @@ type Transition struct {
 }
 
 // stages says what each state means beyond its list (DESIGN.md §12 has
-// the table): its name in the MGMT calls view, the lifecycle span a call
-// holds open in it, and the histogram of how long a call stays in it
-// before it moves on (a call that ends there is not measured).
-var stages = [...]struct{ name, span, hist string }{
+// the table): its name (MGMT calls view, ignored-input counters), the
+// lifecycle span a call holds open in it, the histogram of its stay when
+// the call moves on, and its timer, armed on entry for the cost model's
+// timeout, labeled timer for the profiler; run out, it is the input
+// onTimeout, which ends the call with expiry.
+var stages = [...]struct {
+	name, span, hist string
+	timeout          func(*CostModel) time.Duration
+	timer            string
+	expiry           causeCode
+}{
 	callNew:         {name: "new"},
 	callRequested:   {name: "requested", span: "process", hist: "sighost.setup.process"},
 	callSetupSent:   {name: "setup_sent", span: "peer", hist: "sighost.setup.peer"},
 	callProgramming: {name: "programming", span: "program", hist: "sighost.setup.program"},
 	callWaitServer:  {name: "wait_server", span: "dest.accept"},
 	callAccepted:    {name: "accepted"},
-	callEstablished: {name: "established", span: "wait_bind", hist: "sighost.bind.latency"},
-	callBound:       {name: "bound"},
-	callReleased:    {name: "released"},
+	// "sighost keeps a per-VCI timer that is loaded when a VCI is handed
+	// to an application. If no bind (resp. connect) indication is
+	// received before timeout, the connection is torn down."
+	callEstablished: {name: "established", span: "wait_bind", hist: "sighost.bind.latency",
+		timeout: func(cm *CostModel) time.Duration { return cm.BindTimeout }, timer: "bind.timeout", expiry: causeBindTimeout},
+	callBound:    {name: "bound"},
+	callReleased: {name: "released"},
+}
+
+// callInput is what reaches a call (protocol's rows): its application's
+// or peer's message, a kernel indication (bind and connect are one), its
+// state's timer, a dial's result, or the reliable channel giving up.
+type callInput uint8
+
+const (
+	onConnectReq callInput = iota
+	onCancelReq
+	onAcceptConn
+	onRejectConn
+	onSetup
+	onSetupAck
+	onSetupRej
+	onConnectDone
+	onRelease
+	onBind       // with the VCI's cookie, or to a VCI never granted
+	onForgedBind // with another cookie
+	onClose
+	onExit
+	onTimeout
+	onRetxExhausted
+	onPeerDead
+	onServerDialed
+	onServerUnreachable
+	onClientUnreachable // the dial handing the client its VCI failed
+)
+
+// callInputs names the inputs in the ignored-input counters.
+var callInputs = [...]string{"connect_req", "cancel_req", "accept_conn", "reject_conn", "setup", "setup_ack", "setup_rej",
+	"connect_done", "release", "bind", "forged_bind", "close", "exit", "timeout", "retx_exhausted", "peer_dead",
+	"server_dialed", "server_unreachable", "client_unreachable"}
+
+// A cell is what one input does to a call in one state: do's protocol
+// work, which leaves the call in to unless it ends it, or end, a cause
+// to end it with. Neither (ign) drops the input, stale, a duplicate or
+// unable to reach that state, counted in sighost.ignored.<state>.<input>.
+type cell struct {
+	do  func(*Sighost, *call, input)
+	to  callState
+	end causeCode
+}
+
+var (
+	ign       = &cell{}
+	connect   = &cell{do: (*Sighost).connectReq, to: callSetupSent}
+	setup     = &cell{do: (*Sighost).peerSetup, to: callWaitServer}
+	noCookie  = &cell{do: (*Sighost).unknownCookie}
+	refuse    = &cell{do: (*Sighost).authFailed}
+	unwanted  = &cell{do: (*Sighost).closeDialed}
+	dialed    = &cell{do: (*Sighost).serverDialed, to: callWaitServer}
+	accept    = &cell{do: (*Sighost).acceptConn, to: callAccepted}
+	acked     = &cell{do: (*Sighost).peerSetupAck, to: callEstablished}
+	done      = &cell{do: (*Sighost).peerConnectDone, to: callEstablished}
+	bound     = &cell{do: (*Sighost).bindOK, to: callBound}
+	cancelled = &cell{do: (*Sighost).cancelReq, to: callReleased}
+	heardEnd  = &cell{do: (*Sighost).heardEnd, to: callReleased}
+	forged    = &cell{do: (*Sighost).authFailed, to: callReleased}
+	expired   = &cell{do: (*Sighost).expire, to: callReleased}
+	closed    = &cell{end: causeSocketClosed, to: callReleased}
+	unused    = &cell{end: causeClosedUnused, to: callReleased}
+	exited    = &cell{end: causeClientExit, to: callReleased}
+	exhausted = &cell{end: causeRetxExhausted, to: callReleased}
+	peerGone  = &cell{end: causePeerDead, to: callReleased}
+	noServer  = &cell{end: causeServerGone, to: callReleased}
+	noClient  = &cell{end: causeClientGone, to: callReleased}
+)
+
+// protocol is sighost's protocol (DESIGN.md §12 renders it): the cell
+// each input runs in each state. Column new is the lookup miss, where
+// CONNECT_REQ and SETUP make a call. No input finds one requested,
+// programming or released, each lasting only inside a cell. init fills
+// the table, as its cells reach back into step.
+var protocol [len(callInputs)][len(stages)]*cell
+
+func init() {
+	protocol = [len(callInputs)][len(stages)]*cell{
+		// new, requested, setup_sent, programming, wait_server, accepted, established, bound, released
+		onConnectReq:        {connect, ign, ign, ign, ign, ign, ign, ign, ign},
+		onCancelReq:         {noCookie, ign, cancelled, ign, ign, ign, ign, ign, ign},
+		onAcceptConn:        {noCookie, ign, ign, ign, accept, ign, ign, ign, ign},
+		onRejectConn:        {noCookie, ign, ign, ign, heardEnd, heardEnd, ign, ign, ign},
+		onSetup:             {setup, ign, ign, ign, ign, ign, ign, ign, ign},
+		onSetupAck:          {ign, ign, acked, ign, ign, ign, ign, ign, ign},
+		onSetupRej:          {ign, ign, heardEnd, ign, ign, ign, heardEnd, heardEnd, ign},
+		onConnectDone:       {ign, ign, ign, ign, ign, done, ign, ign, ign},
+		onRelease:           {ign, ign, heardEnd, ign, heardEnd, heardEnd, heardEnd, heardEnd, ign},
+		onBind:              {refuse, ign, ign, ign, ign, ign, bound, ign, ign},
+		onForgedBind:        {ign, ign, ign, ign, ign, ign, forged, forged, ign},
+		onClose:             {ign, ign, ign, ign, ign, ign, unused, closed, ign},
+		onExit:              {ign, ign, exited, ign, ign, ign, ign, ign, ign},
+		onTimeout:           {ign, ign, ign, ign, ign, ign, expired, ign, ign},
+		onRetxExhausted:     {ign, ign, exhausted, ign, ign, exhausted, exhausted, exhausted, ign},
+		onPeerDead:          {ign, ign, peerGone, ign, peerGone, peerGone, peerGone, peerGone, ign},
+		onServerDialed:      {unwanted, ign, ign, ign, dialed, ign, ign, ign, ign},
+		onServerUnreachable: {ign, ign, ign, ign, noServer, ign, ign, ign, ign},
+		onClientUnreachable: {ign, ign, ign, ign, ign, ign, noClient, ign, ign},
+	}
 }
 
 // publish derives everything a transition means outside the lists and

@@ -14,7 +14,7 @@ import (
 // cocktail 99, two crashes of the callee's signaling entity) with both
 // routers' transition records watched, and returns the testbed and the
 // two routers' chains once it is quiescent.
-func chaosStorm(t *testing.T) (*testbed.Net, []*signaling.Chains) {
+func chaosStorm(t *testing.T, watch ...func(*signaling.Sighost)) (*testbed.Net, []*signaling.Chains) {
 	opts := testbed.Options{Seed: 7, DeviceBuffers: kern.FixedDeviceBuffers, FDTableSize: kern.FixedFDTableSize}
 	opts.Faults = testbed.ChaosCocktail(99)
 	n, ra, rb, err := testbed.NewTestbed(opts)
@@ -34,6 +34,10 @@ func chaosStorm(t *testing.T) (*testbed.Net, []*signaling.Chains) {
 	}
 	testbed.StartEchoServer(rb, "storm", 6000)
 	testbed.StartEchoServer(rb, "hstorm", 6001)
+	for _, w := range watch {
+		w(ra.Sig.SH)
+		w(rb.Sig.SH)
+	}
 	chains := []*signaling.Chains{signaling.WatchChains(ra.Sig.SH), signaling.WatchChains(rb.Sig.SH)}
 	n.RunUntil(time.Second)
 	n.StartTrunkFlapping(20 * time.Second)
@@ -86,4 +90,19 @@ func TestSpansAreStates(t *testing.T) {
 		}
 	}
 	t.Logf("spans checked: %v", seen)
+}
+
+// TestProtocolCellsExercised runs the chaos storm and every row of
+// TestEveryCauseEndsOnce with each sighost's protocol cells counted. It
+// logs the hits per cell, which for the ignored cells is the measured
+// traffic of the off-path inputs, and fails on an action cell no run
+// reaches, or a cell that leaves its call off the table.
+func TestProtocolCellsExercised(t *testing.T) {
+	var cs signaling.Cells
+	chaosStorm(t, cs.Watch)
+	cs.RunEndRows(t)
+	t.Logf("cells run:\n%s", cs.Hits())
+	if err := cs.Err(); err != nil {
+		t.Error(err)
+	}
 }

@@ -271,10 +271,12 @@ func (sh *Sighost) armRetransmit(lk *peerLink, pm *pendingMsg) {
 }
 
 // fireNow runs one retransmit deadline: give up when the budget is
-// spent, otherwise replay the cached frame and re-arm.
+// spent, otherwise replay the cached frame and re-arm. Giving up on a
+// call's message is that call's input onRetxExhausted (its TIMEOUT
+// trace status dumps the span tree to the flight recorder); a lost
+// RELEASE names no call, which is already gone.
 func (pm *pendingMsg) fireNow() {
 	sh, lk := pm.sh, pm.lk
-	defer sh.jflush() // timer fires are dispatches of their own
 	if pm.attempts >= sh.rel.cfg.MaxRetries {
 		addr, m := lk.addr, pm.m
 		sh.rel.dropPending(lk, pm) // recycles pm: only the locals are safe now
@@ -282,7 +284,9 @@ func (pm *pendingMsg) fireNow() {
 		if sh.traceOn() {
 			sh.emit(obs.Event{Kind: EvRelExhaust, Peer: string(addr), CallID: m.CallID, Data: m})
 		}
-		sh.retryExhausted(addr, m)
+		if k, ok := pmChainKey(m); ok {
+			sh.step(sh.calls[callKey{peer: addr, id: k.id, origin: k.origin}], onRetxExhausted, &input{})
+		}
 		return
 	}
 	pm.attempts++
@@ -292,20 +296,6 @@ func (pm *pendingMsg) fireNow() {
 	}
 	_ = sh.env.SendPeerRaw(lk.addr, pm.m, pm.raw)
 	sh.armRetransmit(lk, pm)
-}
-
-// retryExhausted gives up on a message: the call it belongs to cannot
-// make progress, so tear it down. The cause's TIMEOUT trace status
-// dumps the call's span tree to the flight recorder. A lost RELEASE
-// belongs to an already-dead call: nothing to tear.
-func (sh *Sighost) retryExhausted(dst atm.Addr, m sigmsg.Msg) {
-	k, ok := pmChainKey(m)
-	if !ok {
-		return
-	}
-	if c, ok := sh.calls[callKey{peer: dst, id: k.id, origin: k.origin}]; ok {
-		sh.end(c, cause{code: causeRetxExhausted})
-	}
 }
 
 // cancelCallRetransmits drops pending retransmissions that only make
@@ -439,7 +429,6 @@ func (sh *Sighost) armKeepalive(lk *peerLink) {
 // and cascades into per-call teardown, exactly as §7 prescribes for
 // endpoint death — applied here to the signaling entity itself.
 func (sh *Sighost) peerDead(lk *peerLink) {
-	defer sh.jflush() // the cascade's records land in one batch
 	sh.rel.peerDeaths.Inc()
 	if sh.traceOn() {
 		sh.emit(obs.Event{Kind: EvPeerDead, Peer: string(lk.addr)})
@@ -457,14 +446,11 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 	// The per-peer chain holds exactly this neighbor's calls in creation
 	// order: the cascade is O(affected) and deterministic, where the old
 	// full-table map walk was neither.
-	doomed := sh.scratch[:0]
 	if pc := sh.byPeer[lk.addr]; pc != nil {
-		for c := pc.head; c != nil; c = c.peerNext {
-			doomed = append(doomed, c)
+		for c := pc.head; c != nil; {
+			next := c.peerNext
+			sh.step(c, onPeerDead, &input{})
+			c = next
 		}
 	}
-	for _, c := range doomed {
-		sh.end(c, cause{code: causePeerDead})
-	}
-	sh.scratch = doomed[:0]
 }

@@ -37,7 +37,7 @@ type seam struct {
 // connect places a call from A's client and returns the client's conn.
 func (s *seam) connect(dest atm.Addr, svc string, pid uint32) *fakeConn {
 	conn := &fakeConn{}
-	s.a.HandleApp(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: dest, Service: svc, NotifyPort: 7000, PID: pid})
+	s.a.appMsg(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: dest, Service: svc, NotifyPort: 7000, PID: pid})
 	s.w.pump()
 	return conn
 }
@@ -52,8 +52,32 @@ func (s *seam) answer(reject bool, reason string) {
 	if reject {
 		kind = sigmsg.KindRejectConn
 	}
-	s.b.HandleApp(&fakeConn{}, s.eb.ip, sigmsg.Msg{Kind: kind, Cookie: inc.Cookie, Reason: reason})
+	s.b.appMsg(&fakeConn{}, s.eb.ip, sigmsg.Msg{Kind: kind, Cookie: inc.Cookie, Reason: reason})
 	s.w.pump()
+}
+
+// incoming is the cookie of the last INCOMING_CONN B's server got.
+func (s *seam) incoming() uint16 {
+	inc, ok := s.eb.lastMsg(sigmsg.KindIncomingConn)
+	if !ok {
+		s.t.Fatal("no INCOMING_CONN reached the server")
+	}
+	return inc.Cookie
+}
+
+// reply has B's server answer cookie with kind, leaving what B sends in
+// flight.
+func (s *seam) reply(kind sigmsg.Kind, cookie uint16) {
+	s.b.appMsg(&fakeConn{}, s.eb.ip, sigmsg.Msg{Kind: kind, Cookie: cookie})
+}
+
+// bindClient connects A's client to the VCI it was handed.
+func (s *seam) bindClient() {
+	vfc, ok := s.ea.lastMsg(sigmsg.KindVCIForConn)
+	if !ok {
+		s.t.Fatal("no VCI_FOR_CONN reached the client")
+	}
+	s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgConnect, VCI: vfc.VCI, Cookie: vfc.Cookie})
 }
 
 type endRow struct {
@@ -84,7 +108,7 @@ var endRows = []endRow{
 	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusOK},
 	{name: "canceled by client", drive: func(s *seam) {
 		conn := s.connect("b.rt", "echo", 0)
-		s.a.HandleApp(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: conn.msgs[0].Cookie})
+		s.a.appMsg(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: conn.msgs[0].Cookie})
 		s.w.pump()
 	}, counts: [2][4]uint64{{0, 1, 0, 1}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusCanceled},
 	{name: "bind timeout", drive: func(s *seam) {
@@ -167,93 +191,171 @@ var endRows = []endRow{
 		s.w.pump()
 	}, counts: [2][4]uint64{{0, 1, 0, 0}, {1, 1, 0, 0}}, releases: [2]int{0, 1},
 		connFailed: "lost in signaling restart", status: trace.StatusDeath},
+	// The rows below reach the protocol's off-path cells.
+	{name: "canceled after an unknown cookie", drive: func(s *seam) {
+		conn := s.connect("b.rt", "echo", 0)
+		cookie := conn.msgs[0].Cookie
+		s.a.appMsg(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: cookie + 1})
+		s.a.appMsg(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: cookie})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 1}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusCanceled},
+	{name: "rejected after accepting", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		inc := s.incoming()
+		s.reply(sigmsg.KindRejectConn, inc+1)
+		s.reply(sigmsg.KindAcceptConn, inc)
+		s.reply(sigmsg.KindRejectConn, inc)
+		s.w.pump()
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 0, 1, 0}}, connFailed: "rejected by server", status: trace.StatusReject},
+	{name: "rejected after the client bound", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		inc := s.incoming()
+		s.reply(sigmsg.KindAcceptConn, inc)
+		s.reply(sigmsg.KindRejectConn, inc)
+		s.w.deliverOne()
+		s.bindClient()
+		s.w.pump()
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 0, 1, 0}}, connFailed: "rejected by server", status: trace.StatusReject},
+	{name: "cookie authentication failed once bound", drive: func(s *seam) {
+		cv, cc, sv, sc := openCall(s.t, s.w, s.a, s.b, s.ea, s.eb, "echo")
+		bindBoth(s.w, s.a, s.b, s.ea, s.eb, cv, cc, sv, sc)
+		s.a.HandleKernel(s.ea.ip, kern.KMsg{Kind: kern.MsgConnect, VCI: cv, Cookie: cc + 1})
+		s.w.pump()
+	}, counts: [2][4]uint64{{0, 1, 0, 0}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusFailed},
+	{name: "retransmit budget exhausted after accepting", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 3},
+		drive: func(s *seam) {
+			s.connect("b.rt", "echo", 0)
+			s.reply(sigmsg.KindAcceptConn, s.incoming())
+			s.w.drop = true
+			s.w.pump()
+			s.w.advance(s.w.now + 10*time.Second)
+			s.w.drop = false
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {1, 1, 0, 0}},
+		connFailed: "signaling retransmit budget exhausted", status: trace.StatusTimeout},
+	{name: "retransmit budget exhausted once bound", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 3},
+		drive: func(s *seam) {
+			s.connect("b.rt", "echo", 0)
+			s.reply(sigmsg.KindAcceptConn, s.incoming())
+			s.w.drop = true
+			s.w.pump()
+			s.bindClient()
+			s.w.advance(s.w.now + 10*time.Second)
+			s.w.drop = false
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {1, 1, 0, 0}},
+		connFailed: "signaling retransmit budget exhausted", status: trace.StatusTimeout},
+	{name: "peer signaling entity dead before accepting", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 10,
+		KeepaliveEvery: time.Second, KeepaliveMisses: 2},
+		drive: func(s *seam) {
+			s.connect("b.rt", "echo", 0)
+			// A's first keepalive arms B's, so both sides watch the link.
+			s.w.advance(s.w.now + 1500*time.Millisecond)
+			s.w.drop = true
+			s.w.advance(s.w.now + 10*time.Second)
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {1, 1, 0, 0}},
+		connFailed: "peer signaling entity dead", status: trace.StatusDeath},
+	{name: "peer signaling entity dead after accepting", rel: &RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 10,
+		KeepaliveEvery: time.Second, KeepaliveMisses: 2},
+		drive: func(s *seam) {
+			s.connect("b.rt", "echo", 0)
+			s.reply(sigmsg.KindAcceptConn, s.incoming())
+			s.w.drop = true
+			s.w.pump()
+			s.w.advance(s.w.now + 10*time.Second)
+		}, counts: [2][4]uint64{{1, 1, 0, 0}, {1, 1, 0, 0}},
+		connFailed: "peer signaling entity dead", status: trace.StatusDeath},
 }
 
 // TestEveryCauseEndsOnce drives one call to each end and checks what it
 // left behind on both sighosts.
 func TestEveryCauseEndsOnce(t *testing.T) {
 	for _, row := range endRows {
-		t.Run(row.name, func(t *testing.T) {
-			w, a, b, ea, eb := pair(t, 5*time.Second, row.rel, true)
-			chains := []*Chains{WatchChains(a), WatchChains(b)}
-			tc := trace.NewCollector(func() time.Duration { return w.now })
-			tc.SetEnabled(true)
-			a.TraceC, b.TraceC = tc, tc
-			exportEcho(t, b, eb, "echo")
-			s := &seam{t: t, w: w, a: a, b: b, ea: ea, eb: eb, tc: tc}
-			row.drive(s)
-			w.advance(w.now + time.Minute)
+		t.Run(row.name, func(t *testing.T) { row.run(t, func(*Sighost) {}) })
+	}
+}
 
-			for i, side := range []struct {
-				sh  *Sighost
-				env *fakeEnv
-				key callKey
-			}{{a, ea, callKey{peer: "b.rt", id: 1, origin: true}}, {b, eb, callKey{peer: "a.rt", id: 1}}} {
-				sh, env := side.sh, side.env
-				opens, ends := 0, 0
-				for _, r := range sh.jr.records() {
-					if r.key == side.key && r.op == jOpen {
-						opens++
-					}
-					if r.key == side.key && r.op == jEnd {
-						ends++
-					}
-				}
-				if opens > 1 || ends != opens {
-					t.Errorf("%s: journal holds %d opens and %d ends for %+v", env.addr, opens, ends, side.key)
-				}
-				_, out, in, wb, vm := sh.ListSizes()
-				if out+in+wb+vm+sh.CookieCount()+len(sh.calls) != 0 {
-					t.Errorf("%s: left outgoing=%d incoming=%d wait_for_bind=%d VCI_mapping=%d cookies=%d calls=%d",
-						env.addr, out, in, wb, vm, sh.CookieCount(), len(sh.calls))
-				}
-				for _, tm := range w.timers {
-					if tm.owner == env && !tm.canceled && !tm.fired {
-						t.Errorf("%s: timer at %v still armed", env.addr, tm.at)
-					}
-				}
-				if got := env.countSent(sigmsg.KindRelease); min(got, 1) != row.releases[i] {
-					t.Errorf("%s: sent %d RELEASEs, want %d", env.addr, got, row.releases[i])
-				}
-				var failed []string
-				for _, c := range env.conns {
-					for _, m := range c.msgs {
-						if m.Kind == sigmsg.KindConnFailed {
-							failed = append(failed, m.Reason)
-						}
-					}
-				}
-				want := 0
-				if i == 0 && row.connFailed != "" {
-					want = 1
-				}
-				if len(failed) != want || (want == 1 && failed[0] != row.connFailed) {
-					t.Errorf("%s: CONN_FAILED %q, want %q", env.addr, failed, row.connFailed)
-				}
-				st := sh.Stats()
-				if got := [4]uint64{st.CallsFailed, st.CallsTorn, st.CallsRejected, st.CallsCanceled}; got != row.counts[i] {
-					t.Errorf("%s: failed/torn/rejected/canceled = %v, want %v", env.addr, got, row.counts[i])
-				}
-				if err := chains[i].Err(); err != nil {
-					t.Error(err)
-				}
-				if opens > 0 && chains[i].Records == 0 {
-					t.Errorf("%s: the call's changes published no records", env.addr)
+// run drives the row's call on a fresh pair, with watch called on both
+// sighosts first, and checks what the call left behind.
+func (row endRow) run(t *testing.T, watch func(*Sighost)) {
+	w, a, b, ea, eb := pair(t, 5*time.Second, row.rel, true)
+	watch(a)
+	watch(b)
+	chains := []*Chains{WatchChains(a), WatchChains(b)}
+	tc := trace.NewCollector(func() time.Duration { return w.now })
+	tc.SetEnabled(true)
+	a.TraceC, b.TraceC = tc, tc
+	exportEcho(t, b, eb, "echo")
+	s := &seam{t: t, w: w, a: a, b: b, ea: ea, eb: eb, tc: tc}
+	row.drive(s)
+	w.advance(w.now + time.Minute)
+
+	for i, side := range []struct {
+		sh  *Sighost
+		env *fakeEnv
+		key callKey
+	}{{a, ea, callKey{peer: "b.rt", id: 1, origin: true}}, {b, eb, callKey{peer: "a.rt", id: 1}}} {
+		sh, env := side.sh, side.env
+		opens, ends := 0, 0
+		for _, r := range sh.jr.records() {
+			if r.key == side.key && r.op == jOpen {
+				opens++
+			}
+			if r.key == side.key && r.op == jEnd {
+				ends++
+			}
+		}
+		if opens > 1 || ends != opens {
+			t.Errorf("%s: journal holds %d opens and %d ends for %+v", env.addr, opens, ends, side.key)
+		}
+		_, out, in, wb, vm := sh.ListSizes()
+		if out+in+wb+vm+sh.CookieCount()+len(sh.calls) != 0 {
+			t.Errorf("%s: left outgoing=%d incoming=%d wait_for_bind=%d VCI_mapping=%d cookies=%d calls=%d",
+				env.addr, out, in, wb, vm, sh.CookieCount(), len(sh.calls))
+		}
+		for _, tm := range w.timers {
+			if tm.owner == env && !tm.canceled && !tm.fired {
+				t.Errorf("%s: timer at %v still armed", env.addr, tm.at)
+			}
+		}
+		if got := env.countSent(sigmsg.KindRelease); min(got, 1) != row.releases[i] {
+			t.Errorf("%s: sent %d RELEASEs, want %d", env.addr, got, row.releases[i])
+		}
+		var failed []string
+		for _, c := range env.conns {
+			for _, m := range c.msgs {
+				if m.Kind == sigmsg.KindConnFailed {
+					failed = append(failed, m.Reason)
 				}
 			}
-			status := ""
-			for _, tr := range tc.Completed() {
-				if tr.CallID == 1 {
-					status = tr.Status
-				}
-				if err := SpanErr(tr, map[string]int{}, chains...); err != nil {
-					t.Error(err)
-				}
-			}
-			if status != row.status {
-				t.Errorf("trace status %q, want %q", status, row.status)
-			}
-		})
+		}
+		want := 0
+		if i == 0 && row.connFailed != "" {
+			want = 1
+		}
+		if len(failed) != want || (want == 1 && failed[0] != row.connFailed) {
+			t.Errorf("%s: CONN_FAILED %q, want %q", env.addr, failed, row.connFailed)
+		}
+		st := sh.Stats()
+		if got := [4]uint64{st.CallsFailed, st.CallsTorn, st.CallsRejected, st.CallsCanceled}; got != row.counts[i] {
+			t.Errorf("%s: failed/torn/rejected/canceled = %v, want %v", env.addr, got, row.counts[i])
+		}
+		if err := chains[i].Err(); err != nil {
+			t.Error(err)
+		}
+		if opens > 0 && chains[i].Records == 0 {
+			t.Errorf("%s: the call's changes published no records", env.addr)
+		}
+	}
+	status := ""
+	for _, tr := range tc.Completed() {
+		if tr.CallID == 1 {
+			status = tr.Status
+		}
+		if err := SpanErr(tr, map[string]int{}, chains...); err != nil {
+			t.Error(err)
+		}
+	}
+	if status != row.status {
+		t.Errorf("trace status %q, want %q", status, row.status)
 	}
 }
 
@@ -322,7 +424,10 @@ func selects(x ast.Expr, from string, sel map[string]bool) (string, bool) {
 // only in transition, and replaced wholesale only in wipe (the state a
 // process starts with and loses in Crash). The lengths kept in sh.n
 // are set only in transition and wipe, and the service list's in the
-// functions that write it.
+// functions that write it. A state's timer is armed (its input, alarm,
+// handed to After, and its stop and deadline stored) only in transition,
+// and canceled only there and in wipe; decodeJrec alone writes another
+// deadline, a journal record's.
 func TestStateWrittenOnlyByTransition(t *testing.T) {
 	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true}
 	sizes := map[string]bool{"services": true, "outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true, "calls": true}
@@ -352,11 +457,23 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 				t.Errorf("%s: %s sets the kept length of %s", fset.Position(n.Pos()), where, field)
 			}
 		}
+		timer := func(n ast.Node, what string, ok bool) {
+			if ok {
+				seen[what]++
+			} else {
+				t.Errorf("%s: %s %s a state's timer", fset.Position(n.Pos()), where, what)
+			}
+		}
 		ast.Inspect(body, func(n ast.Node) bool {
 			var targets []ast.Expr
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				targets = n.Lhs
+				for _, x := range n.Lhs {
+					if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "stop" || sel.Sel.Name == "deadline") {
+						timer(x, "stores "+sel.Sel.Name+" of", where == "transition" || where == "decodeJrec" && sel.Sel.Name == "deadline")
+					}
+				}
 			case *ast.IncDecStmt:
 				targets = []ast.Expr{n.X}
 			case *ast.CallExpr:
@@ -367,6 +484,14 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 				}
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "set" {
 					setsSize(n, sel.X)
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "stop" {
+					timer(n, "cancels", where == "transition" || where == "wipe")
+				}
+				for _, arg := range n.Args {
+					if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "alarm" {
+						timer(n, "arms", where == "transition")
+					}
 				}
 			case *ast.UnaryExpr: // &sh.n.calls can be set through
 				if n.Op == token.AND {
@@ -390,7 +515,8 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 		})
 	})
 	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap", "cookies",
-		"n.outgoing", "n.incoming", "n.waitBind", "n.vciMap", "n.cookies", "n.calls"} {
+		"n.outgoing", "n.incoming", "n.waitBind", "n.vciMap", "n.cookies", "n.calls",
+		"stores stop of", "stores deadline of", "cancels", "arms"} {
 		if seen[field] == 0 {
 			t.Errorf("transition writes no %s: the walk is looking at the wrong code", field)
 		}
