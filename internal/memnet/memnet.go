@@ -347,7 +347,9 @@ func discard(pkt *Packet) {
 // route transmits toward the destination: locally delivered, or out the
 // next-hop link. Loopback delivery is deferred to an event so that a
 // reply can never race ahead of the sender's next action (a dialer must
-// park before its SYN-ACK lands).
+// park before its SYN-ACK lands). A connection's loopback segments keep
+// that rule in the stream layer (loopSeg), which applies an ACK in
+// place only where nothing could tell it from the event.
 func (nd *Node) route(pkt *Packet) error {
 	if pkt.Dst == nd.Addr {
 		pkt.hop(0, nd)

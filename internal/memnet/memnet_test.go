@@ -23,6 +23,25 @@ func twoNodes(t *testing.T) (*sim.Engine, *Network, *Node, *Node) {
 	return e, n, h, r
 }
 
+// forEachPair runs test over both paths a stream segment can take:
+// across an FDDI link from host to router, and on the loopback, where the
+// host dials itself and a segment goes straight to its peer.
+func forEachPair(t *testing.T, test func(t *testing.T, e *sim.Engine, h, r *Node)) {
+	for _, loopback := range []bool{false, true} {
+		name := "link"
+		if loopback {
+			name = "loopback"
+		}
+		t.Run(name, func(t *testing.T) {
+			e, _, h, r := twoNodes(t)
+			if loopback {
+				r = h
+			}
+			test(t, e, h, r)
+		})
+	}
+}
+
 func TestIPAddrString(t *testing.T) {
 	if got := IP4(10, 1, 2, 3).String(); got != "10.1.2.3" {
 		t.Fatalf("String = %q", got)
@@ -185,82 +204,84 @@ func TestIPCostCharged(t *testing.T) {
 }
 
 func TestStreamConnectSendRecv(t *testing.T) {
-	e, _, h, r := twoNodes(t)
-	const port = 5000
-	l, err := r.ListenStream(port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serverGot, clientGot []byte
-	e.Go("server", func(p *sim.Proc) {
-		s, ok := l.Accept(p)
-		if !ok {
-			t.Error("accept failed")
-			return
-		}
-		msg, ok := s.Recv(p)
-		if !ok {
-			t.Error("server recv failed")
-			return
-		}
-		serverGot = msg
-		_ = s.Send([]byte("pong"))
-		s.Close()
-	})
-	e.Go("client", func(p *sim.Proc) {
-		s, err := h.DialStream(p, r.Addr, port)
+	forEachPair(t, func(t *testing.T, e *sim.Engine, h, r *Node) {
+		const port = 5000
+		l, err := r.ListenStream(port)
 		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
+			t.Fatal(err)
 		}
-		_ = s.Send([]byte("ping"))
-		msg, ok := s.Recv(p)
-		if ok {
-			clientGot = msg
+		var serverGot, clientGot []byte
+		e.Go("server", func(p *sim.Proc) {
+			s, ok := l.Accept(p)
+			if !ok {
+				t.Error("accept failed")
+				return
+			}
+			msg, ok := s.Recv(p)
+			if !ok {
+				t.Error("server recv failed")
+				return
+			}
+			serverGot = msg
+			_ = s.Send([]byte("pong"))
+			s.Close()
+		})
+		e.Go("client", func(p *sim.Proc) {
+			s, err := h.DialStream(p, r.Addr, port)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			_ = s.Send([]byte("ping"))
+			msg, ok := s.Recv(p)
+			if ok {
+				clientGot = msg
+			}
+			s.Close()
+		})
+		e.Run()
+		if string(serverGot) != "ping" || string(clientGot) != "pong" {
+			t.Fatalf("server %q client %q", serverGot, clientGot)
 		}
-		s.Close()
 	})
-	e.Run()
-	if string(serverGot) != "ping" || string(clientGot) != "pong" {
-		t.Fatalf("server %q client %q", serverGot, clientGot)
-	}
 }
 
 func TestStreamOrderingManyMessages(t *testing.T) {
-	e, _, h, r := twoNodes(t)
-	l, _ := r.ListenStream(5000)
-	var got []int
-	e.Go("server", func(p *sim.Proc) {
-		s, _ := l.Accept(p)
-		for {
-			msg, ok := s.Recv(p)
-			if !ok {
+	forEachPair(t, func(t *testing.T, e *sim.Engine, h, r *Node) {
+		l, _ := r.ListenStream(5000)
+		var got []int
+		e.Go("server", func(p *sim.Proc) {
+			s, _ := l.Accept(p)
+			for {
+				msg, ok := s.Recv(p)
+				if !ok {
+					return
+				}
+				got = append(got, int(msg[0])<<8|int(msg[1]))
+			}
+		})
+		const count = 200 // exceeds the window, exercising pending-buffer flow
+		e.Go("client", func(p *sim.Proc) {
+			s, err := h.DialStream(p, r.Addr, 5000)
+			if err != nil {
+				t.Errorf("dial: %v", err)
 				return
 			}
-			got = append(got, int(msg[0])<<8|int(msg[1]))
+			for i := 0; i < count; i++ {
+				_ = s.Send([]byte{byte(i >> 8), byte(i)})
+			}
+			s.Close()
+		})
+		e.Run()
+		if len(got) != count {
+			t.Fatalf("received %d of %d", len(got), count)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("out of order at %d: %d", i, v)
+			}
 		}
 	})
-	const count = 200 // exceeds the window, exercising pending-buffer flow
-	e.Go("client", func(p *sim.Proc) {
-		s, err := h.DialStream(p, r.Addr, 5000)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		for i := 0; i < count; i++ {
-			_ = s.Send([]byte{byte(i >> 8), byte(i)})
-		}
-		s.Close()
-	})
-	e.Run()
-	if len(got) != count {
-		t.Fatalf("received %d of %d", len(got), count)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %d", i, v)
-		}
-	}
 }
 
 func TestStreamReliabilityUnderLoss(t *testing.T) {
@@ -368,28 +389,29 @@ func TestDialUnreachableTimesOut(t *testing.T) {
 }
 
 func TestStreamTeardownHookOrderly(t *testing.T) {
-	e, _, h, r := twoNodes(t)
-	l, _ := r.ListenStream(5000)
-	var hookReset []bool
-	e.Go("server", func(p *sim.Proc) {
-		s, _ := l.Accept(p)
-		s.SetTeardown(func(reset bool) { hookReset = append(hookReset, reset) })
-		for {
-			if _, ok := s.Recv(p); !ok {
-				break
+	forEachPair(t, func(t *testing.T, e *sim.Engine, h, r *Node) {
+		l, _ := r.ListenStream(5000)
+		var hookReset []bool
+		e.Go("server", func(p *sim.Proc) {
+			s, _ := l.Accept(p)
+			s.SetTeardown(func(reset bool) { hookReset = append(hookReset, reset) })
+			for {
+				if _, ok := s.Recv(p); !ok {
+					break
+				}
 			}
+			s.Close()
+		})
+		e.Go("client", func(p *sim.Proc) {
+			s, _ := h.DialStream(p, r.Addr, 5000)
+			_ = s.Send([]byte("x"))
+			s.Close()
+		})
+		e.Run()
+		if len(hookReset) != 1 || hookReset[0] {
+			t.Fatalf("teardown hooks = %v, want one orderly", hookReset)
 		}
-		s.Close()
 	})
-	e.Go("client", func(p *sim.Proc) {
-		s, _ := h.DialStream(p, r.Addr, 5000)
-		_ = s.Send([]byte("x"))
-		s.Close()
-	})
-	e.Run()
-	if len(hookReset) != 1 || hookReset[0] {
-		t.Fatalf("teardown hooks = %v, want one orderly", hookReset)
-	}
 }
 
 func TestListenerPortConflict(t *testing.T) {
@@ -473,32 +495,37 @@ func TestDatagramIsUnreliable(t *testing.T) {
 func TestStreamResetAfterPeerVanishes(t *testing.T) {
 	// The half-open scenario of §4: the peer endpoint fails silently.
 	// The sender's retransmissions exhaust and the stream resets.
-	e, _, h, r := twoNodes(t)
-	l, _ := r.ListenStream(5000)
-	var srv *Stream
-	e.Go("server", func(p *sim.Proc) {
-		srv, _ = l.Accept(p)
-	})
-	var sawReset bool
-	e.Go("client", func(p *sim.Proc) {
-		s, err := h.DialStream(p, r.Addr, 5000)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
+	forEachPair(t, func(t *testing.T, e *sim.Engine, h, r *Node) {
+		l, _ := r.ListenStream(5000)
+		var srv *Stream
+		e.Go("server", func(p *sim.Proc) {
+			srv, _ = l.Accept(p)
+		})
+		var sawReset bool
+		e.Go("client", func(p *sim.Proc) {
+			s, err := h.DialStream(p, r.Addr, 5000)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			s.SetTeardown(func(reset bool) { sawReset = reset })
+			p.Sleep(10 * time.Millisecond)
+			// Simulate silent remote death: the server's conn evaporates.
+			srv.finish(true)
+			// Over the link, cut the reverse path so RSTs cannot rescue
+			// the sender and it must discover the failure by
+			// retransmission exhaustion. The loopback cannot lose the RST
+			// its data draws, so there it is the RST that resets.
+			if r != h {
+				r.LinkTo(h).SetLoss(1.0)
+			}
+			_ = s.Send([]byte("into the void"))
+		})
+		e.Run()
+		if !sawReset {
+			t.Fatal("stream did not reset after peer vanished")
 		}
-		s.SetTeardown(func(reset bool) { sawReset = reset })
-		p.Sleep(10 * time.Millisecond)
-		// Simulate silent remote death: the server's conn evaporates.
-		r.streams.delConn(srv.key)
-		// Cut the reverse path so RSTs cannot rescue the sender and it
-		// must discover the failure by retransmission exhaustion.
-		r.LinkTo(h).SetLoss(1.0)
-		_ = s.Send([]byte("into the void"))
 	})
-	e.Run()
-	if !sawReset {
-		t.Fatal("stream did not reset after peer vanished")
-	}
 }
 
 // TestDialWithEveryEphemeralPortHeld: a node holding all of 10000–65535

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"xunet/internal/cost"
 	"xunet/internal/mbuf"
 	"xunet/internal/sim"
 )
@@ -98,7 +99,8 @@ type streamLayer struct {
 	// by every ephemeral-port probe — is an indexed lookup instead of a
 	// scan over every connection on the node. All conns mutations go
 	// through addConn/delConn to keep the index exact.
-	ports map[uint16]int
+	ports   map[uint16]int
+	segFree *loopSeg // loopback segments that have landed
 }
 
 func newStreamLayer(nd *Node) *streamLayer {
@@ -211,11 +213,17 @@ type Stream struct {
 	oooFin   map[uint32]bool
 	inbox    sim.Queue[[]byte]
 
+	// peer is the other end of a loopback connection, linked by the SYN
+	// that opens it and unlinked when either end finishes. Until then it
+	// sits in conns under key's mirror: what the lookup would return.
+	peer *Stream
+
+	// The four flags share a word, which keeps a Stream at 384 bytes.
 	localClosed  bool
 	remoteClosed bool
 	reset        bool
-	teardown     func(reset bool)
 	toreDown     bool
+	teardown     func(reset bool)
 
 	// Retransmits counts timer-driven resends, for experiments.
 	Retransmits uint64
@@ -352,6 +360,9 @@ func (s *Stream) finish(reset bool) {
 		return
 	}
 	s.toreDown = true
+	if p := s.peer; p != nil {
+		p.peer, s.peer = nil, nil
+	}
 	s.node.streams.delConn(s.key)
 	s.rtimer.Stop()
 	if s.teardown != nil {
@@ -368,11 +379,73 @@ func (s *Stream) maybeFinish() {
 
 func (s *Stream) finQueuedUnsent() bool { return s.finQueued && s.finSeq == 0 }
 
+// loopSeg is a connection's segment to an endpoint on its own node:
+// route's zero-delay loopback event, scheduled at the same point and
+// charged the same IP costs, without a packet, chain or wire header. It
+// carries its sender, so that it goes straight to the sender's peer —
+// the paper's PCB found by direct index — and not through conns.
+type loopSeg struct {
+	from *Stream
+	seg  segment
+	next *loopSeg // free-list link
+}
+
 // sendSegment transmits one segment of this connection.
 func (s *Stream) sendSegment(flags byte, seq, ack uint32, data []byte) {
-	s.node.sendSegment(s.key.raddr, segment{
-		flags: flags, sport: s.key.lport, dport: s.key.rport, seq: seq, ack: ack, data: data,
-	})
+	seg := segment{flags: flags, sport: s.key.lport, dport: s.key.rport, seq: seq, ack: ack, data: data}
+	nd := s.node
+	if s.key.raddr != nd.Addr {
+		nd.sendSegment(s.key.raddr, seg)
+		return
+	}
+	sl := nd.streams
+	ls := sl.segFree
+	if ls == nil {
+		ls = new(loopSeg)
+	} else {
+		sl.segFree = ls.next
+	}
+	*ls = loopSeg{from: s, seg: seg}
+	nd.Meter.Charge(cost.IP, cost.IPSendCost)
+	nd.eng.ScheduleArg(0, loopArrive, ls)
+}
+
+func loopArrive(arg any) {
+	ls := arg.(*loopSeg)
+	from, seg := ls.from, ls.seg
+	sl := from.node.streams
+	*ls = loopSeg{next: sl.segFree}
+	sl.segFree = ls
+	from.land(&seg)
+}
+
+// land delivers a loopback segment from s as deliverLocal would: to s's
+// peer while they are linked, else by the conns lookup.
+func (s *Stream) land(seg *segment) {
+	nd := s.node
+	nd.Meter.Charge(cost.IP, cost.IPRecvCost)
+	nd.Delivered++
+	if s.peer != nil {
+		s.peer.handle(seg)
+		return
+	}
+	nd.streams.demux(nd.Addr, seg, s)
+}
+
+// sendAck sends the cumulative ACK. A loopback ACK lands in this
+// instant, so it is applied to the peer here, by the same handle, unless
+// an event queued ahead of it could tell: behind a full window messages
+// or a FIN may wait, and a Send would queue instead of sending; an ACK
+// covering the peer's FIN once s's own FIN is out finishes the peer, on
+// this ACK or on that FIN, whichever lands second. Those stay events.
+func (s *Stream) sendAck() {
+	p := s.peer
+	if p == nil || p.inFlight() >= streamWindow || p.finSeq != 0 && s.recvNext == p.sendSeq && s.finSeq != 0 {
+		s.sendSegment(flagACK, 0, s.recvNext, nil)
+		return
+	}
+	s.node.Meter.Charge(cost.IP, cost.IPSendCost)
+	s.land(&segment{flags: flagACK, sport: s.key.lport, dport: s.key.rport, ack: s.recvNext})
 }
 
 func (s *Stream) armRetransmit() {
@@ -410,7 +483,7 @@ func (s *Stream) onRetransmit() {
 	}
 }
 
-// input dispatches an arriving stream segment on this node.
+// input dispatches a stream segment arriving off the wire.
 func (sl *streamLayer) input(pkt *Packet) {
 	var hdr [segHeaderSize]byte
 	n := pkt.Payload.CopyTo(hdr[:])
@@ -424,9 +497,16 @@ func (sl *streamLayer) input(pkt *Packet) {
 	if n < segHeaderSize {
 		return
 	}
+	sl.demux(src, &seg, nil)
+}
+
+// demux finds a segment's connection by its key. from, when not nil, is
+// the loopback connection that sent it, which a SYN links to the
+// connection it opens.
+func (sl *streamLayer) demux(src IPAddr, seg *segment, from *Stream) {
 	key := connKey{lport: seg.dport, raddr: src, rport: seg.sport}
 	if s, ok := sl.conns[key]; ok {
-		s.handle(&seg)
+		s.handle(seg)
 		return
 	}
 	// No connection. SYN to a live listener opens one; anything else
@@ -436,6 +516,9 @@ func (sl *streamLayer) input(pkt *Packet) {
 			s := newStream(sl.node, key)
 			s.established = true
 			sl.addConn(s)
+			if from != nil && !from.toreDown { // from is in conns: linkable
+				s.peer, from.peer = from, s
+			}
 			s.sendSegment(flagSYN|flagACK, 0, 0, nil)
 			l.backlog.Put(s)
 			return
@@ -477,7 +560,7 @@ func (s *Stream) handle(seg *segment) {
 			s.established = true
 			s.retries = 0
 			s.rtimer.Stop()
-			s.sendSegment(flagACK, 0, s.recvNext, nil)
+			s.sendAck()
 			if s.dialWaiter != nil {
 				s.dialWaiter.Unpark()
 			}
@@ -501,11 +584,14 @@ func (s *Stream) handle(seg *segment) {
 				}
 				break
 			}
-		case seg.seq > s.recvNext:
+		case seg.seq > s.recvNext && seg.seq-s.recvNext <= streamWindow:
+			// Nothing legitimate lies further ahead: at most streamWindow
+			// messages are in flight, and the FIN follows them.
 			s.bufferOutOfOrder(seg.seq, seg.data, isFin)
 		}
-		// Cumulative ACK in all cases (including duplicates).
-		s.sendSegment(flagACK, 0, s.recvNext, nil)
+		// Cumulative ACK in all cases (including duplicates and
+		// segments beyond the window).
+		s.sendAck()
 		return
 
 	case seg.flags&flagACK != 0:

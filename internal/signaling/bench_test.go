@@ -58,20 +58,10 @@ func BenchmarkSimulatedCallsPerSecond(b *testing.B) {
 	n.E.Shutdown()
 }
 
-// TestCallStormAllocs gates the allocations of a whole call, application
-// side included, where TestSteadyStateCallAllocs pins only the pooled
-// sighost state at zero: the benchmark above, ten iterations of it. The
-// count is deterministic — 688 per 10-call storm on the commit that set
-// this ceiling (768 before chain headers were recycled, 969 before the
-// signaling PVC's frames stopped allocating in the Hobbit board's SAR,
-// 4013 before segments, waiters, timers and inbox entries got recycled
-// records; DESIGN.md, "Allocation ledger of a call", says where the rest
-// go) — and the ceiling is there to be ratcheted down.
-func TestCallStormAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not deterministic under the race detector")
-	}
-	const ceiling = 700
+// stormRig is the warm rig TestCallStormAllocs and TestCallStormEvents
+// measure, the benchmark above's, and a function that runs its next
+// ten-call storm to quiescence.
+func stormRig(t *testing.T) (*testbed.Net, func()) {
 	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
 		DeviceBuffers:      kern.FixedDeviceBuffers,
 		FDTableSize:        kern.FixedFDTableSize,
@@ -80,11 +70,11 @@ func TestCallStormAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	t.Cleanup(n.Close)
 	testbed.StartEchoServer(rb, "bench", 6000)
 	n.E.RunUntil(time.Second)
 	i := 0
-	got := testing.AllocsPerRun(10, func() {
+	return n, func() {
 		res := testbed.CallStorm(ra, "ucb.rt", "bench", testbed.StormConfig{
 			Count: 10, Hold: 50 * time.Millisecond, BasePort: notifyPort(i),
 		})
@@ -93,11 +83,49 @@ func TestCallStormAllocs(t *testing.T) {
 		if res.Succeeded != 10 {
 			t.Fatalf("storm %d: %d/10 calls", i, res.Succeeded)
 		}
-	})
+	}
+}
+
+// TestCallStormAllocs gates the allocations of a whole call, application
+// side included, where TestSteadyStateCallAllocs pins only the pooled
+// sighost state at zero: the benchmark above, ten iterations of it. The
+// count is deterministic — 627 per 10-call storm on the commit that set
+// this ceiling (688 before a loopback DATA segment handed the receiver
+// the sender's copy, 768 before chain headers were recycled, 969 before
+// the signaling PVC's frames stopped allocating in the Hobbit board's
+// SAR, 4013 before segments, waiters, timers and inbox entries got
+// recycled records; DESIGN.md, "Allocation ledger of a call", says where
+// the rest go) — and the ceiling is there to be ratcheted down.
+func TestCallStormAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under the race detector")
+	}
+	const ceiling = 650
+	_, storm := stormRig(t)
+	got := testing.AllocsPerRun(10, storm)
 	if got > ceiling {
 		t.Errorf("a 10-call storm allocates %.0f times, ceiling %d", got, ceiling)
 	}
 	t.Logf("%.0f allocs per 10-call storm", got)
+}
+
+// TestCallStormEvents pins the engine events of a warm ten-call storm on
+// the same rig. The count is virtual history, not a wall-clock figure,
+// so it is exact: a change that moves it is reviewed as a moved
+// TestDetGate row is. 894 since loopback stream ACKs that nothing waits
+// on stopped being events (1 014 before; DESIGN.md §17, "Loopback
+// streams").
+func TestCallStormEvents(t *testing.T) {
+	const want = 894
+	n, storm := stormRig(t)
+	storm() // the first storm also dials the peer sighost
+	for k := 0; k < 3; k++ {
+		before := n.E.EventsExecuted()
+		storm()
+		if got := n.E.EventsExecuted() - before; got != want {
+			t.Fatalf("warm storm %d ran %d engine events, want %d", k, got, want)
+		}
+	}
 }
 
 // TestFramePathAllocs gates the PVC frame path a call's signaling rides:

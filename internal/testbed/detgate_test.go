@@ -20,8 +20,12 @@ import (
 // -shards 4 twins) were re-recorded when cells stopped scheduling an
 // event per interior hop: only the engines' own event, pool and heap
 // series and the profile's event totals and xswitch.arrival line (was
-// xswitch.trunk.deliver) moved. chaos was re-recorded when each trunk
-// began drawing its cells' fates from its own stream (CHANGES.md).
+// xswitch.trunk.deliver) moved. The same four were re-recorded when a
+// loopback stream ACK that nothing waits on stopped being an event:
+// only the engines' sim.events.executed, sim.heap.hiwat and sim.pool.*
+// series and the profile's event totals and per-process event counts
+// moved. chaos was re-recorded when each trunk began drawing its cells'
+// fates from its own stream (CHANGES.md).
 var detGate = []struct {
 	cmd string
 	// run writes the scenario's artifact; only a sharded row has a use
@@ -41,17 +45,17 @@ var detGate = []struct {
 		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second, 1)
 	}, "5226bd9d6307ef6dc3c34945a59a3b82a7530dec42d73da9f96576dbeef4f1a6"},
 	{"obs", obsRow(func(*testbed.ObsConfig) {}),
-		"b7be23d037b95e6d3b0345f94880b36a90fdf3f5315b2fb2de8d7b9e1b2b8bbe"},
+		"059d7d78baa0e1965249785b57877fd694fa3d225c2e783a04fd2d9d92a7a56c"},
 	{"obs -health", obsRow(func(c *testbed.ObsConfig) { c.Health = true }),
 		"cc46d105f1e9d003147679b73181698342d31d9cb4147717b9df77988c068a16"},
 	{"obs -table", obsRow(func(c *testbed.ObsConfig) { c.Table = true }),
 		"3b74cbef8a775d3d2da6b488dc9748d4ce7e1afe9a6eed2ace3dff00408b13a5"},
 	{"obs -prof", obsRow(func(c *testbed.ObsConfig) { c.Prof = true }),
-		"44dd498f4446061429eb5a5c60c89ee2c7261ce51af1ec771b0ed4d846906692"},
+		"9a0b4c81ebaba0943d7db74e54ac829bed59db1b7e0917f95d85629cdd8bf756"},
 	{"obs -shards 4 -calls 24 -frames 2 -run 8s", obsRow(shards4),
-		"6943ee7f036b8a8d406076942b55ae373c8aaed4bbca87d39dea12cd440302f1"},
+		"86b14a6c6aa85094c7c3063347a82f26b75a0637a490d4184d31e1cdf39063f6"},
 	{"obs -prof -shards 4 -calls 24 -frames 2 -run 8s", obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true }),
-		"b907c7b6a6711ed5fdf7d549f7e95490f6220aaee40f2bf0e2e0b1a1459829a0"},
+		"650af8aaf4ec67c581630b1e8e39a58b132ecfd085edf39bdcee8d47d5fe8b06"},
 }
 
 func closing(n *testbed.Net, err error) error {
