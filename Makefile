@@ -92,12 +92,14 @@ allocs:
 
 # The code-size ledger (both checks are part of `make test` too): the
 # non-test Go lines outside bench/, which may not exceed the ceiling
-# recorded in TestLineCeiling, then the unused-exports check, which logs
-# every exported identifier of internal/ that no non-test file
-# references, the allowlist with its reasons, and how many exports only
-# their own package uses.
+# recorded in TestLineCeiling, then the reachability check, which
+# type-checks the module, walks from every main, init, var initializer
+# and root experiment, and logs what it cannot reach in internal/, cmd/
+# and examples/ (a failure unless allowlisted), the allowlist with its
+# reasons and lines, the exported identifiers only their own package
+# uses, and its run time.
 loc:
-	$(GO) test -count 1 -run 'TestLineCeiling|TestNoUnusedExports' -v ./internal/codesize/
+	$(GO) test -count 1 -run 'TestLineCeiling|TestNoUnreachableCode' -v ./internal/codesize/
 
 # Alternating pairs for a wall-clock claim: `make pairs BASE=<rev>
 # W=<workload> [N=10 SEED=1 SECONDS=8]` builds ./bench at BASE (exported

@@ -34,17 +34,16 @@ func TestServerForgetsDeadHost(t *testing.T) {
 func TestClientWithoutServerGivesUpQuietly(t *testing.T) {
 	// A host whose router runs no anand server: StartClient's dial is
 	// refused and the client exits without wedging the host.
-	e, router, host, _, _ := rig(t)
-	_ = router
+	e, _, host, srv, _ := rig(t)
 	h2ip := host.M.IP // reuse the rig's network: dial a port nobody owns
 	c := StartClient(host, h2ip.Addr, 999)
 	e.RunUntil(2 * time.Second)
 	if c.Relayed != 0 {
 		t.Fatalf("relayed %d with no server", c.Relayed)
 	}
-	if e.Live() == 0 {
-		// the rig's own daemons still run; just verify engine health
-		t.Fatal("engine lost all processes")
+	if !srv.Connected(host.M.IP.Addr) {
+		// the rig's own daemons still run: the host's relay is still up
+		t.Fatal("the rig's relay connection died")
 	}
 	e.Shutdown()
 }

@@ -1,5 +1,5 @@
-// Package lib holds one export of each class the unused-exports check
-// tells apart.
+// Package lib holds one declaration of each class the reachability
+// check tells apart.
 package lib
 
 import "errors"
@@ -7,11 +7,14 @@ import "errors"
 // Dead is referenced by no file at all: flagged.
 func Dead() {}
 
+// dead is unexported and unreferenced: flagged.
+func dead() {}
+
 // TestOnly is referenced only by this package's tests: flagged.
 func TestOnly() int { return 1 }
 
 // Used is called from main.go.
-func Used() *Result { return &Result{n: Internal} }
+func Used() *Result { return &Result{n: Internal + int(busy-idle)} }
 
 // Result is named by no other file; it is reachable through Used's
 // signature.
@@ -23,8 +26,34 @@ type Shape interface{ Area() int }
 // Square satisfies Shape.
 type Square struct{}
 
-// Area is never selected by name; Square satisfies Shape with it.
+// Area is never selected by name; main calls it through Shape.
 func (Square) Area() int { return 4 }
+
+// A and B share a method name; only A's Run is called: B.Run is flagged.
+type A struct{}
+type B struct{}
+
+func (A) Run() {}
+func (B) Run() {}
+
+// Stack is generic; main pushes but never pops: Pop is flagged.
+type Stack[T any] struct{ s []T }
+
+func (s *Stack[T]) Push(v T) { s.s = append(s.s, v) }
+func (s *Stack[T]) Pop() T   { v := s.s[len(s.s)-1]; s.s = s.s[:len(s.s)-1]; return v }
+
+// Experiment is called only by the root package's TestExperiment.
+func Experiment() {}
+
+// skipped is used nowhere, but deleting it would renumber busy.
+const (
+	idle = iota
+	skipped
+	busy
+)
+
+// onlyElsewhere is named in other.go too, which no host build includes.
+func onlyElsewhere() {}
 
 // ErrSentinel is what Err matches.
 var ErrSentinel = errors.New("sentinel")
@@ -39,12 +68,12 @@ func (Err) Is(target error) bool { return target == ErrSentinel }
 
 type hidden struct{}
 
-// Exported is a method of an unexported type: never a candidate.
+// Exported is a method of an unexported type, called by Hidden.
 func (hidden) Exported() int { return 2 }
 
 // Hidden returns a value of the unexported type.
 func Hidden() int { return hidden{}.Exported() }
 
-// Internal is used by this package's non-test code only: counted, not
+// Internal is used by this package's non-test code only: listed, not
 // flagged.
 var Internal = 3

@@ -11,5 +11,8 @@ import (
 func main() {
 	r := lib.Used()
 	var s lib.Shape = lib.Square{}
-	fmt.Println(r, s, errors.Is(lib.Err{}, lib.ErrSentinel), lib.Hidden())
+	var st lib.Stack[int]
+	st.Push(1)
+	lib.A{}.Run()
+	fmt.Println(r, s.Area(), st, lib.B{}, errors.Is(lib.Err{}, lib.ErrSentinel), lib.Hidden())
 }

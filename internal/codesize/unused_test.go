@@ -1,38 +1,55 @@
 package codesize
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
-// The unused-exports check. An exported package-level identifier, or an
-// exported method of an exported type, declared in an internal/ package
-// and referenced by no non-test file of the module (cmd/, examples/,
-// bench/ and the root package included) is dead code or a test seam.
+// The reachability check. It type-checks the module with go/types
+// (standard library only: the module's packages from source, the
+// standard library from the export data `go list -export` names) and
+// walks from the roots, following what every identifier in reached code
+// resolves to. A function, method, constant, variable or type declared
+// in internal/, cmd/ or examples/ that the walk never reaches is dead
+// code or a test seam. bench/ is read for its roots but not gated.
 //
-// It matches names with go/parser and go/ast alone, so it is
-// conservative: it may miss dead code, but it never flags used code.
-//   - A package-level name is used when another package selects it
-//     through an import (pkg.Name), or a file of its own package names
-//     it bare.
-//   - A method is used when any non-test file selects its name (x.Name),
-//     or when its type has every method of an interface that contains
-//     it: one declared in the module's non-test code, or one of the
-//     stdlib protocols below (errors.Is calls Is, io.Copy calls Read).
-//   - An identifier named in the signature, the exported fields, the
-//     type or the value of a used identifier is used: a caller of New
-//     holds a *T without ever writing T.
+// The roots are what runs: main and every init, every package-level var
+// initializer, and the Test, Benchmark, Example and Fuzz functions of
+// the root package's tests (the paper's experiments).
+//
+// A method is reached when
+//   - reached code selects it (x.M, T.M), or
+//   - its receiver type appears in reached code and a reached call goes
+//     through an interface method of the same name that the type
+//     implements, or
+//   - its receiver type appears in reached code and the method belongs
+//     to one of the standard-library protocols below, which stdlib code
+//     calls on the module's values (errors.Is calls Is, fmt calls
+//     String).
+//
+// The constants of an iota block are reached together: deleting one
+// would renumber the rest. A name used in a file the host build
+// excludes (a build-constraint fallback) counts as reached.
 
-// stdlibIfaces are the stdlib interfaces, by method names, that an
-// exported method may satisfy without module code calling it by name.
+// stdlibIfaces are the stdlib interfaces, by method names, whose
+// methods stdlib code calls without the module calling them by name.
 var stdlibIfaces = [][]string{
 	{"Error"}, {"String"}, {"GoString"}, {"Format"}, {"Is"}, {"As"}, {"Unwrap"},
 	{"Read"}, {"Write"}, {"Close"}, {"WriteTo"}, {"ReadFrom"},
@@ -41,452 +58,591 @@ var stdlibIfaces = [][]string{
 	{"Read", "Write", "Close", "LocalAddr", "RemoteAddr", "SetDeadline", "SetReadDeadline", "SetWriteDeadline"},
 }
 
-// export is one exported identifier of an internal/ package.
-type export struct {
-	pkg    string // directory relative to the module root: "internal/sim"
-	name   string // "Name", or "Type.Method"
-	recv   string // receiver type of a method, else ""
-	method string // method name, else ""
-	file   string // declaring file relative to the module root
-	lines  int    // lines of its declaration, doc comment included
-	decl   []ast.Node
-	in     *srcFile
+// finding is one declaration the walk did not reach.
+type finding struct {
+	pkg   string // directory relative to the module root: "internal/sim"
+	name  string // "Name", or "Type.Method"
+	recv  string // receiver type of a method, else ""
+	file  string // declaring file relative to the module root
+	lines int    // lines of its declaration, doc comment included
 }
 
-func (e *export) String() string { return e.pkg + "." + e.name }
+func (f *finding) String() string { return f.pkg + "." + f.name }
 
-// srcFile is one parsed Go file and the names it references.
-type srcFile struct {
-	dir     string // relative to the module root
-	test    bool
-	f       *ast.File
-	imports map[string]string          // local name → module directory
-	bare    map[string]bool            // identifiers not selected through anything
-	sel     map[string]bool            // x.Name where x is not an import
-	qual    map[string]map[string]bool // module directory → names selected through its import
-	ifaces  [][]string                 // method names of each interface type written here
+// listed is what `go list -json` says of one package.
+type listed struct {
+	ImportPath, Dir, Export   string
+	Standard                  bool
+	GoFiles, IgnoredGoFiles   []string
+	TestGoFiles, XTestGoFiles []string
 }
 
-// unusedReport is what the check found over one module.
-type unusedReport struct {
-	unused   []*export          // referenced by no non-test file
-	testUse  map[*export]string // which tests reference each unused export
-	internal int                // used only by non-test files of their own package
+// pkg is one type-checked package of the module.
+type pkg struct {
+	dir   string // relative to the module root
+	info  *types.Info
+	files []*ast.File
 }
 
-// findUnused parses every .go file under root (a directory holding
-// go.mod), skipping testdata and hidden directories, and checks the
-// exports of the packages under root/internal.
-func findUnused(root string) (*unusedReport, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// decl is one package-level declaration or method of the module.
+type decl struct {
+	pkg   *pkg
+	node  ast.Node       // what reaching it walks
+	block []types.Object // the iota block it belongs to
+	file  string
+	lines int
+}
+
+// reachReport is what the check found over one module.
+type reachReport struct {
+	unreached []*finding
+	// ownOnly lists, by package, the reached exported identifiers that
+	// only their own package's code names: candidates to unexport.
+	ownOnly map[string][]string
+}
+
+// walker holds the reachability state of one module.
+type walker struct {
+	fset    *token.FileSet
+	decls   map[types.Object]*decl
+	reached map[types.Object]bool
+	foreign map[types.Object]bool // named from another package, or called through an interface
+	work    []types.Object
+	named   []*types.TypeName       // reached named types of the module
+	ifaces  map[string][]types.Type // method name → interfaces reached calls go through
+}
+
+// findUnreached loads the module at root (a directory holding go.mod)
+// and returns what its roots do not reach.
+func findUnreached(root string) (*reachReport, error) {
+	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	modPath := ""
-	for _, l := range strings.Split(string(mod), "\n") {
-		if rest, ok := strings.CutPrefix(l, "module "); ok {
-			modPath = strings.TrimSpace(rest)
+	w := &walker{
+		fset:    token.NewFileSet(),
+		decls:   map[types.Object]*decl{},
+		reached: map[types.Object]bool{},
+		foreign: map[types.Object]bool{},
+		ifaces:  map[string][]types.Type{},
+	}
+	// The root package's tests import what ./... may not: list those too.
+	patterns := []string{"./..."}
+	rootTests, _ := filepath.Glob(filepath.Join(root, "*_test.go"))
+	for _, name := range rootTests {
+		f, err := parser.ParseFile(w.fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, imp := range f.Imports {
+			patterns = append(patterns, strings.Trim(imp.Path.Value, `"`))
 		}
 	}
-	fset := token.NewFileSet()
-	var files []*srcFile
-	pkgName := map[string]string{} // directory → package name
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	// Run the toolchain that built this test: another go's export data
+	// may be in a format this go/importer cannot read.
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goCmd); err != nil {
+		goCmd = "go"
+	}
+	cmd := exec.Command(goCmd, append([]string{"list", "-e", "-deps", "-export", "-json"}, patterns...)...)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	var all []*listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listed)
+		if err := dec.Decode(p); err != nil {
+			return nil, err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		} else {
+			all = append(all, p)
 		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		sf := &srcFile{dir: filepath.ToSlash(rel), test: strings.HasSuffix(name, "_test.go"), f: f}
-		if !sf.test {
-			pkgName[sf.dir] = f.Name.Name
-		}
-		files = append(files, sf)
-		return nil
+	}
+
+	std := importer.ForCompiler(w.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
 	})
-	if err != nil {
-		return nil, err
+	checked := map[string]*types.Package{}
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if p, ok := checked[path]; ok {
+				return p, nil
+			}
+			return std.Import(path)
+		}),
+		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
-	for _, sf := range files {
-		sf.scan(modPath, pkgName)
+	parse := func(dir string, names []string) ([]*ast.File, error) {
+		var files []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(w.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		return files, nil
+	}
+	check := func(dir, path string, names []string) (*pkg, *types.Package, error) {
+		files, err := parse(dir, names)
+		if err != nil {
+			return nil, nil, err
+		}
+		rel, _ := filepath.Rel(root, dir)
+		p := &pkg{dir: filepath.ToSlash(rel), files: files, info: &types.Info{
+			Uses: map[*ast.Ident]types.Object{},
+			Defs: map[*ast.Ident]types.Object{},
+		}}
+		tp, err := conf.Check(path, w.fset, files, p.info)
+		if err != nil {
+			return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
+		}
+		w.declare(root, p)
+		return p, tp, nil
 	}
 
-	// Every candidate, and the method names of every type.
-	var exports []*export
-	methods := map[string][]string{} // "dir.Type" → method names
-	for _, sf := range files {
-		if sf.test || !strings.HasPrefix(sf.dir, "internal/") {
+	// go list -deps prints each package after its dependencies, so a
+	// package's roots can be walked as soon as it is checked.
+	for _, l := range all {
+		names := l.GoFiles
+		if l.Dir == root {
+			names = append(slices.Clone(names), l.TestGoFiles...)
+		}
+		if len(names) == 0 {
 			continue
 		}
-		add := func(name, recv string, doc *ast.CommentGroup, node ast.Node, parts ...ast.Node) {
-			if !ast.IsExported(name) || recv != "" && !ast.IsExported(recv) {
-				return
-			}
-			e := &export{pkg: sf.dir, name: name, recv: recv, decl: parts, in: sf}
-			if recv != "" {
-				e.method, e.name = name, recv+"."+name
-			}
-			start := node.Pos()
-			if doc != nil {
-				start = doc.Pos()
-			}
-			p, end := fset.Position(start), fset.Position(node.End())
-			rel, _ := filepath.Rel(root, p.Filename)
-			e.file, e.lines = filepath.ToSlash(rel), end.Line-p.Line+1
-			exports = append(exports, e)
+		p, tp, err := check(l.Dir, l.ImportPath, names)
+		if err != nil {
+			return nil, err
 		}
-		for _, d := range sf.f.Decls {
+		checked[l.ImportPath] = tp
+		w.roots(p, l.Dir == root)
+		var ignored []string
+		for _, name := range l.IgnoredGoFiles {
+			if !strings.HasSuffix(name, "_test.go") {
+				ignored = append(ignored, name)
+			}
+		}
+		files, err := parse(l.Dir, ignored)
+		if err != nil {
+			return nil, err
+		}
+		w.elsewhere(tp, files)
+	}
+	// The root package's external tests may import any package.
+	for _, l := range all {
+		if l.Dir == root && len(l.XTestGoFiles) > 0 {
+			p, _, err := check(l.Dir, l.ImportPath+"_test", l.XTestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			w.roots(p, true)
+		}
+	}
+	w.run()
+	return w.report(), nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// declare records every package-level declaration and method of p.
+func (w *walker) declare(root string, p *pkg) {
+	add := func(obj types.Object, node ast.Node, doc *ast.CommentGroup, span ast.Node) {
+		start := span.Pos()
+		if doc != nil {
+			start = doc.Pos()
+		}
+		from, to := w.fset.Position(start), w.fset.Position(span.End())
+		rel, _ := filepath.Rel(root, from.Filename)
+		w.decls[obj] = &decl{pkg: p, node: node, file: filepath.ToSlash(rel), lines: to.Line - from.Line + 1}
+	}
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if d, ok := d.(*ast.FuncDecl); ok {
+				add(p.info.Defs[d.Name], d, d.Doc, d)
+				continue
+			}
+			d := d.(*ast.GenDecl)
+			var block []types.Object
+			usesIota := false
+			for _, s := range d.Specs {
+				// A grouped spec counts from its own doc comment.
+				doc, span := d.Doc, ast.Node(d)
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if d.Lparen.IsValid() {
+						doc, span = s.Doc, s
+					}
+					add(p.info.Defs[s.Name], s, doc, span)
+				case *ast.ValueSpec:
+					if d.Lparen.IsValid() {
+						doc, span = s.Doc, s
+					}
+					usesIota = usesIota || d.Tok == token.CONST && len(s.Values) == 0
+					for _, v := range s.Values {
+						ast.Inspect(v, func(n ast.Node) bool {
+							id, ok := n.(*ast.Ident)
+							usesIota = usesIota || ok && p.info.Uses[id] == types.Universe.Lookup("iota")
+							return true
+						})
+					}
+					for _, id := range s.Names {
+						if obj := p.info.Defs[id]; obj != nil && id.Name != "_" {
+							add(obj, s, doc, span)
+							block = append(block, obj)
+						}
+					}
+				}
+			}
+			if usesIota {
+				for _, obj := range block {
+					w.decls[obj].block = block
+				}
+			}
+		}
+	}
+}
+
+// roots walks what runs in p: main, every init, every package-level var
+// initializer, and, when experiments is set, the Test, Benchmark,
+// Example and Fuzz functions of p's test files.
+func (w *walker) roots(p *pkg, experiments bool) {
+	for _, f := range p.files {
+		test := strings.HasSuffix(w.fset.File(f.Pos()).Name(), "_test.go")
+		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil {
-					recv = recvName(d.Recv.List[0].Type)
-					methods[sf.dir+"."+recv] = append(methods[sf.dir+"."+recv], d.Name.Name)
+				name := d.Name.Name
+				main := name == "main" && f.Name.Name == "main"
+				if d.Recv == nil && (name == "init" || main || experiments && test && isExperiment(name)) {
+					w.walk(p, d)
 				}
-				add(d.Name.Name, recv, d.Doc, d, d.Type)
+			case *ast.GenDecl:
+				if d.Tok == token.VAR {
+					for _, s := range d.Specs {
+						for _, v := range s.(*ast.ValueSpec).Values {
+							w.walk(p, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// isExperiment reports whether go test runs a function of this name.
+func isExperiment(name string) bool {
+	for _, prefix := range []string{"Test", "Benchmark", "Example", "Fuzz"} {
+		if rest, ok := strings.CutPrefix(name, prefix); ok && (rest == "" || !unicode.IsLower(rune(rest[0]))) {
+			return true
+		}
+	}
+	return false
+}
+
+// elsewhere reaches every declaration of tp that files, which the host
+// build excludes, name.
+func (w *walker) elsewhere(tp *types.Package, files []*ast.File) {
+	names := map[string]bool{}
+	for _, f := range files {
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				declared[d.Name] = true
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
-					// A grouped spec counts from its own doc comment.
-					doc, node := d.Doc, ast.Node(d)
-					if d.Lparen.IsValid() {
-						doc, node = nil, s
-					}
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						if node == s {
-							doc = s.Doc
-						}
-						add(s.Name.Name, "", doc, node, s.Type)
+						declared[s.Name] = true
 					case *ast.ValueSpec:
-						if node == s {
-							doc = s.Doc
-						}
-						var parts []ast.Node
-						if s.Type != nil {
-							parts = append(parts, s.Type)
-						}
-						for _, v := range s.Values {
-							parts = append(parts, v)
-						}
-						for _, n := range s.Names {
-							add(n.Name, "", doc, node, parts...)
+						for _, id := range s.Names {
+							declared[id] = true
 						}
 					}
 				}
 			}
 		}
-	}
-	byName := map[string]*export{}
-	for _, e := range exports {
-		if e.recv == "" {
-			byName[e.pkg+"."+e.name] = e
-		}
-	}
-
-	ifaces := slices.Clone(stdlibIfaces)
-	for _, sf := range files {
-		if !sf.test {
-			ifaces = append(ifaces, sf.ifaces...)
-		}
-	}
-	satisfies := func(e *export) bool {
-		have := methods[e.pkg+"."+e.recv]
-		for _, iface := range ifaces {
-			if slices.Contains(iface, e.method) &&
-				!slices.ContainsFunc(iface, func(m string) bool { return !slices.Contains(have, m) }) {
-				return true
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				names[id.Name] = true
 			}
-		}
-		return false
+			return true
+		})
 	}
-	// refs reports whether any file that keep accepts names e.
-	refs := func(e *export, keep func(*srcFile) bool) bool {
-		for _, sf := range files {
-			switch {
-			case !keep(sf):
-			case e.recv != "":
-				if sf.sel[e.method] {
-					return true
-				}
-			case sf.dir == e.pkg && sf.bare[e.name], sf.qual[e.pkg][e.name]:
-				return true
-			}
-		}
-		return false
+	if len(names) == 0 {
+		return
 	}
-	// reach closes a used set over the identifiers its members name.
-	reach := func(used map[*export]bool) {
-		var work []*export
-		for e := range used {
-			work = append(work, e)
-		}
-		for len(work) > 0 {
-			e := work[len(work)-1]
-			work = work[:len(work)-1]
-			mark := func(to *export) {
-				if to != nil && !used[to] {
-					used[to] = true
-					work = append(work, to)
-				}
-			}
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.StructType:
-					// An unexported field does not make its type reachable.
-					for _, f := range n.Fields.List {
-						if len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
-							ast.Inspect(f.Type, visit)
-						}
-					}
-					return false
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if dir, ok := e.in.imports[x.Name]; ok {
-							mark(byName[dir+"."+n.Sel.Name])
-							return false
-						}
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					mark(byName[e.pkg+"."+n.Name])
-				}
-				return true
-			}
-			for _, part := range e.decl {
-				ast.Inspect(part, visit)
-			}
-		}
-	}
-
-	used, external := map[*export]bool{}, map[*export]bool{}
-	for _, e := range exports {
-		iface := e.recv != "" && satisfies(e)
-		used[e] = iface || refs(e, func(sf *srcFile) bool { return !sf.test })
-		external[e] = iface || refs(e, func(sf *srcFile) bool { return !sf.test && sf.dir != e.pkg })
-	}
-	for _, m := range []map[*export]bool{used, external} {
-		for e, ok := range m {
-			if !ok {
-				delete(m, e)
-			}
-		}
-		reach(m)
-	}
-
-	rep := &unusedReport{testUse: map[*export]string{}}
-	for _, e := range exports {
-		switch {
-		case !used[e]:
-			rep.unused = append(rep.unused, e)
-			switch {
-			case refs(e, func(sf *srcFile) bool { return sf.test && sf.dir == e.pkg }):
-				rep.testUse[e] = "own tests"
-			case refs(e, func(sf *srcFile) bool { return sf.test }):
-				rep.testUse[e] = "other tests"
-			default:
-				rep.testUse[e] = "no reference"
-			}
-		case !external[e]:
-			rep.internal++
-		}
-	}
-	return rep, nil
-}
-
-// recvName is the type name of a method receiver: T, *T, T[K] or *T[K].
-func recvName(x ast.Expr) string {
-	for {
-		switch t := x.(type) {
-		case *ast.StarExpr:
-			x = t.X
-		case *ast.IndexExpr:
-			x = t.X
-		case *ast.IndexListExpr:
-			x = t.X
-		case *ast.ParenExpr:
-			x = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
+	for obj := range w.decls {
+		if obj.Pkg() == tp && names[obj.Name()] {
+			w.mark(obj)
 		}
 	}
 }
 
-// scan records the names the file references. Declared names (of
-// functions, methods, types, values and fields) are not references.
-func (sf *srcFile) scan(modPath string, pkgName map[string]string) {
-	sf.imports = map[string]string{}
-	for _, imp := range sf.f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		dir, ok := strings.CutPrefix(path, modPath+"/")
+// walk reaches whatever an identifier in n resolves to.
+func (w *walker) walk(p *pkg, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
 		if !ok {
-			continue
+			return true
 		}
-		name := pkgName[dir]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		sf.imports[name] = dir
-	}
-	sf.bare, sf.sel, sf.qual = map[string]bool{}, map[string]bool{}, map[string]map[string]bool{}
-	var walk func(ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ImportSpec:
-			return false
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				ast.Inspect(n.Recv, walk)
-			}
-			ast.Inspect(n.Type, walk)
-			if n.Body != nil {
-				ast.Inspect(n.Body, walk)
-			}
-			return false
-		case *ast.TypeSpec:
-			if n.TypeParams != nil {
-				ast.Inspect(n.TypeParams, walk)
-			}
-			ast.Inspect(n.Type, walk)
-			return false
-		case *ast.ValueSpec:
-			if n.Type != nil {
-				ast.Inspect(n.Type, walk)
-			}
-			for _, v := range n.Values {
-				ast.Inspect(v, walk)
-			}
-			return false
-		case *ast.Field:
-			if n.Type != nil {
-				ast.Inspect(n.Type, walk)
-			}
-			return false
-		case *ast.InterfaceType:
-			var names []string
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					names = append(names, id.Name)
+		switch obj := p.info.Uses[id].(type) {
+		case *types.Func:
+			recv := obj.Type().(*types.Signature).Recv()
+			if recv != nil && types.IsInterface(recv.Type()) {
+				if !slices.Contains(w.ifaces[obj.Name()], recv.Type()) {
+					w.ifaces[obj.Name()] = append(w.ifaces[obj.Name()], recv.Type())
 				}
+				return true
 			}
-			if len(names) > 0 {
-				sf.ifaces = append(sf.ifaces, names)
+			w.use(p, obj.Origin())
+		case *types.Var:
+			if !obj.IsField() {
+				w.use(p, obj)
 			}
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if dir, ok := sf.imports[x.Name]; ok {
-					if sf.qual[dir] == nil {
-						sf.qual[dir] = map[string]bool{}
-					}
-					sf.qual[dir][n.Sel.Name] = true
-					return false
-				}
-			}
-			sf.sel[n.Sel.Name] = true
-			ast.Inspect(n.X, walk)
-			return false
-		case *ast.Ident:
-			sf.bare[n.Name] = true
+		case *types.Const, *types.TypeName:
+			w.use(p, obj)
 		}
 		return true
+	})
+}
+
+// use reaches obj from code of p.
+func (w *walker) use(p *pkg, obj types.Object) {
+	if d := w.decls[obj]; d != nil && d.pkg != p {
+		w.foreign[obj] = true
 	}
-	for _, d := range sf.f.Decls {
-		ast.Inspect(d, walk)
+	w.mark(obj)
+}
+
+// mark reaches obj, and the rest of its iota block.
+func (w *walker) mark(obj types.Object) {
+	d := w.decls[obj]
+	if d == nil || w.reached[obj] {
+		return
+	}
+	for _, o := range append([]types.Object{obj}, d.block...) {
+		if !w.reached[o] {
+			w.reached[o] = true
+			w.work = append(w.work, o)
+			if tn, ok := o.(*types.TypeName); ok && !tn.IsAlias() {
+				w.named = append(w.named, tn)
+			}
+		}
 	}
 }
 
-// allowed are the exports the check may find. Each names one
-// identifier ("internal/pkg.Name"), one receiver type (all of its
-// methods) or one file, and says why it stays.
+// run walks until nothing new is reached: first the declarations marked
+// so far, then the methods their types' interface calls and stdlib
+// protocols reach.
+func (w *walker) run() {
+	for {
+		for len(w.work) > 0 {
+			obj := w.work[len(w.work)-1]
+			w.work = w.work[:len(w.work)-1]
+			d := w.decls[obj]
+			w.walk(d.pkg, d.node)
+		}
+		for _, tn := range w.named {
+			if _, ok := tn.Type().Underlying().(*types.Interface); ok {
+				continue
+			}
+			for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				ms := types.NewMethodSet(t)
+				for i := range ms.Len() {
+					m := ms.At(i).Obj().(*types.Func).Origin()
+					if !w.reached[m] && w.decls[m] != nil && w.called(t, m.Name(), ms) {
+						w.foreign[m] = true
+						w.mark(m)
+					}
+				}
+			}
+		}
+		if len(w.work) == 0 {
+			return
+		}
+	}
+}
+
+// called reports whether reached code calls method name of t, whose
+// method set is ms, through an interface t implements or a stdlib
+// protocol.
+func (w *walker) called(t types.Type, name string, ms *types.MethodSet) bool {
+	generic := isGeneric(t)
+	for _, iface := range w.ifaces[name] {
+		it, ok := iface.Underlying().(*types.Interface)
+		if generic || !ok || isGeneric(iface) || types.Implements(t, it) {
+			return true
+		}
+	}
+	for _, proto := range stdlibIfaces {
+		if slices.Contains(proto, name) && !slices.ContainsFunc(proto, func(m string) bool {
+			return ms.Lookup(nil, m) == nil
+		}) {
+			return true
+		}
+	}
+	return false
+}
+
+// isGeneric reports whether t (or what it points to) is a generic
+// named type.
+func isGeneric(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.TypeParams().Len() > 0
+}
+
+// report lists the gated declarations the walk did not reach.
+func (w *walker) report() *reachReport {
+	rep := &reachReport{ownOnly: map[string][]string{}}
+	for obj, d := range w.decls {
+		dir := d.pkg.dir
+		if top, _, _ := strings.Cut(dir, "/"); top != "internal" && top != "cmd" && top != "examples" {
+			continue
+		}
+		name, recv := obj.Name(), ""
+		if fn, ok := obj.(*types.Func); ok {
+			if r := fn.Type().(*types.Signature).Recv(); r != nil {
+				t := r.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				recv = t.(*types.Named).Obj().Name()
+				name = recv + "." + name
+			} else if name == "init" || name == "main" && obj.Pkg().Name() == "main" {
+				continue
+			}
+		}
+		switch {
+		case !w.reached[obj]:
+			rep.unreached = append(rep.unreached, &finding{pkg: dir, name: name, recv: recv, file: d.file, lines: d.lines})
+		case obj.Exported() && !w.foreign[obj] && (recv == "" || ast.IsExported(recv)):
+			rep.ownOnly[dir] = append(rep.ownOnly[dir], name)
+		}
+	}
+	sort.Slice(rep.unreached, func(i, j int) bool { return rep.unreached[i].String() < rep.unreached[j].String() })
+	for _, names := range rep.ownOnly {
+		slices.Sort(names)
+	}
+	return rep
+}
+
+// allowed are the findings the check may report, each with its reason.
+// A name is one declaration ("internal/pkg.Name",
+// "internal/pkg.Type.Method"), one receiver type (the type and all of
+// its methods) or one file.
 var allowed = []struct{ name, reason string }{
 	{"internal/cost/table1.go", "Table 1's per-layer totals: the root TestTable1_Regenerate and the T1 tests compare meter readings against them"},
-	{"internal/mbuf.FromBytesSplit", "T1: the root Table 1 rig sets the chain lengths the per-mbuf charges depend on"},
-	{"internal/testbed/carriers.go", "X2 and E6, IP carriers beside the native stack: reached only from the root BenchmarkX2_CarrierChoice, BenchmarkE6_EncapVsUDP and their tests"},
-	{"internal/memnet.LinkHandle.SetLoss", "X2's lossy access link, set by the root BenchmarkX2_CarrierChoice and its tests"},
-	{"internal/signaling.PendingConnection", "§8 library verbs: the non-blocking open's Await and Cancel"},
+	{"internal/signaling.PendingConnection", "§8 library verb: the non-blocking open_connection the paper calls straightforward, with its Await and Cancel"},
+	{"internal/signaling.Client.OpenConnectionAsync", "§8 library verb: the non-blocking open_connection"},
+	{"internal/ulib.Lib.OpenConnectionAsync", "§8 library verb: the non-blocking open_connection over kern.Proc"},
+	{"internal/signaling.Client.UnexportService", "§8 library verb: a server withdraws its service"},
+	{"internal/ulib.Lib.UnexportService", "§8 library verb: a server withdraws its service, over kern.Proc"},
 	{"internal/signaling.ServiceRequest.Reject", "§8 library verb: a server declines a call"},
+	{"internal/testbed.EchoServer.Kill", "§4 robustness: the remote application dies mid-call in signaling's failure tests"},
 	{"internal/sim.Rand.Intn", "the seeded source the randomized tests of six packages draw their schedules from"},
 }
 
-// allows returns the index of the allowlist entry covering e, or -1.
-func allows(e *export) int {
-	return slices.IndexFunc(allowed, func(a struct{ name, reason string }) bool {
-		return a.name == e.String() || a.name == e.file || e.recv != "" && a.name == e.pkg+"."+e.recv
-	})
+// allows returns the allowlist name covering f, or "".
+func allows(f *finding) string {
+	for _, a := range allowed {
+		if a.name == f.String() || a.name == f.file || f.recv != "" && a.name == f.pkg+"."+f.recv {
+			return a.name
+		}
+	}
+	return ""
 }
 
-func TestNoUnusedExports(t *testing.T) {
+func TestNoUnreachableCode(t *testing.T) {
 	start := time.Now()
 	root, err := RepoRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := findUnused(root)
+	rep, err := findUnreached(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(allowed) > 10 {
 		t.Errorf("allowlist has %d entries, want at most 10", len(allowed))
 	}
-	hit := make([]int, len(allowed))
-	lines := 0
-	for _, e := range rep.unused {
-		if i := allows(e); i >= 0 {
-			hit[i]++
-			t.Logf("%s (%s, %d lines; %s): allowed by %s", e, e.file, e.lines, rep.testUse[e], allowed[i].name)
+	hit := map[string]int{}
+	lines, allowedLines := 0, 0
+	for _, f := range rep.unreached {
+		if name := allows(f); name != "" {
+			hit[name]++
+			allowedLines += f.lines
+			t.Logf("%s (%s, %d lines): allowed by %s", f, f.file, f.lines, name)
 			continue
 		}
-		lines += e.lines
-		t.Errorf("%s (%s, %d lines): no non-test file references it (%s)", e, e.file, e.lines, rep.testUse[e])
+		lines += f.lines
+		t.Errorf("%s (%s, %d lines): no root reaches it", f, f.file, f.lines)
 	}
 	if lines > 0 {
-		t.Logf("%d lines: delete them, move them into an export_test.go, or allowlist them with a reason", lines)
+		t.Logf("%d lines: delete them, move them into an export_test.go if their package's tests use them, or allowlist them with a reason", lines)
 	}
-	for i, a := range allowed {
-		t.Logf("allowed %-44s %2d finding(s): %s", a.name, hit[i], a.reason)
-		if hit[i] == 0 {
+	for _, a := range allowed {
+		t.Logf("allowed %-46s %2d finding(s): %s", a.name, hit[a.name], a.reason)
+		if hit[a.name] == 0 {
 			t.Errorf("allowlist entry %s covers nothing: remove it", a.name)
 		}
 	}
-	t.Logf("%d exported identifiers are used only inside their own package (not gated)", rep.internal)
+	var byPkg []string // "pkg findings lines", in package order
+	for i := 0; i < len(rep.unreached); {
+		n, pl, pkg := 0, 0, rep.unreached[i].pkg
+		for ; i < len(rep.unreached) && rep.unreached[i].pkg == pkg; i++ {
+			n, pl = n+1, pl+rep.unreached[i].lines
+		}
+		byPkg = append(byPkg, fmt.Sprintf("%s %d (%d lines)", pkg, n, pl))
+	}
+	t.Logf("%d findings by package: %s", len(rep.unreached), strings.Join(byPkg, ", "))
+	t.Logf("%d lines allowlisted, %d lines not", allowedLines, lines)
+	dirs, own := make([]string, 0, len(rep.ownOnly)), 0
+	for dir, names := range rep.ownOnly {
+		dirs = append(dirs, dir)
+		own += len(names)
+	}
+	slices.Sort(dirs)
+	t.Logf("%d exported identifiers only their own package uses (not gated):", own)
+	for _, dir := range dirs {
+		t.Logf("  %s: %s", dir, strings.Join(rep.ownOnly[dir], " "))
+	}
 	t.Logf("checked in %v", time.Since(start).Round(time.Millisecond))
 }
 
-// The fixture module holds one export of each class the check tells
-// apart; exactly the unreferenced one and the test-only one are unused.
-func TestUnusedExportsFixture(t *testing.T) {
-	rep, err := findUnused(filepath.Join("testdata", "unused"))
+// The fixture module holds one declaration of each class the check
+// tells apart (see its lib.go); exactly these are unreached.
+func TestUnreachableCodeFixture(t *testing.T) {
+	rep, err := findUnreached(filepath.Join("testdata", "unused"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, e := range rep.unused {
-		got = append(got, fmt.Sprintf("%s: %s", e, rep.testUse[e]))
+	for _, f := range rep.unreached {
+		got = append(got, f.String())
 	}
 	want := []string{
-		"internal/lib.Dead: no reference",
-		"internal/lib.TestOnly: own tests",
+		"internal/lib.B.Run",     // shares its name with the reached A.Run
+		"internal/lib.Dead",      // referenced by nothing
+		"internal/lib.Stack.Pop", // a generic type's method nothing calls
+		"internal/lib.TestOnly",  // referenced only by its own tests
+		"internal/lib.dead",      // unexported
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("unused = %q, want %q", got, want)
+		t.Errorf("unreached = %q, want %q", got, want)
 	}
-	if rep.internal != 1 {
-		t.Errorf("package-internal = %d, want 1 (lib.Internal)", rep.internal)
+	if own := rep.ownOnly["internal/lib"]; !slices.Equal(own, []string{"Internal", "Result"}) {
+		t.Errorf("used only by their own package = %q, want [Internal Result]", own)
 	}
 }

@@ -27,8 +27,15 @@ func TestNewRouterAssembly(t *testing.T) {
 	if !r.Router || r.Board == nil {
 		t.Fatal("router has no board")
 	}
-	if r.M.Dev == nil || r.M.Dev.Capacity() != 42 {
-		t.Fatalf("pseudo-device capacity = %d", r.M.Dev.Capacity())
+	if r.M.Dev == nil {
+		t.Fatal("no pseudo-device")
+	}
+	// With nothing reading it, the 43rd indication is the first lost.
+	for range 43 {
+		r.M.Dev.PostUp(kern.KMsg{Kind: kern.MsgBind})
+	}
+	if r.M.Dev.Lost != 1 {
+		t.Fatalf("pseudo-device lost %d of 43 indications, want 1 (42 buffers)", r.M.Dev.Lost)
 	}
 	if r.M.FDTableSize != 64 {
 		t.Fatalf("fd table = %d", r.M.FDTableSize)
@@ -54,9 +61,6 @@ func TestNewHostAssembly(t *testing.T) {
 	})
 	if h.Router || h.Board != nil {
 		t.Fatal("host has a board")
-	}
-	if h.ATM.RouterIP() != memnet.IP4(10, 0, 0, 1) {
-		t.Fatal("router IP not configured")
 	}
 	if h.M.Dev == nil {
 		t.Fatal("no pseudo-device")

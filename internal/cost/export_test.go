@@ -8,3 +8,33 @@ func Components() []Component {
 	}
 	return cs
 }
+
+// Count reports the instructions charged to component c.
+func (m *Meter) Count(c Component) int64 {
+	if m == nil || int(c) >= int(numComponents) {
+		return 0
+	}
+	return m.counts[c].Load()
+}
+
+// Total reports the instructions charged across all components.
+func (m *Meter) Total() int64 {
+	if m == nil {
+		return 0
+	}
+	var t int64
+	for i := range m.counts {
+		t += m.counts[i].Load()
+	}
+	return t
+}
+
+// Reset zeroes every component counter.
+func (m *Meter) Reset() {
+	if m == nil {
+		return
+	}
+	for i := range m.counts {
+		m.counts[i].Store(0)
+	}
+}

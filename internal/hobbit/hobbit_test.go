@@ -195,7 +195,7 @@ func TestInputChargesOrcCost(t *testing.T) {
 	d := NewDriver(m)
 	d.SetHandler(1, func(atm.VCI, *mbuf.Chain) {})
 	d.Input(1, mbuf.FromBytes(nil))
-	if got := m.Count(cost.OrcDriver); got != cost.OrcRecvDispatch {
+	if got := m.Snapshot()[cost.OrcDriver]; got != cost.OrcRecvDispatch {
 		t.Fatalf("Orc cost = %d, want %d", got, cost.OrcRecvDispatch)
 	}
 }

@@ -1,5 +1,7 @@
 package kern
 
+import "xunet/internal/memnet"
+
 // LiveProcs reports the number of processes that have not exited.
 func (m *Machine) LiveProcs() int { return len(m.procs) }
 
@@ -55,3 +57,12 @@ func (p *Proc) FreeFDs() int {
 
 // Syscall charges the trap cost of one non-switching system call.
 func (p *Proc) Syscall() { p.SP.Sleep(p.M.CM.SyscallEntry) }
+
+// Proc looks up a live process by pid.
+func (m *Machine) Proc(pid uint32) *Proc { return m.procs[pid] }
+
+// Capacity reports the buffer count.
+func (d *PseudoDev) Capacity() int { return d.capacity }
+
+// RemoteAddr reports the peer address.
+func (ks *KStream) RemoteAddr() memnet.IPAddr { return ks.s.RemoteAddr() }

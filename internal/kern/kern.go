@@ -156,9 +156,6 @@ func (m *Machine) InstallPseudoDev(buffers int) *PseudoDev {
 // RegisterFamily adds a protocol family to the machine.
 func (m *Machine) RegisterFamily(f ProtoFamily) { m.families = append(m.families, f) }
 
-// Proc looks up a live process by pid.
-func (m *Machine) Proc(pid uint32) *Proc { return m.procs[pid] }
-
 // Proc is a simulated Unix process.
 type Proc struct {
 	M    *Machine

@@ -198,17 +198,16 @@ func TestPseudoDevOverflowTelemetry(t *testing.T) {
 	}
 	// The depth gauge's high-water mark pins at capacity once a drop has
 	// occurred, then the current value falls as a reader drains.
-	g := snap.Gauge("kern.dev.depth")
-	if g == nil || g.Max != 8 || g.Value != 8 {
-		t.Fatalf("depth gauge = %+v", g)
+	g := h.Obs.Gauge("kern.dev.depth")
+	if g.Max() != 8 || g.Value() != 8 {
+		t.Fatalf("depth gauge = %d max=%d", g.Value(), g.Max())
 	}
 	for dev.Buffered() > 0 {
 		dev.TryReadUp()
 	}
 	dev.PostUp(KMsg{Kind: MsgBind, VCI: 99})
-	g = h.Obs.Snapshot().Gauge("kern.dev.depth")
-	if g == nil || g.Value != 1 || g.Max != 8 {
-		t.Fatalf("after drain: depth gauge = %+v", g)
+	if g.Value() != 1 || g.Max() != 8 {
+		t.Fatalf("after drain: depth gauge = %d max=%d", g.Value(), g.Max())
 	}
 	e.Run()
 }

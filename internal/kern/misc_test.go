@@ -95,7 +95,6 @@ func TestPseudoDevDefaults(t *testing.T) {
 
 func TestListenerPortAndAcceptTimeout(t *testing.T) {
 	e, h, r := rig(t)
-	var port uint16
 	var timedOut bool
 	r.Spawn("server", func(p *Proc) {
 		l, err := p.Listen(5123)
@@ -103,7 +102,6 @@ func TestListenerPortAndAcceptTimeout(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		port = l.Port()
 		_, err = l.AcceptTimeout(50 * time.Millisecond)
 		timedOut = errors.Is(err, memnet.ErrDialTimeout)
 		// Then a real connection arrives inside the next timeout.
@@ -129,9 +127,6 @@ func TestListenerPortAndAcceptTimeout(t *testing.T) {
 		ks.Close()
 	})
 	e.Run()
-	if port != 5123 {
-		t.Fatalf("Port() = %d", port)
-	}
 	if !timedOut {
 		t.Fatal("AcceptTimeout did not time out")
 	}

@@ -120,9 +120,6 @@ func NewPseudoDev(e *sim.Engine, buffers int) *PseudoDev {
 	return &PseudoDev{e: e, capacity: buffers, q: sim.NewQueue[KMsg]()}
 }
 
-// Capacity reports the buffer count.
-func (d *PseudoDev) Capacity() int { return d.capacity }
-
 // Instrument registers the device's metrics in reg: kern.dev.posted and
 // kern.dev.lost (read-through), kern.dev.overflows (counted at the drop
 // site) and the kern.dev.depth gauge whose high-water mark records peak

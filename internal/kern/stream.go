@@ -73,9 +73,6 @@ func (kl *KListener) AcceptTimeout(d time.Duration) (*KStream, error) {
 	return ks, nil
 }
 
-// Port reports the listening port.
-func (kl *KListener) Port() uint16 { return kl.l.Port() }
-
 // Proc reports the owning process.
 func (kl *KListener) Proc() *Proc { return kl.p }
 
@@ -126,9 +123,6 @@ func (ks *KStream) RecvTimeout(d time.Duration) (msg []byte, ok, timedOut bool) 
 
 // Proc reports the owning process.
 func (ks *KStream) Proc() *Proc { return ks.p }
-
-// RemoteAddr reports the peer address.
-func (ks *KStream) RemoteAddr() memnet.IPAddr { return ks.s.RemoteAddr() }
 
 // Close closes the connection; the descriptor slot parks in TIME_WAIT.
 func (ks *KStream) Close() { _ = ks.p.CloseFD(ks.fd) }

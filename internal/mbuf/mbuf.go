@@ -128,9 +128,6 @@ func (c *Chain) Release() {
 // Data returns the valid bytes of this single mbuf (not the chain).
 func (m *Mbuf) Data() []byte { return m.buf[m.off : m.off+m.n] }
 
-// Len returns the number of valid bytes in this single mbuf.
-func (m *Mbuf) Len() int { return m.n }
-
 // Next returns the following mbuf in the chain, or nil.
 func (m *Mbuf) Next() *Mbuf { return m.next }
 

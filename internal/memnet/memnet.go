@@ -296,11 +296,6 @@ func (h *LinkHandle) SetReorder(p float64, by time.Duration) {
 	h.l.cfg.ReorderBy = by
 }
 
-// Stats reports (sent, dropped, reordered) counts.
-func (h *LinkHandle) Stats() (sent, dropped, reordered uint64) {
-	return h.l.Sent, h.l.Dropped, h.l.Reordered
-}
-
 // AddRoute sends traffic for dst via the given neighbor.
 func (nd *Node) AddRoute(dst IPAddr, via *Node) { nd.routes[dst] = via }
 

@@ -195,10 +195,10 @@ func TestIPCostCharged(t *testing.T) {
 	r.BindProto(60, func(*Packet) {})
 	_ = h.SendChain(r.Addr, 60, mbuf.FromBytes(nil))
 	e.Run()
-	if got := hm.Count(cost.IP); got != cost.IPSendCost {
+	if got := hm.Snapshot()[cost.IP]; got != cost.IPSendCost {
 		t.Fatalf("sender IP cost = %d", got)
 	}
-	if got := rm.Count(cost.IP); got != cost.IPRecvCost {
+	if got := rm.Snapshot()[cost.IP]; got != cost.IPRecvCost {
 		t.Fatalf("receiver IP cost = %d", got)
 	}
 }

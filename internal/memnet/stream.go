@@ -180,9 +180,6 @@ func (l *StreamListener) Close() {
 	l.backlog.Close()
 }
 
-// Port returns the bound port.
-func (l *StreamListener) Port() uint16 { return l.port }
-
 // Stream is one reliable framed-message connection endpoint.
 type Stream struct {
 	node *Node
@@ -273,9 +270,6 @@ func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, er
 	}
 	return s, nil
 }
-
-// LocalAddr returns this endpoint's node address.
-func (s *Stream) LocalAddr() IPAddr { return s.node.Addr }
 
 // RemoteAddr returns the peer's node address.
 func (s *Stream) RemoteAddr() IPAddr { return s.key.raddr }

@@ -220,8 +220,8 @@ func TestLoopbackAcksInPlace(t *testing.T) {
 		t.Fatalf("a request and its reply ran %d events, want 4: two DATA arrivals, two wake-ups", n)
 	}
 	for _, s := range []*Stream{cli, srv} {
-		if s.inFlight() != 0 || s.rtimer.Pending() {
-			t.Fatalf("port %d: %d in flight, retransmit timer pending %v", s.LocalPort(), s.inFlight(), s.rtimer.Pending())
+		if s.inFlight() != 0 || s.rtimer.Stop() {
+			t.Fatalf("port %d: %d in flight, or the retransmit timer was still pending", s.LocalPort(), s.inFlight())
 		}
 	}
 

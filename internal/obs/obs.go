@@ -409,16 +409,6 @@ func (s Snapshot) Count(name string) uint64 {
 	return v
 }
 
-// Gauge returns the named gauge snapshot, or nil.
-func (s Snapshot) Gauge(name string) *GaugeSnap {
-	for i := range s.Gauges {
-		if s.Gauges[i].Name == name {
-			return &s.Gauges[i]
-		}
-	}
-	return nil
-}
-
 // Hist returns the named histogram snapshot, or nil.
 func (s Snapshot) Hist(name string) *HistSnap {
 	for i := range s.Hists {

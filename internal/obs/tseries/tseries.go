@@ -262,9 +262,6 @@ func New(cfg Config) *Store {
 	}
 }
 
-// Enabled reports whether scraping is armed at all; safe on nil.
-func (st *Store) Enabled() bool { return st != nil }
-
 // Interval reports the nominal tick period.
 func (st *Store) Interval() time.Duration {
 	if st == nil {
@@ -448,16 +445,6 @@ func (st *Store) emit(ev HealthEvent) {
 	if st.onEvent != nil {
 		st.onEvent(ev)
 	}
-}
-
-// Events returns the retained health events, oldest first.
-func (st *Store) Events() []HealthEvent {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.eventsLocked()
 }
 
 func (st *Store) eventsLocked() []HealthEvent {

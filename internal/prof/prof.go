@@ -210,9 +210,6 @@ func newGroupProf(n int) *GroupProf {
 	}
 }
 
-// Shards reports the group width the profiler was sized for.
-func (g *GroupProf) Shards() int { return g.n }
-
 // StallNS reports shard i's accumulated barrier-stall nanoseconds.
 // Atomic and monotonic, so a tseries rate series over it yields
 // wall-stall per tick. Nil-safe for gauge closures.

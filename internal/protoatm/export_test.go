@@ -3,6 +3,7 @@ package protoatm
 import (
 	"xunet/internal/atm"
 	"xunet/internal/mbuf"
+	"xunet/internal/memnet"
 )
 
 // FromATM runs a bound VCI's receive handler on frame.
@@ -13,3 +14,6 @@ func (l *Layer) FromATM(vci atm.VCI, frame *mbuf.Chain) { l.fromATM(vci, frame) 
 // is driven by the header's own flag bit, so mixed deployments
 // interoperate. The extra computation is charged to the meter.
 func (l *Layer) SetHeaderChecksum(on bool) { l.checksum = on }
+
+// RouterIP reports the configured forwarding address.
+func (l *Layer) RouterIP() memnet.IPAddr { return l.routerIP }

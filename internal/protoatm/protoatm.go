@@ -209,9 +209,6 @@ func New(m *kern.Machine, localAddr atm.Addr, mode Mode) *Layer {
 // and "this allows a host to reconfigure its target router easily".
 func (l *Layer) ConfigureRouter(ip memnet.IPAddr) { l.routerIP = ip }
 
-// RouterIP reports the configured forwarding address.
-func (l *Layer) RouterIP() memnet.IPAddr { return l.routerIP }
-
 // VCIBind installs a router's VCI-to-IP-destination mapping (the
 // VCI_BIND message from anand server): data arriving on vci from the
 // ATM network is re-encapsulated and forwarded to hostIP.

@@ -23,3 +23,6 @@ func (b *Book) Reserved() uint64 { return b.reserved }
 
 // Bookings reports the number of live reservations.
 func (b *Book) Bookings() int { return len(b.perVC) }
+
+// Capacity reports the link capacity in kb/s.
+func (b *Book) Capacity() uint64 { return b.capacityKbs }

@@ -161,6 +161,3 @@ func (b *Book) Release(key uint32) {
 		delete(b.perVC, key)
 	}
 }
-
-// Capacity reports the link capacity in kb/s.
-func (b *Book) Capacity() uint64 { return b.capacityKbs }

@@ -16,8 +16,7 @@ const osBatched = false
 // txBatch has no per-peer OS state on the fallback path.
 type txBatch struct{}
 
-func (p *Peer) osInit()     {}
-func (p *Peer) osRetarget() {}
+func (p *Peer) osInit() {}
 
 func (p *Peer) osFlush() (int, error) { panic("rtnet: osFlush without OS batch support") }
 

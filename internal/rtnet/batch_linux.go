@@ -102,7 +102,10 @@ func (p *Peer) osInit() {
 	t.iovs = make([]syscall.Iovec, b)
 	t.cms = make([]udpCmsg, b)
 	t.first = make([]int, b)
-	p.osRetarget()
+	t.sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(p.ap.Port()), Addr: p.ap.Addr().As4()}
+	if p.c.gso {
+		t.below = trainBytes
+	}
 	for i := range t.hdrs {
 		h := &t.hdrs[i].hdr
 		h.Name = (*byte)(unsafe.Pointer(&t.sa))
@@ -112,16 +115,6 @@ func (p *Peer) osInit() {
 		t.cms[i].hdr = syscall.Cmsghdr{Len: syscall.SizeofCmsghdr + 2, Level: syscall.IPPROTO_UDP, Type: udpSegment}
 	}
 	t.op.init(sysSendmmsg)
-}
-
-// osRetarget refreshes the raw sockaddr after SetPeerAddr and forgets
-// any refused train length, which was learned on the old path.
-func (p *Peer) osRetarget() {
-	p.txb.sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(p.ap.Port()), Addr: p.ap.Addr().As4()}
-	p.txb.below = 0
-	if p.c.gso {
-		p.txb.below = trainBytes
-	}
 }
 
 // osRuns lays pending frames f.. into messages m.., one message per

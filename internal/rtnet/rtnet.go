@@ -71,7 +71,6 @@ const dataHdrLen = 3
 var (
 	ErrFrameTooLong = errors.New("rtnet: frame exceeds MaxFrame")
 	ErrClosed       = errors.New("rtnet: carrier closed")
-	ErrUnknownPeer  = errors.New("rtnet: unknown peer")
 )
 
 // SigHandler consumes one received signaling frame. The payload aliases
@@ -319,33 +318,6 @@ func (c *Carrier) AddPeer(name string, ap netip.AddrPort) (*Peer, error) {
 	return p, nil
 }
 
-// SetPeerAddr re-targets an existing peer (a daemon that restarted on a
-// new port; tests use it to heal a blackholed route).
-func (c *Carrier) SetPeerAddr(name string, ap netip.AddrPort) error {
-	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	if !ap.Addr().Is4() {
-		return fmt.Errorf("rtnet: peer %s: IPv4 addresses only, got %s", name, ap)
-	}
-	c.mu.Lock()
-	p := c.byName[name]
-	if p == nil {
-		c.mu.Unlock()
-		return ErrUnknownPeer
-	}
-	if other, dup := c.byAddr[ap]; dup && other != p {
-		c.mu.Unlock()
-		return fmt.Errorf("rtnet: address %s already belongs to peer %q", ap, other.name)
-	}
-	p.mu.Lock()
-	delete(c.byAddr, p.ap)
-	p.ap = ap
-	c.byAddr[ap] = p
-	p.osRetarget()
-	p.mu.Unlock()
-	c.mu.Unlock()
-	return nil
-}
-
 // Flush transmits every peer's pending frames — the dispatch-boundary
 // hook (the real daemon's actor calls it after each handler, exactly
 // where the journal jflushes).
@@ -404,14 +376,6 @@ func (p *Peer) Flush() error {
 	err := p.flushLocked()
 	p.mu.Unlock()
 	return err
-}
-
-// Pending reports how many frames are coalesced and unsent.
-func (p *Peer) Pending() int {
-	p.mu.Lock()
-	n := p.n
-	p.mu.Unlock()
-	return n
 }
 
 // flushLocked sends the pending batch: one sendmmsg on the batched

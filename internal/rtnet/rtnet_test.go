@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"net/netip"
 	"slices"
 	"testing"
 
@@ -378,62 +377,6 @@ func TestDatagramTrains(t *testing.T) {
 			t.Fatalf("gso_refused = %d once every length was refused, want 2", got)
 		}
 	})
-}
-
-func TestSetPeerAddr(t *testing.T) {
-	var n int
-	rx := Config{OnSig: func(*Peer, []byte) { n++ }}
-	a, b, ab, _ := newPair(t, false, rx)
-	// Blackhole: re-target the peer at a port nobody listens on; frames
-	// vanish without error (UDP), then healing the address restores
-	// delivery.
-	dead := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), 1)
-	if err := a.SetPeerAddr("b", dead); err != nil {
-		t.Fatal(err)
-	}
-	_ = ab.SendSig([]byte("lost"))
-	_ = ab.Flush()
-	if err := a.SetPeerAddr("b", b.AddrPort()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ab.SendSig([]byte("found")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ab.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, b, &n, 1)
-	if err := a.SetPeerAddr("nobody", b.AddrPort()); err != ErrUnknownPeer {
-		t.Fatalf("SetPeerAddr(unknown) = %v, want ErrUnknownPeer", err)
-	}
-
-	// A train length refused on one path is not held against the next:
-	// after SetPeerAddr the peer sends trains of that length again.
-	if !a.gso {
-		return
-	}
-	burst := func(noCheck int) (msgs uint64) {
-		t.Helper()
-		if err := setNoCheck(a, noCheck); err != nil {
-			t.Fatal(err)
-		}
-		before := a.txMsgs.Value()
-		sendBurst(t, ab, make([]byte, 100), 8)
-		drain(t, b, &n, n+8)
-		return a.txMsgs.Value() - before
-	}
-	if got := burst(1); got != 8 || a.txGSORefused.Value() != 1 {
-		t.Fatalf("refused train: %d messages, gso_refused %d; want 8 and 1", got, a.txGSORefused.Value())
-	}
-	if got := burst(0); got != 8 {
-		t.Fatalf("the refused length formed a train on the same path: %d messages", got)
-	}
-	if err := a.SetPeerAddr("b", b.AddrPort()); err != nil {
-		t.Fatal(err)
-	}
-	if got := burst(0); got != 1 {
-		t.Fatalf("after SetPeerAddr 8 equal frames went out as %d messages, want 1", got)
-	}
 }
 
 // TestHotLoopAllocs is the steady-state allocation gate for both tx

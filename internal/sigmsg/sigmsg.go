@@ -192,20 +192,6 @@ var (
 // before the six length-prefixed strings.
 const fixedLen = 40
 
-// EncodedSize is the exact number of bytes Encode/AppendTo produce for
-// this message, so callers can size a buffer without a trial encode.
-func (m *Msg) EncodedSize() int {
-	return fixedLen + 2*6 + len(m.Service) + len(m.Dest) + len(m.Src) +
-		len(m.QoS) + len(m.Comment) + len(m.Reason)
-}
-
-// Encode serializes the message into a fresh slice. Hot paths should
-// prefer AppendTo with a reused buffer; Encode remains for one-shot
-// callers and compatibility.
-func (m Msg) Encode() []byte {
-	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
-}
-
 // AppendTo serializes the message onto buf (usually buf[:0] of a reused
 // scratch slice) and returns the extended slice. It allocates only when
 // buf lacks capacity. The format is a kind byte followed by fixed

@@ -27,6 +27,7 @@ import (
 type envRig struct {
 	sh     *Sighost
 	env    Env
+	ip     memnet.IPAddr // the env's own machine
 	timers *timers
 	// do runs fn in actor context and returns once it has run.
 	do func(fn func())
@@ -69,7 +70,7 @@ func simEnvRig(t *testing.T) *envRig {
 	t.Cleanup(e.Shutdown)
 	settle := func() { e.RunFor(20 * time.Millisecond) }
 	return &envRig{
-		sh: h.SH, env: h.env, timers: &h.env.timers,
+		sh: h.SH, env: h.env, ip: h.Stack.M.IP.Addr, timers: &h.env.timers,
 		do: func(fn func()) {
 			h.inbox.Put(input{fn: fn})
 			settle()
@@ -102,7 +103,7 @@ func realEnvRig(t *testing.T) *envRig {
 	h.DialAttempts = 1
 	env := h.SH.env.(*realEnv)
 	return &envRig{
-		sh: h.SH, env: env, timers: &env.timers,
+		sh: h.SH, env: env, ip: memnet.IP4(127, 0, 0, 1), timers: &env.timers,
 		do: h.Do,
 		settle: func() {
 			time.Sleep(20 * time.Millisecond)
@@ -179,7 +180,7 @@ func (r *envRig) dialOnce(t *testing.T, port uint16) (conn Conn, err error) {
 	calls, onActor := 0, true
 	r.do(func() {
 		actor = goid()
-		r.env.Dial(r.env.LocalIP(), port, func(c Conn, e error) {
+		r.env.Dial(r.ip, port, func(c Conn, e error) {
 			calls++
 			conn, err = c, e
 			onActor = onActor && goid() == actor
@@ -276,7 +277,7 @@ func TestEnvContract(t *testing.T) {
 			// firing is dispatched, and the second call's grant takes the
 			// first's wait_for_bind entry from the pool.
 			const peer = atm.Addr("x.rt")
-			sh, ip, app := r.sh, r.env.LocalIP(), &fakeConn{}
+			sh, ip, app := r.sh, r.ip, &fakeConn{}
 			port := r.listen()
 			call := func(id uint32) *call { return sh.calls[callKey{peer: peer, id: id}] }
 			grant := func(id uint32, vci atm.VCI) {
@@ -336,7 +337,7 @@ func TestEnvContract(t *testing.T) {
 		}},
 		{"KernelDisconnect", func(t *testing.T, r *envRig) {
 			r.do(func() {
-				r.env.KernelDisconnect(r.env.LocalIP(), 40)
+				r.env.KernelDisconnect(r.ip, 40)
 				r.env.KernelDisconnect(0, 41)
 				r.env.KernelDisconnect(memnet.IP4(10, 9, 9, 9), 42)
 			})

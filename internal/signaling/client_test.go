@@ -175,7 +175,7 @@ func TestRealAwaitDropsOtherNotifications(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		if err := signaling.WriteFrame(conn, m.Encode()); err != nil {
+		if err := signaling.WriteFrame(conn, m.AppendTo(nil)); err != nil {
 			t.Fatal(err)
 		}
 		return conn
@@ -226,11 +226,11 @@ func simRig(t *testing.T) clientRig {
 			return err
 		},
 		query: func(what string) (err error) {
-			run(func(p *kern.Proc) { _, err = ra.Lib.Query(p, what) })
+			run(func(p *kern.Proc) { _, err = ra.Lib.Client(p).Query(what, 0, 0) })
 			return err
 		},
 		cancel: func(cookie uint16) (err error) {
-			run(func(p *kern.Proc) { err = ra.Lib.CancelRequest(p, cookie) })
+			run(func(p *kern.Proc) { err = ra.Lib.Client(p).CancelRequest(cookie) })
 			return err
 		},
 		call: func(t *testing.T, service string, serve func(*signaling.ServiceRequest), establish time.Duration) (conn *signaling.Connection, err error) {

@@ -315,3 +315,6 @@ func (cs *Cells) Hits() string {
 	}
 	return b.String()
 }
+
+// CancelRequest cancels an outstanding request by cookie.
+func (c *RealClient) CancelRequest(cookie uint16) error { return c.client().CancelRequest(cookie) }

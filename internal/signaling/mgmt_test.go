@@ -239,9 +239,9 @@ func TestRealCancelOutstanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := signaling.WriteFrame(conn, sigmsg.Msg{
+	if err := signaling.WriteFrame(conn, (&sigmsg.Msg{
 		Kind: sigmsg.KindConnectReq, Dest: "mh.rt", Service: "sleepy", NotifyPort: 19999,
-	}.Encode()); err != nil {
+	}).AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -78,7 +78,7 @@ func TestSighostSurvivesGarbage(t *testing.T) {
 	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{FDTableSize: kern.FixedFDTableSize})
 	testbed.StartEchoServer(rb, "echo", 6000)
 	ra.Stack.Spawn("mallory", func(p *kern.Proc) {
-		rng := p.SP.Engine().Rand()
+		rng := ra.Stack.M.E.Rand()
 		for i := 0; i < 40; i++ {
 			ks, err := p.Dial(ra.Stack.M.IP.Addr, 177)
 			if err != nil {
@@ -93,9 +93,9 @@ func TestSighostSurvivesGarbage(t *testing.T) {
 				}
 				_ = ks.Send(junk)
 			case 1: // valid kind, nonsense fields
-				_ = ks.Send(sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: uint16(rng.Uint64())}.Encode())
+				_ = ks.Send((&sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: uint16(rng.Uint64())}).AppendTo(nil))
 			case 2: // a peer-only message on the app port
-				_ = ks.Send(sigmsg.Msg{Kind: sigmsg.KindSetup, CallID: 99, Service: "x"}.Encode())
+				_ = ks.Send((&sigmsg.Msg{Kind: sigmsg.KindSetup, CallID: 99, Service: "x"}).AppendTo(nil))
 			case 3: // empty frame
 				_ = ks.Send(nil)
 			}

@@ -71,9 +71,6 @@ func (c *RealClient) QueryCall(what string, callID uint32) (string, error) {
 	return c.client().Query(what, callID, 0)
 }
 
-// CancelRequest cancels an outstanding request by cookie.
-func (c *RealClient) CancelRequest(cookie uint16) error { return c.client().CancelRequest(cookie) }
-
 // Close releases the connection to the daemon. The client stays usable:
 // the next RPC dials again.
 func (c *RealClient) Close() {

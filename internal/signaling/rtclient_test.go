@@ -47,7 +47,7 @@ func fakeDaemon(t *testing.T, answer func(conn net.Conn, nth int, m sigmsg.Msg) 
 }
 
 func reply(conn net.Conn, m sigmsg.Msg) bool {
-	return signaling.WriteFrame(conn, m.Encode()) == nil
+	return signaling.WriteFrame(conn, m.AppendTo(nil)) == nil
 }
 
 // A daemon restarted on the same address has hung up on every kept

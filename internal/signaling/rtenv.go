@@ -332,20 +332,6 @@ func (h *RealHost) AddPeer(addr atm.Addr, udp string) error {
 	return nil
 }
 
-// SetPeerAddr re-targets an existing peer route (a daemon restarted on
-// a new port).
-func (h *RealHost) SetPeerAddr(addr atm.Addr, udp string) error {
-	car := h.carrier.Load()
-	if car == nil {
-		return errors.New("signaling: peer net not enabled")
-	}
-	ap, err := netip.ParseAddrPort(udp)
-	if err != nil {
-		return fmt.Errorf("signaling: peer %s: %w", addr, err)
-	}
-	return car.SetPeerAddr(string(addr), ap)
-}
-
 // Do runs fn in actor context and waits for it: anything that reads or
 // changes actor-owned state from another goroutine goes through here
 // (the registry and ListSizes need not). It returns without running fn
@@ -662,7 +648,6 @@ type realEnv struct {
 }
 
 func (e *realEnv) Addr() atm.Addr         { return e.h.Addr }
-func (e *realEnv) LocalIP() memnet.IPAddr { return memnet.IP4(127, 0, 0, 1) }
 func (e *realEnv) Charge(d time.Duration) {} // real time passes on its own
 func (e *realEnv) Rand16() uint16         { return uint16(rand.Uint32()) }
 func (e *realEnv) Now() time.Duration     { return time.Since(e.h.started) }

@@ -364,7 +364,7 @@ func rawRPC(addr string, m sigmsg.Msg) (sigmsg.Msg, error) {
 // rawExchange optionally writes one frame and reads one.
 func rawExchange(conn net.Conn, m *sigmsg.Msg) (sigmsg.Msg, error) {
 	if m != nil {
-		if err := signaling.WriteFrame(conn, m.Encode()); err != nil {
+		if err := signaling.WriteFrame(conn, m.AppendTo(nil)); err != nil {
 			return sigmsg.Msg{}, err
 		}
 	}

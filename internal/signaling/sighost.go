@@ -60,9 +60,6 @@ type CancelFunc func()
 type Env interface {
 	// Addr is this signaling entity's ATM address.
 	Addr() atm.Addr
-	// LocalIP is the router's own IP (applications on the router have
-	// this as their endpoint address).
-	LocalIP() memnet.IPAddr
 	// Charge accounts busy time (context switches, per-call logging,
 	// switch programming) against the signaling entity.
 	Charge(d time.Duration)

@@ -420,7 +420,7 @@ func TestCancelRequest(t *testing.T) {
 		}
 		cookie := decodeCookie(raw)
 		p.SP.Sleep(100 * time.Millisecond)
-		cancelErr = ra.Lib.CancelRequest(p, cookie)
+		cancelErr = ra.Lib.Client(p).CancelRequest(cookie)
 	})
 	n.E.RunUntil(10 * time.Second)
 	if cancelErr != nil {
@@ -577,9 +577,9 @@ func assertOrdered(t *testing.T, joined string, subs ...string) {
 // --- small helpers used by TestCancelRequest ---
 
 func encodeConnectReq(dest, service string, port uint16) []byte {
-	return sigmsg.Msg{
+	return (&sigmsg.Msg{
 		Kind: sigmsg.KindConnectReq, Dest: atm.Addr(dest), Service: service, NotifyPort: port,
-	}.Encode()
+	}).AppendTo(nil)
 }
 
 func decodeCookie(raw []byte) uint16 {

@@ -263,10 +263,9 @@ func (e *simEnv) enc(m *sigmsg.Msg) []byte {
 	return e.txBuf
 }
 
-func (e *simEnv) Addr() atm.Addr         { return e.h.Stack.Addr }
-func (e *simEnv) LocalIP() memnet.IPAddr { return e.h.Stack.M.IP.Addr }
-func (e *simEnv) Rand16() uint16         { return uint16(e.h.Stack.M.E.Rand().Uint64()) }
-func (e *simEnv) Now() time.Duration     { return e.h.Stack.M.E.Now() }
+func (e *simEnv) Addr() atm.Addr     { return e.h.Stack.Addr }
+func (e *simEnv) Rand16() uint16     { return uint16(e.h.Stack.M.E.Rand().Uint64()) }
+func (e *simEnv) Now() time.Duration { return e.h.Stack.M.E.Now() }
 
 // Charge makes the actor busy for d; events queue behind it, exactly as
 // a single-threaded daemon backs up.

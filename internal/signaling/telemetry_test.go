@@ -34,7 +34,7 @@ func TestStatsQueryMidStorm(t *testing.T) {
 	})
 
 	scrape := func(p *kern.Proc, into *obs.Snapshot) {
-		body, err := ra.Lib.Query(p, signaling.MgmtStatsJSON)
+		body, err := ra.Lib.Client(p).Query(signaling.MgmtStatsJSON, 0, 0)
 		if err != nil {
 			t.Error(err)
 			return

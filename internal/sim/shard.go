@@ -176,16 +176,6 @@ func (g *ShardGroup) SetWorkers(n int) {
 	g.workers = n
 }
 
-// Pending reports the total scheduled events across all shards (staged
-// cross-shard records are counted once merged).
-func (g *ShardGroup) Pending() int {
-	total := 0
-	for _, e := range g.shards {
-		total += e.Pending()
-	}
-	return total
-}
-
 // AttachProfiler binds every shard engine and the group's window
 // accounting to p. Call before the first RunUntil/Run (the window
 // helpers read the hook without a lock once started); attaching nil is
@@ -447,48 +437,6 @@ func (g *ShardGroup) RunUntil(t time.Duration) {
 	// landed right on the horizon). Anything they post lands > t.
 	g.windowAll(t, true)
 	g.merge()
-}
-
-// RunFor advances the group by virtual duration d.
-func (g *ShardGroup) RunFor(d time.Duration) { g.RunUntil(g.now + d) }
-
-// Run processes windows until no shard has a scheduled event left.
-// Parked processes stay parked, as with Engine.Run.
-func (g *ShardGroup) Run() {
-	g.merge()
-	for {
-		next := g.earliest()
-		if next == maxDuration {
-			return
-		}
-		limit := next + g.lookahead
-		if g.lookahead <= 0 || limit < next {
-			limit = next
-		}
-		g.windowAll(limit, true)
-		g.merge()
-		if limit > g.now {
-			g.now = limit
-		}
-	}
-}
-
-// Parked sums parked processes across shards.
-func (g *ShardGroup) Parked() int {
-	total := 0
-	for _, e := range g.shards {
-		total += e.Parked()
-	}
-	return total
-}
-
-// Live sums live processes across shards.
-func (g *ShardGroup) Live() int {
-	total := 0
-	for _, e := range g.shards {
-		total += e.Live()
-	}
-	return total
 }
 
 // Close shuts the group down: the window helpers are joined, every

@@ -125,11 +125,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the callback has neither run nor been stopped.
-func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
-}
-
 // release recycles an event that is no longer in the heap.
 func (e *Engine) release(ev *event) {
 	ev.fn, ev.afn, ev.arg = nil, nil, nil
@@ -257,12 +252,6 @@ func dispatchProc(arg any) {
 	p := arg.(*Proc)
 	p.e.dispatch(p)
 }
-
-// Name returns the name given at Go.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
@@ -430,9 +419,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.yieldToEngine()
 }
 
-// Done reports whether the process body has returned (or been killed).
-func (p *Proc) Done() bool { return p.done }
-
 // Kill terminates the process: its body unwinds (defers run) the next
 // time it would execute. A parked or sleeping process dies immediately;
 // the current process dies in place. Killing a finished process is a
@@ -526,16 +512,6 @@ func (e *Engine) TimerPoolMisses() uint64 { return e.poolMisses }
 // HeapHighWater reports the maximum number of simultaneously scheduled
 // events this engine has seen.
 func (e *Engine) HeapHighWater() uint64 { return uint64(e.heapHiWat) }
-
-// Parked reports how many processes are currently parked.
-func (e *Engine) Parked() int { return e.parked }
-
-// Live reports how many processes have been started and not finished.
-func (e *Engine) Live() int { return e.live }
-
-// Pending reports exactly how many scheduled events remain queued.
-// Stopped timers leave the heap immediately, so they are not counted.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // Shutdown kills every live process — parked, sleeping, or queued for a
 // dispatch that will never run — in spawn order, then releases the idle

@@ -96,16 +96,6 @@ func (n *Net) Snapshot() Report {
 	return r
 }
 
-// Quiesced reports whether every router's transient state has drained.
-func (r Report) Quiesced() bool {
-	for _, rr := range r.Routers {
-		if rr.Outgoing != 0 || rr.Incoming != 0 || rr.WaitBind != 0 || rr.VCIMap != 0 || rr.Cookies != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the report as aligned tables.
 func (r Report) String() string {
 	var b strings.Builder

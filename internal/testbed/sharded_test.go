@@ -244,7 +244,13 @@ func TestShardedCloseNoLeak(t *testing.T) {
 	sn.RunUntil(time.Second)
 	testbed.ShardedStorm(sn, cfg)
 	sn.RunUntil(1500 * time.Millisecond) // stop mid-storm: procs are live and parked
-	if sn.G.Live() == 0 {
+	live := int64(0)
+	for _, dom := range sn.Domains {
+		for _, r := range dom.Routers {
+			live += r.Stack.M.Obs.Gauge("kern.procs.live").Value()
+		}
+	}
+	if live == 0 {
 		t.Fatal("expected live processes before Close")
 	}
 	sn.Close()

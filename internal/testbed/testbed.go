@@ -635,6 +635,15 @@ type EchoServer struct {
 	workers []*kern.Proc
 }
 
+// Kill terminates the server process and its per-call workers
+// (robustness experiments: the whole remote application fails).
+func (s *EchoServer) Kill() {
+	s.proc.Kill()
+	for _, w := range s.workers {
+		w.Kill()
+	}
+}
+
 // StartEchoServer launches the Figure 5 flow on ep.
 func StartEchoServer(ep Endpoint, service string, notifyPort uint16) *EchoServer {
 	srv := &EchoServer{Service: service}
@@ -682,15 +691,6 @@ func StartEchoServer(ep Endpoint, service string, notifyPort uint16) *EchoServer
 		}
 	})
 	return srv
-}
-
-// Kill terminates the server process and its per-call workers
-// (robustness experiments: the whole remote application fails).
-func (s *EchoServer) Kill() {
-	s.proc.Kill()
-	for _, w := range s.workers {
-		w.Kill()
-	}
 }
 
 // CallResult records one client call attempt for the storm workloads.

@@ -143,7 +143,7 @@ func TestMgmtCallTraceQuery(t *testing.T) {
 	done := make(chan struct{})
 	ra.Stack.Spawn("mgmt-query", func(p *kern.Proc) {
 		defer close(done)
-		body, qerr = ra.Lib.QueryCall(p, signaling.MgmtCallTrace, ok.CallID)
+		body, qerr = ra.Lib.Client(p).Query(signaling.MgmtCallTrace, ok.CallID, 0)
 	})
 	n.E.RunUntil(n.E.Now() + time.Second)
 	select {

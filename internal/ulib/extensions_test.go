@@ -29,18 +29,18 @@ func TestManagementQueries(t *testing.T) {
 		_ = sock.Connect(conn.VCI, conn.Cookie)
 		// Query the *remote* entity's service list via its own lib and
 		// this entity's call table.
-		calls, err = ra.Lib.Query(p, signaling.MgmtCalls)
+		calls, err = ra.Lib.Client(p).Query(signaling.MgmtCalls, 0, 0)
 		if err != nil {
 			t.Error(err)
 		}
-		stats, _ = ra.Lib.Query(p, signaling.MgmtStats)
-		lists, _ = ra.Lib.Query(p, signaling.MgmtLists)
+		stats, _ = ra.Lib.Client(p).Query(signaling.MgmtStats, 0, 0)
+		lists, _ = ra.Lib.Client(p).Query(signaling.MgmtLists, 0, 0)
 		sock.Close()
 	})
 	rb.Stack.Spawn("operator-b", func(p *kern.Proc) {
 		p.SP.Sleep(200 * time.Millisecond)
 		var err error
-		services, err = rb.Lib.Query(p, signaling.MgmtServices)
+		services, err = rb.Lib.Client(p).Query(signaling.MgmtServices, 0, 0)
 		if err != nil {
 			t.Error(err)
 		}
@@ -65,7 +65,7 @@ func TestManagementUnknownQuery(t *testing.T) {
 	n, ra, _, _ := testbed.NewTestbed(testbed.Options{})
 	var err error
 	ra.Stack.Spawn("operator", func(p *kern.Proc) {
-		_, err = ra.Lib.Query(p, "bogus")
+		_, err = ra.Lib.Client(p).Query("bogus", 0, 0)
 	})
 	n.E.RunUntil(10 * time.Second)
 	if !errors.Is(err, signaling.ErrProtocol) {

@@ -51,18 +51,21 @@ func New(sigIP memnet.IPAddr) *Lib { return &Lib{sigIP: sigIP, to: signaling.Def
 // fields keep their defaults.
 func (l *Lib) SetTimeouts(t Timeouts) { l.to = t.Or(signaling.DefaultTimeouts()) }
 
-func (l *Lib) client(p *kern.Proc) signaling.Client[procTransport] {
+// Client is the protocol client p's verbs run over. Query (the §5.1
+// management views) and CancelRequest have no wrapper here: call them
+// on Client(p).
+func (l *Lib) Client(p *kern.Proc) signaling.Client[procTransport] {
 	return signaling.Client[procTransport]{Transport: procTransport{p, l.sigIP}, Timeouts: l.to}
 }
 
 // ExportService registers a service whose calls arrive at notifyPort.
 func (l *Lib) ExportService(p *kern.Proc, name string, notifyPort uint16) error {
-	return l.client(p).ExportService(name, notifyPort)
+	return l.Client(p).ExportService(name, notifyPort)
 }
 
 // UnexportService cancels a registration.
 func (l *Lib) UnexportService(p *kern.Proc, name string) error {
-	return l.client(p).UnexportService(name)
+	return l.Client(p).UnexportService(name)
 }
 
 // CreateReceiveConnection opens the socket the entity connects to when
@@ -83,7 +86,7 @@ func (l *Lib) OpenConnection(p *kern.Proc, dest atm.Addr, service string, notify
 	if err != nil {
 		return nil, err
 	}
-	return l.client(p).OpenConnection(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
+	return l.Client(p).OpenConnection(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
 }
 
 // OpenConnectionAsync is OpenConnection returning once REQ_ID arrives.
@@ -92,22 +95,7 @@ func (l *Lib) OpenConnectionAsync(p *kern.Proc, dest atm.Addr, service string, n
 	if err != nil {
 		return nil, err
 	}
-	return l.client(p).OpenConnectionAsync(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
-}
-
-// Query asks the entity for management state (signaling.MgmtServices, …).
-func (l *Lib) Query(p *kern.Proc, what string) (string, error) {
-	return l.client(p).Query(what, 0, 0)
-}
-
-// QueryCall performs a per-call management query (MgmtCallTrace, …).
-func (l *Lib) QueryCall(p *kern.Proc, what string, callID uint32) (string, error) {
-	return l.client(p).Query(what, callID, 0)
-}
-
-// CancelRequest cancels an outstanding connect request by cookie.
-func (l *Lib) CancelRequest(p *kern.Proc, cookie uint16) error {
-	return l.client(p).CancelRequest(cookie)
+	return l.Client(p).OpenConnectionAsync(listener{kl}, dest, service, notifyPort, comment, qosStr, p.PID)
 }
 
 // procTransport is one process's exchanges with the entity, each over a

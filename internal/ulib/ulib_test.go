@@ -69,7 +69,7 @@ func TestCancelUnknownCookie(t *testing.T) {
 	n, ra, _, _ := testbed.NewTestbed(testbed.Options{})
 	var err error
 	ra.Stack.Spawn("app", func(p *kern.Proc) {
-		err = ra.Lib.CancelRequest(p, 0xDEAD)
+		err = ra.Lib.Client(p).CancelRequest(0xDEAD)
 	})
 	n.E.RunUntil(10 * time.Second)
 	if !errors.Is(err, signaling.ErrProtocol) {

@@ -309,7 +309,7 @@ func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trai
 	scenario(e, f, send)
 	drain(f, func() {
 		if g != nil {
-			g.Run()
+			g.RunUntil(time.Minute)
 		} else {
 			e.Run()
 		}
