@@ -344,10 +344,8 @@ func BenchmarkE4_CallStorm(b *testing.B) {
 		})
 		n.E.RunUntil(n.E.Now() + 4*n.CM.BindTimeout)
 		ok = res.Succeeded
-		for _, r := range []*testbed.Router{ra, rb} {
-			if msg := testbed.Quiesced(r); msg != "" {
-				b.Fatal(msg)
-			}
+		if leaks := n.Audit(); leaks != nil {
+			b.Fatal(leaks)
 		}
 		n.E.Shutdown()
 	}

@@ -266,16 +266,11 @@ func storm(fs *flag.FlagSet) func() error {
 			}
 		}
 		fmt.Print(n.Snapshot())
-		drained := true
-		for _, dom := range n.Domains {
-			for _, r := range dom.Routers {
-				if msg := testbed.Quiesced(r); msg != "" {
-					fmt.Println("LEAK:", msg)
-					drained = false
-				}
-			}
+		leaks := n.Audit()
+		for _, msg := range leaks {
+			fmt.Println("LEAK:", msg)
 		}
-		if drained {
+		if leaks == nil {
 			fmt.Println("all transient signaling state drained — robustness check passed")
 		}
 		return nil

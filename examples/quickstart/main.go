@@ -114,8 +114,8 @@ func main() {
 	fmt.Printf("\nfabric: %d cells switched, %d dropped\n", sent, dropped)
 	fmt.Printf("mh.rt  sighost stats: %+v\n", ra.Sig.SH.Stats())
 	fmt.Printf("ucb.rt sighost stats: %+v\n", rb.Sig.SH.Stats())
-	if msg := testbed.Quiesced(ra); msg != "" {
-		fmt.Println("LEAK:", msg)
+	if leaks := n.Audit(); leaks != nil {
+		fmt.Println("LEAK:", leaks)
 	} else {
 		fmt.Println("all signaling state drained cleanly")
 	}

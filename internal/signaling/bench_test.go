@@ -16,9 +16,10 @@ import (
 // reproduction executes per second of real time.
 
 // notifyPort is the first client notify port of storm i; call k of the
-// storm listens on notifyPort(i)+k. The window stays below 10000, where
-// memnet's ephemeral allocator starts its sweep, so a long run never
-// dials from a port a later storm wants to listen on.
+// storm listens on notifyPort(i)+k. The window lies below 10000, where
+// memnet's ephemeral allocator starts its sweep, but need not: every
+// stream of a call closes with it, so no dial keeps a port a later
+// storm listens on (TestNotifyPortsInEphemeralRange).
 func notifyPort(i int) uint16 { return uint16(2000 + (i%200)*32) }
 
 func BenchmarkSimulatedCallsPerSecond(b *testing.B) {
@@ -60,8 +61,8 @@ func BenchmarkSimulatedCallsPerSecond(b *testing.B) {
 
 // stormRig is the warm rig TestCallStormAllocs and TestCallStormEvents
 // measure, the benchmark above's, and a function that runs its next
-// ten-call storm to quiescence.
-func stormRig(t *testing.T) (*testbed.Net, func()) {
+// ten-call storm, from notify port base(i) for storm i, to quiescence.
+func stormRig(t *testing.T, base func(i int) uint16) (*testbed.Net, func()) {
 	n, ra, rb, err := testbed.NewTestbed(testbed.Options{
 		DeviceBuffers:      kern.FixedDeviceBuffers,
 		FDTableSize:        kern.FixedFDTableSize,
@@ -76,7 +77,7 @@ func stormRig(t *testing.T) (*testbed.Net, func()) {
 	i := 0
 	return n, func() {
 		res := testbed.CallStorm(ra, "ucb.rt", "bench", testbed.StormConfig{
-			Count: 10, Hold: 50 * time.Millisecond, BasePort: notifyPort(i),
+			Count: 10, Hold: 50 * time.Millisecond, BasePort: base(i),
 		})
 		i++
 		n.E.RunUntil(n.E.Now() + 30*time.Second)
@@ -89,8 +90,9 @@ func stormRig(t *testing.T) (*testbed.Net, func()) {
 // TestCallStormAllocs gates the allocations of a whole call, application
 // side included, where TestSteadyStateCallAllocs pins only the pooled
 // sighost state at zero: the benchmark above, ten iterations of it. The
-// count is deterministic — 627 per 10-call storm on the commit that set
-// this ceiling (688 before a loopback DATA segment handed the receiver
+// count is deterministic — 626 per 10-call storm since sighost closes
+// its side of every application connection (627 when the ceiling was
+// set, 688 before a loopback DATA segment handed the receiver
 // the sender's copy, 768 before chain headers were recycled, 969 before
 // the signaling PVC's frames stopped allocating in the Hobbit board's
 // SAR, 4013 before segments, waiters, timers and inbox entries got
@@ -101,7 +103,7 @@ func TestCallStormAllocs(t *testing.T) {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	const ceiling = 650
-	_, storm := stormRig(t)
+	_, storm := stormRig(t, notifyPort)
 	got := testing.AllocsPerRun(10, storm)
 	if got > ceiling {
 		t.Errorf("a 10-call storm allocates %.0f times, ceiling %d", got, ceiling)
@@ -112,12 +114,13 @@ func TestCallStormAllocs(t *testing.T) {
 // TestCallStormEvents pins the engine events of a warm ten-call storm on
 // the same rig. The count is virtual history, not a wall-clock figure,
 // so it is exact: a change that moves it is reviewed as a moved
-// TestDetGate row is. 894 since loopback stream ACKs that nothing waits
-// on stopped being events (1 014 before; DESIGN.md §17, "Loopback
-// streams").
+// TestDetGate row is. 914 since sighost closes its side of the one
+// connection per call it left open, a FIN and the ACK that completes the
+// close (894 before; 1 014 before loopback stream ACKs that nothing
+// waits on stopped being events; DESIGN.md §17, "Loopback streams").
 func TestCallStormEvents(t *testing.T) {
-	const want = 894
-	n, storm := stormRig(t)
+	const want = 914
+	n, storm := stormRig(t, notifyPort)
 	storm() // the first storm also dials the peer sighost
 	for k := 0; k < 3; k++ {
 		before := n.E.EventsExecuted()
@@ -125,6 +128,19 @@ func TestCallStormEvents(t *testing.T) {
 		if got := n.E.EventsExecuted() - before; got != want {
 			t.Fatalf("warm storm %d ran %d engine events, want %d", k, got, want)
 		}
+	}
+}
+
+// TestNotifyPortsInEphemeralRange cycles 300 ten-call storms through 200
+// notify-port windows inside memnet's ephemeral range: a stream that
+// outlived its call would hold its port, and storm 201 would fail.
+func TestNotifyPortsInEphemeralRange(t *testing.T) {
+	n, storm := stormRig(t, func(i int) uint16 { return uint16(12000 + (i%200)*32) })
+	for range 300 {
+		storm()
+	}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 }
 

@@ -255,10 +255,8 @@ func simRig(t *testing.T) clientRig {
 		},
 		drained: func(t *testing.T) {
 			n.E.RunUntil(n.E.Now() + 5*time.Second)
-			for _, r := range []*testbed.Router{ra, rb} {
-				if msg := testbed.Quiesced(r); msg != "" {
-					t.Error(msg)
-				}
+			if leaks := n.Audit(); leaks != nil {
+				t.Error(leaks)
 			}
 		},
 	}

@@ -66,10 +66,8 @@ func TestCrossCallsSameID(t *testing.T) {
 	if srvB.Received != 1 {
 		t.Fatalf("server B received %d", srvB.Received)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -91,13 +89,8 @@ func TestBidirectionalStorm(t *testing.T) {
 	if resAB.Succeeded != 30 || resBA.Succeeded != 30 {
 		t.Fatalf("succeeded %d/%d", resAB.Succeeded, resBA.Succeeded)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VCs = %d", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }

@@ -113,10 +113,8 @@ func TestSighostSurvivesGarbage(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("honest call after garbage: %v", res.Err)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -156,10 +154,8 @@ func TestHalfOpenRemoteFailure(t *testing.T) {
 	if recvErr == nil {
 		t.Fatal("send succeeded on a half-open circuit after remote death")
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }

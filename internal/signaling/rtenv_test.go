@@ -198,22 +198,18 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
-// drained waits for a daemon's transient lists and cookie table to
-// empty: teardown crosses the carrier asynchronously.
+// drained waits for a daemon's Residue to empty: teardown crosses the
+// carrier asynchronously.
 func drained(t testing.TB, hs ...*signaling.RealHost) {
 	t.Helper()
 	for _, h := range hs {
-		var got [5]int
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			h.Do(func() {
-				_, got[0], got[1], got[2], got[3] = h.SH.ListSizes()
-				got[4] = h.SH.CookieCount()
-			})
-			if got == [5]int{} {
+			msg := h.SH.Residue()
+			if msg == "" {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s still holds outgoing=%d incoming=%d wait_bind=%d vci_map=%d cookies=%d", h.Addr, got[0], got[1], got[2], got[3], got[4])
+				t.Fatal(msg)
 			}
 		}
 	}

@@ -306,10 +306,8 @@ func (row endRow) run(t *testing.T, watch func(*Sighost)) {
 		if opens > 1 || ends != opens {
 			t.Errorf("%s: journal holds %d opens and %d ends for %+v", env.addr, opens, ends, side.key)
 		}
-		_, out, in, wb, vm := sh.ListSizes()
-		if out+in+wb+vm+sh.CookieCount()+len(sh.calls) != 0 {
-			t.Errorf("%s: left outgoing=%d incoming=%d wait_for_bind=%d VCI_mapping=%d cookies=%d calls=%d",
-				env.addr, out, in, wb, vm, sh.CookieCount(), len(sh.calls))
+		if msg := sh.Residue(); msg != "" {
+			t.Error(msg)
 		}
 		for _, tm := range w.timers {
 			if tm.owner == env && !tm.canceled && !tm.fired {

@@ -227,8 +227,8 @@ func TestUnknownServiceRejected(t *testing.T) {
 	if !errors.Is(res.Err, signaling.ErrFailed) {
 		t.Fatalf("err = %v", res.Err)
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -253,10 +253,8 @@ func TestServerRejectsCall(t *testing.T) {
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "not today") {
 		t.Fatalf("err = %v", res.Err)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -278,13 +276,8 @@ func TestAdmissionRejectionPropagatesToClient(t *testing.T) {
 	if !strings.Contains(res.Err.Error(), "admission") {
 		t.Fatalf("err = %v", res.Err)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 { // only the 2 signaling PVCs remain
-		t.Fatalf("active VCs = %d", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -301,13 +294,8 @@ func TestTeardownOnClientClose(t *testing.T) {
 		// OpenAndUse closed the socket; teardown propagates.
 	})
 	n.E.RunUntil(20 * time.Second)
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("active VCs = %d, want only the 2 signaling PVCs", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -331,11 +319,8 @@ func TestBindTimeoutReclaimsVCI(t *testing.T) {
 	if ra.Sig.SH.Stats().BindTimeouts == 0 {
 		t.Fatal("no bind timeout fired")
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VC leaked: %d active", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -366,8 +351,8 @@ func TestCookieAuthenticationFailure(t *testing.T) {
 	if sendErr == nil {
 		t.Fatal("send on unauthenticated socket succeeded")
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -429,8 +414,8 @@ func TestCancelRequest(t *testing.T) {
 	if ra.Sig.SH.Stats().CallsCanceled != 1 {
 		t.Fatalf("canceled = %d", ra.Sig.SH.Stats().CallsCanceled)
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -458,13 +443,8 @@ func TestKillDuringStages(t *testing.T) {
 		})
 		n.E.Schedule(killAfter, func() { victim.Kill() })
 		n.E.RunUntil(2 * n.CM.BindTimeout)
-		for _, r := range []*testbed.Router{ra, rb} {
-			if msg := testbed.Quiesced(r); msg != "" {
-				t.Fatalf("killAfter=%v: %s", killAfter, msg)
-			}
-		}
-		if n.Fabric.ActiveVCs() != 2 {
-			t.Fatalf("killAfter=%v: %d VCs active, want the 2 PVCs", killAfter, n.Fabric.ActiveVCs())
+		if leaks := n.Audit(); leaks != nil {
+			t.Fatalf("killAfter=%v: %s", killAfter, leaks)
 		}
 		n.E.Shutdown()
 	}
@@ -486,13 +466,8 @@ func TestKillServerMidCall(t *testing.T) {
 	if !done {
 		t.Fatal("client never finished")
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VCs = %d", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }

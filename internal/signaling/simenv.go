@@ -39,6 +39,7 @@ type SimHost struct {
 	actor *sim.Proc
 	peers map[atm.Addr]*pfxunet.Socket
 	env   *simEnv
+	conns int // application connections accepted or dialed, until their first Close
 
 	// dec serves every receive pump of this host: the pumps are procs of
 	// one engine, which never interleave inside DecodeInto, so they share
@@ -46,13 +47,18 @@ type SimHost struct {
 	dec sigmsg.Decoder
 }
 
-// pump feeds messages arriving on an IPC connection into the actor
-// until the peer closes.
+// AppConns reports the application connections open on this side.
+func (h *SimHost) AppConns() int { return h.conns }
+
+// pump counts an application connection open and feeds what arrives on
+// it into the actor until the peer closes, then closes this side.
 func (h *SimHost) pump(p *sim.Proc, conn *simConn, from memnet.IPAddr) {
+	h.conns++
 	in := input{kind: inApp, conn: conn, ip: from}
 	for {
 		b, ok := conn.s.Recv(p)
 		if !ok {
+			conn.Close()
 			return
 		}
 		if err := h.dec.DecodeInto(&in.msg, b); err != nil {
@@ -237,12 +243,19 @@ func connectOneWay(a, b *SimHost) error {
 // runs in actor context, so it borrows the env's scratch buffer
 // (Stream.Send copies the frame before returning).
 type simConn struct {
-	h *SimHost
-	s *memnet.Stream
+	h      *SimHost
+	s      *memnet.Stream
+	closed bool
 }
 
 func (c *simConn) Send(m sigmsg.Msg) error { return c.s.Send(c.h.env.enc(&m)) }
-func (c *simConn) Close()                  { c.s.Close() }
+
+func (c *simConn) Close() {
+	if !c.closed {
+		c.closed, c.h.conns = true, c.h.conns-1
+	}
+	c.s.Close()
+}
 
 // simEnv implements Env on the simulation.
 type simEnv struct {

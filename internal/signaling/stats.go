@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"xunet/internal/obs"
@@ -123,11 +124,8 @@ func (sh *Sighost) Stats() Stats {
 	}
 }
 
-// ListSizes reports the five list sizes (service_list,
-// outgoing_requests, incoming_requests, wait_for_bind, VCI_mapping) for
-// the robustness assertions: after a storm with everything torn down,
-// all but service_list must be empty. Like CookieCount, it is safe from
-// any goroutine.
+// ListSizes reports the sizes of service_list, outgoing_requests,
+// incoming_requests, wait_for_bind and VCI_mapping, from any goroutine.
 func (sh *Sighost) ListSizes() (services, outgoing, incoming, waitBind, vciMapping int) {
 	n := &sh.n
 	return int(n.services.get()), int(n.outgoing.get()), int(n.incoming.get()), int(n.waitBind.get()), int(n.vciMap.get())
@@ -135,3 +133,18 @@ func (sh *Sighost) ListSizes() (services, outgoing, incoming, waitBind, vciMappi
 
 // CookieCount reports live per-VCI cookie entries.
 func (sh *Sighost) CookieCount() int { return int(sh.n.cookies.get()) }
+
+// Residue describes the transient state sighost holds — list entries
+// but service_list's, cookies, indexed calls — or is "" when drained.
+func (sh *Sighost) Residue() string {
+	n, addr := &sh.n, sh.env.Addr()
+	switch out, in, wb, vm := n.outgoing.get(), n.incoming.get(), n.waitBind.get(), n.vciMap.get(); {
+	case out|in|wb|vm != 0:
+		return fmt.Sprintf("%s lists not empty: outgoing=%d incoming=%d wait_bind=%d vci_map=%d", addr, out, in, wb, vm)
+	case n.cookies.get() != 0:
+		return fmt.Sprintf("%s cookies leaked: %d", addr, n.cookies.get())
+	case n.calls.get() != 0:
+		return fmt.Sprintf("%s calls still indexed: %d", addr, n.calls.get())
+	}
+	return ""
+}

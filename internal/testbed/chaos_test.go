@@ -83,15 +83,10 @@ func TestChaosSoak(t *testing.T) {
 	if reg.Count("sighost.recovery.aborted_calls") == 0 {
 		t.Error("no mid-setup call was aborted by recovery")
 	}
-	// Zero leaked state: transient lists, cookies, and active calls all
-	// drained on both sides.
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Errorf("leak: %s", msg)
-		}
-		if got := r.Stack.M.Obs.Snapshot().Count("sighost.calls.active"); got != 0 {
-			t.Errorf("%s: sighost.calls.active = %d after drain", r.Stack.Addr, got)
-		}
+	// Zero leaked state: transient lists, cookies, active calls and
+	// application connections all drained on both sides.
+	if leaks := n.Audit(); leaks != nil {
+		t.Errorf("leak: %s", leaks)
 	}
 	// Failed calls failed fast with the recovery reason, not by running
 	// out a 60 s client timeout, and left span trees in the recorder.

@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"xunet/internal/kern"
+	"xunet/internal/qos"
+	"xunet/internal/sigmsg"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -18,15 +21,10 @@ func TestReportSnapshot(t *testing.T) {
 	if res.Succeeded != 5 {
 		t.Fatalf("calls %d/5", res.Succeeded)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	rep := n.Snapshot()
-	if rep.ActiveVCs != 2 {
-		t.Fatalf("active VCs = %d", rep.ActiveVCs)
-	}
 	if rep.CellsSent == 0 {
 		t.Fatal("no cells counted")
 	}
@@ -52,19 +50,58 @@ func TestReportSnapshot(t *testing.T) {
 	n.E.Shutdown()
 }
 
+// TestReportDetectsLeak plants one piece of residue per row: Audit must
+// name it while it is held, and read clean once it is let go.
 func TestReportDetectsLeak(t *testing.T) {
-	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
-	testbed.StartEchoServer(rb, "echo", 6000)
-	ra.Stack.Spawn("client", func(p *kern.Proc) {
-		p.SP.Sleep(100 * time.Millisecond)
-		// Open and never bind: until the bind timer fires, wait_for_bind
-		// holds state and the report must say so.
-		_, _ = ra.Lib.OpenConnection(p, "ucb.rt", "echo", 7000, "", "")
-		p.SP.Park()
-	})
-	n.E.RunUntil(2 * time.Second) // established, not bound, timer pending
-	if testbed.Quiesced(ra) == "" && testbed.Quiesced(rb) == "" {
-		t.Fatal("Quiesced claims drained while a bind is pending")
+	for _, row := range []struct {
+		name, want string
+		plant      func(n *testbed.Net, ra *testbed.Router) (release func())
+	}{
+		{"pending bind", "wait_bind=1", func(n *testbed.Net, ra *testbed.Router) func() {
+			testbed.StartEchoServer(n.Routers[1], "echo", 6000)
+			ra.Stack.Spawn("client", func(p *kern.Proc) {
+				p.SP.Sleep(100 * time.Millisecond)
+				_, _ = ra.Lib.OpenConnection(p, "ucb.rt", "echo", 7000, "", "") // and never binds
+				p.SP.Park()
+			})
+			return func() {} // the bind timer releases it
+		}},
+		{"unreleased VC", "fabric holds 3 VCs, 2 provisioned", func(n *testbed.Net, _ *testbed.Router) func() {
+			vc, err := n.Fabric.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vc.Release
+		}},
+		{"connected application", "mh.rt application connections open: 1", func(_ *testbed.Net, ra *testbed.Router) func() {
+			app := ra.Stack.Spawn("exporter", func(p *kern.Proc) {
+				ks, err := p.Dial(ra.Stack.M.IP.Addr, signaling.SigPort)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m := sigmsg.Msg{Kind: sigmsg.KindExportSrv, Service: "held", NotifyPort: 6000}
+				_ = ks.Send(m.AppendTo(nil))
+				_, _ = ks.Recv() // SERVICE_REGS; the connection stays open
+				p.SP.Park()
+				ks.Close()
+			})
+			return app.SP.Unpark
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			n, ra, _, _ := testbed.NewTestbed(testbed.Options{})
+			defer n.Close()
+			release := row.plant(n, ra)
+			n.RunUntil(2 * time.Second)
+			if leaks := n.Audit(); !strings.Contains(strings.Join(leaks, "\n"), row.want) {
+				t.Fatalf("audit reads %q, want it to name %q", leaks, row.want)
+			}
+			n.E.Schedule(0, release)
+			n.RunUntil(2*time.Second + 2*n.CM.BindTimeout)
+			if leaks := n.Audit(); leaks != nil {
+				t.Fatalf("audit after release: %s", leaks)
+			}
+		})
 	}
-	n.E.Shutdown()
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -199,12 +200,7 @@ func Sweep(w io.Writer, buffers, fdsizes []int, calls int, hold time.Duration, s
 			n.RunUntil(time.Second)
 			res := CallStorm(ra, rb.Stack.Addr, "storm", StormConfig{Count: calls, Hold: hold})
 			n.RunUntil(n.E.Now() + 4*n.CM.BindTimeout)
-			residual := "clean"
-			for _, r := range n.Routers {
-				if msg := Quiesced(r); msg != "" {
-					residual = msg
-				}
-			}
+			residual := cmp.Or(strings.Join(n.Audit(), "; "), "clean")
 			fmt.Fprintf(&b, "%8d %8d | %6d %6d | %9d %12v %12v | %s\n",
 				buf, fd, res.Succeeded, res.Failed, ra.Stack.M.Dev.Lost+rb.Stack.M.Dev.Lost,
 				res.Avg().Round(time.Millisecond), res.MaxSetup.Round(time.Millisecond), residual)

@@ -190,10 +190,8 @@ func TestShardedFlatDegenerate(t *testing.T) {
 	if la != 8 || su != 8 || fa != 0 {
 		t.Fatalf("flat sharded storm: launched=%d ok=%d failed=%d, want 8/8/0", la, su, fa)
 	}
-	for _, r := range sn.Domains[0].Routers {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatalf("flat sharded storm left state: %s", msg)
-		}
+	if leaks := sn.Audit(); leaks != nil {
+		t.Fatalf("flat sharded storm left state: %s", leaks)
 	}
 }
 

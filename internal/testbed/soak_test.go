@@ -105,13 +105,8 @@ func TestSoakRandomWorkload(t *testing.T) {
 
 			// Let everything play out, including bind timers.
 			n.E.RunUntil(n.E.Now() + 5*n.CM.BindTimeout)
-			for _, r := range []*testbed.Router{ra, rb} {
-				if msg := testbed.Quiesced(r); msg != "" {
-					t.Fatalf("seed %d: %s", seed, msg)
-				}
-			}
-			if vcs := n.Fabric.ActiveVCs(); vcs != 2 {
-				t.Fatalf("seed %d: %d circuits leaked", seed, vcs-2)
+			if leaks := n.Audit(); leaks != nil {
+				t.Fatalf("seed %d: %s", seed, leaks)
 			}
 			n.E.Shutdown()
 		})

@@ -153,8 +153,9 @@ type Net struct {
 	// Options.Prof or ProfSeries armed it): one EngineProf per domain
 	// plus, on a shard group, the window/stall/matrix accounting, served
 	// by every router's MGMT prof views.
-	Prof *prof.Profiler
-	opts Options
+	Prof        *prof.Profiler
+	opts        Options
+	provisioned int // VCs construction set up: the signaling PVC mesh, the carrier circuits
 }
 
 // ShardedNet is the name NewSharded's result had before every
@@ -458,7 +459,9 @@ func (n *Net) addSites(addrs []atm.Addr, switches []*xswitch.Switch) error {
 			return err
 		}
 	}
-	return n.mesh()
+	err := n.mesh()
+	n.provisioned = n.Fabric.ActiveVCs()
+	return err
 }
 
 // NewTestbed builds the paper's measurement testbed: two routers,
@@ -518,6 +521,7 @@ func NewSharded(opts Options, cfg StormConfig) (*Net, error) {
 		return nil, err
 	}
 	n.Fabric.SealCrossShard()
+	n.provisioned = n.Fabric.ActiveVCs()
 	return n, nil
 }
 
@@ -763,18 +767,27 @@ func registerTraceStats(reg *obs.Registry, tc *trace.Collector) {
 	reg.Func("trace.flight.dumps", func() uint64 { return tc.StatsNow().Dumps })
 }
 
-// Quiesced asserts that all transient signaling state has drained on a
-// router: outgoing_requests, incoming_requests, wait_for_bind and
-// VCI_mapping empty, and no cookies outstanding. It returns a
-// description of what leaked, or "" when clean.
+// Quiesced describes what a router's sighost has not drained — its
+// Residue, else its open application connections — or is "" when clean.
 func Quiesced(r *Router) string {
-	_, out, in, wb, vm := r.Sig.SH.ListSizes()
-	if out != 0 || in != 0 || wb != 0 || vm != 0 {
-		return fmt.Sprintf("%s lists not empty: outgoing=%d incoming=%d wait_bind=%d vci_map=%d",
-			r.Stack.Addr, out, in, wb, vm)
+	if msg := r.Sig.SH.Residue(); msg != "" || r.Sig.AppConns() == 0 {
+		return msg
 	}
-	if c := r.Sig.SH.CookieCount(); c != 0 {
-		return fmt.Sprintf("%s cookies leaked: %d", r.Stack.Addr, c)
+	return fmt.Sprintf("%s application connections open: %d", r.Stack.Addr, r.Sig.AppConns())
+}
+
+// Audit lists what the deployment has not drained, nil when clean: each
+// router's Quiesced text, then any VC beyond those construction set up.
+func (n *Net) Audit() (leaks []string) {
+	for _, dom := range n.Domains {
+		for _, r := range dom.Routers {
+			if msg := Quiesced(r); msg != "" {
+				leaks = append(leaks, msg)
+			}
+		}
 	}
-	return ""
+	if vcs := n.Fabric.ActiveVCs(); vcs != n.provisioned {
+		leaks = append(leaks, fmt.Sprintf("fabric holds %d VCs, %d provisioned", vcs, n.provisioned))
+	}
+	return leaks
 }

@@ -35,13 +35,8 @@ func TestE4_CallStormRouterToRouter(t *testing.T) {
 	if res.Succeeded != 100 {
 		t.Fatalf("succeeded %d of 100 (failed %d)", res.Succeeded, res.Failed)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VCs leaked: %d active", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	if ra.Stack.M.Dev.Lost != 0 || rb.Stack.M.Dev.Lost != 0 {
 		t.Fatalf("pseudo-device losses with 80 buffers: %d/%d",
@@ -71,10 +66,8 @@ func TestE4_CallStormHostToRouter(t *testing.T) {
 	if res.Succeeded != 50 {
 		t.Fatalf("succeeded %d of 50 (failed %d)", res.Succeeded, res.Failed)
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -97,13 +90,8 @@ func TestE4_KillDuringStorm(t *testing.T) {
 	if res.Killed == 0 {
 		t.Fatal("nothing was killed")
 	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VCs leaked after kills: %d", n.Fabric.ActiveVCs())
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -248,13 +236,8 @@ func TestE5_TwoHundredOpenConnections(t *testing.T) {
 		t.Fatalf("established %d+%d of 200 (failed %d+%d)",
 			resA.Succeeded, resB.Succeeded, resA.Failed, resB.Failed)
 	}
-	if n.Fabric.ActiveVCs() != 2 {
-		t.Fatalf("VCs after teardown = %d", n.Fabric.ActiveVCs())
-	}
-	for _, r := range []*testbed.Router{ra, rb} {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
@@ -296,10 +279,8 @@ func TestXunetFiveSiteCalls(t *testing.T) {
 			t.Errorf("%s -> %s failed: %+v", pairs[i].from, pairs[i].to, res.Results[0].Err)
 		}
 	}
-	for _, r := range routers {
-		if msg := testbed.Quiesced(r); msg != "" {
-			t.Fatal(msg)
-		}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }

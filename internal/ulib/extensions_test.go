@@ -143,8 +143,8 @@ func TestPendingConnectionCancel(t *testing.T) {
 	if ra.Sig.SH.Stats().CallsCanceled != 1 {
 		t.Fatalf("canceled = %d", ra.Sig.SH.Stats().CallsCanceled)
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }

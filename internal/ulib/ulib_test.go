@@ -59,8 +59,8 @@ func TestOpenConnectionValidation(t *testing.T) {
 	if !errors.Is(err1, signaling.ErrProtocol) {
 		t.Fatalf("empty dest err = %v", err1)
 	}
-	if msg := testbed.Quiesced(ra); msg != "" {
-		t.Fatal(msg)
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 	n.E.Shutdown()
 }
