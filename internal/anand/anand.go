@@ -3,8 +3,8 @@
 // pseudo-device and the sighost on its router, and that manages the
 // IP-specific forwarding state sighost itself stays ignorant of.
 //
-//   - anand client runs on each IP-connected host: it blocks on the
-//     host pseudo-device (select()), relays every upward kernel message
+//   - anand client runs on each IP-connected host: it selects on the
+//     host pseudo-device (Arm), relays every upward kernel message
 //     to anand server over a TCP connection, and writes relayed
 //     downward commands into the host pseudo-device.
 //   - anand server runs on the router: it forwards relayed kernel
@@ -16,6 +16,7 @@
 package anand
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -23,7 +24,6 @@ import (
 	"xunet/internal/core"
 	"xunet/internal/kern"
 	"xunet/internal/memnet"
-	"xunet/internal/sim"
 )
 
 // Frame kinds on the anand client-server connection.
@@ -36,15 +36,10 @@ const (
 // timestamp so the router-side trace can attribute relay latency to
 // the host kernel's indication.
 func encodeUp(k kern.KMsg) []byte {
-	at := uint64(k.At)
-	return []byte{
-		frameUp, byte(k.Kind),
-		byte(k.VCI >> 8), byte(k.VCI),
-		byte(k.Cookie >> 8), byte(k.Cookie),
-		byte(k.PID >> 24), byte(k.PID >> 16), byte(k.PID >> 8), byte(k.PID),
-		byte(at >> 56), byte(at >> 48), byte(at >> 40), byte(at >> 32),
-		byte(at >> 24), byte(at >> 16), byte(at >> 8), byte(at),
-	}
+	b := binary.BigEndian.AppendUint16(append(make([]byte, 0, 18), frameUp, byte(k.Kind)), uint16(k.VCI))
+	b = binary.BigEndian.AppendUint16(b, k.Cookie)
+	b = binary.BigEndian.AppendUint32(b, k.PID)
+	return binary.BigEndian.AppendUint64(b, uint64(k.At))
 }
 
 // encodeDown serializes a relayed downward command.
@@ -62,71 +57,69 @@ func decode(b []byte) (up kern.KMsg, down kern.DownCmd, isUp bool, err error) {
 		if len(b) < 18 {
 			return up, down, false, fmt.Errorf("anand: short up frame")
 		}
-		at := uint64(b[10])<<56 | uint64(b[11])<<48 | uint64(b[12])<<40 | uint64(b[13])<<32 |
-			uint64(b[14])<<24 | uint64(b[15])<<16 | uint64(b[16])<<8 | uint64(b[17])
 		up = kern.KMsg{
 			Kind:   kern.MsgKind(b[1]),
-			VCI:    atm.VCI(uint16(b[2])<<8 | uint16(b[3])),
-			Cookie: uint16(b[4])<<8 | uint16(b[5]),
-			PID:    uint32(b[6])<<24 | uint32(b[7])<<16 | uint32(b[8])<<8 | uint32(b[9]),
-			At:     time.Duration(at),
+			VCI:    atm.VCI(binary.BigEndian.Uint16(b[2:])),
+			Cookie: binary.BigEndian.Uint16(b[4:]),
+			PID:    binary.BigEndian.Uint32(b[6:]),
+			At:     time.Duration(binary.BigEndian.Uint64(b[10:])),
 		}
 		return up, down, true, nil
 	case frameDown:
-		down = kern.DownCmd{Kind: kern.DownKind(b[1]), VCI: atm.VCI(uint16(b[2])<<8 | uint16(b[3]))}
+		down = kern.DownCmd{Kind: kern.DownKind(b[1]), VCI: atm.VCI(binary.BigEndian.Uint16(b[2:]))}
 		return up, down, false, nil
 	}
 	return up, down, false, fmt.Errorf("anand: unknown frame kind %d", b[0])
 }
 
-// Client is the host-side stub.
+// Client is the host-side stub: its relay connection's receiver, and
+// the reader it arms on the host pseudo-device once that is up.
 type Client struct {
-	stack *core.Stack
-	conn  *memnet.Stream
+	dev  *kern.PseudoDev
+	conn *memnet.Stream
+	read func(kern.KMsg, bool) // relay, made once
 	// Relayed counts upward messages sent to the router.
 	Relayed uint64
 }
 
 // StartClient launches anand client on a host: it dials anand server on
-// the configured router and starts the two relay loops. It is placed in
-// the boot sequence of every simulated host.
+// the configured router, and relays both ways once the dial succeeds. It
+// is placed in the boot sequence of every simulated host.
 func StartClient(stack *core.Stack, routerIP memnet.IPAddr, port uint16) *Client {
-	c := &Client{stack: stack}
-	e := stack.M.E
-	e.Go(stack.M.Name+"/anand-client", func(sp *sim.Proc) {
-		conn, err := stack.M.IP.DialStream(sp, routerIP, port)
-		if err != nil {
-			return
-		}
-		c.conn = conn
-		// Downward relay loop: commands from sighost into the host
-		// pseudo-device.
-		e.Go(stack.M.Name+"/anand-client-down", func(sp2 *sim.Proc) {
-			for {
-				b, ok := conn.Recv(sp2)
-				if !ok {
-					return
-				}
-				if _, down, isUp, err := decode(b); err == nil && !isUp {
-					stack.M.Dev.WriteDown(down)
-				}
-			}
-		})
-		// Upward relay loop: host kernel messages to anand server.
-		for {
-			k, ok := stack.M.Dev.ReadUp(sp)
-			if !ok {
-				conn.Close()
-				return
-			}
-			c.Relayed++
-			if err := conn.Send(encodeUp(k)); err != nil {
-				return
-			}
-		}
-	})
+	c := &Client{dev: stack.M.Dev}
+	c.read = c.relay
+	c.conn, _ = stack.M.IP.Dial(routerIP, port, c) // no port: the client never runs
 	return c
 }
+
+// Dialed starts the upward relay; a refused dial leaves the client idle.
+func (c *Client) Dialed(err error) {
+	if err == nil {
+		c.dev.Arm(c.read)
+	}
+}
+
+// relay sends one upward kernel message to anand server and reads the
+// next; a closed device closes the connection.
+func (c *Client) relay(k kern.KMsg, ok bool) {
+	if !ok {
+		c.conn.Close()
+		return
+	}
+	c.Relayed++
+	if c.conn.Send(encodeUp(k)) == nil {
+		c.dev.Arm(c.read)
+	}
+}
+
+// Deliver writes a relayed downward command into the host pseudo-device.
+func (c *Client) Deliver(b []byte) {
+	if _, down, isUp, err := decode(b); err == nil && !isUp {
+		c.dev.WriteDown(down)
+	}
+}
+
+func (c *Client) EOF() {} // the upward relay stops at its next failed send
 
 // Server is the router-side stub.
 type Server struct {
@@ -151,40 +144,39 @@ func StartServer(stack *core.Stack, port uint16) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := stack.M.E
-	e.Go(stack.M.Name+"/anand-server", func(sp *sim.Proc) {
-		for {
-			conn, ok := l.Accept(sp)
-			if !ok {
-				return
-			}
-			host := conn.RemoteAddr()
-			s.conns[host] = conn
-			e.Go(stack.M.Name+"/anand-server-rx", func(sp2 *sim.Proc) {
-				defer func() {
-					if s.conns[host] == conn {
-						delete(s.conns, host)
-					}
-				}()
-				for {
-					b, ok := conn.Recv(sp2)
-					if !ok {
-						return
-					}
-					up, _, isUp, err := decode(b)
-					if err != nil || !isUp {
-						continue
-					}
-					s.handleUp(host, up)
-				}
-			})
-		}
+	l.OnAccept(func(conn *memnet.Stream) memnet.Receiver {
+		h := &hostLink{s: s, host: conn.RemoteAddr(), conn: conn}
+		s.conns[h.host] = conn
+		return h
 	})
 	return s, nil
 }
 
-// handleUp manages IP-specific state, then forwards to sighost.
-func (s *Server) handleUp(host memnet.IPAddr, k kern.KMsg) {
+// hostLink takes what one host's anand client relays, in the event that
+// delivers it.
+type hostLink struct {
+	s    *Server
+	host memnet.IPAddr
+	conn *memnet.Stream
+}
+
+func (h *hostLink) Dialed(error) {}
+
+// EOF forgets a host whose client has gone.
+func (h *hostLink) EOF() {
+	if h.s.conns[h.host] == h.conn {
+		delete(h.s.conns, h.host)
+	}
+}
+
+// Deliver manages IP-specific state for a relayed kernel message, then
+// forwards it to sighost.
+func (h *hostLink) Deliver(b []byte) {
+	k, _, isUp, err := decode(b)
+	if err != nil || !isUp {
+		return
+	}
+	s, host := h.s, h.host
 	switch k.Kind {
 	case kern.MsgBind:
 		// The host's server bound a VCI: incoming ATM data on that VCI

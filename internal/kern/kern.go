@@ -125,12 +125,13 @@ func NewMachine(name string, e *sim.Engine, cm sim.CostModel, ip *memnet.Node) *
 	m.ctSpawned = m.Obs.Counter("kern.procs.spawned")
 	m.gLive = m.Obs.Gauge("kern.procs.live")
 	// Engine internals, surfaced per machine as read-through metrics:
-	// executed events, event-pool hit/miss, and the heap high-water
-	// mark. They read plain engine fields, so sampling must happen in
-	// engine context (mgmt queries, tseries ticks, post-run snapshots
-	// all do) — at a fixed point of the virtual history the values are
-	// deterministic, so they are safe for the byte-diffed exports.
+	// executed events, process dispatches, event-pool hit/miss and the
+	// heap high-water mark. They read plain engine fields, so sampling
+	// must happen in engine context (mgmt queries, tseries ticks, post-run
+	// snapshots all do); at a fixed point of the virtual history the
+	// values are deterministic, safe for the byte-diffed exports.
 	m.Obs.Func("sim.events.executed", e.EventsExecuted)
+	m.Obs.Func("sim.procs.dispatched", e.ProcDispatches)
 	m.Obs.Func("sim.pool.hits", e.TimerPoolHits)
 	m.Obs.Func("sim.pool.misses", e.TimerPoolMisses)
 	m.Obs.Func("sim.heap.hiwat", e.HeapHighWater)
@@ -143,8 +144,7 @@ func (m *Machine) InstallPseudoDev(buffers int) *PseudoDev {
 	m.Dev = NewPseudoDev(m.E, buffers)
 	m.Dev.Instrument(m.Obs)
 	m.Dev.onDown = func(cmd DownCmd) {
-		switch cmd.Kind {
-		case DownDisconnect:
+		if cmd.Kind == DownDisconnect {
 			for _, f := range m.families {
 				f.Soisdisconnected(cmd.VCI)
 			}

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,15 +217,14 @@ func TestPseudoDevReaderKeepsBufferEmpty(t *testing.T) {
 	e, h, _ := rig(t)
 	dev := h.InstallPseudoDev(2)
 	var got []KMsg
-	e.Go("anand-server", func(sp *sim.Proc) {
-		for {
-			m, ok := dev.ReadUp(sp)
-			if !ok {
-				return
-			}
+	var read func(KMsg, bool)
+	read = func(m KMsg, ok bool) {
+		if ok {
 			got = append(got, m)
+			dev.Arm(read)
 		}
-	})
+	}
+	dev.Arm(read)
 	e.Go("kernel", func(sp *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			dev.PostUp(KMsg{Kind: MsgBind, VCI: atm.VCI(i)})
@@ -410,4 +410,44 @@ func TestOpenFDCounters(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// An armed read takes one message: a buffered one at once, else the
+// next post, which then occupies no buffer. Until the reader arms again,
+// posts buffer, and a full buffer loses them; a closed device tells the
+// reader once it is drained.
+func TestPseudoDevArmedRead(t *testing.T) {
+	_, h, _ := rig(t)
+	dev := h.InstallPseudoDev(2)
+	var got []atm.VCI
+	closed := 0
+	read := func(m KMsg, ok bool) {
+		if !ok {
+			closed++
+		}
+		got = append(got, m.VCI)
+	}
+	dev.Arm(read)
+	dev.PostUp(KMsg{Kind: MsgBind, VCI: 1}) // straight to the reader
+	for v := atm.VCI(2); v <= 4; v++ {
+		dev.PostUp(KMsg{Kind: MsgBind, VCI: v}) // 2 and 3 buffer, 4 is lost
+	}
+	if !slices.Equal(got, []atm.VCI{1}) || dev.Buffered() != 2 || dev.Lost != 1 {
+		t.Fatalf("read %v, %d buffered, %d lost; want [1], 2 and 1", got, dev.Buffered(), dev.Lost)
+	}
+	dev.Arm(read) // a buffered message is taken now
+	dev.Arm(read)
+	dev.Arm(read) // nothing buffered: armed for the next post
+	dev.PostUp(KMsg{Kind: MsgBind, VCI: 5})
+	dev.PostUp(KMsg{Kind: MsgBind, VCI: 6})
+	if !slices.Equal(got, []atm.VCI{1, 2, 3, 5}) || dev.Buffered() != 1 || dev.Posted != 5 {
+		t.Fatalf("read %v, %d buffered, %d posted; want [1 2 3 5], 1 and 5", got, dev.Buffered(), dev.Posted)
+	}
+	dev.Arm(read) // 6
+	dev.Arm(read)
+	dev.Close() // the armed reader hears of it
+	dev.Arm(read)
+	if !slices.Equal(got, []atm.VCI{1, 2, 3, 5, 6, 0, 0}) || closed != 2 {
+		t.Fatalf("read %v, %d closes; want [1 2 3 5 6 0 0] and 2", got, closed)
+	}
 }

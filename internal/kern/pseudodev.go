@@ -82,12 +82,14 @@ type DownCmd struct {
 // PseudoDev is the /dev/anand character pseudo-device. Upward messages
 // are queued in a bounded buffer; when the buffer is full the message
 // is lost and counted — the failure mode §10 hit with eight buffers
-// under a hundred-call burst. The device supports select()-style
-// blocking reads.
+// under a hundred-call burst. A reader arms the device for one message
+// at a time (Arm), as a select()-driven daemon reads it.
 type PseudoDev struct {
 	e        *sim.Engine
 	capacity int
-	q        *sim.Queue[KMsg]
+	q        sim.Queue[KMsg]
+	reader   func(KMsg, bool) // Arm's, until the next message
+	closed   bool
 	onDown   func(DownCmd)
 
 	// Posted counts successful upward messages; Lost counts messages
@@ -117,7 +119,7 @@ func NewPseudoDev(e *sim.Engine, buffers int) *PseudoDev {
 	if buffers <= 0 {
 		buffers = DefaultDeviceBuffers
 	}
-	return &PseudoDev{e: e, capacity: buffers, q: sim.NewQueue[KMsg]()}
+	return &PseudoDev{e: e, capacity: buffers}
 }
 
 // Instrument registers the device's metrics in reg: kern.dev.posted and
@@ -133,36 +135,42 @@ func (d *PseudoDev) Instrument(reg *obs.Registry) {
 
 // PostUp enqueues an upward message from the kernel. It reports false —
 // and counts the loss — when every buffer is occupied. A message handed
-// directly to a blocked reader occupies no buffer.
+// directly to an armed reader occupies no buffer.
 func (d *PseudoDev) PostUp(m KMsg) bool {
-	if d.faults != nil && d.faults.DevDrop() {
+	full := d.q.Len() >= d.capacity
+	if d.faults != nil && d.faults.DevDrop() || full {
 		d.Lost++
 		if d.overflows != nil {
 			d.overflows.Inc()
-		}
-		return false
-	}
-	if d.q.Len() >= d.capacity {
-		d.Lost++
-		if d.overflows != nil {
-			d.overflows.Inc()
-			d.depth.Set(int64(d.capacity))
+			if full {
+				d.depth.Set(int64(d.capacity))
+			}
 		}
 		return false
 	}
 	d.Posted++
 	m.At = d.e.Now()
-	d.q.Put(m)
+	if r := d.reader; r != nil {
+		d.reader = nil
+		r(m, true)
+	} else {
+		d.q.Put(m)
+	}
 	if d.depth != nil {
 		d.depth.Set(int64(d.q.Len()))
 	}
 	return true
 }
 
-// ReadUp blocks the calling process until a message arrives, exactly as
-// anand server "simply blocks on select()".
-func (d *PseudoDev) ReadUp(p *sim.Proc) (KMsg, bool) {
-	return d.q.Get(p)
+// Arm hands the next upward message to fn, once: a buffered one now,
+// else the next post's. Until it is armed again, posts back up in the
+// buffer. Once the device is closed and drained, fn gets ok false.
+func (d *PseudoDev) Arm(fn func(m KMsg, ok bool)) {
+	if m, ok := d.q.TryGet(); ok || d.closed {
+		fn(m, ok)
+		return
+	}
+	d.reader = fn
 }
 
 // WriteDown delivers a command from the signaling entity to the kernel;
@@ -174,5 +182,13 @@ func (d *PseudoDev) WriteDown(cmd DownCmd) {
 	}
 }
 
-// Close shuts the upward queue, unblocking readers.
-func (d *PseudoDev) Close() { d.q.Close() }
+// Close shuts the device: posts are dropped, and an armed reader gets
+// ok false.
+func (d *PseudoDev) Close() {
+	d.q.Close()
+	d.closed = true
+	if r := d.reader; r != nil {
+		d.reader = nil
+		r(KMsg{}, false)
+	}
+}

@@ -39,22 +39,9 @@ func (p *Proc) Listen(port uint16) (*KListener, error) {
 // Accept blocks for an inbound connection and allocates a descriptor
 // for it. With no free descriptor it fails with EMFILE before
 // accepting, leaving the connection queued — the §10 stall.
-func (kl *KListener) Accept() (*KStream, error) {
-	ks := &KStream{p: kl.p}
-	fd, err := kl.p.AllocFD(ks)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := kl.l.Accept(kl.p.SP)
-	if !ok {
-		_ = kl.p.CloseFD(fd)
-		return nil, memnet.ErrStreamClosed
-	}
-	ks.fd, ks.s = fd, s
-	return ks, nil
-}
+func (kl *KListener) Accept() (*KStream, error) { return kl.AcceptTimeout(-1) }
 
-// AcceptTimeout is Accept bounded by d.
+// AcceptTimeout is Accept bounded by d (d < 0 means no bound).
 func (kl *KListener) AcceptTimeout(d time.Duration) (*KStream, error) {
 	ks := &KStream{p: kl.p}
 	fd, err := kl.p.AllocFD(ks)

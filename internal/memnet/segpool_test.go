@@ -147,7 +147,8 @@ func TestAbortWithSegmentsInFlight(t *testing.T) {
 	for i := 0; i < streamWindow+8; i++ {
 		_ = cli.Send([]byte("in flight"))
 	}
-	cli.abort(true)
+	cli.sendSegment(flagRST, 0, 0, nil)
+	cli.abort(ErrStreamReset)
 	e.RunFor(5 * time.Second)
 	if len(h.streams.conns) != 0 || len(r.streams.conns) != 0 {
 		t.Fatalf("lingering conns: %d/%d", len(h.streams.conns), len(r.streams.conns))

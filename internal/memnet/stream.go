@@ -35,18 +35,13 @@ const (
 	streamWindow     = 32
 )
 
-// ErrStreamReset reports a connection torn down by the peer or by
-// retransmission exhaustion.
-var ErrStreamReset = errors.New("memnet: stream reset")
-
-// ErrStreamClosed reports use of a locally closed stream.
-var ErrStreamClosed = errors.New("memnet: stream closed")
-
-// ErrConnRefused reports a dial to a port with no listener.
-var ErrConnRefused = errors.New("memnet: connection refused")
-
-// ErrDialTimeout reports an unanswered connection attempt.
-var ErrDialTimeout = errors.New("memnet: dial timed out")
+// Errors from the stream service.
+var (
+	ErrStreamReset  = errors.New("memnet: stream reset")       // torn down by the peer, or the retransmissions ran out
+	ErrStreamClosed = errors.New("memnet: stream closed")      // used after a local Close
+	ErrConnRefused  = errors.New("memnet: connection refused") // no listener on the dialed port
+	ErrDialTimeout  = errors.New("memnet: dial timed out")     // an unanswered connection attempt
+)
 
 type segment struct {
 	flags    byte
@@ -143,10 +138,21 @@ func (sl *streamLayer) portBusy(port uint16) bool {
 
 // StreamListener accepts inbound stream connections on one port.
 type StreamListener struct {
-	node    *Node
-	port    uint16
-	backlog sim.Queue[*Stream]
-	closed  bool
+	node     *Node
+	port     uint16
+	backlog  sim.Queue[*Stream]
+	onAccept func(*Stream) Receiver
+	closed   bool
+}
+
+// Receiver takes a connection's news in the events that deliver it, in
+// place of a process blocked in DialStream or Recv.
+type Receiver interface {
+	// Dialed ends Dial's handshake: nil at the SYN-ACK, ErrConnRefused
+	// at an RST, ErrStreamReset once the SYNs run out.
+	Dialed(err error)
+	Deliver(msg []byte) // the next in-order message, the receiver's to keep
+	EOF()               // the peer closed or reset; once
 }
 
 // ListenStream binds a listener to port.
@@ -165,6 +171,10 @@ func (l *StreamListener) Accept(p *sim.Proc) (*Stream, bool) {
 	return l.backlog.Get(p)
 }
 
+// OnAccept hands each connection to fn as it opens, not to Accept; what
+// arrives on it goes to the Receiver fn returns.
+func (l *StreamListener) OnAccept(fn func(*Stream) Receiver) { l.onAccept = fn }
+
 // AcceptTimeout is Accept with a timeout (d < 0 means none).
 func (l *StreamListener) AcceptTimeout(p *sim.Proc, d time.Duration) (s *Stream, ok, timedOut bool) {
 	return l.backlog.GetTimeout(p, d)
@@ -180,14 +190,17 @@ func (l *StreamListener) Close() {
 	l.backlog.Close()
 }
 
-// Stream is one reliable framed-message connection endpoint.
+// Stream is one reliable framed-message connection endpoint, packed to
+// fit the 384-byte size class: every call allocates several.
 type Stream struct {
 	node *Node
 	key  connKey
+	// Retransmits counts timer-driven resends, for experiments.
+	Retransmits uint32
 
-	established bool
-	dialWaiter  *sim.Proc
-	dialErr     error
+	dialWaiter *sim.Proc // DialStream's process
+	dialErr    error
+	recv       Receiver // nil: arrivals queue in inbox for Recv
 
 	// Send side. Sequence numbers [unackBase, sendSeq) are in flight,
 	// at most streamWindow of them. sendq holds the messages behind
@@ -198,10 +211,8 @@ type Stream struct {
 	unackBase uint32 // lowest unacked seq
 	sendq     sim.Ring[[]byte]
 	sendq0    [2][]byte // sendq's first backing array: an RPC has one message in flight
-	retries   int
 	rtimer    sim.Timer
 	finSeq    uint32 // seq the FIN occupies, 0 if none
-	finQueued bool
 
 	// Receive side. ooo and oooFin are made on the first out-of-order
 	// segment; most connections never see one.
@@ -215,15 +226,16 @@ type Stream struct {
 	// sits in conns under key's mirror: what the lookup would return.
 	peer *Stream
 
-	// The four flags share a word, which keeps a Stream at 384 bytes.
+	// The flags and the retry count share a word.
+	established  bool
+	dialing      bool
+	finQueued    bool
 	localClosed  bool
 	remoteClosed bool
 	reset        bool
 	toreDown     bool
+	retries      uint8
 	teardown     func(reset bool)
-
-	// Retransmits counts timer-driven resends, for experiments.
-	Retransmits uint64
 }
 
 // newStream is the connection's one allocation: the handle escapes to
@@ -248,27 +260,52 @@ func (s *Stream) queued() int {
 	return s.sendq.Len() - int(s.inFlight())
 }
 
-// DialStream opens a connection from this node, blocking process p
-// through the handshake. It fails with ErrNoPort, at once, when the
-// node holds every ephemeral port.
-func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, error) {
+// Dial sends the SYN of a connection from this node and returns it; r
+// learns how the handshake ends and takes what arrives. It fails with
+// ErrNoPort, at once, when the node holds every ephemeral port.
+func (nd *Node) Dial(raddr IPAddr, rport uint16, r Receiver) (*Stream, error) {
 	lport, err := nd.ephemeralPort()
 	if err != nil {
 		return nil, err
 	}
-	key := connKey{lport: lport, raddr: raddr, rport: rport}
-	s := newStream(nd, key)
+	s := newStream(nd, connKey{lport: lport, raddr: raddr, rport: rport})
 	nd.streams.addConn(s)
-	s.dialWaiter = p
+	s.dialing, s.recv = true, r
 	s.sendSegment(flagSYN, 0, 0, nil)
 	s.armRetransmit()
+	return s, nil
+}
+
+// DialStream is Dial for a process, which blocks through the handshake
+// and reads with Recv.
+func (nd *Node) DialStream(p *sim.Proc, raddr IPAddr, rport uint16) (*Stream, error) {
+	s, err := nd.Dial(raddr, rport, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.dialWaiter = p
 	p.Park()
-	s.dialWaiter = nil
 	if s.dialErr != nil {
-		nd.streams.delConn(key)
 		return nil, s.dialErr
 	}
 	return s, nil
+}
+
+// dialed ends the handshake: the one place its outcome is reported.
+func (s *Stream) dialed(err error) {
+	s.dialing, s.dialErr = false, err
+	if s.recv != nil {
+		s.recv.Dialed(err)
+	} else if s.dialWaiter != nil {
+		s.dialWaiter.Unpark()
+	}
+}
+
+func (s *Stream) eof() {
+	if r := s.recv; r != nil {
+		s.recv = nil
+		r.EOF()
+	}
 }
 
 // RemoteAddr returns the peer's node address.
@@ -331,20 +368,19 @@ func (s *Stream) Close() {
 	s.maybeFinish()
 }
 
-// abort tears the connection down immediately.
-func (s *Stream) abort(sendRST bool) {
+// abort tears the connection down at once, without a word to the peer;
+// a dial it ends fails with dialErr.
+func (s *Stream) abort(dialErr error) {
 	if s.reset {
 		return
 	}
 	s.reset = true
-	if sendRST {
-		s.sendSegment(flagRST, 0, 0, nil)
-	}
 	s.rtimer.Stop()
 	s.inbox.Close()
-	if s.dialWaiter != nil {
-		s.dialErr = ErrStreamReset
-		s.dialWaiter.Unpark()
+	if s.dialing {
+		s.dialed(dialErr)
+	} else {
+		s.eof()
 	}
 	s.finish(true)
 }
@@ -456,10 +492,10 @@ func (s *Stream) onRetransmit() {
 	}
 	s.retries++
 	if s.retries > streamMaxRetries {
-		s.abort(false)
+		s.abort(ErrStreamReset)
 		return
 	}
-	if !s.established && s.dialWaiter != nil {
+	if !s.established && s.dialing {
 		s.sendSegment(flagSYN, 0, 0, nil)
 		s.armRetransmit()
 		return
@@ -514,7 +550,11 @@ func (sl *streamLayer) demux(src IPAddr, seg *segment, from *Stream) {
 				s.peer, from.peer = from, s
 			}
 			s.sendSegment(flagSYN|flagACK, 0, 0, nil)
-			l.backlog.Put(s)
+			if l.onAccept != nil {
+				s.recv = l.onAccept(s)
+			} else {
+				l.backlog.Put(s)
+			}
 			return
 		}
 	}
@@ -530,16 +570,7 @@ func (s *Stream) handle(seg *segment) {
 	}
 	switch {
 	case seg.flags&flagRST != 0:
-		if !s.established && s.dialWaiter != nil {
-			s.dialErr = ErrConnRefused
-			w := s.dialWaiter
-			s.reset = true
-			s.inbox.Close()
-			s.finish(true)
-			w.Unpark()
-			return
-		}
-		s.abort(false)
+		s.abort(ErrConnRefused)
 		return
 
 	case seg.flags&flagSYN != 0 && seg.flags&flagACK == 0:
@@ -555,9 +586,7 @@ func (s *Stream) handle(seg *segment) {
 			s.retries = 0
 			s.rtimer.Stop()
 			s.sendAck()
-			if s.dialWaiter != nil {
-				s.dialWaiter.Unpark()
-			}
+			s.dialed(nil)
 			s.pump()
 		}
 		return
@@ -568,15 +597,11 @@ func (s *Stream) handle(seg *segment) {
 		switch {
 		case seg.seq == s.recvNext:
 			s.acceptInOrder(seg.data, isFin)
-			for {
-				if fin, ok := s.oooFin[s.recvNext]; ok {
-					data := s.ooo[s.recvNext]
-					delete(s.ooo, s.recvNext)
-					delete(s.oooFin, s.recvNext)
-					s.acceptInOrder(data, fin)
-					continue
-				}
-				break
+			for fin, ok := s.oooFin[s.recvNext]; ok; fin, ok = s.oooFin[s.recvNext] {
+				data := s.ooo[s.recvNext]
+				delete(s.ooo, s.recvNext)
+				delete(s.oooFin, s.recvNext)
+				s.acceptInOrder(data, fin)
 			}
 		case seg.seq > s.recvNext && seg.seq-s.recvNext <= streamWindow:
 			// Nothing legitimate lies further ahead: at most streamWindow
@@ -584,8 +609,12 @@ func (s *Stream) handle(seg *segment) {
 			s.bufferOutOfOrder(seg.seq, seg.data, isFin)
 		}
 		// Cumulative ACK in all cases (including duplicates and
-		// segments beyond the window).
+		// segments beyond the window), then the receiver's end of stream:
+		// its close follows the ACK onto the wire, as a reader's would.
 		s.sendAck()
+		if s.remoteClosed {
+			s.eof()
+		}
 		return
 
 	case seg.flags&flagACK != 0:
@@ -619,6 +648,10 @@ func (s *Stream) acceptInOrder(data []byte, fin bool) {
 		s.remoteClosed = true
 		s.inbox.Close()
 		s.maybeFinish()
+		return
+	}
+	if s.recv != nil {
+		s.recv.Deliver(data)
 		return
 	}
 	s.inbox.Put(data)

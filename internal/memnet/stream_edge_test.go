@@ -294,7 +294,7 @@ func TestLoopbackAcksInPlace(t *testing.T) {
 	var cli2 *Stream
 	e.Go("server2", func(p *sim.Proc) {
 		s, _ := l.Accept(p)
-		s.abort(false)
+		s.abort(ErrStreamReset)
 	})
 	e.Go("client2", func(p *sim.Proc) {
 		cli2, _ = h.DialStream(p, h.Addr, 5000)

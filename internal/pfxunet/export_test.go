@@ -10,3 +10,6 @@ func (f *Family) ActiveVCIs() int {
 	}
 	return n
 }
+
+// Queued reports the frames buffered for Recv.
+func (s *Socket) Queued() int { return s.recvQ.Len() }

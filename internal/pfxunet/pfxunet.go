@@ -87,6 +87,7 @@ type Socket struct {
 
 	recvQ     sim.Queue[*mbuf.Chain]
 	recvBytes int
+	recv      func(*mbuf.Chain) // nil: frames queue in recvQ for Recv
 
 	// tc is the causal-trace context of the call this socket carries
 	// (zero when the call is untraced); outbound frames open child
@@ -113,6 +114,14 @@ func (f *Family) Socket(p *kern.Proc) (*Socket, error) {
 	}
 	s.fd = fd
 	return s, nil
+}
+
+// KernelSocket is a socket the kernel holds for p outside its descriptor
+// table, as for sighost's PVCs, whose number grows with the mesh and not
+// with the clients §10's limit is about; Close does not release it. A
+// non-nil recv owns each frame, handed over as it arrives, not to Recv.
+func (f *Family) KernelSocket(p *kern.Proc, recv func(*mbuf.Chain)) *Socket {
+	return &Socket{f: f, owner: p, fd: -1, recv: recv}
 }
 
 // checkVCI validates range and availability.
@@ -251,9 +260,13 @@ func (f *Family) input(vci atm.VCI, frame *mbuf.Chain) {
 		frame.Release()
 		return
 	}
-	s.recvBytes += frame.Len()
 	s.FramesIn++
 	f.endFrameSpan(frame)
+	if s.recv != nil {
+		s.recv(frame)
+		return
+	}
+	s.recvBytes += frame.Len()
 	s.recvQ.Put(frame)
 }
 
@@ -283,13 +296,7 @@ func (s *Socket) RecvChain() (*mbuf.Chain, error) {
 	if s.state == stateClosed || s.state == stateCreated {
 		return nil, ErrSockState
 	}
-	if chain, ok := s.recvQ.TryGet(); ok {
-		s.recvBytes -= chain.Len()
-		return chain, nil
-	}
-	if s.state == stateDisconnected {
-		return nil, ErrDisconnected
-	}
+	// A disconnect closes recvQ: what it buffered drains, then Get fails.
 	chain, ok := s.recvQ.Get(s.owner.SP)
 	if !ok {
 		return nil, ErrDisconnected

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"xunet/internal/atm"
 	"xunet/internal/core"
@@ -165,15 +166,7 @@ func TestStateMachineErrors(t *testing.T) {
 func TestBindPostsIndicationWithCookie(t *testing.T) {
 	r := newRig(t)
 	var msgs []kern.KMsg
-	r.e.Go("anand", func(sp *sim.Proc) {
-		for {
-			m, ok := r.ra.M.Dev.ReadUp(sp)
-			if !ok {
-				return
-			}
-			msgs = append(msgs, m)
-		}
-	})
+	readDev(r, func(m kern.KMsg) { msgs = append(msgs, m) })
 	var pid uint32
 	r.ra.Spawn("app", func(p *kern.Proc) {
 		pid = p.PID
@@ -218,20 +211,24 @@ func TestClosePostsCloseIndication(t *testing.T) {
 	}
 }
 
-// readKinds starts a reader on router A's device, as the anand server
-// would be, that records the kind of every indication passed up.
+// readKinds reads router A's device, as sighost would, recording the
+// kind of every indication passed up.
 func readKinds(r *rig) *[]kern.MsgKind {
 	var kinds []kern.MsgKind
-	r.e.Go("anand", func(sp *sim.Proc) {
-		for {
-			m, ok := r.ra.M.Dev.ReadUp(sp)
-			if !ok {
-				return
-			}
-			kinds = append(kinds, m.Kind)
-		}
-	})
+	readDev(r, func(m kern.KMsg) { kinds = append(kinds, m.Kind) })
 	return &kinds
+}
+
+// readDev hands fn every indication router A's device passes up.
+func readDev(r *rig, fn func(kern.KMsg)) {
+	var read func(kern.KMsg, bool)
+	read = func(m kern.KMsg, ok bool) {
+		if ok {
+			fn(m)
+			r.ra.M.Dev.Arm(read)
+		}
+	}
+	r.ra.M.Dev.Arm(read)
 }
 
 func TestProcessExitClosesSocketAndPostsIndications(t *testing.T) {
@@ -500,3 +497,41 @@ func TestBindAfterDisconnectedVCIFreed(t *testing.T) {
 }
 
 var _ = atm.VCI(0) // keep import when test list shifts
+
+// A kernel socket with a receiver takes each frame in the event that
+// delivers it, after the same Table 1 receive charges as a queued frame,
+// and queues nothing for Recv.
+func TestReceiverTakesFramesInPlace(t *testing.T) {
+	r := newRig(t)
+	vc := r.vc(t)
+	payload := make([]byte, 5*mbuf.MLEN)
+	var rx *pfxunet.Socket
+	var got []int
+	var charged int64
+	r.rb.Spawn("owner", func(p *kern.Proc) {
+		before := r.rb.M.Meter.Snapshot()
+		rx = r.rb.PF.KernelSocket(p, func(frame *mbuf.Chain) {
+			got = append(got, frame.Len())
+			charged = r.rb.M.Meter.Snapshot().Sub(before)[cost.PFXunet]
+			want := int64(cost.PFXunetRecvFixed + cost.PerMbuf*frame.Count())
+			if len(got) == 1 && charged != want {
+				t.Errorf("PF_XUNET recv = %d before the receiver ran, want %d", charged, want)
+			}
+			frame.Release()
+		})
+		_ = rx.Bind(vc.DstVCI, 0)
+		before = r.rb.M.Meter.Snapshot()
+		p.SP.Park()
+	})
+	r.ra.Spawn("client", func(p *kern.Proc) {
+		s, _ := r.ra.PF.Socket(p)
+		_ = s.Connect(vc.SrcVCI, 0)
+		for range 3 {
+			_ = s.Send(payload)
+		}
+	})
+	r.e.RunUntil(time.Second)
+	if len(got) != 3 || got[0] != len(payload) || rx.FramesIn != 3 || rx.Queued() != 0 {
+		t.Fatalf("receiver took %v; FramesIn %d, %d frames queued", got, rx.FramesIn, rx.Queued())
+	}
+}

@@ -28,7 +28,7 @@ type input struct {
 	dialed func(Conn, error) // inDialed: Dial's callback, given conn and err
 	err    error
 	fn     func()        // inFunc: Crash, Recover, MGMT-side reads, RealHost.Do
-	waiter *sim.Proc     // sim inKernel: the device reader to release once handled
+	rearm  bool          // sim inKernel: read off /dev/anand, whose read the actor re-arms once handled
 	at     time.Duration // real: when it was queued, for rtenv.inbox.wait
 }
 

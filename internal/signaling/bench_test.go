@@ -90,19 +90,20 @@ func stormRig(t *testing.T, base func(i int) uint16) (*testbed.Net, func()) {
 // TestCallStormAllocs gates the allocations of a whole call, application
 // side included, where TestSteadyStateCallAllocs pins only the pooled
 // sighost state at zero: the benchmark above, ten iterations of it. The
-// count is deterministic — 626 per 10-call storm since sighost closes
-// its side of every application connection (627 when the ceiling was
-// set, 688 before a loopback DATA segment handed the receiver
-// the sender's copy, 768 before chain headers were recycled, 969 before
-// the signaling PVC's frames stopped allocating in the Hobbit board's
-// SAR, 4013 before segments, waiters, timers and inbox entries got
-// recycled records; DESIGN.md, "Allocation ledger of a call", says where
-// the rest go) — and the ceiling is there to be ratcheted down.
+// count is deterministic — 566 per 10-call storm since sighost's helper
+// processes became delivery hooks, each call losing three engine spawns
+// and their three closures (626 before, 688 before a loopback DATA
+// segment handed the receiver the sender's copy, 768 before chain
+// headers were recycled, 969 before the signaling PVC's frames stopped
+// allocating in the Hobbit board's SAR, 4013 before segments, waiters,
+// timers and inbox entries got recycled records; DESIGN.md, "Allocation
+// ledger of a call", says where the rest go) — and the ceiling is there
+// to be ratcheted down.
 func TestCallStormAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
-	const ceiling = 650
+	const ceiling = 577
 	_, storm := stormRig(t, notifyPort)
 	got := testing.AllocsPerRun(10, storm)
 	if got > ceiling {
@@ -111,22 +112,57 @@ func TestCallStormAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per 10-call storm", got)
 }
 
-// TestCallStormEvents pins the engine events of a warm ten-call storm on
-// the same rig. The count is virtual history, not a wall-clock figure,
-// so it is exact: a change that moves it is reviewed as a moved
-// TestDetGate row is. 914 since sighost closes its side of the one
-// connection per call it left open, a FIN and the ACK that completes the
-// close (894 before; 1 014 before loopback stream ACKs that nothing
-// waits on stopped being events; DESIGN.md §17, "Loopback streams").
+// TestCallStormEvents pins the engine events, process dispatches and
+// kernel process spawns of a warm ten-call storm on the same rig. The
+// counts are virtual history, not wall-clock figures, so they are exact:
+// a change that moves one is reviewed as a moved TestDetGate row is.
+// Events: 673 since sighost became one process whose input sources hand
+// each arrival to its inbox in the delivering event (914 before, when a
+// listener, a pump per connection, a dialer per dial and a device reader
+// woke between the wire and the actor; 894 before sighost closed its
+// side of the one connection per call it left open, a FIN and the ACK
+// that completes the close; 1 014 before loopback stream ACKs that
+// nothing waits on stopped being events; DESIGN.md §9, "One select
+// loop", and §17, "Loopback streams"). Dispatches: 323 (564 with the
+// helpers, which took 231 of them and 30 of the storm's 50 engine
+// spawns). Kernel spawns: 20, the callers and the echo server's workers;
+// the helpers were engine processes, so this count never held them.
 func TestCallStormEvents(t *testing.T) {
-	const want = 914
+	const events, dispatches, spawns = 673, 323, 20
 	n, storm := stormRig(t, notifyPort)
 	storm() // the first storm also dials the peer sighost
+	spawned := func() (k uint64) {
+		for _, r := range n.Routers {
+			k += r.Stack.M.Obs.Counter("kern.procs.spawned").Value()
+		}
+		return k
+	}
 	for k := 0; k < 3; k++ {
-		before := n.E.EventsExecuted()
+		ev, d, sp := n.E.EventsExecuted(), n.E.ProcDispatches(), spawned()
 		storm()
-		if got := n.E.EventsExecuted() - before; got != want {
-			t.Fatalf("warm storm %d ran %d engine events, want %d", k, got, want)
+		ev, d, sp = n.E.EventsExecuted()-ev, n.E.ProcDispatches()-d, spawned()-sp
+		if ev != events || d != dispatches || sp != spawns {
+			t.Fatalf("warm storm %d ran %d engine events, %d process dispatches and %d kernel spawns, want %d, %d and %d",
+				k, ev, d, sp, events, dispatches, spawns)
+		}
+	}
+}
+
+// TestOneSighostProcess reads kern.procs.live on the Xunet topology with
+// no applications: each router has spawned one process, its sighost,
+// which holds the router's end of every signaling PVC (two descriptors
+// per peer) and is still the only process there once the mesh is up.
+func TestOneSighostProcess(t *testing.T) {
+	n, _, err := testbed.NewXunet(testbed.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	n.E.RunUntil(time.Second)
+	for _, r := range n.Routers {
+		reg := r.Stack.M.Obs
+		if live, spawned := reg.Gauge("kern.procs.live").Value(), reg.Counter("kern.procs.spawned").Value(); live != 1 || spawned != 1 {
+			t.Errorf("%s: %d processes live, %d spawned; want its sighost alone", r.Stack.Addr, live, spawned)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"xunet/internal/core"
 	"xunet/internal/faults"
 	"xunet/internal/kern"
+	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
 	"xunet/internal/pfxunet"
 	"xunet/internal/prof"
@@ -19,11 +21,12 @@ import (
 	"xunet/internal/xswitch"
 )
 
-// SimHost runs a Sighost on a simulated router: an actor process
-// draining an inbox of typed inputs, fed by the SigPort listener, the
-// local pseudo-device, the anand server, and per-peer PVC readers. All
-// handler execution is serialized through the actor, preserving the
-// paper's single-threaded select()-driven daemon structure.
+// SimHost runs a Sighost on a simulated router as the paper's
+// single-threaded select()-driven daemon: one process, the actor,
+// draining an inbox of typed inputs. The SigPort listener, application
+// connections, the local pseudo-device, the anand server and the PVC
+// sockets each hand an arrival to the inbox in the event that delivers
+// it, so no process stands between the wire and the actor.
 type SimHost struct {
 	SH     *Sighost
 	Stack  *core.Stack
@@ -35,43 +38,27 @@ type SimHost struct {
 	// signaling loss" knob of the chaos experiments.
 	Faults *faults.Plane
 
-	inbox *sim.Queue[input]
-	actor *sim.Proc
+	inbox sim.Queue[input]
+	proc  *kern.Proc // the actor, owner of the PVC sockets
 	peers map[atm.Addr]*pfxunet.Socket
 	env   *simEnv
 	conns int // application connections accepted or dialed, until their first Close
 
-	// dec serves every receive pump of this host: the pumps are procs of
-	// one engine, which never interleave inside DecodeInto, so they share
-	// one intern table instead of growing one per connection.
+	// dec and raw serve every receiver of this host: receivers run in
+	// events of one engine, which never interleave inside DecodeInto, so
+	// they share one intern table, and the PVC frames one flat buffer
+	// (the decoder copies what it keeps).
 	dec sigmsg.Decoder
+	raw []byte
 }
 
 // AppConns reports the application connections open on this side.
 func (h *SimHost) AppConns() int { return h.conns }
 
-// pump counts an application connection open and feeds what arrives on
-// it into the actor until the peer closes, then closes this side.
-func (h *SimHost) pump(p *sim.Proc, conn *simConn, from memnet.IPAddr) {
-	h.conns++
-	in := input{kind: inApp, conn: conn, ip: from}
-	for {
-		b, ok := conn.s.Recv(p)
-		if !ok {
-			conn.Close()
-			return
-		}
-		if err := h.dec.DecodeInto(&in.msg, b); err != nil {
-			continue
-		}
-		h.inbox.Put(in)
-	}
-}
-
 // Crash kills the signaling entity in actor context: all state is lost
-// and every subsequent input is dropped until Recover. The PVC readers,
-// listeners, and device pumps stay up — they model the machine, not the
-// process.
+// and every subsequent input is dropped until Recover. The delivery
+// hooks — listener, connection and PVC receivers, the device's armed
+// read — stay in place: they model the machine, not the process.
 func (h *SimHost) Crash() { h.inbox.Put(input{fn: h.SH.Crash}) }
 
 // Recover restarts the entity in actor context (journal replay,
@@ -95,10 +82,9 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	h := &SimHost{
 		Stack:  stack,
 		Fabric: fab,
-		inbox:  sim.NewQueue[input](),
 		peers:  make(map[atm.Addr]*pfxunet.Socket),
 	}
-	h.env = &simEnv{h: h, dialName: stack.M.Name + "/sighost-dial"}
+	h.env = &simEnv{h: h}
 	h.env.timers.put = func(in input) { h.inbox.Put(in) }
 	// Share the machine's registry so sighost metrics land next to the
 	// kernel and device metrics in one mgmt-visible snapshot.
@@ -112,56 +98,35 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	// The machine's collector (shared testbed-wide) receives the span
 	// tree; nil leaves tracing off.
 	h.SH.TraceC = stack.M.TraceC
-	e := stack.M.E
 
-	// Actor loop.
-	h.actor = e.Go(stack.M.Name+"/sighost", func(p *sim.Proc) {
-		for {
-			in, ok := h.inbox.Get(p)
-			if !ok {
-				return
-			}
+	// The local pseudo-device (the router's own kernel indications) is
+	// read one indication at a time: the actor re-arms the read only
+	// once it has processed the current one, exactly like a
+	// select()-driven daemon. While the daemon is busy, indications back
+	// up in the device's bounded buffer — the loss mechanism of §10.
+	dev := stack.M.Dev
+	devUp := func(k kern.KMsg, ok bool) {
+		if ok {
+			h.inbox.Put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, rearm: true})
+		}
+	}
+	h.proc = stack.M.Spawn("sighost", func(p *kern.Proc) {
+		for in, ok := h.inbox.Get(p.SP); ok; in, ok = h.inbox.Get(p.SP) {
 			h.SH.dispatch(&in)
-			if in.waiter != nil {
-				in.waiter.Unpark()
+			if in.rearm {
+				dev.Arm(devUp)
 			}
 		}
 	})
+	dev.Arm(devUp)
 
 	// Application RPC listener on the well-known signaling port.
-	e.Go(stack.M.Name+"/sighost-listen", func(p *sim.Proc) {
-		l, err := stack.M.IP.ListenStream(SigPort)
-		if err != nil {
-			return
-		}
-		pumpName := stack.M.Name + "/sighost-conn"
-		for {
-			conn, ok := l.Accept(p)
-			if !ok {
-				return
-			}
-			e.Go(pumpName, func(p *sim.Proc) {
-				h.pump(p, &simConn{h: h, s: conn}, conn.RemoteAddr())
-			})
-		}
-	})
-
-	// Local pseudo-device reader (the router's own kernel indications).
-	// The handoff is synchronous: the reader does not take the next
-	// message off the device until the actor has processed the current
-	// one, exactly like a select()-driven daemon. While the daemon is
-	// busy, indications back up in the device's bounded buffer — the
-	// loss mechanism of §10.
-	e.Go(stack.M.Name+"/sighost-anand", func(p *sim.Proc) {
-		for {
-			k, ok := stack.M.Dev.ReadUp(p)
-			if !ok {
-				return
-			}
-			h.inbox.Put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, waiter: p})
-			p.Park()
-		}
-	})
+	if l, err := stack.M.IP.ListenStream(SigPort); err == nil {
+		l.OnAccept(func(s *memnet.Stream) memnet.Receiver {
+			h.conns++
+			return h.newConn(s, s.RemoteAddr())
+		})
+	}
 
 	// anand server for IP-connected hosts.
 	srv, err := anand.StartServer(stack, AnandPort)
@@ -175,7 +140,8 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 }
 
 // ConnectSighosts provisions duplex signaling PVCs between two
-// entities and starts their PVC reader processes.
+// entities: the sockets at both ends, held for each actor outside its
+// descriptor table, are opened, connected and bound here.
 func ConnectSighosts(a, b *SimHost) error {
 	if err := connectOneWay(a, b); err != nil {
 		return err
@@ -190,7 +156,8 @@ func ConnectSighosts(a, b *SimHost) error {
 	return nil
 }
 
-// connectOneWay builds the a-to-b signaling PVC.
+// connectOneWay builds the a-to-b signaling PVC: a's PF_XUNET socket
+// connected to it, and b's bound to it, whose frames go to b's actor.
 func connectOneWay(a, b *SimHost) error {
 	vc, err := a.Fabric.SetupVC(a.Stack.Addr, b.Stack.Addr, signalingPVCQoS)
 	if err != nil {
@@ -198,54 +165,39 @@ func connectOneWay(a, b *SimHost) error {
 	}
 	a.SH.AllowPVC(vc.SrcVCI)
 	b.SH.AllowPVC(vc.DstVCI)
-	// Sender side: a PF_XUNET socket connected to the PVC.
-	a.Stack.M.Spawn("sighost-pvc-tx", func(p *kern.Proc) {
-		s, err := a.Stack.PF.Socket(p)
-		if err != nil {
-			return
-		}
-		if err := s.Connect(vc.SrcVCI, 0); err != nil {
-			return
-		}
-		a.peers[b.Stack.Addr] = s
-		p.SP.Park() // hold the socket open for the daemon's lifetime
-	})
-	// Receiver side: a PF_XUNET socket bound to the PVC, pumping frames
-	// into b's actor.
-	from := a.Stack.Addr
-	b.Stack.M.Spawn("sighost-pvc-rx", func(p *kern.Proc) {
-		s, err := b.Stack.PF.Socket(p)
-		if err != nil {
-			return
-		}
-		if err := s.Bind(vc.DstVCI, 0); err != nil {
-			return
-		}
-		in := input{kind: inPeer, peer: from}
-		var raw []byte // the decoder copies what it keeps: one buffer serves every frame
-		for {
-			frame, err := s.RecvChain()
-			if err != nil {
-				return
-			}
-			raw = frame.AppendTo(raw[:0])
-			frame.Release()
-			if err := b.dec.DecodeInto(&in.msg, raw); err != nil {
-				continue
-			}
+	in := input{kind: inPeer, peer: a.Stack.Addr}
+	tx := a.Stack.PF.KernelSocket(a.proc, nil)
+	rx := b.Stack.PF.KernelSocket(b.proc, func(frame *mbuf.Chain) {
+		b.raw = frame.AppendTo(b.raw[:0])
+		frame.Release()
+		if b.dec.DecodeInto(&in.msg, b.raw) == nil {
 			b.inbox.Put(in)
 		}
 	})
+	if err := cmp.Or(tx.Connect(vc.SrcVCI, 0), rx.Bind(vc.DstVCI, 0)); err != nil {
+		return fmt.Errorf("signaling: PVC %s->%s: %w", a.Stack.Addr, b.Stack.Addr, err)
+	}
+	a.peers[b.Stack.Addr] = tx
 	return nil
 }
 
-// simConn adapts a memnet stream to the signaling Conn interface. Send
+// simConn adapts a memnet stream to the signaling Conn interface, and is
+// the stream's receiver: it decodes each message into its own input
+// template for the actor, and closes its side at end of stream. Send
 // runs in actor context, so it borrows the env's scratch buffer
 // (Stream.Send copies the frame before returning).
 type simConn struct {
 	h      *SimHost
 	s      *memnet.Stream
+	in     input // inApp on this connection; dialed holds Env.Dial's callback
 	closed bool
+}
+
+// newConn makes the connection record for s, to the machine at ip.
+func (h *SimHost) newConn(s *memnet.Stream, ip memnet.IPAddr) *simConn {
+	c := &simConn{h: h, s: s}
+	c.in = input{kind: inApp, conn: c, ip: ip}
+	return c
 }
 
 func (c *simConn) Send(m sigmsg.Msg) error { return c.s.Send(c.h.env.enc(&m)) }
@@ -257,11 +209,31 @@ func (c *simConn) Close() {
 	c.s.Close()
 }
 
+// Deliver hands one message to the actor, if it decodes.
+func (c *simConn) Deliver(b []byte) {
+	if c.h.dec.DecodeInto(&c.in.msg, b) == nil {
+		c.h.inbox.Put(c.in)
+	}
+}
+
+// EOF closes this side once the application has closed or reset its.
+func (c *simConn) EOF() { c.Close() }
+
+// Dialed is Env.Dial's completion, the actor's inDialed input: the
+// connection on success, the error otherwise.
+func (c *simConn) Dialed(err error) {
+	in := input{kind: inDialed, dialed: c.in.dialed, err: err}
+	if err == nil {
+		c.h.conns++
+		in.conn = c
+	}
+	c.h.inbox.Put(in)
+}
+
 // simEnv implements Env on the simulation.
 type simEnv struct {
-	h        *SimHost
-	dialName string // name of the procs Dial spawns
-	timers   timers // recycled After records
+	h      *SimHost
+	timers timers // recycled After records
 	// txBuf is the encode scratch for actor-context sends; every
 	// consumer copies the frame synchronously, so one buffer serves all.
 	txBuf []byte
@@ -284,7 +256,7 @@ func (e *simEnv) Now() time.Duration { return e.h.Stack.M.E.Now() }
 // a single-threaded daemon backs up.
 func (e *simEnv) Charge(d time.Duration) {
 	if d > 0 {
-		e.h.actor.Sleep(d)
+		e.h.proc.SP.Sleep(d)
 	}
 }
 
@@ -356,19 +328,15 @@ func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	return sock.SendTraced(raw, tc)
 }
 
+// Dial sends the SYN now; the handshake's end reaches the actor as an
+// inDialed input, and what the application sends back as inApp ones.
 func (e *simEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
-	h := e.h
-	h.Stack.M.E.Go(e.dialName, func(p *sim.Proc) {
-		s, err := h.Stack.M.IP.DialStream(p, ip, port)
-		if err != nil {
-			h.inbox.Put(input{kind: inDialed, dialed: cb, err: err})
-			return
-		}
-		conn := &simConn{h: h, s: s}
-		h.inbox.Put(input{kind: inDialed, dialed: cb, conn: conn})
-		// Keep pumping replies (ACCEPT_CONN etc.) into the actor.
-		h.pump(p, conn, ip)
-	})
+	c := e.h.newConn(nil, ip)
+	c.in.dialed = cb
+	var err error
+	if c.s, err = e.h.Stack.M.IP.Dial(ip, port, c); err != nil {
+		c.Dialed(err)
+	}
 }
 
 func (e *simEnv) SetupVC(dst atm.Addr, q qos.QoS) (*VCHandle, error) {

@@ -70,3 +70,6 @@ func (g *ShardGroup) Live() int {
 	}
 	return total
 }
+
+// NewQueue returns an empty open queue.
+func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }

@@ -48,9 +48,6 @@ type qwaiter[T any] struct {
 	next *qwaiter[T] // free-list link
 }
 
-// NewQueue returns an empty open queue.
-func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
-
 // Len reports the number of buffered (undelivered) items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 

@@ -61,9 +61,10 @@ type Engine struct {
 	curLabel prof.LabelID
 
 	// Always-on engine internals, exposed through the accessors below
-	// and (per machine) as obs metrics: executed events, event-pool
-	// hit/miss, and the heap high-water mark.
+	// and (per machine) as obs metrics: executed events, process
+	// dispatches, event-pool hit/miss, and the heap high-water mark.
 	execCount  uint64
+	dispatches uint64
 	poolHits   uint64
 	poolMisses uint64
 	heapHiWat  int
@@ -372,6 +373,7 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
+	e.dispatches++
 	c := e.coroFor(p)
 	prev := e.current
 	e.current = p
@@ -501,6 +503,10 @@ func (e *Engine) ProfLabel(name string) prof.LabelID { return e.prof.Label(name)
 // deterministic imbalance signal (same seed ⇒ same counts at any
 // worker count).
 func (e *Engine) EventsExecuted() uint64 { return e.execCount }
+
+// ProcDispatches reports how many times this engine has switched into a
+// process, each a coroutine switch beyond its event (BenchmarkProcSwitch).
+func (e *Engine) ProcDispatches() uint64 { return e.dispatches }
 
 // TimerPoolHits reports how many scheduled events reused a pooled
 // event struct.

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"xunet/internal/atm"
+	"xunet/internal/hobbit"
 	"xunet/internal/kern"
 	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
 	"xunet/internal/qos"
-	"xunet/internal/sim"
 	"xunet/internal/trace"
 )
 
@@ -128,49 +128,19 @@ func UseTCPCarrier(host *Host) (*CarrierStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	router.Stack.M.E.Go("tcp-tunnel-server", func(p *sim.Proc) {
-		conn, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			data, ok := conn.Recv(p)
-			if !ok {
-				return
-			}
-			vci, _, frame, ok := parseTunnel(data)
-			if !ok {
-				continue
-			}
-			st.FramesDelivered++
-			if err := router.Stack.M.Orc.Output(vci, mbuf.FromBytes(frame)); err != nil {
-				st.OutputErrors++
-				st.LastErr = err
-			}
-		}
-	})
+	l.OnAccept(func(*memnet.Stream) memnet.Receiver { return &tunnelEnd{st: st, orc: router.Stack.M.Orc} })
 	// The host side dials once and keeps the stream for all frames.
-	ready := sim.NewQueue[*memnet.Stream]()
-	host.Stack.M.E.Go("tcp-tunnel-client", func(p *sim.Proc) {
-		conn, err := host.Stack.M.IP.DialStream(p, router.Stack.M.IP.Addr, tunnelPort)
-		if err != nil {
-			ready.Close()
-			return
-		}
-		ready.Put(conn)
-		p.Park() // hold the connection open
-	})
-	var conn *memnet.Stream
+	cli := &tunnelEnd{}
+	conn, err := host.Stack.M.IP.Dial(router.Stack.M.IP.Addr, tunnelPort, cli)
+	if err != nil {
+		return nil, err
+	}
 	var seq uint32
 	host.Stack.M.Orc.SetEncap(func(vci atm.VCI, frame *mbuf.Chain) error {
 		payload := append(tunnelHeader(vci, seq), frame.Bytes()...)
 		frame.Release()
-		if conn == nil {
-			c, ok := ready.TryGet()
-			if !ok {
-				return fmt.Errorf("testbed: tcp tunnel not connected")
-			}
-			conn = c
+		if !cli.up {
+			return fmt.Errorf("testbed: tcp tunnel not connected")
 		}
 		st.FramesSent++
 		seq++
@@ -178,6 +148,30 @@ func UseTCPCarrier(host *Host) (*CarrierStats, error) {
 	})
 	return st, nil
 }
+
+// tunnelEnd is one end of the TCP carrier: the host's is usable once its
+// dial completes; the router's hands each frame that arrives to its Orc.
+type tunnelEnd struct {
+	st  *CarrierStats
+	orc *hobbit.Driver
+	up  bool
+}
+
+func (t *tunnelEnd) Dialed(err error) { t.up = err == nil }
+
+func (t *tunnelEnd) Deliver(data []byte) {
+	vci, _, frame, ok := parseTunnel(data)
+	if !ok {
+		return
+	}
+	t.st.FramesDelivered++
+	if err := t.orc.Output(vci, mbuf.FromBytes(frame)); err != nil {
+		t.st.OutputErrors++
+		t.st.LastErr = err
+	}
+}
+
+func (t *tunnelEnd) EOF() {}
 
 // TransferResult reports one carrier transfer run.
 type TransferResult struct {

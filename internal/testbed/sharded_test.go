@@ -195,6 +195,42 @@ func TestShardedFlatDegenerate(t *testing.T) {
 	}
 }
 
+// TestShardedMeshFitsPaperFDTable: sighost's signaling PVC sockets take
+// no descriptors, so a mesh of twelve routers — eleven peers, twenty-two
+// PVC sockets each — builds and places calls under the paper's table of
+// 20, which limits only what applications open.
+func TestShardedMeshFitsPaperFDTable(t *testing.T) {
+	cfg := testbed.StormConfig{
+		Count: 8, Hold: 50 * time.Millisecond,
+		Domains: 4, SighostsPerDomain: 3, TrunkDelay: 2 * time.Millisecond,
+	}
+	sn, err := testbed.NewSharded(testbed.Options{
+		Seed:          7,
+		DeviceBuffers: kern.FixedDeviceBuffers,
+		FDTableSize:   kern.DefaultFDTableSize,
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	routers := 0
+	for _, dom := range sn.Domains {
+		routers += len(dom.Routers)
+	}
+	if routers != 12 {
+		t.Fatalf("built %d routers, want 12", routers)
+	}
+	sn.RunUntil(time.Second)
+	res := testbed.ShardedStorm(sn, cfg)
+	sn.RunUntil(time.Second + 4*sn.CM.BindTimeout)
+	if la, su, _, _ := res.Totals(); la != 8 || su != 8 {
+		t.Fatalf("launched=%d ok=%d, want 8/8", la, su)
+	}
+	if leaks := sn.Audit(); leaks != nil {
+		t.Fatalf("storm left state: %s", leaks)
+	}
+}
+
 // TestShardedStormSplitsRemainder: a call count the domains do not
 // divide is launched in full, the first Count % Domains domains taking
 // one extra call each.
