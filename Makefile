@@ -108,33 +108,37 @@ loc:
 # `-workload W -seed SEED+i -seconds SECONDS -trace 0`, alternating which
 # side runs first. It prints every run's five end-to-end metrics and its
 # failed operations, then per metric each side's median [Q1–Q3] and how
-# many pairs the change won. Not part of ci: it measures, it gates
-# nothing.
+# many pairs the change won. W=all does that for every workload
+# BENCHMARK.json names, one block each: a no-regression table from one
+# command. Not part of ci: it measures, it gates nothing.
 PAIRS_DIR := $(or $(TMPDIR),/tmp)/xunet-pairs
 N ?= 10
 SEED ?= 1
 SECONDS ?= 8
+PAIRS_W = $(if $(filter all,$(W)),$(shell awk '/"workloads"/ { w = 1 } /"end_to_end"/ { w = 0 } w && /"name"/ { gsub(/[",]/, "", $$2); print $$2 }' BENCHMARK.json),$(W))
 pairs:
-	@test -n "$(BASE)" && test -n "$(W)" || { echo "usage: make pairs BASE=<rev> W=<workload> [N=10 SEED=1 SECONDS=8]"; exit 1; }
+	@test -n "$(BASE)" && test -n "$(W)" || { echo "usage: make pairs BASE=<rev> W=<workload>|all [N=10 SEED=1 SECONDS=8]"; exit 1; }
 	rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/base
 	git archive $(BASE) | tar -x -C $(PAIRS_DIR)/base
 	cd $(PAIRS_DIR)/base && $(GO) build -o $(PAIRS_DIR)/bench.base ./bench
 	rm -rf $(PAIRS_DIR)/base
 	$(GO) build -o $(PAIRS_DIR)/bench.change ./bench
-	@printf '%-6s %5s %9s %11s %13s %11s %8s %6s\n' side seed setup_s ops_per_s cpu_us_per_op peak_rss_mb ok_ratio failed
-	@for i in $$(seq 0 $$(($(N) - 1))); do \
+	@for w in $(PAIRS_W); do \
+	echo "== $$w"; \
+	printf '%-6s %5s %9s %11s %13s %11s %8s %6s\n' side seed setup_s ops_per_s cpu_us_per_op peak_rss_mb ok_ratio failed; \
+	for i in $$(seq 0 $$(($(N) - 1))); do \
 		seed=$$(($(SEED) + i)); order="base change"; \
 		if [ $$((i % 2)) -eq 1 ]; then order="change base"; fi; \
 		for side in $$order; do \
-			res=$$($(PAIRS_DIR)/bench.$$side -workload $(W) -seed $$seed -seconds $(SECONDS) -trace 0 | tail -n 1) || exit 1; \
+			res=$$($(PAIRS_DIR)/bench.$$side -workload $$w -seed $$seed -seconds $(SECONDS) -trace 0 | tail -n 1) || exit 1; \
 			row="$$side $$seed"; \
 			for m in setup_s ops_per_s cpu_us_per_op peak_rss_mb ok_ratio; do \
 				row="$$row $$(echo "$$res" | grep -o "\"$$m\":{\"value\":[^,}]*" | sed 's/.*://')"; \
 			done; \
 			echo "$$row $$(echo "$$res" | grep -o '"failed":[0-9]*' | sed 's/.*://')"; \
 		done; \
-	done | tee $(PAIRS_DIR)/runs | awk '{ printf "%-6s %5s %9.4f %11.1f %13.2f %11.2f %8.6f %6s\n", $$1, $$2, $$3, $$4, $$5, $$6, $$7, $$8 }'
-	@awk 'function q(a, n, p,   pos, lo) { pos = p * (n - 1); lo = int(pos); return lo + 1 < n ? a[lo] + (a[lo + 1] - a[lo]) * (pos - lo) : a[lo] } \
+	done | tee $(PAIRS_DIR)/runs.$$w | awk '{ printf "%-6s %5s %9.4f %11.1f %13.2f %11.2f %8.6f %6s\n", $$1, $$2, $$3, $$4, $$5, $$6, $$7, $$8 }'; \
+	awk 'function q(a, n, p,   pos, lo) { pos = p * (n - 1); lo = int(pos); return lo + 1 < n ? a[lo] + (a[lo + 1] - a[lo]) * (pos - lo) : a[lo] } \
 	function sorted(src, n, dst,   i, j, t) { for (i = 0; i < n; i++) { t = src[i]; for (j = i; j > 0 && dst[j - 1] > t; j--) dst[j] = dst[j - 1]; dst[j] = t } } \
 	{ n[$$1]++; for (c = 3; c <= 7; c++) v[$$1, c, $$2] = $$c; seeds[$$2] = 1 } \
 	END { split("setup_s ops_per_s cpu_us_per_op peak_rss_mb ok_ratio", name, " "); split("-1 1 -1 -1 1", dir, " "); \
@@ -143,4 +147,5 @@ pairs:
 			for (s in seeds) { b[k] = v["base", c, s]; x[k] = v["change", c, s]; k++; if ((x[k - 1] - b[k - 1]) * dir[c - 2] > 0) wins++ } \
 			sorted(b, k, sb); sorted(x, k, sx); \
 			printf "%-14s base %.6g [%.6g–%.6g]  change %.6g [%.6g–%.6g]  change won %d/%d\n", name[c - 2], q(sb, k, .5), q(sb, k, .25), q(sb, k, .75), q(sx, k, .5), q(sx, k, .25), q(sx, k, .75), wins, k \
-		} }' $(PAIRS_DIR)/runs
+		} }' $(PAIRS_DIR)/runs.$$w; \
+	done

@@ -20,11 +20,11 @@ import (
 // CellSize is the size of an ATM cell on the wire.
 const CellSize = 53
 
-// HeaderSize is the size of the cell header.
-const HeaderSize = 5
+// headerSize is the size of the cell header.
+const headerSize = 5
 
 // PayloadSize is the cell payload capacity (the AAL5 SAR unit).
-const PayloadSize = CellSize - HeaderSize
+const PayloadSize = CellSize - headerSize
 
 // VCI is a virtual circuit identifier. Xunet hands out 16-bit VCIs; the
 // cookie capability in sighost is likewise 16 bits.
@@ -55,21 +55,21 @@ type VPI uint8
 // strings exactly as the signaling protocol treats them.
 type Addr string
 
-// PTI payload-type-indicator values. The low bit of the user-data PTI is
-// the AAL-indicate bit: AAL5 sets it on the final cell of a frame, and
-// every other user cell carries PTI 0.
-type PTI uint8
+// payloadType is a payload-type-indicator value. The low bit of the
+// user-data PTI is the AAL-indicate bit: AAL5 sets it on the final cell
+// of a frame, and every other user cell carries PTI 0.
+type payloadType uint8
 
 // PTIUserData1 marks the final user cell of an AAL5 frame.
-const PTIUserData1 PTI = 1
+const PTIUserData1 payloadType = 1
 
 // Header is a decoded ATM cell header.
 type Header struct {
 	GFC byte // generic flow control (UNI only, 4 bits)
 	VPI VPI
 	VCI VCI
-	PTI PTI  // 3 bits
-	CLP bool // cell loss priority
+	PTI payloadType // 3 bits
+	CLP bool        // cell loss priority
 }
 
 // Cell is one ATM cell: header plus a full 48-byte payload. Cells are
@@ -112,9 +112,9 @@ func init() {
 // hecCoset is XORed into the HEC per I.432 to improve cell delineation.
 const hecCoset = 0x55
 
-// HEC computes the header error control byte over the first four header
+// hec computes the header error control byte over the first four header
 // octets.
-func HEC(h4 [4]byte) byte {
+func hec(h4 [4]byte) byte {
 	var crc byte
 	for _, b := range h4 {
 		crc = hecTable[crc^b]
@@ -124,8 +124,8 @@ func HEC(h4 [4]byte) byte {
 
 // Errors returned by Decode.
 var (
-	ErrShortCell = errors.New("atm: cell shorter than 53 bytes")
-	ErrBadHEC    = errors.New("atm: header error control mismatch")
+	errShortCell = errors.New("atm: cell shorter than 53 bytes")
+	errBadHEC    = errors.New("atm: header error control mismatch")
 )
 
 // EncodeTo serializes the cell into buf, which must hold at least
@@ -140,8 +140,8 @@ func (c *Cell) EncodeTo(buf []byte) int {
 	if c.CLP {
 		buf[3] |= 1
 	}
-	buf[4] = HEC([4]byte{buf[0], buf[1], buf[2], buf[3]})
-	copy(buf[HeaderSize:], c.Payload[:])
+	buf[4] = hec([4]byte{buf[0], buf[1], buf[2], buf[3]})
+	copy(buf[headerSize:], c.Payload[:])
 	return CellSize
 }
 
@@ -149,17 +149,17 @@ func (c *Cell) EncodeTo(buf []byte) int {
 func Decode(buf []byte) (Cell, error) {
 	var c Cell
 	if len(buf) < CellSize {
-		return c, ErrShortCell
+		return c, errShortCell
 	}
-	if HEC([4]byte{buf[0], buf[1], buf[2], buf[3]}) != buf[4] {
-		return c, ErrBadHEC
+	if hec([4]byte{buf[0], buf[1], buf[2], buf[3]}) != buf[4] {
+		return c, errBadHEC
 	}
 	c.GFC = buf[0] >> 4
 	c.VPI = VPI(buf[0]<<4 | buf[1]>>4)
 	c.VCI = VCI(uint16(buf[1]&0x0f)<<12 | uint16(buf[2])<<4 | uint16(buf[3])>>4)
-	c.PTI = PTI(buf[3] >> 1 & 0x7)
+	c.PTI = payloadType(buf[3] >> 1 & 0x7)
 	c.CLP = buf[3]&1 == 1
-	copy(c.Payload[:], buf[HeaderSize:])
+	copy(c.Payload[:], buf[headerSize:])
 	return c, nil
 }
 

@@ -28,8 +28,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeShort(t *testing.T) {
-	if _, err := Decode(make([]byte, 52)); err != ErrShortCell {
-		t.Fatalf("err = %v, want ErrShortCell", err)
+	if _, err := Decode(make([]byte, 52)); err != errShortCell {
+		t.Fatalf("err = %v, want errShortCell", err)
 	}
 }
 
@@ -37,19 +37,19 @@ func TestDecodeBadHEC(t *testing.T) {
 	c := Cell{Header: Header{VCI: 99}}
 	wire := c.Encode()
 	wire[2] ^= 0x40 // corrupt a VCI bit
-	if _, err := Decode(wire); err != ErrBadHEC {
-		t.Fatalf("err = %v, want ErrBadHEC", err)
+	if _, err := Decode(wire); err != errBadHEC {
+		t.Fatalf("err = %v, want errBadHEC", err)
 	}
 }
 
 func TestHECDetectsAllSingleBitHeaderErrors(t *testing.T) {
 	c := Cell{Header: Header{GFC: 3, VPI: 5, VCI: 777, PTI: 4}}
 	wire := c.Encode()
-	for byteIdx := 0; byteIdx < HeaderSize; byteIdx++ {
+	for byteIdx := 0; byteIdx < headerSize; byteIdx++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), wire...)
 			mut[byteIdx] ^= 1 << bit
-			if _, err := Decode(mut); err != ErrBadHEC {
+			if _, err := Decode(mut); err != errBadHEC {
 				t.Fatalf("single-bit error at byte %d bit %d undetected", byteIdx, bit)
 			}
 		}
@@ -106,7 +106,7 @@ func TestStringForms(t *testing.T) {
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(gfc byte, vpi uint8, vci uint16, pti uint8, clp bool, payload [PayloadSize]byte) bool {
 		c := Cell{
-			Header:  Header{GFC: gfc & 0xF, VPI: VPI(vpi), VCI: VCI(vci), PTI: PTI(pti & 0x7), CLP: clp},
+			Header:  Header{GFC: gfc & 0xF, VPI: VPI(vpi), VCI: VCI(vci), PTI: payloadType(pti & 0x7), CLP: clp},
 			Payload: payload,
 		}
 		got, err := Decode(c.Encode())
@@ -120,7 +120,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 // Property: the HEC is a function of the first four header bytes only.
 func TestQuickHECStability(t *testing.T) {
 	f := func(h [4]byte) bool {
-		a, b := HEC(h), HEC(h)
+		a, b := hec(h), hec(h)
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,5 +1,13 @@
 package atm
 
+// Lease is one grant of a VCI at a fabric endpoint: Gen counts the grants
+// of that number, so state stamped with an older Gen belongs to a circuit
+// that is gone. A lease never goes on a wire.
+type Lease struct {
+	VCI VCI
+	Gen uint32
+}
+
 // VCIAlloc hands out VCIs in O(1): a LIFO free list of released values
 // backed by a high-water cursor for never-used ones. It replaces the
 // linear next-free scans the switch trunks and the standalone daemon's
@@ -15,6 +23,7 @@ type VCIAlloc struct {
 	next VCI   // next never-used value; past MaxVCI means exhausted
 	free []VCI // LIFO of released values
 	used map[VCI]bool
+	gen  []uint32 // per VCI, its grants so far
 }
 
 // NewVCIAlloc builds an allocator covering [min, MaxVCI]. min below 32
@@ -26,8 +35,8 @@ func NewVCIAlloc(min VCI) *VCIAlloc {
 	return &VCIAlloc{min: min, next: min, used: make(map[VCI]bool)}
 }
 
-// Alloc reserves an unused VCI, or 0 when the space is exhausted.
-func (a *VCIAlloc) Alloc() VCI {
+// Alloc grants an unused VCI; the zero Lease means the space is exhausted.
+func (a *VCIAlloc) Alloc() Lease {
 	var v VCI
 	if n := len(a.free); n > 0 {
 		v, a.free = a.free[n-1], a.free[:n-1]
@@ -35,10 +44,12 @@ func (a *VCIAlloc) Alloc() VCI {
 		v = a.next
 		a.next++
 	} else {
-		return 0
+		return Lease{}
 	}
 	a.used[v] = true
-	return v
+	a.gen = Grow(a.gen, v)
+	a.gen[v]++
+	return Lease{VCI: v, Gen: a.gen[v]}
 }
 
 // Free releases a VCI for reuse. Double frees are ignored.
@@ -49,3 +60,13 @@ func (a *VCIAlloc) Free(v VCI) {
 	delete(a.used, v)
 	a.free = append(a.free, v)
 }
+
+// Lease is v's latest grant, generation 0 if it was never granted; it
+// outlives the Free, and the next Alloc of v supersedes it.
+func (a *VCIAlloc) Lease(v VCI) Lease {
+	a.gen = Grow(a.gen, v)
+	return Lease{VCI: v, Gen: a.gen[v]}
+}
+
+// Holds reports whether l is granted and not yet freed.
+func (a *VCIAlloc) Holds(l Lease) bool { return a.used[l.VCI] && a.Lease(l.VCI) == l }

@@ -4,10 +4,10 @@ import "testing"
 
 func TestVCIAllocBasics(t *testing.T) {
 	a := NewVCIAlloc(0) // clamps to 32
-	if v := a.Alloc(); v != 32 {
+	if v := a.Alloc().VCI; v != 32 {
 		t.Fatalf("first Alloc = %d, want 32", v)
 	}
-	if v := a.Alloc(); v != 33 {
+	if v := a.Alloc().VCI; v != 33 {
 		t.Fatalf("second Alloc = %d, want 33", v)
 	}
 	if !a.InUse(32) || a.InUse(34) {
@@ -15,7 +15,7 @@ func TestVCIAllocBasics(t *testing.T) {
 	}
 	a.Free(32)
 	a.Free(32) // double free ignored
-	if v := a.Alloc(); v != 32 {
+	if v := a.Alloc().VCI; v != 32 {
 		t.Fatalf("Alloc after Free = %d, want LIFO reuse of 32", v)
 	}
 	if a.Live() != 2 {
@@ -27,32 +27,54 @@ func TestVCIAllocLIFOOrder(t *testing.T) {
 	a := NewVCIAlloc(32)
 	var got [4]VCI
 	for i := range got {
-		got[i] = a.Alloc()
+		got[i] = a.Alloc().VCI
 	}
 	a.Free(got[1])
 	a.Free(got[3])
-	if v := a.Alloc(); v != got[3] {
+	if v := a.Alloc().VCI; v != got[3] {
 		t.Fatalf("Alloc = %d, want most recently freed %d", v, got[3])
 	}
-	if v := a.Alloc(); v != got[1] {
+	if v := a.Alloc().VCI; v != got[1] {
 		t.Fatalf("Alloc = %d, want %d", v, got[1])
 	}
 }
 
 func TestVCIAllocReserveAndExhaustion(t *testing.T) {
 	a := NewVCIAlloc(MaxVCI - 1)
-	if v := a.Alloc(); v != MaxVCI-1 {
+	if v := a.Alloc().VCI; v != MaxVCI-1 {
 		t.Fatalf("Alloc = %d, want %d", v, MaxVCI-1)
 	}
-	if v := a.Alloc(); v != MaxVCI {
+	if v := a.Alloc().VCI; v != MaxVCI {
 		t.Fatalf("Alloc = %d, want %d", v, MaxVCI)
 	}
-	if v := a.Alloc(); v != 0 {
+	if v := a.Alloc().VCI; v != 0 {
 		t.Fatalf("Alloc on exhausted space = %d, want 0", v)
 	}
 	// Freeing a VCI makes it allocatable again.
 	a.Free(MaxVCI - 1)
-	if v := a.Alloc(); v != MaxVCI-1 {
+	if v := a.Alloc().VCI; v != MaxVCI-1 {
 		t.Fatalf("Alloc after Free = %d, want %d", v, MaxVCI-1)
+	}
+}
+
+// TestVCIAllocLeases: every grant of a VCI gets the next generation, a
+// lease outlives its Free until the next grant, and only the latest
+// grant, while not yet freed, is held.
+func TestVCIAllocLeases(t *testing.T) {
+	a := NewVCIAlloc(32)
+	if l := a.Lease(40); l != (Lease{VCI: 40}) || a.Holds(l) {
+		t.Fatalf("never-granted VCI: lease %+v, held %v", l, a.Holds(l))
+	}
+	first := a.Alloc()
+	if first != (Lease{VCI: 32, Gen: 1}) || !a.Holds(first) {
+		t.Fatalf("first grant %+v, held %v", first, a.Holds(first))
+	}
+	a.Free(first.VCI)
+	if a.Lease(first.VCI) != first || a.Holds(first) {
+		t.Fatal("a freed VCI's lease must stay its latest grant, no longer held")
+	}
+	second := a.Alloc()
+	if second != (Lease{VCI: 32, Gen: 2}) || a.Holds(first) || !a.Holds(second) {
+		t.Fatalf("re-grant %+v: first held %v, second held %v", second, a.Holds(first), a.Holds(second))
 	}
 }

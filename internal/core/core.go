@@ -72,6 +72,7 @@ func NewRouter(e *sim.Engine, cm sim.CostModel, cfg RouterConfig) (*Stack, error
 	board.Instrument(ep.Now, m.Obs)
 	ep.SetSink(board)
 	m.Orc.AttachBoard(board)
+	m.Orc.Leases = ep.Lease
 	s := &Stack{
 		M:      m,
 		PF:     pfxunet.New(m),

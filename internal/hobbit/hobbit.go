@@ -34,41 +34,41 @@ import (
 	"xunet/internal/obs"
 )
 
-// CellTx transmits cells into the ATM network (implemented by
+// cellTx transmits cells into the ATM network (implemented by
 // xswitch.Endpoint).
-type CellTx interface {
+type cellTx interface {
 	SendCell(c atm.Cell)
 }
 
-// FrameHandler consumes a frame received on a VCI. The chain is owned
+// frameHandler consumes a frame received on a VCI. The chain is owned
 // by the handler after the call.
-type FrameHandler func(vci atm.VCI, frame *mbuf.Chain)
+type frameHandler func(vci atm.VCI, frame *mbuf.Chain)
 
-// FrameOutput transmits an unsegmented, trailerless frame toward the
+// frameOutput transmits an unsegmented, trailerless frame toward the
 // network on a host without a board (the IPPROTO_ATM encapsulation
 // routine), consuming it whatever the outcome.
-type FrameOutput func(vci atm.VCI, frame *mbuf.Chain) error
+type frameOutput func(vci atm.VCI, frame *mbuf.Chain) error
 
 // Errors from the driver.
 var (
-	ErrNoBackend = errors.New("hobbit: driver has neither board nor encapsulation output")
-	ErrShutVCI   = errors.New("hobbit: VCI has been shut")
+	errNoBackend = errors.New("hobbit: driver has neither board nor encapsulation output")
+	errShutVCI   = errors.New("hobbit: VCI has been shut")
 )
 
 // Board is the Hobbit host-interface hardware model.
 type Board struct {
-	tx     CellTx
+	tx     cellTx
 	driver *Driver
 
 	// vcs is the board's per-VC SAR state, indexed by VCI as the paper's
 	// tables are ("a single index into a table"); a nil entry is a VC the
-	// board has not seen. ResetVC clears an entry but keeps it, and with
+	// board has not seen. resetVC clears an entry but keeps it, and with
 	// it the reassembly buffer, for the VCI's next circuit.
 	vcs []*vcState
 
-	// SAR transmit scratch, reused by every Send: the flattened SDU, the
-	// CPCS-PDU built from it and the cells cut from that. Send is not
-	// re-entrant — a CellTx queues cells, it does not call back into the
+	// SAR transmit scratch, reused by every send: the flattened SDU, the
+	// CPCS-PDU built from it and the cells cut from that. send is not
+	// re-entrant — a cellTx queues cells, it does not call back into the
 	// sending board.
 	sdu, pdu []byte
 	cells    []atm.Cell
@@ -78,13 +78,10 @@ type Board struct {
 	now       func() time.Duration
 	reasmHist *obs.Histogram
 
-	// Counters for experiments.
-	CellsOut  uint64
-	CellsIn   uint64
-	FramesOut uint64
-	FramesIn  uint64
-	SARErrors uint64 // frames lost to cell loss/corruption within a frame
-	OOOFrames uint64 // out-of-order frames detected by the Xunet variant
+	// Counters for experiments: SARErrors counts frames lost to cell loss
+	// or corruption within a frame, OOOFrames the out-of-order frames the
+	// Xunet variant detects.
+	CellsOut, CellsIn, FramesOut, FramesIn, SARErrors, OOOFrames uint64
 }
 
 // vcState is one VCI's segmentation-and-reassembly state.
@@ -97,7 +94,7 @@ type vcState struct {
 
 // NewBoard returns a board transmitting through tx. Call
 // Driver.AttachBoard to connect it to its driver.
-func NewBoard(tx CellTx) *Board { return &Board{tx: tx} }
+func NewBoard(tx cellTx) *Board { return &Board{tx: tx} }
 
 // vc returns the SAR state of vci, growing the table to hold it.
 func (b *Board) vc(vci atm.VCI) *vcState {
@@ -126,9 +123,9 @@ func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 	reg.Func("hobbit.frames.ooo", func() uint64 { return b.OOOFrames })
 }
 
-// Send builds the AAL5 frame for an mbuf chain and transmits its cells.
+// send builds the AAL5 frame for an mbuf chain and transmits its cells.
 // This happens in board hardware: no host instructions are charged.
-func (b *Board) Send(vci atm.VCI, frame *mbuf.Chain) error {
+func (b *Board) send(vci atm.VCI, frame *mbuf.Chain) error {
 	v := b.vc(vci)
 	seq := v.seqTx
 	v.seqTx++
@@ -194,7 +191,7 @@ func (b *Board) ReceiveCell(c atm.Cell) {
 }
 
 // settle takes in every cell that reached the board before now: the
-// simulated fabric's endpoint — the board's CellTx and its cell source —
+// simulated fabric's endpoint — the board's cellTx and its cell source —
 // hands a frame's earlier cells over with its last (DESIGN.md §9).
 func (b *Board) settle() {
 	if s, ok := b.tx.(interface{ Settle() }); ok {
@@ -202,9 +199,9 @@ func (b *Board) settle() {
 	}
 }
 
-// ResetVC discards reassembly and sequence state for a torn-down VC,
-// after taking in the cells that reached the board before now.
-func (b *Board) ResetVC(vci atm.VCI) {
+// resetVC discards a VCI's reassembly and sequence state, torn down or
+// newly granted, after taking in the cells that reached the board before now.
+func (b *Board) resetVC(vci atm.VCI) {
 	b.settle()
 	if int(vci) < len(b.vcs) && b.vcs[vci] != nil {
 		v := b.vcs[vci]
@@ -218,37 +215,47 @@ type Driver struct {
 	Meter *cost.Meter
 
 	board *Board
-	encap FrameOutput
+	encap frameOutput
+	// Leases reads each VCI's latest grant: the fabric endpoint's on a
+	// router; NewDriver's holds every VCI under generation 0.
+	Leases func(atm.VCI) atm.Lease
 
-	vcs []drvVC // per VCI, like the board's table: handler and VCI_SHUT mark
+	vcs []drvVC // per VCI, like the board's table
 
 	// DiscardedNoHandler counts frames that arrived on a VCI with no
 	// registered handler; DiscardedShut counts frames dropped after
-	// VCI_SHUT.
-	DiscardedNoHandler uint64
-	DiscardedShut      uint64
+	// VCI_SHUT; StaleLeases counts mutations naming a superseded grant.
+	DiscardedNoHandler, DiscardedShut, StaleLeases uint64
 }
 
+// drvVC is one VCI's entry, made under lease: a receive handler, or none
+// after VCI_SHUT. Neither the zero entry nor a superseded one is live.
 type drvVC struct {
-	h    FrameHandler
-	shut bool
+	h     frameHandler
+	lease atm.Lease
 }
 
 // NewDriver returns a driver with no backend; attach a board (router)
 // or an encapsulation output (host) before sending.
-func NewDriver(meter *cost.Meter) *Driver { return &Driver{Meter: meter} }
+func NewDriver(meter *cost.Meter) *Driver {
+	return &Driver{Meter: meter, Leases: func(vci atm.VCI) atm.Lease { return atm.Lease{VCI: vci} }}
+}
 
-// vc returns the table entry for vci (the zero entry past the end).
+// vc returns the live entry for vci (the zero entry if there is none).
 func (d *Driver) vc(vci atm.VCI) drvVC {
-	if int(vci) < len(d.vcs) {
+	if int(vci) < len(d.vcs) && d.vcs[vci].lease.VCI == vci && d.vcs[vci].lease == d.Leases(vci) {
 		return d.vcs[vci]
 	}
 	return drvVC{}
 }
 
-// setVC stores the entry for vci, growing the table to hold it.
-func (d *Driver) setVC(vci atm.VCI, e drvVC) {
+// set stores vci's entry, resetting the board's SAR state at a teardown
+// and at a new grant's first entry, so each circuit starts clean.
+func (d *Driver) set(vci atm.VCI, e drvVC) {
 	d.vcs = atm.Grow(d.vcs, vci)
+	if (e.h == nil || d.vcs[vci].lease != e.lease) && d.board != nil {
+		d.board.resetVC(vci)
+	}
 	d.vcs[vci] = e
 }
 
@@ -261,7 +268,7 @@ func (d *Driver) AttachBoard(b *Board) {
 
 // SetEncap wires the IPPROTO_ATM encapsulation routine as the output
 // backend (host configuration).
-func (d *Driver) SetEncap(out FrameOutput) { d.encap = out }
+func (d *Driver) SetEncap(out frameOutput) { d.encap = out }
 
 // Output transmits a frame on a VCI. On a router this reaches the
 // board; on a host, the encapsulation layer. Matching Table 1, the
@@ -269,55 +276,61 @@ func (d *Driver) SetEncap(out FrameOutput) { d.encap = out }
 // layer down without touching the data or the header". The frame is
 // consumed whatever the outcome.
 func (d *Driver) Output(vci atm.VCI, frame *mbuf.Chain) error {
-	switch {
-	case d.vc(vci).shut:
+	switch e := d.vc(vci); {
+	case e.h == nil && e.lease.VCI != 0:
 		frame.Release()
-		return ErrShutVCI
+		return errShutVCI
 	case d.board != nil:
-		return d.board.Send(vci, frame)
+		return d.board.send(vci, frame)
 	case d.encap != nil:
 		return d.encap(vci, frame)
 	}
 	frame.Release()
-	return ErrNoBackend
+	return errNoBackend
 }
 
 // Input demultiplexes a received frame by VCI, charging the Table 1 Orc
 // receive dispatch cost.
 func (d *Driver) Input(vci atm.VCI, frame *mbuf.Chain) {
 	d.Meter.Charge(cost.OrcDriver, cost.OrcRecvDispatch)
-	e := d.vc(vci)
-	if e.shut {
+	switch e := d.vc(vci); {
+	case e.h != nil:
+		e.h(vci, frame)
+		return
+	case e.lease.VCI != 0:
 		d.DiscardedShut++
-		frame.Release()
-		return
-	}
-	if e.h == nil {
+	default:
 		d.DiscardedNoHandler++
-		frame.Release()
+	}
+	frame.Release()
+}
+
+// SetHandler installs the receive handler for a VCI under its latest
+// grant, clearing any shut mark; a nil handler is Shut.
+func (d *Driver) SetHandler(vci atm.VCI, h frameHandler) { d.set(vci, drvVC{h, d.Leases(vci)}) }
+
+// Shut honours a VCI_SHUT: the VCI's latest grant loses its handler and
+// SAR state and discards further data, until the VCI is granted again.
+func (d *Driver) Shut(vci atm.VCI) { d.SetHandler(vci, nil) }
+
+// ClearVC removes all state for l's VCI (orderly teardown, as opposed to
+// Shut's discard mode). A superseded l, from a socket that outlived its
+// circuit, makes it a counted no-op that spares the VCI's next circuit.
+func (d *Driver) ClearVC(l atm.Lease) {
+	if l != d.Leases(l.VCI) {
+		d.StaleLeases++
 		return
 	}
-	e.h(vci, frame)
+	d.set(l.VCI, drvVC{})
 }
 
-// SetHandler installs the receive handler for a VCI, clearing any shut
-// mark.
-func (d *Driver) SetHandler(vci atm.VCI, h FrameHandler) { d.setVC(vci, drvVC{h: h}) }
-
-// Shut honours a VCI_SHUT: the handler is removed and any further data
-// arriving on the VCI is discarded. Board-side SAR state is reset.
-func (d *Driver) Shut(vci atm.VCI) {
-	d.setVC(vci, drvVC{shut: true})
-	if d.board != nil {
-		d.board.ResetVC(vci)
+// Stale lists the VCIs with a handler installed under a lease holds
+// rejects, for the drain audit.
+func (d *Driver) Stale(holds func(atm.Lease) bool) (out []atm.VCI) {
+	for v, e := range d.vcs {
+		if e.h != nil && !holds(e.lease) {
+			out = append(out, atm.VCI(v))
+		}
 	}
-}
-
-// ClearVC removes all state for a VCI (orderly teardown, as opposed to
-// Shut's discard mode).
-func (d *Driver) ClearVC(vci atm.VCI) {
-	d.setVC(vci, drvVC{})
-	if d.board != nil {
-		d.board.ResetVC(vci)
-	}
+	return out
 }

@@ -148,12 +148,12 @@ func TestShutDiscardsAndOutputs(t *testing.T) {
 	}
 	// Output on a locally shut VCI is refused.
 	tx.Shut(4)
-	if err := tx.Output(4, mbuf.FromBytes(pay(1))); !errors.Is(err, ErrShutVCI) {
+	if err := tx.Output(4, mbuf.FromBytes(pay(1))); !errors.Is(err, errShutVCI) {
 		t.Fatalf("err = %v", err)
 	}
 	// SetHandler reopens the VCI.
 	rx.SetHandler(4, func(atm.VCI, *mbuf.Chain) { delivered++ })
-	tx.ClearVC(4)
+	tx.ClearVC(tx.Leases(4))
 	// Sequence state was reset on both sides by Shut/ClearVC; frame
 	// delivery resumes.
 	if err := tx.Output(4, mbuf.FromBytes(pay(10))); err != nil {
@@ -185,7 +185,7 @@ func TestHostDriverUsesEncap(t *testing.T) {
 
 func TestNoBackend(t *testing.T) {
 	d := NewDriver(nil)
-	if err := d.Output(1, mbuf.FromBytes(nil)); !errors.Is(err, ErrNoBackend) {
+	if err := d.Output(1, mbuf.FromBytes(nil)); !errors.Is(err, errNoBackend) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -220,7 +220,7 @@ func TestHandlerLookup(t *testing.T) {
 	if d.Handler(7) == nil {
 		t.Fatal("handler not installed")
 	}
-	d.ClearVC(7)
+	d.ClearVC(d.Leases(7))
 	if d.Handler(7) != nil {
 		t.Fatal("handler survived ClearVC")
 	}
@@ -293,7 +293,7 @@ func TestQuickBoardRoundTrip(t *testing.T) {
 // TestBoardReusesSARBuffers is the board's half of the reused-buffer
 // contract: every frame of a VC is reassembled in the buffer the VC's
 // last frame used — whether that one was delivered, failed its CRC or
-// was cut short by ResetVC — and the chain a handler receives is its own
+// was cut short by resetVC — and the chain a handler receives is its own
 // copy, untouched by the frames that follow.
 func TestBoardReusesSARBuffers(t *testing.T) {
 	tx, rx, lt := pair(t)
@@ -317,7 +317,7 @@ func TestBoardReusesSARBuffers(t *testing.T) {
 	}
 	send(900) // after the failed frame
 
-	// ResetVC lands mid-frame: the first cells of a frame arrive, the VC
+	// resetVC lands mid-frame: the first cells of a frame arrive, the VC
 	// is torn down, and the VCI's next circuit starts from sequence 0.
 	cells := 0
 	full := lt.rx
@@ -331,10 +331,10 @@ func TestBoardReusesSARBuffers(t *testing.T) {
 	if buf.Pending() != 4*atm.PayloadSize {
 		t.Fatalf("pending = %d bytes mid-frame", buf.Pending())
 	}
-	rxb.ResetVC(5)
-	tx.Board().ResetVC(5)
+	rxb.resetVC(5)
+	tx.Board().resetVC(5)
 	if buf.Pending() != 0 || &rxb.vcs[5].reasm != buf {
-		t.Fatal("ResetVC must clear the VC's reassembler and keep it")
+		t.Fatal("resetVC must clear the VC's reassembler and keep it")
 	}
 	lt.rx = full
 	tx.Board().tx = lt
@@ -354,21 +354,21 @@ func TestBoardReusesSARBuffers(t *testing.T) {
 }
 
 // TestBoardVCITableBounds: VCIs beyond the board's table, on either
-// path, grow it; ResetVC of a VCI the board never saw is a no-op.
+// path, grow it; resetVC of a VCI the board never saw is a no-op.
 func TestBoardVCITableBounds(t *testing.T) {
 	tx, rx, _ := pair(t)
 	got := map[atm.VCI]int{}
 	for _, vci := range []atm.VCI{40, 4000, 33} {
 		rx.SetHandler(vci, func(v atm.VCI, frame *mbuf.Chain) { got[v] += frame.Len() })
 	}
-	rx.Board().ResetVC(4000) // table still empty
+	rx.Board().resetVC(4000) // table still empty
 	for _, vci := range []atm.VCI{40, 4000, 33, 4000} {
 		if err := tx.Output(vci, mbuf.FromBytes(pay(100))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rx.Board().ResetVC(4001) // inside the table, never used
-	rx.Board().ResetVC(65535)
+	rx.Board().resetVC(4001) // inside the table, never used
+	rx.Board().resetVC(65535)
 	if got[40] != 100 || got[4000] != 200 || got[33] != 100 || rx.Board().OOOFrames != 0 {
 		t.Fatalf("delivered %v, OOOFrames = %d", got, rx.Board().OOOFrames)
 	}
@@ -393,9 +393,9 @@ func TestDriverVCITableBounds(t *testing.T) {
 	if rx.DiscardedNoHandler != 3 || len(rx.vcs) != 41 {
 		t.Fatalf("DiscardedNoHandler = %d, table %d long", rx.DiscardedNoHandler, len(rx.vcs))
 	}
-	rx.ClearVC(5000) // past the end: grows the table, clears nothing
+	rx.ClearVC(rx.Leases(5000)) // past the end: grows the table, clears nothing
 	rx.Shut(65535)
-	if err := rx.Output(65535, mbuf.FromBytes(pay(10))); !errors.Is(err, ErrShutVCI) {
+	if err := rx.Output(65535, mbuf.FromBytes(pay(10))); !errors.Is(err, errShutVCI) {
 		t.Fatalf("Output on a shut VCI past the old end: %v", err)
 	}
 	if err := tx.Output(65535, mbuf.FromBytes(pay(10))); err != nil {
@@ -426,17 +426,49 @@ func released(c *mbuf.Chain) (yes bool) {
 	return c.Head() == nil && c.Len() == 0
 }
 
+// TestLeaseSupersedesEntry: an entry lives as long as the grant it was
+// made under. A shut mark stops the circuit it shut and no later one, and
+// a teardown naming a superseded grant is a counted no-op that leaves the
+// VCI's next circuit alone.
+func TestLeaseSupersedesEntry(t *testing.T) {
+	tx, rx, _ := pair(t)
+	alloc := atm.NewVCIAlloc(32)
+	tx.Leases, rx.Leases = alloc.Lease, alloc.Lease
+	old := alloc.Alloc()
+	delivered := 0
+	rx.SetHandler(old.VCI, func(atm.VCI, *mbuf.Chain) { delivered++ })
+	tx.Shut(old.VCI)
+	if err := tx.Output(old.VCI, mbuf.FromBytes(pay(10))); !errors.Is(err, errShutVCI) {
+		t.Fatalf("Output on the shut grant: %v", err)
+	}
+	alloc.Free(old.VCI)
+	if l := alloc.Alloc(); l.VCI != old.VCI || l.Gen != old.Gen+1 {
+		t.Fatalf("re-grant = %+v, want %v generation %d", l, old.VCI, old.Gen+1)
+	}
+	if err := tx.Output(old.VCI, mbuf.FromBytes(pay(10))); err != nil {
+		t.Fatalf("Output on the re-granted VCI: %v", err)
+	}
+	if delivered != 0 || rx.DiscardedNoHandler != 1 || rx.Handler(old.VCI) != nil {
+		t.Fatalf("the old grant's handler ran: delivered %d, no-handler %d", delivered, rx.DiscardedNoHandler)
+	}
+	rx.SetHandler(old.VCI, func(atm.VCI, *mbuf.Chain) { delivered++ })
+	rx.ClearVC(old)
+	if err := tx.Output(old.VCI, mbuf.FromBytes(pay(10))); err != nil || delivered != 1 || rx.StaleLeases != 1 {
+		t.Fatalf("after a stale ClearVC: err %v, delivered %d, stale %d", err, delivered, rx.StaleLeases)
+	}
+}
+
 // Output consumes its frame on every path: a refusal releases it, so
 // the caller — which no longer owns it — leaks nothing.
 func TestOutputConsumesRefusedFrames(t *testing.T) {
 	tx, _, _ := pair(t)
 	tx.Shut(4)
 	shut := mbuf.FromBytes(pay(10))
-	if err := tx.Output(4, shut); !errors.Is(err, ErrShutVCI) || !released(shut) {
+	if err := tx.Output(4, shut); !errors.Is(err, errShutVCI) || !released(shut) {
 		t.Fatalf("shut VCI: err %v, released %v", err, released(shut))
 	}
 	orphan := mbuf.FromBytes(pay(10))
-	if err := NewDriver(nil).Output(1, orphan); !errors.Is(err, ErrNoBackend) || !released(orphan) {
+	if err := NewDriver(nil).Output(1, orphan); !errors.Is(err, errNoBackend) || !released(orphan) {
 		t.Fatalf("no backend: err %v, released %v", err, released(orphan))
 	}
 }

@@ -13,3 +13,11 @@ func (f *Family) ActiveVCIs() int {
 
 // Queued reports the frames buffered for Recv.
 func (s *Socket) Queued() int { return s.recvQ.Len() }
+
+// The socket errors, for the external tests.
+var (
+	ErrBadVCI       = errBadVCI
+	ErrVCIBusy      = errVCIBusy
+	ErrSockState    = errSockState
+	ErrDisconnected = errDisconnected
+)

@@ -31,10 +31,10 @@ import (
 
 // Errors from the socket layer.
 var (
-	ErrBadVCI       = errors.New("pfxunet: VCI out of range")
-	ErrVCIBusy      = errors.New("pfxunet: VCI already bound to a socket")
-	ErrSockState    = errors.New("pfxunet: operation invalid in this socket state")
-	ErrDisconnected = errors.New("pfxunet: socket has been disconnected")
+	errBadVCI       = errors.New("pfxunet: VCI out of range")
+	errVCIBusy      = errors.New("pfxunet: VCI already bound to a socket")
+	errSockState    = errors.New("pfxunet: operation invalid in this socket state")
+	errDisconnected = errors.New("pfxunet: socket has been disconnected")
 )
 
 // recvBufLimit bounds a socket's receive buffer in bytes (the classic
@@ -63,8 +63,7 @@ type Family struct {
 
 	// DroppedNoSocket counts frames that arrived on a VCI with no bound
 	// socket; DroppedOverflow counts receive-buffer overflows.
-	DroppedNoSocket uint64
-	DroppedOverflow uint64
+	DroppedNoSocket, DroppedOverflow uint64
 }
 
 // New installs the family on a machine and registers it for
@@ -83,7 +82,7 @@ type Socket struct {
 	owner *kern.Proc
 	fd    int
 	state sockState
-	vci   atm.VCI
+	lease atm.Lease // the grant of the VCI it is bound or connected to
 
 	recvQ     sim.Queue[*mbuf.Chain]
 	recvBytes int
@@ -95,8 +94,7 @@ type Socket struct {
 	tc trace.Context
 
 	// FramesIn and FramesOut count datagrams through this socket.
-	FramesIn  uint64
-	FramesOut uint64
+	FramesIn, FramesOut uint64
 }
 
 // SetTrace attaches the call's trace context to the socket, so frames
@@ -124,58 +122,39 @@ func (f *Family) KernelSocket(p *kern.Proc, recv func(*mbuf.Chain)) *Socket {
 	return &Socket{f: f, owner: p, fd: -1, recv: recv}
 }
 
-// checkVCI validates range and availability.
-func (f *Family) checkVCI(vci atm.VCI) error {
-	if vci == 0 || vci > atm.MaxVCI {
-		return fmt.Errorf("%w: %v", ErrBadVCI, vci)
-	}
-	if f.pcbs[vci] != nil {
-		return fmt.Errorf("%w: %v", ErrVCIBusy, vci)
-	}
-	return nil
-}
-
 // Bind directs the stack to deliver data received on vci to this
 // socket (the paper's Figure 5 server flow). The cookie and VCI are
 // passed up to the signaling entity for authentication.
-func (s *Socket) Bind(vci atm.VCI, cookie uint16) error {
-	if s.state != stateCreated {
-		return ErrSockState
-	}
-	if err := s.f.checkVCI(vci); err != nil {
-		return err
-	}
-	s.f.pcbs[vci] = s
-	s.vci = vci
-	s.state = stateBound
-	// Install the Orc receive handler: arriving frames on this VCI flow
-	// to the socket.
-	s.f.m.Orc.SetHandler(vci, s.f.input)
-	s.passUp(kern.MsgBind, cookie)
-	return nil
-}
+func (s *Socket) Bind(vci atm.VCI, cookie uint16) error { return s.attach(vci, cookie, stateBound) }
 
 // Connect binds the VCI to this socket for sending (the Figure 6
 // client flow). The cookie is passed up for authentication.
 func (s *Socket) Connect(vci atm.VCI, cookie uint16) error {
-	if s.state != stateCreated {
-		return ErrSockState
-	}
-	if err := s.f.checkVCI(vci); err != nil {
-		return err
-	}
-	s.f.pcbs[vci] = s
-	s.vci = vci
-	s.state = stateConnected
-	s.passUp(kern.MsgConnect, cookie)
-	return nil
+	return s.attach(vci, cookie, stateConnected)
 }
 
-// passUp posts a bind/connect indication through the pseudo-device.
-func (s *Socket) passUp(kind kern.MsgKind, cookie uint16) {
-	if s.f.m.Dev != nil {
-		s.f.m.Dev.PostUp(kern.KMsg{Kind: kind, VCI: s.vci, Cookie: cookie, PID: s.owner.PID})
+// attach gives a fresh socket vci's PCB, under the VCI's latest grant,
+// installs a bound socket's Orc receive handler, and posts the
+// bind/connect indication through the pseudo-device.
+func (s *Socket) attach(vci atm.VCI, cookie uint16, to sockState) error {
+	switch {
+	case s.state != stateCreated:
+		return errSockState
+	case vci == 0 || vci > atm.MaxVCI:
+		return fmt.Errorf("%w: %v", errBadVCI, vci)
+	case s.f.pcbs[vci] != nil:
+		return fmt.Errorf("%w: %v", errVCIBusy, vci)
 	}
+	s.f.pcbs[vci], s.lease, s.state = s, s.f.m.Orc.Leases(vci), to
+	kind := kern.MsgConnect
+	if to == stateBound {
+		s.f.m.Orc.SetHandler(vci, s.f.input)
+		kind = kern.MsgBind
+	}
+	if s.f.m.Dev != nil {
+		s.f.m.Dev.PostUp(kern.KMsg{Kind: kind, VCI: vci, Cookie: cookie, PID: s.owner.PID})
+	}
+	return nil
 }
 
 // Send transmits one frame on the connected VCI. Matching Table 1, the
@@ -189,45 +168,32 @@ func (s *Socket) Send(data []byte) error {
 // context is per-message rather than per-socket (the sighost peer PVC
 // carries many calls' messages over one socket).
 func (s *Socket) SendTraced(data []byte, tc trace.Context) error {
-	if err := s.sendable(); err != nil {
-		return err
-	}
 	return s.send(mbuf.FromBytes(data), tc)
 }
 
 // SendChain transmits a prebuilt mbuf chain (zero-copy path). The chain
 // is consumed whatever the outcome.
-func (s *Socket) SendChain(chain *mbuf.Chain) error {
-	if err := s.sendable(); err != nil {
-		chain.Release()
-		return err
-	}
-	return s.send(chain, s.tc)
-}
-
-// sendable reports why the socket cannot send, if it cannot.
-func (s *Socket) sendable() error {
-	switch s.state {
-	case stateConnected:
-		return nil
-	case stateDisconnected:
-		return ErrDisconnected
-	}
-	return ErrSockState
-}
+func (s *Socket) SendChain(chain *mbuf.Chain) error { return s.send(chain, s.tc) }
 
 // send hands the frame down, opening its transit span first: a child of
 // the call (or message) context that the receiving stack's input
 // routine will close on delivery. Unsampled contexts cost one branch
-// and no allocation.
+// and no allocation. A socket that cannot send releases the frame.
 func (s *Socket) send(chain *mbuf.Chain, tc trace.Context) error {
+	if s.state != stateConnected {
+		chain.Release()
+		if s.state == stateDisconnected {
+			return errDisconnected
+		}
+		return errSockState
+	}
 	if tc.Sampled() {
 		now := s.f.m.E.Now()
 		chain.TC = s.f.m.TraceC.StartSpanAt(tc, "pfxunet", "frame", now)
 		chain.TCAt = now
 	}
 	s.FramesOut++
-	return s.f.m.Orc.Output(s.vci, chain)
+	return s.f.m.Orc.Output(s.lease.VCI, chain)
 }
 
 // input is the family's receive upcall from the Orc driver: the Table 1
@@ -279,7 +245,7 @@ func (f *Family) endFrameSpan(frame *mbuf.Chain) {
 }
 
 // Recv blocks the owning process until a frame arrives. It returns
-// ErrDisconnected once the socket has been marked unusable and the
+// errDisconnected once the socket has been marked unusable and the
 // buffer is drained.
 func (s *Socket) Recv() ([]byte, error) {
 	chain, err := s.RecvChain()
@@ -294,12 +260,12 @@ func (s *Socket) Recv() ([]byte, error) {
 // RecvChain is Recv without flattening the mbuf chain.
 func (s *Socket) RecvChain() (*mbuf.Chain, error) {
 	if s.state == stateClosed || s.state == stateCreated {
-		return nil, ErrSockState
+		return nil, errSockState
 	}
 	// A disconnect closes recvQ: what it buffered drains, then Get fails.
 	chain, ok := s.recvQ.Get(s.owner.SP)
 	if !ok {
-		return nil, ErrDisconnected
+		return nil, errDisconnected
 	}
 	s.recvBytes -= chain.Len()
 	return chain, nil
@@ -320,13 +286,13 @@ func (s *Socket) KClose() {
 	hadVCI := s.state == stateBound || s.state == stateConnected || s.state == stateDisconnected
 	wasDisc := s.state == stateDisconnected
 	s.state = stateClosed
-	if hadVCI && s.f.pcbs[s.vci] == s {
-		s.f.pcbs[s.vci] = nil
-		s.f.m.Orc.ClearVC(s.vci)
+	if hadVCI && s.f.pcbs[s.lease.VCI] == s {
+		s.f.pcbs[s.lease.VCI] = nil
+		s.f.m.Orc.ClearVC(s.lease)
 	}
 	s.recvQ.Close()
 	if hadVCI && !wasDisc && s.f.m.Dev != nil {
-		s.f.m.Dev.PostUp(kern.KMsg{Kind: kern.MsgClose, VCI: s.vci, PID: s.owner.PID})
+		s.f.m.Dev.PostUp(kern.KMsg{Kind: kern.MsgClose, VCI: s.lease.VCI, PID: s.owner.PID})
 	}
 }
 
@@ -343,5 +309,16 @@ func (f *Family) Soisdisconnected(vci atm.VCI) {
 	}
 	s.state = stateDisconnected
 	s.recvQ.Close()
-	f.m.Orc.ClearVC(vci)
+	f.m.Orc.ClearVC(s.lease)
+}
+
+// Stale lists the VCIs with a socket bound or connected under a lease
+// holds rejects, for the drain audit.
+func (f *Family) Stale(holds func(atm.Lease) bool) (out []atm.VCI) {
+	for v, s := range f.pcbs {
+		if s != nil && !holds(s.lease) {
+			out = append(out, atm.VCI(v))
+		}
+	}
+	return out
 }

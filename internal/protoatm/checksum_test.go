@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"xunet/internal/atm"
+	"xunet/internal/hobbit"
+	"xunet/internal/kern"
 )
 
 // Unit tests for the optional header checksum (the §7.4 extension);
@@ -89,8 +91,8 @@ func TestNoChecksumHeaderAcceptsCorruptionSilently(t *testing.T) {
 
 func TestDecodeRejectsVCIPastMax(t *testing.T) {
 	for _, with := range []bool{false, true} {
-		if _, _, err := decode(hdr("mh.h1", 1, atm.MaxVCI+1).encode(with)); err != ErrBadHeader {
-			t.Errorf("VCI %d (checksum %v): err = %v, want ErrBadHeader", atm.MaxVCI+1, with, err)
+		if _, _, err := decode(hdr("mh.h1", 1, atm.MaxVCI+1).encode(with)); err != errBadHeader {
+			t.Errorf("VCI %d (checksum %v): err = %v, want errBadHeader", atm.MaxVCI+1, with, err)
 		}
 	}
 }
@@ -149,7 +151,7 @@ func TestCheckSeqMatchesPerSourceModel(t *testing.T) {
 	}
 	model := map[key]uint32{}
 	var want uint64
-	l := &Layer{}
+	l := &Layer{m: &kern.Machine{Orc: hobbit.NewDriver(nil)}}
 	rng := rand.New(rand.NewSource(1))
 	next := map[key]uint32{}
 	for i := 0; i < 5000; i++ {

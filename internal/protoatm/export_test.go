@@ -6,6 +6,13 @@ import (
 	"xunet/internal/memnet"
 )
 
+// ErrNoRouter is the host's refusal to encapsulate before a router is
+// configured.
+var ErrNoRouter = errNoRouter
+
+// Encap is the host-side encapsulation routine the Orc driver calls.
+func (l *Layer) Encap(vci atm.VCI, frame *mbuf.Chain) error { return l.encap(vci, frame) }
+
 // FromATM runs a bound VCI's receive handler on frame.
 func (l *Layer) FromATM(vci atm.VCI, frame *mbuf.Chain) { l.fromATM(vci, frame) }
 

@@ -14,7 +14,7 @@ import (
 //   - decode never panics, and what it accepts it consumed in full;
 //   - a decoded header re-encodes to one that decodes to the same fields,
 //     and so does the same header checksummed;
-//   - that checksummed header is rejected with ErrBadChecksum once any
+//   - that checksummed header is rejected with errBadChecksum once any
 //     byte past the flags and length octets is flipped by mask.
 func FuzzProtoATMHeader(f *testing.F) {
 	f.Add(appendHeader(nil, "mh.h1", 7, 40, false), uint16(3), uint8(0x10))
@@ -49,8 +49,8 @@ func FuzzProtoATMHeader(f *testing.F) {
 		}
 		i := 2 + int(pos)%(len(ck)-2)
 		ck[i] ^= mask
-		if _, _, err := decode(ck); !errors.Is(err, ErrBadChecksum) {
-			t.Fatalf("byte %d of %x flipped by %#x: %v, want ErrBadChecksum", i, ck, mask, err)
+		if _, _, err := decode(ck); !errors.Is(err, errBadChecksum) {
+			t.Fatalf("byte %d of %x flipped by %#x: %v, want errBadChecksum", i, ck, mask, err)
 		}
 	})
 }

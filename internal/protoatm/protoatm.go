@@ -24,7 +24,6 @@ package protoatm
 
 import (
 	"errors"
-	"fmt"
 
 	"xunet/internal/atm"
 	"xunet/internal/cost"
@@ -35,11 +34,10 @@ import (
 
 // Errors from the encapsulation layer.
 var (
-	ErrNoRouter    = errors.New("protoatm: no target router configured")
-	ErrNoBinding   = errors.New("protoatm: no IP destination bound for VCI")
-	ErrBadHeader   = errors.New("protoatm: malformed encapsulation header")
-	ErrBadChecksum = errors.New("protoatm: encapsulation header checksum mismatch")
-	ErrAddrTooBig  = errors.New("protoatm: ATM address exceeds 255 bytes")
+	errNoRouter    = errors.New("protoatm: no target router configured")
+	errBadHeader   = errors.New("protoatm: malformed encapsulation header")
+	errBadChecksum = errors.New("protoatm: encapsulation header checksum mismatch")
+	errAddrTooBig  = errors.New("protoatm: ATM address exceeds 255 bytes")
 )
 
 // header is the encapsulation header: source ATM address (length
@@ -107,17 +105,17 @@ func headerChecksum(b []byte) uint16 {
 // A VCI past atm.MaxVCI names no circuit and makes the header malformed.
 func decode(b []byte) (header, int, error) {
 	if len(b) < 2 {
-		return header{}, 0, ErrBadHeader
+		return header{}, 0, errBadHeader
 	}
 	flags, alen := b[0], int(b[1])
 	n := headerLen(flags, b[1])
 	if len(b) < n {
-		return header{}, 0, ErrBadHeader
+		return header{}, 0, errBadHeader
 	}
 	if flags&flagChecksum != 0 {
 		want := uint16(b[n-2])<<8 | uint16(b[n-1])
 		if headerChecksum(b[:n-2]) != want {
-			return header{}, 0, ErrBadChecksum
+			return header{}, 0, errBadChecksum
 		}
 	}
 	h := header{
@@ -126,13 +124,15 @@ func decode(b []byte) (header, int, error) {
 		vci: atm.VCI(uint16(b[6+alen])<<8 | uint16(b[7+alen])),
 	}
 	if h.vci > atm.MaxVCI {
-		return header{}, 0, ErrBadHeader
+		return header{}, 0, errBadHeader
 	}
 	return h, n, nil
 }
 
-// vcEntry is the layer's per-VCI state.
+// vcEntry is the layer's per-VCI state, made under lease: a later grant
+// of the VCI starts from the zero entry.
 type vcEntry struct {
+	lease   atm.Lease
 	dst     memnet.IPAddr // router: IP destination bound to the VCI; 0 if none
 	sendSeq uint32
 	recv    []seqEntry // the next sequence number expected from each source
@@ -143,12 +143,12 @@ type seqEntry struct {
 	next uint32
 }
 
-// Mode selects host or router behaviour.
-type Mode uint8
+// layerMode selects host or router behaviour.
+type layerMode uint8
 
 // Layer modes.
 const (
-	HostMode Mode = iota
+	HostMode layerMode = iota
 	RouterMode
 )
 
@@ -156,7 +156,7 @@ const (
 type Layer struct {
 	m         *kern.Machine
 	localAddr atm.Addr
-	mode      Mode
+	mode      layerMode
 
 	// routerIP is the host's IP forwarding address for IPPROTO_ATM,
 	// set by the configuration write.
@@ -183,15 +183,11 @@ type Layer struct {
 // New installs the layer on a machine in the given mode, binding the
 // IPPROTO_ATM protocol number and (on hosts) wiring the Orc driver's
 // output to the encapsulation routine.
-func New(m *kern.Machine, localAddr atm.Addr, mode Mode) *Layer {
-	l := &Layer{
-		m:         m,
-		localAddr: localAddr,
-		mode:      mode,
-	}
+func New(m *kern.Machine, localAddr atm.Addr, mode layerMode) *Layer {
+	l := &Layer{m: m, localAddr: localAddr, mode: mode}
 	m.IP.BindProto(memnet.ProtoATM, l.input)
 	if mode == HostMode {
-		m.Orc.SetEncap(l.Encap)
+		m.Orc.SetEncap(l.encap)
 	}
 	m.Obs.Func("protoatm.encapsulated", func() uint64 { return l.Encapsulated })
 	m.Obs.Func("protoatm.decapsulated", func() uint64 { return l.Decapsulated })
@@ -217,10 +213,14 @@ func (l *Layer) VCIBind(vci atm.VCI, hostIP memnet.IPAddr) {
 	l.m.Orc.SetHandler(vci, l.fromATM)
 }
 
-// fromATM is a bound VCI's receive handler: it re-encapsulates the
-// frame toward the host, or counts it unbound.
+// fromATM is a bound VCI's receive handler, the router's re-encapsulation
+// for ATM->host flow: it forwards the frame to the host, or counts it unbound.
 func (l *Layer) fromATM(vci atm.VCI, frame *mbuf.Chain) {
-	if err := l.reEncap(vci, frame); err != nil {
+	v := l.vc(vci)
+	if v.dst != 0 {
+		l.ReEncapsulated++
+	}
+	if l.encapTo(v, frame, v.dst) != nil {
 		l.Unbound++
 	}
 }
@@ -233,47 +233,43 @@ func (l *Layer) VCIShut(vci atm.VCI) {
 	l.m.Orc.Shut(vci)
 }
 
-// Bound reports whether a VCI has an IP forwarding binding.
-func (l *Layer) Bound(vci atm.VCI) bool { return int(vci) < len(l.vcs) && l.vcs[vci].dst != 0 }
+// Bound reports whether a VCI's latest grant has an IP binding.
+func (l *Layer) Bound(vci atm.VCI) bool { return int(vci) < len(l.vcs) && l.vc(vci).dst != 0 }
 
-// vc returns vci's entry, growing the table to hold it.
+// vc returns vci's entry under its latest grant, growing the table to
+// hold it and restarting an entry an earlier grant made.
 func (l *Layer) vc(vci atm.VCI) *vcEntry {
 	l.vcs = atm.Grow(l.vcs, vci)
-	return &l.vcs[vci]
+	v := &l.vcs[vci]
+	if g := l.m.Orc.Leases(vci); v.lease != g {
+		*v = vcEntry{lease: g, recv: v.recv[:0]}
+	}
+	return v
 }
 
-// Encap is the host-side encapsulation routine, called by the Orc
+// encap is the host-side encapsulation routine, called by the Orc
 // driver's output path: the frame (unsegmented, no AAL5 trailer) is
 // wrapped in the three-field header and sent to the configured router.
 // Costs follow Table 1's send column: 58 + 8·mbufs for IPPROTO_ATM. The
 // frame is consumed whatever the outcome.
-func (l *Layer) Encap(vci atm.VCI, frame *mbuf.Chain) error {
-	if l.routerIP == 0 {
-		frame.Release()
-		return ErrNoRouter
-	}
-	return l.encapTo(vci, frame, l.routerIP)
+func (l *Layer) encap(vci atm.VCI, frame *mbuf.Chain) error {
+	return l.encapTo(l.vc(vci), frame, l.routerIP)
 }
 
-// reEncap is the router-side re-encapsulation for ATM->host flow.
-func (l *Layer) reEncap(vci atm.VCI, frame *mbuf.Chain) error {
-	if !l.Bound(vci) {
-		frame.Release()
-		return fmt.Errorf("%w: %v", ErrNoBinding, vci)
-	}
-	l.ReEncapsulated++
-	return l.encapTo(vci, frame, l.vcs[vci].dst)
-}
-
-func (l *Layer) encapTo(vci atm.VCI, frame *mbuf.Chain, dst memnet.IPAddr) error {
+// encapTo wraps the frame for v's VCI and sends it to dst, refusing it
+// without one: a host with no target router, a VCI bound to no host.
+func (l *Layer) encapTo(v *vcEntry, frame *mbuf.Chain, dst memnet.IPAddr) error {
 	meter := l.m.Meter
-	if len(l.localAddr) > 255 {
+	switch {
+	case dst == 0:
 		frame.Release()
-		return ErrAddrTooBig
+		return errNoRouter
+	case len(l.localAddr) > 255:
+		frame.Release()
+		return errAddrTooBig
 	}
 	// Header build and sequence stamp.
 	meter.Charge(cost.ProtoATM, cost.ProtoATMHeaderBuild)
-	v := l.vc(vci)
 	seq := v.sendSeq
 	meter.Charge(cost.ProtoATM, cost.ProtoATMSeqStamp)
 	v.sendSeq = seq + 1
@@ -292,7 +288,7 @@ func (l *Layer) encapTo(vci atm.VCI, frame *mbuf.Chain, dst memnet.IPAddr) error
 		frame.TCAt = l.m.E.Now()
 	}
 	var hdr [maxHeaderLen]byte
-	frame.Prepend(appendHeader(hdr[:0], l.localAddr, seq, vci, l.checksum))
+	frame.Prepend(appendHeader(hdr[:0], l.localAddr, seq, v.lease.VCI, l.checksum))
 	return l.m.IP.SendChain(dst, memnet.ProtoATM, frame)
 }
 
@@ -307,7 +303,7 @@ func (l *Layer) input(pkt *memnet.Packet) {
 	}
 	h, n, err := decode(chain.Head().Data())
 	if err != nil {
-		if errors.Is(err, ErrBadChecksum) {
+		if errors.Is(err, errBadChecksum) {
 			l.ChecksumErrors++
 		}
 		chain.Release()
@@ -331,8 +327,10 @@ func (l *Layer) input(pkt *memnet.Packet) {
 		l.Switched++
 		// Hand the mbuf chain to the Orc driver along with the VCI; the
 		// Hobbit board does trailer, segmentation and transmission. The
-		// driver consumes the chain even when it refuses it.
-		_ = l.m.Orc.Output(h.vci, chain)
+		// driver consumes the chain even when it refuses it (a shut VCI).
+		if l.m.Orc.Output(h.vci, chain) != nil {
+			l.m.Obs.Counter("protoatm.refused").Inc()
+		}
 		return
 	}
 

@@ -194,6 +194,11 @@ func TestVCIShutDiscardsForwarding(t *testing.T) {
 		r.rb.ATM.VCIShut(vc.DstVCI)
 		_ = s.Send([]byte("two"))
 		p.SP.Sleep(50 * time.Millisecond)
+		// Shut at the sending host's router too: its driver refuses the
+		// host's next frame, and the layer counts the refusal.
+		r.ra.ATM.VCIShut(vc.SrcVCI)
+		_ = s.Send([]byte("three"))
+		p.SP.Sleep(50 * time.Millisecond)
 	})
 	r.e.Run()
 	if delivered != 1 {
@@ -204,6 +209,9 @@ func TestVCIShutDiscardsForwarding(t *testing.T) {
 	}
 	if r.rb.M.Orc.DiscardedShut != 1 {
 		t.Fatalf("DiscardedShut = %d", r.rb.M.Orc.DiscardedShut)
+	}
+	if got := r.ra.M.Obs.Snapshot().Count("protoatm.refused"); got != 1 {
+		t.Fatalf("protoatm.refused = %d, want 1", got)
 	}
 	r.e.Shutdown()
 }

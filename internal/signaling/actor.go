@@ -171,14 +171,12 @@ func (sh *Sighost) fromKernel(in *input) {
 	}
 	// A close names the call bound to the VCI first, a bind the one waiting
 	// (both may hold it: a stale view a lost RELEASE left on a reused VCI),
-	// and a bind whose VCI has no cookie in the table (§7.1) names no call.
+	// and a bind must carry the cookie of the call it names (§7.1).
 	c := sh.vciMap[k.VCI]
 	if w := sh.waitBind[k.VCI]; w != nil && (on == onBind || c == nil) {
 		c = w
 	}
-	if want, known := sh.cookies[k.VCI]; on == onBind && !known {
-		c = nil
-	} else if on == onBind && k.Cookie != want {
+	if on == onBind && c != nil && k.Cookie != c.cookie {
 		on = onForgedBind
 	}
 	sh.step(c, on, in)

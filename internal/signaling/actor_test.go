@@ -296,7 +296,7 @@ func TestEnvContract(t *testing.T) {
 				grant(1, 40)
 				sh.cm.BindTimeout = time.Minute
 				r.busy(20 * time.Millisecond)
-				sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.cookies[40]})
+				sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.waitBind[40].cookie})
 				grant(2, 41)
 			})
 			r.settle()

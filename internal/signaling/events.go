@@ -196,7 +196,7 @@ const (
 	onSetupRej
 	onConnectDone
 	onRelease
-	onBind       // with the VCI's cookie, or to a VCI never granted
+	onBind       // with its call's cookie, or to a VCI no call holds
 	onForgedBind // with another cookie
 	onClose
 	onExit

@@ -116,13 +116,19 @@ func (ch *Chains) Err() error {
 		kept *size
 		len  int
 	}
+	mapped := len(sh.waitBind) // VCIs mapped to a call, each holding a cookie
+	for v := range sh.vciMap {
+		if sh.waitBind[v] == nil {
+			mapped++
+		}
+	}
 	lengths := []length{
 		{"services", &sh.n.services, len(sh.services)},
 		{"outgoing", &sh.n.outgoing, len(sh.outgoing)},
 		{"incoming", &sh.n.incoming, len(sh.incoming)},
 		{"wait_for_bind", &sh.n.waitBind, len(sh.waitBind)},
 		{"VCI_mapping", &sh.n.vciMap, len(sh.vciMap)},
-		{"cookies", &sh.n.cookies, len(sh.cookies)},
+		{"cookies", &sh.n.cookies, mapped},
 		{"calls", &sh.n.calls, len(sh.calls)},
 	}
 	if j := sh.jr; j != nil {

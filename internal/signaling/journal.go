@@ -12,7 +12,7 @@ import (
 )
 
 // Crash-recovery for the signaling entity. sighost's state is exactly
-// the five lists of §7.3 plus the per-VCI cookie table, so a bounded
+// the five lists of §7.3, whose calls carry their cookies, so a bounded
 // write-ahead journal of list transitions is enough to rebuild it: on
 // restart the journal is replayed, wait_for_bind timers are re-armed
 // with their REMAINING (not full) deadlines, and calls that were still
@@ -317,7 +317,7 @@ func (sh *Sighost) compactJournal() {
 }
 
 // Crash models the signaling process dying: every timer is canceled and
-// all five lists, the cookie table, and the reliability state vanish.
+// all five lists, the calls in them, and the reliability state vanish.
 // While down, every handler drops its input (the peers' retransmissions
 // are what carry calls across the outage). The journal survives — it
 // models persistent storage; any batch still pending is flushed first,
@@ -437,7 +437,7 @@ func (sh *Sighost) Recover() {
 		}
 		switch {
 		case st.bound && st.hasGrant:
-			// Fully established and bound: restore VCI_mapping + cookie.
+			// Fully established and bound: restore VCI_mapping.
 			sh.publish(c, sh.transition(c, callBound, restarted, 0))
 		case st.hasGrant && st.grant.deadline > now:
 			// Granted but unbound: restore wait_for_bind with whatever

@@ -146,7 +146,7 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 	case MgmtLists:
 		svc, out, in, wb, vm := sh.ListSizes()
 		body = fmt.Sprintf("service_list=%d outgoing_requests=%d incoming_requests=%d wait_for_bind=%d VCI_mapping=%d cookies=%d",
-			svc, out, in, wb, vm, len(sh.cookies))
+			svc, out, in, wb, vm, sh.CookieCount())
 	default:
 		if _, ok := mgmtViews[m.Service]; ok {
 			body = sh.View(m.Service)

@@ -261,8 +261,8 @@ func checkBindInvariant(t *testing.T, w *world, sh *Sighost, env *fakeEnv) {
 		t.Fatalf("%s: %d live timers but %d wait_for_bind entries", sh.env.Addr(), live, len(sh.waitBind))
 	}
 	for vci, c := range sh.waitBind {
-		if _, ok := sh.cookies[vci]; !ok {
-			t.Fatalf("%s: wait_for_bind VCI %d has no cookie entry", sh.env.Addr(), vci)
+		if c.cookie == 0 {
+			t.Fatalf("%s: wait_for_bind VCI %d has no cookie", sh.env.Addr(), vci)
 		}
 		if c.state == callReleased {
 			t.Fatalf("%s: wait_for_bind VCI %d points at a released call", sh.env.Addr(), vci)
@@ -390,11 +390,42 @@ func TestBindTimerAudit(t *testing.T) {
 	}
 
 	// Nothing may be left anywhere.
-	if len(shA.cookies) != 0 || len(shB.cookies) != 0 {
-		t.Fatalf("cookie table leaked: %d/%d", len(shA.cookies), len(shB.cookies))
+	if shA.CookieCount() != 0 || shB.CookieCount() != 0 {
+		t.Fatalf("cookies leaked: %d/%d", shA.CookieCount(), shB.CookieCount())
 	}
 	w.advance(w.now + time.Minute)
 	check()
+}
+
+// TestStaleViewReleaseSparesRegrant loses a RELEASE, so the destination
+// keeps a bound view of a call the origin has ended, and the fabric
+// grants the VCI again. Ending the stale view must leave the new call
+// alone: its server's bind still authenticates.
+func TestStaleViewReleaseSparesRegrant(t *testing.T) {
+	w, shA, shB, envA, envB := pair(t, time.Minute, nil, false)
+	exportEcho(t, shB, envB, "echo")
+	cv, cc, sv, sc := openCall(t, w, shA, shB, envA, envB, "echo")
+	bindBoth(w, shA, shB, envA, envB, cv, cc, sv, sc)
+	w.drop = true // the client's close reaches A; A's RELEASE never reaches B
+	shA.HandleKernel(envA.ip, kern.KMsg{Kind: kern.MsgClose, VCI: cv})
+	w.drop = false
+	if len(shB.vciMap) != 1 {
+		t.Fatal("precondition: B dropped its view without the RELEASE")
+	}
+	envA.nextVCI-- // the fabric re-grants the freed VCI
+	cv2, cc2, sv2, sc2 := openCall(t, w, shA, shB, envA, envB, "echo")
+	if sv2 != sv || shB.CookieCount() != 1 {
+		t.Fatalf("precondition: re-grant on VCI %d (want %d), %d cookies", sv2, sv, shB.CookieCount())
+	}
+	// The stale view's server closes its socket, then the new server binds.
+	shB.HandleKernel(envB.ip, kern.KMsg{Kind: kern.MsgClose, VCI: sv})
+	bindBoth(w, shA, shB, envA, envB, cv2, cc2, sv2, sc2)
+	if c := shB.vciMap[sv]; c == nil || c.cookie != sc2 || shB.Stats().AuthFailures != 0 {
+		t.Fatalf("the new call's bind was refused: view %+v, %d auth failures", c, shB.Stats().AuthFailures)
+	}
+	if shA.CookieCount() != 1 || shB.CookieCount() != 1 {
+		t.Fatalf("cookies = %d/%d, want one live call each", shA.CookieCount(), shB.CookieCount())
+	}
 }
 
 // TestRetransmitBackoffAndExhaustion partitions the wire and checks the
@@ -517,9 +548,9 @@ func TestKeepaliveDeclaresPeerDead(t *testing.T) {
 		if got := sh.Obs.Snapshot().Count("sighost.rel.peer_deaths"); got != 1 {
 			t.Errorf("%s: peer_deaths = %d, want 1", sh.env.Addr(), got)
 		}
-		if len(sh.calls) != 0 || len(sh.vciMap) != 0 || len(sh.cookies) != 0 {
+		if len(sh.calls) != 0 || len(sh.vciMap) != 0 || sh.CookieCount() != 0 {
 			t.Errorf("%s: death cascade left state: calls=%d vciMap=%d cookies=%d",
-				sh.env.Addr(), len(sh.calls), len(sh.vciMap), len(sh.cookies))
+				sh.env.Addr(), len(sh.calls), len(sh.vciMap), sh.CookieCount())
 		}
 	}
 	// The dead circuit must be disconnected at the endpoints.
@@ -570,7 +601,7 @@ func TestCrashRecovery(t *testing.T) {
 	if !shA.down {
 		t.Fatal("Crash did not mark the entity down")
 	}
-	if len(shA.calls) != 0 || len(shA.waitBind) != 0 || len(shA.cookies) != 0 {
+	if len(shA.calls) != 0 || len(shA.waitBind) != 0 || shA.CookieCount() != 0 {
 		t.Fatal("crash left volatile state")
 	}
 	// Input while down is dropped.
@@ -596,7 +627,7 @@ func TestCrashRecovery(t *testing.T) {
 	if c, ok := shA.vciMap[cv1]; !ok || c.state != callBound {
 		t.Error("bound call did not survive recovery")
 	}
-	if got, want := shA.cookies[cv1], cc1; got != want {
+	if got, want := shA.vciMap[cv1].cookie, cc1; got != want {
 		t.Errorf("recovered cookie = %d, want %d", got, want)
 	}
 	// Call 3's abort notified the client and released the peer.

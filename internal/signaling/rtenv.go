@@ -844,7 +844,7 @@ func (e *realEnv) SetupVC(dst atm.Addr, q qos.QoS) (*VCHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v := h.vcis.Alloc(); v != 0 {
+	if v := h.vcis.Alloc().VCI; v != 0 {
 		return &VCHandle{
 			SrcVCI: v,
 			DstVCI: v,

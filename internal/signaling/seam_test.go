@@ -418,7 +418,7 @@ func selects(x ast.Expr, from string, sel map[string]bool) (string, bool) {
 }
 
 // TestStateWrittenOnlyByTransition walks the package's non-test files:
-// a call's state and the four call lists and cookie table are written
+// a call's state and the four call lists are written
 // only in transition, and replaced wholesale only in wipe (the state a
 // process starts with and loses in Crash). The lengths kept in sh.n
 // are set only in transition and wipe, and the service list's in the
@@ -427,7 +427,7 @@ func selects(x ast.Expr, from string, sel map[string]bool) (string, bool) {
 // and canceled only there and in wipe; decodeJrec alone writes another
 // deadline, a journal record's.
 func TestStateWrittenOnlyByTransition(t *testing.T) {
-	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true}
+	lists := map[string]bool{"outgoing": true, "incoming": true, "waitBind": true, "vciMap": true}
 	sizes := map[string]bool{"services": true, "outgoing": true, "incoming": true, "waitBind": true, "vciMap": true, "cookies": true, "calls": true}
 	serviceWriters := map[string]bool{"handleExport": true, "handleUnexport": true, "Recover": true}
 	seen := map[string]int{}  // writes found in transition, per field
@@ -512,7 +512,7 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 			return true
 		})
 	})
-	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap", "cookies",
+	for _, field := range []string{"state", "outgoing", "incoming", "waitBind", "vciMap",
 		"n.outgoing", "n.incoming", "n.waitBind", "n.vciMap", "n.cookies", "n.calls",
 		"stores stop of", "stores deadline of", "cancels", "arms"} {
 		if seen[field] == 0 {

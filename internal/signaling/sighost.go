@@ -8,10 +8,10 @@
 // simulation (SimHost, in this package) and inside a real daemon over
 // TCP (cmd/sighost). Exactly as §7.3 describes, internal state lives in
 // five lists — service_list, outgoing_requests, incoming_requests,
-// wait_for_bind and VCI_mapping — plus the per-VCI cookie table of §7.1.
-// A call's place in them follows from its state, and one function,
-// transition, changes both; one function, end, ends a call, whatever
-// the cause.
+// wait_for_bind and VCI_mapping; a VCI's cookie (§7.1) is that of the
+// call it maps to. A call's place in them follows from its state, and
+// one function, transition, changes both; one function, end, ends a
+// call, whatever the cause.
 package signaling
 
 import (
@@ -117,8 +117,8 @@ type callKey struct {
 //	callNew, callReleased                          none
 //	callRequested, callSetupSent, callProgramming  outgoing_requests (origin)
 //	callWaitServer, callAccepted                   incoming_requests (destination)
-//	callEstablished                                wait_for_bind, cookies
-//	callBound                                      VCI_mapping, cookies
+//	callEstablished                                wait_for_bind
+//	callBound                                      VCI_mapping
 //
 // Each setup stage of Figure 4 is a state (events.go's stages).
 type callState uint8
@@ -210,14 +210,12 @@ type Sighost struct {
 	waitBind map[atm.VCI]*call        // wait_for_bind
 	vciMap   map[atm.VCI]*call        // VCI_mapping
 
-	// cookies is the per-VCI table of cookies (§7.1).
-	cookies map[atm.VCI]uint16
-
 	calls map[callKey]*call
 	pvcs  map[atm.VCI]bool
 
-	// n mirrors the lengths of the lists, cookies and calls for readers
-	// off the actor. Tests set hook, given every Transition, and cells.
+	// n mirrors the lengths of the lists, the cookies (VCIs mapped to a
+	// call) and calls for readers off the actor. Tests set hook, given
+	// every Transition, and cells.
 	n     sizes
 	hook  func(Transition)
 	cells func(c *call, gen uint32, from callState, on callInput)
@@ -299,7 +297,7 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 	return sh
 }
 
-// wipe empties the five lists, the cookie table and the call indexes:
+// wipe empties the five lists and the call indexes:
 // the state a signaling process starts with, and loses when it dies.
 // The calls it drops, their timers canceled, are not pooled: callbacks
 // in flight may still hold them.
@@ -314,7 +312,6 @@ func (sh *Sighost) wipe() {
 	sh.incoming = make(map[uint16]*call)
 	sh.waitBind = make(map[atm.VCI]*call)
 	sh.vciMap = make(map[atm.VCI]*call)
-	sh.cookies = make(map[atm.VCI]uint16)
 	sh.calls = make(map[callKey]*call)
 	sh.allHead, sh.allTail = nil, nil
 	sh.byPeer = make(map[atm.Addr]*peerCalls)
@@ -331,6 +328,15 @@ func (sh *Sighost) AllowPVC(vci atm.VCI) { sh.pvcs[vci] = true }
 // SetLogging toggles the per-call maintenance logging cost — the E3
 // ablation isolating §9's dominant call-setup cost.
 func (sh *Sighost) SetLogging(on bool) { sh.cm.LoggingEnabled = on }
+
+// mapped is 1 if vci maps to a call, in wait_for_bind or VCI_mapping,
+// and else 0: what vci adds to the count of live cookies.
+func (sh *Sighost) mapped(vci atm.VCI) int {
+	if sh.waitBind[vci] != nil || sh.vciMap[vci] != nil {
+		return 1
+	}
+	return 0
+}
 
 // newCookie allocates an unused nonzero 16-bit capability.
 func (sh *Sighost) newCookie() uint16 {
@@ -365,6 +371,7 @@ func (sh *Sighost) newCookie() uint16 {
 // its charges sleep.
 func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Duration) Transition {
 	from, vci, now, tc := c.state, c.localVCI, sh.env.Now(), sh.TraceC
+	mapped := sh.mapped(vci)
 	c.state = to
 	if c.stop != nil {
 		c.stop()
@@ -427,19 +434,14 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 		// handed to an application. If no bind (resp. connect)
 		// indication is received before timeout, the connection is torn
 		// down."
-		sh.cookies[vci] = c.cookie
 		tc.EndSpanAt(c.tcSetup, now)
 		c.span = tc.StartSpanAt(c.tcRoot, "sighost", stages[to].span, now)
 		sh.waitBind[vci] = c
 		sh.jlog(jrec{op: jGrant, key: c.key, vci: vci, cookie: c.cookie, deadline: deadline, vc: c.vc})
 	case callBound:
-		sh.cookies[vci] = c.cookie
 		sh.vciMap[vci] = c
 		sh.jlog(jrec{op: jBound, key: c.key, vci: vci})
 	case callReleased:
-		if from == callEstablished || from == callBound {
-			delete(sh.cookies, vci)
-		}
 		sh.unlinkCall(c)
 		sh.jlog(jrec{op: jEnd, key: c.key})
 		if c.key.origin { // the trace moves into the flight recorder
@@ -450,7 +452,7 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	sh.n.incoming.set(len(sh.incoming))
 	sh.n.waitBind.set(len(sh.waitBind))
 	sh.n.vciMap.set(len(sh.vciMap))
-	sh.n.cookies.set(len(sh.cookies))
+	sh.n.cookies.set(int(sh.n.cookies.get()) + sh.mapped(vci) - mapped)
 	sh.n.calls.set(len(sh.calls))
 	return Transition{Call: c.key, From: from, To: to, VCI: vci, Cause: why, At: now}
 }

@@ -79,11 +79,7 @@ var signalingPVCQoS = qos.QoS{Class: qos.CBR, BandwidthKbs: 64}
 // cost model derives from the machine's. Call ConnectSighosts to join
 // entities with signaling PVCs before establishing inter-router calls.
 func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
-	h := &SimHost{
-		Stack:  stack,
-		Fabric: fab,
-		peers:  make(map[atm.Addr]*pfxunet.Socket),
-	}
+	h := &SimHost{Stack: stack, Fabric: fab, peers: make(map[atm.Addr]*pfxunet.Socket)}
 	h.env = &simEnv{h: h}
 	h.env.timers.put = func(in input) { h.inbox.Put(in) }
 	// Share the machine's registry so sighost metrics land next to the

@@ -62,9 +62,9 @@ type size struct{ v atomic.Int64 }
 func (s *size) set(n int)   { s.v.Store(int64(n)) }
 func (s *size) get() uint64 { return uint64(s.v.Load()) }
 
-// sizes are the lengths of the five lists of §7.3, the cookie table and
-// the call table, each set where its map changes (transition, wipe and
-// the service list's writers).
+// sizes are the lengths of the five lists of §7.3, the cookies (VCIs
+// mapped to a call) and the call table, each set where its map changes
+// (transition, wipe and the service list's writers).
 type sizes struct {
 	services, outgoing, incoming, waitBind, vciMap, cookies, calls size
 }
@@ -131,18 +131,17 @@ func (sh *Sighost) ListSizes() (services, outgoing, incoming, waitBind, vciMappi
 	return int(n.services.get()), int(n.outgoing.get()), int(n.incoming.get()), int(n.waitBind.get()), int(n.vciMap.get())
 }
 
-// CookieCount reports live per-VCI cookie entries.
+// CookieCount reports the live per-VCI cookies (§7.1): the VCIs mapped
+// to a call in wait_for_bind or VCI_mapping, each holding its cookie.
 func (sh *Sighost) CookieCount() int { return int(sh.n.cookies.get()) }
 
 // Residue describes the transient state sighost holds — list entries
-// but service_list's, cookies, indexed calls — or is "" when drained.
+// but service_list's, indexed calls — or is "" when drained.
 func (sh *Sighost) Residue() string {
 	n, addr := &sh.n, sh.env.Addr()
 	switch out, in, wb, vm := n.outgoing.get(), n.incoming.get(), n.waitBind.get(), n.vciMap.get(); {
 	case out|in|wb|vm != 0:
 		return fmt.Sprintf("%s lists not empty: outgoing=%d incoming=%d wait_bind=%d vci_map=%d", addr, out, in, wb, vm)
-	case n.cookies.get() != 0:
-		return fmt.Sprintf("%s cookies leaked: %d", addr, n.cookies.get())
 	case n.calls.get() != 0:
 		return fmt.Sprintf("%s calls still indexed: %d", addr, n.calls.get())
 	}

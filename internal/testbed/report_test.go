@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xunet/internal/kern"
+	"xunet/internal/memnet"
 	"xunet/internal/qos"
 	"xunet/internal/sigmsg"
 	"xunet/internal/signaling"
@@ -65,6 +66,10 @@ func TestReportDetectsLeak(t *testing.T) {
 				p.SP.Park()
 			})
 			return func() {} // the bind timer releases it
+		}},
+		{"stale VCI binding", "mh.rt hobbit holds VCIs its endpoint has not granted: [vci600]", func(_ *testbed.Net, ra *testbed.Router) func() {
+			ra.Stack.ATM.VCIBind(600, memnet.IP4(10, 1, 0, 11)) // a VCI_BIND no grant backs
+			return func() { ra.Stack.ATM.VCIShut(600) }
 		}},
 		{"unreleased VC", "fabric holds 3 VCs, 2 provisioned", func(n *testbed.Net, _ *testbed.Router) func() {
 			vc, err := n.Fabric.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)

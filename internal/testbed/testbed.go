@@ -777,12 +777,22 @@ func Quiesced(r *Router) string {
 }
 
 // Audit lists what the deployment has not drained, nil when clean: each
-// router's Quiesced text, then any VC beyond those construction set up.
+// router's Quiesced text and the Orc handlers (IPPROTO_ATM's bindings
+// among them) and PF_XUNET sockets it holds under a grant its fabric
+// endpoint no longer holds — PVCs are granted like any circuit — then any
+// VC beyond those construction set up.
 func (n *Net) Audit() (leaks []string) {
 	for _, dom := range n.Domains {
 		for _, r := range dom.Routers {
 			if msg := Quiesced(r); msg != "" {
 				leaks = append(leaks, msg)
+			}
+			ep, s := n.Fabric.Endpoint(r.Stack.Addr), r.Stack
+			for i, stale := range [][]atm.VCI{s.M.Orc.Stale(ep.Holds), s.PF.Stale(ep.Holds)} {
+				if stale != nil {
+					leaks = append(leaks, fmt.Sprintf("%s %s holds VCIs its endpoint has not granted: %v",
+						r.Stack.Addr, [...]string{"hobbit", "pfxunet"}[i], stale))
+				}
 			}
 		}
 	}

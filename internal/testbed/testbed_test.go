@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"xunet/internal/atm"
 	"xunet/internal/kern"
 	"xunet/internal/testbed"
 	"xunet/internal/xswitch"
@@ -303,5 +304,63 @@ func TestStormDeterminism(t *testing.T) {
 	s2, t2 := run()
 	if s1 != s2 || t1 != t2 {
 		t.Fatalf("same-seed runs diverged: (%d,%v) vs (%d,%v)", s1, t1, s2, t2)
+	}
+}
+
+// TestVCIReuseAfterClose: a host client sends 100 frames, closes, and is
+// granted the same VCI for its next call, on which it sends 100 more.
+// Every frame must arrive: the router's VCI_SHUT ended the first grant
+// only, and the second starts with no state of it.
+func TestVCIReuseAfterClose(t *testing.T) {
+	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
+	defer n.Close()
+	src, err := n.AddHost("mh.h1", ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := n.AddHost("ucb.h1", rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := testbed.StartEchoServer(dst, "reuse", 6000)
+	n.RunUntil(500 * time.Millisecond)
+	const frames = 100
+	var vcis []atm.VCI
+	src.Stack.Spawn("reuse-client", func(p *kern.Proc) {
+		for call := 0; call < 2; call++ {
+			conn, err := src.Lib.OpenConnection(p, "ucb.rt", "reuse", uint16(7000+call), "", "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			vcis = append(vcis, conn.VCI)
+			sock, err := src.Stack.PF.Socket(p)
+			if err == nil {
+				err = sock.Connect(conn.VCI, conn.Cookie)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.SP.Sleep(500 * time.Millisecond) // the server binds
+			for i := 0; i < frames; i++ {
+				_ = sock.Send(make([]byte, 64))
+				p.SP.Sleep(time.Millisecond)
+			}
+			p.SP.Sleep(500 * time.Millisecond)
+			sock.Close()
+			p.SP.Sleep(2 * time.Second)
+		}
+	})
+	n.RunUntil(n.E.Now() + 30*time.Second)
+	if len(vcis) != 2 || vcis[0] != vcis[1] {
+		t.Fatalf("calls got VCIs %v, want one VCI granted twice", vcis)
+	}
+	if srv.Received != 2*frames {
+		t.Fatalf("server received %d of %d frames; refused at mh.rt: %d", srv.Received, 2*frames,
+			ra.Stack.M.Obs.Snapshot().Count("protoatm.refused"))
+	}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
 	}
 }

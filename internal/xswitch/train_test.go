@@ -941,10 +941,11 @@ func TestCellTrainBoardResets(t *testing.T) {
 			board.Instrument(ep.Now, reg)
 			ep.SetSink(board)
 			var frames []string
-			drv.SetHandler(vc.DstVCI, func(_ atm.VCI, ch *mbuf.Chain) {
+			deliver := func(_ atm.VCI, ch *mbuf.Chain) {
 				frames = append(frames, fmt.Sprintf("%v:%d", ep.Now(), ch.Len()))
 				ch.Release()
-			})
+			}
+			drv.SetHandler(vc.DstVCI, deliver)
 			tx := hobbit.NewDriver(cost.NewMeter())
 			tx.AttachBoard(hobbit.NewBoard(cellFn(func(c atm.Cell) { send(0, c) })))
 			payload := make([]byte, 400) // 9 cells
@@ -957,8 +958,9 @@ func TestCellTrainBoardResets(t *testing.T) {
 				})
 			}
 			// Frame 1's cells land 42.4µs apart from about 2.37 ms: reset
-			// mid-frame, then shut the VCI mid-frame 3.
-			e.Schedule(2540*time.Microsecond, func() { board.ResetVC(vc.DstVCI) })
+			// mid-frame (a shut the handler is reinstalled over at once),
+			// then shut the VCI mid-frame 3.
+			e.Schedule(2540*time.Microsecond, func() { drv.Shut(vc.DstVCI); drv.SetHandler(vc.DstVCI, deliver) })
 			e.Schedule(3180*time.Microsecond, func() { drv.Shut(vc.DstVCI) })
 			e.Schedule(time.Second, func() {
 				snap := reg.Snapshot()

@@ -336,26 +336,6 @@ func (t *trunk) xdeliver(r *xcell) {
 	}
 }
 
-// allocVCI reserves an unused VCI on this trunk (and its reverse
-// direction: the free-list allocator is shared across the duplex pair).
-func (t *trunk) allocVCI() (atm.VCI, error) {
-	if t.alloc == nil { // trunk wired up without pairing (tests)
-		t.alloc = atm.NewVCIAlloc(32)
-	}
-	v := t.alloc.Alloc()
-	if v == 0 {
-		return 0, ErrNoVCI
-	}
-	return v, nil
-}
-
-func (t *trunk) freeVCI(v atm.VCI) {
-	t.class[v] = qos.BestEffort
-	if t.alloc != nil {
-		t.alloc.Free(v)
-	}
-}
-
 // commit brings the trunk up to the given instant: take, then the picks
 // due before it.
 func (t *trunk) commit(before time.Duration) {
@@ -958,12 +938,15 @@ func (f *Fabric) MustAddSwitch(name string) *Switch {
 }
 
 // ConnectSwitches joins two switches with a duplex trunk.
-func (f *Fabric) ConnectSwitches(a, b *Switch, cfg LinkConfig) {
-	ab := newTrunk(f, a, b, cfg)
-	ba := newTrunk(f, b, a, cfg)
+func (f *Fabric) ConnectSwitches(a, b *Switch, cfg LinkConfig) { f.duplex(a, b, cfg) }
+
+// duplex builds the two trunks of a link, which share one VCI allocator.
+func (f *Fabric) duplex(a, b node, cfg LinkConfig) (ab, ba *trunk) {
+	ab, ba = newTrunk(f, a, b, cfg), newTrunk(f, b, a, cfg)
 	ab.pair, ba.pair = ba, ab
 	ab.alloc = atm.NewVCIAlloc(32)
 	ba.alloc = ab.alloc
+	return ab, ba
 }
 
 // StartFlapping schedules deterministic up/down flapping on every
@@ -1043,13 +1026,7 @@ func (f *Fabric) AttachOn(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConf
 	}
 	ep := &Endpoint{Addr: addr, dom: domain{eng: e}, sink: sink}
 	f.ensureSpace(e)
-	up := newTrunk(f, ep, sw, cfg)
-	down := newTrunk(f, sw, ep, cfg)
-	up.pair, down.pair = down, up
-	up.alloc = atm.NewVCIAlloc(32)
-	down.alloc = up.alloc
-	ep.uplink = up
-	ep.downlink = down
+	ep.uplink, ep.downlink = f.duplex(ep, sw, cfg)
 	f.endpoints[addr] = ep
 	return ep, nil
 }
@@ -1060,6 +1037,11 @@ func (f *Fabric) Endpoint(addr atm.Addr) *Endpoint { return f.endpoints[addr] }
 // SetSink installs the cell receiver for an endpoint (used when the
 // host interface is built after attachment).
 func (ep *Endpoint) SetSink(s CellSink) { ep.sink = s }
+
+// Lease is vci's latest grant at this endpoint, which stamps the per-VCI
+// state above it; Holds reports whether l is still granted.
+func (ep *Endpoint) Lease(vci atm.VCI) atm.Lease { return ep.uplink.alloc.Lease(vci) }
+func (ep *Endpoint) Holds(l atm.Lease) bool      { return ep.uplink.alloc.Holds(l) }
 
 // VC is an established simplex switched virtual circuit.
 type VC struct {
@@ -1214,10 +1196,10 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, err := t.allocVCI()
-	if err != nil {
+	v := t.alloc.Alloc().VCI
+	if v == 0 {
 		t.book.Release(key)
-		return 0, err
+		return 0, ErrNoVCI
 	}
 	t.class = atm.Grow(t.class, v)
 	t.class[v] = q.Class
@@ -1233,7 +1215,8 @@ func (vc *VC) unwind() {
 		if h.sw != nil {
 			h.in.xlate[h.inVCI] = tabVal{}
 		}
-		h.out.freeVCI(h.outVCI)
+		h.out.class[h.outVCI] = qos.BestEffort
+		h.out.alloc.Free(h.outVCI)
 		h.out.book.Release(h.bookKey)
 	}
 	vc.hops = nil
