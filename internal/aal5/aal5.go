@@ -19,20 +19,20 @@ import (
 	"xunet/internal/atm"
 )
 
-// TrailerSize is the CPCS-PDU trailer: UU(1) CPI(1) Length(2) CRC(4).
-const TrailerSize = 8
+// trailerSize is the CPCS-PDU trailer: UU(1) CPI(1) Length(2) CRC(4).
+const trailerSize = 8
 
-// MaxSDU is the largest CPCS-SDU an AAL5 frame can carry (16-bit length).
-const MaxSDU = 65535
+// maxSDU is the largest CPCS-SDU an AAL5 frame can carry (16-bit length).
+const maxSDU = 65535
 
 // Errors reported by frame parsing and reassembly.
 var (
-	ErrTooLong     = errors.New("aal5: SDU exceeds 65535 bytes")
-	ErrShortFrame  = errors.New("aal5: frame shorter than one cell")
-	ErrBadAlign    = errors.New("aal5: frame length not a multiple of 48")
-	ErrBadLength   = errors.New("aal5: trailer length inconsistent (cell loss within frame)")
-	ErrBadCRC      = errors.New("aal5: CRC-32 mismatch (corruption or cell loss within frame)")
-	ErrFrameTooBig = errors.New("aal5: reassembly exceeded maximum frame size")
+	errTooLong     = errors.New("aal5: SDU exceeds 65535 bytes")
+	errShortFrame  = errors.New("aal5: frame shorter than one cell")
+	errBadAlign    = errors.New("aal5: frame length not a multiple of 48")
+	errBadLength   = errors.New("aal5: trailer length inconsistent (cell loss within frame)")
+	errBadCRC      = errors.New("aal5: CRC-32 mismatch (corruption or cell loss within frame)")
+	errFrameTooBig = errors.New("aal5: reassembly exceeded maximum frame size")
 )
 
 // BuildFrame wraps payload in a CPCS-PDU: payload, zero padding to a
@@ -47,17 +47,17 @@ func BuildFrame(payload []byte, uu byte) ([]byte, error) {
 // allocates only when dst lacks capacity, which keeps the real-mode
 // data path's steady state allocation-free.
 func AppendFrame(dst, payload []byte, uu byte) ([]byte, error) {
-	if len(payload) > MaxSDU {
-		return dst, ErrTooLong
+	if len(payload) > maxSDU {
+		return dst, errTooLong
 	}
-	padded := len(payload) + TrailerSize
+	padded := len(payload) + trailerSize
 	rem := padded % atm.PayloadSize
 	pad := 0
 	if rem != 0 {
 		pad = atm.PayloadSize - rem
 	}
 	start := len(dst)
-	total := len(payload) + pad + TrailerSize
+	total := len(payload) + pad + trailerSize
 	// Grow by hand rather than append(dst, make(...)...): the steady
 	// state (capacity already sufficient) must not touch the allocator.
 	if cap(dst)-start < total {
@@ -73,7 +73,7 @@ func AppendFrame(dst, payload []byte, uu byte) ([]byte, error) {
 	for i := len(payload); i < len(payload)+pad; i++ {
 		frame[i] = 0
 	}
-	tr := frame[len(frame)-TrailerSize:]
+	tr := frame[len(frame)-trailerSize:]
 	tr[0] = uu
 	tr[1] = 0 // CPI, always zero
 	tr[2] = byte(len(payload) >> 8)
@@ -90,20 +90,20 @@ func AppendFrame(dst, payload []byte, uu byte) ([]byte, error) {
 // UU octet. The returned payload aliases frame.
 func ParseFrame(frame []byte) (payload []byte, uu byte, err error) {
 	if len(frame) < atm.PayloadSize {
-		return nil, 0, ErrShortFrame
+		return nil, 0, errShortFrame
 	}
 	if len(frame)%atm.PayloadSize != 0 {
-		return nil, 0, ErrBadAlign
+		return nil, 0, errBadAlign
 	}
-	tr := frame[len(frame)-TrailerSize:]
+	tr := frame[len(frame)-trailerSize:]
 	wantCRC := uint32(tr[4])<<24 | uint32(tr[5])<<16 | uint32(tr[6])<<8 | uint32(tr[7])
 	if crc32.ChecksumIEEE(frame[:len(frame)-4]) != wantCRC {
-		return nil, 0, ErrBadCRC
+		return nil, 0, errBadCRC
 	}
 	n := int(tr[2])<<8 | int(tr[3])
 	// Valid padding is 0..47 bytes; anything else means cells vanished.
-	if n+TrailerSize > len(frame) || len(frame)-(n+TrailerSize) >= atm.PayloadSize {
-		return nil, 0, ErrBadLength
+	if n+trailerSize > len(frame) || len(frame)-(n+trailerSize) >= atm.PayloadSize {
+		return nil, 0, errBadLength
 	}
 	return frame[:n], tr[0], nil
 }
@@ -119,7 +119,7 @@ func Segment(frame []byte, vpi atm.VPI, vci atm.VCI) ([]atm.Cell, error) {
 // reused scratch slice): it allocates only when dst lacks capacity.
 func SegmentInto(dst []atm.Cell, frame []byte, vpi atm.VPI, vci atm.VCI) ([]atm.Cell, error) {
 	if len(frame) == 0 || len(frame)%atm.PayloadSize != 0 {
-		return dst, ErrBadAlign
+		return dst, errBadAlign
 	}
 	start := len(dst)
 	total := start + len(frame)/atm.PayloadSize
@@ -157,7 +157,7 @@ type Reassembler struct {
 // maxFrame bytes (0 means the AAL5 maximum).
 func NewReassembler(maxFrame int) *Reassembler {
 	if maxFrame <= 0 {
-		maxFrame = MaxSDU + TrailerSize + atm.PayloadSize
+		maxFrame = maxSDU + trailerSize + atm.PayloadSize
 	}
 	return &Reassembler{maxFrame: maxFrame}
 }
@@ -172,7 +172,7 @@ func (r *Reassembler) Push(c *atm.Cell) (payload []byte, uu byte, done bool, err
 	if len(r.buf) > r.maxFrame {
 		r.buf = r.buf[:0]
 		r.Errors++
-		return nil, 0, true, ErrFrameTooBig
+		return nil, 0, true, errFrameTooBig
 	}
 	if !c.EndOfFrame() {
 		return nil, 0, false, nil

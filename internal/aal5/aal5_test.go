@@ -18,7 +18,7 @@ func pay(n int) []byte {
 }
 
 func TestBuildParseRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 39, 40, 41, 47, 48, 96, 1500, 9180, MaxSDU} {
+	for _, n := range []int{0, 1, 39, 40, 41, 47, 48, 96, 1500, 9180, maxSDU} {
 		f, err := BuildFrame(pay(n), byte(n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -61,7 +61,7 @@ func TestAppendFrameReusedScratch(t *testing.T) {
 			t.Fatalf("n=%d: round trip mismatch", n)
 		}
 		// Pad bytes must be zero despite the poisoned capacity.
-		for i := n; i < len(out)-TrailerSize; i++ {
+		for i := n; i < len(out)-trailerSize; i++ {
 			if out[i] != 0 {
 				t.Fatalf("n=%d: pad byte %d = %#x, want 0", n, i, out[i])
 			}
@@ -108,21 +108,21 @@ func TestAppendFrameReusedScratch(t *testing.T) {
 }
 
 func TestBuildFrameTooLong(t *testing.T) {
-	if _, err := BuildFrame(make([]byte, MaxSDU+1), 0); err != ErrTooLong {
-		t.Fatalf("err = %v, want ErrTooLong", err)
+	if _, err := BuildFrame(make([]byte, maxSDU+1), 0); err != errTooLong {
+		t.Fatalf("err = %v, want errTooLong", err)
 	}
 }
 
 func TestParseFrameErrors(t *testing.T) {
-	if _, _, err := ParseFrame(make([]byte, 40)); err != ErrShortFrame {
+	if _, _, err := ParseFrame(make([]byte, 40)); err != errShortFrame {
 		t.Fatalf("short: %v", err)
 	}
-	if _, _, err := ParseFrame(make([]byte, 49)); err != ErrBadAlign {
+	if _, _, err := ParseFrame(make([]byte, 49)); err != errBadAlign {
 		t.Fatalf("misaligned: %v", err)
 	}
 	f, _ := BuildFrame(pay(100), 1)
 	f[5] ^= 0xFF
-	if _, _, err := ParseFrame(f); err != ErrBadCRC {
+	if _, _, err := ParseFrame(f); err != errBadCRC {
 		t.Fatalf("corrupt: %v", err)
 	}
 }
@@ -133,12 +133,12 @@ func TestParseDetectsLengthLie(t *testing.T) {
 	// a middle cell shows up when the CRC happens to be recomputed).
 	f, _ := BuildFrame(pay(10), 0)
 	// Rewrite the length to something inconsistent and fix the CRC.
-	tr := f[len(f)-TrailerSize:]
+	tr := f[len(f)-trailerSize:]
 	tr[2], tr[3] = 0, 200 // claims 200-byte payload in a 48-byte frame
 	crc := crc32ChecksumShim(f[:len(f)-4])
 	tr[4], tr[5], tr[6], tr[7] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	if _, _, err := ParseFrame(f); err != ErrBadLength {
-		t.Fatalf("err = %v, want ErrBadLength", err)
+	if _, _, err := ParseFrame(f); err != errBadLength {
+		t.Fatalf("err = %v, want errBadLength", err)
 	}
 }
 
@@ -186,10 +186,10 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 }
 
 func TestSegmentRejectsUnaligned(t *testing.T) {
-	if _, err := Segment(make([]byte, 50), 0, 1); err != ErrBadAlign {
+	if _, err := Segment(make([]byte, 50), 0, 1); err != errBadAlign {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Segment(nil, 0, 1); err != ErrBadAlign {
+	if _, err := Segment(nil, 0, 1); err != errBadAlign {
 		t.Fatalf("empty: err = %v", err)
 	}
 }
@@ -234,8 +234,8 @@ func TestReassemblerDetectsCorruption(t *testing.T) {
 			lastErr = err
 		}
 	}
-	if lastErr != ErrBadCRC {
-		t.Fatalf("err = %v, want ErrBadCRC", lastErr)
+	if lastErr != errBadCRC {
+		t.Fatalf("err = %v, want errBadCRC", lastErr)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestReassemblerMaxFrame(t *testing.T) {
 		}
 	}
 	_, _, done, err := r.Push(&c)
-	if !done || err != ErrFrameTooBig {
+	if !done || err != errFrameTooBig {
 		t.Fatalf("overflow: done=%v err=%v", done, err)
 	}
 	if r.Pending() != 0 {
@@ -330,16 +330,16 @@ func TestReassemblerReusesBuffer(t *testing.T) {
 
 	bad := frame(1400, 2)
 	bad[3].Payload[5] ^= 0xFF
-	if _, err := push(bad); err != ErrBadCRC {
+	if _, err := push(bad); err != errBadCRC {
 		t.Fatalf("corrupted frame: err = %v", err)
 	}
 	intact("a CRC failure")
 
 	huge := make([]atm.Cell, max/atm.PayloadSize+1) // never reaches its last cell
-	if _, err := push(huge); err != ErrFrameTooBig {
+	if _, err := push(huge); err != errFrameTooBig {
 		t.Fatalf("oversize frame: err = %v", err)
 	}
-	intact("ErrFrameTooBig")
+	intact("errFrameTooBig")
 
 	push(good[:7])
 	r.Reset()
@@ -393,7 +393,7 @@ func TestSegmentIntoReusedScratch(t *testing.T) {
 			t.Fatalf("cell %d carries stale state: %+v", i, got[i].Header)
 		}
 	}
-	if _, err := SegmentInto(scratch[:0], short[:50], 0, 42); err != ErrBadAlign {
+	if _, err := SegmentInto(scratch[:0], short[:50], 0, 42); err != errBadAlign {
 		t.Fatalf("unaligned frame: err = %v", err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { scratch, _ = SegmentInto(scratch[:0], long, 0, 1) }); allocs != 0 {
@@ -441,8 +441,8 @@ func TestSeqTrackerWrap(t *testing.T) {
 // Property: build/segment/reassemble round-trips any payload.
 func TestQuickSARRoundTrip(t *testing.T) {
 	f := func(payload []byte, uu byte) bool {
-		if len(payload) > MaxSDU {
-			payload = payload[:MaxSDU]
+		if len(payload) > maxSDU {
+			payload = payload[:maxSDU]
 		}
 		frame, err := BuildFrame(payload, uu)
 		if err != nil {

@@ -25,7 +25,7 @@ func FuzzAAL5(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, uu, err := ParseFrame(data)
 		if err == nil {
-			if len(payload)+TrailerSize > len(data) || !bytes.Equal(payload, data[:len(payload)]) {
+			if len(payload)+trailerSize > len(data) || !bytes.Equal(payload, data[:len(payload)]) {
 				t.Fatalf("payload of %d bytes is not a prefix of the %d-byte frame", len(payload), len(data))
 			}
 			frame, berr := BuildFrame(payload, uu)

@@ -9,11 +9,9 @@ type Lease struct {
 }
 
 // VCIAlloc hands out VCIs in O(1): a LIFO free list of released values
-// backed by a high-water cursor for never-used ones. It replaces the
-// linear next-free scans the switch trunks and the standalone daemon's
-// local pool used to run on every call setup — the control-plane analog
-// of the paper's direct-index argument for the data path (§6): the
-// allocator never searches, it indexes.
+// backed by a high-water cursor for never-used ones, so no call setup
+// scans for a free VCI — the control-plane analog of the paper's
+// direct-index argument for the data path (§6).
 //
 // Allocation is fully deterministic: fresh VCIs ascend from min, and a
 // released VCI is reused most-recently-freed first. VCIs below min

@@ -17,24 +17,27 @@ func TestOnly() int { return 1 }
 func Used() *Result { return &Result{n: Internal + int(busy-idle)} }
 
 // Result is named by no other file; it is reachable through Used's
-// signature.
-type Result struct{ n int }
+// signature. Used's literal names n by key; unused is flagged.
+type Result struct{ n, unused int }
 
 // Shape is an interface main.go uses.
 type Shape interface{ Area() int }
 
-// Square satisfies Shape.
-type Square struct{}
+// Square satisfies Shape. Its field has a tag, so it is exempt.
+type Square struct {
+	tagged int `k:"v"`
+}
 
 // Area is never selected by name; main calls it through Shape.
 func (Square) Area() int { return 4 }
 
 // A and B share a method name; only A's Run is called: B.Run is flagged.
-type A struct{}
+// A's Run names its embedded hidden, on the path of a.a.
+type A struct{ hidden }
 type B struct{}
 
-func (A) Run() {}
-func (B) Run() {}
+func (a A) Run() { _ = a.a }
+func (B) Run()   {}
 
 // Stack is generic; main pushes but never pops: Pop is flagged.
 type Stack[T any] struct{ s []T }
@@ -66,13 +69,13 @@ func (Err) Error() string { return "err" }
 // Is is called only by errors.Is.
 func (Err) Is(target error) bool { return target == ErrSentinel }
 
-type hidden struct{}
+type hidden struct{ a, b int }
 
 // Exported is a method of an unexported type, called by Hidden.
 func (hidden) Exported() int { return 2 }
 
-// Hidden returns a value of the unexported type.
-func Hidden() int { return hidden{}.Exported() }
+// Hidden returns a value of the unexported type, built positionally.
+func Hidden() int { return hidden{1, 2}.Exported() }
 
 // Internal is used by this package's non-test code only: listed, not
 // flagged.

@@ -47,6 +47,13 @@ import (
 // The constants of an iota block are reached together: deleting one
 // would renumber the rest. A name used in a file the host build
 // excludes (a build-constraint fallback) counts as reached.
+//
+// The check also reports each unexported struct field of internal/,
+// cmd/ or examples/ that no non-test code of the module names, reached
+// or not. A field is named by a selector, by a key of a composite
+// literal, by a positional literal of its struct (which names every
+// field), or by being an embedded field on the path of a promoted
+// selector. A field with a struct tag is exempt: reflection reads it.
 
 // stdlibIfaces are the stdlib interfaces, by method names, whose
 // methods stdlib code calls without the module calling them by name.
@@ -96,6 +103,11 @@ type decl struct {
 // reachReport is what the check found over one module.
 type reachReport struct {
 	unreached []*finding
+	// fields lists the unexported struct fields no code names, each as
+	// "Type.field" (or "field" in an anonymous struct) at its line, of
+	// the nFields checked.
+	fields  []*finding
+	nFields int
 	// ownOnly lists, by package, the reached exported identifiers that
 	// only their own package's code names: candidates to unexport.
 	ownOnly map[string][]string
@@ -103,13 +115,15 @@ type reachReport struct {
 
 // walker holds the reachability state of one module.
 type walker struct {
-	fset    *token.FileSet
-	decls   map[types.Object]*decl
-	reached map[types.Object]bool
-	foreign map[types.Object]bool // named from another package, or called through an interface
-	work    []types.Object
-	named   []*types.TypeName       // reached named types of the module
-	ifaces  map[string][]types.Type // method name → interfaces reached calls go through
+	fset      *token.FileSet
+	decls     map[types.Object]*decl
+	reached   map[types.Object]bool
+	foreign   map[types.Object]bool // named from another package, or called through an interface
+	work      []types.Object
+	named     []*types.TypeName       // reached named types of the module
+	ifaces    map[string][]types.Type // method name → interfaces reached calls go through
+	fields    map[*types.Var]*finding // gated unexported fields without a tag
+	fieldUsed map[*types.Var]bool     // fields some non-test code names
 }
 
 // findUnreached loads the module at root (a directory holding go.mod)
@@ -120,11 +134,13 @@ func findUnreached(root string) (*reachReport, error) {
 		return nil, err
 	}
 	w := &walker{
-		fset:    token.NewFileSet(),
-		decls:   map[types.Object]*decl{},
-		reached: map[types.Object]bool{},
-		foreign: map[types.Object]bool{},
-		ifaces:  map[string][]types.Type{},
+		fset:      token.NewFileSet(),
+		decls:     map[types.Object]*decl{},
+		reached:   map[types.Object]bool{},
+		foreign:   map[types.Object]bool{},
+		ifaces:    map[string][]types.Type{},
+		fields:    map[*types.Var]*finding{},
+		fieldUsed: map[*types.Var]bool{},
 	}
 	// The root package's tests import what ./... may not: list those too.
 	patterns := []string{"./..."}
@@ -195,14 +211,17 @@ func findUnreached(root string) (*reachReport, error) {
 		}
 		rel, _ := filepath.Rel(root, dir)
 		p := &pkg{dir: filepath.ToSlash(rel), files: files, info: &types.Info{
-			Uses: map[*ast.Ident]types.Object{},
-			Defs: map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		tp, err := conf.Check(path, w.fset, files, p.info)
 		if err != nil {
 			return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
 		}
 		w.declare(root, p)
+		w.fieldsOf(root, p)
 		return p, tp, nil
 	}
 
@@ -308,6 +327,111 @@ func (w *walker) declare(root string, p *pkg) {
 			}
 		}
 	}
+}
+
+// fieldsOf records the gated unexported fields p's non-test files
+// declare without a tag, and the fields they name.
+func (w *walker) fieldsOf(root string, p *pkg) {
+	top, _, _ := strings.Cut(p.dir, "/")
+	gated := top == "internal" || top == "cmd" || top == "examples"
+	name := func(f *types.Var) { w.fieldUsed[f.Origin()] = true }
+	for _, f := range p.files {
+		if strings.HasSuffix(w.fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		owner := map[*ast.StructType]string{} // a named struct's type name
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					owner[st] = n.Name.Name
+				}
+			case *ast.StructType:
+				if gated {
+					w.declareFields(root, p, n, owner[n])
+				}
+			case *ast.Ident:
+				if v, ok := p.info.Uses[n].(*types.Var); ok && v.IsField() {
+					name(v)
+				}
+			case *ast.CompositeLit:
+				if len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+					break
+				}
+				if st, ok := deref(p.info.TypeOf(n)).Underlying().(*types.Struct); ok {
+					for i := range st.NumFields() {
+						name(st.Field(i))
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel := p.info.Selections[n]; sel != nil {
+					t := sel.Recv()
+					for _, i := range sel.Index()[:len(sel.Index())-1] {
+						f := deref(t).Underlying().(*types.Struct).Field(i)
+						name(f)
+						t = f.Type()
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// declareFields records the unexported fields of st without a tag,
+// named "owner.field", or "field" in an anonymous struct.
+func (w *walker) declareFields(root string, p *pkg, st *ast.StructType, owner string) {
+	for _, fl := range st.Fields.List {
+		ids := fl.Names
+		if len(ids) == 0 {
+			ids = []*ast.Ident{embeddedName(fl.Type)}
+		}
+		for _, id := range ids {
+			v, ok := p.info.Defs[id].(*types.Var)
+			if fl.Tag != nil || !ok || v.Exported() || id.Name == "_" {
+				continue
+			}
+			name := id.Name
+			if owner != "" {
+				name = owner + "." + name
+			}
+			pos := w.fset.Position(id.Pos())
+			rel, _ := filepath.Rel(root, pos.Filename)
+			w.fields[v] = &finding{pkg: p.dir, name: name, file: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line), lines: 1}
+		}
+	}
+}
+
+// embeddedName is the identifier an embedded field's type expression
+// names the field by.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// deref is what t points to, or t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // roots walks what runs in p: main, every init, every package-level var
@@ -505,7 +629,7 @@ func isGeneric(t types.Type) bool {
 
 // report lists the gated declarations the walk did not reach.
 func (w *walker) report() *reachReport {
-	rep := &reachReport{ownOnly: map[string][]string{}}
+	rep := &reachReport{ownOnly: map[string][]string{}, nFields: len(w.fields)}
 	for obj, d := range w.decls {
 		dir := d.pkg.dir
 		if top, _, _ := strings.Cut(dir, "/"); top != "internal" && top != "cmd" && top != "examples" {
@@ -531,6 +655,12 @@ func (w *walker) report() *reachReport {
 			rep.ownOnly[dir] = append(rep.ownOnly[dir], name)
 		}
 	}
+	for v, f := range w.fields {
+		if !w.fieldUsed[v] {
+			rep.fields = append(rep.fields, f)
+		}
+	}
+	sort.Slice(rep.fields, func(i, j int) bool { return rep.fields[i].file < rep.fields[j].file })
 	sort.Slice(rep.unreached, func(i, j int) bool { return rep.unreached[i].String() < rep.unreached[j].String() })
 	for _, names := range rep.ownOnly {
 		slices.Sort(names)
@@ -589,6 +719,10 @@ func TestNoUnreachableCode(t *testing.T) {
 		lines += f.lines
 		t.Errorf("%s (%s, %d lines): no root reaches it", f, f.file, f.lines)
 	}
+	for _, f := range rep.fields {
+		t.Errorf("%s (%s): no code reads or writes this field", f, f.file)
+	}
+	t.Logf("%d untagged unexported struct fields, %d that no code names", rep.nFields, len(rep.fields))
 	if lines > 0 {
 		t.Logf("%d lines: delete them, move them into an export_test.go if their package's tests use them, or allowlist them with a reason", lines)
 	}
@@ -641,6 +775,13 @@ func TestUnreachableCodeFixture(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("unreached = %q, want %q", got, want)
+	}
+	var fields []string
+	for _, f := range rep.fields {
+		fields = append(fields, f.String())
+	}
+	if want := []string{"internal/lib.Result.unused"}; !slices.Equal(fields, want) {
+		t.Errorf("fields no code names = %q, want %q", fields, want)
 	}
 	if own := rep.ownOnly["internal/lib"]; !slices.Equal(own, []string{"Internal", "Result"}) {
 		t.Errorf("used only by their own package = %q, want [Internal Result]", own)

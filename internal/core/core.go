@@ -49,7 +49,7 @@ type RouterConfig struct {
 	Fabric        *xswitch.Fabric
 	Switch        *xswitch.Switch
 	Attach        xswitch.LinkConfig // zero value means TAXI()
-	DeviceBuffers int                // zero means kern.DefaultDeviceBuffers
+	DeviceBuffers int                // zero means kern's default, 8
 	FDTableSize   int                // zero means kern.DefaultFDTableSize
 }
 

@@ -17,7 +17,7 @@ func (d *PseudoDev) Buffered() int { return d.q.Len() }
 // FD returns the object at a descriptor.
 func (p *Proc) FD(fd int) (FDObject, error) {
 	if fd < 0 || fd >= p.fdUsed || p.slot(fd).obj == nil {
-		return nil, ErrEBADF
+		return nil, errEBADF
 	}
 	return p.slot(fd).obj, nil
 }

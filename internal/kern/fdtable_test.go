@@ -71,10 +71,10 @@ func TestLowestFreeSlotAcrossTableGrowth(t *testing.T) {
 				t.Errorf("realloc: fd=%d err=%v, want %d", fd, err, want)
 			}
 		}
-		if _, err := p.FD(8); !errors.Is(err, ErrEBADF) {
+		if _, err := p.FD(8); !errors.Is(err, errEBADF) {
 			t.Errorf("FD(8) = %v, want EBADF", err)
 		}
-		if err := p.CloseFD(8); !errors.Is(err, ErrEBADF) {
+		if err := p.CloseFD(8); !errors.Is(err, errEBADF) {
 			t.Errorf("CloseFD(8) = %v, want EBADF", err)
 		}
 	})

@@ -32,7 +32,7 @@ import (
 // Default table sizes from §10.
 const (
 	DefaultFDTableSize   = 20
-	DefaultDeviceBuffers = 8
+	defaultDeviceBuffers = 8
 	FixedFDTableSize     = 100
 	FixedDeviceBuffers   = 80
 )
@@ -40,8 +40,8 @@ const (
 // Errors from the kernel layer.
 var (
 	ErrEMFILE     = errors.New("kern: per-process file descriptor table full (EMFILE)")
-	ErrEBADF      = errors.New("kern: bad file descriptor")
-	ErrProcExited = errors.New("kern: process has exited")
+	errEBADF      = errors.New("kern: bad file descriptor")
+	errProcExited = errors.New("kern: process has exited")
 )
 
 // ProtoFamily is a protocol family registered with a machine (the
@@ -141,8 +141,8 @@ func NewMachine(name string, e *sim.Engine, cm sim.CostModel, ip *memnet.Node) *
 // InstallPseudoDev creates /dev/anand with the given buffer count and
 // wires its downward path to the machine's protocol families.
 func (m *Machine) InstallPseudoDev(buffers int) *PseudoDev {
-	m.Dev = NewPseudoDev(m.E, buffers)
-	m.Dev.Instrument(m.Obs)
+	m.Dev = newPseudoDev(m.E, buffers)
+	m.Dev.instrument(m.Obs)
 	m.Dev.onDown = func(cmd DownCmd) {
 		if cmd.Kind == DownDisconnect {
 			for _, f := range m.families {
@@ -246,7 +246,7 @@ func (p *Proc) exit() {
 // in TIME_WAIT are not free — this is the §10 scaling limit.
 func (p *Proc) AllocFD(obj FDObject) (int, error) {
 	if p.exited {
-		return -1, ErrProcExited
+		return -1, errProcExited
 	}
 	for i := 0; i < p.fdUsed; i++ {
 		if e := p.slot(i); e.obj == nil && !e.timeWait {
@@ -269,12 +269,12 @@ func (p *Proc) AllocFD(obj FDObject) (int, error) {
 // the slot busy for 2·MSL after the close.
 func (p *Proc) CloseFD(fd int) error {
 	if fd < 0 || fd >= p.fdUsed {
-		return ErrEBADF
+		return errEBADF
 	}
 	e := p.slot(fd)
 	obj := e.obj
 	if obj == nil {
-		return ErrEBADF
+		return errEBADF
 	}
 	e.obj = nil
 	if tw, ok := obj.(timeWaiter); ok && tw.holdsTimeWait() {

@@ -402,10 +402,10 @@ func TestOpenFDCounters(t *testing.T) {
 		if p.OpenFDs() != 0 {
 			t.Error("close not counted")
 		}
-		if err := p.CloseFD(fd); !errors.Is(err, ErrEBADF) {
+		if err := p.CloseFD(fd); !errors.Is(err, errEBADF) {
 			t.Errorf("double close err = %v", err)
 		}
-		if _, err := p.FD(99); !errors.Is(err, ErrEBADF) {
+		if _, err := p.FD(99); !errors.Is(err, errEBADF) {
 			t.Errorf("bad fd err = %v", err)
 		}
 	})

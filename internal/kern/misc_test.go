@@ -49,7 +49,7 @@ func TestFDAccessor(t *testing.T) {
 		if err != nil || got != FDObject(obj) {
 			t.Errorf("FD() = %v, %v", got, err)
 		}
-		if _, err := p.FD(-1); !errors.Is(err, ErrEBADF) {
+		if _, err := p.FD(-1); !errors.Is(err, errEBADF) {
 			t.Errorf("negative fd err = %v", err)
 		}
 	})
@@ -83,12 +83,12 @@ func TestMsgKindStrings(t *testing.T) {
 func TestPseudoDevDefaults(t *testing.T) {
 	e, h, _ := rig(t)
 	_ = h
-	d := NewPseudoDev(e, 0)
-	if d.Capacity() != DefaultDeviceBuffers {
+	d := newPseudoDev(e, 0)
+	if d.Capacity() != defaultDeviceBuffers {
 		t.Fatalf("default capacity = %d", d.Capacity())
 	}
-	d2 := NewPseudoDev(e, -5)
-	if d2.Capacity() != DefaultDeviceBuffers {
+	d2 := newPseudoDev(e, -5)
+	if d2.Capacity() != defaultDeviceBuffers {
 		t.Fatalf("negative capacity = %d", d2.Capacity())
 	}
 }
@@ -134,6 +134,6 @@ func TestListenerPortAndAcceptTimeout(t *testing.T) {
 
 func TestDownCmdDispatchWithoutHandler(t *testing.T) {
 	e, _, _ := rig(t)
-	d := NewPseudoDev(e, 8)
+	d := newPseudoDev(e, 8)
 	d.WriteDown(DownCmd{Kind: DownDisconnect, VCI: 1}) // no handler: no panic
 }

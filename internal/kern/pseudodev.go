@@ -97,10 +97,8 @@ type PseudoDev struct {
 	Posted uint64
 	Lost   uint64
 
-	// Registry instrumentation (nil until Instrument): dropped upward
-	// indications used to vanish with only the Lost field to show for
-	// it; now every overflow increments kern.dev.overflows and the depth
-	// gauge's high-water mark records how close to capacity the buffer ran.
+	// Registry instrumentation (nil until instrument): every drop counts
+	// in kern.dev.overflows, and depth's high-water mark is peak occupancy.
 	overflows *obs.Counter
 	depth     *obs.Gauge
 
@@ -113,20 +111,20 @@ type PseudoDev struct {
 // overflow exactly like real buffer exhaustion.
 func (d *PseudoDev) SetFaults(p *faults.Plane) { d.faults = p }
 
-// NewPseudoDev creates a device with the given number of message
+// newPseudoDev creates a device with the given number of message
 // buffers (§10: 8 originally, 80 after the fix).
-func NewPseudoDev(e *sim.Engine, buffers int) *PseudoDev {
+func newPseudoDev(e *sim.Engine, buffers int) *PseudoDev {
 	if buffers <= 0 {
-		buffers = DefaultDeviceBuffers
+		buffers = defaultDeviceBuffers
 	}
 	return &PseudoDev{e: e, capacity: buffers}
 }
 
-// Instrument registers the device's metrics in reg: kern.dev.posted and
+// instrument registers the device's metrics in reg: kern.dev.posted and
 // kern.dev.lost (read-through), kern.dev.overflows (counted at the drop
 // site) and the kern.dev.depth gauge whose high-water mark records peak
 // buffer occupancy.
-func (d *PseudoDev) Instrument(reg *obs.Registry) {
+func (d *PseudoDev) instrument(reg *obs.Registry) {
 	d.overflows = reg.Counter("kern.dev.overflows")
 	d.depth = reg.Gauge("kern.dev.depth")
 	reg.Func("kern.dev.posted", func() uint64 { return d.Posted })

@@ -20,11 +20,11 @@ type DatagramHandler func(src IPAddr, sport uint16, data []byte)
 // BindDatagram binds a handler to a local datagram port.
 func (nd *Node) BindDatagram(port uint16, h DatagramHandler) error {
 	if _, dup := nd.dgrams[port]; dup {
-		return fmt.Errorf("%w: datagram port %d on %s", ErrPortInUse, port, nd.Name)
+		return fmt.Errorf("%w: datagram port %d on %s", errPortInUse, port, nd.Name)
 	}
 	nd.dgrams[port] = h
 	if len(nd.dgrams) == 1 {
-		nd.BindProto(ProtoDatagram, nd.datagramInput)
+		nd.BindProto(protoDatagram, nd.datagramInput)
 	}
 	return nil
 }
@@ -35,7 +35,7 @@ func (nd *Node) SendDatagram(dst IPAddr, dport, sport uint16, data []byte) error
 	hdr := [dgramHeaderSize]byte{byte(sport >> 8), byte(sport), byte(dport >> 8), byte(dport)}
 	chain := mbuf.FromBytes(hdr[:])
 	chain.AppendBytes(data)
-	return nd.SendChain(dst, ProtoDatagram, chain)
+	return nd.SendChain(dst, protoDatagram, chain)
 }
 
 func (nd *Node) datagramInput(pkt *Packet) {

@@ -41,16 +41,16 @@ func IP4(a, b, c, d byte) IPAddr {
 
 // IP protocol numbers used in the simulation.
 const (
-	ProtoStream   = 6   // reliable framed stream (TCP stand-in)
-	ProtoDatagram = 17  // datagram service (UDP stand-in)
+	protoStream   = 6   // reliable framed stream (TCP stand-in)
+	protoDatagram = 17  // datagram service (UDP stand-in)
 	ProtoATM      = 114 // IPPROTO_ATM, the paper's new raw protocol
 )
 
-// IPHeaderSize is charged against link capacity for every packet.
-const IPHeaderSize = 20
+// ipHeaderSize is charged against link capacity for every packet.
+const ipHeaderSize = 20
 
-// DefaultTTL bounds forwarding loops.
-const DefaultTTL = 32
+// defaultTTL bounds forwarding loops.
+const defaultTTL = 32
 
 // Packet is an IP packet in flight. Payload is an mbuf chain so that
 // the encapsulation layers above can preserve chain shape end to end; a
@@ -72,8 +72,8 @@ type Packet struct {
 	next *Packet // free-list link
 }
 
-// Len is the wire length charged to links.
-func (p *Packet) Len() int { return IPHeaderSize + p.Payload.Len() }
+// len is the wire length charged to links.
+func (p *Packet) len() int { return ipHeaderSize + p.Payload.Len() }
 
 // ProtoHandler receives packets addressed to a node for one protocol.
 type ProtoHandler func(pkt *Packet)
@@ -163,17 +163,17 @@ type Node struct {
 
 // Errors from the IP layer.
 var (
-	ErrDupAddr   = errors.New("memnet: address already in use")
-	ErrNoRoute   = errors.New("memnet: no route to destination")
-	ErrPortInUse = errors.New("memnet: port already bound")
-	// ErrNoPort reports a dial on a node whose every ephemeral port,
+	errDupAddr   = errors.New("memnet: address already in use")
+	errNoRoute   = errors.New("memnet: no route to destination")
+	errPortInUse = errors.New("memnet: port already bound")
+	// errNoPort reports a dial on a node whose every ephemeral port,
 	// 10000–65535, is held.
-	ErrNoPort = errors.New("memnet: no free ephemeral port")
+	errNoPort = errors.New("memnet: no free ephemeral port")
 )
 
-// AddNode registers a machine with the given address on the network's
+// addNode registers a machine with the given address on the network's
 // default engine.
-func (n *Network) AddNode(name string, addr IPAddr) (*Node, error) {
+func (n *Network) addNode(name string, addr IPAddr) (*Node, error) {
 	return n.AddNodeOn(name, addr, n.Engine)
 }
 
@@ -182,7 +182,7 @@ func (n *Network) AddNode(name string, addr IPAddr) (*Node, error) {
 // of the same group.
 func (n *Network) AddNodeOn(name string, addr IPAddr, e *sim.Engine) (*Node, error) {
 	if _, dup := n.nodes[addr]; dup {
-		return nil, fmt.Errorf("%w: %v", ErrDupAddr, addr)
+		return nil, fmt.Errorf("%w: %v", errDupAddr, addr)
 	}
 	nd := &Node{
 		Name:     name,
@@ -199,9 +199,9 @@ func (n *Network) AddNodeOn(name string, addr IPAddr, e *sim.Engine) (*Node, err
 	return nd, nil
 }
 
-// MustAddNode is AddNode for test and scenario construction.
+// MustAddNode is addNode for test and scenario construction.
 func (n *Network) MustAddNode(name string, addr IPAddr) *Node {
-	nd, err := n.AddNode(name, addr)
+	nd, err := n.addNode(name, addr)
 	if err != nil {
 		panic(err)
 	}
@@ -311,7 +311,7 @@ func (nd *Node) BindProto(proto uint8, h ProtoHandler) { nd.protos[proto] = h }
 // cost is charged to the node's meter.
 func (nd *Node) SendChain(dst IPAddr, proto uint8, chain *mbuf.Chain) error {
 	pkt := nd.record()
-	*pkt = Packet{Src: nd.Addr, Dst: dst, Proto: proto, TTL: DefaultTTL, Payload: chain, home: nd}
+	*pkt = Packet{Src: nd.Addr, Dst: dst, Proto: proto, TTL: defaultTTL, Payload: chain, home: nd}
 	nd.Meter.Charge(cost.IP, cost.IPSendCost)
 	return nd.route(pkt)
 }
@@ -355,14 +355,14 @@ func (nd *Node) route(pkt *Packet) error {
 		via = nd.defaultGw
 	}
 	if via == nil {
-		err := fmt.Errorf("%w: %v from %v", ErrNoRoute, pkt.Dst, nd.Name)
+		err := fmt.Errorf("%w: %v from %v", errNoRoute, pkt.Dst, nd.Name)
 		nd.drop(pkt)
 		return err
 	}
 	l := nd.links[via]
 	if l == nil {
 		nd.drop(pkt)
-		return fmt.Errorf("%w: no link %v -> %v", ErrNoRoute, nd.Name, via.Name)
+		return fmt.Errorf("%w: no link %v -> %v", errNoRoute, nd.Name, via.Name)
 	}
 	l.transmit(pkt)
 	return nil
@@ -398,7 +398,7 @@ func (l *link) transmit(pkt *Packet) {
 	}
 	var ser time.Duration
 	if l.cfg.RateBps > 0 {
-		bits := uint64(pkt.Len()) * 8
+		bits := uint64(pkt.len()) * 8
 		ser = time.Duration(bits * uint64(time.Second) / l.cfg.RateBps)
 	}
 	start := e.Now()
@@ -480,5 +480,5 @@ func (nd *Node) ephemeralPort() (uint16, error) {
 			return nd.nextPort, nil
 		}
 	}
-	return 0, fmt.Errorf("%w on %s", ErrNoPort, nd.Name)
+	return 0, fmt.Errorf("%w on %s", errNoPort, nd.Name)
 }

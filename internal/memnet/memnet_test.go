@@ -51,7 +51,7 @@ func TestIPAddrString(t *testing.T) {
 func TestDupAddrRejected(t *testing.T) {
 	n := New(sim.New(1))
 	n.MustAddNode("a", IP4(1, 1, 1, 1))
-	if _, err := n.AddNode("b", IP4(1, 1, 1, 1)); !errors.Is(err, ErrDupAddr) {
+	if _, err := n.addNode("b", IP4(1, 1, 1, 1)); !errors.Is(err, errDupAddr) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestNoRoute(t *testing.T) {
 	n := New(e)
 	lone := n.MustAddNode("lone", IP4(9, 9, 9, 9))
 	err := lone.SendChain(IP4(8, 8, 8, 8), 1, mbuf.FromBytes(nil))
-	if !errors.Is(err, ErrNoRoute) {
+	if !errors.Is(err, errNoRoute) {
 		t.Fatalf("err = %v", err)
 	}
 	// The record is recycled by the drop; the error still names the
@@ -124,7 +124,7 @@ func TestTTLExpiry(t *testing.T) {
 	if h.Forwarded+r.Forwarded == 0 {
 		t.Fatal("no forwarding happened")
 	}
-	if h.Forwarded+r.Forwarded > DefaultTTL {
+	if h.Forwarded+r.Forwarded > defaultTTL {
 		t.Fatalf("loop not bounded: %d hops", h.Forwarded+r.Forwarded)
 	}
 }
@@ -365,7 +365,7 @@ func TestDialRefused(t *testing.T) {
 		_, err = h.DialStream(p, r.Addr, 12345)
 	})
 	e.Run()
-	if !errors.Is(err, ErrConnRefused) {
+	if !errors.Is(err, errConnRefused) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -383,7 +383,7 @@ func TestDialUnreachableTimesOut(t *testing.T) {
 		_, err = a.DialStream(p, IP4(1, 0, 0, 2), 80)
 	})
 	e.Run()
-	if !errors.Is(err, ErrStreamReset) {
+	if !errors.Is(err, errStreamReset) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -419,7 +419,7 @@ func TestListenerPortConflict(t *testing.T) {
 	if _, err := r.ListenStream(5000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ListenStream(5000); !errors.Is(err, ErrPortInUse) {
+	if _, err := r.ListenStream(5000); !errors.Is(err, errPortInUse) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -443,7 +443,7 @@ func TestListenerClose(t *testing.T) {
 	if acceptOK {
 		t.Fatal("accept succeeded after close")
 	}
-	if !errors.Is(dialErr, ErrConnRefused) {
+	if !errors.Is(dialErr, errConnRefused) {
 		t.Fatalf("late dial err = %v", dialErr)
 	}
 	l.Close() // idempotent
@@ -471,7 +471,7 @@ func TestDatagramPortConflictAndUnbind(t *testing.T) {
 	if err := r.BindDatagram(9000, func(IPAddr, uint16, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.BindDatagram(9000, func(IPAddr, uint16, []byte) {}); !errors.Is(err, ErrPortInUse) {
+	if err := r.BindDatagram(9000, func(IPAddr, uint16, []byte) {}); !errors.Is(err, errPortInUse) {
 		t.Fatalf("err = %v", err)
 	}
 	r.UnbindDatagram(9000)
@@ -529,7 +529,7 @@ func TestStreamResetAfterPeerVanishes(t *testing.T) {
 }
 
 // TestDialWithEveryEphemeralPortHeld: a node holding all of 10000–65535
-// fails a dial at once with ErrNoPort, where the port sweep used to spin
+// fails a dial at once with errNoPort, where the port sweep used to spin
 // forever, and a port let go is found by the next dial's single sweep.
 func TestDialWithEveryEphemeralPortHeld(t *testing.T) {
 	e, _, h, r := twoNodes(t)
@@ -552,8 +552,8 @@ func TestDialWithEveryEphemeralPortHeld(t *testing.T) {
 		got, _ = h.DialStream(p, r.Addr, 5000)
 	})
 	e.Run()
-	if !errors.Is(full, ErrNoPort) {
-		t.Fatalf("dial with every port held: err = %v, want ErrNoPort", full)
+	if !errors.Is(full, errNoPort) {
+		t.Fatalf("dial with every port held: err = %v, want errNoPort", full)
 	}
 	if got == nil || got.LocalPort() != 10123 {
 		t.Fatalf("dial after port 10123 was let go: %v", got)

@@ -80,7 +80,7 @@ func TestReceiverEOFOnReset(t *testing.T) {
 	_ = s.Send([]byte("x"))
 	e.RunFor(time.Second)
 	s.sendSegment(flagRST, 0, 0, nil)
-	s.abort(ErrStreamReset)
+	s.abort(errStreamReset)
 	e.RunFor(time.Second)
 	if !slices.Equal(srv.msgs, []string{"x"}) || srv.eofs != 1 {
 		t.Fatalf("server took %q and %d ends, want x and 1", srv.msgs, srv.eofs)
@@ -96,7 +96,7 @@ func TestDialOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Second)
-	if !slices.Equal(refused.dialed, []error{ErrConnRefused}) || refused.eofs != 0 {
+	if !slices.Equal(refused.dialed, []error{errConnRefused}) || refused.eofs != 0 {
 		t.Fatalf("refused dial reported %v and %d ends", refused.dialed, refused.eofs)
 	}
 
@@ -110,7 +110,7 @@ func TestDialOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Engine.Run()
-	if len(lost.dialed) != 1 || !errors.Is(lost.dialed[0], ErrStreamReset) || lost.eofs != 0 {
+	if len(lost.dialed) != 1 || !errors.Is(lost.dialed[0], errStreamReset) || lost.eofs != 0 {
 		t.Fatalf("unanswered dial reported %v and %d ends", lost.dialed, lost.eofs)
 	}
 }

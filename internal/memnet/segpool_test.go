@@ -106,8 +106,8 @@ func TestStreamMessageSteadyStateAllocs(t *testing.T) {
 func TestDupOfPooledSegmentIsPrivate(t *testing.T) {
 	e, _, h, r := faultyPair(t, faults.Config{Seed: 7, PktDup: 1})
 	var arrived [][]byte // every DATA payload reaching r, duplicates included
-	input := r.protos[ProtoStream]
-	r.BindProto(ProtoStream, func(pkt *Packet) {
+	input := r.protos[protoStream]
+	r.BindProto(protoStream, func(pkt *Packet) {
 		if b := pkt.Payload.Bytes(); b[0]&flagDATA != 0 {
 			arrived = append(arrived, b[segHeaderSize:])
 		}
@@ -148,7 +148,7 @@ func TestAbortWithSegmentsInFlight(t *testing.T) {
 		_ = cli.Send([]byte("in flight"))
 	}
 	cli.sendSegment(flagRST, 0, 0, nil)
-	cli.abort(ErrStreamReset)
+	cli.abort(errStreamReset)
 	e.RunFor(5 * time.Second)
 	if len(h.streams.conns) != 0 || len(r.streams.conns) != 0 {
 		t.Fatalf("lingering conns: %d/%d", len(h.streams.conns), len(r.streams.conns))
@@ -204,7 +204,7 @@ var dropCases = map[string]func(t *testing.T) (e *sim.Engine, from *Node, dst IP
 	},
 	"no handler": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
 		e, _, h, r := twoNodes(t)
-		r.protos[ProtoStream] = nil
+		r.protos[protoStream] = nil
 		return e, h, r.Addr, []*Node{h, r}
 	},
 }

@@ -37,9 +37,9 @@ const (
 
 // Errors from the stream service.
 var (
-	ErrStreamReset  = errors.New("memnet: stream reset")       // torn down by the peer, or the retransmissions ran out
+	errStreamReset  = errors.New("memnet: stream reset")       // torn down by the peer, or the retransmissions ran out
 	ErrStreamClosed = errors.New("memnet: stream closed")      // used after a local Close
-	ErrConnRefused  = errors.New("memnet: connection refused") // no listener on the dialed port
+	errConnRefused  = errors.New("memnet: connection refused") // no listener on the dialed port
 	ErrDialTimeout  = errors.New("memnet: dial timed out")     // an unanswered connection attempt
 )
 
@@ -77,7 +77,7 @@ func (nd *Node) sendSegment(dst IPAddr, seg segment) {
 	hdr := seg.header()
 	chain := mbuf.FromBytes(seg.data)
 	chain.Prepend(hdr[:]) // into the first mbuf's leading space
-	_ = nd.SendChain(dst, ProtoStream, chain)
+	_ = nd.SendChain(dst, protoStream, chain)
 }
 
 type connKey struct {
@@ -105,7 +105,7 @@ func newStreamLayer(nd *Node) *streamLayer {
 		conns:     make(map[connKey]*Stream),
 		ports:     make(map[uint16]int),
 	}
-	nd.BindProto(ProtoStream, sl.input)
+	nd.BindProto(protoStream, sl.input)
 	return sl
 }
 
@@ -148,8 +148,8 @@ type StreamListener struct {
 // Receiver takes a connection's news in the events that deliver it, in
 // place of a process blocked in DialStream or Recv.
 type Receiver interface {
-	// Dialed ends Dial's handshake: nil at the SYN-ACK, ErrConnRefused
-	// at an RST, ErrStreamReset once the SYNs run out.
+	// Dialed ends Dial's handshake: nil at the SYN-ACK, errConnRefused
+	// at an RST, errStreamReset once the SYNs run out.
 	Dialed(err error)
 	Deliver(msg []byte) // the next in-order message, the receiver's to keep
 	EOF()               // the peer closed or reset; once
@@ -158,7 +158,7 @@ type Receiver interface {
 // ListenStream binds a listener to port.
 func (nd *Node) ListenStream(port uint16) (*StreamListener, error) {
 	if nd.streams.portBusy(port) {
-		return nil, fmt.Errorf("%w: stream port %d on %s", ErrPortInUse, port, nd.Name)
+		return nil, fmt.Errorf("%w: stream port %d on %s", errPortInUse, port, nd.Name)
 	}
 	l := &StreamListener{node: nd, port: port}
 	nd.streams.listeners[port] = l
@@ -262,7 +262,7 @@ func (s *Stream) queued() int {
 
 // Dial sends the SYN of a connection from this node and returns it; r
 // learns how the handshake ends and takes what arrives. It fails with
-// ErrNoPort, at once, when the node holds every ephemeral port.
+// errNoPort, at once, when the node holds every ephemeral port.
 func (nd *Node) Dial(raddr IPAddr, rport uint16, r Receiver) (*Stream, error) {
 	lport, err := nd.ephemeralPort()
 	if err != nil {
@@ -318,7 +318,7 @@ func (s *Stream) Send(msg []byte) error {
 		return ErrStreamClosed
 	}
 	if s.reset {
-		return ErrStreamReset
+		return errStreamReset
 	}
 	s.sendq.Push(append([]byte(nil), msg...))
 	s.pump()
@@ -492,7 +492,7 @@ func (s *Stream) onRetransmit() {
 	}
 	s.retries++
 	if s.retries > streamMaxRetries {
-		s.abort(ErrStreamReset)
+		s.abort(errStreamReset)
 		return
 	}
 	if !s.established && s.dialing {
@@ -570,7 +570,7 @@ func (s *Stream) handle(seg *segment) {
 	}
 	switch {
 	case seg.flags&flagRST != 0:
-		s.abort(ErrConnRefused)
+		s.abort(errConnRefused)
 		return
 
 	case seg.flags&flagSYN != 0 && seg.flags&flagACK == 0:

@@ -69,7 +69,7 @@ func TestSendAfterLocalClose(t *testing.T) {
 // connection.
 func forge(nd *Node, dst IPAddr, seg segment) {
 	hdr := seg.header()
-	_ = nd.SendChain(dst, ProtoStream, mbuf.FromBytes(append(hdr[:], seg.data...)))
+	_ = nd.SendChain(dst, protoStream, mbuf.FromBytes(append(hdr[:], seg.data...)))
 }
 
 func TestDataToClosedConnDrawsRST(t *testing.T) {
@@ -294,7 +294,7 @@ func TestLoopbackAcksInPlace(t *testing.T) {
 	var cli2 *Stream
 	e.Go("server2", func(p *sim.Proc) {
 		s, _ := l.Accept(p)
-		s.abort(ErrStreamReset)
+		s.abort(errStreamReset)
 	})
 	e.Go("client2", func(p *sim.Proc) {
 		cli2, _ = h.DialStream(p, h.Addr, 5000)

@@ -43,8 +43,8 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// ParseClass parses a wire class name.
-func ParseClass(s string) (Class, error) {
+// parseClass parses a wire class name.
+func parseClass(s string) (Class, error) {
 	for i, n := range classNames {
 		if s == n {
 			return Class(i), nil
@@ -68,8 +68,8 @@ func (q QoS) String() string {
 	return fmt.Sprintf("%s:%d", q.Class, q.BandwidthKbs)
 }
 
-// ErrSyntax reports an unparseable QoS string.
-var ErrSyntax = errors.New("qos: malformed descriptor")
+// errSyntax reports an unparseable QoS string.
+var errSyntax = errors.New("qos: malformed descriptor")
 
 // Parse parses the wire grammar "<class>:<kbps>". The empty string
 // parses as BestEffortQoS, matching the paper's first-cut signaling that
@@ -80,15 +80,15 @@ func Parse(s string) (QoS, error) {
 	}
 	cs, bs, ok := strings.Cut(s, ":")
 	if !ok {
-		return QoS{}, fmt.Errorf("%w: %q", ErrSyntax, s)
+		return QoS{}, fmt.Errorf("%w: %q", errSyntax, s)
 	}
-	c, err := ParseClass(cs)
+	c, err := parseClass(cs)
 	if err != nil {
-		return QoS{}, fmt.Errorf("%w: %q", ErrSyntax, s)
+		return QoS{}, fmt.Errorf("%w: %q", errSyntax, s)
 	}
 	bw, err := strconv.ParseUint(bs, 10, 32)
 	if err != nil {
-		return QoS{}, fmt.Errorf("%w: %q", ErrSyntax, s)
+		return QoS{}, fmt.Errorf("%w: %q", errSyntax, s)
 	}
 	return QoS{Class: c, BandwidthKbs: uint32(bw)}, nil
 }

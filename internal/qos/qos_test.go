@@ -29,8 +29,8 @@ func TestParseEmptyIsBestEffort(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, s := range []string{"cbr", "cbr:", "cbr:x", "turbo:100", ":100", "cbr:-1", "cbr:99999999999"} {
-		if _, err := Parse(s); !errors.Is(err, ErrSyntax) {
-			t.Errorf("Parse(%q) err = %v, want ErrSyntax", s, err)
+		if _, err := Parse(s); !errors.Is(err, errSyntax) {
+			t.Errorf("Parse(%q) err = %v, want errSyntax", s, err)
 		}
 	}
 }
@@ -42,8 +42,8 @@ func TestClassString(t *testing.T) {
 	if Class(9).String() != "class(9)" {
 		t.Fatalf("out of range = %q", Class(9).String())
 	}
-	if _, err := ParseClass("nope"); err == nil {
-		t.Fatal("ParseClass accepted junk")
+	if _, err := parseClass("nope"); err == nil {
+		t.Fatal("parseClass accepted junk")
 	}
 }
 

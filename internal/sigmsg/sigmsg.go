@@ -184,8 +184,8 @@ func (m Msg) String() string {
 
 // Errors from decoding.
 var (
-	ErrShort   = errors.New("sigmsg: truncated message")
-	ErrBadKind = errors.New("sigmsg: unknown message kind")
+	errShort   = errors.New("sigmsg: truncated message")
+	errBadKind = errors.New("sigmsg: unknown message kind")
 )
 
 // fixedLen is the size of the fixed-field prefix every message carries
@@ -291,11 +291,11 @@ func (d *Decoder) str(b []byte) string {
 func (d *Decoder) DecodeInto(m *Msg, b []byte) error {
 	*m = Msg{}
 	if len(b) < fixedLen {
-		return ErrShort
+		return errShort
 	}
 	m.Kind = Kind(b[0])
 	if _, ok := kindNames[m.Kind]; !ok {
-		return fmt.Errorf("%w: %d", ErrBadKind, b[0])
+		return fmt.Errorf("%w: %d", errBadKind, b[0])
 	}
 	m.Cookie = uint16(b[1])<<8 | uint16(b[2])
 	m.VCI = atm.VCI(uint16(b[3])<<8 | uint16(b[4]))
@@ -329,11 +329,11 @@ func (d *Decoder) DecodeInto(m *Msg, b []byte) error {
 
 func takeBytes(b []byte) ([]byte, []byte, error) {
 	if len(b) < 2 {
-		return nil, nil, ErrShort
+		return nil, nil, errShort
 	}
 	n := int(b[0])<<8 | int(b[1])
 	if len(b) < 2+n {
-		return nil, nil, ErrShort
+		return nil, nil, errShort
 	}
 	return b[2 : 2+n], b[2+n:], nil
 }

@@ -52,20 +52,20 @@ func TestRoundTripEmptyFields(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); !errors.Is(err, ErrShort) {
+	if _, err := Decode(nil); !errors.Is(err, errShort) {
 		t.Fatalf("nil: %v", err)
 	}
-	if _, err := Decode(make([]byte, 5)); !errors.Is(err, ErrShort) {
+	if _, err := Decode(make([]byte, 5)); !errors.Is(err, errShort) {
 		t.Fatalf("short: %v", err)
 	}
 	b := Msg{Kind: KindSetup}.Encode()
 	b[0] = 200
-	if _, err := Decode(b); !errors.Is(err, ErrBadKind) {
+	if _, err := Decode(b); !errors.Is(err, errBadKind) {
 		t.Fatalf("bad kind: %v", err)
 	}
 	// Truncated string section.
 	b = Msg{Kind: KindSetup, Service: "abcdef"}.Encode()
-	if _, err := Decode(b[:len(b)-3]); !errors.Is(err, ErrShort) {
+	if _, err := Decode(b[:len(b)-3]); !errors.Is(err, errShort) {
 		t.Fatalf("truncated: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package signaling
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,60 @@ func (ch *Chains) Err() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// Instants lists when ch's records were published, in order.
+func (ch *Chains) Instants() []time.Duration {
+	at := make([]time.Duration, len(ch.log))
+	for i, r := range ch.log {
+		at[i] = r.pub
+	}
+	return at
+}
+
+// CrashForChecked crashes h for d, as h.CrashFor does, and returns a
+// check of the Recover that ends the outage, to read at quiescence: each
+// call that was in wait_for_bind or VCI_mapping at the crash is back in
+// the same list, and Recover ended every other call, cause restarted. ch
+// watches h's sighost.
+func CrashForChecked(h *SimHost, ch *Chains, d time.Duration) func() error {
+	sh := h.SH
+	lists := func() map[callKey]string {
+		in := make(map[callKey]string, len(sh.calls))
+		for k, c := range sh.calls {
+			switch c {
+			case sh.waitBind[c.localVCI]:
+				in[k] = "wait_for_bind"
+			case sh.vciMap[c.localVCI]:
+				in[k] = "VCI_mapping"
+			default:
+				in[k] = ""
+			}
+		}
+		return in
+	}
+	var at map[callKey]string
+	var from int // ch.log's length at the crash: Recover's records follow
+	var errs []error
+	h.inbox.Put(input{fn: func() { at, from = lists(), len(ch.log) }})
+	h.CrashFor(d)
+	h.Stack.M.E.Schedule(d, func() {
+		h.inbox.Put(input{fn: func() {
+			now := lists()
+			for k, list := range at {
+				ended := slices.ContainsFunc(ch.log[from:], func(r stamped) bool {
+					return r.Call == k && r.To == callReleased && r.Cause == restarted
+				})
+				switch {
+				case list != "" && now[k] != list:
+					errs = append(errs, fmt.Errorf("%s: call %+v was in %s at the crash, is in %q after Recover", sh.env.Addr(), k, list, now[k]))
+				case list == "" && !ended:
+					errs = append(errs, fmt.Errorf("%s: call %+v, in no list at the crash, did not end restarted in Recover", sh.env.Addr(), k))
+				}
+			}
+		}})
+	})
+	return func() error { return errors.Join(errs...) }
 }
 
 // SpanErr checks that each lifecycle span of the finished trace t is a

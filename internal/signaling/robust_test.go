@@ -15,6 +15,7 @@ package signaling
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -400,7 +401,8 @@ func TestBindTimerAudit(t *testing.T) {
 // TestStaleViewReleaseSparesRegrant loses a RELEASE, so the destination
 // keeps a bound view of a call the origin has ended, and the fabric
 // grants the VCI again. Ending the stale view must leave the new call
-// alone: its server's bind still authenticates.
+// alone: its server's bind still authenticates, and no disconnect names
+// the VCI the new call maps.
 func TestStaleViewReleaseSparesRegrant(t *testing.T) {
 	w, shA, shB, envA, envB := pair(t, time.Minute, nil, false)
 	exportEcho(t, shB, envB, "echo")
@@ -420,6 +422,9 @@ func TestStaleViewReleaseSparesRegrant(t *testing.T) {
 	// The stale view's server closes its socket, then the new server binds.
 	shB.HandleKernel(envB.ip, kern.KMsg{Kind: kern.MsgClose, VCI: sv})
 	bindBoth(w, shA, shB, envA, envB, cv2, cc2, sv2, sc2)
+	if slices.Contains(envB.disconnects, sv) {
+		t.Fatalf("disconnects %v: the stale view's end shut VCI %d, which the new call maps", envB.disconnects, sv)
+	}
 	if c := shB.vciMap[sv]; c == nil || c.cookie != sc2 || shB.Stats().AuthFailures != 0 {
 		t.Fatalf("the new call's bind was refused: view %+v, %d auth failures", c, shB.Stats().AuthFailures)
 	}

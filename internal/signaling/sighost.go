@@ -491,9 +491,9 @@ func (sh *Sighost) end(c *call, why cause) {
 		}
 	}
 	sh.transition(c, callReleased, why, 0)
-	if c.localVCI != 0 {
-		// Mark the endpoint's socket unusable (and shut host
-		// forwarding) so no more data flows on the dead circuit.
+	if c.localVCI != 0 && sh.mapped(c.localVCI) == 0 {
+		// Stop data on the dead circuit, unless a newer call holds its
+		// VCI: the disconnect names no grant, so it would shut that one.
 		sh.env.KernelDisconnect(c.endIP, c.localVCI)
 	}
 	if c.serverConn != nil {
