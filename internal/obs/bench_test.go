@@ -5,37 +5,17 @@ import (
 	"time"
 )
 
-// BenchmarkTelemetryOverhead/disabled-tracer is the CI gate for the
-// instrumentation bargain: a disabled event ring must cost under 5 ns per
-// call site (one nil check + one atomic load), so tracing compiled into the
-// signaling hot paths cannot skew the existing benchmarks. The other cases
-// size the rest of the toolkit.
+// BenchmarkTelemetryOverhead sizes the enabled toolkit: a ring publish,
+// a counter increment, a histogram observation. The disabled event
+// ring's 5 ns gate is sighost's (BenchmarkEventRingOverhead), since
+// sighost owns the ring's on/off switch.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	b.Run("disabled-tracer", func(b *testing.B) {
-		r := NewRegistry()
-		tr := r.Tracer("bench")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if tr.Enabled() {
-				tr.Emit(Event{Kind: "never"})
-			}
-		}
-		b.StopTimer()
-		// Enforce the budget only on a real measurement run; the N=1
-		// discovery run is all fixed overhead.
-		if avg := float64(b.Elapsed().Nanoseconds()) / float64(b.N); b.N >= 1_000_000 && avg > 5 {
-			b.Fatalf("disabled trace call site costs %.1f ns, budget is 5 ns", avg)
-		}
-	})
 	b.Run("enabled-ring-publish", func(b *testing.B) {
-		r := NewRegistry()
-		tr := r.Tracer("bench")
-		r.EnableTrace("bench", true)
+		r := NewRing(DefaultRingSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr.Emit(Event{Kind: "k", VCI: uint32(i)})
+			r.Publish(Event{Kind: "k", VCI: uint32(i)})
 		}
 	})
 	b.Run("counter-inc", func(b *testing.B) {

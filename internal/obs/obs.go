@@ -1,9 +1,10 @@
-// Package obs is the repo's zero-dependency telemetry layer: a registry of
-// named counters, gauges and sim-time histograms, plus a bounded structured
-// event ring (ring.go). Components register metrics by dotted name
-// ("component.metric", e.g. "sighost.calls.established") against the registry
-// owned by their kern.Machine; the testbed report, the sigmsg mgmt queries
-// ("stats" / "stats.json") and cmd/xunetstat all render from Snapshot().
+// Package obs is the repo's telemetry layer: a registry of named counters,
+// gauges and sim-time histograms, plus the bounded structured event ring
+// sighost keeps (ring.go, over sim.Ring). Components register metrics by
+// dotted name ("component.metric", e.g. "sighost.calls.established")
+// against the registry owned by their kern.Machine; the testbed report, the
+// sigmsg mgmt queries ("stats" / "stats.json") and cmd/xunetstat all render
+// from Snapshot().
 //
 // All metric mutation paths are atomic and safe from any goroutine; the
 // registry map itself is mutex-guarded but only touched at registration and
@@ -69,16 +70,16 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Max returns the high-water mark.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
-// HistBuckets is the number of log-scale latency buckets. Bucket 0 holds
+// histBuckets is the number of log-scale latency buckets. Bucket 0 holds
 // observations <= 1µs; bucket i holds (1µs<<(i-1), 1µs<<i]; the last bucket
 // is unbounded. 1µs<<38 is ~76h of sim time, far beyond any run.
-const HistBuckets = 40
+const histBuckets = 40
 
 // Histogram accumulates sim-time durations into fixed log-scale buckets.
 // Quantiles are estimated by linear interpolation inside the matched bucket
 // and clamped to the observed maximum.
 type Histogram struct {
-	buckets [HistBuckets]atomic.Uint64
+	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Int64
 	max     atomic.Int64
@@ -91,15 +92,15 @@ func bucketOf(d time.Duration) int {
 	// Smallest i with 1µs<<i >= d. Subtracting one nanosecond keeps exact
 	// bucket bounds (2µs, 4µs, ...) in their own bucket.
 	i := bits.Len64(uint64(d-1) / 1000)
-	if i >= HistBuckets {
-		return HistBuckets - 1
+	if i >= histBuckets {
+		return histBuckets - 1
 	}
 	return i
 }
 
-// BucketBound returns the inclusive upper bound of bucket i (the last bucket
+// bucketBound returns the inclusive upper bound of bucket i (the last bucket
 // reports its nominal bound even though it is open-ended).
-func BucketBound(i int) time.Duration {
+func bucketBound(i int) time.Duration {
 	return time.Microsecond << i
 }
 
@@ -125,33 +126,29 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Quantile estimates the q-quantile of the live histogram without building a
 // snapshot, so periodic scrapers (obs/tseries) stay allocation-free.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	var counts [HistBuckets]uint64
+	var counts [histBuckets]uint64
 	for i := range counts {
 		counts[i] = h.buckets[i].Load()
 	}
 	return quantile(counts, h.count.Load(), time.Duration(h.max.Load()), q)
 }
 
-// Registry holds a machine's (or fabric's) named metrics plus its event ring.
+// Registry holds a machine's (or fabric's) named metrics.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() uint64
-	tracers  map[string]*Tracer
-	ring     *Ring
 }
 
-// NewRegistry returns an empty registry with a DefaultRingSize event ring.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() uint64),
-		tracers:  make(map[string]*Tracer),
-		ring:     NewRing(DefaultRingSize),
 	}
 }
 
@@ -345,12 +342,12 @@ func histSnap(name string, h *Histogram) HistSnap {
 		Sum:   time.Duration(h.sum.Load()),
 		Max:   time.Duration(h.max.Load()),
 	}
-	var counts [HistBuckets]uint64
+	var counts [histBuckets]uint64
 	for i := range counts {
 		n := h.buckets[i].Load()
 		counts[i] = n
 		if n > 0 {
-			hs.Buckets = append(hs.Buckets, BucketSnap{Le: BucketBound(i), N: n})
+			hs.Buckets = append(hs.Buckets, BucketSnap{Le: bucketBound(i), N: n})
 		}
 	}
 	hs.P50 = quantile(counts, hs.Count, hs.Max, 0.50)
@@ -359,7 +356,7 @@ func histSnap(name string, h *Histogram) HistSnap {
 	return hs
 }
 
-func quantile(counts [HistBuckets]uint64, total uint64, max time.Duration, q float64) time.Duration {
+func quantile(counts [histBuckets]uint64, total uint64, max time.Duration, q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
@@ -377,9 +374,9 @@ func quantile(counts [HistBuckets]uint64, total uint64, max time.Duration, q flo
 		if cum >= rank {
 			lo := time.Duration(0)
 			if i > 0 {
-				lo = BucketBound(i - 1)
+				lo = bucketBound(i - 1)
 			}
-			hi := BucketBound(i)
+			hi := bucketBound(i)
 			if hi > max {
 				hi = max
 			}

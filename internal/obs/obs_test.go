@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 )
@@ -39,7 +40,7 @@ func TestHistogramBuckets(t *testing.T) {
 		{4 * time.Microsecond, 2},
 		{time.Millisecond, 10},
 		{time.Second, 20},
-		{1 << 62, HistBuckets - 1},
+		{1 << 62, histBuckets - 1},
 	}
 	for _, tc := range cases {
 		if got := bucketOf(tc.d); got != tc.want {
@@ -85,7 +86,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndSingle(t *testing.T) {
 	var h Histogram
-	if q := quantile([HistBuckets]uint64{}, 0, 0, 0.5); q != 0 {
+	if q := quantile([histBuckets]uint64{}, 0, 0, 0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
 	h.Observe(3 * time.Millisecond)
@@ -158,33 +159,45 @@ func total(r *Ring) uint64 {
 	return r.next
 }
 
-func TestTracerEnableAndSubscribe(t *testing.T) {
-	r := NewRegistry()
-	tr := r.Tracer("sighost")
-	if tr.Enabled() {
-		t.Fatal("tracer enabled by default")
+// TestRingConcurrentPublish publishes from several goroutines while
+// another reads, as a live daemon's actor and its MGMT readers do: every
+// read is a run of consecutive Seqs, and no Seq is lost or repeated.
+func TestRingConcurrentPublish(t *testing.T) {
+	const writers, each = 4, 500
+	ring := NewRing(64)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ring.Publish(Event{Kind: "k"})
+			}
+		}()
 	}
-	var nilTr *Tracer
-	if nilTr.Enabled() {
-		t.Fatal("nil tracer claims enabled")
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for read := true; read; {
+		select {
+		case <-done:
+			read = false
+		default:
+		}
+		evs := ring.Last(64)
+		for i := range evs {
+			if evs[i].Seq != evs[0].Seq+uint64(i) {
+				t.Fatalf("read %d: Seq %d after %d", i, evs[i].Seq, evs[0].Seq)
+			}
+		}
 	}
-	nilTr.Emit(Event{}) // must not panic
-
-	tr.Emit(Event{Kind: "dropped"})
-	if total(r.Ring()) != 0 {
-		t.Fatal("disabled tracer published")
+	if got := total(ring); got != writers*each {
+		t.Fatalf("published %d events, want %d", got, writers*each)
 	}
-
-	r.EnableTrace("sighost", true)
-	tr.Emit(Event{Kind: "kept", VCI: 9})
-	if total(r.Ring()) != 1 {
-		t.Fatal("enabled tracer did not publish")
-	}
-	if seen := r.Ring().Last(1); seen[0].Comp != "sighost" || seen[0].VCI != 9 {
-		t.Fatalf("ring holds %+v", seen)
-	}
-	if r.Tracer("sighost") != tr {
-		t.Fatal("tracer identity not stable")
+	if evs := ring.Last(64); len(evs) != 64 || evs[63].Seq != writers*each-1 {
+		t.Fatalf("final ring holds %d events ending at Seq %d", len(evs), evs[len(evs)-1].Seq)
 	}
 }
 

@@ -10,5 +10,5 @@ func (st *Store) Events() []HealthEvent {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.eventsLocked()
+	return st.events.Last(st.eventCap)
 }

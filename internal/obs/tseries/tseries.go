@@ -9,14 +9,14 @@
 // Declarative watermark rules (queue depth over N for M ticks,
 // retransmit-rate spikes, flight-dump bursts) evaluate after every
 // scrape and emit health events on state edges; consumers wire
-// OnHealthEvent to publish them into an obs ring or trigger the flight
-// recorder.
+// OnHealthEvent to collect them or trigger the flight recorder.
 //
-// The steady state allocates nothing: rings are pre-sized, sources are
-// resolved once, and registry rescans run only when a registry has
-// grown. Hot paths feed the store through Peak, whose disabled (nil)
-// form costs one pointer check — gated under 5 ns by
-// BenchmarkTSeriesOverhead, like the trace and faults planes.
+// The steady state allocates nothing: point rings (sim.Ring) start on
+// capacity-sized arrays, sources are resolved once, and registry
+// rescans run only when a registry has grown. Hot paths feed the store
+// through Peak, whose disabled (nil) form costs one pointer check —
+// gated under 5 ns by BenchmarkTSeriesOverhead, like the trace and
+// faults planes.
 package tseries
 
 import (
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"xunet/internal/obs"
+	"xunet/internal/sim"
 )
 
 // Config sizes a store.
@@ -43,35 +44,35 @@ type Config struct {
 	EventCapacity int
 }
 
-// DefaultInterval and DefaultCapacity apply when Config leaves them zero.
+// defaultInterval and defaultCapacity apply when Config leaves them zero.
 const (
-	DefaultInterval      = 10 * time.Millisecond
-	DefaultCapacity      = 512
-	DefaultEventCapacity = 256
+	defaultInterval      = 10 * time.Millisecond
+	defaultCapacity      = 512
+	defaultEventCapacity = 256
 )
 
-// Kind classifies how a series samples its source.
-type Kind uint8
+// kind classifies how a series samples its source.
+type kind uint8
 
 const (
-	// KindCounter samples a monotonic total: V is the delta since the
+	// kindCounter samples a monotonic total: V is the delta since the
 	// previous tick (scaled by num/den when set), Aux the raw total.
-	KindCounter Kind = iota
-	// KindGauge samples a level: V is the instantaneous value, Aux the
+	kindCounter kind = iota
+	// kindGauge samples a level: V is the instantaneous value, Aux the
 	// high-water mark.
-	KindGauge
-	// KindHist samples a histogram: V is the observation-count delta,
+	kindGauge
+	// kindHist samples a histogram: V is the observation-count delta,
 	// Aux the current P99 in nanoseconds.
-	KindHist
+	kindHist
 )
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHist:
+	case kindHist:
 		return "hist"
 	}
 	return "?"
@@ -87,49 +88,22 @@ type Point struct {
 // series is one tracked source with its fixed-capacity point ring.
 type series struct {
 	name string
-	kind Kind
+	kind kind
 
-	counterFn func() uint64         // KindCounter
-	gaugeFn   func() (int64, int64) // KindGauge: (value, high-water)
-	hist      *obs.Histogram        // KindHist
+	counterFn func() uint64         // kindCounter
+	gaugeFn   func() (int64, int64) // kindGauge: (value, high-water)
+	hist      *obs.Histogram        // kindHist
 	last      uint64                // previous counter/hist-count sample
 	num, den  int64                 // counter delta scaling (0 den = none)
 
-	ring []Point
-	n    int // points stored (<= len(ring))
-	head int // oldest point index once the ring has wrapped
+	points sim.Ring[Point] // on a capacity-sized array: a tick never grows it
 }
 
-func (s *series) push(p Point) {
-	if s.n < len(s.ring) {
-		s.ring[s.n] = p
-		s.n++
-		return
-	}
-	s.ring[s.head] = p
-	s.head++
-	if s.head == len(s.ring) {
-		s.head = 0
-	}
-}
-
-// latest returns the newest point (zero Point before the first tick).
-func (s *series) latest() Point {
-	if s.n == 0 {
-		return Point{}
-	}
-	i := s.head + s.n - 1
-	if i >= len(s.ring) {
-		i -= len(s.ring)
-	}
-	return s.ring[i]
-}
-
-func (s *series) sample(at time.Duration) {
+func (s *series) sample(at time.Duration, capacity int) {
 	var p Point
 	p.At = at
 	switch s.kind {
-	case KindCounter:
+	case kindCounter:
 		cur := s.counterFn()
 		var d int64
 		// A registry Func is adopted as a counter whatever it reads, and
@@ -143,9 +117,9 @@ func (s *series) sample(at time.Duration) {
 			d = d * s.num / s.den
 		}
 		p.V, p.Aux = d, int64(cur)
-	case KindGauge:
+	case kindGauge:
 		p.V, p.Aux = s.gaugeFn()
-	case KindHist:
+	case kindHist:
 		cur := s.hist.Count()
 		var d int64
 		if cur >= s.last {
@@ -154,7 +128,7 @@ func (s *series) sample(at time.Duration) {
 		s.last = cur
 		p.V, p.Aux = d, int64(s.hist.Quantile(0.99))
 	}
-	s.push(p)
+	s.points.Keep(p, capacity)
 }
 
 // regSource is one registry under periodic rescan: when the registry
@@ -233,11 +207,10 @@ type Store struct {
 	byName map[string]bool
 	regs   []regSource
 
-	rules   []*rule
-	events  []HealthEvent
-	evN     int
-	evHead  int
-	onEvent func(HealthEvent)
+	rules    []*rule
+	events   sim.Ring[HealthEvent]
+	eventCap int
+	onEvent  func(HealthEvent)
 
 	ticks  uint64
 	lastAt time.Duration
@@ -246,19 +219,19 @@ type Store struct {
 // New returns an empty store.
 func New(cfg Config) *Store {
 	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
+		cfg.Interval = defaultInterval
 	}
 	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
+		cfg.Capacity = defaultCapacity
 	}
 	if cfg.EventCapacity <= 0 {
-		cfg.EventCapacity = DefaultEventCapacity
+		cfg.EventCapacity = defaultEventCapacity
 	}
 	return &Store{
 		interval: cfg.Interval,
 		capacity: cfg.Capacity,
 		byName:   make(map[string]bool),
-		events:   make([]HealthEvent, cfg.EventCapacity),
+		eventCap: cfg.EventCapacity,
 	}
 }
 
@@ -275,13 +248,13 @@ func (st *Store) add(s *series) {
 	if st.byName[s.name] {
 		return
 	}
-	s.ring = make([]Point, st.capacity)
+	s.points = sim.RingOn(make([]Point, st.capacity))
 	// Prime the counter baseline so the first tick reports a true
 	// delta rather than the accumulated history.
 	switch s.kind {
-	case KindCounter:
+	case kindCounter:
 		s.last = s.counterFn()
-	case KindHist:
+	case kindHist:
 		s.last = s.hist.Count()
 	}
 	st.byName[s.name] = true
@@ -297,7 +270,7 @@ func (st *Store) TrackRateFunc(name string, fn func() uint64, num, den int64) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.add(&series{name: name, kind: KindCounter, counterFn: fn, num: num, den: den})
+	st.add(&series{name: name, kind: kindCounter, counterFn: fn, num: num, den: den})
 }
 
 // TrackGaugeFunc tracks a level read through fn, which returns
@@ -308,7 +281,7 @@ func (st *Store) TrackGaugeFunc(name string, fn func() (int64, int64)) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.add(&series{name: name, kind: KindGauge, gaugeFn: fn})
+	st.add(&series{name: name, kind: kindGauge, gaugeFn: fn})
 }
 
 // TrackRegistry adopts every metric in reg, each series named
@@ -331,16 +304,16 @@ func (st *Store) scanRegistry(rs *regSource) {
 	rs.lastSize = rs.reg.MetricCount()
 	rs.reg.Visit(
 		func(name string, c *obs.Counter) {
-			st.add(&series{name: rs.prefix + name, kind: KindCounter, counterFn: c.Value})
+			st.add(&series{name: rs.prefix + name, kind: kindCounter, counterFn: c.Value})
 		},
 		func(name string, g *obs.Gauge) {
-			st.add(&series{name: rs.prefix + name, kind: KindGauge, gaugeFn: func() (int64, int64) { return g.Value(), g.Max() }})
+			st.add(&series{name: rs.prefix + name, kind: kindGauge, gaugeFn: func() (int64, int64) { return g.Value(), g.Max() }})
 		},
 		func(name string, h *obs.Histogram) {
-			st.add(&series{name: rs.prefix + name, kind: KindHist, hist: h})
+			st.add(&series{name: rs.prefix + name, kind: kindHist, hist: h})
 		},
 		func(name string, fn func() uint64) {
-			st.add(&series{name: rs.prefix + name, kind: KindCounter, counterFn: fn})
+			st.add(&series{name: rs.prefix + name, kind: kindCounter, counterFn: fn})
 		},
 	)
 }
@@ -388,7 +361,7 @@ func (st *Store) Tick(now time.Duration) {
 		}
 	}
 	for _, s := range st.series {
-		s.sample(now)
+		s.sample(now, st.capacity)
 	}
 	st.evalRules(now)
 }
@@ -404,7 +377,7 @@ func (st *Store) evalRules(now time.Duration) {
 				state = &ruleState{}
 				r.states[i] = state
 			}
-			p := s.latest()
+			p := s.points.At(s.points.Len() - 1) // sampled this tick
 			v := p.V
 			if r.def.OnAux {
 				v = p.Aux
@@ -430,33 +403,12 @@ func (st *Store) evalRules(now time.Duration) {
 	}
 }
 
-// emit appends ev to the bounded event ring and invokes the callback.
+// emit keeps ev in the bounded event ring and invokes the callback.
 func (st *Store) emit(ev HealthEvent) {
-	if st.evN < len(st.events) {
-		st.events[st.evN] = ev
-		st.evN++
-	} else {
-		st.events[st.evHead] = ev
-		st.evHead++
-		if st.evHead == len(st.events) {
-			st.evHead = 0
-		}
-	}
+	st.events.Keep(ev, st.eventCap)
 	if st.onEvent != nil {
 		st.onEvent(ev)
 	}
-}
-
-func (st *Store) eventsLocked() []HealthEvent {
-	out := make([]HealthEvent, 0, st.evN)
-	for i := 0; i < st.evN; i++ {
-		j := st.evHead + i
-		if j >= len(st.events) {
-			j -= len(st.events)
-		}
-		out = append(out, st.events[j])
-	}
-	return out
 }
 
 // SeriesSnap is one exported series, points oldest first.
@@ -493,19 +445,11 @@ func (st *Store) Export() Export {
 	defer st.mu.Unlock()
 	out := Export{Interval: st.interval, Ticks: st.ticks}
 	for _, s := range st.series {
-		ss := SeriesSnap{Name: s.name, Kind: s.kind.String(), Points: make([]Point, 0, s.n)}
-		for i := 0; i < s.n; i++ {
-			j := s.head + i
-			if j >= len(s.ring) {
-				j -= len(s.ring)
-			}
-			ss.Points = append(ss.Points, s.ring[j])
-		}
-		out.Series = append(out.Series, ss)
+		out.Series = append(out.Series, SeriesSnap{Name: s.name, Kind: s.kind.String(), Points: s.points.Last(s.points.Len())})
 	}
 	sort.Slice(out.Series, func(i, j int) bool { return out.Series[i].Name < out.Series[j].Name })
 	out.Rules = st.ruleSnapsLocked()
-	out.Events = st.eventsLocked()
+	out.Events = st.events.Last(st.eventCap)
 	return out
 }
 
@@ -551,7 +495,7 @@ func (st *Store) Text() string {
 	ticks, at := st.ticks, st.lastAt
 	type row struct {
 		name string
-		kind Kind
+		kind kind
 		p    Point
 		n    int
 	}
@@ -559,7 +503,11 @@ func (st *Store) Text() string {
 	sort.Strings(names)
 	for _, name := range names {
 		s := byName[name]
-		rows = append(rows, row{name: name, kind: s.kind, p: s.latest(), n: s.n})
+		r := row{name: name, kind: s.kind, n: s.points.Len()}
+		if r.n > 0 {
+			r.p = s.points.At(r.n - 1)
+		}
+		rows = append(rows, r)
 	}
 	st.mu.Unlock()
 
@@ -567,11 +515,11 @@ func (st *Store) Text() string {
 	fmt.Fprintf(&b, "tseries: %d series, %d ticks, last at %v\n", len(rows), ticks, at)
 	for _, r := range rows {
 		switch r.kind {
-		case KindCounter:
+		case kindCounter:
 			fmt.Fprintf(&b, "%s rate=%d total=%d points=%d\n", r.name, r.p.V, r.p.Aux, r.n)
-		case KindGauge:
+		case kindGauge:
 			fmt.Fprintf(&b, "%s value=%d hi=%d points=%d\n", r.name, r.p.V, r.p.Aux, r.n)
-		case KindHist:
+		case kindHist:
 			fmt.Fprintf(&b, "%s rate=%d p99=%v points=%d\n", r.name, r.p.V, time.Duration(r.p.Aux), r.n)
 		}
 	}
@@ -585,7 +533,7 @@ func (st *Store) HealthText() string {
 	}
 	st.mu.Lock()
 	snaps := st.ruleSnapsLocked()
-	events := st.eventsLocked()
+	events := st.events.Last(st.eventCap)
 	st.mu.Unlock()
 	var b strings.Builder
 	for _, s := range snaps {
@@ -616,7 +564,7 @@ func (st *Store) HealthJSON() string {
 	out := struct {
 		Rules  []RuleSnap    `json:"rules,omitempty"`
 		Events []HealthEvent `json:"events,omitempty"`
-	}{st.ruleSnapsLocked(), st.eventsLocked()}
+	}{st.ruleSnapsLocked(), st.events.Last(st.eventCap)}
 	st.mu.Unlock()
 	b, err := json.Marshal(out)
 	if err != nil {

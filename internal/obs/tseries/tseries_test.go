@@ -88,14 +88,21 @@ func TestGaugeAndHistSampling(t *testing.T) {
 }
 
 func TestRingWraps(t *testing.T) {
-	st := New(Config{Capacity: 4})
-	v := uint64(0)
+	st := New(Config{Capacity: 4, EventCapacity: 3})
+	v, lvl := uint64(0), int64(0)
 	st.TrackRateFunc("c", func() uint64 { return v }, 0, 0)
+	// A level that flips every tick fires or clears its rule each time.
+	st.TrackGaugeFunc("g", func() (int64, int64) { return lvl, 0 })
+	st.AddRule(Rule{Name: "odd", Series: "g", Threshold: 1})
 	for i := 1; i <= 10; i++ {
 		v += uint64(i)
+		lvl = int64(i % 2)
 		tick(st, i)
 	}
-	pts := st.Export().Series[0].Points
+	if evs := st.Events(); len(evs) != 3 || evs[0].Tick != 8 || evs[2].Tick != 10 {
+		t.Fatalf("event ring kept %+v, want ticks 8..10", evs)
+	}
+	pts := st.Export().Series[0].Points // "c" sorts before "g"
 	if len(pts) != 4 {
 		t.Fatalf("retained %d points, want 4", len(pts))
 	}

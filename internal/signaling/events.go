@@ -11,7 +11,7 @@ import (
 	"xunet/internal/trace"
 )
 
-// Event kinds sighost publishes to its machine's obs ring. Events carry the
+// Event kinds sighost publishes to its event ring. Events carry the
 // underlying protocol message in Event.Data (a sigmsg.Msg or kern.KMsg) and
 // typed VCI/CallID/Cookie fields for filtering without string parsing.
 const (
@@ -360,23 +360,42 @@ func (sh *Sighost) handOff(tr Transition) {
 }
 
 // traceOn reports whether any trace consumer is attached: the typed ring
-// (per-component enable flag) or the legacy Trace callback. Call sites gate
-// event construction on this so disabled tracing costs one nil-check and an
-// atomic load.
+// (EnableTrace) or the legacy Trace callback. Call sites gate event
+// construction on this so disabled tracing costs one nil-check and an
+// atomic load (BenchmarkEventRingOverhead).
 func (sh *Sighost) traceOn() bool {
-	return sh.Trace != nil || sh.tr.Enabled()
+	return sh.Trace != nil || sh.tracing.Load()
 }
 
+// EnableTrace turns the typed event ring on or off. Safe from any
+// goroutine.
+func (sh *Sighost) EnableTrace(on bool) { sh.tracing.Store(on) }
+
 // emit timestamps and publishes one event. The ring keeps it typed and
-// renders it with eventString when it is read; the legacy Trace callback,
-// when set, gets the rendered line now.
+// Events renders it when it is read; the legacy Trace callback, when
+// set, gets the rendered line now.
 func (sh *Sighost) emit(ev obs.Event) {
 	ev.At = sh.env.Now()
 	if sh.Trace != nil {
 		ev.Text = eventString(ev)
 		sh.Trace(ev.Text)
 	}
-	sh.tr.Emit(ev)
+	if sh.tracing.Load() {
+		ev.Comp = "sighost"
+		sh.events.Publish(ev)
+	}
+}
+
+// Events returns up to n of the ring's newest events, oldest first,
+// each rendered with eventString. Safe from any goroutine.
+func (sh *Sighost) Events(n int) []obs.Event {
+	evs := sh.events.Last(n)
+	for i := range evs {
+		if evs[i].Text == "" {
+			evs[i].Text = eventString(evs[i])
+		}
+	}
+	return evs
 }
 
 // emitMsg publishes a signaling-message event with typed identity fields.
@@ -416,7 +435,7 @@ func eventString(ev obs.Event) string {
 	}
 	// The generic form, without the component name: MGMT trace views
 	// show these kinds as they read when text was rendered at publish,
-	// before Emit stamped Comp.
+	// before emit stamped Comp.
 	ev.Comp = ""
 	return ev.String()
 }

@@ -62,7 +62,11 @@ func WatchChains(sh *Sighost) *Chains {
 
 func (ch *Chains) add(tr Transition) {
 	ch.Records++
-	t, ok := ch.sh.TraceC.ByCall(tr.Call.id)
+	origin := tr.Call.peer // the call's trace is its origin's
+	if tr.Call.origin {
+		origin = ch.sh.env.Addr()
+	}
+	t, ok := ch.sh.TraceC.ByCall(string(origin), tr.Call.id)
 	ch.log = append(ch.log, stamped{tr, ch.sh.env.Now(), ok && t.Status == ""})
 	if ch.sh.epochGen != ch.inc { // crashed and recovered since the last record
 		ch.inc = ch.sh.epochGen

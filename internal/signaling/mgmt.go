@@ -95,12 +95,12 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 		body = sh.Obs.Snapshot().JSON()
 	case MgmtTrace:
 		var lines []string
-		for _, ev := range sh.Obs.Ring().Last(traceCount(m)) {
+		for _, ev := range sh.Events(traceCount(m)) {
 			lines = append(lines, fmt.Sprintf("[%v] %s", ev.At, ev.Text))
 		}
 		body = strings.Join(lines, "\n")
 	case MgmtTraceJSON:
-		out, err := json.Marshal(sh.Obs.Ring().Last(traceCount(m)))
+		out, err := json.Marshal(sh.Events(traceCount(m)))
 		if err != nil {
 			out = []byte("[]")
 		}
@@ -110,9 +110,9 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 			sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: "calltrace requires a call ID"})
 			return
 		}
-		t, ok := sh.TraceC.ByCall(m.CallID)
+		t, ok := sh.TraceC.ByCall(string(sh.env.Addr()), m.CallID)
 		if !ok {
-			body = fmt.Sprintf("no trace for call %d (tracing off, unsampled, or evicted)", m.CallID)
+			body = fmt.Sprintf("no trace for call %d (placed elsewhere, tracing off, unsampled, or evicted)", m.CallID)
 			break
 		}
 		att, hasSetup := trace.Attribute(t)
@@ -121,7 +121,7 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 			body += att.String()
 		}
 	case MgmtCallTraceJSON:
-		t, ok := sh.TraceC.ByCall(m.CallID)
+		t, ok := sh.TraceC.ByCall(string(sh.env.Addr()), m.CallID)
 		if !ok {
 			body = `{"traceEvents":[],"displayTimeUnit":"ms"}`
 			break

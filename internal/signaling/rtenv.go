@@ -162,7 +162,7 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	h.SH = New(env, CostModel{BindTimeout: 30 * time.Second})
 	// A live daemon keeps its event ring populated so MGMT_TRACE (and
 	// cmd/xunetstat) can show recent signaling activity.
-	h.SH.Obs.EnableTrace("sighost", true)
+	h.SH.EnableTrace(true)
 	// Causal call tracing over the wall clock, so `xunetstat trace
 	// <callid>` and `xunetstat flight` work against a live daemon. The
 	// collector has its own mutex, so it may also be read off the actor.

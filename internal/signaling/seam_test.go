@@ -540,7 +540,7 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 	events := map[string]bool{"EvTeardown": true, "EvBindOK": true, "EvBindTime": true}
 	recovery := []string{`"sighost.recovered.wait_bind"`, `"sighost.recovered.bound"`, `"sighost.recovery.aborted_calls"`}
 	hists := map[string]bool{"stage": true, "setupTotal": true, "acceptTotal": true}
-	spans := map[string]bool{"StartTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true}
+	spans := map[string]bool{"StartTrace": true, "StartCallTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true}
 	seen := map[string]int{} // found where they belong
 	eachFunc(t, func(fset *token.FileSet, where string, body *ast.BlockStmt) {
 		found := func(n ast.Node, what string) {
@@ -593,7 +593,7 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 		})
 	})
 	want := slices.Concat(slices.Sorted(maps.Keys(counters)), slices.Sorted(maps.Keys(events)), recovery,
-		slices.Sorted(maps.Keys(hists)), []string{"StartTrace", "StartSpanAt", "EndSpanAt", "FinishTrace", "Record"})
+		slices.Sorted(maps.Keys(hists)), []string{"StartCallTrace", "StartSpanAt", "EndSpanAt", "FinishTrace", "Record"})
 	for _, what := range want {
 		if seen[what] == 0 {
 			t.Errorf("publish and transition never use %s: the walk is looking at the wrong code", what)

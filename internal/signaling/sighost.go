@@ -16,6 +16,7 @@ package signaling
 
 import (
 	"cmp"
+	"sync/atomic"
 	"time"
 
 	"xunet/internal/atm"
@@ -231,11 +232,15 @@ type Sighost struct {
 	nextCallID uint32
 
 	// Obs holds all sighost metrics (the machine's registry, in the sim);
-	// ct/h are hot-path handles; tr gates structured event publication.
+	// ct/h are hot-path handles.
 	Obs *obs.Registry
 	ct  sigCounters
 	h   sigHists
-	tr  *obs.Tracer
+
+	// events is the typed event ring MGMT trace reads; emit writes it
+	// only while tracing is on (EnableTrace).
+	events  *obs.Ring
+	tracing atomic.Bool
 
 	// Trace, when non-nil, receives one stringified line per event — the
 	// legacy adapter over the typed event ring that the Figure 3/4 golden
@@ -284,15 +289,14 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 		cm.BindTimeout = 30 * time.Second
 	}
 	sh := &Sighost{
-		env:   env,
-		cm:    cm,
-		pvcs:  make(map[atm.VCI]bool),
-		views: make(map[string]func() string),
-		Obs:   reg,
-		tr:    reg.Tracer("sighost"),
+		env:    env,
+		cm:     cm,
+		pvcs:   make(map[atm.VCI]bool),
+		views:  make(map[string]func() string),
+		Obs:    reg,
+		events: obs.NewRing(obs.DefaultRingSize),
 	}
 	sh.wipe()
-	sh.tr.SetRender(eventString)
 	sh.register(reg)
 	return sh
 }
@@ -423,7 +427,7 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	case callRequested:
 		// The origin owns the trace: a root span for the call's whole
 		// life, and call.setup, which its setup stages partition.
-		c.tcRoot = tc.StartTrace("sighost", c.service, c.key.id)
+		c.tcRoot = tc.StartCallTrace(string(sh.env.Addr()), "sighost", c.service, c.key.id)
 		c.tcSetup = tc.StartSpanAt(c.tcRoot, "sighost", "call.setup", now)
 	case callSetupSent, callProgramming:
 		c.span = tc.StartSpanAt(c.tcSetup, "sighost", stages[to].span, now)

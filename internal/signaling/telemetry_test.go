@@ -120,7 +120,7 @@ func TestTypedEventsCarryIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra.Sig.SH.Obs.EnableTrace("sighost", true)
+	ra.Sig.SH.EnableTrace(true)
 	testbed.StartEchoServer(rb, "echo", 6000)
 	ra.Stack.Spawn("client", func(p *kern.Proc) {
 		p.SP.Sleep(100 * time.Millisecond)
@@ -136,7 +136,7 @@ func TestTypedEventsCarryIDs(t *testing.T) {
 	})
 	n.E.RunUntil(time.Minute)
 
-	evs := ra.Sig.SH.Obs.Ring().Last(signaling.MgmtTraceDefault)
+	evs := ra.Sig.SH.Events(signaling.MgmtTraceDefault)
 	if len(evs) == 0 {
 		t.Fatal("no events in ring")
 	}

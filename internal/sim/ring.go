@@ -106,3 +106,28 @@ func (r *Ring[T]) RemoveAt(i int) T {
 	r.n--
 	return v
 }
+
+// Keep appends v as a bounded history of max elements: when the ring
+// already holds max, it drops the head first and reports so. A ring
+// started with RingOn on a max-sized array never moves to the heap.
+func (r *Ring[T]) Keep(v T, max int) (dropped bool) {
+	if dropped = r.n >= max; dropped {
+		r.Drop()
+	}
+	r.Push(v)
+	return dropped
+}
+
+// Last returns a copy of the newest n elements (all of them, when
+// fewer are queued), oldest first; nil when there are none.
+func (r *Ring[T]) Last(n int) []T {
+	n = min(n, r.n)
+	if n <= 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = r.buf[r.idx(r.n-n+i)]
+	}
+	return out
+}

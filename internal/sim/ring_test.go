@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -234,5 +235,35 @@ func TestTimerStaleHandleAfterReuse(t *testing.T) {
 	e.Run()
 	if fired != 11 {
 		t.Fatalf("fired = %d, want 11", fired)
+	}
+}
+
+// TestRingKeepAndLast bounds a history: Keep drops the head once the
+// ring holds max, a RingOn ring of max slots never leaves its array,
+// and Last reads the newest n oldest first.
+func TestRingKeepAndLast(t *testing.T) {
+	var arr [4]int
+	r := RingOn(arr[:])
+	if r.Last(3) != nil {
+		t.Fatal("Last on an empty ring is not nil")
+	}
+	for i := 0; i < 10; i++ {
+		if dropped := r.Keep(i, len(arr)); dropped != (i >= len(arr)) {
+			t.Fatalf("Keep(%d) dropped = %v", i, dropped)
+		}
+	}
+	if &r.buf[0] != &arr[0] {
+		t.Fatal("a full bounded ring left its array")
+	}
+	for _, c := range []struct {
+		n    int
+		want []int
+	}{{0, nil}, {1, []int{9}}, {3, []int{7, 8, 9}}, {100, []int{6, 7, 8, 9}}} {
+		if got := r.Last(c.n); !slices.Equal(got, c.want) {
+			t.Fatalf("Last(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Keep(1, len(arr)) }); allocs != 0 {
+		t.Fatalf("Keep on a full RingOn ring allocates %.0f times", allocs)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // event order: two runs of the same seeded workload have to produce the
 // same virtual history down to the byte. stormFingerprint renders every
 // observable artifact of one call-storm run — the golden sighost trace
-// lines, the typed obs event rings (with virtual timestamps and
+// lines, the sighosts' typed event rings (with virtual timestamps and
 // sequence numbers), the storm result, and the final registry
 // snapshots — into a single string for comparison.
 func stormFingerprint(t *testing.T, seed uint64) string {
@@ -30,8 +30,8 @@ func stormFingerprint(t *testing.T, seed uint64) string {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	ra.Stack.M.Obs.EnableTrace("sighost", true)
-	rb.Stack.M.Obs.EnableTrace("sighost", true)
+	ra.Sig.SH.EnableTrace(true)
+	rb.Sig.SH.EnableTrace(true)
 	ra.Sig.SH.Trace = func(l string) { fmt.Fprintf(&sb, "A %s\n", l) }
 	rb.Sig.SH.Trace = func(l string) { fmt.Fprintf(&sb, "B %s\n", l) }
 	testbed.StartEchoServer(rb, "storm", 6000)
@@ -48,8 +48,7 @@ func stormFingerprint(t *testing.T, seed uint64) string {
 		name string
 		r    *testbed.Router
 	}{{"mh.rt", ra}, {"ucb.rt", rb}} {
-		ring := rr.r.Stack.M.Obs.Ring()
-		evs, err := json.Marshal(ring.Last(obs.DefaultRingSize))
+		evs, err := json.Marshal(rr.r.Sig.SH.Events(obs.DefaultRingSize))
 		if err != nil {
 			t.Fatal(err)
 		}

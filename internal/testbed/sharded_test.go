@@ -31,7 +31,7 @@ func shardedStormConfig() testbed.StormConfig {
 
 // shardedFingerprint renders every observable artifact of one sharded
 // storm run into a single string: per-router golden sighost traces,
-// per-router obs event rings, per-domain storm buckets and carrier
+// per-router sighost event rings, per-domain storm buckets and carrier
 // counters, flight-dump and health-event tallies, and the merged
 // time-series export. The worker count must never change a byte of it.
 func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) string {
@@ -63,7 +63,7 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 	for _, dom := range sn.Domains {
 		for _, r := range dom.Routers {
 			rt := &rtrace{name: string(r.Stack.Addr)}
-			r.Stack.M.Obs.EnableTrace("sighost", true)
+			r.Sig.SH.EnableTrace(true)
 			r.Sig.SH.Trace = func(l string) { fmt.Fprintf(&rt.sb, "%s\n", l) }
 			traces = append(traces, rt)
 		}
@@ -90,8 +90,7 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 	}
 	for _, dom := range sn.Domains {
 		for _, r := range dom.Routers {
-			ring := r.Stack.M.Obs.Ring()
-			evs, err := json.Marshal(ring.Last(obs.DefaultRingSize))
+			evs, err := json.Marshal(r.Sig.SH.Events(obs.DefaultRingSize))
 			if err != nil {
 				t.Fatal(err)
 			}

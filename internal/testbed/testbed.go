@@ -320,13 +320,6 @@ func (n *Net) StartTSeries(until time.Duration) {
 		}
 		dom.TS.OnHealthEvent(func(ev tseries.HealthEvent) {
 			dom.HealthEvents = append(dom.HealthEvents, ev)
-			if len(n.Domains) == 1 {
-				// The fabric's obs ring, like its registry, is shared by
-				// every shard: only a single domain publishes to it.
-				n.Fabric.Obs.Ring().Publish(obs.Event{
-					At: ev.At, Comp: "health", Kind: ev.State, Peer: ev.Series, Text: ev.String(),
-				})
-			}
 			if ev.State == "fire" {
 				dom.TraceC.DumpRecent(4, ev.Rule)
 			}

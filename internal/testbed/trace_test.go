@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"xunet/internal/atm"
 	"xunet/internal/kern"
 	"xunet/internal/signaling"
 	"xunet/internal/testbed"
@@ -157,6 +158,62 @@ func TestMgmtCallTraceQuery(t *testing.T) {
 	for _, want := range []string{"call.setup", "setup breakdown", "sighost/peer"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("calltrace reply missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMgmtCallTraceIsPerOrigin: call IDs count per placing router, so
+// ucb.rt's first call and mh.rt's first call are both call 1, and one
+// collector holds both traces. Each router's calltrace and
+// calltrace.json must answer with the call that router placed, while
+// both calls are up and after both have ended.
+func TestMgmtCallTraceIsPerOrigin(t *testing.T) {
+	n, ra, rb, err := testbed.NewTestbed(testbed.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	testbed.StartEchoServer(ra, "echo2", 6001)
+	testbed.StartEchoServer(rb, "echo", 6000)
+	call := func(r *testbed.Router, start time.Duration, dest atm.Addr, service string, port uint16) {
+		r.Stack.Spawn("client", func(p *kern.Proc) {
+			p.SP.Sleep(start)
+			conn, err := r.Lib.OpenConnection(p, dest, service, port, "", "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sock, _ := r.Stack.PF.Socket(p)
+			_ = sock.Connect(conn.VCI, conn.Cookie)
+			p.SP.Sleep(time.Second)
+			sock.Close()
+		})
+	}
+	call(rb, 100*time.Millisecond, "mh.rt", "echo2", 7001)
+	call(ra, 300*time.Millisecond, "ucb.rt", "echo", 7000)
+	query := func(r *testbed.Router, what string) string {
+		var body string
+		r.Stack.Spawn("mgmt-query", func(p *kern.Proc) {
+			var err error
+			if body, err = r.Lib.Client(p).Query(what, 1, 0); err != nil {
+				t.Error(err)
+			}
+		})
+		n.E.RunUntil(n.E.Now() + 100*time.Millisecond)
+		return body
+	}
+	for _, at := range []time.Duration{800 * time.Millisecond, 3 * time.Second} {
+		n.E.RunUntil(at)
+		for _, c := range []struct {
+			r           *testbed.Router
+			want, wantJ string
+		}{{rb, `call 1 "echo2"`, `call 1 (echo2,`}, {ra, `call 1 "echo"`, `call 1 (echo,`}} {
+			if got := query(c.r, signaling.MgmtCallTrace); !strings.Contains(got, c.want) {
+				t.Errorf("at %v, %s calltrace 1 answers with another call:\n%s", at, c.r.Stack.Addr, got)
+			}
+			if got := query(c.r, signaling.MgmtCallTraceJSON); !strings.Contains(got, c.wantJ) {
+				t.Errorf("at %v, %s calltrace.json 1 answers with another call:\n%.300s", at, c.r.Stack.Addr, got)
+			}
 		}
 	}
 }

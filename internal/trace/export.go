@@ -68,7 +68,7 @@ func ChromeJSON(traces []*Trace) ([]byte, error) {
 			},
 		})
 		for _, s := range spans {
-			dur := usec(s.Dur())
+			dur := usec(s.dur())
 			ev := chromeEvent{
 				Name: s.Name, Cat: s.Comp, Ph: "X",
 				Ts: usec(s.Start), Dur: &dur,
@@ -136,7 +136,7 @@ func TextTree(t *Trace) string {
 				open = " (never ended)"
 			}
 			fmt.Fprintf(&b, "%s%s/%s %v [%v..%v]%s\n",
-				indent, s.Comp, s.Name, s.Dur(), s.Start, s.End, open)
+				indent, s.Comp, s.Name, s.dur(), s.Start, s.End, open)
 		}
 		for _, k := range kids[s.ID] {
 			walk(k, depth+1)
@@ -166,16 +166,16 @@ type Attribution struct {
 	Unattributed time.Duration
 }
 
-// SetupSpanName is the span whose children define the attribution
+// setupSpanName is the span whose children define the attribution
 // report.
-const SetupSpanName = "call.setup"
+const setupSpanName = "call.setup"
 
 // Attribute derives the setup breakdown from a trace. Returns false if
 // the trace has no call.setup span.
 func Attribute(t *Trace) (Attribution, bool) {
 	var setup *Span
 	for i := range t.Spans {
-		if t.Spans[i].Name == SetupSpanName {
+		if t.Spans[i].Name == setupSpanName {
 			setup = &t.Spans[i]
 			break
 		}
@@ -184,7 +184,7 @@ func Attribute(t *Trace) (Attribution, bool) {
 		// No setup span, or establishment is still in progress.
 		return Attribution{}, false
 	}
-	a := Attribution{CallID: t.CallID, Total: setup.Dur()}
+	a := Attribution{CallID: t.CallID, Total: setup.dur()}
 	var covered time.Duration
 	var parts []Span
 	for _, s := range t.Spans {
@@ -199,8 +199,8 @@ func Attribute(t *Trace) (Attribution, bool) {
 		return parts[i].ID < parts[j].ID
 	})
 	for _, s := range parts {
-		a.Parts = append(a.Parts, AttrPart{Comp: s.Comp, Name: s.Name, Dur: s.Dur()})
-		covered += s.Dur()
+		a.Parts = append(a.Parts, AttrPart{Comp: s.Comp, Name: s.Name, Dur: s.dur()})
+		covered += s.dur()
 	}
 	a.Unattributed = a.Total - covered
 	return a, true

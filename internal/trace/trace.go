@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"xunet/internal/sim"
 )
 
 // Context identifies a position in a trace: the trace it belongs to and
@@ -53,8 +55,8 @@ type Span struct {
 	Open   bool          `json:"open,omitempty"`
 }
 
-// Dur returns the span's duration.
-func (s Span) Dur() time.Duration { return s.End - s.Start }
+// dur returns the span's duration.
+func (s Span) dur() time.Duration { return s.End - s.Start }
 
 // Trace is one call's complete span tree. Spans appear in creation
 // order; the root span has Parent == 0.
@@ -64,6 +66,15 @@ type Trace struct {
 	Name   string `json:"name"`
 	Status string `json:"status"`
 	Spans  []Span `json:"spans"`
+
+	origin string // the router that placed the call (StartCallTrace)
+}
+
+// callRef names a call across a domain: call IDs are counters of the
+// router that placed the call, so only the pair is unique.
+type callRef struct {
+	origin string
+	id     uint32
 }
 
 // Terminal trace statuses. FinishTrace accepts any string, but the
@@ -77,10 +88,10 @@ const (
 	StatusFailed   = "FAILED"
 )
 
-// DumpWorthy reports whether a terminal status triggers an automatic
+// dumpWorthy reports whether a terminal status triggers an automatic
 // flight-recorder dump: calls that ended in rejection, bind timeout, or
 // teardown-on-death (the E4 storm's failure modes).
-func DumpWorthy(status string) bool {
+func dumpWorthy(status string) bool {
 	return status == StatusReject || status == StatusTimeout || status == StatusDeath
 }
 
@@ -90,8 +101,8 @@ func DumpWorthy(status string) bool {
 // testbed so a call's spans land in one tree regardless of which stack
 // recorded them.
 type Collector struct {
-	enabled atomic.Bool
-	now     func() time.Duration
+	on  atomic.Bool
+	now func() time.Duration
 
 	mu       sync.Mutex
 	started  uint64 // traces started (sampled or not); also the trace ID source
@@ -99,27 +110,27 @@ type Collector struct {
 	sampleN  uint64 // keep 1 trace in every sampleN (1 = keep all)
 	spanCap  int    // max spans retained per trace
 	active   map[uint64]*Trace
-	byCall   map[uint32]uint64 // call ID -> active trace ID
-	flight   []*Trace          // completed traces, oldest first
-	capacity int               // flight ring bound
+	byCall   map[callRef]uint64 // call -> active trace ID
+	flight   sim.Ring[*Trace]   // completed traces, oldest first
+	capacity int                // flight ring bound
 
 	sampled      uint64 // traces that passed head sampling
 	completed    uint64
 	droppedSpans uint64 // spans discarded by the per-trace cap
 	evicted      uint64 // completed traces pushed out of the flight ring
-	dumps        uint64 // auto-dumps triggered by DumpWorthy statuses
+	dumps        uint64 // auto-dumps triggered by dumpWorthy statuses
 
 	onDump func(t *Trace, tree string)
 }
 
-// DefaultFlightTraces bounds the flight recorder: completed traces kept
+// defaultFlightTraces bounds the flight recorder: completed traces kept
 // for post-hoc inspection before the oldest is evicted.
-const DefaultFlightTraces = 64
+const defaultFlightTraces = 64
 
-// DefaultSpanCap bounds one trace's span count; a call that somehow
+// defaultSpanCap bounds one trace's span count; a call that somehow
 // accumulates more (a data-heavy connection tracing every frame) drops
 // the excess and counts it in trace.spans.dropped.
-const DefaultSpanCap = 512
+const defaultSpanCap = 512
 
 // NewCollector returns a disabled collector reading time from now
 // (sim-time in the testbed, wall-clock in the real-mode daemon).
@@ -127,20 +138,20 @@ func NewCollector(now func() time.Duration) *Collector {
 	return &Collector{
 		now:      now,
 		sampleN:  1,
-		spanCap:  DefaultSpanCap,
+		spanCap:  defaultSpanCap,
 		active:   make(map[uint64]*Trace),
-		byCall:   make(map[uint32]uint64),
-		capacity: DefaultFlightTraces,
+		byCall:   make(map[callRef]uint64),
+		capacity: defaultFlightTraces,
 	}
 }
 
 // SetEnabled flips the master gate. Disabled is the default and costs
 // one nil check plus one atomic load per call site.
-func (c *Collector) SetEnabled(on bool) { c.enabled.Store(on) }
+func (c *Collector) SetEnabled(on bool) { c.on.Store(on) }
 
-// Enabled reports whether the collector records anything at all. Safe
+// enabled reports whether the collector records anything at all. Safe
 // on a nil collector.
-func (c *Collector) Enabled() bool { return c != nil && c.enabled.Load() }
+func (c *Collector) enabled() bool { return c != nil && c.on.Load() }
 
 // SetSampleEvery sets head-based sampling: keep one trace in every n.
 // Values <= 1 keep every trace. Unsampled calls still count in
@@ -154,7 +165,7 @@ func (c *Collector) SetSampleEvery(n uint64) {
 	c.sampleN = n
 }
 
-// OnDump installs the auto-dump hook: fn receives every DumpWorthy
+// OnDump installs the auto-dump hook: fn receives every dumpWorthy
 // trace at finish time along with its rendered text tree.
 func (c *Collector) OnDump(fn func(t *Trace, tree string)) {
 	c.mu.Lock()
@@ -176,11 +187,7 @@ func (c *Collector) DumpRecent(n int, reason string) int {
 		c.mu.Unlock()
 		return 0
 	}
-	start := len(c.flight) - n
-	if start < 0 {
-		start = 0
-	}
-	picked := append([]*Trace(nil), c.flight[start:]...)
+	picked := c.flight.Last(n)
 	c.dumps += uint64(len(picked))
 	c.mu.Unlock()
 	for _, t := range picked {
@@ -194,7 +201,13 @@ func (c *Collector) DumpRecent(n int, reason string) int {
 // the call was not sampled (or the collector is disabled) and every
 // descendant operation will no-op.
 func (c *Collector) StartTrace(comp, name string, callID uint32) Context {
-	if !c.Enabled() {
+	return c.StartCallTrace("", comp, name, callID)
+}
+
+// StartCallTrace is StartTrace for a call that origin, a router's
+// address, placed: ByCall finds the trace under that origin only.
+func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Context {
+	if !c.enabled() {
 		return Context{}
 	}
 	c.mu.Lock()
@@ -209,6 +222,7 @@ func (c *Collector) StartTrace(comp, name string, callID uint32) Context {
 		ID:     c.started,
 		CallID: callID,
 		Name:   name,
+		origin: origin,
 		Spans: []Span{{
 			ID:    c.spanSeq,
 			Comp:  comp,
@@ -218,7 +232,7 @@ func (c *Collector) StartTrace(comp, name string, callID uint32) Context {
 		}},
 	}
 	c.active[t.ID] = t
-	c.byCall[callID] = t.ID
+	c.byCall[callRef{origin, callID}] = t.ID
 	return Context{Trace: t.ID, Span: c.spanSeq}
 }
 
@@ -309,7 +323,7 @@ func (c *Collector) Record(parent Context, comp, name string, start, end time.Du
 
 // FinishTrace completes the trace owning root: force-closes any still
 // open spans (marking them Open), stamps the terminal status, moves the
-// trace into the flight recorder, and — for DumpWorthy statuses —
+// trace into the flight recorder, and — for dumpWorthy statuses —
 // fires the auto-dump hook with the rendered span tree.
 func (c *Collector) FinishTrace(root Context, status string) {
 	if !root.Sampled() || c == nil {
@@ -323,8 +337,8 @@ func (c *Collector) FinishTrace(root Context, status string) {
 		return
 	}
 	delete(c.active, root.Trace)
-	if c.byCall[t.CallID] == t.ID {
-		delete(c.byCall, t.CallID)
+	if ref := (callRef{t.origin, t.CallID}); c.byCall[ref] == t.ID {
+		delete(c.byCall, ref)
 	}
 	for i := range t.Spans {
 		if t.Spans[i].End < 0 {
@@ -336,38 +350,36 @@ func (c *Collector) FinishTrace(root Context, status string) {
 	}
 	t.Status = status
 	c.completed++
-	c.flight = append(c.flight, t)
-	for len(c.flight) > c.capacity {
-		c.flight = c.flight[1:]
+	if c.flight.Keep(t, c.capacity) {
 		c.evicted++
 	}
 	dump := c.onDump
-	if dump != nil && DumpWorthy(status) {
+	if dump != nil && dumpWorthy(status) {
 		c.dumps++
 	}
 	c.mu.Unlock()
-	if dump != nil && DumpWorthy(status) {
+	if dump != nil && dumpWorthy(status) {
 		dump(t, TextTree(t))
 	}
 }
 
-// ByCall returns a copy of the trace for callID: the active trace if
-// the call is still in flight, else the newest completed trace in the
-// flight recorder with that call ID.
-func (c *Collector) ByCall(callID uint32) (*Trace, bool) {
+// ByCall returns a copy of the trace of the call origin placed under
+// callID: the active trace if the call is still in flight, else the
+// newest completed one in the flight recorder.
+func (c *Collector) ByCall(origin string, callID uint32) (*Trace, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.byCall[callID]; ok {
+	if id, ok := c.byCall[callRef{origin, callID}]; ok {
 		if t := c.active[id]; t != nil {
 			return copyTrace(t), true
 		}
 	}
-	for i := len(c.flight) - 1; i >= 0; i-- {
-		if c.flight[i].CallID == callID {
-			return copyTrace(c.flight[i]), true
+	for i := c.flight.Len() - 1; i >= 0; i-- {
+		if t := c.flight.At(i); t.origin == origin && t.CallID == callID {
+			return copyTrace(t), true
 		}
 	}
 	return nil, false
@@ -381,8 +393,8 @@ func (c *Collector) Completed() []*Trace {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Trace, len(c.flight))
-	for i, t := range c.flight {
+	out := c.flight.Last(c.flight.Len())
+	for i, t := range out {
 		out[i] = copyTrace(t)
 	}
 	return out

@@ -23,21 +23,21 @@ func newTestCollector() (*Collector, *fakeClock) {
 func TestDisabledCollectorIsInert(t *testing.T) {
 	clk := &fakeClock{}
 	c := NewCollector(clk.now)
-	if c.Enabled() {
+	if c.enabled() {
 		t.Fatal("new collector should start disabled")
 	}
 	if ctx := c.StartTrace("sighost", "call", 1); ctx.Sampled() {
 		t.Fatalf("disabled collector sampled a trace: %+v", ctx)
 	}
 	var nilC *Collector
-	if nilC.Enabled() {
+	if nilC.enabled() {
 		t.Fatal("nil collector claims enabled")
 	}
 	// Every operation must be a no-op on a nil collector and zero context.
 	nilC.EndSpan(Context{})
 	nilC.Record(Context{}, "x", "y", 0, 1)
 	nilC.FinishTrace(Context{}, StatusOK)
-	if _, ok := nilC.ByCall(1); ok {
+	if _, ok := nilC.ByCall("", 1); ok {
 		t.Fatal("nil collector returned a trace")
 	}
 }
@@ -56,7 +56,7 @@ func TestSpanTreeLifecycle(t *testing.T) {
 	clk.t = 30 * time.Millisecond
 	c.FinishTrace(root, StatusOK)
 
-	got, ok := c.ByCall(7)
+	got, ok := c.ByCall("", 7)
 	if !ok {
 		t.Fatal("finished trace not found by call ID")
 	}
@@ -72,8 +72,8 @@ func TestSpanTreeLifecycle(t *testing.T) {
 	if got.Spans[0].Open {
 		t.Fatal("root span must not be flagged Open")
 	}
-	if got.Spans[1].Dur() != 15*time.Millisecond {
-		t.Fatalf("child duration %v, want 15ms", got.Spans[1].Dur())
+	if got.Spans[1].dur() != 15*time.Millisecond {
+		t.Fatalf("child duration %v, want 15ms", got.Spans[1].dur())
 	}
 }
 
@@ -110,7 +110,7 @@ func TestSpanCapDropsExcess(t *testing.T) {
 		c.Record(root, "xswitch", "hop", 0, 1)
 	}
 	c.FinishTrace(root, StatusOK)
-	got, _ := c.ByCall(1)
+	got, _ := c.ByCall("", 1)
 	if len(got.Spans) != 4 {
 		t.Fatalf("span cap not enforced: %d spans", len(got.Spans))
 	}
@@ -147,10 +147,10 @@ func TestFlightRecorderEvictionAndDump(t *testing.T) {
 		t.Fatalf("flight ring should hold the last 2: %+v", got)
 	}
 	// The evicted early call is gone; the retained late one is findable.
-	if _, ok := c.ByCall(1); ok {
+	if _, ok := c.ByCall("", 1); ok {
 		t.Fatal("evicted trace still findable")
 	}
-	if tr, ok := c.ByCall(5); !ok || tr.Status != StatusCanceled {
+	if tr, ok := c.ByCall("", 5); !ok || tr.Status != StatusCanceled {
 		t.Fatal("retained trace not findable by call ID")
 	}
 }
@@ -160,13 +160,13 @@ func TestByCallPrefersActive(t *testing.T) {
 	old := c.StartTrace("sighost", "first", 9)
 	c.FinishTrace(old, StatusOK)
 	fresh := c.StartTrace("sighost", "second", 9)
-	got, ok := c.ByCall(9)
+	got, ok := c.ByCall("", 9)
 	if !ok || got.ID != fresh.Trace || got.Name != "second" {
 		t.Fatalf("ByCall should prefer the active trace: %+v", got)
 	}
 	// Returned trace is a copy: mutating it must not corrupt the live one.
 	got.Spans[0].Name = "clobbered"
-	again, _ := c.ByCall(9)
+	again, _ := c.ByCall("", 9)
 	if again.Spans[0].Name != "second" {
 		t.Fatal("ByCall returned a live reference, not a copy")
 	}
@@ -226,7 +226,7 @@ func TestTextTreeRendering(t *testing.T) {
 	clk.t = time.Second
 	c.EndSpan(child)
 	c.FinishTrace(root, StatusOK)
-	tr, _ := c.ByCall(11)
+	tr, _ := c.ByCall("", 11)
 	tree := TextTree(tr)
 	for _, want := range []string{
 		`trace 1 call 11 "echo" status=OK spans=3`,
@@ -244,7 +244,7 @@ func TestTextTreeRendering(t *testing.T) {
 func TestAttributeExactPartition(t *testing.T) {
 	c, clk := newTestCollector()
 	root := c.StartTrace("sighost", "echo", 4)
-	setup := c.StartSpanAt(root, "sighost", SetupSpanName, 0)
+	setup := c.StartSpanAt(root, "sighost", setupSpanName, 0)
 	// Three back-to-back children partition the setup span exactly.
 	c.Record(setup, "sighost", "process", 0, 10*time.Millisecond)
 	peer := c.StartSpanAt(setup, "sighost", "peer", 10*time.Millisecond)
@@ -254,7 +254,7 @@ func TestAttributeExactPartition(t *testing.T) {
 	clk.t = 150 * time.Millisecond
 	c.FinishTrace(root, StatusOK)
 
-	tr, _ := c.ByCall(4)
+	tr, _ := c.ByCall("", 4)
 	att, ok := Attribute(tr)
 	if !ok {
 		t.Fatal("no call.setup span found")
@@ -307,7 +307,7 @@ func TestConcurrentFinishVsDump(t *testing.T) {
 			for _, tr := range c.Completed() {
 				_ = TextTree(tr)
 			}
-			_, _ = c.ByCall(uint32(i))
+			_, _ = c.ByCall("", uint32(i))
 			_ = c.StatsNow()
 		}
 	}()
