@@ -30,7 +30,10 @@ test:
 # do the bounded histories over sim.Ring: the real daemon finishes and
 # dumps traces from several goroutines and scrapes its tseries store on
 # a ticker goroutine, while MGMT reads the flight recorder, the series,
-# the health events and the event ring on the actor.
+# the health events and the event ring on the actor. So does the
+# switch fabric: a boundary trunk hands pooled cell records from the
+# sending shard to the receiving one under its lock, and cell runs
+# take that same path one cell at a time.
 # The third line repeats the client library's tests over both of its
 # transports, the real peers' chaos call, and the Env contract table
 # over both envs with the actor's own-inbox test: the notify mux hands
@@ -39,7 +42,7 @@ test:
 # goroutine into a record the actor recycles.
 race:
 	$(GO) test -race ./...
-	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/
+	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/ ./internal/xswitch/
 	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
 
 # One iteration of every benchmark, so bench-only build or runtime

@@ -40,6 +40,9 @@ type cellTx interface {
 	SendCell(c atm.Cell)
 }
 
+// cellsTx is a cellTx taking a frame's cells in one call.
+type cellsTx interface{ SendCells(cells []atm.Cell) }
+
 // frameHandler consumes a frame received on a VCI. The chain is owned
 // by the handler after the call.
 type frameHandler func(vci atm.VCI, frame *mbuf.Chain)
@@ -73,8 +76,8 @@ type Board struct {
 	sdu, pdu []byte
 	cells    []atm.Cell
 
-	// Instrumentation (nil until Instrument): first-cell timestamps per
-	// in-flight frame feed the hobbit.reasm.time histogram.
+	// Instrumentation (a zero clock and no histogram until Instrument):
+	// first-cell timestamps per in-flight frame feed hobbit.reasm.time.
 	now       func() time.Duration
 	reasmHist *obs.Histogram
 
@@ -94,7 +97,9 @@ type vcState struct {
 
 // NewBoard returns a board transmitting through tx. Call
 // Driver.AttachBoard to connect it to its driver.
-func NewBoard(tx cellTx) *Board { return &Board{tx: tx} }
+func NewBoard(tx cellTx) *Board {
+	return &Board{tx: tx, now: func() time.Duration { return 0 }}
+}
 
 // vc returns the SAR state of vci, growing the table to hold it.
 func (b *Board) vc(vci atm.VCI) *vcState {
@@ -127,66 +132,78 @@ func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 // This happens in board hardware: no host instructions are charged.
 func (b *Board) send(vci atm.VCI, frame *mbuf.Chain) error {
 	v := b.vc(vci)
-	seq := v.seqTx
-	v.seqTx++
 	b.sdu = frame.AppendTo(b.sdu[:0])
 	tc, tcAt := frame.TC, frame.TCAt
 	frame.Release() // flattened into the SDU; the chain is consumed
 	var err error
-	if b.pdu, err = aal5.AppendFrame(b.pdu[:0], b.sdu, seq); err != nil {
+	if b.pdu, err = aal5.AppendFrame(b.pdu[:0], b.sdu, v.seqTx); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
 	if b.cells, err = aal5.SegmentInto(b.cells[:0], b.pdu, 0, vci); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
+	v.seqTx++ // only a frame that leaves takes a sequence number
 	b.FramesOut++
-	for i := range b.cells {
-		b.CellsOut++
-		if tc.Sampled() {
+	b.CellsOut += uint64(len(b.cells))
+	if tc.Sampled() {
+		for i := range b.cells {
 			b.cells[i].TC, b.cells[i].TCAt = tc, tcAt
 		}
+	}
+	if tx, ok := b.tx.(cellsTx); ok {
+		tx.SendCells(b.cells)
+		return nil
+	}
+	for i := range b.cells {
 		b.tx.SendCell(b.cells[i])
 	}
 	return nil
 }
 
-// ReceiveCell implements the fabric's CellSink: cells are reassembled
-// per VCI; completed frames are sequence-checked and handed to the
-// driver's demultiplexer.
-func (b *Board) ReceiveCell(c atm.Cell) {
-	b.CellsIn++
-	v := b.vc(c.VCI)
-	if b.now != nil && v.reasm.Pending() == 0 {
-		v.start = b.now()
-	}
-	payload, uu, done, err := v.reasm.Push(&c)
-	if !done {
-		return
-	}
-	if b.now != nil {
-		b.reasmHist.Observe(b.now() - v.start)
-	}
-	if err != nil {
-		b.SARErrors++
-		return
-	}
-	if ok, _ := v.seqRx.Check(uu); !ok {
-		// The Xunet AAL5 variant detects the gap; the frame itself is
-		// still intact, so it is delivered and the event counted.
-		b.OOOFrames++
-	}
-	b.FramesIn++
-	if b.driver != nil {
-		// payload lives in the VC's reassembly buffer, which the next
-		// cell overwrites: the chain is the frame's own copy.
-		chain := mbuf.FromBytes(payload)
-		if c.TC.Sampled() {
-			chain.TC = c.TC
-			if b.now != nil {
-				chain.TCAt = b.now()
-			}
+// ReceiveCell implements the fabric's CellSink: one cell, arriving now.
+func (b *Board) ReceiveCell(c atm.Cell) { b.ReceiveRun([]atm.Cell{c}, c.VCI, b.now(), 0) }
+
+// ReceiveRun implements the fabric's RunSink: cells arriving on vci, the
+// k-th at at+k·gap, are reassembled per VCI in one call; completed
+// frames are sequence-checked and handed to the driver's demultiplexer.
+// Reassembly is timed from a frame's first cell's arrival to its last's.
+func (b *Board) ReceiveRun(cells []atm.Cell, vci atm.VCI, at, gap time.Duration) {
+	b.CellsIn += uint64(len(cells))
+	v := b.vc(vci)
+	for k := range cells {
+		c, cellAt := &cells[k], at+time.Duration(k)*gap
+		if v.reasm.Pending() == 0 {
+			v.start = cellAt
 		}
-		b.driver.Input(c.VCI, chain)
+		payload, uu, done, err := v.reasm.Push(c)
+		if !done {
+			continue
+		}
+		if b.reasmHist != nil {
+			b.reasmHist.Observe(cellAt - v.start)
+		}
+		if err != nil {
+			b.SARErrors++
+			continue
+		}
+		if ok, _ := v.seqRx.Check(uu); !ok {
+			// The Xunet AAL5 variant detects the gap; the frame itself is
+			// still intact, so it is delivered and the event counted.
+			b.OOOFrames++
+		}
+		b.FramesIn++
+		if b.driver != nil {
+			// payload lives in the VC's reassembly buffer, which the next
+			// cell overwrites: the chain is the frame's own copy.
+			chain := mbuf.FromBytes(payload)
+			if c.TC.Sampled() {
+				chain.TC = c.TC
+				if b.reasmHist != nil {
+					chain.TCAt = cellAt
+				}
+			}
+			b.driver.Input(vci, chain)
+		}
 	}
 }
 

@@ -125,6 +125,27 @@ func TestLostFrameDetectedBySequence(t *testing.T) {
 	}
 }
 
+// TestRefusedFrameKeepsSequence: a frame the board refuses (an SDU over
+// 65 535 bytes) never leaves, so it must not take a sequence number —
+// the far board would count the next good frame as out of order.
+func TestRefusedFrameKeepsSequence(t *testing.T) {
+	tx, rx, _ := pair(t)
+	var frames int
+	rx.SetHandler(5, func(_ atm.VCI, ch *mbuf.Chain) { frames++; ch.Release() })
+	if err := tx.Output(5, mbuf.FromBytes(pay(48))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Output(5, mbuf.FromBytes(pay(70000))); err == nil {
+		t.Fatal("a 70 000-byte SDU was accepted")
+	}
+	if err := tx.Output(5, mbuf.FromBytes(pay(48))); err != nil {
+		t.Fatal(err)
+	}
+	if rb := rx.Board(); frames != 2 || rb.OOOFrames != 0 || tx.Board().FramesOut != 2 {
+		t.Fatalf("delivered %d frames, OOOFrames = %d, FramesOut = %d; want 2, 0, 2", frames, rb.OOOFrames, tx.Board().FramesOut)
+	}
+}
+
 func TestNoHandlerDiscards(t *testing.T) {
 	tx, rx, _ := pair(t)
 	_ = tx.Output(9, mbuf.FromBytes(pay(10)))

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"xunet/internal/cost"
@@ -31,7 +32,11 @@ type IPAddr uint32
 
 // String renders the address as a dotted quad.
 func (a IPAddr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	b := strconv.AppendUint(make([]byte, 0, len("255.255.255.255")), uint64(byte(a>>24)), 10)
+	for _, o := range [3]byte{byte(a >> 16), byte(a >> 8), byte(a)} {
+		b = strconv.AppendUint(append(b, '.'), uint64(o), 10)
+	}
+	return string(b)
 }
 
 // IP4 builds an address from four octets.

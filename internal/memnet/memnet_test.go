@@ -2,6 +2,7 @@ package memnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -42,7 +43,15 @@ func forEachPair(t *testing.T, test func(t *testing.T, e *sim.Engine, h, r *Node
 	}
 }
 
+// TestIPAddrString holds the strconv rendering to the dotted quad
+// fmt.Sprintf printed, at the edges of every octet.
 func TestIPAddrString(t *testing.T) {
+	for _, a := range []IPAddr{IP4(10, 1, 2, 3), 0, IP4(255, 255, 255, 255), IP4(0, 9, 10, 99), IP4(100, 0, 255, 1), IP4(1, 200, 0, 0)} {
+		want := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got := a.String(); got != want {
+			t.Errorf("String(%#x) = %q, want %q", uint32(a), got, want)
+		}
+	}
 	if got := IP4(10, 1, 2, 3).String(); got != "10.1.2.3" {
 		t.Fatalf("String = %q", got)
 	}

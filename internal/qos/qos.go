@@ -40,7 +40,7 @@ func (c Class) String() string {
 	if int(c) < len(classNames) {
 		return classNames[c]
 	}
-	return fmt.Sprintf("class(%d)", uint8(c))
+	return "class(" + strconv.Itoa(int(uint8(c))) + ")"
 }
 
 // parseClass parses a wire class name.
@@ -65,7 +65,7 @@ var BestEffortQoS = QoS{Class: BestEffort}
 
 // String formats the descriptor in the wire grammar, e.g. "cbr:1536".
 func (q QoS) String() string {
-	return fmt.Sprintf("%s:%d", q.Class, q.BandwidthKbs)
+	return q.Class.String() + ":" + strconv.FormatUint(uint64(q.BandwidthKbs), 10)
 }
 
 // errSyntax reports an unparseable QoS string.

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,23 @@ func TestClassString(t *testing.T) {
 	}
 	if _, err := parseClass("nope"); err == nil {
 		t.Fatal("parseClass accepted junk")
+	}
+}
+
+// TestQoSString holds the strconv rendering to what fmt.Sprintf printed:
+// every class, one past them, and bandwidths 0 and the largest.
+func TestQoSString(t *testing.T) {
+	for _, c := range []Class{BestEffort, VBR, CBR, numClasses, 255} {
+		for _, bw := range []uint32{0, 1, 1536, 4294967295} {
+			q := QoS{c, bw}
+			name := fmt.Sprintf("class(%d)", uint8(c))
+			if c < numClasses {
+				name = classNames[c]
+			}
+			if want := fmt.Sprintf("%s:%d", name, bw); q.String() != want {
+				t.Errorf("%#v.String() = %q, want %q", q, q.String(), want)
+			}
+		}
 	}
 }
 

@@ -68,6 +68,15 @@ func (r *Ring[T]) Head() *T {
 	return &r.buf[r.head]
 }
 
+// Tail returns the tail element's slot, to extend in place. It panics
+// on an empty ring.
+func (r *Ring[T]) Tail() *T {
+	if r.n == 0 {
+		panic("sim: Tail on empty ring")
+	}
+	return &r.buf[r.idx(r.n-1)]
+}
+
 // Drop removes the head element. It panics on an empty ring.
 func (r *Ring[T]) Drop() {
 	if r.n == 0 {

@@ -40,6 +40,7 @@ func TestRingWrapAround(t *testing.T) {
 
 // TestRingInPlaceSlots drives the slot accessors across growth and the
 // wrap point: an element built through PushSlot is the one Head sees,
+// Tail is the element pushed last,
 // Drop vacates exactly it, and the accessors interleave with Push/Pop.
 func TestRingInPlaceSlots(t *testing.T) {
 	type big struct {
@@ -58,6 +59,9 @@ func TestRingInPlaceSlots(t *testing.T) {
 			next++
 		}
 		r.Push(big{id: next})
+		if tl := r.Tail(); tl.id != next || r.At(r.Len()-1).id != next {
+			t.Fatalf("Tail = %d, want the element just pushed, %d", tl.id, next)
+		}
 		next++
 		for i := 0; i < 1+round%5 && r.Len() > 0; i++ {
 			h := r.Head()
@@ -81,7 +85,7 @@ func TestRingInPlaceSlots(t *testing.T) {
 	if want != next {
 		t.Fatalf("consumed %d of %d", want, next)
 	}
-	for _, f := range []func(){func() { r.Head() }, func() { r.Drop() }, func() { r.Pop() }} {
+	for _, f := range []func(){func() { r.Head() }, func() { r.Tail() }, func() { r.Drop() }, func() { r.Pop() }} {
 		func() {
 			defer func() {
 				if recover() == nil {

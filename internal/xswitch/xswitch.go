@@ -19,6 +19,7 @@ package xswitch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,6 +62,14 @@ type CellSink interface {
 	ReceiveCell(c atm.Cell)
 }
 
+// RunSink is a CellSink taking a run of cells in one call, the k-th
+// arriving on vci at at+k·gap (each keeps the VCI it was sent with). The
+// slice is the fabric's. A frame's last cell comes alone, on time.
+type RunSink interface {
+	CellSink
+	ReceiveRun(cells []atm.Cell, vci atm.VCI, at, gap time.Duration)
+}
+
 // perHopSetupCost is the virtual time charged per switch programmed
 // during VC setup.
 const perHopSetupCost = 500 * time.Microsecond
@@ -94,24 +103,57 @@ type domain struct {
 	traceC *trace.Collector
 }
 
-// slot is a cell in a trunk's rings: waiting at an input (at: its
-// arrival at the trunk), queued, or on the wire (at: its arrival at the
-// far node). The cell stays put at index i of its shard's arena, copied
-// in where it enters — an endpoint sending, a boundary trunk delivering
-// — and out where it leaves. The slot carries what every hop reads, the
-// VCI on this hop; note marks a cell whose record each hop must see: a
-// watch follows it, or it is traced.
-type slot struct {
-	at   time.Duration
-	i    int32
-	vci  atm.VCI
-	note bool
+// run is an entry of a trunk's rings, n cells of one VCI: at an input
+// (the k-th arriving at at+k·gap), queued, or on the wire (arriving at
+// the far node then). A cell is a run of one. The cells stay put from
+// slot pos of their shard's arena, copied in where they enter and out
+// where they leave. note marks a cell whose slot each hop must see (a
+// watch follows it, or it is traced), always a run of its own.
+type run struct {
+	at, gap time.Duration
+	n       int
+	pos     int32
+	vci     atm.VCI
+	note    bool
 }
 
-// cellRec is a cell in the arena, with the watch following it, if any.
-type cellRec struct {
-	cell atm.Cell
-	w    *watch
+// arrival is the arrival of the run's k-th cell.
+func (s *run) arrival(k int) time.Duration { return s.at + time.Duration(k)*s.gap }
+
+// before counts the run's cells arriving before the instant.
+func (s *run) before(at time.Duration) int {
+	if s.at >= at {
+		return 0
+	} else if s.n > 1 && s.gap > 0 {
+		return int(min(time.Duration(s.n), (at-s.at-1)/s.gap+1))
+	}
+	return s.n
+}
+
+// cut moves the run's first k cells into h; s keeps the rest.
+func (s *run) cut(k int, h *run) {
+	h.at, h.gap, h.n, h.pos, h.vci, h.note = s.at, s.gap, k, s.pos, s.vci, s.note
+	s.at, s.n, s.pos = s.arrival(k), s.n-k, s.pos+int32(k)
+}
+
+// push appends s to a ring, or extends the tail run s continues (next
+// slots of its block, same VCI, on its arrival grid), field by field.
+func push(r *sim.Ring[run], s *run) {
+	if r.Len() > 0 {
+		t := r.Tail()
+		if t.vci == s.vci && t.pos+int32(t.n) == s.pos && s.pos%blockCells != 0 && !t.note && !s.note {
+			g := t.gap
+			if t.n == 1 {
+				g = s.at - t.at
+			}
+			if (s.n == 1 || s.gap == g) && s.at == t.at+time.Duration(t.n)*g {
+				t.gap, t.n = g, t.n+s.n
+				return
+			}
+		}
+	}
+	p := r.PushSlot()
+	p.at, p.gap, p.n, p.pos, p.vci, p.note = s.at, s.gap, s.n, s.pos, s.vci, s.note
 }
 
 // port is an input of the switch a trunk leaves, as the trunk sees it:
@@ -120,7 +162,7 @@ type cellRec struct {
 // the trunk handed over ahead of that — by another output reading past
 // them, or by an event.
 type port struct {
-	q    sim.Ring[slot]
+	q    sim.Ring[run]
 	feed *trunk
 }
 
@@ -161,9 +203,9 @@ type trunk struct {
 	port  int
 	upTo  time.Duration
 
-	// Three class queues (index qos.Class) served by WRR; queued is
-	// their total length.
-	queues   [3]sim.Ring[slot]
+	// Three class queues (index qos.Class) served by WRR; qcells and queued count cells.
+	queues   [3]sim.Ring[run]
+	qcells   [3]int
 	queued   int
 	rrCredit [3]int
 
@@ -177,7 +219,7 @@ type trunk struct {
 
 	// Cells on the wire, in arrival order. spanName is "from>to", the
 	// name of this hop's trace spans.
-	inflight sim.Ring[slot]
+	inflight sim.Ring[run]
 	spanName string
 
 	// VCI allocation on this trunk. pair is the reverse trunk of the
@@ -320,17 +362,18 @@ func (t *trunk) getXCell() *xcell {
 // time: the cell enters that shard's arena, with a watch if it has a
 // stop ahead, and lands as advance would land it.
 func (t *trunk) xdeliver(r *xcell) {
-	s := slot{at: t.xeng.Now(), i: t.rsp.put(&r.cell), vci: r.cell.VCI, note: r.cell.TC.Sampled()}
+	s := run{at: t.xeng.Now(), n: 1, vci: r.cell.VCI, note: r.cell.TC.Sampled()}
+	s.pos, _ = t.rsp.put([]atm.Cell{r.cell})
 	rest, ok := t.stop(&r.cell, s.vci)
 	var w *watch
 	if ok {
 		w = t.watch(s.vci, rest, s.at+rest)
-		t.rsp.recs[s.i].w, s.note = w, true
+		t.rsp.watches[s.pos], s.note = w, true
 	}
 	t.xmu.Lock()
 	t.xfree = append(t.xfree, r)
 	t.xmu.Unlock()
-	t.land(s)
+	t.land(&s)
 	if w != nil {
 		fireWatch(w)
 	}
@@ -359,124 +402,178 @@ func (t *trunk) take(before time.Duration) {
 		t.upTo = before
 	}
 	for {
-		var src *port
-		var s slot
-		at := before
+		// The earliest run, up to the next input's first arrival (a lower
+		// port wins a tie).
+		var p *port
+		var h *run
+		at, end := before, before
 		for i := range t.ports {
-			if h := t.ports[i].head(t, before); h != nil && h.at < at {
-				src, s, at = &t.ports[i], *h, h.at
+			if x := t.ports[i].head(t, before); x == nil {
+				continue
+			} else if x.at < at {
+				if p != nil {
+					end = min(end, at)
+				}
+				p, h, at = &t.ports[i], x, x.at
+			} else {
+				end = min(end, x.at+1)
 			}
 		}
-		if src == nil {
+		if p == nil {
 			return
 		}
 		t.pickUntil(at)
-		if src.q.Len() > 0 {
-			src.q.Drop()
-		} else {
-			src.feed.inflight.Drop()
-			src.feed.pass(&s)
+		r := &p.q
+		if r.Len() == 0 {
+			r = &p.feed.inflight
 		}
-		t.accept(s)
+		var s run
+		if h.cut(h.before(end), &s); h.n == 0 {
+			r.Drop()
+		}
+		if r != &p.q {
+			p.feed.pass(&s)
+		}
+		t.accept(&s)
 	}
 }
 
-// head is the port's next cell for t arriving before the given instant:
+// head is the port's next run for t arriving before the given instant:
 // q's head, else the first on the feed's wire routed to t — the cells
-// ahead of it land on the way, reaching their own trunks' queues.
-func (p *port) head(t *trunk, before time.Duration) *slot {
+// ahead of it arriving before the instant land on the way, reaching
+// their own trunks' queues.
+func (p *port) head(t *trunk, before time.Duration) *run {
 	if p.q.Len() > 0 {
 		return p.q.Head()
 	}
 	for f := p.feed; f != nil && f.inflight.Len() > 0; {
-		s := f.inflight.Head()
-		if s.at >= before {
+		h := f.inflight.Head()
+		if h.at >= before {
 			return nil
 		}
-		if int(s.vci) < len(f.xlate) && f.xlate[s.vci].out == t {
-			return s
+		if int(h.vci) < len(f.xlate) && f.xlate[h.vci].out == t {
+			return h
 		}
-		ls := *s
-		f.inflight.Drop()
-		f.land(ls)
+		var s run
+		h.cut(h.before(before), &s)
+		if h.n == 0 {
+			f.inflight.Drop()
+		}
+		f.land(&s)
 	}
 	return nil
 }
 
-// accept takes one cell arriving at s.at, after every pick before that
-// instant: the fault plane and the queue limit may drop it, a corruption
-// flips a payload byte (AAL5's CRC-32 rejects the frame at reassembly,
-// where real hardware would), a traced cell is stamped with its hop
-// entry time (pass records the hop as one span from it), and an idle
-// line picks it at once.
-func (t *trunk) accept(s slot) {
+// accept takes a run arriving from s.at, after every pick before that
+// instant, each cell after the picks before its own arrival: the fault
+// plane and the queue limit may drop it, a corruption flips a payload
+// byte (AAL5's CRC-32 rejects the frame at reassembly, where real
+// hardware would), a traced cell is stamped with its hop entry time
+// (pass records the hop as one span from it), and an idle line picks it
+// at once. The run splits where these rules part its cells.
+func (t *trunk) accept(s *run) {
 	cls := qos.BestEffort
 	if int(s.vci) < len(t.class) {
 		cls = t.class[s.vci]
 	}
-	corrupt := false
-	if fp := t.faultPlane(); fp != nil {
-		if t.fates == nil {
-			t.fates = fp.Cells(t.id)
-		}
-		tc := t.sp.recs[s.i].cell.TC
-		if t.down {
-			fp.TrunkDownDrop(tc, s.at)
-			t.drop(cls, s)
-			return
-		}
-		if t.fates.Drop(tc, s.at) {
-			t.drop(cls, s)
-			return
-		}
-		corrupt = t.fates.Corrupt(tc, s.at)
+	fp := t.faultPlane()
+	if fp != nil && t.fates == nil {
+		t.fates = fp.Cells(t.id)
 	}
-	q := &t.queues[cls]
-	if q.Len() >= t.cfg.QueueCells {
-		t.drop(cls, s)
-		return
-	}
-	var w *watch
-	if corrupt || s.note {
-		r := &t.sp.recs[s.i]
-		if corrupt {
-			r.cell.Payload[0] ^= 0xA5
+	for k := 0; fp != nil && k < s.n; k++ {
+		c, at := &t.sp.cells[int(s.pos)+k], s.arrival(k)
+		switch {
+		case t.down:
+			fp.TrunkDownDrop(c.TC, at)
+		case t.fates.Drop(c.TC, at):
+		default:
+			if t.fates.Corrupt(c.TC, at) {
+				c.Payload[0] ^= 0xA5
+			}
+			continue
 		}
-		if r.cell.TC.Sampled() {
-			r.cell.TCAt = s.at
-		}
-		w = r.w
+		var h run
+		s.cut(k, &h)
+		t.admit(cls, &h)
+		s.cut(1, &h)
+		t.drop(cls, &h)
+		k = -1
 	}
-	if !t.busy {
-		// Straight on the wire: the credits are full when a line is idle.
-		t.busy, t.nextPick = true, s.at
-		t.rrCredit[cls]--
-		t.qPeak.Note(1)
-		t.wire(cls, s)
-		if t.txFn != nil {
-			t.eng.ScheduleL(t.ser, t.lblTx, t.txFn)
-		}
-		return
-	}
-	q.Push(s)
-	if w != nil {
-		// The cells queued ahead in its class go first.
-		w.at = t.nextPick + time.Duration(q.Len())*t.ser + t.cfg.Delay + w.rest
-	}
-	t.queued++
-	t.qPeak.Note(int64(t.queued))
+	t.admit(cls, s)
 }
 
-func (t *trunk) drop(cls qos.Class, s slot) {
-	t.Dropped++
-	t.perClassDrop[cls]++
-	t.sp.free(s.i)
+// admit queues or wires a run's cells, none lost, together where each
+// meets the same rule: if the run comes slower than the line sends, on
+// an idle line, all go on the wire; if no slower, on a busy line with
+// room for all, all are queued — no pick before a cell's arrival could
+// find it missing. Else one cell at a time.
+func (t *trunk) admit(cls qos.Class, s *run) {
+	var h run
+	for s.n > 0 {
+		if t.busy && t.nextPick < s.at {
+			t.pickUntil(s.at)
+		}
+		if t.qcells[cls] >= t.cfg.QueueCells {
+			s.cut(1, &h)
+			t.drop(cls, &h)
+			continue
+		}
+		var w *watch
+		if s.note {
+			if c := &t.sp.cells[s.pos]; c.TC.Sampled() {
+				c.TCAt = s.at
+			}
+			w = t.sp.watches[s.pos]
+		}
+		if !t.busy {
+			// Straight on the wire: the credits are full when a line is idle.
+			t.busy, t.nextPick = true, s.at
+			t.rrCredit[cls]--
+			t.qPeak.Note(1)
+			k := 1
+			if s.gap > t.ser && t.xeng == nil {
+				k = s.n // each cell finds the line idle again
+			}
+			s.cut(k, &h)
+			t.wire(cls, &h, h.gap)
+			if t.txFn != nil {
+				t.eng.ScheduleL(t.ser, t.lblTx, t.txFn)
+			}
+			continue
+		}
+		k := s.n
+		if s.gap > t.ser || t.qcells[cls]+k > t.cfg.QueueCells {
+			k = 1
+		}
+		s.cut(k, &h)
+		push(&t.queues[cls], &h)
+		t.qcells[cls] += k
+		t.queued += k
+		// The depth the last cell finds, the run's deepest: the picks
+		// before it served a cell per arrival at most.
+		if depth, last := t.queued, h.arrival(k-1); t.ser > 0 && last > t.nextPick {
+			t.qPeak.Note(int64(depth - int((last-t.nextPick+t.ser-1)/t.ser)))
+		} else {
+			t.qPeak.Note(int64(depth))
+		}
+		if w != nil {
+			// The cells queued ahead in its class go first.
+			w.at = t.nextPick + time.Duration(t.qcells[cls])*t.ser + t.cfg.Delay + w.rest
+		}
+	}
+}
+
+func (t *trunk) drop(cls qos.Class, s *run) {
+	t.Dropped += uint64(s.n)
+	t.perClassDrop[cls] += uint64(s.n)
+	t.sp.free(s)
 }
 
 // pickUntil makes, in order, every WRR pick whose logical time lies
 // before the given instant. A pick that finds the queues empty ends the
 // busy period and, as a transmit event that found nothing to send did,
-// replenishes the credits.
+// replenishes the credits. The picks its class goes on to win — while
+// its credit lasts, or past it alone in the queues — join it in a run.
 func (t *trunk) pickUntil(before time.Duration) {
 	for t.busy && t.nextPick < before {
 		if t.queued == 0 {
@@ -486,10 +583,27 @@ func (t *trunk) pickUntil(before time.Duration) {
 		}
 		cls := t.pick()
 		q := &t.queues[cls]
-		s := *q.Head()
-		q.Drop()
-		t.queued--
-		t.wire(cls, s)
+		h := q.Head()
+		k := h.n
+		if t.qcells[cls] < t.queued {
+			k = min(k, t.rrCredit[cls]+1)
+		}
+		if k > 1 && t.ser > 0 {
+			k = int(min(time.Duration(k), (before-t.nextPick-1)/t.ser+1))
+		}
+		for m := 1; m < k; m++ { // the picks after the first, as pick makes them
+			if t.rrCredit[cls] == 0 {
+				t.rrCredit = wrrWeights
+			}
+			t.rrCredit[cls]--
+		}
+		t.qcells[cls] -= k
+		t.queued -= k
+		var s run
+		if h.cut(k, &s); h.n == 0 {
+			q.Drop()
+		}
+		t.wire(cls, &s, t.ser)
 	}
 }
 
@@ -497,31 +611,34 @@ func (t *trunk) pickUntil(before time.Duration) {
 // or queue depths then sees what a transmit event per cell had counted.
 func (t *trunk) settle() { t.commit(t.eng.Now()) }
 
-// wire puts a cell of class cls on the wire at nextPick, to arrive one
-// serialization and one propagation later — on a boundary trunk, in a
-// pooled record posted to the far shard.
-func (t *trunk) wire(cls qos.Class, s slot) {
-	s.at = t.nextPick + t.ser + t.cfg.Delay
+// wire puts a run of class cls on the wire, picked from nextPick gap
+// apart, each cell to arrive one serialization and one propagation
+// after its pick — on a boundary trunk, each in a pooled record posted
+// to the far shard.
+func (t *trunk) wire(cls qos.Class, s *run, gap time.Duration) {
+	s.at, s.gap = t.nextPick+t.ser+t.cfg.Delay, gap
 	if t.xeng != nil {
 		// A boundary trunk picks at the pick's own instant (transmitTick),
 		// so the post is ser+Delay ahead: at least the group lookahead,
 		// which the testbed sizes from the smallest boundary-trunk delay.
-		r := t.getXCell()
-		r.cell = t.sp.recs[s.i].cell
-		r.cell.VCI = s.vci
-		t.sp.free(s.i)
-		t.eng.PostSized(t.xeng, s.at-t.eng.Now(), atm.CellSize, r.fn)
+		for k := 0; k < s.n; k++ {
+			r := t.getXCell()
+			r.cell = t.sp.cells[int(s.pos)+k]
+			r.cell.VCI = s.vci
+			t.eng.PostSized(t.xeng, s.arrival(k)-t.eng.Now(), atm.CellSize, r.fn)
+		}
+		t.sp.free(s)
 	} else {
-		t.inflight.Push(s)
+		push(&t.inflight, s)
 		if s.note {
-			if w := t.sp.recs[s.i].w; w != nil {
+			if w := t.sp.watches[s.pos]; w != nil {
 				w.at, w.onWire = s.at+w.rest, true
 			}
 		}
 	}
-	t.Sent++
-	t.perClass[cls]++
-	t.nextPick += t.ser
+	t.Sent += uint64(s.n)
+	t.perClass[cls] += uint64(s.n)
+	t.nextPick += time.Duration(s.n-1)*gap + t.ser
 }
 
 // transmitTick is a boundary trunk's transmit event, one per cell at the
@@ -540,51 +657,63 @@ func (t *trunk) transmitTick() {
 func (t *trunk) advance(before time.Duration) {
 	t.commit(before - t.ser - t.cfg.Delay)
 	for t.inflight.Len() > 0 && t.inflight.Head().at < before {
-		s := *t.inflight.Head()
-		t.inflight.Drop()
-		t.land(s)
+		h := t.inflight.Head()
+		var s run
+		h.cut(h.before(before), &s)
+		if h.n == 0 {
+			t.inflight.Drop()
+		}
+		t.land(&s)
 	}
 }
 
-// land hands t.to a cell arriving at s.at: a switch routes it to its
-// next trunk's queue for this input, an endpoint to the sink.
-func (t *trunk) land(s slot) {
+// land hands t.to a run arriving from s.at: a switch routes it to its
+// next trunk's queue for this input, an endpoint to the sink, whole to
+// a RunSink.
+func (t *trunk) land(s *run) {
 	if t.sw != nil {
-		if out := t.pass(&s); out != nil {
-			out.ports[t.port].q.Push(s)
+		if out := t.pass(s); out != nil {
+			push(&out.ports[t.port].q, s)
 		}
 		return
 	}
-	ep, c := t.to.(*Endpoint), &t.rsp.recs[s.i].cell
-	c.VCI = s.vci
+	ep, cells := t.to.(*Endpoint), t.rsp.cells[s.pos:][:s.n]
 	if s.note {
-		t.span(c, s.at)
+		t.span(&cells[0], s.at)
 	}
 	if ep.sink != nil {
 		ep.handing, ep.handAt = true, s.at
-		ep.sink.ReceiveCell(*c)
+		if rs, ok := ep.sink.(RunSink); ok {
+			rs.ReceiveRun(cells, s.vci, s.at, s.gap)
+		} else {
+			for k := range cells {
+				c := &cells[k]
+				c.VCI, ep.handAt = s.vci, s.arrival(k)
+				ep.sink.ReceiveCell(*c)
+			}
+		}
 		ep.handing = false
 	}
-	t.rsp.free(s.i)
+	t.rsp.free(s)
 }
 
-// pass takes a cell through the switch t feeds — span, table lookup,
+// pass takes a run through the switch t feeds — span, table lookup,
 // VCI rewrite — and returns its next trunk, nil if it has no route.
-func (t *trunk) pass(s *slot) *trunk {
-	var r *cellRec
+func (t *trunk) pass(s *run) *trunk {
 	if s.note {
-		r = &t.rsp.recs[s.i]
-		t.span(&r.cell, s.at)
+		t.span(&t.rsp.cells[s.pos], s.at)
 	}
 	if int(s.vci) >= len(t.xlate) || t.xlate[s.vci].out == nil {
-		t.sw.Unroutable++
-		t.rsp.free(s.i)
+		t.sw.Unroutable += uint64(s.n)
+		t.rsp.free(s)
 		return nil
 	}
 	v := t.xlate[s.vci]
 	s.vci = v.vci
-	if r != nil && r.w != nil {
-		r.w.enter(v.out, &r.cell, v.vci, s.at)
+	if s.note {
+		if w := t.rsp.watches[s.pos]; w != nil {
+			w.enter(v.out, &t.rsp.cells[s.pos], v.vci, s.at)
+		}
 	}
 	return v.out
 }
@@ -748,7 +877,7 @@ type Endpoint struct {
 	// cells to the sink.
 	downlink *trunk
 	// handing is set while a cell is with the sink; handAt is its
-	// arrival time, which Now reads.
+	// arrival time, which Now reads (a run's first, for a RunSink).
 	handing bool
 	handAt  time.Duration
 }
@@ -784,23 +913,45 @@ func (ep *Endpoint) Settle() {
 	}
 }
 
-// SendCell transmits one cell from the endpoint into the fabric, with a
-// watch if it has a stop ahead (trunk.stop) — none on a boundary uplink,
-// which transmits per cell anyway.
-func (ep *Endpoint) SendCell(c atm.Cell) {
+// SendCell transmits one cell from the endpoint into the fabric.
+func (ep *Endpoint) SendCell(c atm.Cell) { ep.SendCells([]atm.Cell{c}) }
+
+// SendCells transmits cells from the endpoint into the fabric, in order,
+// at this instant. A traced cell is a run of its own, as is one with a
+// stop ahead (trunk.stop), which a watch follows (not on a boundary
+// uplink). Other cells on a VCI form a run, which later ones extend.
+func (ep *Endpoint) SendCells(cells []atm.Cell) {
 	t := ep.uplink
-	s := slot{at: t.eng.Now(), i: t.sp.put(&c), vci: c.VCI, note: c.TC.Sampled()}
-	var w *watch
-	if rest, ok := t.stop(&c, c.VCI); ok && t.xeng == nil {
-		w = t.watch(c.VCI, rest, s.at+t.ser+t.cfg.Delay+rest)
-		t.sp.recs[s.i].w, s.note = w, true
+	now := t.eng.Now()
+	// The picks due strictly before now first (an uplink has no inputs):
+	// one due exactly now waits for these cells (DESIGN.md §9, tie rule).
+	if t.busy && t.nextPick < now {
+		t.pickUntil(now)
 	}
-	// The picks due strictly before now first: one due exactly now waits
-	// for this cell (DESIGN.md §9, the tie rule).
-	t.commit(s.at)
-	t.accept(s)
-	if w != nil {
-		t.eng.ScheduleArgL(w.at-s.at, t.lblArr, fireWatch, w)
+	needsWatch := func(c *atm.Cell) (rest time.Duration, ok bool) {
+		rest, stop := t.stop(c, c.VCI)
+		return rest, stop && t.xeng == nil
+	}
+	for len(cells) > 0 {
+		c := &cells[0]
+		rest, watched := needsWatch(c)
+		s := run{at: now, n: 1, vci: c.VCI, note: watched || c.TC.Sampled()}
+		for !s.note && s.n < len(cells) && cells[s.n].VCI == s.vci && !cells[s.n].TC.Sampled() {
+			if _, w := needsWatch(&cells[s.n]); w {
+				break
+			}
+			s.n++
+		}
+		s.pos, s.n = t.sp.put(cells[:s.n])
+		cells = cells[s.n:]
+		var w *watch
+		if watched {
+			w = t.watch(s.vci, rest, now+t.ser+t.cfg.Delay+rest)
+			t.sp.watches[s.pos] = w
+		}
+		if t.accept(&s); w != nil {
+			t.eng.ScheduleArgL(w.at-now, t.lblArr, fireWatch, w)
+		}
 	}
 }
 
@@ -845,36 +996,58 @@ type Fabric struct {
 type vcID uint64
 
 // vcSpace is one shard's state: its VC namespace, and the arena its
-// trunks' cells live in (see slot) with the free indexes.
+// trunks' cells live in (see run) — the watch following each, per block
+// the slots not yet free, and [fill, end), the block entering cells fill.
 type vcSpace struct {
-	vcs  map[vcID]*VC
-	next uint64
-	base uint64
-	recs []cellRec
-	idle []int32
+	vcs       map[vcID]*VC
+	next      uint64
+	base      uint64
+	cells     []atm.Cell
+	watches   []*watch
+	live      []int
+	idle      []int32
+	fill, end int32
 }
 
-// put copies a cell into the arena and returns its index; it may move
-// recs, so no pointer into recs is held across it.
-func (sp *vcSpace) put(c *atm.Cell) (i int32) {
-	if n := len(sp.idle); n > 0 {
-		i, sp.idle = sp.idle[n-1], sp.idle[:n-1]
-	} else {
-		i = int32(len(sp.recs))
-		sp.recs = append(sp.recs, cellRec{})
+// blockCells is the arena's unit of allocation.
+const blockCells = 64
+
+// put copies cells (at most a block's worth) into the block being
+// filled, a fresh one if they do not fit, and returns where they start
+// and how many went.
+func (sp *vcSpace) put(cells []atm.Cell) (pos int32, n int) {
+	if int(sp.end-sp.fill) < min(len(cells), blockCells) {
+		if sp.end > sp.fill {
+			sp.free(&run{pos: sp.fill, n: int(sp.end - sp.fill)}) // the old block's unfilled slots
+		}
+		b := len(sp.live)
+		if k := len(sp.idle); k > 0 {
+			b, sp.idle = int(sp.idle[k-1]), sp.idle[:k-1]
+			sp.live[b] = blockCells
+		} else {
+			sp.live = append(sp.live, blockCells)
+			sp.cells = slices.Grow(sp.cells, blockCells)[:len(sp.cells)+blockCells]
+			sp.watches = slices.Grow(sp.watches, blockCells)[:len(sp.watches)+blockCells]
+		}
+		sp.fill, sp.end = int32(b*blockCells), int32((b+1)*blockCells)
 	}
-	r := &sp.recs[i]
-	r.cell, r.w = *c, nil
-	return i
+	pos, n = sp.fill, copy(sp.cells[sp.fill:sp.end], cells)
+	sp.fill += int32(n)
+	return pos, n
 }
 
-// free takes back a cell's index once it has left — delivered, lost or
-// posted across a boundary — which ends its watch.
-func (sp *vcSpace) free(i int32) {
-	if w := sp.recs[i].w; w != nil {
-		w.t, sp.recs[i].w = nil, nil
+// free takes back a run's slots once its cells have left — delivered,
+// lost or posted across a boundary — ending a watched cell's watch.
+func (sp *vcSpace) free(s *run) {
+	if s.note {
+		if w := sp.watches[s.pos]; w != nil {
+			w.t, sp.watches[s.pos] = nil, nil
+		}
 	}
-	sp.idle = append(sp.idle, i)
+	b := s.pos / blockCells
+	if sp.live[b] -= s.n; sp.live[b] == 0 {
+		sp.idle = append(sp.idle, b)
+	}
 }
 
 // ensureSpace creates the VC namespace for engine e. Called only during
@@ -1324,28 +1497,24 @@ func (f *Fabric) trackTrunk(st *tseries.Store, t *trunk) {
 	})
 }
 
-// ClassStats sums per-class cell counts over every trunk.
+// ClassStats sums per-class cell counts over every trunk: the switches'
+// (endpoint downlinks among them) and the endpoint uplinks.
 func (f *Fabric) ClassStats() ClassCellStats {
 	var out ClassCellStats
-	seen := map[*trunk]bool{}
-	visit := func(ts []*trunk) {
-		for _, t := range ts {
-			if seen[t] {
-				continue
-			}
-			seen[t] = true
-			t.settle()
-			for cls := 0; cls < 3; cls++ {
-				out.Sent[cls] += t.perClass[cls]
-				out.Dropped[cls] += t.perClassDrop[cls]
-			}
+	add := func(t *trunk) {
+		t.settle()
+		for cls := 0; cls < 3; cls++ {
+			out.Sent[cls] += t.perClass[cls]
+			out.Dropped[cls] += t.perClassDrop[cls]
 		}
 	}
 	for _, sw := range f.switches {
-		visit(sw.trunks)
+		for _, t := range sw.trunks {
+			add(t)
+		}
 	}
 	for _, ep := range f.endpoints {
-		visit([]*trunk{ep.uplink, ep.downlink})
+		add(ep.uplink)
 	}
 	return out
 }
