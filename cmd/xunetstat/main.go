@@ -35,10 +35,14 @@
 //	                              # critical-shard ranking
 //	xunetstat prof -json          # the same as one JSON snapshot
 //	xunetstat prof -flame         # folded stacks for flame-graph tools
+//
+// -json and -flame may stand before the subcommand or among its
+// arguments: xunetstat -json faults is xunetstat faults -json.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,14 +61,25 @@ func main() {
 	events := flag.Int("events", 16, "trace events to fetch (0 disables)")
 	flag.Parse()
 
-	c := &signaling.RealClient{SighostAddr: *addr}
-	defer c.Close()
+	rc := &signaling.RealClient{SighostAddr: *addr}
+	defer rc.Close()
+	c := rc.Client()
 
 	if args := flag.Args(); len(args) > 0 {
-		runSubcommand(c, args)
+		what, callID, err := viewName(args, *asJSON)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xunetstat:", err)
+			os.Exit(2)
+		}
+		body, err := c.Query(what, callID, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xunetstat:", err)
+			os.Exit(1)
+		}
+		fmt.Println(body)
 		return
 	}
-	statsBody, err := c.Query(signaling.MgmtStatsJSON)
+	statsBody, err := c.Query(signaling.MgmtStatsJSON, 0, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xunetstat:", err)
 		os.Exit(1)
@@ -77,7 +92,7 @@ func main() {
 
 	var trace []obs.Event
 	if *events > 0 {
-		traceBody, err := c.QueryN(signaling.MgmtTraceJSON, *events)
+		traceBody, err := c.Query(signaling.MgmtTraceJSON, 0, *events)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xunetstat:", err)
 			os.Exit(1)
@@ -99,110 +114,48 @@ func main() {
 	render(snap, trace)
 }
 
-// runSubcommand handles `xunetstat trace <callid>` and `xunetstat
-// flight`. A -json flag may appear either before the subcommand or
-// among its arguments.
-func runSubcommand(c *signaling.RealClient, args []string) {
-	asJSON, asFlame := false, false
-	rest := args[:0:0]
+// viewName names the MGMT query a subcommand asks for, by MGMT's rule:
+// the view's name, with ".json" under -json or ".flame" under -flame
+// (which wins); "trace <id>" is the calltrace view of call id. asJSON
+// is a -json given before the subcommand; -json and -flame may also
+// stand among its arguments.
+func viewName(args []string, asJSON bool) (what string, callID uint32, err error) {
+	asFlame := false
+	var rest []string
 	for _, a := range args {
-		if a == "-json" || a == "--json" {
+		switch a {
+		case "-json", "--json":
 			asJSON = true
-			continue
-		}
-		if a == "-flame" || a == "--flame" {
+		case "-flame", "--flame":
 			asFlame = true
-			continue
+		default:
+			rest = append(rest, a)
 		}
-		rest = append(rest, a)
 	}
 	if len(rest) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: xunetstat [flags] [trace <callid> | flight | faults | tseries | health | prof]")
-		os.Exit(2)
+		return "", 0, errors.New("usage: xunetstat [flags] [trace <callid> | flight | faults | tseries | health | prof]")
 	}
-	switch rest[0] {
+	switch what = rest[0]; what {
 	case "trace":
 		if len(rest) < 2 {
-			fmt.Fprintln(os.Stderr, "usage: xunetstat trace [-json] <callid>")
-			os.Exit(2)
+			return "", 0, errors.New("usage: xunetstat trace [-json] <callid>")
 		}
-		callID, err := strconv.ParseUint(rest[1], 10, 32)
+		id, err := strconv.ParseUint(rest[1], 10, 32)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat: bad call ID:", rest[1])
-			os.Exit(2)
+			return "", 0, fmt.Errorf("bad call ID: %s", rest[1])
 		}
-		what := signaling.MgmtCallTrace
-		if asJSON {
-			what = signaling.MgmtCallTraceJSON
-		}
-		body, err := c.QueryCall(what, uint32(callID))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
-	case "flight":
-		what := signaling.MgmtFlight
-		if asJSON {
-			what = signaling.MgmtFlightJSON
-		}
-		body, err := c.Query(what)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
-	case "faults":
-		what := signaling.MgmtFaults
-		if asJSON {
-			what = signaling.MgmtFaultsJSON
-		}
-		body, err := c.Query(what)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
-	case "tseries":
-		what := signaling.MgmtTSeries
-		if asJSON {
-			what = signaling.MgmtTSeriesJSON
-		}
-		body, err := c.Query(what)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
-	case "health":
-		what := signaling.MgmtHealth
-		if asJSON {
-			what = signaling.MgmtHealthJSON
-		}
-		body, err := c.Query(what)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
-	case "prof":
-		what := signaling.MgmtProf
-		switch {
-		case asFlame:
-			what = signaling.MgmtProfFlame
-		case asJSON:
-			what = signaling.MgmtProfJSON
-		}
-		body, err := c.Query(what)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xunetstat:", err)
-			os.Exit(1)
-		}
-		fmt.Println(body)
+		what, callID = signaling.MgmtCallTrace, uint32(id)
+	case "flight", "faults", "tseries", "health", "prof":
 	default:
-		fmt.Fprintln(os.Stderr, "xunetstat: unknown subcommand", rest[0], "(want trace, flight, faults, tseries, health or prof)")
-		os.Exit(2)
+		return "", 0, fmt.Errorf("unknown subcommand %s (want trace, flight, faults, tseries, health or prof)", what)
 	}
+	switch {
+	case asFlame:
+		what += ".flame"
+	case asJSON:
+		what += ".json"
+	}
+	return what, callID, nil
 }
 
 func render(snap obs.Snapshot, trace []obs.Event) {

@@ -59,11 +59,11 @@ func main() {
 
 // render fetches one snapshot and formats the full frame.
 func render(c *signaling.RealClient, match string, topN int) (string, error) {
-	series, err := c.Query(signaling.MgmtTSeries)
+	series, err := c.Client().Query(signaling.MgmtTSeries, 0, 0)
 	if err != nil {
 		return "", err
 	}
-	health, err := c.Query(signaling.MgmtHealth)
+	health, err := c.Client().Query(signaling.MgmtHealth, 0, 0)
 	if err != nil {
 		return "", err
 	}
@@ -77,7 +77,7 @@ func render(c *signaling.RealClient, match string, topN int) (string, error) {
 	}
 	// The SHARDS panel rides the same poll; a daemon without a profiler
 	// answers with the disabled text and the panel is simply omitted.
-	if prof, err := c.Query(signaling.MgmtProf); err == nil {
+	if prof, err := c.Client().Query(signaling.MgmtProf, 0, 0); err == nil {
 		b.WriteString(shardPanel(prof))
 	}
 	return b.String(), nil

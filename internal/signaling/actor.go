@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"slices"
 	"time"
 
 	"xunet/internal/atm"
@@ -44,7 +45,7 @@ const (
 )
 
 // dispatch runs one input in actor context: it finds the call the input
-// names (by cookie, call key, VCI, owner chain, timer or dial context),
+// names (by cookie, call key, VCI, owner, timer or dial context),
 // and step runs the protocol's cell for it. Every input but a function
 // is one journal batch; a crashed entity drops application, peer and
 // kernel inputs.
@@ -139,8 +140,8 @@ func (sh *Sighost) fromPeer(in *input) {
 }
 
 // fromKernel finds the call a kernel indication names by VCI, in
-// wait_for_bind or VCI_mapping, or, for a process's exit, by the chain
-// of the process's outstanding requests.
+// wait_for_bind or VCI_mapping, or, for a process's exit, by the
+// process's outstanding requests.
 func (sh *Sighost) fromKernel(in *input) {
 	k := &in.kmsg
 	sh.ct.kernelMsgs.Inc()
@@ -156,11 +157,13 @@ func (sh *Sighost) fromKernel(in *input) {
 		// Exit closes descriptors first, so what remains is §7.2's case,
 		// calls still being established: "the termination indication is
 		// needed to allow sighost to inform the remote router (or host)
-		// that the client no longer exists".
-		for c := sh.byOwner[ownerKey{ip: in.ip, pid: k.PID}]; c != nil; {
-			next := c.ownNext
+		// that the client no longer exists". They are the process's
+		// outgoing_requests, ended newest first.
+		owned := callsBySeq(sh.outgoing, func(c *call) bool {
+			return c.ownerPID != 0 && c.ownerPID == k.PID && c.endIP == in.ip
+		})
+		for _, c := range slices.Backward(owned) {
 			sh.step(c, onExit, in)
-			c = next
 		}
 		return
 	default:

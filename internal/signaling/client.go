@@ -3,6 +3,7 @@ package signaling
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"xunet/internal/atm"
@@ -176,9 +177,10 @@ func (c Client[T]) UnexportService(name string) error {
 
 // Query performs a management query (§5.1) and returns the rendered
 // body. callID names a per-call view's call; n overrides a trace view's
-// event count (riding in the unused cookie field; 0 is the default).
+// event count (riding in the unused cookie field, so at most 65 535; 0
+// is the default).
 func (c Client[T]) Query(what string, callID uint32, n int) (string, error) {
-	reply, err := c.call(sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what, CallID: callID, Cookie: uint16(n)}, sigmsg.KindMgmtReply)
+	reply, err := c.call(sigmsg.Msg{Kind: sigmsg.KindMgmtQuery, Service: what, CallID: callID, Cookie: uint16(min(n, math.MaxUint16))}, sigmsg.KindMgmtReply)
 	if err != nil {
 		return "", err
 	}

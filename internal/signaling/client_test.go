@@ -274,10 +274,10 @@ func realRig(t *testing.T) clientRig {
 	return clientRig{
 		export: func(service string) error { return cli.ExportService(service, 6000) },
 		query: func(what string) error {
-			_, err := cli.Query(what)
+			_, err := cli.Client().Query(what, 0, 0)
 			return err
 		},
-		cancel: cli.CancelRequest,
+		cancel: cli.Client().CancelRequest,
 		call: func(t *testing.T, service string, serve func(*signaling.ServiceRequest), establish time.Duration) (*signaling.Connection, error) {
 			srv := &signaling.RealClient{SighostAddr: b.ListenAddr()}
 			t.Cleanup(srv.Close)

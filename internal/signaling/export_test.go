@@ -162,6 +162,17 @@ func (ch *Chains) Instants() []time.Duration {
 	return at
 }
 
+// Ends lists the calls ch saw end, in order, as "call <id>: <cause>".
+func (ch *Chains) Ends() []string {
+	var ends []string
+	for _, r := range ch.log {
+		if r.To == callReleased {
+			ends = append(ends, fmt.Sprintf("call %d: %s", r.Call.id, r.Cause))
+		}
+	}
+	return ends
+}
+
 // CrashForChecked crashes h for d, as h.CrashFor does, and returns a
 // check of the Recover that ends the outage, to read at quiescence: each
 // call that was in wait_for_bind or VCI_mapping at the crash is back in
@@ -380,6 +391,3 @@ func (cs *Cells) Hits() string {
 	}
 	return b.String()
 }
-
-// CancelRequest cancels an outstanding request by cookie.
-func (c *RealClient) CancelRequest(cookie uint16) error { return c.client().CancelRequest(cookie) }

@@ -105,32 +105,30 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 			out = []byte("[]")
 		}
 		body = string(out)
-	case MgmtCallTrace:
+	case MgmtCallTrace, MgmtCallTraceJSON:
 		if m.CallID == 0 {
-			sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: "calltrace requires a call ID"})
+			sh.sendApp(conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: m.Service + " requires a call ID"})
 			return
 		}
 		t, ok := sh.TraceC.ByCall(string(sh.env.Addr()), m.CallID)
-		if !ok {
-			body = fmt.Sprintf("no trace for call %d (placed elsewhere, tracing off, unsampled, or evicted)", m.CallID)
-			break
-		}
-		att, hasSetup := trace.Attribute(t)
-		body = trace.TextTree(t)
-		if hasSetup {
-			body += att.String()
-		}
-	case MgmtCallTraceJSON:
-		t, ok := sh.TraceC.ByCall(string(sh.env.Addr()), m.CallID)
-		if !ok {
+		switch {
+		case m.Service == MgmtCallTraceJSON && !ok:
 			body = `{"traceEvents":[],"displayTimeUnit":"ms"}`
-			break
+		case m.Service == MgmtCallTraceJSON:
+			out, err := trace.ChromeJSON([]*trace.Trace{t})
+			if err != nil {
+				out = []byte("{}")
+			}
+			body = string(out)
+		case !ok:
+			body = fmt.Sprintf("no trace for call %d (placed elsewhere, tracing off, unsampled, or evicted)", m.CallID)
+		default:
+			att, hasSetup := trace.Attribute(t)
+			body = trace.TextTree(t)
+			if hasSetup {
+				body += att.String()
+			}
 		}
-		out, err := trace.ChromeJSON([]*trace.Trace{t})
-		if err != nil {
-			out = []byte("{}")
-		}
-		body = string(out)
 	case MgmtFlight:
 		var lines []string
 		for _, t := range sh.TraceC.Completed() {

@@ -1,12 +1,16 @@
 package signaling_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"xunet/internal/obs"
 	"xunet/internal/prof"
 	"xunet/internal/sigmsg"
 	"xunet/internal/signaling"
@@ -64,13 +68,16 @@ func TestMgmtErrorPaths(t *testing.T) {
 	h := startReal(t)
 
 	// calltrace without a call ID is malformed: there is nothing to look
-	// up and "no trace for call 0" would mask the caller's bug.
-	reply, err := realQuery(t, h.ListenAddr(), signaling.MgmtCallTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Kind != sigmsg.KindError || !strings.Contains(reply.Reason, "requires a call ID") {
-		t.Fatalf("calltrace without ID: kind=%v reason=%q", reply.Kind, reply.Reason)
+	// up and "no trace for call 0" (or an empty Chrome trace) would mask
+	// the caller's bug.
+	for _, q := range []string{signaling.MgmtCallTrace, signaling.MgmtCallTraceJSON} {
+		reply, err := realQuery(t, h.ListenAddr(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Kind != sigmsg.KindError || !strings.Contains(reply.Reason, "requires a call ID") {
+			t.Fatalf("%s without ID: kind=%v reason=%q", q, reply.Kind, reply.Reason)
+		}
 	}
 
 	// The tseries/health queries answer even when collection is off —
@@ -261,7 +268,7 @@ func TestRealCancelOutstanding(t *testing.T) {
 		t.Helper()
 		var body string
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-			if body, err = c.Query(view); err != nil {
+			if body, err = c.Client().Query(view, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.ContainsFunc(want, func(w string) bool { return !strings.Contains(body, w) }) {
@@ -271,9 +278,44 @@ func TestRealCancelOutstanding(t *testing.T) {
 		t.Fatalf("%s view never read %q: %q", view, want, body)
 	}
 	poll(signaling.MgmtCalls, "origin=true state=setup_sent", "origin=false state=wait_server")
-	if err := c.CancelRequest(reply.Cookie); err != nil {
+	if err := c.Client().CancelRequest(reply.Cookie); err != nil {
 		t.Fatal(err)
 	}
 	// State must drain.
 	poll(signaling.MgmtLists, "outgoing_requests=0", "incoming_requests=0")
+}
+
+// TestQueryCountClamps asks for more trace events than the 16-bit field
+// that carries the count holds: the request must read as 65 535, every
+// event the ring has, and not wrap to a small count or the default.
+func TestQueryCountClamps(t *testing.T) {
+	h := startReal(t)
+	c := &signaling.RealClient{SighostAddr: h.ListenAddr()}
+	t.Cleanup(c.Close)
+	for i := range obs.DefaultRingSize {
+		if err := c.ExportService(fmt.Sprintf("svc%d", i), uint16(20000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(n int) int {
+		t.Helper()
+		body, err := c.Client().Query(signaling.MgmtTraceJSON, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []obs.Event
+		if err := json.Unmarshal([]byte(body), &evs); err != nil {
+			t.Fatal(err)
+		}
+		return len(evs)
+	}
+	want := count(math.MaxUint16)
+	if want != obs.DefaultRingSize {
+		t.Fatalf("%d events for a count of 65535, want the full ring of %d", want, obs.DefaultRingSize)
+	}
+	for _, n := range []int{math.MaxUint16 + 1, math.MaxUint16 + 101} {
+		if got := count(n); got != want {
+			t.Errorf("%d events for a count of %d, want %d", got, n, want)
+		}
+	}
 }

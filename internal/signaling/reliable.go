@@ -384,13 +384,16 @@ func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
 
 // linkActive reports whether the peer link carries live state worth
 // probing: calls through the peer or unacknowledged messages to it.
-// O(1) via the per-peer call index.
 func (sh *Sighost) linkActive(lk *peerLink) bool {
 	if len(lk.unacked) > 0 {
 		return true
 	}
-	pc := sh.byPeer[lk.addr]
-	return pc != nil && pc.n > 0
+	for _, c := range sh.calls {
+		if c.key.peer == lk.addr {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureKeepalive arms the probe chain if keepalives are configured and
@@ -443,14 +446,9 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 	lk.unacked = make(map[uint32]*pendingMsg)
 	lk.backlog.set(0)
 	lk.byCall = make(map[callPend]*pendingMsg)
-	// The per-peer chain holds exactly this neighbor's calls in creation
-	// order: the cascade is O(affected) and deterministic, where the old
-	// full-table map walk was neither.
-	if pc := sh.byPeer[lk.addr]; pc != nil {
-		for c := pc.head; c != nil; {
-			next := c.peerNext
-			sh.step(c, onPeerDead, &input{})
-			c = next
-		}
+	// The neighbor's calls end in creation order, so the cascade is
+	// deterministic.
+	for _, c := range callsBySeq(sh.calls, func(c *call) bool { return c.key.peer == lk.addr }) {
+		sh.step(c, onPeerDead, &input{})
 	}
 }

@@ -36,13 +36,15 @@ const dialTimeout = 5 * time.Second
 // microseconds, so a client waits seconds, not the simulated minute.
 var realDefaults = Timeouts{RPC: 10 * time.Second, Establish: 15 * time.Second}.Or(DefaultTimeouts())
 
-func (c *RealClient) client() Client[netTransport] {
+// Client is the protocol client over c's connection: its Query and
+// CancelRequest are the verbs RealClient does not wrap.
+func (c *RealClient) Client() Client[netTransport] {
 	return Client[netTransport]{netTransport{c}, Timeouts{RPC: c.ReplyTimeout, Establish: c.EstablishTimeout}.Or(realDefaults)}
 }
 
 // ExportService registers a service whose calls arrive at notifyPort.
 func (c *RealClient) ExportService(name string, notifyPort uint16) error {
-	return c.client().ExportService(name, notifyPort)
+	return c.Client().ExportService(name, notifyPort)
 }
 
 // OpenConnection requests a circuit and blocks until established.
@@ -50,7 +52,7 @@ func (c *RealClient) ExportService(name string, notifyPort uint16) error {
 // on a listener takes over accepting from it. One call at a time per
 // listener: a notification for another cookie is taken for a stale one.
 func (c *RealClient) OpenConnection(dest atm.Addr, service string, notifyListener net.Listener, notifyPort uint16, comment, qosStr string) (*Connection, error) {
-	return c.client().OpenConnection(muxFor(notifyListener), dest, service, notifyPort, comment, qosStr, 0)
+	return c.Client().OpenConnection(muxFor(notifyListener), dest, service, notifyPort, comment, qosStr, 0)
 }
 
 // AwaitServiceRequest waits for one incoming-connection notification on
@@ -58,17 +60,6 @@ func (c *RealClient) OpenConnection(dest atm.Addr, service string, notifyListene
 // it; closing the listener is what stops that.
 func AwaitServiceRequest(l net.Listener) (*ServiceRequest, error) {
 	return AwaitRequest(muxFor(l), realDefaults.RPC)
-}
-
-// Query performs a management query ("services", "stats", "trace", …).
-func (c *RealClient) Query(what string) (string, error) { return c.client().Query(what, 0, 0) }
-
-// QueryN is Query with an event-count override for trace queries.
-func (c *RealClient) QueryN(what string, n int) (string, error) { return c.client().Query(what, 0, n) }
-
-// QueryCall performs a per-call management query ("calltrace", …).
-func (c *RealClient) QueryCall(what string, callID uint32) (string, error) {
-	return c.client().Query(what, callID, 0)
 }
 
 // Close releases the connection to the daemon. The client stays usable:

@@ -68,7 +68,7 @@ func TestRealClientSurvivesDaemonRestart(t *testing.T) {
 	if err := srvC.ExportService("echo", srvPort); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cliC.Query(signaling.MgmtLists); err != nil {
+	if _, err := cliC.Client().Query(signaling.MgmtLists, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	h.Close()
@@ -161,7 +161,7 @@ func TestRealReplyTimeoutDiscardsConnection(t *testing.T) {
 	}
 	<-late // the stale SERVICE_REGS is on the wire of the first connection
 	c.ReplyTimeout = 10 * time.Second
-	if err := c.CancelRequest(7); err != nil {
+	if err := c.Client().CancelRequest(7); err != nil {
 		t.Fatalf("RPC after a timeout: %v (a stale reply would read as an unexpected kind)", err)
 	}
 	if n := conns.Load(); n != 2 {

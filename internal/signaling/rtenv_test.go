@@ -134,7 +134,7 @@ func TestRealRemoteDestinationRejected(t *testing.T) {
 func TestRealCancelUnknownCookie(t *testing.T) {
 	h := startReal(t)
 	c := &signaling.RealClient{SighostAddr: h.ListenAddr()}
-	if err := c.CancelRequest(0xBEEF); err == nil {
+	if err := c.Client().CancelRequest(0xBEEF); err == nil {
 		t.Fatal("cancel of unknown cookie succeeded")
 	}
 }
@@ -419,7 +419,7 @@ func TestRealTeardownWhileWaitingClosesServerConn(t *testing.T) {
 	if d := count("rtenv.notify.reused", h) - reused; d != 1 {
 		t.Fatalf("second INCOMING_CONN reused %d idle connections, want 1", d)
 	}
-	if err := c.CancelRequest(reqID.Cookie); err != nil {
+	if err := c.Client().CancelRequest(reqID.Cookie); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := req.Accept(""); err == nil {

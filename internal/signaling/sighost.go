@@ -189,14 +189,11 @@ type call struct {
 	deadline time.Duration
 	alarm    func()
 
-	// Intrusive list links — the indexed call state: every live call in
-	// creation order (journal compaction, crash), the calls sharing a peer
-	// (keepalive death sweep, link liveness), and one process's
-	// outstanding origin requests (the §7.2 exit cascade). Freed structs
-	// reuse allNext as the pool link.
-	allNext, allPrev   *call
-	peerNext, peerPrev *call
-	ownNext, ownPrev   *call
+	// seq is the call's place in creation order, stamped as it leaves
+	// callNew: the walks over several calls (exit, peer death, journal
+	// compaction, crash) go in its order. poolNext links a freed struct.
+	seq      uint64
+	poolNext *call
 }
 
 // Sighost is the signaling entity.
@@ -221,13 +218,11 @@ type Sighost struct {
 	hook  func(Transition)
 	cells func(c *call, gen uint32, from callState, on callInput)
 
-	// Indexed call state (calls.go): the intrusive lists' heads, and the
-	// pools that make the setup→bind→teardown cycle allocation-free.
-	allHead, allTail *call
-	byPeer           map[atm.Addr]*peerCalls
-	byOwner          map[ownerKey]*call
-	callPool         *call
-	dcPool           *dialCtx
+	// The last seq stamped, and the pools (calls.go) that make the
+	// setup→bind→teardown cycle allocation-free.
+	lastSeq  uint64
+	callPool *call
+	dcPool   *dialCtx
 
 	nextCallID uint32
 
@@ -301,12 +296,12 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 	return sh
 }
 
-// wipe empties the five lists and the call indexes:
+// wipe empties the five lists and the call table:
 // the state a signaling process starts with, and loses when it dies.
 // The calls it drops, their timers canceled, are not pooled: callbacks
 // in flight may still hold them.
 func (sh *Sighost) wipe() {
-	for c := sh.allHead; c != nil; c = c.allNext {
+	for _, c := range callsBySeq(sh.calls, every) {
 		if c.stop != nil {
 			c.stop()
 		}
@@ -317,9 +312,6 @@ func (sh *Sighost) wipe() {
 	sh.waitBind = make(map[atm.VCI]*call)
 	sh.vciMap = make(map[atm.VCI]*call)
 	sh.calls = make(map[callKey]*call)
-	sh.allHead, sh.allTail = nil, nil
-	sh.byPeer = make(map[atm.Addr]*peerCalls)
-	sh.byOwner = make(map[ownerKey]*call)
 	for _, n := range []*size{&sh.n.services, &sh.n.outgoing, &sh.n.incoming, &sh.n.waitBind, &sh.n.vciMap, &sh.n.cookies, &sh.n.calls} {
 		n.set(0)
 	}
@@ -354,18 +346,18 @@ func (sh *Sighost) newCookie() uint16 {
 	}
 }
 
-// transition is the one writer of a call's state, of its place in the
-// lists, which follow from the state (see callState), of the lengths
-// sh.n mirrors, and of its state's timer (stages): the state left's is
-// canceled, the state entered's armed to run out at deadline, which
-// Recover passes to keep what a rebuilt call had left, or else after
-// the state's full duration. It journals each list entry as it is made:
-// opening (either request list) as jOpen, wait_for_bind as jGrant,
-// VCI_mapping as jBound, release as jEnd. why is the zero cause, or
-// restarted when Recover rebuilds the call. It returns the change's
-// record, which the caller publishes once the change is done: at once,
-// but for a destination's grant, which is done when the server holds
-// its VCI. end publishes its own Released record.
+// transition is the one writer of a call's state, of its place in
+// sh.calls and the lists, which follow from the state (see callState),
+// of the lengths sh.n mirrors, and of its state's timer (stages): the
+// state left's is canceled, the state entered's armed to run out at
+// deadline, which Recover passes to keep what a rebuilt call had left,
+// or else after the state's full duration. It journals each list entry
+// as it is made: opening (either request list) as jOpen, wait_for_bind
+// as jGrant, VCI_mapping as jBound, release as jEnd. why is the zero
+// cause, or restarted when Recover rebuilds the call. It returns the
+// change's record, which the caller publishes once the change is done:
+// at once, but for a destination's grant, which is done when the server
+// holds its VCI. end publishes its own Released record.
 //
 // It also makes the lifecycle spans (DESIGN.md §12), whose IDs, drawn
 // from one testbed-wide sequence, must be taken at the change itself.
@@ -391,7 +383,6 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	if requesting(from) && !requesting(to) {
 		if sh.outgoing[c.cookie] == c {
 			delete(sh.outgoing, c.cookie)
-			sh.unlinkOwner(c)
 		} else if sh.incoming[c.cookie] == c {
 			delete(sh.incoming, c.cookie)
 		}
@@ -407,10 +398,11 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 		}
 	}
 	if from == callNew {
-		sh.linkCall(c)
+		sh.lastSeq++
+		c.seq = sh.lastSeq
+		sh.calls[c.key] = c
 		if c.key.origin {
 			sh.outgoing[c.cookie] = c
-			sh.linkOwner(c)
 		} else {
 			sh.incoming[c.cookie] = c
 		}
@@ -446,7 +438,9 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 		sh.vciMap[vci] = c
 		sh.jlog(jrec{op: jBound, key: c.key, vci: vci})
 	case callReleased:
-		sh.unlinkCall(c)
+		if sh.calls[c.key] == c {
+			delete(sh.calls, c.key)
+		}
 		sh.jlog(jrec{op: jEnd, key: c.key})
 		if c.key.origin { // the trace moves into the flight recorder
 			tc.FinishTrace(c.tcRoot, cmp.Or(why.ending().status, endings[why.code].status))

@@ -2,11 +2,13 @@ package signaling_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xunet/internal/atm"
+	"xunet/internal/faults"
 	"xunet/internal/kern"
 	"xunet/internal/qos"
 	"xunet/internal/sigmsg"
@@ -448,6 +450,79 @@ func TestKillDuringStages(t *testing.T) {
 		}
 		n.E.Shutdown()
 	}
+}
+
+// holdTwoRequests starts a server on rb that exports "sleepy" and never
+// answers, and a client on ra that opens two requests to it, 100 ms in,
+// then runs then. It returns the client.
+func holdTwoRequests(t *testing.T, ra, rb *testbed.Router, then func(p *kern.Proc, pending []*signaling.PendingConnection)) *kern.Proc {
+	rb.Stack.Spawn("sleepy-server", func(p *kern.Proc) {
+		_ = rb.Lib.ExportService(p, "sleepy", 6000)
+		_, _ = rb.Lib.CreateReceiveConnection(p, 6000)
+		p.SP.Park() // exported, listening, never accepts the IPC
+	})
+	return ra.Stack.Spawn("client", func(p *kern.Proc) {
+		p.SP.Sleep(100 * time.Millisecond)
+		var pending []*signaling.PendingConnection
+		for port := uint16(7000); port < 7002; port++ {
+			pc, err := ra.Lib.OpenConnectionAsync(p, "ucb.rt", "sleepy", port, "", "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pending = append(pending, pc)
+		}
+		then(p, pending)
+	})
+}
+
+// TestExitEndsRequestsNewestFirst kills a process while its server holds
+// two of its requests: §7.2's exit indication ends both, the newer first.
+func TestExitEndsRequestsNewestFirst(t *testing.T) {
+	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
+	chains := signaling.WatchChains(ra.Sig.SH)
+	client := holdTwoRequests(t, ra, rb, func(p *kern.Proc, _ []*signaling.PendingConnection) { p.SP.Park() })
+	n.E.Schedule(time.Second, client.Kill)
+	n.E.RunUntil(time.Minute)
+	want := []string{"call 2: client terminated", "call 1: client terminated"}
+	if got := chains.Ends(); !slices.Equal(got, want) {
+		t.Errorf("ends %q, want %q", got, want)
+	}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
+	}
+	n.E.Shutdown()
+}
+
+// TestPeerDeathEndsCallsInCreationOrder silences the signaling link
+// while a server holds two requests: each router's keepalive declares
+// its peer dead and ends both calls in the order they were made.
+func TestPeerDeathEndsCallsInCreationOrder(t *testing.T) {
+	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{Faults: &faults.Config{}})
+	chains := []*signaling.Chains{signaling.WatchChains(ra.Sig.SH), signaling.WatchChains(rb.Sig.SH)}
+	holdTwoRequests(t, ra, rb, func(p *kern.Proc, pending []*signaling.PendingConnection) {
+		for _, pc := range pending {
+			if _, err := pc.Await(); err == nil {
+				t.Error("a held request was established")
+			}
+		}
+	})
+	n.E.Schedule(time.Second, func() {
+		ra.Sig.Faults = faults.NewPlane(faults.Config{SigLoss: 1})
+		rb.Sig.Faults = faults.NewPlane(faults.Config{SigLoss: 1})
+	})
+	n.E.Schedule(20*time.Second, func() { ra.Sig.Faults, rb.Sig.Faults = n.Faults, n.Faults })
+	n.E.RunUntil(time.Minute)
+	want := []string{"call 1: peer signaling entity dead", "call 2: peer signaling entity dead"}
+	for _, ch := range chains {
+		if got := ch.Ends(); !slices.Equal(got, want) {
+			t.Errorf("ends %q, want %q", got, want)
+		}
+	}
+	if leaks := n.Audit(); leaks != nil {
+		t.Fatal(leaks)
+	}
+	n.E.Shutdown()
 }
 
 func TestKillServerMidCall(t *testing.T) {
