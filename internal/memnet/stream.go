@@ -214,11 +214,11 @@ type Stream struct {
 	rtimer    sim.Timer
 	finSeq    uint32 // seq the FIN occupies, 0 if none
 
-	// Receive side. ooo and oooFin are made on the first out-of-order
-	// segment; most connections never see one.
+	// Receive side. ooo holds segments that arrived ahead of a gap, by
+	// sequence number; it is made on the first, and most connections
+	// never see one.
 	recvNext uint32
-	ooo      map[uint32][]byte
-	oooFin   map[uint32]bool
+	ooo      map[uint32]segment
 	inbox    sim.Queue[[]byte]
 
 	// peer is the other end of a loopback connection, linked by the SYN
@@ -593,20 +593,20 @@ func (s *Stream) handle(seg *segment) {
 
 	case seg.flags&flagDATA != 0, seg.flags&flagFIN != 0:
 		s.established = true
-		isFin := seg.flags&flagFIN != 0
 		switch {
 		case seg.seq == s.recvNext:
-			s.acceptInOrder(seg.data, isFin)
-			for fin, ok := s.oooFin[s.recvNext]; ok; fin, ok = s.oooFin[s.recvNext] {
-				data := s.ooo[s.recvNext]
-				delete(s.ooo, s.recvNext)
-				delete(s.oooFin, s.recvNext)
-				s.acceptInOrder(data, fin)
+			s.acceptInOrder(seg)
+			for next, ok := s.ooo[s.recvNext]; ok; next, ok = s.ooo[s.recvNext] {
+				delete(s.ooo, next.seq)
+				s.acceptInOrder(&next)
 			}
 		case seg.seq > s.recvNext && seg.seq-s.recvNext <= streamWindow:
 			// Nothing legitimate lies further ahead: at most streamWindow
 			// messages are in flight, and the FIN follows them.
-			s.bufferOutOfOrder(seg.seq, seg.data, isFin)
+			if s.ooo == nil {
+				s.ooo = make(map[uint32]segment)
+			}
+			s.ooo[seg.seq] = *seg
 		}
 		// Cumulative ACK in all cases (including duplicates and
 		// segments beyond the window), then the receiver's end of stream:
@@ -642,26 +642,17 @@ func (s *Stream) handle(seg *segment) {
 	}
 }
 
-func (s *Stream) acceptInOrder(data []byte, fin bool) {
+func (s *Stream) acceptInOrder(seg *segment) {
 	s.recvNext++
-	if fin {
+	if seg.flags&flagFIN != 0 {
 		s.remoteClosed = true
 		s.inbox.Close()
 		s.maybeFinish()
 		return
 	}
 	if s.recv != nil {
-		s.recv.Deliver(data)
+		s.recv.Deliver(seg.data)
 		return
 	}
-	s.inbox.Put(data)
-}
-
-func (s *Stream) bufferOutOfOrder(seq uint32, data []byte, fin bool) {
-	if s.oooFin == nil {
-		s.ooo = make(map[uint32][]byte)
-		s.oooFin = make(map[uint32]bool)
-	}
-	s.ooo[seq] = data
-	s.oooFin[seq] = fin
+	s.inbox.Put(seg.data)
 }

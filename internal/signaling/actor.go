@@ -159,7 +159,7 @@ func (sh *Sighost) fromKernel(in *input) {
 		// needed to allow sighost to inform the remote router (or host)
 		// that the client no longer exists". They are the process's
 		// outgoing_requests, ended newest first.
-		owned := callsBySeq(sh.outgoing, func(c *call) bool {
+		owned := bySeq(sh.outgoing, func(c *call) bool {
 			return c.ownerPID != 0 && c.ownerPID == k.PID && c.endIP == in.ip
 		})
 		for _, c := range slices.Backward(owned) {

@@ -49,21 +49,25 @@ func (sh *Sighost) releaseCall(c *call) {
 	sh.callPool = c
 }
 
-// callsBySeq returns the calls of m that keep accepts, in creation
-// order. With none, it allocates nothing.
-func callsBySeq[K comparable](m map[K]*call, keep func(*call) bool) []*call {
-	var cs []*call
-	for _, c := range m {
-		if keep(c) {
-			cs = append(cs, c)
+// bySeq returns the values of m that keep accepts, in their order: a
+// call's creation order, a pending message's sequence. With none, it
+// allocates nothing.
+func bySeq[K comparable, V interface{ order() uint64 }](m map[K]V, keep func(V) bool) []V {
+	var vs []V
+	for _, v := range m {
+		if keep(v) {
+			vs = append(vs, v)
 		}
 	}
-	slices.SortFunc(cs, func(a, b *call) int { return cmp.Compare(a.seq, b.seq) })
-	return cs
+	slices.SortFunc(vs, func(a, b V) int { return cmp.Compare(a.order(), b.order()) })
+	return vs
 }
 
-// every is the callsBySeq filter that keeps each call.
-func every(*call) bool { return true }
+func (c *call) order() uint64        { return c.seq }
+func (pm *pendingMsg) order() uint64 { return uint64(pm.m.Seq) }
+
+// every is the bySeq filter that keeps each value.
+func every[V any](V) bool { return true }
 
 // dial opens a connection to an application's notify port, for c (nil
 // for none), to deliver m. It takes a dial context from the pool; its cb

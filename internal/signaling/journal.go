@@ -290,7 +290,7 @@ func (sh *Sighost) compactJournal() {
 		out = appendJrec(out, &jrec{op: jExport, service: svc.name, ip: svc.ip, port: svc.port})
 		n++
 	}
-	for _, c := range callsBySeq(sh.calls, every) {
+	for _, c := range bySeq(sh.calls, every) {
 		r := openRec(c)
 		out = appendJrec(out, &r)
 		n++

@@ -481,6 +481,65 @@ func TestRetransmitBackoffAndExhaustion(t *testing.T) {
 	}
 }
 
+// TestCancelStopsSetupRetransmits silences the peer and has the client
+// cancel while its call is in setup_sent: the call's SETUP stops
+// retransmitting, the link holds only the RELEASE, which names no call
+// and keeps retrying, and the keepalive peer death drops that too.
+func TestCancelStopsSetupRetransmits(t *testing.T) {
+	rel := RelConfig{RTO: 100 * time.Millisecond, MaxBackoffShift: 2, MaxRetries: 10, KeepaliveEvery: time.Second, KeepaliveMisses: 3}
+	w, shA, _, envA, _ := pair(t, time.Minute, &rel, false)
+	w.drop = true
+	conn := &fakeConn{}
+	shA.appMsg(conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: "b.rt", Service: "echo", NotifyPort: 7000})
+	w.advance(150 * time.Millisecond)
+	for _, c := range shA.calls {
+		if c.state != callSetupSent {
+			t.Fatalf("precondition: call in %s, want setup_sent", stages[c.state].name)
+		}
+	}
+	if n := envA.countSent(sigmsg.KindSetup); len(shA.calls) != 1 || n != 2 {
+		t.Fatalf("precondition: %d calls, SETUP sent %d times, want 1 call and 2 sends", len(shA.calls), n)
+	}
+	retx := shA.Obs.Snapshot().Count("sighost.rel.retransmits")
+	shA.appMsg(conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: conn.msgs[0].Cookie})
+	lk := shA.rel.links["b.rt"]
+	if len(lk.unacked) != 1 {
+		t.Fatalf("%d messages pending after the cancel, want the RELEASE alone", len(lk.unacked))
+	}
+	for _, pm := range lk.unacked {
+		if pm.m.Kind != sigmsg.KindRelease {
+			t.Fatalf("pending after the cancel: %v, want RELEASE", pm.m.Kind)
+		}
+	}
+
+	w.advance(2500 * time.Millisecond)
+	if n := envA.countSent(sigmsg.KindSetup); n != 2 {
+		t.Errorf("SETUP sent %d times, want 2: it kept retransmitting after its call ended", n)
+	}
+	releases := envA.countSent(sigmsg.KindRelease)
+	if got := shA.Obs.Snapshot().Count("sighost.rel.retransmits") - retx; releases < 2 || got != uint64(releases-1) {
+		t.Errorf("%d retransmits since the cancel, want the RELEASE's %d resends alone", got, releases-1)
+	}
+	if len(lk.unacked) != 1 {
+		t.Fatalf("%d messages pending before the peer died, want the RELEASE", len(lk.unacked))
+	}
+
+	// Three silent keepalive periods from the SETUP at 0 kill the peer
+	// at 3 s, with two of the RELEASE's retries still to run.
+	w.advance(3100 * time.Millisecond)
+	if got := shA.Obs.Snapshot().Count("sighost.rel.peer_deaths"); got != 1 {
+		t.Fatalf("peer deaths = %d, want 1", got)
+	}
+	if len(lk.unacked) != 0 {
+		t.Errorf("%d messages pending after the peer died", len(lk.unacked))
+	}
+	for _, tm := range w.timers {
+		if !tm.canceled && !tm.fired {
+			t.Fatalf("timer left running at %v after the peer died", tm.at)
+		}
+	}
+}
+
 // TestReliableFlowAcksAndDedup runs a clean reliable call and then
 // replays a sequenced message, checking dedup and always-ack.
 func TestReliableFlowAcksAndDedup(t *testing.T) {

@@ -301,7 +301,7 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 // The calls it drops, their timers canceled, are not pooled: callbacks
 // in flight may still hold them.
 func (sh *Sighost) wipe() {
-	for _, c := range callsBySeq(sh.calls, every) {
+	for _, c := range bySeq(sh.calls, every) {
 		if c.stop != nil {
 			c.stop()
 		}

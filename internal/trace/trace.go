@@ -70,13 +70,6 @@ type Trace struct {
 	origin string // the router that placed the call (StartCallTrace)
 }
 
-// callRef names a call across a domain: call IDs are counters of the
-// router that placed the call, so only the pair is unique.
-type callRef struct {
-	origin string
-	id     uint32
-}
-
 // Terminal trace statuses. FinishTrace accepts any string, but the
 // flight recorder auto-dumps only the failure family below.
 const (
@@ -110,9 +103,8 @@ type Collector struct {
 	sampleN  uint64 // keep 1 trace in every sampleN (1 = keep all)
 	spanCap  int    // max spans retained per trace
 	active   map[uint64]*Trace
-	byCall   map[callRef]uint64 // call -> active trace ID
-	flight   sim.Ring[*Trace]   // completed traces, oldest first
-	capacity int                // flight ring bound
+	flight   sim.Ring[*Trace] // completed traces, oldest first
+	capacity int              // flight ring bound
 
 	sampled      uint64 // traces that passed head sampling
 	completed    uint64
@@ -140,7 +132,6 @@ func NewCollector(now func() time.Duration) *Collector {
 		sampleN:  1,
 		spanCap:  defaultSpanCap,
 		active:   make(map[uint64]*Trace),
-		byCall:   make(map[callRef]uint64),
 		capacity: defaultFlightTraces,
 	}
 }
@@ -232,7 +223,6 @@ func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Con
 		}},
 	}
 	c.active[t.ID] = t
-	c.byCall[callRef{origin, callID}] = t.ID
 	return Context{Trace: t.ID, Span: c.spanSeq}
 }
 
@@ -337,9 +327,6 @@ func (c *Collector) FinishTrace(root Context, status string) {
 		return
 	}
 	delete(c.active, root.Trace)
-	if ref := (callRef{t.origin, t.CallID}); c.byCall[ref] == t.ID {
-		delete(c.byCall, ref)
-	}
 	for i := range t.Spans {
 		if t.Spans[i].End < 0 {
 			t.Spans[i].End = now
@@ -364,18 +351,25 @@ func (c *Collector) FinishTrace(root Context, status string) {
 }
 
 // ByCall returns a copy of the trace of the call origin placed under
-// callID: the active trace if the call is still in flight, else the
-// newest completed one in the flight recorder.
+// callID: the newest active trace if the call is still in flight, else
+// the newest completed one in the flight recorder. Call IDs are counters
+// of the router that placed the call, so only the pair is unique. Both
+// lookups are scans: MGMT calltrace, the one reader outside tests, is
+// rarer than the traced calls an index would tax.
 func (c *Collector) ByCall(origin string, callID uint32) (*Trace, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.byCall[callRef{origin, callID}]; ok {
-		if t := c.active[id]; t != nil {
-			return copyTrace(t), true
+	var newest *Trace
+	for _, t := range c.active {
+		if t.origin == origin && t.CallID == callID && (newest == nil || t.ID > newest.ID) {
+			newest = t
 		}
+	}
+	if newest != nil {
+		return copyTrace(newest), true
 	}
 	for i := c.flight.Len() - 1; i >= 0; i-- {
 		if t := c.flight.At(i); t.origin == origin && t.CallID == callID {
