@@ -26,7 +26,9 @@ test:
 # the ones a stray cross-goroutine touch would break. So do the frame
 # path's chain owners, whose chains the race build poisons on Release,
 # and the real carrier, whose receive pump hands handlers slices of one
-# shared receive block, several per syscall when it splits a train. So
+# shared receive block, several per syscall when it splits a train, and
+# PF_XUNET, whose Recv hands out the socket's one buffer and scribbles
+# over it at the next Recv, so a caller that kept a frame reads junk. So
 # do the bounded histories over sim.Ring: the real daemon finishes and
 # dumps traces from several goroutines and scrapes its tseries store on
 # a ticker goroutine, while MGMT reads the flight recorder, the series,
@@ -42,7 +44,7 @@ test:
 # goroutine into a record the actor recycles.
 race:
 	$(GO) test -race ./...
-	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/ ./internal/xswitch/
+	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/pfxunet/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/ ./internal/xswitch/
 	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
 
 # One iteration of every benchmark, so bench-only build or runtime

@@ -11,6 +11,7 @@
 package aal5
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,47 +43,29 @@ func BuildFrame(payload []byte, uu byte) ([]byte, error) {
 	return AppendFrame(nil, payload, uu)
 }
 
-// AppendFrame appends the CPCS-PDU for payload onto dst (usually
-// dst[:0] of a reused scratch slice) and returns the extended slice. It
-// allocates only when dst lacks capacity, which keeps the real-mode
-// data path's steady state allocation-free.
+// AppendFrame appends payload onto dst (usually dst[:0] of a reused
+// scratch slice) and frames it with AppendTrailer; it allocates only
+// when dst lacks capacity, so a warm real-mode data path never does.
 func AppendFrame(dst, payload []byte, uu byte) ([]byte, error) {
-	if len(payload) > maxSDU {
-		return dst, errTooLong
+	return AppendTrailer(append(dst, payload...), len(dst), uu)
+}
+
+// AppendTrailer makes the payload already in dst[start:] a CPCS-PDU in
+// place: it appends zero padding to a 48-byte boundary and the trailer,
+// whose CRC-32 covers the payload and pad. It allocates only when dst
+// lacks capacity; an oversized payload returns dst[:start].
+func AppendTrailer(dst []byte, start int, uu byte) ([]byte, error) {
+	n := len(dst) - start
+	if n > maxSDU {
+		return dst[:start], errTooLong
 	}
-	padded := len(payload) + trailerSize
-	rem := padded % atm.PayloadSize
-	pad := 0
-	if rem != 0 {
-		pad = atm.PayloadSize - rem
-	}
-	start := len(dst)
-	total := len(payload) + pad + trailerSize
-	// Grow by hand rather than append(dst, make(...)...): the steady
-	// state (capacity already sufficient) must not touch the allocator.
-	if cap(dst)-start < total {
-		nd := make([]byte, start, start+total)
-		copy(nd, dst)
-		dst = nd
-	}
-	dst = dst[:start+total]
-	frame := dst[start:]
-	copy(frame, payload)
-	// The appended region may be recycled capacity; the pad bytes must
-	// be zero regardless of what the scratch last held.
-	for i := len(payload); i < len(payload)+pad; i++ {
-		frame[i] = 0
-	}
-	tr := frame[len(frame)-trailerSize:]
+	pad := (atm.PayloadSize - (n+trailerSize)%atm.PayloadSize) % atm.PayloadSize
+	dst = slices.Grow(dst, pad+trailerSize)[:len(dst)+pad+trailerSize]
+	clear(dst[start+n:]) // recycled capacity: the pad and the CPI must read zero
+	tr := dst[len(dst)-trailerSize:]
 	tr[0] = uu
-	tr[1] = 0 // CPI, always zero
-	tr[2] = byte(len(payload) >> 8)
-	tr[3] = byte(len(payload))
-	crc := crc32.ChecksumIEEE(frame[:len(frame)-4])
-	tr[4] = byte(crc >> 24)
-	tr[5] = byte(crc >> 16)
-	tr[6] = byte(crc >> 8)
-	tr[7] = byte(crc)
+	binary.BigEndian.PutUint16(tr[2:], uint16(n))
+	binary.BigEndian.PutUint32(tr[4:], crc32.ChecksumIEEE(dst[start:len(dst)-4]))
 	return dst, nil
 }
 
@@ -96,11 +79,10 @@ func ParseFrame(frame []byte) (payload []byte, uu byte, err error) {
 		return nil, 0, errBadAlign
 	}
 	tr := frame[len(frame)-trailerSize:]
-	wantCRC := uint32(tr[4])<<24 | uint32(tr[5])<<16 | uint32(tr[6])<<8 | uint32(tr[7])
-	if crc32.ChecksumIEEE(frame[:len(frame)-4]) != wantCRC {
+	if crc32.ChecksumIEEE(frame[:len(frame)-4]) != binary.BigEndian.Uint32(tr[4:]) {
 		return nil, 0, errBadCRC
 	}
-	n := int(tr[2])<<8 | int(tr[3])
+	n := int(binary.BigEndian.Uint16(tr[2:]))
 	// Valid padding is 0..47 bytes; anything else means cells vanished.
 	if n+trailerSize > len(frame) || len(frame)-(n+trailerSize) >= atm.PayloadSize {
 		return nil, 0, errBadLength

@@ -107,6 +107,54 @@ func TestAppendFrameReusedScratch(t *testing.T) {
 	}
 }
 
+// refAppendFrame is AppendFrame as it was before AppendTrailer framed a
+// payload in place: the CPCS-PDU built field by field into fresh memory.
+func refAppendFrame(dst, payload []byte, uu byte) []byte {
+	pad := 0
+	if rem := (len(payload) + trailerSize) % atm.PayloadSize; rem != 0 {
+		pad = atm.PayloadSize - rem
+	}
+	frame := make([]byte, len(payload)+pad+trailerSize)
+	copy(frame, payload)
+	tr := frame[len(frame)-trailerSize:]
+	tr[0], tr[2], tr[3] = uu, byte(len(payload)>>8), byte(len(payload))
+	crc := crc32.ChecksumIEEE(frame[:len(frame)-4])
+	tr[4], tr[5], tr[6], tr[7] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
+	return append(dst, frame...)
+}
+
+// TestAppendFrameMatchesReference: AppendFrame, now the payload followed
+// by AppendTrailer, writes the bytes the field-by-field construction
+// does for every length 0–200 and either side of every 48-byte pad
+// boundary up to the largest SDU, onto nothing and after a prefix with
+// dirty spare capacity.
+func TestAppendFrameMatchesReference(t *testing.T) {
+	lengths := []int{maxSDU}
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for b := atm.PayloadSize - trailerSize; b <= maxSDU; b += atm.PayloadSize {
+		lengths = append(lengths, b-1, b, b+1)
+	}
+	src := pay(maxSDU)
+	prefix := []byte("prefix")
+	dirty := bytes.Repeat([]byte{0xEE}, len(prefix)+maxSDU+atm.PayloadSize)
+	for _, n := range lengths {
+		uu := byte(n * 13)
+		got, err := AppendFrame(nil, src[:n], uu)
+		if want := refAppendFrame(nil, src[:n], uu); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d onto nil: %d bytes, %v; want the reference's %d", n, len(got), err, len(want))
+		}
+		got, err = AppendFrame(append(dirty[:0], prefix...), src[:n], uu)
+		if want := refAppendFrame(prefix, src[:n], uu); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d after a prefix: %d bytes, %v; want the reference's %d", n, len(got), err, len(want))
+		}
+		for i := range got {
+			got[i] = 0xEE
+		}
+	}
+}
+
 func TestBuildFrameTooLong(t *testing.T) {
 	if _, err := BuildFrame(make([]byte, maxSDU+1), 0); err != errTooLong {
 		t.Fatalf("err = %v, want errTooLong", err)

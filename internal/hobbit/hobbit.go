@@ -69,12 +69,12 @@ type Board struct {
 	// it the reassembly buffer, for the VCI's next circuit.
 	vcs []*vcState
 
-	// SAR transmit scratch, reused by every send: the flattened SDU, the
-	// CPCS-PDU built from it and the cells cut from that. send is not
-	// re-entrant — a cellTx queues cells, it does not call back into the
-	// sending board.
-	sdu, pdu []byte
-	cells    []atm.Cell
+	// SAR transmit scratch, reused by every send: the CPCS-PDU, framed
+	// in place around the flattened chain, and the cells cut from it.
+	// send is not re-entrant — a cellTx queues cells, it does not call
+	// back into the sending board.
+	pdu   []byte
+	cells []atm.Cell
 
 	// Instrumentation (a zero clock and no histogram until Instrument):
 	// first-cell timestamps per in-flight frame feed hobbit.reasm.time.
@@ -132,11 +132,11 @@ func (b *Board) Instrument(now func() time.Duration, reg *obs.Registry) {
 // This happens in board hardware: no host instructions are charged.
 func (b *Board) send(vci atm.VCI, frame *mbuf.Chain) error {
 	v := b.vc(vci)
-	b.sdu = frame.AppendTo(b.sdu[:0])
+	b.pdu = frame.AppendTo(b.pdu[:0])
 	tc, tcAt := frame.TC, frame.TCAt
-	frame.Release() // flattened into the SDU; the chain is consumed
+	frame.Release() // flattened into the PDU; the chain is consumed
 	var err error
-	if b.pdu, err = aal5.AppendFrame(b.pdu[:0], b.sdu, v.seqTx); err != nil {
+	if b.pdu, err = aal5.AppendTrailer(b.pdu, 0, v.seqTx); err != nil {
 		return fmt.Errorf("hobbit: %w", err)
 	}
 	if b.cells, err = aal5.SegmentInto(b.cells[:0], b.pdu, 0, vci); err != nil {

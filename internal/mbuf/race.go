@@ -31,3 +31,10 @@ func (p *poison) release() bool {
 	p.pcs = p.pcs[:runtime.Callers(3, p.pcs)]
 	return false
 }
+
+// Scribble fills b, a buffer about to be reused, with junk for any stale reader.
+func Scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xdb
+	}
+}

@@ -15,6 +15,9 @@
 // cookie and VCI to sighost for these two calls" through the
 // pseudo-device, and sighost tears the call down (marking the socket
 // unusable via soisdisconnected) if authentication fails.
+//
+// A received frame costs no allocation: Recv copies it into a buffer the
+// socket owns and reuses, and RecvChain hands over the mbuf chain itself.
 package pfxunet
 
 import (
@@ -87,6 +90,7 @@ type Socket struct {
 	recvQ     sim.Queue[*mbuf.Chain]
 	recvBytes int
 	recv      func(*mbuf.Chain) // nil: frames queue in recvQ for Recv
+	rbuf      []byte            // the frame Recv returned last
 
 	// tc is the causal-trace context of the call this socket carries
 	// (zero when the call is untraced); outbound frames open child
@@ -199,20 +203,23 @@ func (s *Socket) send(chain *mbuf.Chain, tc trace.Context) error {
 // input is the family's receive upcall from the Orc driver: the Table 1
 // PF_XUNET receive path.
 func (f *Family) input(vci atm.VCI, frame *mbuf.Chain) {
+	// A traced frame's transit span ends here, at delivery or at a drop,
+	// so an aborted frame still shows where it died.
+	if frame.TC.Sampled() {
+		f.m.TraceC.EndSpan(frame.TC)
+	}
 	m := f.m.Meter
 	// PCB lookup: a single array index, the non-multiplexed win.
 	m.Charge(cost.PFXunet, cost.PFXunetPCBIndex)
 	s := f.pcbs[vci]
 	if s == nil || s.state == stateClosed {
 		f.DroppedNoSocket++
-		f.endFrameSpan(frame)
 		frame.Release()
 		return
 	}
 	// Socket state checks and address fixup.
 	m.Charge(cost.PFXunet, cost.PFXunetStateChecks)
 	if s.state == stateDisconnected {
-		f.endFrameSpan(frame)
 		frame.Release()
 		return
 	}
@@ -222,12 +229,10 @@ func (f *Family) input(vci atm.VCI, frame *mbuf.Chain) {
 	m.ChargePerMbuf(cost.PFXunet, frame.Count())
 	if s.recvBytes+frame.Len() > recvBufLimit {
 		f.DroppedOverflow++
-		f.endFrameSpan(frame)
 		frame.Release()
 		return
 	}
 	s.FramesIn++
-	f.endFrameSpan(frame)
 	if s.recv != nil {
 		s.recv(frame)
 		return
@@ -236,28 +241,26 @@ func (f *Family) input(vci atm.VCI, frame *mbuf.Chain) {
 	s.recvQ.Put(frame)
 }
 
-// endFrameSpan closes a traced frame's transit span at delivery (or at
-// the drop site, so aborted frames still show where they died).
-func (f *Family) endFrameSpan(frame *mbuf.Chain) {
-	if frame.TC.Sampled() {
-		f.m.TraceC.EndSpan(frame.TC)
-	}
-}
-
-// Recv blocks the owning process until a frame arrives. It returns
-// errDisconnected once the socket has been marked unusable and the
-// buffer is drained.
+// Recv blocks the owning process until a frame arrives and flattens it
+// into the socket's own buffer, as recv(2) fills the caller's: the frame
+// is nil if empty and valid until the next Recv (Close leaves it be),
+// which scribbles over it first under -race. It returns errDisconnected
+// once the socket has been marked unusable and the buffer is drained.
 func (s *Socket) Recv() ([]byte, error) {
+	mbuf.Scribble(s.rbuf)
 	chain, err := s.RecvChain()
 	if err != nil {
 		return nil, err
 	}
-	p := chain.Bytes()
+	s.rbuf = chain.AppendTo(s.rbuf[:0])
 	chain.Release()
-	return p, nil
+	if len(s.rbuf) == 0 {
+		return nil, nil
+	}
+	return s.rbuf, nil
 }
 
-// RecvChain is Recv without flattening the mbuf chain.
+// RecvChain is Recv without flattening: the caller owns the chain.
 func (s *Socket) RecvChain() (*mbuf.Chain, error) {
 	if s.state == stateClosed || s.state == stateCreated {
 		return nil, errSockState

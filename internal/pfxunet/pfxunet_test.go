@@ -3,6 +3,7 @@ package pfxunet_test
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,67 @@ func TestManyFramesInOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("frame %d out of order: %d", i, v)
 		}
+	}
+}
+
+// Recv fills one buffer the socket owns: the next Recv overwrites the
+// frame it returned (scribbling over the rest under -race), a larger
+// frame grows the buffer, which later frames reuse, and an empty frame
+// is nil.
+func TestRecvReusesBuffer(t *testing.T) {
+	r := newRig(t)
+	vc := r.vc(t)
+	big := make([]byte, 5000)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	sends := [][]byte{[]byte("first frame"), []byte("xy"), big, {}, []byte("z")}
+	var got [][]byte  // as Recv returned them
+	var read []string // as they read when returned
+	var kept string   // the first frame's slice after the second Recv
+	r.rb.Spawn("server", func(p *kern.Proc) {
+		s, _ := r.rb.PF.Socket(p)
+		_ = s.Bind(vc.DstVCI, 0)
+		for range sends {
+			msg, err := s.Recv()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got = append(got, msg); len(got) == 2 {
+				kept = string(got[0])
+			}
+			read = append(read, string(msg))
+		}
+	})
+	r.ra.Spawn("client", func(p *kern.Proc) {
+		s, _ := r.ra.PF.Socket(p)
+		_ = s.Connect(vc.SrcVCI, 0)
+		for _, b := range sends {
+			_ = s.Send(b)
+		}
+	})
+	r.e.Run()
+	if len(got) != len(sends) {
+		t.Fatalf("received %d of %d frames", len(got), len(sends))
+	}
+	for i, b := range sends {
+		if read[i] != string(b) {
+			t.Errorf("frame %d reads %d bytes %.20q, want %d bytes %.20q", i, len(read[i]), read[i], len(b), b)
+		}
+	}
+	want := "xyrst frame"
+	if raceEnabled {
+		want = "xy" + strings.Repeat("\xdb", 9)
+	}
+	if &got[0][0] != &got[1][0] || kept != want {
+		t.Errorf("the second frame did not overwrite the first: it reads %q, want %q", kept, want)
+	}
+	if got[3] != nil {
+		t.Errorf("an empty frame returned %q, want nil", got[3])
+	}
+	if cap(got[2]) < len(big) || &got[4][0] != &got[2][0] {
+		t.Errorf("the frame after the grown one is not in the grown buffer")
 	}
 }
 
@@ -278,14 +340,15 @@ func TestSoisdisconnected(t *testing.T) {
 func TestDisconnectedSocketDrainsBufferedFrames(t *testing.T) {
 	r := newRig(t)
 	vc := r.vc(t)
-	var first []byte
+	var first string
 	var secondErr error
 	r.rb.Spawn("server", func(p *kern.Proc) {
 		s, _ := r.rb.PF.Socket(p)
 		_ = s.Bind(vc.DstVCI, 0)
 		p.SP.Sleep(50_000_000) // let a frame arrive and buffer
 		r.rb.M.Dev.WriteDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: vc.DstVCI})
-		first, _ = s.Recv()
+		msg, _ := s.Recv()
+		first = string(msg) // the next Recv reuses msg's storage
 		_, secondErr = s.Recv()
 	})
 	r.ra.Spawn("client", func(p *kern.Proc) {
@@ -294,7 +357,7 @@ func TestDisconnectedSocketDrainsBufferedFrames(t *testing.T) {
 		_ = s.Send([]byte("buffered"))
 	})
 	r.e.Run()
-	if string(first) != "buffered" {
+	if first != "buffered" {
 		t.Fatalf("buffered frame lost: %q", first)
 	}
 	if !errors.Is(secondErr, pfxunet.ErrDisconnected) {

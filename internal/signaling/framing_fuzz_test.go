@@ -2,8 +2,11 @@ package signaling
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,5 +121,52 @@ func TestDialBackoffSchedule(t *testing.T) {
 	}
 	if min := 35 * time.Millisecond; elapsed < min {
 		t.Fatalf("4 attempts finished in %v; backoff schedule (5+10+20ms) requires ≥ %v", elapsed, min)
+	}
+}
+
+// countConn counts the reads that reach the connection and reports its
+// first Close.
+type countConn struct {
+	net.Conn
+	reads  atomic.Int32
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestFrameWrittenWholeIsOneRead: the RPC front reads a frame its
+// application wrote in one Write with one read of the connection, not
+// one for the length prefix and one for the body. The bodies are ones
+// the decoder rejects, so the pump hands the actor nothing; net.Pipe
+// matches each read to one write.
+func TestFrameWrittenWholeIsOneRead(t *testing.T) {
+	h, err := StartReal("reads.rt", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	defer h.Close()
+	app, daemon := net.Pipe()
+	conn := &countConn{Conn: daemon, closed: make(chan struct{})}
+	h.serveConn(conn)
+	const frames = 20
+	for i := range frames {
+		body := bytes.Repeat([]byte{0xff}, 10*i+1) // no such kind
+		if _, err := app.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app.Close()
+	<-conn.closed
+	if got := conn.reads.Load(); got != frames+1 { // the last read sees EOF
+		t.Errorf("%d frames took %d reads, want %d", frames, got, frames+1)
 	}
 }

@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -80,9 +81,10 @@ func (c *RealClient) drop() {
 }
 
 // rpcConn is the client's held connection; replied records whether any
-// byte of the reply being waited for has arrived.
+// byte of the reply being waited for has arrived, read through rd.
 type rpcConn struct {
 	net.Conn
+	rd      *bufio.Reader
 	replied bool
 }
 
@@ -120,13 +122,14 @@ func (t netTransport) Exchange(m sigmsg.Msg, wait time.Duration) (sigmsg.Msg, er
 				return sigmsg.Msg{}, fmt.Errorf("%w: %v", ErrSignaling, err)
 			}
 			c.conn = &rpcConn{Conn: conn}
+			c.conn.rd = bufio.NewReader(c.conn)
 		}
 		conn := c.conn
 		conn.replied = false
 		_, err := conn.Write(c.wbuf)
 		if err == nil {
 			conn.SetReadDeadline(time.Now().Add(wait))
-			c.rbuf, err = readFrameInto(conn, c.rbuf)
+			c.rbuf, err = readFrameInto(conn.rd, c.rbuf)
 		}
 		if err == nil {
 			break
@@ -187,6 +190,7 @@ type notifyMux struct {
 type notifyConn struct {
 	mux    *notifyMux
 	conn   net.Conn
+	rd     *bufio.Reader // conn's reads
 	held   bool          // offered or owned, not parked; guarded by mux.mu
 	resume chan struct{} // park's wake-up for the reader; capacity 1, one park per offer
 	buf    []byte
@@ -225,7 +229,7 @@ func (x *notifyMux) accept() {
 			x.end(err)
 			return
 		}
-		nc := &notifyConn{mux: x, conn: conn, resume: make(chan struct{}, 1)}
+		nc := &notifyConn{mux: x, conn: conn, rd: bufio.NewReader(conn), resume: make(chan struct{}, 1)}
 		x.mu.Lock()
 		x.conns[nc] = struct{}{}
 		x.mu.Unlock()
@@ -282,7 +286,7 @@ func (nc *notifyConn) read() {
 	x := nc.mux
 	for {
 		var err error
-		if nc.buf, err = readFrameInto(nc.conn, nc.buf); err == nil {
+		if nc.buf, err = readFrameInto(nc.rd, nc.buf); err == nil {
 			err = nc.dec.DecodeInto(&nc.msg, nc.buf)
 		}
 		x.mu.Lock()
@@ -320,7 +324,7 @@ func (nc *notifyConn) Send(m sigmsg.Msg) error {
 func (nc *notifyConn) Recv(wait time.Duration) (sigmsg.Msg, error) {
 	nc.conn.SetReadDeadline(time.Now().Add(wait))
 	var err error
-	if nc.buf, err = readFrameInto(nc.conn, nc.buf); err != nil {
+	if nc.buf, err = readFrameInto(nc.rd, nc.buf); err != nil {
 		return sigmsg.Msg{}, netErr(err)
 	}
 	nc.conn.SetReadDeadline(time.Time{})

@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,9 +116,7 @@ func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 // its largest frame is still growing. The length prefix is read into the
 // same storage — a local array would escape through the io.Reader.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	if cap(buf) < 4 {
-		buf = make([]byte, 4)
-	}
+	buf = slices.Grow(buf[:0], 4)
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
@@ -124,9 +124,7 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if n > 1<<20 {
 		return nil, errors.New("signaling: oversized frame")
 	}
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
-	}
+	buf = slices.Grow(buf[:0], int(n))
 	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return nil, err
 	}
@@ -442,10 +440,11 @@ func (h *RealHost) serveConn(conn net.Conn) {
 		defer conn.Close()
 		var dec sigmsg.Decoder
 		in := input{kind: inApp, conn: c, ip: ipOf(conn.RemoteAddr())}
+		rd := bufio.NewReader(conn) // a frame written whole is one read
 		var buf []byte
 		for {
 			var err error
-			if buf, err = readFrameInto(conn, buf); err != nil {
+			if buf, err = readFrameInto(rd, buf); err != nil {
 				return
 			}
 			if err := dec.DecodeInto(&in.msg, buf); err != nil {
@@ -753,14 +752,16 @@ func (h *RealHost) dialNotify(k notifyKey) (net.Conn, error) {
 func (h *RealHost) pumpNotify(c *realConn, conn net.Conn) {
 	var dec sigmsg.Decoder
 	in := input{kind: inApp, conn: c, ip: c.key.ip}
+	rd := bufio.NewReader(conn)
 	var buf []byte
 	for {
 		var err error
-		if buf, err = readFrameInto(conn, buf); err != nil {
+		if buf, err = readFrameInto(rd, buf); err != nil {
 			h.untrack(conn)
 			if conn = c.lost(); conn == nil {
 				return
 			}
+			rd.Reset(conn)
 			continue
 		}
 		c.mu.Lock()
