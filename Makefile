@@ -52,23 +52,24 @@ race:
 benchcheck:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The determinism gate, one line per claim:
-#  1. a disabled observation hook — trace, faults, obs, tseries, prof,
+# The determinism gate, one line per claim, the deterministic lines
+# first so that a wall-clock failure of the last cannot hide theirs:
+#  1. the trace export is schema-valid Chrome trace-event JSON;
+#  2. every scenario writes the bytes recorded for it, run twice or at
+#     workers 1 and 4 (`make test` runs it too; -count 1 skips the cache);
+#  3. a disabled observation hook — trace, faults, obs, tseries, prof,
 #     sighost's transition hook — costs under 5 ns (each benchmark
 #     asserts its own), so the hooks compiled into every hot path
 #     cannot skew clean-path numbers; a wall-clock gate this tight can
 #     trip on a busy machine, so the line fails only if three attempts
-#     in a row do;
-#  2. the trace export is schema-valid Chrome trace-event JSON;
-#  3. every scenario writes the bytes recorded for it, run twice or at
-#     workers 1 and 4 (`make test` runs it too; -count 1 skips the cache).
+#     in a row do.
 detgate:
+	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
+	$(GO) test -count 1 -run TestDetGate ./internal/testbed/
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/ && exit 0; \
 		echo "detgate: a disabled-hook gate failed (attempt $$i of 3)"; \
 	done; exit 1
-	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
-	$(GO) test -count 1 -run TestDetGate ./internal/testbed/
 
 # The carrier's batched/fallback build-tag split must keep the tree
 # compiling where there is no sendmmsg (darwin exercises the fallback

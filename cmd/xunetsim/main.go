@@ -1,18 +1,13 @@
 // Command xunetsim runs scenarios on the simulated Xunet. With no
 // subcommand it runs a configurable call storm — on the paper's
-// two-router measurement testbed, the five-site nationwide map, or a
-// sharded ring of switch domains — and reports the signaling, kernel,
-// and fabric statistics the experiments in EXPERIMENTS.md are built
-// from:
+// two-router measurement testbed or the five-site nationwide map — and
+// reports the signaling, kernel, and fabric statistics the experiments
+// in EXPERIMENTS.md are built from:
 //
 //	xunetsim -topology testbed -calls 100 -hold 1s
 //	xunetsim -topology xunet -hosts 2 -calls 50 -buffers 8
 //	xunetsim -chaos -chaos-seed 99 -calls 60   # storm under the fault cocktail
-//	xunetsim -shards 4 -workers 4 -calls 100   # sharded parallel engine
-//
-// -shards N runs N switch domains in a trunk ring, one engine shard
-// each, executed by -workers goroutines, which move wall-clock time and
-// never a result.
+//	xunetsim -prof -calls 100                  # with the execution profile
 //
 // The subcommands print the deterministic artifacts of the scenarios in
 // internal/testbed (same seed, same bytes; `make detgate` pins them):
@@ -36,7 +31,6 @@ import (
 
 	"xunet/internal/atm"
 	"xunet/internal/kern"
-	"xunet/internal/obs/tseries"
 	"xunet/internal/testbed"
 )
 
@@ -150,36 +144,18 @@ func storm(fs *flag.FlagSet) func() error {
 	fs.StringVar(&cfg.QoS, "qos", "", "per-call QoS descriptor (e.g. cbr:1000)")
 	chaos := fs.Bool("chaos", false, "arm the fault-injection plane: 1% signaling loss, packet loss/dup/delay, bursty trunk cell loss, trunk flapping, device indication loss")
 	chaosSeed := fs.Uint64("chaos-seed", 0, "fault plane seed (0 derives it from -seed)")
-	fs.IntVar(&cfg.Domains, "shards", 0, "run on the sharded engine with this many switch domains (0 = single event loop)")
-	workers := fs.Int("workers", 1, "shard-window worker goroutines (sharded mode)")
-	fs.IntVar(&cfg.SighostsPerDomain, "sighosts", 2, "sighost routers per domain (sharded mode)")
-	fs.DurationVar(&cfg.TrunkDelay, "trunk-delay", 2*time.Millisecond, "inter-domain trunk delay = conservative lookahead (sharded mode)")
-	fs.IntVar(&cfg.CrossFrames, "cross-frames", 8, "data frames per cross-domain carrier circuit (sharded mode)")
-	// -prof arms the wall-clock half too: xunetsim's report is for humans,
-	// not byte-diffing, so the stall series and hot-shard watermark rule
-	// ride along.
-	fs.BoolVar(&opts.ProfSeries, "prof", false, "arm the execution profiler and print the full profile (wall-time attribution, per-shard barrier-stall fractions, critical-shard ranking)")
+	fs.BoolVar(&opts.Prof, "prof", false, "arm the execution profiler and print the full profile (per-label event counts and wall time)")
 	return func() error {
 		cfg.KillAfter = cfg.Hold / 2
 		if *chaos {
 			opts.Faults = testbed.ChaosCocktail(*chaosSeed)
 		}
-		if cfg.Domains > 0 && opts.ProfSeries {
-			// The stall series and the hot-shard watermark rule live in the
-			// per-domain stores; arm them so the profiler's wall-clock half
-			// has somewhere to land.
-			opts.TSeries = &tseries.Config{}
-		}
 		var n *testbed.Net
 		var err error
-		switch {
-		case cfg.Domains > 0 && *hosts > 0:
-			err = fmt.Errorf("-hosts is not supported in sharded mode")
-		case cfg.Domains > 0:
-			n, err = testbed.NewSharded(opts, cfg)
-		case *topo == "testbed":
+		switch *topo {
+		case "testbed":
 			n, _, _, err = testbed.NewTestbed(opts)
-		case *topo == "xunet":
+		case "xunet":
 			n, _, err = testbed.NewXunet(opts)
 		default:
 			err = fmt.Errorf("unknown topology %q", *topo)
@@ -189,81 +165,46 @@ func storm(fs *flag.FlagSet) func() error {
 		}
 		defer n.Close()
 
-		var srv *testbed.EchoServer
-		var launch func() *testbed.ShardedStormResult
-		if cfg.Domains > 0 {
-			n.G.SetWorkers(*workers)
-			fmt.Printf("xunetsim: sharded %d domains x %d sighosts, lookahead %v, %d workers; storm of %d calls (%v hold)\n",
-				len(n.Domains), len(n.Routers), n.G.Lookahead(), n.G.Workers(), cfg.Count, cfg.Hold)
-			launch = func() *testbed.ShardedStormResult { return testbed.ShardedStorm(n, cfg) }
-		} else {
-			routers := n.Routers
-			server := routers[len(routers)-1]
-			var client testbed.Endpoint = routers[0]
-			for _, r := range routers {
-				for h := 0; h < *hosts; h++ {
-					host, err := n.AddHost(atm.Addr(fmt.Sprintf("%s.h%d", r.Stack.Addr, h+1)), r)
-					if err != nil {
-						return err
-					}
-					if r == routers[0] && h == 0 {
-						client = host
-					}
+		routers := n.Routers
+		server := routers[len(routers)-1]
+		var client testbed.Endpoint = routers[0]
+		for _, r := range routers {
+			for h := 0; h < *hosts; h++ {
+				host, err := n.AddHost(atm.Addr(fmt.Sprintf("%s.h%d", r.Stack.Addr, h+1)), r)
+				if err != nil {
+					return err
+				}
+				if r == routers[0] && h == 0 {
+					client = host
 				}
 			}
-			srv = testbed.StartEchoServer(server, "storm", 6000)
-			fmt.Printf("xunetsim: %s topology, %d routers, %d hosts; storm of %d calls (%v hold) from %s to %s\n",
-				*topo, len(routers), len(routers)**hosts, cfg.Count, cfg.Hold, client.EndStack().Addr, server.Stack.Addr)
-			launch = func() *testbed.ShardedStormResult {
-				return &testbed.ShardedStormResult{PerDomain: []*testbed.StormResult{
-					testbed.CallStorm(client, server.Stack.Addr, "storm", cfg)}}
-			}
 		}
+		srv := testbed.StartEchoServer(server, "storm", 6000)
+		fmt.Printf("xunetsim: %s topology, %d routers, %d hosts; storm of %d calls (%v hold) from %s to %s\n",
+			*topo, len(routers), len(routers)**hosts, cfg.Count, cfg.Hold, client.EndStack().Addr, server.Stack.Addr)
 
 		n.RunUntil(time.Second)
 		until := n.E.Now() + 4*n.CM.BindTimeout
-		n.StartTSeries(until)
 		if *chaos {
 			// Flap trunks for the storm's expected duration plus drain margin.
 			n.StartTrunkFlapping(time.Duration(cfg.Count)*cfg.Hold + 30*time.Second)
 		}
 		start := time.Now()
-		res := launch()
+		res := testbed.CallStorm(client, server.Stack.Addr, "storm", cfg)
 		n.RunUntil(until)
 		elapsed := time.Since(start)
 
-		launched, established, failed, killed := res.Totals()
 		fmt.Printf("\ncalls: %d launched, %d established, %d failed, %d killed (%.0f sim-calls/s wall)\n",
-			launched, established, failed, killed, float64(established)/elapsed.Seconds())
-		for i, r := range res.PerDomain {
-			indent, note := "", " (paper: ≈330 ms/call)"
-			if len(res.PerDomain) > 1 {
-				fmt.Printf("  d%d: %d launched, %d established, %d failed, %d killed, %d carrier frames in\n",
-					i, r.Launched, r.Succeeded, r.Failed, r.Killed, n.Domains[i].CrossDelivered)
-				indent, note = "      ", ""
-			}
-			if r.Succeeded > 0 {
-				fmt.Printf("%ssetup latency: min %v avg %v max %v%s\n", indent, r.MinSetup, r.Avg(), r.MaxSetup, note)
-			}
+			res.Launched, res.Succeeded, res.Failed, res.Killed, float64(res.Succeeded)/elapsed.Seconds())
+		if res.Succeeded > 0 {
+			fmt.Printf("setup latency: min %v avg %v max %v (paper: ≈330 ms/call)\n", res.MinSetup, res.Avg(), res.MaxSetup)
 		}
-		if srv != nil {
-			fmt.Printf("echo server: %d calls accepted, %d frames received\n", srv.Accepted, srv.Received)
-		}
-		fmt.Println()
-		for _, dom := range n.Domains {
-			if dom.Faults != nil {
-				fmt.Printf("d%d faults injected:\n%s\n", dom.Index, dom.Faults.Obs.Snapshot().Text())
-			}
+		fmt.Printf("echo server: %d calls accepted, %d frames received\n\n", srv.Accepted, srv.Received)
+		if n.Faults != nil {
+			fmt.Printf("faults injected:\n%s\n", n.Faults.Obs.Snapshot().Text())
 		}
 		if n.Prof != nil {
 			fmt.Printf("%s\n", n.Prof.Text())
-			for _, dom := range n.Domains {
-				for _, ev := range dom.HealthEvents {
-					if ev.Rule == "hot-shard-stall" {
-						fmt.Printf("health d%d: %s\n", dom.Index, ev.String())
-					}
-				}
-			}
 		}
 		fmt.Print(n.Snapshot())
 		leaks := n.Audit()

@@ -31,8 +31,8 @@
 //
 // And one queries the execution profiler, when one is armed:
 //
-//	xunetstat prof                # per-shard event/stall attribution,
-//	                              # critical-shard ranking
+//	xunetstat prof                # per-label event attribution,
+//	                              # per-shard window exec/stall time
 //	xunetstat prof -json          # the same as one JSON snapshot
 //	xunetstat prof -flame         # folded stacks for flame-graph tools
 //

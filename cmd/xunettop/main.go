@@ -12,10 +12,7 @@
 //
 // Series lines are the store's latest samples (counter rates, gauge
 // levels with high-water, histogram P99s); the health panel shows each
-// watermark rule's state and the recent fire/clear events. When the
-// daemon has an execution profiler armed, a SHARDS panel adds the
-// per-shard window/stall table and the critical-shard ranking from the
-// MGMT prof view.
+// watermark rule's state and the recent fire/clear events.
 package main
 
 import (
@@ -75,44 +72,7 @@ func render(c *signaling.RealClient, match string, topN int) (string, error) {
 	for _, line := range strings.Split(strings.TrimRight(health, "\n"), "\n") {
 		b.WriteString("  " + line + "\n")
 	}
-	// The SHARDS panel rides the same poll; a daemon without a profiler
-	// answers with the disabled text and the panel is simply omitted.
-	if prof, err := c.Client().Query(signaling.MgmtProf, 0, 0); err == nil {
-		b.WriteString(shardPanel(prof))
-	}
 	return b.String(), nil
-}
-
-// shardPanel condenses the MGMT prof view to its group half: window and
-// stall accounting per shard, the barrier-stall summary with the
-// critical-shard ranking, and the cross-shard matrix. The per-label
-// detail (the bulk of the view) stays with `xunetstat prof`.
-func shardPanel(text string) string {
-	if strings.HasPrefix(text, "execution profiling disabled") {
-		return ""
-	}
-	var rows []string
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "# ") {
-			continue
-		}
-		// The per-shard label detail starts at the first "shard N: events"
-		// line; everything before it is the group summary the panel wants.
-		if strings.HasPrefix(line, "shard ") && strings.Contains(line, ": events") {
-			break
-		}
-		rows = append(rows, line)
-	}
-	if len(rows) == 0 {
-		// A flat (unsharded) profile has no group half to summarize.
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("\nSHARDS\n")
-	for _, line := range rows {
-		b.WriteString("  " + line + "\n")
-	}
-	return b.String()
 }
 
 // seriesPanel reorders the daemon's name-sorted series lines by

@@ -34,9 +34,9 @@ type LabelID uint32
 
 // Pre-interned labels present in every EngineProf.
 const (
-	// LabelEngine is the root attribution: events scheduled from
+	// labelEngine is the root attribution: events scheduled from
 	// engine context with no finer label.
-	LabelEngine LabelID = 0
+	labelEngine LabelID = 0
 	// LabelCrossShard attributes events merged in from another
 	// shard's outbox (the conservative-sync channel).
 	LabelCrossShard LabelID = 1
@@ -45,7 +45,7 @@ const (
 // maxLabels bounds the per-engine label table so the bin array never
 // reallocates: single-writer atomic bins stay safe to read from other
 // goroutines (MGMT queries, tseries ticks) without a lock on the hot
-// path. Interning past the bound degrades to LabelEngine.
+// path. Interning past the bound degrades to labelEngine.
 const maxLabels = 256
 
 // bin is one label's accumulator. Written by the owning shard's
@@ -75,18 +75,18 @@ func newEngineProf(shard int) *EngineProf {
 		bins:   make([]bin, maxLabels),
 	}
 	p.names = append(p.names, "engine", "xshard")
-	p.byName["engine"] = LabelEngine
+	p.byName["engine"] = labelEngine
 	p.byName["xshard"] = LabelCrossShard
 	return p
 }
 
 // Label interns name and returns its ID. Nil-safe: a nil receiver
-// returns LabelEngine, so construction-time interning needs no guard.
-// When the table is full the name degrades to LabelEngine rather than
+// returns labelEngine, so construction-time interning needs no guard.
+// When the table is full the name degrades to labelEngine rather than
 // growing the bin array.
 func (p *EngineProf) Label(name string) LabelID {
 	if p == nil {
-		return LabelEngine
+		return labelEngine
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -94,7 +94,7 @@ func (p *EngineProf) Label(name string) LabelID {
 		return id
 	}
 	if len(p.names) >= maxLabels {
-		return LabelEngine
+		return labelEngine
 	}
 	id := LabelID(len(p.names))
 	name = strings.Clone(name) // don't pin a caller's larger backing array
@@ -109,12 +109,12 @@ func (p *EngineProf) Label(name string) LabelID {
 // not one per process.
 func (p *EngineProf) ProcLabel(name string) LabelID {
 	if p == nil {
-		return LabelEngine
+		return labelEngine
 	}
 	// Every spawn comes through here, nearly always for a kind already
 	// interned: look that up without building the string.
 	var buf [64]byte
-	label := append(append(buf[:0], "proc."...), ProcKind(name)...)
+	label := append(append(buf[:0], "proc."...), procKind(name)...)
 	p.mu.Lock()
 	id, ok := p.byName[string(label)]
 	p.mu.Unlock()
@@ -124,8 +124,8 @@ func (p *EngineProf) ProcLabel(name string) LabelID {
 	return p.Label(string(label))
 }
 
-// ProcKind reduces a proc name "machine/kind#pid" to its kind.
-func ProcKind(name string) string {
+// procKind reduces a proc name "machine/kind#pid" to its kind.
+func procKind(name string) string {
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
@@ -144,7 +144,7 @@ func (p *EngineProf) Account(l LabelID, wallNS int64) {
 		return
 	}
 	if int(l) >= maxLabels {
-		l = LabelEngine
+		l = labelEngine
 	}
 	b := &p.bins[l]
 	b.count.Add(1)
@@ -210,21 +210,11 @@ func newGroupProf(n int) *GroupProf {
 	}
 }
 
-// StallNS reports shard i's accumulated barrier-stall nanoseconds.
-// Atomic and monotonic, so a tseries rate series over it yields
-// wall-stall per tick. Nil-safe for gauge closures.
-func (g *GroupProf) StallNS(i int) int64 {
-	if g == nil || i < 0 || i >= g.n {
-		return 0
-	}
-	return g.stall[i].Load()
-}
-
 // AccountWindow folds one barrier window's per-shard wall durations
-// in: each shard's stall is the gap to the window's critical (slowest)
-// shard. With fewer workers than shards the windows serialize, so the
-// "stall" reads as imbalance relative to the critical path rather than
-// literal goroutine wait — same ranking, same hot shard.
+// in: each shard's stall is the gap to the window's slowest shard, so
+// every shard's exec+stall sums the window maxima. With fewer workers
+// than shards the windows serialize, so the "stall" reads as imbalance
+// rather than literal goroutine wait.
 func (g *GroupProf) AccountWindow(durNS []int64) {
 	if g == nil {
 		return
@@ -390,80 +380,6 @@ func (p *Profiler) Snapshot() Snapshot {
 	return s
 }
 
-// CriticalRanking orders shards hottest-first by window execution time
-// (falling back to attributed event wall time for flat runs), ties
-// broken by shard index.
-func (s Snapshot) CriticalRanking() []int {
-	type row struct {
-		shard int
-		ns    int64
-	}
-	var rows []row
-	if s.Group != nil {
-		for _, ps := range s.Group.PerShard {
-			rows = append(rows, row{ps.Shard, ps.ExecNS})
-		}
-	} else {
-		for _, sh := range s.Shards {
-			rows = append(rows, row{sh.Shard, sh.WallNS})
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].ns != rows[j].ns {
-			return rows[i].ns > rows[j].ns
-		}
-		return rows[i].shard < rows[j].shard
-	})
-	out := make([]int, len(rows))
-	for i, r := range rows {
-		out[i] = r.shard
-	}
-	return out
-}
-
-// CriticalShard is the hottest shard (0 when empty).
-func (s Snapshot) CriticalShard() int {
-	r := s.CriticalRanking()
-	if len(r) == 0 {
-		return 0
-	}
-	return r[0]
-}
-
-// BarrierStallPct is total stall as a percentage of total window time
-// across shards (0 for flat runs or before any window).
-func (s Snapshot) BarrierStallPct() float64 {
-	if s.Group == nil {
-		return 0
-	}
-	var exec, stall int64
-	for _, ps := range s.Group.PerShard {
-		exec += ps.ExecNS
-		stall += ps.StallNS
-	}
-	if exec+stall == 0 {
-		return 0
-	}
-	return 100 * float64(stall) / float64(exec+stall)
-}
-
-// StallFraction reports shard i's stall share of its own window time.
-func (s Snapshot) StallFraction(i int) float64 {
-	if s.Group == nil {
-		return 0
-	}
-	for _, ps := range s.Group.PerShard {
-		if ps.Shard != i {
-			continue
-		}
-		if ps.ExecNS+ps.StallNS == 0 {
-			return 0
-		}
-		return float64(ps.StallNS) / float64(ps.ExecNS+ps.StallNS)
-	}
-	return 0
-}
-
 // CountsText renders the deterministic half of the profile: per-shard
 // per-label event counts, window/idle-skip counters, and the
 // cross-shard post/byte matrix. Same seed ⇒ byte-identical at any
@@ -478,47 +394,36 @@ func (p *Profiler) CountsText() string {
 			fmt.Fprintf(&b, "  %-24s %d\n", l.Label, l.Count)
 		}
 	}
-	if g := s.Group; g != nil {
-		fmt.Fprintf(&b, "group: shards %d windows %d idle-skips %d\n", g.Shards, g.Windows, g.IdleSkips)
-		if len(g.Matrix) > 0 {
-			b.WriteString("xshard matrix (src->dst posts bytes):\n")
-			for _, c := range g.Matrix {
-				fmt.Fprintf(&b, "  %d->%d %d %d\n", c.Src, c.Dst, c.Posts, c.Bytes)
-			}
-		}
+	if s.Group != nil {
+		writeGroup(&b, s.Group)
 	}
 	return b.String()
 }
 
+// writeGroup renders the group's deterministic counters and its
+// cross-shard matrix.
+func writeGroup(b *strings.Builder, g *GroupSnap) {
+	fmt.Fprintf(b, "group: shards %d windows %d idle-skips %d\n", g.Shards, g.Windows, g.IdleSkips)
+	if len(g.Matrix) > 0 {
+		b.WriteString("xshard matrix (src->dst posts bytes):\n")
+		for _, c := range g.Matrix {
+			fmt.Fprintf(b, "  %d->%d %d %d\n", c.Src, c.Dst, c.Posts, c.Bytes)
+		}
+	}
+}
+
 // Text renders the full human profile: the deterministic counts plus
-// wall-time attribution, per-shard stall fractions, and the critical
-// ranking. Wall nanoseconds vary run to run — diff CountsText, read
-// Text.
+// wall-time attribution and each shard's window exec and stall time.
+// Wall nanoseconds vary run to run — diff CountsText, read Text.
 func (p *Profiler) Text() string {
 	s := p.Snapshot()
 	var b strings.Builder
 	b.WriteString("# execution profile\n")
 	if g := s.Group; g != nil {
-		fmt.Fprintf(&b, "group: shards %d windows %d idle-skips %d\n", g.Shards, g.Windows, g.IdleSkips)
-		b.WriteString("shard   exec          stall         stall%  events\n")
+		writeGroup(&b, g)
+		b.WriteString("shard   exec          stall\n")
 		for _, ps := range g.PerShard {
-			var ev uint64
-			for _, sh := range s.Shards {
-				if sh.Shard == ps.Shard {
-					ev = sh.Events
-				}
-			}
-			fmt.Fprintf(&b, "%5d   %-12s  %-12s  %5.1f   %d\n",
-				ps.Shard, fmtNS(ps.ExecNS), fmtNS(ps.StallNS),
-				100*s.StallFraction(ps.Shard), ev)
-		}
-		fmt.Fprintf(&b, "barrier stall: %.1f%% of window time; critical shard: %d (ranking %s)\n",
-			s.BarrierStallPct(), s.CriticalShard(), fmtRanking(s.CriticalRanking()))
-		if len(g.Matrix) > 0 {
-			b.WriteString("xshard matrix (src->dst posts bytes):\n")
-			for _, c := range g.Matrix {
-				fmt.Fprintf(&b, "  %d->%d %d %d\n", c.Src, c.Dst, c.Posts, c.Bytes)
-			}
+			fmt.Fprintf(&b, "%5d   %-12s  %s\n", ps.Shard, fmtNS(ps.ExecNS), fmtNS(ps.StallNS))
 		}
 	}
 	for _, sh := range s.Shards {
@@ -547,8 +452,7 @@ func (p *Profiler) JSON() string {
 
 // FlameFolded renders the profile as folded stacks for flame-graph
 // tools (one "frame;frame value" line per stack): per-shard label wall
-// time plus a BARRIER-STALL frame per shard, so stalls and work share
-// one flame.
+// time.
 func (p *Profiler) FlameFolded() string {
 	s := p.Snapshot()
 	var b strings.Builder
@@ -559,25 +463,6 @@ func (p *Profiler) FlameFolded() string {
 			}
 			fmt.Fprintf(&b, "shard%d;%s %d\n", sh.Shard, l.Label, l.WallNS)
 		}
-	}
-	if g := s.Group; g != nil {
-		for _, ps := range g.PerShard {
-			if ps.StallNS <= 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "shard%d;BARRIER-STALL %d\n", ps.Shard, ps.StallNS)
-		}
-	}
-	return b.String()
-}
-
-func fmtRanking(r []int) string {
-	var b strings.Builder
-	for i, s := range r {
-		if i > 0 {
-			b.WriteString(" > ")
-		}
-		fmt.Fprintf(&b, "%d", s)
 	}
 	return b.String()
 }

@@ -48,10 +48,9 @@ const (
 	MgmtHealth      = "health"
 	MgmtHealthJSON  = "health.json"
 	// The execution-profiler surface (internal/prof): "prof" renders
-	// the full profile (per-shard barrier-stall accounting, per-label
-	// event attribution, critical-shard ranking), "prof.json" the
-	// machine-readable snapshot, "prof.flame" folded stacks for
-	// flame-graph tools.
+	// the full profile (per-label event attribution, per-shard window
+	// exec and stall time), "prof.json" the machine-readable snapshot,
+	// "prof.flame" folded stacks for flame-graph tools.
 	MgmtProf      = "prof"
 	MgmtProfJSON  = "prof.json"
 	MgmtProfFlame = "prof.flame"

@@ -149,15 +149,9 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // Shard returns shard i's engine.
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 
-// Lookahead returns the conservative-synchronization lookahead.
-func (g *ShardGroup) Lookahead() time.Duration { return g.lookahead }
-
 // Now returns the group's virtual time: the barrier horizon every shard
 // has advanced to.
 func (g *ShardGroup) Now() time.Duration { return g.now }
-
-// Workers reports the execution parallelism.
-func (g *ShardGroup) Workers() int { return g.workers }
 
 // SetWorkers sets how many goroutines execute shard windows — the
 // caller of RunUntil/Run plus n-1 helpers. It bounds to [1, Shards()]

@@ -221,11 +221,11 @@ type ObsConfig struct {
 	Run     time.Duration // sim time to run; covers the storm's full lifecycle
 	Workers int
 	// First match wins: Prof writes the execution profiler's
-	// deterministic counts (Prof alone records nothing else, so
-	// byte-diffed exports may carry it; ProfSeries would add wall time),
-	// Health the watermark rule states and health events, Table the
-	// busiest trunk's utilization/queue-depth table at TableEvery ticks
-	// per row — else the full time-series export, merged across domains.
+	// deterministic counts (Prof records nothing else, so byte-diffed
+	// exports may carry it), Health the watermark rule states and health
+	// events, Table the busiest trunk's utilization/queue-depth table at
+	// TableEvery ticks per row — else the full time-series export, merged
+	// across domains.
 	Health, Table bool
 	TableEvery    int
 }
@@ -283,9 +283,9 @@ func ObsStorm(w io.Writer, c ObsConfig) (*Net, error) {
 			b.WriteString(dom.TS.HealthText())
 		}
 	case c.Table:
-		writeTrunkTable(&b, n.MergedExport(), c.TableEvery)
+		writeTrunkTable(&b, n.mergedExport(), c.TableEvery)
 	default:
-		err = json.NewEncoder(&b).Encode(n.MergedExport())
+		err = json.NewEncoder(&b).Encode(n.mergedExport())
 	}
 	return flush(w, &b, n, err)
 }

@@ -14,16 +14,11 @@ import (
 // at each worker count — the PR 7 scaling series, which
 // `sim_storm_sharded` in `go run ./bench` now tracks. Results are
 // byte-identical across the sub-benchmarks (the determinism gate
-// proves it); only the wall clock moves. The reported
-// gomaxprocs metric records how much hardware parallelism the numbers
-// were achieved with, so cross-machine diffs can tell a regression from
-// a smaller machine.
-//
-// The run is profiler-armed, so three execution-profile metrics ride
-// along: events/s (engine events executed per wall second), stall-%
-// (barrier stall as a share of total window time — lower is better),
-// and critical-shard (the hottest shard's index; informational, not a
-// rate).
+// proves it); only the wall clock moves. Beside sim-calls/s it reports
+// events/s (engine events executed per wall second) and gomaxprocs,
+// which records how much hardware parallelism the numbers were achieved
+// with, so cross-machine diffs can tell a regression from a smaller
+// machine.
 func BenchmarkShardedStorm(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		w := w
@@ -38,7 +33,6 @@ func BenchmarkShardedStorm(b *testing.B) {
 				FDTableSize:        kern.FixedFDTableSize,
 				DisableCallLogging: true,
 				DisableTracing:     true,
-				Prof:               true,
 			}, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -69,11 +63,8 @@ func BenchmarkShardedStorm(b *testing.B) {
 				done += su
 			}
 			b.StopTimer()
-			snap := sn.Prof.Snapshot()
 			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "sim-calls/s")
 			b.ReportMetric(float64(events()-ev0)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(snap.BarrierStallPct(), "stall-%")
-			b.ReportMetric(float64(snap.CriticalShard()), "critical-shard")
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}

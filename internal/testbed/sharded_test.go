@@ -32,7 +32,7 @@ func shardedStormConfig() testbed.StormConfig {
 // shardedFingerprint renders every observable artifact of one sharded
 // storm run into a single string: per-router golden sighost traces,
 // per-router sighost event rings, per-domain storm buckets and carrier
-// counters, flight-dump and health-event tallies, and the merged
+// counters, flight-dump and health-event tallies, and each domain's
 // time-series export. The worker count must never change a byte of it.
 func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) string {
 	t.Helper()
@@ -96,14 +96,13 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 			}
 			fmt.Fprintf(&sb, "%s ring events=%s\n", r.Stack.Addr, evs)
 		}
-		fmt.Fprintf(&sb, "d%d dumps=%d health=%d\n",
-			dom.Index, len(dom.FlightDumps), len(dom.HealthEvents))
+		ts, err := json.Marshal(dom.TS.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "d%d dumps=%d health=%d tseries: %s\n",
+			dom.Index, len(dom.FlightDumps), len(dom.HealthEvents), ts)
 	}
-	merged, err := json.Marshal(sn.MergedExport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&sb, "tseries: %s\n", merged)
 	return sb.String()
 }
 
@@ -125,7 +124,7 @@ func diffFingerprints(t *testing.T, label, first, second string) {
 
 // TestShardedStormDeterministicAcrossWorkers is the PR 7 acceptance
 // gate: the same seeded multi-domain storm must yield byte-identical
-// history — traces, rings, buckets, merged telemetry — at workers=1
+// history — traces, rings, buckets, telemetry — at workers=1
 // (the sequential golden reference) and any parallel worker count.
 func TestShardedStormDeterministicAcrossWorkers(t *testing.T) {
 	golden := shardedFingerprint(t, 42, 1, false)
@@ -159,9 +158,10 @@ func TestShardedChaosDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestShardedFlatDegenerate checks the Domains=1 degenerate case: one
-// shard, zero lookahead, no boundary trunks — the sharded assembly must
-// behave like a plain testbed, with every call succeeding and the
-// signaling lists draining clean.
+// shard, zero lookahead (so a run is one window to its horizon plus the
+// boundary pass), no boundary trunks — the sharded assembly must behave
+// like a plain testbed, with every call succeeding and the signaling
+// lists draining clean.
 func TestShardedFlatDegenerate(t *testing.T) {
 	cfg := testbed.StormConfig{
 		Count: 8, Hold: 50 * time.Millisecond, FramesPerCall: 2,
@@ -171,6 +171,7 @@ func TestShardedFlatDegenerate(t *testing.T) {
 		Seed:          7,
 		DeviceBuffers: kern.FixedDeviceBuffers,
 		FDTableSize:   kern.FixedFDTableSize,
+		Prof:          true,
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +180,10 @@ func TestShardedFlatDegenerate(t *testing.T) {
 	if got := sn.G.Shards(); got != 1 {
 		t.Fatalf("flat config built %d shards, want 1", got)
 	}
-	if sn.G.Lookahead() != 0 {
-		t.Fatalf("flat config lookahead = %v, want 0", sn.G.Lookahead())
-	}
 	sn.RunUntil(time.Second)
+	if w := sn.Prof.Snapshot().Group.Windows; w != 2 {
+		t.Fatalf("flat config ran %d windows to 1s, want 2 (zero lookahead)", w)
+	}
 	res := testbed.ShardedStorm(sn, cfg)
 	sn.RunUntil(time.Second + 4*sn.CM.BindTimeout)
 	la, su, fa, _ := res.Totals()

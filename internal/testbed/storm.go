@@ -133,17 +133,6 @@ type ShardedStormResult struct {
 	PerDomain []*StormResult
 }
 
-// Totals sums the per-domain buckets.
-func (r *ShardedStormResult) Totals() (launched, succeeded, failed, killed int) {
-	for _, d := range r.PerDomain {
-		launched += d.Launched
-		succeeded += d.Succeeded
-		failed += d.Failed
-		killed += d.Killed
-	}
-	return
-}
-
 // ShardedStorm launches the E4 workload on every domain at once: each
 // domain's last router storms calls against an echo server on its first
 // router (intra-domain — runtime SVC setup never crosses a shard), and

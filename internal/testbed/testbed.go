@@ -67,12 +67,6 @@ type Options struct {
 	// alone records is deterministic — event counts, the cross-shard
 	// matrix — so byte-diffed exports may enable it freely.
 	Prof bool
-	// ProfSeries additionally feeds the profiler's *wall-clock* stall
-	// accounting into each domain's time-series store and installs the
-	// hot-shard watermark rule. Wall time varies run to run, so arm it
-	// for live monitoring (xunetsim, xunettop), never for byte-diffed
-	// exports. Implies Prof.
-	ProfSeries bool
 }
 
 func (o Options) withDefaults() Options {
@@ -150,7 +144,7 @@ type Net struct {
 	Fabric *xswitch.Fabric
 	IPNet  *memnet.Network
 	// Prof is the deployment's execution profiler (nil unless
-	// Options.Prof or ProfSeries armed it): one EngineProf per domain
+	// Options.Prof armed it): one EngineProf per domain
 	// plus, on a shard group, the window/stall/matrix accounting, served
 	// by every router's MGMT prof views.
 	Prof        *prof.Profiler
@@ -168,7 +162,7 @@ type ShardedNet = Net
 // without a domain override of its own falls back to.
 func newNet(opts Options, g *sim.ShardGroup) *Net {
 	var pf *prof.Profiler
-	if opts.Prof || opts.ProfSeries {
+	if opts.Prof {
 		pf = prof.New()
 	}
 	// The profiler attaches before the fabric and machines exist so
@@ -257,11 +251,11 @@ func (n *Net) Close() {
 	}
 }
 
-// DefaultHealthRules are the watermark rules StartTSeries installs: a
+// defaultHealthRules are the watermark rules StartTSeries installs: a
 // trunk's between-tick queue high-water past QueueWatermarkCells, a
 // burst of signaling retransmissions in one tick, and a burst of
 // flight-recorder dumps in one tick.
-func DefaultHealthRules() []tseries.Rule {
+func defaultHealthRules() []tseries.Rule {
 	return []tseries.Rule{
 		{Name: "trunk-queue-buildup", Series: "fabric.trunk.*.qdepth", Threshold: QueueWatermarkCells, OnAux: true, ForTicks: 1},
 		{Name: "retransmit-spike", Series: "*.sighost.rel.retransmits", Threshold: 3, ForTicks: 1},
@@ -275,19 +269,12 @@ func DefaultHealthRules() []tseries.Rule {
 // onset, well before the 2048-cell overflow point.
 const QueueWatermarkCells = 16
 
-// HotShardStallNS is the per-tick wall-clock barrier stall (in
-// nanoseconds) at which the hot-shard-stall rule fires when
-// Options.ProfSeries is armed: one shard spending a millisecond of
-// real time per tick waiting at the barrier means the partition is
-// imbalanced enough to cost wall-clock speedup.
-const HotShardStallNS = 1_000_000
-
 // StartTSeries begins every domain's scrape tick chain, each on its own
 // engine over only the series its domain owns: every store interval the
 // metrics are sampled and the watermark rules evaluated, until the
 // given sim-time cutoff (self-rescheduling events would otherwise keep
 // Run from draining). It registers the trunk and IP-link sources,
-// installs DefaultHealthRules, and wires rule fires to dump the flight
+// installs defaultHealthRules, and wires rule fires to dump the flight
 // recorder's recent traces. No-op unless Options.TSeries armed the
 // stores. Call it after the topology is assembled, before running.
 func (n *Net) StartTSeries(until time.Duration) {
@@ -297,7 +284,7 @@ func (n *Net) StartTSeries(until time.Duration) {
 	for _, dom := range n.Domains {
 		n.Fabric.RegisterTSeries(dom.TS, dom.E)
 		n.IPNet.RegisterTSeries(dom.TS, dom.E)
-		for _, r := range DefaultHealthRules() {
+		for _, r := range defaultHealthRules() {
 			dom.TS.AddRule(r)
 		}
 		if n.Prof != nil && n.G != nil {
@@ -305,18 +292,6 @@ func (n *Net) StartTSeries(until time.Duration) {
 			// virtual-history points — deterministic, so merged exports may
 			// carry it. Domain index in the name keeps merged series disjoint.
 			dom.TS.TrackRateFunc(fmt.Sprintf("sim.shard.%d.events", dom.Index), dom.E.EventsExecuted, 0, 0)
-			if n.opts.ProfSeries {
-				// Wall-clock stall per tick plus the hot-shard rule: wall
-				// time is nondeterministic by nature, so this series is for
-				// live monitoring only (Options.ProfSeries documents it).
-				gp := n.Prof.Group(len(n.Domains))
-				dom.TS.TrackRateFunc(fmt.Sprintf("sim.shard.%d.stall.ns", dom.Index),
-					func() uint64 { return uint64(gp.StallNS(dom.Index)) }, 0, 0)
-				dom.TS.AddRule(tseries.Rule{
-					Name: "hot-shard-stall", Series: "sim.shard.*.stall.ns",
-					Threshold: HotShardStallNS, ForTicks: 1,
-				})
-			}
 		}
 		dom.TS.OnHealthEvent(func(ev tseries.HealthEvent) {
 			dom.HealthEvents = append(dom.HealthEvents, ev)
@@ -566,7 +541,7 @@ func (n *Net) assembleRing(cfg StormConfig) error {
 	return nil
 }
 
-// MergedExport merges every domain's time-series export into one
+// mergedExport merges every domain's time-series export into one
 // deterministic snapshot: series name-sorted across domains (names are
 // disjoint by construction — trunks, links and registries are owned by
 // exactly one shard), rule states re-sorted the same way, events
@@ -574,7 +549,7 @@ func (n *Net) assembleRing(cfg StormConfig) error {
 // were appended in). Ticks and interval come from domain 0. On a single
 // domain it is that domain's own export; as JSON it is byte-identical
 // for same-seed runs at any worker count.
-func (n *Net) MergedExport() tseries.Export {
+func (n *Net) mergedExport() tseries.Export {
 	var out tseries.Export
 	for _, dom := range n.Domains {
 		if dom.TS == nil {
