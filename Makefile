@@ -24,8 +24,9 @@ test:
 # records are recycled through owner-local free lists (queue waiters,
 # packet records, fd slots) ride along: their reuse-safety tests are
 # the ones a stray cross-goroutine touch would break. So do the frame
-# path's chain owners, whose chains the race build poisons on Release,
-# and the real carrier, whose receive pump hands handlers slices of one
+# path's chain owners, whose machines' mbuf pools and meters are plain
+# fields only their engine touches and whose chains the race build
+# poisons on Release, and the real carrier, whose receive pump hands handlers slices of one
 # shared receive block, several per syscall when it splits a train, and
 # PF_XUNET, whose Recv hands out the socket's one buffer and scribbles
 # over it at the next Recv, so a caller that kept a frame reads junk. So

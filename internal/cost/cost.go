@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Component identifies a protocol-stack component whose processing cost is
@@ -132,10 +131,11 @@ const (
 )
 
 // Meter accumulates instruction counts per component. The zero value is
-// ready to use. All methods are safe for concurrent use; a nil receiver
-// is valid and records nothing.
+// ready to use, and a nil receiver is valid and records nothing. A meter
+// has one owner: a kern.Machine, whose events all run on one engine, so
+// its counts are plain integers and it is not safe for concurrent use.
 type Meter struct {
-	counts [numComponents]atomic.Int64
+	counts [numComponents]int64
 }
 
 // NewMeter returns an empty meter.
@@ -147,7 +147,7 @@ func (m *Meter) Charge(c Component, n int64) {
 	if m == nil || n <= 0 || int(c) >= int(numComponents) {
 		return
 	}
-	m.counts[c].Add(n)
+	m.counts[c] += n
 }
 
 // ChargePerMbuf adds the fixed per-mbuf walking cost for an n-mbuf chain
@@ -165,7 +165,7 @@ func (m *Meter) Snapshot() Snapshot {
 		return s
 	}
 	for i := range m.counts {
-		if v := m.counts[i].Load(); v != 0 {
+		if v := m.counts[i]; v != 0 {
 			s[Component(i)] = v
 		}
 	}

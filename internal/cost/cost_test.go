@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -178,22 +177,36 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-func TestConcurrentCharging(t *testing.T) {
-	m := NewMeter()
-	const workers, each = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+// A meter has one owner at a time: the sharded engine hands a machine's
+// events from worker to worker, each hand-off a synchronisation, as the
+// channel is here. Snapshot, Count and Total agree after every owner's
+// charges, and a nil meter still charges nothing.
+func TestSingleOwnerMeter(t *testing.T) {
+	m, handoff := NewMeter(), make(chan *Meter)
+	const owners, each = 4, 1000
+	for w := 0; w < owners; w++ {
 		go func() {
-			defer wg.Done()
+			own := <-handoff
 			for i := 0; i < each; i++ {
-				m.Charge(Switch, 1)
+				own.Charge(Switch, 1)
+				own.ChargePerMbuf(PFXunet, 1)
 			}
+			handoff <- own
 		}()
+		handoff <- m
+		m = <-handoff
+		n := int64(w+1) * each
+		if m.Count(Switch) != n || m.Count(PFXunet) != n*PerMbuf || m.Total() != n*(1+PerMbuf) {
+			t.Fatalf("after owner %d: Switch %d, PF_XUNET %d, Total %d", w, m.Count(Switch), m.Count(PFXunet), m.Total())
+		}
+		if s := m.Snapshot(); s[Switch] != m.Count(Switch) || s.Total() != m.Total() {
+			t.Fatalf("after owner %d: snapshot %v disagrees with the meter", w, s)
+		}
 	}
-	wg.Wait()
-	if got := m.Count(Switch); got != workers*each {
-		t.Errorf("concurrent count = %d, want %d", got, workers*each)
+	var none *Meter
+	none.Charge(Switch, 1)
+	if none.Total() != 0 || len(none.Snapshot()) != 0 {
+		t.Fatal("a nil meter recorded a charge")
 	}
 }
 

@@ -14,7 +14,7 @@ func (m *Meter) Count(c Component) int64 {
 	if m == nil || int(c) >= int(numComponents) {
 		return 0
 	}
-	return m.counts[c].Load()
+	return m.counts[c]
 }
 
 // Total reports the instructions charged across all components.
@@ -24,7 +24,7 @@ func (m *Meter) Total() int64 {
 	}
 	var t int64
 	for i := range m.counts {
-		t += m.counts[i].Load()
+		t += m.counts[i]
 	}
 	return t
 }
@@ -34,7 +34,5 @@ func (m *Meter) Reset() {
 	if m == nil {
 		return
 	}
-	for i := range m.counts {
-		m.counts[i].Store(0)
-	}
+	m.counts = [numComponents]int64{}
 }

@@ -195,7 +195,7 @@ func (b *Board) ReceiveRun(cells []atm.Cell, vci atm.VCI, at, gap time.Duration)
 		if b.driver != nil {
 			// payload lives in the VC's reassembly buffer, which the next
 			// cell overwrites: the chain is the frame's own copy.
-			chain := mbuf.FromBytes(payload)
+			chain := b.driver.Pool.FromBytes(payload)
 			if c.TC.Sampled() {
 				chain.TC = c.TC
 				if b.reasmHist != nil {
@@ -230,6 +230,8 @@ func (b *Board) resetVC(vci atm.VCI) {
 // Driver is the Orc device driver.
 type Driver struct {
 	Meter *cost.Meter
+	// Pool is where the board draws the chains it reassembles.
+	Pool *mbuf.Pool
 
 	board *Board
 	encap frameOutput

@@ -23,6 +23,7 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/cost"
 	"xunet/internal/hobbit"
+	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
 	"xunet/internal/obs"
 	"xunet/internal/sim"
@@ -68,12 +69,14 @@ type timeWaiter interface {
 }
 
 // Machine is one simulated computer: engine, cost model, IP interface,
-// optional ATM interface, pseudo-device, and processes.
+// optional ATM interface, pseudo-device, and processes. Its meter and
+// mbuf pool are its own, used only by events on its engine.
 type Machine struct {
 	Name  string
 	E     *sim.Engine
 	CM    sim.CostModel
 	Meter *cost.Meter
+	Pool  *mbuf.Pool
 
 	// IP is the machine's internet interface; Orc its ATM device driver
 	// (with a Hobbit board on routers, an encapsulation backend on
@@ -105,23 +108,25 @@ type Machine struct {
 	gLive     *obs.Gauge   // kern.procs.live (with high-water mark)
 }
 
-// NewMachine assembles a machine. The IP node's meter is pointed at the
-// machine's meter.
+// NewMachine assembles a machine. The IP node and the Orc driver charge
+// the machine's meter and draw chains from its pool.
 func NewMachine(name string, e *sim.Engine, cm sim.CostModel, ip *memnet.Node) *Machine {
 	m := &Machine{
 		Name:        name,
 		E:           e,
 		CM:          cm,
 		Meter:       cost.NewMeter(),
+		Pool:        new(mbuf.Pool),
 		IP:          ip,
 		Obs:         obs.NewRegistry(),
 		FDTableSize: DefaultFDTableSize,
 		procs:       make(map[uint32]*Proc),
 	}
 	if ip != nil {
-		ip.Meter = m.Meter
+		ip.Meter, ip.Pool = m.Meter, m.Pool
 	}
 	m.Orc = hobbit.NewDriver(m.Meter)
+	m.Orc.Pool = m.Pool
 	m.ctSpawned = m.Obs.Counter("kern.procs.spawned")
 	m.gLive = m.Obs.Gauge("kern.procs.live")
 	// Engine internals, surfaced per machine as read-through metrics:

@@ -13,11 +13,14 @@
 // belongs to the callee: the caller never touches it again, and exactly
 // one terminal consumer — the layer that copies the data out, segments
 // it into cells, or drops it — calls Release, on every path, errors
-// included. Release recycles the chain header along with its mbufs, so a
-// frame handed down and up the stack allocates nothing once the free
-// lists are warm. Under the race detector Release poisons the header
-// instead of recycling it, and any later use or second Release panics
-// with the stack that released it.
+// included. Release recycles the chain header along with its mbufs into
+// the Pool the chain was drawn from, so a frame handed down and up the
+// stack allocates nothing once the free lists are warm. Each machine
+// owns one Pool, as it owns its meter: the lists are plain slices with
+// no lock, and a pool counts the chains it has out, so a missed Release
+// shows in the drain audit. Under the race detector Release poisons the
+// header instead of recycling it, and any later use or second Release
+// panics with the stack that released it.
 package mbuf
 
 import (
@@ -56,72 +59,124 @@ type Mbuf struct {
 // ATM addresses up to 14 characters.
 const leadingSpace = 24
 
-// Free lists, one per size class plus one for chain headers, in the
-// spirit of the BSD mbuf map. Mbufs and headers return here via
-// Chain.Release from the terminal points of the data path (receive
-// delivery, protocol drops), so steady-state traffic recirculates them
-// instead of allocating cold ones.
+// Pool is one engine's free lists, in the spirit of the BSD mbuf map:
+// small mbufs, clusters and chain headers. A chain records the pool it
+// was drawn from, and Release returns its header and mbufs there, as do
+// the mbufs that Prepend, AppendBytes, Pullup and Clone add to it. A
+// pool has one owner, a kern.Machine, and is not safe for concurrent
+// use: a chain never leaves its engine (links never join engines, and
+// trunks copy cells). A nil *Pool draws from shared sync.Pool lists
+// instead, for tests and tools that run outside a machine.
+type Pool struct {
+	mbufs  [2][]*Mbuf // small and cluster
+	chains []*Chain
+	out    int // chains drawn minus chains released
+}
+
+// The size classes, and the shared lists behind a nil *Pool.
 var (
-	smallPool = sync.Pool{New: func() any {
-		return &Mbuf{buf: make([]byte, MLEN+leadingSpace)}
-	}}
-	clusterPool = sync.Pool{New: func() any {
-		return &Mbuf{buf: make([]byte, MCLBYTES+leadingSpace)}
-	}}
-	chainPool = sync.Pool{New: func() any { return new(Chain) }}
+	classes = [2]int{MLEN, MCLBYTES}
+	shared  = [2]sync.Pool{{New: func() any { return newMbuf(MLEN) }}, {New: func() any { return newMbuf(MCLBYTES) }}}
+	headers = sync.Pool{New: func() any { return new(Chain) }}
 )
 
+func newMbuf(c int) *Mbuf { return &Mbuf{buf: make([]byte, c+leadingSpace)} }
+
+// class is the size class an mbuf of capacity c comes from, if any.
+func class(c int) int { return min(c/(MLEN+1), 1) }
+
+// pop takes the last entry of a free list, or nil from an empty one.
+func pop[T any](l *[]*T) (v *T) {
+	if n := len(*l) - 1; n >= 0 {
+		v, *l = (*l)[n], (*l)[:n]
+	}
+	return v
+}
+
+// Outstanding reports the chains drawn from p and not yet released: 0
+// at quiescence, when every frame has met its terminal consumer.
+func (p *Pool) Outstanding() int { return p.out }
+
+// FromBytes builds a chain from b, drawn from p, using the standard
+// allocation policy: cluster mbufs for large messages, small mbufs
+// otherwise. The data is copied; b may be reused by the caller.
+func (p *Pool) FromBytes(b []byte) *Chain {
+	c := p.newChain()
+	c.AppendBytes(b)
+	return c
+}
+
 // newChain draws an empty header: every chain this package builds.
-func newChain() *Chain {
-	c := chainPool.Get().(*Chain)
-	c.pooled = true
+func (p *Pool) newChain() *Chain {
+	var c *Chain
+	if p == nil {
+		c = headers.Get().(*Chain)
+	} else if p.out++; len(p.chains) > 0 {
+		c = pop(&p.chains)
+	} else {
+		c = new(Chain)
+	}
+	c.pool, c.pooled = p, true
 	return c
 }
 
 // alloc returns an mbuf with capacity at least c and leading space
 // reserved, drawing from the small or cluster free list when c fits a
 // standard size class.
-func alloc(c int) *Mbuf {
-	var m *Mbuf
+func (p *Pool) alloc(c int) (m *Mbuf) {
+	k := class(c)
 	switch {
-	case c <= MLEN:
-		m = smallPool.Get().(*Mbuf)
-	case c <= MCLBYTES:
-		m = clusterPool.Get().(*Mbuf)
-	default:
+	case c > MCLBYTES:
 		return &Mbuf{buf: make([]byte, c+leadingSpace), off: leadingSpace}
+	case p == nil:
+		m = shared[k].Get().(*Mbuf)
+	default:
+		if m = pop(&p.mbufs[k]); m == nil {
+			m = newMbuf(classes[k])
+		}
 	}
-	m.off = leadingSpace
-	m.n = 0
-	m.next = nil
+	m.off, m.n, m.next = leadingSpace, 0, nil
 	return m
 }
 
-// Release returns the chain's mbufs and header to their free lists. Call
-// it once, when the data has been consumed (copied out or dropped):
-// neither the chain nor slices from Data may be used afterward. A header
-// not built here (an embedded or literal Chain) is emptied, not
-// recycled. Release of nil is a no-op.
+// free returns a standard-size mbuf to its free list.
+func (p *Pool) free(m *Mbuf) {
+	switch k := class(len(m.buf) - leadingSpace); {
+	case len(m.buf) != classes[k]+leadingSpace: // oversize: the collector's
+	case p == nil:
+		shared[k].Put(m)
+	default:
+		p.mbufs[k] = append(p.mbufs[k], m)
+	}
+}
+
+// Release returns the chain's mbufs and header to the pool it was drawn
+// from. Call it once, when the data has been consumed (copied out or
+// dropped): neither the chain nor slices from Data may be used
+// afterward. A header not built here (an embedded or literal Chain) is
+// emptied, not recycled. Release of nil is a no-op.
 func (c *Chain) Release() {
 	if c == nil {
 		return
 	}
 	c.poison.check()
+	p := c.pool
 	for m := c.head; m != nil; {
 		next := m.next
-		m.next = nil
-		switch len(m.buf) {
-		case MLEN + leadingSpace:
-			smallPool.Put(m)
-		case MCLBYTES + leadingSpace:
-			clusterPool.Put(m)
-		}
+		p.free(m)
 		m = next
 	}
 	pooled := c.pooled
 	*c = Chain{}
-	if c.poison.release() && pooled {
-		chainPool.Put(c)
+	switch {
+	case !c.poison.release() || !pooled:
+	case p == nil:
+		headers.Put(c)
+	default:
+		p.chains = append(p.chains, c)
+	}
+	if pooled && p != nil {
+		p.out--
 	}
 }
 
@@ -148,17 +203,13 @@ type Chain struct {
 	TC   trace.Context
 	TCAt time.Duration
 
-	pooled bool // drawn from chainPool
+	pool   *Pool // where Release returns the chain, and mbufs added to it come from
+	pooled bool  // drawn from a free list: pool's, or the shared one
 }
 
-// FromBytes builds a chain from p using the standard allocation policy:
-// cluster mbufs for large messages, small mbufs otherwise. The data is
-// copied; p may be reused by the caller.
-func FromBytes(p []byte) *Chain {
-	c := newChain()
-	c.AppendBytes(p)
-	return c
-}
+// FromBytes builds a chain from p as Pool.FromBytes does, from the
+// shared free lists; a machine's data path draws from its own Pool.
+func FromBytes(p []byte) *Chain { return (*Pool)(nil).FromBytes(p) }
 
 // FromBytesSplit builds a chain from p forcing each mbuf to carry at
 // most per bytes. Tests and benchmarks use it to control the chain
@@ -167,13 +218,13 @@ func FromBytesSplit(p []byte, per int) *Chain {
 	if per <= 0 {
 		per = MLEN
 	}
-	c := newChain()
+	c := (*Pool)(nil).newChain()
 	for len(p) > 0 {
 		n := per
 		if n > len(p) {
 			n = len(p)
 		}
-		m := alloc(n)
+		m := c.pool.alloc(n)
 		copy(m.buf[m.off:], p[:n])
 		m.n = n
 		c.appendMbuf(m)
@@ -236,7 +287,7 @@ func (c *Chain) AppendBytes(p []byte) {
 		if n > len(p) {
 			n = len(p)
 		}
-		m := alloc(n)
+		m := c.pool.alloc(n)
 		copy(m.buf[m.off:], p[:n])
 		m.n = n
 		c.appendMbuf(m)
@@ -259,7 +310,7 @@ func (c *Chain) Prepend(hdr []byte) {
 		c.length += len(hdr)
 		return
 	}
-	m := alloc(len(hdr))
+	m := c.pool.alloc(len(hdr))
 	copy(m.buf[m.off:], hdr)
 	m.n = len(hdr)
 	m.next = c.head
@@ -341,7 +392,7 @@ func (c *Chain) Pullup(n int) bool {
 		return true
 	}
 	// Gather n bytes into a fresh mbuf.
-	m := alloc(n)
+	m := c.pool.alloc(n)
 	got := 0
 	for got < n {
 		h := c.head
@@ -374,10 +425,11 @@ func (c *Chain) Pullup(n int) bool {
 }
 
 // Clone returns a deep copy of the chain with the same mbuf boundaries.
+// The copy is drawn from the same pool.
 func (c *Chain) Clone() *Chain {
-	out := newChain()
+	out := c.pool.newChain()
 	for m := c.Head(); m != nil; m = m.next {
-		nm := alloc(m.n)
+		nm := out.pool.alloc(m.n)
 		copy(nm.buf[nm.off:], m.Data())
 		nm.n = m.n
 		out.appendMbuf(nm)

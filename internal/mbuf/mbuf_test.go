@@ -288,11 +288,46 @@ func TestReleaseRecyclesHeader(t *testing.T) {
 		t.Skip("the race detector poisons released headers instead of recycling them")
 	}
 	p := payload(40)
-	if avg := testing.AllocsPerRun(100, func() {
-		sink = FromBytes(p)
-		sink.Release()
-	}); avg != 0 {
-		t.Fatalf("build and release allocates %.1f times, want 0", avg)
+	for _, pool := range []*Pool{nil, new(Pool)} {
+		if avg := testing.AllocsPerRun(100, func() {
+			sink = pool.FromBytes(p)
+			sink.Release()
+		}); avg != 0 {
+			t.Fatalf("build and release from pool %p allocates %.1f times, want 0", pool, avg)
+		}
+	}
+}
+
+// A chain goes home wherever it ends, as a memnet packet record does:
+// drawn from one machine's pool, grown by another's code and released
+// there, every header and mbuf it holds returns to the pool it came
+// from, and the other pool is untouched by it.
+func TestChainReturnsToItsPool(t *testing.T) {
+	home, away := new(Pool), new(Pool)
+	c := home.FromBytes(payload(MLEN))
+	c.Prepend(payload(leadingSpace + 1)) // too long for the leading space: a new mbuf
+	c.AppendBytes(payload(clusterThreshold))
+	c.Pullup(MLEN)
+	d := c.Clone()
+	other := away.FromBytes(payload(1))
+	mbufs := c.Count() + d.Count()
+	if home.Outstanding() != 2 || away.Outstanding() != 1 {
+		t.Fatalf("outstanding: home %d, away %d; want 2 and 1", home.Outstanding(), away.Outstanding())
+	}
+	c.Release()
+	d.Release()
+	other.Release()
+	headers := 2
+	if raceEnabled {
+		headers = 0 // poisoned, never recycled
+	}
+	if home.Outstanding() != 0 || len(home.mbufs[0])+len(home.mbufs[1]) != mbufs || len(home.chains) != headers {
+		t.Fatalf("home holds %d out, %d small, %d cluster, %d headers; want 0 out, %d mbufs, %d headers",
+			home.Outstanding(), len(home.mbufs[0]), len(home.mbufs[1]), len(home.chains), mbufs, headers)
+	}
+	if away.Outstanding() != 0 || len(away.mbufs[0]) != 1 || len(away.mbufs[1]) != 0 {
+		t.Fatalf("away holds %d out, %d small, %d cluster; want only its own chain's mbuf",
+			away.Outstanding(), len(away.mbufs[0]), len(away.mbufs[1]))
 	}
 }
 
@@ -319,16 +354,21 @@ func TestReleasedChainPanics(t *testing.T) {
 		"Clone":          func(c *Chain) { c.Clone() },
 		"second Release": func(c *Chain) { c.Release() },
 	}
-	for name, use := range uses {
-		c := FromBytes(payload(300))
-		releaseHere(c)
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			use(c)
-			return "no panic"
-		}()
-		if !strings.Contains(msg, "used after Release") || !strings.Contains(msg, "mbuf.releaseHere") {
-			t.Errorf("%s after Release: got %q, want a panic naming the releasing stack", name, msg)
+	for _, pool := range []*Pool{nil, new(Pool)} {
+		for name, use := range uses {
+			c := pool.FromBytes(payload(300))
+			releaseHere(c)
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				use(c)
+				return "no panic"
+			}()
+			if !strings.Contains(msg, "used after Release") || !strings.Contains(msg, "mbuf.releaseHere") {
+				t.Errorf("pool %p: %s after Release: got %q, want a panic naming the releasing stack", pool, name, msg)
+			}
+		}
+		if pool != nil && (pool.Outstanding() != 0 || len(pool.chains) != 0) {
+			t.Errorf("owned pool: %d out, %d headers recycled; want 0 and 0", pool.Outstanding(), len(pool.chains))
 		}
 	}
 }

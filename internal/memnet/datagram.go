@@ -1,10 +1,6 @@
 package memnet
 
-import (
-	"fmt"
-
-	"xunet/internal/mbuf"
-)
+import "fmt"
 
 // The datagram service is the simulation's UDP stand-in: unreliable,
 // unordered, connectionless message delivery. Experiment E6 compares
@@ -33,7 +29,7 @@ func (nd *Node) BindDatagram(port uint16, h DatagramHandler) error {
 // reordering follow the link configuration.
 func (nd *Node) SendDatagram(dst IPAddr, dport, sport uint16, data []byte) error {
 	hdr := [dgramHeaderSize]byte{byte(sport >> 8), byte(sport), byte(dport >> 8), byte(dport)}
-	chain := mbuf.FromBytes(hdr[:])
+	chain := nd.Pool.FromBytes(hdr[:])
 	chain.AppendBytes(data)
 	return nd.SendChain(dst, protoDatagram, chain)
 }

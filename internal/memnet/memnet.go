@@ -145,8 +145,10 @@ type Node struct {
 	faults *faults.Plane
 
 	// Meter, when set, is charged the Table 1 IP costs for packets this
-	// node originates or receives.
+	// node originates or receives; the stream and datagram services draw
+	// the chains they send from Pool.
 	Meter *cost.Meter
+	Pool  *mbuf.Pool
 
 	links     map[*Node]*link // neighbor -> outgoing link
 	routes    map[IPAddr]*Node

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"xunet/internal/cost"
-	"xunet/internal/mbuf"
 	"xunet/internal/sim"
 )
 
@@ -75,7 +74,7 @@ func decodeHeader(b *[segHeaderSize]byte) segment {
 // sendSegment transmits one segment from this node.
 func (nd *Node) sendSegment(dst IPAddr, seg segment) {
 	hdr := seg.header()
-	chain := mbuf.FromBytes(seg.data)
+	chain := nd.Pool.FromBytes(seg.data)
 	chain.Prepend(hdr[:]) // into the first mbuf's leading space
 	_ = nd.SendChain(dst, protoStream, chain)
 }

@@ -172,7 +172,7 @@ func (s *Socket) Send(data []byte) error {
 // context is per-message rather than per-socket (the sighost peer PVC
 // carries many calls' messages over one socket).
 func (s *Socket) SendTraced(data []byte, tc trace.Context) error {
-	return s.send(mbuf.FromBytes(data), tc)
+	return s.send(s.f.m.Pool.FromBytes(data), tc)
 }
 
 // SendChain transmits a prebuilt mbuf chain (zero-copy path). The chain
@@ -293,7 +293,12 @@ func (s *Socket) KClose() {
 		s.f.pcbs[s.lease.VCI] = nil
 		s.f.m.Orc.ClearVC(s.lease)
 	}
+	// Flush the receive buffer, as soclose's sbflush does: the frames
+	// still queued have no reader left.
 	s.recvQ.Close()
+	for chain, ok := s.recvQ.TryGet(); ok; chain, ok = s.recvQ.TryGet() {
+		chain.Release()
+	}
 	if hadVCI && !wasDisc && s.f.m.Dev != nil {
 		s.f.m.Dev.PostUp(kern.KMsg{Kind: kern.MsgClose, VCI: s.lease.VCI, PID: s.owner.PID})
 	}

@@ -365,6 +365,41 @@ func TestDisconnectedSocketDrainsBufferedFrames(t *testing.T) {
 	}
 }
 
+// Closing a socket flushes what it buffered, as soclose's sbflush does:
+// frames queued on a closed socket, disconnected first or not, go back
+// to the receiving router's pool.
+func TestCloseReleasesBufferedFrames(t *testing.T) {
+	for _, disconnect := range []bool{false, true} {
+		r := newRig(t)
+		vc := r.vc(t)
+		queued := -1
+		r.rb.Spawn("server", func(p *kern.Proc) {
+			s, _ := r.rb.PF.Socket(p)
+			_ = s.Bind(vc.DstVCI, 0)
+			p.SP.Sleep(50 * time.Millisecond) // let the frames arrive and buffer
+			if disconnect {
+				r.rb.M.Dev.WriteDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: vc.DstVCI})
+			}
+			queued = r.rb.M.Pool.Outstanding()
+			s.Close()
+		})
+		r.ra.Spawn("client", func(p *kern.Proc) {
+			s, _ := r.ra.PF.Socket(p)
+			_ = s.Connect(vc.SrcVCI, 0)
+			for i := 0; i < 3; i++ {
+				_ = s.Send([]byte("unread"))
+			}
+		})
+		r.e.Run()
+		if queued != 3 {
+			t.Fatalf("disconnect %v: %d chains queued before the close, want 3", disconnect, queued)
+		}
+		if a, b := r.ra.M.Pool.Outstanding(), r.rb.M.Pool.Outstanding(); a != 0 || b != 0 {
+			t.Fatalf("disconnect %v: chains not released after the close: %d at mh.rt, %d at ucb.rt", disconnect, a, b)
+		}
+	}
+}
+
 func TestNoSocketDrop(t *testing.T) {
 	r := newRig(t)
 	vc := r.vc(t)

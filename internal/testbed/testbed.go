@@ -85,7 +85,8 @@ type Router struct {
 	Sig   *signaling.SimHost
 	Lib   *ulib.Lib
 	dom   *Domain
-	hosts int
+	// stacks are the machines on its subnet: its own, then its hosts'.
+	stacks []*core.Stack
 }
 
 // Host is an IP-connected machine reaching ATM through its router.
@@ -331,7 +332,7 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 	registerTraceStats(stack.M.Obs, dom.TraceC)
 	ep := n.Fabric.Endpoint(addr)
 	ep.SetTrace(dom.TraceC)
-	r := &Router{Stack: stack, dom: dom}
+	r := &Router{Stack: stack, dom: dom, stacks: []*core.Stack{stack}}
 	r.Sig = signaling.StartSim(stack, n.Fabric)
 	if n.opts.DisableCallLogging {
 		r.Sig.SH.SetLogging(false)
@@ -395,9 +396,8 @@ func (n *Net) mesh() error {
 // FDDI, running an anand client. Hosts number from .11 on their
 // router's subnet.
 func (n *Net) AddHost(name atm.Addr, r *Router) (*Host, error) {
-	r.hosts++
 	routerIP := r.Stack.M.IP
-	ip, err := n.IPNet.AddNodeOn(string(name), routerIP.Addr+memnet.IPAddr(9+r.hosts), r.dom.E)
+	ip, err := n.IPNet.AddNodeOn(string(name), routerIP.Addr+memnet.IPAddr(9+len(r.stacks)), r.dom.E)
 	if err != nil {
 		return nil, err
 	}
@@ -414,6 +414,7 @@ func (n *Net) AddHost(name atm.Addr, r *Router) (*Host, error) {
 		stack.M.Dev.SetFaults(r.dom.Faults)
 	}
 	h := &Host{Stack: stack, Router: r}
+	r.stacks = append(r.stacks, stack)
 	h.Lib = ulib.New(routerIP.Addr)
 	h.Anand = anand.StartClient(stack, routerIP.Addr, signaling.AnandPort)
 	return h, nil
@@ -747,13 +748,19 @@ func Quiesced(r *Router) string {
 // Audit lists what the deployment has not drained, nil when clean: each
 // router's Quiesced text and the Orc handlers (IPPROTO_ATM's bindings
 // among them) and PF_XUNET sockets it holds under a grant its fabric
-// endpoint no longer holds — PVCs are granted like any circuit — then any
-// VC beyond those construction set up.
+// endpoint no longer holds — PVCs are granted like any circuit — and
+// each router's or host's mbuf chains not yet released, then any VC
+// beyond those construction set up.
 func (n *Net) Audit() (leaks []string) {
 	for _, dom := range n.Domains {
 		for _, r := range dom.Routers {
 			if msg := Quiesced(r); msg != "" {
 				leaks = append(leaks, msg)
+			}
+			for _, s := range r.stacks {
+				if out := s.M.Pool.Outstanding(); out != 0 {
+					leaks = append(leaks, fmt.Sprintf("%s mbuf chains drawn and not released: %d", s.Addr, out))
+				}
 			}
 			ep, s := n.Fabric.Endpoint(r.Stack.Addr), r.Stack
 			for i, stale := range [][]atm.VCI{s.M.Orc.Stale(ep.Holds), s.PF.Stale(ep.Holds)} {
