@@ -21,9 +21,11 @@ test:
 # proc is a coroutine resumed by whichever goroutine claims its shard's
 # window, and the shard barrier spins, yields and parks, so both must
 # hold with fewer Ps than workers and with more. The packages whose
-# records are recycled through owner-local free lists (queue waiters,
-# packet records, fd slots) ride along: their reuse-safety tests are
-# the ones a stray cross-goroutine touch would break. So do the frame
+# records are recycled through sim.FreeList, the one owner-local free
+# list (queue waiters, packet records, loopback segments, watches,
+# mbufs), ride along: their reuse-safety tests are the ones a stray
+# cross-goroutine touch would break, and under -race a record put back
+# twice panics. So do the frame
 # path's chain owners, whose machines' mbuf pools and meters are plain
 # fields only their engine touches and whose chains the race build
 # poisons on Release, and the real carrier, whose receive pump hands handlers slices of one

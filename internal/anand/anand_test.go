@@ -55,7 +55,10 @@ func rig(t *testing.T) (*sim.Engine, *core.Stack, *core.Stack, *Server, *Client)
 	e := sim.New(1)
 	cm := sim.DefaultCostModel()
 	fab := xswitch.NewFabric(e)
-	sw := fab.MustAddSwitch("sw")
+	sw, err := fab.AddSwitch("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := memnet.New(e)
 	ipR := n.MustAddNode("rt", memnet.IP4(10, 0, 0, 1))
 	ipH := n.MustAddNode("h", memnet.IP4(10, 0, 0, 10))

@@ -14,7 +14,10 @@ func TestNewRouterAssembly(t *testing.T) {
 	e := sim.New(1)
 	cm := sim.DefaultCostModel()
 	fab := xswitch.NewFabric(e)
-	sw := fab.MustAddSwitch("sw")
+	sw, err := fab.AddSwitch("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := memnet.New(e)
 	ip := n.MustAddNode("rt", memnet.IP4(10, 0, 0, 1))
 	r, err := core.NewRouter(e, cm, core.RouterConfig{

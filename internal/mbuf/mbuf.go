@@ -16,9 +16,9 @@
 // included. Release recycles the chain header along with its mbufs into
 // the Pool the chain was drawn from, so a frame handed down and up the
 // stack allocates nothing once the free lists are warm. Each machine
-// owns one Pool, as it owns its meter: the lists are plain slices with
-// no lock, and a pool counts the chains it has out, so a missed Release
-// shows in the drain audit. Under the race detector Release poisons the
+// owns one Pool, as it owns its meter: the lists are sim.FreeLists with
+// no lock, each counting what it has out, so a missed Release shows in
+// the drain audit. Under the race detector Release poisons the
 // header instead of recycling it, and any later use or second Release
 // panics with the stack that released it.
 package mbuf
@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"xunet/internal/sim"
 	"xunet/internal/trace"
 )
 
@@ -36,9 +37,9 @@ import (
 // classic BSD value (128-byte mbuf minus header overhead).
 const MLEN = 112
 
-// MCLBYTES is the capacity of a cluster mbuf, used when a single write
+// mclBytes is the capacity of a cluster mbuf, used when a single write
 // is large enough that chaining small mbufs would be wasteful.
-const MCLBYTES = 2048
+const mclBytes = 2048
 
 // clusterThreshold mirrors the BSD policy: writes larger than this go
 // into cluster mbufs.
@@ -68,15 +69,14 @@ const leadingSpace = 24
 // trunks copy cells). A nil *Pool draws from shared sync.Pool lists
 // instead, for tests and tools that run outside a machine.
 type Pool struct {
-	mbufs  [2][]*Mbuf // small and cluster
-	chains []*Chain
-	out    int // chains drawn minus chains released
+	mbufs  [2]sim.FreeList[Mbuf] // small and cluster
+	chains sim.FreeList[Chain]
 }
 
 // The size classes, and the shared lists behind a nil *Pool.
 var (
-	classes = [2]int{MLEN, MCLBYTES}
-	shared  = [2]sync.Pool{{New: func() any { return newMbuf(MLEN) }}, {New: func() any { return newMbuf(MCLBYTES) }}}
+	classes = [2]int{MLEN, mclBytes}
+	shared  = [2]sync.Pool{{New: func() any { return newMbuf(MLEN) }}, {New: func() any { return newMbuf(mclBytes) }}}
 	headers = sync.Pool{New: func() any { return new(Chain) }}
 )
 
@@ -85,17 +85,13 @@ func newMbuf(c int) *Mbuf { return &Mbuf{buf: make([]byte, c+leadingSpace)} }
 // class is the size class an mbuf of capacity c comes from, if any.
 func class(c int) int { return min(c/(MLEN+1), 1) }
 
-// pop takes the last entry of a free list, or nil from an empty one.
-func pop[T any](l *[]*T) (v *T) {
-	if n := len(*l) - 1; n >= 0 {
-		v, *l = (*l)[n], (*l)[:n]
-	}
-	return v
+// Audit states p's lists: at quiescence every frame has met its
+// terminal consumer, so no mbuf, cluster or chain is out.
+func (p *Pool) Audit(check sim.Audit) {
+	check("mbufs", p.mbufs[0].Outstanding(), 0)
+	check("clusters", p.mbufs[1].Outstanding(), 0)
+	check("chains", p.chains.Outstanding(), 0)
 }
-
-// Outstanding reports the chains drawn from p and not yet released: 0
-// at quiescence, when every frame has met its terminal consumer.
-func (p *Pool) Outstanding() int { return p.out }
 
 // FromBytes builds a chain from b, drawn from p, using the standard
 // allocation policy: cluster mbufs for large messages, small mbufs
@@ -111,10 +107,8 @@ func (p *Pool) newChain() *Chain {
 	var c *Chain
 	if p == nil {
 		c = headers.Get().(*Chain)
-	} else if p.out++; len(p.chains) > 0 {
-		c = pop(&p.chains)
 	} else {
-		c = new(Chain)
+		c = p.chains.Get()
 	}
 	c.pool, c.pooled = p, true
 	return c
@@ -126,27 +120,32 @@ func (p *Pool) newChain() *Chain {
 func (p *Pool) alloc(c int) (m *Mbuf) {
 	k := class(c)
 	switch {
-	case c > MCLBYTES:
+	case c > mclBytes:
 		return &Mbuf{buf: make([]byte, c+leadingSpace), off: leadingSpace}
 	case p == nil:
 		m = shared[k].Get().(*Mbuf)
 	default:
-		if m = pop(&p.mbufs[k]); m == nil {
-			m = newMbuf(classes[k])
+		if m = p.mbufs[k].Get(); m.buf == nil {
+			m.buf = make([]byte, classes[k]+leadingSpace)
 		}
 	}
 	m.off, m.n, m.next = leadingSpace, 0, nil
 	return m
 }
 
-// free returns a standard-size mbuf to its free list.
-func (p *Pool) free(m *Mbuf) {
+// free returns a standard-size mbuf to its free list, or with keep
+// false leaves it to the collector.
+func (p *Pool) free(m *Mbuf, keep bool) {
 	switch k := class(len(m.buf) - leadingSpace); {
 	case len(m.buf) != classes[k]+leadingSpace: // oversize: the collector's
 	case p == nil:
-		shared[k].Put(m)
+		if keep {
+			shared[k].Put(m)
+		}
+	case keep:
+		p.mbufs[k].Put(m)
 	default:
-		p.mbufs[k] = append(p.mbufs[k], m)
+		p.mbufs[k].Drop(m)
 	}
 }
 
@@ -163,28 +162,26 @@ func (c *Chain) Release() {
 	p := c.pool
 	for m := c.head; m != nil; {
 		next := m.next
-		p.free(m)
+		p.free(m, true)
 		m = next
 	}
 	pooled := c.pooled
 	*c = Chain{}
 	switch {
-	case !c.poison.release() || !pooled:
+	case !c.poison.release():
+		if p != nil {
+			p.chains.Drop(c)
+		}
+	case !pooled:
 	case p == nil:
 		headers.Put(c)
 	default:
-		p.chains = append(p.chains, c)
-	}
-	if pooled && p != nil {
-		p.out--
+		p.chains.Put(c)
 	}
 }
 
 // Data returns the valid bytes of this single mbuf (not the chain).
 func (m *Mbuf) Data() []byte { return m.buf[m.off : m.off+m.n] }
-
-// Next returns the following mbuf in the chain, or nil.
-func (m *Mbuf) Next() *Mbuf { return m.next }
 
 // Chain is a sequence of mbufs holding one message. The zero value is an
 // empty chain. A Chain is not safe for concurrent use.
@@ -220,15 +217,7 @@ func FromBytesSplit(p []byte, per int) *Chain {
 	}
 	c := (*Pool)(nil).newChain()
 	for len(p) > 0 {
-		n := per
-		if n > len(p) {
-			n = len(p)
-		}
-		m := c.pool.alloc(n)
-		copy(m.buf[m.off:], p[:n])
-		m.n = n
-		c.appendMbuf(m)
-		p = p[n:]
+		p = c.appendCopy(p, per)
 	}
 	return c
 }
@@ -277,22 +266,22 @@ func (c *Chain) appendMbuf(m *Mbuf) {
 // the standard policy.
 func (c *Chain) AppendBytes(p []byte) {
 	for len(p) > 0 {
-		var cap int
+		n := MLEN
 		if len(p) >= clusterThreshold {
-			cap = MCLBYTES
-		} else {
-			cap = MLEN
+			n = mclBytes
 		}
-		n := cap
-		if n > len(p) {
-			n = len(p)
-		}
-		m := c.pool.alloc(n)
-		copy(m.buf[m.off:], p[:n])
-		m.n = n
-		c.appendMbuf(m)
-		p = p[n:]
+		p = c.appendCopy(p, n)
 	}
+}
+
+// appendCopy appends an mbuf holding the first n bytes of p (all of p,
+// if shorter) and returns the rest.
+func (c *Chain) appendCopy(p []byte, n int) []byte {
+	n = min(n, len(p))
+	m := c.pool.alloc(n)
+	m.n = copy(m.buf[m.off:], p[:n])
+	c.appendMbuf(m)
+	return p[n:]
 }
 
 // Prepend attaches hdr at the front of the chain, using the leading
@@ -311,29 +300,35 @@ func (c *Chain) Prepend(hdr []byte) {
 		return
 	}
 	m := c.pool.alloc(len(hdr))
-	copy(m.buf[m.off:], hdr)
-	m.n = len(hdr)
+	m.n = copy(m.buf[m.off:], hdr)
+	c.pushFront(m)
+}
+
+// pushFront links m in as the chain's first mbuf.
+func (c *Chain) pushFront(m *Mbuf) {
 	m.next = c.head
 	c.head = m
 	if c.tail == nil {
 		c.tail = m
 	}
 	c.count++
-	c.length += len(hdr)
+	c.length += m.n
 }
 
-// TrimFront removes n bytes from the front of the chain, freeing emptied
-// mbufs. It removes fewer bytes only if the chain is shorter than n; it
-// returns the number of bytes removed.
-func (c *Chain) TrimFront(n int) int {
+// TrimFront removes n bytes from the front of the chain. It removes
+// fewer bytes only if the chain is shorter than n; it returns the number
+// of bytes removed. An mbuf it empties goes to the collector, not back
+// to the pool: the caller may still read what it trimmed (a header
+// decoded in place).
+func (c *Chain) TrimFront(n int) int { return c.trim(n, false) }
+
+// trim is TrimFront, returning the mbufs it empties to the pool if keep.
+func (c *Chain) trim(n int, keep bool) int {
 	c.poison.check()
 	removed := 0
 	for n > 0 && c.head != nil {
 		m := c.head
-		take := n
-		if take > m.n {
-			take = m.n
-		}
+		take := min(n, m.n)
 		m.off += take
 		m.n -= take
 		c.length -= take
@@ -345,6 +340,7 @@ func (c *Chain) TrimFront(n int) int {
 			if c.head == nil {
 				c.tail = nil
 			}
+			c.pool.free(m, keep)
 		}
 	}
 	return removed
@@ -391,36 +387,11 @@ func (c *Chain) Pullup(n int) bool {
 	if c.head != nil && c.head.n >= n {
 		return true
 	}
-	// Gather n bytes into a fresh mbuf.
+	// Gather n bytes into a fresh mbuf; nothing views the ones emptied.
 	m := c.pool.alloc(n)
-	got := 0
-	for got < n {
-		h := c.head
-		take := n - got
-		if take > h.n {
-			take = h.n
-		}
-		copy(m.buf[m.off+got:], h.Data()[:take])
-		got += take
-		h.off += take
-		h.n -= take
-		c.length -= take
-		if h.n == 0 {
-			c.head = h.next
-			c.count--
-			if c.head == nil {
-				c.tail = nil
-			}
-		}
-	}
-	m.n = n
-	m.next = c.head
-	c.head = m
-	if c.tail == nil {
-		c.tail = m
-	}
-	c.count++
-	c.length += n
+	m.n = c.CopyTo(m.buf[m.off : m.off+n])
+	c.trim(n, true)
+	c.pushFront(m)
 	return true
 }
 
@@ -429,10 +400,7 @@ func (c *Chain) Pullup(n int) bool {
 func (c *Chain) Clone() *Chain {
 	out := c.pool.newChain()
 	for m := c.Head(); m != nil; m = m.next {
-		nm := out.pool.alloc(m.n)
-		copy(nm.buf[nm.off:], m.Data())
-		nm.n = m.n
-		out.appendMbuf(nm)
+		out.appendCopy(m.Data(), m.n)
 	}
 	return out
 }

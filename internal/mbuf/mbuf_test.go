@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,7 @@ func payload(n int) []byte {
 }
 
 func TestFromBytesRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, MLEN - 1, MLEN, MLEN + 1, clusterThreshold, MCLBYTES, MCLBYTES + 1, 9000} {
+	for _, n := range []int{0, 1, MLEN - 1, MLEN, MLEN + 1, clusterThreshold, mclBytes, mclBytes + 1, 9000} {
 		p := payload(n)
 		c := FromBytes(p)
 		if c.Len() != n {
@@ -37,7 +38,7 @@ func TestFromBytesAllocationPolicy(t *testing.T) {
 		t.Errorf("small message count = %d, want 2", c.Count())
 	}
 	// Large message: cluster mbufs.
-	c = FromBytes(payload(MCLBYTES * 2))
+	c = FromBytes(payload(mclBytes * 2))
 	if c.Count() != 2 {
 		t.Errorf("cluster message count = %d, want 2", c.Count())
 	}
@@ -243,7 +244,7 @@ func TestQuickInvariants(t *testing.T) {
 				return false
 			}
 			walked := 0
-			for m := c.Head(); m != nil; m = m.Next() {
+			for m := c.Head(); m != nil; m = m.next {
 				walked++
 				if m.Len() == 0 {
 					return false // no empty mbufs may linger
@@ -298,36 +299,44 @@ func TestReleaseRecyclesHeader(t *testing.T) {
 	}
 }
 
+// outs reads p's audit: the mbufs, clusters and chains it has out.
+func outs(p *Pool) (got []int) {
+	p.Audit(func(_ string, out, _ int) { got = append(got, out) })
+	return got
+}
+
 // A chain goes home wherever it ends, as a memnet packet record does:
 // drawn from one machine's pool, grown by another's code and released
 // there, every header and mbuf it holds returns to the pool it came
-// from, and the other pool is untouched by it.
+// from, and the other pool is untouched by it. An mbuf Pullup empties
+// goes back at once.
 func TestChainReturnsToItsPool(t *testing.T) {
 	home, away := new(Pool), new(Pool)
 	c := home.FromBytes(payload(MLEN))
 	c.Prepend(payload(leadingSpace + 1)) // too long for the leading space: a new mbuf
 	c.AppendBytes(payload(clusterThreshold))
-	c.Pullup(MLEN)
-	d := c.Clone()
+	c.Pullup(MLEN) // gathers into a third small mbuf, emptying the prepended one
+	d := c.Clone() // reuses the emptied mbuf
 	other := away.FromBytes(payload(1))
-	mbufs := c.Count() + d.Count()
-	if home.Outstanding() != 2 || away.Outstanding() != 1 {
-		t.Fatalf("outstanding: home %d, away %d; want 2 and 1", home.Outstanding(), away.Outstanding())
+	if got := outs(home); !slices.Equal(got, []int{4, 2, 2}) {
+		t.Fatalf("home has %v mbufs, clusters, chains out; want [4 2 2]", got)
+	}
+	if got := outs(away); !slices.Equal(got, []int{1, 0, 1}) {
+		t.Fatalf("away has %v out; want [1 0 1]", got)
 	}
 	c.Release()
 	d.Release()
 	other.Release()
-	headers := 2
-	if raceEnabled {
-		headers = 0 // poisoned, never recycled
+	for _, p := range []*Pool{home, away} {
+		if got := outs(p); !slices.Equal(got, []int{0, 0, 0}) {
+			t.Fatalf("after Release a pool has %v out; want none", got)
+		}
 	}
-	if home.Outstanding() != 0 || len(home.mbufs[0])+len(home.mbufs[1]) != mbufs || len(home.chains) != headers {
-		t.Fatalf("home holds %d out, %d small, %d cluster, %d headers; want 0 out, %d mbufs, %d headers",
-			home.Outstanding(), len(home.mbufs[0]), len(home.mbufs[1]), len(home.chains), mbufs, headers)
+	if all, made := home.mbufs[0].Draws(); all != 5 || made != 4 {
+		t.Fatalf("home drew %d small mbufs and made %d; want 5 and 4", all, made)
 	}
-	if away.Outstanding() != 0 || len(away.mbufs[0]) != 1 || len(away.mbufs[1]) != 0 {
-		t.Fatalf("away holds %d out, %d small, %d cluster; want only its own chain's mbuf",
-			away.Outstanding(), len(away.mbufs[0]), len(away.mbufs[1]))
+	if _, made := away.mbufs[0].Draws(); made != 1 {
+		t.Fatalf("away made %d small mbufs; want only its own chain's", made)
 	}
 }
 
@@ -367,8 +376,11 @@ func TestReleasedChainPanics(t *testing.T) {
 				t.Errorf("pool %p: %s after Release: got %q, want a panic naming the releasing stack", pool, name, msg)
 			}
 		}
-		if pool != nil && (pool.Outstanding() != 0 || len(pool.chains) != 0) {
-			t.Errorf("owned pool: %d out, %d headers recycled; want 0 and 0", pool.Outstanding(), len(pool.chains))
+		if pool == nil {
+			continue
+		}
+		if all, made := pool.chains.Draws(); pool.chains.Outstanding() != 0 || all != made {
+			t.Errorf("owned pool: %d chains out, %d headers recycled; want 0 and 0", pool.chains.Outstanding(), all-made)
 		}
 	}
 }

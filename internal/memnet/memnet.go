@@ -13,9 +13,11 @@
 package memnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -74,7 +76,6 @@ type Packet struct {
 	at *Node
 	// home is the node whose free list the record came from.
 	home *Node
-	next *Packet // free-list link
 }
 
 // len is the wire length charged to links.
@@ -156,7 +157,7 @@ type Node struct {
 	protos    [256]ProtoHandler
 
 	streams  *streamLayer
-	pktFree  *Packet // records of packets this node sent that have ended
+	pkts     sim.FreeList[Packet] // records of packets this node sent
 	dgrams   map[uint16]DatagramHandler
 	nextPort uint16
 
@@ -177,12 +178,6 @@ var (
 	// 10000–65535, is held.
 	errNoPort = errors.New("memnet: no free ephemeral port")
 )
-
-// addNode registers a machine with the given address on the network's
-// default engine.
-func (n *Network) addNode(name string, addr IPAddr) (*Node, error) {
-	return n.AddNodeOn(name, addr, n.Engine)
-}
 
 // AddNodeOn registers a machine whose events run on engine e — the
 // shard-placement entry point. e must be the network engine or a shard
@@ -206,9 +201,10 @@ func (n *Network) AddNodeOn(name string, addr IPAddr, e *sim.Engine) (*Node, err
 	return nd, nil
 }
 
-// MustAddNode is addNode for test and scenario construction.
+// MustAddNode is AddNodeOn the network's default engine, for test and
+// scenario construction.
 func (n *Network) MustAddNode(name string, addr IPAddr) *Node {
-	nd, err := n.addNode(name, addr)
+	nd, err := n.AddNodeOn(name, addr, n.Engine)
 	if err != nil {
 		panic(err)
 	}
@@ -238,31 +234,20 @@ func (n *Network) RegisterTSeries(st *tseries.Store, own *sim.Engine) {
 	if st == nil {
 		return
 	}
-	addrs := make([]IPAddr, 0, len(n.nodes))
-	for a := range n.nodes {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	byAddr := func(p, q *Node) int { return cmp.Compare(p.Addr, q.Addr) }
+	for _, a := range slices.Sorted(maps.Keys(n.nodes)) {
 		nd := n.nodes[a]
 		if nd.eng != own {
 			continue
 		}
-		peers := make([]*Node, 0, len(nd.links))
-		for p := range nd.links {
-			peers = append(peers, p)
-		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i].Addr < peers[j].Addr })
-		for _, p := range peers {
+		for _, p := range slices.SortedFunc(maps.Keys(nd.links), byAddr) {
 			l := nd.links[p]
 			prefix := "ip.link." + nd.Name + ">" + p.Name + "."
 			st.TrackRateFunc(prefix+"pkts", func() uint64 { return l.Sent }, 0, 0)
 			st.TrackRateFunc(prefix+"drops", func() uint64 { return l.Dropped }, 0, 0)
 			st.TrackGaugeFunc(prefix+"busy_ns", func() (int64, int64) {
 				busy := int64(l.busyUntil - l.from.eng.Now())
-				if busy < 0 {
-					busy = 0
-				}
+				busy = max(busy, 0)
 				return busy, busy
 			})
 		}
@@ -317,27 +302,35 @@ func (nd *Node) BindProto(proto uint8, h ProtoHandler) { nd.protos[proto] = h }
 // network from the call on, whatever the outcome. The Table 1 IP send
 // cost is charged to the node's meter.
 func (nd *Node) SendChain(dst IPAddr, proto uint8, chain *mbuf.Chain) error {
-	pkt := nd.record()
+	pkt := nd.pkts.Get()
 	*pkt = Packet{Src: nd.Addr, Dst: dst, Proto: proto, TTL: defaultTTL, Payload: chain, home: nd}
 	nd.Meter.Charge(cost.IP, cost.IPSendCost)
 	return nd.route(pkt)
 }
 
-// record draws a packet record from this node's free list.
-func (nd *Node) record() *Packet {
-	pkt := nd.pktFree
-	if pkt == nil {
-		return new(Packet)
+// Audit states the node's free lists: every packet it sent and every
+// loopback segment has ended, and no consumer waits behind another on a
+// listener or a connection.
+func (nd *Node) Audit(check sim.Audit) {
+	sl := nd.streams
+	accepts, recvs := 0, 0
+	for _, l := range sl.listeners {
+		accepts += l.backlog.Waiting()
 	}
-	nd.pktFree = pkt.next
-	return pkt
+	for _, s := range sl.conns {
+		recvs += s.inbox.Waiting()
+	}
+	check("packets", nd.pkts.Outstanding(), 0)
+	check("loop segments", sl.segs.Outstanding(), 0)
+	check("accept waiters", accepts, 0)
+	check("receive waiters", recvs, 0)
 }
 
 // reclaim sends a record home; every path a packet ends on calls it once.
 func reclaim(pkt *Packet) {
 	h := pkt.home
-	*pkt = Packet{next: h.pktFree}
-	h.pktFree = pkt
+	*pkt = Packet{}
+	h.pkts.Put(pkt)
 }
 
 // discard ends a packet that reached no handler.
@@ -430,7 +423,7 @@ func (l *link) transmit(pkt *Packet) {
 		if v.Dup {
 			// A private copy, payload and record included: the original's
 			// are consumed and reused by the time the duplicate lands.
-			dup = l.from.record()
+			dup = l.from.pkts.Get()
 			*dup = *pkt
 			dup.Payload, dup.home = pkt.Payload.Clone(), l.from
 		}
@@ -480,9 +473,7 @@ func (nd *Node) deliverLocal(pkt *Packet) {
 func (nd *Node) ephemeralPort() (uint16, error) {
 	for range 65536 - 10000 {
 		nd.nextPort++
-		if nd.nextPort < 10000 {
-			nd.nextPort = 10000
-		}
+		nd.nextPort = max(nd.nextPort, 10000)
 		if !nd.streams.portBusy(nd.nextPort) {
 			return nd.nextPort, nil
 		}

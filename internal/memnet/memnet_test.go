@@ -60,7 +60,7 @@ func TestIPAddrString(t *testing.T) {
 func TestDupAddrRejected(t *testing.T) {
 	n := New(sim.New(1))
 	n.MustAddNode("a", IP4(1, 1, 1, 1))
-	if _, err := n.addNode("b", IP4(1, 1, 1, 1)); !errors.Is(err, errDupAddr) {
+	if _, err := n.AddNodeOn("b", IP4(1, 1, 1, 1), n.Engine); !errors.Is(err, errDupAddr) {
 		t.Fatalf("err = %v", err)
 	}
 }

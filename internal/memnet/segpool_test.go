@@ -16,23 +16,21 @@ import (
 // that could go wrong: a record reused while something still points at
 // it, returned twice, returned to the wrong list, or not returned.
 
-// pooledRecords walks every node's free list and returns the number of
-// records on them, failing if any record is listed twice.
+// pooledRecords fails if any node has a packet record out, and returns
+// the number of records the nodes' free lists have made: all of them
+// are then back on their lists. A record returned twice panics under
+// the race detector.
 func pooledRecords(t *testing.T, nodes ...*Node) int {
 	t.Helper()
-	seen := make(map[*Packet]bool)
+	made := 0
 	for _, nd := range nodes {
-		for r := nd.pktFree; r != nil; r = r.next {
-			if seen[r] {
-				t.Fatalf("record %p is on a free list twice", r)
-			}
-			seen[r] = true
-			if r.Payload != nil || r.home != nil {
-				t.Fatalf("record %p was returned without being emptied", r)
-			}
+		if out := nd.pkts.Outstanding(); out != 0 {
+			t.Fatalf("%s has %d packet records out", nd.Name, out)
 		}
+		_, n := nd.pkts.Draws()
+		made += int(n)
 	}
-	return len(seen)
+	return made
 }
 
 // echoPair starts a server on r that counts what it receives and a

@@ -93,8 +93,8 @@ type streamLayer struct {
 	// by every ephemeral-port probe — is an indexed lookup instead of a
 	// scan over every connection on the node. All conns mutations go
 	// through addConn/delConn to keep the index exact.
-	ports   map[uint16]int
-	segFree *loopSeg // loopback segments that have landed
+	ports map[uint16]int
+	segs  sim.FreeList[loopSeg] // loopback segments
 }
 
 func newStreamLayer(nd *Node) *streamLayer {
@@ -416,7 +416,6 @@ func (s *Stream) finQueuedUnsent() bool { return s.finQueued && s.finSeq == 0 }
 type loopSeg struct {
 	from *Stream
 	seg  segment
-	next *loopSeg // free-list link
 }
 
 // sendSegment transmits one segment of this connection.
@@ -427,13 +426,7 @@ func (s *Stream) sendSegment(flags byte, seq, ack uint32, data []byte) {
 		nd.sendSegment(s.key.raddr, seg)
 		return
 	}
-	sl := nd.streams
-	ls := sl.segFree
-	if ls == nil {
-		ls = new(loopSeg)
-	} else {
-		sl.segFree = ls.next
-	}
+	ls := nd.streams.segs.Get()
 	*ls = loopSeg{from: s, seg: seg}
 	nd.Meter.Charge(cost.IP, cost.IPSendCost)
 	nd.eng.ScheduleArg(0, loopArrive, ls)
@@ -442,9 +435,8 @@ func (s *Stream) sendSegment(flags byte, seq, ack uint32, data []byte) {
 func loopArrive(arg any) {
 	ls := arg.(*loopSeg)
 	from, seg := ls.from, ls.seg
-	sl := from.node.streams
-	*ls = loopSeg{next: sl.segFree}
-	sl.segFree = ls
+	*ls = loopSeg{}
+	from.node.streams.segs.Put(ls)
 	from.land(&seg)
 }
 

@@ -14,7 +14,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,9 +108,7 @@ func bucketBound(i int) time.Duration {
 
 // Observe records one duration. Negative values clamp to zero.
 func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	h.buckets[bucketOf(d)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
@@ -218,10 +218,10 @@ func (r *Registry) MetricCount() int {
 // sources once instead of re-snapshotting.
 func (r *Registry) Visit(counter func(string, *Counter), gauge func(string, *Gauge), hist func(string, *Histogram), fn func(string, func() uint64)) {
 	r.mu.Lock()
-	cnames := sortedKeys(r.counters)
-	gnames := sortedKeys(r.gauges)
-	hnames := sortedKeys(r.hists)
-	fnames := sortedKeys(r.funcs)
+	cnames := slices.Sorted(maps.Keys(r.counters))
+	gnames := slices.Sorted(maps.Keys(r.gauges))
+	hnames := slices.Sorted(maps.Keys(r.hists))
+	fnames := slices.Sorted(maps.Keys(r.funcs))
 	counters := make([]*Counter, len(cnames))
 	for i, n := range cnames {
 		counters[i] = r.counters[n]
@@ -259,15 +259,6 @@ func (r *Registry) Visit(counter func(string, *Counter), gauge func(string, *Gau
 			fn(n, funcs[i])
 		}
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot renders every metric into a plain, marshalable value. Counters and
@@ -377,9 +368,7 @@ func quantile(counts [histBuckets]uint64, total uint64, max time.Duration, q flo
 				lo = bucketBound(i - 1)
 			}
 			hi := bucketBound(i)
-			if hi > max {
-				hi = max
-			}
+			hi = min(hi, max)
 			if hi < lo {
 				return hi
 			}

@@ -365,6 +365,13 @@ func TestDisconnectedSocketDrainsBufferedFrames(t *testing.T) {
 	}
 }
 
+// outstanding reads p's audit: what each of its lists has out.
+func outstanding(p *mbuf.Pool) map[string]int {
+	out := map[string]int{}
+	p.Audit(func(list string, n, _ int) { out[list] = n })
+	return out
+}
+
 // Closing a socket flushes what it buffered, as soclose's sbflush does:
 // frames queued on a closed socket, disconnected first or not, go back
 // to the receiving router's pool.
@@ -380,7 +387,7 @@ func TestCloseReleasesBufferedFrames(t *testing.T) {
 			if disconnect {
 				r.rb.M.Dev.WriteDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: vc.DstVCI})
 			}
-			queued = r.rb.M.Pool.Outstanding()
+			queued = outstanding(r.rb.M.Pool)["chains"]
 			s.Close()
 		})
 		r.ra.Spawn("client", func(p *kern.Proc) {
@@ -394,8 +401,10 @@ func TestCloseReleasesBufferedFrames(t *testing.T) {
 		if queued != 3 {
 			t.Fatalf("disconnect %v: %d chains queued before the close, want 3", disconnect, queued)
 		}
-		if a, b := r.ra.M.Pool.Outstanding(), r.rb.M.Pool.Outstanding(); a != 0 || b != 0 {
-			t.Fatalf("disconnect %v: chains not released after the close: %d at mh.rt, %d at ucb.rt", disconnect, a, b)
+		for _, m := range []*kern.Machine{r.ra.M, r.rb.M} {
+			if out := outstanding(m.Pool); out["chains"]+out["mbufs"]+out["clusters"] != 0 {
+				t.Fatalf("disconnect %v: not released after the close at %s: %v", disconnect, m.Name, out)
+			}
 		}
 	}
 }

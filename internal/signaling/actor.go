@@ -218,7 +218,6 @@ type timer struct {
 	gen      uint32
 	canceled bool
 	list     *timers
-	next     *timer      // free-list link
 	ev       sim.Timer   // sim: the engine event
 	rt       *time.Timer // real: made on the record's first arm, Reset after
 }
@@ -227,19 +226,14 @@ type timer struct {
 // reaches the env's inbox (in real mode, from the runtime timer's
 // goroutine).
 type timers struct {
-	free *timer
+	free sim.FreeList[timer]
 	put  func(input)
 }
 
-// get takes a record for fn from the free list, or makes one.
+// get takes a record for fn from the free list.
 func (l *timers) get(fn func()) *timer {
-	t := l.free
-	if t != nil {
-		l.free, t.next = t.next, nil
-	} else {
-		t = &timer{list: l}
-	}
-	t.fn, t.canceled = fn, false
+	t := l.free.Get()
+	t.list, t.fn, t.canceled = l, fn, false
 	return t
 }
 
@@ -273,6 +267,6 @@ func (t *timer) release() (fn func()) {
 	}
 	t.fn = nil
 	t.gen++
-	t.next, t.list.free = t.list.free, t
+	t.list.free.Put(t)
 	return fn
 }

@@ -16,26 +16,22 @@ import (
 // It carries the message the dial delivers (VCI_FOR_CONN, CONN_FAILED)
 // by value, so delivery needs nothing from the call; none: the server's.
 type dialCtx struct {
-	c    *call
-	gen  uint32
-	m    sigmsg.Msg
-	next *dialCtx // pool link
-	cb   func(Conn, error)
+	c   *call
+	gen uint32
+	m   sigmsg.Msg
+	cb  func(Conn, error)
 }
 
-// newCall takes a call struct from the pool (or allocates the pool's
-// first). The incarnation counter survives recycling so stale async
-// callbacks can detect reuse, and so does alarm, its timers' input.
+// newCall takes a call struct from the pool. The incarnation counter
+// survives recycling so stale async callbacks can detect reuse, and so
+// does alarm, its timers' input, bound when the pool makes the struct.
 func (sh *Sighost) newCall() *call {
-	if c := sh.callPool; c != nil {
-		sh.callPool = c.poolNext
-		gen, alarm := c.gen, c.alarm
-		*c = call{}
-		c.gen, c.alarm = gen, alarm
-		return c
+	c := sh.callPool.Get()
+	gen, alarm := c.gen, c.alarm
+	if alarm == nil {
+		gen, alarm = 1, func() { sh.step(c, onTimeout, &input{}) }
 	}
-	c := &call{gen: 1}
-	c.alarm = func() { sh.step(c, onTimeout, &input{}) }
+	*c = call{gen: gen, alarm: alarm}
 	return c
 }
 
@@ -45,8 +41,7 @@ func (sh *Sighost) releaseCall(c *call) {
 	c.gen++
 	c.vc = nil
 	c.serverConn = nil
-	c.poolNext = sh.callPool
-	sh.callPool = c
+	sh.callPool.Put(c)
 }
 
 // bySeq returns the values of m that keep accepts, in their order: a
@@ -73,12 +68,9 @@ func every[V any](V) bool { return true }
 // for none), to deliver m. It takes a dial context from the pool; its cb
 // closure is bound exactly once, on first allocation.
 func (sh *Sighost) dial(ip memnet.IPAddr, port uint16, c *call, m sigmsg.Msg) {
-	dc := sh.dcPool
-	if dc == nil {
-		dc = &dialCtx{}
+	dc := sh.dcPool.Get()
+	if dc.cb == nil {
 		dc.cb = func(conn Conn, err error) { sh.dialed(dc, conn, err) }
-	} else {
-		sh.dcPool = dc.next
 	}
 	dc.c, dc.m = c, m
 	if c != nil {

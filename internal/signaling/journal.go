@@ -3,6 +3,8 @@ package signaling
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -333,13 +335,12 @@ func (sh *Sighost) Crash() {
 		sh.emit(obs.Event{Kind: EvCrash})
 	}
 	if sh.rel != nil {
-		for _, lk := range sh.rel.links {
-			for _, pm := range lk.unacked {
-				// Orphan rather than pool: map order is nondeterministic.
-				if pm.cancel != nil {
-					pm.cancel()
-				}
-			}
+		// Pending messages go back to the pool in peer and Seq order, as
+		// wipe's calls in creation order: in map order, which record a
+		// later draw reuses would differ from run to run.
+		for _, peer := range slices.Sorted(maps.Keys(sh.rel.links)) {
+			lk := sh.rel.links[peer]
+			sh.rel.dropWhere(lk, every)
 			if lk.kaCancel != nil {
 				lk.kaCancel()
 			}

@@ -6,6 +6,7 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/obs"
 	"xunet/internal/sigmsg"
+	"xunet/internal/sim"
 )
 
 // The peer PVC mesh offers no transport reliability: sighost-to-sighost
@@ -63,8 +64,7 @@ type pendingMsg struct {
 	sh *Sighost
 	lk *peerLink
 
-	next *pendingMsg // pool link
-	fire func()      // pre-bound retransmit callback
+	fire func() // pre-bound retransmit callback
 }
 
 // pmCall names the call a reliable message to peer establishes.
@@ -108,7 +108,7 @@ type peerLink struct {
 type reliability struct {
 	cfg    RelConfig
 	links  map[atm.Addr]*peerLink
-	pmPool *pendingMsg
+	pmPool sim.FreeList[pendingMsg]
 
 	retransmits *obs.Counter   // sighost.rel.retransmits
 	acks        *obs.Counter   // sighost.rel.acks
@@ -121,17 +121,13 @@ type reliability struct {
 	ackRTT      *obs.Histogram // sighost.rel.ack_rtt
 }
 
-// newPending pops a pooled struct (keeping its raw buffer) or builds a
-// fresh one with its fire callback pre-bound.
+// newPending draws a pooled struct, keeping its raw buffer and its fire
+// callback, bound when the pool makes the struct.
 func (r *reliability) newPending() *pendingMsg {
-	pm := r.pmPool
-	if pm != nil {
-		r.pmPool = pm.next
-		pm.next = nil
-		return pm
+	pm := r.pmPool.Get()
+	if pm.fire == nil {
+		pm.fire = func() { pm.fireNow() }
 	}
-	pm = &pendingMsg{}
-	pm.fire = func() { pm.fireNow() }
 	return pm
 }
 
@@ -142,8 +138,7 @@ func (r *reliability) dropPending(lk *peerLink, pm *pendingMsg) {
 	lk.backlog.set(len(lk.unacked))
 	pm.sh, pm.lk, pm.cancel = nil, nil, nil
 	pm.attempts = 0
-	pm.next = r.pmPool
-	r.pmPool = pm
+	r.pmPool.Put(pm)
 }
 
 // EnableReliability turns the reliable peer channel on. Must be called
@@ -228,9 +223,7 @@ func (sh *Sighost) relSend(dst atm.Addr, m sigmsg.Msg) error {
 // exponential backoff.
 func (sh *Sighost) armRetransmit(lk *peerLink, pm *pendingMsg) {
 	shift := uint(pm.attempts)
-	if shift > sh.rel.cfg.MaxBackoffShift {
-		shift = sh.rel.cfg.MaxBackoffShift
-	}
+	shift = min(shift, sh.rel.cfg.MaxBackoffShift)
 	pm.cancel = sh.env.After(sh.rel.cfg.RTO<<shift, "rel.rto", pm.fire)
 }
 

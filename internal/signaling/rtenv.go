@@ -727,9 +727,7 @@ func (h *RealHost) dialNotify(k notifyKey) (net.Conn, error) {
 	target := fmt.Sprintf("%s:%d", k.ip, k.port)
 	backoff := h.DialBackoff
 	attempts := h.DialAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts = max(attempts, 1)
 	var err error
 	for a := 1; a <= attempts; a++ {
 		var conn net.Conn

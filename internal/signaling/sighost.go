@@ -24,6 +24,7 @@ import (
 	"xunet/internal/obs"
 	"xunet/internal/qos"
 	"xunet/internal/sigmsg"
+	"xunet/internal/sim"
 	"xunet/internal/trace"
 )
 
@@ -191,9 +192,8 @@ type call struct {
 
 	// seq is the call's place in creation order, stamped as it leaves
 	// callNew: the walks over several calls (exit, peer death, journal
-	// compaction, crash) go in its order. poolNext links a freed struct.
-	seq      uint64
-	poolNext *call
+	// compaction, crash) go in its order.
+	seq uint64
 }
 
 // Sighost is the signaling entity.
@@ -221,8 +221,8 @@ type Sighost struct {
 	// The last seq stamped, and the pools (calls.go) that make the
 	// setup→bind→teardown cycle allocation-free.
 	lastSeq  uint64
-	callPool *call
-	dcPool   *dialCtx
+	callPool sim.FreeList[call]
+	dcPool   sim.FreeList[dialCtx]
 
 	nextCallID uint32
 
@@ -298,13 +298,15 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 
 // wipe empties the five lists and the call table:
 // the state a signaling process starts with, and loses when it dies.
-// The calls it drops, their timers canceled, are not pooled: callbacks
-// in flight may still hold them.
+// The calls it drops, their timers canceled, return to the pool in
+// creation order; a callback in flight that still holds one finds its
+// gen moved on.
 func (sh *Sighost) wipe() {
 	for _, c := range bySeq(sh.calls, every) {
 		if c.stop != nil {
 			c.stop()
 		}
+		sh.releaseCall(c)
 	}
 	sh.services = make(map[string]*serviceEntry)
 	sh.outgoing = make(map[uint16]*call)
@@ -540,7 +542,8 @@ func (sh *Sighost) dialed(dc *dialCtx, conn Conn, err error) {
 	if c != nil && (c.gen != dc.gen || sh.calls[c.key] != c) {
 		c = nil
 	}
-	dc.c, dc.m, dc.next, sh.dcPool = nil, sigmsg.Msg{}, sh.dcPool, dc
+	dc.c, dc.m = nil, sigmsg.Msg{}
+	sh.dcPool.Put(dc)
 	switch {
 	case m.Kind == 0 && err != nil:
 		sh.step(c, onServerUnreachable, &input{})

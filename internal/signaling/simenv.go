@@ -55,6 +55,33 @@ type SimHost struct {
 // AppConns reports the application connections open on this side.
 func (h *SimHost) AppConns() int { return h.conns }
 
+// Audit states the entity's free lists: a call record per call held, a
+// pending message per one unacknowledged, a timer per one armed — each
+// timed state's, each pending message's retransmit and each running
+// keepalive chain — and no dial in flight or consumer queued behind the
+// actor on its inbox.
+func (h *SimHost) Audit(check sim.Audit) {
+	sh, pending, armed := h.SH, 0, 0
+	for _, c := range sh.calls {
+		if stages[c.state].timeout != nil {
+			armed++
+		}
+	}
+	if sh.rel != nil {
+		for _, lk := range sh.rel.links {
+			pending += len(lk.unacked)
+			if lk.kaOn {
+				armed++
+			}
+		}
+		check("pending messages", sh.rel.pmPool.Outstanding(), pending)
+	}
+	check("calls", sh.callPool.Outstanding(), len(sh.calls))
+	check("dial contexts", sh.dcPool.Outstanding(), 0)
+	check("timers", h.env.timers.free.Outstanding(), armed+pending)
+	check("inbox waiters", h.inbox.Waiting(), 0)
+}
+
 // Crash kills the signaling entity in actor context: all state is lost
 // and every subsequent input is dropped until Recover. The delivery
 // hooks — listener, connection and PVC receivers, the device's armed

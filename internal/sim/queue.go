@@ -21,7 +21,7 @@ type Queue[T any] struct {
 	items   Ring[T]
 	w0      qwaiter[T]
 	waiters Ring[*qwaiter[T]]
-	free    *qwaiter[T]
+	free    FreeList[qwaiter[T]]
 	closed  bool
 }
 
@@ -45,26 +45,35 @@ type wait struct {
 type qwaiter[T any] struct {
 	wait
 	item T
-	next *qwaiter[T] // free-list link
 }
 
 // Len reports the number of buffered (undelivered) items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// take removes the longest-waiting parked consumer from the wait list,
-// marking it dropped (Put overrides that with the item), and returns
-// nil when nobody is parked. Waiters that timed out and have not yet run
-// to unlink themselves are passed over.
+// Waiting reports the waiter records out of the queue's free list: the
+// consumers parked behind the first, 0 when at most one waits.
+func (q *Queue[T]) Waiting() int { return q.free.Outstanding() }
+
+// take removes the longest-waiting live parked consumer from the wait
+// list, marking it dropped (Put overrides that with the item), and
+// returns nil when nobody is parked. Waiters that timed out and have not
+// yet run to unlink themselves are passed over. A killed one never
+// returns its record, which its timer may still name: it is dropped.
 func (q *Queue[T]) take() *qwaiter[T] {
-	w := &q.w0
-	for w.state != waitParked {
+	for w := &q.w0; ; w = q.waiters.Pop() {
+		if w.state == waitParked {
+			w.state = waitDropped
+			if !w.p.done && !w.p.killed {
+				return w
+			}
+			if w != &q.w0 {
+				q.free.Drop(w)
+			}
+		}
 		if q.waiters.Len() == 0 {
 			return nil
 		}
-		w = q.waiters.Pop()
 	}
-	w.state = waitDropped
-	return w
 }
 
 // Put appends v. If a consumer is waiting, v is handed to it directly.
@@ -75,10 +84,7 @@ func (q *Queue[T]) Put(v T) bool {
 	if q.closed {
 		return false
 	}
-	for w := q.take(); w != nil; w = q.take() {
-		if w.p.done || w.p.killed {
-			continue
-		}
+	if w := q.take(); w != nil {
 		w.item, w.state = v, waitGotItem
 		w.p.Unpark()
 		return true
@@ -114,11 +120,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 	}
 	w := &q.w0
 	if w.p != nil || q.waiters.Len() > 0 {
-		if w = q.free; w != nil {
-			q.free, w.next = w.next, nil
-		} else {
-			w = new(qwaiter[T])
-		}
+		w = q.free.Get()
 		q.waiters.Push(w)
 	}
 	w.p, w.state = p, waitParked
@@ -137,7 +139,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 	}
 	*w = qwaiter[T]{}
 	if w != &q.w0 {
-		w.next, q.free = q.free, w
+		q.free.Put(w)
 	}
 	return v, st == waitGotItem, st == waitTimedOut
 }
@@ -157,7 +159,7 @@ func waitTimeout(arg any) {
 func (q *Queue[T]) unlink(w *qwaiter[T]) {
 	for i := 0; i < q.waiters.Len(); i++ {
 		if q.waiters.At(i) == w {
-			q.waiters.RemoveAt(i)
+			q.waiters.removeAt(i)
 			return
 		}
 	}

@@ -78,12 +78,15 @@ func TestOverflowWaitersRecycled(t *testing.T) {
 	if got != 4*102 {
 		t.Fatalf("delivered %d items, want %d", got, 4*102)
 	}
+	if n := q.Waiting(); n != 3 {
+		t.Fatalf("%d waiter records out with four consumers parked, want 3", n)
+	}
 }
 
 // A proc killed while parked in GetTimeout leaves its waiter claimed and
 // its timer pending. The record must never serve another consumer: when
 // the stale timer fires it would otherwise time out a get that has
-// nothing to do with it.
+// nothing to do with it. It leaves the queue's count when Put passes it.
 func TestKilledWaiterIsNeverRecycled(t *testing.T) {
 	for _, behind := range []int{0, 2} { // victim in the inline record; in an overflow record
 		e := New(1)
@@ -126,6 +129,11 @@ func TestKilledWaiterIsNeverRecycled(t *testing.T) {
 		}
 		if e.Live() != 0 {
 			t.Fatalf("behind=%d: %d procs still live", behind, e.Live())
+		}
+		// The dead waiters' records were dropped as Put passed them, and
+		// every get after the kill returned its own.
+		if n := q.Waiting(); n != 0 {
+			t.Fatalf("behind=%d: %d waiter records out at the end, want 0", behind, n)
 		}
 		e.Shutdown()
 	}

@@ -21,8 +21,8 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a value in [0, 1).
-func (r *Rand) Float64() float64 {
+// float returns a value in [0, 1).
+func (r *Rand) float() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
@@ -42,7 +42,7 @@ func (r *Rand) Chance(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.Float64() < p
+	return r.float() < p
 }
 
 // Jitter returns a duration uniform in [0, max).

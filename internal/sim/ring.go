@@ -32,9 +32,7 @@ func (r *Ring[T]) idx(i int) int {
 // grow doubles the backing array (min 8) and linearizes the contents.
 func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
-	if c < 8 {
-		c = 8
-	}
+	c = max(c, 8)
 	buf := make([]T, c)
 	k := copy(buf, r.buf[r.head:])
 	if k < r.n {
@@ -103,9 +101,9 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[r.idx(i)]
 }
 
-// RemoveAt removes and returns the i-th element from the head,
+// removeAt removes and returns the i-th element from the head,
 // preserving the order of the rest.
-func (r *Ring[T]) RemoveAt(i int) T {
+func (r *Ring[T]) removeAt(i int) T {
 	v := r.At(i)
 	for j := i; j < r.n-1; j++ {
 		r.buf[r.idx(j)] = r.buf[r.idx(j+1)]

@@ -110,8 +110,8 @@ func TestRingRemoveAt(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			r.Push(i)
 		}
-		if got := r.RemoveAt(remove); got != remove {
-			t.Fatalf("RemoveAt(%d) = %d", remove, got)
+		if got := r.removeAt(remove); got != remove {
+			t.Fatalf("removeAt(%d) = %d", remove, got)
 		}
 		want := []int{}
 		for i := 0; i < 5; i++ {
@@ -121,7 +121,7 @@ func TestRingRemoveAt(t *testing.T) {
 		}
 		for i, w := range want {
 			if got := r.At(i); got != w {
-				t.Fatalf("after RemoveAt(%d): At(%d) = %d, want %d", remove, i, got, w)
+				t.Fatalf("after removeAt(%d): At(%d) = %d, want %d", remove, i, got, w)
 			}
 		}
 		r.Pop()
@@ -140,8 +140,8 @@ func TestRingZeroesVacatedSlots(t *testing.T) {
 	r.Drop()
 	r.Push(v)
 	r.Push(v)
-	r.RemoveAt(0)
-	r.RemoveAt(0)
+	r.removeAt(0)
+	r.removeAt(0)
 	for i, p := range r.buf {
 		if p != nil {
 			t.Fatalf("slot %d still holds a reference after removal", i)

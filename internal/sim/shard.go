@@ -158,12 +158,7 @@ func (g *ShardGroup) Now() time.Duration { return g.now }
 // and must be called between runs, not during one. Changing it never
 // changes results — only wall-clock time.
 func (g *ShardGroup) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.shards) {
-		n = len(g.shards)
-	}
+	n = min(max(n, 1), len(g.shards))
 	if g.helpers > 0 && n > 1 && n-1 != g.helpers {
 		panic("sim: SetWorkers after the window helpers started")
 	}
@@ -416,9 +411,7 @@ func (g *ShardGroup) RunUntil(t time.Duration) {
 			start = e
 			g.gprof.NoteIdleSkip()
 		}
-		if start > t {
-			start = t
-		}
+		start = min(start, t)
 		limit := start + g.lookahead
 		if g.lookahead <= 0 || limit > t || limit < start {
 			limit = t
@@ -485,23 +478,13 @@ func (e *Engine) PostSized(dst *Engine, d time.Duration, size int, fn func()) {
 // plain engine).
 func (e *Engine) ShardID() int { return e.shardID }
 
-// scheduleAbs inserts an event at an absolute virtual time, reusing the
-// event free list. The time must not be in the shard's past (the merge
-// barrier guarantees this for cross-shard records).
+// scheduleAbs inserts an event at an absolute virtual time. The time
+// must not be in the shard's past (the merge barrier guarantees this for
+// cross-shard records). Cross-shard records execute under the xshard
+// label: the originating label lives in another shard's table, so
+// attribution hands off at the boundary (the matrix carries the src side).
 func (e *Engine) scheduleAbs(at time.Duration, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	ev := e.getEvent()
-	// Cross-shard records execute under the xshard label: the
-	// originating label lives in another shard's table, so attribution
-	// hands off at the boundary (the matrix carries the src side).
-	ev.at, ev.seq, ev.fn, ev.label = at, e.seq, fn, prof.LabelCrossShard
-	e.seq++
-	e.events.push(ev)
-	if len(e.events) > e.heapHiWat {
-		e.heapHiWat = len(e.events)
-	}
+	e.enqueue(at-e.now, prof.LabelCrossShard).fn = fn
 }
 
 // runWindow processes this shard's events up to limit — strictly before
@@ -520,8 +503,6 @@ func (e *Engine) runWindow(limit time.Duration, inclusive bool) {
 		}
 		e.exec(e.events.pop())
 	}
-	if e.now < limit {
-		e.now = limit
-	}
+	e.now = max(e.now, limit)
 	e.running = false
 }

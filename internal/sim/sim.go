@@ -46,8 +46,9 @@ type Engine struct {
 
 	// free is the event free list: every event that leaves the heap
 	// (executed or stopped) is recycled, so a steady-state simulation
-	// schedules callbacks without allocating.
-	free []*event
+	// schedules callbacks without allocating. Its draws are the
+	// engine-internals pool hits and misses.
+	free FreeList[event]
 
 	// group and shardID bind this engine into a ShardGroup (see
 	// shard.go); both stay zero for a plain standalone engine.
@@ -62,11 +63,9 @@ type Engine struct {
 
 	// Always-on engine internals, exposed through the accessors below
 	// and (per machine) as obs metrics: executed events, process
-	// dispatches, event-pool hit/miss, and the heap high-water mark.
+	// dispatches and the heap high-water mark.
 	execCount  uint64
 	dispatches uint64
-	poolHits   uint64
-	poolMisses uint64
 	heapHiWat  int
 
 	// A shard group's engines are allocated back to back and written by
@@ -130,21 +129,7 @@ func (t Timer) Stop() bool {
 func (e *Engine) release(ev *event) {
 	ev.fn, ev.afn, ev.arg = nil, nil, nil
 	ev.gen++
-	e.free = append(e.free, ev)
-}
-
-// getEvent pops the free list (or allocates), counting pool hits and
-// misses for the engine-internals metrics.
-func (e *Engine) getEvent() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		e.poolHits++
-		return ev
-	}
-	e.poolMisses++
-	return &event{}
+	e.free.Put(ev)
 }
 
 // Schedule arranges for fn to run in engine context after virtual delay
@@ -186,10 +171,8 @@ func (e *Engine) ScheduleArgL(d time.Duration, label prof.LabelID, fn func(arg a
 // enqueue puts a pooled event d from now on the heap; the caller fills
 // in the callback.
 func (e *Engine) enqueue(d time.Duration, label prof.LabelID) *event {
-	if d < 0 {
-		d = 0
-	}
-	ev := e.getEvent()
+	d = max(d, 0)
+	ev := e.free.Get()
 	ev.at, ev.seq, ev.label = e.now+d, e.seq, label
 	e.seq++
 	e.events.push(ev)
@@ -469,9 +452,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.exec(e.events.pop())
 	}
-	if e.now < t {
-		e.now = t
-	}
+	e.now = max(e.now, t)
 }
 
 // RunFor processes events for virtual duration d from the current time.
@@ -510,10 +491,19 @@ func (e *Engine) ProcDispatches() uint64 { return e.dispatches }
 
 // TimerPoolHits reports how many scheduled events reused a pooled
 // event struct.
-func (e *Engine) TimerPoolHits() uint64 { return e.poolHits }
+func (e *Engine) TimerPoolHits() uint64 {
+	all, made := e.free.Draws()
+	return all - made
+}
 
 // TimerPoolMisses reports how many scheduled events had to allocate.
-func (e *Engine) TimerPoolMisses() uint64 { return e.poolMisses }
+func (e *Engine) TimerPoolMisses() uint64 {
+	_, made := e.free.Draws()
+	return made
+}
+
+// Audit states the event list: every event drawn is on the heap.
+func (e *Engine) Audit(check Audit) { check("events", e.free.Outstanding(), len(e.events)) }
 
 // HeapHighWater reports the maximum number of simultaneously scheduled
 // events this engine has seen.

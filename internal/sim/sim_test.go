@@ -377,8 +377,8 @@ func TestRandDeterminism(t *testing.T) {
 func TestRandRanges(t *testing.T) {
 	r := NewRand(7)
 	for i := 0; i < 1000; i++ {
-		if f := r.Float64(); f < 0 || f >= 1 {
-			t.Fatalf("Float64 = %v", f)
+		if f := r.float(); f < 0 || f >= 1 {
+			t.Fatalf("float = %v", f)
 		}
 		if n := r.Intn(10); n < 0 || n >= 10 {
 			t.Fatalf("Intn = %d", n)

@@ -748,19 +748,29 @@ func Quiesced(r *Router) string {
 // Audit lists what the deployment has not drained, nil when clean: each
 // router's Quiesced text and the Orc handlers (IPPROTO_ATM's bindings
 // among them) and PF_XUNET sockets it holds under a grant its fabric
-// endpoint no longer holds — PVCs are granted like any circuit — and
-// each router's or host's mbuf chains not yet released, then any VC
-// beyond those construction set up.
+// endpoint no longer holds — PVCs are granted like any circuit — then
+// each free list whose records out differ from what its owner says they
+// must be (each domain's engine, each router's sighost, each router's or
+// host's mbuf pool and IP node, the fabric's trunks), then any VC beyond
+// those construction set up.
 func (n *Net) Audit() (leaks []string) {
+	check := func(owner any) sim.Audit {
+		return func(list string, out, want int) {
+			if out != want {
+				leaks = append(leaks, fmt.Sprintf("%v %s out: %d, want %d", owner, list, out, want))
+			}
+		}
+	}
 	for _, dom := range n.Domains {
+		dom.E.Audit(check(fmt.Sprintf("domain %d", dom.Index)))
 		for _, r := range dom.Routers {
 			if msg := Quiesced(r); msg != "" {
 				leaks = append(leaks, msg)
 			}
+			r.Sig.Audit(check(r.Stack.Addr))
 			for _, s := range r.stacks {
-				if out := s.M.Pool.Outstanding(); out != 0 {
-					leaks = append(leaks, fmt.Sprintf("%s mbuf chains drawn and not released: %d", s.Addr, out))
-				}
+				s.M.Pool.Audit(check(s.Addr))
+				s.M.IP.Audit(check(s.Addr))
 			}
 			ep, s := n.Fabric.Endpoint(r.Stack.Addr), r.Stack
 			for i, stale := range [][]atm.VCI{s.M.Orc.Stale(ep.Holds), s.PF.Stale(ep.Holds)} {
@@ -771,6 +781,7 @@ func (n *Net) Audit() (leaks []string) {
 			}
 		}
 	}
+	n.Fabric.Audit(check("fabric"))
 	if vcs := n.Fabric.ActiveVCs(); vcs != n.provisioned {
 		leaks = append(leaks, fmt.Sprintf("fabric holds %d VCs, %d provisioned", vcs, n.provisioned))
 	}

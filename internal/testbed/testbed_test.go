@@ -48,7 +48,9 @@ func TestE4_CallStormRouterToRouter(t *testing.T) {
 
 // TestE4_CallStormHostToRouter runs the same workload from an
 // IP-connected host ("this workload has been run successfully between
-// routers as well as between a host and a router").
+// routers as well as between a host and a router"), its frames padded
+// to 1400 bytes so that they travel in clusters, which the audit counts
+// like small mbufs.
 func TestE4_CallStormHostToRouter(t *testing.T) {
 	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{
 		DeviceBuffers: kern.FixedDeviceBuffers,
@@ -61,7 +63,7 @@ func TestE4_CallStormHostToRouter(t *testing.T) {
 	testbed.StartEchoServer(rb, "storm", 6000)
 	n.E.RunUntil(time.Second)
 	res := testbed.CallStorm(host, "ucb.rt", "storm", testbed.StormConfig{
-		Count: 50, Hold: time.Second, FramesPerCall: 1,
+		Count: 50, Hold: time.Second, FramesPerCall: 1, FrameBytes: 1400,
 	})
 	drain(n)
 	if res.Succeeded != 50 {

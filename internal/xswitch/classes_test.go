@@ -15,7 +15,7 @@ import (
 func TestClassProtectionUnderOverload(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
-	sw := f.MustAddSwitch("s")
+	sw := f.mustAddSwitch("s")
 	// A slow bottleneck trunk with small per-class queues.
 	slow := LinkConfig{RateBps: 5_000_000, QueueCells: 64}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
@@ -49,7 +49,7 @@ func TestClassProtectionUnderOverload(t *testing.T) {
 	}
 	drain(f, e.Run)
 
-	stats := f.ClassStats()
+	stats := f.classStats()
 	if stats.LossRate(qos.CBR) != 0 {
 		t.Fatalf("CBR lost cells under overload: %.3f", stats.LossRate(qos.CBR))
 	}
@@ -76,7 +76,7 @@ func TestClassStatsAccounting(t *testing.T) {
 		epA.SendCell(atm.Cell{Header: atm.Header{VCI: vc.SrcVCI}})
 	}
 	drain(f, e.Run)
-	stats := f.ClassStats()
+	stats := f.classStats()
 	// 10 cells × 3 trunks on the path, all CBR.
 	if stats.Sent[qos.CBR] != 30 {
 		t.Fatalf("CBR sent = %d, want 30", stats.Sent[qos.CBR])

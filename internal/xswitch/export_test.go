@@ -16,7 +16,7 @@ func (ep *Endpoint) Eng() *sim.Engine { return ep.dom.eng }
 func (vc *VC) Hops() int { return len(vc.hops) }
 
 // LossRate reports the drop fraction for one class (0 when idle).
-func (s ClassCellStats) LossRate(c qos.Class) float64 {
+func (s classCellStats) LossRate(c qos.Class) float64 {
 	total := s.Sent[c] + s.Dropped[c]
 	if total == 0 {
 		return 0

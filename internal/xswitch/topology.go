@@ -14,8 +14,8 @@ import "time"
 //
 // It returns the fabric and the two attachment switches.
 func Testbed(f *Fabric) (swA, swB *Switch) {
-	swA = f.MustAddSwitch("sw-A")
-	swB = f.MustAddSwitch("sw-B")
+	swA = f.mustAddSwitch("sw-A")
+	swB = f.mustAddSwitch("sw-B")
 	f.ConnectSwitches(swA, swB, DS3(2*time.Millisecond))
 	return swA, swB
 }
@@ -48,11 +48,11 @@ func XunetSites() []XunetSite {
 func Xunet(f *Fabric) map[XunetSite]*Switch {
 	sw := make(map[XunetSite]*Switch, 5)
 	for _, s := range XunetSites() {
-		sw[s] = f.MustAddSwitch("sw-" + string(s))
+		sw[s] = f.mustAddSwitch("sw-" + string(s))
 	}
 	// Approximate one-way propagation delays.
 	f.ConnectSwitches(sw[MurrayHill], sw[Rutgers], DS3(1*time.Millisecond))
-	f.ConnectSwitches(sw[MurrayHill], sw[Illinois], OC12(6*time.Millisecond))
+	f.ConnectSwitches(sw[MurrayHill], sw[Illinois], oc12(6*time.Millisecond))
 	f.ConnectSwitches(sw[Illinois], sw[Wisconsin], DS3(2*time.Millisecond))
 	f.ConnectSwitches(sw[Illinois], sw[Berkeley], DS3(9*time.Millisecond))
 	return sw

@@ -34,7 +34,7 @@ import (
 type trainTrace struct {
 	Cells      []atm.Cell
 	Times      []time.Duration
-	Class      ClassCellStats
+	Class      classCellStats
 	Unroutable uint64
 	Probes     []trunkProbe
 	Spans      []trace.Span
@@ -176,8 +176,8 @@ func (r *refTrunk) arrive(c atm.Cell) {
 	}
 }
 
-func (n *refNet) classStats() ClassCellStats {
-	var out ClassCellStats
+func (n *refNet) classStats() classCellStats {
+	var out classCellStats
 	for _, r := range n.trunks {
 		for cls := 0; cls < 3; cls++ {
 			out.Sent[cls] += r.sent[cls]
@@ -214,7 +214,7 @@ func drain(f *Fabric, run func()) {
 			t.advance(t.eng.Now())
 		}
 	}
-	f.ClassStats()
+	f.classStats()
 	for _, ep := range f.endpoints {
 		ep.Settle()
 	}
@@ -353,7 +353,7 @@ func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trai
 	if ref {
 		tr.Class, tr.Unroutable = rn.classStats(), rn.unroutable
 	} else {
-		tr.Class = f.ClassStats()
+		tr.Class = f.classStats()
 		for _, sw := range f.switches {
 			tr.Unroutable += sw.Unroutable
 		}
@@ -1146,9 +1146,9 @@ func ringAddr(i int) atm.Addr { return atm.Addr(fmt.Sprintf("r%d.rt", i)) }
 func ringOf4(t *testing.T, f *Fabric, e *sim.Engine) ([]*Endpoint, []*collector) {
 	var sw [4]*Switch
 	for i := range sw {
-		sw[i] = f.MustAddSwitch(fmt.Sprintf("sw-%d", i))
+		sw[i] = f.mustAddSwitch(fmt.Sprintf("sw-%d", i))
 	}
-	links := []LinkConfig{DS3(50 * time.Microsecond), DS3(70 * time.Microsecond), OC12(90 * time.Microsecond), DS3(30 * time.Microsecond)}
+	links := []LinkConfig{DS3(50 * time.Microsecond), DS3(70 * time.Microsecond), oc12(90 * time.Microsecond), DS3(30 * time.Microsecond)}
 	for i := range sw {
 		f.ConnectSwitches(sw[i], sw[(i+1)%4], links[i])
 	}
@@ -1175,7 +1175,7 @@ func TestCellTrainRandomSchedules(t *testing.T) {
 	profiles := []LinkConfig{
 		TAXI(),
 		DS3(2 * time.Millisecond),
-		OC12(300 * time.Microsecond),
+		oc12(300 * time.Microsecond),
 		{RateBps: 45_000_000, Delay: 3 * time.Microsecond, QueueCells: 64},
 		{RateBps: 34_368_000, Delay: 50 * time.Microsecond, QueueCells: 64},
 	}
@@ -1309,7 +1309,7 @@ func TestInteriorHopEvents(t *testing.T) {
 	count := func(t *testing.T, up, mid, down LinkConfig, frames, cells int) (perFrame float64) {
 		e := sim.New(1)
 		f := NewFabric(e)
-		swA, swB := f.MustAddSwitch("sw-A"), f.MustAddSwitch("sw-B")
+		swA, swB := f.mustAddSwitch("sw-A"), f.mustAddSwitch("sw-B")
 		f.ConnectSwitches(swA, swB, mid)
 		src, _ := attach(t, f, "a", swA, up, e)
 		_, sink := attach(t, f, "b", swB, down, e)

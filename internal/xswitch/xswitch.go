@@ -19,8 +19,8 @@ package xswitch
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,8 +46,8 @@ func DS3(delay time.Duration) LinkConfig {
 	return LinkConfig{RateBps: 45_000_000, Delay: delay, QueueCells: 2048}
 }
 
-// OC12 returns the 622 Mb/s optically-amplified trunk profile.
-func OC12(delay time.Duration) LinkConfig {
+// oc12 returns the 622 Mb/s optically-amplified trunk profile.
+func oc12(delay time.Duration) LinkConfig {
 	return LinkConfig{RateBps: 622_000_000, Delay: delay, QueueCells: 4096}
 }
 
@@ -62,10 +62,10 @@ type CellSink interface {
 	ReceiveCell(c atm.Cell)
 }
 
-// RunSink is a CellSink taking a run of cells in one call, the k-th
+// runSink is a CellSink taking a run of cells in one call, the k-th
 // arriving on vci at at+k·gap (each keeps the VCI it was sent with). The
 // slice is the fabric's. A frame's last cell comes alone, on time.
-type RunSink interface {
+type runSink interface {
 	CellSink
 	ReceiveRun(cells []atm.Cell, vci atm.VCI, at, gap time.Duration)
 }
@@ -76,10 +76,10 @@ const perHopSetupCost = 500 * time.Microsecond
 
 // Errors from the fabric.
 var (
-	ErrNoPath     = errors.New("xswitch: no path between endpoints")
-	ErrNoVCI      = errors.New("xswitch: VCI space exhausted on link")
-	ErrDupName    = errors.New("xswitch: duplicate element name")
-	ErrNotRunning = errors.New("xswitch: element not attached")
+	errNoPath     = errors.New("xswitch: no path between endpoints")
+	errNoVCI      = errors.New("xswitch: VCI space exhausted on link")
+	errDupName    = errors.New("xswitch: duplicate element name")
+	errNotRunning = errors.New("xswitch: element not attached")
 	// ErrCrossShard reports a runtime SetupVC whose path would leave the
 	// caller's shard. Cross-shard circuits must be provisioned at build
 	// time, before SealCrossShard.
@@ -255,13 +255,13 @@ type trunk struct {
 	// check in accept; see BenchmarkTSeriesOverhead).
 	qPeak *tseries.Peak
 
-	// wfree pools the watches this trunk starts, which weng — the far
+	// watches pools the watches this trunk starts, which weng — the far
 	// end's shard — runs under lblArr; lblTx labels a boundary trunk's
 	// transmit events (labels are 0 with no profiler attached).
-	wfree  []*watch
-	weng   *sim.Engine
-	lblTx  prof.LabelID
-	lblArr prof.LabelID
+	watches sim.FreeList[watch]
+	weng    *sim.Engine
+	lblTx   prof.LabelID
+	lblArr  prof.LabelID
 }
 
 // wrrWeights drain CBR most aggressively, then VBR, then best effort —
@@ -669,7 +669,7 @@ func (t *trunk) advance(before time.Duration) {
 
 // land hands t.to a run arriving from s.at: a switch routes it to its
 // next trunk's queue for this input, an endpoint to the sink, whole to
-// a RunSink.
+// a runSink.
 func (t *trunk) land(s *run) {
 	if t.sw != nil {
 		if out := t.pass(s); out != nil {
@@ -683,7 +683,7 @@ func (t *trunk) land(s *run) {
 	}
 	if ep.sink != nil {
 		ep.handing, ep.handAt = true, s.at
-		if rs, ok := ep.sink.(RunSink); ok {
+		if rs, ok := ep.sink.(runSink); ok {
 			rs.ReceiveRun(cells, s.vci, s.at, s.gap)
 		} else {
 			for k := range cells {
@@ -785,13 +785,9 @@ type watch struct {
 
 // watch starts a watch on a cell entering t on vci whose stop is rest
 // beyond t's far end and which cannot get there before at.
-func (t *trunk) watch(vci atm.VCI, rest, at time.Duration) (w *watch) {
-	if n := len(t.wfree); n > 0 {
-		w, t.wfree = t.wfree[n-1], t.wfree[:n-1]
-	} else {
-		w = &watch{home: t}
-	}
-	w.t, w.vci, w.at, w.rest, w.onWire = t, vci, at, rest, false
+func (t *trunk) watch(vci atm.VCI, rest, at time.Duration) *watch {
+	w := t.watches.Get()
+	w.home, w.t, w.vci, w.at, w.rest, w.onWire = t, t, vci, at, rest, false
 	return w
 }
 
@@ -833,7 +829,7 @@ func fireWatch(arg any) {
 	if w.t != nil {
 		w.t.commit(now + 1) // routed to a boundary trunk: it transmits in real time
 	}
-	w.home.wfree = append(w.home.wfree, w)
+	w.home.watches.Put(w)
 }
 
 // Switch is one ATM cell switch.
@@ -877,7 +873,7 @@ type Endpoint struct {
 	// cells to the sink.
 	downlink *trunk
 	// handing is set while a cell is with the sink; handAt is its
-	// arrival time, which Now reads (a run's first, for a RunSink).
+	// arrival time, which Now reads (a run's first, for a runSink).
 	handing bool
 	handAt  time.Duration
 }
@@ -1072,8 +1068,8 @@ func NewFabric(e *sim.Engine) *Fabric {
 	classNames := [3]string{qos.BestEffort: "be", qos.VBR: "vbr", qos.CBR: "cbr"}
 	for cls := 0; cls < 3; cls++ {
 		c := qos.Class(cls)
-		f.Obs.Func("fabric.cells.sent."+classNames[cls], func() uint64 { return f.ClassStats().Sent[c] })
-		f.Obs.Func("fabric.cells.dropped."+classNames[cls], func() uint64 { return f.ClassStats().Dropped[c] })
+		f.Obs.Func("fabric.cells.sent."+classNames[cls], func() uint64 { return f.classStats().Sent[c] })
+		f.Obs.Func("fabric.cells.dropped."+classNames[cls], func() uint64 { return f.classStats().Dropped[c] })
 	}
 	f.Obs.Func("fabric.vcs.active", func() uint64 { return uint64(f.ActiveVCs()) })
 	return f
@@ -1093,7 +1089,7 @@ func (f *Fabric) AddSwitch(name string) (*Switch, error) {
 // placement entry point for sharded topologies.
 func (f *Fabric) AddSwitchOn(name string, e *sim.Engine) (*Switch, error) {
 	if _, dup := f.switches[name]; dup {
-		return nil, fmt.Errorf("%w: switch %s", ErrDupName, name)
+		return nil, fmt.Errorf("%w: switch %s", errDupName, name)
 	}
 	s := &Switch{Name: name, dom: domain{eng: e}}
 	f.ensureSpace(e)
@@ -1101,8 +1097,8 @@ func (f *Fabric) AddSwitchOn(name string, e *sim.Engine) (*Switch, error) {
 	return s, nil
 }
 
-// MustAddSwitch is AddSwitch for scenario construction.
-func (f *Fabric) MustAddSwitch(name string) *Switch {
+// mustAddSwitch is AddSwitch for scenario construction.
+func (f *Fabric) mustAddSwitch(name string) *Switch {
 	s, err := f.AddSwitch(name)
 	if err != nil {
 		panic(err)
@@ -1129,13 +1125,8 @@ func (f *Fabric) duplex(a, b node, cfg LinkConfig) (ab, ba *trunk) {
 // up state so a quiesced run drains. Switch names are sorted so the
 // flap schedule does not depend on map iteration order.
 func (f *Fabric) StartFlapping(until time.Duration) {
-	names := make([]string, 0, len(f.switches))
-	for n := range f.switches {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	seen := make(map[*trunk]bool)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(f.switches)) {
 		for _, t := range f.switches[n].trunks {
 			if _, ok := t.to.(*Switch); !ok {
 				continue // endpoint links stay clean; flaps hit the backbone
@@ -1195,7 +1186,7 @@ func (f *Fabric) Attach(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConfig
 // the group lookahead.
 func (f *Fabric) AttachOn(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConfig, e *sim.Engine) (*Endpoint, error) {
 	if _, dup := f.endpoints[addr]; dup {
-		return nil, fmt.Errorf("%w: endpoint %s", ErrDupName, addr)
+		return nil, fmt.Errorf("%w: endpoint %s", errDupName, addr)
 	}
 	ep := &Endpoint{Addr: addr, dom: domain{eng: e}, sink: sink}
 	f.ensureSpace(e)
@@ -1253,7 +1244,7 @@ type pathStep struct {
 func (f *Fabric) findPath(from, to *Endpoint) ([]pathStep, error) {
 	first, ok := from.uplink.to.(*Switch)
 	if !ok {
-		return nil, ErrNoPath
+		return nil, errNoPath
 	}
 	type queued struct {
 		sw   *Switch
@@ -1279,7 +1270,7 @@ func (f *Fabric) findPath(from, to *Endpoint) ([]pathStep, error) {
 			}
 		}
 	}
-	return nil, ErrNoPath
+	return nil, errNoPath
 }
 
 // SetupVC establishes a simplex switched virtual circuit from one
@@ -1290,11 +1281,11 @@ func (f *Fabric) findPath(from, to *Endpoint) ([]pathStep, error) {
 func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 	src, ok := f.endpoints[from]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotRunning, from)
+		return nil, fmt.Errorf("%w: %s", errNotRunning, from)
 	}
 	dst, ok := f.endpoints[to]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotRunning, to)
+		return nil, fmt.Errorf("%w: %s", errNotRunning, to)
 	}
 	if f.sealed && src.dom.eng != dst.dom.eng {
 		return nil, fmt.Errorf("%w: %s -> %s", ErrCrossShard, from, to)
@@ -1372,7 +1363,7 @@ func (f *Fabric) admitHop(vc *VC, t *trunk, q qos.QoS) (atm.VCI, error) {
 	v := t.alloc.Alloc().VCI
 	if v == 0 {
 		t.book.Release(key)
-		return 0, ErrNoVCI
+		return 0, errNoVCI
 	}
 	t.class = atm.Grow(t.class, v)
 	t.class[v] = q.Class
@@ -1419,7 +1410,7 @@ func (f *Fabric) ActiveVCs() int {
 
 // TrunkStats sums (sent, dropped) cells over every trunk in the fabric.
 func (f *Fabric) TrunkStats() (sent, dropped uint64) {
-	s := f.ClassStats()
+	s := f.classStats()
 	for cls := 0; cls < 3; cls++ {
 		sent += s.Sent[cls]
 		dropped += s.Dropped[cls]
@@ -1427,9 +1418,9 @@ func (f *Fabric) TrunkStats() (sent, dropped uint64) {
 	return sent, dropped
 }
 
-// ClassCellStats breaks fabric cell counts down by service class
+// classCellStats breaks fabric cell counts down by service class
 // (indexed by qos.Class), for the scheduler-protection experiments.
-type ClassCellStats struct {
+type classCellStats struct {
 	Sent    [3]uint64
 	Dropped [3]uint64
 }
@@ -1448,25 +1439,15 @@ func (f *Fabric) RegisterTSeries(st *tseries.Store, own *sim.Engine) {
 	if st == nil {
 		return
 	}
-	names := make([]string, 0, len(f.switches))
-	for n := range f.switches {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(f.switches)) {
 		for _, t := range f.switches[n].trunks {
 			if t.eng == own {
 				f.trackTrunk(st, t)
 			}
 		}
 	}
-	addrs := make([]string, 0, len(f.endpoints))
-	for a := range f.endpoints {
-		addrs = append(addrs, string(a))
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		if up := f.endpoints[atm.Addr(a)].uplink; up.eng == own {
+	for _, a := range slices.Sorted(maps.Keys(f.endpoints)) {
+		if up := f.endpoints[a].uplink; up.eng == own {
 			f.trackTrunk(st, up)
 		}
 	}
@@ -1497,24 +1478,37 @@ func (f *Fabric) trackTrunk(st *tseries.Store, t *trunk) {
 	})
 }
 
-// ClassStats sums per-class cell counts over every trunk: the switches'
+// classStats sums per-class cell counts over every trunk: the switches'
 // (endpoint downlinks among them) and the endpoint uplinks.
-func (f *Fabric) ClassStats() ClassCellStats {
-	var out ClassCellStats
-	add := func(t *trunk) {
+func (f *Fabric) classStats() classCellStats {
+	var out classCellStats
+	f.eachTrunk(func(t *trunk) {
 		t.settle()
 		for cls := 0; cls < 3; cls++ {
 			out.Sent[cls] += t.perClass[cls]
 			out.Dropped[cls] += t.perClassDrop[cls]
 		}
-	}
+	})
+	return out
+}
+
+// eachTrunk calls fn on every trunk: each switch's, downlinks among
+// them, then each endpoint's uplink.
+func (f *Fabric) eachTrunk(fn func(*trunk)) {
 	for _, sw := range f.switches {
 		for _, t := range sw.trunks {
-			add(t)
+			fn(t)
 		}
 	}
 	for _, ep := range f.endpoints {
-		add(ep.uplink)
+		fn(ep.uplink)
 	}
-	return out
+}
+
+// Audit states the trunks' watch lists: every watched cell has reached
+// its stop or been lost.
+func (f *Fabric) Audit(check sim.Audit) {
+	n := 0
+	f.eachTrunk(func(t *trunk) { n += t.watches.Outstanding() })
+	check("watches", n, 0)
 }

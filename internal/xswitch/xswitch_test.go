@@ -207,21 +207,21 @@ func TestFailedSetupLeavesNoResidue(t *testing.T) {
 func TestNoPath(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
-	swA := f.MustAddSwitch("a")
-	swB := f.MustAddSwitch("b") // not connected
+	swA := f.mustAddSwitch("a")
+	swB := f.mustAddSwitch("b") // not connected
 	f.Attach("x", nil, swA, TAXI())
 	f.Attach("y", nil, swB, TAXI())
-	if _, err := f.SetupVC("x", "y", qos.BestEffortQoS); !errors.Is(err, ErrNoPath) {
+	if _, err := f.SetupVC("x", "y", qos.BestEffortQoS); !errors.Is(err, errNoPath) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestUnknownEndpoint(t *testing.T) {
 	_, f, _, _, _, _ := testbed(t)
-	if _, err := f.SetupVC("mh.rt", "nowhere.rt", qos.BestEffortQoS); !errors.Is(err, ErrNotRunning) {
+	if _, err := f.SetupVC("mh.rt", "nowhere.rt", qos.BestEffortQoS); !errors.Is(err, errNotRunning) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := f.SetupVC("nowhere.rt", "mh.rt", qos.BestEffortQoS); !errors.Is(err, ErrNotRunning) {
+	if _, err := f.SetupVC("nowhere.rt", "mh.rt", qos.BestEffortQoS); !errors.Is(err, errNotRunning) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -229,13 +229,13 @@ func TestUnknownEndpoint(t *testing.T) {
 func TestDuplicateNames(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
-	f.MustAddSwitch("a")
-	if _, err := f.AddSwitch("a"); !errors.Is(err, ErrDupName) {
+	f.mustAddSwitch("a")
+	if _, err := f.AddSwitch("a"); !errors.Is(err, errDupName) {
 		t.Fatalf("err = %v", err)
 	}
-	sw := f.MustAddSwitch("b")
+	sw := f.mustAddSwitch("b")
 	f.Attach("ep", nil, sw, TAXI())
-	if _, err := f.Attach("ep", nil, sw, TAXI()); !errors.Is(err, ErrDupName) {
+	if _, err := f.Attach("ep", nil, sw, TAXI()); !errors.Is(err, errDupName) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestDuplicateNames(t *testing.T) {
 func TestQueueOverflowDropsCells(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
-	sw := f.MustAddSwitch("s")
+	sw := f.mustAddSwitch("s")
 	// Tiny queue and a slow trunk to force overflow.
 	slow := LinkConfig{RateBps: 1_000_000, QueueCells: 4}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
@@ -271,7 +271,7 @@ func TestQueueOverflowDropsCells(t *testing.T) {
 func TestWRRFavorsCBRUnderCongestion(t *testing.T) {
 	e := sim.New(1)
 	f := NewFabric(e)
-	sw := f.MustAddSwitch("s")
+	sw := f.mustAddSwitch("s")
 	slow := LinkConfig{RateBps: 2_000_000, QueueCells: 2000}
 	epA, _ := f.Attach("a", nil, sw, TAXI())
 	_, sink := attach(t, f, "b", sw, slow, e)
@@ -424,7 +424,7 @@ func TestVCITableBounds(t *testing.T) {
 	if got := unroutable(); got != 5 {
 		t.Fatalf("unset and out-of-range VCIs: unroutable = %d, want 5", got)
 	}
-	if s := f.ClassStats(); s.Sent[qos.BestEffort] != 5 || s.Sent[qos.CBR] != 0 {
+	if s := f.classStats(); s.Sent[qos.BestEffort] != 5 || s.Sent[qos.CBR] != 0 {
 		t.Fatalf("unknown VCIs must ride best effort: %+v", s)
 	}
 	old := cbr.SrcVCI
@@ -434,7 +434,7 @@ func TestVCITableBounds(t *testing.T) {
 	if got := unroutable(); got != 6 || len(cb.cells) != 0 {
 		t.Fatalf("released VCI: unroutable = %d (want 6), delivered %d", got, len(cb.cells))
 	}
-	if s := f.ClassStats(); s.Sent[qos.CBR] != 1 {
+	if s := f.classStats(); s.Sent[qos.CBR] != 1 {
 		t.Fatalf("cell sent before release must count as CBR: %+v", s)
 	}
 	// The allocator hands the freed VCI out again; the new circuit is VBR.
@@ -450,7 +450,7 @@ func TestVCITableBounds(t *testing.T) {
 	if len(cb.cells) != 1 || cb.cells[0].VCI != vbr.DstVCI {
 		t.Fatalf("reused VCI: delivered %d cells", len(cb.cells))
 	}
-	if s := f.ClassStats(); s.Sent[qos.VBR] != 3 || s.Sent[qos.CBR] != 1 {
+	if s := f.classStats(); s.Sent[qos.VBR] != 3 || s.Sent[qos.CBR] != 1 {
 		t.Fatalf("reused VCI must take the new circuit's class: %+v", s)
 	}
 }
