@@ -32,10 +32,11 @@ test:
 # shared receive block, several per syscall when it splits a train, and
 # PF_XUNET, whose Recv hands out the socket's one buffer and scribbles
 # over it at the next Recv, so a caller that kept a frame reads junk. So
-# do the bounded histories over sim.Ring: the real daemon finishes and
-# dumps traces from several goroutines and scrapes its tseries store on
-# a ticker goroutine, while MGMT reads the flight recorder, the series,
-# the health events and the event ring on the actor. So does the
+# do the bounded histories over sim.Ring: the real daemon scrapes its
+# tseries store on a ticker goroutine while MGMT reads the series and
+# health events on the actor, and the trace collector keeps its flight
+# recorder under its own lock so that it may be read off the actor
+# (its tests finish and read traces from several goroutines). So does the
 # switch fabric: a boundary trunk hands pooled cell records from the
 # sending shard to the receiving one under its lock, and cell runs
 # take that same path one cell at a time.
@@ -60,7 +61,10 @@ benchcheck:
 #  1. the trace export is schema-valid Chrome trace-event JSON;
 #  2. every scenario writes the bytes recorded for it, run twice or at
 #     workers 1 and 4 (`make test` runs it too; -count 1 skips the cache);
-#  3. a disabled observation hook — trace, faults, obs, tseries, prof,
+#  3. every number of the paper's evaluation reads inside its band, and
+#     EXPERIMENTS.md's generated tables hold exactly what the claims
+#     render (TestPaperClaims; `make test` runs it too);
+#  4. a disabled observation hook — trace, faults, obs, tseries, prof,
 #     sighost's transition hook — costs under 5 ns (each benchmark
 #     asserts its own), so the hooks compiled into every hot path
 #     cannot skew clean-path numbers; a wall-clock gate this tight can
@@ -69,6 +73,7 @@ benchcheck:
 detgate:
 	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
 	$(GO) test -count 1 -run TestDetGate ./internal/testbed/
+	$(GO) test -count 1 -run TestPaperClaims .
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/ && exit 0; \
 		echo "detgate: a disabled-hook gate failed (attempt $$i of 3)"; \

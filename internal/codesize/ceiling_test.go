@@ -9,7 +9,7 @@ import (
 // lineCeiling is the most non-test Go lines the module may hold outside
 // bench/. A change that deletes code lowers it to the new count; raising
 // it takes a line in CHANGES.md saying why.
-const lineCeiling = 20342
+const lineCeiling = 20294
 
 // TestLineCeiling counts what `make loc` counts, every non-test .go file
 // under the module root outside bench/ (testdata included), directory by
@@ -28,7 +28,7 @@ func TestLineCeiling(t *testing.T) {
 		if rel == "bench" {
 			return filepath.SkipDir
 		}
-		lines, _, err := countSource(root, rel, nil)
+		lines, err := countSource(root, rel, nil)
 		total += lines
 		return err
 	})

@@ -1,9 +1,6 @@
 package codesize
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRepoRoot(t *testing.T) {
 	root, err := RepoRoot()
@@ -24,8 +21,8 @@ func TestMeasureAllComponentsNonEmpty(t *testing.T) {
 		t.Fatalf("rows = %d, want the 6 components of Table 2 and the whole daemon", len(rows))
 	}
 	for _, r := range rows {
-		if r.GoLines == 0 || r.GoFiles == 0 {
-			t.Errorf("%s: measured %d lines in %d files", r.Component, r.GoLines, r.GoFiles)
+		if r.GoLines == 0 {
+			t.Errorf("%s: measured no lines in %q", r.Component, r.Sources)
 		}
 	}
 }
@@ -59,18 +56,5 @@ func TestShapeMatchesPaper(t *testing.T) {
 	}
 	if byName["IPPROTO_ATM"].GoLines >= byName["PF_XUNET"].GoLines+byName["Sighost"].GoLines {
 		t.Error("IPPROTO_ATM unexpectedly dominant")
-	}
-}
-
-func TestRender(t *testing.T) {
-	rows, err := Measure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Render(rows)
-	for _, want := range []string{"Sighost", "User lib", "/dev/anand", "PF_XUNET", "IPPROTO_ATM", "Orc", "Total", "1204"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -14,7 +14,7 @@ func dead() {}
 func TestOnly() int { return 1 }
 
 // Used is called from main.go.
-func Used() *Result { return &Result{n: Internal + int(busy-idle)} }
+func Used() *Result { return &Result{n: Internal + Shared + int(busy-idle)} }
 
 // Result is named by no other file; it is reachable through Used's
 // signature. Used's literal names n by key; unused is flagged.
@@ -80,3 +80,7 @@ func Hidden() int { return hidden{1, 2}.Exported() }
 // Internal is used by this package's non-test code only: listed, not
 // flagged.
 var Internal = 3
+
+// Shared is used by this package's non-test code and by another
+// package's tests: not listed.
+var Shared = 5

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -32,7 +33,10 @@ import (
 //
 // The roots are what runs: main and every init, every package-level var
 // initializer, and the Test, Benchmark, Example and Fuzz functions of
-// the root package's tests (the paper's experiments).
+// the root package's tests (the paper's experiments). Every other
+// package's test files, in-package and external, are type-checked too,
+// as use sites only: what they name is not reached through them, but a
+// name another package's tests use is no candidate to unexport.
 //
 // A method is reached when
 //   - reached code selects it (x.M, T.M), or
@@ -82,6 +86,7 @@ type listed struct {
 	Standard                  bool
 	GoFiles, IgnoredGoFiles   []string
 	TestGoFiles, XTestGoFiles []string
+	Deps                      []string
 }
 
 // pkg is one type-checked package of the module.
@@ -122,6 +127,7 @@ type walker struct {
 	work      []types.Object
 	named     []*types.TypeName       // reached named types of the module
 	ifaces    map[string][]types.Type // method name → interfaces reached calls go through
+	testUsed  map[string]bool         // by key, what another package's tests name
 	fields    map[*types.Var]*finding // gated unexported fields without a tag
 	fieldUsed map[*types.Var]bool     // fields some non-test code names
 }
@@ -139,21 +145,35 @@ func findUnreached(root string) (*reachReport, error) {
 		reached:   map[types.Object]bool{},
 		foreign:   map[types.Object]bool{},
 		ifaces:    map[string][]types.Type{},
+		testUsed:  map[string]bool{},
 		fields:    map[*types.Var]*finding{},
 		fieldUsed: map[*types.Var]bool{},
 	}
-	// The root package's tests import what ./... may not: list those too.
+	// Test files import what ./... may not: list those too.
 	patterns := []string{"./..."}
-	rootTests, _ := filepath.Glob(filepath.Join(root, "*_test.go"))
-	for _, name := range rootTests {
-		f, err := parser.ParseFile(w.fset, name, nil, parser.ImportsOnly)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(w.fset, path, nil, parser.ImportsOnly)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, imp := range f.Imports {
 			patterns = append(patterns, strings.Trim(imp.Path.Value, `"`))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	slices.Sort(patterns[1:])
+	patterns = slices.Compact(patterns)
 	// Run the toolchain that built this test: another go's export data
 	// may be in a format this go/importer cannot read.
 	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
@@ -204,7 +224,7 @@ func findUnreached(root string) (*reachReport, error) {
 		}
 		return files, nil
 	}
-	check := func(dir, path string, names []string) (*pkg, *types.Package, error) {
+	typecheck := func(dir, path string, names []string, imp types.Importer) (*pkg, *types.Package, error) {
 		files, err := parse(dir, names)
 		if err != nil {
 			return nil, nil, err
@@ -216,9 +236,18 @@ func findUnreached(root string) (*reachReport, error) {
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
-		tp, err := conf.Check(path, w.fset, files, p.info)
+		c := conf
+		c.Importer = imp
+		tp, err := c.Check(path, w.fset, files, p.info)
 		if err != nil {
 			return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
+		}
+		return p, tp, nil
+	}
+	check := func(dir, path string, names []string) (*pkg, *types.Package, error) {
+		p, tp, err := typecheck(dir, path, names, conf.Importer)
+		if err != nil {
+			return nil, nil, err
 		}
 		w.declare(root, p)
 		w.fieldsOf(root, p)
@@ -263,8 +292,89 @@ func findUnreached(root string) (*reachReport, error) {
 			w.roots(p, true)
 		}
 	}
+	byPath := map[string]*listed{}
+	for _, l := range all {
+		byPath[l.ImportPath] = l
+	}
+	for _, l := range all {
+		if l.Dir == root {
+			continue // its tests are roots, walked above
+		}
+		under := checked[l.ImportPath] // what its external tests import
+		if len(l.TestGoFiles) > 0 {
+			p, tp, err := typecheck(l.Dir, l.ImportPath, append(slices.Clone(l.GoFiles), l.TestGoFiles...), conf.Importer)
+			if err != nil {
+				return nil, err
+			}
+			w.testUses(p, l.ImportPath)
+			under = tp
+		}
+		if len(l.XTestGoFiles) == 0 || under == nil {
+			continue
+		}
+		imp := conf.Importer
+		if under != checked[l.ImportPath] {
+			// As go test builds it, an external test sees its package
+			// with the in-package test files, and so does every package
+			// it imports that imports that package: check those again.
+			variants := map[string]*types.Package{l.ImportPath: under}
+			var recheck importerFunc
+			recheck = func(path string) (*types.Package, error) {
+				if tp, ok := variants[path]; ok {
+					return tp, nil
+				}
+				q := byPath[path]
+				if q == nil || !slices.Contains(q.Deps, l.ImportPath) {
+					return conf.Importer.Import(path)
+				}
+				_, tp, err := typecheck(q.Dir, path, q.GoFiles, recheck)
+				variants[path] = tp
+				return tp, err
+			}
+			imp = recheck
+		}
+		p, _, err := typecheck(l.Dir, l.ImportPath+"_test", l.XTestGoFiles, imp)
+		if err != nil {
+			return nil, err
+		}
+		w.testUses(p, l.ImportPath)
+	}
 	w.run()
 	return w.report(), nil
+}
+
+// testUses records what p's test files name from packages other than
+// own, the package under test. It reaches nothing.
+func (w *walker) testUses(p *pkg, own string) {
+	for _, f := range p.files {
+		if !strings.HasSuffix(w.fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				obj := p.info.Uses[id]
+				_, method := obj.(*types.Func)
+				if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != own && (method || obj.Parent() == obj.Pkg().Scope()) {
+					w.testUsed[key(obj)] = true
+				}
+			}
+			return true
+		})
+	}
+}
+
+// key names a package-level object or method the same way in every
+// type-check of its package: "path.Name" or "path.Type.Method".
+func key(obj types.Object) string {
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok {
+		if r := fn.Origin().Type().(*types.Signature).Recv(); r != nil {
+			if n, ok := deref(r.Type()).(*types.Named); ok {
+				name = n.Obj().Name() + "." + name
+			}
+		}
+	}
+	return obj.Pkg().Path() + "." + name
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -651,7 +761,7 @@ func (w *walker) report() *reachReport {
 		switch {
 		case !w.reached[obj]:
 			rep.unreached = append(rep.unreached, &finding{pkg: dir, name: name, recv: recv, file: d.file, lines: d.lines})
-		case obj.Exported() && !w.foreign[obj] && (recv == "" || ast.IsExported(recv)):
+		case obj.Exported() && !w.foreign[obj] && !w.testUsed[key(obj)] && (recv == "" || ast.IsExported(recv)):
 			rep.ownOnly[dir] = append(rep.ownOnly[dir], name)
 		}
 	}
@@ -673,7 +783,7 @@ func (w *walker) report() *reachReport {
 // "internal/pkg.Type.Method"), one receiver type (the type and all of
 // its methods) or one file.
 var allowed = []struct{ name, reason string }{
-	{"internal/cost/table1.go", "Table 1's per-layer totals: the root TestTable1_Regenerate and the T1 tests compare meter readings against them"},
+	{"internal/cost/table1.go", "Table 1's per-layer totals: cost's, pfxunet's and protoatm's tests compare meter readings against them"},
 	{"internal/signaling.PendingConnection", "§8 library verb: the non-blocking open_connection the paper calls straightforward, with its Await and Cancel"},
 	{"internal/signaling.Client.OpenConnectionAsync", "§8 library verb: the non-blocking open_connection"},
 	{"internal/ulib.Lib.OpenConnectionAsync", "§8 library verb: the non-blocking open_connection over kern.Proc"},
@@ -783,6 +893,7 @@ func TestUnreachableCodeFixture(t *testing.T) {
 	if want := []string{"internal/lib.Result.unused"}; !slices.Equal(fields, want) {
 		t.Errorf("fields no code names = %q, want %q", fields, want)
 	}
+	// Shared, which internal/use's tests name, is not listed.
 	if own := rep.ownOnly["internal/lib"]; !slices.Equal(own, []string{"Internal", "Result"}) {
 		t.Errorf("used only by their own package = %q, want [Internal Result]", own)
 	}

@@ -1,8 +1,8 @@
 package cost
 
 // Table 1's per-layer totals, each the sum of the per-operation charges
-// in cost.go. No code path charges a total: the Table 1 tests and the
-// root benchmark compare what a meter read against them.
+// in cost.go. No code path charges a total: the layers' Table 1 tests
+// compare what a meter read against them.
 const (
 	ProtoATMRecvTotal = ProtoATMHeaderLoad + ProtoATMSeqCheck + ProtoATMVCILookup + ProtoATMHandoff        // 36
 	ProtoATMSendFixed = ProtoATMHeaderBuild + ProtoATMSeqStamp + ProtoATMRouteLookup + ProtoATMLenWalkBase // 58

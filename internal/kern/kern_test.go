@@ -383,9 +383,6 @@ func TestSyscallAndSwitchCosts(t *testing.T) {
 	if took != 4*h.CM.ContextSwitch {
 		t.Fatalf("4 switches took %v", took)
 	}
-	if took < 17*time.Millisecond || took > 20*time.Millisecond {
-		t.Fatalf("4 switches = %v, outside the paper's 17-20ms RPC band", took)
-	}
 }
 
 func TestOpenFDCounters(t *testing.T) {

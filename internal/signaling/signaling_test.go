@@ -22,22 +22,12 @@ func TestRegisterService(t *testing.T) {
 		t.Fatal(err)
 	}
 	var regErr error
-	var took time.Duration
 	ra.Stack.Spawn("server", func(p *kern.Proc) {
-		start := p.SP.Now()
 		regErr = ra.Lib.ExportService(p, "file-service", 6000)
-		took = p.SP.Now() - start
 	})
 	n.E.RunUntil(5 * time.Second)
 	if regErr != nil {
 		t.Fatal(regErr)
-	}
-	// §9: "The time to register a service was 17-20 ms, and most of the
-	// time was due to the four context switches performed in completing
-	// this RPC." Allow a little transport slack above the 18 ms of
-	// switches.
-	if took < 17*time.Millisecond || took > 25*time.Millisecond {
-		t.Fatalf("registration took %v, want ≈17-20ms", took)
 	}
 	svc, _, _, _, _ := ra.Sig.SH.ListSizes()
 	if svc != 1 {
@@ -88,11 +78,6 @@ func TestRouterToRouterCall(t *testing.T) {
 	}
 	if srv.Received != 5 {
 		t.Fatalf("received = %d frames", srv.Received)
-	}
-	// §9: call establishment between two routers ≈330 ms, dominated by
-	// per-call logging at the two signaling entities.
-	if res.SetupTime < 300*time.Millisecond || res.SetupTime > 420*time.Millisecond {
-		t.Fatalf("setup time %v, want ≈330ms", res.SetupTime)
 	}
 	n.E.Shutdown()
 }
