@@ -123,11 +123,16 @@ func main() {
 
 	if *statsEvery > 0 {
 		go func() {
-			// Counters are atomic, so Stats() is safe off the actor; the
-			// list sizes are actor state and come from a mgmt query
-			// (xunetstat) instead.
+			// The registry reads atomics, the lists' sizes among them,
+			// so a snapshot is safe off the actor.
 			for range time.Tick(*statsEvery) {
-				fmt.Printf("sighost: stats=%+v\n", h.SH.Stats())
+				var counts []string
+				for _, c := range h.SH.Obs.Snapshot().Counters {
+					if strings.HasPrefix(c.Name, "sighost.") {
+						counts = append(counts, fmt.Sprintf("%s=%d", c.Name, c.Value))
+					}
+				}
+				fmt.Printf("sighost: stats %s\n", strings.Join(counts, " "))
 			}
 		}()
 	}

@@ -90,7 +90,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var trace []obs.Event
+	var trace []signaling.Event
 	if *events > 0 {
 		traceBody, err := c.Query(signaling.MgmtTraceJSON, 0, *events)
 		if err != nil {
@@ -105,8 +105,8 @@ func main() {
 
 	if *asJSON {
 		out, _ := json.MarshalIndent(struct {
-			Stats obs.Snapshot `json:"stats"`
-			Trace []obs.Event  `json:"trace,omitempty"`
+			Stats obs.Snapshot      `json:"stats"`
+			Trace []signaling.Event `json:"trace,omitempty"`
 		}{snap, trace}, "", "  ")
 		fmt.Println(string(out))
 		return
@@ -158,7 +158,7 @@ func viewName(args []string, asJSON bool) (what string, callID uint32, err error
 	return what, callID, nil
 }
 
-func render(snap obs.Snapshot, trace []obs.Event) {
+func render(snap obs.Snapshot, trace []signaling.Event) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	if len(snap.Counters) > 0 {
 		fmt.Fprintln(w, "COUNTER\tVALUE")

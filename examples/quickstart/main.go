@@ -112,8 +112,14 @@ func main() {
 	n.E.RunUntil(10 * time.Second)
 	sent, dropped := n.Fabric.TrunkStats()
 	fmt.Printf("\nfabric: %d cells switched, %d dropped\n", sent, dropped)
-	fmt.Printf("mh.rt  sighost stats: %+v\n", ra.Sig.SH.Stats())
-	fmt.Printf("ucb.rt sighost stats: %+v\n", rb.Sig.SH.Stats())
+	for _, r := range []*testbed.Router{ra, rb} {
+		snap := r.Sig.SH.Obs.Snapshot()
+		fmt.Printf("%-6s sighost:", r.Stack.Addr)
+		for _, name := range []string{"calls.established", "calls.torn", "calls.failed", "msgs.app", "msgs.peer", "msgs.kernel"} {
+			fmt.Printf(" %s=%d", name, snap.Count("sighost."+name))
+		}
+		fmt.Println()
+	}
 	if leaks := n.Audit(); leaks != nil {
 		fmt.Println("LEAK:", leaks)
 	} else {

@@ -176,8 +176,9 @@ func main() {
 	n.E.RunUntil(90 * time.Second)
 	sent, dropped := n.Fabric.TrunkStats()
 	fmt.Printf("\nfabric: %d cells switched, %d dropped (any drops land on the best-effort class)\n", sent, dropped)
+	snap := mh.Sig.SH.Obs.Snapshot()
 	fmt.Printf("admission: MH sighost established %d calls, failed %d (CBR oversubscription)\n",
-		mh.Sig.SH.Stats().CallsEstablished, mh.Sig.SH.Stats().CallsFailed)
+		snap.Count("sighost.calls.established"), snap.Count("sighost.calls.failed"))
 	fmt.Printf("best-effort bulk frames offered: %d\n", crossSent)
 	n.E.Shutdown()
 }

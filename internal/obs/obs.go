@@ -1,6 +1,5 @@
 // Package obs is the repo's telemetry layer: a registry of named counters,
-// gauges and sim-time histograms, plus the bounded structured event ring
-// sighost keeps (ring.go, over sim.Ring). Components register metrics by
+// gauges and sim-time histograms. Components register metrics by
 // dotted name ("component.metric", e.g. "sighost.calls.established")
 // against the registry owned by their kern.Machine; the testbed report, the
 // sigmsg mgmt queries ("stats" / "stats.json") and cmd/xunetstat all render

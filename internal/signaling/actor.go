@@ -7,7 +7,6 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/kern"
 	"xunet/internal/memnet"
-	"xunet/internal/obs"
 	"xunet/internal/sigmsg"
 	"xunet/internal/sim"
 )
@@ -89,7 +88,7 @@ func (sh *Sighost) fromApp(in *input) {
 	// Application-to-kernel-to-sighost delivery: one switch charged at
 	// the sender, one here.
 	sh.env.Charge(sh.cm.ContextSwitch)
-	sh.emitMsg(EvAppRx, "", *m)
+	sh.emitMsg(evAppRx, "", *m)
 	switch m.Kind {
 	case sigmsg.KindConnectReq:
 		sh.step(nil, onConnectReq, in)
@@ -118,7 +117,7 @@ func (sh *Sighost) fromPeer(in *input) {
 		return
 	}
 	sh.ct.peerMsgs.Inc()
-	sh.emitMsg(EvPeerRx, string(from), *m)
+	sh.emitMsg(evPeerRx, from, *m)
 	key, on := callKey{peer: from, id: m.CallID}, onSetup
 	switch m.Kind {
 	case sigmsg.KindSetup:
@@ -146,7 +145,7 @@ func (sh *Sighost) fromKernel(in *input) {
 	k := &in.kmsg
 	sh.ct.kernelMsgs.Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvKernRx, Peer: in.ip.String(), VCI: uint32(k.VCI), Cookie: uint32(k.Cookie), Data: *k})
+		sh.emit(Event{Kind: evKernRx, ip: in.ip, VCI: uint32(k.VCI), Cookie: uint32(k.Cookie), kmsg: *k})
 	}
 	on := onClose
 	switch k.Kind {

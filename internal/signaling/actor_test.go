@@ -296,9 +296,9 @@ func TestEnvContract(t *testing.T) {
 			r.settle()
 			var waiting, bound int
 			r.do(func() { _, _, _, waiting, bound = sh.ListSizes() })
-			if waiting != 1 || bound != 1 || sh.Stats().BindTimeouts != 0 {
+			if waiting != 1 || bound != 1 || sh.Obs.Snapshot().Count("sighost.bind_timeouts") != 0 {
 				t.Fatalf("wait_for_bind %d, VCI_mapping %d, bind timeouts %d; want 1, 1, 0",
-					waiting, bound, sh.Stats().BindTimeouts)
+					waiting, bound, sh.Obs.Snapshot().Count("sighost.bind_timeouts"))
 			}
 		}},
 		{"dial a listening port", func(t *testing.T, r *envRig) {

@@ -9,6 +9,7 @@ import (
 	"xunet/internal/mbuf"
 	"xunet/internal/pfxunet"
 	"xunet/internal/qos"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -107,7 +108,7 @@ func stormRig(t *testing.T, base func(i int) uint16) (*testbed.Net, func()) {
 // mallocs in all). The ceiling is there to be ratcheted down, to no
 // lower than the top of that spread.
 func TestCallStormAllocs(t *testing.T) {
-	if raceEnabled {
+	if signaling.RaceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	const ceiling = 577
@@ -193,7 +194,7 @@ func TestNotifyPortsInEphemeralRange(t *testing.T) {
 // the far board allocates nothing in steady state (2 before chain
 // headers were recycled, 12 before the boards kept their SAR buffers).
 func TestFramePathAllocs(t *testing.T) {
-	if raceEnabled {
+	if signaling.RaceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	const ceiling = 1
@@ -242,7 +243,7 @@ func TestFramePathAllocs(t *testing.T) {
 // flattens into the socket's own buffer, so neither a reader taking the
 // chain nor one calling Recv allocates (a copy per Recv was the last).
 func TestIPFramePathAllocs(t *testing.T) {
-	if raceEnabled {
+	if signaling.RaceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	for _, flatten := range []bool{false, true} {

@@ -6,33 +6,63 @@ import (
 	"time"
 
 	"xunet/internal/atm"
-	"xunet/internal/obs"
+	"xunet/internal/kern"
+	"xunet/internal/memnet"
 	"xunet/internal/sigmsg"
 	"xunet/internal/trace"
 )
 
-// Event kinds sighost publishes to its event ring. Events carry the
-// underlying protocol message in Event.Data (a sigmsg.Msg or kern.KMsg) and
-// typed VCI/CallID/Cookie fields for filtering without string parsing.
+// Event kinds sighost publishes to its event history. Each Event holds
+// its payload by value (the message, the kernel indication or the
+// Transition) beside typed VCI/CallID/Cookie fields for filtering
+// without string parsing.
 const (
-	EvAppRx    = "app.rx"    // application -> sighost RPC received
-	EvAppTx    = "app.tx"    // sighost -> application reply sent
-	EvPeerTx   = "peer.tx"   // sighost -> peer signaling message sent
-	EvPeerRx   = "peer.rx"   // peer -> sighost signaling message received
-	EvKernRx   = "kern.rx"   // kernel pseudo-device indication received
-	EvTeardown = "teardown"  // call released (Data: its Transition)
-	EvBindOK   = "bind.ok"   // bind/connect authenticated, wait_for_bind cleared
-	EvBindTime = "bind.fire" // wait_for_bind timer fired
+	evAppRx    = "app.rx"    // application -> sighost RPC received
+	evAppTx    = "app.tx"    // sighost -> application reply sent
+	evPeerTx   = "peer.tx"   // sighost -> peer signaling message sent
+	evPeerRx   = "peer.rx"   // peer -> sighost signaling message received
+	evKernRx   = "kern.rx"   // kernel pseudo-device indication received
+	evTeardown = "teardown"  // call released (with its Transition)
+	evBindOK   = "bind.ok"   // bind/connect authenticated, wait_for_bind cleared
+	evBindTime = "bind.fire" // wait_for_bind timer fired
 
 	// Reliability and recovery events (rendered generically; the legacy
 	// golden format above never sees them because reliability is opt-in).
-	EvRelRetx    = "rel.retx"    // peer message retransmitted
-	EvRelExhaust = "rel.exhaust" // retry budget exhausted
-	EvRelDup     = "rel.dup"     // duplicate peer message suppressed
-	EvPeerDead   = "peer.dead"   // keepalive miss threshold crossed
-	EvCrash      = "crash"       // sighost crashed (state lost)
-	EvRecover    = "recover"     // sighost recovered from journal
+	evRelRetx    = "rel.retx"    // peer message retransmitted
+	evRelExhaust = "rel.exhaust" // retry budget exhausted
+	evRelDup     = "rel.dup"     // duplicate peer message suppressed
+	evPeerDead   = "peer.dead"   // keepalive miss threshold crossed
+	evCrash      = "crash"       // sighost crashed (state lost)
+	evRecover    = "recover"     // sighost recovered from journal
 )
+
+// EventRingSize bounds sighost's event history. Old events are dropped;
+// Seq stays monotonic so consumers can detect loss.
+const EventRingSize = 256
+
+// Event is one entry of sighost's event history. The history holds the
+// payload by value: the message of app, peer and rel.* events, the
+// kernel indication and the machine that sent it for kern.rx, the
+// Transition of teardown, bind.ok and bind.fire. Comp, Peer and Text are
+// rendered when the event is read (Events); JSON carries only the
+// exported fields.
+type Event struct {
+	Seq    uint64        `json:"seq"`
+	At     time.Duration `json:"at_ns"` // sim (or daemon-relative) timestamp
+	Comp   string        `json:"comp"`
+	Kind   string        `json:"kind"`
+	VCI    uint32        `json:"vci,omitempty"`
+	CallID uint32        `json:"call,omitempty"`
+	Cookie uint32        `json:"cookie,omitempty"`
+	Peer   string        `json:"peer,omitempty"`
+	Text   string        `json:"text,omitempty"`
+
+	peer atm.Addr      // the signaling peer of peer.*, rel.* and peer.dead
+	msg  sigmsg.Msg    // app.*, peer.*, rel.*
+	kmsg kern.KMsg     // kern.rx
+	ip   memnet.IPAddr // the machine that sent kmsg
+	tr   Transition    // teardown, bind.ok, bind.fire
+}
 
 // causeCode names why a call ends.
 type causeCode uint8
@@ -319,7 +349,7 @@ func (sh *Sighost) publish(c *call, tr Transition) {
 		if rebuilt {
 			sh.Obs.Counter("sighost.recovered.bound").Inc()
 		} else if sh.traceOn() {
-			sh.emit(obs.Event{Kind: EvBindOK, VCI: uint32(tr.VCI), CallID: tr.Call.id})
+			sh.emitTr(evBindOK, tr)
 		}
 	case callReleased:
 		e := tr.Cause.ending()
@@ -338,10 +368,10 @@ func (sh *Sighost) publish(c *call, tr Transition) {
 		}
 		if sh.traceOn() {
 			if fired {
-				sh.emit(obs.Event{Kind: EvBindTime, VCI: uint32(tr.VCI), CallID: tr.Call.id})
+				sh.emitTr(evBindTime, tr)
 			}
 			if e.torn {
-				sh.emit(obs.Event{Kind: EvTeardown, CallID: tr.Call.id, VCI: uint32(tr.VCI), Data: tr})
+				sh.emitTr(evTeardown, tr)
 			}
 		}
 	}
@@ -371,71 +401,74 @@ func (sh *Sighost) traceOn() bool {
 // goroutine.
 func (sh *Sighost) EnableTrace(on bool) { sh.tracing.Store(on) }
 
-// emit timestamps and publishes one event. The ring keeps it typed and
-// Events renders it when it is read; the legacy Trace callback, when
-// set, gets the rendered line now.
-func (sh *Sighost) emit(ev obs.Event) {
+// emit timestamps one event and keeps it in the history, stamping its
+// Seq, while the ring is on; the legacy Trace callback, when set, gets
+// its rendered line now. The history holds the event as it is: Events
+// renders it when it is read.
+func (sh *Sighost) emit(ev Event) {
 	ev.At = sh.env.Now()
 	if sh.Trace != nil {
-		ev.Text = eventString(ev)
-		sh.Trace(ev.Text)
+		sh.Trace(ev.text())
 	}
 	if sh.tracing.Load() {
-		ev.Comp = "sighost"
-		sh.events.Publish(ev)
+		ev.Seq = sh.evSeq
+		sh.evSeq++
+		sh.events.Keep(ev, EventRingSize)
 	}
 }
 
-// Events returns up to n of the ring's newest events, oldest first,
-// each rendered with eventString. Safe from any goroutine.
-func (sh *Sighost) Events(n int) []obs.Event {
+// Events returns up to n of the history's newest events, oldest first,
+// rendered. Call it in actor context (MGMT trace views) or after the run.
+func (sh *Sighost) Events(n int) []Event {
 	evs := sh.events.Last(n)
 	for i := range evs {
-		if evs[i].Text == "" {
-			evs[i].Text = eventString(evs[i])
+		ev := &evs[i]
+		ev.Comp, ev.Peer, ev.Text = "sighost", string(ev.peer), ev.text()
+		if ev.Kind == evKernRx {
+			ev.Peer = ev.ip.String()
 		}
 	}
 	return evs
 }
 
 // emitMsg publishes a signaling-message event with typed identity fields.
-func (sh *Sighost) emitMsg(kind, peer string, m sigmsg.Msg) {
-	if !sh.traceOn() {
-		return
+func (sh *Sighost) emitMsg(kind string, peer atm.Addr, m sigmsg.Msg) {
+	if sh.traceOn() {
+		sh.emit(Event{Kind: kind, peer: peer, VCI: uint32(m.VCI), CallID: m.CallID, Cookie: uint32(m.Cookie), msg: m})
 	}
-	sh.emit(obs.Event{
-		Kind: kind, Peer: peer,
-		VCI: uint32(m.VCI), CallID: m.CallID, Cookie: uint32(m.Cookie),
-		Data: m,
-	})
 }
 
-// eventString renders an event in the exact legacy Trace format that the
-// Figure 3/4 golden tests (and any external log scrapers) depend on. New
-// event kinds fall through to the generic obs.Event rendering.
-func eventString(ev obs.Event) string {
+// emitTr publishes a lifecycle event carrying its Transition.
+func (sh *Sighost) emitTr(kind string, tr Transition) {
+	sh.emit(Event{Kind: kind, VCI: uint32(tr.VCI), CallID: tr.Call.id, tr: tr})
+}
+
+// text renders an event in the exact legacy Trace format that the
+// Figure 3/4 golden tests (and any external log scrapers) depend on.
+func (ev *Event) text() string {
 	switch ev.Kind {
-	case EvAppRx:
-		return fmt.Sprintf("app->sighost %v", ev.Data)
-	case EvAppTx:
-		return fmt.Sprintf("sighost->app %v", ev.Data)
-	case EvPeerTx:
-		return fmt.Sprintf("peer->%s %v", ev.Peer, ev.Data)
-	case EvPeerRx:
-		return fmt.Sprintf("peer<-%s %v", ev.Peer, ev.Data)
-	case EvKernRx:
-		return fmt.Sprintf("kernel<-%s %v", ev.Peer, ev.Data)
-	case EvTeardown:
-		tr, _ := ev.Data.(Transition)
-		return fmt.Sprintf("teardown call=%d origin=%v reason=%q", ev.CallID, tr.Call.origin, tr.Cause.String())
-	case EvBindOK:
+	case evAppRx:
+		return fmt.Sprintf("app->sighost %v", ev.msg)
+	case evAppTx:
+		return fmt.Sprintf("sighost->app %v", ev.msg)
+	case evPeerTx:
+		return fmt.Sprintf("peer->%s %v", ev.peer, ev.msg)
+	case evPeerRx:
+		return fmt.Sprintf("peer<-%s %v", ev.peer, ev.msg)
+	case evKernRx:
+		return fmt.Sprintf("kernel<-%v %v", ev.ip, ev.kmsg)
+	case evTeardown:
+		return fmt.Sprintf("teardown call=%d origin=%v reason=%q", ev.CallID, ev.tr.Call.origin, ev.tr.Cause.String())
+	case evBindOK:
 		return fmt.Sprintf("bind ok vci=%d", ev.VCI)
-	case EvBindTime:
+	case evBindTime:
 		return fmt.Sprintf("bind timeout vci=%d call=%d", ev.VCI, ev.CallID)
 	}
-	// The generic form, without the component name: MGMT trace views
-	// show these kinds as they read when text was rendered at publish,
-	// before emit stamped Comp.
-	ev.Comp = ""
-	return ev.String()
+	// The generic form, without a component name, that the other kinds
+	// have always read: the message for rel.*, <nil> for the rest.
+	var data any
+	if ev.Kind == evRelRetx || ev.Kind == evRelExhaust || ev.Kind == evRelDup {
+		data = ev.msg
+	}
+	return fmt.Sprintf("[%v] .%s vci=%d call=%d %v", ev.At, ev.Kind, ev.VCI, ev.CallID, data)
 }

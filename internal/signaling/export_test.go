@@ -391,3 +391,12 @@ func (cs *Cells) Hits() string {
 	}
 	return b.String()
 }
+
+// RaceEnabled reports that the race detector is on.
+const RaceEnabled = raceEnabled
+
+// The event kinds external tests look for.
+const (
+	EvBindOK   = evBindOK
+	EvTeardown = evTeardown
+)

@@ -332,7 +332,7 @@ func (sh *Sighost) Crash() {
 	sh.down = true
 	sh.Obs.Counter("sighost.crashes").Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvCrash})
+		sh.emit(Event{Kind: evCrash})
 	}
 	if sh.rel != nil {
 		// Pending messages go back to the pool in peer and Seq order, as
@@ -360,7 +360,7 @@ func (sh *Sighost) Recover() {
 	sh.down = false
 	sh.Obs.Counter("sighost.recoveries").Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvRecover})
+		sh.emit(Event{Kind: evRecover})
 	}
 	if sh.jr == nil {
 		return // no journal: recovered empty, like a cold start

@@ -18,8 +18,8 @@ import (
 
 // Management query names. The stats/trace pair is the MGMT_STATS /
 // MGMT_TRACE surface of the telemetry registry: "stats" renders the full
-// registry as text (first line keeps the legacy Stats %+v form), the
-// ".json" variants return machine-parseable snapshots for tooling.
+// registry as text, the ".json" variants return machine-parseable
+// snapshots for tooling.
 const (
 	MgmtServices  = "services"
 	MgmtCalls     = "calls"
@@ -86,10 +86,10 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 		sort.Strings(lines)
 		body = strings.Join(lines, "\n")
 	case MgmtStats:
-		// Legacy counter line first, then the whole registry: every
-		// counter, gauge high-water mark and latency histogram the
-		// machine registered, not just sighost's own.
-		body = fmt.Sprintf("%+v\n", sh.Stats()) + sh.Obs.Snapshot().Text()
+		// The whole registry: every counter, gauge high-water mark and
+		// latency histogram the machine registered, not just sighost's
+		// own.
+		body = sh.Obs.Snapshot().Text()
 	case MgmtStatsJSON:
 		body = sh.Obs.Snapshot().JSON()
 	case MgmtTrace:

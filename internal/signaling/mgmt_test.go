@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"xunet/internal/obs"
 	"xunet/internal/prof"
 	"xunet/internal/sigmsg"
 	"xunet/internal/signaling"
@@ -44,7 +43,7 @@ func TestRealManagementQueries(t *testing.T) {
 				t.Errorf("services view missing registration: %q", reply.Comment)
 			}
 		case signaling.MgmtStats:
-			if !strings.Contains(reply.Comment, "ServicesRegistered:1") {
+			if !strings.Contains(reply.Comment, "sighost.services_registered 1\n") {
 				t.Errorf("stats view = %q", reply.Comment)
 			}
 		case signaling.MgmtLists:
@@ -292,7 +291,7 @@ func TestQueryCountClamps(t *testing.T) {
 	h := startReal(t)
 	c := &signaling.RealClient{SighostAddr: h.ListenAddr()}
 	t.Cleanup(c.Close)
-	for i := range obs.DefaultRingSize {
+	for i := range signaling.EventRingSize {
 		if err := c.ExportService(fmt.Sprintf("svc%d", i), uint16(20000+i)); err != nil {
 			t.Fatal(err)
 		}
@@ -303,15 +302,15 @@ func TestQueryCountClamps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var evs []obs.Event
+		var evs []signaling.Event
 		if err := json.Unmarshal([]byte(body), &evs); err != nil {
 			t.Fatal(err)
 		}
 		return len(evs)
 	}
 	want := count(math.MaxUint16)
-	if want != obs.DefaultRingSize {
-		t.Fatalf("%d events for a count of 65535, want the full ring of %d", want, obs.DefaultRingSize)
+	if want != signaling.EventRingSize {
+		t.Fatalf("%d events for a count of 65535, want the full ring of %d", want, signaling.EventRingSize)
 	}
 	for _, n := range []int{math.MaxUint16 + 1, math.MaxUint16 + 101} {
 		if got := count(n); got != want {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package signaling_test
+package signaling
 
 const raceEnabled = false

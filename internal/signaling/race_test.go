@@ -1,6 +1,6 @@
 //go:build race
 
-package signaling_test
+package signaling
 
 // raceEnabled reports that the race detector is on: sync.Pool then
 // drops a share of what is put back, so allocation counts are not

@@ -208,7 +208,7 @@ func (sh *Sighost) relSend(dst atm.Addr, m sigmsg.Msg) error {
 	r.encodes.Inc()
 	lk.unacked[m.Seq] = pm
 	lk.backlog.set(len(lk.unacked))
-	sh.emitMsg(EvPeerTx, string(dst), m)
+	sh.emitMsg(evPeerTx, dst, m)
 	if err := sh.env.SendPeerRaw(dst, m, pm.raw); err != nil {
 		// No signaling path at all (no PVC): retrying cannot help.
 		r.dropPending(lk, pm)
@@ -239,7 +239,7 @@ func (pm *pendingMsg) fireNow() {
 		sh.rel.dropPending(lk, pm) // recycles pm: only the locals are safe now
 		sh.rel.exhausted.Inc()
 		if sh.traceOn() {
-			sh.emit(obs.Event{Kind: EvRelExhaust, Peer: string(addr), CallID: m.CallID, Data: m})
+			sh.emit(Event{Kind: evRelExhaust, peer: addr, CallID: m.CallID, msg: m})
 		}
 		if k, ok := pmCall(addr, m); ok {
 			sh.step(sh.calls[k], onRetxExhausted, &input{})
@@ -249,7 +249,7 @@ func (pm *pendingMsg) fireNow() {
 	pm.attempts++
 	sh.rel.retransmits.Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvRelRetx, Peer: string(lk.addr), CallID: pm.m.CallID, Data: pm.m})
+		sh.emit(Event{Kind: evRelRetx, peer: lk.addr, CallID: pm.m.CallID, msg: pm.m})
 	}
 	_ = sh.env.SendPeerRaw(lk.addr, pm.m, pm.raw)
 	sh.armRetransmit(lk, pm)
@@ -332,7 +332,7 @@ func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
 	if m.Seq <= lk.floor || lk.seen[m.Seq] {
 		sh.rel.dups.Inc()
 		if sh.traceOn() {
-			sh.emit(obs.Event{Kind: EvRelDup, Peer: string(from), CallID: m.CallID, Data: m})
+			sh.emit(Event{Kind: evRelDup, peer: from, CallID: m.CallID, msg: m})
 		}
 		return false
 	}
@@ -397,7 +397,7 @@ func (sh *Sighost) armKeepalive(lk *peerLink) {
 func (sh *Sighost) peerDead(lk *peerLink) {
 	sh.rel.peerDeaths.Inc()
 	if sh.traceOn() {
-		sh.emit(obs.Event{Kind: EvPeerDead, Peer: string(lk.addr)})
+		sh.emit(Event{Kind: evPeerDead, peer: lk.addr})
 	}
 	sh.rel.dropWhere(lk, every)
 	// The neighbor's calls end in creation order, so the cascade is

@@ -343,16 +343,16 @@ func TestBindTimerAudit(t *testing.T) {
 	// Path 2: bind timeout on both sides.
 	openCall(t, w, shA, shB, envA, envB, "echo")
 	check()
-	torn := shA.Stats().CallsTorn
+	torn := shA.Obs.Snapshot().Count("sighost.calls.torn")
 	w.advance(w.now + 6*time.Second)
 	check()
 	if len(shA.waitBind) != 0 || len(shB.waitBind) != 0 || len(shA.calls) != 0 || len(shB.calls) != 0 {
 		t.Fatal("bind timeout left state behind")
 	}
-	if shA.Stats().CallsTorn == torn {
+	if shA.Obs.Snapshot().Count("sighost.calls.torn") == torn {
 		t.Fatal("bind timeout tore nothing down")
 	}
-	if shA.Stats().BindTimeouts == 0 {
+	if shA.Obs.Snapshot().Count("sighost.bind_timeouts") == 0 {
 		t.Fatal("bind timeout not counted")
 	}
 
@@ -361,7 +361,7 @@ func TestBindTimerAudit(t *testing.T) {
 	shA.HandleKernel(envA.ip, kern.KMsg{Kind: kern.MsgConnect, VCI: cv, Cookie: cc + 1})
 	w.pump()
 	check()
-	if shA.Stats().AuthFailures == 0 {
+	if shA.Obs.Snapshot().Count("sighost.auth_failures") == 0 {
 		t.Fatal("auth failure not counted")
 	}
 	if len(shA.calls) != 0 {
@@ -425,8 +425,8 @@ func TestStaleViewReleaseSparesRegrant(t *testing.T) {
 	if slices.Contains(envB.disconnects, sv) {
 		t.Fatalf("disconnects %v: the stale view's end shut VCI %d, which the new call maps", envB.disconnects, sv)
 	}
-	if c := shB.vciMap[sv]; c == nil || c.cookie != sc2 || shB.Stats().AuthFailures != 0 {
-		t.Fatalf("the new call's bind was refused: view %+v, %d auth failures", c, shB.Stats().AuthFailures)
+	if c := shB.vciMap[sv]; c == nil || c.cookie != sc2 || shB.Obs.Snapshot().Count("sighost.auth_failures") != 0 {
+		t.Fatalf("the new call's bind was refused: view %+v, %d auth failures", c, shB.Obs.Snapshot().Count("sighost.auth_failures"))
 	}
 	if shA.CookieCount() != 1 || shB.CookieCount() != 1 {
 		t.Fatalf("cookies = %d/%d, want one live call each", shA.CookieCount(), shB.CookieCount())
@@ -751,7 +751,7 @@ func TestRecoveryExpiredDeadline(t *testing.T) {
 	if len(shA.waitBind) != 0 || len(shA.calls) != 0 {
 		t.Fatal("expired grant survived recovery")
 	}
-	if shA.Stats().BindTimeouts == 0 {
+	if shA.Obs.Snapshot().Count("sighost.bind_timeouts") == 0 {
 		t.Error("expired grant not counted as a bind timeout")
 	}
 }

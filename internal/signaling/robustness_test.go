@@ -59,8 +59,8 @@ func TestThirdPartyCookieHandoff(t *testing.T) {
 		}
 	})
 	n.E.RunUntil(time.Minute)
-	if rb.Sig.SH.Stats().AuthFailures != 0 {
-		t.Fatalf("auth failures = %d", rb.Sig.SH.Stats().AuthFailures)
+	if rb.Sig.SH.Obs.Snapshot().Count("sighost.auth_failures") != 0 {
+		t.Fatalf("auth failures = %d", rb.Sig.SH.Obs.Snapshot().Count("sighost.auth_failures"))
 	}
 	if string(received) != "frame 0" {
 		t.Fatalf("third party received %q", received)

@@ -332,8 +332,8 @@ func (row endRow) run(t *testing.T, watch func(*Sighost)) {
 		if len(failed) != want || (want == 1 && failed[0] != row.connFailed) {
 			t.Errorf("%s: CONN_FAILED %q, want %q", env.addr, failed, row.connFailed)
 		}
-		st := sh.Stats()
-		if got := [4]uint64{st.CallsFailed, st.CallsTorn, st.CallsRejected, st.CallsCanceled}; got != row.counts[i] {
+		snap := sh.Obs.Snapshot()
+		if got := [4]uint64{snap.Count("sighost.calls.failed"), snap.Count("sighost.calls.torn"), snap.Count("sighost.calls.rejected"), snap.Count("sighost.calls.canceled")}; got != row.counts[i] {
 			t.Errorf("%s: failed/torn/rejected/canceled = %v, want %v", env.addr, got, row.counts[i])
 		}
 		if err := chains[i].Err(); err != nil {
@@ -537,7 +537,7 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 // histogram.
 func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 	counters := map[string]bool{"callsRequested": true, "callsEstablished": true, "ended": true, "callsTorn": true, "bindTimeouts": true}
-	events := map[string]bool{"EvTeardown": true, "EvBindOK": true, "EvBindTime": true}
+	events := map[string]bool{"evTeardown": true, "evBindOK": true, "evBindTime": true}
 	recovery := []string{`"sighost.recovered.wait_bind"`, `"sighost.recovered.bound"`, `"sighost.recovery.aborted_calls"`}
 	hists := map[string]bool{"stage": true, "setupTotal": true, "acceptTotal": true}
 	spans := map[string]bool{"StartTrace": true, "StartCallTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true}
@@ -557,6 +557,11 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 				sel, ok := n.Fun.(*ast.SelectorExpr)
 				if !ok {
 					break
+				}
+				if sel.Sel.Name == "emitTr" {
+					if v, ok := n.Args[0].(*ast.Ident); ok && events[v.Name] {
+						found(n, v.Name)
+					}
 				}
 				own := sel.Sel.Name == "Record" && len(n.Args) > 1 && isLit(n.Args[1], `"sighost"`)
 				switch {

@@ -232,9 +232,10 @@ type Sighost struct {
 	ct  sigCounters
 	h   sigHists
 
-	// events is the typed event ring MGMT trace reads; emit writes it
-	// only while tracing is on (EnableTrace).
-	events  *obs.Ring
+	// events is the event history MGMT trace reads, grown on first use,
+	// evSeq the next event's Seq; emit writes both only while tracing is on.
+	events  sim.Ring[Event]
+	evSeq   uint64
 	tracing atomic.Bool
 
 	// Trace, when non-nil, receives one stringified line per event — the
@@ -284,12 +285,11 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 		cm.BindTimeout = 30 * time.Second
 	}
 	sh := &Sighost{
-		env:    env,
-		cm:     cm,
-		pvcs:   make(map[atm.VCI]bool),
-		views:  make(map[string]func() string),
-		Obs:    reg,
-		events: obs.NewRing(obs.DefaultRingSize),
+		env:   env,
+		cm:    cm,
+		pvcs:  make(map[atm.VCI]bool),
+		views: make(map[string]func() string),
+		Obs:   reg,
 	}
 	sh.wipe()
 	sh.register(reg)
@@ -562,7 +562,7 @@ func (sh *Sighost) dialed(dc *dialCtx, conn Conn, err error) {
 // context switch.
 func (sh *Sighost) sendApp(conn Conn, m sigmsg.Msg) {
 	sh.env.Charge(sh.cm.ContextSwitch)
-	sh.emitMsg(EvAppTx, "", m)
+	sh.emitMsg(evAppTx, "", m)
 	_ = conn.Send(m)
 }
 
@@ -674,7 +674,7 @@ func (sh *Sighost) sendPeer(dst atm.Addr, m sigmsg.Msg) error {
 			return sh.relSend(dst, m)
 		}
 	}
-	sh.emitMsg(EvPeerTx, string(dst), m)
+	sh.emitMsg(evPeerTx, dst, m)
 	return sh.env.SendPeer(dst, m)
 }
 

@@ -303,7 +303,7 @@ func TestBindTimeoutReclaimsVCI(t *testing.T) {
 	if !opened {
 		t.Fatal("open failed")
 	}
-	if ra.Sig.SH.Stats().BindTimeouts == 0 {
+	if ra.Sig.SH.Obs.Snapshot().Count("sighost.bind_timeouts") == 0 {
 		t.Fatal("no bind timeout fired")
 	}
 	if leaks := n.Audit(); leaks != nil {
@@ -332,7 +332,7 @@ func TestCookieAuthenticationFailure(t *testing.T) {
 		sendErr = sock.Send([]byte("stolen data"))
 	})
 	n.E.RunUntil(10 * time.Second)
-	if ra.Sig.SH.Stats().AuthFailures == 0 {
+	if ra.Sig.SH.Obs.Snapshot().Count("sighost.auth_failures") == 0 {
 		t.Fatal("auth failure not detected")
 	}
 	if sendErr == nil {
@@ -353,7 +353,7 @@ func TestBindToUngrantedVCIDisconnected(t *testing.T) {
 		_, recvErr = sock.Recv()
 	})
 	n.E.RunUntil(5 * time.Second)
-	if ra.Sig.SH.Stats().AuthFailures == 0 {
+	if ra.Sig.SH.Obs.Snapshot().Count("sighost.auth_failures") == 0 {
 		t.Fatal("squat not detected")
 	}
 	if recvErr == nil {
@@ -398,8 +398,8 @@ func TestCancelRequest(t *testing.T) {
 	if cancelErr != nil {
 		t.Fatalf("cancel: %v", cancelErr)
 	}
-	if ra.Sig.SH.Stats().CallsCanceled != 1 {
-		t.Fatalf("canceled = %d", ra.Sig.SH.Stats().CallsCanceled)
+	if ra.Sig.SH.Obs.Snapshot().Count("sighost.calls.canceled") != 1 {
+		t.Fatalf("canceled = %d", ra.Sig.SH.Obs.Snapshot().Count("sighost.calls.canceled"))
 	}
 	if leaks := n.Audit(); leaks != nil {
 		t.Fatal(leaks)

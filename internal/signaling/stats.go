@@ -7,24 +7,6 @@ import (
 	"xunet/internal/obs"
 )
 
-// Stats is a point-in-time snapshot of signaling activity, read by the
-// experiments. The live counts are obs registry counters (see sigCounters);
-// Stats() assembles this struct from them on demand.
-type Stats struct {
-	ServicesRegistered uint64
-	CallsRequested     uint64
-	CallsEstablished   uint64
-	CallsRejected      uint64
-	CallsFailed        uint64
-	CallsTorn          uint64
-	CallsCanceled      uint64
-	AuthFailures       uint64
-	BindTimeouts       uint64
-	KernelMsgs         uint64
-	PeerMsgs           uint64
-	AppMsgs            uint64
-}
-
 // The sigCounters.ended slots an ending names (0, none).
 const (
 	countFailed = iota + 1
@@ -32,8 +14,8 @@ const (
 	countCanceled
 )
 
-// sigCounters are the registry counters behind the legacy Stats fields,
-// registered under "sighost.*" names.
+// sigCounters are sighost's registry counters, the one copy of its
+// counts, registered under "sighost.*" names.
 type sigCounters struct {
 	servicesRegistered *obs.Counter    // sighost.services_registered
 	callsRequested     *obs.Counter    // sighost.calls.requested
@@ -104,24 +86,6 @@ func (sh *Sighost) register(reg *obs.Registry) {
 	reg.Func("sighost.list.vci_map", sh.n.vciMap.get)
 	reg.Func("sighost.cookies", sh.n.cookies.get)
 	reg.Func("sighost.calls.active", sh.n.calls.get)
-}
-
-// Stats snapshots the signaling counters into the legacy struct.
-func (sh *Sighost) Stats() Stats {
-	return Stats{
-		ServicesRegistered: sh.ct.servicesRegistered.Value(),
-		CallsRequested:     sh.ct.callsRequested.Value(),
-		CallsEstablished:   sh.ct.callsEstablished.Value(),
-		CallsRejected:      sh.ct.ended[countRejected].Value(),
-		CallsFailed:        sh.ct.ended[countFailed].Value(),
-		CallsTorn:          sh.ct.callsTorn.Value(),
-		CallsCanceled:      sh.ct.ended[countCanceled].Value(),
-		AuthFailures:       sh.ct.authFailures.Value(),
-		BindTimeouts:       sh.ct.bindTimeouts.Value(),
-		KernelMsgs:         sh.ct.kernelMsgs.Value(),
-		PeerMsgs:           sh.ct.peerMsgs.Value(),
-		AppMsgs:            sh.ct.appMsgs.Value(),
-	}
 }
 
 // ListSizes reports the sizes of service_list, outgoing_requests,

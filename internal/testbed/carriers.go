@@ -90,7 +90,8 @@ func UseUDPCarrier(host *Host) (*CarrierStats, error) {
 		}
 		recvSeq[vci] = s + 1
 		st.FramesDelivered++
-		_ = router.Stack.M.Orc.Output(vci, mbuf.FromBytes(frame))
+		orc := router.Stack.M.Orc
+		_ = orc.Output(vci, orc.Pool.FromBytes(frame))
 	})
 	if err != nil {
 		return nil, err
@@ -165,7 +166,7 @@ func (t *tunnelEnd) Deliver(data []byte) {
 		return
 	}
 	t.st.FramesDelivered++
-	if err := t.orc.Output(vci, mbuf.FromBytes(frame)); err != nil {
+	if err := t.orc.Output(vci, t.orc.Pool.FromBytes(frame)); err != nil {
 		t.st.OutputErrors++
 		t.st.LastErr = err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"xunet/internal/core"
 	"xunet/internal/testbed"
 )
 
@@ -22,6 +23,23 @@ func hostRig(t *testing.T) (*testbed.Net, *testbed.Host) {
 	return n, host
 }
 
+// poolsBalance fails t for each mbuf, cluster or chain a machine's pool
+// still has out: every frame a carrier re-injected has met its consumer.
+func poolsBalance(t *testing.T, n *testbed.Net, host *testbed.Host) {
+	t.Helper()
+	stacks := []*core.Stack{host.Stack}
+	for _, r := range n.Routers {
+		stacks = append(stacks, r.Stack)
+	}
+	for _, s := range stacks {
+		s.M.Pool.Audit(func(list string, out, want int) {
+			if out != want {
+				t.Errorf("%s %s out: %d, want %d", s.Addr, list, out, want)
+			}
+		})
+	}
+}
+
 func TestCarrierRawIP(t *testing.T) {
 	n, host := hostRig(t)
 	res, err := testbed.RunCarrierTransfer(n, host, 200, 1400, 100*time.Microsecond)
@@ -31,6 +49,7 @@ func TestCarrierRawIP(t *testing.T) {
 	if res.Delivered != 200 {
 		t.Fatalf("delivered %d of 200 over raw IP", res.Delivered)
 	}
+	poolsBalance(t, n, host)
 	if res.ThroughputBps(1400) < 10_000_000 {
 		t.Fatalf("raw IP throughput %.0f bps", res.ThroughputBps(1400))
 	}
@@ -49,6 +68,7 @@ func TestCarrierUDP(t *testing.T) {
 	if res.Delivered != 200 {
 		t.Fatalf("delivered %d of 200 over UDP carrier", res.Delivered)
 	}
+	poolsBalance(t, n, host)
 	n.E.Shutdown()
 }
 
@@ -64,6 +84,7 @@ func TestCarrierTCP(t *testing.T) {
 	if res.Delivered != 200 {
 		t.Fatalf("delivered %d of 200 over TCP carrier", res.Delivered)
 	}
+	poolsBalance(t, n, host)
 	n.E.Shutdown()
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"xunet/internal/kern"
-	"xunet/internal/obs"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -48,7 +48,7 @@ func stormFingerprint(t *testing.T, seed uint64) string {
 		name string
 		r    *testbed.Router
 	}{{"mh.rt", ra}, {"ucb.rt", rb}} {
-		evs, err := json.Marshal(rr.r.Sig.SH.Events(obs.DefaultRingSize))
+		evs, err := json.Marshal(rr.r.Sig.SH.Events(signaling.EventRingSize))
 		if err != nil {
 			t.Fatal(err)
 		}

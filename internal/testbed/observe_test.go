@@ -43,7 +43,6 @@ func TestObservationCannotChangeHistory(t *testing.T) {
 		}
 		read = func() {
 			for _, r := range n.Routers {
-				_ = r.Sig.SH.Stats()
 				_ = r.Stack.M.Obs.Snapshot().Text()
 			}
 			reads++

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"xunet/internal/kern"
-	"xunet/internal/obs"
 	"xunet/internal/obs/tseries"
+	"xunet/internal/signaling"
 	"xunet/internal/testbed"
 )
 
@@ -90,7 +90,7 @@ func shardedFingerprint(t *testing.T, seed uint64, workers int, chaos bool) stri
 	}
 	for _, dom := range sn.Domains {
 		for _, r := range dom.Routers {
-			evs, err := json.Marshal(r.Sig.SH.Events(obs.DefaultRingSize))
+			evs, err := json.Marshal(r.Sig.SH.Events(signaling.EventRingSize))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func TestManagementQueries(t *testing.T) {
 	if !strings.Contains(calls, "svc=echo") {
 		t.Errorf("calls view = %q", calls)
 	}
-	if !strings.Contains(stats, "CallsEstablished:1") {
+	if !strings.Contains(stats, "sighost.calls.established 1\n") {
 		t.Errorf("stats view = %q", stats)
 	}
 	if !strings.Contains(lists, "VCI_mapping=") {
@@ -140,8 +140,8 @@ func TestPendingConnectionCancel(t *testing.T) {
 	if cancelErr != nil {
 		t.Fatalf("cancel: %v", cancelErr)
 	}
-	if ra.Sig.SH.Stats().CallsCanceled != 1 {
-		t.Fatalf("canceled = %d", ra.Sig.SH.Stats().CallsCanceled)
+	if ra.Sig.SH.Obs.Snapshot().Count("sighost.calls.canceled") != 1 {
+		t.Fatalf("canceled = %d", ra.Sig.SH.Obs.Snapshot().Count("sighost.calls.canceled"))
 	}
 	if leaks := n.Audit(); leaks != nil {
 		t.Fatal(leaks)
