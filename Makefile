@@ -34,9 +34,9 @@ test:
 # over it at the next Recv, so a caller that kept a frame reads junk. So
 # do the bounded histories over sim.Ring: the real daemon scrapes its
 # tseries store on a ticker goroutine while MGMT reads the series and
-# health events on the actor, and the trace collector keeps its flight
-# recorder under its own lock so that it may be read off the actor
-# (its tests finish and read traces from several goroutines). So does the
+# health events on the actor. The trace collector has no lock: its one
+# owner is a real daemon's actor or a sim domain's engine or shard, and
+# anything else reads it through that owner. So does the
 # switch fabric: a boundary trunk hands pooled cell records from the
 # sending shard to the receiving one under its lock, and cell runs
 # take that same path one cell at a time.
@@ -46,10 +46,17 @@ test:
 # connections between goroutines, both scrape the daemons' registries
 # off their actors while calls run, and a real timer fires on a runtime
 # goroutine into a record the actor recycles.
+# The fourth line runs the sharded storms' determinism tests at 1, 2 and
+# 4 Ps: the shards are the one place where several owners run at once,
+# each domain with its own collector, engine, meters and pools, so a
+# record one shard touches and another reads shows here.
+# TestShardedScalingGate stays off it: it times wall clock, which the
+# race detector and a small box distort.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/pfxunet/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/ ./internal/xswitch/
 	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
+	$(GO) test -count 1 -race -cpu 1,2,4 -run 'TestSharded.*Deterministic' ./internal/testbed/
 
 # One iteration of every benchmark, so bench-only build or runtime
 # breakage shows without paying measurement time.

@@ -26,7 +26,6 @@ package mbuf
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"xunet/internal/sim"
@@ -66,21 +65,16 @@ const leadingSpace = 24
 // the mbufs that Prepend, AppendBytes, Pullup and Clone add to it. A
 // pool has one owner, a kern.Machine, and is not safe for concurrent
 // use: a chain never leaves its engine (links never join engines, and
-// trunks copy cells). A nil *Pool draws from shared sync.Pool lists
-// instead, for tests and tools that run outside a machine.
+// trunks copy cells). A nil *Pool allocates, and the collector reclaims
+// what its chains release: tests and tools that run outside a machine
+// use it.
 type Pool struct {
 	mbufs  [2]sim.FreeList[Mbuf] // small and cluster
 	chains sim.FreeList[Chain]
 }
 
-// The size classes, and the shared lists behind a nil *Pool.
-var (
-	classes = [2]int{MLEN, mclBytes}
-	shared  = [2]sync.Pool{{New: func() any { return newMbuf(MLEN) }}, {New: func() any { return newMbuf(mclBytes) }}}
-	headers = sync.Pool{New: func() any { return new(Chain) }}
-)
-
-func newMbuf(c int) *Mbuf { return &Mbuf{buf: make([]byte, c+leadingSpace)} }
+// The size classes.
+var classes = [2]int{MLEN, mclBytes}
 
 // class is the size class an mbuf of capacity c comes from, if any.
 func class(c int) int { return min(c/(MLEN+1), 1) }
@@ -104,30 +98,28 @@ func (p *Pool) FromBytes(b []byte) *Chain {
 
 // newChain draws an empty header: every chain this package builds.
 func (p *Pool) newChain() *Chain {
-	var c *Chain
 	if p == nil {
-		c = headers.Get().(*Chain)
-	} else {
-		c = p.chains.Get()
+		return new(Chain)
 	}
-	c.pool, c.pooled = p, true
+	c := p.chains.Get()
+	c.pool = p
 	return c
 }
 
 // alloc returns an mbuf with capacity at least c and leading space
 // reserved, drawing from the small or cluster free list when c fits a
-// standard size class.
-func (p *Pool) alloc(c int) (m *Mbuf) {
-	k := class(c)
-	switch {
-	case c > mclBytes:
+// standard size class and p is a pool.
+func (p *Pool) alloc(c int) *Mbuf {
+	if c > mclBytes {
 		return &Mbuf{buf: make([]byte, c+leadingSpace), off: leadingSpace}
-	case p == nil:
-		m = shared[k].Get().(*Mbuf)
-	default:
-		if m = p.mbufs[k].Get(); m.buf == nil {
-			m.buf = make([]byte, classes[k]+leadingSpace)
-		}
+	}
+	k := class(c)
+	if p == nil {
+		return &Mbuf{buf: make([]byte, classes[k]+leadingSpace), off: leadingSpace}
+	}
+	m := p.mbufs[k].Get()
+	if m.buf == nil {
+		m.buf = make([]byte, classes[k]+leadingSpace)
 	}
 	m.off, m.n, m.next = leadingSpace, 0, nil
 	return m
@@ -137,11 +129,7 @@ func (p *Pool) alloc(c int) (m *Mbuf) {
 // false leaves it to the collector.
 func (p *Pool) free(m *Mbuf, keep bool) {
 	switch k := class(len(m.buf) - leadingSpace); {
-	case len(m.buf) != classes[k]+leadingSpace: // oversize: the collector's
-	case p == nil:
-		if keep {
-			shared[k].Put(m)
-		}
+	case p == nil, len(m.buf) != classes[k]+leadingSpace: // the collector's
 	case keep:
 		p.mbufs[k].Put(m)
 	default:
@@ -152,8 +140,9 @@ func (p *Pool) free(m *Mbuf, keep bool) {
 // Release returns the chain's mbufs and header to the pool it was drawn
 // from. Call it once, when the data has been consumed (copied out or
 // dropped): neither the chain nor slices from Data may be used
-// afterward. A header not built here (an embedded or literal Chain) is
-// emptied, not recycled. Release of nil is a no-op.
+// afterward. A chain from a nil *Pool, or a header not built here (an
+// embedded or literal Chain), is emptied and left to the collector.
+// Release of nil is a no-op.
 func (c *Chain) Release() {
 	if c == nil {
 		return
@@ -165,18 +154,14 @@ func (c *Chain) Release() {
 		p.free(m, true)
 		m = next
 	}
-	pooled := c.pooled
 	*c = Chain{}
+	recycle := c.poison.release()
 	switch {
-	case !c.poison.release():
-		if p != nil {
-			p.chains.Drop(c)
-		}
-	case !pooled:
 	case p == nil:
-		headers.Put(c)
-	default:
+	case recycle:
 		p.chains.Put(c)
+	default:
+		p.chains.Drop(c)
 	}
 }
 
@@ -200,12 +185,12 @@ type Chain struct {
 	TC   trace.Context
 	TCAt time.Duration
 
-	pool   *Pool // where Release returns the chain, and mbufs added to it come from
-	pooled bool  // drawn from a free list: pool's, or the shared one
+	pool *Pool // where Release returns the chain, and mbufs added to it come from; nil allocates
 }
 
-// FromBytes builds a chain from p as Pool.FromBytes does, from the
-// shared free lists; a machine's data path draws from its own Pool.
+// FromBytes builds a chain from p as Pool.FromBytes does, from no pool:
+// it allocates, and Release leaves it to the collector. A machine's data
+// path draws from its own Pool.
 func FromBytes(p []byte) *Chain { return (*Pool)(nil).FromBytes(p) }
 
 // FromBytesSplit builds a chain from p forcing each mbuf to carry at

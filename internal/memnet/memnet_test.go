@@ -11,13 +11,15 @@ import (
 	"xunet/internal/sim"
 )
 
-// twoNodes builds host--router connected by FDDI.
+// twoNodes builds host--router connected by FDDI. Each node draws its
+// chains from a pool of its own, as a machine's node does.
 func twoNodes(t *testing.T) (*sim.Engine, *Network, *Node, *Node) {
 	t.Helper()
 	e := sim.New(1)
 	n := New(e)
 	h := n.MustAddNode("host", IP4(10, 0, 0, 1))
 	r := n.MustAddNode("router", IP4(10, 0, 0, 2))
+	h.Pool, r.Pool = new(mbuf.Pool), new(mbuf.Pool)
 	n.Connect(h, r, FDDI())
 	h.SetDefaultRoute(r)
 	r.SetDefaultRoute(h)

@@ -2,7 +2,7 @@
 
 package memnet
 
-// raceEnabled reports that the race detector is on: sync.Pool (the
-// mbuf free lists) then drops a share of what is put back, so
-// allocation counts are not deterministic and their gates skip.
+// raceEnabled reports that the race detector is on: released mbuf
+// chain headers are then poisoned instead of recycled, so allocation
+// counts differ from a normal build's and their gates skip.
 const raceEnabled = true

@@ -13,7 +13,7 @@
 //
 // The transmit side coalesces per peer: frames append into a bounded
 // per-peer slab (copied, so callers may reuse their buffers — the same
-// ownership contract as Env.SendPeerRaw) and flush when the batch
+// ownership contract as Env.SendPeer) and flush when the batch
 // fills, the slab fills, or the owner reaches a dispatch boundary and
 // calls Flush — mirroring the journal's one-flush-per-dispatch WAL
 // discipline. Steady-state tx and rx hot loops allocate nothing: slabs,

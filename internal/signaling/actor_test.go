@@ -317,7 +317,7 @@ func TestEnvContract(t *testing.T) {
 			peerMsgs := r.sh.ct.peerMsgs
 			before := peerMsgs.Value()
 			r.do(func() {
-				if err := r.env.SendPeer(r.env.Addr(), sigmsg.Msg{Kind: sigmsg.KindRelease, CallID: 99}); err != nil {
+				if err := r.sh.sendFrame(r.env.Addr(), sigmsg.Msg{Kind: sigmsg.KindRelease, CallID: 99}); err != nil {
 					t.Error(err)
 				}
 				if peerMsgs.Value() != before {
@@ -367,7 +367,7 @@ func TestActorNeverWaitsOnItself(t *testing.T) {
 	before := peerMsgs.Value()
 	go func() {
 		h.put(input{fn: func() {
-			_ = h.SH.env.SendPeer(h.Addr, sigmsg.Msg{Kind: sigmsg.KindRelease, CallID: 99})
+			_ = h.SH.sendFrame(h.Addr, sigmsg.Msg{Kind: sigmsg.KindRelease, CallID: 99})
 		}})
 		for i := 0; i < cap(h.inbox); i++ {
 			h.put(input{fn: func() {}})

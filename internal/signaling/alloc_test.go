@@ -92,8 +92,7 @@ type benchEnv struct {
 	nextVCI atm.VCI
 	timers  int // live (armed, not yet canceled) timers
 
-	wire []byte
-	dec  sigmsg.Decoder
+	dec sigmsg.Decoder
 
 	lastIncoming sigmsg.Msg
 	lastVCI      sigmsg.Msg
@@ -131,12 +130,11 @@ func (e *benchEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	return t.cancel
 }
 
-// SendPeer round-trips the message through the real codec with reused
-// buffers, then queues the decoded copy, mirroring the PVC path.
-func (e *benchEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
-	e.wire = m.AppendTo(e.wire[:0])
+// SendPeer decodes the frame with a reused decoder, then queues the
+// decoded copy, mirroring the PVC path.
+func (e *benchEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	var rt sigmsg.Msg
-	if err := e.dec.DecodeInto(&rt, e.wire); err != nil {
+	if err := e.dec.DecodeInto(&rt, raw); err != nil {
 		return err
 	}
 	sh, ok := e.w.hosts[dst]
@@ -145,10 +143,6 @@ func (e *benchEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 	}
 	e.w.queue = append(e.w.queue, benchDelivery{dst: sh, from: e.addr, m: rt})
 	return nil
-}
-
-func (e *benchEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
-	return e.SendPeer(dst, m)
 }
 
 func (e *benchEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {

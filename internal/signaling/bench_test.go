@@ -221,7 +221,7 @@ func TestFramePathAllocs(t *testing.T) {
 		frame.Release()
 	})
 	got := testing.AllocsPerRun(50, func() {
-		if err := ra.Stack.M.Orc.Output(vc.SrcVCI, mbuf.FromBytes(payload)); err != nil {
+		if err := ra.Stack.M.Orc.Output(vc.SrcVCI, ra.Stack.M.Pool.FromBytes(payload)); err != nil {
 			t.Fatal(err)
 		}
 		n.E.RunUntil(n.E.Now() + 10*time.Millisecond)

@@ -391,15 +391,15 @@ func (sh *Sighost) handOff(tr Transition) {
 
 // traceOn reports whether any trace consumer is attached: the typed ring
 // (EnableTrace) or the legacy Trace callback. Call sites gate event
-// construction on this so disabled tracing costs one nil-check and an
-// atomic load (BenchmarkEventRingOverhead).
+// construction on this so disabled tracing costs one nil check and a
+// bool load (BenchmarkEventRingOverhead).
 func (sh *Sighost) traceOn() bool {
-	return sh.Trace != nil || sh.tracing.Load()
+	return sh.Trace != nil || sh.tracing
 }
 
-// EnableTrace turns the typed event ring on or off. Safe from any
-// goroutine.
-func (sh *Sighost) EnableTrace(on bool) { sh.tracing.Store(on) }
+// EnableTrace turns the typed event ring on or off: before the actor
+// starts, or in actor context.
+func (sh *Sighost) EnableTrace(on bool) { sh.tracing = on }
 
 // emit timestamps one event and keeps it in the history, stamping its
 // Seq, while the ring is on; the legacy Trace callback, when set, gets
@@ -410,7 +410,7 @@ func (sh *Sighost) emit(ev Event) {
 	if sh.Trace != nil {
 		sh.Trace(ev.text())
 	}
-	if sh.tracing.Load() {
+	if sh.tracing {
 		ev.Seq = sh.evSeq
 		sh.evSeq++
 		sh.events.Keep(ev, EventRingSize)

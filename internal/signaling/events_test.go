@@ -200,7 +200,7 @@ func TestEnabledPublishAllocs(t *testing.T) {
 
 // BenchmarkEventRingOverhead/disabled is a `make detgate` gate, like
 // the trace, faults and tseries ones: with tracing off an event call
-// site costs under 5 ns (one nil check and one atomic load), so the
+// site costs under 5 ns (one nil check and one bool load), so the
 // events compiled into sighost's paths cannot skew clean-path numbers.
 // enabled times a message event kept in a full ring.
 func BenchmarkEventRingOverhead(b *testing.B) {

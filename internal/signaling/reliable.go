@@ -209,7 +209,7 @@ func (sh *Sighost) relSend(dst atm.Addr, m sigmsg.Msg) error {
 	lk.unacked[m.Seq] = pm
 	lk.backlog.set(len(lk.unacked))
 	sh.emitMsg(evPeerTx, dst, m)
-	if err := sh.env.SendPeerRaw(dst, m, pm.raw); err != nil {
+	if err := sh.env.SendPeer(dst, m, pm.raw); err != nil {
 		// No signaling path at all (no PVC): retrying cannot help.
 		r.dropPending(lk, pm)
 		return err
@@ -251,7 +251,7 @@ func (pm *pendingMsg) fireNow() {
 	if sh.traceOn() {
 		sh.emit(Event{Kind: evRelRetx, peer: lk.addr, CallID: pm.m.CallID, msg: pm.m})
 	}
-	_ = sh.env.SendPeerRaw(lk.addr, pm.m, pm.raw)
+	_ = sh.env.SendPeer(lk.addr, pm.m, pm.raw)
 	sh.armRetransmit(lk, pm)
 }
 
@@ -328,7 +328,7 @@ func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
 	}
 	// Always ack — even duplicates, whose earlier ack may have been the
 	// loss that caused the retransmission. Acks are unsequenced.
-	_ = sh.env.SendPeer(from, sigmsg.Msg{Kind: sigmsg.KindPeerAck, Seq: m.Seq, Epoch: m.Epoch})
+	_ = sh.sendFrame(from, sigmsg.Msg{Kind: sigmsg.KindPeerAck, Seq: m.Seq, Epoch: m.Epoch})
 	if m.Seq <= lk.floor || lk.seen[m.Seq] {
 		sh.rel.dups.Inc()
 		if sh.traceOn() {
@@ -386,7 +386,7 @@ func (sh *Sighost) armKeepalive(lk *peerLink) {
 			sh.peerDead(lk)
 			return
 		}
-		_ = sh.env.SendPeer(lk.addr, sigmsg.Msg{Kind: sigmsg.KindKeepalive, Epoch: lk.epoch})
+		_ = sh.sendFrame(lk.addr, sigmsg.Msg{Kind: sigmsg.KindKeepalive, Epoch: lk.epoch})
 		sh.armKeepalive(lk)
 	})
 }

@@ -140,7 +140,13 @@ func (e *fakeEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	return func() { tm.canceled = true }
 }
 
-func (e *fakeEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
+// SendPeer checks raw is a faithful encoding of m, then records and
+// delivers it, so every assertion on sent records covers
+// retransmissions of the cached frame too.
+func (e *fakeEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
+	if dec, err := sigmsg.Decode(raw); err != nil || dec != m {
+		e.w.t.Fatalf("SendPeer: frame mismatch: %+v vs %+v (err %v)", dec, m, err)
+	}
 	e.sent = append(e.sent, sentRec{at: e.w.now, dst: dst, m: m})
 	if e.w.drop {
 		return nil // lost on the wire; the send itself succeeded
@@ -150,16 +156,6 @@ func (e *fakeEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
 	}
 	e.w.queue = append(e.w.queue, delivery{from: e.addr, to: dst, m: m})
 	return nil
-}
-
-// SendPeerRaw checks the cached frame is a faithful encoding of m, then
-// delivers through the normal path so every existing assertion on sent
-// records covers retransmissions too.
-func (e *fakeEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
-	if dec, err := sigmsg.Decode(raw); err != nil || dec != m {
-		e.w.t.Fatalf("SendPeerRaw: cached frame mismatch: %+v vs %+v (err %v)", dec, m, err)
-	}
-	return e.SendPeer(dst, m)
 }
 
 func (e *fakeEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {

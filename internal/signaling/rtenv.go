@@ -163,7 +163,7 @@ func StartReal(addr atm.Addr, listenAddr string) (*RealHost, error) {
 	h.SH.EnableTrace(true)
 	// Causal call tracing over the wall clock, so `xunetstat trace
 	// <callid>` and `xunetstat flight` work against a live daemon. The
-	// collector has its own mutex, so it may also be read off the actor.
+	// collector is the actor's: readers off the actor go through Do.
 	tc := trace.NewCollector(env.Now)
 	tc.SetEnabled(true)
 	h.SH.TraceC = tc
@@ -274,7 +274,9 @@ func (h *RealHost) EnablePeerNet(cfg PeerNetConfig) error {
 	// The decoder and input are owned by the carrier's receive pump:
 	// OnSig runs only there, and DecodeInto copies out of the rx buffer
 	// (interned strings, no aliasing), so handing the actor a copy of in
-	// is race-free.
+	// is race-free. The trace and span IDs a peer sends are its own
+	// collector's; here they would name this daemon's spans, so they are
+	// dropped and each daemon's traces hold only its own spans.
 	var dec sigmsg.Decoder
 	in := input{kind: inPeer}
 	car, err := rtnet.New(rtnet.Config{
@@ -286,6 +288,7 @@ func (h *RealHost) EnablePeerNet(cfg PeerNetConfig) error {
 				h.SH.Obs.Counter("rtnet.rx.decode_err").Inc()
 				return
 			}
+			in.msg.TraceID, in.msg.SpanID = 0, 0
 			in.peer = atm.Addr(from.Name())
 			h.put(in)
 		},
@@ -295,7 +298,14 @@ func (h *RealHost) EnablePeerNet(cfg PeerNetConfig) error {
 		return err
 	}
 	if cfg.Faults != nil {
-		h.fp = faults.NewPlane(*cfg.Faults)
+		fp := faults.NewPlane(*cfg.Faults)
+		h.fp = fp
+		h.Do(func() {
+			h.SH.SetViews(map[string]func() string{
+				MgmtFaults:     func() string { return fp.Obs.Snapshot().Text() },
+				MgmtFaultsJSON: func() string { return fp.Obs.Snapshot().JSON() },
+			})
+		})
 	}
 	h.pmu.Lock()
 	h.peers = map[atm.Addr]*rtnet.Peer{}
@@ -360,7 +370,7 @@ func (h *RealHost) peerFor(dst atm.Addr) *rtnet.Peer {
 // sendPeerFrame coalesces one encoded signaling frame toward a peer,
 // drawing the same fault-plane verdict sequence as simEnv so chaos
 // configs behave identically in both modes. The carrier copies frame
-// before returning (SendPeerRaw's ownership contract); only the
+// before returning (SendPeer's ownership contract); only the
 // deferred-delay verdict needs a private copy, because it outlives the
 // call.
 func (h *RealHost) sendPeerFrame(p *rtnet.Peer, m *sigmsg.Msg, frame []byte) error {
@@ -637,12 +647,7 @@ func (h *RealHost) evict(c *realConn) {
 
 // realEnv implements Env over the real network and clock.
 type realEnv struct {
-	h *RealHost
-
-	// txBuf is SendPeer's encode scratch. SendPeer runs only in actor
-	// context (state-machine actions and their timers), so one buffer
-	// suffices; the carrier copies out of it before returning.
-	txBuf  []byte
+	h      *RealHost
 	timers timers // recycled After records
 }
 
@@ -663,20 +668,14 @@ func (e *realEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	return t.cancelFunc()
 }
 
-// SendPeer encodes into the env scratch and sends that frame.
-func (e *realEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
-	e.txBuf = m.AppendTo(e.txBuf[:0])
-	return e.SendPeerRaw(dst, m, e.txBuf)
-}
-
-// SendPeerRaw delivers to the local loopback through the actor's own
+// SendPeer delivers to the local loopback through the actor's own
 // queue (it runs in actor context); remote destinations ride the
 // batched carrier, and the reliability layer's retransmits hit the wire
 // from the frame encoded at first transmission, exactly as in the
 // simulation. Without EnablePeerNet the
 // standalone daemon still has no peers and remote destinations fail as
 // before.
-func (e *realEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
+func (e *realEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Addr {
 		e.h.own.Push(input{kind: inPeer, peer: dst, msg: m})
 		return nil

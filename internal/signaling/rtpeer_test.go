@@ -3,6 +3,7 @@ package signaling_test
 import (
 	"bytes"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,7 +68,8 @@ func scrape(hosts ...*signaling.RealHost) (stop func()) {
 
 // runCall drives one full cross-host call: a server app exports service
 // "echo" at b, a client app at a opens a connection to it. Returns the
-// VCIs each side was granted.
+// VCIs each side was granted. The call is left in wait_bind: no
+// application binds the VCI.
 func runCall(t *testing.T, a, b *signaling.RealHost) (cliVCI, srvVCI atm.VCI) {
 	t.Helper()
 	srvC := &signaling.RealClient{SighostAddr: b.ListenAddr()}
@@ -102,7 +104,7 @@ func runCall(t *testing.T, a, b *signaling.RealHost) (cliVCI, srvVCI atm.VCI) {
 		t.Fatal(err)
 	}
 	defer cliL.Close()
-	conn, err := cliC.OpenConnection("b.rt", "echo", cliL, uint16(cliL.Addr().(*net.TCPAddr).Port), "cross-host", "cbr:1000")
+	conn, err := cliC.OpenConnection(b.Addr, "echo", cliL, uint16(cliL.Addr().(*net.TCPAddr).Port), "cross-host", "cbr:1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,20 +150,7 @@ func TestRealCrossHostCallOverUDP(t *testing.T) {
 // transmission — the encode counter stays at one per distinct message
 // while the wire sees more sends.
 func TestRealPeerEncodeOnce(t *testing.T) {
-	// The seed's first verdict drops SETUP, so at least one retransmit.
-	lossy := &faults.Config{SigLoss: 0.5, Seed: 3}
-	a, b := startPeerPair(t, signaling.PeerNetConfig{Faults: lossy}, signaling.PeerNetConfig{})
-	rel := signaling.RelConfig{
-		RTO:             40 * time.Millisecond,
-		MaxBackoffShift: 2,
-		MaxRetries:      10,
-		KeepaliveEvery:  time.Minute,
-		KeepaliveMisses: 3,
-	}
-	a.EnableReliability(rel)
-	b.EnableReliability(rel)
-
-	runCall(t, a, b)
+	a, _ := lossyCall(t)
 
 	a.Do(func() {
 		snap := a.SH.Obs.Snapshot()
@@ -174,6 +163,51 @@ func TestRealPeerEncodeOnce(t *testing.T) {
 			t.Error("the lossy wire produced no retransmissions")
 		}
 	})
+}
+
+// lossyCall runs one call from a to b over a wire from a to b that loses
+// frames, repaired by the reliable channel. The seed's first verdict
+// drops SETUP, so at least one retransmit.
+func lossyCall(t *testing.T) (a, b *signaling.RealHost) {
+	lossy := &faults.Config{SigLoss: 0.5, Seed: 3}
+	a, b = startPeerPair(t, signaling.PeerNetConfig{Faults: lossy}, signaling.PeerNetConfig{})
+	rel := signaling.RelConfig{
+		RTO:             40 * time.Millisecond,
+		MaxBackoffShift: 2,
+		MaxRetries:      10,
+		KeepaliveEvery:  time.Minute,
+		KeepaliveMisses: 3,
+	}
+	a.EnableReliability(rel)
+	b.EnableReliability(rel)
+	runCall(t, a, b)
+	return a, b
+}
+
+// TestRealPeerFaultsView: a daemon whose peer wire injects faults answers
+// MGMT faults and faults.json from its plane, as a sim router does; a
+// daemon without one says injection is disabled.
+func TestRealPeerFaultsView(t *testing.T) {
+	a, b := lossyCall(t)
+	query := func(h *signaling.RealHost, view string) string {
+		t.Helper()
+		c := &signaling.RealClient{SighostAddr: h.ListenAddr()}
+		defer c.Close()
+		body, err := c.Client().Query(view, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	if body := query(a, signaling.MgmtFaults); !strings.Contains(body, "faults.sig.drop ") || strings.Contains(body, "faults.sig.drop 0\n") {
+		t.Errorf("a's faults view does not count the SETUP it dropped: %q", body)
+	}
+	if body := query(a, signaling.MgmtFaultsJSON); !strings.Contains(body, `"name":"faults.sig.drop"`) {
+		t.Errorf("a's faults.json view has no faults.sig.drop: %q", body)
+	}
+	if body := query(b, signaling.MgmtFaults); body != "fault injection disabled" {
+		t.Errorf("b injects no faults, but its view reads %q", body)
+	}
 }
 
 // TestRealPeerChaosCallCompletes drives a call through a lossy,
@@ -249,5 +283,36 @@ func TestRealPeerDataPathAAL5(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("frame %d never arrived", i)
 		}
+	}
+}
+
+// TestRealPeerSpansStayHome: each real daemon's collector numbers its
+// own traces and spans from 1, so the IDs a peer's SETUP and
+// CONNECT_DONE carry name nothing at the receiver. With b's call 1 in
+// wait_bind, a's call 1 into b's service must add nothing to b's trace
+// of its own call: no destination span and no second copy of a stage.
+func TestRealPeerSpansStayHome(t *testing.T) {
+	a, b := startPeerPair(t, signaling.PeerNetConfig{}, signaling.PeerNetConfig{})
+	runCall(t, b, a) // b's call 1, trace 1 at b
+	runCall(t, a, b) // a's call 1, trace 1 at a
+	var spans []string
+	b.Do(func() {
+		tr, ok := b.SH.TraceC.ByCall("b.rt", 1)
+		if !ok {
+			return
+		}
+		for _, sp := range tr.Spans {
+			spans = append(spans, sp.Comp+"/"+sp.Name)
+		}
+	})
+	if len(spans) == 0 {
+		t.Fatal("b holds no trace of its own call 1")
+	}
+	seen := map[string]bool{}
+	for _, name := range spans {
+		if strings.Contains(name, "/dest.") || seen[name] {
+			t.Fatalf("b's trace of its own call 1 holds a's spans (%s): %v", name, spans)
+		}
+		seen[name] = true
 	}
 }

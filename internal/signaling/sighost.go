@@ -16,7 +16,6 @@ package signaling
 
 import (
 	"cmp"
-	"sync/atomic"
 	"time"
 
 	"xunet/internal/atm"
@@ -72,14 +71,13 @@ type Env interface {
 	// without a profiler ignore it.
 	After(d time.Duration, what string, fn func()) CancelFunc
 	// SendPeer delivers a message to the signaling entity at dst over
-	// the signaling PVC mesh. dst may equal Addr (local call loopback).
-	SendPeer(dst atm.Addr, m sigmsg.Msg) error
-	// SendPeerRaw delivers an already-encoded frame: raw is m's wire
-	// encoding, cached by the reliability layer so retransmissions never
-	// re-encode. m is consulted only for loopback delivery and trace
-	// identity. raw is owned by the caller again once the call returns;
-	// implementations that defer the send must copy it.
-	SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error
+	// the signaling PVC mesh; dst may equal Addr (local call loopback).
+	// raw is m's wire encoding, made once by sighost (the reliability
+	// layer caches it, so retransmissions never re-encode); m is
+	// consulted only for loopback delivery and trace identity. raw is
+	// owned by the caller again once the call returns; implementations
+	// that defer the send must copy it.
+	SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error
 	// Dial opens an IPC connection to an application's notify port,
 	// delivering the result asynchronously in actor context. Messages
 	// arriving on the resulting Conn are application inputs.
@@ -223,6 +221,7 @@ type Sighost struct {
 	lastSeq  uint64
 	callPool sim.FreeList[call]
 	dcPool   sim.FreeList[dialCtx]
+	txBuf    []byte // sendFrame's encode scratch
 
 	nextCallID uint32
 
@@ -236,7 +235,7 @@ type Sighost struct {
 	// evSeq the next event's Seq; emit writes both only while tracing is on.
 	events  sim.Ring[Event]
 	evSeq   uint64
-	tracing atomic.Bool
+	tracing bool
 
 	// Trace, when non-nil, receives one stringified line per event — the
 	// legacy adapter over the typed event ring that the Figure 3/4 golden
@@ -675,7 +674,14 @@ func (sh *Sighost) sendPeer(dst atm.Addr, m sigmsg.Msg) error {
 		}
 	}
 	sh.emitMsg(evPeerTx, dst, m)
-	return sh.env.SendPeer(dst, m)
+	return sh.sendFrame(dst, m)
+}
+
+// sendFrame encodes an unsequenced peer message into sighost's scratch
+// and sends that frame; every consumer copies it before returning.
+func (sh *Sighost) sendFrame(dst atm.Addr, m sigmsg.Msg) error {
+	sh.txBuf = m.AppendTo(sh.txBuf[:0])
+	return sh.env.SendPeer(dst, m, sh.txBuf)
 }
 
 // peerSetup is the destination side of call establishment: look the

@@ -257,8 +257,9 @@ func (c *simConn) Dialed(err error) {
 type simEnv struct {
 	h      *SimHost
 	timers timers // recycled After records
-	// txBuf is the encode scratch for actor-context sends; every
-	// consumer copies the frame synchronously, so one buffer serves all.
+	// txBuf is the encode scratch for actor-context application sends;
+	// every consumer copies the frame synchronously, so one buffer
+	// serves all.
 	txBuf []byte
 	// lblTimer caches interned profiler labels per timer class (see
 	// timerLabel); nil until a profiler is attached and a timer arms.
@@ -312,14 +313,10 @@ func (e *simEnv) timerLabel(eng *sim.Engine, what string) prof.LabelID {
 	return l
 }
 
-// SendPeer encodes into the env's scratch buffer and sends that frame,
-// so a cached retransmission and a first send draw the same fault-plane
-// verdict sequence.
-func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg) error {
-	return e.SendPeerRaw(dst, m, e.enc(&m))
-}
-
-func (e *simEnv) SendPeerRaw(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
+// SendPeer sends raw on the PVC to dst, or m onto the actor's own
+// inbox for the local loopback. A cached retransmission and a first
+// send draw the same fault-plane verdict sequence.
+func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Stack.Addr {
 		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
 		return nil

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkTraceOverhead/disabled is the CI gate for the tracing
 // bargain, the same budget internal/obs enforces: with the collector
-// disabled a call site costs one nil check plus one atomic load, under
+// disabled a call site costs one nil check plus one bool load, under
 // 5 ns, so tracing compiled into the frame and cell hot paths cannot
 // skew the stack's benchmarks. The unsampled case sizes the single
 // Context.Sampled() branch hot paths pay for calls head-sampling

@@ -7,23 +7,21 @@
 // byte-identical trace JSON.
 //
 // The package rides on the same cost discipline as internal/obs: a
-// disabled collector is a nil check plus one atomic load (under the
-// 5 ns telemetry budget, gated by BenchmarkTraceOverhead), and when the
+// disabled collector is a nil check plus one bool load (under the 5 ns
+// telemetry budget, gated by BenchmarkTraceOverhead), and when the
 // collector is enabled but a call was not head-sampled, every operation
 // is a single branch on Context.Sampled() with zero allocations (gated
 // by TestUnsampledPathAllocs).
 //
-// Identifier assignment is deterministic: trace and span IDs come from
-// per-collector counters, and in the simulator every mutation happens
-// inside the single-threaded event loop, so IDs — and therefore
-// exported JSON — are identical across same-seed runs. A mutex still
-// guards all state past the gate checks, because the real-mode daemon
-// (signaling.RealHost) finishes spans from multiple goroutines.
+// A collector has one owner and no lock: every call runs on the real
+// daemon's actor (signaling.RealHost; other goroutines go through its
+// Do), or on the engine or shard of its sim domain. Trace and span IDs
+// come from per-collector counters, so in the simulator, where every
+// mutation happens inside the event loop, IDs — and therefore exported
+// JSON — are identical across same-seed runs.
 package trace
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xunet/internal/sim"
@@ -94,10 +92,9 @@ func dumpWorthy(status string) bool {
 // testbed so a call's spans land in one tree regardless of which stack
 // recorded them.
 type Collector struct {
-	on  atomic.Bool
+	on  bool // set before the owner runs
 	now func() time.Duration
 
-	mu       sync.Mutex
 	started  uint64 // traces started (sampled or not); also the trace ID source
 	spanSeq  uint64 // span ID source
 	sampleN  uint64 // keep 1 trace in every sampleN (1 = keep all)
@@ -136,20 +133,18 @@ func NewCollector(now func() time.Duration) *Collector {
 	}
 }
 
-// SetEnabled flips the master gate. Disabled is the default and costs
-// one nil check plus one atomic load per call site.
-func (c *Collector) SetEnabled(on bool) { c.on.Store(on) }
+// SetEnabled flips the master gate, before the owner runs. Disabled is
+// the default and costs one nil check plus one bool load per call site.
+func (c *Collector) SetEnabled(on bool) { c.on = on }
 
 // enabled reports whether the collector records anything at all. Safe
 // on a nil collector.
-func (c *Collector) enabled() bool { return c != nil && c.on.Load() }
+func (c *Collector) enabled() bool { return c != nil && c.on }
 
 // SetSampleEvery sets head-based sampling: keep one trace in every n.
 // Values <= 1 keep every trace. Unsampled calls still count in
 // trace.started but allocate nothing anywhere in the stack.
 func (c *Collector) SetSampleEvery(n uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n < 1 {
 		n = 1
 	}
@@ -159,8 +154,6 @@ func (c *Collector) SetSampleEvery(n uint64) {
 // OnDump installs the auto-dump hook: fn receives every dumpWorthy
 // trace at finish time along with its rendered text tree.
 func (c *Collector) OnDump(fn func(t *Trace, tree string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.onDump = fn
 }
 
@@ -172,17 +165,13 @@ func (c *Collector) DumpRecent(n int, reason string) int {
 	if c == nil || n <= 0 {
 		return 0
 	}
-	c.mu.Lock()
-	dump := c.onDump
-	if dump == nil {
-		c.mu.Unlock()
+	if c.onDump == nil {
 		return 0
 	}
 	picked := c.flight.Last(n)
 	c.dumps += uint64(len(picked))
-	c.mu.Unlock()
 	for _, t := range picked {
-		dump(t, "DUMP reason="+reason+"\n"+TextTree(t))
+		c.onDump(t, "DUMP reason="+reason+"\n"+TextTree(t))
 	}
 	return len(picked)
 }
@@ -201,8 +190,6 @@ func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Con
 	if !c.enabled() {
 		return Context{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.started++
 	if c.sampleN > 1 && (c.started-1)%c.sampleN != 0 {
 		return Context{}
@@ -233,8 +220,6 @@ func (c *Collector) StartSpanAt(parent Context, comp, name string, at time.Durat
 	if !parent.Sampled() || c == nil {
 		return Context{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.active[parent.Trace]
 	if t == nil {
 		return Context{}
@@ -268,8 +253,6 @@ func (c *Collector) EndSpanAt(ctx Context, at time.Duration) {
 	if !ctx.Sampled() || c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.active[ctx.Trace]
 	if t == nil {
 		return
@@ -290,8 +273,6 @@ func (c *Collector) Record(parent Context, comp, name string, start, end time.Du
 	if !parent.Sampled() || c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.active[parent.Trace]
 	if t == nil {
 		return
@@ -320,10 +301,8 @@ func (c *Collector) FinishTrace(root Context, status string) {
 		return
 	}
 	now := c.now()
-	c.mu.Lock()
 	t := c.active[root.Trace]
 	if t == nil {
-		c.mu.Unlock()
 		return
 	}
 	delete(c.active, root.Trace)
@@ -340,19 +319,17 @@ func (c *Collector) FinishTrace(root Context, status string) {
 	if c.flight.Keep(t, c.capacity) {
 		c.evicted++
 	}
-	dump := c.onDump
-	if dump != nil && dumpWorthy(status) {
+	if c.onDump != nil && dumpWorthy(status) {
 		c.dumps++
-	}
-	c.mu.Unlock()
-	if dump != nil && dumpWorthy(status) {
-		dump(t, TextTree(t))
+		c.onDump(t, TextTree(t))
 	}
 }
 
-// ByCall returns a copy of the trace of the call origin placed under
-// callID: the newest active trace if the call is still in flight, else
-// the newest completed one in the flight recorder. Call IDs are counters
+// ByCall returns the trace of the call origin placed under callID: the
+// newest active trace if the call is still in flight, else the newest
+// completed one in the flight recorder. It is the collector's own
+// trace, valid until the owner's next event; a finished trace is never
+// changed. Call IDs are counters
 // of the router that placed the call, so only the pair is unique. Both
 // lookups are scans: MGMT calltrace, the one reader outside tests, is
 // rarer than the traced calls an index would tax.
@@ -360,8 +337,6 @@ func (c *Collector) ByCall(origin string, callID uint32) (*Trace, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var newest *Trace
 	for _, t := range c.active {
 		if t.origin == origin && t.CallID == callID && (newest == nil || t.ID > newest.ID) {
@@ -369,35 +344,23 @@ func (c *Collector) ByCall(origin string, callID uint32) (*Trace, bool) {
 		}
 	}
 	if newest != nil {
-		return copyTrace(newest), true
+		return newest, true
 	}
 	for i := c.flight.Len() - 1; i >= 0; i-- {
 		if t := c.flight.At(i); t.origin == origin && t.CallID == callID {
-			return copyTrace(t), true
+			return t, true
 		}
 	}
 	return nil, false
 }
 
-// Completed returns copies of the flight recorder's contents, oldest
-// first.
+// Completed returns the flight recorder's traces, oldest first. The
+// traces are finished, so never changed; the slice is the caller's.
 func (c *Collector) Completed() []*Trace {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.flight.Last(c.flight.Len())
-	for i, t := range out {
-		out[i] = copyTrace(t)
-	}
-	return out
-}
-
-func copyTrace(t *Trace) *Trace {
-	ct := *t
-	ct.Spans = append([]Span(nil), t.Spans...)
-	return &ct
+	return c.flight.Last(c.flight.Len())
 }
 
 // Stats is a point-in-time copy of the collector's health counters,
@@ -417,8 +380,6 @@ func (c *Collector) StatsNow() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{
 		Started:      c.started,
 		Sampled:      c.sampled,
