@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchcheck detgate crossbuild bench loc allocs pairs
+.PHONY: ci fmt vet build test race benchcheck detgate crossbuild bench loc allocs cpuprofile pairs
 
 ci: fmt vet build test race benchcheck detgate crossbuild
 
@@ -98,22 +98,35 @@ bench:
 	$(GO) run ./bench
 
 # Where a call's allocations come from, by allocating function: first
-# every allocation of 200 ten-call sim storms — DESIGN.md's "Allocation
-# ledger of a call" is that listing divided by 2 010 calls (the
-# benchmark runs one warm-up iteration) — then 2 000 real-mode setups
-# across two loopback daemons (BenchmarkRealSetups/batched; divide by
-# 2 000). Not part of ci: it measures, it does not gate —
-# TestCallStormAllocs does.
+# every allocation of 200 untraced ten-call sim storms, on sim_storm_flat's
+# testbed options — DESIGN.md's "Allocation ledger of a call" is that
+# listing divided by 2 010 calls (the benchmark runs one warm-up
+# iteration) — then the same storms with the causal tracer on, the
+# testbed's default, then 2 000 real-mode setups across two loopback
+# daemons (BenchmarkRealSetups/batched; divide by 2 000). Not part of
+# ci: it measures, it does not gate — TestCallStormAllocs does.
 ALLOCS_DIR := $(or $(TMPDIR),/tmp)/xunet-allocs
 allocs:
 	@mkdir -p $(ALLOCS_DIR)
 	$(GO) test -c -o $(ALLOCS_DIR)/signaling.test ./internal/signaling/
-	$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench 'BenchmarkSimulatedCallsPerSecond$$' -test.benchtime 200x \
-		-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/mem.prof
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/mem.prof
+	for c in untraced traced; do \
+		$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench "BenchmarkSimulatedCallsPerSecond/^$$c\$$" -test.benchtime 200x \
+			-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/$$c.prof && \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/$$c.prof || exit 1; \
+	done
 	$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench 'BenchmarkRealSetups/batched$$' -test.benchtime 2000x \
 		-test.memprofilerate 1 -test.memprofile $(ALLOCS_DIR)/real.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 30 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/real.prof
+
+# Where a warm call's CPU goes: pprof -top of 3 000 untraced ten-call
+# storms (BenchmarkSimulatedCallsPerSecond/untraced, the storm
+# sim_storm_flat runs). Not part of ci: it measures, it gates nothing.
+cpuprofile:
+	@mkdir -p $(ALLOCS_DIR)
+	$(GO) test -c -o $(ALLOCS_DIR)/signaling.test ./internal/signaling/
+	$(ALLOCS_DIR)/signaling.test -test.run '^$$' -test.bench 'BenchmarkSimulatedCallsPerSecond/untraced$$' -test.benchtime 3000x \
+		-test.cpuprofile $(ALLOCS_DIR)/cpu.prof
+	$(GO) tool pprof -top -nodecount 40 $(ALLOCS_DIR)/signaling.test $(ALLOCS_DIR)/cpu.prof
 
 # The code-size ledger (both checks are part of `make test` too): the
 # non-test Go lines outside bench/, which may not exceed the ceiling
@@ -132,8 +145,11 @@ loc:
 # and from the working tree, both into $(PAIRS_DIR), then runs N pairs of
 # `-workload W -seed SEED+i -seconds SECONDS -trace 0`, alternating which
 # side runs first. It prints every run's five end-to-end metrics and its
-# failed operations, then per metric each side's median [Q1–Q3] and how
-# many pairs the change won. W=all does that for every workload
+# failed operations, then per metric each side's median [Q1–Q3], how
+# many pairs the change won, the medians' gap in the metric's better
+# direction against the parent's Q1–Q3 distance, and whether that meets
+# the claim rule of choosing-metrics §8: at least 9 pairs in 10 won and
+# a gap wider than that distance. W=all does that for every workload
 # BENCHMARK.json names, one block each: a no-regression table from one
 # command. Not part of ci: it measures, it gates nothing.
 PAIRS_DIR := $(or $(TMPDIR),/tmp)/xunet-pairs
@@ -171,6 +187,7 @@ pairs:
 			k = 0; wins = 0; \
 			for (s in seeds) { b[k] = v["base", c, s]; x[k] = v["change", c, s]; k++; if ((x[k - 1] - b[k - 1]) * dir[c - 2] > 0) wins++ } \
 			sorted(b, k, sb); sorted(x, k, sx); \
-			printf "%-14s base %.6g [%.6g–%.6g]  change %.6g [%.6g–%.6g]  change won %d/%d\n", name[c - 2], q(sb, k, .5), q(sb, k, .25), q(sb, k, .75), q(sx, k, .5), q(sx, k, .25), q(sx, k, .75), wins, k \
+			gap = (q(sx, k, .5) - q(sb, k, .5)) * dir[c - 2]; iqr = q(sb, k, .75) - q(sb, k, .25); \
+			printf "%-14s base %.6g [%.6g–%.6g]  change %.6g [%.6g–%.6g]  change won %d/%d, gap %.6g vs parent IQR %.6g: %s\n", name[c - 2], q(sb, k, .5), q(sb, k, .25), q(sb, k, .75), q(sx, k, .5), q(sx, k, .25), q(sx, k, .75), wins, k, gap, iqr, (10 * wins >= 9 * k && gap > iqr) ? "claim met" : "claim not met" \
 		} }' $(PAIRS_DIR)/runs.$$w; \
 	done

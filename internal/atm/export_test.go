@@ -8,7 +8,14 @@ func (c *Cell) Encode() []byte {
 }
 
 // InUse reports whether v is currently allocated.
-func (a *VCIAlloc) InUse(v VCI) bool { return a.used[v] }
+func (a *VCIAlloc) InUse(v VCI) bool { return a.holds(v) }
 
 // Live reports how many VCIs are currently in use.
-func (a *VCIAlloc) Live() int { return len(a.used) }
+func (a *VCIAlloc) Live() (n int) {
+	for _, u := range a.used {
+		if u {
+			n++
+		}
+	}
+	return n
+}

@@ -18,9 +18,9 @@ type Lease struct {
 // (the reserved/PVC range) are never handed out.
 type VCIAlloc struct {
 	min  VCI
-	next VCI   // next never-used value; past MaxVCI means exhausted
-	free []VCI // LIFO of released values
-	used map[VCI]bool
+	next VCI      // next never-used value; past MaxVCI means exhausted
+	free []VCI    // LIFO of released values
+	used []bool   // per VCI, granted and not freed
 	gen  []uint32 // per VCI, its grants so far
 }
 
@@ -30,7 +30,7 @@ func NewVCIAlloc(min VCI) *VCIAlloc {
 	if min < 32 {
 		min = 32
 	}
-	return &VCIAlloc{min: min, next: min, used: make(map[VCI]bool)}
+	return &VCIAlloc{min: min, next: min}
 }
 
 // Alloc grants an unused VCI; the zero Lease means the space is exhausted.
@@ -44,6 +44,7 @@ func (a *VCIAlloc) Alloc() Lease {
 	} else {
 		return Lease{}
 	}
+	a.used = Grow(a.used, v)
 	a.used[v] = true
 	a.gen = Grow(a.gen, v)
 	a.gen[v]++
@@ -52,10 +53,10 @@ func (a *VCIAlloc) Alloc() Lease {
 
 // Free releases a VCI for reuse. Double frees are ignored.
 func (a *VCIAlloc) Free(v VCI) {
-	if !a.used[v] {
+	if !a.holds(v) {
 		return
 	}
-	delete(a.used, v)
+	a.used[v] = false
 	a.free = append(a.free, v)
 }
 
@@ -67,4 +68,6 @@ func (a *VCIAlloc) Lease(v VCI) Lease {
 }
 
 // Holds reports whether l is granted and not yet freed.
-func (a *VCIAlloc) Holds(l Lease) bool { return a.used[l.VCI] && a.Lease(l.VCI) == l }
+func (a *VCIAlloc) Holds(l Lease) bool { return a.holds(l.VCI) && a.gen[l.VCI] == l.Gen }
+
+func (a *VCIAlloc) holds(v VCI) bool { return int(v) < len(a.used) && a.used[v] }

@@ -78,3 +78,25 @@ func TestVCIAllocLeases(t *testing.T) {
 		t.Fatalf("re-grant %+v: first held %v, second held %v", second, a.Holds(first), a.Holds(second))
 	}
 }
+
+// TestVCIAllocIndexEdges reads VCIs the per-VCI slices have not grown
+// to, and a lease once its VCI is freed: neither is held, and freeing
+// a VCI never granted changes nothing.
+func TestVCIAllocIndexEdges(t *testing.T) {
+	a := NewVCIAlloc(32)
+	l := a.Alloc()
+	if a.Holds(Lease{VCI: l.VCI + 1, Gen: 1}) || a.InUse(MaxVCI) || a.Holds(Lease{VCI: MaxVCI}) {
+		t.Fatal("a VCI past the last granted reads as held")
+	}
+	a.Free(MaxVCI)
+	if a.Live() != 1 || !a.Holds(l) {
+		t.Fatalf("freeing an ungranted VCI: %d live, held %v", a.Live(), a.Holds(l))
+	}
+	a.Free(l.VCI)
+	if a.Holds(l) || a.InUse(l.VCI) || a.Live() != 0 {
+		t.Fatal("a freed lease reads as held")
+	}
+	if l2 := a.Alloc(); l2.VCI != l.VCI || a.Holds(l) || !a.Holds(l2) {
+		t.Fatalf("regrant of %d: old lease held %v, new %v", l.VCI, a.Holds(l), a.Holds(l2))
+	}
+}

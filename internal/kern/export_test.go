@@ -3,7 +3,7 @@ package kern
 import "xunet/internal/memnet"
 
 // LiveProcs reports the number of processes that have not exited.
-func (m *Machine) LiveProcs() int { return len(m.procs) }
+func (m *Machine) LiveProcs() int { return m.procs.Len() }
 
 // Exited reports whether exit processing has completed.
 func (p *Proc) Exited() bool { return p.exited }
@@ -59,7 +59,10 @@ func (p *Proc) FreeFDs() int {
 func (p *Proc) Syscall() { p.SP.Sleep(p.M.CM.SyscallEntry) }
 
 // Proc looks up a live process by pid.
-func (m *Machine) Proc(pid uint32) *Proc { return m.procs[pid] }
+func (m *Machine) Proc(pid uint32) *Proc {
+	p, _ := m.procs.Get(uint64(pid))
+	return p
+}
 
 // Capacity reports the buffer count.
 func (d *PseudoDev) Capacity() int { return d.capacity }

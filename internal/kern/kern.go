@@ -101,7 +101,7 @@ type Machine struct {
 	FDTableSize int
 
 	families []ProtoFamily
-	procs    map[uint32]*Proc
+	procs    sim.Index[*Proc] // live processes, by PID
 	nextPID  uint32
 
 	ctSpawned *obs.Counter // kern.procs.spawned
@@ -120,7 +120,6 @@ func NewMachine(name string, e *sim.Engine, cm sim.CostModel, ip *memnet.Node) *
 		IP:          ip,
 		Obs:         obs.NewRegistry(),
 		FDTableSize: DefaultFDTableSize,
-		procs:       make(map[uint32]*Proc),
 	}
 	if ip != nil {
 		ip.Meter, ip.Pool = m.Meter, m.Pool
@@ -209,9 +208,9 @@ func (m *Machine) Spawn(name string, body func(p *Proc)) *Proc {
 		Name:    name,
 		fdLimit: m.FDTableSize,
 	}
-	m.procs[p.PID] = p
+	m.procs.Put(uint64(p.PID), p)
 	m.ctSpawned.Inc()
-	m.gLive.Set(int64(len(m.procs)))
+	m.gLive.Set(int64(m.procs.Len()))
 	var pid [10]byte // "machine/kind#pid", built in one allocation
 	spName := m.Name + "/" + name + "#" + string(strconv.AppendUint(pid[:0], uint64(p.PID), 10))
 	p.SP = m.E.Go(spName, func(sp *sim.Proc) {
@@ -230,8 +229,8 @@ func (p *Proc) exit() {
 		return
 	}
 	p.exited = true
-	delete(p.M.procs, p.PID)
-	p.M.gLive.Set(int64(len(p.M.procs)))
+	p.M.procs.Delete(uint64(p.PID))
+	p.M.gLive.Set(int64(p.M.procs.Len()))
 	for i := 0; i < p.fdUsed; i++ {
 		if e := p.slot(i); e.obj != nil {
 			o := e.obj

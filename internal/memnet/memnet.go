@@ -314,10 +314,12 @@ func (nd *Node) SendChain(dst IPAddr, proto uint8, chain *mbuf.Chain) error {
 func (nd *Node) Audit(check sim.Audit) {
 	sl := nd.streams
 	accepts, recvs := 0, 0
-	for _, l := range sl.listeners {
-		accepts += l.backlog.Waiting()
+	for _, u := range sl.ports {
+		if u.l != nil {
+			accepts += u.l.backlog.Waiting()
+		}
 	}
-	for _, s := range sl.conns {
+	for _, s := range sl.conns.All() {
 		recvs += s.inbox.Waiting()
 	}
 	check("packets", nd.pkts.Outstanding(), 0)

@@ -63,8 +63,8 @@ func TestReceiversNeedNoProcess(t *testing.T) {
 		if d := e.ProcDispatches(); d != 0 {
 			t.Fatalf("%d process dispatches, want none", d)
 		}
-		if len(h.streams.conns) != 0 || len(r.streams.conns) != 0 {
-			t.Fatalf("lingering conns: %d/%d", len(h.streams.conns), len(r.streams.conns))
+		if h.streams.conns.Len() != 0 || r.streams.conns.Len() != 0 {
+			t.Fatalf("lingering conns: %d/%d", h.streams.conns.Len(), r.streams.conns.Len())
 		}
 	})
 }

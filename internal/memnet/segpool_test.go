@@ -148,8 +148,8 @@ func TestAbortWithSegmentsInFlight(t *testing.T) {
 	cli.sendSegment(flagRST, 0, 0, nil)
 	cli.abort(errStreamReset)
 	e.RunFor(5 * time.Second)
-	if len(h.streams.conns) != 0 || len(r.streams.conns) != 0 {
-		t.Fatalf("lingering conns: %d/%d", len(h.streams.conns), len(r.streams.conns))
+	if h.streams.conns.Len() != 0 || r.streams.conns.Len() != 0 {
+		t.Fatalf("lingering conns: %d/%d", h.streams.conns.Len(), r.streams.conns.Len())
 	}
 	pooledRecords(t, h, r)
 	// The returned records carry a second connection intact.

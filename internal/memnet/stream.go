@@ -1,8 +1,11 @@
 package memnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"xunet/internal/cost"
@@ -85,54 +88,78 @@ type connKey struct {
 	rport uint16
 }
 
+// streamLayer is a node's connection table, indexed by the port numbers
+// themselves, as the paper's PF_XUNET indexes its PCBs by VCI (§6):
+// conns holds each connection under its key's id, and ports the ports
+// bound, sorted, each with its listener and a count of the listener and
+// connections on it. So no lookup hashes, and none walks the many
+// connections a listening port may hold.
 type streamLayer struct {
-	node      *Node
-	listeners map[uint16]*StreamListener
-	conns     map[connKey]*Stream
-	// ports counts live connections per local port so portBusy — called
-	// by every ephemeral-port probe — is an indexed lookup instead of a
-	// scan over every connection on the node. All conns mutations go
-	// through addConn/delConn to keep the index exact.
-	ports map[uint16]int
+	node  *Node
+	conns sim.Index[*Stream]
+	ports []portUse
 	segs  sim.FreeList[loopSeg] // loopback segments
 }
 
+type portUse struct {
+	port uint16
+	n    int32
+	l    *StreamListener
+}
+
+// id is the key's index key, one per key. Its low bits, the ring slot,
+// mix the two ports, one of them rotated (so a loopback connection's two
+// ends differ), and the remote address: they spread as a dialer's
+// ephemeral port ascends, and apart for dialers on several nodes that
+// took the same ephemeral port.
+func (k connKey) id() uint64 {
+	return uint64(k.lport^bits.RotateLeft16(k.rport, 1)^uint16(k.raddr)) | uint64(k.lport)<<16 | uint64(k.raddr)<<32
+}
+
 func newStreamLayer(nd *Node) *streamLayer {
-	sl := &streamLayer{
-		node:      nd,
-		listeners: make(map[uint16]*StreamListener),
-		conns:     make(map[connKey]*Stream),
-		ports:     make(map[uint16]int),
-	}
+	sl := &streamLayer{node: nd}
 	nd.BindProto(protoStream, sl.input)
 	return sl
 }
 
-func (sl *streamLayer) addConn(s *Stream) {
-	sl.conns[s.key] = s
-	sl.ports[s.key.lport]++
+// find returns where port is, or would be, in ports, and whether it is
+// bound.
+func (sl *streamLayer) find(port uint16) (int, bool) {
+	return slices.BinarySearchFunc(sl.ports, port, func(u portUse, p uint16) int { return cmp.Compare(u.port, p) })
 }
 
-// delConn removes the connection under key, if still present, and
-// releases its claim on the local port. Idempotent: teardown can race
-// a test's simulated peer death, and only the first removal counts.
-func (sl *streamLayer) delConn(key connKey) {
-	if _, ok := sl.conns[key]; !ok {
-		return
+// count moves port's count by d, binding the port at its first use and
+// unbinding it at its last; it returns the port's entry while bound.
+func (sl *streamLayer) count(port uint16, d int32) *portUse {
+	i, ok := sl.find(port)
+	if !ok {
+		sl.ports = slices.Insert(sl.ports, i, portUse{port: port})
 	}
-	delete(sl.conns, key)
-	if n := sl.ports[key.lport] - 1; n <= 0 {
-		delete(sl.ports, key.lport)
-	} else {
-		sl.ports[key.lport] = n
+	if sl.ports[i].n += d; sl.ports[i].n == 0 {
+		sl.ports = slices.Delete(sl.ports, i, i+1)
+		return nil
 	}
+	return &sl.ports[i]
 }
 
 func (sl *streamLayer) portBusy(port uint16) bool {
-	if _, ok := sl.listeners[port]; ok {
-		return true
+	_, ok := sl.find(port)
+	return ok
+}
+
+func (sl *streamLayer) addConn(s *Stream) {
+	sl.conns.Put(s.key.id(), s)
+	sl.count(s.key.lport, 1)
+}
+
+// delConn removes s, if still present, and releases its claim on the
+// local port. Idempotent: teardown can race a test's simulated peer
+// death, and only the first removal counts.
+func (sl *streamLayer) delConn(s *Stream) {
+	if c, _ := sl.conns.Get(s.key.id()); c == s {
+		sl.conns.Delete(s.key.id())
+		sl.count(s.key.lport, -1)
 	}
-	return sl.ports[port] > 0
 }
 
 // StreamListener accepts inbound stream connections on one port.
@@ -160,7 +187,7 @@ func (nd *Node) ListenStream(port uint16) (*StreamListener, error) {
 		return nil, fmt.Errorf("%w: stream port %d on %s", errPortInUse, port, nd.Name)
 	}
 	l := &StreamListener{node: nd, port: port}
-	nd.streams.listeners[port] = l
+	nd.streams.count(port, 1).l = l
 	return l, nil
 }
 
@@ -185,7 +212,9 @@ func (l *StreamListener) Close() {
 		return
 	}
 	l.closed = true
-	delete(l.node.streams.listeners, l.port)
+	if u := l.node.streams.count(l.port, -1); u != nil {
+		u.l = nil
+	}
 	l.backlog.Close()
 }
 
@@ -392,7 +421,7 @@ func (s *Stream) finish(reset bool) {
 	if p := s.peer; p != nil {
 		p.peer, s.peer = nil, nil
 	}
-	s.node.streams.delConn(s.key)
+	s.node.streams.delConn(s)
 	s.rtimer.Stop()
 	if s.teardown != nil {
 		s.teardown(reset)
@@ -526,14 +555,15 @@ func (sl *streamLayer) input(pkt *Packet) {
 // connection it opens.
 func (sl *streamLayer) demux(src IPAddr, seg *segment, from *Stream) {
 	key := connKey{lport: seg.dport, raddr: src, rport: seg.sport}
-	if s, ok := sl.conns[key]; ok {
+	if s, _ := sl.conns.Get(key.id()); s != nil {
 		s.handle(seg)
 		return
 	}
 	// No connection. SYN to a live listener opens one; anything else
 	// (except RST itself) draws an RST.
 	if seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
-		if l, ok := sl.listeners[seg.dport]; ok && !l.closed {
+		if i, ok := sl.find(seg.dport); ok && sl.ports[i].l != nil && !sl.ports[i].l.closed {
+			l := sl.ports[i].l
 			s := newStream(sl.node, key)
 			s.established = true
 			sl.addConn(s)

@@ -35,8 +35,8 @@ func TestSimultaneousClose(t *testing.T) {
 			t.Fatal("closes did not complete")
 		}
 		// No lingering connections on either node.
-		if len(h.streams.conns) != 0 || len(r.streams.conns) != 0 {
-			t.Fatalf("lingering conns: %d/%d", len(h.streams.conns), len(r.streams.conns))
+		if h.streams.conns.Len() != 0 || r.streams.conns.Len() != 0 {
+			t.Fatalf("lingering conns: %d/%d", h.streams.conns.Len(), r.streams.conns.Len())
 		}
 	})
 }
@@ -305,8 +305,8 @@ func TestLoopbackAcksInPlace(t *testing.T) {
 	}
 	_ = cli2.Send([]byte("into the void"))
 	e.RunFor(time.Second)
-	if !cli2.Reset() || len(h.streams.conns) != 0 {
-		t.Fatalf("client reset %v, %d conns left", cli2.Reset(), len(h.streams.conns))
+	if !cli2.Reset() || h.streams.conns.Len() != 0 {
+		t.Fatalf("client reset %v, %d conns left", cli2.Reset(), h.streams.conns.Len())
 	}
 	e.Shutdown()
 }

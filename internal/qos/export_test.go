@@ -22,7 +22,7 @@ func (b *Book) Available() uint64 { return b.capacityKbs - b.reserved }
 func (b *Book) Reserved() uint64 { return b.reserved }
 
 // Bookings reports the number of live reservations.
-func (b *Book) Bookings() int { return len(b.perVC) }
+func (b *Book) Bookings() int { return b.perVC.Len() }
 
 // Capacity reports the link capacity in kb/s.
 func (b *Book) Capacity() uint64 { return b.capacityKbs }

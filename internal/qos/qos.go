@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"xunet/internal/sim"
 )
 
 // Class is the Xunet service class of a virtual circuit.
@@ -114,14 +116,14 @@ func Negotiate(requested, offered QoS) QoS {
 type Book struct {
 	capacityKbs uint64
 	reserved    uint64
-	perVC       map[uint32]uint64 // reservation key -> kb/s
+	perVC       sim.Index[uint64] // reservation key -> kb/s; keys ascend
 	nextKey     uint32
 }
 
 // NewBook returns an admission-control book for a link of the given
 // capacity in kb/s.
 func NewBook(capacityKbs uint64) *Book {
-	return &Book{capacityKbs: capacityKbs, perVC: make(map[uint32]uint64)}
+	return &Book{capacityKbs: capacityKbs}
 }
 
 // reservationFor maps a descriptor to the bandwidth it books.
@@ -149,15 +151,14 @@ func (b *Book) Admit(q QoS) (key uint32, err error) {
 	}
 	b.nextKey++
 	b.reserved += need
-	b.perVC[b.nextKey] = need
+	b.perVC.Put(uint64(b.nextKey), need)
 	return b.nextKey, nil
 }
 
 // Release frees a booking. Releasing an unknown key is a no-op so that
 // teardown paths may be idempotent.
 func (b *Book) Release(key uint32) {
-	if need, ok := b.perVC[key]; ok {
+	if need, ok := b.perVC.Delete(uint64(key)); ok {
 		b.reserved -= need
-		delete(b.perVC, key)
 	}
 }

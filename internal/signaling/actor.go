@@ -15,8 +15,10 @@ import (
 // paper's sighost "only acts in response to messages received from the
 // user library, the local or remote kernel, or the peer signaling
 // entity" (§7), so an Env only produces inputs of these kinds, and
-// dispatch runs each to completion. Inputs travel by value, so handing
-// the actor a message allocates nothing.
+// dispatch runs each to completion. The sim inbox carries records drawn
+// from the entity's free list (Sighost.inputs), which the actor puts
+// back once dispatch returns: a cell that keeps part of its input copies
+// it. Real mode's inbox channel carries inputs by value.
 type input struct {
 	kind   inputKind
 	conn   Conn              // inApp: the connection the message arrived on
@@ -77,7 +79,20 @@ func (sh *Sighost) dispatch(in *input) {
 // HandleKernel dispatches one pseudo-device (or anand-relayed) indication
 // from the machine from, for a driver that holds the actor (RealHost.Do).
 func (sh *Sighost) HandleKernel(from memnet.IPAddr, k kern.KMsg) {
-	sh.dispatch(&input{kind: inKernel, ip: from, kmsg: k})
+	in := sh.inputs.Get()
+	*in = input{kind: inKernel, ip: from, kmsg: k}
+	sh.dispatch(in)
+	sh.inputs.Put(in)
+}
+
+// react runs the cell for an input sighost makes itself (a timer, a
+// dial's result, the reliable channel giving up), with a record from
+// its free list: a cell's input escapes into the protocol table.
+func (sh *Sighost) react(c *call, on callInput, conn Conn) {
+	in := sh.inputs.Get()
+	*in = input{conn: conn}
+	sh.step(c, on, in)
+	sh.inputs.Put(in)
 }
 
 // fromApp finds the call an application names by cookie, in the request
@@ -88,7 +103,7 @@ func (sh *Sighost) fromApp(in *input) {
 	// Application-to-kernel-to-sighost delivery: one switch charged at
 	// the sender, one here.
 	sh.env.Charge(sh.cm.ContextSwitch)
-	sh.emitMsg(evAppRx, "", *m)
+	sh.emitMsg(evAppRx, "", m)
 	switch m.Kind {
 	case sigmsg.KindConnectReq:
 		sh.step(nil, onConnectReq, in)
@@ -113,11 +128,11 @@ func (sh *Sighost) fromApp(in *input) {
 // channel lets its message through.
 func (sh *Sighost) fromPeer(in *input) {
 	from, m := in.peer, &in.msg
-	if sh.rel != nil && from != sh.env.Addr() && !sh.relRecv(from, *m) {
+	if sh.rel != nil && from != sh.env.Addr() && !sh.relRecv(from, m) {
 		return
 	}
 	sh.ct.peerMsgs.Inc()
-	sh.emitMsg(evPeerRx, from, *m)
+	sh.emitMsg(evPeerRx, from, m)
 	key, on := callKey{peer: from, id: m.CallID}, onSetup
 	switch m.Kind {
 	case sigmsg.KindSetup:
@@ -135,7 +150,7 @@ func (sh *Sighost) fromPeer(in *input) {
 	default:
 		return
 	}
-	sh.step(sh.calls[key], on, in)
+	sh.step(sh.calls.get(key), on, in)
 }
 
 // fromKernel finds the call a kernel indication names by VCI, in
@@ -158,24 +173,27 @@ func (sh *Sighost) fromKernel(in *input) {
 		// needed to allow sighost to inform the remote router (or host)
 		// that the client no longer exists". They are the process's
 		// outgoing_requests, ended newest first.
-		owned := bySeq(sh.outgoing, func(c *call) bool {
-			return c.ownerPID != 0 && c.ownerPID == k.PID && c.endIP == in.ip
-		})
-		for _, c := range slices.Backward(owned) {
+		var owned []*call
+		for _, c := range sh.outgoing {
+			if c.ownerPID != 0 && c.ownerPID == k.PID && c.endIP == in.ip {
+				owned = append(owned, c)
+			}
+		}
+		for _, c := range slices.Backward(inOrder(owned)) {
 			sh.step(c, onExit, in)
 		}
 		return
 	default:
 		return
 	}
-	if sh.pvcs[k.VCI] {
+	if int(k.VCI) < len(sh.pvcs) && sh.pvcs[k.VCI] {
 		return // signaling's own permanent circuits
 	}
 	// A close names the call bound to the VCI first, a bind the one waiting
 	// (both may hold it: a stale view a lost RELEASE left on a reused VCI),
 	// and a bind must carry the cookie of the call it names (§7.1).
-	c := sh.vciMap[k.VCI]
-	if w := sh.waitBind[k.VCI]; w != nil && (on == onBind || c == nil) {
+	c := sh.vciMap.at(k.VCI)
+	if w := sh.waitBind.at(k.VCI); w != nil && (on == onBind || c == nil) {
 		c = w
 	}
 	if on == onBind && c != nil && k.Cookie != c.cookie {
@@ -193,7 +211,7 @@ func (sh *Sighost) step(c *call, on callInput, in *input) {
 	}
 	switch cl := protocol[on][from]; {
 	case cl.do != nil:
-		cl.do(sh, c, *in)
+		cl.do(sh, c, in)
 	case cl.end != causeOther:
 		sh.end(c, cause{code: cl.end})
 	default:

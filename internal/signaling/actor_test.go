@@ -72,7 +72,7 @@ func simEnvRig(t *testing.T) *envRig {
 	return &envRig{
 		sh: h.SH, env: h.env, ip: h.Stack.M.IP.Addr, timers: &h.env.timers,
 		do: func(fn func()) {
-			h.inbox.Put(input{fn: fn})
+			h.put(input{fn: fn})
 			settle()
 		},
 		settle: settle,
@@ -273,7 +273,7 @@ func TestEnvContract(t *testing.T) {
 			const peer = atm.Addr("x.rt")
 			sh, ip, app := r.sh, r.ip, &fakeConn{}
 			port := r.listen()
-			call := func(id uint32) *call { return sh.calls[callKey{peer: peer, id: id}] }
+			call := func(id uint32) *call { return sh.calls.get(callKey{peer: peer, id: id}) }
 			grant := func(id uint32, vci atm.VCI) {
 				sh.appMsg(app, ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: call(id).cookie})
 				sh.peerMsg(peer, sigmsg.Msg{Kind: sigmsg.KindConnectDone, CallID: id, VCI: vci})
@@ -290,7 +290,7 @@ func TestEnvContract(t *testing.T) {
 				grant(1, 40)
 				sh.cm.BindTimeout = time.Minute
 				r.busy(20 * time.Millisecond)
-				sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.waitBind[40].cookie})
+				sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.waitBind.at(40).cookie})
 				grant(2, 41)
 			})
 			r.settle()

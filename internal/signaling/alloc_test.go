@@ -243,7 +243,7 @@ func TestSteadyStateCallAllocs(t *testing.T) {
 
 	// The cycle must actually have torn everything down: no leaked call
 	// state, no armed timers, no live VC handles outside the pools.
-	if n := len(shA.calls) + len(shB.calls); n != 0 {
+	if n := shA.calls.len() + shB.calls.len(); n != 0 {
 		t.Fatalf("%d calls leaked after teardown", n)
 	}
 	if envA.timers != 0 || envB.timers != 0 {

@@ -2,10 +2,13 @@ package signaling
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 
+	"xunet/internal/atm"
 	"xunet/internal/memnet"
 	"xunet/internal/sigmsg"
+	"xunet/internal/sim"
 )
 
 // The pooled records behind the state machine; sighost.go decides,
@@ -29,7 +32,7 @@ func (sh *Sighost) newCall() *call {
 	c := sh.callPool.Get()
 	gen, alarm := c.gen, c.alarm
 	if alarm == nil {
-		gen, alarm = 1, func() { sh.step(c, onTimeout, &input{}) }
+		gen, alarm = 1, func() { sh.react(c, onTimeout, nil) }
 	}
 	*c = call{gen: gen, alarm: alarm}
 	return c
@@ -44,18 +47,133 @@ func (sh *Sighost) releaseCall(c *call) {
 	sh.callPool.Put(c)
 }
 
-// bySeq returns the values of m that keep accepts, in their order: a
-// call's creation order, a pending message's sequence. With none, it
-// allocates nothing.
-func bySeq[K comparable, V interface{ order() uint64 }](m map[K]V, keep func(V) bool) []V {
-	var vs []V
-	for _, v := range m {
+// callTable is the call index. A call ID is scoped to the sighost that
+// issued it and ascends there, so each issuer's calls sit in a sim.Index
+// by ID, found by the issuer's address among the few: this sighost's
+// own calls (its origin views) under "", each signaling neighbor's (its
+// destination views) under the neighbor's.
+type callTable []issuer
+
+type issuer struct {
+	by    atm.Addr
+	calls sim.Index[*call]
+}
+
+// index returns key's issuer's calls, adding the issuer if add.
+func (t *callTable) index(key callKey, add bool) *sim.Index[*call] {
+	by := key.peer
+	if key.origin {
+		by = ""
+	}
+	for i := range *t {
+		if (*t)[i].by == by {
+			return &(*t)[i].calls
+		}
+	}
+	if !add {
+		return nil
+	}
+	*t = append(*t, issuer{by: by})
+	return &(*t)[len(*t)-1].calls
+}
+
+// get returns the call key names, nil if none.
+func (t *callTable) get(key callKey) *call {
+	if x := t.index(key, false); x != nil {
+		if c, _ := x.Get(uint64(key.id)); c != nil && c.key == key {
+			return c
+		}
+	}
+	return nil
+}
+
+// put indexes c under its key, in place of any call the key named.
+func (t *callTable) put(c *call) { t.index(c.key, true).Put(uint64(c.key.id), c) }
+
+// drop unindexes c, if its key still names it.
+func (t *callTable) drop(c *call) {
+	if t.get(c.key) == c {
+		t.index(c.key, false).Delete(uint64(c.key.id))
+	}
+}
+
+// len counts the calls indexed.
+func (t callTable) len() (n int) {
+	for i := range t {
+		n += t[i].calls.Len()
+	}
+	return n
+}
+
+// all yields every indexed call, in no fixed order.
+func (t callTable) all() iter.Seq2[uint64, *call] {
+	return func(yield func(uint64, *call) bool) {
+		for i := range t {
+			for id, c := range t[i].calls.All() {
+				if !yield(id, c) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// byVCI is a list keyed by VCI (wait_for_bind, VCI_mapping): the VCI
+// indexes a slice, as it indexes PF_XUNET's PCB table (§6). n counts
+// the entries.
+type byVCI struct {
+	tab []*call
+	n   int
+}
+
+func (l *byVCI) at(v atm.VCI) *call {
+	if int(v) < len(l.tab) {
+		return l.tab[v]
+	}
+	return nil
+}
+
+func (l *byVCI) put(v atm.VCI, c *call) {
+	l.tab = atm.Grow(l.tab, v)
+	if l.tab[v] == nil {
+		l.n++
+	}
+	l.tab[v] = c
+}
+
+// drop removes v's entry if it is c.
+func (l *byVCI) drop(v atm.VCI, c *call) {
+	if c != nil && l.at(v) == c {
+		l.tab[v] = nil
+		l.n--
+	}
+}
+
+// bySeq appends to vs the values of x that keep accepts and returns vs
+// in their order: a call's creation order, a pending message's
+// sequence. It ranges over x itself, so the walk inlines: with nothing
+// kept, it allocates nothing.
+func bySeq[V interface{ order() uint64 }](vs []V, x *sim.Index[V], keep func(V) bool) []V {
+	for _, v := range x.All() {
 		if keep(v) {
 			vs = append(vs, v)
 		}
 	}
+	return inOrder(vs)
+}
+
+// inOrder sorts vs into their order.
+func inOrder[V interface{ order() uint64 }](vs []V) []V {
 	slices.SortFunc(vs, func(a, b V) int { return cmp.Compare(a.order(), b.order()) })
 	return vs
+}
+
+// bySeq returns the indexed calls keep accepts, in creation order.
+func (t callTable) bySeq(keep func(*call) bool) (cs []*call) {
+	for i := range t {
+		cs = bySeq(cs, &t[i].calls, keep)
+	}
+	return cs
 }
 
 func (c *call) order() uint64        { return c.seq }

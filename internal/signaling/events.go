@@ -165,7 +165,7 @@ var endings = [...]ending{
 // that carried it, not on the reason: a peer's RELEASE tears this view
 // down without answering, a peer's SETUP_REJ fails the call and tells the
 // client the reason, and a server's REJECT_CONN goes on to the origin.
-var heardEndings = map[sigmsg.Kind]*ending{
+var heardEndings = [256]*ending{
 	sigmsg.KindRelease:    {torn: true},
 	sigmsg.KindSetupRej:   {status: trace.StatusReject, count: countFailed, notify: true},
 	sigmsg.KindRejectConn: {count: countRejected, peer: sigmsg.KindSetupRej},
@@ -248,7 +248,7 @@ var callInputs = [...]string{"connect_req", "cancel_req", "accept_conn", "reject
 // to end it with. Neither (ign) drops the input, stale, a duplicate or
 // unable to reach that state, counted in sighost.ignored.<state>.<input>.
 type cell struct {
-	do  func(*Sighost, *call, input)
+	do  func(*Sighost, *call, *input)
 	to  callState
 	end causeCode
 }
@@ -432,9 +432,9 @@ func (sh *Sighost) Events(n int) []Event {
 }
 
 // emitMsg publishes a signaling-message event with typed identity fields.
-func (sh *Sighost) emitMsg(kind string, peer atm.Addr, m sigmsg.Msg) {
+func (sh *Sighost) emitMsg(kind string, peer atm.Addr, m *sigmsg.Msg) {
 	if sh.traceOn() {
-		sh.emit(Event{Kind: kind, peer: peer, VCI: uint32(m.VCI), CallID: m.CallID, Cookie: uint32(m.Cookie), msg: m})
+		sh.emit(Event{Kind: kind, peer: peer, VCI: uint32(m.VCI), CallID: m.CallID, Cookie: uint32(m.Cookie), msg: *m})
 	}
 }
 

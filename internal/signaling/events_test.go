@@ -102,10 +102,10 @@ func publishEach(sh *Sighost) {
 	done := sigmsg.Msg{Kind: sigmsg.KindConnectDone, CallID: 7, VCI: 33, Seq: 4}
 	key := callKey{peer: "ucb.rt", id: 7, origin: true}
 	k := kern.KMsg{Kind: kern.MsgBind, VCI: 33, Cookie: 4242, PID: 9}
-	sh.emitMsg(evAppRx, "", req)
-	sh.emitMsg(evAppTx, "", grant)
-	sh.emitMsg(evPeerTx, "ucb.rt", setup)
-	sh.emitMsg(evPeerRx, "ucb.rt", ack)
+	sh.emitMsg(evAppRx, "", &req)
+	sh.emitMsg(evAppTx, "", &grant)
+	sh.emitMsg(evPeerTx, "ucb.rt", &setup)
+	sh.emitMsg(evPeerRx, "ucb.rt", &ack)
 	sh.emit(Event{Kind: evKernRx, ip: memnet.IP4(10, 2, 0, 1), VCI: uint32(k.VCI), Cookie: uint32(k.Cookie), kmsg: k})
 	sh.emitTr(evTeardown, Transition{Call: key, From: callBound, To: callReleased, VCI: 33, Cause: cause{code: causeSocketClosed}, At: time.Second})
 	sh.emitTr(evBindOK, Transition{Call: key, From: callEstablished, To: callBound, VCI: 33, At: time.Second})
@@ -189,7 +189,7 @@ func TestEnabledPublishAllocs(t *testing.T) {
 	ip, k := memnet.IP4(10, 2, 0, 1), kern.KMsg{Kind: kern.MsgClose, VCI: 33}
 	tr := Transition{Call: callKey{peer: "ucb.rt", id: 7}, From: callBound, To: callReleased, VCI: 33, Cause: cause{code: causeSocketClosed}}
 	got := testing.AllocsPerRun(100, func() {
-		sh.emitMsg(evPeerTx, "ucb.rt", m)
+		sh.emitMsg(evPeerTx, "ucb.rt", &m)
 		sh.emit(Event{Kind: evKernRx, ip: ip, VCI: uint32(k.VCI), Cookie: uint32(k.Cookie), kmsg: k})
 		sh.emitTr(evTeardown, tr)
 	})
@@ -225,12 +225,12 @@ func BenchmarkEventRingOverhead(b *testing.B) {
 		sh.EnableTrace(true)
 		m := sigmsg.Msg{Kind: sigmsg.KindSetup, Service: "echo", Dest: "ucb.rt", Src: "mh.rt", CallID: 7}
 		for range EventRingSize {
-			sh.emitMsg(evPeerTx, "ucb.rt", m)
+			sh.emitMsg(evPeerTx, "ucb.rt", &m)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sh.emitMsg(evPeerTx, "ucb.rt", m)
+			sh.emitMsg(evPeerTx, "ucb.rt", &m)
 		}
 	})
 }

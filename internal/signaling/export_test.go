@@ -19,13 +19,20 @@ import (
 func (h *RealHost) PeerFor(dst atm.Addr) *rtnet.Peer { return h.peerFor(dst) }
 
 // appMsg and peerMsg hand dispatch one message from an application or
-// a peer, as an Env's actor does.
+// a peer in a record of the entity's, as the sim actor does.
 func (sh *Sighost) appMsg(conn Conn, from memnet.IPAddr, m sigmsg.Msg) {
-	sh.dispatch(&input{kind: inApp, conn: conn, ip: from, msg: m})
+	sh.feed(input{kind: inApp, conn: conn, ip: from, msg: m})
 }
 
 func (sh *Sighost) peerMsg(from atm.Addr, m sigmsg.Msg) {
-	sh.dispatch(&input{kind: inPeer, peer: from, msg: m})
+	sh.feed(input{kind: inPeer, peer: from, msg: m})
+}
+
+func (sh *Sighost) feed(in input) {
+	r := sh.inputs.Get()
+	*r = in
+	sh.dispatch(r)
+	sh.inputs.Put(r)
 }
 
 // Chains watches one sighost's transition records through its hook and
@@ -107,23 +114,35 @@ func (ch *Chains) Err() error {
 	sh := ch.sh
 	errs := ch.errs
 	for k, st := range ch.open {
-		if c := sh.calls[k]; c == nil {
+		if c := sh.calls.get(k); c == nil {
 			errs = append(errs, fmt.Errorf("%s: chain of %+v open at %d, but the call is gone", sh.env.Addr(), k, st))
 		} else if c.state != st {
 			errs = append(errs, fmt.Errorf("%s: chain of %+v open at %d, but the call is at %d", sh.env.Addr(), k, st, c.state))
 		}
 	}
-	if len(sh.calls) != len(ch.open) {
-		errs = append(errs, fmt.Errorf("%s: %d live calls, %d open chains", sh.env.Addr(), len(sh.calls), len(ch.open)))
+	ncalls := 0
+	for range sh.calls.all() {
+		ncalls++
+	}
+	if ncalls != len(ch.open) {
+		errs = append(errs, fmt.Errorf("%s: %d live calls, %d open chains", sh.env.Addr(), ncalls, len(ch.open)))
 	}
 	type length struct {
 		name string
 		kept *size
 		len  int
 	}
-	mapped := len(sh.waitBind) // VCIs mapped to a call, each holding a cookie
-	for v := range sh.vciMap {
-		if sh.waitBind[v] == nil {
+	entries := func(l byVCI) (n int) {
+		for _, c := range l.tab {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	mapped := entries(sh.waitBind) // VCIs mapped to a call, each holding a cookie
+	for v, c := range sh.vciMap.tab {
+		if c != nil && sh.waitBind.at(atm.VCI(v)) == nil {
 			mapped++
 		}
 	}
@@ -131,10 +150,10 @@ func (ch *Chains) Err() error {
 		{"services", &sh.n.services, len(sh.services)},
 		{"outgoing", &sh.n.outgoing, len(sh.outgoing)},
 		{"incoming", &sh.n.incoming, len(sh.incoming)},
-		{"wait_for_bind", &sh.n.waitBind, len(sh.waitBind)},
-		{"VCI_mapping", &sh.n.vciMap, len(sh.vciMap)},
+		{"wait_for_bind", &sh.n.waitBind, entries(sh.waitBind)},
+		{"VCI_mapping", &sh.n.vciMap, entries(sh.vciMap)},
 		{"cookies", &sh.n.cookies, mapped},
-		{"calls", &sh.n.calls, len(sh.calls)},
+		{"calls", &sh.n.calls, ncalls},
 	}
 	if j := sh.jr; j != nil {
 		lengths = append(lengths, length{"journal bytes", &j.nBytes, len(j.buf)},
@@ -142,7 +161,7 @@ func (ch *Chains) Err() error {
 	}
 	if sh.rel != nil {
 		for _, lk := range sh.rel.links {
-			lengths = append(lengths, length{"backlog to " + string(lk.addr), &lk.backlog, len(lk.unacked)})
+			lengths = append(lengths, length{"backlog to " + string(lk.addr), &lk.backlog, lk.unacked.Len()})
 		}
 	}
 	for _, l := range lengths {
@@ -181,12 +200,13 @@ func (ch *Chains) Ends() []string {
 func CrashForChecked(h *SimHost, ch *Chains, d time.Duration) func() error {
 	sh := h.SH
 	lists := func() map[callKey]string {
-		in := make(map[callKey]string, len(sh.calls))
-		for k, c := range sh.calls {
+		in := make(map[callKey]string, sh.calls.len())
+		for _, c := range sh.calls.all() {
+			k := c.key
 			switch c {
-			case sh.waitBind[c.localVCI]:
+			case sh.waitBind.at(c.localVCI):
 				in[k] = "wait_for_bind"
-			case sh.vciMap[c.localVCI]:
+			case sh.vciMap.at(c.localVCI):
 				in[k] = "VCI_mapping"
 			default:
 				in[k] = ""
@@ -197,10 +217,10 @@ func CrashForChecked(h *SimHost, ch *Chains, d time.Duration) func() error {
 	var at map[callKey]string
 	var from int // ch.log's length at the crash: Recover's records follow
 	var errs []error
-	h.inbox.Put(input{fn: func() { at, from = lists(), len(ch.log) }})
+	h.put(input{fn: func() { at, from = lists(), len(ch.log) }})
 	h.CrashFor(d)
 	h.Stack.M.E.Schedule(d, func() {
-		h.inbox.Put(input{fn: func() {
+		h.put(input{fn: func() {
 			now := lists()
 			for k, list := range at {
 				ended := slices.ContainsFunc(ch.log[from:], func(r stamped) bool {

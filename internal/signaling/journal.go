@@ -115,7 +115,7 @@ func appendStr16(dst []byte, s string) []byte {
 
 // decodeJrec decodes one record from the front of b, resolving circuit
 // handles through the vcs side table. Returns the bytes consumed.
-func decodeJrec(b []byte, vcs map[atm.VCI]*VCHandle) (jrec, int, error) {
+func decodeJrec(b []byte, vcs []*VCHandle) (jrec, int, error) {
 	var r jrec
 	if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
 		return r, 0, errJrec
@@ -138,7 +138,9 @@ func decodeJrec(b []byte, vcs map[atm.VCI]*VCHandle) (jrec, int, error) {
 		return jrec{}, 0, errJrec
 	}
 	if hasVC {
-		r.vc = vcs[r.vci]
+		if int(r.vci) < len(vcs) {
+			r.vc = vcs[r.vci]
+		}
 	}
 	return r, n, nil
 }
@@ -176,8 +178,9 @@ type journal struct {
 	pendingN int
 	spare    []byte // compaction double-buffer (swap keeps it alloc-free)
 	cap      int
-	// vcs maps granted VCIs to their circuit handles (see file comment).
-	vcs map[atm.VCI]*VCHandle
+	// vcs maps granted VCIs to their circuit handles (see file comment),
+	// indexed by VCI.
+	vcs []*VCHandle
 	// generation counts recoveries; it seeds the reliability epoch so
 	// peers can tell a new incarnation's messages from stale ones.
 	generation uint32
@@ -202,7 +205,6 @@ func (sh *Sighost) EnableJournal(bound int) {
 	}
 	sh.jr = &journal{
 		cap:         bound,
-		vcs:         make(map[atm.VCI]*VCHandle),
 		appends:     sh.Obs.Counter("sighost.journal.appends"),
 		batches:     sh.Obs.Counter("sighost.journal.batches"),
 		compactions: sh.Obs.Counter("sighost.journal.compactions"),
@@ -230,6 +232,7 @@ func (sh *Sighost) jlog(r jrec) {
 		return
 	}
 	if r.vc != nil {
+		j.vcs = atm.Grow(j.vcs, r.vci)
 		j.vcs[r.vci] = r.vc
 	}
 	j.pending = appendJrec(j.pending, &r)
@@ -292,7 +295,7 @@ func (sh *Sighost) compactJournal() {
 		out = appendJrec(out, &jrec{op: jExport, service: svc.name, ip: svc.ip, port: svc.port})
 		n++
 	}
-	for _, c := range bySeq(sh.calls, every) {
+	for _, c := range sh.calls.bySeq(every) {
 		r := openRec(c)
 		out = appendJrec(out, &r)
 		n++
@@ -300,15 +303,16 @@ func (sh *Sighost) compactJournal() {
 			continue
 		}
 		if c.vc != nil {
+			j.vcs = atm.Grow(j.vcs, c.localVCI)
 			j.vcs[c.localVCI] = c.vc
 		}
-		if sh.waitBind[c.localVCI] == c {
+		if sh.waitBind.at(c.localVCI) == c {
 			out = appendJrec(out, &jrec{
 				op: jGrant, key: c.key, vci: c.localVCI, cookie: c.cookie,
 				deadline: c.deadline, vc: c.vc,
 			})
 			n++
-		} else if sh.vciMap[c.localVCI] == c {
+		} else if sh.vciMap.at(c.localVCI) == c {
 			out = appendJrec(out, &jrec{op: jGrant, key: c.key, vci: c.localVCI, cookie: c.cookie, vc: c.vc})
 			out = appendJrec(out, &jrec{op: jBound, key: c.key, vci: c.localVCI})
 			n += 2

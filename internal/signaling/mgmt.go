@@ -79,7 +79,8 @@ func (sh *Sighost) handleMgmtQuery(conn Conn, m sigmsg.Msg) {
 		body = strings.Join(names, "\n")
 	case MgmtCalls:
 		var lines []string
-		for key, c := range sh.calls {
+		for _, c := range sh.calls.all() {
+			key := c.key
 			lines = append(lines, fmt.Sprintf("call=%d peer=%s origin=%v state=%s svc=%s vci=%d qos=%q",
 				key.id, key.peer, key.origin, stages[c.state].name, c.service, c.localVCI, c.qosStr))
 		}

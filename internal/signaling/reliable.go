@@ -48,6 +48,17 @@ func DefaultRelConfig() RelConfig {
 	}
 }
 
+// life is how long a message may arrive after its first send: every
+// retransmission's wait, the last one's (before the sender gives up)
+// included. The receiver's dedup window reads its own config as its
+// peers'.
+func (c RelConfig) life() (d time.Duration) {
+	for i := range c.MaxRetries + 1 {
+		d += c.RTO << min(uint(i), c.MaxBackoffShift)
+	}
+	return d
+}
+
 // pendingMsg is one unacknowledged reliable message. The wire encoding
 // is produced exactly once, at first send, and cached in raw: every
 // retransmission replays the same frame. Structs are pooled; the
@@ -85,17 +96,16 @@ func pmCall(peer atm.Addr, m sigmsg.Msg) (k callKey, ok bool) {
 type peerLink struct {
 	addr atm.Addr
 
-	// Transmit side: unacked is the one table of pending messages.
+	// Transmit side: unacked is the one table of pending messages, by
+	// sequence number.
 	epoch   uint32
 	nextSeq uint32
-	unacked map[uint32]*pendingMsg
-	backlog size // len(unacked), for readers off the actor
+	unacked sim.Index[*pendingMsg]
+	backlog size // unacked.Len(), for readers off the actor
 
-	// Receive side: floor is the highest sequence below which everything
-	// was delivered; seen holds delivered sequences above it.
+	// Receive side: the sequences of the epoch delivered so far.
 	rxEpoch uint32
-	floor   uint32
-	seen    map[uint32]bool
+	seen    sim.Window
 
 	// Keepalive state. kaOn marks the probe chain armed; it disarms
 	// itself when the link goes idle so a quiesced sim can drain.
@@ -134,8 +144,8 @@ func (r *reliability) newPending() *pendingMsg {
 // dropPending removes pm from its link's tables and recycles it. Callers
 // must cancel pm's timer first (or be inside its fire path).
 func (r *reliability) dropPending(lk *peerLink, pm *pendingMsg) {
-	delete(lk.unacked, pm.m.Seq)
-	lk.backlog.set(len(lk.unacked))
+	lk.unacked.Delete(uint64(pm.m.Seq))
+	lk.backlog.set(lk.unacked.Len())
 	pm.sh, pm.lk, pm.cancel = nil, nil, nil
 	pm.attempts = 0
 	r.pmPool.Put(pm)
@@ -178,12 +188,7 @@ func (sh *Sighost) PrimePeer(peer atm.Addr) {
 func (r *reliability) link(sh *Sighost, peer atm.Addr) *peerLink {
 	lk := r.links[peer]
 	if lk == nil {
-		lk = &peerLink{
-			addr:    peer,
-			epoch:   sh.epochGen + 1,
-			unacked: make(map[uint32]*pendingMsg),
-			seen:    make(map[uint32]bool),
-		}
+		lk = &peerLink{addr: peer, epoch: sh.epochGen + 1}
 		r.links[peer] = lk
 		// Per-peer retransmit backlog as a read-through metric, sampled
 		// at snapshot/scrape time like the trunk cell counters.
@@ -206,9 +211,9 @@ func (sh *Sighost) relSend(dst atm.Addr, m sigmsg.Msg) error {
 	// Encode exactly once; every retransmission replays the cached frame.
 	pm.raw = m.AppendTo(pm.raw[:0])
 	r.encodes.Inc()
-	lk.unacked[m.Seq] = pm
-	lk.backlog.set(len(lk.unacked))
-	sh.emitMsg(evPeerTx, dst, m)
+	lk.unacked.Put(uint64(m.Seq), pm)
+	lk.backlog.set(lk.unacked.Len())
+	sh.emitMsg(evPeerTx, dst, &m)
 	if err := sh.env.SendPeer(dst, m, pm.raw); err != nil {
 		// No signaling path at all (no PVC): retrying cannot help.
 		r.dropPending(lk, pm)
@@ -242,7 +247,7 @@ func (pm *pendingMsg) fireNow() {
 			sh.emit(Event{Kind: evRelExhaust, peer: addr, CallID: m.CallID, msg: m})
 		}
 		if k, ok := pmCall(addr, m); ok {
-			sh.step(sh.calls[k], onRetxExhausted, &input{})
+			sh.react(sh.calls.get(k), onRetxExhausted, nil)
 		}
 		return
 	}
@@ -273,7 +278,7 @@ func (sh *Sighost) cancelCallRetransmits(c *call) {
 // sim_storm_chaos a link holds 1.45 pending messages at a teardown on
 // average, 18 at most: the scan costs less than a per-call index.
 func (r *reliability) dropWhere(lk *peerLink, keep func(*pendingMsg) bool) {
-	for _, pm := range bySeq(lk.unacked, keep) {
+	for _, pm := range bySeq(nil, &lk.unacked, keep) {
 		if pm.cancel != nil {
 			pm.cancel()
 		}
@@ -284,14 +289,14 @@ func (r *reliability) dropWhere(lk *peerLink, keep func(*pendingMsg) bool) {
 // relRecv filters one arriving peer message through the reliability
 // layer. It returns false when the message was consumed (ack, keepalive,
 // duplicate, stale epoch) and must not reach the protocol handlers.
-func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
+func (sh *Sighost) relRecv(from atm.Addr, m *sigmsg.Msg) bool {
 	lk := sh.rel.link(sh, from)
 	lk.lastHeard = sh.env.Now()
 	switch m.Kind {
 	case sigmsg.KindPeerAck:
 		sh.rel.acks.Inc()
 		if m.Epoch == lk.epoch {
-			if pm, ok := lk.unacked[m.Seq]; ok {
+			if pm, ok := lk.unacked.Get(uint64(m.Seq)); ok {
 				if pm.cancel != nil {
 					pm.cancel()
 				}
@@ -323,23 +328,17 @@ func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
 		// New incarnation: reset the dedup window for its fresh sequence
 		// space.
 		lk.rxEpoch = m.Epoch
-		lk.floor = 0
-		lk.seen = make(map[uint32]bool)
+		lk.seen = sim.Window{}
 	}
 	// Always ack — even duplicates, whose earlier ack may have been the
 	// loss that caused the retransmission. Acks are unsequenced.
 	_ = sh.sendFrame(from, sigmsg.Msg{Kind: sigmsg.KindPeerAck, Seq: m.Seq, Epoch: m.Epoch})
-	if m.Seq <= lk.floor || lk.seen[m.Seq] {
+	if !lk.seen.Add(m.Seq, sh.env.Now(), sh.rel.cfg.life()) {
 		sh.rel.dups.Inc()
 		if sh.traceOn() {
-			sh.emit(Event{Kind: evRelDup, peer: from, CallID: m.CallID, msg: m})
+			sh.emit(Event{Kind: evRelDup, peer: from, CallID: m.CallID, msg: *m})
 		}
 		return false
-	}
-	lk.seen[m.Seq] = true
-	for lk.seen[lk.floor+1] {
-		delete(lk.seen, lk.floor+1)
-		lk.floor++
 	}
 	sh.ensureKeepalive(lk)
 	return true
@@ -348,10 +347,10 @@ func (sh *Sighost) relRecv(from atm.Addr, m sigmsg.Msg) bool {
 // linkActive reports whether the peer link carries live state worth
 // probing: calls through the peer or unacknowledged messages to it.
 func (sh *Sighost) linkActive(lk *peerLink) bool {
-	if len(lk.unacked) > 0 {
+	if lk.unacked.Len() > 0 {
 		return true
 	}
-	for _, c := range sh.calls {
+	for _, c := range sh.calls.all() {
 		if c.key.peer == lk.addr {
 			return true
 		}
@@ -402,7 +401,7 @@ func (sh *Sighost) peerDead(lk *peerLink) {
 	sh.rel.dropWhere(lk, every)
 	// The neighbor's calls end in creation order, so the cascade is
 	// deterministic.
-	for _, c := range bySeq(sh.calls, func(c *call) bool { return c.key.peer == lk.addr }) {
-		sh.step(c, onPeerDead, &input{})
+	for _, c := range sh.calls.bySeq(func(c *call) bool { return c.key.peer == lk.addr }) {
+		sh.react(c, onPeerDead, nil)
 	}
 }

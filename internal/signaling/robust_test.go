@@ -254,10 +254,13 @@ func checkBindInvariant(t *testing.T, w *world, sh *Sighost, env *fakeEnv) {
 			live++
 		}
 	}
-	if live != len(sh.waitBind) {
-		t.Fatalf("%s: %d live timers but %d wait_for_bind entries", sh.env.Addr(), live, len(sh.waitBind))
+	if live != sh.waitBind.n {
+		t.Fatalf("%s: %d live timers but %d wait_for_bind entries", sh.env.Addr(), live, sh.waitBind.n)
 	}
-	for vci, c := range sh.waitBind {
+	for vci, c := range sh.waitBind.tab {
+		if c == nil {
+			continue
+		}
 		if c.cookie == 0 {
 			t.Fatalf("%s: wait_for_bind VCI %d has no cookie", sh.env.Addr(), vci)
 		}
@@ -321,19 +324,19 @@ func TestBindTimerAudit(t *testing.T) {
 	// Path 1: bind success, then socket close.
 	cv, cc, sv, sc := openCall(t, w, shA, shB, envA, envB, "echo")
 	check()
-	if len(shA.waitBind) != 1 || len(shB.waitBind) != 1 {
-		t.Fatalf("expected one wait_for_bind entry per side, got %d/%d", len(shA.waitBind), len(shB.waitBind))
+	if shA.waitBind.n != 1 || shB.waitBind.n != 1 {
+		t.Fatalf("expected one wait_for_bind entry per side, got %d/%d", shA.waitBind.n, shB.waitBind.n)
 	}
 	bindBoth(w, shA, shB, envA, envB, cv, cc, sv, sc)
 	check()
-	if len(shA.waitBind) != 0 || len(shA.vciMap) != 1 {
+	if shA.waitBind.n != 0 || shA.vciMap.n != 1 {
 		t.Fatalf("bind did not move the entry to VCI_mapping")
 	}
 	shA.HandleKernel(envA.ip, kern.KMsg{Kind: kern.MsgClose, VCI: cv})
 	w.pump()
 	check()
-	if len(shA.calls) != 0 || len(shB.calls) != 0 {
-		t.Fatalf("close did not tear down both sides: %d/%d calls", len(shA.calls), len(shB.calls))
+	if shA.calls.len() != 0 || shB.calls.len() != 0 {
+		t.Fatalf("close did not tear down both sides: %d/%d calls", shA.calls.len(), shB.calls.len())
 	}
 
 	// Path 2: bind timeout on both sides.
@@ -342,7 +345,7 @@ func TestBindTimerAudit(t *testing.T) {
 	torn := shA.Obs.Snapshot().Count("sighost.calls.torn")
 	w.advance(w.now + 6*time.Second)
 	check()
-	if len(shA.waitBind) != 0 || len(shB.waitBind) != 0 || len(shA.calls) != 0 || len(shB.calls) != 0 {
+	if shA.waitBind.n != 0 || shB.waitBind.n != 0 || shA.calls.len() != 0 || shB.calls.len() != 0 {
 		t.Fatal("bind timeout left state behind")
 	}
 	if shA.Obs.Snapshot().Count("sighost.calls.torn") == torn {
@@ -360,7 +363,7 @@ func TestBindTimerAudit(t *testing.T) {
 	if shA.Obs.Snapshot().Count("sighost.auth_failures") == 0 {
 		t.Fatal("auth failure not counted")
 	}
-	if len(shA.calls) != 0 {
+	if shA.calls.len() != 0 {
 		t.Fatal("auth failure did not tear the call")
 	}
 	w.advance(w.now + 6*time.Second) // stale timer would fire here
@@ -382,7 +385,7 @@ func TestBindTimerAudit(t *testing.T) {
 	shB.appMsg(&fakeConn{}, envB.ip, sigmsg.Msg{Kind: sigmsg.KindAcceptConn, Cookie: inc.Cookie})
 	w.pump() // SETUP_ACK for the canceled call must be ignored
 	check()
-	if len(shA.calls) != 0 || len(shA.waitBind) != 0 {
+	if shA.calls.len() != 0 || shA.waitBind.n != 0 {
 		t.Fatal("late SETUP_ACK resurrected a canceled call")
 	}
 
@@ -407,7 +410,7 @@ func TestStaleViewReleaseSparesRegrant(t *testing.T) {
 	w.drop = true // the client's close reaches A; A's RELEASE never reaches B
 	shA.HandleKernel(envA.ip, kern.KMsg{Kind: kern.MsgClose, VCI: cv})
 	w.drop = false
-	if len(shB.vciMap) != 1 {
+	if shB.vciMap.n != 1 {
 		t.Fatal("precondition: B dropped its view without the RELEASE")
 	}
 	envA.nextVCI-- // the fabric re-grants the freed VCI
@@ -421,7 +424,7 @@ func TestStaleViewReleaseSparesRegrant(t *testing.T) {
 	if slices.Contains(envB.disconnects, sv) {
 		t.Fatalf("disconnects %v: the stale view's end shut VCI %d, which the new call maps", envB.disconnects, sv)
 	}
-	if c := shB.vciMap[sv]; c == nil || c.cookie != sc2 || shB.Obs.Snapshot().Count("sighost.auth_failures") != 0 {
+	if c := shB.vciMap.at(sv); c == nil || c.cookie != sc2 || shB.Obs.Snapshot().Count("sighost.auth_failures") != 0 {
 		t.Fatalf("the new call's bind was refused: view %+v, %d auth failures", c, shB.Obs.Snapshot().Count("sighost.auth_failures"))
 	}
 	if shA.CookieCount() != 1 || shB.CookieCount() != 1 {
@@ -462,7 +465,7 @@ func TestRetransmitBackoffAndExhaustion(t *testing.T) {
 	if got := snap.Count("sighost.rel.exhausted"); got != 1 {
 		t.Errorf("exhausted = %d, want 1", got)
 	}
-	if len(shA.calls) != 0 || len(shA.outgoing) != 0 {
+	if shA.calls.len() != 0 || len(shA.outgoing) != 0 {
 		t.Error("exhausted call not torn down")
 	}
 	fail, ok := envA.lastMsg(sigmsg.KindConnFailed)
@@ -488,21 +491,21 @@ func TestCancelStopsSetupRetransmits(t *testing.T) {
 	conn := &fakeConn{}
 	shA.appMsg(conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: "b.rt", Service: "echo", NotifyPort: 7000})
 	w.advance(150 * time.Millisecond)
-	for _, c := range shA.calls {
+	for _, c := range shA.calls.all() {
 		if c.state != callSetupSent {
 			t.Fatalf("precondition: call in %s, want setup_sent", stages[c.state].name)
 		}
 	}
-	if n := envA.countSent(sigmsg.KindSetup); len(shA.calls) != 1 || n != 2 {
-		t.Fatalf("precondition: %d calls, SETUP sent %d times, want 1 call and 2 sends", len(shA.calls), n)
+	if n := envA.countSent(sigmsg.KindSetup); shA.calls.len() != 1 || n != 2 {
+		t.Fatalf("precondition: %d calls, SETUP sent %d times, want 1 call and 2 sends", shA.calls.len(), n)
 	}
 	retx := shA.Obs.Snapshot().Count("sighost.rel.retransmits")
 	shA.appMsg(conn, envA.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: conn.msgs[0].Cookie})
 	lk := shA.rel.links["b.rt"]
-	if len(lk.unacked) != 1 {
-		t.Fatalf("%d messages pending after the cancel, want the RELEASE alone", len(lk.unacked))
+	if lk.unacked.Len() != 1 {
+		t.Fatalf("%d messages pending after the cancel, want the RELEASE alone", lk.unacked.Len())
 	}
-	for _, pm := range lk.unacked {
+	for _, pm := range lk.unacked.All() {
 		if pm.m.Kind != sigmsg.KindRelease {
 			t.Fatalf("pending after the cancel: %v, want RELEASE", pm.m.Kind)
 		}
@@ -516,8 +519,8 @@ func TestCancelStopsSetupRetransmits(t *testing.T) {
 	if got := shA.Obs.Snapshot().Count("sighost.rel.retransmits") - retx; releases < 2 || got != uint64(releases-1) {
 		t.Errorf("%d retransmits since the cancel, want the RELEASE's %d resends alone", got, releases-1)
 	}
-	if len(lk.unacked) != 1 {
-		t.Fatalf("%d messages pending before the peer died, want the RELEASE", len(lk.unacked))
+	if lk.unacked.Len() != 1 {
+		t.Fatalf("%d messages pending before the peer died, want the RELEASE", lk.unacked.Len())
 	}
 
 	// Three silent keepalive periods from the SETUP at 0 kill the peer
@@ -526,8 +529,8 @@ func TestCancelStopsSetupRetransmits(t *testing.T) {
 	if got := shA.Obs.Snapshot().Count("sighost.rel.peer_deaths"); got != 1 {
 		t.Fatalf("peer deaths = %d, want 1", got)
 	}
-	if len(lk.unacked) != 0 {
-		t.Errorf("%d messages pending after the peer died", len(lk.unacked))
+	if lk.unacked.Len() != 0 {
+		t.Errorf("%d messages pending after the peer died", lk.unacked.Len())
 	}
 	for _, tm := range w.timers {
 		if !tm.canceled && !tm.fired {
@@ -548,8 +551,8 @@ func TestReliableFlowAcksAndDedup(t *testing.T) {
 	// All reliable messages must be acked: no unacked state anywhere.
 	for _, sh := range []*Sighost{shA, shB} {
 		for peer, lk := range sh.rel.links {
-			if len(lk.unacked) != 0 {
-				t.Fatalf("%s: %d unacked messages to %s after clean flow", sh.env.Addr(), len(lk.unacked), peer)
+			if lk.unacked.Len() != 0 {
+				t.Fatalf("%s: %d unacked messages to %s after clean flow", sh.env.Addr(), lk.unacked.Len(), peer)
 			}
 		}
 	}
@@ -560,16 +563,16 @@ func TestReliableFlowAcksAndDedup(t *testing.T) {
 	// Replay: a duplicated SETUP (same seq, same epoch) must be consumed
 	// by the dedup window, not processed, and acked again.
 	lk := shB.rel.links["a.rt"]
-	dupSeq := lk.floor // highest delivered seq
+	dupSeq := uint32(1) // the first seq delivered
 	acksBefore := envB.countSent(sigmsg.KindPeerAck)
 	dupsBefore := shB.Obs.Snapshot().Count("sighost.rel.dups")
-	callsBefore := len(shB.calls)
+	callsBefore := shB.calls.len()
 	shB.peerMsg("a.rt", sigmsg.Msg{Kind: sigmsg.KindSetup, CallID: 1, Service: "echo", Seq: dupSeq, Epoch: lk.rxEpoch})
 	w.pump()
 	if got := shB.Obs.Snapshot().Count("sighost.rel.dups"); got != dupsBefore+1 {
 		t.Errorf("dups = %d, want %d", got, dupsBefore+1)
 	}
-	if len(shB.calls) != callsBefore {
+	if shB.calls.len() != callsBefore {
 		t.Error("duplicate SETUP created call state")
 	}
 	if got := envB.countSent(sigmsg.KindPeerAck); got != acksBefore+1 {
@@ -583,7 +586,7 @@ func TestReliableFlowAcksAndDedup(t *testing.T) {
 	if got := shB.Obs.Snapshot().Count("sighost.rel.stale_epoch"); got != staleBefore+1 {
 		t.Errorf("stale_epoch = %d, want %d", got, staleBefore+1)
 	}
-	if _, ok := shB.calls[callKey{peer: "a.rt", id: 77, origin: false}]; ok {
+	if shB.calls.get(callKey{peer: "a.rt", id: 77, origin: false}) != nil {
 		t.Error("stale-epoch SETUP created call state")
 	}
 }
@@ -597,8 +600,8 @@ func TestKeepaliveDeclaresPeerDead(t *testing.T) {
 	exportEcho(t, shB, envB, "echo")
 	cv, cc, sv, sc := openCall(t, w, shA, shB, envA, envB, "echo")
 	bindBoth(w, shA, shB, envA, envB, cv, cc, sv, sc)
-	if len(shA.calls) != 1 || len(shB.calls) != 1 {
-		t.Fatalf("setup failed: %d/%d calls", len(shA.calls), len(shB.calls))
+	if shA.calls.len() != 1 || shB.calls.len() != 1 {
+		t.Fatalf("setup failed: %d/%d calls", shA.calls.len(), shB.calls.len())
 	}
 
 	w.drop = true
@@ -608,9 +611,9 @@ func TestKeepaliveDeclaresPeerDead(t *testing.T) {
 		if got := sh.Obs.Snapshot().Count("sighost.rel.peer_deaths"); got != 1 {
 			t.Errorf("%s: peer_deaths = %d, want 1", sh.env.Addr(), got)
 		}
-		if len(sh.calls) != 0 || len(sh.vciMap) != 0 || sh.CookieCount() != 0 {
+		if sh.calls.len() != 0 || sh.vciMap.n != 0 || sh.CookieCount() != 0 {
 			t.Errorf("%s: death cascade left state: calls=%d vciMap=%d cookies=%d",
-				sh.env.Addr(), len(sh.calls), len(sh.vciMap), sh.CookieCount())
+				sh.env.Addr(), sh.calls.len(), sh.vciMap.n, sh.CookieCount())
 		}
 	}
 	// The dead circuit must be disconnected at the endpoints.
@@ -651,8 +654,8 @@ func TestCrashRecovery(t *testing.T) {
 	shA.appMsg(&fakeConn{}, envA.ip, sigmsg.Msg{Kind: sigmsg.KindConnectReq, Dest: "b.rt", Service: "slow", NotifyPort: 7003})
 	w.pump()
 
-	if len(shA.calls) != 3 {
-		t.Fatalf("precondition: %d calls on A, want 3", len(shA.calls))
+	if shA.calls.len() != 3 {
+		t.Fatalf("precondition: %d calls on A, want 3", shA.calls.len())
 	}
 
 	// Crash A one second into call 2's bind window.
@@ -661,7 +664,7 @@ func TestCrashRecovery(t *testing.T) {
 	if !shA.down {
 		t.Fatal("Crash did not mark the entity down")
 	}
-	if len(shA.calls) != 0 || len(shA.waitBind) != 0 || shA.CookieCount() != 0 {
+	if shA.calls.len() != 0 || shA.waitBind.n != 0 || shA.CookieCount() != 0 {
 		t.Fatal("crash left volatile state")
 	}
 	// Input while down is dropped.
@@ -684,10 +687,10 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("recovery.aborted_calls = %d, want 1", got)
 	}
 	// Call 1 must be live and bound again.
-	if c, ok := shA.vciMap[cv1]; !ok || c.state != callBound {
+	if c := shA.vciMap.at(cv1); c == nil || c.state != callBound {
 		t.Error("bound call did not survive recovery")
 	}
-	if got, want := shA.vciMap[cv1].cookie, cc1; got != want {
+	if got, want := shA.vciMap.at(cv1).cookie, cc1; got != want {
 		t.Errorf("recovered cookie = %d, want %d", got, want)
 	}
 	// Call 3's abort notified the client and released the peer.
@@ -695,25 +698,25 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("client abort notification = %+v ok=%v", fail, ok)
 	}
 	w.pump()
-	if _, ok := shB.calls[callKey{peer: "a.rt", id: 3, origin: false}]; ok {
+	if shB.calls.get(callKey{peer: "a.rt", id: 3, origin: false}) != nil {
 		t.Error("peer kept the aborted call after RELEASE")
 	}
 
 	// Call 2's re-armed timer must fire at the ORIGINAL deadline
 	// (grantAt+5s), not a fresh full window.
-	c2, ok := shA.waitBind[cv2]
-	if !ok {
+	c2 := shA.waitBind.at(cv2)
+	if c2 == nil {
 		t.Fatal("granted call missing from wait_for_bind after recovery")
 	}
 	if c2.deadline != grantAt+5*time.Second {
 		t.Errorf("re-armed deadline = %v, want %v", c2.deadline, grantAt+5*time.Second)
 	}
 	w.advance(grantAt + 4900*time.Millisecond)
-	if _, ok := shA.waitBind[cv2]; !ok {
+	if shA.waitBind.at(cv2) == nil {
 		t.Fatal("bind timer fired early after recovery")
 	}
 	w.advance(grantAt + 5100*time.Millisecond)
-	if _, ok := shA.waitBind[cv2]; ok {
+	if shA.waitBind.at(cv2) != nil {
 		t.Fatal("re-armed bind timer never fired")
 	}
 
@@ -744,7 +747,7 @@ func TestRecoveryExpiredDeadline(t *testing.T) {
 	shA.Crash()
 	w.advance(w.now + 10*time.Second) // outage outlives the bind window
 	shA.Recover()
-	if len(shA.waitBind) != 0 || len(shA.calls) != 0 {
+	if shA.waitBind.n != 0 || shA.calls.len() != 0 {
 		t.Fatal("expired grant survived recovery")
 	}
 	if shA.Obs.Snapshot().Count("sighost.bind_timeouts") == 0 {

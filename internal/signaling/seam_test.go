@@ -480,6 +480,11 @@ func TestStateWrittenOnlyByTransition(t *testing.T) {
 						write(n, sel.Sel.Name, false)
 					}
 				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "put" || sel.Sel.Name == "drop") {
+					if list, ok := sel.X.(*ast.SelectorExpr); ok && lists[list.Sel.Name] {
+						write(n, list.Sel.Name, false)
+					}
+				}
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "set" {
 					setsSize(n, sel.X)
 				}

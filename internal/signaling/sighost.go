@@ -201,13 +201,15 @@ type Sighost struct {
 
 	// The five lists of §7.3.
 	services map[string]*serviceEntry // service_list
-	outgoing map[uint16]*call         // outgoing_requests
-	incoming map[uint16]*call         // incoming_requests
-	waitBind map[atm.VCI]*call        // wait_for_bind
-	vciMap   map[atm.VCI]*call        // VCI_mapping
+	outgoing map[uint16]*call         // outgoing_requests, by cookie
+	incoming map[uint16]*call         // incoming_requests, by cookie
+	waitBind byVCI                    // wait_for_bind
+	vciMap   byVCI                    // VCI_mapping
 
-	calls map[callKey]*call
-	pvcs  map[atm.VCI]bool
+	// Cookies are random 16-bit capabilities, so the request lists stay
+	// hashed; the call index and the VCI-keyed tables are indexed.
+	calls callTable
+	pvcs  []bool // by VCI
 
 	// n mirrors the lengths of the lists, the cookies (VCIs mapped to a
 	// call) and calls for readers off the actor. Tests set hook, given
@@ -217,10 +219,12 @@ type Sighost struct {
 	cells func(c *call, gen uint32, from callState, on callInput)
 
 	// The last seq stamped, and the pools (calls.go) that make the
-	// setup→bind→teardown cycle allocation-free.
+	// setup→bind→teardown cycle allocation-free: inputs holds the sim
+	// inbox's records and those sighost makes for its own cells (react).
 	lastSeq  uint64
 	callPool sim.FreeList[call]
 	dcPool   sim.FreeList[dialCtx]
+	inputs   sim.FreeList[input]
 	txBuf    []byte // sendFrame's encode scratch
 
 	nextCallID uint32
@@ -286,7 +290,6 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 	sh := &Sighost{
 		env:   env,
 		cm:    cm,
-		pvcs:  make(map[atm.VCI]bool),
 		views: make(map[string]func() string),
 		Obs:   reg,
 	}
@@ -301,7 +304,7 @@ func NewWithObs(env Env, cm CostModel, reg *obs.Registry) *Sighost {
 // creation order; a callback in flight that still holds one finds its
 // gen moved on.
 func (sh *Sighost) wipe() {
-	for _, c := range bySeq(sh.calls, every) {
+	for _, c := range sh.calls.bySeq(every) {
 		if c.stop != nil {
 			c.stop()
 		}
@@ -310,9 +313,7 @@ func (sh *Sighost) wipe() {
 	sh.services = make(map[string]*serviceEntry)
 	sh.outgoing = make(map[uint16]*call)
 	sh.incoming = make(map[uint16]*call)
-	sh.waitBind = make(map[atm.VCI]*call)
-	sh.vciMap = make(map[atm.VCI]*call)
-	sh.calls = make(map[callKey]*call)
+	sh.waitBind, sh.vciMap, sh.calls = byVCI{}, byVCI{}, callTable{}
 	for _, n := range []*size{&sh.n.services, &sh.n.outgoing, &sh.n.incoming, &sh.n.waitBind, &sh.n.vciMap, &sh.n.cookies, &sh.n.calls} {
 		n.set(0)
 	}
@@ -320,7 +321,10 @@ func (sh *Sighost) wipe() {
 
 // AllowPVC marks a VCI as a preauthorized permanent circuit (the
 // signaling PVCs themselves), exempt from cookie authentication.
-func (sh *Sighost) AllowPVC(vci atm.VCI) { sh.pvcs[vci] = true }
+func (sh *Sighost) AllowPVC(vci atm.VCI) {
+	sh.pvcs = atm.Grow(sh.pvcs, vci)
+	sh.pvcs[vci] = true
+}
 
 // SetLogging toggles the per-call maintenance logging cost — the E3
 // ablation isolating §9's dominant call-setup cost.
@@ -329,7 +333,7 @@ func (sh *Sighost) SetLogging(on bool) { sh.cm.LoggingEnabled = on }
 // mapped is 1 if vci maps to a call, in wait_for_bind or VCI_mapping,
 // and else 0: what vci adds to the count of live cookies.
 func (sh *Sighost) mapped(vci atm.VCI) int {
-	if sh.waitBind[vci] != nil || sh.vciMap[vci] != nil {
+	if sh.waitBind.at(vci) != nil || sh.vciMap.at(vci) != nil {
 		return 1
 	}
 	return 0
@@ -390,18 +394,14 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	}
 	switch from {
 	case callEstablished:
-		if sh.waitBind[vci] == c {
-			delete(sh.waitBind, vci)
-		}
+		sh.waitBind.drop(vci, c)
 	case callBound:
-		if sh.vciMap[vci] == c {
-			delete(sh.vciMap, vci)
-		}
+		sh.vciMap.drop(vci, c)
 	}
 	if from == callNew {
 		sh.lastSeq++
 		c.seq = sh.lastSeq
-		sh.calls[c.key] = c
+		sh.calls.put(c)
 		if c.key.origin {
 			sh.outgoing[c.cookie] = c
 		} else {
@@ -433,15 +433,13 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 		// down."
 		tc.EndSpanAt(c.tcSetup, now)
 		c.span = tc.StartSpanAt(c.tcRoot, "sighost", stages[to].span, now)
-		sh.waitBind[vci] = c
+		sh.waitBind.put(vci, c)
 		sh.jlog(jrec{op: jGrant, key: c.key, vci: vci, cookie: c.cookie, deadline: deadline, vc: c.vc})
 	case callBound:
-		sh.vciMap[vci] = c
+		sh.vciMap.put(vci, c)
 		sh.jlog(jrec{op: jBound, key: c.key, vci: vci})
 	case callReleased:
-		if sh.calls[c.key] == c {
-			delete(sh.calls, c.key)
-		}
+		sh.calls.drop(c)
 		sh.jlog(jrec{op: jEnd, key: c.key})
 		if c.key.origin { // the trace moves into the flight recorder
 			tc.FinishTrace(c.tcRoot, cmp.Or(why.ending().status, endings[why.code].status))
@@ -449,10 +447,10 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	}
 	sh.n.outgoing.set(len(sh.outgoing))
 	sh.n.incoming.set(len(sh.incoming))
-	sh.n.waitBind.set(len(sh.waitBind))
-	sh.n.vciMap.set(len(sh.vciMap))
+	sh.n.waitBind.set(sh.waitBind.n)
+	sh.n.vciMap.set(sh.vciMap.n)
 	sh.n.cookies.set(int(sh.n.cookies.get()) + sh.mapped(vci) - mapped)
-	sh.n.calls.set(len(sh.calls))
+	sh.n.calls.set(sh.calls.len())
 	return Transition{Call: c.key, From: from, To: to, VCI: vci, Cause: why, At: now}
 }
 
@@ -538,22 +536,22 @@ func (sh *Sighost) notifyClientFailure(c *call, reason string) {
 // Env.Dial those re-enter the pool (and maybe dc) before dialed returns.
 func (sh *Sighost) dialed(dc *dialCtx, conn Conn, err error) {
 	c, m := dc.c, dc.m
-	if c != nil && (c.gen != dc.gen || sh.calls[c.key] != c) {
+	if c != nil && (c.gen != dc.gen || sh.calls.get(c.key) != c) {
 		c = nil
 	}
 	dc.c, dc.m = nil, sigmsg.Msg{}
 	sh.dcPool.Put(dc)
 	switch {
 	case m.Kind == 0 && err != nil:
-		sh.step(c, onServerUnreachable, &input{})
+		sh.react(c, onServerUnreachable, nil)
 	case m.Kind == 0:
-		sh.step(c, onServerDialed, &input{conn: conn})
+		sh.react(c, onServerDialed, conn)
 	case err == nil:
 		sh.sendApp(conn, m)
 		conn.Close()
 	case m.Kind == sigmsg.KindVCIForConn:
 		// The client vanished before establishment completed.
-		sh.step(c, onClientUnreachable, &input{})
+		sh.react(c, onClientUnreachable, nil)
 	}
 }
 
@@ -561,7 +559,7 @@ func (sh *Sighost) dialed(dc *dialCtx, conn Conn, err error) {
 // context switch.
 func (sh *Sighost) sendApp(conn Conn, m sigmsg.Msg) {
 	sh.env.Charge(sh.cm.ContextSwitch)
-	sh.emitMsg(evAppTx, "", m)
+	sh.emitMsg(evAppTx, "", &m)
 	_ = conn.Send(m)
 }
 
@@ -591,7 +589,7 @@ func (sh *Sighost) handleUnexport(conn Conn, m sigmsg.Msg) {
 // The protocol's cells (events.go's protocol table) get the call the
 // input named, nil in state new, and the input.
 // connectReq starts a call on behalf of a client (Figure 4).
-func (sh *Sighost) connectReq(_ *call, in input) {
+func (sh *Sighost) connectReq(_ *call, in *input) {
 	m := in.msg
 	if m.Dest == "" || m.Service == "" || m.NotifyPort == 0 {
 		sh.sendApp(in.conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: "bad CONNECT_REQ"})
@@ -628,7 +626,7 @@ func (sh *Sighost) connectReq(_ *call, in input) {
 
 // unknownCookie answers a cookie that names no call in the request list
 // the message acts on.
-func (sh *Sighost) unknownCookie(_ *call, in input) {
+func (sh *Sighost) unknownCookie(_ *call, in *input) {
 	reason := "unknown incoming cookie"
 	if in.msg.Kind == sigmsg.KindCancelReq {
 		reason = "unknown request cookie"
@@ -636,13 +634,13 @@ func (sh *Sighost) unknownCookie(_ *call, in input) {
 	sh.sendApp(in.conn, sigmsg.Msg{Kind: sigmsg.KindError, Reason: reason})
 }
 
-func (sh *Sighost) cancelReq(c *call, in input) {
+func (sh *Sighost) cancelReq(c *call, in *input) {
 	sh.end(c, cause{code: causeCanceled})
 	sh.sendApp(in.conn, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: in.msg.Cookie})
 }
 
 // acceptConn completes the server's half of Figure 3.
-func (sh *Sighost) acceptConn(c *call, in input) {
+func (sh *Sighost) acceptConn(c *call, in *input) {
 	// Negotiation: the server may modify the QoS, but the result never
 	// exceeds the client's request. Unparseable descriptors pass through
 	// opaque (the "uninterpreted string" contract), and an offer equal to
@@ -673,7 +671,7 @@ func (sh *Sighost) sendPeer(dst atm.Addr, m sigmsg.Msg) error {
 			return sh.relSend(dst, m)
 		}
 	}
-	sh.emitMsg(evPeerTx, dst, m)
+	sh.emitMsg(evPeerTx, dst, &m)
 	return sh.sendFrame(dst, m)
 }
 
@@ -687,7 +685,7 @@ func (sh *Sighost) sendFrame(dst atm.Addr, m sigmsg.Msg) error {
 // peerSetup is the destination side of call establishment: look the
 // service up, dial the server's notify port, forward INCOMING_CONN
 // once the dial completes (serverDialed).
-func (sh *Sighost) peerSetup(_ *call, in input) {
+func (sh *Sighost) peerSetup(_ *call, in *input) {
 	from, m := in.peer, in.msg
 	svc, ok := sh.services[m.Service]
 	if !ok {
@@ -713,7 +711,7 @@ func (sh *Sighost) peerSetup(_ *call, in input) {
 	sh.dial(svc.ip, svc.port, c, sigmsg.Msg{})
 }
 
-func (sh *Sighost) serverDialed(c *call, in input) {
+func (sh *Sighost) serverDialed(c *call, in *input) {
 	c.serverConn = in.conn
 	sh.sendApp(in.conn, sigmsg.Msg{
 		Kind: sigmsg.KindIncomingConn, Service: c.service, Cookie: c.cookie,
@@ -722,11 +720,11 @@ func (sh *Sighost) serverDialed(c *call, in input) {
 }
 
 // closeDialed closes a server connection whose call is gone.
-func (sh *Sighost) closeDialed(_ *call, in input) { in.conn.Close() }
+func (sh *Sighost) closeDialed(_ *call, in *input) { in.conn.Close() }
 
 // peerSetupAck is the origin side after the server accepted: program
 // the fabric, hand the VCI to the client, tell the peer the circuit.
-func (sh *Sighost) peerSetupAck(c *call, in input) {
+func (sh *Sighost) peerSetupAck(c *call, in *input) {
 	m := in.msg
 	sh.publish(c, sh.transition(c, callProgramming, cause{}, 0))
 	c.qosStr = m.QoS
@@ -761,7 +759,7 @@ func (sh *Sighost) peerSetupAck(c *call, in input) {
 // peerConnectDone is the destination side when the circuit is
 // programmed: hand the VCI to the server over the held per-call
 // connection, then close it.
-func (sh *Sighost) peerConnectDone(c *call, in input) {
+func (sh *Sighost) peerConnectDone(c *call, in *input) {
 	m := in.msg
 	c.localVCI = m.VCI
 	c.qosStr = m.QoS
@@ -783,7 +781,7 @@ func (sh *Sighost) peerConnectDone(c *call, in input) {
 // heardEnd ends the call for the reason its message carried: a peer's
 // RELEASE or SETUP_REJ, or a server's REJECT_CONN, which without one is
 // "rejected by server".
-func (sh *Sighost) heardEnd(c *call, in input) {
+func (sh *Sighost) heardEnd(c *call, in *input) {
 	reason := in.msg.Reason
 	if in.msg.Kind == sigmsg.KindRejectConn {
 		reason = cmp.Or(reason, endings[causeRejected].text)
@@ -793,13 +791,13 @@ func (sh *Sighost) heardEnd(c *call, in input) {
 
 // expire is the state's timer running out, its fire lag how far past the
 // deadline it ran (0 in the sim; real daemons see scheduler jitter).
-func (sh *Sighost) expire(c *call, _ input) {
+func (sh *Sighost) expire(c *call, _ *input) {
 	sh.h.bindTimerLag.Observe(sh.env.Now() - c.deadline)
 	sh.end(c, cause{code: stages[c.state].expiry})
 }
 
 // bindOK is a bind/connect that matched its VCI's cookie (§7.1).
-func (sh *Sighost) bindOK(c *call, in input) {
+func (sh *Sighost) bindOK(c *call, in *input) {
 	k := in.kmsg
 	// The indication rode the pseudo-device (or anand relay) from its post
 	// time k.At, recorded inside the wait_bind span the move closes.
@@ -813,7 +811,7 @@ func (sh *Sighost) bindOK(c *call, in input) {
 // signaling never granted (no call), malicious or stale, or with the
 // wrong cookie. "If authentication fails, the call is torn down, and
 // the socket marked unusable."
-func (sh *Sighost) authFailed(c *call, in input) {
+func (sh *Sighost) authFailed(c *call, in *input) {
 	sh.ct.authFailures.Inc()
 	if c != nil {
 		sh.end(c, cause{code: causeAuthFailed})

@@ -38,8 +38,8 @@ type SimHost struct {
 	// signaling loss" knob of the chaos experiments.
 	Faults *faults.Plane
 
-	inbox sim.Queue[input]
-	proc  *kern.Proc // the actor, owner of the PVC sockets
+	inbox sim.Queue[*input] // records from SH.inputs
+	proc  *kern.Proc        // the actor, owner of the PVC sockets
 	peers map[atm.Addr]*pfxunet.Socket
 	env   *simEnv
 	conns int // application connections accepted or dialed, until their first Close
@@ -62,35 +62,50 @@ func (h *SimHost) AppConns() int { return h.conns }
 // actor on its inbox.
 func (h *SimHost) Audit(check sim.Audit) {
 	sh, pending, armed := h.SH, 0, 0
-	for _, c := range sh.calls {
+	for _, c := range sh.calls.all() {
 		if stages[c.state].timeout != nil {
 			armed++
 		}
 	}
 	if sh.rel != nil {
 		for _, lk := range sh.rel.links {
-			pending += len(lk.unacked)
+			pending += lk.unacked.Len()
 			if lk.kaOn {
 				armed++
 			}
 		}
 		check("pending messages", sh.rel.pmPool.Outstanding(), pending)
 	}
-	check("calls", sh.callPool.Outstanding(), len(sh.calls))
+	check("calls", sh.callPool.Outstanding(), sh.calls.len())
 	check("dial contexts", sh.dcPool.Outstanding(), 0)
 	check("timers", h.env.timers.free.Outstanding(), armed+pending)
+	check("inputs", sh.inputs.Outstanding(), h.inbox.Len())
 	check("inbox waiters", h.inbox.Waiting(), 0)
+}
+
+// input draws an inbox record of kind, the rest zero, for a source to
+// decode a message into; put queues a copy of in.
+func (h *SimHost) input(kind inputKind) *input {
+	r := h.SH.inputs.Get()
+	*r = input{kind: kind}
+	return r
+}
+
+func (h *SimHost) put(in input) {
+	r := h.SH.inputs.Get()
+	*r = in
+	h.inbox.Put(r)
 }
 
 // Crash kills the signaling entity in actor context: all state is lost
 // and every subsequent input is dropped until Recover. The delivery
 // hooks — listener, connection and PVC receivers, the device's armed
 // read — stay in place: they model the machine, not the process.
-func (h *SimHost) Crash() { h.inbox.Put(input{fn: h.SH.Crash}) }
+func (h *SimHost) Crash() { h.put(input{fn: h.SH.Crash}) }
 
 // Recover restarts the entity in actor context (journal replay,
 // remaining-deadline bind timers, teardown of calls lost mid-setup).
-func (h *SimHost) Recover() { h.inbox.Put(input{fn: h.SH.Recover}) }
+func (h *SimHost) Recover() { h.put(input{fn: h.SH.Recover}) }
 
 // CrashFor crashes the entity now and schedules its recovery after d.
 func (h *SimHost) CrashFor(d time.Duration) {
@@ -108,7 +123,7 @@ var signalingPVCQoS = qos.QoS{Class: qos.CBR, BandwidthKbs: 64}
 func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	h := &SimHost{Stack: stack, Fabric: fab, peers: make(map[atm.Addr]*pfxunet.Socket)}
 	h.env = &simEnv{h: h}
-	h.env.timers.put = func(in input) { h.inbox.Put(in) }
+	h.env.timers.put = h.put
 	// Share the machine's registry so sighost metrics land next to the
 	// kernel and device metrics in one mgmt-visible snapshot.
 	h.SH = NewWithObs(h.env, CostModel{
@@ -130,15 +145,16 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	dev := stack.M.Dev
 	devUp := func(k kern.KMsg, ok bool) {
 		if ok {
-			h.inbox.Put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, rearm: true})
+			h.put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, rearm: true})
 		}
 	}
 	h.proc = stack.M.Spawn("sighost", func(p *kern.Proc) {
 		for in, ok := h.inbox.Get(p.SP); ok; in, ok = h.inbox.Get(p.SP) {
-			h.SH.dispatch(&in)
+			h.SH.dispatch(in)
 			if in.rearm {
 				dev.Arm(devUp)
 			}
+			h.SH.inputs.Put(in)
 		}
 	})
 	dev.Arm(devUp)
@@ -156,7 +172,7 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	if err == nil {
 		h.Anand = srv
 		srv.OnKernel = func(from memnet.IPAddr, k kern.KMsg) {
-			h.inbox.Put(input{kind: inKernel, ip: from, kmsg: k})
+			h.put(input{kind: inKernel, ip: from, kmsg: k})
 		}
 	}
 	return h
@@ -188,14 +204,17 @@ func connectOneWay(a, b *SimHost) error {
 	}
 	a.SH.AllowPVC(vc.SrcVCI)
 	b.SH.AllowPVC(vc.DstVCI)
-	in := input{kind: inPeer, peer: a.Stack.Addr}
+	from := a.Stack.Addr
 	tx := a.Stack.PF.KernelSocket(a.proc, nil)
 	rx := b.Stack.PF.KernelSocket(b.proc, func(frame *mbuf.Chain) {
 		b.raw = frame.AppendTo(b.raw[:0])
 		frame.Release()
-		if b.dec.DecodeInto(&in.msg, b.raw) == nil {
-			b.inbox.Put(in)
+		in := b.input(inPeer)
+		if in.peer = from; b.dec.DecodeInto(&in.msg, b.raw) != nil {
+			b.SH.inputs.Put(in)
+			return
 		}
+		b.inbox.Put(in)
 	})
 	if err := cmp.Or(tx.Connect(vc.SrcVCI, 0), rx.Bind(vc.DstVCI, 0)); err != nil {
 		return fmt.Errorf("signaling: PVC %s->%s: %w", a.Stack.Addr, b.Stack.Addr, err)
@@ -205,22 +224,21 @@ func connectOneWay(a, b *SimHost) error {
 }
 
 // simConn adapts a memnet stream to the signaling Conn interface, and is
-// the stream's receiver: it decodes each message into its own input
-// template for the actor, and closes its side at end of stream. Send
-// runs in actor context, so it borrows the env's scratch buffer
-// (Stream.Send copies the frame before returning).
+// the stream's receiver: it decodes each message into an inbox record
+// for the actor, and closes its side at end of stream. Send runs in
+// actor context, so it borrows the env's scratch buffer (Stream.Send
+// copies the frame before returning).
 type simConn struct {
 	h      *SimHost
 	s      *memnet.Stream
-	in     input // inApp on this connection; dialed holds Env.Dial's callback
+	ip     memnet.IPAddr     // the machine at the other end
+	dialed func(Conn, error) // Env.Dial's callback, on a dialed connection
 	closed bool
 }
 
 // newConn makes the connection record for s, to the machine at ip.
 func (h *SimHost) newConn(s *memnet.Stream, ip memnet.IPAddr) *simConn {
-	c := &simConn{h: h, s: s}
-	c.in = input{kind: inApp, conn: c, ip: ip}
-	return c
+	return &simConn{h: h, s: s, ip: ip}
 }
 
 func (c *simConn) Send(m sigmsg.Msg) error { return c.s.Send(c.h.env.enc(&m)) }
@@ -234,9 +252,12 @@ func (c *simConn) Close() {
 
 // Deliver hands one message to the actor, if it decodes.
 func (c *simConn) Deliver(b []byte) {
-	if c.h.dec.DecodeInto(&c.in.msg, b) == nil {
-		c.h.inbox.Put(c.in)
+	in := c.h.input(inApp)
+	if in.conn, in.ip = c, c.ip; c.h.dec.DecodeInto(&in.msg, b) != nil {
+		c.h.SH.inputs.Put(in)
+		return
 	}
+	c.h.inbox.Put(in)
 }
 
 // EOF closes this side once the application has closed or reset its.
@@ -245,8 +266,8 @@ func (c *simConn) EOF() { c.Close() }
 // Dialed is Env.Dial's completion, the actor's inDialed input: the
 // connection on success, the error otherwise.
 func (c *simConn) Dialed(err error) {
-	in := input{kind: inDialed, dialed: c.in.dialed, err: err}
-	if err == nil {
+	in := c.h.input(inDialed)
+	if in.dialed, in.err = c.dialed, err; err == nil {
 		c.h.conns++
 		in.conn = c
 	}
@@ -318,7 +339,7 @@ func (e *simEnv) timerLabel(eng *sim.Engine, what string) prof.LabelID {
 // send draw the same fault-plane verdict sequence.
 func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	if dst == e.h.Stack.Addr {
-		e.h.inbox.Put(input{kind: inPeer, peer: dst, msg: m})
+		e.h.put(input{kind: inPeer, peer: dst, msg: m})
 		return nil
 	}
 	sock, ok := e.h.peers[dst]
@@ -352,7 +373,7 @@ func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 // inDialed input, and what the application sends back as inApp ones.
 func (e *simEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 	c := e.h.newConn(nil, ip)
-	c.in.dialed = cb
+	c.dialed = cb
 	var err error
 	if c.s, err = e.h.Stack.M.IP.Dial(ip, port, c); err != nil {
 		c.Dialed(err)

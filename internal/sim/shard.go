@@ -474,10 +474,6 @@ func (e *Engine) PostSized(dst *Engine, d time.Duration, size int, fn func()) {
 	g.post(e.shardID, dst.shardID, e.now+d, fn)
 }
 
-// ShardID reports which shard of its group this engine is (0 for a
-// plain engine).
-func (e *Engine) ShardID() int { return e.shardID }
-
 // scheduleAbs inserts an event at an absolute virtual time. The time
 // must not be in the shard's past (the merge barrier guarantees this for
 // cross-shard records). Cross-shard records execute under the xshard

@@ -95,13 +95,13 @@ type Collector struct {
 	on  bool // set before the owner runs
 	now func() time.Duration
 
-	started  uint64 // traces started (sampled or not); also the trace ID source
-	spanSeq  uint64 // span ID source
-	sampleN  uint64 // keep 1 trace in every sampleN (1 = keep all)
-	spanCap  int    // max spans retained per trace
-	active   map[uint64]*Trace
-	flight   sim.Ring[*Trace] // completed traces, oldest first
-	capacity int              // flight ring bound
+	started  uint64            // traces started (sampled or not); also the trace ID source
+	spanSeq  uint64            // span ID source
+	sampleN  uint64            // keep 1 trace in every sampleN (1 = keep all)
+	spanCap  int               // max spans retained per trace
+	active   sim.Index[*Trace] // by ID, which ascends
+	flight   sim.Ring[*Trace]  // completed traces, oldest first
+	capacity int               // flight ring bound
 
 	sampled      uint64 // traces that passed head sampling
 	completed    uint64
@@ -128,7 +128,6 @@ func NewCollector(now func() time.Duration) *Collector {
 		now:      now,
 		sampleN:  1,
 		spanCap:  defaultSpanCap,
-		active:   make(map[uint64]*Trace),
 		capacity: defaultFlightTraces,
 	}
 }
@@ -209,7 +208,7 @@ func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Con
 			End:   -1,
 		}},
 	}
-	c.active[t.ID] = t
+	c.active.Put(t.ID, t)
 	return Context{Trace: t.ID, Span: c.spanSeq}
 }
 
@@ -220,7 +219,7 @@ func (c *Collector) StartSpanAt(parent Context, comp, name string, at time.Durat
 	if !parent.Sampled() || c == nil {
 		return Context{}
 	}
-	t := c.active[parent.Trace]
+	t, _ := c.active.Get(parent.Trace)
 	if t == nil {
 		return Context{}
 	}
@@ -253,7 +252,7 @@ func (c *Collector) EndSpanAt(ctx Context, at time.Duration) {
 	if !ctx.Sampled() || c == nil {
 		return
 	}
-	t := c.active[ctx.Trace]
+	t, _ := c.active.Get(ctx.Trace)
 	if t == nil {
 		return
 	}
@@ -273,7 +272,7 @@ func (c *Collector) Record(parent Context, comp, name string, start, end time.Du
 	if !parent.Sampled() || c == nil {
 		return
 	}
-	t := c.active[parent.Trace]
+	t, _ := c.active.Get(parent.Trace)
 	if t == nil {
 		return
 	}
@@ -301,11 +300,11 @@ func (c *Collector) FinishTrace(root Context, status string) {
 		return
 	}
 	now := c.now()
-	t := c.active[root.Trace]
+	t, _ := c.active.Get(root.Trace)
 	if t == nil {
 		return
 	}
-	delete(c.active, root.Trace)
+	c.active.Delete(root.Trace)
 	for i := range t.Spans {
 		if t.Spans[i].End < 0 {
 			t.Spans[i].End = now
@@ -338,7 +337,7 @@ func (c *Collector) ByCall(origin string, callID uint32) (*Trace, bool) {
 		return nil, false
 	}
 	var newest *Trace
-	for _, t := range c.active {
+	for _, t := range c.active.All() {
 		if t.origin == origin && t.CallID == callID && (newest == nil || t.ID > newest.ID) {
 			newest = t
 		}
@@ -384,7 +383,7 @@ func (c *Collector) StatsNow() Stats {
 		Started:      c.started,
 		Sampled:      c.sampled,
 		Completed:    c.completed,
-		Active:       uint64(len(c.active)),
+		Active:       uint64(c.active.Len()),
 		DroppedSpans: c.droppedSpans,
 		Evicted:      c.evicted,
 		Dumps:        c.dumps,

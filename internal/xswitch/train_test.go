@@ -365,14 +365,14 @@ func runTrain(t *testing.T, rig trainRig, ref bool, scenario trainScenario) trai
 // left the fabric: each block is free, but for the one being filled,
 // which counts only its unfilled slots.
 func arenaDrained(f *Fabric) error {
-	for e, sp := range f.spaces {
+	for _, sp := range f.spaces {
 		for b, live := range sp.live {
 			want := 0
 			if sp.fill < sp.end && int32(b) == sp.fill/blockCells {
 				want = int(sp.end - sp.fill)
 			}
 			if live != want {
-				return fmt.Errorf("shard %d: arena block %d counts %d slots, want %d", e.ShardID(), b, live, want)
+				return fmt.Errorf("arena block %d counts %d slots, want %d", b, live, want)
 			}
 		}
 	}

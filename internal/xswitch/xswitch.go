@@ -876,6 +876,13 @@ type Endpoint struct {
 	// arrival time, which Now reads (a run's first, for a runSink).
 	handing bool
 	handAt  time.Duration
+	// ix is the endpoint's number in the fabric, which indexes the
+	// paths from it that SetupVC found, valid while pathsAt is the
+	// fabric's topology generation. Only setups from this endpoint,
+	// which run on its shard, touch them.
+	ix      int
+	paths   [][]pathStep
+	pathsAt uint64
 }
 
 func (ep *Endpoint) domainOf() *domain { return &ep.dom }
@@ -984,20 +991,20 @@ type Fabric struct {
 	Faults *faults.Plane
 
 	// trunks counts the trunks built (a trunk's number keys its cell-fate
-	// stream); boundaries is set once one crosses shards.
+	// stream); boundaries is set once one crosses shards. topo moves on
+	// with every switch, endpoint and trunk added, which drops the paths
+	// endpoints hold.
 	trunks     int
 	boundaries bool
+	topo       uint64
 }
 
-type vcID uint64
-
-// vcSpace is one shard's state: its VC namespace, and the arena its
-// trunks' cells live in (see run) — the watch following each, per block
-// the slots not yet free, and [fill, end), the block entering cells fill.
+// vcSpace is one shard's state: its established circuits, and the arena
+// its trunks' cells live in (see run) — the watch following each, per
+// block the slots not yet free, and [fill, end), the block entering
+// cells fill.
 type vcSpace struct {
-	vcs       map[vcID]*VC
-	next      uint64
-	base      uint64
+	vcs       int
 	cells     []atm.Cell
 	watches   []*watch
 	live      []int
@@ -1046,12 +1053,13 @@ func (sp *vcSpace) free(s *run) {
 	}
 }
 
-// ensureSpace creates the VC namespace for engine e. Called only during
-// single-threaded fabric construction; base embeds the shard index so
-// IDs from different shards never collide.
+// ensureSpace creates the state of engine e's shard. Called only during
+// single-threaded fabric construction, which it marks as a change of
+// topology.
 func (f *Fabric) ensureSpace(e *sim.Engine) {
+	f.topo++
 	if _, ok := f.spaces[e]; !ok {
-		f.spaces[e] = &vcSpace{vcs: make(map[vcID]*VC), base: uint64(e.ShardID()+1) << 48}
+		f.spaces[e] = &vcSpace{}
 	}
 }
 
@@ -1112,6 +1120,7 @@ func (f *Fabric) ConnectSwitches(a, b *Switch, cfg LinkConfig) { f.duplex(a, b, 
 // duplex builds the two trunks of a link, which share one VCI allocator.
 func (f *Fabric) duplex(a, b node, cfg LinkConfig) (ab, ba *trunk) {
 	ab, ba = newTrunk(f, a, b, cfg), newTrunk(f, b, a, cfg)
+	f.topo++
 	ab.pair, ba.pair = ba, ab
 	ab.alloc = atm.NewVCIAlloc(32)
 	ba.alloc = ab.alloc
@@ -1188,7 +1197,7 @@ func (f *Fabric) AttachOn(addr atm.Addr, sink CellSink, sw *Switch, cfg LinkConf
 	if _, dup := f.endpoints[addr]; dup {
 		return nil, fmt.Errorf("%w: endpoint %s", errDupName, addr)
 	}
-	ep := &Endpoint{Addr: addr, dom: domain{eng: e}, sink: sink}
+	ep := &Endpoint{Addr: addr, dom: domain{eng: e}, sink: sink, ix: len(f.endpoints)}
 	f.ensureSpace(e)
 	ep.uplink, ep.downlink = f.duplex(ep, sw, cfg)
 	f.endpoints[addr] = ep
@@ -1209,7 +1218,6 @@ func (ep *Endpoint) Holds(l atm.Lease) bool      { return ep.uplink.alloc.Holds(
 
 // VC is an established simplex switched virtual circuit.
 type VC struct {
-	id    vcID
 	space *vcSpace
 	From  atm.Addr
 	To    atm.Addr
@@ -1236,6 +1244,25 @@ type hop struct {
 type pathStep struct {
 	sw  *Switch
 	out *trunk
+}
+
+// path returns the switch sequence from one endpoint to another and the
+// outgoing trunk each uses: the one findPath found for the pair, until
+// the topology changes.
+func (f *Fabric) path(from, to *Endpoint) ([]pathStep, error) {
+	if from.pathsAt != f.topo {
+		clear(from.paths)
+		from.pathsAt = f.topo
+	}
+	if to.ix < len(from.paths) && from.paths[to.ix] != nil {
+		return from.paths[to.ix], nil
+	}
+	steps, err := f.findPath(from, to)
+	if err == nil {
+		from.paths = append(from.paths, make([][]pathStep, max(0, to.ix+1-len(from.paths)))...)
+		from.paths[to.ix] = steps
+	}
+	return steps, err
 }
 
 // findPath runs BFS from the source endpoint's switch to the
@@ -1290,7 +1317,7 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 	if f.sealed && src.dom.eng != dst.dom.eng {
 		return nil, fmt.Errorf("%w: %s -> %s", ErrCrossShard, from, to)
 	}
-	steps, err := f.findPath(src, dst)
+	steps, err := f.path(src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -1305,8 +1332,7 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 		}
 	}
 	space := f.spaces[src.dom.eng]
-	space.next++
-	vc := &VC{id: vcID(space.base | space.next), space: space, From: from, To: to, QoS: q}
+	vc := &VC{space: space, From: from, To: to, QoS: q, hops: make([]hop, 0, len(steps)+1)}
 
 	// Trunk sequence: src.uplink, then each step's outgoing trunk.
 	in := src.uplink
@@ -1333,7 +1359,7 @@ func (f *Fabric) SetupVC(from, to atm.Addr, q qos.QoS) (*VC, error) {
 		in, inVCI = st.out, outVCI
 	}
 	vc.DstVCI = inVCI
-	space.vcs[vc.id] = vc
+	space.vcs++
 	return vc, nil
 }
 
@@ -1394,7 +1420,7 @@ func (vc *VC) Release() {
 	}
 	vc.released = true
 	vc.unwind()
-	delete(vc.space.vcs, vc.id)
+	vc.space.vcs--
 }
 
 // ActiveVCs reports the number of established circuits across every
@@ -1403,7 +1429,7 @@ func (vc *VC) Release() {
 func (f *Fabric) ActiveVCs() int {
 	n := 0
 	for _, sp := range f.spaces {
-		n += len(sp.vcs)
+		n += sp.vcs
 	}
 	return n
 }

@@ -519,3 +519,54 @@ func TestInteriorTrunkCycleAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocs per 30-cell frame (want 0), %d cells delivered", got, sink.n)
 	}
 }
+
+// TestPathCacheFollowsTopology: a setup reuses the path the first one
+// found for its endpoint pair, until a switch, an endpoint or a trunk is
+// added; then the next setup searches again, and a new trunk that makes
+// a shorter path is taken.
+func TestPathCacheFollowsTopology(t *testing.T) {
+	e := sim.New(1)
+	f := NewFabric(e)
+	swA, swB, swC := f.mustAddSwitch("sw-A"), f.mustAddSwitch("sw-B"), f.mustAddSwitch("sw-C")
+	f.ConnectSwitches(swA, swC, DS3(time.Millisecond))
+	f.ConnectSwitches(swC, swB, DS3(time.Millisecond))
+	epA, _ := attach(t, f, "mh.rt", swA, TAXI(), e)
+	attach(t, f, "ucb.rt", swB, TAXI(), e)
+	hops := func() int {
+		t.Helper()
+		vc, err := f.SetupVC("mh.rt", "ucb.rt", qos.BestEffortQoS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := vc.Hops()
+		vc.Release()
+		if epA.pathsAt != f.topo || epA.paths[1] == nil {
+			t.Fatal("the setup left no path held for the pair")
+		}
+		return n
+	}
+	if n := hops(); n != 4 {
+		t.Fatalf("%d hops via sw-C, want 4", n)
+	}
+	cached := &epA.paths[1][0]
+	if hops(); cached != &epA.paths[1][0] {
+		t.Fatal("a second setup searched again on an unchanged topology")
+	}
+	for _, change := range []struct {
+		name string
+		do   func()
+	}{
+		{"AddSwitch", func() { f.mustAddSwitch("sw-D") }},
+		{"Attach", func() { attach(t, f, "uiuc.rt", swC, TAXI(), e) }},
+		{"a trunk", func() { f.ConnectSwitches(swA, swB, DS3(time.Millisecond)) }},
+	} {
+		hops()
+		change.do()
+		if epA.pathsAt == f.topo {
+			t.Fatalf("%s left the held paths current", change.name)
+		}
+	}
+	if n := hops(); n != 3 {
+		t.Fatalf("%d hops after the sw-A–sw-B trunk, want 3", n)
+	}
+}
