@@ -2,7 +2,9 @@ package aal5
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +153,28 @@ func TestAppendFrameMatchesReference(t *testing.T) {
 		}
 		for i := range got {
 			got[i] = 0xEE
+		}
+	}
+}
+
+// TestPDUCRCMatchesIEEE pins pduCRC to the standard: it equals
+// crc32.ChecksumIEEE over random bytes of every length a PDU's CRC
+// covers, one cell to the AAL5 maximum, and of every length 0–200,
+// where most go to the fallback.
+func TestPDUCRCMatchesIEEE(t *testing.T) {
+	cells := CellsForPayload(maxSDU)
+	src := make([]byte, cells*atm.PayloadSize)
+	rand.New(rand.NewSource(1)).Read(src)
+	lengths := make([]int, 0, 201+cells)
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for k := 1; k <= cells; k++ {
+		lengths = append(lengths, k*atm.PayloadSize-4)
+	}
+	for _, n := range lengths {
+		if got, want := pduCRC(src[:n]), crc32.ChecksumIEEE(src[:n]); got != want {
+			t.Fatalf("%d bytes: CRC %#08x, want %#08x", n, got, want)
 		}
 	}
 }
@@ -550,6 +574,33 @@ func TestQuickDropAnyCellDetected(t *testing.T) {
 }
 
 func crc32ChecksumShim(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
+// BenchmarkPDU frames a payload in place and checks it, the work one
+// PDU costs each end, at one cell (the small-frame and signaling case),
+// two (the real carrier's smallest frames) and 30 (a 1400-byte frame).
+// A warm PDU must not allocate.
+func BenchmarkPDU(b *testing.B) {
+	for _, cells := range []int{1, 2, 30} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			n := cells*atm.PayloadSize - trailerSize
+			buf := append(make([]byte, 0, cells*atm.PayloadSize), pay(n)...)
+			cycle := func() {
+				frame, err := AppendTrailer(buf[:n], 0, 1)
+				if _, _, perr := ParseFrame(frame); err != nil || perr != nil {
+					b.Fatal(err, perr)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				b.Fatalf("a PDU allocates %.0f times", allocs)
+			}
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for range b.N {
+				cycle()
+			}
+		})
+	}
+}
 
 func BenchmarkBuildFrame1500(b *testing.B) {
 	p := pay(1500)

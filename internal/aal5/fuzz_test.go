@@ -2,11 +2,15 @@ package aal5
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
-// FuzzAAL5 holds the frame parser and the reassembler against any byte
-// string taken as a CPCS-PDU: ParseFrame never panics, a payload it
+// FuzzAAL5 holds the frame builder, the frame parser and the
+// reassembler against any byte string: framed as a payload, it carries
+// crc32.ChecksumIEEE of all but the trailer's CRC field in that field;
+// taken as a CPCS-PDU, ParseFrame never panics on it, a payload it
 // accepts lies inside the frame and builds a frame that parses back to
 // it, and the same bytes cut into cells and pushed through a Reassembler
 // reach the same verdict on the last cell, with none before. `go test`
@@ -23,6 +27,10 @@ func FuzzAAL5(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	r := NewReassembler(0)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if frame, err := BuildFrame(data[:min(len(data), maxSDU)], 0); err != nil ||
+			binary.BigEndian.Uint32(frame[len(frame)-4:]) != crc32.ChecksumIEEE(frame[:len(frame)-4]) {
+			t.Fatalf("the %d-byte frame of a %d-byte payload does not carry its IEEE CRC-32 (%v)", len(frame), len(data), err)
+		}
 		payload, uu, err := ParseFrame(data)
 		if err == nil {
 			if len(payload)+trailerSize > len(data) || !bytes.Equal(payload, data[:len(payload)]) {

@@ -345,15 +345,16 @@ func shardedCallsPerSecond(t *testing.T, workers int) float64 {
 
 // TestShardedScalingGate is the PR 7 throughput acceptance: ≥ 2.5×
 // sim-calls/s at 4 workers over 1 on a 4-domain topology. Parallel
-// speedup needs parallel hardware, so the gate skips (loudly) on
-// machines without at least four CPUs — the determinism gates above
-// still run there and cover correctness.
+// speedup needs parallel hardware, so the gate skips (loudly) unless
+// four Ps can run on four CPUs at once: `-cpu 4` on a 2-CPU machine
+// gives four Ps and no speedup. The determinism gates above still run
+// there and cover correctness.
 func TestShardedScalingGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling measurement skipped in -short")
 	}
-	if np := runtime.GOMAXPROCS(0); np < 4 {
-		t.Skipf("scaling gate needs GOMAXPROCS >= 4, have %d: skipping the speedup assertion", np)
+	if np, nc := runtime.GOMAXPROCS(0), runtime.NumCPU(); min(np, nc) < 4 {
+		t.Skipf("scaling gate needs 4 Ps on 4 CPUs, have GOMAXPROCS %d on %d CPUs: skipping the speedup assertion", np, nc)
 	}
 	base := shardedCallsPerSecond(t, 1)
 	par := shardedCallsPerSecond(t, 4)
