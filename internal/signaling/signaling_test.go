@@ -532,81 +532,33 @@ func TestKillServerMidCall(t *testing.T) {
 	n.E.Shutdown()
 }
 
+// figureTrace runs the Figures 3 and 4 scenario, a client on mh.rt
+// calling an echo server on ucb.rt once, and returns the Trace line log
+// of the router at index i.
+func figureTrace(i int) []byte {
+	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
+	var trace strings.Builder
+	[]*testbed.Router{ra, rb}[i].Sig.SH.Trace = func(line string) { trace.WriteString(line + "\n") }
+	testbed.StartEchoServer(rb, "echo", 6000)
+	ra.Stack.Spawn("client", func(p *kern.Proc) {
+		p.SP.Sleep(100 * time.Millisecond)
+		testbed.OpenAndUseFrames(ra, p, "ucb.rt", "echo", 7000, "", 0, 0, nil)
+	})
+	n.E.RunUntil(5 * time.Second)
+	n.E.Shutdown()
+	return []byte(trace.String())
+}
+
 // Figure 3: the golden message trace for a server registering itself
-// and accepting one call.
+// and accepting one call, as the server's router logs it.
 func TestFigure3ServerRegistrationTrace(t *testing.T) {
-	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
-	var trace []string
-	rb.Sig.SH.Trace = func(line string) { trace = append(trace, line) }
-	testbed.StartEchoServer(rb, "echo", 6000)
-	ra.Stack.Spawn("client", func(p *kern.Proc) {
-		p.SP.Sleep(100 * time.Millisecond)
-		testbed.OpenAndUseFrames(ra, p, "ucb.rt", "echo", 7000, "", 0, 0, nil)
-	})
-	n.E.RunUntil(5 * time.Second)
-	joined := strings.Join(trace, "\n")
-	for _, want := range []string{
-		"app->sighost EXPORT_SRV svc=echo",
-		"sighost->app SERVICE_REGS svc=echo",
-		"peer<-mh.rt SETUP svc=echo",
-		"sighost->app INCOMING_CONN svc=echo",
-		"app->sighost ACCEPT_CONN",
-		"peer->mh.rt SETUP_ACK",
-		"peer<-mh.rt CONNECT_DONE",
-		"sighost->app VCI_FOR_CONN",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Figure 3 trace missing %q\ntrace:\n%s", want, joined)
-		}
-	}
-	// The exchanges must appear in the paper's order.
-	assertOrdered(t, joined, "EXPORT_SRV", "SERVICE_REGS", "INCOMING_CONN", "ACCEPT_CONN", "VCI_FOR_CONN")
-	n.E.Shutdown()
+	checkGolden(t, "figure3", figureTrace(1))
 }
 
-// Figure 4: the golden message trace for a client establishing a call.
+// Figure 4: the golden message trace for a client establishing a call,
+// as the client's router logs it.
 func TestFigure4ClientCallTrace(t *testing.T) {
-	n, ra, rb, _ := testbed.NewTestbed(testbed.Options{})
-	var trace []string
-	ra.Sig.SH.Trace = func(line string) { trace = append(trace, line) }
-	testbed.StartEchoServer(rb, "echo", 6000)
-	ra.Stack.Spawn("client", func(p *kern.Proc) {
-		p.SP.Sleep(100 * time.Millisecond)
-		testbed.OpenAndUseFrames(ra, p, "ucb.rt", "echo", 7000, "", 0, 0, nil)
-	})
-	n.E.RunUntil(5 * time.Second)
-	joined := strings.Join(trace, "\n")
-	for _, want := range []string{
-		"app->sighost CONNECT_REQ svc=echo dest=ucb.rt",
-		"sighost->app REQ_ID",
-		"peer->ucb.rt SETUP svc=echo",
-		"peer<-ucb.rt SETUP_ACK",
-		"peer->ucb.rt CONNECT_DONE",
-		"sighost->app VCI_FOR_CONN",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Figure 4 trace missing %q\ntrace:\n%s", want, joined)
-		}
-	}
-	assertOrdered(t, joined, "CONNECT_REQ", "REQ_ID", "SETUP_ACK", "VCI_FOR_CONN")
-	n.E.Shutdown()
-}
-
-func assertOrdered(t *testing.T, joined string, subs ...string) {
-	t.Helper()
-	last := -1
-	for _, s := range subs {
-		i := strings.Index(joined, s)
-		if i < 0 {
-			t.Errorf("trace missing %q", s)
-			return
-		}
-		if i < last {
-			t.Errorf("%q out of order in trace", s)
-			return
-		}
-		last = i
-	}
+	checkGolden(t, "figure4", figureTrace(0))
 }
 
 // --- small helpers used by TestCancelRequest ---

@@ -268,27 +268,6 @@ func TestXunetFiveSiteCalls(t *testing.T) {
 	n.E.Shutdown()
 }
 
-// TestStormDeterminism: same seed, same outcome — the simulation is
-// reproducible end to end.
-func TestStormDeterminism(t *testing.T) {
-	run := func() (int, time.Duration) {
-		n, ra, rb, _ := testbed.NewTestbed(testbed.Options{Seed: 42})
-		testbed.StartEchoServer(rb, "det", 6000)
-		n.E.RunUntil(time.Second)
-		res := testbed.CallStorm(ra, "ucb.rt", "det", testbed.StormConfig{
-			Count: 20, Hold: 500 * time.Millisecond, FramesPerCall: 1,
-		})
-		drain(n)
-		n.E.Shutdown()
-		return res.Succeeded, res.TotalSetup
-	}
-	s1, t1 := run()
-	s2, t2 := run()
-	if s1 != s2 || t1 != t2 {
-		t.Fatalf("same-seed runs diverged: (%d,%v) vs (%d,%v)", s1, t1, s2, t2)
-	}
-}
-
 // TestVCIReuseAfterClose: a host client sends 100 frames, closes, and is
 // granted the same VCI for its next call, on which it sends 100 more.
 // Every frame must arrive: the router's VCI_SHUT ended the first grant

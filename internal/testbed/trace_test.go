@@ -1,6 +1,7 @@
 package testbed_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -13,37 +14,22 @@ import (
 )
 
 // runTracedStorm runs the E4 kill-storm scenario and returns the
-// deployment with its flight recorder populated, plus the Chrome trace
-// JSON the scenario wrote.
-func runTracedStorm(t *testing.T, seed uint64) (*testbed.Net, string) {
+// deployment with its flight recorder populated.
+func runTracedStorm(t *testing.T) *testbed.Net {
 	t.Helper()
-	var out strings.Builder
-	n, err := testbed.TraceStorm(&out, seed, 30, false)
+	n, err := testbed.TraceStorm(io.Discard, 42, 30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
-	return n, out.String()
-}
-
-// TestTraceJSONDeterministicAcrossRuns is the reproducibility gate the
-// trace layer promises: spans carry sim-time stamps and counter-derived
-// IDs, so two same-seed E4 runs export byte-identical Chrome trace JSON.
-func TestTraceJSONDeterministicAcrossRuns(t *testing.T) {
-	_, first := runTracedStorm(t, 42)
-	if !strings.Contains(first, "xswitch") || !strings.Contains(first, "call.setup") {
-		t.Fatalf("trace export lacks cross-layer spans:\n%.400s", first)
-	}
-	if _, second := runTracedStorm(t, 42); first != second {
-		t.Fatalf("same-seed trace exports differ: %d vs %d bytes", len(first), len(second))
-	}
+	return n
 }
 
 // TestStormFlightDumps checks the flight recorder's auto-dump wiring:
 // the E4 kill storm tears some calls down on client death, and each such
 // call must leave its rendered span tree behind.
 func TestStormFlightDumps(t *testing.T) {
-	n, _ := runTracedStorm(t, 42)
+	n := runTracedStorm(t)
 	ra := n.Routers[0]
 	if len(n.FlightDumps) == 0 {
 		t.Fatal("kill storm produced no flight-recorder dumps")
@@ -127,7 +113,7 @@ func TestTraceAttributionGolden(t *testing.T) {
 // and cmd/xunetstat use: MGMT_QUERY "calltrace" returns the rendered
 // span tree plus the setup breakdown for the requested call.
 func TestMgmtCallTraceQuery(t *testing.T) {
-	n, _ := runTracedStorm(t, 42)
+	n := runTracedStorm(t)
 	ra := n.Routers[0]
 	var ok *trace.Trace
 	for _, tr := range n.TraceC.Completed() {

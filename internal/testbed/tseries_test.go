@@ -1,6 +1,7 @@
 package testbed_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -9,18 +10,14 @@ import (
 )
 
 // Continuous telemetry over the E4 storm: the trunks must show real
-// queue buildup, the watermark rules must fire on it, the MGMT hooks
-// must answer, and — the reproducibility claim — the same seed must
-// export the same bytes.
+// queue buildup, the watermark rules must fire on it and the MGMT hooks
+// must answer. TestDetGate's obs row holds the export to its history.
 
 // stormWithTSeries runs the telemetry scenario at its E4 defaults and
-// returns the deployment plus the deterministic export JSON it wrote.
-func stormWithTSeries(t *testing.T, seed uint64) (*testbed.Net, string) {
+// returns the deployment.
+func stormWithTSeries(t *testing.T) *testbed.Net {
 	t.Helper()
-	c := testbed.E4Obs()
-	c.Seed = seed
-	var out strings.Builder
-	n, err := testbed.ObsStorm(&out, c)
+	n, err := testbed.ObsStorm(io.Discard, testbed.E4Obs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +25,11 @@ func stormWithTSeries(t *testing.T, seed uint64) (*testbed.Net, string) {
 	if est := n.Snapshot().Routers[0].Established; est == 0 {
 		t.Fatal("storm made no calls")
 	}
-	return n, out.String()
+	return n
 }
 
 func TestTSeriesStormQueueBuildupAndRules(t *testing.T) {
-	n, _ := stormWithTSeries(t, 42)
+	n := stormWithTSeries(t)
 	ra := n.Routers[0]
 	ex := n.TS.Export()
 	if ex.Ticks == 0 {
@@ -75,16 +72,5 @@ func TestTSeriesStormQueueBuildupAndRules(t *testing.T) {
 	}
 	if h := ra.Sig.SH.View(signaling.MgmtHealth); !strings.Contains(h, "trunk-queue-buildup") {
 		t.Errorf("health text missing rule state:\n%.300s", h)
-	}
-}
-
-func TestTSeriesSameSeedByteIdentical(t *testing.T) {
-	_, a := stormWithTSeries(t, 7)
-	_, b := stormWithTSeries(t, 7)
-	if a != b {
-		t.Fatalf("same-seed exports differ: %d vs %d bytes", len(a), len(b))
-	}
-	if !strings.Contains(a, "fabric.trunk.") {
-		t.Error("export carries no trunk series — store is not sampling real state")
 	}
 }
