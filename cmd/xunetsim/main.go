@@ -89,8 +89,7 @@ func sweep(fs *flag.FlagSet) func() error {
 	fs.Func("fdsizes", "fd table sizes to sweep (default 20,100)", intList(&fdsizes))
 	calls := fs.Int("calls", 100, "calls per storm")
 	hold := fs.Duration("hold", time.Second, "per-call hold")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	return func() error { return testbed.Sweep(os.Stdout, buffers, fdsizes, *calls, *hold, *seed) }
+	return func() error { return testbed.Sweep(os.Stdout, buffers, fdsizes, *calls, *hold) }
 }
 
 // intList parses a comma-separated flag value into dst.

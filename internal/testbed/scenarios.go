@@ -185,14 +185,14 @@ func chaosSoak(w io.Writer, seed, chaosSeed uint64, observe func(*Net)) (n *Net,
 // we configured the device with only eight buffers... our current
 // implementation has eighty" and "we increased the kernel's per-process
 // file descriptor table size to 100".
-func Sweep(w io.Writer, buffers, fdsizes []int, calls int, hold time.Duration, seed uint64) error {
+func Sweep(w io.Writer, buffers, fdsizes []int, calls int, hold time.Duration) error {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "call storm sweep: %d calls, %v hold, seed %d\n\n", calls, hold, seed)
+	fmt.Fprintf(&b, "call storm sweep: %d calls, %v hold\n\n", calls, hold)
 	fmt.Fprintf(&b, "%8s %8s | %6s %6s | %9s %12s %12s | %s\n",
 		"buffers", "fdsize", "ok", "fail", "dev-lost", "avg-setup", "max-setup", "residual state")
 	for _, fd := range fdsizes {
 		for _, buf := range buffers {
-			n, ra, rb, err := NewTestbed(Options{Seed: seed, DeviceBuffers: buf, FDTableSize: fd})
+			n, ra, rb, err := NewTestbed(Options{DeviceBuffers: buf, FDTableSize: fd})
 			if err != nil {
 				return err
 			}

@@ -340,7 +340,7 @@ func TestPaperClaims(t *testing.T) {
 		fmt.Fprintf(b, "| %s | %s | %s | %s | %s: %s |\n", c.id, c.what, c.paper, cell, c.band(), c.why)
 	}
 	var sweep bytes.Buffer
-	if err := testbed.Sweep(&sweep, []int{8, 80}, []int{20, 100}, 100, time.Second, 1); err != nil {
+	if err := testbed.Sweep(&sweep, []int{8, 80}, []int{20, 100}, 100, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	blocks["sweep"] = new(strings.Builder)
