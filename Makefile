@@ -66,8 +66,13 @@ benchcheck:
 # The determinism gate, one line per claim, the deterministic lines
 # first so that a wall-clock failure of the last cannot hide theirs:
 #  1. the trace export is schema-valid Chrome trace-event JSON;
-#  2. every scenario writes the bytes recorded for it, run twice or at
-#     workers 1 and 4 (`make test` runs it too; -count 1 skips the cache);
+#  2. every scenario, the chaos storm's event history and the Figure 3
+#     and 4 traces print what their testdata/*.golden holds, a sharded
+#     scenario at workers 1 and 4 alike (`make test` runs it too; -count
+#     1 skips the cache); after a change that moves one on purpose,
+#     `go test -run '<test>' ./internal/testbed/ ./internal/signaling/
+#     -update` re-records them, and the diff of testdata/ shows what
+#     moved;
 #  3. every number of the paper's evaluation reads inside its band, and
 #     EXPERIMENTS.md's generated tables hold exactly what the claims
 #     render (TestPaperClaims; `make test` runs it too);
@@ -79,7 +84,7 @@ benchcheck:
 #     in a row do.
 detgate:
 	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
-	$(GO) test -count 1 -run TestDetGate ./internal/testbed/
+	$(GO) test -count 1 -run 'TestDetGate|TestCallStormDeterministicAcrossRuns|TestEventHistoryGolden|TestFigure[34]' ./internal/testbed/ ./internal/signaling/
 	$(GO) test -count 1 -run TestPaperClaims .
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/ && exit 0; \
