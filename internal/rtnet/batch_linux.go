@@ -120,7 +120,7 @@ func (p *Peer) osInit() {
 // osRuns lays pending frames f.. into messages m.., one message per
 // run of equal-length frames the peer may send as a train, and returns
 // the message count. The slab holds frames back to back, so a run is
-// one iovec. Called with p.mu held.
+// one iovec.
 func (p *Peer) osRuns(m, f int) int {
 	t := &p.txb
 	for ; f < p.n; m++ {
@@ -152,7 +152,7 @@ func (p *Peer) osRuns(m, f int) int {
 // kernel stopped). A train the path refuses (EINVAL, EIO: a segment
 // over the MTU, no checksum offload) is resent one frame per message,
 // and the peer forms no train that long again. Returns the syscall
-// count for the saved-syscalls accounting. Called with p.mu held.
+// count for the saved-syscalls accounting.
 func (p *Peer) osFlush() (syscalls int, err error) {
 	t := &p.txb
 	m := p.osRuns(0, 0)

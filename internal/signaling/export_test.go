@@ -15,8 +15,9 @@ import (
 	"xunet/internal/trace"
 )
 
-// PeerFor returns the carrier peer that signaling for dst goes to.
-func (h *RealHost) PeerFor(dst atm.Addr) *rtnet.Peer { return h.peerFor(dst) }
+// PeerFor returns the carrier peer that signaling for dst goes to. The
+// route table is the actor's: call it in actor context (RealHost.Do).
+func (h *RealHost) PeerFor(dst atm.Addr) *rtnet.Peer { return h.peers[dst] }
 
 // appMsg and peerMsg hand dispatch one message from an application or
 // a peer in a record of the entity's, as the sim actor does.
