@@ -8,7 +8,5 @@ func (st *Store) Events() []HealthEvent {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.events.Last(st.eventCap)
 }

@@ -11,6 +11,11 @@
 // scrape and emit health events on state edges; consumers wire
 // OnHealthEvent to collect them or trigger the flight recorder.
 //
+// A store has one owner, the goroutine that ticks it: a sim domain's
+// engine, or a real daemon's actor, onto which the daemon's wall-clock
+// ticker posts each scrape. Registration, ticks and reads all run there,
+// so the store takes no lock.
+//
 // The steady state allocates nothing: point rings (sim.Ring) start on
 // capacity-sized arrays, sources are resolved once, and registry
 // rescans run only when a registry has grown. Hot paths feed the store
@@ -24,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"xunet/internal/obs"
@@ -196,10 +200,9 @@ func (ev HealthEvent) String() string {
 }
 
 // Store holds every tracked series, the watermark rules, and the health
-// event ring. All methods are mutex-guarded and nil-safe, so a disabled
-// deployment passes a nil *Store around freely.
+// event ring. Its methods run on its owner (see the package doc) and are
+// nil-safe, so a disabled deployment passes a nil *Store around freely.
 type Store struct {
-	mu       sync.Mutex
 	interval time.Duration
 	capacity int
 
@@ -268,19 +271,15 @@ func (st *Store) TrackRateFunc(name string, fn func() uint64, num, den int64) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.add(&series{name: name, kind: kindCounter, counterFn: fn, num: num, den: den})
 }
 
 // TrackGaugeFunc tracks a level read through fn, which returns
-// (value, high-water). fn runs at tick time under the store lock.
+// (value, high-water). fn runs at tick time, on the store's owner.
 func (st *Store) TrackGaugeFunc(name string, fn func() (int64, int64)) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.add(&series{name: name, kind: kindGauge, gaugeFn: fn})
 }
 
@@ -292,8 +291,6 @@ func (st *Store) TrackRegistry(prefix string, reg *obs.Registry) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	rs := regSource{prefix: prefix, reg: reg}
 	st.scanRegistry(&rs)
 	st.regs = append(st.regs, rs)
@@ -326,20 +323,15 @@ func (st *Store) AddRule(r Rule) {
 	if r.ForTicks < 1 {
 		r.ForTicks = 1
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.rules = append(st.rules, &rule{def: r, states: make(map[int]*ruleState)})
 }
 
-// OnHealthEvent installs the edge callback, invoked under the store
-// lock at tick time — keep it light (publish to a ring, trigger a
-// flight dump).
+// OnHealthEvent installs the edge callback, invoked at tick time — keep
+// it light (publish to a ring, trigger a flight dump).
 func (st *Store) OnHealthEvent(fn func(HealthEvent)) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.onEvent = fn
 }
 
@@ -350,8 +342,6 @@ func (st *Store) Tick(now time.Duration) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.ticks++
 	st.lastAt = now
 	for i := range st.regs {
@@ -441,19 +431,17 @@ func (st *Store) Export() Export {
 	if st == nil {
 		return Export{}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := Export{Interval: st.interval, Ticks: st.ticks}
 	for _, s := range st.series {
 		out.Series = append(out.Series, SeriesSnap{Name: s.name, Kind: s.kind.String(), Points: s.points.Last(s.points.Len())})
 	}
 	sort.Slice(out.Series, func(i, j int) bool { return out.Series[i].Name < out.Series[j].Name })
-	out.Rules = st.ruleSnapsLocked()
+	out.Rules = st.ruleSnaps()
 	out.Events = st.events.Last(st.eventCap)
 	return out
 }
 
-func (st *Store) ruleSnapsLocked() []RuleSnap {
+func (st *Store) ruleSnaps() []RuleSnap {
 	var out []RuleSnap
 	for _, r := range st.rules {
 		for i, state := range r.states {
@@ -485,42 +473,23 @@ func (st *Store) Text() string {
 	if st == nil {
 		return "time-series collection disabled\n"
 	}
-	st.mu.Lock()
-	names := make([]string, 0, len(st.series))
-	byName := make(map[string]*series, len(st.series))
-	for _, s := range st.series {
-		names = append(names, s.name)
-		byName[s.name] = s
-	}
-	ticks, at := st.ticks, st.lastAt
-	type row struct {
-		name string
-		kind kind
-		p    Point
-		n    int
-	}
-	rows := make([]row, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		s := byName[name]
-		r := row{name: name, kind: s.kind, n: s.points.Len()}
-		if r.n > 0 {
-			r.p = s.points.At(r.n - 1)
-		}
-		rows = append(rows, r)
-	}
-	st.mu.Unlock()
-
+	sorted := append([]*series(nil), st.series...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
 	var b strings.Builder
-	fmt.Fprintf(&b, "tseries: %d series, %d ticks, last at %v\n", len(rows), ticks, at)
-	for _, r := range rows {
-		switch r.kind {
+	fmt.Fprintf(&b, "tseries: %d series, %d ticks, last at %v\n", len(sorted), st.ticks, st.lastAt)
+	for _, s := range sorted {
+		var p Point
+		n := s.points.Len()
+		if n > 0 {
+			p = s.points.At(n - 1)
+		}
+		switch s.kind {
 		case kindCounter:
-			fmt.Fprintf(&b, "%s rate=%d total=%d points=%d\n", r.name, r.p.V, r.p.Aux, r.n)
+			fmt.Fprintf(&b, "%s rate=%d total=%d points=%d\n", s.name, p.V, p.Aux, n)
 		case kindGauge:
-			fmt.Fprintf(&b, "%s value=%d hi=%d points=%d\n", r.name, r.p.V, r.p.Aux, r.n)
+			fmt.Fprintf(&b, "%s value=%d hi=%d points=%d\n", s.name, p.V, p.Aux, n)
 		case kindHist:
-			fmt.Fprintf(&b, "%s rate=%d p99=%v points=%d\n", r.name, r.p.V, time.Duration(r.p.Aux), r.n)
+			fmt.Fprintf(&b, "%s rate=%d p99=%v points=%d\n", s.name, p.V, time.Duration(p.Aux), n)
 		}
 	}
 	return b.String()
@@ -531,21 +500,17 @@ func (st *Store) HealthText() string {
 	if st == nil {
 		return "time-series collection disabled\n"
 	}
-	st.mu.Lock()
-	snaps := st.ruleSnapsLocked()
-	events := st.events.Last(st.eventCap)
-	st.mu.Unlock()
 	var b strings.Builder
-	for _, s := range snaps {
+	for _, s := range st.ruleSnaps() {
 		state := "ok"
 		if s.Firing {
 			state = "FIRING"
 		}
 		fmt.Fprintf(&b, "%s %s %s streak=%d\n", s.Rule, s.Series, state, s.Streak)
 	}
-	if len(events) > 0 {
+	if st.events.Len() > 0 {
 		b.WriteString("EVENTS (oldest first)\n")
-		for _, ev := range events {
+		for _, ev := range st.events.Last(st.eventCap) {
 			b.WriteString("  " + ev.String() + "\n")
 		}
 	}
@@ -560,12 +525,10 @@ func (st *Store) HealthJSON() string {
 	if st == nil {
 		return "{}"
 	}
-	st.mu.Lock()
 	out := struct {
 		Rules  []RuleSnap    `json:"rules,omitempty"`
 		Events []HealthEvent `json:"events,omitempty"`
-	}{st.ruleSnapsLocked(), st.events.Last(st.eventCap)}
-	st.mu.Unlock()
+	}{st.ruleSnaps(), st.events.Last(st.eventCap)}
 	b, err := json.Marshal(out)
 	if err != nil {
 		return "{}"
