@@ -128,17 +128,6 @@ func NewMachine(name string, e *sim.Engine, cm sim.CostModel, ip *memnet.Node) *
 	m.Orc.Pool = m.Pool
 	m.ctSpawned = m.Obs.Counter("kern.procs.spawned")
 	m.gLive = m.Obs.Gauge("kern.procs.live")
-	// Engine internals, surfaced per machine as read-through metrics:
-	// executed events, process dispatches, event-pool hit/miss and the
-	// heap high-water mark. They read plain engine fields, so sampling
-	// must happen in engine context (mgmt queries, tseries ticks, post-run
-	// snapshots all do); at a fixed point of the virtual history the
-	// values are deterministic, safe for the byte-diffed exports.
-	m.Obs.Func("sim.events.executed", e.EventsExecuted)
-	m.Obs.Func("sim.procs.dispatched", e.ProcDispatches)
-	m.Obs.Func("sim.pool.hits", e.TimerPoolHits)
-	m.Obs.Func("sim.pool.misses", e.TimerPoolMisses)
-	m.Obs.Func("sim.heap.hiwat", e.HeapHighWater)
 	return m
 }
 

@@ -40,12 +40,12 @@ var detGate = []struct {
 		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second)
 	}},
 	{cmd: "obs", run: obsRow(func(*testbed.ObsConfig) {}), golden: seriesSummary,
-		sha256: "4affda11ba69c5fdbb881d6cd3df51ea18c5ce7a1170df02a7c603ff599f1c05"},
+		sha256: "25b7fdda1dfb32e861d5117be7bac7b22f1909b162f4d37caa2f4c61aef47216"},
 	{cmd: "obs -health", run: obsRow(func(c *testbed.ObsConfig) { c.Health = true })},
 	{cmd: "obs -table", run: obsRow(func(c *testbed.ObsConfig) { c.Table = true })},
 	{cmd: "obs -prof", run: obsRow(func(c *testbed.ObsConfig) { c.Prof = true })},
 	{cmd: "obs -shards 4 -calls 24 -frames 2 -run 8s", run: obsRow(shards4), golden: seriesSummary,
-		sha256: "8c125ca330c355ccca7105e92ff7435a36aac55b0cb53e4be12be40b5ab7375c"},
+		sha256: "1b807a68cb4af02ccafd855dfca4dbe3c3aa431331db28b3e8dc0aad21f3a74e"},
 	{cmd: "obs -prof -shards 4 -calls 24 -frames 2 -run 8s", run: obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true })},
 }
 

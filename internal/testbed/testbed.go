@@ -329,7 +329,9 @@ func (n *Net) addRouter(dom *Domain, addr atm.Addr, sw *xswitch.Switch, ipAddr m
 		return nil, err
 	}
 	stack.M.TraceC = dom.TraceC
-	registerTraceStats(stack.M.Obs, dom.TraceC)
+	if len(dom.Routers) == 0 {
+		registerDomainStats(stack.M.Obs, dom)
+	}
 	ep := n.Fabric.Endpoint(addr)
 	ep.SetTrace(dom.TraceC)
 	r := &Router{Stack: stack, dom: dom, stacks: []*core.Stack{stack}}
@@ -722,10 +724,24 @@ func OpenAndUseFrames(ep Endpoint, p *kern.Proc, dest atm.Addr, service string, 
 	return res
 }
 
-// registerTraceStats surfaces the trace collector's counters in a
-// machine registry, so MGMT stats and the Report include dropped-span
-// and flight-ring-overflow accounting next to the other telemetry.
-func registerTraceStats(reg *obs.Registry, tc *trace.Collector) {
+// registerDomainStats surfaces what a whole domain shares — its
+// engine's internals and its trace collector's counters — as read-through
+// metrics in its first router's registry, so MGMT stats, the Report and
+// the domain's tseries store see each counter once, next to the other
+// telemetry. The engine's are executed events, process dispatches,
+// event-pool hit/miss and the heap high-water mark; the collector's
+// include dropped-span and flight-ring-overflow accounting. They read
+// plain fields, so sampling must happen in engine context (mgmt queries,
+// tseries ticks, post-run snapshots all do); at a fixed point of the
+// virtual history the values are deterministic, safe for the byte-diffed
+// exports.
+func registerDomainStats(reg *obs.Registry, dom *Domain) {
+	e, tc := dom.E, dom.TraceC
+	reg.Func("sim.events.executed", e.EventsExecuted)
+	reg.Func("sim.procs.dispatched", e.ProcDispatches)
+	reg.Func("sim.pool.hits", e.TimerPoolHits)
+	reg.Func("sim.pool.misses", e.TimerPoolMisses)
+	reg.Func("sim.heap.hiwat", e.HeapHighWater)
 	reg.Func("trace.traces.started", func() uint64 { return tc.StatsNow().Started })
 	reg.Func("trace.traces.sampled", func() uint64 { return tc.StatsNow().Sampled })
 	reg.Func("trace.traces.completed", func() uint64 { return tc.StatsNow().Completed })
