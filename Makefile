@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchcheck detgate crossbuild bench loc allocs cpuprofile pairs
+.PHONY: ci fmt vet build test race benchcheck detgate golden crossbuild bench loc allocs cpuprofile pairs
 
 ci: fmt vet build test race benchcheck detgate crossbuild
 
@@ -32,20 +32,25 @@ test:
 # shared receive block, several per syscall when it splits a train, and
 # PF_XUNET, whose Recv hands out the socket's one buffer and scribbles
 # over it at the next Recv, so a caller that kept a frame reads junk. So
-# do the bounded histories over sim.Ring: the real daemon scrapes its
-# tseries store on a ticker goroutine while MGMT reads the series and
-# health events on the actor. The trace collector has no lock: its one
+# do the bounded histories over sim.Ring: a tseries store has no lock,
+# and its one owner ticks and reads it, a sim domain's engine or a real
+# daemon's actor, to which the wall-clock ticker posts each scrape. The
+# trace collector has no lock: its one
 # owner is a real daemon's actor or a sim domain's engine or shard, and
 # anything else reads it through that owner. So does the
 # switch fabric: a boundary trunk hands pooled cell records from the
 # sending shard to the receiving one under its lock, and cell runs
 # take that same path one cell at a time.
 # The third line repeats the client library's tests over both of its
-# transports, the real peers' chaos call, and the Env contract table
-# over both envs with the actor's own-inbox test: the notify mux hands
-# connections between goroutines, both scrape the daemons' registries
-# off their actors while calls run, and a real timer fires on a runtime
-# goroutine into a record the actor recycles.
+# transports, every real-daemon test, the notify pool's own two, and the
+# Env contract table over both envs with the actor's own-inbox test: the
+# notify mux hands connections between goroutines; the socket readers
+# only post inputs to the actor, which owns the routes, the pool, the
+# notify connections, the carrier's sends and the time series, so a
+# stray touch from a pump, a redial or a ticker shows here; the chaos
+# calls scrape the daemons' registries off their actors while calls
+# run; and a real timer fires on a runtime goroutine into a record the
+# actor recycles.
 # The fourth line runs the sharded storms' determinism tests at 1, 2 and
 # 4 Ps: the shards are the one place where several owners run at once,
 # each domain with its own collector, engine, meters and pools, so a
@@ -55,7 +60,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -count 1 -race -cpu 1,2,4 ./internal/sim/ ./internal/memnet/ ./internal/kern/ ./internal/mbuf/ ./internal/pfxunet/ ./internal/protoatm/ ./internal/hobbit/ ./internal/rtnet/ ./internal/obs/... ./internal/trace/ ./internal/xswitch/
-	$(GO) test -count 3 -race -run 'TestClient|TestRealOpenTimeout|TestRealPeerChaos|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
+	$(GO) test -count 3 -race -run 'TestClient|TestReal|TestSendOnDeadIdleConnRedials|TestNotifyIdleSetIsCapped|TestEnvContract|TestActorNeverWaitsOnItself' ./internal/signaling/
 	$(GO) test -count 1 -race -cpu 1,2,4 -run 'TestSharded.*Deterministic' ./internal/testbed/
 
 # One iteration of every benchmark, so bench-only build or runtime
@@ -70,9 +75,8 @@ benchcheck:
 #     and 4 traces print what their testdata/*.golden holds, a sharded
 #     scenario at workers 1 and 4 alike (`make test` runs it too; -count
 #     1 skips the cache); after a change that moves one on purpose,
-#     `go test -run '<test>' ./internal/testbed/ ./internal/signaling/
-#     -update` re-records them, and the diff of testdata/ shows what
-#     moved;
+#     `make golden` re-records them, and the diff of testdata/ shows
+#     what moved;
 #  3. every number of the paper's evaluation reads inside its band, and
 #     EXPERIMENTS.md's generated tables hold exactly what the claims
 #     render (TestPaperClaims; `make test` runs it too);
@@ -90,6 +94,12 @@ detgate:
 		$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/ && exit 0; \
 		echo "detgate: a disabled-hook gate failed (attempt $$i of 3)"; \
 	done; exit 1
+
+# Re-records every golden file from what the code prints now. Only the
+# two packages that hold goldens know the -update flag, so `go test
+# ./... -update` stops at the first other package.
+golden:
+	$(GO) test -count 1 ./internal/testbed/ ./internal/signaling/ -update
 
 # The carrier's batched/fallback build-tag split must keep the tree
 # compiling where there is no sendmmsg (darwin exercises the fallback
