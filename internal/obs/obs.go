@@ -132,7 +132,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return quantile(counts, h.count.Load(), time.Duration(h.max.Load()), q)
 }
 
-// Registry holds a machine's (or fabric's) named metrics.
+// Registry holds a machine's (or fabric's) named metrics. mu guards the
+// name tables, and the metrics are atomics: a real daemon's actor and
+// carrier receive pump register and update them while snapshots run off
+// the actor (OpenMetrics, cmd/sighost's -stats printer, the benchmark's
+// counters), and a sim fabric's registry is written by every shard.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -23,7 +23,7 @@ type RealClient struct {
 	ReplyTimeout     time.Duration // each RPC reply read (default 10s)
 	EstablishTimeout time.Duration // OpenConnection's wait for its outcome (default 15s)
 
-	mu   sync.Mutex // one RPC at a time on conn
+	mu   sync.Mutex // one RPC at a time on conn, from any of the application's goroutines
 	conn *rpcConn
 	wbuf []byte
 	rbuf []byte

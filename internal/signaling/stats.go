@@ -38,7 +38,8 @@ type sigHists struct {
 	bindTimerLag *obs.Histogram              // sighost.bindtimer.fire: timer lag past its deadline
 }
 
-// size is a length the actor keeps and any goroutine may read.
+// size is a length the actor keeps and any goroutine may read: a real
+// daemon's ListSizes and CookieCount are read off the actor.
 type size struct{ v atomic.Int64 }
 
 func (s *size) set(n int)   { s.v.Store(int64(n)) }
