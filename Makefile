@@ -76,7 +76,9 @@ benchcheck:
 #     scenario at workers 1 and 4 alike (`make test` runs it too; -count
 #     1 skips the cache); after a change that moves one on purpose,
 #     `make golden` re-records them, and the diff of testdata/ shows
-#     what moved;
+#     what moved; the fault sweep's points and known defects, and a
+#     warm storm's event and dispatch counts, the two virtual-history
+#     pins the sim actor's clock can move, hold too;
 #  3. every number of the paper's evaluation reads inside its band, and
 #     EXPERIMENTS.md's generated tables hold exactly what the claims
 #     render (TestPaperClaims; `make test` runs it too);
@@ -88,7 +90,7 @@ benchcheck:
 #     in a row do.
 detgate:
 	$(GO) run ./cmd/xunetsim trace | $(GO) run ./cmd/tracecheck -v
-	$(GO) test -count 1 -run 'TestDetGate|TestCallStormDeterministicAcrossRuns|TestEventHistoryGolden|TestFigure[34]' ./internal/testbed/ ./internal/signaling/
+	$(GO) test -count 1 -run 'TestDetGate|TestCallStormDeterministicAcrossRuns|TestEventHistoryGolden|TestFigure[34]|TestFaultSweep|TestCallStormEvents' ./internal/testbed/ ./internal/signaling/
 	$(GO) test -count 1 -run TestPaperClaims .
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'Overhead/disabled' -benchtime 2000000x ./internal/trace/ ./internal/faults/ ./internal/obs/... ./internal/prof/ ./internal/signaling/ && exit 0; \

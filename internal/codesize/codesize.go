@@ -31,13 +31,16 @@ type Row struct {
 // components maps the paper's Table 2 rows to this reproduction's
 // modules. Paths are relative to the repository root; an entry may be a
 // directory (all non-test .go files) or a single file. The Sighost row
-// is the paper's state machine and its messages; the daemon row adds
-// what this reproduction built around it (journal, reliable peer
-// channel, MGMT, call pools, the sim and real Env glue). The user
+// is the paper's whole component: the state machine's handlers, the
+// protocol table that routes inputs to them, the select loop's inputs
+// and dispatch, the call records its lists hold, and its messages; the
+// daemon row adds what this reproduction built around it (journal,
+// reliable peer channel, MGMT, the sim and real Env glue). The user
 // library is the paper's configuration: the verbs over the host's own
 // IPC. The real-TCP transport (rtclient.go) is in neither.
 var components = []Row{
-	{Component: "Sighost", Sources: []string{"internal/signaling/sighost.go", "internal/sigmsg"}},
+	{Component: "Sighost", Sources: []string{"internal/signaling/sighost.go", "internal/signaling/events.go",
+		"internal/signaling/actor.go", "internal/signaling/calls.go", "internal/sigmsg"}},
 	{Component: "daemon (ours)", Ours: true, Sources: []string{"internal/signaling", "internal/sigmsg"},
 		Except: []string{"internal/signaling/client.go", "internal/signaling/rtclient.go"}},
 	{Component: "User lib", Sources: []string{"internal/signaling/client.go", "internal/ulib"}},

@@ -188,7 +188,8 @@ type fdEntry struct {
 // Spawn starts a process running body. When body returns — or the
 // process is killed — exit processing closes every open descriptor and
 // posts a termination indication to the pseudo-device, which is how the
-// signaling entity learns about dead applications (§5.3).
+// signaling entity learns about dead applications (§5.3). A process
+// with a nil body runs no code: a daemon whose work runs in events.
 func (m *Machine) Spawn(name string, body func(p *Proc)) *Proc {
 	m.nextPID++
 	p := &Proc{
@@ -200,12 +201,14 @@ func (m *Machine) Spawn(name string, body func(p *Proc)) *Proc {
 	m.procs.Put(uint64(p.PID), p)
 	m.ctSpawned.Inc()
 	m.gLive.Set(int64(m.procs.Len()))
-	var pid [10]byte // "machine/kind#pid", built in one allocation
-	spName := m.Name + "/" + name + "#" + string(strconv.AppendUint(pid[:0], uint64(p.PID), 10))
-	p.SP = m.E.Go(spName, func(sp *sim.Proc) {
-		defer p.exit()
-		body(p)
-	})
+	if body != nil {
+		var pid [10]byte // "machine/kind#pid", built in one allocation
+		spName := m.Name + "/" + name + "#" + string(strconv.AppendUint(pid[:0], uint64(p.PID), 10))
+		p.SP = m.E.Go(spName, func(sp *sim.Proc) {
+			defer p.exit()
+			body(p)
+		})
+	}
 	return p
 }
 

@@ -36,6 +36,9 @@ type envRig struct {
 	// busy, called inside do, holds the actor for d, as a slow handler
 	// would.
 	busy func(d time.Duration)
+	// next, called inside do, queues fn as the actor's next input: ahead
+	// of any timer that fires while the actor is busy.
+	next func(fn func())
 	// listen opens a notify port on the env's own machine that accepts
 	// every connection; refused names one where nothing listens.
 	listen  func() uint16
@@ -77,6 +80,7 @@ func simEnvRig(t *testing.T) *envRig {
 		},
 		settle: settle,
 		busy:   h.env.Charge,
+		next:   func(fn func()) { h.put(input{fn: fn}) },
 		listen: func() uint16 {
 			const port = 6100
 			l, err := h.Stack.M.IP.ListenStream(port)
@@ -110,6 +114,7 @@ func realEnvRig(t *testing.T) *envRig {
 			h.Do(func() {})
 		},
 		busy: time.Sleep,
+		next: func(fn func()) { h.own.Push(input{fn: fn}) },
 		listen: func() uint16 {
 			port, _ := notifyApp(t)
 			return port
@@ -214,8 +219,8 @@ func TestEnvContract(t *testing.T) {
 		{"timer canceled between firing and dispatch", func(t *testing.T, r *envRig) {
 			r.do(func() {
 				c := r.arm("a")
-				r.busy(20 * time.Millisecond) // it fires, and queues behind this input
-				c()
+				r.busy(20 * time.Millisecond) // it fires, and queues behind the next input
+				r.next(c)
 			})
 			r.settle()
 			if r.ran["a"] != 0 || r.free(t) != 1 {
@@ -235,7 +240,7 @@ func TestEnvContract(t *testing.T) {
 				canceled()
 				late = r.arm("late")
 				r.busy(20 * time.Millisecond)
-				late()
+				r.next(late)
 			})
 			r.settle()
 			r.do(func() {
@@ -254,10 +259,12 @@ func TestEnvContract(t *testing.T) {
 				r.arm("a")
 				b := r.arm("b")
 				b()
-				c := r.arm("c") // on b's record
-				r.busy(20 * time.Millisecond)
-				c()
-				r.arm("d")
+				c := r.arm("c")               // on b's record
+				r.busy(20 * time.Millisecond) // a and c fire, and queue behind the next input
+				r.next(func() {
+					c()
+					r.arm("d") // a's and c's records are out till their firings are dispatched
+				})
 			})
 			r.settle()
 			if n := r.free(t); n != 3 || r.ran["a"] != 1 || r.ran["d"] != 1 || r.ran["b"]+r.ran["c"] != 0 {
@@ -267,9 +274,9 @@ func TestEnvContract(t *testing.T) {
 		{"bind behind its queued bind timer spares the next call", func(t *testing.T, r *envRig) {
 			// Two calls reach the destination's callWaitServer from a peer
 			// x.rt. The first is granted with a 5 ms bind timer, which
-			// fires while the actor is busy; the bind lands before the
-			// firing is dispatched, and the second call's grant takes the
-			// first's wait_for_bind entry from the pool.
+			// fires while the actor is busy; the bind, the next input,
+			// lands before the firing is dispatched, and the second call's
+			// grant takes the first's wait_for_bind entry from the pool.
 			const peer = atm.Addr("x.rt")
 			sh, ip, app := r.sh, r.ip, &fakeConn{}
 			port := r.listen()
@@ -290,8 +297,10 @@ func TestEnvContract(t *testing.T) {
 				grant(1, 40)
 				sh.cm.BindTimeout = time.Minute
 				r.busy(20 * time.Millisecond)
-				sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.waitBind.at(40).cookie})
-				grant(2, 41)
+				r.next(func() {
+					sh.HandleKernel(ip, kern.KMsg{Kind: kern.MsgBind, VCI: 40, Cookie: sh.waitBind.at(40).cookie})
+					grant(2, 41)
+				})
 			})
 			r.settle()
 			var waiting, bound int

@@ -133,19 +133,28 @@ func TestCallStormAllocs(t *testing.T) {
 // kernel process spawns of a warm ten-call storm on the same rig. The
 // counts are virtual history, not wall-clock figures, so they are exact:
 // a change that moves one is reviewed as a moved TestDetGate row is.
-// Events: 673 since sighost became one process whose input sources hand
-// each arrival to its inbox in the delivering event (914 before, when a
-// listener, a pump per connection, a dialer per dial and a device reader
-// woke between the wire and the actor; 894 before sighost closed its
-// side of the one connection per call it left open, a FIN and the ACK
-// that completes the close; 1 014 before loopback stream ACKs that
-// nothing waits on stopped being events; DESIGN.md §9, "One select
-// loop", and §17, "Loopback streams"). Dispatches: 323 (564 with the
-// helpers, which took 231 of them and 30 of the storm's 50 engine
-// spawns). Kernel spawns: 20, the callers and the echo server's workers;
-// the helpers were engine processes, so this count never held them.
+// Events: 682 since the sim actor runs each input to completion in an
+// engine event and its charges advance a clock. The storm's 130 inputs
+// take 101 drains of an idle actor, 19 drains at the clock of an input
+// that arrived while the actor was busy, and 60 outbox flushes, one per
+// distinct instant at which an output was made past the engine's clock:
+// 180 events where the actor's process took 171, 101 wake-ups and 70
+// resumes from a charge's sleep, the resumed process picking a queued
+// input up in the same dispatch. 673 before that, since sighost became
+// one process whose input sources hand each arrival to its inbox in the
+// delivering event (914 before, when a listener, a pump per connection,
+// a dialer per dial and a device reader woke between the wire and the
+// actor; 894 before sighost closed its side of the one connection per
+// call it left open, a FIN and the ACK that completes the close; 1 014
+// before loopback stream ACKs that nothing waits on stopped being
+// events; DESIGN.md §9, "One select loop", and §17, "Loopback
+// streams"). Dispatches: 152, the applications' (323 with the actor's
+// process, 564 with the helpers, which took 231 of them and 30 of the
+// storm's 50 engine spawns). Kernel spawns: 20, the callers and the echo
+// server's workers; the helpers were engine processes, so this count
+// never held them.
 func TestCallStormEvents(t *testing.T) {
-	const events, dispatches, spawns = 673, 323, 20
+	const events, dispatches, spawns = 682, 152, 20
 	n, storm := stormRig(t, notifyPort)
 	storm() // the first storm also dials the peer sighost
 	spawned := func() (k uint64) {

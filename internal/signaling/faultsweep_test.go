@@ -1,6 +1,7 @@
 package signaling_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,8 +21,9 @@ import (
 // setup process", and state "always correctly restored" — at every
 // point of a call rather than at hand-picked ones. A reference run of
 // each scenario records its fault points: each distinct instant at
-// which a sighost logs a message, a sighost publishes a transition
-// record, or an application process takes a step. Then, for each point
+// which a sighost logs a message (its event history's instants, on the
+// actor's clock), a sighost publishes a transition record, or an
+// application process takes a step. Then, for each point
 // k and each fault, one run injects that fault at k and runs to
 // quiescence. The fault is scheduled before the engine starts, so it
 // fires ahead of every other event of its instant.
@@ -122,8 +124,7 @@ type sweepRun struct {
 	accepted int
 	chains   [2]*signaling.Chains
 	checks   []func() error  // the crash checks
-	chart    []logLine       // both sighosts' messages
-	marks    []time.Duration // when an application took a step or a sighost logged
+	marks    []time.Duration // when an application took a step
 }
 
 // logLine is one sighost message, as the Figure 3/4 golden tests read
@@ -134,10 +135,23 @@ type logLine struct {
 	line string
 }
 
+// chart is both sighosts' messages from their event histories, each
+// stamped with the actor's clock, in time order.
+func (r *sweepRun) chart() []logLine {
+	var lines []logLine
+	for _, rt := range []*testbed.Router{r.ra, r.rb} {
+		for _, ev := range rt.Sig.SH.Events(signaling.EventRingSize) {
+			lines = append(lines, logLine{ev.At, rt.Stack.Addr, ev.Text})
+		}
+	}
+	slices.SortStableFunc(lines, func(a, b logLine) int { return cmp.Compare(a.at, b.at) })
+	return lines
+}
+
 // chartOf renders both sighosts' messages, one stamped line each.
 func (r *sweepRun) chartOf() string {
 	var b strings.Builder
-	for _, l := range r.chart {
+	for _, l := range r.chart() {
 		fmt.Fprintf(&b, "%14v %-6s %s\n", l.at, l.addr, l.line)
 	}
 	return b.String()
@@ -145,7 +159,7 @@ func (r *sweepRun) chartOf() string {
 
 // wrote reports when ucb.rt's sighost wrote VCI_FOR_CONN, or 0.
 func (r *sweepRun) wrote() time.Duration {
-	for _, l := range r.chart {
+	for _, l := range r.chart() {
 		if l.addr == "ucb.rt" && strings.HasPrefix(l.line, "sighost->app VCI_FOR_CONN") {
 			return l.at
 		}
@@ -215,11 +229,7 @@ func startRun(t testing.TB, sc *scenario, f *fault, at time.Duration) *sweepRun 
 	}
 	for i, rt := range []*testbed.Router{ra, rb} {
 		r.chains[i] = signaling.WatchChains(rt.Sig.SH)
-		addr := rt.Stack.Addr
-		rt.Sig.SH.Trace = func(line string) {
-			r.marks = append(r.marks, n.E.Now())
-			r.chart = append(r.chart, logLine{n.E.Now(), addr, line})
-		}
+		rt.Sig.SH.EnableTrace(true)
 	}
 	if f != nil {
 		n.E.Schedule(at, func() { f.fire(r) })
@@ -277,6 +287,9 @@ func (r *sweepRun) finish(until time.Duration) error {
 // points are the reference run's fault points, in order.
 func (r *sweepRun) points() []time.Duration {
 	pts := slices.Clone(r.marks)
+	for _, l := range r.chart() {
+		pts = append(pts, l.at)
+	}
 	for _, ch := range r.chains {
 		pts = append(pts, ch.Instants()...)
 	}
@@ -328,6 +341,11 @@ func TestFaultSweep(t *testing.T) {
 	for _, sc := range sweepScenarios {
 		ref := startRun(t, sc, nil, 0)
 		ref.n.E.RunUntil(time.Minute)
+		for _, rt := range []*testbed.Router{ref.ra, ref.rb} {
+			if evs := rt.Sig.SH.Events(1); len(evs) > 0 && evs[0].Seq >= signaling.EventRingSize {
+				t.Fatalf("%s: %s's event history wrapped, so its points are not all there", sc.name, rt.Stack.Addr)
+			}
+		}
 		pts := ref.points()
 		until := pts[len(pts)-1] + ref.quiet()
 		if err := ref.finish(until); err != nil {

@@ -199,6 +199,18 @@ var endRows = []endRow{
 		s.a.appMsg(conn, s.ea.ip, sigmsg.Msg{Kind: sigmsg.KindCancelReq, Cookie: cookie})
 		s.w.pump()
 	}, counts: [2][4]uint64{{0, 1, 0, 1}, {0, 1, 0, 0}}, releases: [2]int{1, 0}, status: trace.StatusCanceled},
+	{name: "rejected after an unknown cookie", drive: func(s *seam) {
+		s.connect("b.rt", "echo", 0)
+		srv := &fakeConn{}
+		s.b.appMsg(srv, s.eb.ip, sigmsg.Msg{Kind: sigmsg.KindRejectConn, Cookie: s.incoming() + 1})
+		if len(srv.msgs) != 1 || srv.msgs[0].Kind != sigmsg.KindError || srv.msgs[0].Reason != "unknown incoming cookie" {
+			s.t.Errorf("a REJECT_CONN naming no call's cookie got %v, want SIG_ERROR unknown incoming cookie", srv.msgs)
+		}
+		if n := s.b.calls.len(); n != 1 {
+			s.t.Errorf("B holds %d calls after the stray REJECT_CONN, want its one", n)
+		}
+		s.answer(true, "")
+	}, counts: [2][4]uint64{{1, 0, 0, 0}, {0, 0, 1, 0}}, connFailed: "rejected by server", status: trace.StatusReject},
 	{name: "rejected after accepting", drive: func(s *seam) {
 		s.connect("b.rt", "echo", 0)
 		inc := s.incoming()
@@ -545,7 +557,7 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 	events := map[string]bool{"evTeardown": true, "evBindOK": true, "evBindTime": true}
 	recovery := []string{`"sighost.recovered.wait_bind"`, `"sighost.recovered.bound"`, `"sighost.recovery.aborted_calls"`}
 	hists := map[string]bool{"stage": true, "setupTotal": true, "acceptTotal": true}
-	spans := map[string]bool{"StartTrace": true, "StartCallTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true}
+	spans := map[string]bool{"StartTrace": true, "StartCallTrace": true, "StartSpan": true, "StartSpanAt": true, "EndSpan": true, "EndSpanAt": true, "FinishTrace": true, "FinishTraceAt": true}
 	seen := map[string]int{} // found where they belong
 	eachFunc(t, func(fset *token.FileSet, where string, body *ast.BlockStmt) {
 		found := func(n ast.Node, what string) {
@@ -603,7 +615,7 @@ func TestLifecycleDerivedOnlyInPublish(t *testing.T) {
 		})
 	})
 	want := slices.Concat(slices.Sorted(maps.Keys(counters)), slices.Sorted(maps.Keys(events)), recovery,
-		slices.Sorted(maps.Keys(hists)), []string{"StartCallTrace", "StartSpanAt", "EndSpanAt", "FinishTrace", "Record"})
+		slices.Sorted(maps.Keys(hists)), []string{"StartCallTrace", "StartSpanAt", "EndSpanAt", "FinishTraceAt", "Record"})
 	for _, what := range want {
 		if seen[what] == 0 {
 			t.Errorf("publish and transition never use %s: the walk is looking at the wrong code", what)

@@ -64,7 +64,7 @@ type Env interface {
 	// Charge accounts busy time (context switches, per-call logging,
 	// switch programming) against the signaling entity.
 	Charge(d time.Duration)
-	// After schedules fn in actor context after d. Once canceled, fn
+	// After schedules fn in actor context d after Now. Once canceled, fn
 	// never runs, even if d has passed and its firing waits in the
 	// inbox. what names the timer's purpose ("rel.rto", "rel.keepalive",
 	// "bind.timeout") for execution-profiler attribution; environments
@@ -74,9 +74,9 @@ type Env interface {
 	// the signaling PVC mesh; dst may equal Addr (local call loopback).
 	// raw is m's wire encoding, made once by sighost (the reliability
 	// layer caches it, so retransmissions never re-encode); m is
-	// consulted only for loopback delivery and trace identity. raw is
-	// owned by the caller again once the call returns; implementations
-	// that defer the send must copy it.
+	// consulted for loopback delivery and trace identity. raw is owned
+	// by the caller again once the call returns; an implementation that
+	// defers the send copies it or re-encodes m.
 	SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error
 	// Dial opens an IPC connection to an application's notify port,
 	// delivering the result asynchronously in actor context. Messages
@@ -91,8 +91,8 @@ type Env interface {
 	// Rand16 returns entropy for cookie generation.
 	Rand16() uint16
 	// Now is the current time on the clock that drives this entity (the
-	// sim engine's virtual clock, or wall time since daemon start). It
-	// timestamps trace events and feeds the latency histograms.
+	// sim actor's, past the engine's by its charges, or wall time since
+	// daemon start). It timestamps traces and feeds the histograms.
 	Now() time.Duration
 }
 
@@ -367,9 +367,8 @@ func (sh *Sighost) newCookie() uint16 {
 // It also makes the lifecycle spans (DESIGN.md §12), whose IDs, drawn
 // from one testbed-wide sequence, must be taken at the change itself.
 // The state left ends its span, unless the call ends there unanswered
-// by a SETUP_REJ: FinishTrace marks that span Open. The requested
-// stage's span is recorded as it ends, as other calls take IDs while
-// its charges sleep.
+// by a SETUP_REJ: FinishTraceAt marks that span Open. The requested
+// stage's span is recorded as it ends.
 func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Duration) Transition {
 	from, vci, now, tc := c.state, c.localVCI, sh.env.Now(), sh.TraceC
 	mapped := sh.mapped(vci)
@@ -420,7 +419,7 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 	case callRequested:
 		// The origin owns the trace: a root span for the call's whole
 		// life, and call.setup, which its setup stages partition.
-		c.tcRoot = tc.StartCallTrace(string(sh.env.Addr()), "sighost", c.service, c.key.id)
+		c.tcRoot = tc.StartCallTrace(string(sh.env.Addr()), "sighost", c.service, c.key.id, now)
 		c.tcSetup = tc.StartSpanAt(c.tcRoot, "sighost", "call.setup", now)
 	case callSetupSent, callProgramming:
 		c.span = tc.StartSpanAt(c.tcSetup, "sighost", stages[to].span, now)
@@ -442,7 +441,7 @@ func (sh *Sighost) transition(c *call, to callState, why cause, deadline time.Du
 		sh.calls.drop(c)
 		sh.jlog(jrec{op: jEnd, key: c.key})
 		if c.key.origin { // the trace moves into the flight recorder
-			tc.FinishTrace(c.tcRoot, cmp.Or(why.ending().status, endings[why.code].status))
+			tc.FinishTraceAt(c.tcRoot, cmp.Or(why.ending().status, endings[why.code].status), now)
 		}
 	}
 	sh.n.outgoing.set(len(sh.outgoing))

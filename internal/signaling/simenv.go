@@ -22,11 +22,13 @@ import (
 )
 
 // SimHost runs a Sighost on a simulated router as the paper's
-// single-threaded select()-driven daemon: one process, the actor,
-// draining an inbox of typed inputs. The SigPort listener, application
-// connections, the local pseudo-device, the anand server and the PVC
-// sockets each hand an arrival to the inbox in the event that delivers
-// it, so no process stands between the wire and the actor.
+// single-threaded select()-driven daemon: an actor that runs each input
+// of its inbox to completion in an engine event. The SigPort listener,
+// application connections, the local pseudo-device, the anand server and
+// the PVC sockets each hand an arrival to the inbox in the event that
+// delivers it. Sighost's charges advance the actor's clock: the next
+// input starts when they end, a timer armed after one counts from the
+// clock, and an output made past the engine's clock waits for it.
 type SimHost struct {
 	SH     *Sighost
 	Stack  *core.Stack
@@ -38,8 +40,13 @@ type SimHost struct {
 	// signaling loss" knob of the chaos experiments.
 	Faults *faults.Plane
 
-	inbox sim.Queue[*input] // records from SH.inputs
-	proc  *kern.Proc        // the actor, owner of the PVC sockets
+	inbox sim.Ring[*input]      // SH.inputs records, the running one too: a drain is pending while any is
+	busy  time.Duration         // the actor's clock: when its last charge ends
+	out   sim.Ring[output]      // outputs due past the engine's clock, in time order
+	label prof.LabelID          // proc.sighost, the actor's events' attribution
+	devUp func(kern.KMsg, bool) // the /dev/anand read the actor arms
+
+	proc  *kern.Proc // the daemon's process, owner of the PVC sockets
 	peers map[atm.Addr]*pfxunet.Socket
 	env   *simEnv
 	conns int // application connections accepted or dialed, until their first Close
@@ -58,8 +65,7 @@ func (h *SimHost) AppConns() int { return h.conns }
 // Audit states the entity's free lists: a call record per call held, a
 // pending message per one unacknowledged, a timer per one armed — each
 // timed state's, each pending message's retransmit and each running
-// keepalive chain — and no dial in flight or consumer queued behind the
-// actor on its inbox.
+// keepalive chain — no dial in flight, and an input per inbox entry.
 func (h *SimHost) Audit(check sim.Audit) {
 	sh, pending, armed := h.SH, 0, 0
 	for _, c := range sh.calls.all() {
@@ -80,7 +86,6 @@ func (h *SimHost) Audit(check sim.Audit) {
 	check("dial contexts", sh.dcPool.Outstanding(), 0)
 	check("timers", h.env.timers.free.Outstanding(), armed+pending)
 	check("inputs", sh.inputs.Outstanding(), h.inbox.Len())
-	check("inbox waiters", h.inbox.Waiting(), 0)
 }
 
 // input draws an inbox record of kind, the rest zero, for a source to
@@ -94,7 +99,118 @@ func (h *SimHost) input(kind inputKind) *input {
 func (h *SimHost) put(in input) {
 	r := h.SH.inputs.Get()
 	*r = in
-	h.inbox.Put(r)
+	h.queue(r)
+}
+
+// queue appends r to the inbox and, unless one is pending, schedules a
+// drain for when the actor's clock allows.
+func (h *SimHost) queue(r *input) {
+	if h.inbox.Push(r); h.inbox.Len() == 1 {
+		h.wake()
+	}
+}
+
+// wake schedules a drain at the actor's clock, or now if that has passed.
+func (h *SimHost) wake() { h.Stack.M.E.ScheduleArgL(h.busy-h.Stack.M.E.Now(), h.label, simDrain, h) }
+
+// simDrain is the actor: it runs the inbox's inputs in order, each to
+// completion, until one finds its clock past the engine's. Until it
+// re-arms /dev/anand's read, indications back up there: §10's loss.
+func simDrain(arg any) {
+	h := arg.(*SimHost)
+	for h.inbox.Len() > 0 {
+		if h.busy > h.Stack.M.E.Now() {
+			h.wake()
+			return
+		}
+		in := *h.inbox.Head()
+		h.SH.dispatch(in)
+		if in.rearm {
+			h.output(output{kind: outRearm})
+		}
+		h.inbox.Drop()
+		h.SH.inputs.Put(in)
+	}
+}
+
+// outKind names what an output does.
+type outKind uint8
+
+const (
+	outPeer       outKind = iota // SendPeer: msg to dst, from raw if set
+	outSend                      // simConn.Send: msg on conn
+	outClose                     // simConn.Close
+	outDial                      // Dial: conn to its ip and port
+	outDisconnect                // KernelDisconnect: vci at ip
+	outRelease                   // VCHandle.Release: vc
+	outRearm                     // the /dev/anand read's re-arm
+)
+
+// output is one of the actor's Env outputs, kept by value in the outbox
+// until its instant when made past the engine's clock.
+type output struct {
+	at   time.Duration
+	kind outKind
+	msg  sigmsg.Msg
+	raw  []byte
+	dst  atm.Addr
+	conn *simConn
+	ip   memnet.IPAddr
+	port uint16
+	vci  atm.VCI
+	vc   *xswitch.VC
+}
+
+// output makes o at the actor's clock: now, or from the outbox, which
+// one event per distinct instant flushes. An output made now reports
+// its error.
+func (h *SimHost) output(o output) error {
+	e := h.Stack.M.E
+	if h.busy <= e.Now() {
+		return h.perform(&o)
+	}
+	if o.at, o.raw = h.busy, nil; h.out.Len() == 0 || h.out.Tail().at != o.at {
+		e.ScheduleArgL(o.at-e.Now(), h.label, simFlush, h)
+	}
+	h.out.Push(o) // without raw, the caller's again once SendPeer returns
+	return nil
+}
+
+// simFlush makes the outputs due now, in the order the actor made them.
+// An error reaches no one: the handler that made the output has returned.
+func simFlush(arg any) {
+	h := arg.(*SimHost)
+	for now := h.Stack.M.E.Now(); h.out.Len() > 0 && h.out.Head().at <= now; h.out.Drop() {
+		_ = h.perform(h.out.Head()) // which queues inputs, never outputs
+	}
+}
+
+// perform makes o now.
+func (h *SimHost) perform(o *output) error {
+	switch o.kind {
+	case outPeer:
+		return h.env.sendPeer(o.dst, &o.msg, o.raw)
+	case outSend:
+		return o.conn.s.Send(h.env.enc(&o.msg))
+	case outClose:
+		o.conn.close()
+	case outDial:
+		var err error
+		if o.conn.s, err = h.Stack.M.IP.Dial(o.conn.ip, o.port, o.conn); err != nil {
+			o.conn.Dialed(err)
+		}
+	case outDisconnect:
+		if o.ip == h.Stack.M.IP.Addr || o.ip == 0 {
+			h.Stack.M.Dev.WriteDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: o.vci})
+		} else if h.Anand != nil {
+			h.Anand.Disconnect(o.ip, o.vci)
+		}
+	case outRelease:
+		o.vc.Release()
+	case outRearm:
+		h.Stack.M.Dev.Arm(h.devUp)
+	}
+	return nil
 }
 
 // Crash kills the signaling entity in actor context: all state is lost
@@ -121,7 +237,8 @@ var signalingPVCQoS = qos.QoS{Class: qos.CBR, BandwidthKbs: 64}
 // cost model derives from the machine's. Call ConnectSighosts to join
 // entities with signaling PVCs before establishing inter-router calls.
 func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
-	h := &SimHost{Stack: stack, Fabric: fab, peers: make(map[atm.Addr]*pfxunet.Socket)}
+	h := &SimHost{Stack: stack, Fabric: fab, peers: make(map[atm.Addr]*pfxunet.Socket),
+		label: stack.M.E.ProfLabel("proc.sighost")}
 	h.env = &simEnv{h: h}
 	h.env.timers.put = h.put
 	// Share the machine's registry so sighost metrics land next to the
@@ -138,26 +255,15 @@ func StartSim(stack *core.Stack, fab *xswitch.Fabric) *SimHost {
 	h.SH.TraceC = stack.M.TraceC
 
 	// The local pseudo-device (the router's own kernel indications) is
-	// read one indication at a time: the actor re-arms the read only
-	// once it has processed the current one, exactly like a
-	// select()-driven daemon. While the daemon is busy, indications back
-	// up in the device's bounded buffer — the loss mechanism of §10.
-	dev := stack.M.Dev
-	devUp := func(k kern.KMsg, ok bool) {
+	// read one indication at a time, as a select()-driven daemon reads
+	// it: the actor re-arms the read once it has run the current one.
+	h.devUp = func(k kern.KMsg, ok bool) {
 		if ok {
 			h.put(input{kind: inKernel, ip: stack.M.IP.Addr, kmsg: k, rearm: true})
 		}
 	}
-	h.proc = stack.M.Spawn("sighost", func(p *kern.Proc) {
-		for in, ok := h.inbox.Get(p.SP); ok; in, ok = h.inbox.Get(p.SP) {
-			h.SH.dispatch(in)
-			if in.rearm {
-				dev.Arm(devUp)
-			}
-			h.SH.inputs.Put(in)
-		}
-	})
-	dev.Arm(devUp)
+	h.proc = stack.M.Spawn("sighost", nil)
+	stack.M.Dev.Arm(h.devUp)
 
 	// Application RPC listener on the well-known signaling port.
 	if l, err := stack.M.IP.ListenStream(SigPort); err == nil {
@@ -214,7 +320,7 @@ func connectOneWay(a, b *SimHost) error {
 			b.SH.inputs.Put(in)
 			return
 		}
-		b.inbox.Put(in)
+		b.queue(in)
 	})
 	if err := cmp.Or(tx.Connect(vc.SrcVCI, 0), rx.Bind(vc.DstVCI, 0)); err != nil {
 		return fmt.Errorf("signaling: PVC %s->%s: %w", a.Stack.Addr, b.Stack.Addr, err)
@@ -225,8 +331,8 @@ func connectOneWay(a, b *SimHost) error {
 
 // simConn adapts a memnet stream to the signaling Conn interface, and is
 // the stream's receiver: it decodes each message into an inbox record
-// for the actor, and closes its side at end of stream. Send runs in
-// actor context, so it borrows the env's scratch buffer (Stream.Send
+// for the actor, and closes its side at end of stream. Send and Close
+// are outputs; a send borrows the env's scratch buffer (Stream.Send
 // copies the frame before returning).
 type simConn struct {
 	h      *SimHost
@@ -241,9 +347,11 @@ func (h *SimHost) newConn(s *memnet.Stream, ip memnet.IPAddr) *simConn {
 	return &simConn{h: h, s: s, ip: ip}
 }
 
-func (c *simConn) Send(m sigmsg.Msg) error { return c.s.Send(c.h.env.enc(&m)) }
+func (c *simConn) Send(m sigmsg.Msg) error { return c.h.output(output{kind: outSend, conn: c, msg: m}) }
 
-func (c *simConn) Close() {
+func (c *simConn) Close() { c.h.output(output{kind: outClose, conn: c}) }
+
+func (c *simConn) close() {
 	if !c.closed {
 		c.closed, c.h.conns = true, c.h.conns-1
 	}
@@ -257,11 +365,11 @@ func (c *simConn) Deliver(b []byte) {
 		c.h.SH.inputs.Put(in)
 		return
 	}
-	c.h.inbox.Put(in)
+	c.h.queue(in)
 }
 
 // EOF closes this side once the application has closed or reset its.
-func (c *simConn) EOF() { c.Close() }
+func (c *simConn) EOF() { c.close() }
 
 // Dialed is Env.Dial's completion, the actor's inDialed input: the
 // connection on success, the error otherwise.
@@ -271,16 +379,16 @@ func (c *simConn) Dialed(err error) {
 		c.h.conns++
 		in.conn = c
 	}
-	c.h.inbox.Put(in)
+	c.h.queue(in)
 }
 
-// simEnv implements Env on the simulation.
+// simEnv implements Env on the simulation, with outputs at the actor's
+// clock (SimHost.output).
 type simEnv struct {
 	h      *SimHost
 	timers timers // recycled After records
-	// txBuf is the encode scratch for actor-context application sends;
-	// every consumer copies the frame synchronously, so one buffer
-	// serves all.
+	// txBuf is the encode scratch for application and PVC sends; every
+	// consumer copies the frame synchronously, so one buffer serves all.
 	txBuf []byte
 	// lblTimer caches interned profiler labels per timer class (see
 	// timerLabel); nil until a profiler is attached and a timer arms.
@@ -293,22 +401,26 @@ func (e *simEnv) enc(m *sigmsg.Msg) []byte {
 	return e.txBuf
 }
 
-func (e *simEnv) Addr() atm.Addr     { return e.h.Stack.Addr }
-func (e *simEnv) Rand16() uint16     { return uint16(e.h.Stack.M.E.Rand().Uint64()) }
-func (e *simEnv) Now() time.Duration { return e.h.Stack.M.E.Now() }
+func (e *simEnv) Addr() atm.Addr { return e.h.Stack.Addr }
+func (e *simEnv) Rand16() uint16 { return uint16(e.h.Stack.M.E.Rand().Uint64()) }
 
-// Charge makes the actor busy for d; events queue behind it, exactly as
-// a single-threaded daemon backs up.
+// Now is the actor's clock: the engine's, or past it by the charges of
+// the input being run.
+func (e *simEnv) Now() time.Duration { return max(e.h.Stack.M.E.Now(), e.h.busy) }
+
+// Charge makes the actor busy for d: its clock moves on, and inputs
+// queue behind it, exactly as a single-threaded daemon backs up.
 func (e *simEnv) Charge(d time.Duration) {
 	if d > 0 {
-		e.h.proc.SP.Sleep(d)
+		e.h.busy = e.Now() + d
 	}
 }
 
+// After counts d from the actor's clock.
 func (e *simEnv) After(d time.Duration, what string, fn func()) CancelFunc {
 	t := e.timers.get(fn)
 	eng := e.h.Stack.M.E
-	t.ev = eng.ScheduleArgL(d, e.timerLabel(eng, what), simTimerFire, t)
+	t.ev = eng.ScheduleArgL(e.Now()-eng.Now()+d, e.timerLabel(eng, what), simTimerFire, t)
 	return t.cancelFunc()
 }
 
@@ -334,18 +446,26 @@ func (e *simEnv) timerLabel(eng *sim.Engine, what string) prof.LabelID {
 	return l
 }
 
-// SendPeer sends raw on the PVC to dst, or m onto the actor's own
-// inbox for the local loopback. A cached retransmission and a first
-// send draw the same fault-plane verdict sequence.
 func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
-	if dst == e.h.Stack.Addr {
-		e.h.put(input{kind: inPeer, peer: dst, msg: m})
-		return nil
-	}
-	sock, ok := e.h.peers[dst]
-	if !ok {
+	if _, ok := e.h.peers[dst]; !ok && dst != e.h.Stack.Addr {
 		return fmt.Errorf("signaling: no PVC to %s", dst)
 	}
+	return e.h.output(output{kind: outPeer, dst: dst, msg: m, raw: raw})
+}
+
+// sendPeer sends m on the PVC to dst, from raw or, when raw is nil, a
+// fresh encoding, or onto the actor's own inbox for the local loopback.
+// A cached retransmission and a first send draw the same fault-plane
+// verdict sequence.
+func (e *simEnv) sendPeer(dst atm.Addr, m *sigmsg.Msg, raw []byte) error {
+	if dst == e.h.Stack.Addr {
+		e.h.put(input{kind: inPeer, peer: dst, msg: *m})
+		return nil
+	}
+	if raw == nil {
+		raw = e.enc(m)
+	}
+	sock := e.h.peers[dst]
 	// The message's own trace context (if any) parents the PVC frame's
 	// transit span — the PVC socket is shared by many calls, so the
 	// context is per-message, not per-socket.
@@ -369,17 +489,15 @@ func (e *simEnv) SendPeer(dst atm.Addr, m sigmsg.Msg, raw []byte) error {
 	return sock.SendTraced(raw, tc)
 }
 
-// Dial sends the SYN now; the handshake's end reaches the actor as an
+// Dial's SYN is an output; the handshake's end reaches the actor as an
 // inDialed input, and what the application sends back as inApp ones.
 func (e *simEnv) Dial(ip memnet.IPAddr, port uint16, cb func(Conn, error)) {
 	c := e.h.newConn(nil, ip)
 	c.dialed = cb
-	var err error
-	if c.s, err = e.h.Stack.M.IP.Dial(ip, port, c); err != nil {
-		c.Dialed(err)
-	}
+	e.h.output(output{kind: outDial, conn: c, port: port})
 }
 
+// SetupVC programs the circuit now; its release is an output.
 func (e *simEnv) SetupVC(dst atm.Addr, q qos.QoS) (*VCHandle, error) {
 	vc, err := e.h.Fabric.SetupVC(e.h.Stack.Addr, dst, q)
 	if err != nil {
@@ -389,16 +507,10 @@ func (e *simEnv) SetupVC(dst atm.Addr, q qos.QoS) (*VCHandle, error) {
 		SrcVCI:  vc.SrcVCI,
 		DstVCI:  vc.DstVCI,
 		Cost:    vc.SetupCost(),
-		Release: vc.Release,
+		Release: func() { e.h.output(output{kind: outRelease, vc: vc}) },
 	}, nil
 }
 
 func (e *simEnv) KernelDisconnect(endpoint memnet.IPAddr, vci atm.VCI) {
-	if endpoint == e.h.Stack.M.IP.Addr || endpoint == 0 {
-		e.h.Stack.M.Dev.WriteDown(kern.DownCmd{Kind: kern.DownDisconnect, VCI: vci})
-		return
-	}
-	if e.h.Anand != nil {
-		e.h.Anand.Disconnect(endpoint, vci)
-	}
+	e.h.output(output{kind: outDisconnect, ip: endpoint, vci: vci})
 }

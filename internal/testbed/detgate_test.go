@@ -40,12 +40,12 @@ var detGate = []struct {
 		return testbed.Sweep(w, []int{8, 20, 40, 80}, []int{20, 100}, 100, time.Second)
 	}},
 	{cmd: "obs", run: obsRow(func(*testbed.ObsConfig) {}), golden: seriesSummary,
-		sha256: "25b7fdda1dfb32e861d5117be7bac7b22f1909b162f4d37caa2f4c61aef47216"},
+		sha256: "7f8555649afeb678de215eb87b9cb0fffb5d1de309895338a54955e562a1d561"},
 	{cmd: "obs -health", run: obsRow(func(c *testbed.ObsConfig) { c.Health = true })},
 	{cmd: "obs -table", run: obsRow(func(c *testbed.ObsConfig) { c.Table = true })},
 	{cmd: "obs -prof", run: obsRow(func(c *testbed.ObsConfig) { c.Prof = true })},
 	{cmd: "obs -shards 4 -calls 24 -frames 2 -run 8s", run: obsRow(shards4), golden: seriesSummary,
-		sha256: "1b807a68cb4af02ccafd855dfca4dbe3c3aa431331db28b3e8dc0aad21f3a74e"},
+		sha256: "fe5747c1945db6fcb894083c68e1bc6e5fcecc462a230584ba1b42c33e58e477"},
 	{cmd: "obs -prof -shards 4 -calls 24 -frames 2 -run 8s", run: obsRow(func(c *testbed.ObsConfig) { shards4(c); c.Prof = true })},
 }
 

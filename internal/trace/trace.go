@@ -180,12 +180,16 @@ func (c *Collector) DumpRecent(n int, reason string) int {
 // the call was not sampled (or the collector is disabled) and every
 // descendant operation will no-op.
 func (c *Collector) StartTrace(comp, name string, callID uint32) Context {
-	return c.StartCallTrace("", comp, name, callID)
+	if !c.enabled() {
+		return Context{}
+	}
+	return c.StartCallTrace("", comp, name, callID, c.now())
 }
 
 // StartCallTrace is StartTrace for a call that origin, a router's
-// address, placed: ByCall finds the trace under that origin only.
-func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Context {
+// address, placed, starting at: ByCall finds the trace under that origin
+// only.
+func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32, at time.Duration) Context {
 	if !c.enabled() {
 		return Context{}
 	}
@@ -204,7 +208,7 @@ func (c *Collector) StartCallTrace(origin, comp, name string, callID uint32) Con
 			ID:    c.spanSeq,
 			Comp:  comp,
 			Name:  name,
-			Start: c.now(),
+			Start: at,
 			End:   -1,
 		}},
 	}
@@ -291,15 +295,22 @@ func (c *Collector) Record(parent Context, comp, name string, start, end time.Du
 	})
 }
 
-// FinishTrace completes the trace owning root: force-closes any still
-// open spans (marking them Open), stamps the terminal status, moves the
-// trace into the flight recorder, and — for dumpWorthy statuses —
-// fires the auto-dump hook with the rendered span tree.
+// FinishTrace completes the trace owning root at the current time.
 func (c *Collector) FinishTrace(root Context, status string) {
 	if !root.Sampled() || c == nil {
 		return
 	}
-	now := c.now()
+	c.FinishTraceAt(root, status, c.now())
+}
+
+// FinishTraceAt completes the trace owning root at now: force-closes any
+// still open spans (marking them Open), stamps the terminal status,
+// moves the trace into the flight recorder, and — for dumpWorthy
+// statuses — fires the auto-dump hook with the rendered span tree.
+func (c *Collector) FinishTraceAt(root Context, status string, now time.Duration) {
+	if !root.Sampled() || c == nil {
+		return
+	}
 	t, _ := c.active.Get(root.Trace)
 	if t == nil {
 		return

@@ -36,6 +36,10 @@ func TestDisabledCollectorIsInert(t *testing.T) {
 	nilC.EndSpan(Context{})
 	nilC.Record(Context{}, "x", "y", 0, 1)
 	nilC.FinishTrace(Context{}, StatusOK)
+	nilC.FinishTraceAt(Context{}, StatusOK, 0)
+	if ctx := nilC.StartCallTrace("", "sighost", "call", 1, 0); ctx.Sampled() {
+		t.Fatalf("nil collector sampled a trace: %+v", ctx)
+	}
 	if _, ok := nilC.ByCall("", 1); ok {
 		t.Fatal("nil collector returned a trace")
 	}
