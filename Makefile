@@ -168,7 +168,11 @@ loc:
 # the claim rule of choosing-metrics §8: at least 9 pairs in 10 won and
 # a gap wider than that distance. W=all does that for every workload
 # BENCHMARK.json names, one block each: a no-regression table from one
-# command. Not part of ci: it measures, it gates nothing.
+# command. Not part of ci: it measures, it gates nothing. BASE builds
+# with a build cache of its own, removed with its checkout: every BASE
+# is a source tree the shared cache has not seen, so building it there
+# would leave a full set of compiled packages behind on each run, which
+# the go command only trims once they go unused for days.
 PAIRS_DIR := $(or $(TMPDIR),/tmp)/xunet-pairs
 N ?= 10
 SEED ?= 1
@@ -178,8 +182,8 @@ pairs:
 	@test -n "$(BASE)" && test -n "$(W)" || { echo "usage: make pairs BASE=<rev> W=<workload>|all [N=10 SEED=1 SECONDS=8]"; exit 1; }
 	rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/base
 	git archive $(BASE) | tar -x -C $(PAIRS_DIR)/base
-	cd $(PAIRS_DIR)/base && $(GO) build -o $(PAIRS_DIR)/bench.base ./bench
-	rm -rf $(PAIRS_DIR)/base
+	cd $(PAIRS_DIR)/base && GOCACHE=$(PAIRS_DIR)/gocache $(GO) build -o $(PAIRS_DIR)/bench.base ./bench
+	rm -rf $(PAIRS_DIR)/base $(PAIRS_DIR)/gocache
 	$(GO) build -o $(PAIRS_DIR)/bench.change ./bench
 	@for w in $(PAIRS_W); do \
 	echo "== $$w"; \

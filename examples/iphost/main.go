@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"xunet/internal/faults"
 	"xunet/internal/kern"
 	"xunet/internal/testbed"
 )
@@ -46,8 +47,10 @@ func main() {
 		hostA.Stack.Addr, hostA.Stack.M.IP.Addr, hostB.Stack.Addr, hostB.Stack.M.IP.Addr)
 
 	// Inject reordering on the client's FDDI segment so the
-	// encapsulation header's sequence numbers have something to detect.
-	hostA.Stack.M.IP.LinkTo(ra.Stack.M.IP).SetReorder(0.25, 8*time.Millisecond)
+	// encapsulation header's sequence numbers have something to detect:
+	// a fault plane on the client's node holds a quarter of its packets
+	// back by up to 16 ms.
+	hostA.Stack.M.IP.SetFaults(faults.NewPlane(faults.Config{PktDelayProb: 0.25, PktDelayMax: 16 * time.Millisecond}))
 
 	// Server on the IP-only host behind ucb.rt.
 	hostB.Stack.Spawn("server", func(p *kern.Proc) {

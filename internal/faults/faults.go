@@ -47,8 +47,7 @@ type Config struct {
 	// so a zero-value-but-enabled config is still deterministic.
 	Seed uint64
 
-	// Packet faults apply to every memnet link transmission and to
-	// carrier-encapsulated frames on the testbed's tunnel carriers.
+	// Packet faults apply to every memnet link transmission.
 	PktLoss      float64
 	PktDup       float64
 	PktDelayProb float64
@@ -101,11 +100,29 @@ type Plane struct {
 	tc  *trace.Collector
 	now func() time.Duration
 
-	pktDrop, pktDup, pktDelay *obs.Counter
-	sigDrop, sigDup, sigDelay *obs.Counter
-	cellDrop, cellCorrupt     *obs.Counter
-	trunkFlaps, flapDrops     *obs.Counter
-	devDrop                   *obs.Counter
+	pkt, sig              unit
+	cellDrop, cellCorrupt *obs.Counter
+	trunkFlaps, flapDrops *obs.Counter
+	devDrop               *obs.Counter
+}
+
+// unit is one kind of verdict, packets or signaling messages: its
+// probabilities, and the counter and span name of each fault it draws.
+type unit struct {
+	loss, dup, delayProb         float64
+	delayMax                     time.Duration
+	drops, dups, delays          *obs.Counter
+	dropSpan, dupSpan, delaySpan string
+}
+
+// newUnit registers the faults.<name>.{drop,dup,delay} counters.
+func (p *Plane) newUnit(name string, loss, dup, delayProb float64, delayMax time.Duration) unit {
+	u := unit{loss: loss, dup: dup, delayProb: delayProb, delayMax: delayMax,
+		dropSpan: name + ".drop", dupSpan: name + ".dup", delaySpan: name + ".delay"}
+	u.drops = p.Obs.Counter("faults." + u.dropSpan)
+	u.dups = p.Obs.Counter("faults." + u.dupSpan)
+	u.delays = p.Obs.Counter("faults." + u.delaySpan)
+	return u
 }
 
 // NewPlane builds a plane from cfg. The plane is ready to be attached to
@@ -116,12 +133,8 @@ func NewPlane(cfg Config) *Plane {
 		seed = 0xFA017C0DE // distinct from any workload seed in use
 	}
 	p := &Plane{cfg: cfg, seed: seed, rng: sim.NewRand(seed), Obs: obs.NewRegistry()}
-	p.pktDrop = p.Obs.Counter("faults.pkt.drop")
-	p.pktDup = p.Obs.Counter("faults.pkt.dup")
-	p.pktDelay = p.Obs.Counter("faults.pkt.delay")
-	p.sigDrop = p.Obs.Counter("faults.sig.drop")
-	p.sigDup = p.Obs.Counter("faults.sig.dup")
-	p.sigDelay = p.Obs.Counter("faults.sig.delay")
+	p.pkt = p.newUnit("pkt", cfg.PktLoss, cfg.PktDup, cfg.PktDelayProb, cfg.PktDelayMax)
+	p.sig = p.newUnit("sig", cfg.SigLoss, cfg.SigDup, cfg.SigDelayProb, cfg.SigDelayMax)
 	p.cellDrop = p.Obs.Counter("faults.cell.drop")
 	p.cellCorrupt = p.Obs.Counter("faults.cell.corrupt")
 	p.trunkFlaps = p.Obs.Counter("faults.trunk.flaps")
@@ -150,52 +163,34 @@ func (p *Plane) spanAt(parent trace.Context, name string, at time.Duration) {
 	}
 }
 
-// Packet returns the verdict for one packet on a memnet link or tunnel
-// carrier. Draw order is fixed (loss, dup, delay) so the fault schedule
-// is stable; disabled probabilities draw nothing (sim.Rand.Chance).
-func (p *Plane) Packet(tc trace.Context) Verdict {
-	var v Verdict
-	if p.rng.Chance(p.cfg.PktLoss) {
-		p.pktDrop.Inc()
-		p.span(tc, "pkt.drop")
-		v.Drop = true
-		return v
-	}
-	if p.rng.Chance(p.cfg.PktDup) {
-		p.pktDup.Inc()
-		p.span(tc, "pkt.dup")
-		v.Dup = true
-	}
-	if p.rng.Chance(p.cfg.PktDelayProb) {
-		v.ExtraDelay = p.rng.Jitter(p.cfg.PktDelayMax)
-		if v.ExtraDelay > 0 {
-			p.pktDelay.Inc()
-			p.span(tc, "pkt.delay")
-		}
-	}
-	return v
-}
+// Packet returns the verdict for one packet on a memnet link.
+func (p *Plane) Packet(tc trace.Context) Verdict { return p.verdict(&p.pkt, tc) }
 
 // SigMsg returns the verdict for one sighost-to-sighost signaling
 // message about to be sent on the peer PVC.
-func (p *Plane) SigMsg(tc trace.Context) Verdict {
+func (p *Plane) SigMsg(tc trace.Context) Verdict { return p.verdict(&p.sig, tc) }
+
+// verdict draws one unit's fate. Draw order is fixed (loss, dup, delay)
+// so the fault schedule is stable; disabled probabilities draw nothing
+// (sim.Rand.Chance).
+func (p *Plane) verdict(u *unit, tc trace.Context) Verdict {
 	var v Verdict
-	if p.rng.Chance(p.cfg.SigLoss) {
-		p.sigDrop.Inc()
-		p.span(tc, "sig.drop")
+	if p.rng.Chance(u.loss) {
+		u.drops.Inc()
+		p.span(tc, u.dropSpan)
 		v.Drop = true
 		return v
 	}
-	if p.rng.Chance(p.cfg.SigDup) {
-		p.sigDup.Inc()
-		p.span(tc, "sig.dup")
+	if p.rng.Chance(u.dup) {
+		u.dups.Inc()
+		p.span(tc, u.dupSpan)
 		v.Dup = true
 	}
-	if p.rng.Chance(p.cfg.SigDelayProb) {
-		v.ExtraDelay = p.rng.Jitter(p.cfg.SigDelayMax)
+	if p.rng.Chance(u.delayProb) {
+		v.ExtraDelay = p.rng.Jitter(u.delayMax)
 		if v.ExtraDelay > 0 {
-			p.sigDelay.Inc()
-			p.span(tc, "sig.delay")
+			u.delays.Inc()
+			p.span(tc, u.delaySpan)
 		}
 	}
 	return v

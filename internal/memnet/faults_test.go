@@ -10,16 +10,17 @@ import (
 	"xunet/internal/sim"
 )
 
-// faultyPair builds host--router over FDDI with a fault plane attached
-// to the network.
+// faultyPair builds host--router over FDDI with one fault plane attached
+// to both nodes.
 func faultyPair(t *testing.T, cfg faults.Config) (*sim.Engine, *faults.Plane, *Node, *Node) {
 	t.Helper()
 	e := sim.New(1)
 	n := New(e)
 	fp := faults.NewPlane(cfg)
-	n.Faults = fp
 	h := n.MustAddNode("host", IP4(10, 0, 0, 1))
 	r := n.MustAddNode("router", IP4(10, 0, 0, 2))
+	h.SetFaults(fp)
+	r.SetFaults(fp)
 	n.Connect(h, r, FDDI())
 	h.SetDefaultRoute(r)
 	r.SetDefaultRoute(h)
@@ -136,11 +137,13 @@ func TestZeroProbPlaneIsInvisible(t *testing.T) {
 	run := func(withPlane bool) (uint64, uint64, []string) {
 		e := sim.New(1)
 		n := New(e)
-		if withPlane {
-			n.Faults = faults.NewPlane(faults.Config{})
-		}
 		h := n.MustAddNode("host", IP4(10, 0, 0, 1))
 		r := n.MustAddNode("router", IP4(10, 0, 0, 2))
+		if withPlane {
+			fp := faults.NewPlane(faults.Config{})
+			h.SetFaults(fp)
+			r.SetFaults(fp)
+		}
 		n.Connect(h, r, FDDI())
 		h.SetDefaultRoute(r)
 		r.SetDefaultRoute(h)
@@ -175,7 +178,7 @@ func TestZeroProbPlaneIsInvisible(t *testing.T) {
 			conn.Close()
 		})
 		e.RunUntil(10 * time.Second)
-		sent, dropped, _ := lh.Stats()
+		sent, dropped := lh.Stats()
 		return sent, dropped, got
 	}
 	sentA, dropA, gotA := run(false)
@@ -183,5 +186,32 @@ func TestZeroProbPlaneIsInvisible(t *testing.T) {
 	if sentA != sentB || dropA != dropB || len(gotA) != len(gotB) {
 		t.Fatalf("zero-prob plane changed the run: sent %d/%d dropped %d/%d delivered %d/%d",
 			sentA, sentB, dropA, dropB, len(gotA), len(gotB))
+	}
+}
+
+// TestLinkFaultsLeaveTheWorkloadStream: a plane that loses, duplicates
+// and delays packets on a link draws every fate from its own stream, so
+// after a few hundred datagrams the engine's next workload draw is still
+// the first draw of a fresh engine on the same seed.
+func TestLinkFaultsLeaveTheWorkloadStream(t *testing.T) {
+	e, fp, h, r := faultyPair(t, faults.Config{
+		Seed: 9, PktLoss: 0.1, PktDup: 0.1, PktDelayProb: 0.2, PktDelayMax: time.Millisecond,
+	})
+	_ = r.BindDatagram(9000, func(IPAddr, uint16, []byte) {})
+	e.Go("send", func(p *sim.Proc) {
+		for i := 0; i < 300; i++ {
+			_ = h.SendDatagram(r.Addr, 9000, 1, []byte("x"))
+			p.Sleep(100 * time.Microsecond)
+		}
+	})
+	e.Run()
+	snap := fp.Obs.Snapshot()
+	for _, name := range []string{"faults.pkt.drop", "faults.pkt.dup", "faults.pkt.delay"} {
+		if snap.Count(name) == 0 {
+			t.Errorf("%s = 0: the plane injected none", name)
+		}
+	}
+	if got, want := e.Rand().Uint64(), sim.New(1).Rand().Uint64(); got != want {
+		t.Fatalf("workload draw after faulty traffic = %#x, want %#x: link faults drew from the workload stream", got, want)
 	}
 }

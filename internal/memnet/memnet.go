@@ -1,15 +1,17 @@
 // Package memnet simulates the IP internetwork between Xunet hosts and
-// routers: nodes, point-to-point links with rate, propagation delay,
-// loss and reordering, IP forwarding with TTL, and per-protocol
-// dispatch by IP protocol number.
+// routers: nodes, point-to-point links with rate and propagation delay,
+// IP forwarding with TTL, and per-protocol dispatch by IP protocol
+// number.
 //
-// The paper's hosts reach their router over "reliable FDDI links"; this
-// package defaults to lossless in-order links but lets tests inject loss
-// and reordering to exercise the AAL5 and IPPROTO_ATM detection
-// machinery. Two transports are built on the raw layer: a reliable,
-// ordered, framed message stream (the TCP stand-in the signaling IPC
-// runs over) and a fire-and-forget datagram service (the UDP baseline of
-// experiment E6).
+// The paper's hosts reach their router over "reliable FDDI links", and
+// links here are lossless and in order unless a fault plane is attached
+// to the sending node (Node.SetFaults): the plane, drawing from its own
+// seeded stream, then loses, duplicates or delays each packet the node
+// transmits, which exercises the AAL5 and IPPROTO_ATM detection
+// machinery without touching the workload's random sequence. Two
+// transports are built on the raw layer: a reliable, ordered, framed
+// message stream (the TCP stand-in the signaling IPC runs over) and a
+// fire-and-forget datagram service (the UDP baseline of experiment E6).
 package memnet
 
 import (
@@ -86,11 +88,8 @@ type ProtoHandler func(pkt *Packet)
 
 // LinkConfig describes one direction of a link.
 type LinkConfig struct {
-	RateBps   uint64        // serialization rate; 0 means infinite
-	Delay     time.Duration // propagation delay
-	LossProb  float64       // independent per-packet loss probability
-	ReorderP  float64       // probability a packet is held back (overtaken)
-	ReorderBy time.Duration // how long a reordered packet is held
+	RateBps uint64        // serialization rate; 0 means infinite
+	Delay   time.Duration // propagation delay
 }
 
 // FDDI returns the paper's host–router LAN: fast and reliable.
@@ -100,15 +99,13 @@ func FDDI() LinkConfig {
 
 // link is one direction of a connection between two nodes.
 type link struct {
-	net       *Network
 	from, to  *Node
 	cfg       LinkConfig
 	busyUntil time.Duration
 
-	// Sent, Dropped and Reordered count packets for experiments.
-	Sent      uint64
-	Dropped   uint64
-	Reordered uint64
+	// Sent and Dropped count packets for the link's time series.
+	Sent    uint64
+	Dropped uint64
 }
 
 // Network is the internetwork. All methods must be called from inside
@@ -116,10 +113,6 @@ type link struct {
 type Network struct {
 	Engine *sim.Engine
 	nodes  map[IPAddr]*Node
-	// Faults, when non-nil, injects seeded packet loss, duplication,
-	// and extra delay on every link transmission, on top of (and drawn
-	// independently of) each link's own configured impairments.
-	Faults *faults.Plane
 }
 
 // New returns an empty internetwork on engine e.
@@ -131,7 +124,6 @@ func New(e *sim.Engine) *Network {
 type Node struct {
 	Name string
 	Addr IPAddr
-	net  *Network
 
 	// eng is the engine this node's events run on. Flat networks put
 	// every node on Network.Engine; a sharded testbed places each
@@ -140,9 +132,9 @@ type Node struct {
 	// xswitch boundary trunks, whose delay funds the group lookahead.
 	eng *sim.Engine
 
-	// faults, when non-nil, overrides the network-wide fault plane for
-	// links this node originates; sharded testbeds give each domain its
-	// own seeded plane so fault draws stay deterministic per shard.
+	// faults, when non-nil, injects seeded packet loss, duplication and
+	// extra delay on links this node originates; testbeds give each
+	// domain its own plane so fault draws stay deterministic per shard.
 	faults *faults.Plane
 
 	// Meter, when set, is charged the Table 1 IP costs for packets this
@@ -189,7 +181,6 @@ func (n *Network) AddNodeOn(name string, addr IPAddr, e *sim.Engine) (*Node, err
 	nd := &Node{
 		Name:     name,
 		Addr:     addr,
-		net:      n,
 		eng:      e,
 		links:    make(map[*Node]*link),
 		routes:   make(map[IPAddr]*Node),
@@ -211,17 +202,9 @@ func (n *Network) MustAddNode(name string, addr IPAddr) *Node {
 	return nd
 }
 
-// SetFaults overrides the network-wide fault plane for links this node
-// originates (nil restores the network-wide plane).
+// SetFaults attaches the fault plane that decides the fate of every
+// packet this node transmits on a link (nil detaches it: lossless).
 func (nd *Node) SetFaults(fp *faults.Plane) { nd.faults = fp }
-
-// faultPlane resolves the plane charged for this node's transmissions.
-func (nd *Node) faultPlane() *faults.Plane {
-	if nd.faults != nil {
-		return nd.faults
-	}
-	return nd.net.Faults
-}
 
 // RegisterTSeries tracks in st the load signals of every link whose
 // originating node lives on engine own: packet and drop rates plus
@@ -262,30 +245,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) {
 	if a.eng != b.eng {
 		panic(fmt.Sprintf("memnet: Connect %s<->%s across shard engines", a.Name, b.Name))
 	}
-	a.links[b] = &link{net: n, from: a, to: b, cfg: cfg}
-	b.links[a] = &link{net: n, from: b, to: a, cfg: cfg}
-}
-
-// LinkTo exposes the outgoing link from a node to a neighbor, for
-// configuring loss or reading counters in experiments.
-func (nd *Node) LinkTo(neighbor *Node) *LinkHandle {
-	l := nd.links[neighbor]
-	if l == nil {
-		return nil
-	}
-	return &LinkHandle{l: l}
-}
-
-// LinkHandle lets experiments adjust a live link.
-type LinkHandle struct{ l *link }
-
-// SetLoss sets the drop probability.
-func (h *LinkHandle) SetLoss(p float64) { h.l.cfg.LossProb = p }
-
-// SetReorder sets the reorder probability and hold-back duration.
-func (h *LinkHandle) SetReorder(p float64, by time.Duration) {
-	h.l.cfg.ReorderP = p
-	h.l.cfg.ReorderBy = by
+	a.links[b] = &link{from: a, to: b, cfg: cfg}
+	b.links[a] = &link{from: b, to: a, cfg: cfg}
 }
 
 // AddRoute sends traffic for dst via the given neighbor.
@@ -387,17 +348,11 @@ func (nd *Node) drop(pkt *Packet) {
 	discard(pkt)
 }
 
-// transmit models serialization, propagation, loss and reordering, then
-// schedules receive at the far end.
+// transmit models serialization and propagation, plus whatever the
+// sender's fault plane decides, then schedules receive at the far end.
 func (l *link) transmit(pkt *Packet) {
 	e := l.from.eng
-	rng := e.Rand()
 	l.Sent++
-	if rng.Chance(l.cfg.LossProb) {
-		l.Dropped++
-		discard(pkt)
-		return
-	}
 	var ser time.Duration
 	if l.cfg.RateBps > 0 {
 		bits := uint64(pkt.len()) * 8
@@ -409,12 +364,8 @@ func (l *link) transmit(pkt *Packet) {
 	}
 	l.busyUntil = start + ser
 	arrive := l.busyUntil + l.cfg.Delay - e.Now()
-	if rng.Chance(l.cfg.ReorderP) {
-		l.Reordered++
-		arrive += l.cfg.ReorderBy
-	}
 	var dup *Packet
-	if fp := l.from.faultPlane(); fp != nil {
+	if fp := l.from.faults; fp != nil {
 		v := fp.Packet(trace.Context{})
 		if v.Drop {
 			l.Dropped++

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xunet/internal/cost"
+	"xunet/internal/faults"
 	"xunet/internal/mbuf"
 	"xunet/internal/sim"
 )
@@ -24,6 +25,12 @@ func twoNodes(t *testing.T) (*sim.Engine, *Network, *Node, *Node) {
 	h.SetDefaultRoute(r)
 	r.SetDefaultRoute(h)
 	return e, n, h, r
+}
+
+// lossy attaches to nd a fault plane that loses the given fraction of
+// the packets it transmits.
+func lossy(nd *Node, loss float64) {
+	nd.SetFaults(faults.NewPlane(faults.Config{PktLoss: loss}))
 }
 
 // forEachPair runs test over both paths a stream segment can take:
@@ -142,7 +149,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestLinkLoss(t *testing.T) {
 	e, _, h, r := twoNodes(t)
-	h.LinkTo(r).SetLoss(1.0)
+	lossy(h, 1)
 	delivered := false
 	r.BindProto(50, func(*Packet) { delivered = true })
 	_ = h.SendChain(r.Addr, 50, mbuf.FromBytes(nil))
@@ -150,7 +157,7 @@ func TestLinkLoss(t *testing.T) {
 	if delivered {
 		t.Fatal("packet survived 100% loss")
 	}
-	sent, dropped, _ := h.LinkTo(r).Stats()
+	sent, dropped := h.LinkTo(r).Stats()
 	if sent != 1 || dropped != 1 {
 		t.Fatalf("stats sent=%d dropped=%d", sent, dropped)
 	}
@@ -297,8 +304,9 @@ func TestStreamOrderingManyMessages(t *testing.T) {
 
 func TestStreamReliabilityUnderLoss(t *testing.T) {
 	e, _, h, r := twoNodes(t)
-	h.LinkTo(r).SetLoss(0.2)
-	r.LinkTo(h).SetLoss(0.2)
+	fp := faults.NewPlane(faults.Config{PktLoss: 0.2})
+	h.SetFaults(fp)
+	r.SetFaults(fp)
 	l, _ := r.ListenStream(5000)
 	var got []int
 	e.Go("server", func(p *sim.Proc) {
@@ -337,7 +345,7 @@ func TestStreamReliabilityUnderLoss(t *testing.T) {
 
 func TestStreamReorderingMasked(t *testing.T) {
 	e, _, h, r := twoNodes(t)
-	h.LinkTo(r).SetReorder(0.3, 5*time.Millisecond)
+	h.SetFaults(faults.NewPlane(faults.Config{PktDelayProb: 0.3, PktDelayMax: 10 * time.Millisecond}))
 	l, _ := r.ListenStream(5000)
 	var got []int
 	e.Go("server", func(p *sim.Proc) {
@@ -493,7 +501,7 @@ func TestDatagramPortConflictAndUnbind(t *testing.T) {
 
 func TestDatagramIsUnreliable(t *testing.T) {
 	e, _, h, r := twoNodes(t)
-	h.LinkTo(r).SetLoss(1.0)
+	lossy(h, 1)
 	seen := false
 	_ = r.BindDatagram(9000, func(IPAddr, uint16, []byte) { seen = true })
 	_ = h.SendDatagram(r.Addr, 9000, 1, []byte("y"))
@@ -528,7 +536,7 @@ func TestStreamResetAfterPeerVanishes(t *testing.T) {
 			// retransmission exhaustion. The loopback cannot lose the RST
 			// its data draws, so there it is the RST that resets.
 			if r != h {
-				r.LinkTo(h).SetLoss(1.0)
+				lossy(r, 1)
 			}
 			_ = s.Send([]byte("into the void"))
 		})

@@ -176,15 +176,10 @@ func TestAbortWithSegmentsInFlight(t *testing.T) {
 }
 
 // dropCases builds, for each way a packet can end before any handler —
-// link loss, fault-plane loss, TTL expiry, no route, no handler — a
+// fault-plane loss, TTL expiry, no route, no handler — a
 // network in which a stream segment or raw packet from "from" to dst
 // ends that way.
 var dropCases = map[string]func(t *testing.T) (e *sim.Engine, from *Node, dst IPAddr, nodes []*Node){
-	"link loss": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
-		e, _, h, r := twoNodes(t)
-		h.LinkTo(r).SetLoss(1)
-		return e, h, r.Addr, []*Node{h, r}
-	},
 	"fault-plane loss": func(t *testing.T) (*sim.Engine, *Node, IPAddr, []*Node) {
 		e, _, h, r := faultyPair(t, faults.Config{Seed: 3, PktLoss: 1})
 		return e, h, r.Addr, []*Node{h, r}

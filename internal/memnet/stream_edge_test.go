@@ -79,8 +79,8 @@ func TestDataToClosedConnDrawsRST(t *testing.T) {
 	e.Run()
 	// The RST comes back to h and finds no connection either; it must
 	// NOT provoke a counter-RST storm. Count stream packets on the wire.
-	sentHR, _, _ := h.LinkTo(r).Stats()
-	sentRH, _, _ := r.LinkTo(h).Stats()
+	sentHR, _ := h.LinkTo(r).Stats()
+	sentRH, _ := r.LinkTo(h).Stats()
 	if sentHR != 1 || sentRH != 1 {
 		t.Fatalf("packets h->r=%d r->h=%d, want exactly 1 each (no RST storm)", sentHR, sentRH)
 	}
@@ -146,12 +146,12 @@ func TestSegmentBeyondWindowIsDropped(t *testing.T) {
 		cli, _ := h.DialStream(p, r.Addr, 5000)
 		_ = cli.Send([]byte("one"))
 		p.Sleep(10 * time.Millisecond)
-		before, _, _ := r.LinkTo(h).Stats()
+		before, _ := r.LinkTo(h).Stats()
 		far := srv.recvNext + streamWindow + 1
 		forge(h, r.Addr, segment{flags: flagDATA, sport: cli.LocalPort(), dport: 5000, seq: far, data: []byte("far")})
 		forge(h, r.Addr, segment{flags: flagFIN, sport: cli.LocalPort(), dport: 5000, seq: far + 1})
 		p.Sleep(10 * time.Millisecond)
-		after, _, _ := r.LinkTo(h).Stats()
+		after, _ := r.LinkTo(h).Stats()
 		acks = after - before
 		_ = cli.Send([]byte("two"))
 	})

@@ -8,5 +8,5 @@ func (st *Store) Events() []HealthEvent {
 	if st == nil {
 		return nil
 	}
-	return st.events.Last(st.eventCap)
+	return st.events.Last(eventCapacity)
 }

@@ -6,10 +6,10 @@
 // ticker in the real-mode daemon — so the store itself never touches a
 // clock and same-seed runs export byte-identical series.
 //
-// Declarative watermark rules (queue depth over N for M ticks,
-// retransmit-rate spikes, flight-dump bursts) evaluate after every
-// scrape and emit health events on state edges; consumers wire
-// OnHealthEvent to collect them or trigger the flight recorder.
+// Declarative watermark rules (queue depth over N, retransmit-rate
+// spikes, flight-dump bursts) evaluate after every scrape and emit
+// health events on state edges; consumers wire OnHealthEvent to collect
+// them or trigger the flight recorder.
 //
 // A store has one owner, the goroutine that ticks it: a sim domain's
 // engine, or a real daemon's actor, onto which the daemon's wall-clock
@@ -44,15 +44,14 @@ type Config struct {
 	// Capacity is how many points each series retains (ring; oldest
 	// overwritten).
 	Capacity int
-	// EventCapacity bounds the health-event ring (default 256).
-	EventCapacity int
 }
 
-// defaultInterval and defaultCapacity apply when Config leaves them zero.
+// defaultInterval and defaultCapacity apply when Config leaves them zero;
+// eventCapacity bounds the health-event ring.
 const (
-	defaultInterval      = 10 * time.Millisecond
-	defaultCapacity      = 512
-	defaultEventCapacity = 256
+	defaultInterval = 10 * time.Millisecond
+	defaultCapacity = 512
+	eventCapacity   = 256
 )
 
 // kind classifies how a series samples its source.
@@ -144,26 +143,24 @@ type regSource struct {
 	lastSize int
 }
 
-// Rule is a declarative watermark: fire when a series' sampled value
-// stays past the threshold for ForTicks consecutive ticks; clear on the
-// first tick back inside. Series may contain one '*' wildcard, matching
-// every series whose name fits the prefix/suffix around it — each match
-// tracks its own independent fire/clear state.
+// Rule is a declarative watermark: fire on the first tick a series'
+// sampled value reaches the threshold; clear on the first tick back
+// below it. Series may contain one '*' wildcard, matching every series
+// whose name fits the prefix/suffix around it — each match tracks its
+// own independent fire/clear state.
 type Rule struct {
 	Name   string `json:"name"`
 	Series string `json:"series"`
 	// Threshold compares against the point's V (or Aux when OnAux):
-	// fire condition is value >= Threshold, or <= when Below.
+	// fire condition is value >= Threshold.
 	Threshold int64 `json:"threshold"`
-	Below     bool  `json:"below,omitempty"`
 	// OnAux watches the auxiliary component (gauge high-water, counter
 	// raw total, histogram P99) instead of V.
 	OnAux bool `json:"on_aux,omitempty"`
-	// ForTicks is how many consecutive out-of-band ticks arm the rule
-	// (minimum 1).
-	ForTicks int `json:"for_ticks"`
 }
 
+// ruleState is one rule's state over one series; streak counts the
+// consecutive out-of-band ticks, which the export reports.
 type ruleState struct {
 	streak int
 	firing bool
@@ -210,10 +207,9 @@ type Store struct {
 	byName map[string]bool
 	regs   []regSource
 
-	rules    []*rule
-	events   sim.Ring[HealthEvent]
-	eventCap int
-	onEvent  func(HealthEvent)
+	rules   []*rule
+	events  sim.Ring[HealthEvent]
+	onEvent func(HealthEvent)
 
 	ticks  uint64
 	lastAt time.Duration
@@ -227,14 +223,10 @@ func New(cfg Config) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
-	if cfg.EventCapacity <= 0 {
-		cfg.EventCapacity = defaultEventCapacity
-	}
 	return &Store{
 		interval: cfg.Interval,
 		capacity: cfg.Capacity,
 		byName:   make(map[string]bool),
-		eventCap: cfg.EventCapacity,
 	}
 }
 
@@ -320,9 +312,6 @@ func (st *Store) AddRule(r Rule) {
 	if st == nil {
 		return
 	}
-	if r.ForTicks < 1 {
-		r.ForTicks = 1
-	}
 	st.rules = append(st.rules, &rule{def: r, states: make(map[int]*ruleState)})
 }
 
@@ -373,29 +362,26 @@ func (st *Store) evalRules(now time.Duration) {
 				v = p.Aux
 			}
 			out := v >= r.def.Threshold
-			if r.def.Below {
-				out = v <= r.def.Threshold
-			}
-			if out {
-				state.streak++
-			} else {
+			state.streak++
+			if !out {
 				state.streak = 0
 			}
-			switch {
-			case !state.firing && state.streak >= r.def.ForTicks:
-				state.firing = true
-				st.emit(HealthEvent{At: now, Tick: st.ticks, Rule: r.def.Name, Series: s.name, Value: v, State: "fire"})
-			case state.firing && !out:
-				state.firing = false
-				st.emit(HealthEvent{At: now, Tick: st.ticks, Rule: r.def.Name, Series: s.name, Value: v, State: "clear"})
+			if out == state.firing {
+				continue
 			}
+			state.firing = out
+			edge := "clear"
+			if out {
+				edge = "fire"
+			}
+			st.emit(HealthEvent{At: now, Tick: st.ticks, Rule: r.def.Name, Series: s.name, Value: v, State: edge})
 		}
 	}
 }
 
 // emit keeps ev in the bounded event ring and invokes the callback.
 func (st *Store) emit(ev HealthEvent) {
-	st.events.Keep(ev, st.eventCap)
+	st.events.Keep(ev, eventCapacity)
 	if st.onEvent != nil {
 		st.onEvent(ev)
 	}
@@ -437,7 +423,7 @@ func (st *Store) Export() Export {
 	}
 	sort.Slice(out.Series, func(i, j int) bool { return out.Series[i].Name < out.Series[j].Name })
 	out.Rules = st.ruleSnaps()
-	out.Events = st.events.Last(st.eventCap)
+	out.Events = st.events.Last(eventCapacity)
 	return out
 }
 
@@ -510,7 +496,7 @@ func (st *Store) HealthText() string {
 	}
 	if st.events.Len() > 0 {
 		b.WriteString("EVENTS (oldest first)\n")
-		for _, ev := range st.events.Last(st.eventCap) {
+		for _, ev := range st.events.Last(eventCapacity) {
 			b.WriteString("  " + ev.String() + "\n")
 		}
 	}
@@ -528,7 +514,7 @@ func (st *Store) HealthJSON() string {
 	out := struct {
 		Rules  []RuleSnap    `json:"rules,omitempty"`
 		Events []HealthEvent `json:"events,omitempty"`
-	}{st.ruleSnaps(), st.events.Last(st.eventCap)}
+	}{st.ruleSnaps(), st.events.Last(eventCapacity)}
 	b, err := json.Marshal(out)
 	if err != nil {
 		return "{}"

@@ -88,26 +88,28 @@ func TestGaugeAndHistSampling(t *testing.T) {
 }
 
 func TestRingWraps(t *testing.T) {
-	st := New(Config{Capacity: 4, EventCapacity: 3})
+	st := New(Config{Capacity: 4})
 	v, lvl := uint64(0), int64(0)
 	st.TrackRateFunc("c", func() uint64 { return v }, 0, 0)
 	// A level that flips every tick fires or clears its rule each time.
 	st.TrackGaugeFunc("g", func() (int64, int64) { return lvl, 0 })
 	st.AddRule(Rule{Name: "odd", Series: "g", Threshold: 1})
-	for i := 1; i <= 10; i++ {
+	const n = eventCapacity + 10
+	for i := 1; i <= n; i++ {
 		v += uint64(i)
 		lvl = int64(i % 2)
 		tick(st, i)
 	}
-	if evs := st.Events(); len(evs) != 3 || evs[0].Tick != 8 || evs[2].Tick != 10 {
-		t.Fatalf("event ring kept %+v, want ticks 8..10", evs)
+	if evs := st.Events(); len(evs) != eventCapacity || evs[0].Tick != n-eventCapacity+1 || evs[len(evs)-1].Tick != n {
+		t.Fatalf("event ring kept %d events from tick %d, want %d from tick %d",
+			len(evs), evs[0].Tick, eventCapacity, n-eventCapacity+1)
 	}
 	pts := st.Export().Series[0].Points // "c" sorts before "g"
 	if len(pts) != 4 {
 		t.Fatalf("retained %d points, want 4", len(pts))
 	}
-	// Oldest-first: deltas 7,8,9,10 from ticks 7..10.
-	for i, want := range []int64{7, 8, 9, 10} {
+	// Oldest-first: the deltas of the last four ticks.
+	for i, want := range []int64{n - 3, n - 2, n - 1, n} {
 		if pts[i].V != want {
 			t.Fatalf("pts[%d].V = %d, want %d (%+v)", i, pts[i].V, want, pts)
 		}
@@ -139,19 +141,18 @@ func TestWatermarkRuleEdges(t *testing.T) {
 	st := New(Config{Capacity: 8})
 	depth := int64(0)
 	st.TrackGaugeFunc("q.depth", func() (int64, int64) { return depth, depth })
-	st.AddRule(Rule{Name: "deep", Series: "q.*", Threshold: 5, ForTicks: 2})
+	st.AddRule(Rule{Name: "deep", Series: "q.*", Threshold: 5})
 	var events []HealthEvent
 	st.OnHealthEvent(func(ev HealthEvent) { events = append(events, ev) })
 
+	tick(st, 1) // in band: nothing
 	depth = 6
-	tick(st, 1) // streak 1: no fire yet
-	tick(st, 2) // streak 2: fire
+	tick(st, 2) // first out-of-band tick: fire
 	tick(st, 3) // still firing: no re-fire
 	depth = 1
 	tick(st, 4) // clear
 	depth = 9
-	tick(st, 5)
-	tick(st, 6) // fire again
+	tick(st, 5) // fire again
 
 	if len(events) != 3 {
 		t.Fatalf("events = %+v, want fire/clear/fire", events)
@@ -162,7 +163,7 @@ func TestWatermarkRuleEdges(t *testing.T) {
 	if events[1].State != "clear" || events[1].Tick != 4 {
 		t.Fatalf("second event = %+v", events[1])
 	}
-	if events[2].State != "fire" || events[2].Tick != 6 {
+	if events[2].State != "fire" || events[2].Tick != 5 {
 		t.Fatalf("third event = %+v", events[2])
 	}
 	if got := st.Events(); len(got) != 3 {
@@ -174,18 +175,19 @@ func TestWatermarkRuleEdges(t *testing.T) {
 	}
 }
 
-func TestRuleBelowAndAux(t *testing.T) {
+func TestRuleOnAux(t *testing.T) {
 	st := New(Config{Capacity: 8})
 	val, hi := int64(10), int64(10)
 	st.TrackGaugeFunc("g", func() (int64, int64) { return val, hi })
-	st.AddRule(Rule{Name: "starved", Series: "g", Threshold: 2, Below: true, ForTicks: 1})
-	st.AddRule(Rule{Name: "hiwater", Series: "g", Threshold: 50, OnAux: true, ForTicks: 1})
-	val = 1
-	hi = 60
-	tick(st, 1)
+	st.AddRule(Rule{Name: "hiwater", Series: "g", Threshold: 50, OnAux: true})
+	tick(st, 1) // V past the threshold, Aux not: nothing
+	val, hi = 60, 60
+	tick(st, 2)
+	val = 1 // V back in band, Aux still high: no clear
+	tick(st, 3)
 	events := st.Events()
-	if len(events) != 2 {
-		t.Fatalf("events = %+v, want both rules firing", events)
+	if len(events) != 1 || events[0].Tick != 2 || events[0].Value != 60 {
+		t.Fatalf("events = %+v, want one fire on the high-water mark at tick 2", events)
 	}
 }
 
@@ -229,7 +231,7 @@ func TestExportDeterminism(t *testing.T) {
 		reg.Gauge("g").Set(4)
 		reg.Histogram("h").Observe(time.Millisecond)
 		st.TrackRegistry("r.", reg)
-		st.AddRule(Rule{Name: "rule", Series: "r.g", Threshold: 1, ForTicks: 1})
+		st.AddRule(Rule{Name: "rule", Series: "r.g", Threshold: 1})
 		tick(st, 1)
 		tick(st, 2)
 		return st.JSON()
@@ -246,7 +248,7 @@ func TestTickSteadyStateDoesNotAllocate(t *testing.T) {
 	reg.Gauge("g").Set(2)
 	reg.Histogram("h").Observe(time.Millisecond)
 	st.TrackRegistry("r.", reg)
-	st.AddRule(Rule{Name: "rule", Series: "r.g", Threshold: 1, ForTicks: 1})
+	st.AddRule(Rule{Name: "rule", Series: "r.g", Threshold: 1})
 	st.Tick(0) // adopt + first fire; rule state maps populate here
 	now := time.Duration(0)
 	avg := testing.AllocsPerRun(100, func() {

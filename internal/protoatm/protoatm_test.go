@@ -9,6 +9,7 @@ import (
 	"xunet/internal/atm"
 	"xunet/internal/core"
 	"xunet/internal/cost"
+	"xunet/internal/faults"
 	"xunet/internal/kern"
 	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
@@ -219,8 +220,9 @@ func TestVCIShutDiscardsForwarding(t *testing.T) {
 func TestSequenceDetectionOnReorderingPath(t *testing.T) {
 	r := newRig(t)
 	vc := r.provision(t)
-	// Make the hostA->routerA FDDI segment reorder aggressively.
-	r.hostA.M.IP.LinkTo(r.ra.M.IP).SetReorder(0.5, 3*time.Millisecond)
+	// Make the hostA->routerA FDDI segment reorder aggressively: a fault
+	// plane on hostA's node holds half its packets back up to 6 ms.
+	r.hostA.M.IP.SetFaults(faults.NewPlane(faults.Config{PktDelayProb: 0.5, PktDelayMax: 6 * time.Millisecond}))
 	received := 0
 	r.hostB.Spawn("server", func(p *kern.Proc) {
 		s, _ := r.hostB.PF.Socket(p)

@@ -10,7 +10,6 @@ import (
 	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
 	"xunet/internal/qos"
-	"xunet/internal/trace"
 )
 
 // This file implements the §5.4 design-choice ablation (experiment X2):
@@ -101,18 +100,6 @@ func UseUDPCarrier(host *Host) (*CarrierStats, error) {
 		payload := append(tunnelHeader(vci, seq), frame.Bytes()...)
 		frame.Release()
 		seq++
-		// Carrier-layer fault hook: tunneled frames can be lost or
-		// duplicated at the encapsulation boundary itself, on top of
-		// whatever the underlying links do.
-		if fp := router.dom.Faults; fp != nil {
-			v := fp.Packet(trace.Context{})
-			if v.Drop {
-				return nil
-			}
-			if v.Dup {
-				_ = host.Stack.M.IP.SendDatagram(router.Stack.M.IP.Addr, tunnelPort, tunnelPort, payload)
-			}
-		}
 		return host.Stack.M.IP.SendDatagram(router.Stack.M.IP.Addr, tunnelPort, tunnelPort, payload)
 	})
 	return st, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xunet/internal/core"
+	"xunet/internal/faults"
 	"xunet/internal/testbed"
 )
 
@@ -95,7 +96,7 @@ func TestCarrierTCP(t *testing.T) {
 func TestCarrierLossBehaviour(t *testing.T) {
 	// Raw IP under loss: frames vanish, sequence numbers notice.
 	n1, host1 := hostRig(t)
-	host1.Stack.M.IP.LinkTo(host1.Router.Stack.M.IP).SetLoss(0.1)
+	host1.Stack.M.IP.SetFaults(faults.NewPlane(faults.Config{PktLoss: 0.1}))
 	res1, err := testbed.RunCarrierTransfer(n1, host1, 200, 1400, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestCarrierLossBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host2.Stack.M.IP.LinkTo(host2.Router.Stack.M.IP).SetLoss(0.1)
+	host2.Stack.M.IP.SetFaults(faults.NewPlane(faults.Config{PktLoss: 0.1}))
 	res2, err := testbed.RunCarrierTransfer(n2, host2, 200, 1400, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,8 @@ func TestZeroProbPlaneInvisibleEndToEnd(t *testing.T) {
 		}
 		if attachZeroPlane {
 			fp := faults.NewPlane(faults.Config{})
-			n.IPNet.Faults = fp
+			ra.Stack.M.IP.SetFaults(fp)
+			rb.Stack.M.IP.SetFaults(fp)
 			n.Fabric.Faults = fp
 			ra.Stack.M.Dev.SetFaults(fp)
 			rb.Stack.M.Dev.SetFaults(fp)

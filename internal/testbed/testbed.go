@@ -215,7 +215,7 @@ func newNet(opts Options, g *sim.ShardGroup) *Net {
 		n.Domains = append(n.Domains, dom)
 	}
 	n.Domain = n.Domains[0]
-	n.Fabric.TraceC, n.Fabric.Faults, n.IPNet.Faults = n.TraceC, n.Faults, n.Faults
+	n.Fabric.TraceC, n.Fabric.Faults = n.TraceC, n.Faults
 	if n.TS != nil && len(n.Domains) == 1 {
 		// The fabric registry is written by every shard, so only a
 		// single-domain store may scrape it. Its metric names already carry
@@ -258,9 +258,9 @@ func (n *Net) Close() {
 // flight-recorder dumps in one tick.
 func defaultHealthRules() []tseries.Rule {
 	return []tseries.Rule{
-		{Name: "trunk-queue-buildup", Series: "fabric.trunk.*.qdepth", Threshold: QueueWatermarkCells, OnAux: true, ForTicks: 1},
-		{Name: "retransmit-spike", Series: "*.sighost.rel.retransmits", Threshold: 3, ForTicks: 1},
-		{Name: "flight-dump-burst", Series: "*.trace.flight.dumps", Threshold: 3, ForTicks: 1},
+		{Name: "trunk-queue-buildup", Series: "fabric.trunk.*.qdepth", Threshold: QueueWatermarkCells, OnAux: true},
+		{Name: "retransmit-spike", Series: "*.sighost.rel.retransmits", Threshold: 3},
+		{Name: "flight-dump-burst", Series: "*.trace.flight.dumps", Threshold: 3},
 	}
 }
 

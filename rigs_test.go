@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xunet/internal/cost"
+	"xunet/internal/faults"
 	"xunet/internal/kern"
 	"xunet/internal/mbuf"
 	"xunet/internal/memnet"
@@ -311,8 +312,8 @@ type carrierRun struct {
 }
 
 // carrier streams frames 1400-byte frames, one every 100 µs, from a
-// host to its router encapsulated over c, with the host's link losing
-// the given fraction of packets.
+// host to its router encapsulated over c, with a fault plane on the
+// host's node losing the given fraction of the packets it sends.
 func (l *lab) carrier(c testbed.Carrier, loss float64, frames int) carrierRun {
 	return run(l, fmt.Sprint("carrier ", c, loss, frames), func(t *testing.T) carrierRun {
 		const size = 1400
@@ -335,7 +336,7 @@ func (l *lab) carrier(c testbed.Carrier, loss float64, frames int) carrierRun {
 			t.Fatal(err)
 		}
 		if loss > 0 {
-			host.Stack.M.IP.LinkTo(ra.Stack.M.IP).SetLoss(loss)
+			host.Stack.M.IP.SetFaults(faults.NewPlane(faults.Config{PktLoss: loss}))
 		}
 		res, err := testbed.RunCarrierTransfer(n, host, frames, size, 100*time.Microsecond)
 		if err != nil {
