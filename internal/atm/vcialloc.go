@@ -17,7 +17,6 @@ type Lease struct {
 // released VCI is reused most-recently-freed first. VCIs below min
 // (the reserved/PVC range) are never handed out.
 type VCIAlloc struct {
-	min  VCI
 	next VCI      // next never-used value; past MaxVCI means exhausted
 	free []VCI    // LIFO of released values
 	used []bool   // per VCI, granted and not freed
@@ -30,7 +29,7 @@ func NewVCIAlloc(min VCI) *VCIAlloc {
 	if min < 32 {
 		min = 32
 	}
-	return &VCIAlloc{min: min, next: min}
+	return &VCIAlloc{next: min}
 }
 
 // Alloc grants an unused VCI; the zero Lease means the space is exhausted.

@@ -9,7 +9,7 @@ import (
 // lineCeiling is the most non-test Go lines the module may hold outside
 // bench/. A change that deletes code lowers it to the new count; raising
 // it takes a line in CHANGES.md saying why.
-const lineCeiling = 20459
+const lineCeiling = 20409
 
 // TestLineCeiling counts what `make loc` counts, every non-test .go file
 // under the module root outside bench/ (testdata included), directory by

@@ -17,8 +17,12 @@ func TestOnly() int { return 1 }
 func Used() *Result { return &Result{n: Internal + Shared + int(busy-idle)} }
 
 // Result is named by no other file; it is reachable through Used's
-// signature. Used's literal names n by key; unused is flagged.
-type Result struct{ n, unused int }
+// signature. Used's literal writes n by key; Tally reads it, and inc, add
+// and addr by a bump, an add-assign and an address. unused is flagged, and
+// so is written, which is only assigned.
+type Result struct{ n, unused, written, inc, add, addr int }
+
+func (r *Result) Tally() *int { r.written = r.n; r.inc++; r.add += 2; return &r.addr }
 
 // Shape is an interface main.go uses.
 type Shape interface{ Area() int }

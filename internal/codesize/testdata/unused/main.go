@@ -14,5 +14,5 @@ func main() {
 	var st lib.Stack[int]
 	st.Push(1)
 	lib.A{}.Run()
-	fmt.Println(r, s.Area(), st, lib.B{}, errors.Is(lib.Err{}, lib.ErrSentinel), lib.Hidden())
+	fmt.Println(r, r.Tally(), s.Area(), st, lib.B{}, errors.Is(lib.Err{}, lib.ErrSentinel), lib.Hidden())
 }

@@ -53,11 +53,13 @@ import (
 // excludes (a build-constraint fallback) counts as reached.
 //
 // The check also reports each unexported struct field of internal/,
-// cmd/ or examples/ that no non-test code of the module names, reached
-// or not. A field is named by a selector, by a key of a composite
-// literal, by a positional literal of its struct (which names every
-// field), or by being an embedded field on the path of a promoted
-// selector. A field with a struct tag is exempt: reflection reads it.
+// cmd/ or examples/ that no non-test code of the module reads, reached
+// or not. A field is read by a selector, by a positional literal of its
+// struct (which names every field), or by being an embedded field on the
+// path of a promoted selector. A selector that is the target of a plain
+// assignment (x.f = v) and a key of a composite literal only write the
+// field; x.f++, x.f += v and &x.f read it. A field with a struct tag is
+// exempt: reflection reads it.
 
 // stdlibIfaces are the stdlib interfaces, by method names, whose
 // methods stdlib code calls without the module calling them by name.
@@ -108,7 +110,7 @@ type decl struct {
 // reachReport is what the check found over one module.
 type reachReport struct {
 	unreached []*finding
-	// fields lists the unexported struct fields no code names, each as
+	// fields lists the unexported struct fields no code reads, each as
 	// "Type.field" (or "field" in an anonymous struct) at its line, of
 	// the nFields checked.
 	fields  []*finding
@@ -129,7 +131,7 @@ type walker struct {
 	ifaces    map[string][]types.Type // method name → interfaces reached calls go through
 	testUsed  map[string]bool         // by key, what another package's tests name
 	fields    map[*types.Var]*finding // gated unexported fields without a tag
-	fieldUsed map[*types.Var]bool     // fields some non-test code names
+	fieldUsed map[*types.Var]bool     // fields some non-test code reads
 }
 
 // findUnreached loads the module at root (a directory holding go.mod)
@@ -440,7 +442,7 @@ func (w *walker) declare(root string, p *pkg) {
 }
 
 // fieldsOf records the gated unexported fields p's non-test files
-// declare without a tag, and the fields they name.
+// declare without a tag, and the fields they read.
 func (w *walker) fieldsOf(root string, p *pkg) {
 	top, _, _ := strings.Cut(p.dir, "/")
 	gated := top == "internal" || top == "cmd" || top == "examples"
@@ -450,8 +452,21 @@ func (w *walker) fieldsOf(root string, p *pkg) {
 			continue
 		}
 		owner := map[*ast.StructType]string{} // a named struct's type name
+		written := map[*ast.Ident]bool{}      // assignment targets and literal keys
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel.Sel] = true
+						}
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
 			case *ast.TypeSpec:
 				if st, ok := n.Type.(*ast.StructType); ok {
 					owner[st] = n.Name.Name
@@ -461,7 +476,7 @@ func (w *walker) fieldsOf(root string, p *pkg) {
 					w.declareFields(root, p, n, owner[n])
 				}
 			case *ast.Ident:
-				if v, ok := p.info.Uses[n].(*types.Var); ok && v.IsField() {
+				if v, ok := p.info.Uses[n].(*types.Var); ok && v.IsField() && !written[n] {
 					name(v)
 				}
 			case *ast.CompositeLit:
@@ -770,7 +785,7 @@ func (w *walker) report() *reachReport {
 			rep.fields = append(rep.fields, f)
 		}
 	}
-	sort.Slice(rep.fields, func(i, j int) bool { return rep.fields[i].file < rep.fields[j].file })
+	sort.Slice(rep.fields, func(i, j int) bool { return rep.fields[i].String() < rep.fields[j].String() })
 	sort.Slice(rep.unreached, func(i, j int) bool { return rep.unreached[i].String() < rep.unreached[j].String() })
 	for _, names := range rep.ownOnly {
 		slices.Sort(names)
@@ -792,6 +807,7 @@ var allowed = []struct{ name, reason string }{
 	{"internal/signaling.ServiceRequest.Reject", "§8 library verb: a server declines a call"},
 	{"internal/testbed.EchoServer.Kill", "§4 robustness: the remote application dies mid-call in signaling's failure tests"},
 	{"internal/sim.Rand.Intn", "the seeded source the randomized tests of six packages draw their schedules from"},
+	{"internal/signaling.cell.to", "the protocol table's oracle: the state each cell leaves a call in, which its tests check the actions against"},
 }
 
 // allows returns the allowlist name covering f, or "".
@@ -830,9 +846,14 @@ func TestNoUnreachableCode(t *testing.T) {
 		t.Errorf("%s (%s, %d lines): no root reaches it", f, f.file, f.lines)
 	}
 	for _, f := range rep.fields {
-		t.Errorf("%s (%s): no code reads or writes this field", f, f.file)
+		if name := allows(f); name != "" {
+			hit[name]++
+			t.Logf("%s (%s): allowed by %s", f, f.file, name)
+			continue
+		}
+		t.Errorf("%s (%s): no code reads this field", f, f.file)
 	}
-	t.Logf("%d untagged unexported struct fields, %d that no code names", rep.nFields, len(rep.fields))
+	t.Logf("%d untagged unexported struct fields, %d that no code reads", rep.nFields, len(rep.fields))
 	if lines > 0 {
 		t.Logf("%d lines: delete them, move them into an export_test.go if their package's tests use them, or allowlist them with a reason", lines)
 	}
@@ -890,8 +911,8 @@ func TestUnreachableCodeFixture(t *testing.T) {
 	for _, f := range rep.fields {
 		fields = append(fields, f.String())
 	}
-	if want := []string{"internal/lib.Result.unused"}; !slices.Equal(fields, want) {
-		t.Errorf("fields no code names = %q, want %q", fields, want)
+	if want := []string{"internal/lib.Result.unused", "internal/lib.Result.written"}; !slices.Equal(fields, want) {
+		t.Errorf("fields no code reads = %q, want %q", fields, want)
 	}
 	// Shared, which internal/use's tests name, is not listed.
 	if own := rep.ownOnly["internal/lib"]; !slices.Equal(own, []string{"Internal", "Result"}) {

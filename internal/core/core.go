@@ -48,23 +48,19 @@ type RouterConfig struct {
 	IP            *memnet.Node
 	Fabric        *xswitch.Fabric
 	Switch        *xswitch.Switch
-	Attach        xswitch.LinkConfig // zero value means TAXI()
-	DeviceBuffers int                // zero means kern's default, 8
-	FDTableSize   int                // zero means kern.DefaultFDTableSize
+	DeviceBuffers int // zero means kern's default, 8
+	FDTableSize   int // zero means kern.DefaultFDTableSize
 }
 
 // NewRouter builds a router: full stack plus a Hobbit board attached to
-// the fabric.
+// the fabric over a TAXI link.
 func NewRouter(e *sim.Engine, cm sim.CostModel, cfg RouterConfig) (*Stack, error) {
-	if cfg.Attach == (xswitch.LinkConfig{}) {
-		cfg.Attach = xswitch.TAXI()
-	}
 	m := kern.NewMachine(cfg.Name, e, cm, cfg.IP)
 	if cfg.FDTableSize > 0 {
 		m.FDTableSize = cfg.FDTableSize
 	}
 	m.InstallPseudoDev(cfg.DeviceBuffers)
-	ep, err := cfg.Fabric.AttachOn(cfg.Addr, nil, cfg.Switch, cfg.Attach, e)
+	ep, err := cfg.Fabric.AttachOn(cfg.Addr, nil, cfg.Switch, xswitch.TAXI(), e)
 	if err != nil {
 		return nil, fmt.Errorf("core: attach %s: %w", cfg.Addr, err)
 	}

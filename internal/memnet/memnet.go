@@ -270,23 +270,11 @@ func (nd *Node) SendChain(dst IPAddr, proto uint8, chain *mbuf.Chain) error {
 }
 
 // Audit states the node's free lists: every packet it sent and every
-// loopback segment has ended, and no consumer waits behind another on a
-// listener or a connection.
+// loopback segment has ended. No reader waits behind another on a
+// listener or a connection: sim.Queue panics at the get that would.
 func (nd *Node) Audit(check sim.Audit) {
-	sl := nd.streams
-	accepts, recvs := 0, 0
-	for _, u := range sl.ports {
-		if u.l != nil {
-			accepts += u.l.backlog.Waiting()
-		}
-	}
-	for _, s := range sl.conns.All() {
-		recvs += s.inbox.Waiting()
-	}
 	check("packets", nd.pkts.Outstanding(), 0)
-	check("loop segments", sl.segs.Outstanding(), 0)
-	check("accept waiters", accepts, 0)
-	check("receive waiters", recvs, 0)
+	check("loop segments", nd.streams.segs.Outstanding(), 0)
 }
 
 // reclaim sends a record home; every path a packet ends on calls it once.

@@ -2,37 +2,34 @@ package sim
 
 import "time"
 
-// Queue is an unbounded FIFO mailbox connecting simulation entities.
-// Producers Put from engine or process context; consumer processes Get,
-// blocking until an item, a timeout, or Close. Items are handed directly
-// to the longest-waiting consumer, so delivery order is deterministic.
-// The zero value is an empty open queue, so a Queue can be embedded by
-// value in the record that owns it.
+// Queue is an unbounded FIFO mailbox with one reader, as every mailbox
+// of the simulated world has: a socket's receive queue, a listener's
+// backlog, a stream's inbox. Producers Put from engine or process
+// context; the reader Gets, blocking until an item, a timeout, or Close.
+// An item Put while the reader waits is handed to it directly. A second
+// process that waits on a queue while another still does panics. The
+// zero value is an empty open queue, so a Queue can be embedded by value
+// in the record that owns it.
 //
-// Items and overflow waiters live in ring buffers, so consumed entries
-// are dropped for the garbage collector immediately — a drained queue
-// retains no references to the values that passed through it.
-//
-// A blocking get allocates nothing: the first consumer to wait on an
-// otherwise unwaited queue parks in w0, inline; consumers arriving
-// behind it use records recycled through free, and waiters holds them
-// in arrival order (w0, when waiting, is older than all of them).
+// Items live in a ring buffer, so consumed entries are dropped for the
+// garbage collector immediately — a drained queue retains no references
+// to the values that passed through it. A blocking get allocates
+// nothing: the reader parks in w, inline, and its timeout is an event
+// carrying w.
 type Queue[T any] struct {
-	items   Ring[T]
-	w0      qwaiter[T]
-	waiters Ring[*qwaiter[T]]
-	free    FreeList[qwaiter[T]]
-	closed  bool
+	items  Ring[T]
+	w      qwaiter[T]
+	closed bool
 }
 
 type waitState uint8
 
 const (
-	waitIdle     waitState = iota // record not in use
-	waitParked                    // consumer parked, nothing decided yet
+	waitIdle     waitState = iota // no reader waits
+	waitParked                    // reader parked, nothing decided yet
 	waitGotItem                   // Put handed it an item
 	waitTimedOut                  // its timer fired first
-	waitDropped                   // queue closed, or its proc died waiting
+	waitDropped                   // queue closed
 )
 
 // wait is the part of a waiter its timeout works on. It is not generic,
@@ -44,42 +41,40 @@ type wait struct {
 
 type qwaiter[T any] struct {
 	wait
-	item T
+	item  T
+	timer Timer
 }
 
 // Len reports the number of buffered (undelivered) items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Waiting reports the waiter records out of the queue's free list: the
-// consumers parked behind the first, 0 when at most one waits.
-func (q *Queue[T]) Waiting() int { return q.free.Outstanding() }
-
-// take removes the longest-waiting live parked consumer from the wait
-// list, marking it dropped (Put overrides that with the item), and
-// returns nil when nobody is parked. Waiters that timed out and have not
-// yet run to unlink themselves are passed over. A killed one never
-// returns its record, which its timer may still name: it is dropped.
-func (q *Queue[T]) take() *qwaiter[T] {
-	for w := &q.w0; ; w = q.waiters.Pop() {
-		if w.state == waitParked {
-			w.state = waitDropped
-			if !w.p.done && !w.p.killed {
-				return w
-			}
-			if w != &q.w0 {
-				q.free.Drop(w)
-			}
-		}
-		if q.waiters.Len() == 0 {
-			return nil
-		}
+// vacant reports whether the reader's slot is free. A reader killed while
+// parked unwinds past its own release and leaves the slot claimed, its
+// timer perhaps still pending: vacant clears it, timer stopped, so that
+// timer can never time out the next reader's get.
+func (q *Queue[T]) vacant() bool {
+	if p := q.w.p; p == nil || !p.done && !p.killed {
+		return p == nil
 	}
+	q.w.timer.Stop()
+	q.w = qwaiter[T]{}
+	return true
 }
 
-// Put appends v. If a consumer is waiting, v is handed to it directly.
-// Put on a closed queue drops v and reports false. Waiters whose
-// process has been killed are skipped so items are never handed to the
-// dead.
+// take returns the parked reader, marked dropped (Put overrides that
+// with the item), or nil when none is parked.
+func (q *Queue[T]) take() *qwaiter[T] {
+	w := &q.w
+	if q.vacant() || w.state != waitParked {
+		return nil
+	}
+	w.state = waitDropped
+	return w
+}
+
+// Put appends v. If the reader is waiting, v is handed to it directly;
+// a reader killed while waiting is never handed anything. Put on a
+// closed queue drops v and reports false.
 func (q *Queue[T]) Put(v T) bool {
 	if q.closed {
 		return false
@@ -118,35 +113,25 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 	if q.closed {
 		return v, false, false
 	}
-	w := &q.w0
-	if w.p != nil || q.waiters.Len() > 0 {
-		w = q.free.Get()
-		q.waiters.Push(w)
+	if !q.vacant() {
+		panic("sim: a second process waits on a queue")
 	}
+	w := &q.w
 	w.p, w.state = p, waitParked
-	var timer Timer
 	if d >= 0 {
-		timer = p.e.ScheduleArg(d, waitTimeout, &w.wait)
+		w.timer = p.e.ScheduleArg(d, waitTimeout, &w.wait)
 	}
-	// A kill unwinds from Park and never reaches the release below: the
-	// record stays claimed (its timer may still be pending and points at
-	// it), so an abandoned waiter is never handed to another consumer.
+	// A kill unwinds from Park and never reaches the release below; the
+	// next Put, Close or get finds the slot's reader dead (vacant).
 	p.Park()
-	timer.Stop()
+	w.timer.Stop()
 	v, st := w.item, w.state
-	if st == waitTimedOut && w != &q.w0 {
-		q.unlink(w)
-	}
 	*w = qwaiter[T]{}
-	if w != &q.w0 {
-		q.free.Put(w)
-	}
 	return v, st == waitGotItem, st == waitTimedOut
 }
 
-// waitTimeout is the timer of a bounded get. It only marks and wakes:
-// the consumer unlinks itself from the wait list when it runs, and until
-// then Put and Close pass over the record.
+// waitTimeout is the timer of a bounded get. It only marks and wakes;
+// until the reader runs, Put buffers what arrives.
 func waitTimeout(arg any) {
 	w := arg.(*wait)
 	if w.state != waitParked {
@@ -156,24 +141,15 @@ func waitTimeout(arg any) {
 	w.p.Unpark()
 }
 
-func (q *Queue[T]) unlink(w *qwaiter[T]) {
-	for i := 0; i < q.waiters.Len(); i++ {
-		if q.waiters.At(i) == w {
-			q.waiters.removeAt(i)
-			return
-		}
-	}
-}
-
-// Close marks the queue closed and wakes all waiting consumers. Buffered
-// items already queued remain retrievable by TryGet but blocked Gets
-// return not-ok.
+// Close marks the queue closed and wakes a waiting reader. Buffered
+// items already queued remain retrievable by TryGet but a blocked Get
+// returns not-ok.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
 	q.closed = true
-	for w := q.take(); w != nil; w = q.take() {
+	if w := q.take(); w != nil {
 		w.p.Unpark()
 	}
 }

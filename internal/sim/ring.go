@@ -101,19 +101,6 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[r.idx(i)]
 }
 
-// removeAt removes and returns the i-th element from the head,
-// preserving the order of the rest.
-func (r *Ring[T]) removeAt(i int) T {
-	v := r.At(i)
-	for j := i; j < r.n-1; j++ {
-		r.buf[r.idx(j)] = r.buf[r.idx(j+1)]
-	}
-	var zero T
-	r.buf[r.idx(r.n-1)] = zero
-	r.n--
-	return v
-}
-
 // Keep appends v as a bounded history of max elements: when the ring
 // already holds max, it drops the head first and reports so. A ring
 // started with RingOn on a max-sized array never moves to the heap.

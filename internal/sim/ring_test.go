@@ -97,37 +97,6 @@ func TestRingInPlaceSlots(t *testing.T) {
 	}
 }
 
-func TestRingRemoveAt(t *testing.T) {
-	for remove := 0; remove < 5; remove++ {
-		var r Ring[int]
-		// Rotate head first so removal crosses the wrap point.
-		for i := 0; i < 6; i++ {
-			r.Push(-1)
-		}
-		for i := 0; i < 6; i++ {
-			r.Pop()
-		}
-		for i := 0; i < 5; i++ {
-			r.Push(i)
-		}
-		if got := r.removeAt(remove); got != remove {
-			t.Fatalf("removeAt(%d) = %d", remove, got)
-		}
-		want := []int{}
-		for i := 0; i < 5; i++ {
-			if i != remove {
-				want = append(want, i)
-			}
-		}
-		for i, w := range want {
-			if got := r.At(i); got != w {
-				t.Fatalf("after removeAt(%d): At(%d) = %d, want %d", remove, i, got, w)
-			}
-		}
-		r.Pop()
-	}
-}
-
 // TestRingZeroesVacatedSlots is the backing-array retention regression:
 // every removal path must clear its slot so consumed pointers are not
 // pinned by the ring.
@@ -138,10 +107,6 @@ func TestRingZeroesVacatedSlots(t *testing.T) {
 	r.Pop()
 	*r.PushSlot() = v
 	r.Drop()
-	r.Push(v)
-	r.Push(v)
-	r.removeAt(0)
-	r.removeAt(0)
 	for i, p := range r.buf {
 		if p != nil {
 			t.Fatalf("slot %d still holds a reference after removal", i)
@@ -150,8 +115,8 @@ func TestRingZeroesVacatedSlots(t *testing.T) {
 }
 
 // TestQueueDropsConsumedReferences asserts a drained Queue retains no
-// references to the items (or waiters) that passed through it — the
-// slice-head re-slicing leak this PR removed.
+// references to the items that passed through it, in its ring or in its
+// reader's slot — the slice-head re-slicing leak a ring removed.
 func TestQueueDropsConsumedReferences(t *testing.T) {
 	e := New(1)
 	q := NewQueue[*int]()
@@ -169,21 +134,20 @@ func TestQueueDropsConsumedReferences(t *testing.T) {
 		}
 	}
 
-	// Waiter bookkeeping must drop references too: time out a consumer
-	// and check the waiter ring holds nothing.
-	e.Go("waiter", func(p *Proc) {
+	// The reader's slot must drop its references too: hand a waiting
+	// reader an item, and time one out, then check the slot is clear.
+	e.Go("reader", func(p *Proc) {
+		if v, ok := q.Get(p); !ok || v == nil {
+			t.Errorf("Get: %v, %v", v, ok)
+		}
 		if _, ok, timedOut := q.GetTimeout(p, time.Millisecond); ok || !timedOut {
 			t.Errorf("GetTimeout: ok=%v timedOut=%v", ok, timedOut)
 		}
 	})
+	e.Schedule(time.Microsecond, func() { q.Put(new(int)) })
 	e.Run()
-	if q.waiters.Len() != 0 {
-		t.Fatalf("waiters len = %d", q.waiters.Len())
-	}
-	for i, w := range q.waiters.buf {
-		if w != nil {
-			t.Fatalf("queue still pins dead waiter in slot %d", i)
-		}
+	if q.w != (qwaiter[*int]{}) {
+		t.Fatalf("queue still holds its reader's slot: %+v", q.w)
 	}
 	e.Shutdown()
 }

@@ -318,31 +318,6 @@ func TestQueueClose(t *testing.T) {
 	q.Close() // idempotent
 }
 
-func TestQueueMultipleWaitersFIFO(t *testing.T) {
-	e := New(1)
-	q := NewQueue[int]()
-	var got []int
-	mk := func(id int) {
-		e.Go("c", func(p *Proc) {
-			v, ok := q.Get(p)
-			if ok {
-				got = append(got, id*100+v)
-			}
-		})
-	}
-	mk(1)
-	mk(2)
-	e.Go("p", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		q.Put(1)
-		q.Put(2)
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != 101 || got[1] != 202 {
-		t.Fatalf("got %v (want first waiter gets first item)", got)
-	}
-}
-
 func TestQueueTryGet(t *testing.T) {
 	q := NewQueue[int]()
 	if _, ok := q.TryGet(); ok {
